@@ -1,7 +1,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: build test race vet lint stringscheck bench-smoke bench bench-json bench-sweep bench-mega bench-cluster cover fuzz-smoke
+.PHONY: build test race vet lint stringscheck bench-smoke bench benchmark cover fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -103,60 +103,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEventEncode -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzOpenArrivalSpec -fuzztime 10s ./internal/workload/
 
-# Regenerate BENCH_simcore.json (simulator throughput snapshot), including
-# the traced-run overhead columns and a Chrome trace of the scenario.
-bench-json:
-	$(GO) run ./cmd/strings-bench -bench-json BENCH_simcore.json -trace $(BIN)/throughput-trace.json
-
-# Mega macro-benchmark smoke: the million-request scenario at CI scale
-# (20k requests, a couple of seconds). Runs against a copy so the committed
-# BENCH_simcore.json keeps its full-scale numbers; the merge must preserve
-# the standard scenario's keys, which the grep asserts. The sharded smoke
-# then runs the four-node sharded variant twice — -shards 1 and -shards 4 —
-# into separate files and diffs the simulated-metrics keys (mega_sharded_*):
-# the barrier worker count may only change wall-clock numbers, never a
-# simulated one. CI uploads all three files as artifacts.
-bench-mega:
-	@mkdir -p $(BIN)
-	cp BENCH_simcore.json $(BIN)/BENCH_simcore.json
-	$(GO) run ./cmd/strings-bench -exp mega -mega-requests 20000 -bench-json $(BIN)/BENCH_simcore.json
-	@grep -q '"ns_per_event"' $(BIN)/BENCH_simcore.json || \
-		{ echo "bench-mega: merge dropped the standard scenario's keys"; exit 1; }
-	@grep -q '"mega_ns_per_event"' $(BIN)/BENCH_simcore.json || \
-		{ echo "bench-mega: mega keys missing from merged output"; exit 1; }
-	$(GO) run ./cmd/strings-bench -exp mega -mega-requests 20000 -shards 1 \
-		-bench-json $(BIN)/BENCH_simcore.shards1.json
-	$(GO) run ./cmd/strings-bench -exp mega -mega-requests 20000 -shards 4 \
-		-bench-json $(BIN)/BENCH_simcore.shards4.json
-	@grep '"mega_sharded_' $(BIN)/BENCH_simcore.shards1.json > $(BIN)/mega-sim-keys.shards1; \
-	grep '"mega_sharded_' $(BIN)/BENCH_simcore.shards4.json > $(BIN)/mega-sim-keys.shards4; \
-	diff $(BIN)/mega-sim-keys.shards1 $(BIN)/mega-sim-keys.shards4 || \
-		{ echo "bench-mega: simulated metrics differ between -shards 1 and -shards 4"; exit 1; }
-
-# Regenerate BENCH_sweep.json: the figure grid (fig9+fig10+fig12) timed
-# sequentially and at GOMAXPROCS workers, with the tables verified deeply
-# equal. The speedup is only meaningful on a multi-core machine; the file
-# records cores/gomaxprocs so single-core numbers read as what they are.
-bench-sweep:
-	$(GO) run ./cmd/strings-bench -bench-sweep BENCH_sweep.json
-
-# Cluster-tier macro-benchmark smoke: the three-supernode open-arrival
-# scenario at CI scale (a ~500s horizon instead of the committed 2400s run),
-# against a copy so the committed BENCH_simcore.json keeps its full-scale
-# numbers. Both placement policies run sequentially and at GOMAXPROCS
-# workers with the results verified deeply equal in-process
-# (cluster_identical); the greps assert the merge kept the standard
-# scenario's keys and landed the cluster ones. CI uploads the file as an
-# artifact next to the mega and sweep snapshots.
-bench-cluster:
-	@mkdir -p $(BIN)
-	cp BENCH_simcore.json $(BIN)/BENCH_simcore.cluster.json
-	$(GO) run ./cmd/strings-bench -exp cluster \
-		-cluster-spec 'poisson:rate=0.5,horizon=500s,kind=GA,life=80s,lambda=800ms,bigevery=16,bigslots=2' \
-		-bench-json $(BIN)/BENCH_simcore.cluster.json
-	@grep -q '"ns_per_event"' $(BIN)/BENCH_simcore.cluster.json || \
-		{ echo "bench-cluster: merge dropped the standard scenario's keys"; exit 1; }
-	@grep -q '"cluster_p99_s"' $(BIN)/BENCH_simcore.cluster.json || \
-		{ echo "bench-cluster: cluster keys missing from merged output"; exit 1; }
-	@grep -q '"cluster_identical": true' $(BIN)/BENCH_simcore.cluster.json || \
-		{ echo "bench-cluster: worker invariance broke in the cluster run"; exit 1; }
+# The repo benchmark (BENCHMARK.json, benchmark/README.md): all four
+# workloads at the shortest accepted run length, results and the per-layer
+# ledger under benchmark/out/. Fails on any conservation violation or any
+# sim_digest disagreement between passes or between 1 and nproc workers.
+benchmark:
+	$(GO) run ./benchmark -workload all -seconds 3

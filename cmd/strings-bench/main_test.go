@@ -2,11 +2,11 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/stringsched"
 )
 
 // TestRunRejectsInvalidFlags pins the CLI's failure mode: every invalid
@@ -25,12 +25,12 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 			[]string{"invalid -shards -42", "valid range"}},
 		{"negative parallel", []string{"-parallel", "-1"},
 			[]string{"invalid -parallel -1", ">= 0", "0 = GOMAXPROCS", "1 = sequential"}},
-		{"negative workers alias", []string{"-workers", "-3"},
-			[]string{"invalid -workers -3", ">= 0", "deprecated alias"}},
+		{"negative pairs", []string{"-pairs", "-1"},
+			[]string{"invalid -pairs -1", "valid range: 1..24"}},
+		{"zero pairs", []string{"-pairs", "0"},
+			[]string{"invalid -pairs 0", "valid range: 1..24"}},
 		{"unknown experiment", []string{"-exp", "fig99"},
-			[]string{"unknown experiment", "table1", "fig9", "mega", "cluster", "faults is opt-in"}},
-		{"unknown cluster policy", []string{"-exp", "cluster", "-cluster-policy", "round-robin"},
-			[]string{"unknown cluster policy", "least-loaded", "frag"}},
+			[]string{"unknown experiment", "table1", "fig9", "opt-in", "faults, cluster"}},
 		{"bad cluster spec", []string{"-exp", "cluster", "-cluster-spec", "lunar:rate=1"},
 			[]string{"-cluster-spec", "unknown arrival process"}},
 		{"unparsable flag", []string{"-requests", "xyz"}, []string{"invalid value"}},
@@ -65,54 +65,56 @@ func TestRunExperimentHappyPath(t *testing.T) {
 	}
 }
 
-// TestRunClusterMergesBenchKeys runs a small -exp cluster macro-run into a
-// bench JSON that already holds foreign keys and checks the cluster_* keys
-// merge in without disturbing them — the same read-modify-write contract
-// the mega keys honor.
-func TestRunClusterMergesBenchKeys(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	if err := os.WriteFile(path, []byte("{\n  \"scenario\": \"keep-me\"\n}\n"), 0o644); err != nil {
-		t.Fatal(err)
+// TestRunClusterExperiment runs a small -exp cluster end to end: one table
+// with a series per placement policy, tenant conservation readable from it,
+// and stdout byte-identical across -parallel and across -shards >= 1 once
+// the wall-clock footer is stripped. (-shards 0 is the distinct single-kernel
+// timing model, so it is not part of the shard comparison.)
+func TestRunClusterExperiment(t *testing.T) {
+	runCSV := func(extra ...string) string {
+		t.Helper()
+		args := append([]string{
+			"-exp", "cluster", "-csv",
+			"-cluster-spec", "poisson:rate=0.8,horizon=40s,kind=GA,life=12s,lambda=1s",
+		}, extra...)
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("run(%v) = %d, stderr:\n%s", args, code, stderr.String())
+		}
+		body, footer, ok := strings.Cut(stdout.String(), "\n(")
+		if !ok || !strings.Contains(footer, "s wall)") {
+			t.Fatalf("run(%v): no wall-clock footer:\n%s", args, stdout.String())
+		}
+		return body
 	}
-	var stdout, stderr bytes.Buffer
-	args := []string{
-		"-exp", "cluster", "-bench-json", path,
-		"-cluster-spec", "poisson:rate=0.8,horizon=40s,kind=GA,life=12s,lambda=1s",
-		"-cluster-policy", "frag",
+
+	seq := runCSV("-parallel", "1")
+	rows := strings.Split(strings.TrimSpace(seq), "\n")
+	if got, want := rows[0], "label,"+strings.Join(stringsched.ClusterPolicies(), ","); got != want {
+		t.Fatalf("header = %q, want %q (one series per placement policy)", got, want)
 	}
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("run(%v) = %d, stderr:\n%s", args, code, stderr.String())
+	cells := map[string][]string{}
+	for _, row := range rows[1:] {
+		f := strings.Split(row, ",")
+		cells[f[0]] = f[1:]
 	}
-	for _, want := range []string{"cluster/least-loaded", "cluster/frag", "identical=true", "cluster_* keys merged"} {
-		if !strings.Contains(stdout.String(), want) {
-			t.Errorf("stdout missing %q:\n%s", want, stdout.String())
+	for i, policy := range stringsched.ClusterPolicies() {
+		num := func(label string) int {
+			v, err := strconv.Atoi(cells[label][i])
+			if err != nil {
+				t.Fatalf("%s/%s: %v", policy, label, err)
+			}
+			return v
+		}
+		if born := num("born"); born == 0 || num("placed")+num("rejected") != born {
+			t.Errorf("%s: placed %d + rejected %d != born %d", policy, num("placed"), num("rejected"), born)
 		}
 	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+
+	if par := runCSV("-parallel", "4"); par != seq {
+		t.Errorf("-parallel 4 changed the table:\n%s\nvs -parallel 1:\n%s", par, seq)
 	}
-	var merged map[string]any
-	if err := json.Unmarshal(blob, &merged); err != nil {
-		t.Fatalf("bench JSON unreadable after merge: %v", err)
-	}
-	if merged["scenario"] != "keep-me" {
-		t.Errorf("merge clobbered foreign key scenario = %v", merged["scenario"])
-	}
-	for _, key := range []string{
-		"cluster_scenario", "cluster_policy", "cluster_supernodes", "cluster_born",
-		"cluster_placed", "cluster_requests", "cluster_events", "cluster_p50_s",
-		"cluster_p99_s", "cluster_fairness", "cluster_identical",
-	} {
-		if _, ok := merged[key]; !ok {
-			t.Errorf("bench JSON missing %s after cluster merge", key)
-		}
-	}
-	if merged["cluster_policy"] != "frag" {
-		t.Errorf("cluster_policy = %v, want frag (the -cluster-policy value)", merged["cluster_policy"])
-	}
-	if merged["cluster_identical"] != true {
-		t.Error("cluster_identical is not true: worker invariance broke")
+	if s1, s4 := runCSV("-shards", "1"), runCSV("-shards", "4"); s1 != s4 {
+		t.Errorf("-shards 4 changed the table:\n%s\nvs -shards 1:\n%s", s4, s1)
 	}
 }

@@ -72,10 +72,14 @@ func main() {
 	cfg.Nodes = []stringsched.NodeConfig{
 		{Devices: []stringsched.DeviceSpec{stringsched.Quadro2000, stringsched.TeslaC2050}},
 	}
-	if *nodes == 2 {
+	switch *nodes {
+	case 1:
+	case 2:
 		cfg.Nodes = append(cfg.Nodes, stringsched.NodeConfig{
 			Devices: []stringsched.DeviceSpec{stringsched.Quadro4000, stringsched.TeslaC2070},
 		})
+	default:
+		log.Fatalf("invalid -nodes %d (valid: 1 = one 2-GPU node, 2 = 4-GPU supernode)", *nodes)
 	}
 
 	var streams []stringsched.StreamSpec

@@ -125,11 +125,6 @@ type Config struct {
 	// Traced installs a trace recorder on every supernode run; the
 	// Result then carries each supernode's canonical JSONL export.
 	Traced bool
-
-	// FreshKernels disables kernel recycling across the supernode runs.
-	// Recycling (the default) reuses each worker's kernel through a
-	// parallel.KernelArena — semantically invisible, as everywhere else.
-	FreshKernels bool
 }
 
 // withDefaults fills the zero knobs.

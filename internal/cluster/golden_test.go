@@ -84,7 +84,7 @@ func goldenTrace(r *Result) string {
 }
 
 // TestClusterGolden runs the pinned scenario for both policies through the
-// execution-path variants (reused/fresh kernels, sequential/parallel-8) and
+// execution-path variants (default, sequential, parallel-8) and
 // demands every variant reproduce the committed 12-digit metrics, exact
 // counters and trace hash — the cluster-tier analogue of TestFig9Golden.
 func TestClusterGolden(t *testing.T) {
@@ -94,7 +94,6 @@ func TestClusterGolden(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"reused-kernels", func(*Config) {}},
-		{"fresh-kernels", func(c *Config) { c.FreshKernels = true }},
 		{"sequential", func(c *Config) { c.Workers = 1 }},
 		{"parallel-8", func(c *Config) { c.Workers = 8 }},
 	}

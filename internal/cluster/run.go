@@ -103,9 +103,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// One core run per supernode, fanned out through the blessed pool.
-	// Kernels recycle through a shared arena (workers fewer than
-	// supernodes reuse their predecessor's backing arrays) unless
-	// FreshKernels asks for cold ones.
+	// Kernels recycle through a shared arena: workers fewer than
+	// supernodes reuse their predecessor's backing arrays.
 	var arena parallel.KernelArena
 	type snOut struct {
 		res SupernodeResult
@@ -121,12 +120,9 @@ func Run(cfg Config) (*Result, error) {
 			Mode:    cfg.Mode,
 			Balance: cfg.Balance, DevPolicy: cfg.DevPolicy,
 			Shards: cfg.Shards,
+			Kernel: arena.Get(),
 		}
-		if !cfg.FreshKernels {
-			k := arena.Get()
-			defer arena.Put(k)
-			ccfg.Kernel = k
-		}
+		defer arena.Put(ccfg.Kernel)
 		if cfg.Traced {
 			ccfg.Recorder = trace.New()
 		}

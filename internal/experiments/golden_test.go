@@ -74,8 +74,6 @@ func TestFig9Golden(t *testing.T) {
 		// The default path: kernels recycled through the suite's arena,
 		// traces shared, workers at GOMAXPROCS.
 		{"reused-kernels", func(*Options) {}},
-		// Every scenario on a fresh kernel — the pre-reuse reference.
-		{"fresh-kernels", func(o *Options) { o.FreshKernels = true }},
 		// Sequential reference execution.
 		{"sequential", func(o *Options) { o.Workers = 1 }},
 		// Oversubscribed pool (more workers than cores) to vary completion

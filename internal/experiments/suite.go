@@ -62,12 +62,6 @@ type Options struct {
 	// collapse to the classic single kernel. 0 keeps the legacy path
 	// (goldens are pinned against it).
 	Shards int
-
-	// FreshKernels disables kernel recycling: every scenario builds its
-	// kernel from scratch instead of resetting one borrowed from the
-	// suite's arena. Results are identical either way (TestFig9Golden pins
-	// both paths); the flag exists to compare them.
-	FreshKernels bool
 }
 
 func (o Options) withDefaults() Options {
@@ -183,11 +177,8 @@ func (s *Suite) run(sc scenario) *core.RunResult {
 	s.mu.Unlock()
 	e.once.Do(func() {
 		pooled := core.NewRunResultForPooling()
-		if !s.opt.FreshKernels {
-			k := s.arena.Get()
-			defer s.arena.Put(k)
-			sc.cfg.Kernel = k
-		}
+		sc.cfg.Kernel = s.arena.Get()
+		defer s.arena.Put(sc.cfg.Kernel)
 		sc.cfg.Traces = s.traces
 		sc.cfg.Shards = s.opt.Shards
 		for rep := 0; rep < s.opt.Seeds; rep++ {

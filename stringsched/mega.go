@@ -25,9 +25,9 @@ type MegaResult struct {
 // RunMega drives the mega macro-scenario: requests Gaussian-elimination
 // requests (the lightest Table I profile) arriving as one Poisson stream at a
 // two-GPU Strings node under GMin balancing. Identical seeds give
-// bit-identical results; the scenario is shared between the strings-bench
-// `-exp mega` benchmark and the (short-mode-skipped) smoke test so both
-// measure the same thing.
+// bit-identical results. The smoke tests run it scaled down to guard the
+// dead-stream-scan fix (per-request cost flat in run length); the repo
+// benchmark's node_mega workload times the same configuration.
 func RunMega(seed int64, requests int) (MegaResult, error) {
 	c, err := NewCluster(Config{
 		Seed: seed,
@@ -80,8 +80,8 @@ const megaShardNodes = 4
 // partitions into four shard kernels advancing concurrently under the
 // conservative window protocol. shards sets the barrier worker count
 // (Config.Shards); the simulated outcome is bit-identical for any shards >= 1
-// — only wall-clock time changes — which is exactly what the benchmark
-// harness asserts when it runs the scenario at 1 and N workers. FFJumps and
+// — only wall-clock time changes — which TestRunMegaShardedSmoke asserts at
+// 1 and 4 workers. FFJumps and
 // FFSkipped sum over all four shard kernels (each skips its own quiescent
 // stretches of the shared timeline), so SkipRatio can exceed 1 here.
 func RunMegaSharded(seed int64, requests, shards int) (MegaResult, ShardStats, error) {

@@ -2,10 +2,10 @@ package stringsched
 
 import "testing"
 
-// TestRunMegaSmoke drives a scaled-down mega macro-run (the same scenario
-// `strings-bench -exp mega` benchmarks) and checks its shape: every request
-// finishes, the virtual timeline is dominated by fast-forwarded idle time,
-// and identical seeds reproduce the run bit-identically.
+// TestRunMegaSmoke drives a scaled-down mega macro-run (the scenario the repo
+// benchmark's node_mega workload is built on) and checks its shape: every
+// request finishes, the virtual timeline is dominated by fast-forwarded idle
+// time, and identical seeds reproduce the run bit-identically.
 func TestRunMegaSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mega smoke run skipped in -short mode")
@@ -41,9 +41,9 @@ func TestRunMegaSmoke(t *testing.T) {
 }
 
 // TestRunMegaShardedSmoke drives a scaled-down sharded mega run (the scenario
-// `strings-bench -exp mega -shards N` benchmarks): the fleet must actually
-// shard, exercise the window machinery, and produce bit-identical results and
-// shard stats at 1 and 4 barrier workers.
+// the repo benchmark's fleet_sharded workload is built on): the fleet must
+// actually shard, exercise the window machinery, and produce bit-identical
+// results and shard stats at 1 and 4 barrier workers.
 func TestRunMegaShardedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded mega smoke run skipped in -short mode")
