@@ -1,7 +1,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: build test race vet lint stringscheck bench-smoke bench benchmark cover fuzz-smoke
+.PHONY: build test race vet lint stringscheck bench-smoke bench benchmark cover fuzz-smoke loc
 
 build:
 	$(GO) build ./...
@@ -79,7 +79,7 @@ bench:
 # Coverage gate: run the internal packages with -coverprofile and fail if
 # any of the gated packages (the observability layer, the sweep engine,
 # the shard coordinator, the analytic fast-forward layer, the analysis
-# framework, the device model and the cluster tier) drops below 85%
+# framework, the device model, the cluster tier and core) drops below 85%
 # statement coverage. The profile lands in $(BIN)/cover.out for CI to
 # upload.
 cover:
@@ -88,7 +88,8 @@ cover:
 	$(GO) run ./cmd/covercheck -profile $(BIN)/cover.out -min 85 \
 		repro/internal/trace repro/internal/sweep repro/internal/parallel \
 		repro/internal/sim repro/internal/sim/shard repro/internal/analytic \
-		repro/internal/analysis repro/internal/gpu repro/internal/cluster
+		repro/internal/analysis repro/internal/gpu repro/internal/cluster \
+		repro/internal/core
 
 # Short fuzz pass over every native fuzz target: the wire codec, the framing
 # layer and the trace encoders each get 10s of coverage-guided input on top
@@ -109,3 +110,9 @@ fuzz-smoke:
 # sim_digest disagreement between passes or between 1 and nproc workers.
 benchmark:
 	$(GO) run ./benchmark -workload all -seconds 3
+
+# Non-test Go lines outside benchmark/ and testdata/: the size figure
+# ROADMAP asks every PR to report (before → after) in CHANGES.md.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
+		-exec cat {} + | wc -l

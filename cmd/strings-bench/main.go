@@ -107,7 +107,7 @@ func run(args []string, out, errOut io.Writer) int {
 	htmlOut := fs.String("html", "", "also write an HTML report with SVG charts to this path")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this path on exit")
-	shardsN := fs.Int("shards", 0, "with -exp cluster: per-supernode shard setting (0 = classic single-kernel path, N >= 1 = one shard kernel per node with N barrier workers; results are identical for any N >= 1)")
+	shardsN := fs.Int("shards", 0, "with -exp cluster: per-supernode shard setting (0 = one kernel for all nodes, N >= 1 = one shard kernel per node with N barrier workers; the simulated results are identical at every value)")
 	clusterSpec := fs.String("cluster-spec", "poisson:rate=0.5,horizon=2400s,kind=GA,life=80s,lambda=800ms,bigevery=16,bigslots=2",
 		"open-arrival spec for -exp cluster (process:key=value,...)")
 	if err := fs.Parse(args); err != nil {
@@ -118,7 +118,7 @@ func run(args []string, out, errOut io.Writer) int {
 	// non-zero, and say what would have been accepted (the same treatment
 	// -exp gives unknown experiment names).
 	if *shardsN < 0 {
-		fmt.Fprintf(errOut, "invalid -shards %d\nvalid range: 0 (classic single-kernel path) or >= 1 (sharded; N sets the barrier worker count)\n", *shardsN)
+		fmt.Fprintf(errOut, "invalid -shards %d\nvalid range: 0 (one kernel for all nodes) or >= 1 (sharded; N sets the barrier worker count)\n", *shardsN)
 		return 1
 	}
 	if *parallelN < 0 {

@@ -20,7 +20,7 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		want []string // substrings the stderr message must contain
 	}{
 		{"negative shards", []string{"-shards", "-1"},
-			[]string{"invalid -shards -1", "0 (classic single-kernel path)", ">= 1"}},
+			[]string{"invalid -shards -1", "0 (one kernel for all nodes)", ">= 1"}},
 		{"very negative shards", []string{"-shards", "-42"},
 			[]string{"invalid -shards -42", "valid range"}},
 		{"negative parallel", []string{"-parallel", "-1"},
@@ -68,8 +68,9 @@ func TestRunExperimentHappyPath(t *testing.T) {
 // TestRunClusterExperiment runs a small -exp cluster end to end: one table
 // with a series per placement policy, tenant conservation readable from it,
 // and stdout byte-identical across -parallel and across -shards >= 1 once
-// the wall-clock footer is stripped. (-shards 0 is the distinct single-kernel
-// timing model, so it is not part of the shard comparison.)
+// the wall-clock footer is stripped. -shards 0 runs the same model on one
+// kernel per supernode: every simulated row agrees, only the kernel event
+// count (an execution counter) differs.
 func TestRunClusterExperiment(t *testing.T) {
 	runCSV := func(extra ...string) string {
 		t.Helper()
@@ -114,7 +115,20 @@ func TestRunClusterExperiment(t *testing.T) {
 	if par := runCSV("-parallel", "4"); par != seq {
 		t.Errorf("-parallel 4 changed the table:\n%s\nvs -parallel 1:\n%s", par, seq)
 	}
-	if s1, s4 := runCSV("-shards", "1"), runCSV("-shards", "4"); s1 != s4 {
+	s1 := runCSV("-shards", "1")
+	if s4 := runCSV("-shards", "4"); s1 != s4 {
 		t.Errorf("-shards 4 changed the table:\n%s\nvs -shards 1:\n%s", s4, s1)
+	}
+	simulated := func(table string) string {
+		var keep []string
+		for _, row := range strings.Split(table, "\n") {
+			if !strings.HasPrefix(row, "events,") {
+				keep = append(keep, row)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	if s0 := simulated(seq); s0 != simulated(s1) {
+		t.Errorf("-shards 1 changed a simulated row:\n%s\nvs -shards 0:\n%s", simulated(s1), s0)
 	}
 }

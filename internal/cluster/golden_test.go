@@ -12,9 +12,9 @@ import (
 )
 
 // goldenCfg is the pinned golden scenario: three two-node supernodes under a
-// short big-tenant Poisson arrival mix, traced, on the classic (unsharded)
-// kernel path — the invariance suite owns the sharded axis, so the golden
-// pins the other composition.
+// short big-tenant Poisson arrival mix, traced, with each supernode's nodes
+// on one kernel (Shards 0) — the invariance suite owns the sharded axis, so
+// the golden pins the other partition.
 func goldenCfg(policy string) Config {
 	return Config{
 		Seed:       3,
@@ -34,21 +34,21 @@ func goldenCfg(policy string) Config {
 // fairness, avg admission wait, max admission wait (seconds), then one
 // utilization per supernode.
 var clusterGolden = map[string][]float64{
-	"least-loaded": {2.026361, 2.051931, 2.078074, 0.975610421339, 8.291814, 12.446848, 0.0239414344328, 0.0183908870049, 0.0364374228538},
-	"frag":         {2.026361, 2.05888, 2.090424, 0.974364474969, 2.854589, 7.905922, 0.0393823563618, 0.0186610897797, 0.021736853762},
+	"least-loaded": {2.026361, 2.051931, 2.078074, 0.975610421339, 8.291814, 12.446848, 0.0239414309032, 0.0183908870049, 0.0364374228538},
+	"frag":         {2.026361, 2.05888, 2.090424, 0.974364474969, 2.854589, 7.905922, 0.0393823563618, 0.0186610897797, 0.0217368496483},
 }
 
 // clusterGoldenInts pins the scenario's exact counters per policy. Columns:
 // born, placed, parked, rejected, conflicts, requests, finished, events.
 var clusterGoldenInts = map[string][]int{
-	"least-loaded": {107, 107, 13, 0, 17, 3739, 3739, 912463},
-	"frag":         {107, 107, 22, 0, 18, 3739, 3739, 912449},
+	"least-loaded": {107, 107, 13, 0, 17, 3739, 3739, 920448},
+	"frag":         {107, 107, 22, 0, 18, 3739, 3739, 918214},
 }
 
 // clusterGoldenSHA pins the sha256 of each policy's concatenated
 // per-supernode JSONL trace (supernode order).
 var clusterGoldenSHA = map[string]string{
-	"least-loaded": "ca1682eb666e736b7517f7f8a4d958f40fcce50e94eea3c07e008242f51ba90b",
+	"least-loaded": "84c12ec89b37907ad03edb99760b585b6eb5f08ed79d692c96a092dd32063d00",
 	"frag":         "e21a1629937e36ffff250adc6b1a34db293dce892877dc69b726c0465797ca1b",
 }
 

@@ -145,12 +145,15 @@ func (b *stringsBackend) serve(p *sim.Proc, ep rpcproto.Endpoint) {
 // — executing the application's calls verbatim: synchronous memcpys stay
 // synchronous, device synchronizes stay device-wide, everything runs on the
 // context's default stream. The per-device scheduler still gates
-// submission, which is how TFS-Rain and LAS-Rain are realized.
+// submission, which is how TFS-Rain and LAS-Rain are realized. The process
+// runs on the device's kernel and draws its sequence number from that
+// kernel's application counter.
 func (c *Cluster) serveRainConn(gid int, conn *rpcproto.Conn) {
-	c.appSeq++
-	seq := c.appSeq
+	e := c.devEnv[gid]
+	e.appSeq++
+	seq := e.appSeq
 	ep := conn.B()
-	c.K.GoNamed(func() string { return fmt.Sprintf("rain-%d-%d", gid, seq) },
+	e.k.GoNamed(func() string { return fmt.Sprintf("rain-%d-%d", gid, seq) },
 		func(p *sim.Proc) { c.rainServe(p, gid, ep) })
 }
 
@@ -173,7 +176,7 @@ func (c *Cluster) rainServe(p *sim.Proc, gid int, ep rpcproto.Endpoint) {
 		first.KernelName, func() int { return held + ep.InboxLen() })
 
 	// A fresh runtime per application: Rain's per-app backend process (on
-	// whichever shard kernel this backend proc runs on).
+	// whichever kernel this backend proc runs on).
 	rt := cuda.NewRuntime(p.Kernel(), []*gpu.Device{c.devices[gid]}, c.cfg.CUDA)
 	rt.SetOwner(appID)
 	t := rt.NewThread(p, appID)

@@ -125,20 +125,20 @@ type Config struct {
 	// the inline path (workload.StreamSeed).
 	Traces *workload.TraceBook
 
-	// Shards >= 1 partitions the cluster into one shard kernel per node,
-	// composed under a conservative-lookahead coordinator
-	// (internal/sim/shard) with Shards barrier workers; cross-node traffic
-	// crosses shard mailboxes with the RemoteLink latency as the lookahead.
-	// Results are bit-identical for every Shards >= 1 (the partition is
-	// always per-node; Shards only sets the worker count), but the sharded
-	// composition is a deliberately distinct model from the default
-	// single-kernel path (Shards == 0): control messages that the single
-	// kernel delivers instantly (feedback, failure reports) pay the physical
-	// control-plane latency when they cross shards. Topologies the per-node
-	// partition cannot express — a single node, partitionable (MIG) fleets
-	// whose slices are carved across nodes, or fault plans that mutate
-	// cross-shard state — collapse to the single-kernel path; Sharded()
-	// reports the outcome.
+	// Shards chooses how the one control-plane model executes, never what
+	// it computes. The model is fixed: the affinity mapper runs on node 0,
+	// node 0 reports to it instantly, and every other node pays
+	// RemoteLink.Latency each way for selections, feedback/release, failure
+	// and recovery reports. Shards == 0 runs every node on one kernel;
+	// Shards >= 1 gives each node its own kernel, composed under a
+	// conservative-lookahead coordinator (internal/sim/shard) with Shards
+	// barrier workers and the RemoteLink latency as the lookahead. Request
+	// logs agree at every value (only application IDs are numbered per
+	// kernel), and results are bit-identical for every Shards >= 1.
+	// Topologies the per-node partition cannot express yet — a single node,
+	// partitionable (MIG) fleets whose slices are carved across nodes, or
+	// fault plans that mutate cross-node state — run on one kernel whatever
+	// Shards says; Sharded() reports the outcome.
 	Shards int
 }
 
@@ -156,17 +156,15 @@ type Cluster struct {
 	scheds  []*devsched.Scheduler
 	backs   []*stringsBackend
 
-	appSeq    int
-	appTenant map[int]int64 // app id → tenant, for horizon-based accounting
-	results   *RunResult
+	// The node→kernel partition (see partition.go): one environment per
+	// kernel, every kernel driven by coord. nodes maps a node, and devEnv a
+	// GID, to its environment.
+	envs   []*shardEnv
+	nodes  []*nodeFabric
+	devEnv []*shardEnv
+	coord  *shard.Coordinator
 
-	// Shard composition (see shardenv.go). In the single-kernel path envs
-	// holds one legacy environment aliasing the fields above and coord is
-	// nil; in the sharded path there is one environment per node and coord
-	// drives their kernels.
-	envs     []*shardEnv
-	coord    *shard.Coordinator
-	envOfGID []int // GID → owning environment index
+	newDevPolicy func() devsched.Policy // nil in ModeCUDA
 
 	// Injected fault state, indexed by GID and written only by the fault
 	// injector (all zero in fault-free runs).
@@ -185,12 +183,11 @@ type selectResult struct {
 	gid balancer.GID
 }
 
-// mapperMsg is a message to the affinity-mapper service process: either a
-// selection request (out/done set) or a feedback/release relay.
+// mapperMsg is a message to the affinity-mapper service process: a
+// selection request, a feedback/release relay, or failure-detector traffic.
 type mapperMsg struct {
-	req  balancer.Request
-	out  *selectResult
-	done *sim.Event
+	req balancer.Request
+	out *selectResult
 
 	fb      *rpcproto.Feedback
 	release bool
@@ -203,11 +200,12 @@ type mapperMsg struct {
 	hGID      balancer.GID
 	hOut      *healthResult
 
-	// Cross-shard reply routing: when the requester lives on another shard
-	// kernel, done stays nil and the verdict is fired through the shard
-	// mailbox back to xsrc, paying the control-plane latency on the way.
-	xsrc  int
-	xdone *sim.Event
+	// node is the sender's node and at the instant the message reached the
+	// mapper's queue. Selections and failure reports are answered: the
+	// verdict fires done on the sender's node (see Cluster.reply).
+	node int
+	at   sim.Time
+	done *sim.Event
 }
 
 // healthResult carries a failure report's verdict back to the caller.
@@ -215,8 +213,10 @@ type healthResult struct {
 	h balancer.Health
 }
 
-// New builds a cluster per cfg. The kernel, devices, gPool, mapper service
-// and (for ModeStrings) per-GPU backends are created immediately.
+// New builds a cluster per cfg. The kernels, devices, gPool, mapper service
+// and (for ModeStrings) per-GPU backends are created immediately. The
+// configuration is validated before anything that Close would have to
+// release exists.
 func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("core: no nodes configured")
@@ -233,53 +233,37 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.RemoteLink == (rpcproto.LinkSpec{}) {
 		cfg.RemoteLink = rpcproto.RemoteLink
 	}
-	k := cfg.Kernel
-	if k != nil {
-		k.Reset(cfg.Seed)
-	} else {
-		k = sim.NewKernel(cfg.Seed)
-	}
-	c := &Cluster{
-		K: k, cfg: cfg,
-		appTenant: make(map[int]int64), results: newRunResult(),
-	}
-	c.buildEnvs()
-
-	// Physical devices and the gPool. Each device lives on its node's
-	// environment kernel (the one kernel in the single-kernel path).
-	var infos []remoting.NodeInfo
-	gid := 0
 	for n, node := range cfg.Nodes {
 		if len(node.Devices) == 0 {
 			return nil, fmt.Errorf("core: node %d has no devices", n)
 		}
-		e := c.envForNode(n)
+	}
+	c := &Cluster{cfg: cfg}
+	var pol balancer.Policy
+	if cfg.Mode != ModeCUDA {
+		var err error
+		if pol, err = balancer.ByName(cfg.Balance); err != nil {
+			return nil, err
+		}
+		if c.newDevPolicy, err = devPolicyFactory(cfg); err != nil {
+			return nil, err
+		}
+	}
+	c.K = cfg.Kernel
+	if c.K != nil {
+		c.K.Reset(cfg.Seed)
+	} else {
+		c.K = sim.NewKernel(cfg.Seed)
+	}
+	c.buildEnvs()
+
+	// Physical devices and the gPool. Each device lives on its node's
+	// kernel.
+	var infos []remoting.NodeInfo
+	for n, node := range cfg.Nodes {
 		var devs []*gpu.Device
 		for _, spec := range node.Devices {
-			d := gpu.NewDevice(e.k, spec, gid)
-			if cfg.Trace {
-				tr := &gpu.UtilTrace{}
-				d.SetTracer(tr)
-				c.traces = append(c.traces, tr)
-			} else {
-				c.traces = append(c.traces, nil)
-			}
-			if e.rec.Enabled() {
-				// GPU-op spans: the completion callback sees the op's full
-				// timing, so each op records as an already-finished span.
-				g, rec := gid, e.rec
-				d.SetOnComplete(func(op *gpu.Op) {
-					if op.Kind == gpu.OpMarker {
-						return
-					}
-					rec.Complete(trace.KOp, op.Kind.String(),
-						op.AppID, g, op.Bytes, op.Started, op.Finished)
-				})
-			}
-			c.devices = append(c.devices, d)
-			c.envOfGID = append(c.envOfGID, e.idx)
-			devs = append(devs, d)
-			gid++
+			devs = append(devs, c.addDevice(c.nodes[n].e, spec))
 		}
 		c.nodeDev = append(c.nodeDev, devs)
 		infos = append(infos, remoting.NodeInfo{
@@ -287,9 +271,6 @@ func New(cfg Config) (*Cluster, error) {
 		})
 	}
 	c.gmap = remoting.BuildGMap(infos)
-	c.gpuDown = make([]bool, gid)
-	c.stallUntil = make([]sim.Time, gid)
-	c.degrade = make([]float64, gid)
 	c.initSlices()
 
 	if cfg.Mode == ModeCUDA {
@@ -297,63 +278,84 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	// Affinity mapper service.
-	pol, err := balancer.ByName(cfg.Balance)
-	if err != nil {
-		return nil, err
-	}
 	c.mapper = balancer.NewMapper(c.gmap.DST(), pol)
 	c.mapper.SetRecorder(cfg.Recorder)
 	c.mapQ = sim.NewQueue[mapperMsg](c.K)
 	c.K.Go("affinity-mapper", c.mapperLoop)
 
-	// Device schedulers and, for Strings, per-GPU backend processes. Rain's
-	// per-process backends can only observe attained service at request
-	// boundaries, so its Request Monitor runs with coarse accounting.
-	for g, d := range c.devices {
-		dp, err := c.devPolicy()
-		if err != nil {
-			return nil, err
-		}
-		e := c.envs[c.envOfGID[g]]
-		c.scheds = append(c.scheds, c.newSched(e, d, g, dp))
-		if cfg.Mode == ModeStrings {
-			c.backs = append(c.backs, newStringsBackend(c, e, g))
-		}
+	for g := range c.devices {
+		c.serveDevice(g)
 	}
 	faults.Start(c.K, cfg.Faults, c)
 	return c, nil
 }
 
-// newSched builds one device scheduler with the cluster's config (Rain's
-// per-process backends get the coarse accounting lag). The scheduler lives
-// on the device's environment kernel.
-func (c *Cluster) newSched(e *shardEnv, d *gpu.Device, gid int, dp devsched.Policy) *devsched.Scheduler {
+// addDevice creates the device for the next gPool row on e's kernel, with
+// the utilization tracer, the GPU-op span hook and a clean fault state.
+func (c *Cluster) addDevice(e *shardEnv, spec gpu.Spec) *gpu.Device {
+	gid := len(c.devices)
+	d := gpu.NewDevice(e.k, spec, gid)
+	var tr *gpu.UtilTrace
+	if c.cfg.Trace {
+		tr = &gpu.UtilTrace{}
+		d.SetTracer(tr)
+	}
+	c.traces = append(c.traces, tr)
+	if rec := e.rec; rec.Enabled() {
+		// GPU-op spans: the completion callback sees the op's full
+		// timing, so each op records as an already-finished span.
+		d.SetOnComplete(func(op *gpu.Op) {
+			if op.Kind == gpu.OpMarker {
+				return
+			}
+			rec.Complete(trace.KOp, op.Kind.String(),
+				op.AppID, gid, op.Bytes, op.Started, op.Finished)
+		})
+	}
+	c.devices = append(c.devices, d)
+	c.devEnv = append(c.devEnv, e)
+	c.gpuDown = append(c.gpuDown, false)
+	c.stallUntil = append(c.stallUntil, 0)
+	c.degrade = append(c.degrade, 0)
+	return d
+}
+
+// serveDevice starts gid's device scheduler and, for Strings, its per-GPU
+// backend process, on the device's kernel. Rain's
+// per-process backends can only observe attained service at request
+// boundaries, so its Request Monitor runs with coarse accounting.
+func (c *Cluster) serveDevice(gid int) {
+	e := c.devEnv[gid]
 	schedCfg := c.cfg.Sched
 	if c.cfg.Mode == ModeRain && schedCfg.AccountingLag == 0 {
 		schedCfg.AccountingLag = 100 * sim.Millisecond
 	}
-	s := devsched.New(e.k, d, gid, dp, schedCfg)
+	s := devsched.New(e.k, c.devices[gid], gid, c.newDevPolicy(), schedCfg)
 	s.SetRecorder(e.rec)
-	return s
+	c.scheds = append(c.scheds, s)
+	if c.cfg.Mode == ModeStrings {
+		c.backs = append(c.backs, newStringsBackend(c, e, gid))
+	}
 }
 
-// devPolicy instantiates a fresh device-policy value (stateful policies
-// like TFS need one instance per device).
-func (c *Cluster) devPolicy() (devsched.Policy, error) {
-	switch c.cfg.DevPolicy {
-	case "", "none":
-		return devsched.AllAwake{}, nil
+// devPolicyFactory validates cfg.DevPolicy and returns a constructor of
+// fresh policy values (stateful policies like TFS need one instance per
+// device).
+func devPolicyFactory(cfg Config) (func() devsched.Policy, error) {
+	switch cfg.DevPolicy {
+	case "none":
+		return func() devsched.Policy { return devsched.AllAwake{} }, nil
 	case "TFS":
-		return devsched.NewTFS(), nil
+		return func() devsched.Policy { return devsched.NewTFS() }, nil
 	case "LAS":
-		return devsched.LAS{}, nil
+		return func() devsched.Policy { return devsched.LAS{} }, nil
 	case "PS":
-		if c.cfg.Mode != ModeStrings {
+		if cfg.Mode != ModeStrings {
 			return nil, fmt.Errorf("core: PS is a Strings-only policy")
 		}
-		return devsched.PS{}, nil
+		return func() devsched.Policy { return devsched.PS{} }, nil
 	default:
-		return nil, fmt.Errorf("core: unknown device policy %q", c.cfg.DevPolicy)
+		return nil, fmt.Errorf("core: unknown device policy %q", cfg.DevPolicy)
 	}
 }
 
@@ -369,14 +371,6 @@ func (c *Cluster) Mapper() *balancer.Mapper { return c.mapper }
 // Devices returns the devices in GID order.
 func (c *Cluster) Devices() []*gpu.Device { return c.devices }
 
-// Scheduler returns the device scheduler for gid (nil in ModeCUDA).
-func (c *Cluster) Scheduler(gid int) *devsched.Scheduler {
-	if c.scheds == nil {
-		return nil
-	}
-	return c.scheds[gid]
-}
-
 // Trace returns the utilization trace of device gid (nil unless
 // Config.Trace).
 func (c *Cluster) Trace(gid int) *gpu.UtilTrace { return c.traces[gid] }
@@ -384,9 +378,35 @@ func (c *Cluster) Trace(gid int) *gpu.UtilTrace { return c.traces[gid] }
 // mapperLoop is the GPU Affinity Mapper service process.
 func (c *Cluster) mapperLoop(p *sim.Proc) {
 	const serviceTime = 3 * sim.Microsecond
+	// pend holds every message of the earliest unserved arrival instant,
+	// then at most one later message.
+	var pend []mapperMsg
 	for {
-		m := c.mapQ.Get(p)
+		if len(pend) == 0 {
+			pend = append(pend, c.mapQ.Get(p))
+		}
 		p.Sleep(serviceTime)
+		// First come, first served; arrivals of one instant are served in
+		// node order, not in the order the kernel happened to run their
+		// senders — that order shifts with the node→kernel partition.
+		best := 0
+		for i := 1; ; i++ {
+			if i == len(pend) {
+				m, ok := c.mapQ.TryGet()
+				if !ok {
+					break
+				}
+				pend = append(pend, m)
+			}
+			if pend[i].at != pend[0].at {
+				break
+			}
+			if pend[i].node < pend[best].node {
+				best = i
+			}
+		}
+		m := pend[best]
+		pend = append(pend[:best], pend[best+1:]...)
 		switch {
 		case m.fail:
 			h := c.mapper.ReportFailure(m.hGID)
@@ -396,16 +416,16 @@ func (c *Cluster) mapperLoop(p *sim.Proc) {
 				c.gmap.MarkDead(m.hGID)
 			}
 			m.hOut.h = h
-			c.fireReply(m)
+			c.reply(m)
 		case m.recovered:
 			c.mapper.ReportRecovered(m.hGID)
-		case m.done != nil || m.xdone != nil:
+		case m.done != nil:
 			if m.req.WantsSlice() {
 				c.handleSliceSelect(p, m)
 				continue
 			}
 			m.out.gid = c.mapper.SelectAt(p.Now(), m.req)
-			c.fireReply(m)
+			c.reply(m)
 		case m.release:
 			if m.fb != nil {
 				c.mapper.Feedback(m.fb)
@@ -415,67 +435,3 @@ func (c *Cluster) mapperLoop(p *sim.Proc) {
 		}
 	}
 }
-
-// controlLatency returns the one-way control-message latency between a node
-// and the mapper (which runs on node 0).
-func (c *Cluster) controlLatency(node int) sim.Time {
-	if node == 0 {
-		return c.cfg.LocalLink.Latency
-	}
-	return c.cfg.RemoteLink.Latency
-}
-
-// SelectGPU implements interpose.Fabric. Requests from tenants with a
-// slice profile are enriched with the profile's demand here, so the
-// interposer stays slice-agnostic.
-func (c *Cluster) SelectGPU(p *sim.Proc, req balancer.Request) balancer.GID {
-	req = c.sliceDemand(req)
-	lat := c.controlLatency(req.Node)
-	p.Sleep(lat)
-	out := &selectResult{}
-	done := c.K.NewEvent()
-	c.mapQ.Put(mapperMsg{req: req, out: out, done: done})
-	p.Wait(done)
-	p.Sleep(lat)
-	return out.gid
-}
-
-// ConnectBackend implements interpose.Fabric.
-func (c *Cluster) ConnectBackend(p *sim.Proc, gid balancer.GID, fromNode int) rpcproto.Endpoint {
-	entry, ok := c.gmap.Lookup(gid)
-	link := c.cfg.LocalLink
-	if ok && entry.Node != fromNode {
-		link = c.cfg.RemoteLink
-	}
-	conn := rpcproto.NewConn(c.K, link)
-	switch c.cfg.Mode {
-	case ModeStrings:
-		c.backs[gid].accept(conn)
-	case ModeRain:
-		c.serveRainConn(int(gid), conn)
-	}
-	return conn.A()
-}
-
-// ReportFeedback implements interpose.Fabric.
-func (c *Cluster) ReportFeedback(gid balancer.GID, kind string, fb *rpcproto.Feedback) {
-	c.mapQ.Put(mapperMsg{fb: fb, release: true, relGID: gid, relKind: kind})
-}
-
-// ReportFailure implements interpose.Fabric: it relays one failed call to
-// the affinity mapper's failure detector and blocks for the verdict.
-func (c *Cluster) ReportFailure(p *sim.Proc, gid balancer.GID) balancer.Health {
-	out := &healthResult{}
-	done := c.K.NewEvent()
-	c.mapQ.Put(mapperMsg{fail: true, hGID: gid, hOut: out, done: done})
-	p.Wait(done)
-	return out.h
-}
-
-// ReportRecovered implements interpose.Fabric (fire and forget).
-func (c *Cluster) ReportRecovered(gid balancer.GID) {
-	c.mapQ.Put(mapperMsg{recovered: true, hGID: gid})
-}
-
-// PoolSize implements interpose.Fabric.
-func (c *Cluster) PoolSize() int { return c.gmap.Len() }

@@ -1,0 +1,136 @@
+package core
+
+import (
+	"repro/internal/balancer"
+	"repro/internal/rpcproto"
+	"repro/internal/sim"
+)
+
+// mapperNode is the node hosting the GPU Affinity Mapper service.
+const mapperNode = 0
+
+// nodeFabric is the interpose.Fabric handed to every application arriving
+// at one node, and that node's entry in the node→kernel partition. Control
+// messages between the node and the mapper ride the same remoting fabric as
+// every other call: the mapper's own node reports to it instantly (a
+// selection pays the local link each way), every other node pays
+// RemoteLink.Latency each way for selections, feedback/release, failure and
+// recovery reports — whether or not the two nodes share a kernel.
+type nodeFabric struct {
+	c    *Cluster
+	node int
+	e    *shardEnv // the kernel the node's devices, streams and frontends live on
+}
+
+// deliver runs fn on node to's kernel delay after the present on node
+// from's: a kernel timer when the nodes share a kernel, a mailbox message
+// when they do not. fn must not block.
+func (c *Cluster) deliver(from, to int, delay sim.Time, fn func()) {
+	c.nodes[from].e.sh.Send(c.nodes[to].e.idx, delay, fn)
+}
+
+// toMapper relays a control message from the node to the mapper service.
+func (f *nodeFabric) toMapper(m mapperMsg) {
+	c := f.c
+	m.node = f.node
+	if f.node == mapperNode {
+		c.enqueue(m)
+		return
+	}
+	sent := m // captured here, so only relayed messages move to the heap
+	c.deliver(f.node, mapperNode, c.cfg.RemoteLink.Latency, func() { c.enqueue(sent) })
+}
+
+// enqueue puts a message on the mapper's queue, stamped with its arrival
+// instant. Runs on the mapper's kernel.
+func (c *Cluster) enqueue(m mapperMsg) {
+	m.at = c.K.Now()
+	c.mapQ.Put(m)
+}
+
+// reply fires a mapper verdict's completion event on the requester's node.
+func (c *Cluster) reply(m mapperMsg) {
+	if m.node == mapperNode {
+		m.done.Fire()
+		return
+	}
+	c.deliver(mapperNode, m.node, c.cfg.RemoteLink.Latency, m.done.Fire)
+}
+
+// SelectGPU implements interpose.Fabric. Requests from tenants with a
+// slice profile are enriched with the profile's demand here, so the
+// interposer stays slice-agnostic.
+func (f *nodeFabric) SelectGPU(p *sim.Proc, req balancer.Request) balancer.GID {
+	c := f.c
+	out := &selectResult{}
+	m := mapperMsg{req: c.sliceDemand(req), out: out, done: f.e.k.NewEvent()}
+	// On the mapper's node the requester itself waits out the local link,
+	// each way; elsewhere toMapper and reply carry the remote latency.
+	local := f.node == mapperNode
+	if local {
+		p.Sleep(c.cfg.LocalLink.Latency)
+	}
+	f.toMapper(m)
+	p.Wait(m.done)
+	if local {
+		p.Sleep(c.cfg.LocalLink.Latency)
+	}
+	return out.gid
+}
+
+// ConnectBackend implements interpose.Fabric. A backend on the frontend's
+// kernel gets a plain conn and its accept at once. A backend on another
+// kernel gets a cross-kernel conn whose two inbox queues live on their
+// readers' kernels and whose deliveries ride the mailboxes; the accept is
+// sent ahead on the same mailbox, so it is injected before (or at the same
+// instant as, but ordered before) the handshake call.
+func (f *nodeFabric) ConnectBackend(p *sim.Proc, gid balancer.GID, _ int) rpcproto.Endpoint {
+	c, e, oe := f.c, f.e, f.c.devEnv[gid]
+	link := c.cfg.LocalLink
+	if entry, ok := c.gmap.Lookup(gid); ok && entry.Node != f.node {
+		link = c.cfg.RemoteLink
+	}
+	if oe == e {
+		conn := rpcproto.NewConn(e.k, link)
+		c.accept(int(gid), conn)
+		return conn.A()
+	}
+	conn := rpcproto.NewCrossConn(e.k, oe.k, link,
+		func(lat sim.Time, fn func()) { e.sh.Send(oe.idx, lat, fn) },
+		func(lat sim.Time, fn func()) { oe.sh.Send(e.idx, lat, fn) })
+	e.sh.Send(oe.idx, link.Latency, func() { c.accept(int(gid), conn) })
+	return conn.A()
+}
+
+// accept hands a new frontend connection to gid's backend: the Strings
+// daemon's accept queue, or a fresh per-application Rain backend process.
+func (c *Cluster) accept(gid int, conn *rpcproto.Conn) {
+	if c.cfg.Mode == ModeStrings {
+		c.backs[gid].accept(conn)
+		return
+	}
+	c.serveRainConn(gid, conn)
+}
+
+// ReportFeedback implements interpose.Fabric.
+func (f *nodeFabric) ReportFeedback(gid balancer.GID, kind string, fb *rpcproto.Feedback) {
+	f.toMapper(mapperMsg{fb: fb, release: true, relGID: gid, relKind: kind})
+}
+
+// ReportFailure implements interpose.Fabric: it relays one failed call to
+// the affinity mapper's failure detector and blocks for the verdict.
+func (f *nodeFabric) ReportFailure(p *sim.Proc, gid balancer.GID) balancer.Health {
+	out := &healthResult{}
+	m := mapperMsg{fail: true, hGID: gid, hOut: out, done: f.e.k.NewEvent()}
+	f.toMapper(m)
+	p.Wait(m.done)
+	return out.h
+}
+
+// ReportRecovered implements interpose.Fabric (fire and forget).
+func (f *nodeFabric) ReportRecovered(gid balancer.GID) {
+	f.toMapper(mapperMsg{recovered: true, hGID: gid})
+}
+
+// PoolSize implements interpose.Fabric.
+func (f *nodeFabric) PoolSize() int { return f.c.gmap.Len() }

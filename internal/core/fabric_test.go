@@ -1,0 +1,152 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/balancer"
+	"repro/internal/faults"
+	"repro/internal/interpose"
+	"repro/internal/rpcproto"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// mapperService is mapperLoop's per-message service time.
+const mapperService = 3 * sim.Microsecond
+
+// oneKernelSupernode builds the supernode with both nodes on one kernel —
+// the partition in which a cross-node report used to be free.
+func oneKernelSupernode(t *testing.T, cfg Config) *Cluster {
+	t.Helper()
+	cfg.Nodes, cfg.Mode, cfg.Balance, cfg.Shards = supernode(), ModeStrings, "GMin", 0
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Sharded() {
+		t.Fatal("Shards=0 sharded")
+	}
+	return c
+}
+
+// TestCrossNodeReportsPayTheLink pins the control-plane model on one
+// kernel: node 0 (the mapper's) reports instantly, node 1 pays
+// RemoteLink.Latency each way. The kernel is stepped from outside, so every
+// bound is exact to the microsecond.
+func TestCrossNodeReportsPayTheLink(t *testing.T) {
+	c := oneKernelSupernode(t, Config{Seed: 1})
+	lat, local := c.cfg.RemoteLink.Latency, c.cfg.LocalLink.Latency
+	const reportAt = 10 * sim.Millisecond
+	var gids [2]balancer.GID
+	var selected [2]sim.Time
+	for node := range gids {
+		node, f := node, c.nodes[node]
+		c.K.Go("reporter", func(p *sim.Proc) {
+			gids[node] = f.SelectGPU(p, balancer.Request{AppID: 900 + node, Kind: "GA", Node: node, Tenant: 1})
+			selected[node] = p.Now()
+			p.Sleep(reportAt - p.Now())
+			f.ReportFeedback(gids[node], "GA", &rpcproto.Feedback{
+				AppID: int64(900 + node), Kind: "GA", GID: int32(gids[node]), ExecTime: sim.Second, GPUTime: sim.Second,
+			})
+		})
+	}
+	feedbacksAt := func(at sim.Time) int {
+		c.K.RunUntil(at)
+		_, n := c.mapper.Stats()
+		return n
+	}
+	for _, step := range []struct {
+		at   sim.Time
+		want int
+		what string
+	}{
+		{reportAt + mapperService - 1, 0, "before node 0's report is served"},
+		{reportAt + mapperService, 1, "node 0's report, served the instant it was made"},
+		{reportAt + lat + mapperService - 1, 1, "node 1's report still on the link"},
+		{reportAt + lat + mapperService, 2, "node 1's report, one link latency later"},
+	} {
+		if got := feedbacksAt(step.at); got != step.want {
+			t.Fatalf("at %v the mapper had folded %d reports, want %d (%s)", step.at, got, step.want, step.what)
+		}
+	}
+	// Both selections left at 0: node 0's waits out the local link each way,
+	// node 1's the remote one.
+	if want := 2*local + mapperService; selected[0] != want {
+		t.Fatalf("node 0 selection returned at %v, want %v", selected[0], want)
+	}
+	if want := 2*lat + mapperService; selected[1] != want {
+		t.Fatalf("node 1 selection returned at %v, want %v", selected[1], want)
+	}
+
+	// Failure reports are round trips; recovery reports one-way.
+	const failAt = 20 * sim.Millisecond
+	var took [2]sim.Time
+	var health [2]balancer.Health
+	for node := range gids {
+		node, f := node, c.nodes[node]
+		c.K.Go("detector", func(p *sim.Proc) {
+			p.Sleep(failAt - p.Now())
+			health[node] = f.ReportFailure(p, balancer.GID(2+node))
+			took[node] = p.Now() - failAt
+			p.Sleep(sim.Millisecond)
+			f.ReportRecovered(balancer.GID(2 + node))
+		})
+	}
+	c.K.RunUntil(failAt + sim.Millisecond - 1)
+	if health[0] != balancer.Suspect || health[1] != balancer.Suspect {
+		t.Fatalf("failure verdicts %v, want Suspect twice", health)
+	}
+	// Node 0's report is served first (it arrives first), node 1's on an
+	// idle mapper a link latency later.
+	if took[0] != mapperService || took[1] != 2*lat+mapperService {
+		t.Fatalf("failure round trips took %v, want [%v %v]", took, mapperService, 2*lat+mapperService)
+	}
+	dst := c.mapper.DST()
+	recoveredAt := failAt + sim.Millisecond // node 0's verdict + 1 ms
+	c.K.RunUntil(recoveredAt + 2*mapperService)
+	if dst.Health(2) != balancer.Healthy || dst.Health(3) != balancer.Suspect {
+		t.Fatalf("after node 0's recovery report: gid 2 %v, gid 3 %v", dst.Health(2), dst.Health(3))
+	}
+	c.K.RunUntil(recoveredAt + 3*lat + 2*mapperService - 1)
+	if dst.Health(3) != balancer.Suspect {
+		t.Fatal("node 1's recovery report reached the mapper early")
+	}
+	c.K.RunUntil(recoveredAt + 3*lat + 2*mapperService)
+	if dst.Health(3) != balancer.Healthy {
+		t.Fatal("node 1's recovery report did not arrive one link latency after it was made")
+	}
+}
+
+// TestStallRecoveryFromRemoteFrontend drives the failure detector end to
+// end from node 1: a stall longer than the call timeout makes the frontends
+// time out, report the failure across the link, retransmit, and report the
+// recovery once the stalled backend answers.
+func TestStallRecoveryFromRemoteFrontend(t *testing.T) {
+	streams := []workload.StreamSpec{
+		{Kind: workload.Gaussian, Count: 3, Lambda: 100 * sim.Millisecond, Node: 1, Tenant: 1, Weight: 1},
+	}
+	var plan faults.Plan
+	for gid := 0; gid < 4; gid++ {
+		plan.Faults = append(plan.Faults, faults.Fault{
+			At: 500 * sim.Millisecond, Kind: faults.StallGPU, GID: gid, Dur: 1500 * sim.Millisecond,
+		})
+	}
+	c := oneKernelSupernode(t, Config{
+		Seed: 3, Faults: plan, Recovery: interpose.Recovery{CallTimeout: sim.Second},
+	})
+	r, err := c.Run(streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Errors) > 0 || r.Lost != 0 || r.Finished != 3 {
+		t.Fatalf("stall run: finished %d lost %d errors %v", r.Finished, r.Lost, r.Errors)
+	}
+	if r.Recovered == 0 {
+		t.Fatal("no frontend timed out and recovered: the detector path was not exercised")
+	}
+	for gid := 0; gid < 4; gid++ {
+		if h := c.mapper.DST().Health(balancer.GID(gid)); h != balancer.Healthy {
+			t.Fatalf("gid %d ended %v: the recovery report never reached the mapper", gid, h)
+		}
+	}
+}

@@ -49,11 +49,6 @@ func (c *Cluster) DegradeGPU(gid int, factor float64) {
 	c.degrade[gid] = factor
 }
 
-// GPUDown reports whether gid's backend has been killed.
-func (c *Cluster) GPUDown(gid int) bool {
-	return gid >= 0 && gid < len(c.gpuDown) && c.gpuDown[gid]
-}
-
 // faultGate applies the injected fault state to one received call on gid:
 // a killed backend swallows it (true = discard, no reply will ever come), a
 // stalled backend freezes the serving process until the stall lifts. All

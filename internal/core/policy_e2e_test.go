@@ -252,7 +252,7 @@ func TestEventsThroughFullStringsStack(t *testing.T) {
 	var elapsed sim.Time
 	var evErr error
 	c.K.Go("event-app", func(p *sim.Proc) {
-		ip := interpose.New(c, p, 991, 1, 1, "EVT", 0, true)
+		ip := interpose.New(c.nodes[0], p, 991, 1, 1, "EVT", 0, true)
 		if evErr = ip.SetDevice(0); evErr != nil {
 			return
 		}
@@ -298,7 +298,7 @@ func TestEventsUnderRainMode(t *testing.T) {
 	var elapsed sim.Time
 	var evErr error
 	c.K.Go("event-app", func(p *sim.Proc) {
-		ip := interpose.New(c, p, 993, 1, 1, "EVT", 0, false)
+		ip := interpose.New(c.nodes[0], p, 993, 1, 1, "EVT", 0, false)
 		start, err := ip.EventCreate()
 		if err != nil {
 			evErr = err

@@ -196,24 +196,7 @@ func (r *RunResult) FairnessAllocations() []float64 {
 // Run launches the request streams and drives the simulation to completion,
 // returning the aggregated results.
 func (c *Cluster) Run(streams []workload.StreamSpec) (*RunResult, error) {
-	if err := c.prepareSlices(streams); err != nil {
-		return nil, err
-	}
-	for si, s := range streams {
-		if s.Node < 0 || s.Node >= len(c.nodeDev) {
-			return nil, fmt.Errorf("core: stream %d arrives at unknown node %d", si, s.Node)
-		}
-		c.launchStream(si, s)
-	}
-	if c.coord != nil {
-		c.coord.Run()
-		c.collectSharded()
-	} else {
-		c.K.Run()
-		c.results.EndTime = c.K.Now()
-	}
-	c.closeStranded(c.results.EndTime)
-	return c.results, nil
+	return c.run(streams, c.coord.Run)
 }
 
 // RunUntil drives the simulation to the given virtual horizon and measures
@@ -223,49 +206,53 @@ func (c *Cluster) Run(streams []workload.StreamSpec) (*RunResult, error) {
 // sized to keep every tenant backlogged through the horizon, and the Jain
 // index is computed over service rates while tenants actually compete.
 func (c *Cluster) RunUntil(streams []workload.StreamSpec, horizon sim.Time) (*RunResult, error) {
+	r, err := c.run(streams, func() { c.coord.RunUntil(horizon) })
+	if err != nil {
+		return nil, err
+	}
+	// Replace the completion-derived tenant accounting with the devices'
+	// view at the horizon.
+	r.TenantService = make(map[int64]sim.Time)
+	for _, e := range c.envs {
+		appIDs := make([]int, 0, len(e.appTenant))
+		for appID := range e.appTenant {
+			appIDs = append(appIDs, appID)
+		}
+		slices.Sort(appIDs)
+		for _, appID := range appIDs {
+			var svc sim.Time
+			for _, d := range c.devices {
+				// Delivered service only: the driver's context-switch charge
+				// is excluded here (it contaminates the per-process-context
+				// schedulers' *own* accounting — and hence their decisions —
+				// but the experiment measures what applications actually
+				// received).
+				svc += d.AppService(appID)
+			}
+			r.TenantService[e.appTenant[appID]] += svc
+		}
+	}
+	return r, nil
+}
+
+// run is the one launch/drive/collect body behind Run and RunUntil: drive
+// advances the coordinator, to quiescence or to a horizon.
+func (c *Cluster) run(streams []workload.StreamSpec, drive func()) (*RunResult, error) {
 	if err := c.prepareSlices(streams); err != nil {
 		return nil, err
 	}
 	for si, s := range streams {
-		if s.Node < 0 || s.Node >= len(c.nodeDev) {
+		if s.Node < 0 || s.Node >= len(c.nodes) {
 			return nil, fmt.Errorf("core: stream %d arrives at unknown node %d", si, s.Node)
 		}
 		c.launchStream(si, s)
 	}
-	if c.coord != nil {
-		c.coord.RunUntil(horizon)
-		c.collectSharded()
-	} else {
-		c.K.RunUntil(horizon)
-		c.results.EndTime = c.K.Now()
-	}
-	c.closeStranded(c.results.EndTime)
-	// Replace the completion-derived tenant accounting with the devices'
-	// view at the horizon.
-	tenants := c.tenantsByApp()
-	c.results.TenantService = make(map[int64]sim.Time)
-	appIDs := make([]int, 0, len(tenants))
-	for appID := range tenants {
-		appIDs = append(appIDs, appID)
-	}
-	slices.Sort(appIDs)
-	for _, appID := range appIDs {
-		var svc sim.Time
-		for _, d := range c.devices {
-			// Delivered service only: the driver's context-switch charge
-			// is excluded here (it contaminates the per-process-context
-			// schedulers' *own* accounting — and hence their decisions —
-			// but the experiment measures what applications actually
-			// received).
-			svc += d.AppService(appID)
-		}
-		c.results.TenantService[tenants[appID]] += svc
-	}
-	return c.results, nil
+	drive()
+	return c.collect(), nil
 }
 
-// launchStream spawns the per-stream arrival process on the environment
-// owning the stream's arrival node.
+// launchStream spawns the per-stream arrival process on the kernel of the
+// stream's arrival node.
 func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 	var arrivals []sim.Time
 	if c.cfg.Traces != nil {
@@ -277,7 +264,7 @@ func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 		arrivals = s.Arrivals(rng)
 	}
 	prof := workload.ProfileFor(s.Kind)
-	e := c.envForNode(s.Node)
+	e := c.nodes[s.Node].e
 	e.k.Go(fmt.Sprintf("stream-%d-%s", si, s.Kind), func(p *sim.Proc) {
 		for i, at := range arrivals {
 			if at > p.Now() {
@@ -322,7 +309,7 @@ func (e *shardEnv) runApp(p *sim.Proc, app *workload.App, s workload.StreamSpec)
 		client = rt.NewThread(p, app.ID)
 		factory = func(tp *sim.Proc) cuda.Client { return rt.NewThread(tp, app.ID) }
 	default:
-		ipose = interpose.New(e.fabric(), p, app.ID, s.Tenant, s.Weight,
+		ipose = interpose.New(c.nodes[s.Node], p, app.ID, s.Tenant, s.Weight,
 			s.Kind.String(), s.Node, c.cfg.Mode == ModeStrings)
 		ipose.SetRecovery(c.cfg.Recovery)
 		ipose.SetTrace(e.rec, reqSpan)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/balancer"
 	"repro/internal/gpu"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -21,8 +20,8 @@ import (
 // packing quality surfaces as an SLO.
 //
 // Every mutation of the placement state happens inside the mapperLoop
-// service process, so slice runs are exactly as deterministic as the
-// legacy path. Fleets without slice streams never touch any of this.
+// service process, so slice runs are exactly as deterministic as
+// whole-device ones. Fleets without slice streams never touch any of this.
 
 // sliceState is the placement ledger the mapper service owns. Nil until a
 // run declares slice streams.
@@ -114,7 +113,7 @@ func (c *Cluster) findProfile(name string) (gpu.SliceProfile, bool) {
 }
 
 // sliceDemand enriches a selection request with the tenant's slice demand.
-// Identity for tenants without a profile — the legacy path is untouched.
+// Identity for tenants without a profile.
 func (c *Cluster) sliceDemand(req balancer.Request) balancer.Request {
 	if prof, ok := c.sl.tenantProfile[req.Tenant]; ok {
 		req.SliceProfile = prof.Name
@@ -131,7 +130,7 @@ func (c *Cluster) handleSliceSelect(p *sim.Proc, m mapperMsg) {
 	if gid, ok := c.sl.tenantGID[m.req.Tenant]; ok {
 		c.mapper.DST().Bind(gid, m.req.Kind)
 		m.out.gid = gid
-		m.done.Fire()
+		c.reply(m)
 		return
 	}
 	if _, asked := c.sl.tenantAsk[m.req.Tenant]; !asked {
@@ -139,10 +138,10 @@ func (c *Cluster) handleSliceSelect(p *sim.Proc, m mapperMsg) {
 	}
 	if gid, ok := c.placeSlice(p, m.req); ok {
 		m.out.gid = gid
-		m.done.Fire()
+		c.reply(m)
 		return
 	}
-	c.results.SliceParks++
+	c.result().SliceParks++
 	c.sl.parked = append(c.sl.parked, m)
 }
 
@@ -157,9 +156,9 @@ func (c *Cluster) placeSlice(p *sim.Proc, req balancer.Request) (balancer.GID, b
 	c.sl.tenantGID[req.Tenant] = gid
 	c.sl.sliceTenant[gid] = req.Tenant
 	c.mapper.DST().Bind(gid, req.Kind)
-	c.results.SliceCarves++
-	c.results.AdmissionWaits = append(c.results.AdmissionWaits,
-		p.Now()-c.sl.tenantAsk[req.Tenant])
+	r := c.result()
+	r.SliceCarves++
+	r.AdmissionWaits = append(r.AdmissionWaits, p.Now()-c.sl.tenantAsk[req.Tenant])
 	return gid, true
 }
 
@@ -178,39 +177,9 @@ func (c *Cluster) carveSlice(p *sim.Proc, parent balancer.GID, req balancer.Requ
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	d := gpu.NewDevice(c.K, spec, int(gid))
-	if c.cfg.Trace {
-		tr := &gpu.UtilTrace{}
-		d.SetTracer(tr)
-		c.traces = append(c.traces, tr)
-	} else {
-		c.traces = append(c.traces, nil)
-	}
-	if c.cfg.Recorder.Enabled() {
-		g, rec := int(gid), c.cfg.Recorder
-		d.SetOnComplete(func(op *gpu.Op) {
-			if op.Kind == gpu.OpMarker {
-				return
-			}
-			rec.Complete(trace.KOp, op.Kind.String(),
-				op.AppID, g, op.Bytes, op.Started, op.Finished)
-		})
-	}
-	c.devices = append(c.devices, d)
-	c.gpuDown = append(c.gpuDown, false)
-	c.stallUntil = append(c.stallUntil, 0)
-	c.degrade = append(c.degrade, 0)
-	dp, err := c.devPolicy()
-	if err != nil {
-		panic(fmt.Sprintf("core: %v", err)) // validated at New
-	}
-	// Slice carving only runs in the single-kernel path (partitionable
-	// fleets collapse sharding), so the new device joins the sole
-	// environment.
-	s := c.newSched(c.envs[0], d, int(gid), dp)
-	c.scheds = append(c.scheds, s)
-	c.envOfGID = append(c.envOfGID, 0)
-	c.backs = append(c.backs, newStringsBackend(c, c.envs[0], int(gid)))
+	// The slice lives on its parent device's kernel.
+	c.addDevice(c.devEnv[parent], spec)
+	c.serveDevice(int(gid))
 
 	pe, _ := c.gmap.Lookup(parent)
 	c.mapper.DST().AddRow(&balancer.DSTEntry{
@@ -256,7 +225,7 @@ func (c *Cluster) destroySlice(p *sim.Proc, gid balancer.GID, tenant int64) {
 	delete(c.sl.tenantGID, tenant)
 	delete(c.sl.sliceTenant, gid)
 	delete(c.sl.slicePart, gid)
-	c.results.SliceReleases++
+	c.result().SliceReleases++
 }
 
 // admitParked retries parked requests in arrival order, granting every one
@@ -267,12 +236,12 @@ func (c *Cluster) admitParked(p *sim.Proc) {
 		if gid, ok := c.sl.tenantGID[m.req.Tenant]; ok {
 			c.mapper.DST().Bind(gid, m.req.Kind)
 			m.out.gid = gid
-			m.done.Fire()
+			c.reply(m)
 			continue
 		}
 		if gid, ok := c.placeSlice(p, m.req); ok {
 			m.out.gid = gid
-			m.done.Fire()
+			c.reply(m)
 			continue
 		}
 		kept = append(kept, m)
@@ -312,6 +281,6 @@ func (c *Cluster) closeStranded(end sim.Time) {
 		return
 	}
 	c.strandedTick(end)
-	c.results.StrandedIntegral = c.sl.strandedInt
-	c.results.StrandedHorizon = end
+	c.result().StrandedIntegral = c.sl.strandedInt
+	c.result().StrandedHorizon = end
 }

@@ -53,7 +53,7 @@ func TestShardRequestLogInvariance(t *testing.T) {
 }
 
 // TestFragGridShardInvariance runs the -exp frag grid at shard counts
-// 1/2/4/8. MIG-partitionable fleets collapse to the classic single kernel by
+// 1/2/4/8. MIG-partitionable fleets run on one kernel at any shard count by
 // design (slice carving rewires devices mid-run), so invariance here is
 // trivial — and this test pins that the collapse actually happens instead of
 // a sharded run silently diverging.

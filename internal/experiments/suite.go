@@ -59,8 +59,7 @@ type Options struct {
 	// split into one shard kernel per node advancing concurrently under the
 	// conservative window protocol, with Shards barrier workers. Results
 	// are bit-identical for any Shards >= 1; single-node and MIG scenarios
-	// collapse to the classic single kernel. 0 keeps the legacy path
-	// (goldens are pinned against it).
+	// run on one kernel at any value, as everything does at 0.
 	Shards int
 }
 
@@ -187,7 +186,7 @@ func (s *Suite) run(sc scenario) *core.RunResult {
 			if err != nil {
 				panic(fmt.Sprintf("experiments: %v", err))
 			}
-			// Sharded clusters own a barrier worker pool; legacy ones no-op.
+			// Sharded clusters own a barrier worker pool.
 			defer c.Close()
 			var r *core.RunResult
 			if sc.horizon > 0 {

@@ -151,15 +151,17 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds a composition over the given kernels (one shard
-// each, in order). lookahead is the minimum cross-shard event latency and
-// must be at least 1µs — a zero lookahead admits no conservative window.
-// workers bounds how many shards advance concurrently inside a window;
-// results are bit-identical at every worker count, including 1.
+// each, in order). lookahead is the minimum cross-shard event latency and,
+// with two or more kernels, must be at least 1µs — a zero lookahead admits
+// no conservative window. A single kernel has no peers: every Send is a
+// kernel timer and Run is that kernel's RunUntil. workers bounds how many
+// shards advance concurrently inside a window; results are bit-identical at
+// every worker count, including 1.
 func NewCoordinator(kernels []*sim.Kernel, lookahead sim.Time, workers int) *Coordinator {
 	if len(kernels) == 0 {
 		panic("shard: no kernels")
 	}
-	if lookahead < 1 {
+	if len(kernels) > 1 && lookahead < 1 {
 		panic(fmt.Sprintf("shard: lookahead %v must be at least 1µs", lookahead))
 	}
 	if workers > len(kernels) {
@@ -228,6 +230,11 @@ func (c *Coordinator) next(i int) sim.Time {
 
 // run is the conservative window loop.
 func (c *Coordinator) run(limit sim.Time) {
+	if len(c.shards) == 1 {
+		// No peers, so no windows: every Send was a kernel timer.
+		c.shards[0].K.RunUntil(limit)
+		return
+	}
 	for {
 		// Frontier: the earliest instant anything can happen anywhere.
 		minT := none

@@ -262,7 +262,30 @@ func TestNewCoordinatorValidation(t *testing.T) {
 		fn()
 	}
 	mustPanic("empty kernel set", func() { NewCoordinator(nil, look, 1) })
-	mustPanic("zero lookahead", func() { NewCoordinator([]*sim.Kernel{sim.NewKernel(1)}, 0, 1) })
+	mustPanic("zero lookahead", func() {
+		NewCoordinator([]*sim.Kernel{sim.NewKernel(1), sim.NewKernel(2)}, 0, 1)
+	})
+}
+
+// A single kernel has no peers, so it needs no lookahead: Send is a kernel
+// timer at any delay and Run is the kernel's own.
+func TestSingleKernelNeedsNoLookahead(t *testing.T) {
+	k := sim.NewKernel(1)
+	co := NewCoordinator([]*sim.Kernel{k}, 0, 0)
+	defer co.Close()
+	var at []sim.Time
+	k.Go("sender", func(p *sim.Proc) {
+		p.Sleep(10)
+		co.Shard(0).Send(0, 0, func() { at = append(at, k.Now()) })
+		co.Shard(0).Send(0, 5, func() { at = append(at, k.Now()) })
+	})
+	co.Run()
+	if len(at) != 2 || at[0] != 10 || at[1] != 15 {
+		t.Fatalf("self-sends ran at %v, want [10 15]", at)
+	}
+	if s := co.Stats(); s.Windows != 0 || s.Messages != 0 || s.SoloRuns != 0 {
+		t.Fatalf("single-kernel run used the window protocol: %+v", s)
+	}
 }
 
 func TestAccessors(t *testing.T) {

@@ -50,15 +50,21 @@ func RunMega(seed int64, requests int) (MegaResult, error) {
 	if len(r.Errors) > 0 {
 		return MegaResult{}, fmt.Errorf("mega run errors: %v", r.Errors)
 	}
-	jumps, skipped := c.K.FastForwards()
+	return megaResult(c, r, requests), nil
+}
+
+// megaResult reads a finished mega run's counters, summed over the
+// cluster's kernels.
+func megaResult(c *Cluster, r *RunResult, requests int) MegaResult {
+	jumps, skipped := c.FastForwards()
 	return MegaResult{
 		Requests:  requests,
 		Finished:  r.Finished,
-		Events:    c.K.Dispatched(),
+		Events:    c.Dispatched(),
 		EndTime:   r.EndTime,
 		FFJumps:   jumps,
 		FFSkipped: skipped,
-	}, nil
+	}
 }
 
 // SkipRatio is the fraction of the virtual timeline the kernel fast-forwarded
@@ -79,9 +85,10 @@ const megaShardNodes = 4
 // (one Poisson stream per node, one tenant per node) so the cluster
 // partitions into four shard kernels advancing concurrently under the
 // conservative window protocol. shards sets the barrier worker count
-// (Config.Shards); the simulated outcome is bit-identical for any shards >= 1
-// — only wall-clock time changes — which TestRunMegaShardedSmoke asserts at
-// 1 and 4 workers. FFJumps and
+// (Config.Shards) and must be >= 1 — at 0 the same model runs on one kernel
+// and there is nothing to measure; the simulated outcome is bit-identical
+// for any shards >= 1 — only wall-clock time changes — which
+// TestRunMegaShardedSmoke asserts at 1 and 4 workers. FFJumps and
 // FFSkipped sum over all four shard kernels (each skips its own quiescent
 // stretches of the shared timeline), so SkipRatio can exceed 1 here.
 func RunMegaSharded(seed int64, requests, shards int) (MegaResult, ShardStats, error) {
@@ -122,13 +129,5 @@ func RunMegaSharded(seed int64, requests, shards int) (MegaResult, ShardStats, e
 	if len(r.Errors) > 0 {
 		return MegaResult{}, ShardStats{}, fmt.Errorf("mega sharded run errors: %v", r.Errors)
 	}
-	jumps, skipped := c.FastForwards()
-	return MegaResult{
-		Requests:  requests,
-		Finished:  r.Finished,
-		Events:    c.Dispatched(),
-		EndTime:   r.EndTime,
-		FFJumps:   jumps,
-		FFSkipped: skipped,
-	}, c.ShardStats(), nil
+	return megaResult(c, r, requests), c.ShardStats(), nil
 }
