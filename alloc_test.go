@@ -103,17 +103,49 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 		}
 	})
 	k.RunUntil(10_000) // warm up: rings grown, coroutines started
+	requireZeroAllocWindow(t, k, 100_000, 1)
+}
+
+// requireZeroAllocWindow runs k until the given instant, once, and fails
+// unless that window dispatched at least minEvents and allocated at most
+// twice: a stray runtime-internal allocation or two is tolerated, the
+// dispatch path itself must contribute none across tens of thousands of
+// events.
+func requireZeroAllocWindow(t *testing.T, k *sim.Kernel, until sim.Time, minEvents int) {
+	t.Helper()
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
-	n := k.RunUntil(100_000)
+	n := k.RunUntil(until)
 	runtime.ReadMemStats(&ms1)
-	if n == 0 {
-		t.Fatal("no events dispatched in the measured window")
+	if n < minEvents {
+		t.Fatalf("only %d events dispatched in the measured window, want at least %d", n, minEvents)
 	}
 	if allocs := ms1.Mallocs - ms0.Mallocs; allocs > 2 {
-		// Tolerate a stray runtime-internal allocation or two; the dispatch
-		// path itself must contribute none across tens of thousands of events.
 		t.Fatalf("steady-state dispatch allocated %d times over %d events", allocs, n)
 	}
+}
+
+// TestTimerSteadyStateZeroAlloc is the timer-driven twin: two persistent
+// procs exchange one message through AfterPut at the remote link's 60 us, so
+// every delivery goes kick, deadline, Put through the timer daemon. Once the
+// timer heap and the rings are grown that path allocates nothing either.
+func TestTimerSteadyStateZeroAlloc(t *testing.T) {
+	k := sim.NewKernel(1)
+	ping := sim.NewQueue[any](k)
+	pong := sim.NewQueue[any](k)
+	msg := any(new(int))
+	k.Go("ping", func(p *sim.Proc) {
+		for {
+			k.AfterPut(60, ping, msg)
+			pong.Get(p)
+		}
+	})
+	k.Go("pong", func(p *sim.Proc) {
+		for {
+			k.AfterPut(60, pong, ping.Get(p))
+		}
+	})
+	k.RunUntil(10_000) // warm up: heap and rings grown, coroutines started
+	requireZeroAllocWindow(t, k, 110_000, 3000)
 }

@@ -296,6 +296,25 @@ func BenchmarkQueuePingPong(b *testing.B) {
 	}
 }
 
+// BenchmarkTimerDelivery measures one AfterPut -> Get round trip at the
+// remote link's 60 us: a kick and a deadline activation of the timer daemon
+// plus the receiver's wakeup. Steady state must report 0 allocs/op.
+func BenchmarkTimerDelivery(b *testing.B) {
+	k := sim.NewKernel(1)
+	q := sim.NewQueue[any](k)
+	msg := any(new(int))
+	k.Go("rx", func(p *sim.Proc) {
+		for {
+			k.AfterPut(60, q, msg)
+			q.Get(p)
+		}
+	})
+	k.RunUntil(60 * 64) // warm up: timer heap and rings grown, coroutine started
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.RunUntil(k.Now() + 60*sim.Time(b.N))
+}
+
 // BenchmarkCodecRoundTrip measures one full call+reply wire round trip with
 // reused buffers, structs and an interner. Steady state must report
 // 0 allocs/op — the codec's zero-copy acceptance criterion.

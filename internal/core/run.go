@@ -284,8 +284,9 @@ func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 			e.results.Launched++
 			e.results.TenantWeight[s.Tenant] = s.Weight
 			e.appTenant[app.ID] = s.Tenant
-			name := fmt.Sprintf("app-%s-%d.%d", s.Kind, si, i)
-			e.k.Go(name, func(ap *sim.Proc) { e.runApp(ap, app, s) })
+			e.k.GoNamed(
+				func() string { return fmt.Sprintf("app-%s-%d.%d", s.Kind, si, i) },
+				func(ap *sim.Proc) { e.runApp(ap, app, s) })
 		}
 	})
 }

@@ -384,3 +384,41 @@ func TestPSDispatcherKeepsAtMostThreeAwake(t *testing.T) {
 		t.Fatal("nothing ever ran")
 	}
 }
+
+// Kick and Close before any dispatcher exists — no registration yet, or the
+// pass-through policy, which never starts one — do nothing: no process, no
+// activation.
+func TestKickBeforeDispatcherStartsIsNoop(t *testing.T) {
+	for name, policy := range map[string]Policy{"unregistered": LAS{}, "all-awake": AllAwake{}} {
+		k := sim.NewKernel(1)
+		dev := testDev(k)
+		k.Run() // park the device driver
+		s := New(k, dev, 0, policy, Config{})
+		if name == "all-awake" {
+			s.Register(1, 1, 1, "X", constBacklog(1))
+		}
+		procs := k.ProcCount()
+		s.Kick()
+		s.Close()
+		if _, pending := k.NextEventTime(); pending || k.ProcCount() != procs {
+			t.Errorf("%s: Kick scheduled work: pending=%v procs %d -> %d", name, pending, procs, k.ProcCount())
+		}
+	}
+}
+
+// The dispatcher is a daemon: idle, it is reported blocked under its process
+// name like the coroutine it replaced, and Close removes it.
+func TestIdleDispatcherIsBlockedUntilClosed(t *testing.T) {
+	k := sim.NewKernel(1)
+	s := New(k, testDev(k), 7, LAS{}, Config{})
+	s.Register(1, 1, 1, "X", constBacklog(0))
+	k.Run()
+	if got := fmt.Sprint(k.Blocked()); got != "[devsched-7 gpu0-driver]" {
+		t.Fatalf("Blocked = %s, want [devsched-7 gpu0-driver]", got)
+	}
+	s.Close()
+	k.Run()
+	if got := fmt.Sprint(k.Blocked()); got != "[gpu0-driver]" {
+		t.Fatalf("Blocked after Close = %s, want [gpu0-driver]", got)
+	}
+}

@@ -53,9 +53,7 @@ type Scheduler struct {
 	byApp        map[int]*Entry
 	gen          uint64 // dispatcher pick generation (see dispatch)
 	nextSig      int
-	kick         *sim.Signal
-	kicked       bool
-	running      bool
+	disp         *sim.Daemon // nil until ensureDispatcher starts it
 	closed       bool
 	rec          *trace.Recorder
 	OnUnregister func(fb *rpcproto.Feedback) // Feedback Engine sink
@@ -88,7 +86,6 @@ func New(k *sim.Kernel, dev *gpu.Device, gid int, policy Policy, cfg Config) *Sc
 		cfg:    cfg,
 		policy: policy,
 		byApp:  make(map[int]*Entry),
-		kick:   k.NewSignal(),
 	}
 	return s
 }
@@ -206,11 +203,9 @@ func (s *Scheduler) WaitTurn(p *sim.Proc, e *Entry) {
 	s.rec.End(sp, p.Now())
 }
 
-// Kick forces a dispatcher re-evaluation at the current instant.
-func (s *Scheduler) Kick() {
-	s.kicked = true
-	s.kick.Notify()
-}
+// Kick forces a dispatcher re-evaluation at the current instant. It does
+// nothing while no dispatcher is waiting, in particular before one exists.
+func (s *Scheduler) Kick() { s.disp.Kick() }
 
 // Close stops the dispatcher once it next wakes.
 func (s *Scheduler) Close() {
@@ -218,70 +213,67 @@ func (s *Scheduler) Close() {
 	s.Kick()
 }
 
-// ensureDispatcher starts the dispatcher process on first registration.
+// ensureDispatcher starts the dispatcher daemon on first registration.
 // AllAwake needs no dispatcher.
 func (s *Scheduler) ensureDispatcher() {
-	if s.running {
+	if s.disp != nil {
 		return
 	}
 	if _, ok := s.policy.(AllAwake); ok {
 		return
 	}
-	s.running = true
-	s.k.Go(nameFor(s.gid), s.dispatch)
+	s.disp = s.k.GoDaemon(nameFor(s.gid), s.dispatch)
 }
 
 func nameFor(gid int) string {
 	return fmt.Sprintf("devsched-%d", gid)
 }
 
-// dispatch is the Dispatcher loop: every epoch (or kick) it refreshes the
-// Request Monitor's accounting and applies the policy's wake set.
+// dispatch is one turn of the Dispatcher: every epoch (or kick) it refreshes
+// the Request Monitor's accounting and applies the policy's wake set.
 //
 //strings:hotpath
-func (s *Scheduler) dispatch(p *sim.Proc) {
-	for {
-		if s.closed {
-			return
-		}
-		if len(s.entries) == 0 {
-			s.kicked = false
-			p.WaitSignal(s.kick)
-			continue
-		}
-		s.refresh()
-		// The policy sees the live slice (already app-id ordered; policies
-		// never reorder it). Picks are marked with a generation counter on
-		// the entry, replacing a per-epoch set allocation.
-		s.gen++
-		awake := s.policy.Pick(p.Now(), s.entries, &s.cfg)
-		for _, e := range awake {
-			e.pickGen = s.gen
-		}
-		anyWork := false
-		for _, e := range s.entries {
-			if e.HasWork() {
-				anyWork = true
-			}
-			want := e.pickGen == s.gen
-			if want && !e.Awake {
-				e.Awake = true
-				e.Wake.Notify()
-				s.rec.Event(trace.KWake, p.Now(), "", e.AppID, s.gid, 0)
-			} else if !want && e.Awake {
-				e.Awake = false
-				s.rec.Event(trace.KSleep, p.Now(), "", e.AppID, s.gid, 0)
-			}
-		}
-		s.kicked = false
-		if !anyWork {
-			// Nothing to arbitrate: sleep until a thread shows up with
-			// work (WaitTurn kicks) or membership changes.
-			p.WaitSignal(s.kick)
-			continue
-		}
-		p.WaitSignalTimeout(s.kick, s.cfg.Epoch)
+func (s *Scheduler) dispatch(d *sim.Daemon) {
+	if s.closed {
+		d.Exit()
+		return
 	}
+	if len(s.entries) == 0 {
+		d.WaitKick()
+		return
+	}
+	s.refresh()
+	// The policy sees the live slice (already app-id ordered; policies
+	// never reorder it). Picks are marked with a generation counter on
+	// the entry, replacing a per-epoch set allocation.
+	s.gen++
+	now := d.Now()
+	awake := s.policy.Pick(now, s.entries, &s.cfg)
+	for _, e := range awake {
+		e.pickGen = s.gen
+	}
+	anyWork := false
+	for _, e := range s.entries {
+		if e.HasWork() {
+			anyWork = true
+		}
+		want := e.pickGen == s.gen
+		if want && !e.Awake {
+			e.Awake = true
+			e.Wake.Notify()
+			s.rec.Event(trace.KWake, now, "", e.AppID, s.gid, 0)
+		} else if !want && e.Awake {
+			e.Awake = false
+			s.rec.Event(trace.KSleep, now, "", e.AppID, s.gid, 0)
+		}
+	}
+	if !anyWork {
+		// Nothing to arbitrate: sleep until a thread shows up with
+		// work (WaitTurn kicks) or membership changes.
+		d.WaitKick()
+		return
+	}
+	d.WaitKickTimeout(s.cfg.Epoch)
 }
 
 // refresh updates every entry's Request Monitor state from the device.

@@ -8,7 +8,7 @@ import (
 )
 
 // Device is a simulated GPU. Work is submitted on streams belonging to
-// contexts; a driver process multiplexes contexts onto the hardware (only the
+// contexts; a driver daemon multiplexes contexts onto the hardware (only the
 // resident context's ops execute), dispatches stream-head ops onto the
 // compute and copy engines, and advances a processor-sharing model of
 // concurrent kernel execution.
@@ -23,9 +23,9 @@ type Device struct {
 	residing sim.Time // when the resident context became resident
 	draining bool     // stop dispatching: waiting to switch contexts
 
-	kick   *sim.Signal
-	kicked bool
-	closed bool
+	drv       *sim.Daemon
+	switching *Context // mid context switch: becomes resident when the driver's sleep ends
+	closed    bool
 
 	// Compute engine: the set of concurrently running kernels under a
 	// uniform processor-sharing slowdown.
@@ -73,20 +73,19 @@ type Tracer interface {
 }
 
 // NewDevice creates a device with the given spec and identifier and starts
-// its driver process on k.
+// its driver daemon on k.
 func NewDevice(k *sim.Kernel, spec Spec, id int) *Device {
 	d := &Device{
 		k:           k,
 		spec:        spec.normalized(),
 		id:          id,
-		kick:        k.NewSignal(),
 		slowdown:    1,
 		appService:  make(map[int]float64),
 		appXferTime: make(map[int]float64),
 		appMemTraf:  make(map[int]float64),
 		appSwitch:   make(map[int]float64),
 	}
-	k.Go(fmt.Sprintf("gpu%d-driver", id), d.driver)
+	d.drv = k.GoDaemon(fmt.Sprintf("gpu%d-driver", id), d.driver)
 	return d
 }
 
@@ -345,38 +344,47 @@ func (d *Device) Free(bytes int64) {
 func (d *Device) MemUsed() int64 { return d.memUsed }
 
 // wake kicks the driver.
-func (d *Device) wake() {
-	d.kicked = true
-	d.kick.Notify()
-}
+func (d *Device) wake() { d.drv.Kick() }
 
-// driver is the device's multiplexing and dispatch loop.
-func (d *Device) driver(p *sim.Proc) {
+// driver is one step of the device's multiplexing and dispatch loop: it
+// re-evaluates until nothing changes at this instant, then waits for the
+// next projected completion or a kick. A context switch that costs time ends
+// the step in a Sleep; the step after it starts in finishSwitch.
+func (d *Device) driver(dm *sim.Daemon) {
+	now := dm.Now()
+	if d.switching != nil {
+		d.finishSwitch(now)
+	}
 	for {
 		if d.closed {
+			dm.Exit()
 			return
 		}
-		now := p.Now()
 		d.advance(now)
 		if d.reap(now) {
 			continue // completions change the engine sets; re-evaluate
 		}
-		if d.trySwitch(p) {
-			continue // residency changed (and time may have passed)
+		if d.trySwitch(now) {
+			if d.spec.ContextSwitch > 0 {
+				dm.Sleep(d.spec.ContextSwitch)
+				return
+			}
+			d.finishSwitch(now)
+			continue // residency changed
 		}
 		if d.dispatch(now) {
 			continue // dispatch changes the slowdown; re-evaluate
 		}
 		next, ok := d.nextWake()
-		d.kicked = false
 		if !ok {
-			p.WaitSignal(d.kick)
-			continue
+			dm.WaitKick()
+			return
 		}
 		if next <= now {
 			continue
 		}
-		p.WaitSignalTimeout(d.kick, next-now)
+		dm.WaitKickTimeout(next - now)
+		return
 	}
 }
 
@@ -510,9 +518,9 @@ func (d *Device) busyNow() bool {
 }
 
 // trySwitch evaluates driver-level context multiplexing. It returns true if
-// it slept (switched residency), so the driver re-evaluates timing.
-func (d *Device) trySwitch(p *sim.Proc) bool {
-	now := p.Now()
+// it began a switch to d.switching, which the driver completes with
+// finishSwitch once Spec.ContextSwitch has passed.
+func (d *Device) trySwitch(now sim.Time) bool {
 	next := d.nextPendingContext()
 	if next == nil {
 		d.draining = false
@@ -543,10 +551,15 @@ func (d *Device) trySwitch(p *sim.Proc) bool {
 	}
 	d.switches++
 	d.switchTime += d.spec.ContextSwitch
-	if d.spec.ContextSwitch > 0 {
-		p.Sleep(d.spec.ContextSwitch)
-	}
-	d.advance(p.Now())
+	d.switching = next
+	return true
+}
+
+// finishSwitch makes the context trySwitch chose resident.
+func (d *Device) finishSwitch(now sim.Time) {
+	next := d.switching
+	d.switching = nil
+	d.advance(now)
 	if next.Owner >= 0 {
 		// The incoming context's owner "pays" for the switch, mirroring
 		// the coarse accounting of per-process-context runtimes. The
@@ -555,9 +568,8 @@ func (d *Device) trySwitch(p *sim.Proc) bool {
 		d.appSwitch[next.Owner] += float64(d.spec.ContextSwitch)
 	}
 	d.resident = next
-	d.residing = p.Now()
+	d.residing = now
 	d.draining = false
-	return true
 }
 
 // nextPendingContext picks the context that should run next: the resident

@@ -41,7 +41,9 @@ const DefaultFFHorizon = Millisecond
 // stays out of the goroutine scheduler entirely, which makes a handoff
 // several times cheaper than a channel round trip. A process that is its own
 // next activation (Yield, Sleep(0), a self-wakeup at now) consumes the
-// activation inline and continues with no switch at all.
+// activation inline and continues with no switch at all. Service loops that
+// never block mid-body are Daemons (GoDaemon): scheduled like processes, run
+// as plain function calls by whoever pops their activation.
 //
 // A Kernel is not safe for use from goroutines other than its own processes
 // and the single goroutine driving Run/RunUntil.
@@ -136,8 +138,7 @@ func (k *Kernel) Reset(seed int64) {
 	k.ffJumps = 0
 	k.ffSkipped = 0
 	// Dropping the timer state (rather than clearing it) detaches the old
-	// timer process, which may still be parked on the old kick signal; a
-	// reused kernel lazily starts a new one.
+	// timer daemon; a reused kernel lazily starts a new one.
 	k.timers = nil
 }
 
@@ -309,9 +310,10 @@ func (k *Kernel) Run() int {
 //
 // RunUntil is the dispatch driver: it pops activations and resumes each
 // process's coroutine, which runs until the process parks (yielding control
-// back) or exits. A parking process first consumes its own same-instant
-// re-activations inline, so only genuine cross-process handoffs reach the
-// driver.
+// back) or exits; a daemon's activation runs its step inline instead. A
+// parking process first consumes its own same-instant re-activations and any
+// daemon activations ahead of them inline, so only genuine handoffs between
+// coroutines reach the driver.
 //
 //strings:hotpath
 func (k *Kernel) RunUntil(limit Time) int {
@@ -331,7 +333,11 @@ func (k *Kernel) RunUntil(limit Time) int {
 		a.proc.wakeTag = a.tag
 		k.dispatched++
 		k.running = a.proc
-		a.proc.resume()
+		if d := a.proc.daemon; d != nil {
+			d.run()
+		} else {
+			a.proc.resume()
+		}
 	}
 	k.running = nil
 	if !k.stopped && (k.future.len() > 0 || k.nowQ.Len() > 0) && k.now < limit {

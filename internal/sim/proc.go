@@ -13,9 +13,11 @@ type Proc struct {
 	nameFn func() string // lazy name, formatted on first use (GoNamed)
 
 	// resume switches into the process's coroutine (the driver side of
-	// iter.Pull); yield switches back out (called by park).
+	// iter.Pull); yield switches back out (called by park). A daemon's
+	// process has neither: its activations run daemon.run instead.
 	resume func() (struct{}, bool)
 	yield  func(struct{}) bool
+	daemon *Daemon
 
 	epoch   uint64 // incremented on every wakeup; see activation.epoch
 	pending int    // number of queued activations
@@ -46,9 +48,11 @@ func (p *Proc) Now() Time { return p.k.now }
 // park cedes control and blocks until this process's next wakeup. If the
 // process is itself the next activation — a Yield, Sleep(0) or self-wakeup
 // at the current instant — it consumes the activation inline and continues
-// without a coroutine switch; otherwise it yields back to the RunUntil
-// driver, which resumes the next process. Stale activations encountered on
-// the way are discarded exactly as the driver would.
+// without a coroutine switch; a daemon's activation runs its step on this
+// stack and the loop goes on, so the process may still take its own wakeup
+// behind it; otherwise it yields back to the RunUntil driver, which resumes
+// the next process. Stale activations encountered on the way are discarded
+// exactly as the driver would.
 func (p *Proc) park() {
 	p.parked = true
 	k := p.k
@@ -62,16 +66,20 @@ func (p *Proc) park() {
 			a.proc.pending-- // stale wakeup from an earlier park
 			continue
 		}
-		if a.proc != p {
+		if a.proc != p && a.proc.daemon == nil {
 			break // genuine handoff: yield to the driver
 		}
-		// Same-instant fast path: no coroutine switch.
+		// No coroutine switch: this process's own wakeup, or a daemon step.
 		k.nowQ.Pop()
-		p.pending--
+		a.proc.pending--
 		k.now = a.at
-		p.wakeTag = a.tag
+		a.proc.wakeTag = a.tag
 		k.dispatched++
-		k.running = p
+		k.running = a.proc
+		if a.proc != p {
+			a.proc.daemon.run()
+			continue
+		}
 		p.parked = false
 		p.epoch++
 		return

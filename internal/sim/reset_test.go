@@ -72,6 +72,33 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 	}
 }
 
+// TestKernelResetWithArmedDaemons: daemons left armed by a horizon — the
+// timer service on a far deadline, one daemon asleep, one kick-waiting with a
+// deadline — die with the reset like parked processes do: their activations
+// go with the heap, and the next run starts its own timer daemon with a fresh
+// kernel's ids and sequence numbers.
+func TestKernelResetWithArmedDaemons(t *testing.T) {
+	fresh := resetWorkload(NewKernel(42))
+
+	reused := NewKernel(7)
+	reused.After(1000, func() { t.Error("timer armed before Reset fired after it") })
+	reused.After(50, func() {})
+	reused.GoDaemon("sleeper", func(d *Daemon) { d.Sleep(300) })
+	reused.GoDaemon("waiter", func(d *Daemon) { d.WaitKickTimeout(400) })
+	reused.RunUntil(200)
+	if got := reused.Blocked(); len(got) != 0 {
+		t.Fatalf("armed daemons reported blocked: %v", got)
+	}
+	if reused.ProcCount() != 3 {
+		t.Fatalf("ProcCount = %d, want 3 (sim-timers, sleeper, waiter)", reused.ProcCount())
+	}
+
+	reused.Reset(42)
+	if got := resetWorkload(reused); !reflect.DeepEqual(got, fresh) {
+		t.Errorf("reset kernel diverged from fresh kernel:\nfresh: %v\nreused: %v", fresh, got)
+	}
+}
+
 // TestKernelResetState pins the observable state a reset must restore.
 func TestKernelResetState(t *testing.T) {
 	k := NewKernel(1)

@@ -46,7 +46,7 @@ import (
 const none = sim.Time(1<<62 - 1)
 
 // message is one cross-shard effect: fn runs on the destination kernel's
-// timer process at instant at. seq is the per-source send sequence that
+// timer daemon at instant at. seq is the per-source send sequence that
 // breaks same-instant ties deterministically.
 type message struct {
 	at  sim.Time

@@ -19,17 +19,15 @@ func (a timerEntry) lessThan(b timerEntry) bool {
 }
 
 // timers is the kernel's deferred-callback facility, backed by one lazily
-// started process.
+// started daemon.
 type timers struct {
-	heap    heap4[timerEntry]
-	seq     uint64
-	kick    *Signal
-	kicked  bool
-	started bool
+	heap heap4[timerEntry]
+	seq  uint64
+	d    *Daemon
 }
 
 // After schedules fn to run at now+d in the context of the kernel's timer
-// process. Callbacks must not block (they may Put into queues, fire events,
+// daemon. Callbacks must not block (they may Put into queues, fire events,
 // notify signals — anything non-parking). Callbacks at the same instant run
 // in registration order.
 func (k *Kernel) After(d Time, fn func()) {
@@ -37,7 +35,7 @@ func (k *Kernel) After(d Time, fn func()) {
 }
 
 // AfterPut schedules msg to be delivered into q at now+d, in the context of
-// the kernel's timer process. It is After(d, func() { q.Put(msg) }) without
+// the kernel's timer daemon. It is After(d, func() { q.Put(msg) }) without
 // the closure allocation, for hot paths that defer a message per call (the
 // RPC transport's latency model). Deliveries and callbacks at the same
 // instant run in registration order.
@@ -45,48 +43,46 @@ func (k *Kernel) AfterPut(d Time, q *Queue[any], msg any) {
 	k.pushTimer(d, timerEntry{q: q, msg: msg})
 }
 
-// pushTimer registers the entry at now+d and kicks the timer process.
+// pushTimer registers the entry at now+d and kicks the timer daemon.
 func (k *Kernel) pushTimer(d Time, e timerEntry) {
 	if d < 0 {
 		d = 0
 	}
 	if k.timers == nil {
-		k.timers = &timers{kick: k.NewSignal()}
+		k.timers = &timers{}
 	}
 	t := k.timers
 	t.seq++
 	e.at = k.now + d
 	e.seq = t.seq
 	t.heap.push(e)
-	if !t.started {
-		t.started = true
-		k.Go("sim-timers", k.runTimers)
+	if t.d == nil {
+		t.d = k.GoDaemon("sim-timers", t.step)
 		return
 	}
-	t.kicked = true
-	t.kick.Notify()
+	t.d.Kick()
 }
 
-// runTimers delivers deferred callbacks in time order.
-func (k *Kernel) runTimers(p *Proc) {
-	t := k.timers
-	for {
-		for t.heap.len() > 0 && t.heap.peek().at <= p.Now() {
-			e := t.heap.pop()
-			if e.fn != nil {
-				e.fn()
-			} else {
-				e.q.Put(e.msg)
-			}
+// step delivers the deferred callbacks that are due, in time order, then
+// waits for the next deadline or the next push. A callback that pushes a
+// timer finds the daemon mid-step, where Kick does nothing; the loop reads
+// the heap afresh each time round, so an entry pushed for this instant is
+// still delivered in this step.
+//
+//strings:hotpath
+func (t *timers) step(d *Daemon) {
+	now := d.Now()
+	for t.heap.len() > 0 && t.heap.peek().at <= now {
+		e := t.heap.pop()
+		if e.fn != nil {
+			e.fn()
+		} else {
+			e.q.Put(e.msg)
 		}
-		if t.kicked {
-			t.kicked = false
-			continue
-		}
-		if t.heap.len() == 0 {
-			p.WaitSignal(t.kick)
-			continue
-		}
-		p.WaitSignalTimeout(t.kick, t.heap.peek().at-p.Now())
 	}
+	if t.heap.len() == 0 {
+		d.WaitKick()
+		return
+	}
+	d.WaitKickTimeout(t.heap.peek().at - now)
 }
