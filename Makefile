@@ -1,7 +1,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: build test race vet lint stringscheck bench-smoke bench benchmark cover fuzz-smoke loc
+.PHONY: build test race vet fmt lint stringscheck bench-smoke bench benchmark cover fuzz-smoke loc
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: gofmt must have nothing to say outside testdata/ (the
+# analyzer fixtures there are laid out for their want-comments, not for gofmt).
+fmt:
+	@out=$$(gofmt -l . | grep -v '/testdata/' || true); \
+	if [ -n "$$out" ]; then echo "fmt: gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # stringscheck: the determinism/hot-path analyzer suite (DESIGN.md
 # "Determinism invariants" and "Dataflow analysis and the hot-path
@@ -79,9 +85,10 @@ bench:
 # Coverage gate: run the internal packages with -coverprofile and fail if
 # any of the gated packages (the observability layer, the sweep engine,
 # the shard coordinator, the analytic fast-forward layer, the analysis
-# framework, the device model, the cluster tier and core) drops below 85%
-# statement coverage. The profile lands in $(BIN)/cover.out for CI to
-# upload.
+# framework, the device model, the cluster tier, core, and the marshalled-call
+# path: cuda runtime, wire protocol and executor, Context Packer, TCP
+# remoting) drops below 85% statement coverage. The profile lands in
+# $(BIN)/cover.out for CI to upload.
 cover:
 	@mkdir -p $(BIN)
 	$(GO) test -coverprofile=$(BIN)/cover.out ./internal/...
@@ -89,7 +96,8 @@ cover:
 		repro/internal/trace repro/internal/sweep repro/internal/parallel \
 		repro/internal/sim repro/internal/sim/shard repro/internal/analytic \
 		repro/internal/analysis repro/internal/gpu repro/internal/cluster \
-		repro/internal/core
+		repro/internal/core repro/internal/cuda repro/internal/rpcproto \
+		repro/internal/packer repro/internal/remoting
 
 # Short fuzz pass over every native fuzz target: the wire codec, the framing
 # layer and the trace encoders each get 10s of coverage-guided input on top

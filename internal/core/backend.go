@@ -18,9 +18,7 @@ import (
 type stringsBackend struct {
 	c     *Cluster
 	gid   int
-	rt    *cuda.Runtime
 	pk    *packer.Packer
-	sched *devsched.Scheduler
 	conns *sim.Queue[*rpcproto.Conn]
 	nexts int
 }
@@ -36,9 +34,7 @@ func newStringsBackend(c *Cluster, e *shardEnv, gid int) *stringsBackend {
 	b := &stringsBackend{
 		c:     c,
 		gid:   gid,
-		rt:    rt,
 		pk:    packer.New(rt, c.cfg.Packer),
-		sched: c.scheds[gid],
 		conns: sim.NewQueue[*rpcproto.Conn](e.k),
 	}
 	b.pk.SetRecorder(e.rec, gid)
@@ -57,14 +53,82 @@ func (b *stringsBackend) acceptLoop(p *sim.Proc) {
 		gid, n := b.gid, b.nexts
 		ep := conn.B()
 		p.Kernel().GoNamed(func() string { return fmt.Sprintf("bt-%d-%d", gid, n) },
-			func(tp *sim.Proc) { b.serve(tp, ep) })
+			func(tp *sim.Proc) { b.c.serveApp(tp, gid, ep, b) })
 	}
 }
 
-// serve is one backend thread: it performs the registration handshake with
-// the Request Manager, then executes the application's marshalled calls
-// through the Context Packer under the Dispatcher's wake/sleep gating.
-func (b *stringsBackend) serve(p *sim.Proc, ep rpcproto.Endpoint) {
+// openApp is the Strings half of serveApp: the application's lane is a
+// Context Packer port on the backend process's shared runtime, so its calls
+// are translated (AST/SST/MOT) before they execute.
+func (b *stringsBackend) openApp(p *sim.Proc, _ int, first *rpcproto.Call, pool *rpcproto.Pool) (appPort, error) {
+	port, err := b.pk.Open(p, int(first.AppID), first.TenantID)
+	if err != nil {
+		return nil, err
+	}
+	port.SetPool(pool)
+	return port, nil
+}
+
+// serveRainConn spawns a Rain (Design I) backend process for one
+// application. The process runs on the device's kernel and draws its
+// sequence number from that kernel's application counter.
+func (c *Cluster) serveRainConn(gid int, conn *rpcproto.Conn) {
+	e := c.devEnv[gid]
+	e.appSeq++
+	seq := e.appSeq
+	ep := conn.B()
+	e.k.GoNamed(func() string { return fmt.Sprintf("rain-%d-%d", gid, seq) },
+		func(p *sim.Proc) { c.serveApp(p, gid, ep, c) })
+}
+
+// openApp is the Rain half of serveApp: a fresh CUDA runtime per application
+// — and therefore a private GPU context — executing the application's calls
+// verbatim: synchronous memcpys stay synchronous, device synchronizes stay
+// device-wide, everything runs on the context's default stream. The
+// per-device scheduler still gates submission, which is how TFS-Rain and
+// LAS-Rain are realized.
+func (c *Cluster) openApp(p *sim.Proc, gid int, first *rpcproto.Call, pool *rpcproto.Pool) (appPort, error) {
+	appID := int(first.AppID)
+	// The process sees one device: a capped view of the pool's slice, not a
+	// fresh one-element slice per application.
+	rt := cuda.NewRuntime(p.Kernel(), c.devices[gid:gid+1:gid+1], c.cfg.CUDA)
+	rt.SetOwner(appID)
+	rp := &rainPort{t: *rt.NewThread(p, appID), pool: pool}
+	return rp, rp.t.SetDevice(0)
+}
+
+// rainPort is a Rain application's lane: its private thread behind the
+// shared verbatim executor. The thread is held by value so that the lane is
+// one object per application, not two.
+type rainPort struct {
+	t    cuda.Thread
+	pool *rpcproto.Pool
+}
+
+func (rp *rainPort) Execute(call *rpcproto.Call) *rpcproto.Reply {
+	reply := rp.pool.GetReply()
+	rpcproto.Execute(&rp.t, call, reply)
+	return reply
+}
+
+// appPort is one application's execution lane at a backend: it turns a
+// marshalled call into its reply, blocking the serving process for as long
+// as the call takes.
+type appPort interface {
+	Execute(call *rpcproto.Call) *rpcproto.Reply
+}
+
+// appHost is what differs between the designs: how an application that
+// completed the handshake gets its lane on device gid.
+type appHost interface {
+	openApp(p *sim.Proc, gid int, first *rpcproto.Call, pool *rpcproto.Pool) (appPort, error)
+}
+
+// serveApp is one application's backend thread (Strings) or backend process
+// (Rain): it performs the registration handshake with the Request Manager,
+// opens the application's lane on host, then executes the application's
+// marshalled calls under the Dispatcher's wake/sleep gating.
+func (c *Cluster) serveApp(p *sim.Proc, gid int, ep rpcproto.Endpoint, host appHost) {
 	first, ok := ep.Recv(p).(*rpcproto.Call)
 	if !ok || first.ID != cuda.CallSetDevice {
 		reply := &rpcproto.Reply{}
@@ -72,58 +136,58 @@ func (b *stringsBackend) serve(p *sim.Proc, ep rpcproto.Endpoint) {
 		ep.Send(p, reply, 0)
 		return
 	}
-	if b.c.faultGate(p, b.gid) {
+	if c.faultGate(p, gid) {
 		// The backend died before (or while) the registration was served:
 		// the daemon is gone, so the handshake reply never leaves the node.
 		return
 	}
 	appID := int(first.AppID)
 	pool := ep.Pool()
+	sched := c.scheds[gid]
 	held := 0
-	entry := b.sched.Register(appID, first.TenantID, int(first.Weight),
+	entry := sched.Register(appID, first.TenantID, int(first.Weight),
 		first.KernelName, func() int { return held + ep.InboxLen() })
-	port, err := b.pk.Open(p, appID, first.TenantID)
+	port, err := host.openApp(p, gid, first, pool)
 	reply := pool.GetReply()
 	reply.Seq = first.Seq
 	reply.SetError(err)
 	ep.Send(p, reply, 0)
 	if err != nil {
-		b.sched.Unregister(appID)
+		sched.Unregister(appID)
 		return
 	}
-	port.SetPool(pool)
 	for {
 		call, ok := ep.Recv(p).(*rpcproto.Call)
 		if !ok {
 			continue
 		}
-		if b.c.faultGate(p, b.gid) {
+		if c.faultGate(p, gid) {
 			// Killed: swallow the call and keep draining the inbox so
 			// retransmissions die here instead of backing up the queue.
 			continue
 		}
 		held = 1
-		b.sched.SetPhaseEntry(entry, devsched.CallPhase(call))
+		sched.SetPhaseEntry(entry, devsched.CallPhase(call))
 		if devsched.GatesOnDispatch(call.ID) {
-			b.sched.WaitTurn(p, entry)
+			sched.WaitTurn(p, entry)
 		}
 		t0 := p.Now()
 		reply := port.Execute(call)
-		b.c.degradePenalty(p, b.gid, p.Now()-t0)
+		c.degradePenalty(p, gid, p.Now()-t0)
 		held = 0
-		b.sched.SetPhaseEntry(entry, devsched.PhaseDFL)
-		if b.c.gpuDown[b.gid] {
+		sched.SetPhaseEntry(entry, devsched.PhaseDFL)
+		if c.gpuDown[gid] {
 			// The kill landed while the call executed: the reply is lost
 			// with the daemon.
 			if call.ID == cuda.CallThreadExit {
-				b.sched.Unregister(appID)
+				sched.Unregister(appID)
 				return
 			}
 			pool.FreeReply(reply)
 			continue
 		}
 		if call.ID == cuda.CallThreadExit {
-			reply.Feedback = b.sched.Unregister(appID)
+			reply.Feedback = sched.Unregister(appID)
 			ep.Send(p, reply, 0)
 			return
 		}
@@ -138,160 +202,4 @@ func (b *stringsBackend) serve(p *sim.Proc, ep rpcproto.Endpoint) {
 		pool.FreeReply(reply)
 		pool.FreeCall(call)
 	}
-}
-
-// serveRainConn spawns a Rain (Design I) backend process for one
-// application: a private CUDA runtime — and therefore a private GPU context
-// — executing the application's calls verbatim: synchronous memcpys stay
-// synchronous, device synchronizes stay device-wide, everything runs on the
-// context's default stream. The per-device scheduler still gates
-// submission, which is how TFS-Rain and LAS-Rain are realized. The process
-// runs on the device's kernel and draws its sequence number from that
-// kernel's application counter.
-func (c *Cluster) serveRainConn(gid int, conn *rpcproto.Conn) {
-	e := c.devEnv[gid]
-	e.appSeq++
-	seq := e.appSeq
-	ep := conn.B()
-	e.k.GoNamed(func() string { return fmt.Sprintf("rain-%d-%d", gid, seq) },
-		func(p *sim.Proc) { c.rainServe(p, gid, ep) })
-}
-
-func (c *Cluster) rainServe(p *sim.Proc, gid int, ep rpcproto.Endpoint) {
-	first, ok := ep.Recv(p).(*rpcproto.Call)
-	if !ok || first.ID != cuda.CallSetDevice {
-		reply := &rpcproto.Reply{}
-		reply.SetError(cuda.ErrInvalidValue)
-		ep.Send(p, reply, 0)
-		return
-	}
-	if c.faultGate(p, gid) {
-		return
-	}
-	appID := int(first.AppID)
-	pool := ep.Pool()
-	sched := c.scheds[gid]
-	held := 0
-	entry := sched.Register(appID, first.TenantID, int(first.Weight),
-		first.KernelName, func() int { return held + ep.InboxLen() })
-
-	// A fresh runtime per application: Rain's per-app backend process (on
-	// whichever kernel this backend proc runs on).
-	rt := cuda.NewRuntime(p.Kernel(), []*gpu.Device{c.devices[gid]}, c.cfg.CUDA)
-	rt.SetOwner(appID)
-	t := rt.NewThread(p, appID)
-	reply := pool.GetReply()
-	reply.Seq = first.Seq
-	reply.SetError(t.SetDevice(0))
-	ep.Send(p, reply, 0)
-
-	for {
-		call, ok := ep.Recv(p).(*rpcproto.Call)
-		if !ok {
-			continue
-		}
-		if c.faultGate(p, gid) {
-			continue
-		}
-		held = 1
-		sched.SetPhaseEntry(entry, devsched.CallPhase(call))
-		if devsched.GatesOnDispatch(call.ID) {
-			sched.WaitTurn(p, entry)
-		}
-		t0 := p.Now()
-		reply := c.rainExecute(t, call, pool)
-		c.degradePenalty(p, gid, p.Now()-t0)
-		held = 0
-		sched.SetPhaseEntry(entry, devsched.PhaseDFL)
-		if c.gpuDown[gid] {
-			if call.ID == cuda.CallThreadExit {
-				sched.Unregister(appID)
-				return
-			}
-			pool.FreeReply(reply)
-			continue
-		}
-		if call.ID == cuda.CallThreadExit {
-			reply.Feedback = sched.Unregister(appID)
-			ep.Send(p, reply, 0)
-			return
-		}
-		if !call.NonBlocking {
-			ep.Send(p, reply, call.ReplyPayloadBytes())
-			continue
-		}
-		// Non-blocking round trips are recycled on this side (see serve).
-		pool.FreeReply(reply)
-		pool.FreeCall(call)
-	}
-}
-
-// rainExecute runs one call directly against the per-app runtime — no
-// stream translation, no sync conversion, no pinned staging.
-func (c *Cluster) rainExecute(t *cuda.Thread, call *rpcproto.Call, pool *rpcproto.Pool) *rpcproto.Reply {
-	reply := pool.GetReply()
-	reply.Seq = call.Seq
-	ptr := cuda.Ptr{Dev: int(call.PtrDev), ID: call.PtrID, Size: call.PtrSize}
-	switch call.ID {
-	case cuda.CallDeviceCount:
-		reply.Count = int32(t.DeviceCount())
-	case cuda.CallMalloc:
-		p, err := t.Malloc(call.Bytes)
-		if err != nil {
-			reply.SetError(err)
-			break
-		}
-		reply.PtrID, reply.PtrSize, reply.PtrDev = p.ID, p.Size, int32(p.Dev)
-	case cuda.CallFree:
-		reply.SetError(t.Free(ptr))
-	case cuda.CallMemcpy:
-		reply.SetError(t.Memcpy(call.Dir, ptr, call.Bytes))
-	case cuda.CallMemcpyAsync:
-		reply.SetError(t.MemcpyAsync(call.Dir, ptr, call.Bytes, cuda.StreamID(call.Stream)))
-	case cuda.CallLaunch:
-		reply.SetError(t.Launch(cuda.Kernel{
-			Name:       call.KernelName,
-			Compute:    call.Compute,
-			MemTraffic: call.MemTraffic,
-			Occupancy:  call.Occupancy,
-		}, cuda.StreamID(call.Stream)))
-	case cuda.CallStreamCreate:
-		s, err := t.StreamCreate()
-		if err != nil {
-			reply.SetError(err)
-			break
-		}
-		reply.Stream = int32(s)
-	case cuda.CallStreamSync:
-		reply.SetError(t.StreamSynchronize(cuda.StreamID(call.Stream)))
-	case cuda.CallStreamDestroy:
-		reply.SetError(t.StreamDestroy(cuda.StreamID(call.Stream)))
-	case cuda.CallEventCreate:
-		e, err := t.EventCreate()
-		if err != nil {
-			reply.SetError(err)
-			break
-		}
-		reply.Event = int32(e)
-	case cuda.CallEventRecord:
-		reply.SetError(t.EventRecord(cuda.EventID(call.Event), cuda.StreamID(call.Stream)))
-	case cuda.CallEventSync:
-		reply.SetError(t.EventSynchronize(cuda.EventID(call.Event)))
-	case cuda.CallEventElapsed:
-		d, err := t.EventElapsed(cuda.EventID(call.Event), cuda.EventID(call.Event2))
-		if err != nil {
-			reply.SetError(err)
-			break
-		}
-		reply.Elapsed = int64(d)
-	case cuda.CallEventDestroy:
-		reply.SetError(t.EventDestroy(cuda.EventID(call.Event)))
-	case cuda.CallDeviceSync:
-		reply.SetError(t.DeviceSynchronize())
-	case cuda.CallThreadExit:
-		reply.SetError(t.ThreadExit())
-	default:
-		reply.SetError(cuda.ErrNotImplemented)
-	}
-	return reply
 }

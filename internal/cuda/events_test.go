@@ -38,6 +38,33 @@ func TestEventTimingBracketsKernel(t *testing.T) {
 	}
 }
 
+// TestEventElapsedReversedPair asks for the elapsed time of a completed pair
+// both ways: an end recorded before its start is cudaErrorInvalidValue, never
+// a negative duration; a pair finishing at the same instant is zero.
+func TestEventElapsedReversedPair(t *testing.T) {
+	k := sim.NewKernel(1)
+	rt := NewRuntime(k, []*gpu.Device{testDev(k)}, Config{})
+	k.Go("app", func(p *sim.Proc) {
+		c := rt.NewThread(p, 1)
+		first, _ := c.EventCreate()
+		second, _ := c.EventCreate()
+		c.EventRecord(first, DefaultStream)
+		c.Launch(Kernel{Compute: 50000}, DefaultStream) // 50us
+		c.EventRecord(second, DefaultStream)
+		c.EventSynchronize(second)
+		if d, err := c.EventElapsed(first, second); err != nil || d != 50 {
+			t.Errorf("forward elapsed = %v, %v; want 50us", d, err)
+		}
+		if d, err := c.EventElapsed(second, first); !errors.Is(err, ErrInvalidValue) || d != 0 {
+			t.Errorf("reversed elapsed = %v, %v; want 0, ErrInvalidValue", d, err)
+		}
+		if d, err := c.EventElapsed(first, first); err != nil || d != 0 {
+			t.Errorf("same-event elapsed = %v, %v; want 0", d, err)
+		}
+	})
+	k.Run()
+}
+
 func TestEventMarkersRespectStreamOrder(t *testing.T) {
 	k := sim.NewKernel(1)
 	rt := NewRuntime(k, []*gpu.Device{testDev(k)}, Config{})

@@ -486,7 +486,13 @@ func (t *Thread) EventElapsed(start, end EventID) (sim.Time, error) {
 		!a.marker.Done.Fired() || !b.marker.Done.Fired() {
 		return 0, ErrNotReady
 	}
-	return b.marker.Finished - a.marker.Finished, nil
+	d := b.marker.Finished - a.marker.Finished
+	if d < 0 {
+		// end was recorded before start: cudaEventElapsedTime reports
+		// cudaErrorInvalidValue rather than a negative duration.
+		return 0, ErrInvalidValue
+	}
+	return d, nil
 }
 
 // EventDestroy implements Client.

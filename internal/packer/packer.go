@@ -116,6 +116,11 @@ func (port *Port) translateStream(s cuda.StreamID) cuda.StreamID {
 	return s
 }
 
+// retarget applies the AST to a stream-addressed frame.
+func (port *Port) retarget(call *rpcproto.Call) {
+	call.Stream = int32(port.translateStream(cuda.StreamID(call.Stream)))
+}
+
 // Execute runs one marshalled CUDA call through the packer's translations
 // and returns the reply (nil for calls whose reply is suppressed because the
 // frontend issued them as non-blocking RPCs).
@@ -130,7 +135,10 @@ func (port *Port) Execute(call *rpcproto.Call) *rpcproto.Reply {
 	return port.execute(call)
 }
 
-// execute is Execute's body: the AST/SST/MOT translation switch.
+// execute is Execute's body: the AST/SST/MOT translations, then the shared
+// verbatim executor. A translation rewrites the frame in place — the backend
+// owns a received frame's addressing fields, and a rewritten stream is no
+// longer the default one, so a frame delivered twice translates the same way.
 func (port *Port) execute(call *rpcproto.Call) *rpcproto.Reply {
 	reply := port.pool.GetReply()
 	reply.Seq = call.Seq
@@ -141,135 +149,83 @@ func (port *Port) execute(call *rpcproto.Call) *rpcproto.Reply {
 	t := port.thread
 	switch call.ID {
 	case cuda.CallSetDevice:
-		// Target selection already happened at the balancer; binding the
-		// backend thread to its device is all that remains.
-		reply.SetError(t.SetDevice(0))
-
-	case cuda.CallDeviceCount:
-		reply.Count = int32(t.DeviceCount())
-
-	case cuda.CallMalloc:
-		ptr, err := t.Malloc(call.Bytes)
-		if err != nil {
-			reply.SetError(err)
-			break
-		}
-		reply.PtrID, reply.PtrSize, reply.PtrDev = ptr.ID, ptr.Size, int32(ptr.Dev)
-
-	case cuda.CallFree:
-		reply.SetError(t.Free(callPtr(call)))
+		// Target selection already happened at the balancer: whatever GID the
+		// frame names, this backend process owns exactly one device.
+		call.Dev = 0
 
 	case cuda.CallMemcpy:
-		// MOT: synchronous copies become asynchronous, staged through
-		// pinned memory. H2D returns as soon as the copy is queued; D2H
-		// must return data, so it synchronizes the app's stream first.
-		s := port.translateStream(cuda.DefaultStream)
-		if call.Dir == cuda.H2D {
-			port.pinCost(call.Bytes)
-			id := port.pk.pmt.Add(port.AppID, s, call.Bytes, call.Dir)
-			if err := t.MemcpyAsync(cuda.H2D, callPtr(call), call.Bytes, s); err != nil {
-				port.pk.pmt.Release(id)
-				reply.SetError(err)
-				break
-			}
-			// Pinned buffer is reclaimed at the app's next sync point.
-			break
-		}
-		if err := t.MemcpyAsync(cuda.D2H, callPtr(call), call.Bytes, s); err != nil {
-			reply.SetError(err)
-			break
-		}
-		if err := t.StreamSynchronize(s); err != nil {
-			reply.SetError(err)
-			break
-		}
-		port.pk.pmt.ReleaseSynced(port.AppID, s)
+		port.memcpy(call, reply)
+		return reply
 
 	case cuda.CallMemcpyAsync:
-		s := port.translateStream(cuda.StreamID(call.Stream))
+		port.retarget(call)
 		if call.Dir == cuda.H2D {
 			port.pinCost(call.Bytes)
-			port.pk.pmt.Add(port.AppID, s, call.Bytes, call.Dir)
+			port.pk.pmt.Add(port.AppID, cuda.StreamID(call.Stream), call.Bytes, call.Dir)
 		}
-		reply.SetError(t.MemcpyAsync(call.Dir, callPtr(call), call.Bytes, s))
 
-	case cuda.CallLaunch:
-		s := port.translateStream(cuda.StreamID(call.Stream))
-		reply.SetError(t.Launch(cuda.Kernel{
-			Name:       call.KernelName,
-			Compute:    call.Compute,
-			MemTraffic: call.MemTraffic,
-			Occupancy:  call.Occupancy,
-		}, s))
-
-	case cuda.CallStreamCreate:
-		s, err := t.StreamCreate()
-		if err != nil {
-			reply.SetError(err)
-			break
-		}
-		reply.Stream = int32(s)
+	case cuda.CallLaunch, cuda.CallEventRecord:
+		port.retarget(call)
 
 	case cuda.CallStreamSync:
-		s := port.translateStream(cuda.StreamID(call.Stream))
-		if err := t.StreamSynchronize(s); err != nil {
-			reply.SetError(err)
-			break
+		port.retarget(call)
+		rpcproto.Execute(t, call, reply)
+		if reply.Err == "" {
+			port.pk.pmt.ReleaseSynced(port.AppID, cuda.StreamID(call.Stream))
 		}
-		port.pk.pmt.ReleaseSynced(port.AppID, s)
+		return reply
 
 	case cuda.CallStreamDestroy:
-		s := cuda.StreamID(call.Stream)
-		if s == cuda.DefaultStream {
+		// The default stream is the application's dedicated one here; it
+		// lives until cudaThreadExit.
+		if cuda.StreamID(call.Stream) == cuda.DefaultStream {
 			reply.SetError(cuda.ErrInvalidValue)
-			break
+			return reply
 		}
-		reply.SetError(t.StreamDestroy(s))
-
-	case cuda.CallEventCreate:
-		e, err := t.EventCreate()
-		if err != nil {
-			reply.SetError(err)
-			break
-		}
-		reply.Event = int32(e)
-
-	case cuda.CallEventRecord:
-		// AST applies to event records too: default-stream records land on
-		// the application's dedicated stream.
-		s := port.translateStream(cuda.StreamID(call.Stream))
-		reply.SetError(t.EventRecord(cuda.EventID(call.Event), s))
-
-	case cuda.CallEventSync:
-		reply.SetError(t.EventSynchronize(cuda.EventID(call.Event)))
-
-	case cuda.CallEventElapsed:
-		d, err := t.EventElapsed(cuda.EventID(call.Event), cuda.EventID(call.Event2))
-		if err != nil {
-			reply.SetError(err)
-			break
-		}
-		reply.Elapsed = int64(d)
-
-	case cuda.CallEventDestroy:
-		reply.SetError(t.EventDestroy(cuda.EventID(call.Event)))
 
 	case cuda.CallDeviceSync:
 		// SST: the device-wide synchronize becomes a synchronize of the
 		// app's own stream, so co-tenants are unaffected.
 		if err := t.StreamSynchronize(port.stream); err != nil {
 			reply.SetError(err)
-			break
+			return reply
 		}
 		port.pk.pmt.ReleaseApp(port.AppID)
+		return reply
 
 	case cuda.CallThreadExit:
 		reply.SetError(port.close())
-
-	default:
-		reply.SetError(cuda.ErrNotImplemented)
+		return reply
 	}
+	rpcproto.Execute(t, call, reply)
 	return reply
+}
+
+// memcpy implements the MOT: synchronous copies become asynchronous, staged
+// through pinned memory. H2D returns as soon as the copy is queued (the
+// pinned buffer is reclaimed at the app's next sync point); D2H must return
+// data, so it synchronizes the app's stream first.
+func (port *Port) memcpy(call *rpcproto.Call, reply *rpcproto.Reply) {
+	t, s := port.thread, port.stream
+	ptr := cuda.Ptr{Dev: int(call.PtrDev), ID: call.PtrID, Size: call.PtrSize}
+	if call.Dir == cuda.H2D {
+		port.pinCost(call.Bytes)
+		id := port.pk.pmt.Add(port.AppID, s, call.Bytes, call.Dir)
+		if err := t.MemcpyAsync(cuda.H2D, ptr, call.Bytes, s); err != nil {
+			port.pk.pmt.Release(id)
+			reply.SetError(err)
+		}
+		return
+	}
+	if err := t.MemcpyAsync(cuda.D2H, ptr, call.Bytes, s); err != nil {
+		reply.SetError(err)
+		return
+	}
+	if err := t.StreamSynchronize(s); err != nil {
+		reply.SetError(err)
+		return
+	}
+	port.pk.pmt.ReleaseSynced(port.AppID, s)
 }
 
 // close tears the port down: drain the app's stream, release its pinned
@@ -295,9 +251,4 @@ func (port *Port) pinCost(bytes int64) {
 	if port.pk.cfg.PinBandwidth > 0 && bytes > 0 {
 		port.proc.Sleep(sim.Time(float64(bytes)/port.pk.cfg.PinBandwidth + 0.5))
 	}
-}
-
-// callPtr reconstructs the device pointer referenced by a call.
-func callPtr(c *rpcproto.Call) cuda.Ptr {
-	return cuda.Ptr{Dev: int(c.PtrDev), ID: c.PtrID, Size: c.PtrSize}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func testDev(k *sim.Kernel) *gpu.Device {
@@ -237,6 +238,218 @@ func TestStreamCreateAndExplicitUse(t *testing.T) {
 		r = port.Execute(&rpcproto.Call{ID: cuda.CallStreamDestroy, Stream: 0})
 		if !errors.Is(r.AsError(), cuda.ErrInvalidValue) {
 			t.Errorf("destroying stream 0 = %v", r.AsError())
+		}
+	})
+	k.Run()
+}
+
+// TestTranslationTable pins what the packer does before the shared executor
+// runs: which opcodes it rewrites, where default-stream work lands, what a
+// synchronize releases, and that every other opcode is exactly one verbatim
+// runtime call on an untouched frame. (cudaThreadExit, the remaining
+// translation, is TestThreadExitFreesEverything.)
+func TestTranslationTable(t *testing.T) {
+	k := sim.NewKernel(1)
+	pk, _ := newPacker(k)
+	k.Go("bt", func(p *sim.Proc) {
+		port, _ := pk.Open(p, 1, 10)
+		th := port.thread
+		own := int32(port.Stream())
+		ptr, _ := mallocVia(port, 1000)
+		explicit := port.Execute(&rpcproto.Call{ID: cuda.CallStreamCreate}).Stream
+		ev := port.Execute(&rpcproto.Call{ID: cuda.CallEventCreate}).Event
+		if explicit == own || explicit == 0 {
+			t.Fatalf("explicit stream %d, dedicated stream %d", explicit, own)
+		}
+		// drained synchronizes a stream behind the packer's back and reports
+		// how long its queued work took to finish.
+		drained := func(s int32) sim.Time {
+			t0 := p.Now()
+			th.StreamSynchronize(cuda.StreamID(s))
+			return p.Now() - t0
+		}
+		on := func(c rpcproto.Call) *rpcproto.Call {
+			c.PtrID, c.PtrSize, c.PtrDev = ptr.ID, ptr.Size, int32(ptr.Dev)
+			return &c
+		}
+		launch := rpcproto.Call{ID: cuda.CallLaunch, Compute: 20000} // 20us
+		copyIn := rpcproto.Call{ID: cuda.CallMemcpyAsync, Dir: cuda.H2D, Bytes: 300}
+
+		rows := []struct {
+			name       string
+			call       *rpcproto.Call
+			wantStream int32  // the frame's stream field afterwards
+			wantErr    error  // the reply's error
+			wantCalls  int    // runtime calls the opcode turned into
+			check      func() // landing / side effects, run after the call
+		}{
+			{"SetDevice names a GID, binds ordinal 0", &rpcproto.Call{ID: cuda.CallSetDevice, Dev: 3}, 0, nil, 1, nil},
+			{"Launch default→dedicated", on(launch), own, nil, 1, func() {
+				if d0, d := drained(0), drained(own); d0 != 0 || d != 20 {
+					t.Errorf("default-stream launch: stream 0 busy %v, dedicated busy %v; want 0, 20us", d0, d)
+				}
+			}},
+			{"Launch explicit passes through", on(rpcproto.Call{ID: cuda.CallLaunch, Compute: 20000, Stream: explicit}), explicit, nil, 1, func() {
+				if d, de := drained(own), drained(explicit); d != 0 || de != 20 {
+					t.Errorf("explicit-stream launch: dedicated busy %v, explicit busy %v; want 0, 20us", d, de)
+				}
+			}},
+			{"MemcpyAsync default→dedicated, pinned", on(copyIn), own, nil, 1, func() {
+				if d0, d := drained(0), drained(own); d0 != 0 || d != 30 {
+					t.Errorf("default-stream copy: stream 0 busy %v, dedicated busy %v; want 0, 30us", d0, d)
+				}
+				if n := pk.PMT().Len(); n != 1 {
+					t.Errorf("PMT entries = %d after an async H2D, want 1", n)
+				}
+			}},
+			{"MemcpyAsync explicit passes through, pinned", on(rpcproto.Call{ID: cuda.CallMemcpyAsync, Dir: cuda.H2D, Bytes: 300, Stream: explicit}), explicit, nil, 1, func() {
+				if d, de := drained(own), drained(explicit); d != 0 || de != 30 {
+					t.Errorf("explicit-stream copy: dedicated busy %v, explicit busy %v; want 0, 30us", d, de)
+				}
+				if n := pk.PMT().Len(); n != 2 {
+					t.Errorf("PMT entries = %d, want 2", n)
+				}
+			}},
+			{"StreamSync default→dedicated releases that stream's pins", &rpcproto.Call{ID: cuda.CallStreamSync}, own, nil, 1, func() {
+				if n := pk.PMT().Len(); n != 1 {
+					t.Errorf("PMT entries = %d after syncing the dedicated stream, want the explicit stream's 1", n)
+				}
+			}},
+			{"StreamSync of an unknown stream releases nothing", &rpcproto.Call{ID: cuda.CallStreamSync, Stream: 42}, 42, cuda.ErrInvalidStream, 1, func() {
+				if n := pk.PMT().Len(); n != 1 {
+					t.Errorf("PMT entries = %d after a failed sync, want 1", n)
+				}
+			}},
+			{"EventRecord default→dedicated", &rpcproto.Call{ID: cuda.CallEventRecord, Event: ev}, own, nil, 1, nil},
+			{"Launch on explicit, left running", on(rpcproto.Call{ID: cuda.CallLaunch, Compute: 20000, Stream: explicit}), explicit, nil, 1, nil},
+			{"DeviceSync→StreamSync(dedicated)+ReleaseApp", &rpcproto.Call{ID: cuda.CallDeviceSync}, 0, nil, 1, func() {
+				if n := pk.PMT().Len(); n != 0 {
+					t.Errorf("PMT entries = %d after a device sync, want 0", n)
+				}
+				if de := drained(explicit); de == 0 {
+					t.Error("device sync waited for the explicit stream: it must be scoped to the dedicated one")
+				}
+			}},
+			{"StreamDestroy of the default stream rejected unexecuted", &rpcproto.Call{ID: cuda.CallStreamDestroy}, 0, cuda.ErrInvalidValue, 0, nil},
+			{"Memcpy H2D is one async copy", on(rpcproto.Call{ID: cuda.CallMemcpy, Dir: cuda.H2D, Bytes: 300}), 0, nil, 1, nil},
+			{"Memcpy D2H is an async copy and a stream sync", on(rpcproto.Call{ID: cuda.CallMemcpy, Dir: cuda.D2H, Bytes: 300}), 0, nil, 2, nil},
+			// Verbatim opcodes.
+			{"DeviceCount", &rpcproto.Call{ID: cuda.CallDeviceCount}, 0, nil, 1, nil},
+			{"Malloc", &rpcproto.Call{ID: cuda.CallMalloc, Bytes: 10}, 0, nil, 1, nil},
+			{"EventCreate", &rpcproto.Call{ID: cuda.CallEventCreate}, 0, nil, 1, nil},
+			{"EventSync", &rpcproto.Call{ID: cuda.CallEventSync, Event: ev}, 0, nil, 1, nil},
+			{"EventElapsed", &rpcproto.Call{ID: cuda.CallEventElapsed, Event: ev, Event2: ev}, 0, nil, 1, nil},
+			{"EventDestroy", &rpcproto.Call{ID: cuda.CallEventDestroy, Event: ev}, 0, nil, 1, nil},
+			{"StreamCreate", &rpcproto.Call{ID: cuda.CallStreamCreate}, 0, nil, 1, nil},
+			{"StreamDestroy explicit", &rpcproto.Call{ID: cuda.CallStreamDestroy, Stream: explicit}, explicit, nil, 1, nil},
+			{"Free", on(rpcproto.Call{ID: cuda.CallFree}), 0, nil, 1, nil},
+		}
+		for _, row := range rows {
+			before := th.Calls()
+			r := port.Execute(row.call)
+			if got := th.Calls() - before; got != row.wantCalls {
+				t.Errorf("%s: %d runtime calls, want %d", row.name, got, row.wantCalls)
+			}
+			if !errors.Is(r.AsError(), row.wantErr) || (row.wantErr == nil && r.Err != "") {
+				t.Errorf("%s: reply error %q, want %v", row.name, r.Err, row.wantErr)
+			}
+			if row.call.Stream != row.wantStream {
+				t.Errorf("%s: frame stream %d afterwards, want %d", row.name, row.call.Stream, row.wantStream)
+			}
+			if row.check != nil {
+				row.check()
+			}
+		}
+	})
+	k.Run()
+}
+
+// TestRetransmittedFrameTranslatesTwice: recovery retains frames, so one
+// default-stream Launch frame can reach the port twice. The in-place rewrite
+// must land it on the dedicated stream both times.
+func TestRetransmittedFrameTranslatesTwice(t *testing.T) {
+	k := sim.NewKernel(1)
+	pk, _ := newPacker(k)
+	k.Go("bt", func(p *sim.Proc) {
+		port, _ := pk.Open(p, 1, 10)
+		frame := &rpcproto.Call{ID: cuda.CallLaunch, Seq: 7, Compute: 20000} // 20us, default stream
+		for i := 0; i < 2; i++ {
+			if r := port.Execute(frame); r.Err != "" || r.Seq != 7 {
+				t.Errorf("delivery %d: %+v", i+1, r)
+			}
+		}
+		t0 := p.Now()
+		port.thread.StreamSynchronize(cuda.DefaultStream)
+		if p.Now() != t0 {
+			t.Errorf("a delivery landed on the context's real default stream (busy %v)", p.Now()-t0)
+		}
+		port.thread.StreamSynchronize(port.Stream())
+		if got := p.Now() - t0; got != 40 {
+			t.Errorf("dedicated stream busy %v after two deliveries, want 40us", got)
+		}
+	})
+	k.Run()
+}
+
+// TestExecSpanAndPooledReplies: with a recorder installed every Execute is
+// one backend exec span covering the call's virtual duration, and with a pool
+// installed the replies come from it.
+func TestExecSpanAndPooledReplies(t *testing.T) {
+	k := sim.NewKernel(1)
+	dev := testDev(k)
+	pk := New(cuda.NewRuntime(k, []*gpu.Device{dev}, cuda.Config{}), DefaultConfig())
+	if pk.Runtime().Devices()[0] != dev {
+		t.Fatal("Runtime() is not the runtime the packer was built over")
+	}
+	rec := trace.New()
+	pk.SetRecorder(rec, 3)
+	pool := &rpcproto.Pool{}
+	k.Go("bt", func(p *sim.Proc) {
+		port, _ := pk.Open(p, 1, 10)
+		port.SetPool(pool)
+		spare := &rpcproto.Reply{}
+		pool.FreeReply(spare)
+		if r := port.Execute(&rpcproto.Call{ID: cuda.CallLaunch, Seq: 5, Compute: 20000}); r != spare || r.Seq != 5 {
+			t.Errorf("reply %p %+v, want the pooled frame %p with seq 5", r, r, spare)
+		}
+		port.Execute(&rpcproto.Call{ID: cuda.CallDeviceSync, Seq: 6})
+	})
+	k.Run()
+	spans := rec.Snapshot().Spans
+	if len(spans) != 2 {
+		t.Fatalf("%d spans, want one per Execute", len(spans))
+	}
+	sync := spans[1]
+	if sync.Kind != trace.KExec || sync.Name != cuda.CallDeviceSync.String() || sync.App != 1 ||
+		sync.GID != 3 || sync.Arg != 6 || sync.Duration() != 20 {
+		t.Fatalf("device-sync span = %+v, want a 20us exec span for app 1 on gid 3", sync)
+	}
+}
+
+// TestMOTErrorPaths: a synchronous copy that overruns its allocation fails in
+// both directions, and the failed H2D leaves no pinned buffer behind.
+func TestMOTErrorPaths(t *testing.T) {
+	k := sim.NewKernel(1)
+	pk, _ := newPacker(k)
+	k.Go("bt", func(p *sim.Proc) {
+		port, _ := pk.Open(p, 1, 10)
+		ptr, _ := mallocVia(port, 1000)
+		for _, dir := range []cuda.Dir{cuda.H2D, cuda.D2H} {
+			r := port.Execute(&rpcproto.Call{
+				ID: cuda.CallMemcpy, Dir: dir, PtrID: ptr.ID, PtrSize: ptr.Size, Bytes: 2000,
+			})
+			if !errors.Is(r.AsError(), cuda.ErrInvalidValue) {
+				t.Errorf("%v copy past the allocation = %v, want ErrInvalidValue", dir, r.AsError())
+			}
+		}
+		if n := pk.PMT().Len(); n != 0 {
+			t.Errorf("PMT entries = %d after failed copies, want 0", n)
+		}
+		if err := port.close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		if err := port.close(); !errors.Is(err, cuda.ErrThreadExited) {
+			t.Errorf("second close = %v, want ErrThreadExited", err)
 		}
 	})
 	k.Run()

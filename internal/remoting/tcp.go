@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"time"
 
 	"repro/internal/cuda"
@@ -51,6 +50,7 @@ func (b *TCPBackend) Serve(lis net.Listener) error {
 // layer.
 func (b *TCPBackend) ServeConn(rw io.ReadWriter) error {
 	sess := newTCPSession(b.Spec)
+	defer sess.execute(nil) // the session process runs off its end rather than staying parked for good
 	fr := rpcproto.NewFrameReader(rw)
 	defer fr.Close()
 	fw := rpcproto.NewFrameWriter(rw)
@@ -80,215 +80,59 @@ func (b *TCPBackend) ServeConn(rw io.ReadWriter) error {
 	}
 }
 
-// tcpSession executes calls on a per-connection simulated device.
+// tcpSession is one connection's backend process: a private kernel and
+// simulated device, and on them what every simulated backend runs — a CUDA
+// runtime with one thread, bound to the session process, behind the shared
+// verbatim executor. It validates pointers, streams and events exactly as
+// the other backends do, because it is the same code.
 type tcpSession struct {
-	k       *sim.Kernel
-	dev     *gpu.Device
-	ctx     *gpu.Context
-	streams map[cuda.StreamID]*gpu.Stream
-	lastOp  map[cuda.StreamID]*sim.Event
-	allocs  map[int64]int64
-	events  map[cuda.EventID]*gpu.Op
-	nextS   cuda.StreamID
-	nextE   cuda.EventID
-	nextP   int64
+	k     *sim.Kernel
+	dev   *gpu.Device
+	calls *sim.Queue[*rpcproto.Call]
+	reply rpcproto.Reply // the current call's outcome, reused across calls
 }
 
 func newTCPSession(spec gpu.Spec) *tcpSession {
 	k := sim.NewKernel(1)
-	dev := gpu.NewDevice(k, spec, 0)
-	s := &tcpSession{
-		k: k, dev: dev, ctx: dev.NewContext(),
-		streams: make(map[cuda.StreamID]*gpu.Stream),
-		lastOp:  make(map[cuda.StreamID]*sim.Event),
-		allocs:  make(map[int64]int64),
-		events:  make(map[cuda.EventID]*gpu.Op),
-		nextS:   1,
-		nextE:   1,
-	}
-	s.streams[cuda.DefaultStream] = s.ctx.NewStream()
+	s := &tcpSession{k: k, dev: gpu.NewDevice(k, spec, 0), calls: sim.NewQueue[*rpcproto.Call](k)}
+	k.Go("session", s.serve)
 	return s
 }
 
-// stream resolves a stream id.
-func (s *tcpSession) stream(id cuda.StreamID) (*gpu.Stream, bool) {
-	st, ok := s.streams[id]
-	return st, ok
-}
-
-// submit queues an op and returns its completion event.
-func (s *tcpSession) submit(id cuda.StreamID, op *gpu.Op) (*sim.Event, error) {
-	st, ok := s.stream(id)
-	if !ok {
-		return nil, cuda.ErrInvalidStream
-	}
-	ev := st.Submit(op)
-	s.lastOp[id] = ev
-	return ev, nil
-}
-
-// runUntil drives the session's virtual clock until ev fires.
-func (s *tcpSession) runUntil(ev *sim.Event) {
-	s.k.Go("waiter", func(p *sim.Proc) { p.Wait(ev) })
-	s.k.Run()
-}
-
-// execute performs one call; blocking semantics advance the virtual clock.
+// execute hands one call to the session process and runs the private kernel
+// until the process has finished it. A blocking call parks the process, so
+// the virtual clock advances to its completion; a non-blocking one returns
+// with its device work still pending, to overlap with whatever comes next.
+// The reply is valid until the next execute; a nil call ends the process.
 func (s *tcpSession) execute(call *rpcproto.Call) *rpcproto.Reply {
-	reply := &rpcproto.Reply{Seq: call.Seq}
-	switch call.ID {
-	case cuda.CallSetDevice:
-		// The session is the device; nothing to select.
-	case cuda.CallDeviceCount:
-		reply.Count = 1
-	case cuda.CallMalloc:
-		if err := s.dev.Alloc(call.Bytes); err != nil {
-			reply.SetError(cuda.ErrMemoryAllocation)
-			break
-		}
-		s.nextP++
-		s.allocs[s.nextP] = call.Bytes
-		reply.PtrID, reply.PtrSize = s.nextP, call.Bytes
-	case cuda.CallFree:
-		size, ok := s.allocs[call.PtrID]
-		if !ok {
-			reply.SetError(cuda.ErrInvalidPtr)
-			break
-		}
-		delete(s.allocs, call.PtrID)
-		s.dev.Free(size)
-	case cuda.CallMemcpy, cuda.CallMemcpyAsync:
-		kind := gpu.OpH2D
-		if call.Dir == cuda.D2H {
-			kind = gpu.OpD2H
-		}
-		ev, err := s.submit(cuda.StreamID(call.Stream), &gpu.Op{Kind: kind, Bytes: call.Bytes})
-		if err != nil {
-			reply.SetError(err)
-			break
-		}
-		if call.ID == cuda.CallMemcpy {
-			s.runUntil(ev)
-		}
-	case cuda.CallLaunch:
-		_, err := s.submit(cuda.StreamID(call.Stream), &gpu.Op{
-			Kind: gpu.OpKernel, Compute: call.Compute,
-			MemTraffic: call.MemTraffic, Occupancy: call.Occupancy,
-		})
-		reply.SetError(err)
-	case cuda.CallStreamCreate:
-		id := s.nextS
-		s.nextS++
-		s.streams[id] = s.ctx.NewStream()
-		reply.Stream = int32(id)
-	case cuda.CallStreamSync:
-		id := cuda.StreamID(call.Stream)
-		if _, ok := s.streams[id]; !ok {
-			reply.SetError(cuda.ErrInvalidStream)
-			break
-		}
-		if ev, ok := s.lastOp[id]; ok {
-			s.runUntil(ev)
-		}
-	case cuda.CallStreamDestroy:
-		id := cuda.StreamID(call.Stream)
-		if id == cuda.DefaultStream {
-			reply.SetError(cuda.ErrInvalidValue)
-			break
-		}
-		if _, ok := s.streams[id]; !ok {
-			reply.SetError(cuda.ErrInvalidStream)
-			break
-		}
-		// cudaStreamDestroy drains the stream's pending work, then the
-		// handle — including its lastOp row — must go away, or a later
-		// DeviceSync/ThreadExit would re-drain a destroyed stream.
-		if ev, ok := s.lastOp[id]; ok {
-			if !ev.Fired() {
-				s.runUntil(ev)
-			}
-			delete(s.lastOp, id)
-		}
-		delete(s.streams, id)
-	case cuda.CallEventCreate:
-		id := s.nextE
-		s.nextE++
-		s.events[id] = nil
-		reply.Event = int32(id)
-	case cuda.CallEventRecord:
-		if _, ok := s.events[cuda.EventID(call.Event)]; !ok {
-			reply.SetError(cuda.ErrInvalidEvent)
-			break
-		}
-		op := &gpu.Op{Kind: gpu.OpMarker}
-		if _, err := s.submit(cuda.StreamID(call.Stream), op); err != nil {
-			reply.SetError(err)
-			break
-		}
-		s.events[cuda.EventID(call.Event)] = op
-	case cuda.CallEventSync:
-		op, ok := s.events[cuda.EventID(call.Event)]
-		if !ok || op == nil {
-			reply.SetError(cuda.ErrInvalidEvent)
-			break
-		}
-		if !op.Done.Fired() {
-			s.runUntil(op.Done)
-		}
-	case cuda.CallEventElapsed:
-		a, okA := s.events[cuda.EventID(call.Event)]
-		b, okB := s.events[cuda.EventID(call.Event2)]
-		if !okA || !okB || a == nil || b == nil || !a.Done.Fired() || !b.Done.Fired() {
-			reply.SetError(cuda.ErrInvalidEvent)
-			break
-		}
-		elapsed := int64(b.Finished - a.Finished)
-		if elapsed < 0 {
-			// The events were recorded in the opposite order; CUDA reports
-			// cudaErrorInvalidValue rather than a negative duration.
-			reply.SetError(cuda.ErrInvalidValue)
-			break
-		}
-		reply.Elapsed = elapsed
-	case cuda.CallEventDestroy:
-		if _, ok := s.events[cuda.EventID(call.Event)]; !ok {
-			reply.SetError(cuda.ErrInvalidEvent)
-			break
-		}
-		delete(s.events, cuda.EventID(call.Event))
-	case cuda.CallDeviceSync, cuda.CallThreadExit:
-		// Drain streams in id order: runUntil advances the virtual clock,
-		// so map iteration order here would leak into the event sequence.
-		sids := make([]cuda.StreamID, 0, len(s.lastOp))
-		for id := range s.lastOp {
-			sids = append(sids, id)
-		}
-		slices.Sort(sids)
-		for _, id := range sids {
-			if ev := s.lastOp[id]; !ev.Fired() {
-				s.runUntil(ev)
-			}
-		}
+	s.calls.Put(call)
+	s.k.Run()
+	return &s.reply
+}
+
+// serve is the session process. Its thread takes the application id of the
+// connection's first call, which is what the device attributes service to.
+func (s *tcpSession) serve(p *sim.Proc) {
+	call := s.calls.Get(p)
+	if call == nil {
+		return
+	}
+	appID := int(call.AppID)
+	t := cuda.NewRuntime(s.k, []*gpu.Device{s.dev}, cuda.DefaultConfig()).NewThread(p, appID)
+	for ; call != nil; call = s.calls.Get(p) {
+		s.reply = rpcproto.Reply{}
+		rpcproto.Execute(t, call, &s.reply)
 		if call.ID == cuda.CallThreadExit {
-			ptrs := make([]int64, 0, len(s.allocs))
-			for id := range s.allocs {
-				ptrs = append(ptrs, id)
-			}
-			slices.Sort(ptrs)
-			for _, id := range ptrs {
-				s.dev.Free(s.allocs[id])
-				delete(s.allocs, id)
-			}
-			reply.Feedback = &rpcproto.Feedback{
+			s.reply.Feedback = &rpcproto.Feedback{
 				AppID:    call.AppID,
 				Kind:     call.KernelName,
-				ExecTime: s.k.Now(),
-				GPUTime:  s.dev.AppService(0),
-				XferTime: s.dev.AppTransferTime(0),
+				ExecTime: p.Now(),
+				GPUTime:  s.dev.AppService(appID),
+				XferTime: s.dev.AppTransferTime(appID),
 			}
 		}
-	default:
-		reply.SetError(cuda.ErrNotImplemented)
+		// Return to execute now: activations of still-running device work
+		// stay queued on the kernel for the next call's Run.
+		s.k.Stop()
 	}
-	return reply
 }

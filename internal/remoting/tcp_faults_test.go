@@ -12,38 +12,55 @@ import (
 	"repro/internal/rpcproto"
 )
 
-// TestStreamDestroyThenSync covers the destroyed-handle path: once a stream
-// is destroyed, synchronizing or re-destroying it must report
-// ErrInvalidStream, and the session must keep serving.
+// TestStreamDestroyThenSync covers the destroyed-handle path: destroying a
+// stream drains its pending work (the session clock advances past the copy),
+// and once it is destroyed, synchronizing or re-destroying it must report
+// ErrInvalidStream while the session keeps serving. White-box on the session
+// so the clock is visible.
 func TestStreamDestroyThenSync(t *testing.T) {
-	conn := dialSession(t)
-	defer conn.Close()
+	s := newTCPSession(gpu.TeslaC2050)
+	defer s.execute(nil)
 
-	r := roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallStreamCreate, Seq: 1})
+	r := s.execute(&rpcproto.Call{ID: cuda.CallStreamCreate, Seq: 1})
 	if r.Err != "" || r.Stream == 0 {
 		t.Fatalf("stream create: %+v", r)
 	}
 	st := r.Stream
+	r = s.execute(&rpcproto.Call{ID: cuda.CallMalloc, Seq: 2, Bytes: 8 << 20})
+	if r.Err != "" {
+		t.Fatalf("malloc: %s", r.Err)
+	}
 	// Queue async work so destroy has something to drain.
-	roundTrip(t, conn, &rpcproto.Call{
-		ID: cuda.CallMemcpyAsync, Seq: 2, Dir: cuda.H2D, Bytes: 1 << 16,
-		Stream: st, NonBlocking: true,
+	r = s.execute(&rpcproto.Call{
+		ID: cuda.CallMemcpyAsync, Seq: 3, Dir: cuda.H2D, Bytes: 8 << 20,
+		PtrID: r.PtrID, PtrSize: r.PtrSize, Stream: st, NonBlocking: true,
 	})
-	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallStreamDestroy, Seq: 3, Stream: st})
+	if r.Err != "" {
+		t.Fatalf("async copy: %s", r.Err)
+	}
+	queued := s.k.Now()
+	copyDone, pending := s.k.NextEventTime()
+	if !pending {
+		t.Fatal("the async copy left nothing pending on the session kernel")
+	}
+	r = s.execute(&rpcproto.Call{ID: cuda.CallStreamDestroy, Seq: 4, Stream: st})
 	if r.Err != "" {
 		t.Fatalf("destroy: %s", r.Err)
 	}
-	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallStreamSync, Seq: 4, Stream: st})
+	if s.k.Now() <= queued || s.k.Now() < copyDone {
+		t.Fatalf("destroy returned at %v: it did not drain the copy queued at %v", s.k.Now(), queued)
+	}
+	r = s.execute(&rpcproto.Call{ID: cuda.CallStreamSync, Seq: 5, Stream: st})
 	if r.Err != cuda.ErrInvalidStream.Error() {
 		t.Fatalf("sync of destroyed stream = %q, want ErrInvalidStream", r.Err)
 	}
-	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallStreamDestroy, Seq: 5, Stream: st})
+	r = s.execute(&rpcproto.Call{ID: cuda.CallStreamDestroy, Seq: 6, Stream: st})
 	if r.Err != cuda.ErrInvalidStream.Error() {
 		t.Fatalf("double destroy = %q, want ErrInvalidStream", r.Err)
 	}
-	// The drained lastOp row must not resurface: a full device sync still
-	// works with the stream gone.
-	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallDeviceSync, Seq: 6})
+	// The drained stream must not resurface: a full device sync still works
+	// with the stream gone.
+	r = s.execute(&rpcproto.Call{ID: cuda.CallDeviceSync, Seq: 7})
 	if r.Err != "" {
 		t.Fatalf("device sync after destroy: %s", r.Err)
 	}
@@ -65,21 +82,27 @@ func TestEventElapsedReversedPair(t *testing.T) {
 	}
 	evA, evB := mkEvent(1), mkEvent(2)
 	roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallEventRecord, Seq: 3, Event: evA, NonBlocking: true})
+	r := roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallMalloc, Seq: 4, Bytes: 8 << 20})
+	if r.Err != "" {
+		t.Fatalf("malloc: %s", r.Err)
+	}
 	// A blocking copy advances the virtual clock between the two records.
-	r := roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallMemcpy, Seq: 4, Dir: cuda.H2D, Bytes: 8 << 20})
+	r = roundTrip(t, conn, &rpcproto.Call{
+		ID: cuda.CallMemcpy, Seq: 5, Dir: cuda.H2D, Bytes: 8 << 20, PtrID: r.PtrID, PtrSize: r.PtrSize,
+	})
 	if r.Err != "" {
 		t.Fatalf("memcpy: %s", r.Err)
 	}
-	roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallEventRecord, Seq: 5, Event: evB, NonBlocking: true})
-	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallEventSync, Seq: 6, Event: evB})
+	roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallEventRecord, Seq: 6, Event: evB, NonBlocking: true})
+	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallEventSync, Seq: 7, Event: evB})
 	if r.Err != "" {
 		t.Fatalf("event sync: %s", r.Err)
 	}
-	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallEventElapsed, Seq: 7, Event: evA, Event2: evB})
+	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallEventElapsed, Seq: 8, Event: evA, Event2: evB})
 	if r.Err != "" || r.Elapsed <= 0 {
 		t.Fatalf("forward elapsed = %+v, want positive duration", r)
 	}
-	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallEventElapsed, Seq: 8, Event: evB, Event2: evA})
+	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallEventElapsed, Seq: 9, Event: evB, Event2: evA})
 	if r.Err != cuda.ErrInvalidValue.Error() {
 		t.Fatalf("reversed elapsed = %q, want ErrInvalidValue", r.Err)
 	}

@@ -2,6 +2,7 @@ package remoting
 
 import (
 	"net"
+	"slices"
 	"testing"
 
 	"repro/internal/cuda"
@@ -75,7 +76,7 @@ func TestTCPBackendSession(t *testing.T) {
 	if r.Err != "" {
 		t.Fatalf("sync: %s", r.Err)
 	}
-	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallFree, Seq: 7, PtrID: ptr})
+	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallFree, Seq: 7, PtrID: ptr, PtrSize: 1 << 20})
 	if r.Err != "" {
 		t.Fatalf("free: %s", r.Err)
 	}
@@ -83,8 +84,14 @@ func TestTCPBackendSession(t *testing.T) {
 	if r.Err != "" || r.Feedback == nil {
 		t.Fatalf("exit: %+v", r)
 	}
-	if r.Feedback.ExecTime <= 0 {
-		t.Fatalf("feedback exec time %v", r.Feedback.ExecTime)
+	fb := r.Feedback
+	if fb.ExecTime <= 0 {
+		t.Fatalf("feedback exec time %v", fb.ExecTime)
+	}
+	// The session's thread runs as the connection's first AppID, so that is
+	// the application the device attributed the copy and the kernel to.
+	if fb.AppID != 7 || fb.Kind != "MC" || fb.GPUTime <= 0 || fb.XferTime <= 0 {
+		t.Fatalf("feedback for app 7 = %+v, want nonzero GPU and transfer time", fb)
 	}
 }
 
@@ -104,8 +111,76 @@ func TestTCPBackendErrors(t *testing.T) {
 		t.Fatalf("sync of unknown stream should fail with ErrInvalidStream, got %q", r.Err)
 	}
 	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallID(77), Seq: 4})
-	if r.Err == "" {
-		t.Fatal("unknown call succeeded")
+	if r.Err != cuda.ErrNotImplemented.Error() {
+		t.Fatalf("unknown call = %q, want ErrNotImplemented", r.Err)
+	}
+
+	// The session validates pointers like every other backend: a copy may
+	// not overrun its allocation and a free must name the allocation exactly.
+	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallMalloc, Seq: 5, Bytes: 1 << 20})
+	if r.Err != "" {
+		t.Fatalf("malloc: %s", r.Err)
+	}
+	ptr, size := r.PtrID, r.PtrSize
+	r = roundTrip(t, conn, &rpcproto.Call{
+		ID: cuda.CallMemcpy, Seq: 6, Dir: cuda.H2D, Bytes: 2 << 20, PtrID: ptr, PtrSize: size,
+	})
+	if r.Err != cuda.ErrInvalidValue.Error() {
+		t.Fatalf("memcpy past the allocation = %q, want ErrInvalidValue", r.Err)
+	}
+	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallFree, Seq: 7, PtrID: ptr, PtrSize: size * 2})
+	if r.Err != cuda.ErrInvalidPtr.Error() {
+		t.Fatalf("free with a forged size = %q, want ErrInvalidPtr", r.Err)
+	}
+	r = roundTrip(t, conn, &rpcproto.Call{ID: cuda.CallFree, Seq: 8, PtrID: ptr, PtrSize: size})
+	if r.Err != "" {
+		t.Fatalf("free: %s", r.Err)
+	}
+}
+
+// TestSessionKeepsAsynchrony is white-box on the session: a non-blocking
+// launch must survive the port as pending device work. A cheap blocking call
+// returns while the kernel is still running, and the stream synchronize is
+// what completes it.
+func TestSessionKeepsAsynchrony(t *testing.T) {
+	s := newTCPSession(gpu.TeslaC2050)
+	defer s.execute(nil)
+	s.execute(&rpcproto.Call{ID: cuda.CallLaunch, Seq: 1, Compute: 5e8, NonBlocking: true})
+	launched := s.k.Now()
+	if r := s.execute(&rpcproto.Call{ID: cuda.CallDeviceCount, Seq: 2}); r.Err != "" || r.Count != 1 || r.Seq != 2 {
+		t.Fatalf("device count = %+v", r)
+	}
+	cheap := s.k.Now() - launched
+	done, pending := s.k.NextEventTime()
+	if !pending || done <= s.k.Now() {
+		t.Fatalf("after a cheap call the kernel's op should still be pending: next event %v (pending %v) at %v",
+			done, pending, s.k.Now())
+	}
+	if r := s.execute(&rpcproto.Call{ID: cuda.CallStreamSync, Seq: 3}); r.Err != "" {
+		t.Fatalf("stream sync: %s", r.Err)
+	}
+	if s.k.Now() < done || s.k.Now()-launched < 100*cheap {
+		t.Fatalf("stream sync returned at %v; the kernel completes at %v (cheap call took %v)", s.k.Now(), done, cheap)
+	}
+	if _, pending := s.k.NextEventTime(); pending {
+		t.Fatal("device work still pending after the stream synchronize")
+	}
+}
+
+// TestSessionProcessEndsWithConnection: ServeConn must not leave the session
+// process parked behind it — a daemon would leak one coroutine per client.
+func TestSessionProcessEndsWithConnection(t *testing.T) {
+	s := newTCPSession(gpu.TeslaC2050)
+	s.execute(&rpcproto.Call{ID: cuda.CallLaunch, Seq: 1, Compute: 1e6, NonBlocking: true})
+	if !slices.Contains(s.k.Blocked(), "session") {
+		t.Fatalf("session process not parked between calls: %v", s.k.Blocked())
+	}
+	s.execute(nil)
+	if slices.Contains(s.k.Blocked(), "session") {
+		t.Fatalf("session process still parked after the session ended: %v", s.k.Blocked())
+	}
+	if _, pending := s.k.NextEventTime(); pending {
+		t.Fatal("ending the session left device work undrained")
 	}
 }
 

@@ -140,11 +140,11 @@ func TestGridRoundTrip(t *testing.T) {
 
 func TestGridPanicsOnBadInput(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"no axes":       func() { NewGrid() },
-		"zero axis":     func() { NewGrid(3, 0) },
-		"flat range":    func() { NewGrid(2, 2).Coord(4, 0) },
-		"coord range":   func() { NewGrid(2, 2).Flat(2, 0) },
-		"coord arity":   func() { NewGrid(2, 2).Flat(1) },
+		"no axes":     func() { NewGrid() },
+		"zero axis":   func() { NewGrid(3, 0) },
+		"flat range":  func() { NewGrid(2, 2).Coord(4, 0) },
+		"coord range": func() { NewGrid(2, 2).Flat(2, 0) },
+		"coord arity": func() { NewGrid(2, 2).Flat(1) },
 	} {
 		func() {
 			defer func() {
