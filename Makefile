@@ -61,7 +61,7 @@ lint: stringscheck
 # without paying full benchmark time. The codec and timer-delivery
 # benchmarks must report 0 allocs/op at any -benchtime.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkCodecRoundTrip' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSpawnExit|BenchmarkCodecRoundTrip' -benchtime=1x .
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/rpcproto/
 	$(GO) run ./cmd/strings-bench -exp faults -pairs 1 -requests 4
 	@# Sweep-engine determinism: the same small grid at -parallel 1 and 4
@@ -80,7 +80,7 @@ bench-smoke:
 
 # Full micro-benchmark pass with allocation counts.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkCodecRoundTrip' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSpawnExit|BenchmarkCodecRoundTrip' -benchmem .
 
 # Coverage gate: run the internal packages with -coverprofile and fail if
 # any of the gated packages (the observability layer, the sweep engine,

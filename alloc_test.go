@@ -24,6 +24,7 @@ func throughputRun(seed int64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer c.Close()
 	r, err := c.Run([]stringsched.StreamSpec{{
 		Kind: stringsched.MonteCarlo, Count: 6, LambdaFactor: 0.5,
 		Node: 0, Tenant: 1, Weight: 1,
@@ -79,6 +80,39 @@ func TestAllocBudgetPerEvent(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetPerRequest is the same budget in the unit the paper's load
+// comes in: one application instance per request, so a frontend process, a
+// backend thread and some twenty marshalled calls each. On the repo
+// benchmark's node_mega shape (one 2-GPU Strings node, GMin, a sparse
+// Gaussian stream) a request costs ~39 allocations once the pools are warm —
+// it was 63 while every process built its own coroutine; the ceiling catches
+// that coming back.
+func TestAllocBudgetPerRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc budget measurement skipped in -short mode")
+	}
+	const (
+		requests = 4000
+		budget   = 42.0
+	)
+	if _, err := stringsched.RunMega(1, 200); err != nil {
+		t.Fatal(err)
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	res, err := stringsched.RunMega(2, requests)
+	runtime.ReadMemStats(&ms1)
+	if err != nil || res.Finished != requests {
+		t.Fatalf("mega run: %v, finished %d of %d", err, res.Finished, requests)
+	}
+	perRequest := float64(ms1.Mallocs-ms0.Mallocs) / requests
+	t.Logf("%.2f allocs/request over %d requests, construction included (budget %.0f)", perRequest, requests, budget)
+	if perRequest > budget {
+		t.Fatalf("alloc budget exceeded: %.2f allocs/request > %.0f", perRequest, budget)
+	}
+}
+
 // TestKernelSteadyStateZeroAlloc pins the stronger claim on the kernel alone:
 // once the processes exist and the waiter rings are grown, driving events
 // through the dispatch loop allocates nothing at all. Two persistent procs
@@ -128,8 +162,9 @@ func requireZeroAllocWindow(t *testing.T, k *sim.Kernel, until sim.Time, minEven
 
 // TestTimerSteadyStateZeroAlloc is the timer-driven twin: two persistent
 // procs exchange one message through AfterPut at the remote link's 60 us, so
-// every delivery goes kick, deadline, Put through the timer daemon. Once the
-// timer heap and the rings are grown that path allocates nothing either.
+// every delivery is a timer slot, a heap entry and a Put fired from it. Once
+// the slot table, the heap and the rings are grown that path allocates
+// nothing either.
 func TestTimerSteadyStateZeroAlloc(t *testing.T) {
 	k := sim.NewKernel(1)
 	ping := sim.NewQueue[any](k)
@@ -146,6 +181,6 @@ func TestTimerSteadyStateZeroAlloc(t *testing.T) {
 			k.AfterPut(60, pong, ping.Get(p))
 		}
 	})
-	k.RunUntil(10_000) // warm up: heap and rings grown, coroutines started
+	k.RunUntil(10_000) // warm up: slots, heap and rings grown, coroutines started
 	requireZeroAllocWindow(t, k, 110_000, 3000)
 }

@@ -204,6 +204,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			Kind: stringsched.MonteCarlo, Count: 6, LambdaFactor: 0.5,
 			Node: 0, Tenant: 1, Weight: 1,
 		}})
+		c.Close()
 		if err != nil || len(r.Errors) > 0 {
 			b.Fatalf("%v %v", err, r.Errors)
 		}
@@ -236,6 +237,7 @@ func BenchmarkTracedRun(b *testing.B) {
 			Kind: stringsched.MonteCarlo, Count: 6, LambdaFactor: 0.5,
 			Node: 0, Tenant: 1, Weight: 1,
 		}})
+		c.Close()
 		if err != nil || len(r.Errors) > 0 {
 			b.Fatalf("%v %v", err, r.Errors)
 		}
@@ -263,6 +265,7 @@ func BenchmarkKernelDispatch(b *testing.B) {
 			})
 		}
 		k.Run()
+		k.Close()
 		if i == 0 {
 			b.ReportMetric(float64(k.Dispatched()), "events/op")
 		}
@@ -293,12 +296,13 @@ func BenchmarkQueuePingPong(b *testing.B) {
 			}
 		})
 		k.Run()
+		k.Close()
 	}
 }
 
 // BenchmarkTimerDelivery measures one AfterPut -> Get round trip at the
-// remote link's 60 us: a kick and a deadline activation of the timer daemon
-// plus the receiver's wakeup. Steady state must report 0 allocs/op.
+// remote link's 60 us: the timer's heap entry fired inline plus the
+// receiver's wakeup. Steady state must report 0 allocs/op.
 func BenchmarkTimerDelivery(b *testing.B) {
 	k := sim.NewKernel(1)
 	q := sim.NewQueue[any](k)
@@ -309,10 +313,30 @@ func BenchmarkTimerDelivery(b *testing.B) {
 			q.Get(p)
 		}
 	})
-	k.RunUntil(60 * 64) // warm up: timer heap and rings grown, coroutine started
+	k.RunUntil(60 * 64) // warm up: slot table, heap and rings grown, coroutine started
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.RunUntil(k.Now() + 60*sim.Time(b.N))
+}
+
+// BenchmarkSpawnExit measures a process's whole life — Go, first resume,
+// one sleep, exit — as the request path pays it: one process at a time on a
+// warm kernel, so each spawn moves into the coroutine the last one left. The
+// allocation is the Proc itself.
+func BenchmarkSpawnExit(b *testing.B) {
+	k := sim.NewKernel(1)
+	defer k.Close()
+	body := func(p *sim.Proc) { p.Sleep(1) }
+	k.Go("spawner", func(p *sim.Proc) {
+		for {
+			k.Go("req", body)
+			p.Sleep(2)
+		}
+	})
+	k.RunUntil(64) // warm up: rings grown, both coroutines started
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.RunUntil(k.Now() + 2*sim.Time(b.N))
 }
 
 // BenchmarkCodecRoundTrip measures one full call+reply wire round trip with

@@ -116,7 +116,8 @@ type Config struct {
 	// parallel.KernelArena so back-to-back cells reuse the heap and ring
 	// backing arrays. A reset kernel reproduces a fresh kernel's event
 	// sequence exactly (see internal/sim reset tests), so this is purely an
-	// allocation optimization.
+	// allocation optimization. The kernel remains the caller's: Cluster.Close
+	// does not close it.
 	Kernel *sim.Kernel
 
 	// Traces, when non-nil, memoizes materialized arrival traces so cells

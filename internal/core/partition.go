@@ -131,8 +131,17 @@ func (c *Cluster) Recorders() []*trace.Recorder {
 }
 
 // Close releases the coordinator's barrier workers (there are none unless
-// the cluster is sharded with Shards >= 2); safe to call more than once.
-func (c *Cluster) Close() { c.coord.Close() }
+// the cluster is sharded with Shards >= 2) and the idle process coroutines of
+// every kernel New created; a Config.Kernel stays its owner's to close. Safe
+// to call more than once.
+func (c *Cluster) Close() {
+	c.coord.Close()
+	for _, e := range c.envs {
+		if e.k != c.cfg.Kernel {
+			e.k.Close()
+		}
+	}
+}
 
 // nextAppID allocates the next application ID from the environment's range.
 func (e *shardEnv) nextAppID() int {

@@ -30,6 +30,7 @@ func (s *Suite) TableI() *metrics.Table {
 		r, err := c.Run([]workload.StreamSpec{{
 			Kind: k, Count: 1, Lambda: 1, Node: 0, Tenant: 1, Weight: 1,
 		}})
+		c.Close()
 		if err != nil || len(r.Errors) > 0 {
 			panic(fmt.Sprintf("experiments: TableI %v: %v %v", k, err, r.Errors))
 		}
@@ -76,6 +77,7 @@ func (s *Suite) Fig1() *metrics.Table {
 			Kind: k, Count: n, LambdaFactor: s.opt.LambdaFactor,
 			Node: 0, Tenant: 1, Weight: 1,
 		}})
+		c.Close()
 		if err != nil || len(r.Errors) > 0 {
 			panic(fmt.Sprintf("experiments: Fig1 %v: %v %v", k, err, r.Errors))
 		}
@@ -126,6 +128,7 @@ func (s *Suite) Fig2() *Fig2Result {
 		if err != nil {
 			panic(err)
 		}
+		defer c.Close()
 		n := s.opt.Requests
 		if n > 6 {
 			n = 6

@@ -77,6 +77,42 @@ func TestOpTimesAndAppCounters(t *testing.T) {
 	}
 }
 
+// The per-application counters live in one record per application: AppIDs
+// still lists only applications with recorded service (an owner charged for
+// a switch alone is not one), an application never seen reads zero, and
+// records keep their values as more are handed out.
+func TestAppAccountingRecords(t *testing.T) {
+	k := sim.NewKernel(1)
+	d := NewDevice(k, testSpec(), 0)
+	d.acct(500).switches += 100
+	s := d.NewContext().NewStream()
+	const apps = 150 // several slabs of records
+	k.Go("apps", func(p *sim.Proc) {
+		for id := 1; id <= apps; id++ {
+			p.Wait(s.Submit(&Op{Kind: OpKernel, Compute: 50000, MemTraffic: float64(id), AppID: id}))
+			p.Wait(s.Submit(&Op{Kind: OpH2D, Bytes: 500, AppID: id}))
+		}
+	})
+	k.Run()
+	ids := d.AppIDs()
+	if len(ids) != apps || ids[0] != 1 || ids[apps-1] != apps {
+		t.Fatalf("AppIDs lists %d applications, want 1..%d", len(ids), apps)
+	}
+	for _, id := range ids {
+		if d.AppMemTraffic(id) != float64(id) || d.AppTransferTime(id) <= 0 ||
+			d.AppService(id) <= d.AppTransferTime(id) {
+			t.Fatalf("app %d: traffic %v transfer %v service %v", id,
+				d.AppMemTraffic(id), d.AppTransferTime(id), d.AppService(id))
+		}
+	}
+	if d.AppSwitchCharge(500) != 100 || d.AppService(500) != 0 {
+		t.Fatalf("app 500: switch charge %v service %v, want 100 0", d.AppSwitchCharge(500), d.AppService(500))
+	}
+	if d.AppService(999) != 0 || d.AppMemTraffic(999) != 0 || len(d.apps) != apps+1 {
+		t.Fatalf("reading an unknown application recorded it: %d records", len(d.apps))
+	}
+}
+
 func TestUtilTraceBusyHelpers(t *testing.T) {
 	u := &UtilTrace{}
 	u.Segment(0, 10, 1.0, 0.5, 1, 1)  // busy

@@ -8,9 +8,10 @@ import (
 )
 
 // TestResetCyclesAbandonNoCoroutine: a worker that reuses one kernel for many
-// simulations builds a device and arms a timer in each. Both services are
-// daemons, so a Reset leaves nothing parked behind; as coroutine processes
-// each cycle abandoned one suspended goroutine per service.
+// simulations builds a device and arms a timer in each. The driver is a
+// daemon and the timer a heap entry, so a Reset leaves nothing parked behind;
+// as coroutine processes each cycle abandoned one suspended goroutine per
+// service.
 func TestResetCyclesAbandonNoCoroutine(t *testing.T) {
 	k := sim.NewKernel(1)
 	before := runtime.NumGoroutine()
@@ -25,8 +26,8 @@ func TestResetCyclesAbandonNoCoroutine(t *testing.T) {
 			t.Fatalf("cycle %d: kernel fired=%v copy fired=%v switches=%d, want true true 1",
 				i, a.Fired(), b.Fired(), d.Stats().Switches)
 		}
-		if got := k.Blocked(); len(got) != 2 {
-			t.Fatalf("cycle %d: Blocked = %v, want the idle driver and timer daemons", i, got)
+		if got := k.Blocked(); len(got) != 1 {
+			t.Fatalf("cycle %d: Blocked = %v, want the idle driver daemon", i, got)
 		}
 	}
 	if after := runtime.NumGoroutine(); after > before {

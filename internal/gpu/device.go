@@ -53,10 +53,17 @@ type Device struct {
 	switchTime  sim.Time
 	kernelsDone int
 	copiesDone  int
-	appService  map[int]float64 // attained GPU service per AppID, microseconds
-	appXferTime map[int]float64 // attained copy-engine time per AppID
-	appMemTraf  map[int]float64 // device-memory traffic per AppID, bytes
-	appSwitch   map[int]float64 // context-switch cost charged per AppID
+	apps        map[int]*appAcct
+	acctFree    []appAcct // records not yet handed out by acct
+}
+
+// appAcct is one application's accounting on a device.
+type appAcct struct {
+	service  float64 // attained GPU service, microseconds
+	xferTime float64 // attained copy-engine time
+	memTraf  float64 // device-memory traffic, bytes
+	switches float64 // context-switch cost charged
+	served   bool    // service was recorded: the application appears in AppIDs
 }
 
 type copyEngine struct {
@@ -76,14 +83,11 @@ type Tracer interface {
 // its driver daemon on k.
 func NewDevice(k *sim.Kernel, spec Spec, id int) *Device {
 	d := &Device{
-		k:           k,
-		spec:        spec.normalized(),
-		id:          id,
-		slowdown:    1,
-		appService:  make(map[int]float64),
-		appXferTime: make(map[int]float64),
-		appMemTraf:  make(map[int]float64),
-		appSwitch:   make(map[int]float64),
+		k:        k,
+		spec:     spec.normalized(),
+		id:       id,
+		slowdown: 1,
+		apps:     make(map[int]*appAcct),
 	}
 	d.drv = k.GoDaemon(fmt.Sprintf("gpu%d-driver", id), d.driver)
 	return d
@@ -424,7 +428,9 @@ func (d *Device) advance(now sim.Time) {
 		if op.remaining < 0 {
 			op.remaining = 0
 		}
-		d.appService[op.AppID] += elapsed / d.slowdown
+		a := d.acct(op.AppID)
+		a.service += elapsed / d.slowdown
+		a.served = true
 	}
 	if d.h2d.cur != nil {
 		d.h2d.busy += elapsed
@@ -446,7 +452,7 @@ func (d *Device) reap(now sim.Time) bool {
 		if op.finishAt(now, d.slowdown) <= now {
 			d.running = append(d.running[:i], d.running[i+1:]...)
 			d.kernelsDone++
-			d.appMemTraf[op.AppID] += op.MemTraffic
+			d.acct(op.AppID).memTraf += op.MemTraffic
 			d.finish(op, now)
 			done = true
 		} else {
@@ -462,13 +468,33 @@ func (d *Device) reap(now sim.Time) bool {
 			op := e.cur
 			e.cur = nil
 			d.copiesDone++
-			d.appXferTime[op.AppID] += float64(now - op.Started)
-			d.appService[op.AppID] += float64(now - op.Started)
+			a := d.acct(op.AppID)
+			a.xferTime += float64(now - op.Started)
+			a.service += float64(now - op.Started)
+			a.served = true
 			d.finish(op, now)
 			done = true
 		}
 	}
 	return done
+}
+
+// acct returns appID's accounting record, creating it on first use.
+func (d *Device) acct(appID int) *appAcct {
+	a := d.apps[appID]
+	if a == nil {
+		if len(d.acctFree) == 0 {
+			// As many records again as are in use, so a device that serves a
+			// handful of applications holds a handful and one that serves
+			// thousands allocates rarely.
+			n := min(max(len(d.apps), 4), 256)
+			d.acctFree = make([]appAcct, n) //lint:allow hotalloc -- first touch: the next applications' records in one allocation, amortized by doubling
+		}
+		a = &d.acctFree[0]
+		d.acctFree = d.acctFree[1:]
+		d.apps[appID] = a
+	}
+	return a
 }
 
 // finish records completion, releases the stream head, fires Done.
@@ -565,7 +591,7 @@ func (d *Device) finishSwitch(now sim.Time) {
 		// the coarse accounting of per-process-context runtimes. The
 		// charge is tracked separately so measurements can distinguish
 		// delivered service from the scheduler's inflated view.
-		d.appSwitch[next.Owner] += float64(d.spec.ContextSwitch)
+		d.acct(next.Owner).switches += float64(d.spec.ContextSwitch)
 	}
 	d.resident = next
 	d.residing = now
@@ -727,30 +753,40 @@ func (d *Device) Stats() Stats {
 // AppService returns the attained GPU service (solo-equivalent execution
 // time, kernels plus copies) of the given application on this device.
 func (d *Device) AppService(appID int) sim.Time {
-	return sim.Time(d.appService[appID] + 0.5)
+	return sim.Time(d.app(appID).service + 0.5)
 }
 
 // AppSwitchCharge returns the context-switch overhead charged to the
 // application by the driver — the amount by which a per-process-context
 // runtime overstates the application's attained service.
 func (d *Device) AppSwitchCharge(appID int) sim.Time {
-	return sim.Time(d.appSwitch[appID] + 0.5)
+	return sim.Time(d.app(appID).switches + 0.5)
 }
 
 // AppTransferTime returns the copy-engine time attained by the application.
 func (d *Device) AppTransferTime(appID int) sim.Time {
-	return sim.Time(d.appXferTime[appID] + 0.5)
+	return sim.Time(d.app(appID).xferTime + 0.5)
 }
 
 // AppMemTraffic returns the total device-memory traffic (bytes) of the
 // application's kernels completed so far.
-func (d *Device) AppMemTraffic(appID int) float64 { return d.appMemTraf[appID] }
+func (d *Device) AppMemTraffic(appID int) float64 { return d.app(appID).memTraf }
+
+// app returns appID's accounting, zero for an application never seen.
+func (d *Device) app(appID int) appAcct {
+	if a := d.apps[appID]; a != nil {
+		return *a
+	}
+	return appAcct{}
+}
 
 // AppIDs returns the application ids with recorded service, sorted.
 func (d *Device) AppIDs() []int {
-	ids := make([]int, 0, len(d.appService))
-	for id := range d.appService {
-		ids = append(ids, id)
+	ids := make([]int, 0, len(d.apps))
+	for id, a := range d.apps {
+		if a.served {
+			ids = append(ids, id)
+		}
 	}
 	sort.Ints(ids)
 	return ids

@@ -43,14 +43,18 @@ func (a *KernelArena) Get() *sim.Kernel {
 
 // Put returns a kernel to the arena. The kernel must be quiescent: its run
 // finished, no caller retains references that would observe the next
-// user's Reset.
+// user's Reset. Put closes and resets it, so a pooled kernel — or an arena
+// dropped with its kernels — pins neither idle process coroutines nor the
+// finished run's objects, only its warm backing arrays.
 func (a *KernelArena) Put(k *sim.Kernel) {
 	if k == nil {
 		return
 	}
+	k.Close()
+	k.Reset(0)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.free = append(a.free, k) //lint:allow poolsafe -- kernels carry megabytes of warm backing arrays; the next user calls Reset, which zeroes without discarding them
+	a.free = append(a.free, k)
 }
 
 // Stats reports how many Gets were served and how many of them reused a

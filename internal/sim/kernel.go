@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"iter"
 	"math/rand"
 	"sort"
 )
@@ -43,7 +42,9 @@ const DefaultFFHorizon = Millisecond
 // next activation (Yield, Sleep(0), a self-wakeup at now) consumes the
 // activation inline and continues with no switch at all. Service loops that
 // never block mid-body are Daemons (GoDaemon): scheduled like processes, run
-// as plain function calls by whoever pops their activation.
+// as plain function calls by whoever pops their activation. A timer (After,
+// AfterPut) is less still: one activation with no process behind it, fired by
+// whoever pops it.
 //
 // A Kernel is not safe for use from goroutines other than its own processes
 // and the single goroutine driving Run/RunUntil.
@@ -60,7 +61,6 @@ type Kernel struct {
 	rng        *rand.Rand
 	tracer     func(t Time, proc, msg string)
 	stopped    bool
-	timers     *timers
 
 	// Fast-forward accounting: jumps of >= ffHorizon over known-quiet
 	// virtual time (see FastForwards).
@@ -72,12 +72,22 @@ type Kernel struct {
 	// reused kernel skips the ramp-up allocations, like the heap and ring
 	// backing arrays.
 	evFree []*Event
+
+	// tslots holds the payloads of armed timers; tfree heads the free list
+	// threaded through the vacant slots, -1 when there is none (timer.go).
+	tslots []timerSlot
+	tfree  int32
+
+	// idle holds the coroutines finished processes left behind (proc.go):
+	// spawn reuses them, Reset keeps them, Close stops them.
+	idle []*coro
 }
 
 // activation is a pending wakeup of a process at a virtual instant. The epoch
 // ties the activation to one park of the process: once the process has been
 // woken (by any activation), activations from the same park become stale and
-// are discarded when popped.
+// are discarded when popped. An activation with no process is an armed timer
+// and is never stale; its epoch field carries the index of its payload slot.
 type activation struct {
 	at    Time
 	seq   uint64
@@ -102,23 +112,25 @@ func NewKernel(seed int64) *Kernel {
 		procs:     make(map[*Proc]struct{}),
 		rng:       rand.New(rand.NewSource(seed)),
 		ffHorizon: DefaultFFHorizon,
+		tfree:     -1,
 	}
 }
 
 // Reset returns the kernel to the state NewKernel(seed) would produce while
-// keeping the event heap's, now-queue's and event pool's backing arrays, so a
-// worker that runs many simulations back to back stops paying the ramp-up
-// allocations of each run. A reset kernel is indistinguishable from a fresh
-// one: the clock, sequence counter, dispatch count, random stream and process
-// table all start over, and the (time, sequence) dispatch order of the next
-// run is bit-exact with what a new kernel would produce (regression-tested).
+// keeping the event heap's, now-queue's, event pool's and timer slot table's
+// backing arrays and the idle process coroutines, so a worker that runs many
+// simulations back to back stops paying the ramp-up allocations of each run.
+// A reset kernel is indistinguishable from a fresh one: the clock, sequence
+// counter, dispatch count, random stream and process table all start over,
+// and the (time, sequence) dispatch order of the next run is bit-exact with
+// what a new kernel would produce (regression-tested).
 //
 // Reset must only be called between runs — after Run/RunUntil has returned
 // and before any new process is created. Processes left parked by a previous
 // run (for example by a RunUntil horizon) are abandoned: their activations
 // are discarded with the heap and they are never woken again, exactly as if
-// the old kernel had been dropped. Any installed tracer is removed, and the
-// timer facility restarts lazily on the next After call.
+// the old kernel had been dropped, and armed timers are dropped with them.
+// Any installed tracer is removed.
 func (k *Kernel) Reset(seed int64) {
 	if k.running != nil {
 		panic("sim: Reset during an active run")
@@ -137,9 +149,27 @@ func (k *Kernel) Reset(seed int64) {
 	k.ffHorizon = DefaultFFHorizon
 	k.ffJumps = 0
 	k.ffSkipped = 0
-	// Dropping the timer state (rather than clearing it) detaches the old
-	// timer daemon; a reused kernel lazily starts a new one.
-	k.timers = nil
+	// The armed timers' activations went with the heap; release what their
+	// slots held and start the table over in the same backing array.
+	clear(k.tslots)
+	k.tslots = k.tslots[:0]
+	k.tfree = -1
+}
+
+// Close stops the idle process coroutines — goroutines the garbage collector
+// cannot reclaim, so whoever created a kernel calls Close when dropping it.
+// An idle coroutine is suspended between two processes and unwinding it runs
+// no model code; processes abandoned mid-body stay suspended, as ever. The
+// kernel remains usable.
+func (k *Kernel) Close() {
+	if k.running != nil {
+		panic("sim: Close during an active run")
+	}
+	for i, c := range k.idle {
+		c.stop()
+		k.idle[i] = nil
+	}
+	k.idle = k.idle[:0]
 }
 
 // Now returns the current virtual time.
@@ -149,8 +179,9 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Dispatched returns the total number of activations dispatched over the
-// kernel's lifetime (stale wakeups excluded). It is the event count behind
-// events/sec throughput reporting.
+// kernel's lifetime: process wakeups and daemon steps (stale ones excluded)
+// plus one per timer fired. It is the event count behind events/sec
+// throughput reporting.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 
 // SetTracer installs a trace callback invoked by Proc.Tracef. A nil tracer
@@ -199,8 +230,9 @@ func (k *Kernel) GoNamed(nameFn func() string, fn func(p *Proc)) *Proc {
 	return k.spawn("", nameFn, fn)
 }
 
-// spawn creates the process coroutine. The coroutine body runs on first
-// resume; control returns to the resumer whenever the process parks.
+// spawn creates the process on an idle coroutine, or on a new one when none is
+// idle. The body runs on first resume; control returns to the resumer
+// whenever the process parks.
 func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Proc {
 	k.nextID++
 	p := &Proc{
@@ -210,17 +242,12 @@ func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Pro
 		nameFn: nameFn,
 	}
 	k.procs[p] = struct{}{}
-	// The stop half of the pull pair is discarded: forcing a suspended
-	// process to unwind would run its remaining code against a torn-down
-	// kernel. Abandoned processes simply stay suspended, exactly as the
-	// channel-parked goroutines they replace did.
-	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		p.epoch++
-		fn(p)
-		p.done = true
-		delete(k.procs, p)
-	})
+	c := k.takeIdle()
+	if c == nil {
+		c = newCoro()
+	}
+	c.p, c.fn = p, fn
+	p.resume = c.resume
 	k.schedule(p, k.now, wakeStart)
 	return p
 }
@@ -310,10 +337,10 @@ func (k *Kernel) Run() int {
 //
 // RunUntil is the dispatch driver: it pops activations and resumes each
 // process's coroutine, which runs until the process parks (yielding control
-// back) or exits; a daemon's activation runs its step inline instead. A
-// parking process first consumes its own same-instant re-activations and any
-// daemon activations ahead of them inline, so only genuine handoffs between
-// coroutines reach the driver.
+// back) or exits; a daemon's activation runs its step inline instead, and a
+// timer's fires it. A parking process first consumes its own same-instant
+// re-activations and any daemon or timer activations ahead of them inline, so
+// only genuine handoffs between coroutines reach the driver.
 //
 //strings:hotpath
 func (k *Kernel) RunUntil(limit Time) int {
@@ -324,6 +351,10 @@ func (k *Kernel) RunUntil(limit Time) int {
 		a, ok := k.popNext()
 		if !ok {
 			break
+		}
+		if a.proc == nil {
+			k.fire(a)
+			continue
 		}
 		a.proc.pending--
 		if a.proc.done || a.epoch != a.proc.epoch {

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is a simulated process: a coroutine cooperatively scheduled by a
 // Kernel. All Proc methods must be called from the process's own function;
@@ -13,8 +16,9 @@ type Proc struct {
 	nameFn func() string // lazy name, formatted on first use (GoNamed)
 
 	// resume switches into the process's coroutine (the driver side of
-	// iter.Pull); yield switches back out (called by park). A daemon's
-	// process has neither: its activations run daemon.run instead.
+	// iter.Pull); yield switches back out (called by park). Both belong to
+	// the coro the process occupies. A daemon's process has neither: its
+	// activations run daemon.run instead.
 	resume func() (struct{}, bool)
 	yield  func(struct{}) bool
 	daemon *Daemon
@@ -24,6 +28,60 @@ type Proc struct {
 	parked  bool
 	done    bool
 	wakeTag int32
+}
+
+// coro is a coroutine that runs one process after another. A process whose
+// function returns leaves the coroutine suspended on the kernel's idle list
+// with its stack grown and its iter.Pull plumbing built, and the next spawn
+// moves in; a request-per-process model would otherwise pay for both on every
+// request. The fresh Proc per occupant is what keeps them apart: activations
+// left over from the previous occupant name a Proc that is done.
+type coro struct {
+	resume func() (struct{}, bool)
+	stop   func()
+	p      *Proc // the occupant, nil while idle
+	fn     func(p *Proc)
+}
+
+func newCoro() *coro {
+	c := &coro{}
+	c.resume, c.stop = iter.Pull(c.run)
+	return c
+}
+
+// takeIdle removes and returns an idle coroutine, or nil if there is none.
+//
+//strings:hotpath
+func (k *Kernel) takeIdle() *coro {
+	n := len(k.idle)
+	if n == 0 {
+		return nil
+	}
+	c := k.idle[n-1]
+	k.idle[n-1] = nil
+	k.idle = k.idle[:n-1]
+	return c
+}
+
+// run is the coroutine body: the occupant's function, then the idle list
+// until spawn installs the next occupant and its start activation resumes
+// the coroutine, or Close stops it (the yield returns false).
+//
+//strings:hotpath
+func (c *coro) run(yield func(struct{}) bool) {
+	for {
+		p, k := c.p, c.p.k
+		p.yield = yield
+		p.epoch++
+		c.fn(p)
+		p.done = true
+		delete(k.procs, p)
+		c.p, c.fn = nil, nil
+		k.idle = append(k.idle, c) //lint:allow hotalloc -- free-list growth is amortized, bounded by peak live processes
+		if !yield(struct{}{}) {
+			return
+		}
+	}
 }
 
 // Name returns the process name given to Kernel.Go, formatting it on first
@@ -49,10 +107,10 @@ func (p *Proc) Now() Time { return p.k.now }
 // process is itself the next activation — a Yield, Sleep(0) or self-wakeup
 // at the current instant — it consumes the activation inline and continues
 // without a coroutine switch; a daemon's activation runs its step on this
-// stack and the loop goes on, so the process may still take its own wakeup
-// behind it; otherwise it yields back to the RunUntil driver, which resumes
-// the next process. Stale activations encountered on the way are discarded
-// exactly as the driver would.
+// stack, a timer's fires on it, and the loop goes on, so the process may
+// still take its own wakeup behind them; otherwise it yields back to the
+// RunUntil driver, which resumes the next process. Stale activations
+// encountered on the way are discarded exactly as the driver would.
 func (p *Proc) park() {
 	p.parked = true
 	k := p.k
@@ -60,6 +118,11 @@ func (p *Proc) park() {
 		a, ok := k.frontDue()
 		if !ok {
 			break
+		}
+		if a.proc == nil {
+			k.nowQ.Pop()
+			k.fire(a)
+			continue
 		}
 		if a.proc.done || a.epoch != a.proc.epoch {
 			k.nowQ.Pop()

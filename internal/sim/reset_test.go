@@ -49,15 +49,18 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 
 	reused := NewKernel(7)
 	// Pollute: a different workload, different seed, left unfinished by a
-	// horizon so parked processes and pending activations survive the run.
+	// horizon so parked processes, pending activations, an armed timer and
+	// the idle coroutines of finished processes survive the run.
 	reused.Go("polluter", func(p *Proc) {
 		for i := 0; i < 50; i++ {
+			reused.Go("short", func(p *Proc) { p.Sleep(5) })
 			p.Sleep(Time(10 + reused.Rand().Intn(100)))
 		}
 	})
+	reused.After(1000, func() { t.Error("timer armed before Reset fired after it") })
 	reused.RunUntil(200)
-	if reused.Dispatched() == 0 {
-		t.Fatal("polluter run dispatched nothing")
+	if reused.Dispatched() == 0 || len(reused.idle) == 0 {
+		t.Fatalf("polluter run dispatched %d events and left %d idle coroutines", reused.Dispatched(), len(reused.idle))
 	}
 
 	reused.Reset(42)
@@ -65,18 +68,21 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 		t.Errorf("reset kernel diverged from fresh kernel:\nfresh: %v\nreused: %v", fresh, got)
 	}
 
-	// A second reuse of the same kernel must reproduce it again.
+	// A second reuse of the same kernel must reproduce it again, this time
+	// with every process on a recycled coroutine.
 	reused.Reset(42)
+	if len(reused.idle) < 3 {
+		t.Fatalf("Reset kept %d idle coroutines, want the workload's 3", len(reused.idle))
+	}
 	if got := resetWorkload(reused); !reflect.DeepEqual(got, fresh) {
 		t.Errorf("second reuse diverged from fresh kernel:\nfresh: %v\nreused: %v", fresh, got)
 	}
 }
 
-// TestKernelResetWithArmedDaemons: daemons left armed by a horizon — the
-// timer service on a far deadline, one daemon asleep, one kick-waiting with a
-// deadline — die with the reset like parked processes do: their activations
-// go with the heap, and the next run starts its own timer daemon with a fresh
-// kernel's ids and sequence numbers.
+// TestKernelResetWithArmedDaemons: what a horizon leaves armed — a timer on
+// a far deadline, one daemon asleep, one kick-waiting with a deadline — dies
+// with the reset like parked processes do: the activations go with the heap,
+// and the next run has a fresh kernel's ids and sequence numbers.
 func TestKernelResetWithArmedDaemons(t *testing.T) {
 	fresh := resetWorkload(NewKernel(42))
 
@@ -89,8 +95,8 @@ func TestKernelResetWithArmedDaemons(t *testing.T) {
 	if got := reused.Blocked(); len(got) != 0 {
 		t.Fatalf("armed daemons reported blocked: %v", got)
 	}
-	if reused.ProcCount() != 3 {
-		t.Fatalf("ProcCount = %d, want 3 (sim-timers, sleeper, waiter)", reused.ProcCount())
+	if reused.ProcCount() != 2 {
+		t.Fatalf("ProcCount = %d, want 2 (sleeper, waiter)", reused.ProcCount())
 	}
 
 	reused.Reset(42)

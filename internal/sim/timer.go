@@ -1,88 +1,70 @@
 package sim
 
-// timerEntry is a deferred action: either a callback (fn) or a direct
-// message delivery (q, msg) — the closure-free form behind AfterPut.
-type timerEntry struct {
-	at  Time
-	seq uint64
-	fn  func()
-	q   *Queue[any]
-	msg any
+// timerSlot holds what an armed timer delivers: a callback (fn) or a direct
+// message delivery (q, msg) — the closure-free form behind AfterPut. The
+// timer itself is an activation with no process (see Kernel.fire) carrying
+// the slot's index. A vacant slot links to the next vacant one.
+type timerSlot struct {
+	fn   func()
+	q    *Queue[any]
+	msg  any
+	next int32
 }
 
-// lessThan orders timer entries by (time, registration sequence).
-func (a timerEntry) lessThan(b timerEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// timers is the kernel's deferred-callback facility, backed by one lazily
-// started daemon.
-type timers struct {
-	heap heap4[timerEntry]
-	seq  uint64
-	d    *Daemon
-}
-
-// After schedules fn to run at now+d in the context of the kernel's timer
-// daemon. Callbacks must not block (they may Put into queues, fire events,
-// notify signals — anything non-parking). Callbacks at the same instant run
-// in registration order.
+// After schedules fn to run at now+d, on the stack of whoever pops the
+// timer's activation: the RunUntil driver, or a process parking behind it.
+// Callbacks must not block (they may Put into queues, fire events, notify
+// signals — anything non-parking). A timer is ordered like any activation,
+// by (deadline, registration sequence), so timers due at the same instant
+// fire in registration order, interleaved with the process wakeups scheduled
+// between their registrations.
 func (k *Kernel) After(d Time, fn func()) {
-	k.pushTimer(d, timerEntry{fn: fn})
+	k.pushTimer(d, timerSlot{fn: fn})
 }
 
-// AfterPut schedules msg to be delivered into q at now+d, in the context of
-// the kernel's timer daemon. It is After(d, func() { q.Put(msg) }) without
-// the closure allocation, for hot paths that defer a message per call (the
-// RPC transport's latency model). Deliveries and callbacks at the same
-// instant run in registration order.
+// AfterPut schedules msg to be delivered into q at now+d. It is
+// After(d, func() { q.Put(msg) }) without the closure allocation, for hot
+// paths that defer a message per call (the RPC transport's latency model).
 func (k *Kernel) AfterPut(d Time, q *Queue[any], msg any) {
-	k.pushTimer(d, timerEntry{q: q, msg: msg})
+	k.pushTimer(d, timerSlot{q: q, msg: msg})
 }
 
-// pushTimer registers the entry at now+d and kicks the timer daemon.
-func (k *Kernel) pushTimer(d Time, e timerEntry) {
+// pushTimer parks s in a free slot and schedules its activation at now+d.
+func (k *Kernel) pushTimer(d Time, s timerSlot) {
 	if d < 0 {
 		d = 0
 	}
-	if k.timers == nil {
-		k.timers = &timers{}
+	i := k.tfree
+	if i >= 0 {
+		k.tfree = k.tslots[i].next
+		k.tslots[i] = s
+	} else {
+		i = int32(len(k.tslots))
+		k.tslots = append(k.tslots, s) //lint:allow hotalloc -- slot-table growth is amortized, bounded by peak armed timers
 	}
-	t := k.timers
-	t.seq++
-	e.at = k.now + d
-	e.seq = t.seq
-	t.heap.push(e)
-	if t.d == nil {
-		t.d = k.GoDaemon("sim-timers", t.step)
-		return
+	k.seq++
+	a := activation{at: k.now + d, seq: k.seq, epoch: uint64(i)}
+	if d == 0 {
+		k.nowQ.Push(a)
+	} else {
+		k.future.push(a)
 	}
-	t.d.Kick()
 }
 
-// step delivers the deferred callbacks that are due, in time order, then
-// waits for the next deadline or the next push. A callback that pushes a
-// timer finds the daemon mid-step, where Kick does nothing; the loop reads
-// the heap afresh each time round, so an entry pushed for this instant is
-// still delivered in this step.
+// fire delivers the timer whose activation the caller just popped and
+// vacates its slot first, so a callback that arms a timer may reuse it.
 //
 //strings:hotpath
-func (t *timers) step(d *Daemon) {
-	now := d.Now()
-	for t.heap.len() > 0 && t.heap.peek().at <= now {
-		e := t.heap.pop()
-		if e.fn != nil {
-			e.fn()
-		} else {
-			e.q.Put(e.msg)
-		}
+func (k *Kernel) fire(a activation) {
+	k.now = a.at
+	k.dispatched++
+	s := &k.tslots[a.epoch]
+	fn, q, msg := s.fn, s.q, s.msg
+	*s = timerSlot{next: k.tfree}
+	k.tfree = int32(a.epoch)
+	if fn != nil {
+		fn()
+	} else {
+		q.Put(msg)
 	}
-	if t.heap.len() == 0 {
-		d.WaitKick()
-		return
-	}
-	d.WaitKickTimeout(t.heap.peek().at - now)
 }

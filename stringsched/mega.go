@@ -40,6 +40,7 @@ func RunMega(seed int64, requests int) (MegaResult, error) {
 	if err != nil {
 		return MegaResult{}, err
 	}
+	defer c.Close()
 	r, err := c.Run([]StreamSpec{{
 		Kind: Gaussian, Count: requests, LambdaFactor: 1.5,
 		Node: 0, Tenant: 1, Weight: 1,
