@@ -113,6 +113,31 @@ func TestAllocBudgetPerRequest(t *testing.T) {
 	}
 }
 
+// TestResumeBudgetPerRequest is the handoff budget in the same unit. A request
+// is one frontend/backend-thread pair exchanging some three dozen messages;
+// with the resume stack each round trip costs one coroutine resume — the
+// frontend resumes the backend thread from its own park and the reply comes
+// back by unwinding — where a driver-only dispatch loop paid two (70.41 a
+// request). The count repeats exactly, so the margin is one resume.
+func TestResumeBudgetPerRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("resume budget measurement skipped in -short mode")
+	}
+	const (
+		requests = 4000
+		budget   = 38.0
+	)
+	res, err := stringsched.RunMega(1, requests)
+	if err != nil || res.Finished != requests {
+		t.Fatalf("mega run: %v, finished %d of %d", err, res.Finished, requests)
+	}
+	perRequest := float64(res.Resumes) / requests
+	t.Logf("%d resumes = %.2f a request over %d events (budget %.0f)", res.Resumes, perRequest, res.Events, budget)
+	if perRequest > budget {
+		t.Fatalf("resume budget exceeded: %.2f resumes/request > %.0f", perRequest, budget)
+	}
+}
+
 // TestKernelSteadyStateZeroAlloc pins the stronger claim on the kernel alone:
 // once the processes exist and the waiter rings are grown, driving events
 // through the dispatch loop allocates nothing at all. Two persistent procs

@@ -99,10 +99,17 @@ func (c *Cluster) ShardStats() shard.Stats {
 }
 
 // Dispatched returns the total activations dispatched across every kernel.
-func (c *Cluster) Dispatched() uint64 {
-	var n uint64
+func (c *Cluster) Dispatched() (n uint64) {
 	for _, e := range c.envs {
 		n += e.k.Dispatched()
+	}
+	return n
+}
+
+// Resumes returns how many of them cost a coroutine switch in and one out.
+func (c *Cluster) Resumes() (n uint64) {
+	for _, e := range c.envs {
+		n += e.k.Resumes()
 	}
 	return n
 }

@@ -20,10 +20,14 @@ type PinnedEntry struct {
 // buffers backing asynchronous memory operations; buffers are reclaimed when
 // the owning application reaches a synchronization point (stream sync,
 // device sync, D2H copy completion, or exit).
+//
+// Rows are kept per application in id order (ids only grow, so appends stay
+// sorted): a release sweep walks only the releasing application's rows.
 type PMT struct {
-	entries map[int64]PinnedEntry
-	nextID  int64
-	scratch []int64 // idsWhere buffer, reused across release sweeps
+	apps   map[int][]PinnedEntry
+	spare  [][]PinnedEntry // emptied lists, for the next application to fill
+	slab   []PinnedEntry   // new lists are cut from it, four to an allocation
+	nextID int64
 
 	// Accounting.
 	Pinned      int64 // bytes currently pinned
@@ -33,81 +37,91 @@ type PMT struct {
 	TotalPinned int64 // cumulative bytes ever pinned
 }
 
+// rowsCap is the capacity a new list starts with: a typical application's
+// staging depth, so most lists never regrow.
+const rowsCap = 8
+
 // NewPMT returns an empty table.
-func NewPMT() *PMT {
-	return &PMT{entries: make(map[int64]PinnedEntry)}
-}
+func NewPMT() *PMT { return &PMT{apps: make(map[int][]PinnedEntry)} }
 
 // Add records a new pinned staging buffer and returns its id.
 func (t *PMT) Add(appID int, stream cuda.StreamID, bytes int64, dir cuda.Dir) int64 {
 	t.nextID++
-	t.entries[t.nextID] = PinnedEntry{
-		ID: t.nextID, AppID: appID, Stream: stream, Bytes: bytes, Dir: dir,
+	rows, ok := t.apps[appID]
+	if n := len(t.spare); !ok && n > 0 {
+		rows, t.spare = t.spare[n-1], t.spare[:n-1]
+	} else if !ok {
+		if len(t.slab) == 0 {
+			t.slab = make([]PinnedEntry, 4*rowsCap)
+		}
+		rows, t.slab = t.slab[:0:rowsCap], t.slab[rowsCap:] // capped: appends cannot run into a neighbour
 	}
+	t.apps[appID] = append(rows, PinnedEntry{ID: t.nextID, AppID: appID, Stream: stream, Bytes: bytes, Dir: dir})
 	t.Pinned += bytes
 	t.TotalPinned += bytes
 	t.TotalAdds++
-	if t.Pinned > t.HighWater {
-		t.HighWater = t.Pinned
-	}
+	t.HighWater = max(t.HighWater, t.Pinned)
 	return t.nextID
 }
 
-// Release frees one entry by id.
+// Release frees one entry by id, whichever application's it is.
 func (t *PMT) Release(id int64) {
-	if e, ok := t.entries[id]; ok {
-		t.Pinned -= e.Bytes
-		t.TotalFrees++
-		delete(t.entries, id)
+	owner, at := 0, -1
+	for appID, rows := range t.apps {
+		for i := range rows {
+			if rows[i].ID == id {
+				owner, at = appID, i
+			}
+		}
 	}
+	if at < 0 {
+		return
+	}
+	rows := t.apps[owner]
+	t.Pinned -= rows[at].Bytes
+	t.TotalFrees++
+	t.keep(owner, append(rows[:at], rows[at+1:]...))
 }
 
 // ReleaseSynced frees every entry of the application on the given stream —
 // the stream has drained, so the copies have consumed their staging buffers.
-func (t *PMT) ReleaseSynced(appID int, stream cuda.StreamID) {
-	for _, id := range t.idsWhere(func(e PinnedEntry) bool {
-		return e.AppID == appID && e.Stream == stream
-	}) {
-		t.Release(id)
-	}
-}
+func (t *PMT) ReleaseSynced(appID int, stream cuda.StreamID) { t.sweep(appID, stream, false) }
 
 // ReleaseApp frees every entry of the application (device sync or exit).
-func (t *PMT) ReleaseApp(appID int) {
-	for _, id := range t.idsWhere(func(e PinnedEntry) bool { return e.AppID == appID }) {
-		t.Release(id)
+func (t *PMT) ReleaseApp(appID int) { t.sweep(appID, 0, true) }
+
+// sweep frees the application's entries on one stream, or on every stream.
+func (t *PMT) sweep(appID int, stream cuda.StreamID, every bool) {
+	rows, ok := t.apps[appID]
+	if !ok {
+		return
 	}
+	kept := rows[:0]
+	for _, e := range rows {
+		if every || e.Stream == stream {
+			t.Pinned -= e.Bytes
+			t.TotalFrees++
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	t.keep(appID, kept)
+}
+
+// keep stores what a release left of an application's rows.
+func (t *PMT) keep(appID int, rows []PinnedEntry) {
+	if len(rows) > 0 {
+		t.apps[appID] = rows
+		return
+	}
+	delete(t.apps, appID)
+	t.spare = append(t.spare, rows)
 }
 
 // Len returns the number of live entries.
-func (t *PMT) Len() int { return len(t.entries) }
+func (t *PMT) Len() int { return t.TotalAdds - t.TotalFrees }
 
 // AppEntries returns the live entries of one application, ordered by id.
 func (t *PMT) AppEntries(appID int) []PinnedEntry {
-	var out []PinnedEntry
-	for _, id := range t.idsWhere(func(e PinnedEntry) bool { return e.AppID == appID }) {
-		out = append(out, t.entries[id])
-	}
-	return out
-}
-
-// idsWhere returns matching entry ids in ascending order (deterministic
-// iteration over the map). The predicate runs over already-sorted ids so
-// map order never reaches it. The returned slice aliases the table's scratch
-// buffer: it is valid until the next idsWhere call (release sweeps consume it
-// before mutating the table, which never touches the scratch).
-func (t *PMT) idsWhere(pred func(PinnedEntry) bool) []int64 {
-	ids := t.scratch[:0]
-	for id := range t.entries {
-		ids = append(ids, id)
-	}
-	t.scratch = ids
-	slices.Sort(ids)
-	out := ids[:0]
-	for _, id := range ids {
-		if pred(t.entries[id]) {
-			out = append(out, id)
-		}
-	}
-	return out
+	return slices.Clone(t.apps[appID])
 }

@@ -1,6 +1,9 @@
 package packer
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -71,8 +74,10 @@ func TestQuickPMTBalance(t *testing.T) {
 				live = append(live, id)
 			}
 			var sum int64
-			for _, e := range pmt.entries {
-				sum += e.Bytes
+			for app := 0; app < 4; app++ {
+				for _, e := range pmt.AppEntries(app) {
+					sum += e.Bytes
+				}
 			}
 			if pmt.Pinned != sum || pmt.Pinned < 0 || pmt.HighWater < pmt.Pinned {
 				return false
@@ -82,5 +87,132 @@ func TestQuickPMTBalance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refPMT is the table as one id-keyed map, every sweep a sorted scan of all
+// of it: what PMT was before its rows were kept per application, and the
+// reference for what every call must leave behind.
+type refPMT struct {
+	entries map[int64]PinnedEntry
+	nextID  int64
+
+	Pinned, HighWater, TotalPinned int64
+	TotalAdds, TotalFrees          int
+}
+
+func (t *refPMT) Add(appID int, stream cuda.StreamID, bytes int64, dir cuda.Dir) int64 {
+	t.nextID++
+	t.entries[t.nextID] = PinnedEntry{ID: t.nextID, AppID: appID, Stream: stream, Bytes: bytes, Dir: dir}
+	t.Pinned += bytes
+	t.TotalPinned += bytes
+	t.TotalAdds++
+	t.HighWater = max(t.HighWater, t.Pinned)
+	return t.nextID
+}
+
+func (t *refPMT) Release(id int64) {
+	if e, ok := t.entries[id]; ok {
+		t.Pinned -= e.Bytes
+		t.TotalFrees++
+		delete(t.entries, id)
+	}
+}
+
+func (t *refPMT) where(pred func(PinnedEntry) bool) []PinnedEntry {
+	var out []PinnedEntry
+	for _, e := range t.entries {
+		if pred(e) {
+			out = append(out, e)
+		}
+	}
+	slices.SortFunc(out, func(a, b PinnedEntry) int { return int(a.ID - b.ID) })
+	return out
+}
+
+func (t *refPMT) ReleaseSynced(appID int, stream cuda.StreamID) {
+	for _, e := range t.where(func(e PinnedEntry) bool { return e.AppID == appID && e.Stream == stream }) {
+		t.Release(e.ID)
+	}
+}
+
+func (t *refPMT) ReleaseApp(appID int) {
+	for _, e := range t.AppEntries(appID) {
+		t.Release(e.ID)
+	}
+}
+
+func (t *refPMT) AppEntries(appID int) []PinnedEntry {
+	return t.where(func(e PinnedEntry) bool { return e.AppID == appID })
+}
+
+// Eight applications on three streams each add, sync and exit at random; after
+// every call the table reads the same as the reference, counters and rows.
+func TestPMTMatchesReference(t *testing.T) {
+	const apps, streams, steps = 8, 3, 4000
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, want := NewPMT(), &refPMT{entries: map[int64]PinnedEntry{}}
+		var ids []int64
+		for step := 0; step < steps; step++ {
+			app, stream := rng.Intn(apps), cuda.StreamID(rng.Intn(streams))
+			switch op := rng.Intn(10); {
+			case op < 6:
+				bytes, dir := int64(rng.Intn(1<<20)), cuda.Dir(rng.Intn(2))
+				id := got.Add(app, stream, bytes, dir)
+				if ref := want.Add(app, stream, bytes, dir); id != ref {
+					t.Fatalf("seed %d step %d: Add returned id %d, reference %d", seed, step, id, ref)
+				}
+				ids = append(ids, id)
+			case op < 8:
+				got.ReleaseSynced(app, stream)
+				want.ReleaseSynced(app, stream)
+			case op < 9:
+				got.ReleaseApp(app)
+				want.ReleaseApp(app)
+			default:
+				if len(ids) > 0 { // live or long gone: a second release is a no-op
+					id := ids[rng.Intn(len(ids))]
+					got.Release(id)
+					want.Release(id)
+				}
+			}
+			if got.Pinned != want.Pinned || got.HighWater != want.HighWater || got.TotalAdds != want.TotalAdds ||
+				got.TotalFrees != want.TotalFrees || got.TotalPinned != want.TotalPinned || got.Len() != len(want.entries) {
+				t.Fatalf("seed %d step %d: counters %+v with %d rows, reference %+v with %d", seed, step, got, got.Len(), want, len(want.entries))
+			}
+			for a := 0; a < apps; a++ {
+				if g, w := got.AppEntries(a), want.AppEntries(a); !reflect.DeepEqual(g, w) {
+					t.Fatalf("seed %d step %d: app %d rows %v, reference %v", seed, step, a, g, w)
+				}
+			}
+		}
+	}
+}
+
+// A request's worth of table traffic — a new application pins a few buffers,
+// syncs its streams, exits — allocates nothing once the lists have been round.
+func TestPMTSteadyStateZeroAlloc(t *testing.T) {
+	pmt := NewPMT()
+	app := 0
+	request := func() {
+		app++
+		for i := 0; i < 6; i++ {
+			pmt.Add(app, cuda.StreamID(i%2), 4096, cuda.H2D)
+		}
+		pmt.ReleaseSynced(app, 0)
+		pmt.Add(app, 0, 4096, cuda.H2D)
+		pmt.ReleaseSynced(app-1, 1) // a co-tenant, one request behind
+		pmt.ReleaseSynced(app, 0)
+		pmt.ReleaseApp(app - 1)
+	}
+	for i := 0; i < 8; i++ {
+		request()
+	}
+	if allocs := testing.AllocsPerRun(200, request); allocs != 0 {
+		t.Fatalf("%v allocs per request-shaped sweep, want 0", allocs)
+	}
+	if pmt.Len() != 3 || len(pmt.apps) != 1 {
+		t.Fatalf("%d rows in %d lists left, want the last application's 3 in 1", pmt.Len(), len(pmt.apps))
 	}
 }

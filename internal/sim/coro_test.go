@@ -48,6 +48,31 @@ func TestCoroutinePoolBoundsGoroutines(t *testing.T) {
 	if !ran || runtime.NumGoroutine() > base {
 		t.Fatalf("after Close: ran=%v goroutines=%d, want true %d", ran, runtime.NumGoroutine(), base)
 	}
+	// A chain of 64, each waiting on the next: the resume stack grows as deep
+	// as the chain, every process exits at its own depth, and each leaves a
+	// coroutine that Close can stop like any other.
+	const links = 64
+	deepest := 0
+	done := make([]*Event, links+1)
+	for i := range done {
+		done[i] = k.NewEvent()
+	}
+	chain(k, links, func(level int, p *Proc) {
+		if level == links {
+			deepest = resumeStackDepth(t, k)
+		}
+		p.Wait(done[level])
+		done[level-1].Fire()
+	})
+	k.After(1, done[links].Fire)
+	k.Run()
+	if deepest != links || len(k.idle) != links || k.ProcCount() != 0 {
+		t.Fatalf("chain reached depth %d and left %d idle coroutines, %d processes; want %d, %d, 0", deepest, len(k.idle), k.ProcCount(), links, links)
+	}
+	k.Close()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after closing the chain's kernel, %d before the run", n, base)
+	}
 }
 
 // The second occupant of a coroutine is a new process in every respect, and
@@ -88,6 +113,40 @@ func TestRecycledCoroutineIsAFreshProcess(t *testing.T) {
 	}
 	if first.pending != 0 || second.pending != 0 {
 		t.Fatalf("pending counts %d, %d after a drained run", first.pending, second.pending)
+	}
+
+	// Where on the resume stack a coroutine was left does not matter to the
+	// next occupant: l3 exits three deep, and a tenant spawned by l1 once the
+	// stack has unwound moves into l3's coroutine and starts two deep.
+	var exited []int
+	started, tenantWoke := 0, Time(-1)
+	chain(k, 3, func(level int, p *Proc) {
+		p.Sleep(Time(10 * (3 - level)))
+		if level > 1 {
+			exited = append(exited, resumeStackDepth(t, k))
+			return
+		}
+		if len(k.idle) != 2 {
+			t.Fatalf("%d idle coroutines after l3 and l2 exited, want 2", len(k.idle))
+		}
+		l3s := k.idle[0]
+		k.Go("brief", func(p *Proc) {}) // in and out of l2's coroutine
+		k.Go("tenant", func(p *Proc) {
+			if l3s.p != p {
+				t.Errorf("tenant is not on l3's coroutine")
+			}
+			started = resumeStackDepth(t, k)
+			p.Sleep(7)
+			tenantWoke = p.Now()
+		})
+		p.Sleep(50)
+	})
+	k.Run()
+	if !reflect.DeepEqual(exited, []int{3, 2}) || started != 2 {
+		t.Fatalf("l3, l2 exited at depths %v, tenant started at %d; want [3 2] and 2", exited, started)
+	}
+	if want := k.Now() - 50 + 7; tenantWoke != want {
+		t.Fatalf("tenant woke at %v, want %v", tenantWoke, want)
 	}
 }
 

@@ -1,12 +1,12 @@
 package sim
 
 // Daemon is a pseudo-process for a service loop whose body never blocks
-// mid-way: a device driver, a dispatcher, the kernel's own timer service. It
-// owns an ordinary Proc — id, name, epoch, pending activations, so Blocked,
-// ProcCount and the tracer see it like any process — but no coroutine.
+// mid-way: a device driver, a dispatcher. It owns an ordinary Proc — id,
+// name, epoch, pending activations, so Blocked, ProcCount and the tracer see
+// it like any process — but no coroutine.
 // Every activation of the daemon runs step once, inline, on whatever stack
-// popped the activation (the RunUntil driver, or a process parking behind
-// it), so a wake-up costs a function call rather than two coroutine switches.
+// popped the activation (RunUntil's, or a parking process's: Kernel.dispatch),
+// so a wake-up costs a function call rather than two coroutine switches.
 //
 // step must not park. It ends by calling exactly one of WaitKick,
 // WaitKickTimeout, Sleep or Exit and returning; the next activation calls

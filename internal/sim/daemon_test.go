@@ -129,41 +129,53 @@ func TestDaemonStepMustWaitExactlyOnce(t *testing.T) {
 
 // A process that parks behind a daemon activation runs the step on its own
 // stack, and fires a timer ahead of it there too; Stop called from either
-// still hands control back to the driver before anything else runs.
+// still hands control back to the driver before anything else runs — also
+// when the parking process stands three deep on the resume stack, where every
+// level below it has to yield in turn.
 func TestStopFromInlineDaemonStepReturnsToDriver(t *testing.T) {
 	for _, mode := range []string{"daemon", "timer"} {
-		k := NewKernel(1)
-		inPark := false
-		otherRan := false
-		var finished Time = -1
-		stop := func() {
-			buf := make([]byte, 4096)
-			inPark = strings.Contains(string(buf[:runtime.Stack(buf, false)]), "(*Proc).park")
-			k.Stop()
-		}
-		k.Go("a", func(p *Proc) {
-			if mode == "timer" {
-				k.After(0, stop)
-			} else {
-				k.GoDaemon("d", func(d *Daemon) {
-					stop()
-					d.WaitKick()
-				})
+		for _, depth := range []int{1, 3} {
+			k := NewKernel(1)
+			inPark := false
+			stoppedAt := 0
+			otherRan := false
+			var finished Time = -1
+			stop := func() {
+				buf := make([]byte, 4096)
+				inPark = strings.Contains(string(buf[:runtime.Stack(buf, false)]), "(*Proc).park")
+				stoppedAt = resumeStackDepth(t, k)
+				k.Stop()
 			}
-			k.Go("other", func(p *Proc) { otherRan = true })
-			p.Sleep(10)
-			finished = p.Now()
-		})
-		k.RunUntil(100)
-		if !inPark {
-			t.Fatalf("%s: did not run inside the parking process", mode)
-		}
-		if otherRan || finished != -1 || k.Now() != 0 {
-			t.Fatalf("%s: Stop did not return at once: otherRan=%v finished=%v now=%v", mode, otherRan, finished, k.Now())
-		}
-		k.Run()
-		if !otherRan || finished != 10 {
-			t.Fatalf("%s: resumed run: otherRan=%v finished=%v, want true 10", mode, otherRan, finished)
+			chain(k, depth, func(level int, p *Proc) {
+				if level < depth {
+					p.Sleep(20)
+					return
+				}
+				if mode == "timer" {
+					k.After(0, stop)
+				} else {
+					k.GoDaemon("d", func(d *Daemon) {
+						stop()
+						d.WaitKick()
+					})
+				}
+				k.Go("other", func(p *Proc) { otherRan = true })
+				p.Sleep(10)
+				finished = p.Now()
+			})
+			k.RunUntil(100)
+			requireStackUnwound(t, k)
+			if !inPark || stoppedAt != depth {
+				t.Fatalf("%s/%d: ran inside a parking process: %v, at depth %d", mode, depth, inPark, stoppedAt)
+			}
+			if otherRan || finished != -1 || k.Now() != 0 {
+				t.Fatalf("%s/%d: Stop did not return at once: otherRan=%v finished=%v now=%v", mode, depth, otherRan, finished, k.Now())
+			}
+			k.Run()
+			if !otherRan || finished != 10 {
+				t.Fatalf("%s/%d: resumed run: otherRan=%v finished=%v, want true 10", mode, depth, otherRan, finished)
+			}
+			k.Close()
 		}
 	}
 }

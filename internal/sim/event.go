@@ -125,8 +125,3 @@ func (s *Signal) Waiting() int { return s.waiters.Len() }
 // reuse. Like Kernel.Reset it must only run between simulations — dropped
 // waiters are never woken.
 func (s *Signal) Reset() { s.waiters.Reset() }
-
-// drop removes p from the waiter list (used when a timed wait times out).
-func (s *Signal) drop(p *Proc) {
-	s.waiters.RemoveFirst(func(w *Proc) bool { return w == p }) //lint:allow hotalloc -- predicate closure does not outlive RemoveFirst; the compiler keeps it on the stack
-}

@@ -40,10 +40,9 @@ func (h *heap4[T]) push(v T) {
 	}
 }
 
-// pop removes and returns the minimum. Caller checks len.
-func (h *heap4[T]) pop() T {
+// drop removes the minimum, which the caller has read with peek.
+func (h *heap4[T]) drop() {
 	a := h.a
-	top := a[0]
 	n := len(a) - 1
 	a[0] = a[n]
 	var zero T
@@ -72,5 +71,4 @@ func (h *heap4[T]) pop() T {
 		a[i], a[min] = a[min], a[i]
 		i = min
 	}
-	return top
 }

@@ -18,9 +18,9 @@ const DefaultFFHorizon = Millisecond
 
 // Kernel is a deterministic discrete-event executor. Processes created with
 // Go run as coroutines (iter.Pull); the kernel enforces that exactly one
-// process executes at any instant, and every blocking operation hands control
-// back to the kernel, which advances the virtual clock to the next scheduled
-// activation.
+// process executes at any instant, and every blocking operation enters the
+// kernel's dispatch loop, which advances the virtual clock to the next
+// scheduled activation.
 //
 // Scheduling state is split in two for speed. Activations at a future instant
 // live in a 4-ary min-heap ordered by (time, sequence). Activations at the
@@ -34,17 +34,17 @@ const DefaultFFHorizon = Millisecond
 // order stays exactly the old single-heap (time, sequence) order, which keeps
 // runs bit-identical.
 //
-// Control transfer uses coroutine switches rather than goroutine channel
-// handoffs: the RunUntil driver resumes the next activation's process with an
-// iter.Pull next(), and a parking process yields back. A coroutine switch
-// stays out of the goroutine scheduler entirely, which makes a handoff
-// several times cheaper than a channel round trip. A process that is its own
-// next activation (Yield, Sleep(0), a self-wakeup at now) consumes the
-// activation inline and continues with no switch at all. Service loops that
-// never block mid-body are Daemons (GoDaemon): scheduled like processes, run
-// as plain function calls by whoever pops their activation. A timer (After,
-// AfterPut) is less still: one activation with no process behind it, fired by
-// whoever pops it.
+// There is one dispatch loop (dispatch), and whoever pops an activation runs it
+// from where it stands: RunUntil on the caller's goroutine, a parking process
+// on its own coroutine. A timer (After, AfterPut: an activation with no
+// process) fires there, a Daemon (a service loop that never blocks mid-body)
+// steps there, the process's own next wake-up is consumed with no switch at
+// all, and another process's wake-up resumes that process's coroutine right
+// there. The processes suspended mid-resume form a stack with RunUntil at the
+// bottom; a coroutine is only continued by yielding back into it, so when the
+// next wake-up belongs to a process lower on the stack, the levels above yield
+// in turn until it is on top. A round trip between two processes so costs two
+// coroutine switches, not a driver's four; DESIGN.md §12 has the invariants.
 //
 // A Kernel is not safe for use from goroutines other than its own processes
 // and the single goroutine driving Run/RunUntil.
@@ -55,6 +55,7 @@ type Kernel struct {
 	future     heap4[activation]
 	nowQ       Ring[activation]
 	dispatched uint64
+	resumes    uint64
 	running    *Proc
 	procs      map[*Proc]struct{}
 	nextID     int
@@ -141,6 +142,7 @@ func (k *Kernel) Reset(seed int64) {
 	k.future.reset()
 	k.nowQ.Reset()
 	k.dispatched = 0
+	k.resumes = 0
 	clear(k.procs)
 	k.nextID = 0
 	k.rng = rand.New(rand.NewSource(seed))
@@ -183,6 +185,10 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // plus one per timer fired. It is the event count behind events/sec
 // throughput reporting.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
+
+// Resumes returns the number of wake-ups since NewKernel or Reset delivered
+// by resuming a process's coroutine: each is one switch in and one back out.
+func (k *Kernel) Resumes() uint64 { return k.resumes }
 
 // SetTracer installs a trace callback invoked by Proc.Tracef. A nil tracer
 // disables tracing.
@@ -276,21 +282,21 @@ func (k *Kernel) schedule(p *Proc, at Time, tag int32) {
 	p.pending++
 }
 
-// frontDue returns the next activation in (time, sequence) order without
-// consuming it, or reports false if none is due at or before the run limit.
-// When the now-ring is empty it drains the entire batch of heap entries
-// sharing the next timestamp into the ring in one pass (same-instant batch
-// dispatch): every same-instant heap entry predates every ring entry, and
-// schedule routes new work at the drained instant straight to the ring, so
-// consuming ring-first preserves the exact single-heap order.
-func (k *Kernel) frontDue() (activation, bool) {
+// frontDue returns the next activation in (time, sequence) order in place (the
+// now-ring's front: read it, then nowQ.Pop, before anything is pushed), or nil
+// if none is due by the run limit. When the now-ring is empty it drains the
+// entire batch of heap entries sharing the next timestamp into the ring in one
+// pass (same-instant batch dispatch): every same-instant heap entry predates
+// every ring entry, and schedule routes new work at the drained instant to the
+// ring, so consuming ring-first preserves the exact single-heap order.
+func (k *Kernel) frontDue() *activation {
 	if k.nowQ.Len() == 0 {
 		if k.future.len() == 0 {
-			return activation{}, false
+			return nil
 		}
 		t := k.future.peek().at
 		if t > k.limit {
-			return activation{}, false
+			return nil
 		}
 		if gap := t - k.now; gap >= k.ffHorizon {
 			// The interval (now, t) holds no activation: a quiescent gap the
@@ -299,77 +305,86 @@ func (k *Kernel) frontDue() (activation, bool) {
 			k.ffSkipped += gap
 		}
 		for {
-			k.nowQ.Push(k.future.pop())
+			k.nowQ.Push(k.future.peek())
+			k.future.drop()
 			if k.future.len() == 0 || k.future.peek().at != t {
 				break
 			}
 		}
-		return k.nowQ.Front(), true
+		return k.nowQ.front()
 	}
-	a := k.nowQ.Front()
-	if a.at > k.limit {
-		return activation{}, false
+	if a := k.nowQ.front(); a.at <= k.limit {
+		return a
 	}
-	return a, true
+	return nil
 }
 
-// popNext removes and returns the next activation in (time, sequence) order,
-// or reports false if none is due at or before the run limit.
-func (k *Kernel) popNext() (activation, bool) {
-	a, ok := k.frontDue()
-	if ok {
+// dispatch pops activations in (time, sequence) order and runs each from where
+// the caller stands — p parking, or RunUntil (nil): a timer fires, a daemon
+// steps, another process's wake-up resumes its coroutine from this stack with
+// p marked as driving. It returns true once it has consumed p's own wake-up,
+// and false when nothing may run from here: Stop, nothing due by the limit, or
+// the front wake-up (left queued) is for a process driving below p: p yields.
+//
+//strings:hotpath
+func (k *Kernel) dispatch(p *Proc) bool {
+	for !k.stopped {
+		a := k.frontDue()
+		if a == nil {
+			break
+		}
+		q := a.proc
+		if q == nil {
+			k.fire(k.nowQ.Pop())
+			continue
+		}
+		if q.done || a.epoch != q.epoch {
+			k.nowQ.Pop()
+			q.pending-- // stale wakeup from an earlier park
+			continue
+		}
+		if q.driving {
+			break
+		}
+		q.pending--
+		k.now = a.at
+		q.wakeTag = a.tag
 		k.nowQ.Pop()
+		k.dispatched++
+		k.running = q
+		switch {
+		case q == p:
+			return true
+		case q.daemon != nil:
+			q.daemon.run()
+		default:
+			if p != nil {
+				p.driving = true
+			}
+			k.resumes++
+			q.resume()
+			if p != nil {
+				p.driving = false
+			}
+		}
 	}
-	return a, ok
+	return false
 }
 
 // Run executes activations until none remain or Stop is called. It returns
 // the number of activations dispatched.
-func (k *Kernel) Run() int {
-	return k.RunUntil(maxTime)
-}
+func (k *Kernel) Run() int { return k.RunUntil(maxTime) }
 
 // RunUntil executes activations with time <= limit. The clock never advances
 // past the last dispatched activation; if the queue's head is beyond limit,
 // the clock is set to limit and RunUntil returns. If processes remain blocked
 // with no pending activation when the queue drains (a deadlock from the
 // model's point of view) they are left parked; Blocked reports them.
-//
-// RunUntil is the dispatch driver: it pops activations and resumes each
-// process's coroutine, which runs until the process parks (yielding control
-// back) or exits; a daemon's activation runs its step inline instead, and a
-// timer's fires it. A parking process first consumes its own same-instant
-// re-activations and any daemon or timer activations ahead of them inline, so
-// only genuine handoffs between coroutines reach the driver.
-//
-//strings:hotpath
 func (k *Kernel) RunUntil(limit Time) int {
 	k.stopped = false
 	k.limit = limit
 	start := k.dispatched
-	for !k.stopped {
-		a, ok := k.popNext()
-		if !ok {
-			break
-		}
-		if a.proc == nil {
-			k.fire(a)
-			continue
-		}
-		a.proc.pending--
-		if a.proc.done || a.epoch != a.proc.epoch {
-			continue // stale wakeup from an earlier park
-		}
-		k.now = a.at
-		a.proc.wakeTag = a.tag
-		k.dispatched++
-		k.running = a.proc
-		if d := a.proc.daemon; d != nil {
-			d.run()
-		} else {
-			a.proc.resume()
-		}
-	}
+	k.dispatch(nil)
 	k.running = nil
 	if !k.stopped && (k.future.len() > 0 || k.nowQ.Len() > 0) && k.now < limit {
 		// The head activation is beyond the limit: the interval up to the

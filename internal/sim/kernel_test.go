@@ -266,6 +266,32 @@ func TestStaleTimerDoesNotRewake(t *testing.T) {
 	}
 }
 
+func TestTimedOutWaiterIsNotWokenByLateFire(t *testing.T) {
+	// A waiter whose timeout won leaves the event: a Fire that comes later
+	// must not wake it out of whatever park it is in by then.
+	k := NewKernel(1)
+	e := k.NewEvent()
+	var at Time
+	k.Go("w", func(p *Proc) {
+		if p.WaitTimeout(e, 10) {
+			t.Error("WaitTimeout reported fired before the event fired")
+		}
+		if n := e.waiters.Len(); n != 0 {
+			t.Errorf("event holds %d waiters after the timeout, want 0", n)
+		}
+		p.Sleep(100)
+		at = p.Now()
+	})
+	k.Go("f", func(p *Proc) {
+		p.Sleep(50)
+		e.Fire()
+	})
+	k.Run()
+	if at != 110 {
+		t.Fatalf("woke at %v, want 110us", at)
+	}
+}
+
 func TestSignalNotifyAllAndOne(t *testing.T) {
 	k := NewKernel(1)
 	s := k.NewSignal()

@@ -15,10 +15,10 @@ type Proc struct {
 	name   string
 	nameFn func() string // lazy name, formatted on first use (GoNamed)
 
-	// resume switches into the process's coroutine (the driver side of
-	// iter.Pull); yield switches back out (called by park). Both belong to
-	// the coro the process occupies. A daemon's process has neither: its
-	// activations run daemon.run instead.
+	// resume switches into the process's coroutine (the caller's side of
+	// iter.Pull, called by Kernel.dispatch); yield switches back out to that
+	// caller (called by park). Both belong to the coro the process occupies.
+	// A daemon's process has neither: its activations run daemon.run instead.
 	resume func() (struct{}, bool)
 	yield  func(struct{}) bool
 	daemon *Daemon
@@ -27,6 +27,7 @@ type Proc struct {
 	pending int    // number of queued activations
 	parked  bool
 	done    bool
+	driving bool // inside park, suspended in the resume() of another process
 	wakeTag int32
 }
 
@@ -103,51 +104,15 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// park cedes control and blocks until this process's next wakeup. If the
-// process is itself the next activation — a Yield, Sleep(0) or self-wakeup
-// at the current instant — it consumes the activation inline and continues
-// without a coroutine switch; a daemon's activation runs its step on this
-// stack, a timer's fires on it, and the loop goes on, so the process may
-// still take its own wakeup behind them; otherwise it yields back to the
-// RunUntil driver, which resumes the next process. Stale activations
-// encountered on the way are discarded exactly as the driver would.
+// park blocks until this process's next wakeup. It runs the dispatch loop
+// from where it stands and continues with no coroutine switch if its own
+// wake-up comes up; only when nothing may run from here (Kernel.dispatch) does
+// it yield to whoever resumed it, to be resumed by whoever pops its wake-up.
 func (p *Proc) park() {
 	p.parked = true
-	k := p.k
-	for !k.stopped {
-		a, ok := k.frontDue()
-		if !ok {
-			break
-		}
-		if a.proc == nil {
-			k.nowQ.Pop()
-			k.fire(a)
-			continue
-		}
-		if a.proc.done || a.epoch != a.proc.epoch {
-			k.nowQ.Pop()
-			a.proc.pending-- // stale wakeup from an earlier park
-			continue
-		}
-		if a.proc != p && a.proc.daemon == nil {
-			break // genuine handoff: yield to the driver
-		}
-		// No coroutine switch: this process's own wakeup, or a daemon step.
-		k.nowQ.Pop()
-		a.proc.pending--
-		k.now = a.at
-		a.proc.wakeTag = a.tag
-		k.dispatched++
-		k.running = a.proc
-		if a.proc != p {
-			a.proc.daemon.run()
-			continue
-		}
-		p.parked = false
-		p.epoch++
-		return
+	if !p.k.dispatch(p) {
+		p.yield(struct{}{})
 	}
-	p.yield(struct{}{})
 	p.parked = false
 	p.epoch++
 }
@@ -180,13 +145,7 @@ func (p *Proc) Wait(e *Event) {
 // reports whether the event fired (true) or the timeout won (false). If e has
 // already fired it returns true immediately.
 func (p *Proc) WaitTimeout(e *Event, d Time) bool {
-	if e.fired {
-		return true
-	}
-	e.waiters.Push(p)
-	p.k.schedule(p, p.k.now+d, wakeTimer)
-	p.park()
-	return p.wakeTag == wakeEvent
+	return e.fired || p.waitTimed(&e.waiters, d)
 }
 
 // WaitSignal blocks until s is next notified.
@@ -198,14 +157,20 @@ func (p *Proc) WaitSignal(s *Signal) {
 // WaitSignalTimeout blocks until s is notified or d elapses; it reports
 // whether the signal arrived.
 func (p *Proc) WaitSignalTimeout(s *Signal, d Time) bool {
-	s.waiters.Push(p)
+	return p.waitTimed(&s.waiters, d)
+}
+
+// waitTimed parks p on waiters for at most d and reports whether it was woken
+// from there; if not, p leaves the ring, so that no later wake finds it there.
+func (p *Proc) waitTimed(waiters *Ring[*Proc], d Time) bool {
+	waiters.Push(p)
 	p.k.schedule(p, p.k.now+d, wakeTimer)
 	p.park()
-	if p.wakeTag != wakeEvent {
-		s.drop(p)
-		return false
+	if p.wakeTag == wakeEvent {
+		return true
 	}
-	return true
+	waiters.RemoveFirst(func(w *Proc) bool { return w == p }) //lint:allow hotalloc -- predicate closure does not outlive RemoveFirst; the compiler keeps it on the stack
+	return false
 }
 
 // Tracef emits a trace line through the kernel's tracer, if one is installed.

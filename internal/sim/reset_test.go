@@ -49,8 +49,9 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 
 	reused := NewKernel(7)
 	// Pollute: a different workload, different seed, left unfinished by a
-	// horizon so parked processes, pending activations, an armed timer and
-	// the idle coroutines of finished processes survive the run.
+	// horizon so parked processes, pending activations, an armed timer, the
+	// idle coroutines of finished processes and a resume stack that was three
+	// deep when the horizon fell survive the run.
 	reused.Go("polluter", func(p *Proc) {
 		for i := 0; i < 50; i++ {
 			reused.Go("short", func(p *Proc) { p.Sleep(5) })
@@ -58,7 +59,18 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 		}
 	})
 	reused.After(1000, func() { t.Error("timer armed before Reset fired after it") })
+	deepest := 0
+	chain(reused, 3, func(level int, p *Proc) {
+		p.Sleep(Time(200 - level)) // l3 wakes first, on top of l1 and l2
+		deepest = max(deepest, resumeStackDepth(t, reused))
+		p.Sleep(300)
+		t.Error("a process parked before Reset ran after it")
+	})
 	reused.RunUntil(200)
+	requireStackUnwound(t, reused)
+	if deepest < 3 {
+		t.Fatalf("polluter chain ran %d deep, want at least 3", deepest)
+	}
 	if reused.Dispatched() == 0 || len(reused.idle) == 0 {
 		t.Fatalf("polluter run dispatched %d events and left %d idle coroutines", reused.Dispatched(), len(reused.idle))
 	}

@@ -50,6 +50,9 @@ func (r *Ring[T]) Front() T {
 	return r.buf[r.head]
 }
 
+// front returns the front item in place, valid until the next Push. Caller checks Len.
+func (r *Ring[T]) front() *T { return &r.buf[r.head] }
+
 // At returns the i-th item from the front (0 = front). It panics if i is out
 // of range.
 func (r *Ring[T]) At(i int) T {

@@ -12,7 +12,7 @@ type timerSlot struct {
 }
 
 // After schedules fn to run at now+d, on the stack of whoever pops the
-// timer's activation: the RunUntil driver, or a process parking behind it.
+// timer's activation: RunUntil's, or a parking process's (Kernel.dispatch).
 // Callbacks must not block (they may Put into queues, fire events, notify
 // signals — anything non-parking). A timer is ordered like any activation,
 // by (deadline, registration sequence), so timers due at the same instant

@@ -271,7 +271,8 @@ func (t *coroTimers) push(d Time, e refEntry) {
 func (t *coroTimers) run(p *Proc) {
 	for {
 		for t.heap.len() > 0 && t.heap.peek().at <= p.Now() {
-			e := t.heap.pop()
+			e := t.heap.peek()
+			t.heap.drop()
 			if e.fn != nil {
 				e.fn()
 			} else {
@@ -314,9 +315,28 @@ type scriptResult struct {
 }
 
 // scriptCoverage counts the cases the script is there to produce, so a
-// change to the generator cannot quietly stop covering them.
+// change to the generator cannot quietly stop covering them. maxDepth is the
+// deepest resume stack a script step ran on.
 type scriptCoverage struct {
-	zeroDelay, sameInstant, reentrant, parkedGet int
+	zeroDelay, sameInstant, reentrant, parkedGet, spawned, maxDepth int
+}
+
+// scriptMode selects how the script is run: its timers through the kernel or
+// through the coroutine reference, and the kernel driven by one Run or by
+// RunUntil in 1-tick windows, each of which ends with the resume stack
+// unwound to the driver.
+type scriptMode struct {
+	reference, windowed bool
+}
+
+// scriptTrace is the run as the dispatch loop saw it, which the timer
+// contract leaves open and the resume-stack tests (handoff_test.go) pin: every
+// step, delivery and exit in the order it ran, and the kernel's counters.
+type scriptTrace struct {
+	Log     []string
+	Events  uint64 // Dispatched
+	Timers  uint64 // timers armed, each fired once by the end of the run
+	Resumes uint64
 }
 
 // cbPlan is a callback drawn in advance from its process's random stream:
@@ -327,18 +347,24 @@ type cbPlan struct {
 	child *cbPlan
 }
 
-// runTimerScript drives a seeded random mix of After, AfterPut, Sleep and
-// Queue.Get from four processes through the kernel's own timers or, with
-// reference set, through coroTimers. It fails the test if the run breaks the
-// ordering rule on its own terms: timers due at one instant are delivered in
-// registration order, callbacks overall and messages per queue.
-func runTimerScript(t *testing.T, seed int64, reference bool) (scriptResult, scriptCoverage) {
+// runTimerScript drives a seeded random mix of After, AfterPut, Sleep,
+// Queue.Get and short-lived child processes from four processes through the
+// kernel's own timers or, with mode.reference set, through coroTimers. It
+// fails the test if the run breaks the ordering rule on its own terms: timers
+// due at one instant are delivered in registration order, callbacks overall
+// and messages per queue.
+func runTimerScript(t *testing.T, seed int64, mode scriptMode) (scriptResult, scriptCoverage, scriptTrace) {
 	const procs, steps = 4, 120
 	k := NewKernel(seed)
+	defer k.Close()
 	var svc timerService = k
-	if reference {
+	if mode.reference {
 		svc = &coroTimers{k: k, kick: k.NewSignal()}
 	}
+	var trace scriptTrace
+	k.SetTracer(func(at Time, proc, msg string) {
+		trace.Log = append(trace.Log, fmt.Sprintf("%v %s %s", at, proc, msg))
+	})
 	res := scriptResult{
 		Steps: make([][]Time, procs), Gets: make([][]Time, procs), Payloads: make([][]int, procs),
 	}
@@ -396,6 +422,7 @@ func runTimerScript(t *testing.T, seed int64, reference bool) (scriptResult, scr
 				}
 				lastCB = pl.id
 				res.Callbacks = append(res.Callbacks, delivery{k.now, pl.id})
+				trace.Log = append(trace.Log, fmt.Sprintf("%v callback %d", k.now, pl.id))
 				if pl.child != nil {
 					cov.reentrant++
 					arm(pl.child)
@@ -419,11 +446,16 @@ func runTimerScript(t *testing.T, seed int64, reference bool) (scriptResult, scr
 			lastMsg = id
 			res.Gets[i] = append(res.Gets[i], p.Now())
 			res.Payloads[i] = append(res.Payloads[i], id)
+			p.Tracef("got %d", id)
 		}
 		k.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
 			for s := 0; s < steps; s++ {
 				res.Steps[i] = append(res.Steps[i], p.Now())
-				switch rng.Intn(5) {
+				p.Tracef("step %d", s)
+				if d := resumeStackDepth(t, k); d > cov.maxDepth {
+					cov.maxDepth = d
+				}
+				switch rng.Intn(6) {
 				case 0:
 					p.Sleep(Time(rng.Intn(4)))
 				case 1:
@@ -439,6 +471,13 @@ func runTimerScript(t *testing.T, seed int64, reference bool) (scriptResult, scr
 					}
 				case 4:
 					p.Sleep(Time(delays[rng.Intn(len(delays))]))
+				case 5:
+					cov.spawned++
+					d := Time(delays[rng.Intn(len(delays))])
+					k.Go(fmt.Sprintf("p%d.%d", i, s), func(c *Proc) {
+						c.Sleep(d)
+						c.Tracef("exit")
+					})
 				}
 			}
 			for got < owed {
@@ -446,7 +485,16 @@ func runTimerScript(t *testing.T, seed int64, reference bool) (scriptResult, scr
 			}
 		})
 	}
-	k.Run()
+	if mode.windowed {
+		for _, ok := k.NextEventTime(); ok; _, ok = k.NextEventTime() {
+			k.RunUntil(k.Now() + 1)
+			requireStackUnwound(t, k)
+		}
+	} else {
+		k.Run()
+		requireStackUnwound(t, k)
+	}
+	trace.Events, trace.Timers, trace.Resumes = k.Dispatched(), uint64(len(regs)), k.Resumes()
 	sort.Slice(res.Callbacks, func(a, b int) bool {
 		x, y := res.Callbacks[a], res.Callbacks[b]
 		return x.At < y.At || x.At == y.At && x.ID < y.ID
@@ -457,13 +505,13 @@ func runTimerScript(t *testing.T, seed int64, reference bool) (scriptResult, scr
 	res.Now = k.Now()
 	res.Procs = k.ProcCount()
 	for _, name := range k.Blocked() {
-		if reference && name == "sim-timers" {
+		if mode.reference && name == "sim-timers" {
 			res.Procs-- // the reference's service process is not part of the contract
 			continue
 		}
 		res.Blocked = append(res.Blocked, name)
 	}
-	return res, cov
+	return res, cov, trace
 }
 
 // TestTimerContract holds the kernel's timers to the reference service on a
@@ -473,8 +521,8 @@ func runTimerScript(t *testing.T, seed int64, reference bool) (scriptResult, scr
 func TestTimerContract(t *testing.T) {
 	var total scriptCoverage
 	for seed := int64(1); seed <= 25; seed++ {
-		want, _ := runTimerScript(t, seed, true)
-		got, cov := runTimerScript(t, seed, false)
+		want, _, _ := runTimerScript(t, seed, scriptMode{reference: true})
+		got, cov, _ := runTimerScript(t, seed, scriptMode{})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: kernel timers differ from the coroutine reference:\nwant %+v\n got %+v", seed, want, got)
 		}
@@ -485,8 +533,9 @@ func TestTimerContract(t *testing.T) {
 		total.sameInstant += cov.sameInstant
 		total.reentrant += cov.reentrant
 		total.parkedGet += cov.parkedGet
+		total.spawned += cov.spawned
 	}
-	if total.zeroDelay == 0 || total.sameInstant == 0 || total.reentrant == 0 || total.parkedGet == 0 {
+	if total.zeroDelay == 0 || total.sameInstant == 0 || total.reentrant == 0 || total.parkedGet == 0 || total.spawned == 0 {
 		t.Fatalf("script no longer covers every case: %+v", total)
 	}
 }

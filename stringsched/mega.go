@@ -11,7 +11,8 @@ type MegaResult struct {
 	Requests int // requests submitted
 	Finished int // requests that completed
 	Events   uint64
-	EndTime  Time // virtual time at which the last event completed
+	Resumes  uint64 // events that cost a coroutine switch in and one back out
+	EndTime  Time   // virtual time at which the last event completed
 
 	// Fast-forward instrumentation: how often the kernel's clock jumped
 	// over a quiescent stretch longer than the horizon, and how much
@@ -62,6 +63,7 @@ func megaResult(c *Cluster, r *RunResult, requests int) MegaResult {
 		Requests:  requests,
 		Finished:  r.Finished,
 		Events:    c.Dispatched(),
+		Resumes:   c.Resumes(),
 		EndTime:   r.EndTime,
 		FFJumps:   jumps,
 		FFSkipped: skipped,
