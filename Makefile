@@ -85,10 +85,11 @@ bench:
 # Coverage gate: run the internal packages with -coverprofile and fail if
 # any of the gated packages (the observability layer, the sweep engine,
 # the shard coordinator, the analytic fast-forward layer, the analysis
-# framework, the device model, the cluster tier, core, and the marshalled-call
-# path: cuda runtime, wire protocol and executor, Context Packer, TCP
-# remoting) drops below 85% statement coverage. The profile lands in
-# $(BIN)/cover.out for CI to upload.
+# framework, the device model, the device scheduler, the cluster tier, core,
+# and the marshalled-call path: cuda runtime, wire protocol and executor,
+# Context Packer, TCP remoting) drops below 85% statement coverage. The device
+# scheduler's reference policies live in _test.go files and do not count. The
+# profile lands in $(BIN)/cover.out for CI to upload.
 cover:
 	@mkdir -p $(BIN)
 	$(GO) test -coverprofile=$(BIN)/cover.out ./internal/...
@@ -97,7 +98,7 @@ cover:
 		repro/internal/sim repro/internal/sim/shard repro/internal/analytic \
 		repro/internal/analysis repro/internal/gpu repro/internal/cluster \
 		repro/internal/core repro/internal/cuda repro/internal/rpcproto \
-		repro/internal/packer repro/internal/remoting
+		repro/internal/packer repro/internal/remoting repro/internal/devsched
 
 # Short fuzz pass over every native fuzz target: the wire codec, the framing
 # layer and the trace encoders each get 10s of coverage-guided input on top

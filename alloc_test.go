@@ -113,6 +113,80 @@ func TestAllocBudgetPerRequest(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetContendedCell is the budget where the device scheduler's
+// Dispatcher is the inner loop: node_mega above runs DevPolicy "none" and never
+// starts one, the figure suite runs little else. One Fig 11-shaped cell (a pair
+// saturating one GPU under TFS-Strings through the fixed contention window,
+// where the Dispatcher turns over a few dozen entries every 5 ms epoch) and
+// two Fig 12-shaped cells (the pair on the four-GPU supernode under GWtMin
+// with PS and with LAS), construction included. A turn allocates nothing, so
+// a request costs 83 to 87 allocations here — sessions, streams, launch
+// closures and a cluster built for a dozen requests — and the budgets sit 10 %
+// above that. With policies that rebuilt maps and slices and called sort.Slice
+// every turn the same cells cost 2 668, 12 857 and 8 587 allocations a request:
+// 29, 135 and 90 times these budgets.
+func TestAllocBudgetContendedCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc budget measurement skipped in -short mode")
+	}
+	pair := stringsched.Pairs()[0]
+	oneGPU := []stringsched.NodeConfig{{Devices: []stringsched.DeviceSpec{stringsched.TeslaC2050}}}
+	supernode := []stringsched.NodeConfig{
+		{Devices: []stringsched.DeviceSpec{stringsched.Quadro2000, stringsched.TeslaC2050}},
+		{Devices: []stringsched.DeviceSpec{stringsched.Quadro4000, stringsched.TeslaC2070}},
+	}
+	saturating := []stringsched.StreamSpec{
+		{Kind: pair.Long, Count: 8, Lambda: stringsched.Second, Node: 0, Tenant: 1, Weight: 1},
+		{Kind: pair.Short, Count: 40, Lambda: stringsched.Second / 2, Node: 0, Tenant: 2, Weight: 1},
+	}
+	split := []stringsched.StreamSpec{
+		{Kind: pair.Long, Count: 5, LambdaFactor: 0.6, Node: 0, Tenant: 1, Weight: 1},
+		{Kind: pair.Short, Count: 8, LambdaFactor: 0.6, Node: 1, Tenant: 2, Weight: 1},
+	}
+	cells := []struct {
+		name    string
+		cfg     stringsched.Config
+		streams []stringsched.StreamSpec
+		horizon stringsched.Time // 0 = run to completion
+		budget  float64
+	}{
+		{"fig11/TFS-Strings", stringsched.Config{Nodes: oneGPU, Mode: stringsched.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * stringsched.Second, 92},
+		{"fig12/GWtMinPS-Strings", stringsched.Config{Nodes: supernode, Mode: stringsched.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 95},
+		{"fig12/GWtMinLAS-Strings", stringsched.Config{Nodes: supernode, Mode: stringsched.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 95},
+	}
+	for _, cell := range cells {
+		run := func(seed int64) int {
+			cell.cfg.Seed = seed
+			c, err := stringsched.NewCluster(cell.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var r *stringsched.RunResult
+			if cell.horizon > 0 {
+				r, err = c.RunUntil(cell.streams, cell.horizon)
+			} else {
+				r, err = c.Run(cell.streams)
+			}
+			if err != nil || len(r.Errors) > 0 {
+				t.Fatalf("%s: %v %v", cell.name, err, r.Errors)
+			}
+			return r.Launched
+		}
+		run(1) // warm the process-wide tables outside the measurement
+		var ms0, ms1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms0)
+		requests := run(2)
+		runtime.ReadMemStats(&ms1)
+		perRequest := float64(ms1.Mallocs-ms0.Mallocs) / float64(requests)
+		t.Logf("%s: %.1f allocs/request over %d requests, construction included (budget %.0f)", cell.name, perRequest, requests, cell.budget)
+		if perRequest > cell.budget {
+			t.Errorf("%s: alloc budget exceeded: %.1f allocs/request > %.0f", cell.name, perRequest, cell.budget)
+		}
+	}
+}
+
 // TestResumeBudgetPerRequest is the handoff budget in the same unit. A request
 // is one frontend/backend-thread pair exchanging some three dozen messages;
 // with the resume stack each round trip costs one coroutine resume — the

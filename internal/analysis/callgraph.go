@@ -12,10 +12,14 @@ import (
 // The graph is per package and purely static: an edge exists where a call
 // expression resolves through go/types to a concrete *types.Func — direct
 // calls, method calls on statically typed receivers, and calls into
-// imported packages. Indirect calls (function values, interface methods)
-// have no edge; the hot-path analyses accept that blind spot and the
-// DESIGN.md contract documents it: code invoked only through callbacks is
-// guarded at the registration site, not through the graph.
+// imported packages. A call of a method of an interface declared in this
+// package gets an edge to every method in this package that can stand behind
+// it: the policy a mechanism calls through its own interface runs at the
+// mechanism's frequency. Calls through function values, and interface calls
+// whose interface or implementation lives in another package, have no edge;
+// the hot-path analyses accept that blind spot and the DESIGN.md contract
+// documents it: code invoked only through callbacks is guarded at the
+// registration site, not through the graph.
 //
 // Annotation grammar: the directive comment
 //
@@ -119,7 +123,7 @@ func collectCalls(pass *Pass, node *funcNode) {
 			return true
 		}
 		if callee.Pkg() == pass.Pkg {
-			node.locals = append(node.locals, callee)
+			node.locals = append(node.locals, localTargets(pass, callee)...)
 			return true
 		}
 		if callee.Pkg() == nil {
@@ -133,6 +137,36 @@ func collectCalls(pass *Pass, node *funcNode) {
 		})
 		return true
 	})
+}
+
+// localTargets returns what a call resolved to fn can run in this package: fn
+// itself, or, when fn is a method of an interface, that method on every named
+// type of the package that implements the interface, in the scope's sorted
+// name order. *T's method set holds T's, so testing *T covers both receivers.
+// Generic types are skipped (Implements is unspecified before instantiation);
+// a method promoted from another package's type has no node here and drops
+// out like any cross-package implementation.
+func localTargets(pass *Pass, fn *types.Func) []*types.Func {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil || !types.IsInterface(recv.Type()) {
+		return []*types.Func{fn}
+	}
+	iface := recv.Type().Underlying().(*types.Interface)
+	var impls []*types.Func
+	scope := pass.Pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, _ := scope.Lookup(name).(*types.TypeName)
+		if tn == nil {
+			continue
+		}
+		named, _ := tn.Type().(*types.Named)
+		if named == nil || named.TypeParams().Len() > 0 || !types.Implements(types.NewPointer(named), iface) {
+			continue
+		}
+		m, _, _ := types.LookupFieldOrMethod(named, true, fn.Pkg(), fn.Name())
+		impls = append(impls, m.(*types.Func))
+	}
+	return impls
 }
 
 // staticCallee resolves call's target to a concrete *types.Func, or nil

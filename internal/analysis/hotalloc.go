@@ -34,9 +34,11 @@ import (
 // growth — carries //lint:allow hotalloc -- <reason> at the site; the
 // suppression also keeps the site out of the function's exported alloc
 // fact, so sanctioning a site once sanctions it for every caller.
-// Indirect calls (function values, interface methods) are outside the
-// static graph; hot paths crossing such a boundary annotate the callee's
-// implementation as its own root.
+// A call of a method of an interface declared in the package is followed
+// into the package's implementations of it (callgraph.go). Calls through
+// function values, and interface calls that cross a package boundary, are
+// outside the static graph; hot paths crossing such a boundary annotate the
+// callee's implementation as its own root.
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "forbid unjustified heap allocation in functions reachable from a //strings:hotpath root; " +

@@ -24,6 +24,15 @@ func TestHotallocCrossPackageFacts(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.Hotalloc, "hotallocx")
 }
 
+// TestHotallocInterfaceEdges: a hot root calling a method of an interface
+// declared in its own package reaches that method's implementations there —
+// value and pointer receivers, and what they call in turn — with the root as
+// witness; a clean implementation, an implementation of a method no root
+// calls, a near-miss type and an uncalled interface draw nothing.
+func TestHotallocInterfaceEdges(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), analysis.Hotalloc, "hotallociface")
+}
+
 // TestHotallocAllowForms: line, trailing-block, own-line, and multi-line
 // block lint:allow forms each suppress exactly the line they cover.
 func TestHotallocAllowForms(t *testing.T) {

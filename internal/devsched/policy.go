@@ -1,17 +1,16 @@
 package devsched
 
-import (
-	"sort"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Policy decides which backend threads are awake in the coming epoch.
 // Implementations must be deterministic given the entry list (which the
 // Scheduler supplies in app-id order).
 type Policy interface {
 	Name() string
-	// Pick returns the entries to keep awake until the next evaluation.
+	// Pick returns the entries to keep awake until the next evaluation. It
+	// runs every epoch and on every kick, so it allocates nothing in steady
+	// state: the result lives in the policy's or cfg's scratch and is valid
+	// until the next Pick on either.
 	Pick(now sim.Time, entries []*Entry, cfg *Config) []*Entry
 }
 
@@ -25,131 +24,187 @@ func (AllAwake) Name() string { return "none" }
 // Pick implements Policy.
 func (AllAwake) Pick(now sim.Time, entries []*Entry, cfg *Config) []*Entry { return entries }
 
+// pickSlots bounds the wake set of LAS and PS: one thread per GPU engine.
+const pickSlots = 3
+
+// insertLeast places e into the ascending top[:n], which keeps the len(top)
+// least entries by the strict total order before, and returns the new count.
+func insertLeast(top []*Entry, n int, e *Entry, before func(a, b *Entry) bool) int {
+	i := n
+	for i > 0 && before(e, top[i-1]) {
+		i--
+	}
+	if i == len(top) {
+		return n
+	}
+	if n < len(top) {
+		n++
+	}
+	copy(top[i+1:n], top[i:])
+	top[i] = e
+	return n
+}
+
+// result returns cfg's pick buffer cut to its first n entries (nil for none)
+// and clears the rest: it holds no entry beyond the turn that picked it.
+func (cfg *Config) result(n int) []*Entry {
+	clear(cfg.picked[n:])
+	if n == 0 {
+		return nil
+	}
+	return cfg.picked[:n]
+}
+
 // LAS is Least Attained Service: each epoch the threads whose decayed
 // cumulative GPU service (eq. 1) is smallest — among threads with pending
 // requests — get priority. Short-episode jobs finish sooner, minimizing CPU
 // stall time and maximizing throughput, at a known cost in fairness. The
-// dispatcher keeps the two least-served threads awake: the top priority
-// level runs, and one runner-up keeps the device's remaining engines from
+// dispatcher keeps the lasWidth least-served threads awake: the top priority
+// level runs, and the runners-up keep the device's remaining engines from
 // idling while the leader is between requests.
 type LAS struct{}
 
 // lasWidth is the number of priority levels kept awake.
-const lasWidth = 3
+const lasWidth = pickSlots
 
 // Name implements Policy.
 func (LAS) Name() string { return "LAS" }
 
 // Pick implements Policy.
 func (LAS) Pick(now sim.Time, entries []*Entry, cfg *Config) []*Entry {
-	var work []*Entry
+	n := 0
 	for _, e := range entries {
 		if e.HasWork() {
-			work = append(work, e)
+			n = insertLeast(cfg.picked[:lasWidth], n, e, lessServed)
 		}
 	}
-	sort.Slice(work, func(i, j int) bool {
-		if work[i].CGS != work[j].CGS {
-			return work[i].CGS < work[j].CGS
-		}
-		return work[i].AppID < work[j].AppID
-	})
-	if len(work) > lasWidth {
-		work = work[:lasWidth]
-	}
-	return work
+	return cfg.result(n)
+}
+
+// lessServed orders entries by (CGS, AppID).
+func lessServed(a, b *Entry) bool {
+	return a.CGS < b.CGS || a.CGS == b.CGS && a.AppID < b.AppID
 }
 
 // TFS is True Fair-Share: tenants receive GPU residency proportional to
-// their weights. At most one tenant's threads are awake at a time; a usage
-// history penalizes tenants that overshoot their slice (asynchronously
+// their weights. At most one tenant's threads are awake at a time; a penalty
+// history charges tenants that overshoot their slice (asynchronously
 // submitted work keeps accruing after the thread sleeps), and unused shares
 // redistribute to tenants with work (work conservation).
 type TFS struct {
-	usage    map[int64]float64 // attained service per tenant
-	penalty  map[int64]float64
+	penalty  map[int64]float64 // overshoot charged so far, per tenant
 	current  int64
 	sliceEnd sim.Time
-	turnBase float64 // tenant usage at turn start
+	turnBase float64 // the current tenant's attained service at turn start
 	turnLen  sim.Time
 	active   bool
+
+	// Scratch rebuilt every turn in backing arrays that survive it: the
+	// tenants present, in id order, and the entries with work, in app-id order.
+	views []tenantView
+	work  []*Entry
+}
+
+// tenantView is one tenant summed over its entries this turn.
+type tenantView struct {
+	id       int64
+	weight   int // of its first entry
+	attained float64
+	hasWork  bool
 }
 
 // NewTFS returns a fresh fair-share policy instance (state is per device).
-func NewTFS() *TFS {
-	return &TFS{usage: make(map[int64]float64), penalty: make(map[int64]float64)}
-}
+func NewTFS() *TFS { return &TFS{penalty: make(map[int64]float64)} }
 
 // Name implements Policy.
 func (t *TFS) Name() string { return "TFS" }
 
 // Pick implements Policy.
 func (t *TFS) Pick(now sim.Time, entries []*Entry, cfg *Config) []*Entry {
-	// Refresh per-tenant usage from entry accounting.
-	tenants := map[int64]*tenantView{}
-	order := []int64{}
-	for _, e := range entries {
-		tv, ok := tenants[e.TenantID]
-		if !ok {
-			tv = &tenantView{id: e.TenantID, weight: e.Weight}
-			tenants[e.TenantID] = tv
-			order = append(order, e.TenantID)
-		}
-		tv.attained += float64(e.Attained)
-		if e.HasWork() {
-			tv.work = append(tv.work, e)
-		}
+	if cap(t.work) < len(entries) {
+		// Room for every entry to have work and be its own tenant, so the
+		// tally writes by index.
+		n := 2 * len(entries)
+		t.views, t.work = make([]tenantView, 0, n), make([]*Entry, 0, n) //lint:allow hotalloc -- amortised growth of TFS's scratch: reached only when the device holds more entries than it ever has
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, id := range order {
-		t.usage[id] = tenants[id].attained
+	views, work := t.views[:0], t.work[:0]
+	for _, e := range entries {
+		i := 0
+		for i < len(views) && views[i].id < e.TenantID {
+			i++
+		}
+		if i == len(views) || views[i].id != e.TenantID {
+			views = views[:len(views)+1]
+			copy(views[i+1:], views[i:])
+			views[i] = tenantView{id: e.TenantID, weight: e.Weight}
+		}
+		views[i].attained += float64(e.Attained)
+		if e.HasWork() {
+			views[i].hasWork = true
+			work = work[:len(work)+1]
+			work[len(work)-1] = e
+		}
 	}
 
+	var pick *tenantView
 	if t.active {
-		if cur, ok := tenants[t.current]; ok && now < t.sliceEnd && len(cur.work) > 0 {
-			return cur.work // slice still valid
-		}
-		// Turn over: penalize overshoot beyond the allocated slice.
-		if cur, ok := tenants[t.current]; ok {
-			used := cur.attained - t.turnBase
-			alloc := float64(t.turnLen)
-			if used > alloc {
-				t.penalty[t.current] += used - alloc
+		var cur *tenantView
+		for i := range views {
+			if views[i].id == t.current {
+				cur = &views[i]
 			}
 		}
-		t.active = false
+		if cur != nil && now < t.sliceEnd && cur.hasWork {
+			pick = cur // slice still valid
+		} else {
+			// Turn over: penalize overshoot beyond the allocated slice.
+			if cur != nil {
+				used := cur.attained - t.turnBase
+				alloc := float64(t.turnLen)
+				if used > alloc {
+					t.penalty[t.current] += used - alloc
+				}
+			}
+			t.active = false
+		}
+	}
+	if pick == nil {
+		// Choose the tenant with the least weighted (attained + penalty)
+		// among tenants with pending work — the "least attained fair share".
+		// The views are in id order, so a tie stays with the lower id.
+		var bestKey float64
+		for i := range views {
+			if tv := &views[i]; tv.hasWork {
+				if key := (tv.attained + t.penalty[tv.id]) / float64(tv.weight); pick == nil || key < bestKey {
+					pick, bestKey = tv, key
+				}
+			}
+		}
+		if pick != nil {
+			t.current = pick.id
+			t.turnLen = cfg.TFSBaseSlice * sim.Time(pick.weight)
+			t.sliceEnd = now + t.turnLen
+			t.turnBase = pick.attained
+			t.active = true
+		}
 	}
 
-	// Choose the tenant with the least weighted (usage + penalty) among
-	// tenants with pending work — the "least attained fair share".
-	var best *tenantView
-	var bestKey float64
-	for _, id := range order {
-		tv := tenants[id]
-		if len(tv.work) == 0 {
-			continue
-		}
-		key := (t.usage[id] + t.penalty[id]) / float64(tv.weight)
-		if best == nil || key < bestKey || (key == bestKey && id < best.id) {
-			best, bestKey = tv, key
+	// Cut the work list down to the picked tenant's entries, in place and so
+	// still in app-id order, and clear what this list and the previous turn's
+	// result held beyond them: no entry stays past the turn after it was listed.
+	n := 0
+	for _, e := range work {
+		if pick != nil && e.TenantID == pick.id {
+			work[n] = e
+			n++
 		}
 	}
-	if best == nil {
+	clear(t.work[n:max(len(work), len(t.work))])
+	t.work = work[:n]
+	if n == 0 {
 		return nil
 	}
-	t.current = best.id
-	t.turnLen = cfg.TFSBaseSlice * sim.Time(best.weight)
-	t.sliceEnd = now + t.turnLen
-	t.turnBase = best.attained
-	t.active = true
-	return best.work
-}
-
-type tenantView struct {
-	id       int64
-	weight   int
-	attained float64
-	work     []*Entry
+	return t.work
 }
 
 // PS is Phase Selection: wake one thread per GPU engine phase so that the
@@ -157,63 +212,51 @@ type tenantView struct {
 // "guitar chord" the scheduler is named after. Unfilled engine slots fall
 // back to the phase priority KL > H2D = D2H > DFL; ties within a phase go to
 // the thread with least attained service, which keeps PS nearly as fair as
-// TFS.
+// TFS. PS sees a phase change at its next turn (the epoch boundary, or a
+// sleeping thread's WaitTurn kick); the change itself kicks nothing.
 type PS struct{}
+
+// psFill is the phase priority; its first pickSlots phases are the engines'.
+var psFill = [...]Phase{PhaseKL, PhaseH2D, PhaseD2H, PhaseDFL}
 
 // Name implements Policy.
 func (PS) Name() string { return "PS" }
 
 // Pick implements Policy.
 func (PS) Pick(now sim.Time, entries []*Entry, cfg *Config) []*Entry {
-	// Candidates with work, grouped by phase, each group ordered by least
-	// attained service.
-	groups := map[Phase][]*Entry{}
+	// The pickSlots least-attained candidates of each phase, in order: no
+	// pick reaches deeper into a phase than that.
+	var top [PhaseKL + 1][pickSlots]*Entry
+	var have, taken [PhaseKL + 1]int
 	for _, e := range entries {
-		if !e.HasWork() {
-			continue
-		}
 		ph := e.Phase
 		if ph == PhaseIdle {
 			ph = PhaseDFL
 		}
-		groups[ph] = append(groups[ph], e)
-	}
-	// Order each group over the fixed phase list rather than by ranging the
-	// map: sorting is per-group and so order-independent, but iterating the
-	// known phases keeps the loop mechanically deterministic (maporder).
-	for _, ph := range []Phase{PhaseKL, PhaseH2D, PhaseD2H, PhaseDFL} {
-		g := groups[ph]
-		sort.Slice(g, func(i, j int) bool {
-			if g[i].Attained != g[j].Attained {
-				return g[i].Attained < g[j].Attained
-			}
-			return g[i].AppID < g[j].AppID
-		})
-	}
-	const slots = 3
-	picked := make([]*Entry, 0, slots)
-	used := map[int]bool{}
-	take := func(ph Phase) bool {
-		for _, e := range groups[ph] {
-			if !used[e.AppID] {
-				picked = append(picked, e)
-				used[e.AppID] = true
-				return true
-			}
+		if ph >= PhaseDFL && ph <= PhaseKL && e.HasWork() {
+			have[ph] = insertLeast(top[ph][:], have[ph], e, lessAttained)
 		}
-		return false
 	}
 	// One per engine first: kernel, then the two copy directions.
-	take(PhaseKL)
-	take(PhaseH2D)
-	take(PhaseD2H)
-	// Fill remaining slots by phase priority.
-	for _, ph := range []Phase{PhaseKL, PhaseH2D, PhaseD2H, PhaseDFL} {
-		for len(picked) < slots && take(ph) {
-		}
-		if len(picked) >= slots {
-			break
+	n := 0
+	for _, ph := range psFill[:pickSlots] {
+		if have[ph] > 0 {
+			cfg.picked[n] = top[ph][0]
+			taken[ph] = 1
+			n++
 		}
 	}
-	return picked
+	// Fill remaining slots by phase priority.
+	for _, ph := range psFill {
+		for ; n < pickSlots && taken[ph] < have[ph]; n++ {
+			cfg.picked[n] = top[ph][taken[ph]]
+			taken[ph]++
+		}
+	}
+	return cfg.result(n)
+}
+
+// lessAttained orders entries by (Attained, AppID).
+func lessAttained(a, b *Entry) bool {
+	return a.Attained < b.Attained || a.Attained == b.Attained && a.AppID < b.AppID
 }

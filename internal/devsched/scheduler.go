@@ -30,6 +30,10 @@ type Config struct {
 	// scheduling error. The scheduler refreshes an entry's accounting only
 	// when at least this much time has passed since its last refresh.
 	AccountingLag sim.Time
+
+	// picked is where LAS and PS, stateless value types, build their pick: it
+	// must outlive the call, and every caller of Pick owns a Config.
+	picked [pickSlots]*Entry
 }
 
 // DefaultConfig returns the configuration used in the experiments.
@@ -169,8 +173,8 @@ func (s *Scheduler) Entries() []*Entry {
 	return append([]*Entry(nil), s.entries...)
 }
 
-// SetPhase records the thread's current GPU phase and nudges the dispatcher
-// (PS reacts to phase changes).
+// SetPhase records the thread's current GPU phase. Nothing is kicked: PS sees
+// it at its next turn (the epoch boundary, or an earlier WaitTurn kick).
 func (s *Scheduler) SetPhase(appID int, ph Phase) {
 	if e, ok := s.byApp[appID]; ok {
 		s.SetPhaseEntry(e, ph)
@@ -180,12 +184,7 @@ func (s *Scheduler) SetPhase(appID int, ph Phase) {
 // SetPhaseEntry is SetPhase for callers that hold the RCB entry (backend
 // threads get it from Register), skipping the per-call app-id lookup.
 func (s *Scheduler) SetPhaseEntry(e *Entry, ph Phase) {
-	if e.Phase != ph {
-		e.Phase = ph
-		if _, isPS := s.policy.(*PS); isPS {
-			s.Kick()
-		}
-	}
+	e.Phase = ph
 }
 
 // WaitTurn parks the backend thread until the dispatcher has it awake. A
@@ -296,15 +295,16 @@ func (s *Scheduler) refreshEntry(e *Entry) {
 		return
 	}
 	e.lastRefresh = now
-	cur := s.dev.AppService(e.AppID) + s.dev.AppSwitchCharge(e.AppID)
+	u := s.dev.AppUsage(e.AppID)
+	cur := u.Service + u.SwitchCharge
 	gs := cur - e.epochSample
 	if gs < 0 {
 		gs = 0
 	}
 	e.epochSample = cur
 	e.Attained = cur
-	e.XferTime = s.dev.AppTransferTime(e.AppID)
-	e.MemTraffic = s.dev.AppMemTraffic(e.AppID)
+	e.XferTime = u.TransferTime
+	e.MemTraffic = u.MemTraffic
 	k := s.cfg.LASDecay
 	e.CGS = k*float64(gs) + (1-k)*e.CGS
 }

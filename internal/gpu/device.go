@@ -750,35 +750,40 @@ func (d *Device) Stats() Stats {
 	}
 }
 
-// AppService returns the attained GPU service (solo-equivalent execution
-// time, kernels plus copies) of the given application on this device.
-func (d *Device) AppService(appID int) sim.Time {
-	return sim.Time(d.app(appID).service + 0.5)
+// AppUsage is one application's accounting on a device.
+type AppUsage struct {
+	Service      sim.Time // attained service: solo-equivalent execution time, kernels plus copies
+	SwitchCharge sim.Time // context-switch cost charged to it, which a per-process-context runtime reads as service
+	TransferTime sim.Time // the copy engines' part of Service
+	MemTraffic   float64  // device-memory traffic (bytes) of its completed kernels
 }
 
-// AppSwitchCharge returns the context-switch overhead charged to the
-// application by the driver — the amount by which a per-process-context
-// runtime overstates the application's attained service.
-func (d *Device) AppSwitchCharge(appID int) sim.Time {
-	return sim.Time(d.app(appID).switches + 0.5)
-}
-
-// AppTransferTime returns the copy-engine time attained by the application.
-func (d *Device) AppTransferTime(appID int) sim.Time {
-	return sim.Time(d.app(appID).xferTime + 0.5)
-}
-
-// AppMemTraffic returns the total device-memory traffic (bytes) of the
-// application's kernels completed so far.
-func (d *Device) AppMemTraffic(appID int) float64 { return d.app(appID).memTraf }
-
-// app returns appID's accounting, zero for an application never seen.
-func (d *Device) app(appID int) appAcct {
-	if a := d.apps[appID]; a != nil {
-		return *a
+// AppUsage reads appID's accounting in one lookup, zero for an application
+// never seen; the device scheduler samples it per entry per turn.
+func (d *Device) AppUsage(appID int) AppUsage {
+	a := d.apps[appID]
+	if a == nil {
+		return AppUsage{}
 	}
-	return appAcct{}
+	return AppUsage{
+		Service:      sim.Time(a.service + 0.5),
+		SwitchCharge: sim.Time(a.switches + 0.5),
+		TransferTime: sim.Time(a.xferTime + 0.5),
+		MemTraffic:   a.memTraf,
+	}
 }
+
+// AppService returns the application's AppUsage.Service.
+func (d *Device) AppService(appID int) sim.Time { return d.AppUsage(appID).Service }
+
+// AppSwitchCharge returns the application's AppUsage.SwitchCharge.
+func (d *Device) AppSwitchCharge(appID int) sim.Time { return d.AppUsage(appID).SwitchCharge }
+
+// AppTransferTime returns the application's AppUsage.TransferTime.
+func (d *Device) AppTransferTime(appID int) sim.Time { return d.AppUsage(appID).TransferTime }
+
+// AppMemTraffic returns the application's AppUsage.MemTraffic.
+func (d *Device) AppMemTraffic(appID int) float64 { return d.AppUsage(appID).MemTraffic }
 
 // AppIDs returns the application ids with recorded service, sorted.
 func (d *Device) AppIDs() []int {
