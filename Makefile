@@ -18,10 +18,12 @@ race:
 	$(GO) test -race -short ./...
 	@# The sharded kernel's concurrency surface, raced at full strength:
 	@# the coordinator's window/solo machinery, the cross-shard cluster
-	@# invariance matrix, and the sharded mega smoke (skipped under -short
-	@# above) all run with the barrier worker pool live.
-	$(GO) test -race -run 'TestRing|TestShard|TestSolo|TestRunMegaSharded' \
-		./internal/sim/shard/ ./internal/core/ ./stringsched/
+	@# invariance matrix, a cross-kernel conn passing frames between two
+	@# kernels' pools, and the sharded mega smoke and the sharded alloc
+	@# budget's four-worker pass (both skipped under -short above) all run
+	@# with the barrier worker pool live.
+	$(GO) test -race -run 'TestRing|TestShard|TestSolo|TestRunMegaSharded|TestCrossConn|TestAllocBudgetShardedRequest' \
+		./internal/sim/shard/ ./internal/core/ ./stringsched/ ./internal/rpcproto/ .
 	@# The cluster tier's invariance matrix (rerun, workers 1 vs 8,
 	@# shards 1 vs 4) raced at quick scale: the supernode runs go through
 	@# the sweep worker pool and the shard barrier with the detector live.

@@ -92,12 +92,14 @@ func (f *nodeFabric) ConnectBackend(p *sim.Proc, gid balancer.GID, _ int) rpcpro
 	}
 	if oe == e {
 		conn := rpcproto.NewConn(e.k, link)
+		conn.SetPools(&e.pool, &e.pool)
 		c.accept(int(gid), conn)
 		return conn.A()
 	}
 	conn := rpcproto.NewCrossConn(e.k, oe.k, link,
-		func(lat sim.Time, fn func()) { e.sh.Send(oe.idx, lat, fn) },
-		func(lat sim.Time, fn func()) { oe.sh.Send(e.idx, lat, fn) })
+		func(lat sim.Time, q *sim.Queue[rpcproto.Msg], m rpcproto.Msg) { e.sh.SendPut(oe.idx, lat, q, m) },
+		func(lat sim.Time, q *sim.Queue[rpcproto.Msg], m rpcproto.Msg) { oe.sh.SendPut(e.idx, lat, q, m) })
+	conn.SetPools(&e.pool, &oe.pool)
 	e.sh.Send(oe.idx, link.Latency, func() { c.accept(int(gid), conn) })
 	return conn.A()
 }

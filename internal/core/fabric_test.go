@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/balancer"
@@ -120,7 +121,13 @@ func TestCrossNodeReportsPayTheLink(t *testing.T) {
 // TestStallRecoveryFromRemoteFrontend drives the failure detector end to
 // end from node 1: a stall longer than the call timeout makes the frontends
 // time out, report the failure across the link, retransmit, and report the
-// recovery once the stalled backend answers.
+// recovery once the stalled backend answers. The fault plan keeps both nodes
+// on one kernel at any Shards; the last case drops it, so the same recovering
+// frontends reach their backends over cross-kernel conns. In every case
+// no-recycle is the connection's property: no frame of a retransmitting
+// connection reaches a kernel's pool — which on one kernel is shared with
+// every other application, and across kernels has a side the frontend cannot
+// reach — so the pools end as they began.
 func TestStallRecoveryFromRemoteFrontend(t *testing.T) {
 	streams := []workload.StreamSpec{
 		{Kind: workload.Gaussian, Count: 3, Lambda: 100 * sim.Millisecond, Node: 1, Tenant: 1, Weight: 1},
@@ -131,22 +138,46 @@ func TestStallRecoveryFromRemoteFrontend(t *testing.T) {
 			At: 500 * sim.Millisecond, Kind: faults.StallGPU, GID: gid, Dur: 1500 * sim.Millisecond,
 		})
 	}
-	c := oneKernelSupernode(t, Config{
-		Seed: 3, Faults: plan, Recovery: interpose.Recovery{CallTimeout: sim.Second},
-	})
-	r, err := c.Run(streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Errors) > 0 || r.Lost != 0 || r.Finished != 3 {
-		t.Fatalf("stall run: finished %d lost %d errors %v", r.Finished, r.Lost, r.Errors)
-	}
-	if r.Recovered == 0 {
-		t.Fatal("no frontend timed out and recovered: the detector path was not exercised")
-	}
-	for gid := 0; gid < 4; gid++ {
-		if h := c.mapper.DST().Health(balancer.GID(gid)); h != balancer.Healthy {
-			t.Fatalf("gid %d ended %v: the recovery report never reached the mapper", gid, h)
+	for _, tc := range []struct {
+		name    string
+		shards  int
+		plan    faults.Plan
+		sharded bool
+	}{
+		{"stall/shards=0", 0, plan, false},
+		{"stall/shards=4", 4, plan, false},
+		{"no-faults/shards=4", 4, faults.Plan{}, true},
+	} {
+		c, err := New(Config{
+			Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin", Shards: tc.shards,
+			Faults: tc.plan, Recovery: interpose.Recovery{CallTimeout: sim.Second},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if c.Sharded() != tc.sharded {
+			t.Fatalf("%s: Sharded() = %v", tc.name, c.Sharded())
+		}
+		r, err := c.Run(streams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Errors) > 0 || r.Lost != 0 || r.Finished != 3 {
+			t.Fatalf("%s: finished %d lost %d errors %v", tc.name, r.Finished, r.Lost, r.Errors)
+		}
+		if stalled := len(tc.plan.Faults) > 0; (r.Recovered > 0) != stalled {
+			t.Fatalf("%s: %d frontends timed out and recovered: want some exactly when the GPUs stall", tc.name, r.Recovered)
+		}
+		for gid := 0; gid < 4; gid++ {
+			if h := c.mapper.DST().Health(balancer.GID(gid)); h != balancer.Healthy {
+				t.Fatalf("%s: gid %d ended %v: the recovery report never reached the mapper", tc.name, gid, h)
+			}
+		}
+		for _, e := range c.envs {
+			if !reflect.DeepEqual(&e.pool, &rpcproto.Pool{}) {
+				t.Fatalf("%s: kernel %d's frame pool was used by a connection under recovery", tc.name, e.idx)
+			}
 		}
 	}
 }

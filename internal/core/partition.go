@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/rpcproto"
 	"repro/internal/sim"
 	"repro/internal/sim/shard"
 	"repro/internal/trace"
@@ -12,14 +13,15 @@ import (
 const appIDStride = 1 << 32
 
 // shardEnv is one kernel's slice of the cluster: the kernel and its
-// coordinator handle, the recorder and result sink local to it, and the
-// app-ID/tenant bookkeeping of the streams arriving at its nodes.
+// coordinator handle, the recorder, result sink and frame pool local to it,
+// and the app-ID/tenant bookkeeping of the streams arriving at its nodes.
 type shardEnv struct {
-	c   *Cluster
-	idx int
-	k   *sim.Kernel
-	sh  *shard.Shard
-	rec *trace.Recorder
+	c    *Cluster
+	idx  int
+	k    *sim.Kernel
+	sh   *shard.Shard
+	rec  *trace.Recorder
+	pool rpcproto.Pool
 
 	results   *RunResult
 	appSeq    int

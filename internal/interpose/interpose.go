@@ -84,7 +84,7 @@ type Interposer struct {
 
 	calls int
 
-	// pool recycles Call/Reply frames over the backend connection (nil —
+	// pool recycles Call/Reply frames through the frontend's kernel (nil —
 	// allocate-and-drop — until bound, and always nil in recovery mode,
 	// whose retransmission state retains frames past the round trip).
 	// lastCall/lastReply are the previous blocking round trip's frames:
@@ -205,6 +205,16 @@ func (ip *Interposer) sendRPC(c *rpcproto.Call, blocking bool) (*rpcproto.Reply,
 	}
 }
 
+// connect opens the connection to the bound GPU's backend. Retransmission
+// retains frames past their round trip, so under recovery neither side recycles.
+func (ip *Interposer) connect() {
+	ip.ep = ip.fab.ConnectBackend(ip.p, ip.gid, ip.node)
+	if ip.rec.cfg.Enabled() {
+		ip.ep.RetainFrames()
+	}
+	ip.pool = ip.ep.Pool()
+}
+
 // SetDevice implements cuda.Client: the call is intercepted and the target
 // GPU is chosen by the workload balancer instead of the application.
 func (ip *Interposer) SetDevice(dev int) error {
@@ -225,15 +235,8 @@ func (ip *Interposer) SetDevice(dev int) error {
 	ip.tr.SetGID(sel, int(gid))
 	ip.tr.End(sel, ip.p.Now())
 	ip.gid = gid
-	ip.ep = ip.fab.ConnectBackend(ip.p, gid, ip.node)
+	ip.connect()
 	ip.bound = true
-	if ip.rec.cfg.Enabled() {
-		// Retransmission retains frames past their round trip: both sides
-		// of the connection must stop recycling.
-		ip.ep.Pool().Disable()
-	} else {
-		ip.pool = ip.ep.Pool()
-	}
 	reg := ip.newCall(cuda.CallSetDevice)
 	reg.Dev = int32(gid)
 	reg.KernelName = ip.kind // carries the class for RCB/SFT keying

@@ -17,6 +17,7 @@ type fakeFabric struct {
 	selected []balancer.Request
 	gid      balancer.GID
 	conn     *rpcproto.Conn
+	pool     rpcproto.Pool // the kernel's frame pool, as core gives every conn
 	received []*rpcproto.Call
 	feedback []*rpcproto.Feedback
 	released []string
@@ -29,6 +30,7 @@ type fakeFabric struct {
 
 func newFakeFabric(k *sim.Kernel) *fakeFabric {
 	f := &fakeFabric{k: k, gid: 1, conn: rpcproto.NewConn(k, rpcproto.LinkSpec{})}
+	f.conn.SetPools(&f.pool, &f.pool)
 	k.Go("fake-backend", func(p *sim.Proc) {
 		ep := f.conn.B()
 		for {

@@ -318,7 +318,7 @@ func (ip *Interposer) failover() (*rpcproto.Reply, error) {
 		ip.gid = ip.fab.SelectGPU(ip.p, balancer.Request{
 			AppID: ip.appID, Kind: ip.kind, Node: ip.node, Tenant: ip.tenant,
 		})
-		ip.ep = ip.fab.ConnectBackend(ip.p, ip.gid, ip.node)
+		ip.connect()
 
 		reg, err := ip.rebind()
 		if err == nil {

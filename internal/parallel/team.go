@@ -20,13 +20,14 @@ import (
 // results), so which worker runs which index can never matter. Run with a
 // single-worker team — or a phase of one item — executes inline on the
 // caller's goroutine, which is the reference execution every parallel phase
-// must reproduce.
+// must reproduce. A Team runs one phase at a time: Run is for one goroutine.
 type Team struct {
 	workers int
 	tasks   chan teamTask
 	closed  bool
 
-	wg         sync.WaitGroup
+	wg         sync.WaitGroup // the workers, for Close
+	phase      sync.WaitGroup // the running phase's tasks, for Run's barrier
 	panicMu    sync.Mutex
 	firstPanic any
 }
@@ -35,7 +36,6 @@ type Team struct {
 type teamTask struct {
 	fn func(i int)
 	i  int
-	wg *sync.WaitGroup
 }
 
 // NewTeam creates a team of the given size. workers <= 1 creates an inline
@@ -73,7 +73,7 @@ func (t *Team) Workers() int {
 
 // runOne executes one task, capturing panics for Run to re-raise.
 func (t *Team) runOne(task teamTask) {
-	defer task.wg.Done()
+	defer t.phase.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			t.panicMu.Lock()
@@ -103,12 +103,11 @@ func (t *Team) Run(n int, fn func(i int)) {
 	if t.closed {
 		panic("parallel: Team.Run after Close")
 	}
-	var wg sync.WaitGroup
-	wg.Add(n)
+	t.phase.Add(n)
 	for i := 0; i < n; i++ {
-		t.tasks <- teamTask{fn: fn, i: i, wg: &wg}
+		t.tasks <- teamTask{fn: fn, i: i}
 	}
-	wg.Wait()
+	t.phase.Wait()
 	t.panicMu.Lock()
 	p := t.firstPanic
 	t.firstPanic = nil

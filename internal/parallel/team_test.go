@@ -119,3 +119,22 @@ func TestTeamRunZeroAndNegative(t *testing.T) {
 	tm.Run(0, func(int) { t.Fatal("fn called for n=0") })
 	tm.Run(-3, func(int) { t.Fatal("fn called for n<0") })
 }
+
+// TestTeamRunZeroAlloc: the shard coordinator calls Run once per window,
+// with a phase body it built once, so a phase must cost channel wakes and
+// nothing else — the barrier's WaitGroup lives in the Team, not in each Run.
+func TestTeamRunZeroAlloc(t *testing.T) {
+	tm := NewTeam(2)
+	defer tm.Close()
+	var hits [4]int
+	body := func(i int) { hits[i]++ }
+	tm.Run(len(hits), body) // start the workers' first receives outside the count
+	if allocs := testing.AllocsPerRun(200, func() { tm.Run(len(hits), body) }); allocs != 0 {
+		t.Fatalf("%v allocations per phase at 2 workers, want 0", allocs)
+	}
+	for i, n := range hits {
+		if n != 202 {
+			t.Fatalf("index %d ran %d times, want 202", i, n)
+		}
+	}
+}

@@ -1,10 +1,16 @@
 package rpcproto
 
-// Pool recycles Call and Reply frames across the requests flowing over one
-// connection. The simulated RPC path allocates one Call and one Reply per
+// Pool recycles Call and Reply frames among the connections that run on one
+// simulation kernel. The simulated RPC path uses one Call and one Reply per
 // intercepted CUDA call; on a million-request run those frames dominate the
 // allocation profile, so the frontend and backend return consumed frames
 // here instead of dropping them for the GC.
+//
+// A pool belongs to a kernel, not to a connection: a kernel runs one process
+// at a time, so every endpoint on it shares the free lists without locking,
+// and a frame is freed into the pool of whichever kernel frees it. It changes
+// kernels only inside a message, so the shard coordinator's window barrier
+// that carries the message is the happens-before edge.
 //
 // Ownership discipline (enforced by the callers, not the pool):
 //
@@ -14,32 +20,28 @@ package rpcproto
 //   - non-blocking calls: the frontend forgets the frame at issue, so the
 //     backend frees the call — and the suppressed reply — at the end of the
 //     serve iteration;
-//   - recovery mode disables the pool entirely: retransmission keeps frames
-//     alive past any single round trip, and correctness beats allocation
-//     rate on that path.
+//   - a connection under recovery hands out no pool (Endpoint.RetainFrames):
+//     retransmission keeps frames alive past any single round trip.
 //
-// The zero Pool is valid and enabled. A nil *Pool is a valid disabled pool:
-// Get allocates fresh frames and Free drops them, so callers need not guard.
+// The zero Pool is valid. A nil *Pool is the valid disabled pool: Get
+// allocates fresh frames and Free drops them, so callers need not guard.
 type Pool struct {
-	calls    []*Call
-	replies  []*Reply
-	disabled bool
+	calls   []*Call
+	replies []*Reply
 }
 
-// Disable makes the pool hand out fresh frames and drop freed ones. Used by
-// the recovery layer, whose retransmission logic retains frames past the
-// round trip that issued them.
-func (p *Pool) Disable() {
-	if p != nil {
-		p.disabled = true
-		p.calls = nil
-		p.replies = nil
-	}
-}
+// poolCap bounds the free frames of each kind a pool keeps. Between kernels
+// frames flow one way (replies toward frontends, non-blocking calls toward
+// backends), so a kernel hosting more of one would hoard what its peers
+// allocate; capped, a one-way topology degrades to allocate-and-drop. On the
+// repo benchmark one kernel peaks at 159 calls and 42 replies (policy_grid),
+// while fleet_sharded uncapped drifts past 1 758 and 505: 256 covers the
+// first and stops the second at 55 KB a kernel for 0.05 allocations a request.
+const poolCap = 256
 
 // GetCall returns a zeroed Call frame.
 func (p *Pool) GetCall() *Call {
-	if p == nil || p.disabled {
+	if p == nil {
 		return &Call{}
 	}
 	if n := len(p.calls); n > 0 {
@@ -54,7 +56,7 @@ func (p *Pool) GetCall() *Call {
 // FreeCall returns a fully consumed Call frame to the pool. The frame is
 // zeroed here so a pooled frame is indistinguishable from a fresh one.
 func (p *Pool) FreeCall(c *Call) {
-	if p == nil || p.disabled || c == nil {
+	if p == nil || c == nil || len(p.calls) >= poolCap {
 		return
 	}
 	*c = Call{}
@@ -63,7 +65,7 @@ func (p *Pool) FreeCall(c *Call) {
 
 // GetReply returns a zeroed Reply frame.
 func (p *Pool) GetReply() *Reply {
-	if p == nil || p.disabled {
+	if p == nil {
 		return &Reply{}
 	}
 	if n := len(p.replies); n > 0 {
@@ -77,7 +79,7 @@ func (p *Pool) GetReply() *Reply {
 
 // FreeReply returns a fully consumed Reply frame to the pool.
 func (p *Pool) FreeReply(r *Reply) {
-	if p == nil || p.disabled || r == nil {
+	if p == nil || r == nil || len(p.replies) >= poolCap {
 		return
 	}
 	*r = Reply{}

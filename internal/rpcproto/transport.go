@@ -47,25 +47,25 @@ func (l LinkSpec) TransferTime(size int64) sim.Time {
 // can ride the kernel's closure-free AfterPut path.
 type Msg = interface{}
 
-// CrossDeliver schedules fn on the peer side's kernel after the link
-// latency. It is how a cross-kernel Conn hands a delivery to an outside
-// scheduler (the shard coordinator's mailbox Send); the latency must be at
+// CrossDeliver puts msg on q, a queue of the peer side's kernel, after the
+// link latency. It is how a cross-kernel Conn hands a delivery to an outside
+// scheduler (the shard coordinator's mailbox SendPut); the latency must be at
 // least the coordinator's lookahead for the handoff to be causally valid.
-type CrossDeliver func(latency sim.Time, fn func())
+type CrossDeliver func(latency sim.Time, q *sim.Queue[Msg], msg Msg)
 
 // Conn is a simulated bidirectional message connection between a frontend
 // (side A) and a backend (side B) crossing one link.
 type Conn struct {
-	k    *sim.Kernel
-	link LinkSpec
-	toB  *sim.Queue[Msg]
-	toA  *sim.Queue[Msg]
-	xToB CrossDeliver // non-nil when the two sides live on different kernels
-	xToA CrossDeliver
-	pool Pool
+	k     *sim.Kernel
+	link  LinkSpec
+	toB   *sim.Queue[Msg]
+	toA   *sim.Queue[Msg]
+	xToB  CrossDeliver // non-nil when the two sides live on different kernels
+	xToA  CrossDeliver
+	pools [2]*Pool // side A's and side B's frame pool; nil allocates and drops
 }
 
-// NewConn creates a connection over the given link.
+// NewConn creates a connection over the given link, with no frame pools.
 func NewConn(k *sim.Kernel, link LinkSpec) *Conn {
 	return &Conn{k: k, link: link, toB: sim.NewQueue[Msg](k), toA: sim.NewQueue[Msg](k)}
 }
@@ -73,11 +73,9 @@ func NewConn(k *sim.Kernel, link LinkSpec) *Conn {
 // NewCrossConn creates a connection whose A side lives on kernel kA and B
 // side on kernel kB. Each inbox queue lives on its reader's kernel, and
 // sends route through the per-direction deliver hooks instead of a local
-// timer. The frame pool is disabled: a pooled frame freed on one side would
-// be handed out on the other side's kernel, and the two free lists have no
-// synchronization between them — cross-kernel calls allocate and drop.
+// timer.
 func NewCrossConn(kA, kB *sim.Kernel, link LinkSpec, toB, toA CrossDeliver) *Conn {
-	c := &Conn{
+	return &Conn{
 		k:    kA,
 		link: link,
 		toB:  sim.NewQueue[Msg](kB),
@@ -85,9 +83,11 @@ func NewCrossConn(kA, kB *sim.Kernel, link LinkSpec, toB, toA CrossDeliver) *Con
 		xToB: toB,
 		xToA: toA,
 	}
-	c.pool.Disable()
-	return c
 }
+
+// SetPools installs the frame pools the endpoints hand out: that of the kernel
+// side A runs on and that of side B's kernel (one pool when they share it).
+func (c *Conn) SetPools(a, b *Pool) { c.pools = [2]*Pool{a, b} }
 
 // Link returns the connection's link spec.
 func (c *Conn) Link() LinkSpec { return c.link }
@@ -98,41 +98,45 @@ type Endpoint struct {
 	out  *sim.Queue[Msg]
 	in   *sim.Queue[Msg]
 	x    CrossDeliver // non-nil when out lives on the peer's kernel
+	side int          // 0 for A, 1 for B: the endpoint's index in conn.pools
 }
 
 // A returns the frontend-side endpoint.
 func (c *Conn) A() Endpoint { return Endpoint{conn: c, out: c.toB, in: c.toA, x: c.xToB} }
 
 // B returns the backend-side endpoint.
-func (c *Conn) B() Endpoint { return Endpoint{conn: c, out: c.toA, in: c.toB, x: c.xToA} }
+func (c *Conn) B() Endpoint { return Endpoint{conn: c, out: c.toA, in: c.toB, x: c.xToA, side: 1} }
 
 // Send transmits msg plus payload bulk bytes. The sender is charged the
 // marshalling and serialization cost; the message is delivered to the peer
 // after the link latency. Messages sent from one endpoint arrive in order
-// (on cross-kernel conns the deliver hook's FIFO mailbox preserves this).
+// (on cross-kernel conns the mailbox breaks equal instants by send sequence).
+//
+//strings:hotpath
 func (e Endpoint) Send(p *sim.Proc, msg Msg, payload int64) {
 	size := int64(wireSize(msg)) + payload
 	if cost := e.conn.link.TransferTime(size); cost > 0 {
 		p.Sleep(cost)
 	}
 	if e.x != nil {
-		out, m := e.out, msg
-		e.x(e.conn.link.Latency, func() { out.Put(m) })
+		e.x(e.conn.link.Latency, e.out, msg)
 		return
 	}
 	e.conn.k.AfterPut(e.conn.link.Latency, e.out, msg)
 }
 
-// Pool returns the connection's shared frame pool (nil — the valid disabled
-// pool — for the zero Endpoint). Both endpoints hand out the same pool: the
-// simulation kernel runs one process at a time, so the two sides can share
-// free lists without locking.
+// Pool returns the frame pool of the kernel this side runs on: nil, the valid
+// disabled pool, for the zero Endpoint and for a connection without pools.
 func (e Endpoint) Pool() *Pool {
 	if e.conn == nil {
 		return nil
 	}
-	return &e.conn.pool
+	return e.conn.pools[e.side]
 }
+
+// RetainFrames makes both endpoints hand out the nil pool from here on. The
+// recovery layer calls it before its first call, so before a backend can ask.
+func (e Endpoint) RetainFrames() { e.conn.pools = [2]*Pool{} }
 
 // Recv blocks until the next message arrives.
 func (e Endpoint) Recv(p *sim.Proc) Msg { return e.in.Get(p) }

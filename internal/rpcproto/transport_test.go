@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cuda"
 	"repro/internal/sim"
+	"repro/internal/sim/shard"
 )
 
 func TestConnDeliversInOrderWithLatency(t *testing.T) {
@@ -139,5 +140,142 @@ func TestGigESlowerThanShm(t *testing.T) {
 	// 1 MiB at 125 B/us ≈ 8.4ms of wire time.
 	if gige < 8*sim.Millisecond {
 		t.Fatalf("GigE 1MiB copy cost %v, want >= 8ms", gige)
+	}
+}
+
+// crossSession is what one frontend/backend pair on two kernels observed.
+// The frontend's process writes the first group of fields and the backend's
+// the second; the test reads them after the run.
+type crossSession struct {
+	frames   []*Call    // the call frames the frontend took, in issue order
+	sent     []sim.Time // the instant each Send returned
+	reply    *Reply
+	replySeq uint64
+	replyAt  sim.Time
+
+	arrived    []*Call
+	arrivedSeq []uint64
+	arrivedAt  []sim.Time
+	replyFrame *Reply
+	replied    sim.Time // the instant the reply's Send returned
+}
+
+// runCrossSession starts, at the given instant, a frontend on conn's A side
+// issuing three non-blocking calls of growing payload and one blocking call,
+// and a backend on its B side, each recycling through its endpoint's pool
+// under the ownership discipline of Pool.
+func runCrossSession(kA, kB *sim.Kernel, conn *Conn, start sim.Time) *crossSession {
+	s := &crossSession{}
+	kA.Go("frontend", func(p *sim.Proc) {
+		p.Sleep(start)
+		ep := conn.A()
+		for i := 1; i <= 4; i++ {
+			c := ep.Pool().GetCall()
+			c.ID, c.Seq, c.NonBlocking = cuda.CallMemcpy, uint64(i), i < 4
+			s.frames = append(s.frames, c)
+			ep.Send(p, c, int64(i)*1000)
+			s.sent = append(s.sent, p.Now())
+		}
+		s.reply = ep.Recv(p).(*Reply)
+		s.replySeq, s.replyAt = s.reply.Seq, p.Now()
+		ep.Pool().FreeCall(s.frames[3])
+		ep.Pool().FreeReply(s.reply)
+	})
+	kB.Go("backend", func(p *sim.Proc) {
+		ep := conn.B()
+		for i := 1; i <= 4; i++ {
+			c := ep.Recv(p).(*Call)
+			s.arrived = append(s.arrived, c)
+			s.arrivedSeq = append(s.arrivedSeq, c.Seq)
+			s.arrivedAt = append(s.arrivedAt, p.Now())
+			if c.NonBlocking {
+				ep.Pool().FreeCall(c)
+				continue
+			}
+			s.replyFrame = ep.Pool().GetReply()
+			s.replyFrame.Seq = c.Seq
+			ep.Send(p, s.replyFrame, 500)
+			s.replied = p.Now()
+		}
+	})
+	return s
+}
+
+// TestCrossConnFramesChangeKernels drives a Conn whose sides run on two
+// kernels of one shard coordinator — the layout core builds for a remote GPU
+// — at one and at two barrier workers (the second is the case the race
+// detector is for). Messages arrive in send order, one link latency after the
+// sender has paid the transfer; every frame is freed into the pool of the
+// kernel that consumed it; and a second session in the opposite direction
+// takes those very frames back to the kernel that allocated them.
+func TestCrossConnFramesChangeKernels(t *testing.T) {
+	link := LinkSpec{Latency: 60, Bandwidth: 100}
+	for _, workers := range []int{1, 2} {
+		kernels := []*sim.Kernel{sim.NewKernel(1), sim.NewKernel(2)}
+		co := shard.NewCoordinator(kernels, link.Latency, workers)
+		pools := make([]Pool, 2)
+		connect := func(a, b int) *Conn {
+			sa, sb := co.Shard(a), co.Shard(b)
+			conn := NewCrossConn(kernels[a], kernels[b], link,
+				func(lat sim.Time, q *sim.Queue[Msg], m Msg) { sa.SendPut(b, lat, q, m) },
+				func(lat sim.Time, q *sim.Queue[Msg], m Msg) { sb.SendPut(a, lat, q, m) })
+			conn.SetPools(&pools[a], &pools[b])
+			return conn
+		}
+		there := runCrossSession(kernels[0], kernels[1], connect(0, 1), 0)
+		back := runCrossSession(kernels[1], kernels[0], connect(1, 0), 100*sim.Millisecond)
+		co.Run()
+		co.Close()
+
+		for name, s := range map[string]*crossSession{"0→1": there, "1→0": back} {
+			if len(s.arrived) != 4 || s.reply == nil {
+				t.Fatalf("workers=%d %s: %d calls arrived, reply %v", workers, name, len(s.arrived), s.reply)
+			}
+			for i := range s.arrived {
+				if s.arrivedSeq[i] != uint64(i+1) || s.arrived[i] != s.frames[i] {
+					t.Fatalf("workers=%d %s: arrival %d is call %d, want the frame issued as call %d", workers, name, i, s.arrivedSeq[i], i+1)
+				}
+				if s.arrivedAt[i] != s.sent[i]+link.Latency {
+					t.Fatalf("workers=%d %s: call %d sent by %v arrived at %v, want one latency later", workers, name, i+1, s.sent[i], s.arrivedAt[i])
+				}
+				if i > 0 && s.sent[i]-s.sent[i-1] < link.TransferTime(int64(i+1)*1000) {
+					t.Fatalf("workers=%d %s: call %d left %v after its predecessor, under its transfer time", workers, name, i+1, s.sent[i]-s.sent[i-1])
+				}
+			}
+			if s.reply != s.replyFrame || s.replySeq != 4 || s.replyAt != s.replied+link.Latency {
+				t.Fatalf("workers=%d %s: reply %p (seq %d) at %v, backend sent %p by %v", workers, name, s.reply, s.replySeq, s.replyAt, s.replyFrame, s.replied)
+			}
+		}
+		// Kernel 1 took the first session's three non-blocking frames from
+		// kernel 0 and, as the second session's frontend, sent them back,
+		// last freed first; its fourth call found the pool empty.
+		for i := 0; i < 3; i++ {
+			if back.frames[i] != there.frames[2-i] {
+				t.Fatalf("workers=%d: return call %d did not reuse the frame kernel 0 allocated", workers, i+1)
+			}
+		}
+		// The reply frame kernel 1 allocated was freed on kernel 0, taken
+		// there by the second session's backend, and freed on kernel 1 again.
+		if back.replyFrame != there.replyFrame {
+			t.Fatalf("workers=%d: the second session's backend did not reuse the reply frame freed on its kernel", workers)
+		}
+		wantCalls := [][]*Call{
+			{there.frames[3], there.frames[2], there.frames[1], there.frames[0]},
+			{back.frames[3]},
+		}
+		for k := range pools {
+			if len(pools[k].calls) != len(wantCalls[k]) || len(pools[k].replies) != k {
+				t.Fatalf("workers=%d: kernel %d's pool ends with %d calls and %d replies, want %d and %d",
+					workers, k, len(pools[k].calls), len(pools[k].replies), len(wantCalls[k]), k)
+			}
+			for i, c := range wantCalls[k] {
+				if pools[k].calls[i] != c {
+					t.Fatalf("workers=%d: kernel %d's pool holds the wrong frame at %d", workers, k, i)
+				}
+			}
+		}
+		if pools[1].replies[0] != there.replyFrame {
+			t.Fatalf("workers=%d: the reply frame did not end on the kernel that allocated it", workers)
+		}
 	}
 }

@@ -1,10 +1,10 @@
 package sim
 
 // heapItem constrains heap4 elements to value types carrying their own
-// ordering. Using a method rather than a comparison closure lets the compiler
-// devirtualize the call per instantiation, and storing T by value (not
-// through container/heap's interface{}) removes the per-Push allocation and
-// keeps siblings adjacent in memory.
+// ordering. Storing T by value (not through container/heap's interface{})
+// removes the per-Push allocation and keeps siblings adjacent in memory. The
+// compare is not inlined: Go reaches lessThan through the GC-shape dictionary,
+// and sim.activation.lessThan is 2.2 % of fleet_sharded's host samples, flat.
 type heapItem[T any] interface{ lessThan(T) bool }
 
 // heap4 is a hand-rolled 4-ary min-heap. Compared to the binary

@@ -10,13 +10,13 @@
 //
 //   - Every cross-shard effect travels as a mailbox message carrying an
 //     absolute delivery instant at least one lookahead in the sender's
-//     future. Messages are collected per (src, dst) in send order.
+//     future. A sender collects its messages in send order.
 //   - Shards only exchange messages at window barriers, on the coordinator's
-//     goroutine, with the shards stopped. Pending messages are injected into
-//     the destination kernel in sorted (time, src shard id, per-src sequence)
-//     order, and the kernel's timer facility preserves registration order at
-//     equal instants — so the merged event order is a pure function of the
-//     virtual state, never of host scheduling.
+//     goroutine, with the shards stopped. A destination's mailbox is kept in
+//     (time, src shard id, per-src sequence) order and injected into its
+//     kernel from the front, and the kernel's timer facility preserves
+//     registration order at equal instants — so the merged event order is a
+//     pure function of the virtual state, never of host scheduling.
 //   - Inside a window each shard advances only its own kernel and writes
 //     only its own state; the window barrier (parallel.Team) provides the
 //     happens-before edges between a sender's window and the receiver's
@@ -35,7 +35,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/parallel"
 	"repro/internal/sim"
@@ -45,15 +44,54 @@ import (
 // the Run limit (matching the kernel's own maximum instant).
 const none = sim.Time(1<<62 - 1)
 
-// message is one cross-shard effect: fn runs on the destination kernel's
-// timer daemon at instant at. seq is the per-source send sequence that
-// breaks same-instant ties deterministically.
+// message is one cross-shard effect, a timer of the destination kernel at
+// instant at: fn runs or, when fn is nil (the closure-free form), v is put on
+// q. seq is the per-source send sequence that breaks same-instant ties.
 type message struct {
-	at  sim.Time
-	src int
-	dst int
-	seq uint64
-	fn  func()
+	at       sim.Time
+	src, dst int
+	seq      uint64
+	fn       func()
+	q        *sim.Queue[any]
+	v        any
+}
+
+// arm schedules the effect on k, d from k's present.
+func (m *message) arm(k *sim.Kernel, d sim.Time) {
+	if m.fn != nil {
+		k.After(d, m.fn)
+	} else {
+		k.AfterPut(d, m.q, m.v)
+	}
+}
+
+// before is the mailbox order: (at, src, seq). No two messages compare equal.
+func (m *message) before(o *message) bool {
+	return m.at < o.at || m.at == o.at && (m.src < o.src || m.src == o.src && m.seq < o.seq)
+}
+
+// mailbox is one destination's undelivered messages, buf[head:], in before
+// order; inject delivers from the front by advancing head.
+type mailbox struct {
+	buf  []message
+	head int
+}
+
+// put inserts m in order, searching from the back: sources drain in send
+// order with instants that rarely decrease, so m almost always goes last.
+func (mb *mailbox) put(m message) {
+	if mb.head > 0 && len(mb.buf) == cap(mb.buf) {
+		// Reclaim the delivered prefix rather than grow past it.
+		n := copy(mb.buf, mb.buf[mb.head:])
+		clear(mb.buf[n:])
+		mb.buf, mb.head = mb.buf[:n], 0
+	}
+	mb.buf = append(mb.buf, m) //lint:allow hotalloc -- mailbox growth is amortized, bounded by peak undelivered messages
+	x := len(mb.buf) - 1
+	for ; x > mb.head && m.before(&mb.buf[x-1]); x-- {
+		mb.buf[x] = mb.buf[x-1]
+	}
+	mb.buf[x] = m
 }
 
 // Shard is one member kernel's handle. Code running on the shard's kernel
@@ -89,9 +127,24 @@ func (s *Shard) ID() int { return s.id }
 // Send must be called from code executing on the shard's own kernel (a
 // process, a timer callback) or between runs on the coordinator's
 // goroutine; it is not safe from foreign goroutines.
+//
+//strings:hotpath
 func (s *Shard) Send(dst int, delay sim.Time, fn func()) {
+	s.post(dst, delay, message{fn: fn})
+}
+
+// SendPut is Send(dst, delay, func() { q.Put(v) }) without the closure, as
+// sim.Kernel.AfterPut is to After: the form for request-path traffic.
+//
+//strings:hotpath
+func (s *Shard) SendPut(dst int, delay sim.Time, q *sim.Queue[any], v any) {
+	s.post(dst, delay, message{q: q, v: v})
+}
+
+// post arms a self-send at once and stamps any other message into the outbox.
+func (s *Shard) post(dst int, delay sim.Time, m message) {
 	if dst == s.id {
-		s.K.After(delay, fn)
+		m.arm(s.K, delay)
 		return
 	}
 	if dst < 0 || dst >= len(s.co.shards) {
@@ -102,9 +155,8 @@ func (s *Shard) Send(dst int, delay sim.Time, fn func()) {
 			s.id, dst, delay, s.co.look))
 	}
 	s.seqCtr++
-	s.outbox = append(s.outbox, message{
-		at: s.K.Now() + delay, src: s.id, dst: dst, seq: s.seqCtr, fn: fn,
-	})
+	m.at, m.src, m.dst, m.seq = s.K.Now()+delay, s.id, dst, s.seqCtr
+	s.outbox = append(s.outbox, m) //lint:allow hotalloc -- outbox growth is amortized, bounded by one window's sends
 	if s.soloActive {
 		// First cross-shard send of a solo run: the solo horizon was
 		// computed assuming no outbound traffic, so stop here (a point
@@ -142,12 +194,14 @@ type Coordinator struct {
 	shards  []*Shard
 	look    sim.Time
 	team    *parallel.Team
-	pending [][]message // undelivered messages, per destination
+	pending []mailbox // undelivered messages, per destination
 	stats   Stats
 
-	// Scratch buffers reused across windows.
-	nexts  []sim.Time
-	active []int
+	// Scratch reused across windows; a window's active set is a prefix of active.
+	nexts   []sim.Time
+	active  []int
+	horizon sim.Time
+	step    func(x int)
 }
 
 // NewCoordinator builds a composition over the given kernels (one shard
@@ -170,10 +224,12 @@ func NewCoordinator(kernels []*sim.Kernel, lookahead sim.Time, workers int) *Coo
 	c := &Coordinator{
 		look:    lookahead,
 		team:    parallel.NewTeam(workers),
-		pending: make([][]message, len(kernels)),
+		pending: make([]mailbox, len(kernels)),
 		nexts:   make([]sim.Time, len(kernels)),
+		active:  make([]int, len(kernels)),
 		stats:   Stats{Lookahead: lookahead},
 	}
+	c.step = func(x int) { c.shards[c.active[x]].K.RunUntil(c.horizon) }
 	for i, k := range kernels {
 		c.shards = append(c.shards, &Shard{K: k, id: i, co: c})
 	}
@@ -214,21 +270,21 @@ func (c *Coordinator) RunUntil(limit sim.Time) {
 }
 
 // next computes shard i's earliest relevant instant: its kernel's next
-// pending activation or the earliest undelivered message addressed to it.
+// pending activation or the front of its mailbox.
 func (c *Coordinator) next(i int) sim.Time {
 	t := none
 	if et, ok := c.shards[i].K.NextEventTime(); ok {
 		t = et
 	}
-	for _, m := range c.pending[i] {
-		if m.at < t {
-			t = m.at
-		}
+	if mb := &c.pending[i]; mb.head < len(mb.buf) && mb.buf[mb.head].at < t {
+		t = mb.buf[mb.head].at
 	}
 	return t
 }
 
 // run is the conservative window loop.
+//
+//strings:hotpath
 func (c *Coordinator) run(limit sim.Time) {
 	if len(c.shards) == 1 {
 		// No peers, so no windows: every Send was a kernel timer.
@@ -254,25 +310,25 @@ func (c *Coordinator) run(limit sim.Time) {
 		if horizon > limit {
 			horizon = limit
 		}
-		c.active = c.active[:0]
+		nActive := 0
 		for i, t := range c.nexts {
 			if t <= horizon {
-				c.active = append(c.active, i)
+				c.active[nActive] = i
+				nActive++
 			}
 		}
-		nActive := len(c.active)
 		if nActive == 1 {
 			c.runSolo(c.active[0], limit)
 			continue
 		}
-		for _, i := range c.active {
+		for _, i := range c.active[:nActive] {
 			c.inject(i, horizon)
 		}
-		h := horizon
-		c.team.Run(nActive, func(x int) { c.shards[c.active[x]].K.RunUntil(h) })
+		c.horizon = horizon
+		c.team.Run(nActive, c.step)
 		// Barrier: collect outboxes in ascending shard id (the active set is
 		// built ascending), preserving per-source send order.
-		for _, i := range c.active {
+		for _, i := range c.active[:nActive] {
 			c.drain(c.shards[i])
 		}
 		c.stats.Windows++
@@ -286,6 +342,8 @@ func (c *Coordinator) run(limit sim.Time) {
 // other shard quiescent until minOther, shard i cannot be affected before
 // minOther+lookahead, so it may run alone to that horizon — unless it emits
 // a cross-shard message first, which stops the run at the send.
+//
+//strings:hotpath
 func (c *Coordinator) runSolo(i int, limit sim.Time) {
 	minOther := none
 	for j := range c.shards {
@@ -311,27 +369,18 @@ func (c *Coordinator) runSolo(i int, limit sim.Time) {
 }
 
 // inject delivers every pending message for dst due at or before horizon
-// into the destination kernel, in (time, src, seq) order; later messages
-// stay pending. Kernel timers run same-instant callbacks in registration
-// order, so the sort order is the delivery order.
+// into the destination kernel; later messages stay pending. Kernel timers run
+// same-instant callbacks in registration order, so the mailbox order of the
+// due prefix is the delivery order.
+//
+//strings:hotpath
 func (c *Coordinator) inject(dst int, horizon sim.Time) {
-	pend := c.pending[dst]
-	if len(pend) == 0 {
-		return
-	}
-	sort.Slice(pend, func(a, b int) bool {
-		if pend[a].at != pend[b].at {
-			return pend[a].at < pend[b].at
-		}
-		if pend[a].src != pend[b].src {
-			return pend[a].src < pend[b].src
-		}
-		return pend[a].seq < pend[b].seq
-	})
+	mb := &c.pending[dst]
 	k := c.shards[dst].K
 	now := k.Now()
-	cut := sort.Search(len(pend), func(x int) bool { return pend[x].at > horizon })
-	for _, m := range pend[:cut] {
+	x := mb.head
+	for ; x < len(mb.buf) && mb.buf[x].at <= horizon; x++ {
+		m := &mb.buf[x]
 		if m.at < now {
 			// The conservative invariant (receiver clock < any in-flight
 			// delivery instant) was violated — a coordinator bug, never a
@@ -339,23 +388,22 @@ func (c *Coordinator) inject(dst int, horizon sim.Time) {
 			panic(fmt.Sprintf("shard: delivery to %d at %v is in its past (now %v)",
 				dst, m.at, now))
 		}
-		k.After(m.at-now, m.fn)
+		m.arm(k, m.at-now)
+		*m = message{} // drop the references: what was delivered can be collected
 	}
-	c.stats.Messages += uint64(cut)
-	rest := pend[:0]
-	rest = append(rest, pend[cut:]...)
-	// Drop closure references past the live region so delivered messages
-	// can be collected.
-	for x := len(rest); x < len(pend); x++ {
-		pend[x] = message{}
+	c.stats.Messages += uint64(x - mb.head)
+	if x == len(mb.buf) {
+		mb.buf, x = mb.buf[:0], 0
 	}
-	c.pending[dst] = rest
+	mb.head = x
 }
 
-// drain moves a shard's outbox onto the pending lists.
+// drain moves a shard's outbox into the destinations' mailboxes.
+//
+//strings:hotpath
 func (c *Coordinator) drain(s *Shard) {
-	for x, m := range s.outbox {
-		c.pending[m.dst] = append(c.pending[m.dst], m)
+	for x := range s.outbox {
+		c.pending[s.outbox[x].dst].put(s.outbox[x])
 		s.outbox[x] = message{}
 	}
 	s.outbox = s.outbox[:0]

@@ -2,7 +2,9 @@ package shard
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/sim"
@@ -18,17 +20,19 @@ type record struct {
 }
 
 // ringRun builds n shard kernels passing tokens around a ring with varied
-// (but deterministic) service times and hop delays, runs the composition on
-// the given worker count, and returns the per-shard observation logs
-// concatenated in shard order plus the coordinator for stats inspection.
-func ringRun(t *testing.T, n, workers, tokens, hops int) ([]record, *Coordinator) {
+// (but deterministic) service times and hop delays, each hop sent as a
+// closure (Send) or, with put, as a (queue, value) message (SendPut), runs the
+// composition on the given worker count, and returns the per-shard
+// observation logs concatenated in shard order plus the coordinator for
+// stats inspection.
+func ringRun(t *testing.T, n, workers, tokens, hops int, put bool) ([]record, *Coordinator) {
 	t.Helper()
 	kernels := make([]*sim.Kernel, n)
-	queues := make([]*sim.Queue[int], n)
+	queues := make([]*sim.Queue[any], n)
 	logs := make([][]record, n)
 	for i := range kernels {
 		kernels[i] = sim.NewKernel(int64(i + 1))
-		queues[i] = sim.NewQueue[int](kernels[i])
+		queues[i] = sim.NewQueue[any](kernels[i])
 	}
 	co := NewCoordinator(kernels, look, workers)
 	for i := 0; i < n; i++ {
@@ -36,7 +40,7 @@ func ringRun(t *testing.T, n, workers, tokens, hops int) ([]record, *Coordinator
 		sh := co.Shard(i)
 		kernels[i].Go(fmt.Sprintf("ring-%d", i), func(p *sim.Proc) {
 			for {
-				v := queues[i].Get(p)
+				v := queues[i].Get(p).(int)
 				logs[i] = append(logs[i], record{Shard: i, At: p.Now(), Token: v})
 				if v >= tokens*hops {
 					continue // token retired; keep serving others
@@ -46,7 +50,11 @@ func ringRun(t *testing.T, n, workers, tokens, hops int) ([]record, *Coordinator
 				p.Sleep(sim.Time(v*7%45) + 1)
 				dst := (i + 1 + v%maxInt(1, n-1)) % n
 				next := v + 1
-				sh.Send(dst, look+sim.Time(v%3)*13, func() { queues[dst].Put(next) })
+				if put {
+					sh.SendPut(dst, look+sim.Time(v%3)*13, queues[dst], next)
+				} else {
+					sh.Send(dst, look+sim.Time(v%3)*13, func() { queues[dst].Put(next) })
+				}
 			}
 		})
 	}
@@ -72,13 +80,13 @@ func maxInt(a, b int) int {
 }
 
 func TestRingWorkerInvariance(t *testing.T) {
-	ref, refCo := ringRun(t, 4, 1, 6, 40)
+	ref, refCo := ringRun(t, 4, 1, 6, 40, false)
 	if len(ref) == 0 {
 		t.Fatal("reference run produced no deliveries")
 	}
 	refStats := refCo.Stats()
 	for _, w := range []int{2, 4, 8} {
-		got, co := ringRun(t, 4, w, 6, 40)
+		got, co := ringRun(t, 4, w, 6, 40, false)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: delivery log diverged from single-worker reference", w)
 		}
@@ -100,8 +108,8 @@ func TestRingWorkerInvariance(t *testing.T) {
 func TestShardCountCollapse(t *testing.T) {
 	// The same ring logic on 2 shards vs 4 shards is a different partition
 	// (different topology), but each must still be worker-invariant.
-	ref, _ := ringRun(t, 2, 1, 4, 25)
-	got, _ := ringRun(t, 2, 2, 4, 25)
+	ref, _ := ringRun(t, 2, 1, 4, 25, false)
+	got, _ := ringRun(t, 2, 2, 4, 25, false)
 	if !reflect.DeepEqual(got, ref) {
 		t.Fatal("2-shard ring diverged across worker counts")
 	}
@@ -336,5 +344,189 @@ func TestQuiescentGapsAreCheap(t *testing.T) {
 	s := co.Stats()
 	if total := s.Windows + s.SoloRuns; total > 20 {
 		t.Fatalf("crossing a 10s idle gap took %d loop iterations: %+v", total, s)
+	}
+}
+
+// refInject is inject as it was while a destination's pending list was an
+// unordered slice: sort all of it by (at, src, seq) on every call, binary-
+// search the horizon, copy the rest down. It is the oracle the ordered
+// mailbox is held to.
+func refInject(pend []message, horizon sim.Time) (due, rest []message) {
+	sort.Slice(pend, func(a, b int) bool {
+		if pend[a].at != pend[b].at {
+			return pend[a].at < pend[b].at
+		}
+		if pend[a].src != pend[b].src {
+			return pend[a].src < pend[b].src
+		}
+		return pend[a].seq < pend[b].seq
+	})
+	cut := sort.Search(len(pend), func(x int) bool { return pend[x].at > horizon })
+	due = append(due, pend[:cut]...)
+	return due, append(pend[:0], pend[cut:]...)
+}
+
+// TestMailboxMatchesSortReference drives one destination's mailbox and the
+// reference with the same traffic: four sources whose delivery instants
+// wander (a later send often lands earlier, and equal instants across and
+// within sources are common), drained in shard order, against horizons that
+// sometimes release everything, sometimes part and sometimes nothing. What
+// the destination kernel then runs — which message, at which instant, in
+// which order — must be the reference's sorted prefix, call after call.
+func TestMailboxMatchesSortReference(t *testing.T) {
+	type delivery struct {
+		at  sim.Time
+		src int
+		seq uint64
+	}
+	const srcs, dst, rounds = 4, 4, 500
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		kernels := make([]*sim.Kernel, srcs+1)
+		for i := range kernels {
+			kernels[i] = sim.NewKernel(1)
+		}
+		co := NewCoordinator(kernels, look, 1)
+		var got []delivery
+		var ref []message
+		delivered, leftPending := 0, 0
+		horizon := sim.Time(0)
+		for round := 0; round < rounds; round++ {
+			for src := 0; src < srcs; src++ {
+				s := co.Shard(src)
+				for n := rng.Intn(5); n > 0; n-- {
+					s.seqCtr++
+					d := delivery{horizon + look + sim.Time(rng.Intn(4))*look/2, src, s.seqCtr}
+					m := message{at: d.at, src: src, dst: dst, seq: d.seq, fn: func() {
+						got = append(got, delivery{kernels[dst].Now(), d.src, d.seq})
+					}}
+					s.outbox = append(s.outbox, m)
+					ref = append(ref, m)
+				}
+				co.drain(s)
+			}
+			horizon += sim.Time(rng.Intn(3)) * look / 2
+			var due []message
+			due, ref = refInject(ref, horizon)
+			got = got[:0]
+			co.inject(dst, horizon)
+			kernels[dst].RunUntil(horizon)
+			if len(got) != len(due) {
+				t.Fatalf("seed %d round %d: %d deliveries by %v, reference has %d", seed, round, len(got), horizon, len(due))
+			}
+			for x, m := range due {
+				if want := (delivery{m.at, m.src, m.seq}); got[x] != want {
+					t.Fatalf("seed %d round %d: delivery %d is %+v, reference has %+v", seed, round, x, got[x], want)
+				}
+			}
+			delivered += len(due)
+			if len(ref) > 0 {
+				leftPending++
+			}
+			if mb := &co.pending[dst]; len(mb.buf)-mb.head != len(ref) {
+				t.Fatalf("seed %d round %d: %d messages left pending, reference has %d", seed, round, len(mb.buf)-mb.head, len(ref))
+			}
+		}
+		if s := co.Stats(); s.Messages != uint64(delivered) {
+			t.Fatalf("seed %d: Stats().Messages = %d, delivered %d", seed, s.Messages, delivered)
+		}
+		if delivered < rounds || leftPending < rounds/4 {
+			t.Fatalf("seed %d: %d deliveries, %d rounds left a remainder: the script did not exercise both", seed, delivered, leftPending)
+		}
+		co.Close()
+	}
+}
+
+// TestSendPutMatchesSendClosure: SendPut is Send of the closure that puts —
+// the ring delivers the same tokens at the same instants through the same
+// windows, solo runs and solo stops, in the same number of kernel events — a
+// self-send is a local timer below the lookahead, and the same two misuses
+// panic.
+func TestSendPutMatchesSendClosure(t *testing.T) {
+	want, wantCo := ringRun(t, 4, 1, 6, 40, false)
+	if s := wantCo.Stats(); s.Windows == 0 || s.SoloStops == 0 || s.Messages == 0 {
+		t.Fatalf("the ring must run windows, stop a solo run and deliver messages: %+v", s)
+	}
+	for _, workers := range []int{1, 2} {
+		got, co := ringRun(t, 4, workers, 6, 40, true)
+		if !reflect.DeepEqual(got, want) || co.Stats() != wantCo.Stats() {
+			t.Fatalf("workers=%d: SendPut ring diverged from Send's: %+v vs %+v", workers, co.Stats(), wantCo.Stats())
+		}
+		for i := 0; i < co.Shards(); i++ {
+			if g, w := co.Shard(i).K.Dispatched(), wantCo.Shard(i).K.Dispatched(); g != w {
+				t.Fatalf("workers=%d: shard %d dispatched %d events with SendPut, %d with Send", workers, i, g, w)
+			}
+		}
+	}
+
+	co := NewCoordinator([]*sim.Kernel{sim.NewKernel(1), sim.NewKernel(2)}, look, 1)
+	defer co.Close()
+	sh := co.Shard(0)
+	q := sim.NewQueue[any](sh.K)
+	sh.SendPut(0, 5, q, 7)
+	co.Run()
+	if v, ok := q.TryGet(); !ok || v != 7 || sh.K.Now() != 5 || co.Stats().Messages != 0 {
+		t.Fatalf("self-SendPut delivered %v (%v) at %v with %+v, want 7 at 5 and no mailbox message", v, ok, sh.K.Now(), co.Stats())
+	}
+	for name, send := range map[string]func(){
+		"below the lookahead": func() { sh.SendPut(1, look-1, q, 1) },
+		"to an unknown shard": func() { sh.SendPut(2, look, q, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("SendPut %s did not panic", name)
+				}
+			}()
+			send()
+		}()
+	}
+}
+
+// TestWindowSteadyStateZeroAlloc: four kernels pass tokens round a ring over
+// SendPut fast enough that nearly every iteration is a window of several
+// shards. Once mailboxes, outboxes, timer slots and waiter rings have grown,
+// a window — inject, run, barrier, drain — allocates nothing.
+func TestWindowSteadyStateZeroAlloc(t *testing.T) {
+	const n = 4
+	kernels := make([]*sim.Kernel, n)
+	queues := make([]*sim.Queue[any], n)
+	for i := range kernels {
+		kernels[i] = sim.NewKernel(int64(i + 1))
+		queues[i] = sim.NewQueue[any](kernels[i])
+	}
+	co := NewCoordinator(kernels, look, 1)
+	defer co.Close()
+	for i := 0; i < n; i++ {
+		i, sh := i, co.Shard(i)
+		kernels[i].Go("relay", func(p *sim.Proc) {
+			for hop := 0; ; hop++ {
+				tok := queues[i].Get(p)
+				p.Sleep(sim.Time(hop%7) + 1)
+				// Mostly the next shard, sometimes the one after, with
+				// delays that reorder arrivals at the destination.
+				dst := (i + 1 + hop%2) % n
+				sh.SendPut(dst, look+sim.Time(hop%3)*20, queues[dst], tok)
+			}
+		})
+		for tok := 0; tok < 6; tok++ {
+			kernels[i].AfterPut(sim.Time(tok*5), queues[i], any(new(int)))
+		}
+	}
+	limit := 200 * look
+	co.RunUntil(limit) // warm up
+	before := co.Stats()
+	const runs, span = 20, 100 * look
+	allocs := testing.AllocsPerRun(runs, func() {
+		limit += span
+		co.RunUntil(limit)
+	})
+	after := co.Stats()
+	windows := after.Windows - before.Windows
+	if windows < (runs+1)*50 || after.Messages-before.Messages < windows {
+		t.Fatalf("measured stretch ran %d windows and %d messages: not steady cross traffic (%+v)", windows, after.Messages-before.Messages, after)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per %d windows in steady state, want 0", allocs, windows/(runs+1))
 	}
 }
