@@ -9,24 +9,18 @@ build:
 test:
 	$(GO) test ./...
 
-# Full-tree race pass. -short skips the heavyweight experiment sweeps
-# (guarded with testing.Short) so the whole pass stays under ~2 minutes
-# while still racing every kernel handoff path, the sweep engine
-# (internal/parallel, internal/sweep) and the parallel-vs-sequential
-# figure-grid comparison.
+# Full-tree race pass. A simulation is one goroutine, so what there is to
+# race is the worker pool that fans whole simulations out (internal/parallel)
+# and what its workers share: the kernel arena, the suite's scenario cache and
+# trace book, and the TCP remoting path. -short skips the heavyweight
+# experiment sweeps (guarded with testing.Short) so the whole pass stays under
+# ~2 minutes while still racing the parallel-vs-sequential figure-grid
+# comparison.
 race:
 	$(GO) test -race -short ./...
-	@# The sharded kernel's concurrency surface, raced at full strength:
-	@# the coordinator's window/solo machinery, the cross-shard cluster
-	@# invariance matrix, a cross-kernel conn passing frames between two
-	@# kernels' pools, and the sharded mega smoke and the sharded alloc
-	@# budget's four-worker pass (both skipped under -short above) all run
-	@# with the barrier worker pool live.
-	$(GO) test -race -run 'TestRing|TestShard|TestSolo|TestRunMegaSharded|TestCrossConn|TestAllocBudgetShardedRequest' \
-		./internal/sim/shard/ ./internal/core/ ./stringsched/ ./internal/rpcproto/ .
-	@# The cluster tier's invariance matrix (rerun, workers 1 vs 8,
-	@# shards 1 vs 4) raced at quick scale: the supernode runs go through
-	@# the sweep worker pool and the shard barrier with the detector live.
+	@# The cluster tier's invariance matrix (rerun, workers 1 vs 8) raced at
+	@# quick scale: the supernode runs go through the worker pool with the
+	@# detector live.
 	$(GO) test -race -run 'TestClusterInvarianceQuick' ./internal/cluster/
 
 vet:
@@ -85,13 +79,14 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSpawnExit|BenchmarkCodecRoundTrip' -benchmem .
 
 # Coverage gate: run the internal packages with -coverprofile and fail if
-# any of the gated packages (the observability layer, the sweep engine,
-# the shard coordinator, the analytic fast-forward layer, the analysis
-# framework, the device model, the device scheduler, the cluster tier, core,
-# and the marshalled-call path: cuda runtime, wire protocol and executor,
-# Context Packer, TCP remoting) drops below 85% statement coverage. The device
-# scheduler's reference policies live in _test.go files and do not count. The
-# profile lands in $(BIN)/cover.out for CI to upload.
+# any of the gated packages (the observability layer, seed folding, the
+# worker pool, the kernel, the shard coordinator, the analytic fast-forward
+# layer, the analysis framework, the device model, the device scheduler, the
+# Affinity Mapper, the cluster tier, core, and the marshalled-call path: cuda
+# runtime, wire protocol and executor, Context Packer, TCP remoting) drops
+# below 85% statement coverage. The device scheduler's reference policies live
+# in _test.go files and do not count. The profile lands in $(BIN)/cover.out
+# for CI to upload.
 cover:
 	@mkdir -p $(BIN)
 	$(GO) test -coverprofile=$(BIN)/cover.out ./internal/...
@@ -100,7 +95,8 @@ cover:
 		repro/internal/sim repro/internal/sim/shard repro/internal/analytic \
 		repro/internal/analysis repro/internal/gpu repro/internal/cluster \
 		repro/internal/core repro/internal/cuda repro/internal/rpcproto \
-		repro/internal/packer repro/internal/remoting repro/internal/devsched
+		repro/internal/packer repro/internal/remoting repro/internal/devsched \
+		repro/internal/balancer
 
 # Short fuzz pass over every native fuzz target: the wire codec, the framing
 # layer and the trace encoders each get 10s of coverage-guided input on top

@@ -59,7 +59,8 @@ func clusterFleet() []stringsched.ClusterSupernode {
 // open-arrival tenants from spec placed over clusterFleet — and tabulates
 // the admission counters, volume and latency tail with one series per
 // policy. Every value is simulated, so the table is identical at any
-// workers setting and at any shards >= 1.
+// workers setting; shards (0 = one kernel for all of a supernode's nodes,
+// >= 1 = one kernel per node) moves only the events row.
 func clusterTable(spec stringsched.OpenArrivalSpec, seed int64, workers, shards int) (*stringsched.Table, error) {
 	tab := &stringsched.Table{
 		Title: "Cluster tier: 3-supernode fleet, " + spec.String(),
@@ -107,7 +108,7 @@ func run(args []string, out, errOut io.Writer) int {
 	htmlOut := fs.String("html", "", "also write an HTML report with SVG charts to this path")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this path on exit")
-	shardsN := fs.Int("shards", 0, "with -exp cluster: per-supernode shard setting (0 = one kernel for all nodes, N >= 1 = one shard kernel per node with N barrier workers; the simulated results are identical at every value)")
+	shardsN := fs.Int("shards", 0, "with -exp cluster: per-supernode shard setting (0 = one kernel for all nodes, >= 1 = one kernel per node; the simulated results are identical either way)")
 	clusterSpec := fs.String("cluster-spec", "poisson:rate=0.5,horizon=2400s,kind=GA,life=80s,lambda=800ms,bigevery=16,bigslots=2",
 		"open-arrival spec for -exp cluster (process:key=value,...)")
 	if err := fs.Parse(args); err != nil {
@@ -118,7 +119,7 @@ func run(args []string, out, errOut io.Writer) int {
 	// non-zero, and say what would have been accepted (the same treatment
 	// -exp gives unknown experiment names).
 	if *shardsN < 0 {
-		fmt.Fprintf(errOut, "invalid -shards %d\nvalid range: 0 (one kernel for all nodes) or >= 1 (sharded; N sets the barrier worker count)\n", *shardsN)
+		fmt.Fprintf(errOut, "invalid -shards %d\nvalid range: 0 (one kernel for all nodes) or >= 1 (one kernel per node)\n", *shardsN)
 		return 1
 	}
 	if *parallelN < 0 {

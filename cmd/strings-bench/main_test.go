@@ -67,10 +67,10 @@ func TestRunExperimentHappyPath(t *testing.T) {
 
 // TestRunClusterExperiment runs a small -exp cluster end to end: one table
 // with a series per placement policy, tenant conservation readable from it,
-// and stdout byte-identical across -parallel and across -shards >= 1 once
-// the wall-clock footer is stripped. -shards 0 runs the same model on one
-// kernel per supernode: every simulated row agrees, only the kernel event
-// count (an execution counter) differs.
+// and stdout byte-identical across -parallel once the wall-clock footer is
+// stripped. -shards 1 runs the same model on one kernel per node instead of
+// one per supernode: every simulated row agrees, only the kernel event count
+// (an execution counter) differs.
 func TestRunClusterExperiment(t *testing.T) {
 	runCSV := func(extra ...string) string {
 		t.Helper()
@@ -116,9 +116,6 @@ func TestRunClusterExperiment(t *testing.T) {
 		t.Errorf("-parallel 4 changed the table:\n%s\nvs -parallel 1:\n%s", par, seq)
 	}
 	s1 := runCSV("-shards", "1")
-	if s4 := runCSV("-shards", "4"); s1 != s4 {
-		t.Errorf("-shards 4 changed the table:\n%s\nvs -shards 1:\n%s", s4, s1)
-	}
 	simulated := func(table string) string {
 		var keep []string
 		for _, row := range strings.Split(table, "\n") {

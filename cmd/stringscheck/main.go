@@ -5,7 +5,7 @@
 //	simclock   — no wall-clock time in sim-driven packages
 //	detrand    — no process-global math/rand; thread a seeded *rand.Rand
 //	maporder   — no map-iteration order leaking into simulator state
-//	rawgo      — no raw goroutines outside the kernel's baton chain
+//	rawgo      — no raw goroutines in sim-driven packages, the kernel included
 //	errflow    — no silently discarded errors on rpcproto/remoting paths
 //	hotalloc   — no unjustified heap allocation reachable from a
 //	             //strings:hotpath root (cross-package via exported facts)

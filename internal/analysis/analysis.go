@@ -238,14 +238,10 @@ func isTestFile(fset *token.FileSet, pos token.Pos) bool {
 }
 
 // kernelLayer reports whether path is the virtual-time kernel implementation
-// itself: internal/sim (the baton-chain kernel) or internal/sim/shard (the
-// coordinator composing shard kernels under conservative window barriers).
-// The layer is inside the deterministic domain by definition — simDriven
-// holds for it regardless of imports — and rawgo grants it the goroutine
-// right, because the baton chain and the cross-kernel window handoff are
-// exactly what it implements. simclock still applies: window barriers
-// synchronize workers in host time but must never read it; lookahead and
-// horizons are virtual sim.Time.
+// itself: internal/sim (the coroutine kernel) or internal/sim/shard (the
+// coordinator composing shard kernels under conservative windows). The
+// layer is inside the deterministic domain by definition: simDriven holds
+// for it regardless of imports, so every analyzer applies to it.
 func kernelLayer(path string) bool {
 	return pathEndsWith(path, "internal/sim") ||
 		pathEndsWith(path, "internal/sim/shard")

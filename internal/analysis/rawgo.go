@@ -6,36 +6,28 @@ import (
 
 // Rawgo forbids raw goroutines in sim-driven packages.
 //
-// The kernel hands execution between simulated processes with a baton
-// chain: exactly one process runs at a time, and the kernel only advances
-// the virtual clock when that process parks (internal/sim/kernel.go). A
-// raw `go func` in scheduling code runs outside the baton, racing the
+// A simulation is one goroutine. Simulated processes are coroutines
+// (iter.Pull) the kernel resumes one at a time, the virtual clock advances
+// only when the running one parks (internal/sim/kernel.go), and a sharded
+// run steps its kernels in turn on the same goroutine (internal/sim/shard).
+// A raw `go func` in scheduling code runs beside that goroutine, racing the
 // kernel on shared state and observing a clock that may advance under it.
 // Concurrency inside the simulated world must go through sim.Kernel
 // process APIs (Kernel.Go / Proc.Wait / Queue / Signal). Real concurrency
 // at the system boundary — a TCP accept loop, an experiment worker pool
 // where each worker owns a private kernel — is legitimate and carries a
 // //lint:allow rawgo with its justification. The kernel layer itself
-// (internal/sim and the internal/sim/shard window-barrier coordinator) is
-// exempt: the baton chain and the cross-kernel barrier handoff are what
-// those packages implement, so their goroutines are the mechanism, not a
-// bypass of it.
+// (internal/sim, internal/sim/shard) is checked like everything else: it
+// contains no `go` statement and has no reason to grow one.
 var Rawgo = &Analyzer{
 	Name: "rawgo",
-	Doc: "forbid `go` statements in sim-driven packages outside internal/sim itself; " +
-		"simulated concurrency must use the kernel's baton-chain process APIs",
+	Doc: "forbid `go` statements in sim-driven packages, the kernel included; " +
+		"simulated concurrency must use the kernel's process APIs",
 	Run: runRawgo,
 }
 
 func runRawgo(pass *Pass) error {
 	if !simDriven(pass.Pkg) {
-		return nil
-	}
-	// The kernel layer implements the baton chain (one goroutine per
-	// simulated process) and, in internal/sim/shard, the conservative
-	// window barrier that hands batches of kernels to concurrent workers;
-	// it is the sole holder of that right.
-	if kernelLayer(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -48,7 +40,7 @@ func runRawgo(pass *Pass) error {
 				return true
 			}
 			pass.Reportf(g.Pos(),
-				"raw goroutine in a sim-driven package bypasses the kernel's baton-chain handoff; use sim.Kernel process APIs (Kernel.Go/Proc.Wait), or //lint:allow rawgo -- <reason> for real system-boundary concurrency")
+				"raw goroutine in a sim-driven package runs beside the simulation's one goroutine; use sim.Kernel process APIs (Kernel.Go/Proc.Wait), or //lint:allow rawgo -- <reason> for real system-boundary concurrency")
 			return true
 		})
 	}

@@ -14,11 +14,9 @@ import (
 // makes results depend on the host machine and the scheduler's mood, which
 // no example-based test reliably catches. The bench harness legitimately
 // measures wall time around whole runs; it carries //lint:allow simclock
-// with a reason. The kernel layer gets no exemption here — unlike rawgo's:
-// the internal/sim/shard coordinator's window barriers synchronize workers
-// in host time, but lookahead, horizons and mailbox delivery instants are
-// virtual sim.Time, and a wall-clock read anywhere in the layer would leak
-// host timing into the merged event order.
+// with a reason. The kernel layer gets no exemption: lookahead, horizons
+// and mailbox delivery instants are virtual sim.Time, and a wall-clock read
+// anywhere in the layer would leak host timing into the merged event order.
 var Simclock = &Analyzer{
 	Name: "simclock",
 	Doc: "forbid time.Now/time.Sleep/wall-clock time.Time in packages that drive " +

@@ -13,10 +13,10 @@ func TestSimclock(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.Simclock, "simclock")
 }
 
-// TestSimclockCoversShardCoordinator: the kernel layer's rawgo exemption
-// does not extend to simclock — a wall-clock read in the window coordinator
-// would leak host timing into the merged event order, so the analyzer keeps
-// firing on internal/sim/shard paths.
+// TestSimclockCoversShardCoordinator: the kernel layer is sim-driven without
+// importing internal/sim — a wall-clock read in the window coordinator would
+// leak host timing into the merged event order, so the analyzer fires on
+// internal/sim/shard paths.
 func TestSimclockCoversShardCoordinator(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.Simclock, "shardclock/internal/sim/shard")
 }

@@ -1,8 +1,6 @@
 // Package shard is a miniature stand-in for the real conservative window
-// coordinator, doubling as the rawgo kernel-layer fixture: the coordinator
-// implements the cross-kernel barrier handoff, so its raw goroutines are the
-// mechanism rawgo protects, not a bypass of it. No diagnostics are expected
-// anywhere in this package.
+// coordinator, doubling as the rawgo kernel-layer fixture: the real one steps
+// its kernels in turn on one goroutine, so a worker per kernel is flagged.
 package shard
 
 import "repro/internal/sim"
@@ -13,12 +11,12 @@ type Coordinator struct {
 	lookahead sim.Time
 }
 
-// Window runs one barrier phase: every kernel advances to the horizon on its
-// own worker goroutine, and the barrier joins them before mailboxes drain.
+// Window is the mistake: every kernel advances to the horizon on its own
+// worker goroutine.
 func (c *Coordinator) Window(horizon sim.Time) {
 	done := make(chan struct{}, len(c.kernels))
 	for range c.kernels {
-		go func() { // the window-barrier handoff: exempt, like the kernel's baton chain
+		go func() { // want `raw goroutine in a sim-driven package`
 			done <- struct{}{}
 		}()
 	}

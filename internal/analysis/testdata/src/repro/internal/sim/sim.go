@@ -1,8 +1,7 @@
 // Package sim is a miniature stand-in for the real discrete-event kernel,
 // just enough for fixtures to import it (which is what makes a fixture
-// package "sim-driven" to the analyzers). It also doubles as the rawgo
-// exemption fixture: the kernel itself implements the baton chain and may
-// use raw goroutines.
+// package "sim-driven" to the analyzers). It also doubles as a rawgo
+// fixture: the kernel layer is checked like any sim-driven package.
 package sim
 
 // Time is virtual time in microseconds.
@@ -14,10 +13,10 @@ type Proc struct{}
 // Kernel is the discrete-event kernel.
 type Kernel struct{}
 
-// Go spawns a simulated process under the baton chain.
+// Go spawns a simulated process.
 func (k *Kernel) Go(name string, fn func(p *Proc)) {
 	done := make(chan struct{})
-	go func() { // the kernel owns the baton chain: no rawgo diagnostic here
+	go func() { // want `raw goroutine in a sim-driven package`
 		defer close(done)
 		fn(&Proc{})
 	}()

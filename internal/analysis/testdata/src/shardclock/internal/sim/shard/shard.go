@@ -1,8 +1,7 @@
-// Package shard pins the other half of the kernel-layer treatment: the
-// window coordinator is exempt from rawgo but NOT from simclock. Its
-// barriers synchronize workers in host time, but lookahead and horizons are
-// virtual sim.Time — a wall-clock read here would leak host timing into the
-// merged event order, so simclock must keep firing on this path.
+// Package shard pins simclock's hold on the kernel layer: lookahead and
+// horizons are virtual sim.Time — a wall-clock read in the window coordinator
+// would leak host timing into the merged event order, so simclock must keep
+// firing on this path.
 package shard
 
 import (

@@ -117,9 +117,9 @@ type Config struct {
 	// semantics: 0 = GOMAXPROCS, results bit-identical at any value).
 	Workers int
 
-	// Shards passes through to each supernode's core.Config.Shards:
-	// eligible supernodes time-partition into per-node shard kernels
-	// (bit-identical for any Shards >= 1; see DESIGN.md §15).
+	// Shards passes through to each supernode's core.Config.Shards: 0 =
+	// one kernel for all of a supernode's nodes, >= 1 = one kernel per node
+	// (DESIGN.md §15).
 	Shards int
 
 	// Traced installs a trace recorder on every supernode run; the

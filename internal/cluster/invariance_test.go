@@ -9,10 +9,10 @@ import (
 )
 
 // invarianceCfg is the shared scenario of the invariance suite: three
-// two-node supernodes under open Poisson arrivals with a big-tenant mix,
-// parameterized by worker and shard counts (the two axes that must not
-// change anything).
-func invarianceCfg(workers, shards int, big bool) Config {
+// two-node supernodes, each on one kernel per node, under open Poisson
+// arrivals with a big-tenant mix, parameterized by the worker count (the axis
+// that must not change anything).
+func invarianceCfg(workers int, big bool) Config {
 	spec := workload.OpenArrivalSpec{
 		Process: workload.ProcPoisson, Rate: 0.4, Horizon: 150 * sim.Second,
 		Kind: workload.Gaussian, MeanLife: 30 * sim.Second, Lambda: sim.Second,
@@ -31,36 +31,27 @@ func invarianceCfg(workers, shards int, big bool) Config {
 		Policy:     PolicyLeastLoaded,
 		Arrivals:   spec,
 		Workers:    workers,
-		Shards:     shards,
+		Shards:     1,
 	}
 }
 
-// runInvarianceMatrix executes the scenario at (workers=1, shards=1) twice
-// and at (workers=8, shards=1) and (workers=1, shards=4) once each, then
-// requires every full Result — request logs, events, metrics — to be
-// DeepEqual. Rerun catches nondeterminism, the workers axis pins the sweep
-// pool, the shards axis pins the conservative-lookahead composition.
+// runInvarianceMatrix executes the scenario at workers=1 twice and at
+// workers=8 once, then requires every full Result — request logs, events,
+// metrics — to be DeepEqual. Rerun catches nondeterminism, the workers axis
+// pins the pool the supernode runs fan out over.
 func runInvarianceMatrix(t *testing.T, big bool) *Result {
 	t.Helper()
-	base, err := Run(invarianceCfg(1, 1, big))
+	base, err := Run(invarianceCfg(1, big))
 	if err != nil {
 		t.Fatal(err)
 	}
-	variants := []struct {
-		name            string
-		workers, shards int
-	}{
-		{"rerun", 1, 1},
-		{"workers=8", 8, 1},
-		{"shards=4", 1, 4},
-	}
-	for _, v := range variants {
-		r, err := Run(invarianceCfg(v.workers, v.shards, big))
+	for _, workers := range []int{1, 8} {
+		r, err := Run(invarianceCfg(workers, big))
 		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(base, r) {
-			t.Errorf("%s: cluster result differs from the (workers=1, shards=1) base", v.name)
+			t.Errorf("workers=%d: cluster result differs from the first workers=1 run", workers)
 		}
 	}
 	return base
@@ -96,8 +87,7 @@ func TestClusterInvarianceQuick(t *testing.T) {
 
 // TestClusterPinnedScenario is the acceptance scenario: ≥3 supernodes,
 // ≥1000 tenants, ≥100k requests through open arrivals, DeepEqual-identical
-// across reruns, sweep workers 1 vs 8 and Shards 1 vs 4, with conservation
-// enforced.
+// across reruns and workers 1 vs 8, with conservation enforced.
 func TestClusterPinnedScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale cluster invariance matrix")

@@ -130,12 +130,11 @@ type Config struct {
 	// it computes. The model is fixed: the affinity mapper runs on node 0,
 	// node 0 reports to it instantly, and every other node pays
 	// RemoteLink.Latency each way for selections, feedback/release, failure
-	// and recovery reports. Shards == 0 runs every node on one kernel;
-	// Shards >= 1 gives each node its own kernel, composed under a
-	// conservative-lookahead coordinator (internal/sim/shard) with Shards
-	// barrier workers and the RemoteLink latency as the lookahead. Request
-	// logs agree at every value (only application IDs are numbered per
-	// kernel), and results are bit-identical for every Shards >= 1.
+	// and recovery reports. Shards is on/off: 0 = one kernel for all nodes,
+	// >= 1 = one kernel per node, composed under a conservative-lookahead
+	// coordinator (internal/sim/shard) with the RemoteLink latency as the
+	// lookahead. Request logs agree between the two (only application IDs
+	// are numbered per kernel), and every value >= 1 is the same run.
 	// Topologies the per-node partition cannot express yet — a single node,
 	// partitionable (MIG) fleets whose slices are carved across nodes, or
 	// fault plans that mutate cross-node state — run on one kernel whatever

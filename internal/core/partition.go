@@ -69,7 +69,7 @@ func (c *Cluster) buildEnvs() {
 			kernels = append(kernels, sim.NewKernel(cfg.Seed))
 		}
 	}
-	c.coord = shard.NewCoordinator(kernels, cfg.RemoteLink.Latency, cfg.Shards)
+	c.coord = shard.NewCoordinator(kernels, cfg.RemoteLink.Latency, 0)
 	for i, k := range kernels {
 		rec := cfg.Recorder
 		if i > 0 && rec.Enabled() {
@@ -139,12 +139,9 @@ func (c *Cluster) Recorders() []*trace.Recorder {
 	return recs
 }
 
-// Close releases the coordinator's barrier workers (there are none unless
-// the cluster is sharded with Shards >= 2) and the idle process coroutines of
-// every kernel New created; a Config.Kernel stays its owner's to close. Safe
-// to call more than once.
+// Close releases the idle process coroutines of every kernel New created; a
+// Config.Kernel stays its owner's to close. Safe to call more than once.
 func (c *Cluster) Close() {
-	c.coord.Close()
 	for _, e := range c.envs {
 		if e.k != c.cfg.Kernel {
 			e.k.Close()

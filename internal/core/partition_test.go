@@ -27,7 +27,7 @@ func shardedScenario() []workload.StreamSpec {
 	}
 }
 
-// runShardedOnce runs the scenario at a shard worker count and returns the
+// runShardedOnce runs the scenario at a Shards setting and returns the
 // results plus the concatenated JSONL trace bytes.
 func runShardedOnce(t *testing.T, mode Mode, shards int) (*RunResult, []byte, *Cluster) {
 	t.Helper()
@@ -67,28 +67,40 @@ func TestShardInvarianceStrings(t *testing.T) {
 	if refStats.Messages == 0 {
 		t.Fatalf("no cross-shard messages — scenario does not exercise the mailboxes: %+v", refStats)
 	}
-	for _, n := range []int{2, 4, 8} {
-		got, gotJSONL, c := runShardedOnce(t, ModeStrings, n)
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("shards=%d: results diverged from shards=1", n)
+	// Shards is on/off: 4 is the run 1 is, application ids, trace bytes and
+	// window counters included, and New starts no goroutine for it.
+	got, gotJSONL, c := runShardedOnce(t, ModeStrings, 4)
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatal("shards=4: results diverged from shards=1")
+	}
+	if string(gotJSONL) != string(refJSONL) {
+		t.Fatal("shards=4: JSONL trace bytes diverged from shards=1")
+	}
+	if s := c.ShardStats(); !reflect.DeepEqual(s, refStats) {
+		t.Fatalf("shards=4: stats diverged: %+v vs %+v", s, refStats)
+	}
+	started := func(shards int) int {
+		before := runtime.NumGoroutine()
+		c, err := New(Config{Seed: 11, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin", Shards: shards})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if string(gotJSONL) != string(refJSONL) {
-			t.Fatalf("shards=%d: JSONL trace bytes diverged from shards=1", n)
-		}
-		if s := c.ShardStats(); !reflect.DeepEqual(s, refStats) {
-			t.Fatalf("shards=%d: stats diverged: %+v vs %+v", n, s, refStats)
-		}
+		defer c.Close()
+		return runtime.NumGoroutine() - before
+	}
+	if one, four := started(1), started(4); four > one {
+		t.Fatalf("New started %d goroutines at Shards=4, %d at Shards=1", four, one)
 	}
 }
 
 func TestShardInvarianceRain(t *testing.T) {
 	ref, refJSONL, _ := runShardedOnce(t, ModeRain, 1)
-	got, gotJSONL, _ := runShardedOnce(t, ModeRain, 4)
+	got, gotJSONL, _ := runShardedOnce(t, ModeRain, 1)
 	if !reflect.DeepEqual(got, ref) {
-		t.Fatal("Rain results diverged across shard counts")
+		t.Fatal("Rain results diverged on a rerun")
 	}
 	if string(gotJSONL) != string(refJSONL) {
-		t.Fatal("Rain JSONL trace bytes diverged across shard counts")
+		t.Fatal("Rain JSONL trace bytes diverged on a rerun")
 	}
 }
 
@@ -97,9 +109,9 @@ func TestShardInvarianceCUDA(t *testing.T) {
 	if !refC.Sharded() {
 		t.Fatal("CUDA supernode run did not shard")
 	}
-	got, _, _ := runShardedOnce(t, ModeCUDA, 2)
+	got, _, _ := runShardedOnce(t, ModeCUDA, 1)
 	if !reflect.DeepEqual(got, ref) {
-		t.Fatal("CUDA results diverged across shard counts")
+		t.Fatal("CUDA results diverged on a rerun")
 	}
 }
 
@@ -160,8 +172,8 @@ func TestShardedRunUntilAccounting(t *testing.T) {
 		{Kind: workload.Gaussian, Count: 400, Lambda: 3 * sim.Millisecond, Node: 0, Tenant: 1, Weight: 1},
 		{Kind: workload.Gaussian, Count: 400, Lambda: 3 * sim.Millisecond, Node: 1, Tenant: 2, Weight: 1},
 	}
-	run := func(shards int) *RunResult {
-		cfg := Config{Seed: 5, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin", Shards: shards}
+	run := func() *RunResult {
+		cfg := Config{Seed: 5, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin", Shards: 1}
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +185,7 @@ func TestShardedRunUntilAccounting(t *testing.T) {
 		}
 		return r
 	}
-	ref := run(1)
+	ref := run()
 	if len(ref.TenantService) != 2 {
 		t.Fatalf("tenant service for %d tenants, want 2", len(ref.TenantService))
 	}
@@ -182,8 +194,8 @@ func TestShardedRunUntilAccounting(t *testing.T) {
 			t.Fatalf("tenant %d received no service by the horizon", id)
 		}
 	}
-	if got := run(4); !reflect.DeepEqual(got, ref) {
-		t.Fatal("RunUntil results diverged across shard counts")
+	if got := run(); !reflect.DeepEqual(got, ref) {
+		t.Fatal("RunUntil results diverged on a rerun")
 	}
 }
 
@@ -258,8 +270,7 @@ func TestShardPartitionInvariance(t *testing.T) {
 	for _, mode := range []Mode{ModeStrings, ModeRain} {
 		for _, bal := range []string{"GMin", "GRR", "MBF"} {
 			if testing.Short() {
-				// make race's -short pass keeps the mixed scenarios; its
-				// TestShard pass runs the dense cells under the detector.
+				// make race's -short pass keeps the mixed scenarios.
 				continue
 			}
 			scenarios = append(scenarios, scenario{
@@ -323,8 +334,7 @@ func TestRepeatedRunCountsOnce(t *testing.T) {
 }
 
 // TestNewErrorsLeakNoGoroutines: New validates the configuration before it
-// starts the shard barrier workers, since a caller handed (nil, err) has
-// nothing to Close.
+// spawns a process, since a caller handed (nil, err) has nothing to Close.
 func TestNewErrorsLeakNoGoroutines(t *testing.T) {
 	bad := []Config{
 		{Balance: "nope"},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
@@ -192,14 +191,13 @@ func (s *Suite) AblationAccountingLag() *metrics.Table {
 }
 
 // AblationArbiter compares MBF behind the Policy Arbiter (dynamic switching
-// once feedback arrives) against pure static GWtMin and against an arbiter
-// that never has enough samples — isolating the value of dynamic policy
-// switching.
+// once feedback arrives) against pure static GWtMin — isolating the value of
+// dynamic policy switching.
 func (s *Suite) AblationArbiter() *metrics.Table {
 	p := ablationPair()
 	base := s.pairBaseline1N(p)
-	labels := []string{"GWtMin (static)", "PA off (high threshold)", "PA on (MBF)"}
-	vals := make([]float64, 3)
+	labels := []string{"GWtMin (static)", "PA on (MBF)"}
+	vals := make([]float64, 2)
 
 	r := s.run(scenario{
 		key:     "abl-pa/static",
@@ -208,16 +206,12 @@ func (s *Suite) AblationArbiter() *metrics.Table {
 	})
 	vals[0] = weightedSpeedup(p, base, r)
 
-	// "PA off": MBF arbiter with an unreachable sample threshold behaves
-	// exactly like its static fallback; run it to demonstrate equivalence.
-	vals[1] = vals[0]
-
 	r = s.run(scenario{
 		key:     "abl-pa/on",
 		cfg:     core.Config{Nodes: supernode(), Mode: core.ModeStrings, Balance: "MBF"},
 		streams: s.pairStreams(p, true),
 	})
-	vals[2] = weightedSpeedup(p, base, r)
+	vals[1] = weightedSpeedup(p, base, r)
 
 	tab := &metrics.Table{
 		Title:  "Ablation: Policy Arbiter dynamic switching (DC-MC pair, WS vs 1N-GRR)",
@@ -225,11 +219,4 @@ func (s *Suite) AblationArbiter() *metrics.Table {
 	}
 	tab.Add("WS", vals)
 	return tab
-}
-
-// gpuSpecVar returns a copy of spec with overrides applied; helper for
-// bespoke ablations in cmd tools.
-func gpuSpecVar(spec gpu.Spec, mutate func(*gpu.Spec)) gpu.Spec {
-	mutate(&spec)
-	return spec
 }

@@ -58,9 +58,6 @@ func (s *Suite) Fig9() *metrics.Table {
 	// Figure 9 streams a single application class per run; every class gets
 	// the full stream length (queue dynamics are the point of the figure).
 	rows := s.grid(len(combos), len(s.opt.Apps),
-		func(r, c int) string {
-			return fmt.Sprintf("fig9/%s/%s", combos[r].name, s.opt.Apps[c])
-		},
 		func(r, c int) float64 {
 			cb, k := combos[r], s.opt.Apps[c]
 			base := s.fig9Base(k).AvgCompletion(k)
@@ -97,9 +94,6 @@ func (s *Suite) Fig10() *metrics.Table {
 		{"GWtMin-Strings", core.ModeStrings, "GWtMin"},
 	}
 	rows := s.grid(len(combos), len(s.opt.Pairs),
-		func(r, c int) string {
-			return fmt.Sprintf("fig10/%s/%s", combos[r].name, s.opt.Pairs[c].Label)
-		},
 		func(r, c int) float64 {
 			cb, p := combos[r], s.opt.Pairs[c]
 			run := s.run(scenario{
@@ -146,9 +140,6 @@ func (s *Suite) Fig11() *metrics.Table {
 	// solo scenarios recur across pairs sharing an application class, and
 	// the cache collapses those to one simulation each.
 	rows := s.grid(len(systems), len(s.opt.Pairs),
-		func(r, c int) string {
-			return fmt.Sprintf("fig11/%s/pair/%s", systems[r].name, s.opt.Pairs[c].Label)
-		},
 		func(r, c int) float64 {
 			sys, p := systems[r], s.opt.Pairs[c]
 			cfg := core.Config{Nodes: oneGPU(), Mode: sys.mode, Balance: "GRR", DevPolicy: sys.dev}
@@ -223,9 +214,6 @@ func (s *Suite) Fig12() *metrics.Table {
 	}
 	combos := fig12Combos()
 	rows := s.grid(len(combos), len(s.opt.Pairs),
-		func(r, c int) string {
-			return fmt.Sprintf("fig12/%s/%s", combos[r].name, s.opt.Pairs[c].Label)
-		},
 		func(r, c int) float64 {
 			p := s.opt.Pairs[c]
 			return weightedSpeedup(p, s.pairBaseline1N(p), s.fig12Run(combos[r], p))
@@ -247,9 +235,6 @@ func (s *Suite) Fig13() *metrics.Table {
 	combos := fig12Combos()
 	names := []string{"LAS-Rain", "LAS-Strings", "PS-Strings"}
 	rows := s.grid(len(combos), len(s.opt.Pairs),
-		func(r, c int) string {
-			return fmt.Sprintf("fig13/%s/%s", names[r], s.opt.Pairs[c].Label)
-		},
 		func(r, c int) float64 {
 			p := s.opt.Pairs[c]
 			return weightedSpeedup(p, s.pairBaseline4G(p), s.fig12Run(combos[r], p))
@@ -275,9 +260,6 @@ func (s *Suite) Fig14() *metrics.Table {
 		{"GUF-Strings", core.ModeStrings, "GUF"},
 	}
 	rows := s.grid(len(combos), len(s.opt.Pairs),
-		func(r, c int) string {
-			return fmt.Sprintf("fig14/%s/%s", combos[r].name, s.opt.Pairs[c].Label)
-		},
 		func(r, c int) float64 {
 			cb, p := combos[r], s.opt.Pairs[c]
 			run := s.run(scenario{
@@ -304,9 +286,6 @@ func (s *Suite) Fig15() *metrics.Table {
 	}
 	bals := []string{"DTF", "MBF"}
 	rows := s.grid(len(bals), len(s.opt.Pairs),
-		func(r, c int) string {
-			return fmt.Sprintf("fig15/%s/%s", bals[r], s.opt.Pairs[c].Label)
-		},
 		func(r, c int) float64 {
 			bal, p := bals[r], s.opt.Pairs[c]
 			run := s.run(scenario{

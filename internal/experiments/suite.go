@@ -54,12 +54,10 @@ type Options struct {
 	// Results are identical at any worker count.
 	Workers int
 
-	// Shards, when >= 1, opts every scenario into the time-partitioned
-	// parallel kernel (core.Config.Shards): eligible multi-node clusters
-	// split into one shard kernel per node advancing concurrently under the
-	// conservative window protocol, with Shards barrier workers. Results
-	// are bit-identical for any Shards >= 1; single-node and MIG scenarios
-	// run on one kernel at any value, as everything does at 0.
+	// Shards is every scenario's core.Config.Shards: 0 = one kernel for all
+	// nodes, >= 1 = one kernel per node under the conservative window
+	// protocol. Single-node and MIG scenarios run on one kernel at any
+	// value.
 	Shards int
 }
 
@@ -186,7 +184,7 @@ func (s *Suite) run(sc scenario) *core.RunResult {
 			if err != nil {
 				panic(fmt.Sprintf("experiments: %v", err))
 			}
-			// Sharded clusters own a barrier worker pool.
+			// A sharded cluster's other kernels are its own to close.
 			defer c.Close()
 			var r *core.RunResult
 			if sc.horizon > 0 {
@@ -224,11 +222,6 @@ func (s *Suite) repSeed(rep int) int64 {
 	return sweep.FoldSeed(s.opt.Seed, uint64(rep))
 }
 
-// engine returns the sweep engine configured with the suite's worker bound.
-func (s *Suite) engine() sweep.Engine {
-	return sweep.Engine{Parallel: s.opt.Workers}
-}
-
 // forEach runs fn(i) for every index over the blessed worker pool
 // (internal/parallel). Panics in workers propagate to the caller. Output
 // written by index keeps results deterministic regardless of scheduling.
@@ -236,23 +229,14 @@ func (s *Suite) forEach(n int, fn func(i int)) {
 	parallel.Do(n, s.opt.Workers, fn)
 }
 
-// grid flattens a rows×cols experiment matrix (policy × pair, system × app)
-// into one sweep cell grid and runs it on the suite's engine, so the whole
-// figure parallelizes across both axes instead of fanning out one policy
-// row at a time. fn must be independent per cell (memoized scenario runs
-// are fine: the singleflight cache dedupes shared baselines); results come
-// back grouped by row, each row in column order.
-func (s *Suite) grid(rows, cols int, key func(r, c int) string, fn func(r, c int) float64) [][]float64 {
-	g := sweep.NewGrid(rows, cols)
-	cells := make([]sweep.Cell[float64], g.Size())
-	for i := range cells {
-		r, c := g.Coord(i, 0), g.Coord(i, 1)
-		cells[i] = sweep.Cell[float64]{
-			Key: key(r, c),
-			Run: func() float64 { return fn(r, c) },
-		}
-	}
-	flat := sweep.Run(s.engine(), cells)
+// grid runs a rows×cols experiment matrix (policy × pair, system × app) as
+// one flat, row-major index space over the worker pool, so the whole figure
+// parallelizes across both axes instead of fanning out one policy row at a
+// time. fn must be independent per cell (memoized scenario runs are fine:
+// the singleflight cache dedupes shared baselines); results come back
+// grouped by row, each row in column order.
+func (s *Suite) grid(rows, cols int, fn func(r, c int) float64) [][]float64 {
+	flat := parallel.Map(rows*cols, s.opt.Workers, func(i int) float64 { return fn(i/cols, i%cols) })
 	out := make([][]float64, rows)
 	for r := range out {
 		out[r] = flat[r*cols : (r+1)*cols : (r+1)*cols]

@@ -147,50 +147,6 @@ func (t *Table) Add(name string, values []float64) {
 	t.Series = append(t.Series, Series{Name: name, Values: values})
 }
 
-// Merge appends o's series to t. It is the conflict-checked merge path for
-// ordered collectors pooling per-cell tables: the label tuples must match
-// exactly and a series name already present in t is an error, never a
-// silent overwrite or a silent duplicate (Add would happily append a second
-// series under the same name, and Row would then only ever find the first).
-func (t *Table) Merge(o *Table) error {
-	if o == nil {
-		return nil
-	}
-	if len(o.Labels) != len(t.Labels) {
-		return fmt.Errorf("metrics: merging table %q into %q: %d labels vs %d",
-			o.Title, t.Title, len(o.Labels), len(t.Labels))
-	}
-	for i := range t.Labels {
-		if t.Labels[i] != o.Labels[i] {
-			return fmt.Errorf("metrics: merging table %q into %q: label %d is %q vs %q",
-				o.Title, t.Title, i, o.Labels[i], t.Labels[i])
-		}
-	}
-	// Validate everything before appending anything: a failed merge must
-	// leave t untouched (the collector reports the error and the partial
-	// table would otherwise leak into output).
-	for i, s := range o.Series {
-		if len(s.Values) != len(t.Labels) {
-			return fmt.Errorf("metrics: merging series %q into %q: %d values for %d labels",
-				s.Name, t.Title, len(s.Values), len(t.Labels))
-		}
-		if t.Row(s.Name) != nil {
-			return fmt.Errorf("metrics: merge conflict: series %q already present in table %q",
-				s.Name, t.Title)
-		}
-		for _, prev := range o.Series[:i] {
-			if prev.Name == s.Name {
-				return fmt.Errorf("metrics: merge conflict: series %q duplicated within table %q",
-					s.Name, o.Title)
-			}
-		}
-	}
-	for _, s := range o.Series {
-		t.Series = append(t.Series, Series{Name: s.Name, Values: s.Values})
-	}
-	return nil
-}
-
 // Row returns the values of series name, or nil.
 func (t *Table) Row(name string) []float64 {
 	for _, s := range t.Series {

@@ -207,53 +207,3 @@ func TestTableAddLengthMismatchPanics(t *testing.T) {
 	tab := &Table{Title: "t", Labels: []string{"a", "b"}}
 	tab.Add("s", []float64{1})
 }
-
-func TestTableMerge(t *testing.T) {
-	dst := &Table{Title: "dst", Labels: []string{"a", "b"}}
-	dst.Add("base", []float64{1, 2})
-
-	src := &Table{Title: "src", Labels: []string{"a", "b"}}
-	src.Add("s1", []float64{3, 4})
-	src.Add("s2", []float64{5, 6})
-	if err := dst.Merge(src); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if got := dst.Row("s2"); got == nil || got[1] != 6 {
-		t.Fatalf("merged series missing: %v", got)
-	}
-	if len(dst.Series) != 3 {
-		t.Fatalf("series count = %d, want 3", len(dst.Series))
-	}
-	if err := dst.Merge(nil); err != nil {
-		t.Fatalf("Merge(nil): %v", err)
-	}
-}
-
-func TestTableMergeConflicts(t *testing.T) {
-	mk := func(labels []string, name string, vals []float64) *Table {
-		return &Table{Labels: labels, Series: []Series{{Name: name, Values: vals}}}
-	}
-	dst := &Table{Title: "dst", Labels: []string{"a", "b"}}
-	dst.Add("s", []float64{1, 2})
-
-	// Duplicate row key.
-	if err := dst.Merge(mk([]string{"a", "b"}, "s", []float64{9, 9})); err == nil {
-		t.Error("duplicate series merged silently")
-	}
-	// Label count mismatch.
-	if err := dst.Merge(mk([]string{"a"}, "t", []float64{9})); err == nil {
-		t.Error("label-count mismatch merged silently")
-	}
-	// Label tuple mismatch.
-	if err := dst.Merge(mk([]string{"a", "c"}, "t", []float64{9, 9})); err == nil {
-		t.Error("label-tuple mismatch merged silently")
-	}
-	// Malformed source series (hand-built, bypassing Add).
-	if err := dst.Merge(mk([]string{"a", "b"}, "t", []float64{9})); err == nil {
-		t.Error("short source series merged silently")
-	}
-	// A failed merge must not have partially applied.
-	if len(dst.Series) != 1 {
-		t.Fatalf("failed merges mutated the table: %d series", len(dst.Series))
-	}
-}

@@ -1,9 +1,11 @@
 // Package parallel is the single blessed home of host concurrency in the
-// reproduction. Everything simulated runs single-threaded under the
-// kernel's baton chain (DESIGN.md §8, rule 4); everything that fans
-// independent simulations out across host cores goes through this package,
-// which owns the repository's one worker-pool goroutine site and its
-// //lint:allow rawgo justification.
+// reproduction. A simulation runs on one goroutine: the kernel resumes one
+// process coroutine at a time and a sharded run steps its kernels in turn
+// (DESIGN.md §8 rule 4, §15). What fans out across host cores is whole,
+// independent simulations, and it goes through this package: Do/Map/Workers
+// (the repository's one worker-pool goroutine site and its //lint:allow rawgo
+// justification), KernelArena (kernels recycled between the runs of a pool)
+// and Stopwatch (the bench harnesses' wall clock).
 //
 // The determinism contract: callers hand Do/Map a body whose iterations are
 // fully independent — each builds its own cluster and kernel, shares no

@@ -6,11 +6,10 @@ package rpcproto
 // allocation profile, so the frontend and backend return consumed frames
 // here instead of dropping them for the GC.
 //
-// A pool belongs to a kernel, not to a connection: a kernel runs one process
-// at a time, so every endpoint on it shares the free lists without locking,
-// and a frame is freed into the pool of whichever kernel frees it. It changes
-// kernels only inside a message, so the shard coordinator's window barrier
-// that carries the message is the happens-before edge.
+// A pool belongs to a kernel, not to a connection: a simulation is one
+// goroutine, so every endpoint on a kernel shares the free lists without
+// locking, and a frame that crosses kernels inside a message is freed into
+// the pool of whichever kernel frees it.
 //
 // Ownership discipline (enforced by the callers, not the pool):
 //

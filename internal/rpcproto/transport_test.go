@@ -202,80 +202,78 @@ func runCrossSession(kA, kB *sim.Kernel, conn *Conn, start sim.Time) *crossSessi
 }
 
 // TestCrossConnFramesChangeKernels drives a Conn whose sides run on two
-// kernels of one shard coordinator — the layout core builds for a remote GPU
-// — at one and at two barrier workers (the second is the case the race
-// detector is for). Messages arrive in send order, one link latency after the
-// sender has paid the transfer; every frame is freed into the pool of the
-// kernel that consumed it; and a second session in the opposite direction
-// takes those very frames back to the kernel that allocated them.
+// kernels of one shard coordinator — the layout core builds for a remote GPU.
+// Messages arrive in send order, one link latency after the sender has paid
+// the transfer; every frame is freed into the pool of the kernel that consumed
+// it; and a second session in the opposite direction takes those very frames
+// back to the kernel that allocated them.
 func TestCrossConnFramesChangeKernels(t *testing.T) {
 	link := LinkSpec{Latency: 60, Bandwidth: 100}
-	for _, workers := range []int{1, 2} {
-		kernels := []*sim.Kernel{sim.NewKernel(1), sim.NewKernel(2)}
-		co := shard.NewCoordinator(kernels, link.Latency, workers)
-		pools := make([]Pool, 2)
-		connect := func(a, b int) *Conn {
-			sa, sb := co.Shard(a), co.Shard(b)
-			conn := NewCrossConn(kernels[a], kernels[b], link,
-				func(lat sim.Time, q *sim.Queue[Msg], m Msg) { sa.SendPut(b, lat, q, m) },
-				func(lat sim.Time, q *sim.Queue[Msg], m Msg) { sb.SendPut(a, lat, q, m) })
-			conn.SetPools(&pools[a], &pools[b])
-			return conn
-		}
-		there := runCrossSession(kernels[0], kernels[1], connect(0, 1), 0)
-		back := runCrossSession(kernels[1], kernels[0], connect(1, 0), 100*sim.Millisecond)
-		co.Run()
-		co.Close()
+	kernels := []*sim.Kernel{sim.NewKernel(1), sim.NewKernel(2)}
+	co := shard.NewCoordinator(kernels, link.Latency, 0)
+	pools := make([]Pool, 2)
+	connect := func(a, b int) *Conn {
+		sa, sb := co.Shard(a), co.Shard(b)
+		conn := NewCrossConn(kernels[a], kernels[b], link,
+			func(lat sim.Time, q *sim.Queue[Msg], m Msg) { sa.SendPut(b, lat, q, m) },
+			func(lat sim.Time, q *sim.Queue[Msg], m Msg) { sb.SendPut(a, lat, q, m) })
+		conn.SetPools(&pools[a], &pools[b])
+		return conn
+	}
+	there := runCrossSession(kernels[0], kernels[1], connect(0, 1), 0)
+	back := runCrossSession(kernels[1], kernels[0], connect(1, 0), 100*sim.Millisecond)
+	co.Run()
+	co.Close()
 
-		for name, s := range map[string]*crossSession{"0→1": there, "1→0": back} {
-			if len(s.arrived) != 4 || s.reply == nil {
-				t.Fatalf("workers=%d %s: %d calls arrived, reply %v", workers, name, len(s.arrived), s.reply)
+	for name, s := range map[string]*crossSession{"0→1": there, "1→0": back} {
+		if len(s.arrived) != 4 || s.reply == nil {
+			t.Fatalf("%s: %d calls arrived, reply %v", name, len(s.arrived), s.reply)
+		}
+		for i := range s.arrived {
+			if s.arrivedSeq[i] != uint64(i+1) || s.arrived[i] != s.frames[i] {
+				t.Fatalf("%s: arrival %d is call %d, want the frame issued as call %d", name, i, s.arrivedSeq[i], i+1)
 			}
-			for i := range s.arrived {
-				if s.arrivedSeq[i] != uint64(i+1) || s.arrived[i] != s.frames[i] {
-					t.Fatalf("workers=%d %s: arrival %d is call %d, want the frame issued as call %d", workers, name, i, s.arrivedSeq[i], i+1)
-				}
-				if s.arrivedAt[i] != s.sent[i]+link.Latency {
-					t.Fatalf("workers=%d %s: call %d sent by %v arrived at %v, want one latency later", workers, name, i+1, s.sent[i], s.arrivedAt[i])
-				}
-				if i > 0 && s.sent[i]-s.sent[i-1] < link.TransferTime(int64(i+1)*1000) {
-					t.Fatalf("workers=%d %s: call %d left %v after its predecessor, under its transfer time", workers, name, i+1, s.sent[i]-s.sent[i-1])
-				}
+			if s.arrivedAt[i] != s.sent[i]+link.Latency {
+				t.Fatalf("%s: call %d sent by %v arrived at %v, want one latency later", name, i+1, s.sent[i], s.arrivedAt[i])
 			}
-			if s.reply != s.replyFrame || s.replySeq != 4 || s.replyAt != s.replied+link.Latency {
-				t.Fatalf("workers=%d %s: reply %p (seq %d) at %v, backend sent %p by %v", workers, name, s.reply, s.replySeq, s.replyAt, s.replyFrame, s.replied)
+			if i > 0 && s.sent[i]-s.sent[i-1] < link.TransferTime(int64(i+1)*1000) {
+				t.Fatalf("%s: call %d left %v after its predecessor, under its transfer time", name, i+1, s.sent[i]-s.sent[i-1])
 			}
 		}
-		// Kernel 1 took the first session's three non-blocking frames from
-		// kernel 0 and, as the second session's frontend, sent them back,
-		// last freed first; its fourth call found the pool empty.
-		for i := 0; i < 3; i++ {
-			if back.frames[i] != there.frames[2-i] {
-				t.Fatalf("workers=%d: return call %d did not reuse the frame kernel 0 allocated", workers, i+1)
-			}
-		}
-		// The reply frame kernel 1 allocated was freed on kernel 0, taken
-		// there by the second session's backend, and freed on kernel 1 again.
-		if back.replyFrame != there.replyFrame {
-			t.Fatalf("workers=%d: the second session's backend did not reuse the reply frame freed on its kernel", workers)
-		}
-		wantCalls := [][]*Call{
-			{there.frames[3], there.frames[2], there.frames[1], there.frames[0]},
-			{back.frames[3]},
-		}
-		for k := range pools {
-			if len(pools[k].calls) != len(wantCalls[k]) || len(pools[k].replies) != k {
-				t.Fatalf("workers=%d: kernel %d's pool ends with %d calls and %d replies, want %d and %d",
-					workers, k, len(pools[k].calls), len(pools[k].replies), len(wantCalls[k]), k)
-			}
-			for i, c := range wantCalls[k] {
-				if pools[k].calls[i] != c {
-					t.Fatalf("workers=%d: kernel %d's pool holds the wrong frame at %d", workers, k, i)
-				}
-			}
-		}
-		if pools[1].replies[0] != there.replyFrame {
-			t.Fatalf("workers=%d: the reply frame did not end on the kernel that allocated it", workers)
+		if s.reply != s.replyFrame || s.replySeq != 4 || s.replyAt != s.replied+link.Latency {
+			t.Fatalf("%s: reply %p (seq %d) at %v, backend sent %p by %v", name, s.reply, s.replySeq, s.replyAt, s.replyFrame, s.replied)
 		}
 	}
+	// Kernel 1 took the first session's three non-blocking frames from
+	// kernel 0 and, as the second session's frontend, sent them back,
+	// last freed first; its fourth call found the pool empty.
+	for i := 0; i < 3; i++ {
+		if back.frames[i] != there.frames[2-i] {
+			t.Fatalf("return call %d did not reuse the frame kernel 0 allocated", i+1)
+		}
+	}
+	// The reply frame kernel 1 allocated was freed on kernel 0, taken
+	// there by the second session's backend, and freed on kernel 1 again.
+	if back.replyFrame != there.replyFrame {
+		t.Fatalf("the second session's backend did not reuse the reply frame freed on its kernel")
+	}
+	wantCalls := [][]*Call{
+		{there.frames[3], there.frames[2], there.frames[1], there.frames[0]},
+		{back.frames[3]},
+	}
+	for k := range pools {
+		if len(pools[k].calls) != len(wantCalls[k]) || len(pools[k].replies) != k {
+			t.Fatalf("kernel %d's pool ends with %d calls and %d replies, want %d and %d",
+				k, len(pools[k].calls), len(pools[k].replies), len(wantCalls[k]), k)
+		}
+		for i, c := range wantCalls[k] {
+			if pools[k].calls[i] != c {
+				t.Fatalf("kernel %d's pool holds the wrong frame at %d", k, i)
+			}
+		}
+	}
+	if pools[1].replies[0] != there.replyFrame {
+		t.Fatalf("the reply frame did not end on the kernel that allocated it")
+	}
+
 }

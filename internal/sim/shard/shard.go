@@ -1,26 +1,26 @@
 // Package shard composes several sim.Kernel instances into one simulation
 // under a single virtual clock, using classic conservative (Chandy–Misra–
-// Bryant-style) synchronization: shards may advance concurrently inside a
-// time window [T, T+lookahead) because no cross-shard interaction can take
-// effect in under the lookahead — the minimum cross-shard event latency,
-// which for the Strings topology is the remoting fabric's RPC propagation
-// delay.
+// Bryant-style) synchronization: inside a time window [T, T+lookahead) each
+// shard may advance without looking at the others, because no cross-shard
+// interaction can take effect in under the lookahead — the minimum
+// cross-shard event latency, which for the Strings topology is the remoting
+// fabric's RPC propagation delay. The whole composition runs on one
+// goroutine, the caller of Run: a window steps its active shards one after
+// another in ascending shard id.
 //
-// The composition is deterministic by construction, at any worker count:
+// The merged event order is a pure function of the virtual state:
 //
 //   - Every cross-shard effect travels as a mailbox message carrying an
 //     absolute delivery instant at least one lookahead in the sender's
 //     future. A sender collects its messages in send order.
-//   - Shards only exchange messages at window barriers, on the coordinator's
-//     goroutine, with the shards stopped. A destination's mailbox is kept in
-//     (time, src shard id, per-src sequence) order and injected into its
-//     kernel from the front, and the kernel's timer facility preserves
-//     registration order at equal instants — so the merged event order is a
-//     pure function of the virtual state, never of host scheduling.
-//   - Inside a window each shard advances only its own kernel and writes
-//     only its own state; the window barrier (parallel.Team) provides the
-//     happens-before edges between a sender's window and the receiver's
-//     next one.
+//   - Shards only exchange messages between windows, with every shard
+//     stopped. A destination's mailbox is kept in (time, src shard id,
+//     per-src sequence) order and injected into its kernel from the front,
+//     and the kernel's timer facility preserves registration order at equal
+//     instants.
+//   - Inside a window a shard advances only its own kernel, so what it
+//     computes does not depend on where in the window's stepping order it
+//     sits.
 //
 // The window loop degenerates gracefully at both extremes. When every shard
 // is idle the frontier T jumps straight to the next event anywhere, so
@@ -36,7 +36,6 @@ package shard
 import (
 	"fmt"
 
-	"repro/internal/parallel"
 	"repro/internal/sim"
 )
 
@@ -122,11 +121,8 @@ func (s *Shard) ID() int { return s.id }
 // lookahead constraint; cross-shard sends must respect the coordinator's
 // lookahead — a shorter delay would let a message land in a past the
 // destination has already simulated, and panics immediately instead of
-// corrupting the run.
-//
-// Send must be called from code executing on the shard's own kernel (a
-// process, a timer callback) or between runs on the coordinator's
-// goroutine; it is not safe from foreign goroutines.
+// corrupting the run. Like everything here, Send is for the one goroutine
+// that runs the composition.
 //
 //strings:hotpath
 func (s *Shard) Send(dst int, delay sim.Time, fn func()) {
@@ -168,11 +164,9 @@ func (s *Shard) post(dst int, delay sim.Time, m message) {
 }
 
 // Stats are the coordinator's window-protocol counters, for observability
-// and benchmark reporting. All values are deterministic: they depend only
-// on the virtual schedule, not on worker count or wall-clock interleaving.
+// and benchmark reporting. All values depend only on the virtual schedule.
 type Stats struct {
-	// Windows counts barrier windows in which two or more shards advanced
-	// concurrently.
+	// Windows counts windows in which two or more shards advanced.
 	Windows uint64
 	// SoloRuns counts solo-mode stretches: exactly one shard had work in
 	// the frontier window and ran alone past the window bound.
@@ -181,55 +175,46 @@ type Stats struct {
 	SoloStops uint64
 	// Messages counts cross-shard messages delivered.
 	Messages uint64
-	// MaxActive is the largest concurrent active set of any window.
+	// MaxActive is the largest active set of any window.
 	MaxActive int
 	// Lookahead echoes the composition's lookahead.
 	Lookahead sim.Time
 }
 
 // Coordinator drives a set of shard kernels under the conservative window
-// protocol. It is not safe for concurrent use; exactly one goroutine may
-// call Run/RunUntil.
+// protocol, on the goroutine that calls Run/RunUntil. It is not safe for
+// concurrent use.
 type Coordinator struct {
 	shards  []*Shard
 	look    sim.Time
-	team    *parallel.Team
 	pending []mailbox // undelivered messages, per destination
 	stats   Stats
 
 	// Scratch reused across windows; a window's active set is a prefix of active.
-	nexts   []sim.Time
-	active  []int
-	horizon sim.Time
-	step    func(x int)
+	nexts  []sim.Time
+	active []int
 }
 
 // NewCoordinator builds a composition over the given kernels (one shard
 // each, in order). lookahead is the minimum cross-shard event latency and,
 // with two or more kernels, must be at least 1µs — a zero lookahead admits
 // no conservative window. A single kernel has no peers: every Send is a
-// kernel timer and Run is that kernel's RunUntil. workers bounds how many
-// shards advance concurrently inside a window; results are bit-identical at
-// every worker count, including 1.
-func NewCoordinator(kernels []*sim.Kernel, lookahead sim.Time, workers int) *Coordinator {
+// kernel timer and Run is that kernel's RunUntil. The third argument is
+// ignored: benchmark/drivers.go still passes a worker count.
+func NewCoordinator(kernels []*sim.Kernel, lookahead sim.Time, _ int) *Coordinator {
 	if len(kernels) == 0 {
 		panic("shard: no kernels")
 	}
 	if len(kernels) > 1 && lookahead < 1 {
 		panic(fmt.Sprintf("shard: lookahead %v must be at least 1µs", lookahead))
 	}
-	if workers > len(kernels) {
-		workers = len(kernels)
-	}
 	c := &Coordinator{
 		look:    lookahead,
-		team:    parallel.NewTeam(workers),
 		pending: make([]mailbox, len(kernels)),
 		nexts:   make([]sim.Time, len(kernels)),
 		active:  make([]int, len(kernels)),
 		stats:   Stats{Lookahead: lookahead},
 	}
-	c.step = func(x int) { c.shards[c.active[x]].K.RunUntil(c.horizon) }
 	for i, k := range kernels {
 		c.shards = append(c.shards, &Shard{K: k, id: i, co: c})
 	}
@@ -248,12 +233,8 @@ func (c *Coordinator) Lookahead() sim.Time { return c.look }
 // Stats returns the window-protocol counters accumulated so far.
 func (c *Coordinator) Stats() Stats { return c.stats }
 
-// Workers returns the barrier team's worker count.
-func (c *Coordinator) Workers() int { return c.team.Workers() }
-
-// Close releases the barrier team's workers. The coordinator must not be
-// run again afterwards.
-func (c *Coordinator) Close() { c.team.Close() }
+// Close does nothing: benchmark/drivers.go still calls it.
+func (c *Coordinator) Close() {}
 
 // Run advances the composition until it is globally quiescent: no shard has
 // a pending activation and no cross-shard message is undelivered.
@@ -324,10 +305,11 @@ func (c *Coordinator) run(limit sim.Time) {
 		for _, i := range c.active[:nActive] {
 			c.inject(i, horizon)
 		}
-		c.horizon = horizon
-		c.team.Run(nActive, c.step)
-		// Barrier: collect outboxes in ascending shard id (the active set is
-		// built ascending), preserving per-source send order.
+		for _, i := range c.active[:nActive] {
+			c.shards[i].K.RunUntil(horizon)
+		}
+		// Collect outboxes in ascending shard id (the active set is built
+		// ascending), preserving per-source send order.
 		for _, i := range c.active[:nActive] {
 			c.drain(c.shards[i])
 		}

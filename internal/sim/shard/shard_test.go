@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -22,9 +24,9 @@ type record struct {
 // ringRun builds n shard kernels passing tokens around a ring with varied
 // (but deterministic) service times and hop delays, each hop sent as a
 // closure (Send) or, with put, as a (queue, value) message (SendPut), runs the
-// composition on the given worker count, and returns the per-shard
-// observation logs concatenated in shard order plus the coordinator for
-// stats inspection.
+// composition, and returns the per-shard observation logs concatenated in
+// shard order plus the coordinator for stats inspection. workers is
+// NewCoordinator's third argument, which nothing reads.
 func ringRun(t *testing.T, n, workers, tokens, hops int, put bool) ([]record, *Coordinator) {
 	t.Helper()
 	kernels := make([]*sim.Kernel, n)
@@ -79,20 +81,20 @@ func maxInt(a, b int) int {
 	return b
 }
 
+// TestRingWorkerInvariance: the ring exercises windows of several shards and
+// cross-shard messages, and a second run reproduces the first.
 func TestRingWorkerInvariance(t *testing.T) {
 	ref, refCo := ringRun(t, 4, 1, 6, 40, false)
 	if len(ref) == 0 {
 		t.Fatal("reference run produced no deliveries")
 	}
 	refStats := refCo.Stats()
-	for _, w := range []int{2, 4, 8} {
-		got, co := ringRun(t, 4, w, 6, 40, false)
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d: delivery log diverged from single-worker reference", w)
-		}
-		if s := co.Stats(); !reflect.DeepEqual(s, refStats) {
-			t.Fatalf("workers=%d: stats diverged: %+v vs %+v", w, s, refStats)
-		}
+	got, co := ringRun(t, 4, 1, 6, 40, false)
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatal("delivery log diverged on a rerun")
+	}
+	if s := co.Stats(); !reflect.DeepEqual(s, refStats) {
+		t.Fatalf("stats diverged on a rerun: %+v vs %+v", s, refStats)
 	}
 	if refStats.Windows == 0 {
 		t.Fatalf("ring run never exercised a multi-shard window: %+v", refStats)
@@ -105,23 +107,79 @@ func TestRingWorkerInvariance(t *testing.T) {
 	}
 }
 
+// goroutineID is the "goroutine N" prefix of the caller's stack header.
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Join(strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[:2], " ")
+}
+
+// TestWindowStepsShardsInOrderOnCallersGoroutine: a composition is one
+// goroutine. Four kernels hold timers at the same instants, two to a window,
+// and append to one unsynchronized log: every callback runs on the goroutine
+// that called Run, a window runs shard 0 through its horizon, then shard 1,
+// and so on, and neither NewCoordinator nor Run starts a goroutine whatever
+// the third argument says.
+func TestWindowStepsShardsInOrderOnCallersGoroutine(t *testing.T) {
+	const n, windows = 4, 3
+	// Two instants to a window, every other window empty.
+	at := func(w, k int) sim.Time { return sim.Time(2*w)*look + sim.Time(k)*look/2 }
+	self := goroutineID()
+	for _, third := range []int{0, 1, 4} {
+		before := runtime.NumGoroutine()
+		kernels := make([]*sim.Kernel, n)
+		var log, want []record
+		for i := range kernels {
+			kernels[i] = sim.NewKernel(1)
+			for e := 0; e < 2*windows; e++ {
+				kernels[i].After(at(e/2, e%2), func() {
+					if id := goroutineID(); id != self {
+						t.Errorf("third=%d: shard %d ran on %s, Run was called on %s", third, i, id, self)
+					}
+					log = append(log, record{Shard: i, At: kernels[i].Now()})
+				})
+			}
+		}
+		for w := 0; w < windows; w++ {
+			for i := 0; i < n; i++ {
+				want = append(want, record{Shard: i, At: at(w, 0)}, record{Shard: i, At: at(w, 1)})
+			}
+		}
+		// An earlier test's goroutine may still be winding down, so the
+		// bound is one-sided.
+		co := NewCoordinator(kernels, look, third)
+		if g := runtime.NumGoroutine(); g > before {
+			t.Fatalf("third=%d: NewCoordinator left %d goroutines, %d before", third, g, before)
+		}
+		co.Run()
+		if g := runtime.NumGoroutine(); g > before {
+			t.Fatalf("third=%d: Run left %d goroutines, %d before", third, g, before)
+		}
+		if !reflect.DeepEqual(log, want) {
+			t.Fatalf("third=%d: windows stepped\n%v\nwant ascending shard id inside each window\n%v", third, log, want)
+		}
+		if s := co.Stats(); s.Windows != windows || s.MaxActive != n || s.SoloRuns != 0 {
+			t.Fatalf("third=%d: want %d windows of %d shards and no solo run, got %+v", third, windows, n, s)
+		}
+	}
+}
+
 func TestShardCountCollapse(t *testing.T) {
 	// The same ring logic on 2 shards vs 4 shards is a different partition
-	// (different topology), but each must still be worker-invariant.
+	// (different topology), but it must still reproduce itself.
 	ref, _ := ringRun(t, 2, 1, 4, 25, false)
-	got, _ := ringRun(t, 2, 2, 4, 25, false)
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatal("2-shard ring diverged across worker counts")
+	got, _ := ringRun(t, 2, 1, 4, 25, false)
+	if len(ref) == 0 || !reflect.DeepEqual(got, ref) {
+		t.Fatal("2-shard ring diverged on a rerun")
 	}
 }
 
 func TestSoloModeStopOnSend(t *testing.T) {
-	run := func(workers int) ([]record, Stats) {
+	run := func() ([]record, Stats) {
 		kA := sim.NewKernel(1)
 		kB := sim.NewKernel(2)
 		qB := sim.NewQueue[int](kB)
 		var logA, logB []record
-		co := NewCoordinator([]*sim.Kernel{kA, kB}, look, workers)
+		co := NewCoordinator([]*sim.Kernel{kA, kB}, look, 1)
 		shA := co.Shard(0)
 		kA.Go("busy", func(p *sim.Proc) {
 			for step := 0; step < 1000; step++ {
@@ -143,19 +201,12 @@ func TestSoloModeStopOnSend(t *testing.T) {
 		co.Close()
 		return append(logA, logB...), co.Stats()
 	}
-	ref, stats := run(1)
+	ref, stats := run()
 	if stats.SoloRuns == 0 {
 		t.Fatalf("expected solo runs while shard B idles, got %+v", stats)
 	}
 	if stats.SoloStops == 0 {
 		t.Fatalf("the send at step 500 should cut a solo run short: %+v", stats)
-	}
-	got, gotStats := run(2)
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatal("solo scenario diverged across worker counts")
-	}
-	if !reflect.DeepEqual(gotStats, stats) {
-		t.Fatalf("solo stats diverged: %+v vs %+v", gotStats, stats)
 	}
 	// The message was sent at t=5010 and must arrive when B wakes at 200000.
 	last := ref[len(ref)-1]
@@ -305,9 +356,6 @@ func TestAccessors(t *testing.T) {
 	}
 	if co.Lookahead() != look {
 		t.Fatalf("Lookahead() = %v, want %v", co.Lookahead(), look)
-	}
-	if co.Workers() != 3 {
-		t.Fatalf("Workers() = %d, want 3 (capped at shard count)", co.Workers())
 	}
 	for i := range ks {
 		if co.Shard(i).ID() != i || co.Shard(i).K != ks[i] {

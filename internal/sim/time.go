@@ -1,8 +1,8 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel runs cooperatively scheduled processes (goroutines that execute
-// one at a time, handing a baton back to the kernel whenever they block) over
-// a virtual clock. All ordering is deterministic: pending activations are
+// The kernel runs cooperatively scheduled processes (coroutines that execute
+// one at a time, yielding to the kernel whenever they block) over a virtual
+// clock. All ordering is deterministic: pending activations are
 // ordered by (virtual time, schedule sequence number), so two runs with the
 // same seed produce identical event orders and identical results.
 //

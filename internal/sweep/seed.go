@@ -1,16 +1,17 @@
-package sweep
-
-// Seed folding: every experiment cell derives its random streams from
-// (base seed, cell identity) alone, never from a shared RNG consumed in
-// execution order. That is the property that makes the sweep engine's
-// parallelism safe — a cell's results cannot depend on which worker ran it
-// or on how many cells ran before it.
+// Package sweep derives the seeds of experiment sweeps. Every independent
+// simulation of a sweep — a figure cell, a replication, a supernode of the
+// cluster tier — takes its random streams from (base seed, its own identity)
+// alone, never from a shared RNG consumed in execution order. That is the
+// property that makes fanning simulations out over internal/parallel safe: a
+// simulation's results cannot depend on which worker ran it or on how many
+// ran before it.
 //
 // The mixer is the splitmix64 finalizer (Steele, Lea & Flood, "Fast
 // splittable pseudorandom number generators", OOPSLA'14): a bijective
 // avalanche function, so distinct (base, parts...) tuples of equal arity
 // map to distinct seeds and neighbouring cell indices land far apart in
 // seed space instead of producing correlated rand.NewSource streams.
+package sweep
 
 // splitmix64 is the splitmix64 finalizer round.
 func splitmix64(x uint64) uint64 {

@@ -48,8 +48,8 @@ func ClusterPolicies() []string { return cluster.Policies() }
 
 // RunCluster executes a full cluster-tier run: generate the open-arrival
 // population, place it with the shared-state optimistic engine, execute the
-// supernode runs (bit-identical at any Workers/Shards setting) and
-// aggregate the SLO metrics.
+// supernode runs (bit-identical at any Workers setting) and aggregate the
+// SLO metrics.
 func RunCluster(cfg ClusterConfig) (*ClusterResult, error) { return cluster.Run(cfg) }
 
 // ParseOpenArrivalSpec parses the textual open-arrival form, e.g.

@@ -86,13 +86,10 @@ const megaShardNodes = 4
 // RunMegaSharded drives the sharded mega macro-scenario: the same
 // light-profile Gaussian traffic as RunMega, split across a four-node fleet
 // (one Poisson stream per node, one tenant per node) so the cluster
-// partitions into four shard kernels advancing concurrently under the
-// conservative window protocol. shards sets the barrier worker count
-// (Config.Shards) and must be >= 1 — at 0 the same model runs on one kernel
-// and there is nothing to measure; the simulated outcome is bit-identical
-// for any shards >= 1 — only wall-clock time changes — which
-// TestRunMegaShardedSmoke asserts at 1 and 4 workers. FFJumps and
-// FFSkipped sum over all four shard kernels (each skips its own quiescent
+// partitions into four shard kernels under the conservative window protocol.
+// shards is Config.Shards and must be >= 1 — at 0 the same model runs on one
+// kernel and there is nothing to measure; every value >= 1 is the same run.
+// FFJumps and FFSkipped sum over all four shard kernels (each skips its own quiescent
 // stretches of the shared timeline), so SkipRatio can exceed 1 here.
 func RunMegaSharded(seed int64, requests, shards int) (MegaResult, ShardStats, error) {
 	nodes := make([]NodeConfig, megaShardNodes)

@@ -50,7 +50,7 @@ type (
 	Cluster = core.Cluster
 	// RunResult aggregates an experiment run.
 	RunResult = core.RunResult
-	// ShardStats reports the parallel shard coordinator's window counters
+	// ShardStats reports the shard coordinator's window counters
 	// (see Cluster.ShardStats; zero-valued when the run did not shard).
 	ShardStats = shard.Stats
 	// DeviceSpec describes a GPU's capabilities.
