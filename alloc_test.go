@@ -84,17 +84,18 @@ func TestAllocBudgetPerEvent(t *testing.T) {
 // comes in: one application instance per request, so a frontend process, a
 // backend thread and some twenty marshalled calls each. On the repo
 // benchmark's node_mega shape (one 2-GPU Strings node, GMin, a sparse
-// Gaussian stream) a request costs ~35 allocations once the pools are warm:
-// it was 63 while every process built its own coroutine and 39 while every
-// connection warmed a frame pool of its own; the ceiling catches either
-// coming back.
+// Gaussian stream) a request costs ~26 allocations once the pools are warm:
+// it was 63 while every process built its own coroutine, 39 while every
+// connection warmed a frame pool of its own and 35 while a connection was five
+// objects, every application got a multi-thread session and the last call's
+// frames were dropped; the ceiling catches any of them coming back.
 func TestAllocBudgetPerRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget measurement skipped in -short mode")
 	}
 	const (
 		requests = 4000
-		budget   = 38.0
+		budget   = 28.0
 	)
 	if _, err := stringsched.RunMega(1, 200); err != nil {
 		t.Fatal(err)
@@ -121,11 +122,11 @@ func TestAllocBudgetPerRequest(t *testing.T) {
 // where the Dispatcher turns over a few dozen entries every 5 ms epoch) and
 // two Fig 12-shaped cells (the pair on the four-GPU supernode under GWtMin
 // with PS and with LAS), construction included. A turn allocates nothing, so
-// a request costs 83 to 87 allocations here — sessions, streams, launch
-// closures and a cluster built for a dozen requests — and the budgets sit 10 %
-// above that. With policies that rebuilt maps and slices and called sort.Slice
+// a request costs 70 to 74 allocations here — streams, launch closures, a
+// cluster built for a dozen requests and its processes unwound on Close — and
+// the budgets sit under 10 % above that. With policies that rebuilt maps and slices and called sort.Slice
 // every turn the same cells cost 2 668, 12 857 and 8 587 allocations a request:
-// 29, 135 and 90 times these budgets.
+// 35, 161 and 107 times these budgets.
 func TestAllocBudgetContendedCell(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget measurement skipped in -short mode")
@@ -151,9 +152,9 @@ func TestAllocBudgetContendedCell(t *testing.T) {
 		horizon stringsched.Time // 0 = run to completion
 		budget  float64
 	}{
-		{"fig11/TFS-Strings", stringsched.Config{Nodes: oneGPU, Mode: stringsched.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * stringsched.Second, 92},
-		{"fig12/GWtMinPS-Strings", stringsched.Config{Nodes: supernode, Mode: stringsched.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 95},
-		{"fig12/GWtMinLAS-Strings", stringsched.Config{Nodes: supernode, Mode: stringsched.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 95},
+		{"fig11/TFS-Strings", stringsched.Config{Nodes: oneGPU, Mode: stringsched.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * stringsched.Second, 77},
+		{"fig12/GWtMinPS-Strings", stringsched.Config{Nodes: supernode, Mode: stringsched.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 80},
+		{"fig12/GWtMinLAS-Strings", stringsched.Config{Nodes: supernode, Mode: stringsched.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 80},
 	}
 	for _, cell := range cells {
 		run := func(seed int64) int {
@@ -194,9 +195,9 @@ func TestAllocBudgetContendedCell(t *testing.T) {
 // Gaussian stream arriving at 0.03 of the solo rate so about 45 % of the
 // requests are served across a mailbox. A cross-kernel message is a value, a
 // frame is recycled by whichever kernel consumes it and a window neither
-// sorts nor allocates, so such a request costs ~42 allocations here (41 over
-// the benchmark's longer pass), seven more than node_mega's; the budget sits
-// 10 % above. While every message was a closure, cross-kernel conns dropped
+// sorts nor allocates, so such a request costs ~34 allocations here (32 over
+// the benchmark's longer pass), eight more than node_mega's; the budget sits
+// under 10 % above. While every message was a closure, cross-kernel conns dropped
 // their frames and each window sorted its lists, the same run cost 118.
 func TestAllocBudgetShardedRequest(t *testing.T) {
 	if testing.Short() {
@@ -205,7 +206,7 @@ func TestAllocBudgetShardedRequest(t *testing.T) {
 	const (
 		nodes    = 4
 		requests = 4000
-		budget   = 46.0
+		budget   = 37.0
 	)
 	run := func(seed int64, requests int) stringsched.ShardStats {
 		cfg := stringsched.Config{Seed: seed, Mode: stringsched.ModeStrings, Balance: "GMin", Shards: 1}

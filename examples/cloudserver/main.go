@@ -34,6 +34,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		defer cluster.Close()
 		r, err := cluster.Run(streams)
 		if err != nil {
 			log.Fatal(err)

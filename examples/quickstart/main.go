@@ -48,6 +48,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		defer cluster.Close()
 		r, err := cluster.Run(stream)
 		if err != nil {
 			log.Fatal(err)

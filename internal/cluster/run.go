@@ -104,8 +104,9 @@ func Run(cfg Config) (*Result, error) {
 
 	// One core run per supernode, fanned out through the blessed pool.
 	// Kernels recycle through a shared arena: workers fewer than
-	// supernodes reuse their predecessor's backing arrays.
+	// supernodes reuse their predecessor's backing arrays and coroutines.
 	var arena parallel.KernelArena
+	defer arena.Close()
 	type snOut struct {
 		res SupernodeResult
 		err error

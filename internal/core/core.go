@@ -114,10 +114,10 @@ type Config struct {
 	// Kernel, when non-nil, is Reset(Seed) and reused instead of building a
 	// fresh kernel — the sweep workers recycle kernels through a
 	// parallel.KernelArena so back-to-back cells reuse the heap and ring
-	// backing arrays. A reset kernel reproduces a fresh kernel's event
-	// sequence exactly (see internal/sim reset tests), so this is purely an
-	// allocation optimization. The kernel remains the caller's: Cluster.Close
-	// does not close it.
+	// backing arrays and the process coroutines. A reset kernel reproduces a
+	// fresh kernel's event sequence exactly (see internal/sim reset tests),
+	// so this is purely an allocation optimization. The kernel remains the
+	// caller's: Cluster.Close does not close it.
 	Kernel *sim.Kernel
 
 	// Traces, when non-nil, memoizes materialized arrival traces so cells

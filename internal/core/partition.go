@@ -139,8 +139,10 @@ func (c *Cluster) Recorders() []*trace.Recorder {
 	return recs
 }
 
-// Close releases the idle process coroutines of every kernel New created; a
-// Config.Kernel stays its owner's to close. Safe to call more than once.
+// Close closes every kernel New created — the processes the run left parked
+// are unwound and no goroutine remains — and ends the cluster: devices and
+// results stay readable, it cannot run again. A Config.Kernel stays its
+// owner's to close. Safe to call more than once.
 func (c *Cluster) Close() {
 	for _, e := range c.envs {
 		if e.k != c.cfg.Kernel {

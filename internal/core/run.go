@@ -300,6 +300,9 @@ func (e *shardEnv) runApp(p *sim.Proc, app *workload.App, s workload.StreamSpec)
 		s.Kind.String(), app.ID, -1, s.Tenant)
 	var client cuda.Client
 	var ipose *interpose.Interposer
+	// Only a multi-threaded application has further threads to make clients
+	// for; the others never pay for the factory or the session behind it.
+	threaded := app.Style == workload.StyleMultiThread
 	var factory func(*sim.Proc) cuda.Client
 	switch c.cfg.Mode {
 	case ModeCUDA:
@@ -308,18 +311,21 @@ func (e *shardEnv) runApp(p *sim.Proc, app *workload.App, s workload.StreamSpec)
 		rt := cuda.NewRuntime(e.k, c.nodeDev[s.Node], c.cfg.CUDA)
 		rt.SetOwner(app.ID)
 		client = rt.NewThread(p, app.ID)
-		factory = func(tp *sim.Proc) cuda.Client { return rt.NewThread(tp, app.ID) }
+		if threaded {
+			factory = func(tp *sim.Proc) cuda.Client { return rt.NewThread(tp, app.ID) }
+		}
 	default:
 		ipose = interpose.New(c.nodes[s.Node], p, app.ID, s.Tenant, s.Weight,
 			s.Kind.String(), s.Node, c.cfg.Mode == ModeStrings)
 		ipose.SetRecovery(c.cfg.Recovery)
 		ipose.SetTrace(e.rec, reqSpan)
 		client = ipose
-		sess := interpose.NewMTSession(e.k, ipose)
-		factory = sess.Thread
+		if threaded {
+			factory = interpose.NewMTSession(e.k, ipose).Thread
+		}
 	}
 	var err error
-	if app.Style == workload.StyleMultiThread {
+	if threaded {
 		err = app.RunThreaded(p, factory, 2)
 	} else {
 		err = app.Run(client)

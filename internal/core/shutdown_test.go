@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -60,59 +61,72 @@ func TestRainBackendsExitWithApps(t *testing.T) {
 	}
 }
 
-// A closed cluster holds no goroutine for the requests it served: build/run/
-// close cycles grow the goroutine count by the long-lived service processes
-// each run leaves parked mid-body (abandoned, as ever) and by nothing that
-// scales with the requests, on kernels New created; a caller's kernel keeps
-// its idle coroutines for the caller's next run and gives them up on its own
-// Close.
+// A closed cluster holds no goroutine at all — not for the requests it served,
+// not for the service processes a drained run leaves parked, not for the
+// applications a horizon cut off mid-call — on kernels New created; a
+// caller's kernel keeps its coroutines for the caller's next run and gives
+// them up on its own Close. Not skipped in -short: it is the leak gate.
 func TestCloseLeavesNoRequestGoroutines(t *testing.T) {
 	streams := []workload.StreamSpec{
 		{Kind: workload.Gaussian, Count: 12, LambdaFactor: 0.2, Node: 0, Tenant: 1, Weight: 1},
 		{Kind: workload.Gaussian, Count: 12, LambdaFactor: 0.2, Node: 1, Tenant: 2, Weight: 1},
 	}
+	// Fig 11's shape: two saturating streams on one GPU, cut at a horizon.
+	contended := []workload.StreamSpec{
+		{Kind: workload.DXTC, Count: 8, Lambda: sim.Second, Node: 0, Tenant: 1, Weight: 1},
+		{Kind: workload.MonteCarlo, Count: 40, Lambda: sim.Second / 2, Node: 0, Tenant: 2, Weight: 1},
+	}
+	oneGPU := []NodeConfig{{Devices: []gpu.Spec{gpu.TeslaC2050}}}
 	own := sim.NewKernel(0)
-	for _, cfg := range []Config{
-		{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin"},
-		{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin", Shards: 1},
-		{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin", Kernel: own},
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		horizon sim.Time
+	}{
+		{"one kernel", Config{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin"}, 0},
+		{"sharded", Config{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin", Shards: 1}, 0},
+		{"caller's kernel", Config{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin", Kernel: own}, 0},
+		{"horizon", Config{Seed: 3, Nodes: oneGPU, Mode: ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, 40 * sim.Second},
+		{"horizon, caller's kernel", Config{Seed: 3, Nodes: oneGPU, Mode: ModeRain, Balance: "GRR", DevPolicy: "TFS", Kernel: own}, 40 * sim.Second},
 	} {
 		for cycle := 0; cycle < 4; cycle++ {
 			before := runtime.NumGoroutine()
-			c, err := New(cfg)
+			c, err := New(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := c.Run(streams)
-			if err != nil || len(r.Errors) > 0 || r.Finished != 24 {
-				t.Fatalf("run: %v %v, finished %d", err, r.Errors, r.Finished)
-			}
-			// The parked services that are coroutines: everything but the
-			// device drivers and dispatchers, which are daemons.
-			parked := 0
-			for _, e := range c.envs {
-				for _, name := range e.k.Blocked() {
-					if !hasPrefix(name, "gpu") && !hasPrefix(name, "devsched-") {
-						parked++
-					}
+			var r *RunResult
+			if tc.horizon > 0 {
+				if r, err = c.RunUntil(contended, tc.horizon); err == nil && r.Launched-r.Finished < 20 {
+					t.Fatalf("%s: %d applications in flight at the horizon, want at least 20", tc.name, r.Launched-r.Finished)
 				}
+			} else if r, err = c.Run(streams); err == nil && r.Finished != 24 {
+				t.Fatalf("%s: finished %d of 24", tc.name, r.Finished)
+			}
+			if err != nil || len(r.Errors) > 0 {
+				t.Fatalf("%s: run: %v %v", tc.name, err, r.Errors)
 			}
 			during := runtime.NumGoroutine() - before
 			c.Close()
 			c.Close()
 			after := runtime.NumGoroutine() - before
-			if cfg.Kernel != nil {
-				if after <= parked {
-					t.Fatalf("cycle %d: Close took the caller's kernel from %d goroutines to %d", cycle, during, after)
+			if tc.cfg.Kernel != nil {
+				if after <= 0 {
+					t.Fatalf("%s cycle %d: Close took the caller's kernel from %d goroutines to %d", tc.name, cycle, during, after)
 				}
 				own.Close()
 				after = runtime.NumGoroutine() - before
 			}
 			// A goroutine some earlier test left winding down may end in
 			// between, so the bound is one-sided.
-			if during <= parked || after > parked {
-				t.Fatalf("shards=%d own=%v cycle %d: %d goroutines before Close, %d after, with %d service processes parked",
-					cfg.Shards, cfg.Kernel != nil, cycle, during, after, parked)
+			if during <= 0 || after > 0 {
+				t.Fatalf("%s cycle %d: %d goroutines over the baseline before Close, %d after, want none",
+					tc.name, cycle, during, after)
+			}
+			for _, e := range c.envs {
+				if n := e.k.ProcCount(); n != 0 {
+					t.Fatalf("%s cycle %d: %d processes live on kernel %d after Close: %v", tc.name, cycle, n, e.idx, e.k.Blocked())
+				}
 			}
 		}
 	}

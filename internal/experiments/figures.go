@@ -39,6 +39,7 @@ func (s *Suite) fig9Base(k workload.Kind) *core.RunResult {
 // the memoized cache, so there is no barrier between the baseline pass and
 // the policy runs.
 func (s *Suite) Fig9() *metrics.Table {
+	defer s.arena.Close()
 	labels := make([]string, len(s.opt.Apps))
 	for i, k := range s.opt.Apps {
 		labels[i] = k.String()
@@ -81,6 +82,7 @@ func (s *Suite) Fig9() *metrics.Table {
 // over the 24 workload pairs, weighted speedup vs the single-node GRR
 // baseline. Paper averages: Rain 1.60/1.80/1.82×, Strings 2.64/2.69/2.88×.
 func (s *Suite) Fig10() *metrics.Table {
+	defer s.arena.Close()
 	tab := &metrics.Table{
 		Title:  "Fig 10: GPU sharing on the 4-GPU supernode (weighted speedup vs 1-node GRR)",
 		Labels: s.pairLabels(),
@@ -115,6 +117,7 @@ func (s *Suite) Fig10() *metrics.Table {
 // contention window, each normalized by the tenant's solo rate. Paper
 // averages: ~80.5% CUDA, ~84.9% TFS-Rain, 91% TFS-Strings.
 func (s *Suite) Fig11() *metrics.Table {
+	defer s.arena.Close()
 	tab := &metrics.Table{
 		Title:  "Fig 11: fairness of equal-share tenants on one GPU (Jain index)",
 		Labels: s.pairLabels(),
@@ -208,6 +211,7 @@ func (s *Suite) fig12Run(cb devCombo, p workload.Pair) *core.RunResult {
 // GRR baseline. Paper averages: 2.18× (LAS-Rain), 3.10× (LAS-Strings),
 // 2.97× (PS-Strings).
 func (s *Suite) Fig12() *metrics.Table {
+	defer s.arena.Close()
 	tab := &metrics.Table{
 		Title:  "Fig 12: GPU scheduling + sharing (weighted speedup vs 1-node GRR)",
 		Labels: s.pairLabels(),
@@ -228,6 +232,7 @@ func (s *Suite) Fig12() *metrics.Table {
 // the 4-GPU shared GRR baseline, isolating the device-scheduling benefit.
 // Paper averages: 1.40× (LAS-Rain), 1.95× (LAS-Strings), 1.90× (PS-Strings).
 func (s *Suite) Fig13() *metrics.Table {
+	defer s.arena.Close()
 	tab := &metrics.Table{
 		Title:  "Fig 13: GPU scheduling alone (weighted speedup vs 4-GPU shared GRR)",
 		Labels: s.pairLabels(),
@@ -249,6 +254,7 @@ func (s *Suite) Fig13() *metrics.Table {
 // the supernode vs the single-node GRR baseline. Paper averages: RTF-Rain
 // 2.22×, GUF-Rain 2.51×, RTF-Strings 3.23×, GUF-Strings 3.96×.
 func (s *Suite) Fig14() *metrics.Table {
+	defer s.arena.Close()
 	tab := &metrics.Table{
 		Title:  "Fig 14: feedback-based load balancing (weighted speedup vs 1-node GRR)",
 		Labels: s.pairLabels(),
@@ -280,6 +286,7 @@ func (s *Suite) Fig14() *metrics.Table {
 // 3.73× (DTF), 4.02× (MBF) vs the single-node GRR baseline — 8.70× vs the
 // bare CUDA runtime.
 func (s *Suite) Fig15() *metrics.Table {
+	defer s.arena.Close()
 	tab := &metrics.Table{
 		Title:  "Fig 15: Strings-specific feedback policies (weighted speedup vs 1-node GRR)",
 		Labels: s.pairLabels(),

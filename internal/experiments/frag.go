@@ -105,6 +105,7 @@ func fragP99(r *core.RunResult) float64 {
 // by the profile table), slices carved, placement attempts parked, mean
 // admission wait and p99 request latency.
 func (s *Suite) FragPacking() *metrics.Table {
+	defer s.arena.Close()
 	rows := [][]float64{
 		make([]float64, len(fragPolicies)), // stranded ratio
 		make([]float64, len(fragPolicies)), // slices carved

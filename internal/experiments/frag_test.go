@@ -9,6 +9,7 @@ import (
 // GRR, without giving up tail latency.
 func TestFragBeatsBaselines(t *testing.T) {
 	s := NewSuite(Options{Seed: 1, Requests: 6})
+	defer s.arena.Close() // fragRun is not an exported figure: nothing else closes it
 	frag := s.fragRun("Frag")
 	gmin := s.fragRun("GMin")
 	grr := s.fragRun("GRR")

@@ -30,6 +30,7 @@ func TestFig10ShardInvariance(t *testing.T) {
 func TestShardRequestLogInvariance(t *testing.T) {
 	logs := func(shards int) []core.RequestEvent {
 		s := NewSuite(Options{Seed: 5, Requests: 5, Shards: shards})
+		defer s.arena.Close()
 		r := s.run(scenario{
 			key:     "shard-invariance-log",
 			cfg:     core.Config{Nodes: supernode(), Mode: core.ModeStrings, Balance: "GMin"},

@@ -16,6 +16,7 @@ import (
 // bare runtime, because Strings combines the recovered asynchrony with
 // balancing and context packing.
 func (s *Suite) AblationAppStyle() *metrics.Table {
+	defer s.arena.Close()
 	kinds := []workload.Kind{workload.MonteCarlo, workload.BinomialOptions}
 	labels := make([]string, len(kinds))
 	rows := map[string][]float64{}

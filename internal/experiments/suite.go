@@ -124,7 +124,10 @@ type Suite struct {
 	cache map[string]*cacheEntry
 
 	// arena recycles kernels across scenarios so back-to-back runs on one
-	// worker reuse the event heap and ring backing arrays.
+	// worker reuse the event heap and ring backing arrays and the process
+	// coroutines. A suite has no Close, so every exported method that runs
+	// scenarios closes the arena as it returns: a suite that is dropped
+	// between figures holds no goroutine.
 	arena parallel.KernelArena
 
 	// traces shares materialized arrival traces across scenarios — every

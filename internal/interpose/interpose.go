@@ -89,7 +89,8 @@ type Interposer struct {
 	// whose retransmission state retains frames past the round trip).
 	// lastCall/lastReply are the previous blocking round trip's frames:
 	// by the time the frontend issues the next call the reply has been
-	// fully consumed, so newCall recycles them one call late.
+	// fully consumed, so newCall recycles them one call late, and ThreadExit
+	// the last pair.
 	pool      *rpcproto.Pool
 	lastCall  *rpcproto.Call
 	lastReply *rpcproto.Reply
@@ -122,18 +123,19 @@ func (ip *Interposer) Calls() int { return ip.calls }
 // GID returns the gPool device the application was bound to.
 func (ip *Interposer) GID() balancer.GID { return ip.gid }
 
+// freeLast returns the previous blocking round trip's frames to the pool, once
+// the reply has been consumed.
+func (ip *Interposer) freeLast() {
+	ip.pool.FreeCall(ip.lastCall)
+	ip.pool.FreeReply(ip.lastReply)
+	ip.lastCall, ip.lastReply = nil, nil
+}
+
 // newCall stamps a marshalled call with identity and sequence. It also
 // recycles the previous blocking round trip's frames: issuing a new call
 // proves the application has consumed the old reply.
 func (ip *Interposer) newCall(id cuda.CallID) *rpcproto.Call {
-	if ip.lastCall != nil {
-		ip.pool.FreeCall(ip.lastCall)
-		ip.lastCall = nil
-	}
-	if ip.lastReply != nil {
-		ip.pool.FreeReply(ip.lastReply)
-		ip.lastReply = nil
-	}
+	ip.freeLast()
 	ip.seq++
 	ip.calls++
 	c := ip.pool.GetCall()
@@ -446,6 +448,7 @@ func (ip *Interposer) ThreadExit() error {
 	if r != nil && r.Feedback != nil {
 		ip.LastFeedback = r.Feedback
 	}
+	ip.freeLast() // no next call will: the feedback was all that was left to read
 	ip.fab.ReportFeedback(ip.gid, ip.kind, ip.LastFeedback)
 	return err
 }

@@ -19,6 +19,8 @@ type fakeFabric struct {
 	conn     *rpcproto.Conn
 	pool     rpcproto.Pool // the kernel's frame pool, as core gives every conn
 	received []*rpcproto.Call
+	exitCall *rpcproto.Call // the ThreadExit round trip's frames
+	exitRep  *rpcproto.Reply
 	feedback []*rpcproto.Feedback
 	released []string
 
@@ -51,6 +53,7 @@ func newFakeFabric(k *sim.Kernel) *fakeFabric {
 				reply.Feedback = &rpcproto.Feedback{Kind: call.KernelName, GPUTime: 123}
 			}
 			if call.ID == cuda.CallThreadExit {
+				f.exitCall, f.exitRep = call, reply
 				ep.Send(p, reply, 0)
 				return
 			}
@@ -250,6 +253,15 @@ func TestThreadExitRelaysFeedback(t *testing.T) {
 	}
 	if len(f.released) != 1 || f.released[0] != "MC" {
 		t.Fatalf("released = %v", f.released)
+	}
+	// No next call will recycle the exit round trip's frames, so ThreadExit
+	// did, after copying the feedback out: the pool hands back those very
+	// frames, zeroed.
+	if r := f.pool.GetReply(); r != f.exitRep || r.Feedback != nil {
+		t.Fatalf("the pool's reply is %p %+v, want the exit reply %p zeroed", r, r, f.exitRep)
+	}
+	if c := f.pool.GetCall(); c != f.exitCall || c.ID != 0 {
+		t.Fatalf("the pool's call is %p %+v, want the exit call %p zeroed", c, c, f.exitCall)
 	}
 }
 

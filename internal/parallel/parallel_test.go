@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -98,12 +99,14 @@ func TestWorkersResolution(t *testing.T) {
 // kernel behaves like a fresh one after Reset.
 func TestKernelArenaReuses(t *testing.T) {
 	var a KernelArena
+	defer a.Close()
 	k1 := a.Get()
 	k1.Go("p", func(p *sim.Proc) { p.Sleep(5) })
 	k1.Run()
 	a.Put(k1)
 
 	k2 := a.Get()
+	defer a.Put(k2)
 	if k2 != k1 {
 		t.Fatal("arena did not reuse the pooled kernel")
 	}
@@ -117,18 +120,85 @@ func TestKernelArenaReuses(t *testing.T) {
 	}
 }
 
-func TestKernelArenaConcurrent(t *testing.T) {
+// goroutines counts goroutines once the count has held for 10 ms: a pool's
+// workers are released by its WaitGroup a moment before they are gone.
+func goroutines() int {
+	n := runtime.NumGoroutine()
+	for held := 0; held < 10; held++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, held = m, 0
+		}
+	}
+	return n
+}
+
+// TestKernelArenaKeepsCoroutines: Put unwinds what the run left parked and
+// keeps the coroutines with the kernel, so the next run on it builds none;
+// Close gives every one of them back and leaves the arena usable.
+func TestKernelArenaKeepsCoroutines(t *testing.T) {
+	base := goroutines()
 	var a KernelArena
-	Do(64, 8, func(i int) {
+	run := func() *sim.Kernel {
 		k := a.Get()
-		k.Reset(int64(i))
-		k.Go("w", func(p *sim.Proc) { p.Sleep(sim.Time(i)) })
-		k.Run()
+		k.Reset(1)
+		for i := 0; i < 5; i++ {
+			k.Go("p", func(p *sim.Proc) { p.Sleep(sim.Time(10 * (i + 1))) })
+		}
+		k.RunUntil(25) // three still parked
 		a.Put(k)
-	})
-	gets, _ := a.Stats()
-	if gets != 64 {
-		t.Errorf("gets = %d, want 64", gets)
+		if k.ProcCount() != 0 {
+			t.Fatalf("Put left %d processes on the kernel", k.ProcCount())
+		}
+		return k
+	}
+	k1 := run()
+	if n := runtime.NumGoroutine(); n != base+5 {
+		t.Fatalf("%d goroutines after Put, want the baseline's %d and the run's 5 coroutines", n, base)
+	}
+	if k2 := run(); k2 != k1 || runtime.NumGoroutine() != base+5 {
+		t.Fatalf("second run: reused = %v, %d goroutines, want true and %d", k2 == k1, runtime.NumGoroutine(), base+5)
+	}
+	a.Close()
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after Close, %d before the arena's first run", n, base)
+	}
+	if k3 := run(); k3 != k1 {
+		t.Fatal("Close dropped the pooled kernel")
+	}
+	a.Close()
+}
+
+// TestKernelArenaConcurrent: kernels — with the coroutines one pool's workers
+// built and parked processes on — are taken up by the goroutines of the next
+// pool, which unwind, reuse and finally close them (run under -race).
+func TestKernelArenaConcurrent(t *testing.T) {
+	base := goroutines()
+	var a KernelArena
+	for round := 0; round < 2; round++ {
+		Do(64, 8, func(i int) {
+			k := a.Get()
+			k.Reset(int64(i))
+			k.Go("w", func(p *sim.Proc) { p.Sleep(sim.Time(i)) })
+			k.Go("parked", func(p *sim.Proc) { p.Sleep(1000) })
+			k.RunUntil(100)
+			if round == 0 && i%2 == 0 {
+				// Left for whoever gets the kernel next to unwind in its Reset.
+				a.mu.Lock()
+				a.free = append(a.free, k)
+				a.mu.Unlock()
+				return
+			}
+			a.Put(k)
+		})
+	}
+	gets, reused := a.Stats()
+	if gets != 128 || reused < 64 {
+		t.Errorf("Stats = (%d, %d), want 128 gets and the second round's 64 reused", gets, reused)
+	}
+	a.Close()
+	if n := goroutines(); n != base {
+		t.Errorf("%d goroutines after Close, %d before", n, base)
 	}
 }
 

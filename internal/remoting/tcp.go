@@ -50,7 +50,7 @@ func (b *TCPBackend) Serve(lis net.Listener) error {
 // layer.
 func (b *TCPBackend) ServeConn(rw io.ReadWriter) error {
 	sess := newTCPSession(b.Spec)
-	defer sess.execute(nil) // the session process runs off its end rather than staying parked for good
+	defer sess.k.Close() // unwinds the session process, parked on its next call
 	fr := rpcproto.NewFrameReader(rw)
 	defer fr.Close()
 	fw := rpcproto.NewFrameWriter(rw)
@@ -103,7 +103,7 @@ func newTCPSession(spec gpu.Spec) *tcpSession {
 // until the process has finished it. A blocking call parks the process, so
 // the virtual clock advances to its completion; a non-blocking one returns
 // with its device work still pending, to overlap with whatever comes next.
-// The reply is valid until the next execute; a nil call ends the process.
+// The reply is valid until the next execute.
 func (s *tcpSession) execute(call *rpcproto.Call) *rpcproto.Reply {
 	s.calls.Put(call)
 	s.k.Run()
@@ -114,12 +114,9 @@ func (s *tcpSession) execute(call *rpcproto.Call) *rpcproto.Reply {
 // connection's first call, which is what the device attributes service to.
 func (s *tcpSession) serve(p *sim.Proc) {
 	call := s.calls.Get(p)
-	if call == nil {
-		return
-	}
 	appID := int(call.AppID)
 	t := cuda.NewRuntime(s.k, []*gpu.Device{s.dev}, cuda.DefaultConfig()).NewThread(p, appID)
-	for ; call != nil; call = s.calls.Get(p) {
+	for ; ; call = s.calls.Get(p) {
 		s.reply = rpcproto.Reply{}
 		rpcproto.Execute(t, call, &s.reply)
 		if call.ID == cuda.CallThreadExit {

@@ -19,7 +19,7 @@ import (
 // so the clock is visible.
 func TestStreamDestroyThenSync(t *testing.T) {
 	s := newTCPSession(gpu.TeslaC2050)
-	defer s.execute(nil)
+	defer s.k.Close()
 
 	r := s.execute(&rpcproto.Call{ID: cuda.CallStreamCreate, Seq: 1})
 	if r.Err != "" || r.Stream == 0 {

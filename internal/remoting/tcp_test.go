@@ -1,8 +1,11 @@
 package remoting
 
 import (
+	"io"
 	"net"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cuda"
@@ -144,7 +147,7 @@ func TestTCPBackendErrors(t *testing.T) {
 // what completes it.
 func TestSessionKeepsAsynchrony(t *testing.T) {
 	s := newTCPSession(gpu.TeslaC2050)
-	defer s.execute(nil)
+	defer s.k.Close()
 	s.execute(&rpcproto.Call{ID: cuda.CallLaunch, Seq: 1, Compute: 5e8, NonBlocking: true})
 	launched := s.k.Now()
 	if r := s.execute(&rpcproto.Call{ID: cuda.CallDeviceCount, Seq: 2}); r.Err != "" || r.Count != 1 || r.Seq != 2 {
@@ -167,20 +170,33 @@ func TestSessionKeepsAsynchrony(t *testing.T) {
 	}
 }
 
-// TestSessionProcessEndsWithConnection: ServeConn must not leave the session
-// process parked behind it — a daemon would leak one coroutine per client.
+// TestSessionProcessEndsWithConnection: ServeConn closes its session's kernel,
+// so neither the session process — parked on its next call between calls, or
+// never started when the client sent nothing — nor its coroutine outlives the
+// connection.
 func TestSessionProcessEndsWithConnection(t *testing.T) {
 	s := newTCPSession(gpu.TeslaC2050)
 	s.execute(&rpcproto.Call{ID: cuda.CallLaunch, Seq: 1, Compute: 1e6, NonBlocking: true})
 	if !slices.Contains(s.k.Blocked(), "session") {
 		t.Fatalf("session process not parked between calls: %v", s.k.Blocked())
 	}
-	s.execute(nil)
-	if slices.Contains(s.k.Blocked(), "session") {
-		t.Fatalf("session process still parked after the session ended: %v", s.k.Blocked())
+	s.k.Close()
+	if n := s.k.ProcCount(); n != 0 {
+		t.Fatalf("%d processes after the session's kernel closed, blocked: %v", n, s.k.Blocked())
 	}
-	if _, pending := s.k.NextEventTime(); pending {
-		t.Fatal("ending the session left device work undrained")
+
+	b := &TCPBackend{Spec: gpu.TeslaC2050}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		if err := b.ServeConn(struct {
+			io.Reader
+			io.Writer
+		}{strings.NewReader(""), io.Discard}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("100 empty connections took the process from %d to %d goroutines", before, after)
 	}
 }
 

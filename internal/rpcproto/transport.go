@@ -54,12 +54,13 @@ type Msg = interface{}
 type CrossDeliver func(latency sim.Time, q *sim.Queue[Msg], msg Msg)
 
 // Conn is a simulated bidirectional message connection between a frontend
-// (side A) and a backend (side B) crossing one link.
+// (side A) and a backend (side B) crossing one link. The two inboxes are part
+// of it, so a connection is one allocation.
 type Conn struct {
 	k     *sim.Kernel
 	link  LinkSpec
-	toB   *sim.Queue[Msg]
-	toA   *sim.Queue[Msg]
+	toB   sim.Queue[Msg]
+	toA   sim.Queue[Msg]
 	xToB  CrossDeliver // non-nil when the two sides live on different kernels
 	xToA  CrossDeliver
 	pools [2]*Pool // side A's and side B's frame pool; nil allocates and drops
@@ -67,22 +68,18 @@ type Conn struct {
 
 // NewConn creates a connection over the given link, with no frame pools.
 func NewConn(k *sim.Kernel, link LinkSpec) *Conn {
-	return &Conn{k: k, link: link, toB: sim.NewQueue[Msg](k), toA: sim.NewQueue[Msg](k)}
+	return NewCrossConn(k, k, link, nil, nil)
 }
 
 // NewCrossConn creates a connection whose A side lives on kernel kA and B
 // side on kernel kB. Each inbox queue lives on its reader's kernel, and
 // sends route through the per-direction deliver hooks instead of a local
-// timer.
+// timer (NewConn: one kernel and no hooks).
 func NewCrossConn(kA, kB *sim.Kernel, link LinkSpec, toB, toA CrossDeliver) *Conn {
-	return &Conn{
-		k:    kA,
-		link: link,
-		toB:  sim.NewQueue[Msg](kB),
-		toA:  sim.NewQueue[Msg](kA),
-		xToB: toB,
-		xToA: toA,
-	}
+	c := &Conn{k: kA, link: link, xToB: toB, xToA: toA}
+	c.toB.Init(kB)
+	c.toA.Init(kA)
+	return c
 }
 
 // SetPools installs the frame pools the endpoints hand out: that of the kernel
@@ -102,10 +99,12 @@ type Endpoint struct {
 }
 
 // A returns the frontend-side endpoint.
-func (c *Conn) A() Endpoint { return Endpoint{conn: c, out: c.toB, in: c.toA, x: c.xToB} }
+func (c *Conn) A() Endpoint { return Endpoint{conn: c, out: &c.toB, in: &c.toA, x: c.xToB} }
 
 // B returns the backend-side endpoint.
-func (c *Conn) B() Endpoint { return Endpoint{conn: c, out: c.toA, in: c.toB, x: c.xToA, side: 1} }
+func (c *Conn) B() Endpoint {
+	return Endpoint{conn: c, out: &c.toA, in: &c.toB, x: c.xToA, side: 1}
+}
 
 // Send transmits msg plus payload bulk bytes. The sender is charged the
 // marshalling and serialization cost; the message is delivered to the peer

@@ -79,6 +79,23 @@ func TestConnBidirectional(t *testing.T) {
 	}
 }
 
+// A connection is one object: its two inboxes and their signals are part of
+// it, on one kernel or across two.
+func TestConnIsOneAllocation(t *testing.T) {
+	kA, kB := sim.NewKernel(1), sim.NewKernel(2)
+	deliver := func(sim.Time, *sim.Queue[Msg], Msg) {}
+	var sink *Conn
+	if n := testing.AllocsPerRun(100, func() { sink = NewConn(kA, SharedMemLink) }); n != 1 {
+		t.Errorf("NewConn allocates %v objects, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = NewCrossConn(kA, kB, RemoteLink, deliver, deliver) }); n != 1 {
+		t.Errorf("NewCrossConn allocates %v objects, want 1", n)
+	}
+	if a, b := sink.A(), sink.B(); a.out != b.in || a.in != b.out || a.in == a.out {
+		t.Errorf("endpoints do not share the connection's two inboxes: A %+v, B %+v", a, b)
+	}
+}
+
 func TestTryRecvAndInboxLen(t *testing.T) {
 	k := sim.NewKernel(1)
 	conn := NewConn(k, LinkSpec{})

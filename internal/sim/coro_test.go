@@ -163,3 +163,227 @@ func TestCloseDuringRunPanics(t *testing.T) {
 	k.Run()
 	k.Close()
 }
+
+// enders are the two ways a kernel's owner ends a run's leftovers.
+var enders = []struct {
+	name string
+	end  func(k *Kernel)
+}{
+	{"Reset", func(k *Kernel) { k.Reset(2) }},
+	{"Close", func(k *Kernel) { k.Close() }},
+}
+
+// Reset and Close unwind a process wherever it is parked: nothing after the
+// park runs, every defer runs once, and the coroutine is the kernel's again.
+func TestResetAndCloseUnwindParkedProcesses(t *testing.T) {
+	parks := []struct {
+		name string
+		park func(k *Kernel, p *Proc)
+	}{
+		{"Sleep", func(k *Kernel, p *Proc) { p.Sleep(100) }},
+		{"Wait", func(k *Kernel, p *Proc) { p.Wait(k.NewEvent()) }},
+		{"WaitSignal", func(k *Kernel, p *Proc) { p.WaitSignal(k.NewSignal()) }},
+		{"WaitTimeout", func(k *Kernel, p *Proc) { p.WaitTimeout(k.NewEvent(), 100) }},
+		{"Queue.Get", func(k *Kernel, p *Proc) { NewQueue[int](k).Get(p) }},
+		{"Mutex.Lock", func(k *Kernel, p *Proc) {
+			m := k.NewMutex()
+			m.TryAcquire()
+			m.Lock(p)
+		}},
+	}
+	base := runtime.NumGoroutine()
+	for _, pk := range parks {
+		for _, e := range enders {
+			k := NewKernel(1)
+			deferred, after := 0, false
+			k.Go("victim", func(p *Proc) {
+				defer func() { deferred++ }()
+				func() {
+					defer func() { deferred++ }()
+					pk.park(k, p)
+				}()
+				after = true
+			})
+			k.RunUntil(10)
+			if k.ProcCount() != 1 || after {
+				t.Fatalf("%s: victim not parked at the horizon", pk.name)
+			}
+			e.end(k)
+			if after || deferred != 2 || k.ProcCount() != 0 {
+				t.Errorf("%s/%s: ran on = %v, defers run = %d, ProcCount = %d; want false, 2, 0",
+					pk.name, e.name, after, deferred, k.ProcCount())
+			}
+			if e.name == "Reset" && len(k.idle) != 1 {
+				t.Errorf("%s/Reset: %d idle coroutines, want the victim's", pk.name, len(k.idle))
+			}
+			k.Close()
+			if n := runtime.NumGoroutine(); n > base {
+				t.Fatalf("%s/%s: %d goroutines after Close, %d before", pk.name, e.name, n, base)
+			}
+		}
+	}
+}
+
+// A process spawned and never started is unwound without its body running,
+// on a fresh coroutine and on one a finished process left, and the coroutine
+// serves the next process like any other.
+func TestUnwindSkipsNeverStartedProcess(t *testing.T) {
+	for _, e := range enders {
+		for _, reused := range []bool{false, true} {
+			k := NewKernel(1)
+			if reused {
+				k.Go("first", func(p *Proc) {})
+				k.Run()
+			}
+			k.Go("never", func(p *Proc) { t.Errorf("%s: a never-started body ran (reused=%v)", e.name, reused) })
+			if reused && len(k.idle) != 0 {
+				t.Fatal("never did not take first's coroutine")
+			}
+			e.end(k)
+			if k.ProcCount() != 0 {
+				t.Errorf("%s: ProcCount = %d after unwinding a never-started process", e.name, k.ProcCount())
+			}
+			if e.name == "Reset" && len(k.idle) != 1 {
+				t.Errorf("Reset: %d idle coroutines, want 1 (reused=%v)", len(k.idle), reused)
+			}
+			ran := false
+			k.Go("next", func(p *Proc) { p.Sleep(1); ran = true })
+			k.Run()
+			if !ran {
+				t.Errorf("%s: the process after the unwinding did not run (reused=%v)", e.name, reused)
+			}
+			k.Close()
+		}
+	}
+}
+
+// Unwinding dispatches nothing. A defer that parks gets the panic again — even
+// with a wake-up it has just queued due at this very instant — the defers
+// registered before it still run, and a defer that spawns has its process
+// ended unstarted.
+func TestUnwindingDefersCannotDispatch(t *testing.T) {
+	for _, e := range enders {
+		k := NewKernel(1)
+		wake, never := k.NewEvent(), k.NewEvent()
+		var trail []string
+		k.Go("victim", func(p *Proc) {
+			defer func() { trail = append(trail, "outer") }()
+			defer func() {
+				k.Go("orphan", func(p *Proc) { t.Error("a process spawned while unwinding ran") })
+			}()
+			defer func() {
+				p.Wait(never)
+				trail = append(trail, "past Wait")
+			}()
+			defer func() {
+				wake.Fire()
+				p.Sleep(0)
+				trail = append(trail, "past Sleep")
+			}()
+			p.Sleep(100)
+		})
+		k.Go("bystander", func(p *Proc) {
+			p.Wait(wake)
+			t.Error("a bystander was dispatched during unwinding")
+		})
+		k.RunUntil(5)
+		dispatched := k.Dispatched()
+		e.end(k)
+		if !reflect.DeepEqual(trail, []string{"outer"}) {
+			t.Errorf("%s: defers left %v, want [outer]", e.name, trail)
+		}
+		if k.ProcCount() != 0 {
+			t.Errorf("%s: ProcCount = %d", e.name, k.ProcCount())
+		}
+		if e.name == "Close" && k.Dispatched() != dispatched {
+			t.Errorf("Close dispatched %d activations", k.Dispatched()-dispatched)
+		}
+		// What the defers queued is stale: a closed kernel runs on without it.
+		k.Run()
+		k.Close()
+	}
+}
+
+// Only the unwinding's own panic ends in the coroutine: any other value, raised
+// by a defer on the way out, reaches whoever called Reset or Close.
+func TestUnwindPropagatesRealPanic(t *testing.T) {
+	for _, e := range enders {
+		k := NewKernel(1)
+		k.Go("victim", func(p *Proc) {
+			defer func() { panic("boom") }()
+			p.Sleep(100)
+		})
+		k.RunUntil(1)
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			e.end(k)
+		}()
+		if got != "boom" {
+			t.Errorf("%s surfaced %v, want boom", e.name, got)
+		}
+	}
+}
+
+// Close ends daemons with the processes: none is left in the table, and what
+// they had armed is stale when the kernel runs again.
+func TestCloseEndsDaemons(t *testing.T) {
+	k := NewKernel(1)
+	steps := 0
+	var d *Daemon
+	d = k.GoDaemon("ticker", func(d *Daemon) { steps++; d.Sleep(10) })
+	kicked := k.GoDaemon("kicked", func(d *Daemon) { steps++; d.WaitKick() })
+	k.Go("kicker", func(p *Proc) {
+		defer kicked.Kick()
+		p.Sleep(100)
+	})
+	k.RunUntil(25)
+	before := steps
+	k.Close()
+	if k.ProcCount() != 0 {
+		t.Fatalf("ProcCount = %d after Close", k.ProcCount())
+	}
+	d.Kick()
+	k.Run()
+	if steps != before {
+		t.Fatalf("daemons stepped %d times after Close", steps-before)
+	}
+}
+
+// Reset leaves every coroutine the run made on the idle list — as many as the
+// run's peak of live processes — so the same run again builds none.
+func TestResetKeepsEveryCoroutine(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	peak := 0
+	run := func() {
+		spawn := func(name string, life Time) {
+			k.Go(name, func(p *Proc) { p.Sleep(life) })
+			peak = max(peak, k.ProcCount())
+		}
+		k.Go("spawner", func(p *Proc) {
+			for i := 0; i < 40; i++ {
+				if i%4 == 0 {
+					spawn("long", 1000) // still parked when the run stops
+				} else {
+					spawn("req", Time(3+i%7))
+				}
+				p.Sleep(1)
+			}
+			spawn("late", 0) // never started
+			k.Stop()
+		})
+		k.Run()
+		k.Reset(1)
+	}
+	run()
+	if peak < 12 || len(k.idle) != peak {
+		t.Fatalf("%d idle coroutines after Reset, peak of live processes %d", len(k.idle), peak)
+	}
+	goroutines := runtime.NumGoroutine()
+	run()
+	if len(k.idle) != peak || runtime.NumGoroutine() != goroutines {
+		t.Fatalf("the second run left %d idle coroutines and %d goroutines, want %d and %d: it built new ones",
+			len(k.idle), runtime.NumGoroutine(), peak, goroutines)
+	}
+}

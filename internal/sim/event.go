@@ -121,7 +121,7 @@ func (s *Signal) NotifyOne() bool {
 // Waiting returns the number of processes parked on s.
 func (s *Signal) Waiting() int { return s.waiters.Len() }
 
-// Reset abandons any parked waiters and keeps the ring's backing array for
+// Reset drops any parked waiters and keeps the ring's backing array for
 // reuse. Like Kernel.Reset it must only run between simulations — dropped
 // waiters are never woken.
 func (s *Signal) Reset() { s.waiters.Reset() }

@@ -36,8 +36,8 @@ func resumeStackDepth(t *testing.T, k *Kernel) int {
 }
 
 // requireStackUnwound holds RunUntil's exit invariant: no process is driving,
-// so every live one is suspended in a plain yield and Reset, Close or
-// abandonment find what they always found.
+// so every live one is suspended in a plain yield, which is where Reset and
+// Close unwind it from.
 func requireStackUnwound(t *testing.T, k *Kernel) {
 	t.Helper()
 	if k.running != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -79,9 +80,12 @@ type Kernel struct {
 	tslots []timerSlot
 	tfree  int32
 
-	// idle holds the coroutines finished processes left behind (proc.go):
-	// spawn reuses them, Reset keeps them, Close stops them.
-	idle []*coro
+	// idle holds the coroutines finished and unwound processes left behind
+	// (proc.go): spawn reuses them, Reset keeps them, Close stops them.
+	// Every coroutine the kernel ever made is here, occupied by a process in
+	// procs, or — while unwinding is set — on its way from one to the other.
+	idle      []*coro
+	unwinding bool
 }
 
 // activation is a pending wakeup of a process at a virtual instant. The epoch
@@ -127,15 +131,12 @@ func NewKernel(seed int64) *Kernel {
 // what a new kernel would produce (regression-tested).
 //
 // Reset must only be called between runs — after Run/RunUntil has returned
-// and before any new process is created. Processes left parked by a previous
-// run (for example by a RunUntil horizon) are abandoned: their activations
-// are discarded with the heap and they are never woken again, exactly as if
-// the old kernel had been dropped, and armed timers are dropped with them.
-// Any installed tracer is removed.
+// and before any new process is created. Processes a previous run left alive
+// (parked at a RunUntil horizon, say, or spawned and never started) are
+// unwound first (unwind); then their activations are discarded with the heap,
+// and armed timers are dropped with them. Any installed tracer is removed.
 func (k *Kernel) Reset(seed int64) {
-	if k.running != nil {
-		panic("sim: Reset during an active run")
-	}
+	k.unwind("Reset")
 	k.now = 0
 	k.seq = 0
 	k.limit = maxTime
@@ -158,15 +159,50 @@ func (k *Kernel) Reset(seed int64) {
 	k.tfree = -1
 }
 
-// Close stops the idle process coroutines — goroutines the garbage collector
-// cannot reclaim, so whoever created a kernel calls Close when dropping it.
-// An idle coroutine is suspended between two processes and unwinding it runs
-// no model code; processes abandoned mid-body stay suspended, as ever. The
-// kernel remains usable.
-func (k *Kernel) Close() {
+// unwind ends every live process, so that the process table is empty and all
+// the kernel's coroutines are idle. A daemon owns no coroutine and simply
+// exits. The others go in id order: one parked mid-body is resumed into a
+// panic that runs the body's defers and nothing else of it (park, coro.body),
+// one that never started has its body skipped. No activation is dispatched
+// meanwhile — a park reached from a defer panics too — so what the defers can
+// do is what a timer callback can: fire, notify, unlock, spawn (a process
+// spawned here is unwound in the next round, never having run).
+func (k *Kernel) unwind(caller string) {
 	if k.running != nil {
-		panic("sim: Close during an active run")
+		panic("sim: " + caller + " during an active run")
 	}
+	k.unwinding = true
+	defer func() { k.running, k.unwinding = nil, false }()
+	var live []*Proc
+	for {
+		live = live[:0]
+		for p := range k.procs {
+			if d := p.daemon; d != nil {
+				d.state = daemonParked // a Kick from a defer below is ignored
+				p.done = true
+				delete(k.procs, p)
+				continue
+			}
+			live = append(live, p)
+		}
+		if len(live) == 0 {
+			return
+		}
+		slices.SortFunc(live, func(a, b *Proc) int { return a.id - b.id })
+		for _, p := range live {
+			k.running = p
+			p.resume()
+		}
+	}
+}
+
+// Close ends the live processes (unwind) and then stops every coroutine —
+// goroutines the garbage collector cannot reclaim, so whoever created a
+// kernel calls Close when dropping it. An idle coroutine is suspended between
+// two processes and stopping it runs no model code. The kernel remains
+// usable: the next Go builds coroutines again.
+func (k *Kernel) Close() {
+	k.unwind("Close")
 	for i, c := range k.idle {
 		c.stop()
 		k.idle[i] = nil

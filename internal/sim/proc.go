@@ -32,11 +32,12 @@ type Proc struct {
 }
 
 // coro is a coroutine that runs one process after another. A process whose
-// function returns leaves the coroutine suspended on the kernel's idle list
-// with its stack grown and its iter.Pull plumbing built, and the next spawn
-// moves in; a request-per-process model would otherwise pay for both on every
-// request. The fresh Proc per occupant is what keeps them apart: activations
-// left over from the previous occupant name a Proc that is done.
+// function returns — or is unwound by Reset or Close — leaves the coroutine
+// suspended on the kernel's idle list with its stack grown and its iter.Pull
+// plumbing built, and the next spawn moves in; a request-per-process model
+// would otherwise pay for both on every request. The fresh Proc per occupant
+// is what keeps them apart: activations left over from the previous occupant
+// name a Proc that is done.
 type coro struct {
 	resume func() (struct{}, bool)
 	stop   func()
@@ -64,6 +65,10 @@ func (k *Kernel) takeIdle() *coro {
 	return c
 }
 
+// unwound is what park panics with while the kernel unwinds its processes
+// (Kernel.unwind); coro.body alone recovers it.
+type unwound struct{}
+
 // run is the coroutine body: the occupant's function, then the idle list
 // until spawn installs the next occupant and its start activation resumes
 // the coroutine, or Close stops it (the yield returns false).
@@ -74,7 +79,7 @@ func (c *coro) run(yield func(struct{}) bool) {
 		p, k := c.p, c.p.k
 		p.yield = yield
 		p.epoch++
-		c.fn(p)
+		c.body(p)
 		p.done = true
 		delete(k.procs, p)
 		c.p, c.fn = nil, nil
@@ -83,6 +88,29 @@ func (c *coro) run(yield func(struct{}) bool) {
 			return
 		}
 	}
+}
+
+// body runs the occupant's function. While the kernel unwinds, a process that
+// never started is skipped, and the panic a started one's park raises ends
+// here once the function's defers have run; any other panic goes on to
+// whoever resumed the coroutine.
+//
+//strings:hotpath
+func (c *coro) body(p *Proc) {
+	k := p.k
+	if k.unwinding {
+		return
+	}
+	defer func() {
+		if k.unwinding {
+			switch r := recover().(type) {
+			case nil, unwound:
+			default:
+				panic(r)
+			}
+		}
+	}()
+	c.fn(p)
 }
 
 // Name returns the process name given to Kernel.Go, formatting it on first
@@ -107,11 +135,20 @@ func (p *Proc) Now() Time { return p.k.now }
 // park blocks until this process's next wakeup. It runs the dispatch loop
 // from where it stands and continues with no coroutine switch if its own
 // wake-up comes up; only when nothing may run from here (Kernel.dispatch) does
-// it yield to whoever resumed it, to be resumed by whoever pops its wake-up.
+// it yield to whoever resumed it, to be resumed by whoever pops its wake-up —
+// or by Kernel.unwind, which it answers by panicking out of the body; so does
+// a park that one of the body's defers reaches on the way out.
 func (p *Proc) park() {
+	k := p.k
+	if k.unwinding {
+		panic(unwound{})
+	}
 	p.parked = true
-	if !p.k.dispatch(p) {
+	if !k.dispatch(p) {
 		p.yield(struct{}{})
+		if k.unwinding {
+			panic(unwound{})
+		}
 	}
 	p.parked = false
 	p.epoch++

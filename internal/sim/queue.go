@@ -5,17 +5,22 @@ package sim
 // are delivered in insertion order and, when several processes wait, waiters
 // are served in arrival order. The backing store is a ring buffer, so a
 // long-lived queue's memory is bounded by its peak depth, not by the total
-// number of items that ever flowed through it.
+// number of items that ever flowed through it. A Queue must not be copied
+// after first use.
 type Queue[T any] struct {
-	k     *Kernel
 	items Ring[T]
-	ready *Signal
+	ready Signal
 }
 
 // NewQueue returns an empty queue bound to k.
 func NewQueue[T any](k *Kernel) *Queue[T] {
-	return &Queue[T]{k: k, ready: k.NewSignal()}
+	q := &Queue[T]{}
+	q.Init(k)
+	return q
 }
+
+// Init binds a zero queue to k, for one embedded by value in its owner.
+func (q *Queue[T]) Init(k *Kernel) { q.ready.k = k }
 
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
@@ -26,7 +31,7 @@ func (q *Queue[T]) Cap() int { return q.items.Cap() }
 
 // Reset discards all buffered items and waiting receivers, keeping the ring
 // backing arrays for reuse. Like Kernel.Reset it must only be used between
-// runs: parked receivers are abandoned, not woken.
+// runs: parked receivers are dropped, not woken.
 func (q *Queue[T]) Reset() {
 	q.items.Reset()
 	q.ready.Reset()
@@ -41,7 +46,7 @@ func (q *Queue[T]) Put(v T) {
 // Get removes and returns the oldest item, parking p until one is available.
 func (q *Queue[T]) Get(p *Proc) T {
 	for q.items.Len() == 0 {
-		p.WaitSignal(q.ready)
+		p.WaitSignal(&q.ready)
 	}
 	v := q.items.Pop()
 	// If items remain and other receivers are parked, pass the baton so a
@@ -67,7 +72,7 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Time) (v T, ok bool) {
 	deadline := p.Now() + d
 	for q.items.Len() == 0 {
 		remain := deadline - p.Now()
-		if remain <= 0 || !p.WaitSignalTimeout(q.ready, remain) {
+		if remain <= 0 || !p.WaitSignalTimeout(&q.ready, remain) {
 			if q.items.Len() > 0 {
 				break // an item raced in at the deadline instant
 			}

@@ -51,7 +51,8 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 	// Pollute: a different workload, different seed, left unfinished by a
 	// horizon so parked processes, pending activations, an armed timer, the
 	// idle coroutines of finished processes and a resume stack that was three
-	// deep when the horizon fell survive the run.
+	// deep when the horizon fell survive the run — and the three, unwound by
+	// Reset, fire an event and pass on a mutex that others wait for.
 	reused.Go("polluter", func(p *Proc) {
 		for i := 0; i < 50; i++ {
 			reused.Go("short", func(p *Proc) { p.Sleep(5) })
@@ -59,8 +60,26 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 		}
 	})
 	reused.After(1000, func() { t.Error("timer armed before Reset fired after it") })
+	gate, held := reused.NewEvent(), reused.NewMutex()
+	reused.Go("gated", func(p *Proc) {
+		p.Wait(gate)
+		t.Error("a process woken by an unwinding defer ran")
+	})
+	reused.After(150, func() { // born after the chain: unwound after the Unlock that wakes it
+		reused.Go("locker", func(p *Proc) {
+			held.Lock(p)
+			t.Error("a process handed a mutex by an unwinding defer ran")
+		})
+	})
 	deepest := 0
 	chain(reused, 3, func(level int, p *Proc) {
+		switch level {
+		case 2:
+			defer gate.Fire()
+		case 3:
+			held.Lock(p)
+			defer held.Unlock()
+		}
 		p.Sleep(Time(200 - level)) // l3 wakes first, on top of l1 and l2
 		deepest = max(deepest, resumeStackDepth(t, reused))
 		p.Sleep(300)
@@ -76,6 +95,9 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 	}
 
 	reused.Reset(42)
+	if !gate.Fired() || held.Free() != 0 {
+		t.Fatalf("unwinding ran no defers: gate fired = %v, mutex free = %d", gate.Fired(), held.Free())
+	}
 	if got := resetWorkload(reused); !reflect.DeepEqual(got, fresh) {
 		t.Errorf("reset kernel diverged from fresh kernel:\nfresh: %v\nreused: %v", fresh, got)
 	}
@@ -93,8 +115,8 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 
 // TestKernelResetWithArmedDaemons: what a horizon leaves armed — a timer on
 // a far deadline, one daemon asleep, one kick-waiting with a deadline — dies
-// with the reset like parked processes do: the activations go with the heap,
-// and the next run has a fresh kernel's ids and sequence numbers.
+// with the reset: the activations go with the heap, and the next run has a
+// fresh kernel's ids and sequence numbers.
 func TestKernelResetWithArmedDaemons(t *testing.T) {
 	fresh := resetWorkload(NewKernel(42))
 
