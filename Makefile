@@ -32,21 +32,21 @@ fmt:
 	@out=$$(gofmt -l . | grep -v '/testdata/' || true); \
 	if [ -n "$$out" ]; then echo "fmt: gofmt -l lists:"; echo "$$out"; exit 1; fi
 
-# stringscheck: the determinism/hot-path analyzer suite (DESIGN.md
-# "Determinism invariants" and "Dataflow analysis and the hot-path
-# contract"). Runs as a go vet unit checker so it sees exactly what the
-# build sees, caches per package, and threads cross-package facts through
-# the .vetx plumbing.
+# stringscheck: the determinism/protocol analyzer suite (DESIGN.md
+# "Determinism invariants" and "Static analysis"): a standalone binary that
+# typechecks the named packages against `go list -export` data and runs
+# eight single-package analyzers over them.
 stringscheck:
 	$(GO) build -o $(BIN)/stringscheck ./cmd/stringscheck
 
 # The suite is part of the inner loop, so it carries a wall-time budget:
-# the whole pass — all nine analyzers, CFG construction, dataflow
-# fixpoints, and fact propagation across the tree — must finish in 60s or
-# the target fails. A slow linter is a skipped linter.
+# the whole pass — go list, typechecking, all eight analyzers, CFG
+# construction and the dataflow fixpoints — must finish in 60s or the
+# target fails. A slow linter is a skipped linter. Findings print as
+# file:line:col: analyzer: message.
 lint: stringscheck
 	@start=$$(date +%s); \
-	$(GO) vet -vettool=$(BIN)/stringscheck ./... || exit 1; \
+	$(BIN)/stringscheck ./... || exit 1; \
 	elapsed=$$(( $$(date +%s) - start )); \
 	echo "lint: clean in $${elapsed}s (budget 60s)"; \
 	if [ $$elapsed -gt 60 ]; then \

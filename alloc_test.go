@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/sim"
@@ -38,6 +39,44 @@ func throughputRun(seed int64) (uint64, error) {
 	return c.K.Dispatched(), nil
 }
 
+// minMallocs runs window n times back to back on one P and returns the fewest
+// heap allocations any one run made. runtime.MemStats.Mallocs counts the whole
+// process, so a single window reads two things: what the measured path
+// allocates, which recurs in every window, and what the runtime allocates on
+// its own account while the window is open (a goroutine descriptor the
+// scheduler could not reuse because the test moved to another P — hence one
+// P, as testing.AllocsPerRun does — or the first window after a collection
+// refilling what the collection emptied), which lands in some windows and not
+// in others. The minimum keeps the first and excludes the second; it cannot
+// hide an allocation the path makes every time.
+func minMallocs(n int, window func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	least := ^uint64(0)
+	var ms0, ms1 runtime.MemStats
+	for i := 0; i < n; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&ms0)
+		window()
+		runtime.ReadMemStats(&ms1)
+		least = min(least, ms1.Mallocs-ms0.Mallocs)
+	}
+	return least
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
 // TestAllocBudgetPerEvent pins the zero-alloc steady state of the event hot
 // path: across repeated runs of the standard throughput scenario, total heap
 // allocations per kernel event must stay within budget (the repo benchmark
@@ -61,18 +100,15 @@ func TestAllocBudgetPerEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events uint64
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	for i := 0; i < iters; i++ {
-		ev, err := throughputRun(int64(2 + i))
-		if err != nil {
-			t.Fatal(err)
+	allocs := minMallocs(1, func() {
+		for i := 0; i < iters; i++ {
+			ev, err := throughputRun(int64(2 + i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			events += ev
 		}
-		events += ev
-	}
-	runtime.ReadMemStats(&ms1)
-	allocs := ms1.Mallocs - ms0.Mallocs
+	})
 	perEvent := float64(allocs) / float64(events)
 	t.Logf("%d allocs over %d events: %.4f allocs/event (budget %.2f)", allocs, events, perEvent, budget)
 	if perEvent > budget {
@@ -84,34 +120,35 @@ func TestAllocBudgetPerEvent(t *testing.T) {
 // comes in: one application instance per request, so a frontend process, a
 // backend thread and some twenty marshalled calls each. On the repo
 // benchmark's node_mega shape (one 2-GPU Strings node, GMin, a sparse
-// Gaussian stream) a request costs ~26 allocations once the pools are warm:
-// it was 63 while every process built its own coroutine, 39 while every
-// connection warmed a frame pool of its own and 35 while a connection was five
-// objects, every application got a multi-thread session and the last call's
-// frames were dropped; the ceiling catches any of them coming back.
+// Gaussian stream) a request costs 26.18 allocations once the pools are warm,
+// the same figure in every run: it was 63 while every process built its own
+// coroutine, 39 while every connection warmed a frame pool of its own and 35
+// while a connection was five objects, every application got a multi-thread
+// session and the last call's frames were dropped. The ceiling is the reading
+// rounded up to the next half, so one more allocation a request fails it:
+// nothing static checks allocation, this test and its three siblings are the
+// only gate the request path has (DESIGN.md §13).
 func TestAllocBudgetPerRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget measurement skipped in -short mode")
 	}
 	const (
 		requests = 4000
-		budget   = 28.0
+		budget   = 26.5 // measured 26.18
 	)
 	if _, err := stringsched.RunMega(1, 200); err != nil {
 		t.Fatal(err)
 	}
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	res, err := stringsched.RunMega(2, requests)
-	runtime.ReadMemStats(&ms1)
-	if err != nil || res.Finished != requests {
-		t.Fatalf("mega run: %v, finished %d of %d", err, res.Finished, requests)
-	}
-	perRequest := float64(ms1.Mallocs-ms0.Mallocs) / requests
-	t.Logf("%.2f allocs/request over %d requests, construction included (budget %.0f)", perRequest, requests, budget)
+	allocs := minMallocs(1, func() {
+		res, err := stringsched.RunMega(2, requests)
+		if err != nil || res.Finished != requests {
+			t.Fatalf("mega run: %v, finished %d of %d", err, res.Finished, requests)
+		}
+	})
+	perRequest := float64(allocs) / requests
+	t.Logf("%.2f allocs/request over %d requests, construction included (budget %.1f)", perRequest, requests, budget)
 	if perRequest > budget {
-		t.Fatalf("alloc budget exceeded: %.2f allocs/request > %.0f", perRequest, budget)
+		t.Fatalf("alloc budget exceeded: %.2f allocs/request > %.1f", perRequest, budget)
 	}
 }
 
@@ -122,14 +159,21 @@ func TestAllocBudgetPerRequest(t *testing.T) {
 // where the Dispatcher turns over a few dozen entries every 5 ms epoch) and
 // two Fig 12-shaped cells (the pair on the four-GPU supernode under GWtMin
 // with PS and with LAS), construction included. A turn allocates nothing, so
-// a request costs 70 to 74 allocations here — streams, launch closures, a
-// cluster built for a dozen requests and its processes unwound on Close — and
-// the budgets sit under 10 % above that. With policies that rebuilt maps and slices and called sort.Slice
-// every turn the same cells cost 2 668, 12 857 and 8 587 allocations a request:
-// 35, 161 and 107 times these budgets.
+// a request costs 70.42 and 73.38 allocations here — streams, launch closures,
+// a cluster built for a dozen requests and its processes unwound on Close —
+// and each budget is its reading rounded up to the next half. With policies
+// that rebuilt maps and slices and called sort.Slice every turn the same cells
+// cost 2 668, 12 857 and 8 587 allocations a request: 38, 175 and 117 times
+// these budgets.
 func TestAllocBudgetContendedCell(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget measurement skipped in -short mode")
+	}
+	if raceEnabled() {
+		// The detector's runtime allocates on its own account: up to 13 times
+		// in every window of the two 13-request cells, a whole allocation a
+		// request. The larger runs above and below read the same with it on.
+		t.Skip("cells of a dozen requests are not measurable under -race")
 	}
 	pair := stringsched.Pairs()[0]
 	oneGPU := []stringsched.NodeConfig{{Devices: []stringsched.DeviceSpec{stringsched.TeslaC2050}}}
@@ -152,9 +196,9 @@ func TestAllocBudgetContendedCell(t *testing.T) {
 		horizon stringsched.Time // 0 = run to completion
 		budget  float64
 	}{
-		{"fig11/TFS-Strings", stringsched.Config{Nodes: oneGPU, Mode: stringsched.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * stringsched.Second, 77},
-		{"fig12/GWtMinPS-Strings", stringsched.Config{Nodes: supernode, Mode: stringsched.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 80},
-		{"fig12/GWtMinLAS-Strings", stringsched.Config{Nodes: supernode, Mode: stringsched.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 80},
+		{"fig11/TFS-Strings", stringsched.Config{Nodes: oneGPU, Mode: stringsched.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * stringsched.Second, 70.5},
+		{"fig12/GWtMinPS-Strings", stringsched.Config{Nodes: supernode, Mode: stringsched.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 73.5},
+		{"fig12/GWtMinLAS-Strings", stringsched.Config{Nodes: supernode, Mode: stringsched.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 73.5},
 	}
 	for _, cell := range cells {
 		run := func(seed int64) int {
@@ -176,15 +220,15 @@ func TestAllocBudgetContendedCell(t *testing.T) {
 			return r.Launched
 		}
 		run(1) // warm the process-wide tables outside the measurement
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		requests := run(2)
-		runtime.ReadMemStats(&ms1)
-		perRequest := float64(ms1.Mallocs-ms0.Mallocs) / float64(requests)
-		t.Logf("%s: %.1f allocs/request over %d requests, construction included (budget %.0f)", cell.name, perRequest, requests, cell.budget)
+		// A cell is a dozen to four dozen requests, so the runtime's own
+		// allocations move a single reading by up to 0.8 a request (0.1 on
+		// one P): the same seed five times, and the least.
+		var requests int
+		allocs := minMallocs(5, func() { requests = run(2) })
+		perRequest := float64(allocs) / float64(requests)
+		t.Logf("%s: %.2f allocs/request over %d requests, construction included (budget %.1f)", cell.name, perRequest, requests, cell.budget)
 		if perRequest > cell.budget {
-			t.Errorf("%s: alloc budget exceeded: %.1f allocs/request > %.0f", cell.name, perRequest, cell.budget)
+			t.Errorf("%s: alloc budget exceeded: %.2f allocs/request > %.1f", cell.name, perRequest, cell.budget)
 		}
 	}
 }
@@ -195,10 +239,11 @@ func TestAllocBudgetContendedCell(t *testing.T) {
 // Gaussian stream arriving at 0.03 of the solo rate so about 45 % of the
 // requests are served across a mailbox. A cross-kernel message is a value, a
 // frame is recycled by whichever kernel consumes it and a window neither
-// sorts nor allocates, so such a request costs ~34 allocations here (32 over
-// the benchmark's longer pass), eight more than node_mega's; the budget sits
-// under 10 % above. While every message was a closure, cross-kernel conns dropped
-// their frames and each window sorted its lists, the same run cost 118.
+// sorts nor allocates, so such a request costs 33.76 allocations here (32 over
+// the benchmark's longer pass), eight more than node_mega's; the budget is
+// that rounded up to the next half. While every message was a closure,
+// cross-kernel conns dropped their frames and each window sorted its lists,
+// the same run cost 118.
 func TestAllocBudgetShardedRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget measurement skipped in -short mode")
@@ -206,7 +251,7 @@ func TestAllocBudgetShardedRequest(t *testing.T) {
 	const (
 		nodes    = 4
 		requests = 4000
-		budget   = 37.0
+		budget   = 34.0 // measured 33.74 to 33.76
 	)
 	run := func(seed int64, requests int) stringsched.ShardStats {
 		cfg := stringsched.Config{Seed: seed, Mode: stringsched.ModeStrings, Balance: "GMin", Shards: 1}
@@ -232,19 +277,16 @@ func TestAllocBudgetShardedRequest(t *testing.T) {
 		return c.ShardStats()
 	}
 	run(1, 200)
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	stats := run(2, requests)
-	runtime.ReadMemStats(&ms1)
-	perRequest := float64(ms1.Mallocs-ms0.Mallocs) / requests
-	t.Logf("%.2f allocs/request over %d requests, %d windows and %d cross-kernel messages, construction included (budget %.0f)",
+	var stats stringsched.ShardStats
+	allocs := minMallocs(1, func() { stats = run(2, requests) })
+	perRequest := float64(allocs) / requests
+	t.Logf("%.2f allocs/request over %d requests, %d windows and %d cross-kernel messages, construction included (budget %.1f)",
 		perRequest, requests, stats.Windows, stats.Messages, budget)
 	if stats.Messages < 10*requests {
 		t.Fatalf("only %d cross-kernel messages over %d requests: the fleet did not remote", stats.Messages, requests)
 	}
 	if perRequest > budget {
-		t.Fatalf("alloc budget exceeded: %.2f allocs/request > %.0f", perRequest, budget)
+		t.Fatalf("alloc budget exceeded: %.2f allocs/request > %.1f", perRequest, budget)
 	}
 }
 
@@ -297,26 +339,25 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 		}
 	})
 	k.RunUntil(10_000) // warm up: rings grown, coroutines started
-	requireZeroAllocWindow(t, k, 100_000, 1)
+	requireZeroAllocWindow(t, k, 90_000, 1)
 }
 
-// requireZeroAllocWindow runs k until the given instant, once, and fails
-// unless that window dispatched at least minEvents and allocated at most
-// twice: a stray runtime-internal allocation or two is tolerated, the
-// dispatch path itself must contribute none across tens of thousands of
-// events.
-func requireZeroAllocWindow(t *testing.T, k *sim.Kernel, until sim.Time, minEvents int) {
+// requireZeroAllocWindow runs the warm kernel k through five consecutive
+// windows of the given span and fails unless each dispatched at least
+// minEvents and the quietest of them allocated nothing. Of the two things a
+// process-wide malloc count reads (minMallocs), the minimum excludes the
+// runtime's own strays — a single window reads six of them in one -race run
+// in five — and keeps the dispatch path's: an allocation there is made tens
+// of thousands of times a window, in every window.
+func requireZeroAllocWindow(t *testing.T, k *sim.Kernel, span sim.Time, minEvents int) {
 	t.Helper()
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	n := k.RunUntil(until)
-	runtime.ReadMemStats(&ms1)
-	if n < minEvents {
-		t.Fatalf("only %d events dispatched in the measured window, want at least %d", n, minEvents)
-	}
-	if allocs := ms1.Mallocs - ms0.Mallocs; allocs > 2 {
-		t.Fatalf("steady-state dispatch allocated %d times over %d events", allocs, n)
+	allocs := minMallocs(5, func() {
+		if n := k.RunUntil(k.Now() + span); n < minEvents {
+			t.Fatalf("only %d events dispatched in a measured window, want at least %d", n, minEvents)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state dispatch allocated %d times in the quietest of five windows", allocs)
 	}
 }
 
@@ -342,5 +383,5 @@ func TestTimerSteadyStateZeroAlloc(t *testing.T) {
 		}
 	})
 	k.RunUntil(10_000) // warm up: slots, heap and rings grown, coroutines started
-	requireZeroAllocWindow(t, k, 110_000, 3000)
+	requireZeroAllocWindow(t, k, 100_000, 3000)
 }

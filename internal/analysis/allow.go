@@ -15,7 +15,7 @@ import (
 // line directly below it (so the comment can sit at the end of the
 // offending line or on its own line above it). The reason after "--" is
 // free text; writing one is required by the allowaudit analyzer — the
-// suppression is a claim that a determinism or hot-path rule provably does
+// suppression is a claim that a determinism or protocol rule provably does
 // not apply, and the claim must be auditable. allowaudit also reports
 // suppressions naming unknown analyzers and stale suppressions that no
 // longer mask any diagnostic.
@@ -32,7 +32,7 @@ type AllowDirective struct {
 	HasReason bool
 
 	// used records, per analyzer name, whether the directive suppressed at
-	// least one diagnostic (or sanctioned a hot-path fact) this run.
+	// least one diagnostic this run.
 	used map[string]bool
 }
 

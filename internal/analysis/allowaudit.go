@@ -1,7 +1,7 @@
 package analysis
 
 // Allowaudit keeps the suppression inventory honest. A //lint:allow is a
-// standing claim that a determinism or hot-path rule provably does not
+// standing claim that a determinism or protocol rule provably does not
 // apply at one site; the claim decays as code moves, so the auditor
 // re-checks every directive on every run:
 //
@@ -10,14 +10,13 @@ package analysis
 //   - directives without a "-- reason" (the claim must be auditable
 //     without git archaeology)
 //   - stale directives: the named analyzer ran over the package and the
-//     directive suppressed no diagnostic and sanctioned no fact. Dead
-//     suppressions are deleted, not kept "just in case" — a stale allow
-//     re-armed by a later edit hides a real regression.
+//     directive suppressed no diagnostic. Dead suppressions are deleted,
+//     not kept "just in case" — a stale allow re-armed by a later edit
+//     hides a real regression.
 //
 // Staleness is scoped to the analyzers that actually executed in this
-// invocation, so running a single analyzer (stringscheck -run hotalloc, or
-// an analysistest fixture) never miscalls directives for the others stale.
-// The framework runs allowaudit after every other analyzer precisely so
+// invocation, so running a subset (an analysistest fixture) never miscalls
+// directives for the others stale. The framework runs allowaudit after every other analyzer precisely so
 // directive usage is fully accounted before the audit. Audit findings may
 // themselves be suppressed with //lint:allow allowaudit for the rare
 // directive that is load-bearing only on another build configuration.

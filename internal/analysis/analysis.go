@@ -1,19 +1,18 @@
 // Package analysis is a small, dependency-free reimplementation of the
-// golang.org/x/tools/go/analysis vocabulary, carrying the nine stringscheck
-// analyzers that mechanically enforce the simulator's determinism,
-// protocol, and hot-path invariants (see DESIGN.md "Determinism
-// invariants" and "Dataflow analysis and the hot-path contract").
+// golang.org/x/tools/go/analysis vocabulary, carrying the eight stringscheck
+// analyzers that mechanically enforce the simulator's determinism and
+// protocol invariants — the ones no test can observe, or that guard a fault
+// (see DESIGN.md "Determinism invariants" and "Static analysis").
 //
-// The framework has two layers. The syntactic layer is unchanged from the
-// original five analyzers: an Analyzer inspects one typechecked package
-// and reports Diagnostics; Run executes a set of analyzers over a Target
-// and filters diagnostics through //lint:allow suppressions. The dataflow
-// layer adds an intra-procedural CFG with a forward fixpoint driver
-// (cfg.go), a static per-package call graph with //strings:hotpath
-// annotations (callgraph.go), and per-package exported facts that flow
-// between packages in dependency order (facts.go) — enough for the
-// hot-path analyzers (hotalloc, poolsafe, spanpair) without importing
-// x/tools, which the offline build environment cannot vendor.
+// An Analyzer inspects one typechecked package and reports Diagnostics; Run
+// executes a set of analyzers over a Target and filters diagnostics through
+// //lint:allow suppressions. Every analyzer sees one package at a time and
+// nothing crosses a package boundary. poolsafe and spanpair are
+// flow-sensitive: they share an intra-procedural CFG with a forward fixpoint
+// driver (cfg.go), written here because the offline build environment cannot
+// vendor x/tools. Heap allocation on the request path is not an analyzer's
+// business: the runtime budgets (alloc_test.go and the per-package ZeroAlloc
+// tests) measure it.
 package analysis
 
 import (
@@ -49,13 +48,7 @@ type Pass struct {
 
 	diags *[]Diagnostic
 
-	// facts holds the dependency packages' exported summaries (nil when
-	// the driver provides none — single-package fixture runs).
-	facts *FactSet
-	// exported accumulates this package's own facts across analyzers.
-	exported *PkgFacts
-	// allows is the package's parsed lint:allow directives; analyzers that
-	// fold suppressions into fact computation consult it via Allowed.
+	// allows is the package's parsed lint:allow directives, for allowaudit.
 	allows []*AllowDirective
 	// ran names the analyzers executed in this Run invocation; allowaudit
 	// uses it to scope staleness to rules that actually ran.
@@ -69,46 +62,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      pos,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// DepFacts returns the exported facts of the dependency with the given
-// import path, or nil when the driver has none.
-func (p *Pass) DepFacts(path string) *PkgFacts {
-	return p.facts.Package(path)
-}
-
-// ExportHot marks an exported function key as hot-path-reachable in this
-// package's facts.
-func (p *Pass) ExportHot(key string) {
-	if p.exported != nil {
-		p.exported.Hot[key] = true
-	}
-}
-
-// ExportAlloc marks an exported function key as may-allocate in this
-// package's facts.
-func (p *Pass) ExportAlloc(key string) {
-	if p.exported != nil {
-		p.exported.Alloc[key] = true
-	}
-}
-
-// Allowed reports whether a lint:allow directive for the running analyzer
-// covers pos, marking the directive as used. Analyzers call it when a
-// suppression changes what they compute (hotalloc: a sanctioned alloc site
-// does not poison the function's alloc fact), not merely what they report —
-// reported diagnostics are filtered, and their directives marked, by the
-// framework.
-func (p *Pass) Allowed(pos token.Pos) bool {
-	position := p.Fset.Position(pos)
-	hit := false
-	for _, d := range p.allows {
-		if d.covers(position.Filename, position.Line, p.Analyzer.Name) {
-			d.markUsed(p.Analyzer.Name)
-			hit = true
-		}
-	}
-	return hit
 }
 
 // A Diagnostic is one reported violation.
@@ -125,16 +78,6 @@ type Target struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-
-	// Facts carries the dependencies' exported summaries into the run
-	// (nil is a valid empty set).
-	Facts *FactSet
-	// Exported is filled by Run with this package's own facts, for the
-	// driver to serialize or hand to dependents.
-	Exported *PkgFacts
-	// FactsOnly marks a dependency package analyzed solely to compute its
-	// exported facts; drivers discard its diagnostics.
-	FactsOnly bool
 }
 
 // NewInfo returns a types.Info with every map the analyzers consult.
@@ -150,12 +93,12 @@ func NewInfo() *types.Info {
 }
 
 // All returns the full stringscheck suite in reporting order: the five
-// syntactic determinism analyzers, the three dataflow hot-path analyzers,
-// and the suppression auditor.
+// syntactic analyzers, the two flow-sensitive ones, and the suppression
+// auditor.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Simclock, Detrand, Maporder, Rawgo, Errflow,
-		Hotalloc, Poolsafe, Spanpair, Allowaudit,
+		Poolsafe, Spanpair, Allowaudit,
 	}
 }
 
@@ -170,12 +113,11 @@ func ByName(name string) *Analyzer {
 }
 
 // Run executes analyzers over the target, applies //lint:allow filtering,
-// and returns the surviving diagnostics sorted by position. The package's
-// exported facts land in t.Exported. Allowaudit, when present, runs last:
-// it needs to know which directives the other analyzers actually consumed.
+// and returns the surviving diagnostics sorted by position. Allowaudit, when
+// present, runs last: it needs to know which directives the other analyzers
+// actually consumed.
 func Run(t *Target, analyzers []*Analyzer) ([]Diagnostic, error) {
 	directives := collectAllowDirectives(t.Fset, t.Files)
-	t.Exported = NewPkgFacts(t.Path)
 	ran := make(map[string]bool, len(analyzers))
 
 	var diags []Diagnostic
@@ -187,8 +129,6 @@ func Run(t *Target, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Pkg:       t.Pkg,
 			TypesInfo: t.Info,
 			diags:     &diags,
-			facts:     t.Facts,
-			exported:  t.Exported,
 			allows:    directives,
 			ran:       ran,
 		}
@@ -268,6 +208,17 @@ func simDriven(pkg *types.Package) bool {
 		}
 	}
 	return false
+}
+
+// objOf resolves an identifier to its variable object (use or def).
+func objOf(pass *Pass, id *ast.Ident) *types.Var {
+	if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok {
+		return v
+	}
+	if v, ok := pass.TypesInfo.Defs[id].(*types.Var); ok {
+		return v
+	}
+	return nil
 }
 
 // pathEndsWith reports whether path equals suffix or ends with "/"+suffix.

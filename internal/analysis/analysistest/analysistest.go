@@ -49,28 +49,13 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpath string) {
 
 // RunSuite is Run for several analyzers at once — the shape allowaudit
 // fixtures need, since staleness only exists relative to other analyzers
-// that ran. Fixture packages imported by pkgpath (other fixture dirs under
-// testdata/src) are analyzed first, in dependency order, with their
-// diagnostics discarded and their exported facts fed forward, so
-// cross-package fixtures exercise the same facts plumbing as the real
-// drivers. Want comments are checked in pkgpath only.
+// that ran.
 func RunSuite(t *testing.T, testdata string, analyzers []*analysis.Analyzer, pkgpath string) {
 	t.Helper()
-	ld := newLoader(testdata)
-	target, err := ld.target(pkgpath)
+	target, err := newLoader(testdata).target(pkgpath)
 	if err != nil {
 		t.Fatalf("loading %s: %v", pkgpath, err)
 	}
-	facts := analysis.NewFactSet()
-	for _, dep := range ld.fixtureDeps(pkgpath) {
-		dep.Facts = facts
-		dep.FactsOnly = true
-		if _, err := analysis.Run(dep, analyzers); err != nil {
-			t.Fatalf("running facts pass on %s: %v", dep.Path, err)
-		}
-		facts.Add(dep.Exported)
-	}
-	target.Facts = facts
 	diags, err := analysis.Run(target, analyzers)
 	if err != nil {
 		t.Fatalf("running on %s: %v", pkgpath, err)
@@ -84,9 +69,6 @@ type loader struct {
 	root  string // testdata dir
 	fset  *token.FileSet
 	cache map[string]*types.Package
-	// targets caches fixture packages with full syntax and type info, so
-	// fixture dependencies can be re-analyzed for facts.
-	targets map[string]*analysis.Target
 	// stdExports maps stdlib import paths to export data files, filled
 	// lazily by `go list -deps -export`; stdImporter resolves through it.
 	stdExports  map[string]string
@@ -98,7 +80,6 @@ func newLoader(root string) *loader {
 		root:       root,
 		fset:       token.NewFileSet(),
 		cache:      make(map[string]*types.Package),
-		targets:    make(map[string]*analysis.Target),
 		stdExports: make(map[string]string),
 	}
 	ld.stdImporter = load.ExportImporter(ld.fset, ld.stdExports)
@@ -146,76 +127,33 @@ func (ld *loader) target(pkgpath string) (*analysis.Target, error) {
 	return ld.load(pkgpath, dir)
 }
 
-// load typechecks one fixture package, caching the full target.
+// load parses and typechecks one fixture package, caching its types for
+// importers.
 func (ld *loader) load(pkgpath, dir string) (*analysis.Target, error) {
-	if tgt, ok := ld.targets[pkgpath]; ok {
-		return tgt, nil
-	}
-	info := analysis.NewInfo()
-	pkg, files, fset, err := ld.check(pkgpath, dir, info)
-	if err != nil {
-		return nil, err
-	}
-	tgt := &analysis.Target{Path: pkgpath, Fset: fset, Files: files, Pkg: pkg, Info: info}
-	ld.targets[pkgpath] = tgt
-	ld.cache[pkgpath] = pkg
-	return tgt, nil
-}
-
-// fixtureDeps returns every loaded fixture package except skip, ordered so
-// dependencies precede dependents (the order facts must flow).
-func (ld *loader) fixtureDeps(skip string) []*analysis.Target {
-	var order []*analysis.Target
-	done := map[string]bool{skip: true}
-	var visit func(path string)
-	visit = func(path string) {
-		if done[path] {
-			return
-		}
-		done[path] = true
-		tgt := ld.targets[path]
-		if tgt == nil {
-			return // stdlib import, no fixture syntax
-		}
-		for _, imp := range tgt.Pkg.Imports() {
-			visit(imp.Path())
-		}
-		order = append(order, tgt)
-	}
-	paths := make([]string, 0, len(ld.targets))
-	for p := range ld.targets {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		visit(p)
-	}
-	return order
-}
-
-func (ld *loader) check(pkgpath, dir string, info *types.Info) (*types.Package, []*ast.File, *token.FileSet, error) {
 	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	sort.Strings(names)
 	var files []*ast.File
 	for _, name := range names {
 		f, err := parser.ParseFile(ld.fset, name, nil, parser.ParseComments)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		files = append(files, f)
 	}
 	if len(files) == 0 {
-		return nil, nil, nil, fmt.Errorf("no Go files in %s", dir)
+		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
+	info := analysis.NewInfo()
 	conf := types.Config{Importer: ld}
 	pkg, err := conf.Check(pkgpath, ld.fset, files, info)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return pkg, files, ld.fset, nil
+	ld.cache[pkgpath] = pkg
+	return &analysis.Target{Path: pkgpath, Fset: ld.fset, Files: files, Pkg: pkg, Info: info}, nil
 }
 
 func dirExists(dir string) bool {

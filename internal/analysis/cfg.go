@@ -5,7 +5,7 @@ import (
 	"go/token"
 )
 
-// This file is the dataflow substrate under the hot-path analyzers
+// This file is the dataflow substrate under the flow-sensitive analyzers
 // (poolsafe, spanpair): an intra-procedural control-flow graph over go/ast
 // plus a forward fixpoint driver. The model is deliberately small:
 //

@@ -1,6 +1,5 @@
-// Package driver runs the stringscheck suite in the binary's two modes:
-// standalone (`stringscheck ./...`, backed by the load package) and as a
-// `go vet -vettool=` unit checker speaking cmd/go's vet.cfg protocol.
+// Package driver runs the stringscheck suite over the packages the load
+// package typechecks (`stringscheck ./...`) and renders the findings.
 package driver
 
 import (
@@ -27,11 +26,8 @@ type Finding struct {
 
 // Standalone lints the packages matching patterns from dir, printing
 // diagnostics to w — go-vet-style lines, or (with jsonOut) one sorted JSON
-// array, byte-identical across runs for the same tree. Packages are
-// analyzed in dependency order so each one sees its dependencies' exported
-// facts; module-local dependencies outside the patterns contribute facts
-// without contributing diagnostics. Returns 0 for a clean tree, 2 when
-// diagnostics were reported, 1 on operational failure.
+// array, byte-identical across runs for the same tree. Returns 0 for a clean
+// tree, 2 when diagnostics were reported, 1 on operational failure.
 func Standalone(w io.Writer, dir string, patterns []string, jsonOut bool) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -41,18 +37,17 @@ func Standalone(w io.Writer, dir string, patterns []string, jsonOut bool) int {
 		fmt.Fprintf(w, "stringscheck: %v\n", err)
 		return 1
 	}
-	facts := analysis.NewFactSet()
+	// The loader reports absolute file names; make them relative to an
+	// absolute dir.
+	if abs, err := filepath.Abs(dir); err == nil {
+		dir = abs
+	}
 	findings := []Finding{} // non-nil so -json renders "[]", not "null"
 	for _, t := range targets {
-		t.Facts = facts
 		diags, err := analysis.Run(t, analysis.All())
 		if err != nil {
 			fmt.Fprintf(w, "stringscheck: %s: %v\n", t.Path, err)
 			return 1
-		}
-		facts.Add(t.Exported)
-		if t.FactsOnly {
-			continue
 		}
 		for _, d := range diags {
 			pos := t.Fset.Position(d.Pos)

@@ -1,89 +1,10 @@
 package analysis
 
 import (
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"testing"
 )
-
-// typecheckSrc parses and typechecks one source string, returning the
-// package and the info tables the helpers under test consume.
-func typecheckSrc(t *testing.T, src string) (*token.FileSet, *ast.File, *types.Package, *types.Info) {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "src.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{Importer: importer.Default()}
-	pkg, err := conf.Check("p", fset, []*ast.File{f}, info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fset, f, pkg, info
-}
-
-func lookupFunc(t *testing.T, pkg *types.Package, path ...string) *types.Func {
-	t.Helper()
-	obj := pkg.Scope().Lookup(path[0])
-	if len(path) == 2 {
-		named, ok := obj.Type().(*types.Named)
-		if !ok {
-			t.Fatalf("%s is not a named type", path[0])
-		}
-		for i := 0; i < named.NumMethods(); i++ {
-			if named.Method(i).Name() == path[1] {
-				return named.Method(i)
-			}
-		}
-		t.Fatalf("method %s.%s not found", path[0], path[1])
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		t.Fatalf("%s is not a func", path[0])
-	}
-	return fn
-}
-
-const helperSrc = `package p
-
-type Dev struct{}
-
-func (d *Dev) Reap() {}
-func (d Dev) Name() string { return "" }
-func Free() {}
-`
-
-func TestFuncKeyAndDisplayName(t *testing.T) {
-	_, _, pkg, _ := typecheckSrc(t, helperSrc)
-	cases := []struct {
-		path    []string
-		key     string
-		display string
-	}{
-		{[]string{"Dev", "Reap"}, "Dev.Reap", "(*Dev).Reap"},
-		{[]string{"Dev", "Name"}, "Dev.Name", "Dev.Name"},
-		{[]string{"Free"}, "Free", "Free"},
-	}
-	for _, c := range cases {
-		fn := lookupFunc(t, pkg, c.path...)
-		if got := funcKey(fn); got != c.key {
-			t.Errorf("funcKey(%v) = %q, want %q", c.path, got, c.key)
-		}
-		if got := displayName(fn); got != c.display {
-			t.Errorf("displayName(%v) = %q, want %q", c.path, got, c.display)
-		}
-	}
-}
 
 func TestByName(t *testing.T) {
 	for _, a := range All() {
@@ -101,7 +22,7 @@ func TestAnyUsedAndAllRan(t *testing.T) {
 	if anyUsed(d) {
 		t.Error("fresh directive reported used")
 	}
-	d.markUsed("hotalloc")
+	d.markUsed("simclock")
 	if !anyUsed(d) {
 		t.Error("marked directive reported unused")
 	}
@@ -119,46 +40,15 @@ func TestAnyUsedAndAllRan(t *testing.T) {
 }
 
 func TestTypeHelpers(t *testing.T) {
-	_, _, pkg, _ := typecheckSrc(t, helperSrc)
-	dev := pkg.Scope().Lookup("Dev").Type()
+	pkg := types.NewPackage("p", "p")
+	dev := types.NewNamed(types.NewTypeName(token.NoPos, pkg, "Dev", nil), types.NewStruct(nil, nil), nil)
 	if got := typeName(dev); got != "Dev" {
 		t.Errorf("typeName(Dev) = %q", got)
 	}
 	if got := typeName(nil); got != "?" {
 		t.Errorf("typeName(nil) = %q", got)
 	}
-	if got := typeKindWord(types.NewSlice(dev)); got != "slice" {
-		t.Errorf("typeKindWord(slice) = %q", got)
-	}
-	if got := typeKindWord(types.NewMap(dev, dev)); got != "map" {
-		t.Errorf("typeKindWord(map) = %q", got)
-	}
-	if got := typeKindWord(dev); got != "composite" {
-		t.Errorf("typeKindWord(struct) = %q", got)
-	}
-}
-
-func TestBoxes(t *testing.T) {
-	_, _, pkg, _ := typecheckSrc(t, helperSrc)
-	dev := pkg.Scope().Lookup("Dev").Type()
-	iface := types.NewInterfaceType(nil, nil)
-	iface.Complete()
-	intT := types.Typ[types.Int]
-	cases := []struct {
-		dst, src types.Type
-		want     bool
-	}{
-		{iface, intT, true},                   // concrete value into any
-		{iface, dev, true},                    // struct into any
-		{iface, types.NewPointer(dev), false}, // pointer-shaped
-		{iface, iface, false},                 // interface to interface
-		{intT, intT, false},                   // no interface involved
-		{iface, nil, false},
-		{nil, intT, false},
-	}
-	for i, c := range cases {
-		if got := boxes(c.dst, c.src); got != c.want {
-			t.Errorf("case %d: boxes(%v, %v) = %v, want %v", i, c.dst, c.src, got, c.want)
-		}
+	if got := typeName(types.NewSlice(dev)); got != "[]p.Dev" {
+		t.Errorf("typeName([]Dev) = %q", got)
 	}
 }

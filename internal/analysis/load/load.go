@@ -2,8 +2,8 @@
 // without golang.org/x/tools: it shells out to `go list -deps -export` for
 // file lists and compiled export data, then drives go/parser + go/types
 // with a gc-importer lookup over those export files. This is the loader
-// behind stringscheck's standalone mode (`stringscheck ./...`) and the
-// stdlib resolver for analysistest fixtures.
+// behind `stringscheck ./...` and the stdlib resolver for analysistest
+// fixtures.
 package load
 
 import (
@@ -79,15 +79,11 @@ func ExportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	})
 }
 
-// Targets loads, parses, and typechecks the packages matching patterns.
-// Standard-library dependencies are consumed as export data only;
-// module-local dependencies that the patterns did not name are loaded as
-// FactsOnly targets, so cross-package facts reach the named packages even
-// when the invocation is narrower than ./.... The returned slice preserves
-// go list's dependency order — analyze it front to back and every
-// package's dependency facts are computed before they are needed. Files
-// are parsed with comments so //lint:allow suppressions and
-// //strings:hotpath annotations survive into analysis.
+// Targets loads, parses, and typechecks the packages matching patterns, in
+// go list's order. Everything the patterns did not name — the standard
+// library and module-local dependencies alike — is consumed as export data
+// only. Files are parsed with comments so //lint:allow suppressions survive
+// into analysis.
 func Targets(dir string, patterns []string) ([]*analysis.Target, error) {
 	pkgs, err := List(dir, patterns)
 	if err != nil {
@@ -102,7 +98,7 @@ func Targets(dir string, patterns []string) ([]*analysis.Target, error) {
 
 	var targets []*analysis.Target
 	for _, p := range pkgs {
-		if p.Standard || p.Name == "" {
+		if p.Standard || p.DepOnly || p.Name == "" {
 			continue
 		}
 		var files []*ast.File
@@ -123,12 +119,11 @@ func Targets(dir string, patterns []string) ([]*analysis.Target, error) {
 			return nil, fmt.Errorf("typechecking %s: %v", p.ImportPath, err)
 		}
 		targets = append(targets, &analysis.Target{
-			Path:      p.ImportPath,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       tpkg,
-			Info:      info,
-			FactsOnly: p.DepOnly,
+			Path:  p.ImportPath,
+			Fset:  fset,
+			Files: files,
+			Pkg:   tpkg,
+			Info:  info,
 		})
 	}
 	return targets, nil

@@ -398,3 +398,14 @@ func shortPath(p string) string {
 	}
 	return strings.Join(parts[len(parts)-2:], "/")
 }
+
+// typeName renders a type tersely for diagnostics.
+func typeName(t types.Type) string {
+	if t == nil {
+		return "?"
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return t.String()
+}

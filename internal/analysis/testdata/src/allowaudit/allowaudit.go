@@ -1,36 +1,43 @@
-// Fixture for the allowaudit analyzer, run as a suite with hotalloc so
+// Fixture for the allowaudit analyzer, run as a suite with simclock so
 // directive usage is real: unknown analyzer names, missing reasons, stale
 // suppressions, and the not-ran staleness scope.
 package allowaudit
 
-type rec struct{ v int }
+import (
+	"time"
 
-var keep *rec
+	"repro/internal/sim"
+)
 
-//strings:hotpath
-func Hot(n int) {
-	keep = &rec{v: n} //lint:allow hotalloc -- fixture: deliberate steady-state allocation
-	fresh(n)
-	cold(n)
+var virtual sim.Time
+
+func working() {
+	_ = time.Now() //lint:allow simclock -- fixture: deliberate wall-clock read
 }
 
 // fresh's suppression does real work but states no reason: the claim is
 // not auditable.
-func fresh(n int) {
-	keep = &rec{v: n} //lint:allow hotalloc // want `lint:allow without a '-- reason'`
+func fresh() {
+	_ = time.Now() //lint:allow simclock // want `lint:allow without a '-- reason'`
 }
 
-// cold's directive suppresses nothing — hotalloc ran and found this line
+// cold's directive suppresses nothing — simclock ran and found this line
 // clean — so it is stale.
 func cold(n int) int {
-	m := n * 2 //lint:allow hotalloc -- fixture: nothing allocates here // want `suppresses no hotalloc diagnostic here`
+	m := n * 2 //lint:allow simclock -- fixture: no clock is read here // want `suppresses no simclock diagnostic here`
 	return m
 }
 
 // typo: an unknown analyzer name silently suppresses nothing; worse, it
 // reads like coverage.
 func typo(n int) int {
-	return n + 1 //lint:allow hotaloc -- fixture: misspelled on purpose // want `unknown analyzer "hotaloc"`
+	return n + 1 //lint:allow simclok -- fixture: misspelled on purpose // want `unknown analyzer "simclok"`
+}
+
+// retired: hotalloc was an analyzer until the runtime budgets became the one
+// allocation gate; an allow naming it must not come back unnoticed.
+func retired(n int) []int {
+	return make([]int, n) //lint:allow hotalloc -- fixture: names a deleted analyzer // want `unknown analyzer "hotalloc"`
 }
 
 // notRan: maporder is not part of this suite invocation, so its unused

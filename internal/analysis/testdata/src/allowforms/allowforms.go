@@ -3,21 +3,24 @@
 // suppress the line they cover — and only that line.
 package allowforms
 
-type box struct{ v int }
+import (
+	"time"
 
-var sink *box
+	"repro/internal/sim"
+)
 
-//strings:hotpath
-func Hot(n int) {
-	sink = &box{v: n} //lint:allow hotalloc -- fixture: trailing line form
-	sink = &box{v: n} /* lint:allow hotalloc -- fixture: trailing block form */
-	//lint:allow hotalloc -- fixture: own-line line form
-	sink = &box{v: n}
-	/* lint:allow hotalloc -- fixture: own-line block form */
-	sink = &box{v: n}
+var virtual sim.Time
+
+func forms() {
+	_ = time.Now() //lint:allow simclock -- fixture: trailing line form
+	_ = time.Now() /* lint:allow simclock -- fixture: trailing block form */
+	//lint:allow simclock -- fixture: own-line line form
+	_ = time.Now()
+	/* lint:allow simclock -- fixture: own-line block form */
+	_ = time.Now()
 	/*
-		lint:allow hotalloc -- fixture: multi-line block form
+		lint:allow simclock -- fixture: multi-line block form
 	*/
-	sink = &box{v: n}
-	sink = &box{v: n} // want `escaping &box\{\.\.\.\} literal heap-allocates`
+	_ = time.Now()
+	_ = time.Now() // want `time\.Now reads the wall clock`
 }

@@ -76,9 +76,8 @@ func (rt *Runtime) Context(dev int) *gpu.Context {
 func (rt *Runtime) ensureCtx(p *sim.Proc, dev int) *procCtx {
 	pc := rt.ctxs[dev]
 	if pc == nil {
-		//lint:allow hotalloc -- first touch: one context state per (process, device), off the steady-state path
 		pc = &procCtx{
-			ctx:    rt.devices[dev].NewContext(), //lint:allow hotalloc -- first touch: context creation is the modeled setup cost
+			ctx:    rt.devices[dev].NewContext(),
 			next:   1,
 			nextEv: 1,
 		}
@@ -111,16 +110,16 @@ func (pc *procCtx) last(id StreamID) *sim.Event {
 // setStream grows the dense stream table to cover id and installs s.
 func (pc *procCtx) setStream(id StreamID, s *gpu.Stream) {
 	for int(id) >= len(pc.streams) {
-		pc.streams = append(pc.streams, nil) //lint:allow hotalloc -- dense table grows to the process's stream high-water mark, once per new id
-		pc.lastOp = append(pc.lastOp, nil)   //lint:allow hotalloc -- grows in lockstep with pc.streams, once per new id
+		pc.streams = append(pc.streams, nil)
+		pc.lastOp = append(pc.lastOp, nil)
 	}
 	pc.streams[id] = s
 	// Ids are monotonic except for the default stream (id 0, materialized
 	// lazily), so an append keeps live ascending in every case but that one.
 	if n := len(pc.live); n == 0 || pc.live[n-1] < id {
-		pc.live = append(pc.live, id) //lint:allow hotalloc -- live grows once per stream creation, not per op
+		pc.live = append(pc.live, id)
 	} else {
-		pc.live = append(pc.live, 0) //lint:allow hotalloc -- live grows once per stream creation, not per op
+		pc.live = append(pc.live, 0)
 		copy(pc.live[1:], pc.live[:n])
 		pc.live[0] = id
 	}
@@ -145,7 +144,7 @@ func (pc *procCtx) stream(id StreamID) (*gpu.Stream, error) {
 	if id != DefaultStream {
 		return nil, ErrInvalidStream
 	}
-	s := pc.ctx.NewStream() //lint:allow hotalloc -- first touch: the default stream is materialized once per context
+	s := pc.ctx.NewStream()
 	pc.setStream(DefaultStream, s)
 	return s, nil
 }
@@ -254,8 +253,6 @@ func (t *Thread) Free(p Ptr) error {
 // completion events are drawn from the kernel's. The reference on a pooled
 // completion event is owned by the stream's lastOp slot: it is released when
 // a newer op replaces it, or when the stream is destroyed.
-//
-//strings:hotpath
 func (t *Thread) submit(op *gpu.Op, s StreamID) (*sim.Event, error) {
 	pc := t.rt.ensureCtx(t.p, t.dev)
 	st, err := pc.stream(s)

@@ -125,7 +125,7 @@ func (t *TFS) Pick(now sim.Time, entries []*Entry, cfg *Config) []*Entry {
 		// Room for every entry to have work and be its own tenant, so the
 		// tally writes by index.
 		n := 2 * len(entries)
-		t.views, t.work = make([]tenantView, 0, n), make([]*Entry, 0, n) //lint:allow hotalloc -- amortised growth of TFS's scratch: reached only when the device holds more entries than it ever has
+		t.views, t.work = make([]tenantView, 0, n), make([]*Entry, 0, n)
 	}
 	views, work := t.views[:0], t.work[:0]
 	for _, e := range entries {

@@ -2,6 +2,7 @@ package devsched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -480,6 +481,11 @@ func TestPickSteadyStateZeroAlloc(t *testing.T) {
 // TestDispatcherTurnZeroAlloc is the same budget one level up: a real
 // Scheduler's whole turn — Request Monitor refresh from the device, Pick,
 // wake/sleep marking, re-arming the epoch timer — with no recorder installed.
+// AllocsPerRun counts the whole process's mallocs, so one window of 10 000
+// turns also reads whatever the runtime allocated on its own account meanwhile
+// (a single window does in one run of make cover in three); the least of five
+// windows on the same warm kernel does not, and an allocation the turn makes
+// is in all five, 10 000 times over.
 func TestDispatcherTurnZeroAlloc(t *testing.T) {
 	const epochs = 10000
 	for _, mk := range []func() Policy{func() Policy { return NewTFS() }, func() Policy { return LAS{} }, func() Policy { return PS{} }} {
@@ -491,12 +497,15 @@ func TestDispatcherTurnZeroAlloc(t *testing.T) {
 		epoch := s.cfg.Epoch
 		k.RunUntil(100 * epoch) // warm-up: scratch grown, timer slots and event pool primed
 		turns := k.Dispatched()
-		allocs := testing.AllocsPerRun(1, func() { k.RunUntil(k.Now() + epochs*epoch) })
-		if turns = k.Dispatched() - turns; turns < epochs {
+		allocs := math.Inf(1)
+		for window := 0; window < 5; window++ {
+			allocs = min(allocs, testing.AllocsPerRun(1, func() { k.RunUntil(k.Now() + epochs*epoch) }))
+		}
+		if turns = k.Dispatched() - turns; turns < 5*epochs {
 			t.Fatalf("%s: %d events in %d epochs, the dispatcher is not turning", s.policy.Name(), turns, epochs)
 		}
 		if allocs != 0 {
-			t.Errorf("%s: %v allocs over %d dispatcher turns, want 0", s.policy.Name(), allocs, epochs)
+			t.Errorf("%s: %v allocs over %d dispatcher turns in the quietest of five windows, want 0", s.policy.Name(), allocs, epochs)
 		}
 		s.Close()
 		k.Close()

@@ -230,8 +230,6 @@ func nameFor(gid int) string {
 
 // dispatch is one turn of the Dispatcher: every epoch (or kick) it refreshes
 // the Request Monitor's accounting and applies the policy's wake set.
-//
-//strings:hotpath
 func (s *Scheduler) dispatch(d *sim.Daemon) {
 	if s.closed {
 		d.Exit()

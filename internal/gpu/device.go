@@ -197,7 +197,7 @@ func (s *Stream) Pending() int { return s.queue.Len() }
 func (s *Stream) Submit(op *Op) *sim.Event {
 	d := s.ctx.dev
 	if op.Done == nil {
-		op.Done = d.k.NewEvent() //lint:allow hotalloc -- cold fallback for unpooled ops (markers, tests); the op path arrives with a pooled Done
+		op.Done = d.k.NewEvent() // cold fallback for unpooled ops (markers, tests); the op path arrives with a pooled Done
 	}
 	op.stream = s
 	op.Enqueued = d.k.Now()
@@ -234,7 +234,7 @@ func (d *Device) PutOp(op *Op) {
 // recycleOp zeroes a pooled op and returns it to the free list.
 func (d *Device) recycleOp(op *Op) {
 	*op = Op{pooled: true}
-	d.opFree = append(d.opFree, op) //lint:allow hotalloc -- free-list growth is amortized, bounded by peak in-flight ops
+	d.opFree = append(d.opFree, op) // free-list growth is amortized, bounded by peak in-flight ops
 }
 
 // Alloc reserves device memory, failing when capacity would be exceeded
@@ -314,7 +314,7 @@ func (d *Device) getMemWaiter(bytes int64) *memWaiter {
 // putMemWaiter recycles a granted waiter record.
 func (d *Device) putMemWaiter(w *memWaiter) {
 	w.bytes = 0
-	d.memWaitFree = append(d.memWaitFree, w) //lint:allow hotalloc -- free-list growth is amortized, bounded by peak parked waiters
+	d.memWaitFree = append(d.memWaitFree, w) // free-list growth is amortized, bounded by peak parked waiters
 }
 
 // grantMemWaiters hands freed capacity to parked allocations in FIFO order,
@@ -442,8 +442,6 @@ func (d *Device) advance(now sim.Time) {
 }
 
 // reap completes ops that are due at now; it reports whether any finished.
-//
-//strings:hotpath
 func (d *Device) reap(now sim.Time) bool {
 	done := false
 	// Kernels.
@@ -488,7 +486,7 @@ func (d *Device) acct(appID int) *appAcct {
 			// handful of applications holds a handful and one that serves
 			// thousands allocates rarely.
 			n := min(max(len(d.apps), 4), 256)
-			d.acctFree = make([]appAcct, n) //lint:allow hotalloc -- first touch: the next applications' records in one allocation, amortized by doubling
+			d.acctFree = make([]appAcct, n)
 		}
 		a = &d.acctFree[0]
 		d.acctFree = d.acctFree[1:]

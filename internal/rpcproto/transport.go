@@ -110,8 +110,6 @@ func (c *Conn) B() Endpoint {
 // marshalling and serialization cost; the message is delivered to the peer
 // after the link latency. Messages sent from one endpoint arrive in order
 // (on cross-kernel conns the mailbox breaks equal instants by send sequence).
-//
-//strings:hotpath
 func (e Endpoint) Send(p *sim.Proc, msg Msg, payload int64) {
 	size := int64(wireSize(msg)) + payload
 	if cost := e.conn.link.TransferTime(size); cost > 0 {

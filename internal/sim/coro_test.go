@@ -187,7 +187,7 @@ func TestResetAndCloseUnwindParkedProcesses(t *testing.T) {
 		{"Queue.Get", func(k *Kernel, p *Proc) { NewQueue[int](k).Get(p) }},
 		{"Mutex.Lock", func(k *Kernel, p *Proc) {
 			m := k.NewMutex()
-			m.TryAcquire()
+			m.Lock(p)
 			m.Lock(p)
 		}},
 	}

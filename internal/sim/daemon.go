@@ -39,8 +39,6 @@ func (k *Kernel) GoDaemon(name string, step func(d *Daemon)) *Daemon {
 }
 
 // run executes one step for the activation the caller just popped.
-//
-//strings:hotpath
 func (d *Daemon) run() {
 	d.p.parked = false
 	d.p.epoch++

@@ -30,7 +30,7 @@ func (k *Kernel) NewPooledEvent() *Event {
 		e.refs = 1
 		return e
 	}
-	return &Event{k: k, pooled: true, refs: 1} //lint:allow hotalloc -- pool grow-on-miss: amortized to zero once the free list reaches peak occupancy
+	return &Event{k: k, pooled: true, refs: 1} // pool grow-on-miss: amortized to zero once the free list reaches peak occupancy
 }
 
 // Ref takes an additional reference on a pooled event. It is a no-op on nil
@@ -59,7 +59,7 @@ func (e *Event) Unref() {
 func (e *Event) maybeRecycle() {
 	if e.pooled && e.refs <= 0 && e.fired && e.waiters.Len() == 0 {
 		e.refs = 0
-		e.k.evFree = append(e.k.evFree, e) //lint:allow hotalloc -- free-list growth is amortized, bounded by peak live pooled events
+		e.k.evFree = append(e.k.evFree, e) // free-list growth is amortized, bounded by peak live pooled events
 	}
 }
 

@@ -302,8 +302,6 @@ const (
 )
 
 // schedule enqueues a wakeup of p at time at (which must be >= now).
-//
-//strings:hotpath
 func (k *Kernel) schedule(p *Proc, at Time, tag int32) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling %q in the past: %v < %v", p.Name(), at, k.now))
@@ -361,8 +359,6 @@ func (k *Kernel) frontDue() *activation {
 // p marked as driving. It returns true once it has consumed p's own wake-up,
 // and false when nothing may run from here: Stop, nothing due by the limit, or
 // the front wake-up (left queued) is for a process driving below p: p yields.
-//
-//strings:hotpath
 func (k *Kernel) dispatch(p *Proc) bool {
 	for !k.stopped {
 		a := k.frontDue()

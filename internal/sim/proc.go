@@ -52,8 +52,6 @@ func newCoro() *coro {
 }
 
 // takeIdle removes and returns an idle coroutine, or nil if there is none.
-//
-//strings:hotpath
 func (k *Kernel) takeIdle() *coro {
 	n := len(k.idle)
 	if n == 0 {
@@ -72,8 +70,6 @@ type unwound struct{}
 // run is the coroutine body: the occupant's function, then the idle list
 // until spawn installs the next occupant and its start activation resumes
 // the coroutine, or Close stops it (the yield returns false).
-//
-//strings:hotpath
 func (c *coro) run(yield func(struct{}) bool) {
 	for {
 		p, k := c.p, c.p.k
@@ -83,7 +79,7 @@ func (c *coro) run(yield func(struct{}) bool) {
 		p.done = true
 		delete(k.procs, p)
 		c.p, c.fn = nil, nil
-		k.idle = append(k.idle, c) //lint:allow hotalloc -- free-list growth is amortized, bounded by peak live processes
+		k.idle = append(k.idle, c) // free-list growth is amortized, bounded by peak live processes
 		if !yield(struct{}{}) {
 			return
 		}
@@ -94,8 +90,6 @@ func (c *coro) run(yield func(struct{}) bool) {
 // never started is skipped, and the panic a started one's park raises ends
 // here once the function's defers have run; any other panic goes on to
 // whoever resumed the coroutine.
-//
-//strings:hotpath
 func (c *coro) body(p *Proc) {
 	k := p.k
 	if k.unwinding {
@@ -206,7 +200,7 @@ func (p *Proc) waitTimed(waiters *Ring[*Proc], d Time) bool {
 	if p.wakeTag == wakeEvent {
 		return true
 	}
-	waiters.RemoveFirst(func(w *Proc) bool { return w == p }) //lint:allow hotalloc -- predicate closure does not outlive RemoveFirst; the compiler keeps it on the stack
+	waiters.RemoveFirst(func(w *Proc) bool { return w == p }) // predicate closure does not outlive RemoveFirst; the compiler keeps it on the stack
 	return false
 }
 

@@ -107,18 +107,18 @@ func TestQueueGetTimeout(t *testing.T) {
 	}
 }
 
-func TestSemaphoreExclusion(t *testing.T) {
+func TestMutexExclusion(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSemaphore(1)
+	m := k.NewMutex()
 	var trace []string
 	worker := func(n string, start Time) {
 		k.Go(n, func(p *Proc) {
 			p.Sleep(start)
-			s.Acquire(p)
+			m.Lock(p)
 			trace = append(trace, fmt.Sprintf("%s+%v", n, p.Now()))
 			p.Sleep(10)
 			trace = append(trace, fmt.Sprintf("%s-%v", n, p.Now()))
-			s.Release()
+			m.Unlock()
 		})
 	}
 	worker("a", 0)
@@ -131,53 +131,13 @@ func TestSemaphoreExclusion(t *testing.T) {
 	}
 }
 
-func TestSemaphoreCapacityTwo(t *testing.T) {
-	k := NewKernel(1)
-	s := k.NewSemaphore(2)
-	var maxInUse int
-	for i := 0; i < 6; i++ {
-		k.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			s.Acquire(p)
-			if s.InUse() > maxInUse {
-				maxInUse = s.InUse()
-			}
-			p.Sleep(5)
-			s.Release()
-		})
-	}
-	k.Run()
-	if maxInUse != 2 {
-		t.Fatalf("max in use = %d, want 2", maxInUse)
-	}
-	if s.Free() != 2 {
-		t.Fatalf("free = %d at end, want 2", s.Free())
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	k := NewKernel(1)
-	s := k.NewSemaphore(1)
-	if !s.TryAcquire() {
-		t.Fatal("TryAcquire on free semaphore failed")
-	}
-	if s.TryAcquire() {
-		t.Fatal("TryAcquire on held semaphore succeeded")
-	}
-	s.Release()
-	if !s.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
-func TestSemaphoreOverReleasePanics(t *testing.T) {
+func TestMutexUnlockOfUnlockedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("no panic on over-release")
+			t.Fatal("no panic on unlocking an unlocked mutex")
 		}
 	}()
-	k := NewKernel(1)
-	s := k.NewSemaphore(1)
-	s.Release()
+	NewKernel(1).NewMutex().Unlock()
 }
 
 func TestMutexLockUnlock(t *testing.T) {
@@ -229,36 +189,6 @@ func TestQuickQueueDeliversAllInOrder(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: semaphore admission never exceeds capacity and all workers
-// eventually run, for arbitrary capacities and worker counts.
-func TestQuickSemaphoreNeverExceedsCapacity(t *testing.T) {
-	f := func(capRaw, nRaw uint8) bool {
-		capacity := int(capRaw%4) + 1
-		n := int(nRaw%20) + 1
-		k := NewKernel(5)
-		s := k.NewSemaphore(capacity)
-		inUse, maxUse, ran := 0, 0, 0
-		for i := 0; i < n; i++ {
-			k.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-				s.Acquire(p)
-				inUse++
-				if inUse > maxUse {
-					maxUse = inUse
-				}
-				p.Sleep(Time(k.Rand().Intn(7)))
-				inUse--
-				ran++
-				s.Release()
-			})
-		}
-		k.Run()
-		return maxUse <= capacity && ran == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

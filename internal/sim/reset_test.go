@@ -95,8 +95,8 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 	}
 
 	reused.Reset(42)
-	if !gate.Fired() || held.Free() != 0 {
-		t.Fatalf("unwinding ran no defers: gate fired = %v, mutex free = %d", gate.Fired(), held.Free())
+	if !gate.Fired() || !held.locked || held.waiters.Len() != 0 {
+		t.Fatalf("unwinding ran no defers: gate fired = %v, mutex locked = %v with %d waiters", gate.Fired(), held.locked, held.waiters.Len())
 	}
 	if got := resetWorkload(reused); !reflect.DeepEqual(got, fresh) {
 		t.Errorf("reset kernel diverged from fresh kernel:\nfresh: %v\nreused: %v", fresh, got)

@@ -85,7 +85,7 @@ func (mb *mailbox) put(m message) {
 		clear(mb.buf[n:])
 		mb.buf, mb.head = mb.buf[:n], 0
 	}
-	mb.buf = append(mb.buf, m) //lint:allow hotalloc -- mailbox growth is amortized, bounded by peak undelivered messages
+	mb.buf = append(mb.buf, m) // mailbox growth is amortized, bounded by peak undelivered messages
 	x := len(mb.buf) - 1
 	for ; x > mb.head && m.before(&mb.buf[x-1]); x-- {
 		mb.buf[x] = mb.buf[x-1]
@@ -123,16 +123,12 @@ func (s *Shard) ID() int { return s.id }
 // destination has already simulated, and panics immediately instead of
 // corrupting the run. Like everything here, Send is for the one goroutine
 // that runs the composition.
-//
-//strings:hotpath
 func (s *Shard) Send(dst int, delay sim.Time, fn func()) {
 	s.post(dst, delay, message{fn: fn})
 }
 
 // SendPut is Send(dst, delay, func() { q.Put(v) }) without the closure, as
 // sim.Kernel.AfterPut is to After: the form for request-path traffic.
-//
-//strings:hotpath
 func (s *Shard) SendPut(dst int, delay sim.Time, q *sim.Queue[any], v any) {
 	s.post(dst, delay, message{q: q, v: v})
 }
@@ -152,7 +148,7 @@ func (s *Shard) post(dst int, delay sim.Time, m message) {
 	}
 	s.seqCtr++
 	m.at, m.src, m.dst, m.seq = s.K.Now()+delay, s.id, dst, s.seqCtr
-	s.outbox = append(s.outbox, m) //lint:allow hotalloc -- outbox growth is amortized, bounded by one window's sends
+	s.outbox = append(s.outbox, m) // outbox growth is amortized, bounded by one window's sends
 	if s.soloActive {
 		// First cross-shard send of a solo run: the solo horizon was
 		// computed assuming no outbound traffic, so stop here (a point
@@ -264,8 +260,6 @@ func (c *Coordinator) next(i int) sim.Time {
 }
 
 // run is the conservative window loop.
-//
-//strings:hotpath
 func (c *Coordinator) run(limit sim.Time) {
 	if len(c.shards) == 1 {
 		// No peers, so no windows: every Send was a kernel timer.
@@ -324,8 +318,6 @@ func (c *Coordinator) run(limit sim.Time) {
 // other shard quiescent until minOther, shard i cannot be affected before
 // minOther+lookahead, so it may run alone to that horizon — unless it emits
 // a cross-shard message first, which stops the run at the send.
-//
-//strings:hotpath
 func (c *Coordinator) runSolo(i int, limit sim.Time) {
 	minOther := none
 	for j := range c.shards {
@@ -354,8 +346,6 @@ func (c *Coordinator) runSolo(i int, limit sim.Time) {
 // into the destination kernel; later messages stay pending. Kernel timers run
 // same-instant callbacks in registration order, so the mailbox order of the
 // due prefix is the delivery order.
-//
-//strings:hotpath
 func (c *Coordinator) inject(dst int, horizon sim.Time) {
 	mb := &c.pending[dst]
 	k := c.shards[dst].K
@@ -381,8 +371,6 @@ func (c *Coordinator) inject(dst int, horizon sim.Time) {
 }
 
 // drain moves a shard's outbox into the destinations' mailboxes.
-//
-//strings:hotpath
 func (c *Coordinator) drain(s *Shard) {
 	for x := range s.outbox {
 		c.pending[s.outbox[x].dst].put(s.outbox[x])

@@ -40,7 +40,7 @@ func (k *Kernel) pushTimer(d Time, s timerSlot) {
 		k.tslots[i] = s
 	} else {
 		i = int32(len(k.tslots))
-		k.tslots = append(k.tslots, s) //lint:allow hotalloc -- slot-table growth is amortized, bounded by peak armed timers
+		k.tslots = append(k.tslots, s) // slot-table growth is amortized, bounded by peak armed timers
 	}
 	k.seq++
 	a := activation{at: k.now + d, seq: k.seq, epoch: uint64(i)}
@@ -53,8 +53,6 @@ func (k *Kernel) pushTimer(d Time, s timerSlot) {
 
 // fire delivers the timer whose activation the caller just popped and
 // vacates its slot first, so a callback that arms a timer may reuse it.
-//
-//strings:hotpath
 func (k *Kernel) fire(a activation) {
 	k.now = a.at
 	k.dispatched++

@@ -312,7 +312,7 @@ func (r *Recorder) Event(k Kind, now sim.Time, name string, app, gid int, arg in
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{Kind: k, Name: name, App: app, GID: gid, Arg: arg, At: now}) //lint:allow hotalloc -- event buffer growth is amortized doubling; recording is opt-in observability
+	r.events = append(r.events, Event{Kind: k, Name: name, App: app, GID: gid, Arg: arg, At: now}) // event buffer growth is amortized doubling; recording is opt-in observability
 	r.cEvents.Inc()
 }
 
