@@ -1,7 +1,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: build test race vet fmt lint stringscheck bench-smoke bench benchmark cover fuzz-smoke loc
+.PHONY: build test race vet fmt lint stringscheck bench-smoke examples bench benchmark cover fuzz-smoke loc
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,14 @@ bench-smoke:
 	$(GO) run ./cmd/strings-bench -exp frag -requests 6 -parallel 1 -csv | grep -v '^(' > $(BIN)/frag-smoke.csv
 	$(GO) run ./cmd/strings-bench -exp frag -requests 6 -parallel 4 -csv | grep -v '^(' > $(BIN)/frag-smoke-par.csv
 	diff $(BIN)/frag-smoke.csv $(BIN)/frag-smoke-par.csv
+
+# The six examples are the documented use of the library (README): run each
+# and fail on the first non-zero exit. All finish in virtual time; remoting
+# listens on a loopback port of the kernel's choosing.
+examples:
+	@for e in examples/*/; do \
+		echo "== $$e"; $(GO) run ./$$e > /dev/null || exit 1; \
+	done
 
 # Full micro-benchmark pass with allocation counts.
 bench:

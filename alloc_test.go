@@ -6,28 +6,31 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/gpu"
 	"repro/internal/sim"
-	"repro/stringsched"
+	"repro/internal/sim/shard"
+	"repro/internal/workload"
 )
 
 // throughputRun drives one instance of the standard simulator-throughput
 // scenario (the same two-GPU Strings node BenchmarkSimulatorThroughput
 // uses) and returns the kernel event count.
 func throughputRun(seed int64) (uint64, error) {
-	c, err := stringsched.NewCluster(stringsched.Config{
+	c, err := core.New(core.Config{
 		Seed: seed,
-		Nodes: []stringsched.NodeConfig{{Devices: []stringsched.DeviceSpec{
-			stringsched.Quadro2000, stringsched.TeslaC2050,
+		Nodes: []core.NodeConfig{{Devices: []gpu.Spec{
+			gpu.Quadro2000, gpu.TeslaC2050,
 		}}},
-		Mode:    stringsched.ModeStrings,
+		Mode:    core.ModeStrings,
 		Balance: "GMin",
 	})
 	if err != nil {
 		return 0, err
 	}
 	defer c.Close()
-	r, err := c.Run([]stringsched.StreamSpec{{
-		Kind: stringsched.MonteCarlo, Count: 6, LambdaFactor: 0.5,
+	r, err := c.Run([]workload.StreamSpec{{
+		Kind: workload.MonteCarlo, Count: 6, LambdaFactor: 0.5,
 		Node: 0, Tenant: 1, Weight: 1,
 	}})
 	if err != nil {
@@ -136,15 +139,8 @@ func TestAllocBudgetPerRequest(t *testing.T) {
 		requests = 4000
 		budget   = 26.5 // measured 26.18
 	)
-	if _, err := stringsched.RunMega(1, 200); err != nil {
-		t.Fatal(err)
-	}
-	allocs := minMallocs(1, func() {
-		res, err := stringsched.RunMega(2, requests)
-		if err != nil || res.Finished != requests {
-			t.Fatalf("mega run: %v, finished %d of %d", err, res.Finished, requests)
-		}
-	})
+	runMega(t, 1, 200)
+	allocs := minMallocs(1, func() { runMega(t, 2, requests) })
 	perRequest := float64(allocs) / requests
 	t.Logf("%.2f allocs/request over %d requests, construction included (budget %.1f)", perRequest, requests, budget)
 	if perRequest > budget {
@@ -175,40 +171,40 @@ func TestAllocBudgetContendedCell(t *testing.T) {
 		// request. The larger runs above and below read the same with it on.
 		t.Skip("cells of a dozen requests are not measurable under -race")
 	}
-	pair := stringsched.Pairs()[0]
-	oneGPU := []stringsched.NodeConfig{{Devices: []stringsched.DeviceSpec{stringsched.TeslaC2050}}}
-	supernode := []stringsched.NodeConfig{
-		{Devices: []stringsched.DeviceSpec{stringsched.Quadro2000, stringsched.TeslaC2050}},
-		{Devices: []stringsched.DeviceSpec{stringsched.Quadro4000, stringsched.TeslaC2070}},
+	pair := workload.Pairs()[0]
+	oneGPU := []core.NodeConfig{{Devices: []gpu.Spec{gpu.TeslaC2050}}}
+	supernode := []core.NodeConfig{
+		{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}},
+		{Devices: []gpu.Spec{gpu.Quadro4000, gpu.TeslaC2070}},
 	}
-	saturating := []stringsched.StreamSpec{
-		{Kind: pair.Long, Count: 8, Lambda: stringsched.Second, Node: 0, Tenant: 1, Weight: 1},
-		{Kind: pair.Short, Count: 40, Lambda: stringsched.Second / 2, Node: 0, Tenant: 2, Weight: 1},
+	saturating := []workload.StreamSpec{
+		{Kind: pair.Long, Count: 8, Lambda: sim.Second, Node: 0, Tenant: 1, Weight: 1},
+		{Kind: pair.Short, Count: 40, Lambda: sim.Second / 2, Node: 0, Tenant: 2, Weight: 1},
 	}
-	split := []stringsched.StreamSpec{
+	split := []workload.StreamSpec{
 		{Kind: pair.Long, Count: 5, LambdaFactor: 0.6, Node: 0, Tenant: 1, Weight: 1},
 		{Kind: pair.Short, Count: 8, LambdaFactor: 0.6, Node: 1, Tenant: 2, Weight: 1},
 	}
 	cells := []struct {
 		name    string
-		cfg     stringsched.Config
-		streams []stringsched.StreamSpec
-		horizon stringsched.Time // 0 = run to completion
+		cfg     core.Config
+		streams []workload.StreamSpec
+		horizon sim.Time // 0 = run to completion
 		budget  float64
 	}{
-		{"fig11/TFS-Strings", stringsched.Config{Nodes: oneGPU, Mode: stringsched.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * stringsched.Second, 70.5},
-		{"fig12/GWtMinPS-Strings", stringsched.Config{Nodes: supernode, Mode: stringsched.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 73.5},
-		{"fig12/GWtMinLAS-Strings", stringsched.Config{Nodes: supernode, Mode: stringsched.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 73.5},
+		{"fig11/TFS-Strings", core.Config{Nodes: oneGPU, Mode: core.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * sim.Second, 70.5},
+		{"fig12/GWtMinPS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 73.5},
+		{"fig12/GWtMinLAS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 73.5},
 	}
 	for _, cell := range cells {
 		run := func(seed int64) int {
 			cell.cfg.Seed = seed
-			c, err := stringsched.NewCluster(cell.cfg)
+			c, err := core.New(cell.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			var r *stringsched.RunResult
+			var r *core.RunResult
 			if cell.horizon > 0 {
 				r, err = c.RunUntil(cell.streams, cell.horizon)
 			} else {
@@ -253,19 +249,19 @@ func TestAllocBudgetShardedRequest(t *testing.T) {
 		requests = 4000
 		budget   = 34.0 // measured 33.74 to 33.76
 	)
-	run := func(seed int64, requests int) stringsched.ShardStats {
-		cfg := stringsched.Config{Seed: seed, Mode: stringsched.ModeStrings, Balance: "GMin", Shards: 1}
-		var streams []stringsched.StreamSpec
+	run := func(seed int64, requests int) shard.Stats {
+		cfg := core.Config{Seed: seed, Mode: core.ModeStrings, Balance: "GMin", Shards: 1}
+		var streams []workload.StreamSpec
 		for i := 0; i < nodes; i++ {
-			cfg.Nodes = append(cfg.Nodes, stringsched.NodeConfig{Devices: []stringsched.DeviceSpec{
-				stringsched.Quadro2000, stringsched.TeslaC2050,
+			cfg.Nodes = append(cfg.Nodes, core.NodeConfig{Devices: []gpu.Spec{
+				gpu.Quadro2000, gpu.TeslaC2050,
 			}})
-			streams = append(streams, stringsched.StreamSpec{
-				Kind: stringsched.Gaussian, Count: requests / nodes, LambdaFactor: 0.03,
+			streams = append(streams, workload.StreamSpec{
+				Kind: workload.Gaussian, Count: requests / nodes, LambdaFactor: 0.03,
 				Node: i, Tenant: int64(i + 1), Weight: 1,
 			})
 		}
-		c, err := stringsched.NewCluster(cfg)
+		c, err := core.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +273,7 @@ func TestAllocBudgetShardedRequest(t *testing.T) {
 		return c.ShardStats()
 	}
 	run(1, 200)
-	var stats stringsched.ShardStats
+	var stats shard.Stats
 	allocs := minMallocs(1, func() { stats = run(2, requests) })
 	perRequest := float64(allocs) / requests
 	t.Logf("%.2f allocs/request over %d requests, %d windows and %d cross-kernel messages, construction included (budget %.1f)",
@@ -304,10 +300,7 @@ func TestResumeBudgetPerRequest(t *testing.T) {
 		requests = 4000
 		budget   = 38.0
 	)
-	res, err := stringsched.RunMega(1, requests)
-	if err != nil || res.Finished != requests {
-		t.Fatalf("mega run: %v, finished %d of %d", err, res.Finished, requests)
-	}
+	res := runMega(t, 1, requests)
 	perRequest := float64(res.Resumes) / requests
 	t.Logf("%d resumes = %.2f a request over %d events (budget %.0f)", res.Resumes, perRequest, res.Events, budget)
 	if perRequest > budget {

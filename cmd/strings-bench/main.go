@@ -4,7 +4,7 @@
 //
 //	strings-bench [-exp all|table1|fig1|fig2|fig9|fig10|fig11|fig12|fig13|fig14|fig15|headline|frag|ablations|faults|cluster]
 //	              [-requests N] [-lambda F] [-seed S] [-pairs N] [-width W]
-//	              [-parallel N] [-seeds N] [-shards N] [-cluster-spec SPEC]
+//	              [-parallel N] [-seeds N] [-cluster-spec SPEC]
 //	              [-csv] [-html out.html]
 //	              [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
@@ -40,37 +40,42 @@ import (
 	"runtime/pprof"
 	"strings"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/gpu"
+	"repro/internal/metrics"
 	"repro/internal/parallel"
-	"repro/stringsched"
+	"repro/internal/report"
+	"repro/internal/workload"
 )
 
 // clusterFleet is the -exp cluster fleet: three two-node supernodes of
 // Quadro 2000 + Tesla C2050 pairs (48 admission slots at the default 4
 // slots/device) — the same shape the internal/cluster invariance suite pins.
-func clusterFleet() []stringsched.ClusterSupernode {
-	sn := stringsched.ClusterSupernode{Nodes: []stringsched.NodeConfig{
-		{Devices: []stringsched.DeviceSpec{stringsched.Quadro2000, stringsched.TeslaC2050}},
-		{Devices: []stringsched.DeviceSpec{stringsched.Quadro2000, stringsched.TeslaC2050}},
+func clusterFleet() []cluster.Supernode {
+	sn := cluster.Supernode{Nodes: []core.NodeConfig{
+		{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}},
+		{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}},
 	}}
-	return []stringsched.ClusterSupernode{sn, sn, sn}
+	return []cluster.Supernode{sn, sn, sn}
 }
 
 // clusterTable runs the cluster-tier scenario once per placement policy —
 // open-arrival tenants from spec placed over clusterFleet — and tabulates
 // the admission counters, volume and latency tail with one series per
 // policy. Every value is simulated, so the table is identical at any
-// workers setting; shards (0 = one kernel for all of a supernode's nodes,
-// >= 1 = one kernel per node) moves only the events row.
-func clusterTable(spec stringsched.OpenArrivalSpec, seed int64, workers, shards int) (*stringsched.Table, error) {
-	tab := &stringsched.Table{
+// workers setting.
+func clusterTable(spec workload.OpenArrivalSpec, seed int64, workers int) (*metrics.Table, error) {
+	tab := &metrics.Table{
 		Title: "Cluster tier: 3-supernode fleet, " + spec.String(),
 		Labels: []string{"born", "placed", "parked", "rejected", "conflicts",
 			"requests", "events", "p50 s", "p99 s", "p999 s", "fairness"},
 	}
-	for _, policy := range stringsched.ClusterPolicies() {
-		r, err := stringsched.RunCluster(stringsched.ClusterConfig{
+	for _, policy := range cluster.Policies() {
+		r, err := cluster.Run(cluster.Config{
 			Seed: seed, Supernodes: clusterFleet(), Policy: policy,
-			Arrivals: spec, Workers: workers, Shards: shards,
+			Arrivals: spec, Workers: workers,
 		})
 		if err != nil {
 			return nil, err
@@ -93,7 +98,7 @@ func main() {
 // exit-1-and-list-the-valid-range failure mode, and dispatches to the table
 // of experiment runners.
 func run(args []string, out, errOut io.Writer) int {
-	allPairs := stringsched.Pairs()
+	allPairs := workload.Pairs()
 	fs := flag.NewFlagSet("strings-bench", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	exp := fs.String("exp", "all", "experiment to run (all, table1, fig1, fig2, fig9..fig15, headline, frag, ablations, faults, cluster; faults and cluster are opt-in and excluded from all)")
@@ -108,7 +113,6 @@ func run(args []string, out, errOut io.Writer) int {
 	htmlOut := fs.String("html", "", "also write an HTML report with SVG charts to this path")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this path on exit")
-	shardsN := fs.Int("shards", 0, "with -exp cluster: per-supernode shard setting (0 = one kernel for all nodes, >= 1 = one kernel per node; the simulated results are identical either way)")
 	clusterSpec := fs.String("cluster-spec", "poisson:rate=0.5,horizon=2400s,kind=GA,life=80s,lambda=800ms,bigevery=16,bigslots=2",
 		"open-arrival spec for -exp cluster (process:key=value,...)")
 	if err := fs.Parse(args); err != nil {
@@ -118,10 +122,6 @@ func run(args []string, out, errOut io.Writer) int {
 	// Validate every value before any work: a bad one must fail fast,
 	// non-zero, and say what would have been accepted (the same treatment
 	// -exp gives unknown experiment names).
-	if *shardsN < 0 {
-		fmt.Fprintf(errOut, "invalid -shards %d\nvalid range: 0 (one kernel for all nodes) or >= 1 (one kernel per node)\n", *shardsN)
-		return 1
-	}
 	if *parallelN < 0 {
 		fmt.Fprintf(errOut, "invalid -parallel %d\nvalid range: >= 0 (0 = GOMAXPROCS, 1 = sequential, N = N workers)\n", *parallelN)
 		return 1
@@ -130,7 +130,7 @@ func run(args []string, out, errOut io.Writer) int {
 		fmt.Fprintf(errOut, "invalid -pairs %d\nvalid range: 1..%d (a prefix of the workload pairs A..X)\n", *pairs, len(allPairs))
 		return 1
 	}
-	arrivals, err := stringsched.ParseOpenArrivalSpec(*clusterSpec)
+	arrivals, err := workload.ParseOpenArrivalSpec(*clusterSpec)
 	if err != nil {
 		fmt.Fprintf(errOut, "invalid -cluster-spec: %v\n", err)
 		return 1
@@ -150,7 +150,7 @@ func run(args []string, out, errOut io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 
-	suite := stringsched.NewSuite(stringsched.SuiteOptions{
+	suite := experiments.NewSuite(experiments.Options{
 		Seed:         *seed,
 		Requests:     *requests,
 		LambdaFactor: *lambda,
@@ -159,11 +159,11 @@ func run(args []string, out, errOut io.Writer) int {
 		Pairs:        allPairs[:*pairs],
 	})
 
-	var page *stringsched.ReportPage
+	var page *report.Page
 	if *htmlOut != "" {
-		page = stringsched.NewReportPage("Strings (SC'14) reproduction — measured figures")
+		page = report.NewPage("Strings (SC'14) reproduction — measured figures")
 	}
-	render := func(t *stringsched.Table) {
+	render := func(t *metrics.Table) {
 		if *csv {
 			fmt.Fprintln(out, t.CSV())
 		} else {
@@ -174,7 +174,7 @@ func run(args []string, out, errOut io.Writer) int {
 		}
 	}
 	// tables is the common runner shape: build each table, render it.
-	tables := func(build ...func() *stringsched.Table) func() error {
+	tables := func(build ...func() *metrics.Table) func() error {
 		return func() error {
 			for _, b := range build {
 				render(b())
@@ -220,7 +220,7 @@ func run(args []string, out, errOut io.Writer) int {
 		)},
 		{name: "faults", extra: true, fn: tables(suite.Faults)},
 		{name: "cluster", extra: true, fn: func() error {
-			t, err := clusterTable(arrivals, *seed, *parallelN, *shardsN)
+			t, err := clusterTable(arrivals, *seed, *parallelN)
 			if err != nil {
 				return err
 			}

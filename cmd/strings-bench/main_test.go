@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/stringsched"
+	"repro/internal/cluster"
 )
 
 // TestRunRejectsInvalidFlags pins the CLI's failure mode: every invalid
@@ -19,10 +19,6 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		args []string
 		want []string // substrings the stderr message must contain
 	}{
-		{"negative shards", []string{"-shards", "-1"},
-			[]string{"invalid -shards -1", "0 (one kernel for all nodes)", ">= 1"}},
-		{"very negative shards", []string{"-shards", "-42"},
-			[]string{"invalid -shards -42", "valid range"}},
 		{"negative parallel", []string{"-parallel", "-1"},
 			[]string{"invalid -parallel -1", ">= 0", "0 = GOMAXPROCS", "1 = sequential"}},
 		{"negative pairs", []string{"-pairs", "-1"},
@@ -68,9 +64,7 @@ func TestRunExperimentHappyPath(t *testing.T) {
 // TestRunClusterExperiment runs a small -exp cluster end to end: one table
 // with a series per placement policy, tenant conservation readable from it,
 // and stdout byte-identical across -parallel once the wall-clock footer is
-// stripped. -shards 1 runs the same model on one kernel per node instead of
-// one per supernode: every simulated row agrees, only the kernel event count
-// (an execution counter) differs.
+// stripped.
 func TestRunClusterExperiment(t *testing.T) {
 	runCSV := func(extra ...string) string {
 		t.Helper()
@@ -91,7 +85,7 @@ func TestRunClusterExperiment(t *testing.T) {
 
 	seq := runCSV("-parallel", "1")
 	rows := strings.Split(strings.TrimSpace(seq), "\n")
-	if got, want := rows[0], "label,"+strings.Join(stringsched.ClusterPolicies(), ","); got != want {
+	if got, want := rows[0], "label,"+strings.Join(cluster.Policies(), ","); got != want {
 		t.Fatalf("header = %q, want %q (one series per placement policy)", got, want)
 	}
 	cells := map[string][]string{}
@@ -99,7 +93,7 @@ func TestRunClusterExperiment(t *testing.T) {
 		f := strings.Split(row, ",")
 		cells[f[0]] = f[1:]
 	}
-	for i, policy := range stringsched.ClusterPolicies() {
+	for i, policy := range cluster.Policies() {
 		num := func(label string) int {
 			v, err := strconv.Atoi(cells[label][i])
 			if err != nil {
@@ -114,18 +108,5 @@ func TestRunClusterExperiment(t *testing.T) {
 
 	if par := runCSV("-parallel", "4"); par != seq {
 		t.Errorf("-parallel 4 changed the table:\n%s\nvs -parallel 1:\n%s", par, seq)
-	}
-	s1 := runCSV("-shards", "1")
-	simulated := func(table string) string {
-		var keep []string
-		for _, row := range strings.Split(table, "\n") {
-			if !strings.HasPrefix(row, "events,") {
-				keep = append(keep, row)
-			}
-		}
-		return strings.Join(keep, "\n")
-	}
-	if s0 := simulated(seq); s0 != simulated(s1) {
-		t.Errorf("-shards 1 changed a simulated row:\n%s\nvs -shards 0:\n%s", simulated(s1), s0)
 	}
 }

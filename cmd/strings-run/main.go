@@ -19,14 +19,16 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/stringsched"
+	"repro/internal/core"
+	"repro/internal/gpu"
+	"repro/internal/workload"
 )
 
-var kinds = map[string]stringsched.Kind{
-	"DC": stringsched.DXTC, "SC": stringsched.Scan, "BO": stringsched.BinomialOptions,
-	"MM": stringsched.MatrixMultiply, "HI": stringsched.Histogram, "EV": stringsched.Eigenvalues,
-	"BS": stringsched.BlackScholes, "MC": stringsched.MonteCarlo,
-	"GA": stringsched.Gaussian, "SN": stringsched.SortingNetworks,
+var kinds = map[string]workload.Kind{
+	"DC": workload.DXTC, "SC": workload.Scan, "BO": workload.BinomialOptions,
+	"MM": workload.MatrixMultiply, "HI": workload.Histogram, "EV": workload.Eigenvalues,
+	"BS": workload.BlackScholes, "MC": workload.MonteCarlo,
+	"GA": workload.Gaussian, "SN": workload.SortingNetworks,
 }
 
 func main() {
@@ -41,19 +43,19 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	var style stringsched.Style
+	var style workload.Style
 	switch strings.ToLower(*styleArg) {
 	case "sync":
-		style = stringsched.StyleSync
+		style = workload.StyleSync
 	case "pipelined":
-		style = stringsched.StylePipelined
+		style = workload.StylePipelined
 	case "multithread":
-		style = stringsched.StyleMultiThread
+		style = workload.StyleMultiThread
 	default:
 		log.Fatalf("unknown style %q", *styleArg)
 	}
 
-	cfg := stringsched.Config{
+	cfg := core.Config{
 		Seed:        *seed,
 		Balance:     *balance,
 		DevPolicy:   *dev,
@@ -61,28 +63,28 @@ func main() {
 	}
 	switch strings.ToLower(*mode) {
 	case "cuda":
-		cfg.Mode = stringsched.ModeCUDA
+		cfg.Mode = core.ModeCUDA
 	case "rain":
-		cfg.Mode = stringsched.ModeRain
+		cfg.Mode = core.ModeRain
 	case "strings":
-		cfg.Mode = stringsched.ModeStrings
+		cfg.Mode = core.ModeStrings
 	default:
 		log.Fatalf("unknown mode %q", *mode)
 	}
-	cfg.Nodes = []stringsched.NodeConfig{
-		{Devices: []stringsched.DeviceSpec{stringsched.Quadro2000, stringsched.TeslaC2050}},
+	cfg.Nodes = []core.NodeConfig{
+		{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}},
 	}
 	switch *nodes {
 	case 1:
 	case 2:
-		cfg.Nodes = append(cfg.Nodes, stringsched.NodeConfig{
-			Devices: []stringsched.DeviceSpec{stringsched.Quadro4000, stringsched.TeslaC2070},
+		cfg.Nodes = append(cfg.Nodes, core.NodeConfig{
+			Devices: []gpu.Spec{gpu.Quadro4000, gpu.TeslaC2070},
 		})
 	default:
 		log.Fatalf("invalid -nodes %d (valid: 1 = one 2-GPU node, 2 = 4-GPU supernode)", *nodes)
 	}
 
-	var streams []stringsched.StreamSpec
+	var streams []workload.StreamSpec
 	for i, part := range strings.Split(*streamsArg, ",") {
 		kv := strings.SplitN(strings.TrimSpace(part), ":", 2)
 		if len(kv) != 2 {
@@ -100,13 +102,13 @@ func main() {
 		if *nodes == 2 {
 			node = i % 2
 		}
-		streams = append(streams, stringsched.StreamSpec{
+		streams = append(streams, workload.StreamSpec{
 			Kind: kind, Count: count, LambdaFactor: *lambda,
 			Node: node, Tenant: int64(i + 1), Weight: 1, Style: style,
 		})
 	}
 
-	cluster, err := stringsched.NewCluster(cfg)
+	cluster, err := core.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,14 +22,18 @@ import (
 	"sort"
 	"strings"
 
-	"repro/stringsched"
+	"repro/internal/balancer"
+	"repro/internal/core"
+	"repro/internal/gpu"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-var kinds = map[string]stringsched.Kind{
-	"DC": stringsched.DXTC, "SC": stringsched.Scan, "BO": stringsched.BinomialOptions,
-	"MM": stringsched.MatrixMultiply, "HI": stringsched.Histogram, "EV": stringsched.Eigenvalues,
-	"BS": stringsched.BlackScholes, "MC": stringsched.MonteCarlo,
-	"GA": stringsched.Gaussian, "SN": stringsched.SortingNetworks,
+var kinds = map[string]workload.Kind{
+	"DC": workload.DXTC, "SC": workload.Scan, "BO": workload.BinomialOptions,
+	"MM": workload.MatrixMultiply, "HI": workload.Histogram, "EV": workload.Eigenvalues,
+	"BS": workload.BlackScholes, "MC": workload.MonteCarlo,
+	"GA": workload.Gaussian, "SN": workload.SortingNetworks,
 }
 
 // kindNames returns the benchmark codes, sorted, for error listings.
@@ -73,27 +77,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 			*kindArg, strings.Join(kindNames(), ", "))
 		return 1
 	}
-	var mode stringsched.Mode
+	var mode core.Mode
 	switch strings.ToLower(*modeArg) {
 	case "cuda":
-		mode = stringsched.ModeCUDA
+		mode = core.ModeCUDA
 	case "rain":
-		mode = stringsched.ModeRain
+		mode = core.ModeRain
 	case "strings":
-		mode = stringsched.ModeStrings
+		mode = core.ModeStrings
 	default:
 		fmt.Fprintf(stderr, "strings-trace: unknown mode %q; valid modes: cuda, rain, strings\n", *modeArg)
 		return 1
 	}
 	validBalance := false
-	for _, name := range stringsched.BalancingPolicies() {
+	for _, name := range balancer.Names() {
 		if name == *balance {
 			validBalance = true
 		}
 	}
 	if !validBalance {
 		fmt.Fprintf(stderr, "strings-trace: unknown balancing policy %q; valid policies: %s\n",
-			*balance, strings.Join(stringsched.BalancingPolicies(), ", "))
+			*balance, strings.Join(balancer.Names(), ", "))
 		return 1
 	}
 	if *count < 1 {
@@ -109,11 +113,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	rec := stringsched.NewTraceRecorder()
-	cluster, err := stringsched.NewCluster(stringsched.Config{
+	rec := trace.New()
+	cluster, err := core.New(core.Config{
 		Seed: *seed,
-		Nodes: []stringsched.NodeConfig{
-			{Devices: []stringsched.DeviceSpec{stringsched.Quadro2000, stringsched.TeslaC2050}},
+		Nodes: []core.NodeConfig{
+			{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}},
 		},
 		Mode:     mode,
 		Balance:  *balance,
@@ -124,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "strings-trace: %v\n", err)
 		return 1
 	}
-	r, err := cluster.Run([]stringsched.StreamSpec{{
+	r, err := cluster.Run([]workload.StreamSpec{{
 		Kind: kind, Count: *count, LambdaFactor: *lambda,
 		Node: 0, Tenant: 1, Weight: 1,
 	}})

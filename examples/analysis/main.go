@@ -9,24 +9,28 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/stringsched"
+	"repro/internal/core"
+	"repro/internal/gpu"
+	"repro/internal/metrics"
+	"repro/internal/report"
+	"repro/internal/workload"
 )
 
 func main() {
-	cluster, err := stringsched.NewCluster(stringsched.Config{
+	cluster, err := core.New(core.Config{
 		Seed: 77,
-		Nodes: []stringsched.NodeConfig{
-			{Devices: []stringsched.DeviceSpec{stringsched.Quadro2000, stringsched.TeslaC2050}},
+		Nodes: []core.NodeConfig{
+			{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}},
 		},
-		Mode:    stringsched.ModeStrings,
+		Mode:    core.ModeStrings,
 		Balance: "MBF",
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := cluster.Run([]stringsched.StreamSpec{
-		{Kind: stringsched.Histogram, Count: 5, LambdaFactor: 0.5, Node: 0, Tenant: 1, Weight: 1},
-		{Kind: stringsched.MonteCarlo, Count: 10, LambdaFactor: 0.5, Node: 0, Tenant: 2, Weight: 1},
+	r, err := cluster.Run([]workload.StreamSpec{
+		{Kind: workload.Histogram, Count: 5, LambdaFactor: 0.5, Node: 0, Tenant: 1, Weight: 1},
+		{Kind: workload.MonteCarlo, Count: 10, LambdaFactor: 0.5, Node: 0, Tenant: 2, Weight: 1},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -61,19 +65,19 @@ func main() {
 		first.AppID, first.KindID, first.Node, first.GID, first.QueueUS, first.ServiceUS)
 
 	// HTML report with an SVG chart of per-class latency.
-	tab := &stringsched.Table{
+	tab := &metrics.Table{
 		Title:  "Average completion by class (s)",
 		Labels: []string{"HI", "MC"},
 	}
 	tab.Add("avg", []float64{
-		r.AvgCompletion(stringsched.Histogram).Seconds(),
-		r.AvgCompletion(stringsched.MonteCarlo).Seconds(),
+		r.AvgCompletion(workload.Histogram).Seconds(),
+		r.AvgCompletion(workload.MonteCarlo).Seconds(),
 	})
 	tab.Add("p95", []float64{
-		r.PercentileCompletion(stringsched.Histogram, 0.95).Seconds(),
-		r.PercentileCompletion(stringsched.MonteCarlo, 0.95).Seconds(),
+		r.PercentileCompletion(workload.Histogram, 0.95).Seconds(),
+		r.PercentileCompletion(workload.MonteCarlo, 0.95).Seconds(),
 	})
-	page := stringsched.NewReportPage("Scenario analysis")
+	page := report.NewPage("Scenario analysis")
 	page.AddTable(tab)
 	htmlPath := filepath.Join(dir, "strings-analysis.html")
 	if err := page.WriteFile(htmlPath); err != nil {

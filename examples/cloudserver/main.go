@@ -9,26 +9,28 @@ import (
 	"fmt"
 	"log"
 
-	"repro/stringsched"
+	"repro/internal/core"
+	"repro/internal/gpu"
+	"repro/internal/workload"
 )
 
 func main() {
-	streams := []stringsched.StreamSpec{
-		{Kind: stringsched.DXTC, Count: 5, LambdaFactor: 0.7, Node: 0, Tenant: 1, Weight: 1},
-		{Kind: stringsched.MonteCarlo, Count: 10, LambdaFactor: 0.5, Node: 0, Tenant: 2, Weight: 1},
-		{Kind: stringsched.Scan, Count: 6, LambdaFactor: 0.7, Node: 0, Tenant: 3, Weight: 1},
+	streams := []workload.StreamSpec{
+		{Kind: workload.DXTC, Count: 5, LambdaFactor: 0.7, Node: 0, Tenant: 1, Weight: 1},
+		{Kind: workload.MonteCarlo, Count: 10, LambdaFactor: 0.5, Node: 0, Tenant: 2, Weight: 1},
+		{Kind: workload.Scan, Count: 6, LambdaFactor: 0.7, Node: 0, Tenant: 3, Weight: 1},
 	}
 
 	fmt.Println("Three tenants (DC, MC, SC streams) on one node with two GPUs, Strings runtime")
 	fmt.Println()
 	fmt.Printf("%-8s %12s %12s %12s %14s\n", "policy", "DC avg", "MC avg", "SC avg", "GPU busy (s)")
 	for _, policy := range []string{"GRR", "GMin", "GWtMin", "RTF", "GUF", "DTF", "MBF"} {
-		cluster, err := stringsched.NewCluster(stringsched.Config{
+		cluster, err := core.New(core.Config{
 			Seed: 7,
-			Nodes: []stringsched.NodeConfig{{Devices: []stringsched.DeviceSpec{
-				stringsched.Quadro2000, stringsched.TeslaC2050,
+			Nodes: []core.NodeConfig{{Devices: []gpu.Spec{
+				gpu.Quadro2000, gpu.TeslaC2050,
 			}}},
-			Mode:    stringsched.ModeStrings,
+			Mode:    core.ModeStrings,
 			Balance: policy,
 		})
 		if err != nil {
@@ -48,9 +50,9 @@ func main() {
 			busy += (float64(st.ComputeBusy) + float64(st.H2DBusy) + float64(st.D2HBusy)) / 1e6
 		}
 		fmt.Printf("%-8s %12v %12v %12v %14.1f\n", policy,
-			r.AvgCompletion(stringsched.DXTC),
-			r.AvgCompletion(stringsched.MonteCarlo),
-			r.AvgCompletion(stringsched.Scan),
+			r.AvgCompletion(workload.DXTC),
+			r.AvgCompletion(workload.MonteCarlo),
+			r.AvgCompletion(workload.Scan),
 			busy)
 	}
 	fmt.Println()

@@ -10,14 +10,18 @@ import (
 	"fmt"
 	"log"
 
-	"repro/stringsched"
+	"repro/internal/core"
+	"repro/internal/gpu"
+	"repro/internal/metrics"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
-func measure(mode stringsched.Mode, devPolicy string) *stringsched.RunResult {
-	cluster, err := stringsched.NewCluster(stringsched.Config{
+func measure(mode core.Mode, devPolicy string) *core.RunResult {
+	cluster, err := core.New(core.Config{
 		Seed: 3,
-		Nodes: []stringsched.NodeConfig{
-			{Devices: []stringsched.DeviceSpec{stringsched.TeslaC2050}},
+		Nodes: []core.NodeConfig{
+			{Devices: []gpu.Spec{gpu.TeslaC2050}},
 		},
 		Mode:      mode,
 		Balance:   "GRR",
@@ -26,10 +30,10 @@ func measure(mode stringsched.Mode, devPolicy string) *stringsched.RunResult {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := cluster.RunUntil([]stringsched.StreamSpec{
-		{Kind: stringsched.Histogram, Count: 10, Lambda: stringsched.Second, Node: 0, Tenant: 1, Weight: 3},
-		{Kind: stringsched.MonteCarlo, Count: 40, Lambda: stringsched.Second / 2, Node: 0, Tenant: 2, Weight: 1},
-	}, 40*stringsched.Second)
+	r, err := cluster.RunUntil([]workload.StreamSpec{
+		{Kind: workload.Histogram, Count: 10, Lambda: sim.Second, Node: 0, Tenant: 1, Weight: 3},
+		{Kind: workload.MonteCarlo, Count: 40, Lambda: sim.Second / 2, Node: 0, Tenant: 2, Weight: 1},
+	}, 40*sim.Second)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,11 +46,11 @@ func main() {
 	fmt.Println()
 	for _, sys := range []struct {
 		label string
-		mode  stringsched.Mode
+		mode  core.Mode
 		dev   string
 	}{
-		{"bare CUDA runtime", stringsched.ModeCUDA, ""},
-		{"Strings + TFS", stringsched.ModeStrings, "TFS"},
+		{"bare CUDA runtime", core.ModeCUDA, ""},
+		{"Strings + TFS", core.ModeStrings, "TFS"},
 	} {
 		r := measure(sys.mode, sys.dev)
 		s1, s2 := r.TenantService[1], r.TenantService[2]
@@ -55,7 +59,7 @@ func main() {
 		fmt.Printf("  tenant 1 attained %v, tenant 2 attained %v (ratio %.2f, weights want 3.00)\n",
 			s1, s2, float64(s1)/float64(s2))
 		fmt.Printf("  weighted allocations %.2fs vs %.2fs → Jain fairness %.3f\n",
-			alloc[0]/1e6, alloc[1]/1e6, stringsched.JainFairness(alloc))
+			alloc[0]/1e6, alloc[1]/1e6, metrics.JainFairness(alloc))
 		fmt.Println()
 	}
 }

@@ -9,12 +9,15 @@ import (
 	"fmt"
 	"log"
 
-	"repro/stringsched"
+	"repro/internal/core"
+	"repro/internal/gpu"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func main() {
-	stream := []stringsched.StreamSpec{{
-		Kind:         stringsched.MonteCarlo,
+	stream := []workload.StreamSpec{{
+		Kind:         workload.MonteCarlo,
 		Count:        8,
 		LambdaFactor: 0.5, // mean inter-arrival = half the solo runtime
 		Node:         0,
@@ -24,22 +27,22 @@ func main() {
 
 	configs := []struct {
 		label string
-		mode  stringsched.Mode
+		mode  core.Mode
 		dev   string
 	}{
-		{"CUDA runtime (static provisioning)", stringsched.ModeCUDA, ""},
-		{"Rain (GMin balancing)", stringsched.ModeRain, "none"},
-		{"Strings (GMin balancing + PS scheduling)", stringsched.ModeStrings, "PS"},
+		{"CUDA runtime (static provisioning)", core.ModeCUDA, ""},
+		{"Rain (GMin balancing)", core.ModeRain, "none"},
+		{"Strings (GMin balancing + PS scheduling)", core.ModeStrings, "PS"},
 	}
 
 	fmt.Println("8 Monte Carlo requests, one node with a Quadro 2000 and a Tesla C2050")
 	fmt.Println()
-	var baseline stringsched.Time
+	var baseline sim.Time
 	for _, c := range configs {
-		cluster, err := stringsched.NewCluster(stringsched.Config{
+		cluster, err := core.New(core.Config{
 			Seed: 42,
-			Nodes: []stringsched.NodeConfig{{Devices: []stringsched.DeviceSpec{
-				stringsched.Quadro2000, stringsched.TeslaC2050,
+			Nodes: []core.NodeConfig{{Devices: []gpu.Spec{
+				gpu.Quadro2000, gpu.TeslaC2050,
 			}}},
 			Mode:      c.mode,
 			Balance:   "GMin",
@@ -56,7 +59,7 @@ func main() {
 		if len(r.Errors) > 0 {
 			log.Fatalf("application errors: %v", r.Errors)
 		}
-		avg := r.AvgCompletion(stringsched.MonteCarlo)
+		avg := r.AvgCompletion(workload.MonteCarlo)
 		if baseline == 0 {
 			baseline = avg
 		}

@@ -11,25 +11,30 @@ import (
 	"fmt"
 	"log"
 
-	"repro/stringsched"
+	"repro/internal/balancer"
+	"repro/internal/core"
+	"repro/internal/gpu"
+	"repro/internal/metrics"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
-func run(balance string) (*stringsched.RunResult, *stringsched.Cluster) {
-	cluster, err := stringsched.NewCluster(stringsched.Config{
+func run(balance string) (*core.RunResult, *core.Cluster) {
+	cluster, err := core.New(core.Config{
 		Seed: 11,
-		Nodes: []stringsched.NodeConfig{
-			{Devices: []stringsched.DeviceSpec{stringsched.Quadro2000, stringsched.TeslaC2050}},
-			{Devices: []stringsched.DeviceSpec{stringsched.Quadro4000, stringsched.TeslaC2070}},
+		Nodes: []core.NodeConfig{
+			{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}},
+			{Devices: []gpu.Spec{gpu.Quadro4000, gpu.TeslaC2070}},
 		},
-		Mode:    stringsched.ModeStrings,
+		Mode:    core.ModeStrings,
 		Balance: balance,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := cluster.Run([]stringsched.StreamSpec{
-		{Kind: stringsched.Histogram, Count: 6, LambdaFactor: 0.5, Node: 0, Tenant: 1, Weight: 1},
-		{Kind: stringsched.MonteCarlo, Count: 10, LambdaFactor: 0.5, Node: 1, Tenant: 2, Weight: 1},
+	r, err := cluster.Run([]workload.StreamSpec{
+		{Kind: workload.Histogram, Count: 6, LambdaFactor: 0.5, Node: 0, Tenant: 1, Weight: 1},
+		{Kind: workload.MonteCarlo, Count: 10, LambdaFactor: 0.5, Node: 1, Tenant: 2, Weight: 1},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -49,20 +54,20 @@ func main() {
 	fmt.Println("Per-device work under GRR (HI stream at node 0, MC stream at node 1):")
 	for gid, d := range cluster.Devices() {
 		st := d.Stats()
-		entry, _ := cluster.GMap().Lookup(stringsched.GID(gid))
+		entry, _ := cluster.GMap().Lookup(balancer.GID(gid))
 		fmt.Printf("  GID %d (%s, node %d): %3d kernels, %3d copies\n",
 			gid, d.Spec().Name, entry.Node, st.KernelsDone, st.CopiesDone)
 	}
 	fmt.Println()
 
 	mbf, _ := run("MBF")
-	ws := stringsched.WeightedSpeedup(
-		[]stringsched.Time{base.AvgCompletion(stringsched.Histogram), base.AvgCompletion(stringsched.MonteCarlo)},
-		[]stringsched.Time{mbf.AvgCompletion(stringsched.Histogram), mbf.AvgCompletion(stringsched.MonteCarlo)},
+	ws := metrics.WeightedSpeedup(
+		[]sim.Time{base.AvgCompletion(workload.Histogram), base.AvgCompletion(workload.MonteCarlo)},
+		[]sim.Time{mbf.AvgCompletion(workload.Histogram), mbf.AvgCompletion(workload.MonteCarlo)},
 	)
 	fmt.Printf("HI avg: GRR %v → MBF %v\n",
-		base.AvgCompletion(stringsched.Histogram), mbf.AvgCompletion(stringsched.Histogram))
+		base.AvgCompletion(workload.Histogram), mbf.AvgCompletion(workload.Histogram))
 	fmt.Printf("MC avg: GRR %v → MBF %v\n",
-		base.AvgCompletion(stringsched.MonteCarlo), mbf.AvgCompletion(stringsched.MonteCarlo))
+		base.AvgCompletion(workload.MonteCarlo), mbf.AvgCompletion(workload.MonteCarlo))
 	fmt.Printf("weighted speedup of MBF over GRR: %.2fx\n", ws)
 }

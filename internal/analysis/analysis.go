@@ -102,16 +102,6 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName resolves one analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // Run executes analyzers over the target, applies //lint:allow filtering,
 // and returns the surviving diagnostics sorted by position. Allowaudit, when
 // present, runs last: it needs to know which directives the other analyzers
@@ -189,7 +179,7 @@ func kernelLayer(path string) bool {
 
 // simDriven reports whether pkg belongs to the simulator's deterministic
 // domain: it is the kernel layer itself, or it directly imports internal/sim
-// or one of the façade packages (stringsched, internal/core) that drive it.
+// or internal/core, which drives it.
 // Matching is by path suffix so analysistest fixtures under testdata/src
 // trigger the same way the real tree does.
 func simDriven(pkg *types.Package) bool {
@@ -201,9 +191,7 @@ func simDriven(pkg *types.Package) bool {
 	}
 	for _, imp := range pkg.Imports() {
 		p := imp.Path()
-		if pathEndsWith(p, "internal/sim") ||
-			pathEndsWith(p, "internal/core") ||
-			pathEndsWith(p, "stringsched") {
+		if pathEndsWith(p, "internal/sim") || pathEndsWith(p, "internal/core") {
 			return true
 		}
 	}

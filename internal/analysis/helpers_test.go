@@ -6,17 +6,6 @@ import (
 	"testing"
 )
 
-func TestByName(t *testing.T) {
-	for _, a := range All() {
-		if got := ByName(a.Name); got != a {
-			t.Errorf("ByName(%q) = %v, want the registered analyzer", a.Name, got)
-		}
-	}
-	if got := ByName("nosuchanalyzer"); got != nil {
-		t.Errorf("ByName(unknown) = %v, want nil", got)
-	}
-}
-
 func TestAnyUsedAndAllRan(t *testing.T) {
 	d := &AllowDirective{}
 	if anyUsed(d) {

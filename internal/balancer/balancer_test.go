@@ -103,16 +103,13 @@ func TestSFTRunningMeans(t *testing.T) {
 	if e.MemBW != 2000 || e.GPUUtil != 0.6 {
 		t.Fatalf("means = %+v", e)
 	}
-	if e.XferFrac() != 0.2 {
-		t.Fatalf("XferFrac = %v", e.XferFrac())
-	}
 	if sft.Samples("XX") != 0 {
 		t.Fatal("phantom samples")
 	}
 	sft.Record(nil)                  // must not panic
 	sft.Record(&rpcproto.Feedback{}) // empty kind ignored
-	if len(sft.Kinds()) != 1 {
-		t.Fatalf("kinds = %v", sft.Kinds())
+	if len(sft.byKind) != 1 {
+		t.Fatalf("kinds = %v", sft.byKind)
 	}
 }
 
@@ -194,24 +191,21 @@ func TestMBFAvoidsBandwidthCollocation(t *testing.T) {
 func TestArbiterSwitchesAfterFeedback(t *testing.T) {
 	dst := pool4()
 	sft := NewSFT()
-	a := NewArbiter(GWtMin{}, RTF{}, 2)
+	a := NewArbiter(stubbornPolicy{gid: 1}, stubbornPolicy{gid: 2}, 2)
 	req := Request{Kind: "MC", Node: 0}
-	a.Select(req, dst, sft)
-	if a.Switched("MC") {
+	if a.Select(req, dst, sft) != 1 {
 		t.Fatal("switched with no feedback")
 	}
 	sft.Record(fb("MC", 8e6, 6.8e6, 5.8e6, 3000, 0.85))
-	a.Select(req, dst, sft)
-	if a.Switched("MC") {
+	if a.Select(req, dst, sft) != 1 {
 		t.Fatal("switched below MinSamples")
 	}
 	sft.Record(fb("MC", 8e6, 6.8e6, 5.8e6, 3000, 0.85))
-	a.Select(req, dst, sft)
-	if !a.Switched("MC") {
+	if a.Select(req, dst, sft) != 2 {
 		t.Fatal("did not switch at MinSamples")
 	}
-	if a.Name() != "PA(GWtMin→RTF)" {
-		t.Fatalf("Name = %q", a.Name())
+	if n := NewArbiter(GWtMin{}, RTF{}, 2).Name(); n != "PA(GWtMin→RTF)" {
+		t.Fatalf("Name = %q", n)
 	}
 }
 

@@ -80,14 +80,3 @@ func (d *DST) Health(gid GID) Health {
 	}
 	return e.Health
 }
-
-// HealthyLen counts the rows still routable.
-func (d *DST) HealthyLen() int {
-	n := 0
-	for _, e := range d.entries {
-		if e.Health == Healthy {
-			n++
-		}
-	}
-	return n
-}

@@ -31,8 +31,8 @@ func TestMarkFailureEscalates(t *testing.T) {
 	if h := d.Health(0); h != Dead {
 		t.Fatalf("recovered a dead row to %v", h)
 	}
-	if got := d.HealthyLen(); got != 1 {
-		t.Fatalf("HealthyLen = %d, want 1", got)
+	if h := d.Health(1); h != Healthy {
+		t.Fatalf("the other row became %v", h)
 	}
 }
 

@@ -32,9 +32,6 @@ func (m *Mapper) DST() *DST { return m.dst }
 // SFT returns the Scheduler Feedback Table.
 func (m *Mapper) SFT() *SFT { return m.sft }
 
-// Policy returns the active selection policy.
-func (m *Mapper) Policy() Policy { return m.policy }
-
 // SetRecorder installs the observability recorder: every selection then
 // emits a structured decision-audit record (the DST rows the policy saw,
 // the SFT's history for the class, the raw and final picks). A nil

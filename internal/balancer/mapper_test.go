@@ -86,7 +86,7 @@ func TestMapperAuditedSelections(t *testing.T) {
 			before = append(before, cp)
 		}
 		want := trace.Decision{
-			At: 7, App: 3, Class: "MC", Node: 1, Tenant: 9, Policy: m.Policy().Name(),
+			At: 7, App: 3, Class: "MC", Node: 1, Tenant: 9, Policy: m.policy.Name(),
 			Raw: tc.raw, Picked: tc.picked, Spilled: tc.spilled,
 			SFTSamples: 2, SFTExec: 3 * sim.Second, Rows: rows,
 		}

@@ -391,8 +391,6 @@ type Arbiter struct {
 	Static     Policy
 	Feedback   Policy
 	MinSamples int
-
-	switched map[string]bool
 }
 
 // NewArbiter builds an arbiter with the given static/feedback pair.
@@ -400,8 +398,7 @@ func NewArbiter(static, feedback Policy, minSamples int) *Arbiter {
 	if minSamples <= 0 {
 		minSamples = 1
 	}
-	return &Arbiter{Static: static, Feedback: feedback, MinSamples: minSamples,
-		switched: make(map[string]bool)}
+	return &Arbiter{Static: static, Feedback: feedback, MinSamples: minSamples}
 }
 
 // Name implements Policy.
@@ -412,15 +409,10 @@ func (a *Arbiter) Name() string {
 // Select implements Policy.
 func (a *Arbiter) Select(req Request, dst *DST, sft *SFT) GID {
 	if sft.Samples(req.Kind) >= a.MinSamples {
-		a.switched[req.Kind] = true
 		return a.Feedback.Select(req, dst, sft)
 	}
 	return a.Static.Select(req, dst, sft)
 }
-
-// Switched reports whether the arbiter has engaged the feedback policy for
-// the class.
-func (a *Arbiter) Switched(kind string) bool { return a.switched[kind] }
 
 // ByName constructs a policy from its figure-label name. Feedback policies
 // are wrapped in an Arbiter over GWtMin, as in the paper's evaluation.

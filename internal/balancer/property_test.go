@@ -275,9 +275,6 @@ func TestArbiterSwitchesAtThreshold(t *testing.T) {
 				t.Fatalf("round %d: with %d samples (threshold %d) arbiter picked %d, want %d",
 					round, sft.Samples("MC"), min, got, want)
 			}
-			if switched := a.Switched("MC"); switched != (sft.Samples("MC") >= min) {
-				t.Fatalf("round %d: Switched = %v with %d/%d samples", round, switched, sft.Samples("MC"), min)
-			}
 			sft.Record(&rpcproto.Feedback{Kind: "MC", ExecTime: 1e6, GPUTime: 5e5, GPUUtil: 0.5})
 		}
 	}

@@ -63,8 +63,8 @@ type SliceShape struct {
 
 // DST is the Device Status Table. Rows are GID-stable: lookups go through a
 // gid→index map, so removing or retiring a middle row never shifts the rows
-// behind it (PR 3's GMap.RemoveNode promises rows are never renumbered, and
-// slice rows retire while later rows live on).
+// behind it (the gMap promises rows are never renumbered, and slice rows
+// retire while later rows live on).
 type DST struct {
 	entries []*DSTEntry
 	byGID   map[GID]int
@@ -228,18 +228,6 @@ type SFTEntry struct {
 	GPUUtil  float64
 }
 
-// XferFrac returns the class's share of GPU time spent in transfers.
-func (e *SFTEntry) XferFrac() float64 {
-	if e.GPUTime <= 0 {
-		return 0
-	}
-	f := float64(e.XferTime) / float64(e.GPUTime)
-	if f > 1 {
-		f = 1
-	}
-	return f
-}
-
 // SFT is the Scheduler Feedback Table, the history-based store the Policy
 // Arbiter and the feedback policies read. It also implements the paper's
 // response to "device-level observations of altered behavior": when a
@@ -307,14 +295,4 @@ func (s *SFT) Samples(kind string) int {
 		return e.Samples
 	}
 	return 0
-}
-
-// Kinds returns the recorded classes, sorted.
-func (s *SFT) Kinds() []string {
-	ks := make([]string, 0, len(s.byKind))
-	for k := range s.byKind {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

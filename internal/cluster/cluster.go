@@ -1,7 +1,7 @@
 // Package cluster is the third scheduling level: a global scheduler that
 // places tenant streams onto M supernodes, where each supernode is one
 // complete core run (a Strings deployment with its own Affinity Mapper,
-// backends and device schedulers, optionally sharded per PR 9).
+// backends and device schedulers).
 //
 // The design follows Arktos's shared-state optimistic global scheduler: the
 // placement engine works from a periodically refreshed snapshot of every
@@ -116,11 +116,6 @@ type Config struct {
 	// Workers sets the parallelism of the supernode runs (parallel.Map
 	// semantics: 0 = GOMAXPROCS, results bit-identical at any value).
 	Workers int
-
-	// Shards passes through to each supernode's core.Config.Shards: 0 =
-	// one kernel for all of a supernode's nodes, >= 1 = one kernel per node
-	// (DESIGN.md §15).
-	Shards int
 
 	// Traced installs a trace recorder on every supernode run; the
 	// Result then carries each supernode's canonical JSONL export.

@@ -12,9 +12,7 @@ import (
 )
 
 // goldenCfg is the pinned golden scenario: three two-node supernodes under a
-// short big-tenant Poisson arrival mix, traced, with each supernode's nodes
-// on one kernel (Shards 0) — the invariance suite owns the sharded axis, so
-// the golden pins the other partition.
+// short big-tenant Poisson arrival mix, traced.
 func goldenCfg(policy string) Config {
 	return Config{
 		Seed:       3,

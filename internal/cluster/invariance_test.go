@@ -9,9 +9,8 @@ import (
 )
 
 // invarianceCfg is the shared scenario of the invariance suite: three
-// two-node supernodes, each on one kernel per node, under open Poisson
-// arrivals with a big-tenant mix, parameterized by the worker count (the axis
-// that must not change anything).
+// two-node supernodes under open Poisson arrivals with a big-tenant mix,
+// parameterized by the worker count (the axis that must not change anything).
 func invarianceCfg(workers int, big bool) Config {
 	spec := workload.OpenArrivalSpec{
 		Process: workload.ProcPoisson, Rate: 0.4, Horizon: 150 * sim.Second,
@@ -31,7 +30,6 @@ func invarianceCfg(workers int, big bool) Config {
 		Policy:     PolicyLeastLoaded,
 		Arrivals:   spec,
 		Workers:    workers,
-		Shards:     1,
 	}
 }
 

@@ -120,7 +120,6 @@ func Run(cfg Config) (*Result, error) {
 			Nodes:   cfg.Supernodes[i].Nodes,
 			Mode:    cfg.Mode,
 			Balance: cfg.Balance, DevPolicy: cfg.DevPolicy,
-			Shards: cfg.Shards,
 			Kernel: arena.Get(),
 		}
 		defer arena.Put(ccfg.Kernel)

@@ -16,7 +16,7 @@ import (
 // form — an independent conservation check on the whole substrate.
 func TestSimulatorMatchesMG1PS(t *testing.T) {
 	prof := workload.ProfileFor(workload.DXTC)
-	soloGPU := prof.SoloGPUTime().Seconds()
+	soloGPU := prof.SoloRuntime.Seconds() * prof.GPUPct / 100
 	soloCPU := prof.SoloRuntime.Seconds() - soloGPU
 
 	for _, factor := range []float64{2.5, 1.7} {
@@ -73,7 +73,7 @@ func TestSimulatorBracketedByMMc(t *testing.T) {
 	}
 	got := r.AvgCompletion(workload.DXTC).Seconds()
 
-	soloGPU := prof.SoloGPUTime().Seconds()
+	soloGPU := prof.SoloRuntime.Seconds() * prof.GPUPct / 100
 	soloCPU := prof.SoloRuntime.Seconds() - soloGPU
 	lower := prof.SoloRuntime.Seconds() // cannot beat solo
 	upper, errU := analytic.MMc(2, soloGPU, rate)
@@ -96,7 +96,7 @@ func TestSimulatorBracketedByMMc(t *testing.T) {
 // not be obtained by grinding through the idle time the jumps exist to avoid.
 func TestFastForwardMatchesAnalyticIdle(t *testing.T) {
 	prof := workload.ProfileFor(workload.DXTC)
-	soloGPU := prof.SoloGPUTime().Seconds()
+	soloGPU := prof.SoloRuntime.Seconds() * prof.GPUPct / 100
 	soloCPU := prof.SoloRuntime.Seconds() - soloGPU
 	lambda := sim.Time(4.0 * float64(prof.SoloRuntime))
 	want, err := analytic.MG1PS(soloGPU, 1.0/lambda.Seconds())

@@ -359,9 +359,6 @@ func devPolicyFactory(cfg Config) (func() devsched.Policy, error) {
 	}
 }
 
-// Config returns the cluster's configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // GMap returns the gPool's device map.
 func (c *Cluster) GMap() *remoting.GMap { return c.gmap }
 

@@ -162,8 +162,8 @@ func TestShardCollapseRules(t *testing.T) {
 	if !c.Sharded() {
 		t.Fatal("supernode with Shards=4 must shard")
 	}
-	if got := c.ShardStats().Lookahead; got != c.Config().RemoteLink.Latency {
-		t.Fatalf("lookahead %v, want the remote-link latency %v", got, c.Config().RemoteLink.Latency)
+	if got := c.ShardStats().Lookahead; got != c.cfg.RemoteLink.Latency {
+		t.Fatalf("lookahead %v, want the remote-link latency %v", got, c.cfg.RemoteLink.Latency)
 	}
 }
 
@@ -206,6 +206,17 @@ func denseScenario() []workload.StreamSpec {
 	return []workload.StreamSpec{
 		{Kind: workload.Gaussian, Count: 400, Lambda: 3 * sim.Millisecond, Node: 0, Tenant: 1, Weight: 1},
 		{Kind: workload.Gaussian, Count: 400, Lambda: 3 * sim.Millisecond, Node: 1, Tenant: 2, Weight: 1},
+	}
+}
+
+// pairScenario is Figure 10's shape: workload pair A split over the
+// supernode, the long stream arriving at node 0 and the short one at node 1,
+// each at 0.6 of its solo rate.
+func pairScenario() []workload.StreamSpec {
+	p := workload.Pairs()[0]
+	return []workload.StreamSpec{
+		{Kind: p.Long, Count: 3, LambdaFactor: 0.6, Node: 0, Tenant: 1, Weight: 1},
+		{Kind: p.Short, Count: 5, LambdaFactor: 0.6, Node: 1, Tenant: 2, Weight: 1},
 	}
 }
 
@@ -266,6 +277,7 @@ func TestShardPartitionInvariance(t *testing.T) {
 	scenarios := []scenario{
 		{"mixed/Strings", shardedScenario(), Config{Seed: 11, Mode: ModeStrings, Balance: "GMin", DevPolicy: "TFS"}},
 		{"mixed/Rain", shardedScenario(), Config{Seed: 11, Mode: ModeRain, Balance: "GMin", DevPolicy: "TFS"}},
+		{"pair/Strings", pairScenario(), Config{Seed: 5, Mode: ModeStrings, Balance: "GMin"}},
 	}
 	for _, mode := range []Mode{ModeStrings, ModeRain} {
 		for _, bal := range []string{"GMin", "GRR", "MBF"} {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -231,12 +232,13 @@ func TestRequestLogRoundTrip(t *testing.T) {
 	if err := r.WriteRequestLog(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadRequestLog(strings.NewReader(buf.String()))
-	if err != nil {
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	var first RequestEvent
+	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 5 || back[0].KindID != "GA" {
-		t.Fatalf("round trip = %d events, first %+v", len(back), back[0])
+	if len(lines) != 5 || first.KindID != "GA" || first.FinishedUS != sorted[0].FinishedUS {
+		t.Fatalf("round trip = %d lines, first %+v, want %+v", len(lines), first, sorted[0])
 	}
 }
 

@@ -93,17 +93,3 @@ func (r *RunResult) WriteRequestLog(w io.Writer) error {
 	}
 	return nil
 }
-
-// ReadRequestLog parses a JSON Lines request log back into events.
-func ReadRequestLog(rd io.Reader) ([]RequestEvent, error) {
-	var out []RequestEvent
-	dec := json.NewDecoder(rd)
-	for dec.More() {
-		var ev RequestEvent
-		if err := dec.Decode(&ev); err != nil {
-			return nil, fmt.Errorf("core: request log: %w", err)
-		}
-		out = append(out, ev)
-	}
-	return out, nil
-}

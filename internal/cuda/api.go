@@ -51,9 +51,6 @@ type Ptr struct {
 	Size int64 // allocation size in bytes
 }
 
-// Nil reports whether the pointer is the zero pointer.
-func (p Ptr) Nil() bool { return p.ID == 0 }
-
 // Kernel describes a kernel launch: total compute work (units), device
 // memory traffic (bytes), and occupancy (fraction of the device the kernel
 // can fill; 0 means 1.0).
@@ -88,8 +85,6 @@ type Client interface {
 	// SetDevice selects the target device for subsequent calls
 	// (cudaSetDevice).
 	SetDevice(dev int) error
-	// Device returns the currently selected device ordinal.
-	Device() int
 	// DeviceCount returns the number of visible devices
 	// (cudaGetDeviceCount).
 	DeviceCount() int

@@ -36,10 +36,10 @@ func TestThreadSwitchesDevices(t *testing.T) {
 			devs[0].Stats().KernelsDone, devs[1].Stats().KernelsDone)
 	}
 	// One process context per device.
-	if rt.Context(0) == nil || rt.Context(1) == nil {
+	if rt.ctxs[0] == nil || rt.ctxs[1] == nil {
 		t.Fatal("contexts missing")
 	}
-	if rt.Context(0) == rt.Context(1) {
+	if rt.ctxs[0].ctx == rt.ctxs[1].ctx {
 		t.Fatal("devices share one context object")
 	}
 }

@@ -59,18 +59,6 @@ func NewRuntime(k *sim.Kernel, devices []*gpu.Device, cfg Config) *Runtime {
 	return &Runtime{k: k, cfg: cfg, devices: devices, ctxs: make([]*procCtx, len(devices))}
 }
 
-// Devices returns the devices visible to the process.
-func (rt *Runtime) Devices() []*gpu.Device { return rt.devices }
-
-// Context returns the process's GPU context on dev, or nil if none exists
-// yet. Used by schedulers that need to inspect context identity.
-func (rt *Runtime) Context(dev int) *gpu.Context {
-	if dev >= 0 && dev < len(rt.ctxs) && rt.ctxs[dev] != nil {
-		return rt.ctxs[dev].ctx
-	}
-	return nil
-}
-
 // ensureCtx returns the process's context state on dev, creating it (and
 // charging the context-creation cost to p) on first touch.
 func (rt *Runtime) ensureCtx(p *sim.Proc, dev int) *procCtx {
@@ -194,9 +182,6 @@ func (t *Thread) SetDevice(dev int) error {
 	t.dev = dev
 	return nil
 }
-
-// Device implements Client.
-func (t *Thread) Device() int { return t.dev }
 
 // DeviceCount implements Client.
 func (t *Thread) DeviceCount() int {

@@ -31,10 +31,10 @@ func TestRegisterAssignsSignalIDs(t *testing.T) {
 	if !e1.Awake || !e2.Awake {
 		t.Fatal("AllAwake entries should be born awake")
 	}
-	if s.Entry(1) != e1 || s.Entry(99) != nil {
+	if s.byApp[1] != e1 || s.byApp[99] != nil {
 		t.Fatal("Entry lookup broken")
 	}
-	if got := len(s.Entries()); got != 2 {
+	if got := len(s.entries); got != 2 {
 		t.Fatalf("Entries = %d", got)
 	}
 }
@@ -70,7 +70,7 @@ func TestUnregisterProducesFeedback(t *testing.T) {
 	if got == nil {
 		t.Fatal("OnUnregister not invoked")
 	}
-	if s.Entry(1) != nil {
+	if s.byApp[1] != nil {
 		t.Fatal("entry not removed")
 	}
 }
@@ -305,12 +305,6 @@ func TestPhaseStrings(t *testing.T) {
 	}
 }
 
-func TestOpPhaseMapping(t *testing.T) {
-	if opPhase(gpu.OpH2D) != PhaseH2D || opPhase(gpu.OpD2H) != PhaseD2H || opPhase(gpu.OpKernel) != PhaseKL {
-		t.Fatal("opPhase mapping wrong")
-	}
-}
-
 func TestWeightDefaultsToOne(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, testDev(k), 0, AllAwake{}, Config{})
@@ -323,7 +317,7 @@ func TestWeightDefaultsToOne(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, testDev(k), 0, nil, Config{})
-	if _, ok := s.Policy().(AllAwake); !ok {
+	if _, ok := s.policy.(AllAwake); !ok {
 		t.Fatal("nil policy should become AllAwake")
 	}
 	if s.cfg.Epoch != DefaultConfig().Epoch || s.cfg.LASDecay != 0.8 {
@@ -341,7 +335,7 @@ func TestPSDispatcherKeepsAtMostThreeAwake(t *testing.T) {
 	maxAwake := 0
 	countAwake := func() {
 		n := 0
-		for _, e := range s.Entries() {
+		for _, e := range s.entries {
 			if e.Awake {
 				n++
 			}
@@ -360,13 +354,13 @@ func TestPSDispatcherKeepsAtMostThreeAwake(t *testing.T) {
 				var op *gpu.Op
 				switch (i + j) % 3 {
 				case 0:
-					s.SetPhase(i+1, PhaseKL)
+					s.SetPhaseEntry(e, PhaseKL)
 					op = &gpu.Op{Kind: gpu.OpKernel, Compute: 5000, AppID: i + 1}
 				case 1:
-					s.SetPhase(i+1, PhaseH2D)
+					s.SetPhaseEntry(e, PhaseH2D)
 					op = &gpu.Op{Kind: gpu.OpH2D, Bytes: 100, AppID: i + 1}
 				default:
-					s.SetPhase(i+1, PhaseD2H)
+					s.SetPhaseEntry(e, PhaseD2H)
 					op = &gpu.Op{Kind: gpu.OpD2H, Bytes: 100, AppID: i + 1}
 				}
 				s.WaitTurn(p, e)

@@ -515,7 +515,7 @@ func TestDispatcherTurnZeroAlloc(t *testing.T) {
 // TestPSPhaseChangeAloneDoesNotKick pins the model as it has always run: a
 // phase flip between epochs causes no dispatcher turn, so PS acts on it at the
 // epoch boundary (or at an earlier WaitTurn or membership kick). Making
-// SetPhase kick is a model change — it moves every PS golden — to be made on
+// SetPhaseEntry kick is a model change — it moves every PS golden — to be made on
 // purpose; see EXPERIMENTS.md "Known divergences and why", item 4.
 func TestPSPhaseChangeAloneDoesNotKick(t *testing.T) {
 	k := sim.NewKernel(1)
@@ -534,7 +534,6 @@ func TestPSPhaseChangeAloneDoesNotKick(t *testing.T) {
 	// App 4 moves to a copy engine nobody is feeding: PS would wake it in
 	// place of a third kernel launcher — when it next looks.
 	gen := s.gen
-	s.SetPhase(4, PhaseH2D)
 	s.SetPhaseEntry(es[3], PhaseH2D)
 	k.RunUntil(epoch - 1)
 	if s.gen != gen || awake() != "true true true false" {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/cuda"
-	"repro/internal/gpu"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 )
@@ -131,20 +130,6 @@ func (e *Entry) feedback(now sim.Time, gid int) *rpcproto.Feedback {
 		fb.MemBW = e.MemTraffic / float64(e.Attained)
 	}
 	return fb
-}
-
-// opPhase maps a device op to the scheduler phase taxonomy.
-func opPhase(k gpu.OpKind) Phase {
-	switch k {
-	case gpu.OpH2D:
-		return PhaseH2D
-	case gpu.OpD2H:
-		return PhaseD2H
-	case gpu.OpKernel:
-		return PhaseKL
-	default:
-		return PhaseDFL
-	}
 }
 
 // CallPhase classifies a marshalled CUDA call into the scheduler's phase

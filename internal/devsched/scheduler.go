@@ -94,12 +94,6 @@ func New(k *sim.Kernel, dev *gpu.Device, gid int, policy Policy, cfg Config) *Sc
 	return s
 }
 
-// Device returns the scheduled device.
-func (s *Scheduler) Device() *gpu.Device { return s.dev }
-
-// Policy returns the active policy.
-func (s *Scheduler) Policy() Policy { return s.policy }
-
 // Register performs the Request Manager's registration: it creates the RCB
 // entry, assigns the thread its signal id (the 3-way handshake's step 2) and
 // returns the entry whose Wake signal the backend thread must honour. The
@@ -164,25 +158,9 @@ func (s *Scheduler) Unregister(appID int) *rpcproto.Feedback {
 	return fb
 }
 
-// Entry returns the RCB entry for an app, or nil.
-func (s *Scheduler) Entry(appID int) *Entry { return s.byApp[appID] }
-
-// Entries returns a copy of the live RCB entries, sorted by app id (the
-// order the scheduler maintains internally).
-func (s *Scheduler) Entries() []*Entry {
-	return append([]*Entry(nil), s.entries...)
-}
-
-// SetPhase records the thread's current GPU phase. Nothing is kicked: PS sees
-// it at its next turn (the epoch boundary, or an earlier WaitTurn kick).
-func (s *Scheduler) SetPhase(appID int, ph Phase) {
-	if e, ok := s.byApp[appID]; ok {
-		s.SetPhaseEntry(e, ph)
-	}
-}
-
-// SetPhaseEntry is SetPhase for callers that hold the RCB entry (backend
-// threads get it from Register), skipping the per-call app-id lookup.
+// SetPhaseEntry records the current GPU phase of the thread holding RCB entry
+// e (backend threads get it from Register). Nothing is kicked: PS sees it at
+// its next turn (the epoch boundary, or an earlier WaitTurn kick).
 func (s *Scheduler) SetPhaseEntry(e *Entry, ph Phase) {
 	e.Phase = ph
 }

@@ -168,24 +168,7 @@ func (s *Suite) AblationAccountingLag() *metrics.Table {
 		cfg := core.Config{Nodes: oneGPU(), Mode: core.ModeStrings,
 			Balance: "GRR", DevPolicy: "TFS"}
 		cfg.Sched.AccountingLag = lag
-		longS := workload.StreamSpec{Kind: p.Long, Count: 8, Lambda: sim.Second, Node: 0, Tenant: 1, Weight: 1}
-		shortS := workload.StreamSpec{Kind: p.Short, Count: 40, Lambda: sim.Second / 2, Node: 0, Tenant: 2, Weight: 1}
-		soloA := s.run(scenario{
-			key: fmt.Sprintf("abl-lag/%v/soloA", lag), cfg: cfg,
-			streams: []workload.StreamSpec{longS}, horizon: s.opt.FairHorizon,
-		}).TenantService[1]
-		soloB := s.run(scenario{
-			key: fmt.Sprintf("abl-lag/%v/soloB", lag), cfg: cfg,
-			streams: []workload.StreamSpec{shortS}, horizon: s.opt.FairHorizon,
-		}).TenantService[2]
-		shared := s.run(scenario{
-			key: fmt.Sprintf("abl-lag/%v/shared", lag), cfg: cfg,
-			streams: []workload.StreamSpec{longS, shortS}, horizon: s.opt.FairHorizon,
-		}).TenantService
-		vals[i] = metrics.JainFairness([]float64{
-			float64(shared[1]) / float64(soloA),
-			float64(shared[2]) / float64(soloB),
-		})
+		vals[i] = s.jainCell(cfg, p, fmt.Sprintf("abl-lag/%v", lag))
 	}
 	tab := &metrics.Table{
 		Title:  "Ablation: Request Monitor accounting lag vs TFS fairness (Jain)",

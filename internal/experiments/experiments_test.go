@@ -35,7 +35,7 @@ func avgRow(t *testing.T, tab *metrics.Table, name string) float64 {
 func TestTableIMatchesCalibration(t *testing.T) {
 	s := smallSuite()
 	tab := s.TableI()
-	for i, k := range s.Options().Apps {
+	for i, k := range s.opt.Apps {
 		spec := workload.Specs[k]
 		gotGPU := tab.Row("GPU Time %")[i]
 		if math.Abs(gotGPU-spec.GPUPct) > 5 {
@@ -48,6 +48,17 @@ func TestTableIMatchesCalibration(t *testing.T) {
 	}
 	if !strings.Contains(tab.Format(), "Table I") {
 		t.Error("format lost the title")
+	}
+}
+
+func TestSuiteSingleApp(t *testing.T) {
+	s := NewSuite(Options{
+		Seed: 1, Requests: 4,
+		Apps: []workload.Kind{workload.Gaussian},
+	})
+	tab := s.TableI()
+	if tab.Row("GPU Time %") == nil {
+		t.Fatal("TableI missing rows")
 	}
 }
 
@@ -90,7 +101,7 @@ func TestFig2ConcurrentBeatsSequential(t *testing.T) {
 func TestFig9Orderings(t *testing.T) {
 	s := smallSuite()
 	tab := s.Fig9()
-	if len(tab.Labels) != len(s.Options().Apps)+1 {
+	if len(tab.Labels) != len(s.opt.Apps)+1 {
 		t.Fatalf("labels = %v", tab.Labels)
 	}
 	// Every policy must on average beat the CUDA runtime, and each Strings
@@ -208,7 +219,7 @@ func TestSuiteCachingSharesBaselines(t *testing.T) {
 	runs := s.Runs
 	s.Fig12() // reuses the per-pair 1N baselines
 	extra := s.Runs - runs
-	want := 3 * len(s.Options().Pairs) // only the three policy runs per pair
+	want := 3 * len(s.opt.Pairs) // only the three policy runs per pair
 	if extra != want {
 		t.Fatalf("Fig12 added %d runs, want %d (baseline cache miss?)", extra, want)
 	}

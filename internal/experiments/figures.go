@@ -1,19 +1,33 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// balCombo is one mode × balancing-policy system of Figures 9, 10 and 14.
-type balCombo struct {
-	name string
-	mode core.Mode
-	bal  string
+// system is one series of a figure: a runtime mode with a balancing policy
+// and a device-level policy ("" = none). key prefixes the cache keys of its
+// runs; it is spelled out because two figures re-read runs under another
+// name (Figure 13 reads Figure 12's).
+type system struct {
+	name, key string
+	mode      core.Mode
+	bal, dev  string
+}
+
+// balancingSystems are the six mode × static-balancing systems of Figures 9
+// and 10, keyed under fig.
+func balancingSystems(fig string) []system {
+	var out []system
+	for _, mode := range []core.Mode{core.ModeRain, core.ModeStrings} {
+		for _, bal := range []string{"GRR", "GMin", "GWtMin"} {
+			name := bal + "-" + mode.String()
+			out = append(out, system{name: name, key: fig + "/" + name, mode: mode, bal: bal})
+		}
+	}
+	return out
 }
 
 // fig9Base runs (or recalls) Figure 9's bare-CUDA baseline for one
@@ -48,14 +62,7 @@ func (s *Suite) Fig9() *metrics.Table {
 		Title:  "Fig 9: workload balancing vs CUDA runtime (relative speedup, 1 node x 2 GPUs)",
 		Labels: labels,
 	}
-	combos := []balCombo{
-		{"GRR-Rain", core.ModeRain, "GRR"},
-		{"GMin-Rain", core.ModeRain, "GMin"},
-		{"GWtMin-Rain", core.ModeRain, "GWtMin"},
-		{"GRR-Strings", core.ModeStrings, "GRR"},
-		{"GMin-Strings", core.ModeStrings, "GMin"},
-		{"GWtMin-Strings", core.ModeStrings, "GWtMin"},
-	}
+	combos := balancingSystems("fig9")
 	// Figure 9 streams a single application class per run; every class gets
 	// the full stream length (queue dynamics are the point of the figure).
 	rows := s.grid(len(combos), len(s.opt.Apps),
@@ -63,7 +70,7 @@ func (s *Suite) Fig9() *metrics.Table {
 			cb, k := combos[r], s.opt.Apps[c]
 			base := s.fig9Base(k).AvgCompletion(k)
 			run := s.run(scenario{
-				key:     fmt.Sprintf("fig9/%s/%s", cb.name, k),
+				key:     cb.key + "/" + k.String(),
 				cfg:     core.Config{Nodes: singleNode(), Mode: cb.mode, Balance: cb.bal},
 				streams: []workload.StreamSpec{s.stream(k, s.opt.Requests, 0, 1)},
 			})
@@ -78,100 +85,23 @@ func (s *Suite) Fig9() *metrics.Table {
 	return tab.WithAverage()
 }
 
-// Fig10 reproduces Figure 10: GPU sharing on the emulated 4-GPU supernode
-// over the 24 workload pairs, weighted speedup vs the single-node GRR
-// baseline. Paper averages: Rain 1.60/1.80/1.82×, Strings 2.64/2.69/2.88×.
-func (s *Suite) Fig10() *metrics.Table {
+// pairFigure is Figures 10 and 12 to 15: every system serves every workload
+// pair on the 4-GPU supernode (the long stream arriving at node 0, the short
+// one at node 1) and a cell is the pair's weighted speedup over base's run
+// of it, with the AVG column last.
+func (s *Suite) pairFigure(title string, base func(workload.Pair) *core.RunResult, systems []system) *metrics.Table {
 	defer s.arena.Close()
-	tab := &metrics.Table{
-		Title:  "Fig 10: GPU sharing on the 4-GPU supernode (weighted speedup vs 1-node GRR)",
-		Labels: s.pairLabels(),
-	}
-	combos := []balCombo{
-		{"GRR-Rain", core.ModeRain, "GRR"},
-		{"GMin-Rain", core.ModeRain, "GMin"},
-		{"GWtMin-Rain", core.ModeRain, "GWtMin"},
-		{"GRR-Strings", core.ModeStrings, "GRR"},
-		{"GMin-Strings", core.ModeStrings, "GMin"},
-		{"GWtMin-Strings", core.ModeStrings, "GWtMin"},
-	}
-	rows := s.grid(len(combos), len(s.opt.Pairs),
-		func(r, c int) float64 {
-			cb, p := combos[r], s.opt.Pairs[c]
-			run := s.run(scenario{
-				key:     fmt.Sprintf("fig10/%s/%s", cb.name, p.Label),
-				cfg:     core.Config{Nodes: supernode(), Mode: cb.mode, Balance: cb.bal},
-				streams: s.pairStreams(p, true),
-			})
-			return weightedSpeedup(p, s.pairBaseline1N(p), run)
-		})
-	for ri, cb := range combos {
-		tab.Add(cb.name, rows[ri])
-	}
-	return tab.WithAverage()
-}
-
-// Fig11 reproduces Figure 11: Jain fairness of equal-share pairs on one
-// shared GPU under the bare CUDA runtime, TFS-Rain and TFS-Strings.
-// Fairness is the Jain index over per-tenant service rates in a fixed
-// contention window, each normalized by the tenant's solo rate. Paper
-// averages: ~80.5% CUDA, ~84.9% TFS-Rain, 91% TFS-Strings.
-func (s *Suite) Fig11() *metrics.Table {
-	defer s.arena.Close()
-	tab := &metrics.Table{
-		Title:  "Fig 11: fairness of equal-share tenants on one GPU (Jain index)",
-		Labels: s.pairLabels(),
-	}
-	type system struct {
-		name string
-		mode core.Mode
-		dev  string
-	}
-	systems := []system{
-		{"CUDA", core.ModeCUDA, ""},
-		{"TFS-Rain", core.ModeRain, "TFS"},
-		{"TFS-Strings", core.ModeStrings, "TFS"},
-	}
-	// Saturating streams: both tenants stay backlogged through the window.
-	longStream := func(k workload.Kind, tenant int64) workload.StreamSpec {
-		return workload.StreamSpec{Kind: k, Count: 8, Lambda: sim.Second, Node: 0, Tenant: tenant, Weight: 1}
-	}
-	shortStream := func(k workload.Kind, tenant int64) workload.StreamSpec {
-		return workload.StreamSpec{Kind: k, Count: 40, Lambda: sim.Second / 2, Node: 0, Tenant: tenant, Weight: 1}
-	}
-	// Each cell needs its system's two solo runs and the shared run; the
-	// solo scenarios recur across pairs sharing an application class, and
-	// the cache collapses those to one simulation each.
+	tab := &metrics.Table{Title: title, Labels: s.pairLabels()}
 	rows := s.grid(len(systems), len(s.opt.Pairs),
 		func(r, c int) float64 {
 			sys, p := systems[r], s.opt.Pairs[c]
-			cfg := core.Config{Nodes: oneGPU(), Mode: sys.mode, Balance: "GRR", DevPolicy: sys.dev}
-			soloA := s.run(scenario{
-				key:     fmt.Sprintf("fig11/%s/solo/%s", sys.name, p.Long),
-				cfg:     cfg,
-				streams: []workload.StreamSpec{longStream(p.Long, 1)},
-				horizon: s.opt.FairHorizon,
-			}).TenantService[1]
-			soloB := s.run(scenario{
-				key:     fmt.Sprintf("fig11/%s/solo/%s", sys.name, p.Short),
-				cfg:     cfg,
-				streams: []workload.StreamSpec{shortStream(p.Short, 2)},
-				horizon: s.opt.FairHorizon,
-			}).TenantService[2]
-			shared := s.run(scenario{
-				key:     fmt.Sprintf("fig11/%s/pair/%s", sys.name, p.Label),
-				cfg:     cfg,
-				streams: []workload.StreamSpec{longStream(p.Long, 1), shortStream(p.Short, 2)},
-				horizon: s.opt.FairHorizon,
-			}).TenantService
-			xa, xb := 0.0, 0.0
-			if soloA > 0 {
-				xa = float64(shared[1]) / float64(soloA)
-			}
-			if soloB > 0 {
-				xb = float64(shared[2]) / float64(soloB)
-			}
-			return metrics.JainFairness([]float64{xa, xb})
+			run := s.run(scenario{
+				key: sys.key + "/" + p.Label,
+				cfg: core.Config{Nodes: supernode(), Mode: sys.mode,
+					Balance: sys.bal, DevPolicy: sys.dev},
+				streams: s.pairStreams(p, true),
+			})
+			return weightedSpeedup(p, base(p), run)
 		})
 	for ri, sys := range systems {
 		tab.Add(sys.name, rows[ri])
@@ -179,31 +109,74 @@ func (s *Suite) Fig11() *metrics.Table {
 	return tab.WithAverage()
 }
 
-// fig12Combos are the throughput-oriented device-scheduling systems of
-// Figures 12 and 13.
-type devCombo struct {
-	name string
-	mode core.Mode
-	dev  string
+// Fig10 reproduces Figure 10: GPU sharing on the emulated 4-GPU supernode
+// over the 24 workload pairs, weighted speedup vs the single-node GRR
+// baseline. Paper averages: Rain 1.60/1.80/1.82×, Strings 2.64/2.69/2.88×.
+func (s *Suite) Fig10() *metrics.Table {
+	return s.pairFigure("Fig 10: GPU sharing on the 4-GPU supernode (weighted speedup vs 1-node GRR)",
+		s.pairBaseline1N, balancingSystems("fig10"))
 }
 
-func fig12Combos() []devCombo {
-	return []devCombo{
-		{"GWtMinLAS-Rain", core.ModeRain, "LAS"},
-		{"GWtMinLAS-Strings", core.ModeStrings, "LAS"},
-		{"GWtMinPS-Strings", core.ModeStrings, "PS"},
+// jainCell is the fairness measure of Figure 11: the pair's two tenants
+// stream at one GPU under cfg, saturating it through the fixed contention
+// window, and the cell is the Jain index over their attained service, each
+// normalized by what the tenant attains alone. The solo runs are keyed by
+// application class, so pairs sharing a class share them.
+func (s *Suite) jainCell(cfg core.Config, p workload.Pair, keyPrefix string) float64 {
+	long := workload.StreamSpec{Kind: p.Long, Count: 8, Lambda: sim.Second, Node: 0, Tenant: 1, Weight: 1}
+	short := workload.StreamSpec{Kind: p.Short, Count: 40, Lambda: sim.Second / 2, Node: 0, Tenant: 2, Weight: 1}
+	service := func(key string, streams ...workload.StreamSpec) map[int64]sim.Time {
+		return s.run(scenario{key: keyPrefix + key, cfg: cfg, streams: streams, horizon: s.opt.FairHorizon}).TenantService
 	}
+	soloA := service("/solo/"+p.Long.String(), long)[1]
+	soloB := service("/solo/"+p.Short.String(), short)[2]
+	shared := service("/pair/"+p.Label, long, short)
+	xa, xb := 0.0, 0.0
+	if soloA > 0 {
+		xa = float64(shared[1]) / float64(soloA)
+	}
+	if soloB > 0 {
+		xb = float64(shared[2]) / float64(soloB)
+	}
+	return metrics.JainFairness([]float64{xa, xb})
 }
 
-// fig12Run executes one pair under a Figure 12 combo (memoized; Figure 13
-// reuses the same runs against its own baseline).
-func (s *Suite) fig12Run(cb devCombo, p workload.Pair) *core.RunResult {
-	return s.run(scenario{
-		key: fmt.Sprintf("fig12/%s/%s", cb.name, p.Label),
-		cfg: core.Config{Nodes: supernode(), Mode: cb.mode,
-			Balance: "GWtMin", DevPolicy: cb.dev},
-		streams: s.pairStreams(p, true),
-	})
+// Fig11 reproduces Figure 11: Jain fairness of equal-share pairs on one
+// shared GPU under the bare CUDA runtime, TFS-Rain and TFS-Strings. Paper
+// averages: ~80.5% CUDA, ~84.9% TFS-Rain, 91% TFS-Strings.
+func (s *Suite) Fig11() *metrics.Table {
+	defer s.arena.Close()
+	tab := &metrics.Table{
+		Title:  "Fig 11: fairness of equal-share tenants on one GPU (Jain index)",
+		Labels: s.pairLabels(),
+	}
+	systems := []system{
+		{name: "CUDA", mode: core.ModeCUDA},
+		{name: "TFS-Rain", mode: core.ModeRain, dev: "TFS"},
+		{name: "TFS-Strings", mode: core.ModeStrings, dev: "TFS"},
+	}
+	rows := s.grid(len(systems), len(s.opt.Pairs),
+		func(r, c int) float64 {
+			sys := systems[r]
+			cfg := core.Config{Nodes: oneGPU(), Mode: sys.mode, Balance: "GRR", DevPolicy: sys.dev}
+			return s.jainCell(cfg, s.opt.Pairs[c], "fig11/"+sys.name)
+		})
+	for ri, sys := range systems {
+		tab.Add(sys.name, rows[ri])
+	}
+	return tab.WithAverage()
+}
+
+// fig12Systems are the throughput-oriented device-scheduling systems of
+// Figures 12 and 13, GWtMin balancing under each; names are the series names
+// of the figure asking. Both figures key the runs under fig12, so Figure 13
+// re-reads them against its own baseline.
+func fig12Systems(names ...string) []system {
+	return []system{
+		{name: names[0], key: "fig12/GWtMinLAS-Rain", mode: core.ModeRain, bal: "GWtMin", dev: "LAS"},
+		{name: names[1], key: "fig12/GWtMinLAS-Strings", mode: core.ModeStrings, bal: "GWtMin", dev: "LAS"},
+		{name: names[2], key: "fig12/GWtMinPS-Strings", mode: core.ModeStrings, bal: "GWtMin", dev: "PS"},
+	}
 }
 
 // Fig12 reproduces Figure 12: GPU scheduling (LAS, PS) combined with
@@ -211,74 +184,29 @@ func (s *Suite) fig12Run(cb devCombo, p workload.Pair) *core.RunResult {
 // GRR baseline. Paper averages: 2.18× (LAS-Rain), 3.10× (LAS-Strings),
 // 2.97× (PS-Strings).
 func (s *Suite) Fig12() *metrics.Table {
-	defer s.arena.Close()
-	tab := &metrics.Table{
-		Title:  "Fig 12: GPU scheduling + sharing (weighted speedup vs 1-node GRR)",
-		Labels: s.pairLabels(),
-	}
-	combos := fig12Combos()
-	rows := s.grid(len(combos), len(s.opt.Pairs),
-		func(r, c int) float64 {
-			p := s.opt.Pairs[c]
-			return weightedSpeedup(p, s.pairBaseline1N(p), s.fig12Run(combos[r], p))
-		})
-	for ri, cb := range combos {
-		tab.Add(cb.name, rows[ri])
-	}
-	return tab.WithAverage()
+	return s.pairFigure("Fig 12: GPU scheduling + sharing (weighted speedup vs 1-node GRR)",
+		s.pairBaseline1N, fig12Systems("GWtMinLAS-Rain", "GWtMinLAS-Strings", "GWtMinPS-Strings"))
 }
 
 // Fig13 reproduces Figure 13: the same scheduling policies measured against
 // the 4-GPU shared GRR baseline, isolating the device-scheduling benefit.
 // Paper averages: 1.40× (LAS-Rain), 1.95× (LAS-Strings), 1.90× (PS-Strings).
 func (s *Suite) Fig13() *metrics.Table {
-	defer s.arena.Close()
-	tab := &metrics.Table{
-		Title:  "Fig 13: GPU scheduling alone (weighted speedup vs 4-GPU shared GRR)",
-		Labels: s.pairLabels(),
-	}
-	combos := fig12Combos()
-	names := []string{"LAS-Rain", "LAS-Strings", "PS-Strings"}
-	rows := s.grid(len(combos), len(s.opt.Pairs),
-		func(r, c int) float64 {
-			p := s.opt.Pairs[c]
-			return weightedSpeedup(p, s.pairBaseline4G(p), s.fig12Run(combos[r], p))
-		})
-	for ri, name := range names {
-		tab.Add(name, rows[ri])
-	}
-	return tab.WithAverage()
+	return s.pairFigure("Fig 13: GPU scheduling alone (weighted speedup vs 4-GPU shared GRR)",
+		s.pairBaseline4G, fig12Systems("LAS-Rain", "LAS-Strings", "PS-Strings"))
 }
 
 // Fig14 reproduces Figure 14: feedback-based load balancing (RTF, GUF) on
 // the supernode vs the single-node GRR baseline. Paper averages: RTF-Rain
 // 2.22×, GUF-Rain 2.51×, RTF-Strings 3.23×, GUF-Strings 3.96×.
 func (s *Suite) Fig14() *metrics.Table {
-	defer s.arena.Close()
-	tab := &metrics.Table{
-		Title:  "Fig 14: feedback-based load balancing (weighted speedup vs 1-node GRR)",
-		Labels: s.pairLabels(),
-	}
-	combos := []balCombo{
-		{"RTF-Rain", core.ModeRain, "RTF"},
-		{"GUF-Rain", core.ModeRain, "GUF"},
-		{"RTF-Strings", core.ModeStrings, "RTF"},
-		{"GUF-Strings", core.ModeStrings, "GUF"},
-	}
-	rows := s.grid(len(combos), len(s.opt.Pairs),
-		func(r, c int) float64 {
-			cb, p := combos[r], s.opt.Pairs[c]
-			run := s.run(scenario{
-				key:     fmt.Sprintf("fig14/%s/%s", cb.name, p.Label),
-				cfg:     core.Config{Nodes: supernode(), Mode: cb.mode, Balance: cb.bal},
-				streams: s.pairStreams(p, true),
-			})
-			return weightedSpeedup(p, s.pairBaseline1N(p), run)
+	return s.pairFigure("Fig 14: feedback-based load balancing (weighted speedup vs 1-node GRR)",
+		s.pairBaseline1N, []system{
+			{name: "RTF-Rain", key: "fig14/RTF-Rain", mode: core.ModeRain, bal: "RTF"},
+			{name: "GUF-Rain", key: "fig14/GUF-Rain", mode: core.ModeRain, bal: "GUF"},
+			{name: "RTF-Strings", key: "fig14/RTF-Strings", mode: core.ModeStrings, bal: "RTF"},
+			{name: "GUF-Strings", key: "fig14/GUF-Strings", mode: core.ModeStrings, bal: "GUF"},
 		})
-	for ri, cb := range combos {
-		tab.Add(cb.name, rows[ri])
-	}
-	return tab.WithAverage()
 }
 
 // Fig15 reproduces Figure 15: the Strings-specific feedback policies DTF
@@ -286,24 +214,9 @@ func (s *Suite) Fig14() *metrics.Table {
 // 3.73× (DTF), 4.02× (MBF) vs the single-node GRR baseline — 8.70× vs the
 // bare CUDA runtime.
 func (s *Suite) Fig15() *metrics.Table {
-	defer s.arena.Close()
-	tab := &metrics.Table{
-		Title:  "Fig 15: Strings-specific feedback policies (weighted speedup vs 1-node GRR)",
-		Labels: s.pairLabels(),
-	}
-	bals := []string{"DTF", "MBF"}
-	rows := s.grid(len(bals), len(s.opt.Pairs),
-		func(r, c int) float64 {
-			bal, p := bals[r], s.opt.Pairs[c]
-			run := s.run(scenario{
-				key:     fmt.Sprintf("fig15/%s/%s", bal, p.Label),
-				cfg:     core.Config{Nodes: supernode(), Mode: core.ModeStrings, Balance: bal},
-				streams: s.pairStreams(p, true),
-			})
-			return weightedSpeedup(p, s.pairBaseline1N(p), run)
+	return s.pairFigure("Fig 15: Strings-specific feedback policies (weighted speedup vs 1-node GRR)",
+		s.pairBaseline1N, []system{
+			{name: "DTF-Strings", key: "fig15/DTF", mode: core.ModeStrings, bal: "DTF"},
+			{name: "MBF-Strings", key: "fig15/MBF", mode: core.ModeStrings, bal: "MBF"},
 		})
-	for ri, bal := range bals {
-		tab.Add(bal+"-Strings", rows[ri])
-	}
-	return tab.WithAverage()
 }

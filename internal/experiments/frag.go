@@ -75,9 +75,6 @@ func (s *Suite) fragStreams() []workload.StreamSpec {
 	return streams
 }
 
-// fragTenants is the population size (every tenant eventually admits).
-func (s *Suite) fragTenants() int { return 8*s.opt.Requests + 5 }
-
 // fragRun executes the sliced-fleet scenario under one placement policy.
 func (s *Suite) fragRun(policy string) *core.RunResult {
 	return s.run(scenario{

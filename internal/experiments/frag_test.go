@@ -30,7 +30,7 @@ func TestFragBeatsBaselines(t *testing.T) {
 		t.Fatalf("Frag p99 %.3fs worse than GRR %.3fs", p, q)
 	}
 	// Every tenant is eventually admitted under every policy.
-	want := s.fragTenants()
+	want := len(s.fragStreams()) // one stream per tenant
 	if frag.SliceCarves != want || gmin.SliceCarves != want || grr.SliceCarves != want {
 		t.Fatalf("carves = %d/%d/%d, want %d each",
 			frag.SliceCarves, gmin.SliceCarves, grr.SliceCarves, want)

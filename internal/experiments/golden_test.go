@@ -79,9 +79,6 @@ func TestFig9Golden(t *testing.T) {
 		// Oversubscribed pool (more workers than cores) to vary completion
 		// interleaving.
 		{"parallel-8", func(o *Options) { o.Workers = 8 }},
-		// Sharded-kernel opt-in: Fig 9's single-node scenarios run on one
-		// kernel regardless, so the golden values must hold unchanged.
-		{"sharded-4", func(o *Options) { o.Shards = 4 }},
 	}
 	tables := make([]*metrics.Table, len(variants))
 	for i, v := range variants {

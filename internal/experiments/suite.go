@@ -53,12 +53,6 @@ type Options struct {
 	// perfectly). 0 selects GOMAXPROCS; 1 forces sequential execution.
 	// Results are identical at any worker count.
 	Workers int
-
-	// Shards is every scenario's core.Config.Shards: 0 = one kernel for all
-	// nodes, >= 1 = one kernel per node under the conservative window
-	// protocol. Single-node and MIG scenarios run on one kernel at any
-	// value.
-	Shards int
 }
 
 func (o Options) withDefaults() Options {
@@ -155,9 +149,6 @@ func NewSuite(opt Options) *Suite {
 	}
 }
 
-// Options returns the resolved options.
-func (s *Suite) Options() Options { return s.opt }
-
 // scenario identifies a memoizable run.
 type scenario struct {
 	key     string
@@ -180,14 +171,12 @@ func (s *Suite) run(sc scenario) *core.RunResult {
 		sc.cfg.Kernel = s.arena.Get()
 		defer s.arena.Put(sc.cfg.Kernel)
 		sc.cfg.Traces = s.traces
-		sc.cfg.Shards = s.opt.Shards
 		for rep := 0; rep < s.opt.Seeds; rep++ {
 			sc.cfg.Seed = s.repSeed(rep)
 			c, err := core.New(sc.cfg)
 			if err != nil {
 				panic(fmt.Sprintf("experiments: %v", err))
 			}
-			// A sharded cluster's other kernels are its own to close.
 			defer c.Close()
 			var r *core.RunResult
 			if sc.horizon > 0 {

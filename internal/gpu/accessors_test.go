@@ -16,14 +16,6 @@ func TestDeviceAccessors(t *testing.T) {
 	if d.Spec().Name != "test" {
 		t.Fatalf("Spec name %q", d.Spec().Name)
 	}
-	ctx := d.NewContext()
-	if ctx.ID() != 0 || ctx.Device() != d {
-		t.Fatalf("context accessors: id=%d dev=%p", ctx.ID(), ctx.Device())
-	}
-	s := ctx.NewStream()
-	if s.ID() != 0 || s.Context() != ctx || s.Pending() != 0 {
-		t.Fatalf("stream accessors: id=%d pending=%d", s.ID(), s.Pending())
-	}
 }
 
 func TestOpPoolRecycles(t *testing.T) {
@@ -62,18 +54,15 @@ func TestOpTimesAndAppCounters(t *testing.T) {
 		p.Wait(s.Submit(op))
 	})
 	k.Run()
-	if op.WallTime() <= 0 || op.ExecTime() <= 0 {
-		t.Fatalf("WallTime=%v ExecTime=%v", op.WallTime(), op.ExecTime())
-	}
-	if op.WallTime() < op.ExecTime() {
-		t.Fatal("wall time below exec time")
+	if op.Finished <= op.Started || op.Started < op.Enqueued {
+		t.Fatalf("enqueued %v started %v finished %v", op.Enqueued, op.Started, op.Finished)
 	}
 	if d.AppMemTraffic(9) != 1000 {
 		t.Fatalf("AppMemTraffic = %v, want 1000", d.AppMemTraffic(9))
 	}
 	// A single resident context is never switched out.
-	if d.AppSwitchCharge(9) != 0 {
-		t.Fatalf("AppSwitchCharge = %v, want 0", d.AppSwitchCharge(9))
+	if got := d.AppUsage(9).SwitchCharge; got != 0 {
+		t.Fatalf("SwitchCharge = %v, want 0", got)
 	}
 }
 
@@ -105,8 +94,8 @@ func TestAppAccountingRecords(t *testing.T) {
 				d.AppMemTraffic(id), d.AppTransferTime(id), d.AppService(id))
 		}
 	}
-	if d.AppSwitchCharge(500) != 100 || d.AppService(500) != 0 {
-		t.Fatalf("app 500: switch charge %v service %v, want 100 0", d.AppSwitchCharge(500), d.AppService(500))
+	if u := d.AppUsage(500); u.SwitchCharge != 100 || u.Service != 0 {
+		t.Fatalf("app 500: switch charge %v service %v, want 100 0", u.SwitchCharge, u.Service)
 	}
 	if d.AppService(999) != 0 || d.AppMemTraffic(999) != 0 || len(d.apps) != apps+1 {
 		t.Fatalf("reading an unknown application recorded it: %d records", len(d.apps))
@@ -145,12 +134,6 @@ func TestUtilTraceBusyHelpers(t *testing.T) {
 	}
 	if u.BusyGlitchCount() != 1 {
 		t.Fatalf("BusyGlitchCount = %d, want 1", u.BusyGlitchCount())
-	}
-	if cu, bw := u.Sample(5); cu != 1.0 || bw != 0.5 {
-		t.Fatalf("Sample(5) = %v,%v", cu, bw)
-	}
-	if cu, _ := u.Sample(100); cu != 0 {
-		t.Fatalf("Sample past end = %v", cu)
 	}
 }
 

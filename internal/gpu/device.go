@@ -136,12 +136,6 @@ func (d *Device) NewContext() *Context {
 	return c
 }
 
-// ID returns the context's identifier on its device.
-func (c *Context) ID() int { return c.id }
-
-// Device returns the context's device.
-func (c *Context) Device() *Device { return c.dev }
-
 // Stream is an in-order op queue within a context; ops on different streams
 // of the resident context execute concurrently.
 type Stream struct {
@@ -181,15 +175,6 @@ func (c *Context) DestroyStream(s *Stream) {
 	}
 	s.ctx = nil
 }
-
-// ID returns the stream's identifier within its context.
-func (s *Stream) ID() int { return s.id }
-
-// Context returns the stream's context.
-func (s *Stream) Context() *Context { return s.ctx }
-
-// Pending returns the number of queued (undispatched) ops on the stream.
-func (s *Stream) Pending() int { return s.queue.Len() }
 
 // Submit enqueues op on the stream and returns the op's completion event.
 // The op executes after all earlier ops on the same stream, when the stream's
@@ -774,9 +759,6 @@ func (d *Device) AppUsage(appID int) AppUsage {
 // AppService returns the application's AppUsage.Service.
 func (d *Device) AppService(appID int) sim.Time { return d.AppUsage(appID).Service }
 
-// AppSwitchCharge returns the application's AppUsage.SwitchCharge.
-func (d *Device) AppSwitchCharge(appID int) sim.Time { return d.AppUsage(appID).SwitchCharge }
-
 // AppTransferTime returns the application's AppUsage.TransferTime.
 func (d *Device) AppTransferTime(appID int) sim.Time { return d.AppUsage(appID).TransferTime }
 
@@ -793,14 +775,4 @@ func (d *Device) AppIDs() []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// QueuedOps returns the number of ops queued or running on the device across
-// all contexts (the device-load signal used by GMin-style policies).
-func (d *Device) QueuedOps() int {
-	n := 0
-	for _, c := range d.contexts {
-		n += c.pending
-	}
-	return n
 }

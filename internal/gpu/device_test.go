@@ -409,41 +409,16 @@ func TestTracerSegments(t *testing.T) {
 		p.Wait(s.Submit(&Op{Kind: OpKernel, Compute: 50000, AppID: 1}))
 	})
 	k.Run()
-	cu, _ := tr.Sample(25)
-	if cu < 0.99 {
-		t.Fatalf("utilization at 25us = %v, want ~1", cu)
-	}
-	cu, _ = tr.Sample(75)
-	if cu > 0.01 {
-		t.Fatalf("utilization at 75us = %v, want ~0 (idle gap)", cu)
+	if cu, _ := tr.MeanUtil(50); cu < 0.99 {
+		t.Fatalf("utilization over the first 50us = %v, want ~1", cu)
 	}
 	mc, _ := tr.MeanUtil(150)
 	if mc < 0.6 || mc > 0.72 {
 		t.Fatalf("mean compute util = %v, want ~2/3", mc)
 	}
-	if g := tr.GlitchCount(0.5); g != 1 {
-		t.Fatalf("glitches = %d, want 1", g)
+	if g := tr.BusyGlitchCount(); g != 1 {
+		t.Fatalf("glitches = %d, want 1 (the idle gap)", g)
 	}
-}
-
-func TestQueuedOps(t *testing.T) {
-	k := sim.NewKernel(1)
-	d := NewDevice(k, testSpec(), 0)
-	s := d.NewContext().NewStream()
-	k.Go("app", func(p *sim.Proc) {
-		var last *sim.Event
-		for i := 0; i < 3; i++ {
-			last = s.Submit(&Op{Kind: OpKernel, Compute: 10000})
-		}
-		if d.QueuedOps() != 3 {
-			t.Errorf("QueuedOps = %d right after submit, want 3", d.QueuedOps())
-		}
-		p.Wait(last)
-		if d.QueuedOps() != 0 {
-			t.Errorf("QueuedOps = %d after drain, want 0", d.QueuedOps())
-		}
-	})
-	k.Run()
 }
 
 func TestDeviceClose(t *testing.T) {

@@ -76,12 +76,6 @@ type Op struct {
 	pooled    bool // drawn from the device free list; recycled on completion
 }
 
-// WallTime returns the op's enqueue-to-completion latency.
-func (o *Op) WallTime() sim.Time { return o.Finished - o.Enqueued }
-
-// ExecTime returns the op's start-to-completion execution time.
-func (o *Op) ExecTime() sim.Time { return o.Finished - o.Started }
-
 // kernelDemands computes the solo duration and resource-demand fractions of a
 // kernel on the given spec.
 func (o *Op) kernelDemands(spec *Spec) {

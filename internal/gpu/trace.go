@@ -40,52 +40,6 @@ func (u *UtilTrace) Segment(from, to sim.Time, cu, bu float64, copies, ctx int) 
 	u.Segments = append(u.Segments, UtilSegment{from, to, cu, bu, copies, ctx})
 }
 
-// Sample returns the utilization at time t (0 if t falls in a gap).
-func (u *UtilTrace) Sample(t sim.Time) (computeUtil, bwUtil float64) {
-	for _, s := range u.Segments {
-		if t >= s.From && t < s.To {
-			return s.ComputeUtil, s.BWUtil
-		}
-	}
-	return 0, 0
-}
-
-// Buckets integrates the trace into n equal buckets over [0, horizon] and
-// returns per-bucket mean compute and bandwidth utilization. Used to render
-// the paper's utilization timelines.
-func (u *UtilTrace) Buckets(horizon sim.Time, n int) (compute, bw []float64) {
-	compute = make([]float64, n)
-	bw = make([]float64, n)
-	if horizon <= 0 || n == 0 {
-		return
-	}
-	w := float64(horizon) / float64(n)
-	for _, s := range u.Segments {
-		from, to := float64(s.From), float64(s.To)
-		if from >= float64(horizon) {
-			break
-		}
-		if to > float64(horizon) {
-			to = float64(horizon)
-		}
-		for b := int(from / w); b < n && float64(b)*w < to; b++ {
-			lo := float64(b) * w
-			hi := lo + w
-			if lo < from {
-				lo = from
-			}
-			if hi > to {
-				hi = to
-			}
-			if hi > lo {
-				compute[b] += (hi - lo) / w * s.ComputeUtil
-				bw[b] += (hi - lo) / w * s.BWUtil
-			}
-		}
-	}
-	return
-}
-
 // Busy reports whether a segment has any engine active (the coarse "GPU
 // busy" measure a utilization counter would show).
 func (s UtilSegment) Busy() bool {
@@ -211,51 +165,6 @@ func (u *UtilTrace) MeanUtil(horizon sim.Time) (computeUtil, bwUtil float64) {
 		b += dt * s.BWUtil
 	}
 	return c / float64(horizon), b / float64(horizon)
-}
-
-// Render draws an ASCII strip chart of compute utilization, one character per
-// bucket (space=idle, ░▒▓█ by quartile). Handy in CLI output for Fig 2.
-func (u *UtilTrace) Render(horizon sim.Time, width int) string {
-	compute, _ := u.Buckets(horizon, width)
-	var b strings.Builder
-	for _, v := range compute {
-		switch {
-		case v < 0.05:
-			b.WriteByte(' ')
-		case v < 0.30:
-			b.WriteRune('░')
-		case v < 0.60:
-			b.WriteRune('▒')
-		case v < 0.90:
-			b.WriteRune('▓')
-		default:
-			b.WriteRune('█')
-		}
-	}
-	return b.String()
-}
-
-// GlitchCount returns the number of idle gaps (compute utilization below the
-// threshold) bounded on both sides by busy segments — the paper's context
-// switching "glitches" in Fig 2.
-func (u *UtilTrace) GlitchCount(threshold float64) int {
-	n := 0
-	busyBefore := false
-	inGap := false
-	for _, s := range u.Segments {
-		busy := s.ComputeUtil >= threshold
-		switch {
-		case busy && inGap:
-			n++
-			inGap = false
-			busyBefore = true
-		case busy:
-			busyBefore = true
-		case !busy && busyBefore:
-			inGap = true
-		}
-	}
-	return n
 }
 
 // WriteJSON emits the trace's segments as a JSON array of

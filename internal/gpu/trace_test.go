@@ -24,39 +24,6 @@ func TestUtilTraceMerge(t *testing.T) {
 	}
 }
 
-func TestUtilTraceBuckets(t *testing.T) {
-	tr := &UtilTrace{Segments: []UtilSegment{seg(0, 50, 1), seg(50, 100, 0)}}
-	compute, _ := tr.Buckets(100, 4)
-	want := []float64{1, 1, 0, 0}
-	for i := range want {
-		if d := compute[i] - want[i]; d > 0.01 || d < -0.01 {
-			t.Fatalf("buckets = %v, want %v", compute, want)
-		}
-	}
-}
-
-func TestUtilTraceBucketsPartialOverlap(t *testing.T) {
-	tr := &UtilTrace{Segments: []UtilSegment{seg(25, 75, 1)}}
-	compute, _ := tr.Buckets(100, 2)
-	// Bucket 0 covers 0..50: busy 25..50 → 0.5. Bucket 1 covers 50..100:
-	// busy 50..75 → 0.5.
-	for i, v := range compute {
-		if v < 0.49 || v > 0.51 {
-			t.Fatalf("bucket %d = %v, want 0.5", i, v)
-		}
-	}
-}
-
-func TestUtilTraceBucketsEdgeCases(t *testing.T) {
-	tr := &UtilTrace{Segments: []UtilSegment{seg(0, 10, 1)}}
-	if c, b := tr.Buckets(0, 4); len(c) != 4 || len(b) != 4 {
-		t.Fatal("zero horizon should still return n buckets")
-	}
-	if c, _ := tr.Buckets(100, 0); len(c) != 0 {
-		t.Fatal("zero buckets should return empty")
-	}
-}
-
 func TestMeanUtilClampsToHorizon(t *testing.T) {
 	tr := &UtilTrace{Segments: []UtilSegment{seg(0, 200, 1)}}
 	c, _ := tr.MeanUtil(100)
@@ -65,31 +32,6 @@ func TestMeanUtilClampsToHorizon(t *testing.T) {
 	}
 	if c, _ := tr.MeanUtil(0); c != 0 {
 		t.Fatal("zero horizon mean should be 0")
-	}
-}
-
-func TestRenderWidthAndGlyphs(t *testing.T) {
-	tr := &UtilTrace{Segments: []UtilSegment{seg(0, 25, 1), seg(25, 50, 0.5), seg(50, 100, 0)}}
-	s := tr.Render(100, 4)
-	r := []rune(s)
-	if len(r) != 4 {
-		t.Fatalf("render width = %d, want 4", len(r))
-	}
-	if r[0] != '█' {
-		t.Fatalf("first glyph %q, want full block", r[0])
-	}
-	if r[3] != ' ' {
-		t.Fatalf("last glyph %q, want space", r[3])
-	}
-}
-
-func TestGlitchCountMultipleGaps(t *testing.T) {
-	tr := &UtilTrace{Segments: []UtilSegment{
-		seg(0, 10, 1), seg(10, 12, 0), seg(12, 20, 1),
-		seg(20, 22, 0), seg(22, 30, 1), seg(30, 40, 0),
-	}}
-	if g := tr.GlitchCount(0.5); g != 2 {
-		t.Fatalf("glitches = %d, want 2 (trailing idle is not a glitch)", g)
 	}
 }
 

@@ -82,8 +82,6 @@ type Interposer struct {
 	tr      *trace.Recorder
 	reqSpan trace.SpanID
 
-	calls int
-
 	// pool recycles Call/Reply frames through the frontend's kernel (nil —
 	// allocate-and-drop — until bound, and always nil in recovery mode,
 	// whose retransmission state retains frames past the round trip).
@@ -117,9 +115,6 @@ func New(fab Fabric, p *sim.Proc, appID int, tenant int64, weight int, kind stri
 // Proc implements cuda.Client.
 func (ip *Interposer) Proc() *sim.Proc { return ip.p }
 
-// Calls returns the number of intercepted calls.
-func (ip *Interposer) Calls() int { return ip.calls }
-
 // GID returns the gPool device the application was bound to.
 func (ip *Interposer) GID() balancer.GID { return ip.gid }
 
@@ -137,7 +132,6 @@ func (ip *Interposer) freeLast() {
 func (ip *Interposer) newCall(id cuda.CallID) *rpcproto.Call {
 	ip.freeLast()
 	ip.seq++
-	ip.calls++
 	c := ip.pool.GetCall()
 	c.ID = id
 	c.Seq = ip.seq
@@ -246,12 +240,8 @@ func (ip *Interposer) SetDevice(dev int) error {
 	return err
 }
 
-// Device implements cuda.Client.
-func (ip *Interposer) Device() int { return int(ip.gid) }
-
 // DeviceCount implements cuda.Client: applications see the whole gPool.
 func (ip *Interposer) DeviceCount() int {
-	ip.calls++
 	return ip.fab.PoolSize()
 }
 

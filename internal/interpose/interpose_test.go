@@ -103,8 +103,8 @@ func TestSetDeviceOverridesSelection(t *testing.T) {
 		if err := ip.SetDevice(0); err != nil {
 			t.Errorf("SetDevice: %v", err)
 		}
-		if ip.Device() != 1 {
-			t.Errorf("Device = %d, want balancer's GID 1", ip.Device())
+		if ip.gid != 1 {
+			t.Errorf("Device = %d, want balancer's GID 1", ip.gid)
 		}
 		// A second SetDevice is ignored: the balancer owns placement.
 		if err := ip.SetDevice(3); err != nil {
@@ -263,15 +263,4 @@ func TestThreadExitRelaysFeedback(t *testing.T) {
 	if c := f.pool.GetCall(); c != f.exitCall || c.ID != 0 {
 		t.Fatalf("the pool's call is %p %+v, want the exit call %p zeroed", c, c, f.exitCall)
 	}
-}
-
-func TestCallCounting(t *testing.T) {
-	drive(t, func(f *fakeFabric, ip *Interposer) {
-		ip.SetDevice(0)
-		ip.DeviceCount()
-		ip.Malloc(10)
-		if ip.Calls() != 3 {
-			t.Errorf("Calls = %d, want 3", ip.Calls())
-		}
-	})
 }

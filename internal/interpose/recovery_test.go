@@ -221,8 +221,8 @@ func TestFailoverReplaysStateOnReplacement(t *testing.T) {
 		if ip.Failovers() != 1 {
 			t.Errorf("Failovers = %d, want 1", ip.Failovers())
 		}
-		if ip.Device() != 1 {
-			t.Errorf("Device after failover = %d, want 1", ip.Device())
+		if ip.gid != 1 {
+			t.Errorf("Device after failover = %d, want 1", ip.gid)
 		}
 		// Client-visible handles survived the failover; the wire calls below
 		// must carry backend 1's ids.

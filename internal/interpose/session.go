@@ -30,10 +30,6 @@ func (s *MTSession) Thread(p *sim.Proc) cuda.Client {
 	return &mtThread{s: s, p: p}
 }
 
-// Interposer exposes the shared underlying interposer (for feedback
-// inspection after exit).
-func (s *MTSession) Interposer() *Interposer { return s.ip }
-
 // mtThread is one host thread's serialized view of the session.
 type mtThread struct {
 	s *MTSession
@@ -61,9 +57,6 @@ func (t *mtThread) SetDevice(dev int) error {
 	defer t.enter()()
 	return t.s.ip.SetDevice(dev)
 }
-
-// Device implements cuda.Client.
-func (t *mtThread) Device() int { return t.s.ip.Device() }
 
 // DeviceCount implements cuda.Client.
 func (t *mtThread) DeviceCount() int {

@@ -72,35 +72,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// MeanTime returns the mean of a slice of times.
-func MeanTime(ts []sim.Time) sim.Time {
-	if len(ts) == 0 {
-		return 0
-	}
-	var s int64
-	for _, t := range ts {
-		s += int64(t)
-	}
-	return sim.Time(s / int64(len(ts)))
-}
-
-// GeoMean returns the geometric mean of positive xs, skipping nonpositive
-// entries.
-func GeoMean(xs []float64) float64 {
-	var s float64
-	n := 0
-	for _, v := range xs {
-		if v > 0 {
-			s += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(s / float64(n))
-}
-
 // Percentile returns the p-quantile (0..1) of xs using nearest-rank on a
 // sorted copy.
 func Percentile(xs []float64, p float64) float64 {

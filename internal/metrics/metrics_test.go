@@ -127,27 +127,12 @@ func TestQuickWeightedSpeedupScaling(t *testing.T) {
 	}
 }
 
-func TestMeanAndMeanTime(t *testing.T) {
+func TestMean(t *testing.T) {
 	if !almost(Mean([]float64{1, 2, 3}), 2) {
 		t.Fatal("Mean wrong")
 	}
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) != 0")
-	}
-	if MeanTime([]sim.Time{10, 20}) != 15 {
-		t.Fatal("MeanTime wrong")
-	}
-	if MeanTime(nil) != 0 {
-		t.Fatal("MeanTime(nil) != 0")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); !almost(g, 2) {
-		t.Fatalf("GeoMean = %v", g)
-	}
-	if GeoMean([]float64{-1, 0}) != 0 {
-		t.Fatal("GeoMean of nonpositives should be 0")
 	}
 }
 

@@ -58,12 +58,6 @@ func New(rt *cuda.Runtime, cfg Config) *Packer {
 	return &Packer{rt: rt, cfg: cfg, pmt: NewPMT(), ports: make(map[int]*Port), gid: -1}
 }
 
-// PMT exposes the device's pinned-memory table (for monitoring and tests).
-func (pk *Packer) PMT() *PMT { return pk.pmt }
-
-// Runtime returns the backend process's CUDA runtime.
-func (pk *Packer) Runtime() *cuda.Runtime { return pk.rt }
-
 // Port is one application's lane through the packer: its backend CUDA
 // thread, its dedicated stream, and its share of the PMT.
 type Port struct {
@@ -102,9 +96,6 @@ func (pk *Packer) Open(p *sim.Proc, appID int, tenant int64) (*Port, error) {
 	pk.ports[appID] = port
 	return port, nil
 }
-
-// Stream returns the port's dedicated stream id.
-func (port *Port) Stream() cuda.StreamID { return port.stream }
 
 // translateStream implements the AST: default-stream operations move to the
 // application's dedicated stream; explicit streams the application created

@@ -40,7 +40,7 @@ func TestOpenCreatesDedicatedStream(t *testing.T) {
 			t.Errorf("Open: %v", err)
 			return
 		}
-		if port.Stream() == cuda.DefaultStream {
+		if port.stream == cuda.DefaultStream {
 			t.Error("port stream is the default stream")
 		}
 		if _, err := pk.Open(p, 1, 10); err == nil {
@@ -51,7 +51,7 @@ func TestOpenCreatesDedicatedStream(t *testing.T) {
 			t.Errorf("second Open: %v", err)
 			return
 		}
-		if port2.Stream() == port.Stream() {
+		if port2.stream == port.stream {
 			t.Error("two apps share one stream")
 		}
 	})
@@ -73,16 +73,16 @@ func TestSyncH2DBecomesAsync(t *testing.T) {
 			t.Errorf("memcpy: %s", r.Err)
 		}
 		queuedAt = p.Now()
-		if pk.PMT().Len() != 1 {
-			t.Errorf("PMT entries = %d after async H2D, want 1", pk.PMT().Len())
+		if pk.pmt.Len() != 1 {
+			t.Errorf("PMT entries = %d after async H2D, want 1", pk.pmt.Len())
 		}
 		r = port.Execute(&rpcproto.Call{ID: cuda.CallDeviceSync})
 		if r.Err != "" {
 			t.Errorf("device sync: %s", r.Err)
 		}
 		syncedAt = p.Now()
-		if pk.PMT().Len() != 0 {
-			t.Errorf("PMT entries = %d after sync, want 0", pk.PMT().Len())
+		if pk.pmt.Len() != 0 {
+			t.Errorf("PMT entries = %d after sync, want 0", pk.pmt.Len())
 		}
 	})
 	k.Run()
@@ -148,8 +148,8 @@ func TestASTDefaultStreamTranslation(t *testing.T) {
 	pk, _ := newPacker(k)
 	k.Go("bt", func(p *sim.Proc) {
 		port, _ := pk.Open(p, 1, 10)
-		if got := port.translateStream(cuda.DefaultStream); got != port.Stream() {
-			t.Errorf("default stream translated to %v, want %v", got, port.Stream())
+		if got := port.translateStream(cuda.DefaultStream); got != port.stream {
+			t.Errorf("default stream translated to %v, want %v", got, port.stream)
 		}
 		if got := port.translateStream(7); got != 7 {
 			t.Errorf("explicit stream translated to %v, want 7", got)
@@ -175,8 +175,8 @@ func TestThreadExitFreesEverything(t *testing.T) {
 		if dev.MemUsed() != 0 {
 			t.Errorf("device memory leaked: %d", dev.MemUsed())
 		}
-		if pk.PMT().Len() != 0 {
-			t.Errorf("PMT leaked %d entries", pk.PMT().Len())
+		if pk.pmt.Len() != 0 {
+			t.Errorf("PMT leaked %d entries", pk.pmt.Len())
 		}
 		r = port.Execute(&rpcproto.Call{ID: cuda.CallLaunch, Compute: 1})
 		if errors.Is(r.AsError(), cuda.ErrThreadExited) == false {
@@ -254,7 +254,7 @@ func TestTranslationTable(t *testing.T) {
 	k.Go("bt", func(p *sim.Proc) {
 		port, _ := pk.Open(p, 1, 10)
 		th := port.thread
-		own := int32(port.Stream())
+		own := int32(port.stream)
 		ptr, _ := mallocVia(port, 1000)
 		explicit := port.Execute(&rpcproto.Call{ID: cuda.CallStreamCreate}).Stream
 		ev := port.Execute(&rpcproto.Call{ID: cuda.CallEventCreate}).Event
@@ -298,7 +298,7 @@ func TestTranslationTable(t *testing.T) {
 				if d0, d := drained(0), drained(own); d0 != 0 || d != 30 {
 					t.Errorf("default-stream copy: stream 0 busy %v, dedicated busy %v; want 0, 30us", d0, d)
 				}
-				if n := pk.PMT().Len(); n != 1 {
+				if n := pk.pmt.Len(); n != 1 {
 					t.Errorf("PMT entries = %d after an async H2D, want 1", n)
 				}
 			}},
@@ -306,24 +306,24 @@ func TestTranslationTable(t *testing.T) {
 				if d, de := drained(own), drained(explicit); d != 0 || de != 30 {
 					t.Errorf("explicit-stream copy: dedicated busy %v, explicit busy %v; want 0, 30us", d, de)
 				}
-				if n := pk.PMT().Len(); n != 2 {
+				if n := pk.pmt.Len(); n != 2 {
 					t.Errorf("PMT entries = %d, want 2", n)
 				}
 			}},
 			{"StreamSync default→dedicated releases that stream's pins", &rpcproto.Call{ID: cuda.CallStreamSync}, own, nil, 1, func() {
-				if n := pk.PMT().Len(); n != 1 {
+				if n := pk.pmt.Len(); n != 1 {
 					t.Errorf("PMT entries = %d after syncing the dedicated stream, want the explicit stream's 1", n)
 				}
 			}},
 			{"StreamSync of an unknown stream releases nothing", &rpcproto.Call{ID: cuda.CallStreamSync, Stream: 42}, 42, cuda.ErrInvalidStream, 1, func() {
-				if n := pk.PMT().Len(); n != 1 {
+				if n := pk.pmt.Len(); n != 1 {
 					t.Errorf("PMT entries = %d after a failed sync, want 1", n)
 				}
 			}},
 			{"EventRecord default→dedicated", &rpcproto.Call{ID: cuda.CallEventRecord, Event: ev}, own, nil, 1, nil},
 			{"Launch on explicit, left running", on(rpcproto.Call{ID: cuda.CallLaunch, Compute: 20000, Stream: explicit}), explicit, nil, 1, nil},
 			{"DeviceSync→StreamSync(dedicated)+ReleaseApp", &rpcproto.Call{ID: cuda.CallDeviceSync}, 0, nil, 1, func() {
-				if n := pk.PMT().Len(); n != 0 {
+				if n := pk.pmt.Len(); n != 0 {
 					t.Errorf("PMT entries = %d after a device sync, want 0", n)
 				}
 				if de := drained(explicit); de == 0 {
@@ -383,7 +383,7 @@ func TestRetransmittedFrameTranslatesTwice(t *testing.T) {
 		if p.Now() != t0 {
 			t.Errorf("a delivery landed on the context's real default stream (busy %v)", p.Now()-t0)
 		}
-		port.thread.StreamSynchronize(port.Stream())
+		port.thread.StreamSynchronize(port.stream)
 		if got := p.Now() - t0; got != 40 {
 			t.Errorf("dedicated stream busy %v after two deliveries, want 40us", got)
 		}
@@ -398,9 +398,6 @@ func TestExecSpanAndPooledReplies(t *testing.T) {
 	k := sim.NewKernel(1)
 	dev := testDev(k)
 	pk := New(cuda.NewRuntime(k, []*gpu.Device{dev}, cuda.Config{}), DefaultConfig())
-	if pk.Runtime().Devices()[0] != dev {
-		t.Fatal("Runtime() is not the runtime the packer was built over")
-	}
 	rec := trace.New()
 	pk.SetRecorder(rec, 3)
 	pool := &rpcproto.Pool{}
@@ -442,7 +439,7 @@ func TestMOTErrorPaths(t *testing.T) {
 				t.Errorf("%v copy past the allocation = %v, want ErrInvalidValue", dir, r.AsError())
 			}
 		}
-		if n := pk.PMT().Len(); n != 0 {
+		if n := pk.pmt.Len(); n != 0 {
 			t.Errorf("PMT entries = %d after failed copies, want 0", n)
 		}
 		if err := port.close(); err != nil {

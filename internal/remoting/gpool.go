@@ -23,7 +23,7 @@ type Entry struct {
 
 	// Dead marks a device whose backend has failed or whose node was
 	// removed. Rows are never deleted — GIDs are stable indices — so a
-	// dead row stays resolvable while the alive view excludes it.
+	// dead row stays resolvable.
 	Dead bool
 
 	// Slice rows are MIG-style slices carved at runtime from a
@@ -40,10 +40,6 @@ type Entry struct {
 // GMap is the gPool's global device map, broadcast to every node.
 type GMap struct {
 	entries []Entry
-
-	// alive caches the GIDs of live rows in sorted order; it is rebuilt
-	// deterministically on every reconfiguration.
-	alive []balancer.GID
 }
 
 // NodeInfo is what a node's backend daemon reports to the gPool Creator.
@@ -66,43 +62,15 @@ func BuildGMap(nodes []NodeInfo) *GMap {
 			gid++
 		}
 	}
-	g.rebuild()
 	return g
 }
 
-// rebuild recomputes the alive view: live GIDs in ascending order. Keeping
-// the rebuild a sorted scan (rather than an incremental splice) makes every
-// reconfiguration deterministic regardless of the failure order.
-func (g *GMap) rebuild() {
-	g.alive = g.alive[:0]
-	for _, e := range g.entries {
-		if !e.Dead {
-			g.alive = append(g.alive, e.GID)
-		}
-	}
-}
-
-// MarkDead marks one device's row dead and rebuilds the alive view.
+// MarkDead marks one device's row dead.
 func (g *GMap) MarkDead(gid balancer.GID) {
 	if int(gid) < 0 || int(gid) >= len(g.entries) {
 		return
 	}
 	g.entries[gid].Dead = true
-	g.rebuild()
-}
-
-// RemoveNode marks every device on the node dead and returns their GIDs in
-// ascending order (the node-crash reconfiguration).
-func (g *GMap) RemoveNode(node int) []balancer.GID {
-	var removed []balancer.GID
-	for i := range g.entries {
-		if g.entries[i].Node == node && !g.entries[i].Dead {
-			g.entries[i].Dead = true
-			removed = append(removed, g.entries[i].GID)
-		}
-	}
-	g.rebuild()
-	return removed
 }
 
 // AddSlice appends the gMap row for a slice carved from parent, assigning
@@ -121,7 +89,6 @@ func (g *GMap) AddSlice(parent balancer.GID, sliceID int, profile string, spec g
 		GID: gid, Node: pe.Node, Addr: pe.Addr, LocalDev: pe.LocalDev,
 		Spec: spec, Slice: true, Parent: parent, SliceID: sliceID, Profile: profile,
 	})
-	g.rebuild()
 	return gid, nil
 }
 
@@ -129,13 +96,6 @@ func (g *GMap) AddSlice(parent balancer.GID, sliceID int, profile string, spec g
 // node's — stays resolvable forever, so in-flight references to the GID
 // fail cleanly instead of aliasing a future row.
 func (g *GMap) RetireSlice(gid balancer.GID) { g.MarkDead(gid) }
-
-// Alive returns the live GIDs in ascending order. The slice is the gMap's
-// cache; callers must not mutate it.
-func (g *GMap) Alive() []balancer.GID { return g.alive }
-
-// AliveLen returns the number of live devices.
-func (g *GMap) AliveLen() int { return len(g.alive) }
 
 // Len returns the pool size.
 func (g *GMap) Len() int { return len(g.entries) }

@@ -77,19 +77,7 @@ func TestEmptyPool(t *testing.T) {
 
 func TestGMapMarkDeadAndAliveView(t *testing.T) {
 	g := BuildGMap(twoNodes())
-	if g.AliveLen() != 4 {
-		t.Fatalf("fresh AliveLen = %d", g.AliveLen())
-	}
 	g.MarkDead(1)
-	if g.AliveLen() != 3 {
-		t.Fatalf("AliveLen after one death = %d", g.AliveLen())
-	}
-	want := []int{0, 2, 3}
-	for i, gid := range g.Alive() {
-		if int(gid) != want[i] {
-			t.Fatalf("Alive = %v, want %v", g.Alive(), want)
-		}
-	}
 	// Rows are never deleted: the dead GID still resolves.
 	e, ok := g.Lookup(1)
 	if !ok || !e.Dead {
@@ -99,8 +87,8 @@ func TestGMapMarkDeadAndAliveView(t *testing.T) {
 	g.MarkDead(1)
 	g.MarkDead(99)
 	g.MarkDead(-1)
-	if g.AliveLen() != 3 {
-		t.Fatalf("AliveLen after no-op deaths = %d", g.AliveLen())
+	if g.Len() != 4 {
+		t.Fatalf("Len after no-op deaths = %d", g.Len())
 	}
 	// The derived DST carries the health state.
 	if h := g.DST().Health(1); h != balancer.Dead {
@@ -108,25 +96,5 @@ func TestGMapMarkDeadAndAliveView(t *testing.T) {
 	}
 	if h := g.DST().Health(0); h != balancer.Healthy {
 		t.Fatalf("live row derived health = %v", h)
-	}
-}
-
-func TestGMapRemoveNode(t *testing.T) {
-	g := BuildGMap(twoNodes())
-	removed := g.RemoveNode(1)
-	if len(removed) != 2 || removed[0] != 2 || removed[1] != 3 {
-		t.Fatalf("removed = %v, want [2 3]", removed)
-	}
-	if g.AliveLen() != 2 {
-		t.Fatalf("AliveLen = %d", g.AliveLen())
-	}
-	// Re-removing yields nothing new.
-	if again := g.RemoveNode(1); len(again) != 0 {
-		t.Fatalf("second removal = %v", again)
-	}
-	// Removing the other node empties the pool but keeps the rows.
-	g.RemoveNode(0)
-	if g.AliveLen() != 0 || g.Len() != 4 {
-		t.Fatalf("AliveLen = %d, Len = %d", g.AliveLen(), g.Len())
 	}
 }

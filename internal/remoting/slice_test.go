@@ -30,8 +30,8 @@ func TestGMapAddSlice(t *testing.T) {
 	if !ok || !e.Slice || e.Parent != 1 || e.Node != 1 || e.Addr != "n1" || e.Profile != "2g" {
 		t.Fatalf("slice row = %+v", e)
 	}
-	if g.AliveLen() != 4 {
-		t.Fatalf("AliveLen = %d, want 4", g.AliveLen())
+	if g.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", g.Len())
 	}
 
 	// Slices cannot parent slices, and unknown parents fail.
@@ -46,9 +46,6 @@ func TestGMapAddSlice(t *testing.T) {
 	g.RetireSlice(gid)
 	if e, ok := g.Lookup(gid); !ok || !e.Dead {
 		t.Fatalf("retired slice row = %+v ok=%v", e, ok)
-	}
-	if g.AliveLen() != 3 {
-		t.Fatalf("AliveLen after retire = %d", g.AliveLen())
 	}
 	if gid2, err := g.AddSlice(0, 0, "1g", spec.Slice(p)); err != nil || gid2 != 4 {
 		t.Fatalf("post-retire AddSlice gid = %d err=%v, want 4 (no renumbering)", gid2, err)

@@ -47,8 +47,15 @@ func (b *TCPBackend) Serve(lis net.Listener) error {
 // ServeConn runs one remoting session over rw. The session reuses one
 // decode buffer, one call struct and one encode buffer for its entire
 // lifetime, so steady-state call handling does not allocate in the framing
-// layer.
-func (b *TCPBackend) ServeConn(rw io.ReadWriter) error {
+// layer. A panic anywhere in the session — the simulator's own checks
+// included — ends that session with the panic as its error: the process
+// serves other connections, and one session must not take them down.
+func (b *TCPBackend) ServeConn(rw io.ReadWriter) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("remoting: session panicked: %v", r)
+		}
+	}()
 	sess := newTCPSession(b.Spec)
 	defer sess.k.Close() // unwinds the session process, parked on its next call
 	fr := rpcproto.NewFrameReader(rw)

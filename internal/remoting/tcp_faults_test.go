@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/cuda"
@@ -194,5 +195,53 @@ func TestServeConnSurvivesHardClose(t *testing.T) {
 	}
 	if err := <-done; !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("ServeConn exit = %v, want ErrClosedPipe", err)
+	}
+}
+
+// pipeListener hands Serve the server sides of in-memory pipes.
+type pipeListener chan net.Conn
+
+func (l pipeListener) Accept() (net.Conn, error) {
+	c, ok := <-l
+	if !ok {
+		return nil, net.ErrClosed
+	}
+	return c, nil
+}
+func (l pipeListener) Close() error   { close(l); return nil }
+func (l pipeListener) Addr() net.Addr { return nil }
+
+// panicConn stands in for a session that trips a panic: its first read does.
+type panicConn struct{ net.Conn }
+
+func (panicConn) Read([]byte) (int, error) { panic("tripped in one session") }
+
+// TestPanickingSessionIsContained: a session that panics ends with the panic
+// as its error and its connection closed, and a connection served beside it
+// by the same backend still completes.
+func TestPanickingSessionIsContained(t *testing.T) {
+	b := &TCPBackend{Spec: gpu.TeslaC2050}
+	if err := b.ServeConn(panicConn{}); err == nil || !strings.Contains(err.Error(), "tripped in one session") {
+		t.Fatalf("ServeConn over a panicking transport returned %v, want the panic as its error", err)
+	}
+
+	lis := make(pipeListener)
+	defer lis.Close()
+	go func() { _ = b.Serve(lis) }()
+	badClient, badServer := net.Pipe()
+	defer badClient.Close()
+	goodClient, goodServer := net.Pipe()
+	defer goodClient.Close()
+	lis <- panicConn{badServer}
+	lis <- goodServer
+
+	if _, err := badClient.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read from the panicked session's connection: %v, want EOF (closed by the backend)", err)
+	}
+	if r := roundTrip(t, goodClient, &rpcproto.Call{ID: cuda.CallDeviceCount, Seq: 1}); r.Count != 1 {
+		t.Fatalf("count beside a panicked session = %d", r.Count)
+	}
+	if r := roundTrip(t, goodClient, &rpcproto.Call{ID: cuda.CallThreadExit, Seq: 2}); r.Feedback == nil {
+		t.Fatal("no feedback on exit beside a panicked session")
 	}
 }

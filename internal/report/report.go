@@ -6,7 +6,6 @@ package report
 import (
 	"fmt"
 	"html"
-	"math"
 	"os"
 	"strings"
 
@@ -168,6 +167,3 @@ h1 { font-size: 20px; }
 func (p *Page) WriteFile(path string) error {
 	return os.WriteFile(path, []byte(p.Render()), 0o644)
 }
-
-// sanity guard referenced by tests: bar heights must be finite.
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

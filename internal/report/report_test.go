@@ -78,11 +78,3 @@ func TestPageRenderAndWrite(t *testing.T) {
 		t.Fatalf("written file: %v, %d bytes", err, len(data))
 	}
 }
-
-func TestFiniteHelper(t *testing.T) {
-	if !finite(1.0) || finite(1/zero()) {
-		t.Fatal("finite() misbehaves")
-	}
-}
-
-func zero() float64 { return 0 }

@@ -19,12 +19,12 @@ func TestEncodeStringTooLong(t *testing.T) {
 	}
 
 	r := &Reply{Seq: 1, Err: long}
-	if _, err := EncodeReply(r); !errors.Is(err, ErrStringTooLong) {
+	if _, err := AppendReply(nil, r); !errors.Is(err, ErrStringTooLong) {
 		t.Fatalf("oversized reply Err: err = %v, want ErrStringTooLong", err)
 	}
 
 	r = &Reply{Seq: 1, Feedback: &Feedback{Kind: long}}
-	if _, err := EncodeReply(r); !errors.Is(err, ErrStringTooLong) {
+	if _, err := AppendReply(nil, r); !errors.Is(err, ErrStringTooLong) {
 		t.Fatalf("oversized feedback Kind: err = %v, want ErrStringTooLong", err)
 	}
 
@@ -50,15 +50,14 @@ func TestFrameWriterOversizedLeavesStreamClean(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
 	defer fw.Close()
-	bad := sampleCall()
-	bad.KernelName = strings.Repeat("x", 1<<16)
-	if err := fw.WriteCall(bad); !errors.Is(err, ErrStringTooLong) {
-		t.Fatalf("WriteCall err = %v, want ErrStringTooLong", err)
+	bad := &Reply{Seq: 1, Err: strings.Repeat("x", 1<<16)}
+	if err := fw.WriteReply(bad); !errors.Is(err, ErrStringTooLong) {
+		t.Fatalf("WriteReply err = %v, want ErrStringTooLong", err)
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("%d bytes leaked to the stream after a failed encode", buf.Len())
 	}
-	if err := fw.WriteCall(sampleCall()); err != nil {
+	if err := fw.WriteReply(&Reply{Seq: 2}); err != nil {
 		t.Fatal(err)
 	}
 	fr := NewFrameReader(&buf)
@@ -67,11 +66,11 @@ func TestFrameWriterOversizedLeavesStreamClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Call
-	if err := DecodeCallInto(&got, body, &fr.Names); err != nil {
+	var got Reply
+	if err := DecodeReplyInto(&got, body, &fr.Names); err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != sampleCall().Seq {
+	if got.Seq != 2 {
 		t.Fatalf("Seq = %d after recovery", got.Seq)
 	}
 }
@@ -88,9 +87,7 @@ func TestFrameReaderWriterRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c := sampleCall()
 		c.Seq = uint64(i)
-		if err := fw.WriteCall(c); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(mustEncodeCall(t, c))
 		if err := fw.WriteReply(&Reply{Seq: uint64(i), Err: "x",
 			Feedback: &Feedback{AppID: int64(i), Kind: "MC"}}); err != nil {
 			t.Fatal(err)
@@ -221,11 +218,14 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	rep := &Reply{Seq: 9, Feedback: &Feedback{AppID: 7, Kind: "MC", MemBW: 0.5}}
 	var gotC Call
 	var gotR Reply
+	var cbuf []byte
 	iter := func() {
 		buf.Reset()
-		if err := fw.WriteCall(c); err != nil {
+		var err error
+		if cbuf, err = AppendCall(cbuf[:0], c); err != nil {
 			b.Fatal(err)
 		}
+		buf.Write(cbuf)
 		if err := fw.WriteReply(rep); err != nil {
 			b.Fatal(err)
 		}

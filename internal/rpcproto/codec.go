@@ -234,11 +234,6 @@ func EncodeCall(c *Call) ([]byte, error) {
 	return AppendCall(make([]byte, 0, CallWireSize(c)), c)
 }
 
-// EncodeReply serializes r into a freshly allocated framed message.
-func EncodeReply(r *Reply) ([]byte, error) {
-	return AppendReply(make([]byte, 0, ReplyWireSize(r)), r)
-}
-
 // DecodeCallInto parses a frameCall body (without the length prefix) into c,
 // overwriting every field. names may be nil; with an Interner, steady-state
 // decoding does not allocate.
@@ -375,17 +370,6 @@ type FrameWriter struct {
 // NewFrameWriter returns a writer over w.
 func NewFrameWriter(w io.Writer) *FrameWriter {
 	return &FrameWriter{w: w, buf: bufPool.Get().(*[]byte)}
-}
-
-// WriteCall encodes and writes one call frame.
-func (fw *FrameWriter) WriteCall(c *Call) error {
-	b, err := AppendCall((*fw.buf)[:0], c)
-	*fw.buf = b[:0]
-	if err != nil {
-		return err
-	}
-	_, err = fw.w.Write(b)
-	return err
 }
 
 // WriteReply encodes and writes one reply frame.

@@ -33,9 +33,9 @@ func mustEncodeCall(t testing.TB, c *Call) []byte {
 
 func mustEncodeReply(t testing.TB, r *Reply) []byte {
 	t.Helper()
-	frame, err := EncodeReply(r)
+	frame, err := AppendReply(nil, r)
 	if err != nil {
-		t.Fatalf("EncodeReply: %v", err)
+		t.Fatalf("AppendReply: %v", err)
 	}
 	return frame
 }
@@ -234,7 +234,7 @@ func TestQuickReplyRoundTrip(t *testing.T) {
 				MemBW: bw, GPUUtil: util,
 			}
 		}
-		frame, err := EncodeReply(r)
+		frame, err := AppendReply(nil, r)
 		if err != nil {
 			return len(errs) > 65535 || len(kind) > 65535
 		}

@@ -6,16 +6,14 @@ import (
 	"io"
 	"math/rand"
 	"testing"
-
-	"repro/internal/cuda"
 )
 
 // pipeBuf is the in-memory peer of a FaultyRW: writes land in a buffer the
 // test reads back as the "wire".
 type pipeBuf struct{ bytes.Buffer }
 
-func testCall(seq uint64) *Call {
-	return &Call{ID: cuda.CallMalloc, Seq: seq, Bytes: 4096}
+func testReply(seq uint64) *Reply {
+	return &Reply{Seq: seq, PtrID: 1, PtrSize: 4096}
 }
 
 func TestFaultyRWPassThrough(t *testing.T) {
@@ -23,8 +21,8 @@ func TestFaultyRWPassThrough(t *testing.T) {
 	f := &FaultyRW{RW: &wire, Rng: rand.New(rand.NewSource(1))}
 	fw := NewFrameWriter(f)
 	defer fw.Close()
-	if err := fw.WriteCall(testCall(7)); err != nil {
-		t.Fatalf("WriteCall: %v", err)
+	if err := fw.WriteReply(testReply(7)); err != nil {
+		t.Fatalf("WriteReply: %v", err)
 	}
 	fr := NewFrameReader(f)
 	defer fr.Close()
@@ -36,8 +34,8 @@ func TestFaultyRWPassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if c := msg.(*Call); c.Seq != 7 || c.ID != cuda.CallMalloc {
-		t.Fatalf("round-tripped call = %+v", c)
+	if r := msg.(*Reply); r.Seq != 7 || r.PtrSize != 4096 {
+		t.Fatalf("round-tripped reply = %+v", r)
 	}
 	if f.Drops() != 0 {
 		t.Fatalf("pass-through dropped %d frames", f.Drops())
@@ -50,7 +48,7 @@ func TestFaultyRWDropSwallowsFrames(t *testing.T) {
 	fw := NewFrameWriter(f)
 	defer fw.Close()
 	for seq := uint64(1); seq <= 3; seq++ {
-		if err := fw.WriteCall(testCall(seq)); err != nil {
+		if err := fw.WriteReply(testReply(seq)); err != nil {
 			t.Fatalf("dropped write %d surfaced error %v", seq, err)
 		}
 	}
@@ -67,7 +65,7 @@ func TestFaultyRWTruncateIsMidFrameDisconnect(t *testing.T) {
 	f := &FaultyRW{RW: &wire, Rng: rand.New(rand.NewSource(1)), TruncateProb: 1}
 	fw := NewFrameWriter(f)
 	defer fw.Close()
-	if err := fw.WriteCall(testCall(1)); !errors.Is(err, io.ErrClosedPipe) {
+	if err := fw.WriteReply(testReply(1)); !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("truncated write error = %v, want ErrClosedPipe", err)
 	}
 	if wire.Len() == 0 {
@@ -115,7 +113,7 @@ func TestFaultyRWSeededScheduleIsDeterministic(t *testing.T) {
 		fw := NewFrameWriter(f)
 		defer fw.Close()
 		for seq := uint64(1); seq <= 32; seq++ {
-			if err := fw.WriteCall(testCall(seq)); err != nil {
+			if err := fw.WriteReply(testReply(seq)); err != nil {
 				t.Fatalf("write %d: %v", seq, err)
 			}
 		}

@@ -17,7 +17,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{frameCall})
 	f.Add([]byte{frameReply})
 	sampleFrame, _ := EncodeCall(sampleCall())
-	errFrame, _ := EncodeReply(&Reply{Seq: 9, Err: "cuda: out of memory"})
+	errFrame, _ := AppendReply(nil, &Reply{Seq: 9, Err: "cuda: out of memory"})
 	f.Add(sampleFrame[4:])
 	f.Add(errFrame[4:])
 	f.Add([]byte{frameCall, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -31,7 +31,7 @@ func FuzzDecode(f *testing.F) {
 		case *Call:
 			reenc, err = EncodeCall(v)
 		case *Reply:
-			reenc, err = EncodeReply(v)
+			reenc, err = AppendReply(nil, v)
 		default:
 			t.Fatalf("unexpected decode type %T", msg)
 		}
@@ -47,7 +47,7 @@ func FuzzDecode(f *testing.F) {
 		case *Call:
 			reenc2, _ = EncodeCall(v)
 		case *Reply:
-			reenc2, _ = EncodeReply(v)
+			reenc2, _ = AppendReply(nil, v)
 		}
 		if !bytes.Equal(reenc, reenc2) {
 			t.Fatal("encode/decode is not a fixed point")

@@ -86,9 +86,6 @@ func NewCrossConn(kA, kB *sim.Kernel, link LinkSpec, toB, toA CrossDeliver) *Con
 // side A runs on and that of side B's kernel (one pool when they share it).
 func (c *Conn) SetPools(a, b *Pool) { c.pools = [2]*Pool{a, b} }
 
-// Link returns the connection's link spec.
-func (c *Conn) Link() LinkSpec { return c.link }
-
 // Endpoint is one side of a Conn.
 type Endpoint struct {
 	conn *Conn
@@ -145,9 +142,6 @@ func (e Endpoint) Recv(p *sim.Proc) Msg { return e.in.Get(p) }
 func (e Endpoint) RecvTimeout(p *sim.Proc, d sim.Time) (Msg, bool) {
 	return e.in.GetTimeout(p, d)
 }
-
-// TryRecv returns the next message if one is waiting.
-func (e Endpoint) TryRecv() (Msg, bool) { return e.in.TryGet() }
 
 // InboxLen returns the number of delivered, unconsumed messages.
 func (e Endpoint) InboxLen() int { return e.in.Len() }

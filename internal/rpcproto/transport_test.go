@@ -96,23 +96,22 @@ func TestConnIsOneAllocation(t *testing.T) {
 	}
 }
 
-func TestTryRecvAndInboxLen(t *testing.T) {
+func TestInboxLen(t *testing.T) {
 	k := sim.NewKernel(1)
 	conn := NewConn(k, LinkSpec{})
 	k.Go("frontend", func(p *sim.Proc) {
-		a := conn.A()
-		if _, ok := a.TryRecv(); ok {
-			t.Error("TryRecv on empty inbox succeeded")
+		a, b := conn.A(), conn.B()
+		if a.InboxLen() != 0 || b.InboxLen() != 0 {
+			t.Error("a fresh connection has messages waiting")
 		}
 		a.Send(p, &Call{Seq: 1}, 0)
 		a.Send(p, &Call{Seq: 2}, 0)
-		p.Yield() // let timer deliveries land
-		b := conn.B()
+		p.Sleep(0) // let timer deliveries land
 		if b.InboxLen() != 2 {
 			t.Errorf("InboxLen = %d, want 2", b.InboxLen())
 		}
-		if m, ok := b.TryRecv(); !ok || m.(*Call).Seq != 1 {
-			t.Errorf("TryRecv = %v, %v", m, ok)
+		if m := b.Recv(p); m.(*Call).Seq != 1 || b.InboxLen() != 1 {
+			t.Errorf("Recv = %v with %d left, want call 1 and 1 left", m, b.InboxLen())
 		}
 	})
 	k.Run()

@@ -80,15 +80,15 @@ func TestCoroutinePoolBoundsGoroutines(t *testing.T) {
 func TestRecycledCoroutineIsAFreshProcess(t *testing.T) {
 	k := NewKernel(1)
 	defer k.Close()
-	ev := k.NewEvent()
+	sig := k.NewSignal()
 	var first, second *Proc
 	var woke []Time
 	first = k.Go("first", func(p *Proc) {
-		p.WaitTimeout(ev, 10) // leaves a timeout activation at 10 behind
+		p.WaitSignalTimeout(sig, 10) // leaves a timeout activation at 10 behind
 	})
 	k.Go("driver", func(p *Proc) {
 		p.Sleep(3)
-		ev.Fire()
+		sig.Notify()
 		p.Sleep(1)
 		if len(k.idle) != 1 {
 			t.Errorf("%d idle coroutines after first exited, want 1", len(k.idle))
@@ -108,8 +108,8 @@ func TestRecycledCoroutineIsAFreshProcess(t *testing.T) {
 	if !reflect.DeepEqual(woke, []Time{24}) {
 		t.Fatalf("second woke at %v, want [24]: first's stale timeout at 10 must not reach it", woke)
 	}
-	if first == second || first.ID() == second.ID() || first.Name() != "first" || second.Name() != "second" {
-		t.Fatalf("first = %d %q, second = %d %q", first.ID(), first.Name(), second.ID(), second.Name())
+	if first == second || first.id == second.id || first.Name() != "first" || second.Name() != "second" {
+		t.Fatalf("first = %d %q, second = %d %q", first.id, first.Name(), second.id, second.Name())
 	}
 	if first.pending != 0 || second.pending != 0 {
 		t.Fatalf("pending counts %d, %d after a drained run", first.pending, second.pending)
@@ -183,7 +183,7 @@ func TestResetAndCloseUnwindParkedProcesses(t *testing.T) {
 		{"Sleep", func(k *Kernel, p *Proc) { p.Sleep(100) }},
 		{"Wait", func(k *Kernel, p *Proc) { p.Wait(k.NewEvent()) }},
 		{"WaitSignal", func(k *Kernel, p *Proc) { p.WaitSignal(k.NewSignal()) }},
-		{"WaitTimeout", func(k *Kernel, p *Proc) { p.WaitTimeout(k.NewEvent(), 100) }},
+		{"WaitSignalTimeout", func(k *Kernel, p *Proc) { p.WaitSignalTimeout(k.NewSignal(), 100) }},
 		{"Queue.Get", func(k *Kernel, p *Proc) { NewQueue[int](k).Get(p) }},
 		{"Mutex.Lock", func(k *Kernel, p *Proc) {
 			m := k.NewMutex()

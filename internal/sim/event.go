@@ -117,11 +117,3 @@ func (s *Signal) NotifyOne() bool {
 	s.k.schedule(s.waiters.Pop(), s.k.now, wakeEvent)
 	return true
 }
-
-// Waiting returns the number of processes parked on s.
-func (s *Signal) Waiting() int { return s.waiters.Len() }
-
-// Reset drops any parked waiters and keeps the ring's backing array for
-// reuse. Like Kernel.Reset it must only run between simulations — dropped
-// waiters are never woken.
-func (s *Signal) Reset() { s.waiters.Reset() }

@@ -17,7 +17,7 @@ func TestSameInstantOrderingAcrossYields(t *testing.T) {
 		k.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
 			for round := 0; round < 3; round++ {
 				order = append(order, fmt.Sprintf("p%d.%d", i, round))
-				p.Yield()
+				p.Sleep(0)
 			}
 		})
 	}
@@ -34,33 +34,33 @@ func TestSameInstantOrderingAcrossYields(t *testing.T) {
 
 // Stale-epoch wakeups interleaved with same-instant self-reschedules: a
 // process whose event wait wins against a pending timeout leaves a stale
-// timer activation behind; same-instant Yields (the fast path) must neither
+// timer activation behind; same-instant Sleep(0)s (the fast path) must neither
 // consume nor be disturbed by it, and when the stale instant arrives during
 // a later park the activation must be discarded silently.
 func TestStaleWakeupInterleavedWithSameInstantReschedule(t *testing.T) {
 	k := NewKernel(1)
-	e := k.NewEvent()
+	s := k.NewSignal()
 	var wakes []Time
 	k.Go("w", func(p *Proc) {
-		if !p.WaitTimeout(e, 30) {
+		if !p.WaitSignalTimeout(s, 30) {
 			t.Error("event at t=10 should have beaten the t=30 timeout")
 		}
 		// The t=30 timer activation is now stale. Interleave same-instant
 		// self-reschedules at t=10, then sleep across the stale instant.
 		for i := 0; i < 3; i++ {
-			p.Yield()
+			p.Sleep(0)
 			wakes = append(wakes, p.Now())
 		}
 		p.Sleep(15) // t=25
 		wakes = append(wakes, p.Now())
-		p.Yield() // same-instant reschedule right before the stale instant
+		p.Sleep(0) // same-instant reschedule right before the stale instant
 		wakes = append(wakes, p.Now())
 		p.Sleep(10) // parks across t=30: the stale timer must not cut it short
 		wakes = append(wakes, p.Now())
 	})
 	k.Go("f", func(p *Proc) {
 		p.Sleep(10)
-		e.Fire()
+		s.Notify()
 	})
 	k.Run()
 	want := []Time{10, 10, 10, 25, 25, 35}
@@ -144,14 +144,14 @@ func TestRunUntilLimitBoundary(t *testing.T) {
 // The dispatch counter excludes stale wakeups and accumulates across runs.
 func TestDispatchedCounter(t *testing.T) {
 	k := NewKernel(1)
-	e := k.NewEvent()
+	s := k.NewSignal()
 	k.Go("w", func(p *Proc) {
-		p.WaitTimeout(e, 10) // event wins; timer activation goes stale
+		p.WaitSignalTimeout(s, 10) // event wins; timer activation goes stale
 		p.Sleep(100)
 	})
 	k.Go("f", func(p *Proc) {
 		p.Sleep(5)
-		e.Fire()
+		s.Notify()
 	})
 	n := k.Run()
 	if uint64(n) != k.Dispatched() {
@@ -171,7 +171,7 @@ func TestSelfRescheduleChain(t *testing.T) {
 	count := 0
 	k.Go("spinner", func(p *Proc) {
 		for i := 0; i < 10000; i++ {
-			p.Yield()
+			p.Sleep(0)
 			count++
 		}
 	})

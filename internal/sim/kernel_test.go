@@ -207,16 +207,16 @@ func TestDoubleFireIsNoop(t *testing.T) {
 
 func TestWaitTimeoutExpires(t *testing.T) {
 	k := NewKernel(1)
-	e := k.NewEvent()
+	s := k.NewSignal()
 	var fired bool
 	var at Time
 	k.Go("w", func(p *Proc) {
-		fired = p.WaitTimeout(e, 30)
+		fired = p.WaitSignalTimeout(s, 30)
 		at = p.Now()
 	})
 	k.Run()
 	if fired {
-		t.Fatal("WaitTimeout reported fired on a never-fired event")
+		t.Fatal("WaitSignalTimeout reported a notification nobody sent")
 	}
 	if at != 30 {
 		t.Fatalf("timeout at %v, want 30us", at)
@@ -225,20 +225,20 @@ func TestWaitTimeoutExpires(t *testing.T) {
 
 func TestWaitTimeoutEventWins(t *testing.T) {
 	k := NewKernel(1)
-	e := k.NewEvent()
+	s := k.NewSignal()
 	var fired bool
 	var at Time
 	k.Go("w", func(p *Proc) {
-		fired = p.WaitTimeout(e, 30)
+		fired = p.WaitSignalTimeout(s, 30)
 		at = p.Now()
 	})
 	k.Go("f", func(p *Proc) {
 		p.Sleep(10)
-		e.Fire()
+		s.Notify()
 	})
 	k.Run()
 	if !fired {
-		t.Fatal("WaitTimeout missed the event")
+		t.Fatal("WaitSignalTimeout missed the notification")
 	}
 	if at != 10 {
 		t.Fatalf("woke at %v, want 10us", at)
@@ -246,19 +246,19 @@ func TestWaitTimeoutEventWins(t *testing.T) {
 }
 
 func TestStaleTimerDoesNotRewake(t *testing.T) {
-	// After an event win, the pending timeout activation must not disturb
+	// After a notification wins, the pending timeout activation must not disturb
 	// the process's next park.
 	k := NewKernel(1)
-	e := k.NewEvent()
+	s := k.NewSignal()
 	var at Time
 	k.Go("w", func(p *Proc) {
-		p.WaitTimeout(e, 30)
+		p.WaitSignalTimeout(s, 30)
 		p.Sleep(100) // stale timer at t=30 must not cut this short
 		at = p.Now()
 	})
 	k.Go("f", func(p *Proc) {
 		p.Sleep(10)
-		e.Fire()
+		s.Notify()
 	})
 	k.Run()
 	if at != 110 {
@@ -267,24 +267,24 @@ func TestStaleTimerDoesNotRewake(t *testing.T) {
 }
 
 func TestTimedOutWaiterIsNotWokenByLateFire(t *testing.T) {
-	// A waiter whose timeout won leaves the event: a Fire that comes later
+	// A waiter whose timeout won leaves the signal: a Notify that comes later
 	// must not wake it out of whatever park it is in by then.
 	k := NewKernel(1)
-	e := k.NewEvent()
+	s := k.NewSignal()
 	var at Time
 	k.Go("w", func(p *Proc) {
-		if p.WaitTimeout(e, 10) {
-			t.Error("WaitTimeout reported fired before the event fired")
+		if p.WaitSignalTimeout(s, 10) {
+			t.Error("WaitSignalTimeout reported a notification before one was sent")
 		}
-		if n := e.waiters.Len(); n != 0 {
-			t.Errorf("event holds %d waiters after the timeout, want 0", n)
+		if n := s.waiters.Len(); n != 0 {
+			t.Errorf("signal holds %d waiters after the timeout, want 0", n)
 		}
 		p.Sleep(100)
 		at = p.Now()
 	})
 	k.Go("f", func(p *Proc) {
 		p.Sleep(50)
-		e.Fire()
+		s.Notify()
 	})
 	k.Run()
 	if at != 110 {
@@ -309,8 +309,8 @@ func TestSignalNotifyAllAndOne(t *testing.T) {
 		p.Sleep(1)
 		s.Notify() // wakes a and b
 		p.Sleep(1)
-		if s.Waiting() != 2 {
-			t.Errorf("Waiting = %d, want 2", s.Waiting())
+		if s.waiters.Len() != 2 {
+			t.Errorf("Waiting = %d, want 2", s.waiters.Len())
 		}
 		s.NotifyOne() // wakes a only
 		p.Sleep(1)
@@ -332,8 +332,8 @@ func TestSignalTimeoutDropsWaiter(t *testing.T) {
 	})
 	k.Go("n", func(p *Proc) {
 		p.Sleep(10)
-		if s.Waiting() != 0 {
-			t.Errorf("timed-out waiter still registered: %d", s.Waiting())
+		if s.waiters.Len() != 0 {
+			t.Errorf("timed-out waiter still registered: %d", s.waiters.Len())
 		}
 		s.Notify() // must be a no-op, not a crash
 	})
@@ -422,14 +422,8 @@ func TestTimeConversions(t *testing.T) {
 	if FromSeconds(1.5) != 1500*Millisecond {
 		t.Fatalf("FromSeconds(1.5) = %v", FromSeconds(1.5))
 	}
-	if FromMillis(2.5) != 2500 {
-		t.Fatalf("FromMillis(2.5) = %v", FromMillis(2.5))
-	}
 	if got := (3 * Second).Seconds(); got != 3.0 {
 		t.Fatalf("Seconds() = %v", got)
-	}
-	if got := (3 * Millisecond).Millis(); got != 3.0 {
-		t.Fatalf("Millis() = %v", got)
 	}
 }
 

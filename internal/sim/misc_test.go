@@ -33,7 +33,7 @@ func TestProcIdentity(t *testing.T) {
 	for _, n := range []string{"a", "b"} {
 		n := n
 		k.Go(n, func(p *Proc) {
-			ids = append(ids, p.ID())
+			ids = append(ids, p.id)
 			names = append(names, p.Name())
 			if p.Kernel() != k {
 				t.Error("Kernel() mismatch")
@@ -95,8 +95,8 @@ func TestQueueLenAndSignalWaiting(t *testing.T) {
 		if q.Len() != 2 {
 			t.Errorf("Len = %d", q.Len())
 		}
-		if s.Waiting() != 0 {
-			t.Errorf("Waiting = %d", s.Waiting())
+		if s.waiters.Len() != 0 {
+			t.Errorf("Waiting = %d", s.waiters.Len())
 		}
 	})
 	k.Run()

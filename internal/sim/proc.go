@@ -117,9 +117,6 @@ func (p *Proc) Name() string {
 	return p.name
 }
 
-// ID returns the process's unique small-integer id (creation order).
-func (p *Proc) ID() int { return p.id }
-
 // Kernel returns the kernel running this process.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
@@ -159,10 +156,6 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// Yield reschedules the process at the current instant, letting every other
-// activation pending at this time run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Wait blocks until e fires. If e has already fired it returns immediately.
 func (p *Proc) Wait(e *Event) {
 	if e.fired {
@@ -170,13 +163,6 @@ func (p *Proc) Wait(e *Event) {
 	}
 	e.waiters.Push(p)
 	p.park()
-}
-
-// WaitTimeout blocks until e fires or d elapses, whichever comes first. It
-// reports whether the event fired (true) or the timeout won (false). If e has
-// already fired it returns true immediately.
-func (p *Proc) WaitTimeout(e *Event, d Time) bool {
-	return e.fired || p.waitTimed(&e.waiters, d)
 }
 
 // WaitSignal blocks until s is next notified.

@@ -25,18 +25,6 @@ func (q *Queue[T]) Init(k *Kernel) { q.ready.k = k }
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
 
-// Cap returns the capacity of the queue's backing buffer (it grows with peak
-// depth and is the bound regression tests assert on).
-func (q *Queue[T]) Cap() int { return q.items.Cap() }
-
-// Reset discards all buffered items and waiting receivers, keeping the ring
-// backing arrays for reuse. Like Kernel.Reset it must only be used between
-// runs: parked receivers are dropped, not woken.
-func (q *Queue[T]) Reset() {
-	q.items.Reset()
-	q.ready.Reset()
-}
-
 // Put appends v and wakes one waiting receiver, if any.
 func (q *Queue[T]) Put(v T) {
 	q.items.Push(v)

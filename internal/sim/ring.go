@@ -16,9 +16,6 @@ type Ring[T any] struct {
 // Len returns the number of buffered items.
 func (r *Ring[T]) Len() int { return r.n }
 
-// Cap returns the current capacity of the backing buffer.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // Push appends v at the back.
 func (r *Ring[T]) Push(v T) {
 	if r.n == len(r.buf) {
@@ -52,15 +49,6 @@ func (r *Ring[T]) Front() T {
 
 // front returns the front item in place, valid until the next Push. Caller checks Len.
 func (r *Ring[T]) front() *T { return &r.buf[r.head] }
-
-// At returns the i-th item from the front (0 = front). It panics if i is out
-// of range.
-func (r *Ring[T]) At(i int) T {
-	if i < 0 || i >= r.n {
-		panic("sim: Ring.At out of range")
-	}
-	return r.buf[(r.head+i)&(len(r.buf)-1)]
-}
 
 // RemoveFirst deletes the first item matching the predicate, preserving the
 // order of the remaining items, and reports whether a match was found.

@@ -22,9 +22,9 @@ func TestRingFIFOAndWrap(t *testing.T) {
 	}
 }
 
-func TestRingFrontAndAt(t *testing.T) {
+func TestRingFront(t *testing.T) {
 	var r Ring[string]
-	// Force the head off zero so At exercises wrapping.
+	// Force the head off zero so the pops below wrap.
 	for i := 0; i < 6; i++ {
 		r.Push("x")
 		r.Pop()
@@ -36,8 +36,8 @@ func TestRingFrontAndAt(t *testing.T) {
 		t.Fatalf("Front = %q", r.Front())
 	}
 	for i, want := range []string{"a", "b", "c", "d"} {
-		if got := r.At(i); got != want {
-			t.Fatalf("At(%d) = %q, want %q", i, got, want)
+		if got := r.Pop(); got != want {
+			t.Fatalf("Pop %d = %q, want %q", i, got, want)
 		}
 	}
 }
@@ -91,8 +91,8 @@ func TestQueueCapacityBounded(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatalf("Len = %d after cycles", q.Len())
 	}
-	if q.Cap() > 16 {
-		t.Fatalf("queue capacity grew to %d after %d put/get cycles; want a small constant", q.Cap(), cycles)
+	if len(q.items.buf) > 16 {
+		t.Fatalf("queue capacity grew to %d after %d put/get cycles; want a small constant", len(q.items.buf), cycles)
 	}
 }
 
@@ -114,7 +114,7 @@ func TestQueueCapacityTracksPeakDepth(t *testing.T) {
 		}
 	})
 	k.Run()
-	if q.Cap() > 128 {
-		t.Fatalf("capacity %d exceeds next power of two above peak depth 100", q.Cap())
+	if len(q.items.buf) > 128 {
+		t.Fatalf("capacity %d exceeds next power of two above peak depth 100", len(q.items.buf))
 	}
 }

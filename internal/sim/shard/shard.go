@@ -111,9 +111,6 @@ type Shard struct {
 	soloActive bool
 }
 
-// ID returns the shard's index in the composition.
-func (s *Shard) ID() int { return s.id }
-
 // Send schedules fn to run on shard dst's kernel at the sender's now+delay.
 // fn executes in the destination kernel's timer context and must not block
 // (queue Puts, event Fires, signal Notifies and process spawns are all
@@ -219,12 +216,6 @@ func NewCoordinator(kernels []*sim.Kernel, lookahead sim.Time, _ int) *Coordinat
 
 // Shard returns the i'th shard handle.
 func (c *Coordinator) Shard(i int) *Shard { return c.shards[i] }
-
-// Shards returns the number of shards.
-func (c *Coordinator) Shards() int { return len(c.shards) }
-
-// Lookahead returns the composition's lookahead.
-func (c *Coordinator) Lookahead() sim.Time { return c.look }
 
 // Stats returns the window-protocol counters accumulated so far.
 func (c *Coordinator) Stats() Stats { return c.stats }

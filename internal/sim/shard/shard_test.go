@@ -351,14 +351,8 @@ func TestAccessors(t *testing.T) {
 	ks := []*sim.Kernel{sim.NewKernel(1), sim.NewKernel(2), sim.NewKernel(3)}
 	co := NewCoordinator(ks, look, 16)
 	defer co.Close()
-	if co.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", co.Shards())
-	}
-	if co.Lookahead() != look {
-		t.Fatalf("Lookahead() = %v, want %v", co.Lookahead(), look)
-	}
 	for i := range ks {
-		if co.Shard(i).ID() != i || co.Shard(i).K != ks[i] {
+		if co.Shard(i).K != ks[i] {
 			t.Fatalf("shard %d handle mismatch", i)
 		}
 	}
@@ -500,7 +494,7 @@ func TestSendPutMatchesSendClosure(t *testing.T) {
 		if !reflect.DeepEqual(got, want) || co.Stats() != wantCo.Stats() {
 			t.Fatalf("workers=%d: SendPut ring diverged from Send's: %+v vs %+v", workers, co.Stats(), wantCo.Stats())
 		}
-		for i := 0; i < co.Shards(); i++ {
+		for i := range co.shards {
 			if g, w := co.Shard(i).K.Dispatched(), wantCo.Shard(i).K.Dispatched(); g != w {
 				t.Fatalf("workers=%d: shard %d dispatched %d events with SendPut, %d with Send", workers, i, g, w)
 			}

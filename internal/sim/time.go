@@ -38,13 +38,6 @@ func (t Time) String() string {
 // Seconds converts t to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Millis converts t to floating-point milliseconds.
-func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
-
 // FromSeconds converts floating-point seconds to a Time, rounding to the
 // nearest microsecond.
 func FromSeconds(s float64) Time { return Time(s*float64(Second) + 0.5) }
-
-// FromMillis converts floating-point milliseconds to a Time, rounding to the
-// nearest microsecond.
-func FromMillis(ms float64) Time { return Time(ms*float64(Millisecond) + 0.5) }

@@ -123,7 +123,7 @@ func TestAfterZeroFiresBehindQueuedActivations(t *testing.T) {
 		k.Go("before", func(p *Proc) { order = append(order, "before") })
 		k.After(0, func() { order = append(order, "timer") })
 		k.Go("after", func(p *Proc) { order = append(order, "after") })
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a")
 	})
 	k.Run()

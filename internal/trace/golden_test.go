@@ -6,9 +6,11 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/gpu"
 	"repro/internal/parallel"
 	"repro/internal/trace"
-	"repro/stringsched"
+	"repro/internal/workload"
 )
 
 // goldenCells is the fixed grid of traced runs: the strings-trace default
@@ -32,13 +34,13 @@ func runGoldenGrid(t *testing.T, workers int) [][]byte {
 	t.Helper()
 	return parallel.Map(len(goldenCells), workers, func(i int) []byte {
 		cell := goldenCells[i]
-		rec := stringsched.NewTraceRecorder()
-		c, err := stringsched.NewCluster(stringsched.Config{
+		rec := trace.New()
+		c, err := core.New(core.Config{
 			Seed: cell.seed,
-			Nodes: []stringsched.NodeConfig{{Devices: []stringsched.DeviceSpec{
-				stringsched.Quadro2000, stringsched.TeslaC2050,
+			Nodes: []core.NodeConfig{{Devices: []gpu.Spec{
+				gpu.Quadro2000, gpu.TeslaC2050,
 			}}},
-			Mode:     stringsched.ModeStrings,
+			Mode:     core.ModeStrings,
 			Balance:  cell.balance,
 			Recorder: rec,
 		})
@@ -46,8 +48,8 @@ func runGoldenGrid(t *testing.T, workers int) [][]byte {
 			t.Errorf("cell %d: %v", i, err)
 			return nil
 		}
-		r, err := c.Run([]stringsched.StreamSpec{{
-			Kind: stringsched.MonteCarlo, Count: 6, LambdaFactor: 0.4,
+		r, err := c.Run([]workload.StreamSpec{{
+			Kind: workload.MonteCarlo, Count: 6, LambdaFactor: 0.4,
 			Node: 0, Tenant: 1, Weight: 1,
 		}})
 		if err != nil || len(r.Errors) > 0 {

@@ -12,10 +12,7 @@
 // is off.
 package trace
 
-import (
-	"repro/internal/metrics"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // SpanID identifies a span within one Recorder. IDs are 1-based indices in
 // recording order; 0 is "no span" (the nil recorder's answer, and the root
@@ -184,79 +181,21 @@ type Recorder struct {
 	spans     []Span
 	events    []Event
 	decisions []Decision
-
-	reg *metrics.Registry
-
-	// Fixed instruments, resolved once so the hot path never takes a map
-	// lookup.
-	cSpans     *metrics.Counter
-	cEvents    *metrics.Counter
-	cDecisions *metrics.Counter
-	cSpills    *metrics.Counter
-	hByKind    [kindCount]*metrics.Histogram
 }
 
-// New returns an enabled recorder with its instrument registry. The record
-// slices are pre-sized for a mid-sized run, so a recorder reaches steady
-// state without paying the first dozen grow-copies span by span.
+// New returns an enabled recorder. The record slices are pre-sized for a
+// mid-sized run, so a recorder reaches steady state without paying the first
+// dozen grow-copies span by span.
 func New() *Recorder {
-	r := &Recorder{
+	return &Recorder{
 		spans:     make([]Span, 0, 1024),
 		events:    make([]Event, 0, 512),
 		decisions: make([]Decision, 0, 128),
-		reg:       metrics.NewRegistry(),
 	}
-	r.cSpans = r.reg.Counter("trace.spans")
-	r.cEvents = r.reg.Counter("trace.events")
-	r.cDecisions = r.reg.Counter("trace.decisions")
-	r.cSpills = r.reg.Counter("trace.spills")
-	r.hByKind[KRequest] = r.reg.Histogram("trace.request_us")
-	r.hByKind[KSelect] = r.reg.Histogram("trace.select_us")
-	r.hByKind[KCall] = r.reg.Histogram("trace.call_us")
-	r.hByKind[KExec] = r.reg.Histogram("trace.exec_us")
-	r.hByKind[KWait] = r.reg.Histogram("trace.wait_us")
-	r.hByKind[KOp] = r.reg.Histogram("trace.op_us")
-	return r
 }
 
 // Enabled reports whether the recorder records anything.
 func (r *Recorder) Enabled() bool { return r != nil }
-
-// Reset discards the recorded spans, events, decisions and instrument state
-// while keeping the slices' backing arrays, so one recorder can serve many
-// runs back to back without re-growing its buffers each time (the traced
-// benchmark loop reuses a single recorder this way). A reset recorder is
-// indistinguishable from a fresh one to every consumer.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	// Clear before truncating: spans and decisions hold strings and row
-	// slices that would otherwise stay reachable through the spare capacity.
-	clear(r.spans)
-	clear(r.events)
-	clear(r.decisions)
-	r.spans = r.spans[:0]
-	r.events = r.events[:0]
-	r.decisions = r.decisions[:0]
-	r.cSpans.Reset()
-	r.cEvents.Reset()
-	r.cDecisions.Reset()
-	r.cSpills.Reset()
-	for _, h := range r.hByKind {
-		if h != nil {
-			h.Reset()
-		}
-	}
-}
-
-// Registry returns the recorder's instrument registry (nil when disabled).
-func (r *Recorder) Registry() *metrics.Registry {
-	if r == nil {
-		return nil
-	}
-	return r.reg
-}
 
 // Begin opens a span at now and returns its id (0 when disabled).
 func (r *Recorder) Begin(k Kind, parent SpanID, now sim.Time, name string, app, gid int, arg int64) SpanID {
@@ -268,12 +207,11 @@ func (r *Recorder) Begin(k Kind, parent SpanID, now sim.Time, name string, app, 
 		ID: id, Parent: parent, Kind: k, Name: name,
 		App: app, GID: gid, Arg: arg, Start: now, End: open,
 	})
-	r.cSpans.Inc()
 	return id
 }
 
-// End closes the span at now, folding its duration into the kind's
-// histogram. Ending span 0 (the nil recorder's answer) is a no-op.
+// End closes the span at now. Ending span 0 (the nil recorder's answer) is a
+// no-op.
 func (r *Recorder) End(id SpanID, now sim.Time) {
 	if r == nil || id <= 0 || int(id) > len(r.spans) {
 		return
@@ -283,9 +221,6 @@ func (r *Recorder) End(id SpanID, now sim.Time) {
 		return
 	}
 	s.End = now
-	if h := r.hByKind[s.Kind]; h != nil {
-		h.Observe(int64(now - s.Start))
-	}
 }
 
 // SetGID late-binds the device of an open or closed span (a request's GID
@@ -313,7 +248,6 @@ func (r *Recorder) Event(k Kind, now sim.Time, name string, app, gid int, arg in
 		return
 	}
 	r.events = append(r.events, Event{Kind: k, Name: name, App: app, GID: gid, Arg: arg, At: now}) // event buffer growth is amortized doubling; recording is opt-in observability
-	r.cEvents.Inc()
 }
 
 // RecordDecision appends one decision-audit record.
@@ -322,10 +256,6 @@ func (r *Recorder) RecordDecision(d Decision) {
 		return
 	}
 	r.decisions = append(r.decisions, d)
-	r.cDecisions.Inc()
-	if d.Spilled {
-		r.cSpills.Inc()
-	}
 }
 
 // Set is an immutable snapshot of a recorder's output, the unit the
@@ -347,12 +277,4 @@ func (r *Recorder) Snapshot() *Set {
 		Events:    append([]Event(nil), r.events...),
 		Decisions: append([]Decision(nil), r.decisions...),
 	}
-}
-
-// Len returns the number of recorded spans.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.spans)
 }

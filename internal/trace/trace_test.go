@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -14,9 +13,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Enabled() {
 		t.Error("nil recorder reports Enabled")
 	}
-	if r.Registry() != nil {
-		t.Error("nil recorder has a registry")
-	}
 	if id := r.Begin(KRequest, 0, 10, "x", 1, 0, 0); id != 0 {
 		t.Errorf("nil Begin returned span id %d, want 0", id)
 	}
@@ -26,9 +22,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Complete(KOp, "k", 1, 0, 0, 5, 9)
 	r.Event(KWake, 7, "", 1, 0, 0)
 	r.RecordDecision(Decision{})
-	if r.Len() != 0 {
-		t.Errorf("nil Len = %d", r.Len())
-	}
 	set := r.Snapshot()
 	if set == nil || len(set.Spans)+len(set.Events)+len(set.Decisions) != 0 {
 		t.Errorf("nil Snapshot = %+v, want empty set", set)
@@ -129,38 +122,6 @@ func TestCompleteAndEvents(t *testing.T) {
 	}
 }
 
-func TestInstrumentsObserveSpans(t *testing.T) {
-	r := New()
-	for i := 0; i < 3; i++ {
-		id := r.Begin(KCall, 0, sim.Time(10*i), "c", 1, 0, 0)
-		r.End(id, sim.Time(10*i+5))
-	}
-	r.Event(KWake, 1, "", 1, 0, 0)
-	r.RecordDecision(Decision{Spilled: true})
-	r.RecordDecision(Decision{})
-
-	reg := r.Registry()
-	if reg == nil {
-		t.Fatal("no registry")
-	}
-	if got := reg.Counter("trace.spans").Value(); got != 3 {
-		t.Errorf("trace.spans = %d, want 3", got)
-	}
-	if got := reg.Counter("trace.events").Value(); got != 1 {
-		t.Errorf("trace.events = %d, want 1", got)
-	}
-	if got := reg.Counter("trace.decisions").Value(); got != 2 {
-		t.Errorf("trace.decisions = %d, want 2", got)
-	}
-	if got := reg.Counter("trace.spills").Value(); got != 1 {
-		t.Errorf("trace.spills = %d, want 1", got)
-	}
-	h := reg.Histogram("trace.call_us")
-	if h.Count() != 3 || h.Sum() != 15 || h.Max() != 5 {
-		t.Errorf("call histogram count=%d sum=%d max=%d", h.Count(), h.Sum(), h.Max())
-	}
-}
-
 func TestKindNames(t *testing.T) {
 	for k := Kind(0); k < kindCount; k++ {
 		name := k.String()
@@ -191,44 +152,5 @@ func TestSnapshotIsACopy(t *testing.T) {
 	set.Spans[0].Name = "mutated"
 	if r.Snapshot().Spans[0].Name != "a" {
 		t.Error("mutating a snapshot changed the recorder")
-	}
-}
-
-// TestResetRecorderIsFresh: a reset recorder must be indistinguishable from
-// a new one — same snapshot, same instrument values — while reusing its
-// buffers (no re-growth; verified via capacity retention).
-func TestResetRecorderIsFresh(t *testing.T) {
-	record := func(r *Recorder) {
-		sp := r.Begin(KCall, 0, 10, "memcpy", 1, 0, 7)
-		r.End(sp, 25)
-		r.Event(KWake, 12, "", 1, 0, 0)
-		r.RecordDecision(Decision{At: 13, App: 1, Picked: 2, Spilled: true})
-	}
-	reused := New()
-	for i := 0; i < 50; i++ { // grow past the pre-size? no — exercise reuse
-		record(reused)
-	}
-	capBefore := cap(reused.spans)
-	reused.Reset()
-	if len(reused.spans) != 0 || len(reused.events) != 0 || len(reused.decisions) != 0 {
-		t.Fatal("Reset left records behind")
-	}
-	if cap(reused.spans) != capBefore {
-		t.Fatalf("Reset dropped the span backing array: cap %d -> %d", capBefore, cap(reused.spans))
-	}
-	record(reused)
-
-	fresh := New()
-	record(fresh)
-	if !reflect.DeepEqual(reused.Snapshot(), fresh.Snapshot()) {
-		t.Fatal("reset recorder's snapshot differs from a fresh recorder's")
-	}
-	for _, name := range []string{"trace.spans", "trace.events", "trace.decisions", "trace.spills"} {
-		if got, want := reused.Registry().Counter(name).Value(), fresh.Registry().Counter(name).Value(); got != want {
-			t.Errorf("%s = %d after reset, want %d", name, got, want)
-		}
-	}
-	if got, want := reused.Registry().Histogram("trace.call_us").Count(), fresh.Registry().Histogram("trace.call_us").Count(); got != want {
-		t.Errorf("call histogram count = %d after reset, want %d", got, want)
 	}
 }

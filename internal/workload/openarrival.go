@@ -181,12 +181,6 @@ func (s OpenArrivalSpec) Validate() error {
 	return nil
 }
 
-// ExpectedTenants estimates the population size (before MaxTenants capping):
-// Rate times the horizon, for every process.
-func (s OpenArrivalSpec) ExpectedTenants() float64 {
-	return s.Rate * s.Horizon.Seconds()
-}
-
 // Births materializes the tenant population from the given random source.
 // Instants are monotone non-decreasing; the whole population is a pure
 // function of (spec, source state), so a source freshly seeded with the same

@@ -52,7 +52,7 @@ func TestBirthsReproduceExactly(t *testing.T) {
 // mean, so all three target the same count (10000 here).
 func TestBirthsEmpiricalRate(t *testing.T) {
 	for _, spec := range oaSpecs() {
-		want := spec.ExpectedTenants()
+		want := spec.Rate * spec.Horizon.Seconds()
 		var total float64
 		const seeds = 5
 		for seed := int64(1); seed <= seeds; seed++ {

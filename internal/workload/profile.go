@@ -132,30 +132,3 @@ func derive(s Spec, ref gpu.Spec) Profile {
 	p.BufBytes = buf
 	return p
 }
-
-// SoloGPUTime returns the profile's intended total GPU service time
-// (kernels plus transfers) on the reference device.
-func (p Profile) SoloGPUTime() sim.Time {
-	return sim.Time(float64(p.SoloRuntime) * p.GPUPct / 100)
-}
-
-// BandwidthDemand returns the kernel's bandwidth-demand fraction on the
-// reference device — the signal MBF thresholds on.
-func (p Profile) BandwidthDemand() float64 {
-	k := p.kernSoloTime()
-	if k <= 0 {
-		return 0
-	}
-	return p.KernTraffic / (Reference.MemBandwidth * k)
-}
-
-// ComputeDemand returns the kernel's device-level compute-demand fraction.
-func (p Profile) ComputeDemand() float64 { return p.KernOcc }
-
-// kernSoloTime is the per-iteration kernel solo duration on the reference
-// device, in microseconds.
-func (p Profile) kernSoloTime() float64 {
-	ct := p.KernCompute / (Reference.ComputeRate * p.KernOcc)
-	bt := p.KernTraffic / Reference.MemBandwidth
-	return math.Max(ct, bt)
-}

@@ -58,6 +58,24 @@ func TestSpecsGroupsAndRuntimeClasses(t *testing.T) {
 	}
 }
 
+// kernSoloTime is the per-iteration kernel solo duration on the reference
+// device, in microseconds.
+func kernSoloTime(p Profile) float64 {
+	ct := p.KernCompute / (Reference.ComputeRate * p.KernOcc)
+	bt := p.KernTraffic / Reference.MemBandwidth
+	return math.Max(ct, bt)
+}
+
+// bandwidthDemand is the kernel's bandwidth-demand fraction on the reference
+// device, the quantity derive caps at maxBWDemand.
+func bandwidthDemand(p Profile) float64 {
+	k := kernSoloTime(p)
+	if k <= 0 {
+		return 0
+	}
+	return p.KernTraffic / (Reference.MemBandwidth * k)
+}
+
 func TestProfileDerivationInternallyConsistent(t *testing.T) {
 	for _, k := range AllKinds {
 		p := ProfileFor(k)
@@ -70,8 +88,8 @@ func TestProfileDerivationInternallyConsistent(t *testing.T) {
 		if p.BufBytes < 1<<20 || p.BufBytes > chunkBytes {
 			t.Fatalf("%v: buffer %d out of range", k, p.BufBytes)
 		}
-		if p.BandwidthDemand() > maxBWDemand+1e-6 {
-			t.Fatalf("%v: bandwidth demand %v exceeds cap", k, p.BandwidthDemand())
+		if bandwidthDemand(p) > maxBWDemand+1e-6 {
+			t.Fatalf("%v: bandwidth demand %v exceeds cap", k, bandwidthDemand(p))
 		}
 		// The intended time budget must reassemble into the solo runtime.
 		T := float64(p.SoloRuntime)
@@ -80,7 +98,7 @@ func TestProfileDerivationInternallyConsistent(t *testing.T) {
 		cpu := float64(p.CPUPerIter) * float64(p.Iters)
 		xfer := (float64(p.H2DPerIter)/Reference.H2DBandwidth +
 			float64(p.D2HPerIter)/Reference.D2HBandwidth) * float64(p.Iters)
-		kern := p.kernSoloTime() * float64(p.Iters)
+		kern := kernSoloTime(p) * float64(p.Iters)
 		total := cpu + xfer + kern
 		if math.Abs(total-T)/T > 0.02 {
 			t.Errorf("%v: budget reassembles to %.2fs, want %.2fs", k, total/1e6, T/1e6)
@@ -94,8 +112,8 @@ func TestProfileDerivationInternallyConsistent(t *testing.T) {
 func TestMemoryBoundAppsHaveLowOccupancyHighBW(t *testing.T) {
 	hi := ProfileFor(Histogram)
 	dc := ProfileFor(DXTC)
-	if hi.BandwidthDemand() <= dc.BandwidthDemand() {
-		t.Fatalf("HI bw demand %.3f should exceed DC %.3f", hi.BandwidthDemand(), dc.BandwidthDemand())
+	if bandwidthDemand(hi) <= bandwidthDemand(dc) {
+		t.Fatalf("HI bw demand %.3f should exceed DC %.3f", bandwidthDemand(hi), bandwidthDemand(dc))
 	}
 	if hi.KernOcc >= dc.KernOcc {
 		t.Fatalf("HI occupancy %.3f should be below DC %.3f (memory-bound kernels stall)", hi.KernOcc, dc.KernOcc)
@@ -279,14 +297,14 @@ func TestQuickDeriveArbitraryRows(t *testing.T) {
 		if p.KernCompute < 0 || p.KernTraffic < 0 {
 			return false
 		}
-		if p.BandwidthDemand() > maxBWDemand+1e-6 {
+		if bandwidthDemand(p) > maxBWDemand+1e-6 {
 			return false
 		}
 		// Reassembled budget within 5% of the target runtime.
 		total := float64(p.CPUPerIter)*float64(p.Iters) +
 			(float64(p.H2DPerIter)/Reference.H2DBandwidth+
 				float64(p.D2HPerIter)/Reference.D2HBandwidth)*float64(p.Iters) +
-			p.kernSoloTime()*float64(p.Iters)
+			kernSoloTime(p)*float64(p.Iters)
 		T := float64(s.SoloRuntime)
 		return total > 0.9*T && total < 1.1*T
 	}
