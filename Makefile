@@ -54,10 +54,12 @@ lint: stringscheck
 	fi
 
 # One iteration of every micro-benchmark: proves they still compile and run
-# without paying full benchmark time. The codec and timer-delivery
-# benchmarks must report 0 allocs/op at any -benchtime.
+# without paying full benchmark time. The codec, timer-delivery and
+# sleep-next benchmarks must report 0 allocs/op at any -benchtime (heap-churn
+# does under `make bench`; a single iteration reads the runtime's own strays
+# over its 64 coroutines).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSpawnExit|BenchmarkCodecRoundTrip' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSleepNext|BenchmarkHeapChurn|BenchmarkSpawnExit|BenchmarkCodecRoundTrip' -benchtime=1x .
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/rpcproto/
 	$(GO) run ./cmd/strings-bench -exp faults -pairs 1 -requests 4
 	@# Sweep-engine determinism: the same small grid at -parallel 1 and 4
@@ -84,7 +86,7 @@ examples:
 
 # Full micro-benchmark pass with allocation counts.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSpawnExit|BenchmarkCodecRoundTrip' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSleepNext|BenchmarkHeapChurn|BenchmarkSpawnExit|BenchmarkCodecRoundTrip' -benchmem .
 
 # Coverage gate: run the internal packages with -coverprofile and fail if
 # any of the gated packages (the observability layer, seed folding, the
@@ -106,10 +108,12 @@ cover:
 		repro/internal/packer repro/internal/remoting repro/internal/devsched \
 		repro/internal/balancer
 
-# Short fuzz pass over every native fuzz target: the wire codec, the framing
-# layer and the trace encoders each get 10s of coverage-guided input on top
-# of the committed corpus under testdata/fuzz/.
+# Short fuzz pass over every native fuzz target: the kernel's schedule
+# against its one-heap reference, the wire codec, the framing layer and the
+# trace encoders each get 10s of coverage-guided input on top of the committed
+# corpus under testdata/fuzz/.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzKernelSchedule -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/rpcproto/
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/rpcproto/
 	$(GO) test -run '^$$' -fuzz FuzzCallRoundTrip -fuzztime 10s ./internal/rpcproto/

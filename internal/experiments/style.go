@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/cuda"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -15,6 +16,14 @@ import (
 // Strings finishes far ahead of even the hand-pipelined application on the
 // bare runtime, because Strings combines the recovered asynchrony with
 // balancing and context packing.
+//
+// Every series runs with cudaMalloc waiting for device memory instead of
+// failing (the runtime-level switch behind core.Config.MemoryGuard, which by
+// itself reaches only the Strings backends). A pipelined application holds two
+// staging buffers, so on the bare runtime, where every request lands on the
+// 1 GiB Quadro 2000, the ninth concurrent MC request does not fit; the paper
+// assumes the arrival rate never gets there, and the default 12 requests a
+// stream does. Up to 8 requests no allocation waits.
 func (s *Suite) AblationAppStyle() *metrics.Table {
 	defer s.arena.Close()
 	kinds := []workload.Kind{workload.MonteCarlo, workload.BinomialOptions}
@@ -35,7 +44,10 @@ func (s *Suite) AblationAppStyle() *metrics.Table {
 		for _, sr := range series {
 			r := s.run(scenario{
 				key: fmt.Sprintf("abl-style/%s/%s", sr.name, k),
-				cfg: core.Config{Nodes: singleNode(), Mode: sr.mode, Balance: "GMin"},
+				cfg: core.Config{
+					Nodes: singleNode(), Mode: sr.mode, Balance: "GMin",
+					CUDA: cuda.Config{BlockOnOOM: true},
+				},
 				streams: []workload.StreamSpec{{
 					Kind: k, Count: s.opt.Requests, LambdaFactor: s.opt.LambdaFactor,
 					Node: 0, Tenant: 1, Weight: 1, Style: sr.style,

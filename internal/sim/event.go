@@ -8,7 +8,7 @@ type Event struct {
 	fired   bool
 	pooled  bool  // drawn from the kernel free list; recycled via Ref/Unref
 	refs    int32 // outstanding references to a pooled event
-	waiters Ring[*Proc]
+	waiters waitQ
 }
 
 // NewEvent returns an unfired event bound to k.
@@ -95,7 +95,7 @@ func (e *Event) Fire() {
 // such as the Dispatcher waking backend threads.
 type Signal struct {
 	k       *Kernel
-	waiters Ring[*Proc]
+	waiters waitQ
 }
 
 // NewSignal returns a signal bound to k.

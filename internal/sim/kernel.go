@@ -24,16 +24,20 @@ const DefaultFFHorizon = Millisecond
 // scheduled activation.
 //
 // Scheduling state is split in two for speed. Activations at a future instant
-// live in a 4-ary min-heap ordered by (time, sequence). Activations at the
-// *current* instant go to a plain FIFO ring instead: sequence numbers are
-// monotone, so arrival order is (time, sequence) order, and the common case —
-// a process yielding, a Put waking a Get, an event firing at now — costs O(1)
-// with no heap traffic. When the ring drains, the whole batch of heap entries
-// sharing the next timestamp is drained into the ring at once (same-instant
-// batch dispatch): schedule routes new same-instant work to the ring, so the
-// heap can never again hold entries at the drained instant and the merged
-// order stays exactly the old single-heap (time, sequence) order, which keeps
-// runs bit-identical.
+// live in a 4-ary min-heap ordered by (time, sequence) (actHeap). Activations
+// at the *current* instant go to a plain FIFO ring instead: sequence numbers
+// are monotone, so arrival order is (time, sequence) order, and the common
+// case — a process yielding, a Put waking a Get, an event firing at now —
+// costs O(1) with no heap traffic. Every ring entry is at k.now: schedule
+// routes there only what is due now, and the clock moves only when the ring
+// is empty. The next activation is read where it lies (frontDue): the heap's
+// root while it is at the current instant — it was pushed while that instant
+// was still in the future, so it predates every ring entry — then the ring's
+// front, then the heap's root at a later instant. That is the single
+// (time, sequence) order of one queue, which keeps runs bit-identical, and no
+// activation is copied from one structure to the other on the way. A Sleep
+// whose wake-up would be the very next activation is not queued at all
+// (Proc.Sleep).
 //
 // There is one dispatch loop (dispatch), and whoever pops an activation runs it
 // from where it stands: RunUntil on the caller's goroutine, a parking process
@@ -53,10 +57,11 @@ type Kernel struct {
 	now        Time
 	seq        uint64
 	limit      Time
-	future     heap4[activation]
+	future     actHeap
 	nowQ       Ring[activation]
 	dispatched uint64
 	resumes    uint64
+	queued     uint64
 	running    *Proc
 	procs      map[*Proc]struct{}
 	nextID     int
@@ -65,10 +70,14 @@ type Kernel struct {
 	stopped    bool
 
 	// Fast-forward accounting: jumps of >= ffHorizon over known-quiet
-	// virtual time (see FastForwards).
+	// virtual time (see FastForwards). ffAt is the future instant whose jump
+	// frontDue has counted while the clock has yet to reach it (its
+	// activations so far were stale, or wait for a process lower on the
+	// stack); it means nothing once now has caught up.
 	ffHorizon Time
 	ffJumps   uint64
 	ffSkipped Time
+	ffAt      Time
 
 	// evFree recycles pooled events (NewPooledEvent); kept across Reset so a
 	// reused kernel skips the ramp-up allocations, like the heap and ring
@@ -101,14 +110,6 @@ type activation struct {
 	tag   int32
 }
 
-// lessThan orders activations by (time, schedule sequence).
-func (a activation) lessThan(b activation) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // NewKernel returns a kernel whose clock starts at zero. The seed fixes the
 // kernel's random stream (exposed via Rand) so that runs are reproducible.
 func NewKernel(seed int64) *Kernel {
@@ -117,6 +118,7 @@ func NewKernel(seed int64) *Kernel {
 		procs:     make(map[*Proc]struct{}),
 		rng:       rand.New(rand.NewSource(seed)),
 		ffHorizon: DefaultFFHorizon,
+		ffAt:      -1,
 		tfree:     -1,
 	}
 }
@@ -144,6 +146,7 @@ func (k *Kernel) Reset(seed int64) {
 	k.nowQ.Reset()
 	k.dispatched = 0
 	k.resumes = 0
+	k.queued = 0
 	clear(k.procs)
 	k.nextID = 0
 	k.rng = rand.New(rand.NewSource(seed))
@@ -152,6 +155,7 @@ func (k *Kernel) Reset(seed int64) {
 	k.ffHorizon = DefaultFFHorizon
 	k.ffJumps = 0
 	k.ffSkipped = 0
+	k.ffAt = -1
 	// The armed timers' activations went with the heap; release what their
 	// slots held and start the table over in the same backing array.
 	clear(k.tslots)
@@ -225,6 +229,11 @@ func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 // Resumes returns the number of wake-ups since NewKernel or Reset delivered
 // by resuming a process's coroutine: each is one switch in and one back out.
 func (k *Kernel) Resumes() uint64 { return k.resumes }
+
+// Queued returns the number of activations since NewKernel or Reset that went
+// through the heap or the ring: every wake-up, start and timer except the
+// sleeps taken on the spot (Proc.Sleep).
+func (k *Kernel) Queued() uint64 { return k.queued }
 
 // SetTracer installs a trace callback invoked by Proc.Tracef. A nil tracer
 // disables tracing.
@@ -306,54 +315,74 @@ func (k *Kernel) schedule(p *Proc, at Time, tag int32) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling %q in the past: %v < %v", p.Name(), at, k.now))
 	}
+	k.place(at, p, p.epoch, tag)
+	p.pending++
+}
+
+// place queues a new activation at the instant at, stamped with the next
+// sequence number: in the ring when that is the current instant, in the heap
+// otherwise.
+func (k *Kernel) place(at Time, p *Proc, epoch uint64, tag int32) {
 	k.seq++
-	a := activation{at: at, seq: k.seq, proc: p, epoch: p.epoch, tag: tag}
+	k.queued++
+	a := activation{at: at, seq: k.seq, proc: p, epoch: epoch, tag: tag}
 	if at == k.now {
 		k.nowQ.Push(a)
 	} else {
 		k.future.push(a)
 	}
-	p.pending++
 }
 
-// frontDue returns the next activation in (time, sequence) order in place (the
-// now-ring's front: read it, then nowQ.Pop, before anything is pushed), or nil
-// if none is due by the run limit. When the now-ring is empty it drains the
-// entire batch of heap entries sharing the next timestamp into the ring in one
-// pass (same-instant batch dispatch): every same-instant heap entry predates
-// every ring entry, and schedule routes new work at the drained instant to the
-// ring, so consuming ring-first preserves the exact single-heap order.
-func (k *Kernel) frontDue() *activation {
-	if k.nowQ.Len() == 0 {
-		if k.future.len() == 0 {
-			return nil
-		}
-		t := k.future.peek().at
-		if t > k.limit {
-			return nil
-		}
-		if gap := t - k.now; gap >= k.ffHorizon {
-			// The interval (now, t) holds no activation: a quiescent gap the
-			// clock is about to jump over wholesale.
-			k.ffJumps++
-			k.ffSkipped += gap
-		}
-		for {
-			k.nowQ.Push(k.future.peek())
-			k.future.drop()
-			if k.future.len() == 0 || k.future.peek().at != t {
-				break
+// frontDue returns the next activation in (time, sequence) order where it
+// lies, and whether that is the heap (its root) or the ring (its front); nil
+// if none is due by the run limit. The caller reads it and then removes it
+// with pop, before anything is placed. The heap's root at a later instant is
+// next only once the ring is empty, and the interval between is then a
+// quiescent gap the clock is about to jump over wholesale: it is counted when
+// the root is first seen, which is not always when the clock moves (a stale
+// root is dropped without moving it, one for a process lower on the stack is
+// seen again from there), so ffAt remembers the instant until the queue empties.
+func (k *Kernel) frontDue() (*activation, bool) {
+	if k.future.len() > 0 {
+		if a := k.future.root(); a.at == k.now || k.nowQ.Len() == 0 {
+			if a.at > k.limit {
+				return nil, false
 			}
+			if a.at != k.ffAt {
+				k.ffAt = a.at
+				k.countJump(a.at - k.now)
+			}
+			return a, true
 		}
-		return k.nowQ.front()
+	} else if k.nowQ.Len() == 0 {
+		k.ffAt = -1
+		return nil, false
 	}
-	if a := k.nowQ.front(); a.at <= k.limit {
-		return a
+	if k.now > k.limit {
+		return nil, false
 	}
-	return nil
+	return k.nowQ.front(), false
 }
 
-// dispatch pops activations in (time, sequence) order and runs each from where
+// countJump books a clock jump of gap over known-quiet virtual time as a
+// fast-forward if it reaches the quiescence horizon.
+func (k *Kernel) countJump(gap Time) {
+	if gap >= k.ffHorizon {
+		k.ffJumps++
+		k.ffSkipped += gap
+	}
+}
+
+// pop removes the activation frontDue returned.
+func (k *Kernel) pop(inHeap bool) {
+	if inHeap {
+		k.future.drop()
+	} else {
+		k.nowQ.Pop()
+	}
+}
+
+// dispatch takes activations in (time, sequence) order and runs each from where
 // the caller stands — p parking, or RunUntil (nil): a timer fires, a daemon
 // steps, another process's wake-up resumes its coroutine from this stack with
 // p marked as driving. It returns true once it has consumed p's own wake-up,
@@ -361,17 +390,19 @@ func (k *Kernel) frontDue() *activation {
 // the front wake-up (left queued) is for a process driving below p: p yields.
 func (k *Kernel) dispatch(p *Proc) bool {
 	for !k.stopped {
-		a := k.frontDue()
+		a, inHeap := k.frontDue()
 		if a == nil {
 			break
 		}
 		q := a.proc
 		if q == nil {
-			k.fire(k.nowQ.Pop())
+			at, slot := a.at, int32(a.epoch)
+			k.pop(inHeap)
+			k.fire(at, slot)
 			continue
 		}
 		if q.done || a.epoch != q.epoch {
-			k.nowQ.Pop()
+			k.pop(inHeap)
 			q.pending-- // stale wakeup from an earlier park
 			continue
 		}
@@ -381,7 +412,7 @@ func (k *Kernel) dispatch(p *Proc) bool {
 		q.pending--
 		k.now = a.at
 		q.wakeTag = a.tag
-		k.nowQ.Pop()
+		k.pop(inHeap)
 		k.dispatched++
 		k.running = q
 		switch {
@@ -421,10 +452,7 @@ func (k *Kernel) RunUntil(limit Time) int {
 	if !k.stopped && (k.future.len() > 0 || k.nowQ.Len() > 0) && k.now < limit {
 		// The head activation is beyond the limit: the interval up to the
 		// limit is known quiet, so the clock may advance to it wholesale.
-		if gap := limit - k.now; gap >= k.ffHorizon {
-			k.ffJumps++
-			k.ffSkipped += gap
-		}
+		k.countJump(limit - k.now)
 		k.now = limit
 	}
 	return int(k.dispatched - start)
@@ -440,10 +468,10 @@ func (k *Kernel) RunUntil(limit Time) int {
 // computation — which may only ever *under*-estimate a shard's horizon.
 func (k *Kernel) NextEventTime() (Time, bool) {
 	if k.nowQ.Len() > 0 {
-		return k.nowQ.Front().at, true
+		return k.now, true
 	}
 	if k.future.len() > 0 {
-		return k.future.peek().at, true
+		return k.future.root().at, true
 	}
 	return 0, false
 }

@@ -5,7 +5,7 @@ package sim
 type Mutex struct {
 	k       *Kernel
 	locked  bool
-	waiters Ring[*Proc]
+	waiters waitQ
 }
 
 // NewMutex returns an unlocked mutex.

@@ -148,11 +148,31 @@ func (p *Proc) park() {
 // Sleep blocks the process for d units of virtual time. Nonpositive
 // durations yield the processor for the current instant (other activations
 // at the same time run first).
+//
+// When the wake-up would be the very next activation taken — nothing is
+// queued at the current instant, it falls within the run limit, the run is
+// neither stopped nor unwinding, and the heap is empty or its root strictly
+// later (a root at the same instant is older and goes first) — queueing it,
+// parking and taking it back would change nothing else, so Sleep consumes it
+// on the spot and leaves the kernel as that round trip would have: one
+// sequence number, one dispatch, the gap counted as dispatch counts it.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.schedule(p, p.k.now+d, wakeTimer)
+	k := p.k
+	at := k.now + d
+	if k.nowQ.Len() == 0 && at <= k.limit && !k.stopped && !k.unwinding &&
+		(k.future.len() == 0 || k.future.root().at > at) {
+		k.seq++
+		k.dispatched++
+		k.countJump(d)
+		k.now = at
+		p.wakeTag = wakeTimer
+		p.epoch++
+		return
+	}
+	k.schedule(p, at, wakeTimer)
 	p.park()
 }
 
@@ -178,15 +198,15 @@ func (p *Proc) WaitSignalTimeout(s *Signal, d Time) bool {
 }
 
 // waitTimed parks p on waiters for at most d and reports whether it was woken
-// from there; if not, p leaves the ring, so that no later wake finds it there.
-func (p *Proc) waitTimed(waiters *Ring[*Proc], d Time) bool {
+// from there; if not, p leaves the list, so that no later wake finds it there.
+func (p *Proc) waitTimed(waiters *waitQ, d Time) bool {
 	waiters.Push(p)
 	p.k.schedule(p, p.k.now+d, wakeTimer)
 	p.park()
 	if p.wakeTag == wakeEvent {
 		return true
 	}
-	waiters.RemoveFirst(func(w *Proc) bool { return w == p }) // predicate closure does not outlive RemoveFirst; the compiler keeps it on the stack
+	waiters.Remove(p)
 	return false
 }
 

@@ -1,0 +1,578 @@
+package sim
+
+import (
+	"container/heap"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// The kernel stores an activation in one of two structures, reads the next one
+// where it lies and does not store some sleeps at all. What it owes its callers
+// is what a single queue ordered by (time, sequence) that queues everything
+// would do. refKernel is that queue; checkSchedule runs random programs on both
+// and compares every dispatch, the counters and the next pending instant.
+
+// refAct is a pending activation of the reference: of a process (stale once
+// the process has been woken since), or a timer (p nil) that runs fire.
+type refAct struct {
+	at    Time
+	seq   uint64
+	p     *refProc
+	epoch uint64
+	tag   int32
+	fire  func()
+}
+
+// refProc is a process or daemon of the reference: run continues it, told what
+// woke it.
+type refProc struct {
+	epoch uint64
+	run   func(tag int32)
+}
+
+type refActs []refAct
+
+func (h refActs) Len() int      { return len(h) }
+func (h refActs) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h refActs) Less(i, j int) bool {
+	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].seq < h[j].seq)
+}
+func (h *refActs) Push(x any) { *h = append(*h, x.(refAct)) }
+func (h *refActs) Pop() any {
+	old := *h
+	a := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return a
+}
+
+// refKernel is the reference executor: one container/heap ordered by
+// (at, seq), every wake-up and every sleep queued in it.
+type refKernel struct {
+	now, horizon, skipped         Time
+	seq, dispatched, jumps, stale uint64
+	stopped                       bool
+	h                             refActs
+}
+
+func (r *refKernel) schedule(p *refProc, at Time, tag int32, fire func()) {
+	r.seq++
+	a := refAct{at: at, seq: r.seq, p: p, tag: tag, fire: fire}
+	if p != nil {
+		a.epoch = p.epoch
+	}
+	heap.Push(&r.h, a)
+}
+
+func (r *refKernel) countJump(gap Time) {
+	if gap >= r.horizon {
+		r.jumps++
+		r.skipped += gap
+	}
+}
+
+// runUntil is Kernel.RunUntil. front is the instant the loop has advanced to;
+// it runs ahead of now over activations that turn out stale, and the gap to a
+// new front is measured from now.
+func (r *refKernel) runUntil(limit Time) int {
+	r.stopped = false
+	start, front := r.dispatched, r.now
+	for !r.stopped && len(r.h) > 0 && r.h[0].at <= limit {
+		a := heap.Pop(&r.h).(refAct)
+		if a.at > front {
+			front = a.at
+			r.countJump(a.at - r.now)
+		}
+		if a.p != nil && a.epoch != a.p.epoch {
+			r.stale++
+			continue
+		}
+		r.now = a.at
+		r.dispatched++
+		if a.p == nil {
+			a.fire()
+			continue
+		}
+		a.p.epoch++
+		a.p.run(a.tag)
+	}
+	if !r.stopped && len(r.h) > 0 && r.now < limit {
+		r.countJump(limit - r.now)
+		r.now = limit
+	}
+	return int(r.dispatched - start)
+}
+
+func (r *refKernel) nextEventTime() (Time, bool) {
+	if len(r.h) == 0 {
+		return 0, false
+	}
+	return r.h[0].at, true
+}
+
+// TestActHeapAgainstContainerHeap drives the kernel's heap at depths the
+// programs below never reach: random instants with many ties, pushes and drops
+// interleaved, every root compared with container/heap's.
+func TestActHeapAgainstContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var h actHeap
+	var ref refActs
+	for seq := uint64(1); seq <= 20000 || len(ref) > 0; seq++ {
+		if seq <= 20000 && rng.Intn(5) < 3 {
+			at := Time(rng.Intn(64))
+			h.push(activation{at: at, seq: seq, epoch: seq})
+			heap.Push(&ref, refAct{at: at, seq: seq})
+			continue
+		}
+		if len(ref) == 0 {
+			continue
+		}
+		want := heap.Pop(&ref).(refAct)
+		if got := h.root(); got.at != want.at || got.seq != want.seq || got.epoch != want.seq {
+			t.Fatalf("root (%v, %d, epoch %d), want (%v, %d) with its own epoch", got.at, got.seq, got.epoch, want.at, want.seq)
+		}
+		h.drop()
+	}
+	if h.len() != 0 {
+		t.Fatalf("%d entries left", h.len())
+	}
+}
+
+// A program is a handful of processes and daemons over two signals, two
+// queues and the timers, and a driver that runs the kernel in slices.
+const (
+	opSleep    = iota // Sleep(d)
+	opAfter           // After(d): the callback notifies signal x and kicks daemon x
+	opAfterPut        // AfterPut(d) into queue x
+	opGet             // Get from queue x
+	opWaitSig         // WaitSignalTimeout(signal x, d)
+	opNotify          // Notify signal x
+	opKick            // Kick daemon x
+	opStop            // Stop
+)
+
+// programOps is what a process's steps are drawn from.
+var programOps = []int{opSleep, opSleep, opSleep, opAfter, opAfterPut, opGet, opWaitSig, opWaitSig, opNotify, opKick, opStop}
+
+type op struct {
+	kind, x int
+	d       Time
+}
+
+// A daemon step acts (opNotify, opAfterPut, or nothing: -1) and then
+// waits: end 0 WaitKick, 1 WaitKickTimeout(d), 2 Sleep(d). After its last
+// step it exits.
+type daemonStep struct {
+	act, x, end int
+	d           Time
+}
+
+// A driver step arms a timer from outside the run (inject) and runs until
+// limit: now+d, or off instants of the next pending activation.
+const (
+	limitDelta = iota
+	limitBeforeNext
+	limitAtNext
+	limitAfterNext
+	limitKinds
+)
+
+type driverStep struct {
+	inject bool
+	limit  int
+	d      Time
+}
+
+type program struct {
+	horizon Time
+	procs   [][]op
+	daemons [][]daemonStep
+	driver  []driverStep
+}
+
+// programHorizon is the fast-forward horizon programs run with: the
+// durations below sit at, one short of and beyond it, and are small enough
+// that wake-ups collide at one instant all the time.
+const programHorizon = 16
+
+var programDurations = []Time{0, 0, 1, 2, 3, 5, programHorizon - 1, programHorizon, programHorizon + 1, 50}
+
+// tape deals a program's choices from fuzz input; an exhausted tape deals zeros.
+type tape struct{ b []byte }
+
+func (t *tape) next(n int) int {
+	if len(t.b) == 0 {
+		return 0
+	}
+	v := int(t.b[0]) % n
+	t.b = t.b[1:]
+	return v
+}
+
+func (t *tape) duration() Time { return programDurations[t.next(len(programDurations))] }
+
+func newProgram(data []byte) program {
+	t := &tape{data}
+	pr := program{horizon: programHorizon}
+	for i, n := 0, 1+t.next(6); i < n; i++ {
+		ops := make([]op, 1+t.next(12))
+		for j := range ops {
+			ops[j] = op{kind: programOps[t.next(len(programOps))], x: t.next(2), d: t.duration()}
+		}
+		pr.procs = append(pr.procs, ops)
+	}
+	for i, n := 0, t.next(3); i < n; i++ {
+		steps := make([]daemonStep, 1+t.next(5))
+		for j := range steps {
+			steps[j] = daemonStep{act: []int{-1, opNotify, opAfterPut}[t.next(3)], x: t.next(2), end: t.next(3), d: t.duration()}
+		}
+		pr.daemons = append(pr.daemons, steps)
+	}
+	for i, n := 0, t.next(6); i < n; i++ {
+		pr.driver = append(pr.driver, driverStep{inject: t.next(4) == 0, limit: t.next(limitKinds), d: t.duration()})
+	}
+	return pr
+}
+
+// dispatchRec is one line of the dispatch log: who ran at what instant (a
+// process, 100+ a daemon, -1 a timer), at which step, and what the step read.
+type dispatchRec struct {
+	At           Time
+	Who, PC, Val int
+}
+
+// checkpoint is what a driver step leaves behind.
+type checkpoint struct {
+	Ran, Log         int
+	Now, Skipped     Time
+	Seq, Disp, Jumps uint64
+	Next             Time
+	Pending          bool
+}
+
+type schedTrace struct {
+	Log    []dispatchRec
+	Points []checkpoint
+}
+
+func (tr *schedTrace) log(at Time, who, pc, val int) {
+	tr.Log = append(tr.Log, dispatchRec{at, who, pc, val})
+}
+
+// limitFor turns a driver step into a RunUntil limit.
+func (s driverStep) limitFor(now, next Time, pending bool) Time {
+	if !pending || s.limit == limitDelta {
+		return now + s.d
+	}
+	return next + Time(s.limit-limitAtNext)
+}
+
+// runOnKernel runs pr on k, which is fresh or Reset.
+func runOnKernel(k *Kernel, pr program) schedTrace {
+	var tr schedTrace
+	k.SetFFHorizon(pr.horizon)
+	sigs := []*Signal{k.NewSignal(), k.NewSignal()}
+	qs := []*Queue[any]{NewQueue[any](k), NewQueue[any](k)}
+	daemons := make([]*Daemon, 2)
+	timer := func(x int) func() {
+		return func() {
+			tr.log(k.Now(), -1, x, 0)
+			sigs[x].Notify()
+			daemons[x].Kick()
+		}
+	}
+	for j, steps := range pr.daemons {
+		pc := 0
+		daemons[j] = k.GoDaemon("d", func(d *Daemon) {
+			tr.log(d.Now(), 100+j, pc, 0)
+			if pc == len(steps) {
+				d.Exit()
+				return
+			}
+			s := steps[pc]
+			pc++
+			switch s.act {
+			case opNotify:
+				sigs[s.x].Notify()
+			case opAfterPut:
+				k.AfterPut(s.d, qs[s.x], 100+j)
+			}
+			switch s.end {
+			case 0:
+				d.WaitKick()
+			case 1:
+				d.WaitKickTimeout(s.d)
+			default:
+				d.Sleep(s.d)
+			}
+		})
+	}
+	for i, ops := range pr.procs {
+		k.Go("p", func(p *Proc) {
+			for pc, o := range ops {
+				val := 0
+				switch o.kind {
+				case opSleep:
+					p.Sleep(o.d)
+				case opAfter:
+					k.After(o.d, timer(o.x))
+				case opAfterPut:
+					k.AfterPut(o.d, qs[o.x], i)
+				case opGet:
+					val = qs[o.x].Get(p).(int)
+				case opWaitSig:
+					if p.WaitSignalTimeout(sigs[o.x], o.d) {
+						val = 1
+					}
+				case opNotify:
+					sigs[o.x].Notify()
+				case opKick:
+					daemons[o.x].Kick()
+				case opStop:
+					k.Stop()
+				}
+				tr.log(p.Now(), i, pc, val)
+			}
+		})
+	}
+	point := func(ran int) {
+		next, pending := k.NextEventTime()
+		jumps, skipped := k.FastForwards()
+		tr.Points = append(tr.Points, checkpoint{ran, len(tr.Log), k.Now(), skipped, k.seq, k.Dispatched(), jumps, next, pending})
+	}
+	point(0)
+	for _, s := range pr.driver {
+		if s.inject {
+			k.After(s.d, timer(0))
+		}
+		next, pending := k.NextEventTime()
+		point(k.RunUntil(s.limitFor(k.Now(), next, pending)))
+	}
+	point(k.Run())
+	point(k.Run()) // a Stop may have ended the first
+	return tr
+}
+
+// refSignal and refQueue are Signal and Queue over the reference: waiters in
+// arrival order, each woken by an activation at the current instant.
+type refSignal struct {
+	r       *refKernel
+	waiters []*refProc
+}
+
+func (s *refSignal) notify(n int) {
+	for ; n > 0 && len(s.waiters) > 0; n-- {
+		s.r.schedule(s.waiters[0], s.r.now, wakeEvent, nil)
+		s.waiters = s.waiters[1:]
+	}
+}
+
+func (s *refSignal) remove(p *refProc) {
+	for i, w := range s.waiters {
+		if w == p {
+			s.waiters = append(s.waiters[:i:i], s.waiters[i+1:]...)
+			return
+		}
+	}
+}
+
+type refQueue struct {
+	items []int
+	ready refSignal
+}
+
+func (q *refQueue) put(v int) {
+	q.items = append(q.items, v)
+	q.ready.notify(1)
+}
+
+// refDaemon is Daemon over the reference: kickable only while it waits for a
+// kick.
+type refDaemon struct {
+	p        refProc
+	kickWait bool
+}
+
+func (d *refDaemon) kick(r *refKernel) {
+	if d != nil && d.kickWait {
+		d.kickWait = false
+		r.schedule(&d.p, r.now, wakeEvent, nil)
+	}
+}
+
+// runOnReference runs pr on a reference kernel: each process is a
+// continuation that finishes the call it blocked in and goes on to the next
+// one that blocks.
+func runOnReference(pr program) (schedTrace, *refKernel) {
+	var tr schedTrace
+	r := &refKernel{horizon: pr.horizon}
+	sigs := []*refSignal{{r: r}, {r: r}}
+	qs := []*refQueue{{ready: refSignal{r: r}}, {ready: refSignal{r: r}}}
+	daemons := make([]*refDaemon, 2)
+	timer := func(x int) func() {
+		return func() {
+			tr.log(r.now, -1, x, 0)
+			sigs[x].notify(len(sigs[x].waiters))
+			daemons[x].kick(r)
+		}
+	}
+	for j, steps := range pr.daemons {
+		pc := 0
+		d := &refDaemon{}
+		daemons[j] = d
+		d.p.run = func(int32) {
+			d.kickWait = false
+			tr.log(r.now, 100+j, pc, 0)
+			if pc == len(steps) {
+				return
+			}
+			s := steps[pc]
+			pc++
+			switch s.act {
+			case opNotify:
+				sigs[s.x].notify(len(sigs[s.x].waiters))
+			case opAfterPut:
+				r.schedule(nil, r.now+s.d, 0, func() { qs[s.x].put(100 + j) })
+			}
+			if s.end != 0 {
+				r.schedule(&d.p, r.now+s.d, wakeTimer, nil)
+			}
+			d.kickWait = s.end != 2
+		}
+		r.schedule(&d.p, r.now, wakeStart, nil)
+	}
+	for i, ops := range pr.procs {
+		p := &refProc{}
+		pc, blocked := 0, false
+		p.run = func(tag int32) {
+			if blocked {
+				blocked = false
+				switch o := ops[pc]; o.kind {
+				case opSleep:
+					tr.log(r.now, i, pc, 0)
+					pc++
+				case opWaitSig:
+					val := 1
+					if tag != wakeEvent {
+						sigs[o.x].remove(p)
+						val = 0
+					}
+					tr.log(r.now, i, pc, val)
+					pc++
+				} // opGet looks at the queue again
+			}
+			for ; pc < len(ops); pc++ {
+				o, val := ops[pc], 0
+				switch o.kind {
+				case opSleep:
+					r.schedule(p, r.now+o.d, wakeTimer, nil)
+					blocked = true
+					return
+				case opAfter:
+					r.schedule(nil, r.now+o.d, 0, timer(o.x))
+				case opAfterPut:
+					r.schedule(nil, r.now+o.d, 0, func() { qs[o.x].put(i) })
+				case opGet:
+					q := qs[o.x]
+					if len(q.items) == 0 {
+						q.ready.waiters = append(q.ready.waiters, p)
+						blocked = true
+						return
+					}
+					val, q.items = q.items[0], q.items[1:]
+					if len(q.items) > 0 {
+						q.ready.notify(1)
+					}
+				case opWaitSig:
+					sigs[o.x].waiters = append(sigs[o.x].waiters, p)
+					r.schedule(p, r.now+o.d, wakeTimer, nil)
+					blocked = true
+					return
+				case opNotify:
+					sigs[o.x].notify(len(sigs[o.x].waiters))
+				case opKick:
+					daemons[o.x].kick(r)
+				case opStop:
+					r.stopped = true
+				}
+				tr.log(r.now, i, pc, val)
+			}
+		}
+		r.schedule(p, r.now, wakeStart, nil)
+	}
+	point := func(ran int) {
+		next, pending := r.nextEventTime()
+		tr.Points = append(tr.Points, checkpoint{ran, len(tr.Log), r.now, r.skipped, r.seq, r.dispatched, r.jumps, next, pending})
+	}
+	point(0)
+	for _, s := range pr.driver {
+		if s.inject {
+			r.schedule(nil, r.now+s.d, 0, timer(0))
+		}
+		next, pending := r.nextEventTime()
+		point(r.runUntil(s.limitFor(r.now, next, pending)))
+	}
+	point(r.runUntil(maxTime))
+	point(r.runUntil(maxTime))
+	return tr, r
+}
+
+// scheduleCoverage counts, over the programs checked, the cases they are there
+// to produce.
+type scheduleCoverage struct {
+	programs, dispatches, taken, stale, jumps uint64
+}
+
+// checkSchedule runs the program data encodes on k twice, a Reset before each
+// run, and on the reference, and fails on the first difference.
+func checkSchedule(t *testing.T, k *Kernel, data []byte, cov *scheduleCoverage) {
+	t.Helper()
+	pr := newProgram(data)
+	want, r := runOnReference(pr)
+	for run := 0; run < 2; run++ {
+		k.Reset(1)
+		got := runOnKernel(k, pr)
+		for i := range want.Points {
+			if got.Points[i] != want.Points[i] {
+				t.Fatalf("run %d of %x: after driver step %d of %+v\nkernel    %+v\nreference %+v", run, data, i, pr.driver, got.Points[i], want.Points[i])
+			}
+		}
+		if !reflect.DeepEqual(got.Log, want.Log) {
+			t.Fatalf("run %d of %x: dispatch log\nkernel    %v\nreference %v", run, data, got.Log, want.Log)
+		}
+	}
+	cov.programs++
+	cov.dispatches += r.dispatched
+	cov.taken += k.seq - k.Queued()
+	cov.stale += r.stale
+	cov.jumps += r.jumps
+}
+
+// TestKernelScheduleMatchesOneQueue checks 2 500 seeded random programs on one
+// kernel, so each also runs over what the one before left parked, armed and
+// stale.
+func TestKernelScheduleMatchesOneQueue(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	rng := rand.New(rand.NewSource(24))
+	var cov scheduleCoverage
+	data := make([]byte, 320)
+	for i := 0; i < 2500; i++ {
+		rng.Read(data)
+		checkSchedule(t, k, data[:rng.Intn(len(data)+1)], &cov)
+	}
+	t.Logf("%+v", cov)
+	if cov.dispatches < 10*cov.programs || cov.taken < cov.programs || 2*cov.stale < cov.programs || 2*cov.jumps < cov.programs {
+		t.Fatalf("the programs no longer cover what they are for: %+v", cov)
+	}
+}
+
+// FuzzKernelSchedule is the same check on the fuzzer's programs.
+func FuzzKernelSchedule(f *testing.F) {
+	f.Add([]byte{}) // one process, one Sleep(0); testdata/fuzz holds a full-sized program
+	f.Fuzz(func(t *testing.T, data []byte) {
+		k := NewKernel(1)
+		defer k.Close()
+		checkSchedule(t, k, data, &scheduleCoverage{})
+	})
+}

@@ -42,24 +42,19 @@ func (k *Kernel) pushTimer(d Time, s timerSlot) {
 		i = int32(len(k.tslots))
 		k.tslots = append(k.tslots, s) // slot-table growth is amortized, bounded by peak armed timers
 	}
-	k.seq++
-	a := activation{at: k.now + d, seq: k.seq, epoch: uint64(i)}
-	if d == 0 {
-		k.nowQ.Push(a)
-	} else {
-		k.future.push(a)
-	}
+	k.place(k.now+d, nil, uint64(i), 0)
 }
 
-// fire delivers the timer whose activation the caller just popped and
-// vacates its slot first, so a callback that arms a timer may reuse it.
-func (k *Kernel) fire(a activation) {
-	k.now = a.at
+// fire delivers the timer in slot i at its instant at — the caller has just
+// popped its activation — and vacates the slot first, so a callback that arms
+// a timer may reuse it.
+func (k *Kernel) fire(at Time, i int32) {
+	k.now = at
 	k.dispatched++
-	s := &k.tslots[a.epoch]
+	s := &k.tslots[i]
 	fn, q, msg := s.fn, s.q, s.msg
 	*s = timerSlot{next: k.tfree}
-	k.tfree = int32(a.epoch)
+	k.tfree = i
 	if fn != nil {
 		fn()
 	} else {

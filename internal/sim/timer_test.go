@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -225,11 +226,24 @@ type refEntry struct {
 	msg any
 }
 
-func (a refEntry) lessThan(b refEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// refHeap orders the reference service's entries by (deadline, registration
+// sequence) through container/heap.
+type refHeap []refEntry
+
+func (h refHeap) Len() int      { return len(h) }
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
 	}
-	return a.seq < b.seq
+	return h[i].seq < h[j].seq
+}
+func (h *refHeap) Push(x any) { *h = append(*h, x.(refEntry)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
 }
 
 // coroTimers is the timer service written as a process over its own heap: a
@@ -238,7 +252,7 @@ func (a refEntry) lessThan(b refEntry) bool {
 // timer service owes its callers whatever its mechanism.
 type coroTimers struct {
 	k       *Kernel
-	heap    heap4[refEntry]
+	heap    refHeap
 	seq     uint64
 	kick    *Signal
 	kicked  bool
@@ -258,7 +272,7 @@ func (t *coroTimers) push(d Time, e refEntry) {
 	t.seq++
 	e.at = t.k.now + d
 	e.seq = t.seq
-	t.heap.push(e)
+	heap.Push(&t.heap, e)
 	if !t.started {
 		t.started = true
 		t.k.Go("sim-timers", t.run)
@@ -270,9 +284,8 @@ func (t *coroTimers) push(d Time, e refEntry) {
 
 func (t *coroTimers) run(p *Proc) {
 	for {
-		for t.heap.len() > 0 && t.heap.peek().at <= p.Now() {
-			e := t.heap.peek()
-			t.heap.drop()
+		for len(t.heap) > 0 && t.heap[0].at <= p.Now() {
+			e := heap.Pop(&t.heap).(refEntry)
 			if e.fn != nil {
 				e.fn()
 			} else {
@@ -283,11 +296,11 @@ func (t *coroTimers) run(p *Proc) {
 			t.kicked = false
 			continue
 		}
-		if t.heap.len() == 0 {
+		if len(t.heap) == 0 {
 			p.WaitSignal(t.kick)
 			continue
 		}
-		p.WaitSignalTimeout(t.kick, t.heap.peek().at-p.Now())
+		p.WaitSignalTimeout(t.kick, t.heap[0].at-p.Now())
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // counters that only matter at this scale (the stream's inter-arrival gaps
 // dwarf its service times, so most of the virtual timeline is skipped).
 type megaResult struct {
-	Events, Resumes, FFJumps uint64
-	EndTime, FFSkipped       sim.Time
+	Events, Resumes, Queued, FFJumps uint64
+	EndTime, FFSkipped               sim.Time
 }
 
 // runMega drives the repo benchmark's node_mega shape — requests Gaussian
@@ -45,7 +45,7 @@ func runMega(t *testing.T, seed int64, requests int) megaResult {
 	}
 	jumps, skipped := c.FastForwards()
 	return megaResult{
-		Events: c.Dispatched(), Resumes: c.Resumes(), FFJumps: jumps,
+		Events: c.Dispatched(), Resumes: c.Resumes(), Queued: c.K.Queued(), FFJumps: jumps,
 		EndTime: r.EndTime, FFSkipped: skipped,
 	}
 }
