@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/workload"
 )
@@ -39,7 +40,7 @@ func main() {
 	nodes := flag.Int("nodes", 1, "number of nodes (1 = 2 GPUs, 2 = 4-GPU supernode)")
 	lambda := flag.Float64("lambda", 0.6, "mean inter-arrival as a fraction of solo runtime")
 	styleArg := flag.String("style", "sync", "application style: sync, pipelined, multithread")
-	memGuard := flag.Bool("memguard", false, "enable memory-pressure admission control (Strings)")
+	memGuard := flag.Bool("memguard", false, "memory-pressure admission control: cudaMalloc waits for capacity instead of failing (every mode)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
 
@@ -56,10 +57,10 @@ func main() {
 	}
 
 	cfg := core.Config{
-		Seed:        *seed,
-		Balance:     *balance,
-		DevPolicy:   *dev,
-		MemoryGuard: *memGuard,
+		Seed:      *seed,
+		Balance:   *balance,
+		DevPolicy: *dev,
+		CUDA:      cuda.Config{BlockOnOOM: *memGuard},
 	}
 	switch strings.ToLower(*mode) {
 	case "cuda":

@@ -47,16 +47,20 @@ func run(balance string) (*core.RunResult, *core.Cluster) {
 
 func main() {
 	base, cluster := run("GRR")
+	// The DST's (GID, Node, LocalDev) columns are the paper's gMap (Fig. 4).
+	dst := cluster.Mapper().DST()
 	fmt.Println("gPool of the emulated supernode (two nodes, four GPUs):")
-	fmt.Print(cluster.GMap().String())
+	fmt.Println("gid (nid, lid)")
+	for _, e := range dst.Entries() {
+		fmt.Printf("%3d  (%d, %d)  %s\n", e.GID, e.Node, e.LocalDev, e.Name)
+	}
 	fmt.Println()
 
 	fmt.Println("Per-device work under GRR (HI stream at node 0, MC stream at node 1):")
 	for gid, d := range cluster.Devices() {
 		st := d.Stats()
-		entry, _ := cluster.GMap().Lookup(balancer.GID(gid))
 		fmt.Printf("  GID %d (%s, node %d): %3d kernels, %3d copies\n",
-			gid, d.Spec().Name, entry.Node, st.KernelsDone, st.CopiesDone)
+			gid, d.Spec().Name, dst.Entry(balancer.GID(gid)).Node, st.KernelsDone, st.CopiesDone)
 	}
 	fmt.Println()
 

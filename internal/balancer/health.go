@@ -64,8 +64,8 @@ func (d *DST) MarkRecovered(gid GID) {
 	e.Health = Healthy
 }
 
-// MarkDead forces the row Dead (used when the fault is known out-of-band,
-// e.g. the gPool Creator removed the node).
+// MarkDead forces the row Dead: a destroyed slice's row stays in the table,
+// resolvable, and policies skip it like any other dead device.
 func (d *DST) MarkDead(gid GID) {
 	if e := d.Entry(gid); e != nil {
 		e.Health = Dead

@@ -92,11 +92,10 @@ func (m *Mapper) auditStart(now sim.Time, req Request) trace.Decision {
 // partitionable device the requested profile should be carved from. ok is
 // false when no eligible device currently fits the profile — the caller
 // parks the tenant until capacity frees and retries. The mapper neither
-// carves nor binds here: the placement layer owns the carve (gpu.Partition
-// + DST.CarveCapacity + the new slice row) so the two ledgers stay
-// reconciled in one place. Every attempt — including a no-fit parking —
-// is decision-audited when a recorder is installed (Picked −1 means
-// parked).
+// carves nor binds here: the placement layer owns the carve
+// (DST.CarveCapacity and the new slice row). Every attempt — including a
+// no-fit parking — is decision-audited when a recorder is installed
+// (Picked −1 means parked).
 func (m *Mapper) SelectSliceAt(now sim.Time, req Request) (GID, bool) {
 	anyFit := false
 	for _, e := range m.dst.Entries() {

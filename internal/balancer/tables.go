@@ -61,10 +61,11 @@ type SliceShape struct {
 	Mem  int64
 }
 
-// DST is the Device Status Table. Rows are GID-stable: lookups go through a
-// gid→index map, so removing or retiring a middle row never shifts the rows
-// behind it (the gMap promises rows are never renumbered, and slice rows
-// retire while later rows live on).
+// DST is the Device Status Table and the gPool's only per-GPU table: a
+// row's (GID, Node, LocalDev) columns are the paper's gMap. Rows are
+// GID-stable: lookups go through a gid→index map, so a retired middle row
+// never shifts the rows behind it (rows are never renumbered, and slice
+// rows retire while later rows live on).
 type DST struct {
 	entries []*DSTEntry
 	byGID   map[GID]int
@@ -72,12 +73,8 @@ type DST struct {
 	// UnbindClamps counts Unbind calls that would have driven Load or a
 	// kind count negative — each one is a double-unbind (or unbind of a
 	// never-bound kind) somewhere upstream. The old code clamped silently;
-	// the counter makes the accounting bug observable, and PanicOnClamp
-	// turns it into a crash for debugging.
+	// the counter makes the accounting bug observable.
 	UnbindClamps int
-
-	// PanicOnClamp makes Unbind panic instead of counting a clamp.
-	PanicOnClamp bool
 }
 
 // NewDST builds the table from per-device rows. Ownership of the rows
@@ -129,11 +126,6 @@ func (d *DST) Entry(gid GID) *DSTEntry {
 	return nil
 }
 
-// Retire marks a row permanently Dead — used when a carved slice is
-// destroyed. The row stays in the table (GID-stable history for audits);
-// policies skip it like any other dead device.
-func (d *DST) Retire(gid GID) { d.MarkDead(gid) }
-
 // Bind records an application of the given class binding to gid.
 func (d *DST) Bind(gid GID, kind string) {
 	if e := d.Entry(gid); e != nil {
@@ -144,8 +136,7 @@ func (d *DST) Bind(gid GID, kind string) {
 
 // Unbind removes a binding. An Unbind that finds nothing to remove — Load
 // already zero, or no binding of that kind — is a double-unbind accounting
-// bug upstream: it is counted in UnbindClamps (or panics under
-// PanicOnClamp) rather than silently clamped.
+// bug upstream: it is counted in UnbindClamps rather than silently clamped.
 func (d *DST) Unbind(gid GID, kind string) {
 	e := d.Entry(gid)
 	if e == nil {
@@ -154,7 +145,7 @@ func (d *DST) Unbind(gid GID, kind string) {
 	if e.Load > 0 {
 		e.Load--
 	} else {
-		d.clamp(gid, kind, "load already zero")
+		d.UnbindClamps++
 	}
 	if e.BoundKinds[kind] > 0 {
 		e.BoundKinds[kind]--
@@ -162,20 +153,13 @@ func (d *DST) Unbind(gid GID, kind string) {
 			delete(e.BoundKinds, kind)
 		}
 	} else {
-		d.clamp(gid, kind, "kind not bound")
+		d.UnbindClamps++
 	}
-}
-
-func (d *DST) clamp(gid GID, kind, why string) {
-	if d.PanicOnClamp {
-		panic(fmt.Sprintf("balancer: unbind clamp on gid %d kind %q: %s", gid, kind, why))
-	}
-	d.UnbindClamps++
 }
 
 // CarveCapacity deducts a slice's demand from a partitionable row's free
-// capacity. Over-carving is a placement-layer bug and panics outright — the
-// DST's view must stay reconcilable with the device-side gpu.Partition.
+// capacity. The row is the device's only capacity ledger: over-carving is
+// a placement-layer bug and panics outright.
 func (d *DST) CarveCapacity(gid GID, frac int, mem int64) {
 	e := d.Entry(gid)
 	if e == nil || !e.Partitionable {

@@ -26,11 +26,7 @@ type stringsBackend struct {
 // newStringsBackend spawns the backend daemon for the device with the given
 // GID, on the device's environment kernel.
 func newStringsBackend(c *Cluster, e *shardEnv, gid int) *stringsBackend {
-	cudaCfg := c.cfg.CUDA
-	if c.cfg.MemoryGuard {
-		cudaCfg.BlockOnOOM = true
-	}
-	rt := cuda.NewRuntime(e.k, []*gpu.Device{c.devices[gid]}, cudaCfg)
+	rt := cuda.NewRuntime(e.k, []*gpu.Device{c.devices[gid]}, c.cfg.CUDA)
 	b := &stringsBackend{
 		c:     c,
 		gid:   gid,

@@ -1,5 +1,5 @@
 // Package core assembles the complete Strings runtime over the simulated
-// cluster: nodes with their GPUs, the gPool and gMap, the GPU Affinity
+// cluster: nodes with their GPUs, the gPool (the DST), the GPU Affinity
 // Mapper service, per-GPU backend processes with the Context Packer and the
 // device-level GPU Scheduler (Design III), and the two baselines the paper
 // evaluates against — the bare CUDA runtime (static provisioning) and Rain
@@ -16,7 +16,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/interpose"
 	"repro/internal/packer"
-	"repro/internal/remoting"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 	"repro/internal/sim/shard"
@@ -93,12 +92,6 @@ type Config struct {
 	// internal/trace). Nil disables tracing with zero overhead.
 	Recorder *trace.Recorder
 
-	// MemoryGuard enables memory-pressure admission control in the Strings
-	// backends: an application whose allocation would exceed device memory
-	// waits for capacity instead of failing, removing the paper's
-	// assumption that the arrival rate never exhausts device memory.
-	MemoryGuard bool
-
 	// Faults schedules deterministic backend failures (kill/stall/degrade a
 	// node or GPU at a virtual time). The zero plan injects nothing and
 	// adds zero events. Ignored in ModeCUDA (there is no remoting layer to
@@ -147,7 +140,6 @@ type Cluster struct {
 	K   *sim.Kernel
 	cfg Config
 
-	gmap    *remoting.GMap
 	mapper  *balancer.Mapper
 	mapQ    *sim.Queue[mapperMsg]
 	devices []*gpu.Device // indexed by GID
@@ -172,7 +164,7 @@ type Cluster struct {
 	stallUntil []sim.Time
 	degrade    []float64
 
-	// Slice-placement ledger (see slices.go); inert unless the fleet has
+	// Slice-placement tenant state (see slices.go); inert unless the fleet has
 	// partitionable devices and a run declares slice streams.
 	sl sliceState
 }
@@ -237,6 +229,11 @@ func New(cfg Config) (*Cluster, error) {
 		if len(node.Devices) == 0 {
 			return nil, fmt.Errorf("core: node %d has no devices", n)
 		}
+		for i, spec := range node.Devices {
+			if err := spec.CheckSlices(); err != nil {
+				return nil, fmt.Errorf("core: node %d device %d: %w", n, i, err)
+			}
+		}
 	}
 	c := &Cluster{cfg: cfg}
 	var pol balancer.Policy
@@ -257,28 +254,34 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.buildEnvs()
 
-	// Physical devices and the gPool. Each device lives on its node's
-	// kernel.
-	var infos []remoting.NodeInfo
+	// Physical devices, each on its node's kernel.
 	for n, node := range cfg.Nodes {
 		var devs []*gpu.Device
 		for _, spec := range node.Devices {
 			devs = append(devs, c.addDevice(c.nodes[n].e, spec))
 		}
 		c.nodeDev = append(c.nodeDev, devs)
-		infos = append(infos, remoting.NodeInfo{
-			Node: n, Addr: fmt.Sprintf("10.1.%d.2", n), Devices: node.Devices,
-		})
 	}
-	c.gmap = remoting.BuildGMap(infos)
-	c.initSlices()
 
 	if cfg.Mode == ModeCUDA {
 		return c, nil
 	}
 
+	// The gPool Creator: one DST row per device, GIDs in node order. The
+	// rows' (GID, Node, LocalDev) columns are the paper's gMap.
+	rows := make([]*balancer.DSTEntry, 0, len(c.devices))
+	for n, devs := range c.nodeDev {
+		for i, d := range devs {
+			row := dstRow(balancer.GID(len(rows)), n, i, d.Spec())
+			if row.Partitionable {
+				c.sl.numPart++
+			}
+			rows = append(rows, row)
+		}
+	}
+
 	// Affinity mapper service.
-	c.mapper = balancer.NewMapper(c.gmap.DST(), pol)
+	c.mapper = balancer.NewMapper(balancer.NewDST(rows), pol)
 	c.mapper.SetRecorder(cfg.Recorder)
 	c.mapQ = sim.NewQueue[mapperMsg](c.K)
 	c.K.Go("affinity-mapper", c.mapperLoop)
@@ -288,6 +291,25 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	faults.Start(c.K, cfg.Faults, c)
 	return c, nil
+}
+
+// dstRow is the gPool Creator's row for one device: its location, its
+// capability weights and, when it is partitionable, its whole capacity and
+// slice shapes. spec is the device's normalized spec.
+func dstRow(gid balancer.GID, node, local int, spec gpu.Spec) *balancer.DSTEntry {
+	row := &balancer.DSTEntry{
+		GID: gid, Node: node, LocalDev: local, Name: spec.Name,
+		Weight: spec.Weight, ComputeRate: spec.ComputeRate, MemBandwidth: spec.MemBandwidth,
+	}
+	if spec.Partitionable() {
+		row.Partitionable = true
+		row.TotalFrac, row.FreeFrac = gpu.SliceFractions, gpu.SliceFractions
+		row.TotalMem, row.FreeMem = spec.MemBytes, spec.MemBytes
+		for _, p := range spec.SliceProfiles {
+			row.Shapes = append(row.Shapes, balancer.SliceShape{Name: p.Name, Frac: p.Frac, Mem: p.MemBytes})
+		}
+	}
+	return row
 }
 
 // addDevice creates the device for the next gPool row on e's kernel, with
@@ -359,9 +381,6 @@ func devPolicyFactory(cfg Config) (func() devsched.Policy, error) {
 	}
 }
 
-// GMap returns the gPool's device map.
-func (c *Cluster) GMap() *remoting.GMap { return c.gmap }
-
 // Mapper returns the affinity mapper (nil in ModeCUDA).
 func (c *Cluster) Mapper() *balancer.Mapper { return c.mapper }
 
@@ -406,13 +425,7 @@ func (c *Cluster) mapperLoop(p *sim.Proc) {
 		pend = append(pend[:best], pend[best+1:]...)
 		switch {
 		case m.fail:
-			h := c.mapper.ReportFailure(m.hGID)
-			if h == balancer.Dead {
-				// The detector gave up on the device: take it out of the
-				// gPool too, so the alive view and the DST agree.
-				c.gmap.MarkDead(m.hGID)
-			}
-			m.hOut.h = h
+			m.hOut.h = c.mapper.ReportFailure(m.hGID)
 			c.reply(m)
 		case m.recovered:
 			c.mapper.ReportRecovered(m.hGID)

@@ -87,7 +87,7 @@ func (f *nodeFabric) SelectGPU(p *sim.Proc, req balancer.Request) balancer.GID {
 func (f *nodeFabric) ConnectBackend(p *sim.Proc, gid balancer.GID, _ int) rpcproto.Endpoint {
 	c, e, oe := f.c, f.e, f.c.devEnv[gid]
 	link := c.cfg.LocalLink
-	if entry, ok := c.gmap.Lookup(gid); ok && entry.Node != f.node {
+	if c.mapper.DST().Entry(gid).Node != f.node {
 		link = c.cfg.RemoteLink
 	}
 	if oe == e {
@@ -134,5 +134,6 @@ func (f *nodeFabric) ReportRecovered(gid balancer.GID) {
 	f.toMapper(mapperMsg{recovered: true, hGID: gid})
 }
 
-// PoolSize implements interpose.Fabric.
-func (f *nodeFabric) PoolSize() int { return f.c.gmap.Len() }
+// PoolSize implements interpose.Fabric: every DST row, retired slices
+// included.
+func (f *nodeFabric) PoolSize() int { return f.c.mapper.DST().Len() }

@@ -19,9 +19,10 @@ func (c *Cluster) KillGPU(gid int) {
 	c.gpuDown[gid] = true
 }
 
-// KillNode implements faults.Target: every GPU on the node dies.
+// KillNode implements faults.Target: every GPU on the node dies, carved
+// slices included (a slice row carries its parent's node).
 func (c *Cluster) KillNode(node int) {
-	for _, e := range c.gmap.Entries() {
+	for _, e := range c.mapper.DST().Entries() {
 		if e.Node == node {
 			c.KillGPU(int(e.GID))
 		}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -46,7 +47,7 @@ func TestWithoutMemoryGuardBurstOOMs(t *testing.T) {
 
 func TestMemoryGuardAdmitsBurst(t *testing.T) {
 	c, err := New(Config{Seed: 2, Nodes: tinyGPU(), Mode: ModeStrings,
-		Balance: "GRR", MemoryGuard: true})
+		Balance: "GRR", CUDA: cuda.Config{BlockOnOOM: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestMemoryGuardAdmitsBurst(t *testing.T) {
 func TestMemoryGuardPreservesThroughputWhenUncontended(t *testing.T) {
 	run := func(guard bool) sim.Time {
 		cfg := Config{Seed: 3, Nodes: twoGPUNode(), Mode: ModeStrings,
-			Balance: "GMin", MemoryGuard: guard}
+			Balance: "GMin", CUDA: cuda.Config{BlockOnOOM: guard}}
 		r := mustRun(t, cfg, gaStream(4))
 		return r.AvgCompletion(workload.Gaussian)
 	}

@@ -23,11 +23,9 @@ import (
 // service process, so slice runs are exactly as deterministic as
 // whole-device ones. Fleets without slice streams never touch any of this.
 
-// sliceState is the placement ledger the mapper service owns. Nil until a
-// run declares slice streams.
+// sliceState is the tenant ledger the mapper service owns; capacity lives in
+// the DST rows alone. Nil until a run declares slice streams.
 type sliceState struct {
-	parts []*gpu.Partition // per physical GID; nil rows are not partitionable
-
 	tenantProfile map[int64]gpu.SliceProfile
 	tenantGID     map[int64]balancer.GID // tenant → live slice row
 	tenantExpect  map[int64]int          // total requests the tenant will send
@@ -35,34 +33,13 @@ type sliceState struct {
 	tenantAsk     map[int64]sim.Time     // first placement attempt (admission wait)
 
 	sliceTenant map[balancer.GID]int64 // live slice row → tenant
-	slicePart   map[balancer.GID]int   // live slice row → partition-local id
 
 	parked []mapperMsg // FIFO of selection requests awaiting capacity
 
 	// Time-weighted stranded-capacity integral (see strandedTick).
 	strandedAt  sim.Time
 	strandedInt float64
-	numPart     int
-}
-
-// initSlices builds the per-device partition ledgers. Called once from New;
-// cheap no-op for fleets with no partitionable specs.
-func (c *Cluster) initSlices() {
-	for gid, d := range c.devices {
-		spec := d.Spec()
-		if !spec.Partitionable() {
-			c.sl.parts = append(c.sl.parts, nil)
-			continue
-		}
-		pt, err := gpu.NewPartition(spec)
-		if err != nil {
-			// Specs were validated by NewDevice already; a bad profile
-			// table is a configuration bug.
-			panic(fmt.Sprintf("core: gid %d: %v", gid, err))
-		}
-		c.sl.parts = append(c.sl.parts, pt)
-		c.sl.numPart++
-	}
+	numPart     int // partitionable DST rows (0 in ModeCUDA: no DST)
 }
 
 // prepareSlices validates slice streams and builds the tenant ledgers.
@@ -86,7 +63,6 @@ func (c *Cluster) prepareSlices(streams []workload.StreamSpec) error {
 			c.sl.tenantServed = make(map[int64]int)
 			c.sl.tenantAsk = make(map[int64]sim.Time)
 			c.sl.sliceTenant = make(map[balancer.GID]int64)
-			c.sl.slicePart = make(map[balancer.GID]int)
 		}
 		if prev, ok := c.sl.tenantProfile[s.Tenant]; ok && prev.Name != s.SliceProfile {
 			return fmt.Errorf("core: tenant %d asks for profiles %q and %q",
@@ -101,11 +77,8 @@ func (c *Cluster) prepareSlices(streams []workload.StreamSpec) error {
 // findProfile resolves a profile name against the fleet's partitionable
 // devices (first match in GID order).
 func (c *Cluster) findProfile(name string) (gpu.SliceProfile, bool) {
-	for _, pt := range c.sl.parts {
-		if pt == nil {
-			continue
-		}
-		if p, ok := pt.Spec().ProfileByName(name); ok {
+	for _, d := range c.devices {
+		if p, ok := d.Spec().ProfileByName(name); ok {
 			return p, true
 		}
 	}
@@ -162,34 +135,23 @@ func (c *Cluster) placeSlice(p *sim.Proc, req balancer.Request) (balancer.GID, b
 	return gid, true
 }
 
-// carveSlice materializes one slice: partition ledger, gMap row, a fresh
-// device with scheduler and backend, and the DST's capacity accounting.
+// carveSlice materializes one slice: the parent row's capacity, a fresh
+// device with scheduler and backend, and the slice's own DST row at the
+// parent's location.
 func (c *Cluster) carveSlice(p *sim.Proc, parent balancer.GID, req balancer.Request) balancer.GID {
 	c.strandedTick(p.Now())
-	pt := c.sl.parts[parent]
-	sid, spec, err := pt.Carve(req.SliceProfile)
-	if err != nil {
-		// The DST said it fits; the partition disagreeing means the two
-		// ledgers diverged — a bug, not a runtime condition.
-		panic(fmt.Sprintf("core: carve reconciliation failure on gid %d: %v", parent, err))
-	}
-	gid, err := c.gmap.AddSlice(parent, sid, req.SliceProfile, spec)
-	if err != nil {
-		panic(fmt.Sprintf("core: %v", err))
-	}
+	dst := c.mapper.DST()
+	dst.CarveCapacity(parent, req.SliceFrac, req.SliceMem)
+	spec := c.devices[parent].Spec().Slice(c.sl.tenantProfile[req.Tenant])
+	gid := balancer.GID(len(c.devices))
 	// The slice lives on its parent device's kernel.
 	c.addDevice(c.devEnv[parent], spec)
 	c.serveDevice(int(gid))
 
-	pe, _ := c.gmap.Lookup(parent)
-	c.mapper.DST().AddRow(&balancer.DSTEntry{
-		GID: gid, Node: pe.Node, LocalDev: pe.LocalDev, Name: spec.Name,
-		Weight: spec.Weight, ComputeRate: spec.ComputeRate,
-		MemBandwidth: spec.MemBandwidth,
-		IsSlice:      true, Parent: parent, Profile: req.SliceProfile,
-	})
-	c.mapper.DST().CarveCapacity(parent, req.SliceFrac, req.SliceMem)
-	c.sl.slicePart[gid] = sid
+	pe := dst.Entry(parent)
+	row := dstRow(gid, pe.Node, pe.LocalDev, spec)
+	row.IsSlice, row.Parent, row.Profile = true, parent, req.SliceProfile
+	dst.AddRow(row)
 	return gid
 }
 
@@ -210,21 +172,16 @@ func (c *Cluster) noteSliceRelease(p *sim.Proc, gid balancer.GID) {
 	c.admitParked(p)
 }
 
-// destroySlice retires the slice row everywhere and returns its capacity.
+// destroySlice marks the slice row dead and returns its capacity to the
+// parent row.
 func (c *Cluster) destroySlice(p *sim.Proc, gid balancer.GID, tenant int64) {
 	c.strandedTick(p.Now())
-	e := c.mapper.DST().Entry(gid)
-	parent := e.Parent
+	dst := c.mapper.DST()
 	prof := c.sl.tenantProfile[tenant]
-	if err := c.sl.parts[parent].Release(c.sl.slicePart[gid]); err != nil {
-		panic(fmt.Sprintf("core: slice release reconciliation failure: %v", err))
-	}
-	c.mapper.DST().ReturnCapacity(parent, prof.Frac, prof.MemBytes)
-	c.mapper.DST().Retire(gid)
-	c.gmap.RetireSlice(gid)
+	dst.ReturnCapacity(dst.Entry(gid).Parent, prof.Frac, prof.MemBytes)
+	dst.MarkDead(gid)
 	delete(c.sl.tenantGID, tenant)
 	delete(c.sl.sliceTenant, gid)
-	delete(c.sl.slicePart, gid)
 	c.result().SliceReleases++
 }
 
@@ -255,7 +212,7 @@ func (c *Cluster) admitParked(p *sim.Proc) {
 // the share of slice profiles it cannot serve, the exact measure the Frag
 // policy descends.
 func (c *Cluster) strandedTick(now sim.Time) {
-	if c.sl.numPart == 0 || c.mapper == nil {
+	if c.sl.numPart == 0 {
 		return
 	}
 	if now > c.sl.strandedAt {
@@ -277,7 +234,7 @@ func (c *Cluster) strandedFrac() float64 {
 
 // closeStranded finalizes the integral at the end of a run.
 func (c *Cluster) closeStranded(end sim.Time) {
-	if c.sl.numPart == 0 || c.mapper == nil {
+	if c.sl.numPart == 0 {
 		return
 	}
 	c.strandedTick(end)

@@ -18,8 +18,7 @@ import (
 // balancing and context packing.
 //
 // Every series runs with cudaMalloc waiting for device memory instead of
-// failing (the runtime-level switch behind core.Config.MemoryGuard, which by
-// itself reaches only the Strings backends). A pipelined application holds two
+// failing (cuda.Config.BlockOnOOM, strings-run's -memguard). A pipelined application holds two
 // staging buffers, so on the bare runtime, where every request lands on the
 // 1 GiB Quadro 2000, the ninth concurrent MC request does not fit; the paper
 // assumes the arrival rate never gets there, and the default 12 requests a

@@ -87,92 +87,15 @@ func (s Spec) Slice(p SliceProfile) Spec {
 	return out
 }
 
-// CarvedSlice is one live slice on a Partition.
-type CarvedSlice struct {
-	ID      int
-	Profile SliceProfile
-}
-
-// Partition is the reconfiguration ledger of one partitionable device: it
-// tracks the compute sevenths and memory bytes consumed by live slices and
-// enforces the carve invariants (never over-commit either dimension;
-// releasing a slice returns exactly what it carved). The placement layer
-// keeps its own capacity view in the DST; the Partition is the device-side
-// source of truth the two are reconciled against.
-type Partition struct {
-	spec     Spec
-	freeFrac int
-	freeMem  int64
-	carved   []CarvedSlice // live slices in carve order
-	nextID   int
-}
-
-// NewPartition creates the ledger for a partitionable spec.
-func NewPartition(spec Spec) (*Partition, error) {
-	n := spec.normalized()
-	n.SliceProfiles = spec.SliceProfiles
-	if !n.Partitionable() {
-		return nil, fmt.Errorf("gpu: %s is not partitionable (no slice profiles)", n.Name)
-	}
-	for _, p := range n.SliceProfiles {
-		if p.Frac < 1 || p.Frac > SliceFractions || p.MemBytes <= 0 || p.MemBytes > n.MemBytes {
-			return nil, fmt.Errorf("gpu: %s: invalid slice profile %+v", n.Name, p)
+// CheckSlices validates the profile table against the device it carves:
+// every profile takes 1..7 sevenths and a positive share of memory no
+// larger than the (normalized) device's.
+func (s Spec) CheckSlices() error {
+	mem := s.normalized().MemBytes
+	for _, p := range s.SliceProfiles {
+		if p.Frac < 1 || p.Frac > SliceFractions || p.MemBytes <= 0 || p.MemBytes > mem {
+			return fmt.Errorf("gpu: %s: invalid slice profile %+v", s.Name, p)
 		}
 	}
-	return &Partition{spec: n, freeFrac: SliceFractions, freeMem: n.MemBytes}, nil
-}
-
-// Spec returns the parent spec (normalized, profiles attached).
-func (pt *Partition) Spec() Spec { return pt.spec }
-
-// FreeFrac returns the uncarved compute sevenths.
-func (pt *Partition) FreeFrac() int { return pt.freeFrac }
-
-// FreeMem returns the uncarved memory bytes.
-func (pt *Partition) FreeMem() int64 { return pt.freeMem }
-
-// Slices returns the live slices in carve order. Callers must not mutate
-// the returned slice.
-func (pt *Partition) Slices() []CarvedSlice { return pt.carved }
-
-// Fits reports whether a profile can be carved right now.
-func (pt *Partition) Fits(p SliceProfile) bool {
-	return p.Frac <= pt.freeFrac && p.MemBytes <= pt.freeMem
-}
-
-// Carve reserves capacity for the named profile and returns the slice's id
-// and device spec. It fails — leaving the ledger untouched — when the
-// profile is unknown or either dimension would over-commit.
-func (pt *Partition) Carve(name string) (int, Spec, error) {
-	p, ok := pt.spec.ProfileByName(name)
-	if !ok {
-		return 0, Spec{}, fmt.Errorf("gpu: %s: unknown slice profile %q", pt.spec.Name, name)
-	}
-	if !pt.Fits(p) {
-		return 0, Spec{}, fmt.Errorf("gpu: %s: profile %s does not fit (%d/7 compute, %d bytes free)",
-			pt.spec.Name, name, pt.freeFrac, pt.freeMem)
-	}
-	pt.freeFrac -= p.Frac
-	pt.freeMem -= p.MemBytes
-	id := pt.nextID
-	pt.nextID++
-	pt.carved = append(pt.carved, CarvedSlice{ID: id, Profile: p})
-	return id, pt.spec.Slice(p), nil
-}
-
-// Release destroys a live slice, returning exactly the capacity it carved.
-func (pt *Partition) Release(id int) error {
-	for i, c := range pt.carved {
-		if c.ID == id {
-			pt.freeFrac += c.Profile.Frac
-			pt.freeMem += c.Profile.MemBytes
-			pt.carved = append(pt.carved[:i], pt.carved[i+1:]...)
-			if pt.freeFrac > SliceFractions || pt.freeMem > pt.spec.MemBytes {
-				panic(fmt.Sprintf("gpu: %s: slice release over-returned capacity (%d/7, %d bytes)",
-					pt.spec.Name, pt.freeFrac, pt.freeMem))
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("gpu: %s: release of unknown slice %d", pt.spec.Name, id)
+	return nil
 }

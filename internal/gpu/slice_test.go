@@ -1,8 +1,6 @@
 package gpu
 
 import (
-	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -77,149 +75,5 @@ func TestSliceSpecScaling(t *testing.T) {
 	k.Run()
 	if done <= 0 {
 		t.Fatal("kernel on slice device never completed")
-	}
-}
-
-func TestNewPartitionValidation(t *testing.T) {
-	if _, err := NewPartition(testSpec()); err == nil {
-		t.Fatal("want error for non-partitionable spec")
-	}
-	bad := testSpec()
-	bad.SliceProfiles = []SliceProfile{{Name: "x", Frac: 9, MemBytes: 1}}
-	if _, err := NewPartition(bad); err == nil {
-		t.Fatal("want error for out-of-range fraction")
-	}
-	bad.SliceProfiles = []SliceProfile{{Name: "x", Frac: 1, MemBytes: bad.MemBytes * 2}}
-	if _, err := NewPartition(bad); err == nil {
-		t.Fatal("want error for oversized profile memory")
-	}
-	pt, err := NewPartition(migSpec())
-	if err != nil {
-		t.Fatalf("NewPartition: %v", err)
-	}
-	if pt.FreeFrac() != SliceFractions || pt.FreeMem() != testSpec().MemBytes {
-		t.Fatalf("fresh partition free = %d/%d", pt.FreeFrac(), pt.FreeMem())
-	}
-	if !pt.Spec().Partitionable() {
-		t.Fatal("partition spec lost its profile table")
-	}
-}
-
-func TestPartitionCarveRelease(t *testing.T) {
-	pt, _ := NewPartition(migSpec())
-	id3, spec3, err := pt.Carve("3g")
-	if err != nil {
-		t.Fatalf("carve 3g: %v", err)
-	}
-	if !strings.HasSuffix(spec3.Name, "/3g") {
-		t.Fatalf("slice spec name %q", spec3.Name)
-	}
-	id4, _, err := pt.Carve("4g")
-	if err != nil {
-		t.Fatalf("carve 4g: %v", err)
-	}
-	if pt.FreeFrac() != 0 || pt.FreeMem() != 0 {
-		t.Fatalf("free after 3g+4g = %d/%d, want 0/0", pt.FreeFrac(), pt.FreeMem())
-	}
-	if _, _, err := pt.Carve("1g"); err == nil {
-		t.Fatal("carve into a full device must fail")
-	}
-	if _, _, err := pt.Carve("nope"); err == nil {
-		t.Fatal("unknown profile must fail")
-	}
-	if len(pt.Slices()) != 2 {
-		t.Fatalf("live slices = %d, want 2", len(pt.Slices()))
-	}
-	if err := pt.Release(id3); err != nil {
-		t.Fatalf("release: %v", err)
-	}
-	if pt.FreeFrac() != 3 || pt.FreeMem() != testSpec().MemBytes/2 {
-		t.Fatalf("free after releasing 3g = %d/%d", pt.FreeFrac(), pt.FreeMem())
-	}
-	if err := pt.Release(id3); err == nil {
-		t.Fatal("double release must fail")
-	}
-	if err := pt.Release(id4); err != nil {
-		t.Fatalf("release: %v", err)
-	}
-	if pt.FreeFrac() != SliceFractions || pt.FreeMem() != testSpec().MemBytes {
-		t.Fatalf("capacity did not fully return: %d/%d", pt.FreeFrac(), pt.FreeMem())
-	}
-}
-
-// TestPartitionInvariantsProperty drives a seeded random carve/release
-// schedule against a shadow ledger and checks, at every step, that the carved
-// totals never exceed the parent in either dimension and that each release
-// returns exactly the capacity its carve took.
-func TestPartitionInvariantsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	spec := migSpec()
-	names := []string{"1g", "2g", "3g", "4g", "7g"}
-	for trial := 0; trial < 50; trial++ {
-		pt, err := NewPartition(spec)
-		if err != nil {
-			t.Fatalf("NewPartition: %v", err)
-		}
-		type live struct {
-			id   int
-			prof SliceProfile
-		}
-		var lives []live
-		check := func(step int) {
-			t.Helper()
-			usedFrac, usedMem := 0, int64(0)
-			for _, l := range lives {
-				usedFrac += l.prof.Frac
-				usedMem += l.prof.MemBytes
-			}
-			if usedFrac > SliceFractions || usedMem > spec.MemBytes {
-				t.Fatalf("trial %d step %d: carved %d/7 frac, %d bytes exceeds parent",
-					trial, step, usedFrac, usedMem)
-			}
-			if pt.FreeFrac() != SliceFractions-usedFrac || pt.FreeMem() != spec.MemBytes-usedMem {
-				t.Fatalf("trial %d step %d: ledger free %d/%d, shadow says %d/%d",
-					trial, step, pt.FreeFrac(), pt.FreeMem(),
-					SliceFractions-usedFrac, spec.MemBytes-usedMem)
-			}
-			if len(pt.Slices()) != len(lives) {
-				t.Fatalf("trial %d step %d: %d live slices, shadow has %d",
-					trial, step, len(pt.Slices()), len(lives))
-			}
-		}
-		for step := 0; step < 200; step++ {
-			if rng.Intn(2) == 0 || len(lives) == 0 {
-				name := names[rng.Intn(len(names))]
-				p, _ := spec.ProfileByName(name)
-				fits := pt.Fits(p)
-				id, sl, err := pt.Carve(name)
-				if fits != (err == nil) {
-					t.Fatalf("trial %d step %d: Fits(%s)=%v but Carve err=%v",
-						trial, step, name, fits, err)
-				}
-				if err == nil {
-					if sl.MemBytes != p.MemBytes || sl.Partitionable() {
-						t.Fatalf("trial %d step %d: bad slice spec %+v", trial, step, sl)
-					}
-					lives = append(lives, live{id, p})
-				}
-			} else {
-				i := rng.Intn(len(lives))
-				if err := pt.Release(lives[i].id); err != nil {
-					t.Fatalf("trial %d step %d: release live slice: %v", trial, step, err)
-				}
-				lives = append(lives[:i], lives[i+1:]...)
-			}
-			check(step)
-		}
-		// Drain: releasing everything must restore the full device.
-		for _, l := range lives {
-			if err := pt.Release(l.id); err != nil {
-				t.Fatalf("trial %d drain: %v", trial, err)
-			}
-		}
-		if pt.FreeFrac() != SliceFractions || pt.FreeMem() != spec.MemBytes {
-			t.Fatalf("trial %d: drained partition free %d/%d, want full",
-				trial, pt.FreeFrac(), pt.FreeMem())
-		}
 	}
 }

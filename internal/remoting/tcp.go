@@ -1,3 +1,6 @@
+// Package remoting is the TCP wire probe: TCPBackend serves the marshalled
+// CUDA protocol over a real socket. The gPool itself — GID → (node, local
+// device) — is the Device Status Table core.New builds (balancer.DST).
 package remoting
 
 import (
