@@ -93,8 +93,8 @@ bench:
 # worker pool, the kernel, the shard coordinator, the analytic fast-forward
 # layer, the analysis framework, the device model, the device scheduler, the
 # Affinity Mapper, the cluster tier, core, the fault injector, and the
-# marshalled-call path: cuda runtime, wire protocol and executor, Context
-# Packer, the TCP wire probe) drops
+# marshalled-call path: CUDA interposer, cuda runtime, wire protocol and
+# executor, Context Packer, the TCP wire probe) drops
 # below 85% statement coverage. The device scheduler's reference policies live
 # in _test.go files and do not count. The profile lands in $(BIN)/cover.out
 # for CI to upload.
@@ -107,7 +107,7 @@ cover:
 		repro/internal/analysis repro/internal/gpu repro/internal/cluster \
 		repro/internal/core repro/internal/cuda repro/internal/rpcproto \
 		repro/internal/packer repro/internal/remoting repro/internal/devsched \
-		repro/internal/balancer repro/internal/faults
+		repro/internal/balancer repro/internal/faults repro/internal/interpose
 
 # Short fuzz pass over every native fuzz target: the kernel's schedule
 # against its one-heap reference, the wire codec, the framing layer and the

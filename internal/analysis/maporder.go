@@ -14,11 +14,11 @@ import (
 // sim-driven package that appends to a slice, sends on a channel, calls
 // out to other code, or accumulates floating-point values produces
 // run-to-run drift that a seed cannot pin down. The sanctioned idiom is
-// collect-keys-then-sort (see Kernel.Blocked, DST.boundKindsSorted,
-// cuda.sortedStreamIDs): the analyzer accepts a range whose only effect is
-// appending to slices that are each passed to a sort.* / slices.* call
-// later in the same function. Pure reads, counters, delete(m, k) sweeps,
-// and min/max-free aggregation over integers are untouched.
+// collect-keys-then-sort (see Kernel.Blocked, cuda.sortedStreamIDs): the
+// analyzer accepts a range whose only effect is appending to slices that
+// are each passed to a sort.* / slices.* call later in the same function.
+// Pure reads, counters, delete(m, k) sweeps, and min/max-free aggregation
+// over integers are untouched.
 var Maporder = &Analyzer{
 	Name: "maporder",
 	Doc: "flag map ranges in sim-driven packages whose body appends, emits, calls out, " +

@@ -1,6 +1,7 @@
 package balancer
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/rpcproto"
@@ -68,12 +69,12 @@ func TestDSTBindUnbind(t *testing.T) {
 	dst.Bind(1, "MC")
 	dst.Bind(1, "DC")
 	e := dst.Entry(1)
-	if e.Load != 3 || e.BoundKinds["MC"] != 2 {
+	if e.Load != 3 || !reflect.DeepEqual(e.BoundKinds, []KindCount{{"DC", 1}, {"MC", 2}}) {
 		t.Fatalf("entry = %+v", e)
 	}
 	dst.Unbind(1, "MC")
 	dst.Unbind(1, "DC")
-	if e.Load != 1 || e.BoundKinds["MC"] != 1 || e.BoundKinds["DC"] != 0 {
+	if e.Load != 1 || !reflect.DeepEqual(e.BoundKinds, []KindCount{{"MC", 1}}) {
 		t.Fatalf("after unbind: %+v", e)
 	}
 	dst.Unbind(1, "ZZ") // unknown kind must not underflow
@@ -123,17 +124,24 @@ func TestRTFBalancesOnMeasuredRuntime(t *testing.T) {
 	// load — not GID 0.
 	dst.Bind(0, "DC")
 	dst.Bind(1, "GA")
-	got := (RTF{}).Select(Request{Kind: "DC", Node: 0}, dst, sft)
+	got := (rtf{}).Select(Request{Kind: "DC", Node: 0}, dst, sft)
 	if got == 0 {
 		t.Fatalf("RTF = %v; stacked onto the 30s backlog", got)
 	}
 }
 
+// The Policy Arbiter is RTF's only no-history path: ByName's RTF answers a
+// class without history with GWtMin's pick.
 func TestRTFFallsBackWithoutHistory(t *testing.T) {
 	dst := pool4()
 	sft := NewSFT()
-	want := (GWtMin{}).Select(Request{Kind: "DC", Node: 0}, dst, sft)
-	if got := (RTF{}).Select(Request{Kind: "DC", Node: 0}, dst, sft); got != want {
+	pol, err := ByName("RTF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Kind: "DC", Node: 0}
+	want := (GWtMin{}).Select(req, dst, sft)
+	if got := pol.Select(req, dst, sft); got != want {
 		t.Fatalf("RTF without history = %v, want GWtMin's %v", got, want)
 	}
 }
@@ -145,11 +153,11 @@ func TestGUFSeparatesHighUtilApps(t *testing.T) {
 	sft.Record(fb("GA", 2e6, 0.02e6, 0, 18, 0.01)) // low util
 	dst.Bind(1, "DC")                              // busy app on the big GPU
 	// Another DC must avoid GID 1 despite its attractive weight.
-	if got := (GUF{}).Select(Request{Kind: "DC", Node: 0}, dst, sft); got == 1 {
+	if got := (guf{}).Select(Request{Kind: "DC", Node: 0}, dst, sft); got == 1 {
 		t.Fatal("GUF collocated two high-utilization apps")
 	}
 	// A GA (near-zero util) can happily share GID 1's class of device.
-	got := (GUF{}).Select(Request{Kind: "GA", Node: 0}, dst, sft)
+	got := (guf{}).Select(Request{Kind: "GA", Node: 0}, dst, sft)
 	if dst.Entry(got) == nil {
 		t.Fatal("invalid pick")
 	}
@@ -164,7 +172,7 @@ func TestDTFPairsContrastingTransferProfiles(t *testing.T) {
 	dst.Bind(3, "DC")
 	// A new MC should prefer the device holding the contrasting DC (GID 3)
 	// over the one holding another MC (GID 1), all else similar.
-	got := (DTF{}).Select(Request{Kind: "MC", Node: 1}, dst, sft)
+	got := (dtf{}).Select(Request{Kind: "MC", Node: 1}, dst, sft)
 	if got == 1 {
 		t.Fatal("DTF stacked two transfer-bound apps")
 	}
@@ -178,33 +186,39 @@ func TestMBFAvoidsBandwidthCollocation(t *testing.T) {
 	dst.Bind(1, "HI")
 	dst.Bind(3, "DC")
 	// Another HI must not land on GID 1 next to the first HI.
-	if got := (MBF{}).Select(Request{Kind: "HI", Node: 0}, dst, sft); got == 1 {
+	if got := (mbf{}).Select(Request{Kind: "HI", Node: 0}, dst, sft); got == 1 {
 		t.Fatal("MBF collocated two bandwidth-bound apps")
 	}
 	// A DC is indifferent to bandwidth pressure; it must still balance.
-	got := (MBF{}).Select(Request{Kind: "DC", Node: 0}, dst, sft)
+	got := (mbf{}).Select(Request{Kind: "DC", Node: 0}, dst, sft)
 	if dst.Entry(got) == nil {
 		t.Fatal("invalid pick")
 	}
 }
 
+// stubbornPolicy always answers the same GID.
+type stubbornPolicy struct{ gid GID }
+
+func (s stubbornPolicy) Name() string                   { return "stubborn" }
+func (s stubbornPolicy) Select(Request, *DST, *SFT) GID { return s.gid }
+
 func TestArbiterSwitchesAfterFeedback(t *testing.T) {
 	dst := pool4()
 	sft := NewSFT()
-	a := NewArbiter(stubbornPolicy{gid: 1}, stubbornPolicy{gid: 2}, 2)
+	a := &Arbiter{stubbornPolicy{gid: 1}, stubbornPolicy{gid: 2}}
 	req := Request{Kind: "MC", Node: 0}
 	if a.Select(req, dst, sft) != 1 {
 		t.Fatal("switched with no feedback")
 	}
-	sft.Record(fb("MC", 8e6, 6.8e6, 5.8e6, 3000, 0.85))
+	sft.Record(fb("DC", 8e6, 6.8e6, 5.8e6, 3000, 0.85))
 	if a.Select(req, dst, sft) != 1 {
-		t.Fatal("switched below MinSamples")
+		t.Fatal("switched on another class's feedback")
 	}
 	sft.Record(fb("MC", 8e6, 6.8e6, 5.8e6, 3000, 0.85))
 	if a.Select(req, dst, sft) != 2 {
-		t.Fatal("did not switch at MinSamples")
+		t.Fatal("did not switch on the class's first report")
 	}
-	if n := NewArbiter(GWtMin{}, RTF{}, 2).Name(); n != "PA(GWtMin→RTF)" {
+	if n := (&Arbiter{GWtMin{}, rtf{}}).Name(); n != "PA(GWtMin→RTF)" {
 		t.Fatalf("Name = %q", n)
 	}
 }

@@ -115,9 +115,6 @@ func TestNewDSTTakesOwnershipAndNormalizes(t *testing.T) {
 	if row.Weight != 1 {
 		t.Fatalf("caller row not normalized in place: Weight = %v", row.Weight)
 	}
-	if row.BoundKinds == nil {
-		t.Fatal("caller row BoundKinds not allocated")
-	}
 }
 
 func TestDSTCarveReturnCapacity(t *testing.T) {

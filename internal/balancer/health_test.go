@@ -123,42 +123,6 @@ func TestArgminSkipsNonHealthy(t *testing.T) {
 	}
 }
 
-func TestMapperSpillsOffNonHealthyPick(t *testing.T) {
-	d := healthDST(2)
-	m := NewMapper(d, NewGRR())
-	// Prime the rotation so the next GRR answer would be GID 0, then kill it
-	// out from under the stale cursor by marking it dead after a pick.
-	if gid := m.Select(Request{Kind: "MC"}); gid != 0 {
-		t.Fatalf("first pick = %v", gid)
-	}
-	if gid := m.Select(Request{Kind: "MC"}); gid != 1 {
-		t.Fatalf("second pick = %v", gid)
-	}
-	d.MarkDead(0)
-	gid := m.Select(Request{Kind: "MC"})
-	if gid != 1 {
-		t.Fatalf("post-death pick = %v, want spill to 1", gid)
-	}
-	if m.Spills() != 0 {
-		// GRR itself skipped the dead row — no spill was needed.
-		t.Fatalf("Spills = %d for a policy-level skip", m.Spills())
-	}
-	// Force the spillover path: a policy that insists on the dead device.
-	m2 := NewMapper(d, stubbornPolicy{0})
-	if got := m2.Select(Request{Kind: "MC"}); got != 1 {
-		t.Fatalf("spillover pick = %v, want 1", got)
-	}
-	if m2.Spills() != 1 {
-		t.Fatalf("Spills = %d, want 1", m2.Spills())
-	}
-}
-
-// stubbornPolicy always answers the same GID, healthy or not.
-type stubbornPolicy struct{ gid GID }
-
-func (s stubbornPolicy) Name() string                   { return "stubborn" }
-func (s stubbornPolicy) Select(Request, *DST, *SFT) GID { return s.gid }
-
 func TestMapperReportFailureFeedsDetector(t *testing.T) {
 	d := healthDST(2)
 	m := NewMapper(d, GMin{})

@@ -17,8 +17,6 @@ type Mapper struct {
 
 	selections int
 	feedbacks  int
-	spills     int // selections rerouted off a non-Healthy pick
-	failures   int // failed-call reports absorbed
 }
 
 // NewMapper wires a mapper over the gPool's DST with the given policy.
@@ -34,14 +32,18 @@ func (m *Mapper) SFT() *SFT { return m.sft }
 
 // SetRecorder installs the observability recorder: every selection then
 // emits a structured decision-audit record (the DST rows the policy saw,
-// the SFT's history for the class, the raw and final picks). A nil
-// recorder disables auditing.
+// the SFT's history for the class, the pick). A nil recorder disables
+// auditing.
 func (m *Mapper) SetRecorder(rec *trace.Recorder) { m.rec = rec }
 
 // Select answers one device-selection request: the policy picks a GID and
-// the mapper records the binding in the DST.
+// the mapper binds it in the DST. Every policy already skips non-Healthy and
+// ineligible rows whenever a Healthy eligible one exists, so the mapper
+// binds what the policy names.
 func (m *Mapper) Select(req Request) GID {
-	gid, _, _ := m.pick(req)
+	gid := m.policy.Select(req, m.dst, m.sft)
+	m.dst.Bind(gid, req.Kind)
+	m.selections++
 	return gid
 }
 
@@ -51,12 +53,11 @@ func (m *Mapper) Select(req Request) GID {
 // policy consulted.
 func (m *Mapper) SelectAt(now sim.Time, req Request) GID {
 	if !m.rec.Enabled() {
-		gid, _, _ := m.pick(req)
-		return gid
+		return m.Select(req)
 	}
 	d := m.auditStart(now, req)
-	gid, raw, spilled := m.pick(req)
-	d.Raw, d.Picked, d.Spilled = int(raw), int(gid), spilled
+	gid := m.Select(req)
+	d.Picked = int(gid)
 	m.rec.RecordDecision(d)
 	return gid
 }
@@ -90,82 +91,36 @@ func (m *Mapper) auditStart(now sim.Time, req Request) trace.Decision {
 
 // SelectSliceAt answers a slice-placement request: the policy picks the
 // partitionable device the requested profile should be carved from. ok is
-// false when no eligible device currently fits the profile — the caller
-// parks the tenant until capacity frees and retries. The mapper neither
-// carves nor binds here: the placement layer owns the carve
+// false, and gid −1, when no eligible device currently fits the profile —
+// the caller parks the tenant until capacity frees and retries. The mapper
+// neither carves nor binds here: the placement layer owns the carve
 // (DST.CarveCapacity and the new slice row). Every attempt — including a
 // no-fit parking — is decision-audited when a recorder is installed
 // (Picked −1 means parked).
-func (m *Mapper) SelectSliceAt(now sim.Time, req Request) (GID, bool) {
-	anyFit := false
+func (m *Mapper) SelectSliceAt(now sim.Time, req Request) (gid GID, ok bool) {
+	gid = -1
 	for _, e := range m.dst.Entries() {
 		if eligible(e, req) {
-			anyFit = true
+			ok = true
 			break
 		}
 	}
-	gid, raw := GID(-1), GID(-1)
-	if anyFit {
+	if ok {
 		gid = m.policy.Select(req, m.dst, m.sft)
-		raw = gid
-		if e := m.dst.Entry(gid); e == nil || !eligible(e, req) {
-			// The policy named an ineligible row (a stale rotation or a
-			// slice-unaware policy): spill to the least-loaded fit.
-			alt, ok := argminWhere(m.dst, req, func(e *DSTEntry) float64 {
-				return float64(e.Load) / e.Weight
-			}, true)
-			if !ok {
-				anyFit = false
-			}
-			gid = alt
-			m.spills++
-		}
 		m.selections++
 	}
 	if m.rec.Enabled() {
 		d := m.auditStart(now, req)
-		d.Raw, d.Picked, d.Spilled = int(raw), int(gid), gid != raw
-		if !anyFit {
-			d.Raw, d.Picked = -1, -1
-		}
+		d.Picked = int(gid)
 		m.rec.RecordDecision(d)
 	}
-	if !anyFit {
-		return 0, false
-	}
-	return gid, true
-}
-
-// pick runs the policy and the mapper's spill-over, binds the winner and
-// returns (final, policy's raw answer, spilled). A policy may still name a
-// non-Healthy device (stale round-robin state, or a pool with no healthy
-// rows); the mapper spills such picks over to the least-loaded healthy
-// survivor when one exists.
-func (m *Mapper) pick(req Request) (gid, raw GID, spilled bool) {
-	gid = m.policy.Select(req, m.dst, m.sft)
-	if m.dst.Entry(gid) == nil && m.dst.Len() > 0 {
-		gid = 0
-	}
-	raw = gid
-	if e := m.dst.Entry(gid); e != nil && e.Health != Healthy {
-		if alt, ok := argminWhere(m.dst, req, func(e *DSTEntry) float64 {
-			return float64(e.Load) / e.Weight
-		}, true); ok && alt != gid {
-			gid = alt
-			spilled = true
-			m.spills++
-		}
-	}
-	m.dst.Bind(gid, req.Kind)
-	m.selections++
-	return gid, raw, spilled
+	return gid, ok
 }
 
 // ReportFailure folds one failed call against gid into the failure detector
 // and returns the row's resulting health, so callers can decide between a
 // retry (Suspect) and a failover (Dead).
 func (m *Mapper) ReportFailure(gid GID) Health {
-	m.failures++
 	return m.dst.MarkFailure(gid)
 }
 
@@ -175,8 +130,9 @@ func (m *Mapper) ReportRecovered(gid GID) {
 	m.dst.MarkRecovered(gid)
 }
 
-// Spills returns how many selections were rerouted off a non-Healthy pick.
-func (m *Mapper) Spills() int { return m.spills }
+// Spills is always 0: the mapper binds what the policy picks. It stays only
+// for the benchmark's balancer.spills counter.
+func (m *Mapper) Spills() int { return 0 }
 
 // Release undoes a binding when the application exits.
 func (m *Mapper) Release(gid GID, kind string) {

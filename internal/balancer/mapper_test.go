@@ -1,7 +1,6 @@
 package balancer
 
 import (
-	"maps"
 	"reflect"
 	"testing"
 
@@ -13,10 +12,9 @@ import (
 // TestMapperAuditedSelections drives SelectAt and SelectSliceAt with a
 // recorder installed and holds each decision-audit record to what the policy
 // was shown: Rows are the table before the winning bind, the SFT columns are
-// the class's history, and Raw/Picked/Spilled tell the policy's answer from
-// the mapper's. The stubborn policy stands in for any Policy that names a row
-// the request cannot use; every in-tree policy filters by eligibility itself
-// (TestSliceEligibility), so only a foreign one reaches the spill-over.
+// the class's history, and Picked is the policy's answer, which the mapper
+// binds unchanged (a whole-device request) or leaves to the placement layer
+// (a slice request; −1 when nothing fits).
 func TestMapperAuditedSelections(t *testing.T) {
 	whole := func() *DST {
 		d := healthDST(3)
@@ -43,52 +41,37 @@ func TestMapperAuditedSelections(t *testing.T) {
 	slice.AppID, slice.Node, slice.Tenant = 3, 1, 9
 
 	for _, tc := range []struct {
-		name   string
-		dst    func() *DST
-		policy Policy
-		req    Request
+		name string
+		dst  func() *DST
+		req  Request
 
-		gid             GID
-		ok              bool // slice requests only
-		raw, picked     int
-		spilled         bool
-		spills, selects int
-		bound           GID // row whose Load the selection raises, -1 for none
+		gid     GID
+		ok      bool // slice requests only
+		selects int
+		bound   GID // row whose Load the selection raises, -1 for none
 	}{
-		{name: "whole/policy names a dead row", dst: whole, policy: stubbornPolicy{0}, req: req,
-			gid: 2, raw: 0, picked: 2, spilled: true, spills: 1, selects: 1, bound: 2},
-		{name: "whole/policy names a healthy row", dst: whole, policy: GMin{}, req: req,
-			gid: 2, raw: 2, picked: 2, selects: 1, bound: 2},
-		{name: "slice/policy names a full row", dst: carved(0), policy: stubbornPolicy{0}, req: slice,
-			gid: 2, ok: true, raw: 0, picked: 2, spilled: true, spills: 1, selects: 1, bound: -1},
-		{name: "slice/policy names a row that fits", dst: carved(0), policy: GMin{}, req: slice,
-			gid: 2, ok: true, raw: 2, picked: 2, selects: 1, bound: -1},
-		{name: "slice/nothing fits", dst: carved(0, 1, 2), policy: stubbornPolicy{0}, req: slice,
-			gid: 0, ok: false, raw: -1, picked: -1, bound: -1},
+		{name: "whole/dead idle row skipped", dst: whole, req: req, gid: 2, selects: 1, bound: 2},
+		{name: "slice/full row skipped", dst: carved(0), req: slice, gid: 2, ok: true, selects: 1, bound: -1},
+		{name: "slice/nothing fits", dst: carved(0, 1, 2), req: slice, gid: -1, bound: -1},
 	} {
 		dst := tc.dst()
-		m := NewMapper(dst, tc.policy)
+		m := NewMapper(dst, GMin{})
 		rec := trace.New()
 		m.SetRecorder(rec)
 		m.Feedback(&rpcproto.Feedback{Kind: "MC", ExecTime: 4 * sim.Second})
 		m.Feedback(&rpcproto.Feedback{Kind: "MC", ExecTime: 2 * sim.Second})
 
 		var rows []trace.DecisionRow
-		var before []DSTEntry
 		for _, e := range dst.Entries() {
 			row := trace.DecisionRow{GID: int(e.GID), Node: e.Node, Health: e.Health.String(), Load: e.Load, Weight: e.Weight}
 			if e.Partitionable {
 				row.FreeFrac, row.FreeMem = e.FreeFrac, e.FreeMem
 			}
 			rows = append(rows, row)
-			cp := *e
-			cp.BoundKinds = maps.Clone(e.BoundKinds)
-			before = append(before, cp)
 		}
 		want := trace.Decision{
-			At: 7, App: 3, Class: "MC", Node: 1, Tenant: 9, Policy: m.policy.Name(),
-			Raw: tc.raw, Picked: tc.picked, Spilled: tc.spilled,
-			SFTSamples: 2, SFTExec: 3 * sim.Second, Rows: rows,
+			At: 7, App: 3, Class: "MC", Node: 1, Tenant: 9, Policy: "GMin",
+			Picked: int(tc.gid), SFTSamples: 2, SFTExec: 3 * sim.Second, Rows: rows,
 		}
 
 		gid, ok := GID(0), false
@@ -103,19 +86,16 @@ func TestMapperAuditedSelections(t *testing.T) {
 		if got := rec.Snapshot().Decisions; len(got) != 1 || !reflect.DeepEqual(got[0], want) {
 			t.Errorf("%s: audit\n got %+v\nwant %+v", tc.name, got, want)
 		}
-		selects, feedbacks := m.Stats()
-		if m.Spills() != tc.spills || selects != tc.selects || feedbacks != 2 {
-			t.Errorf("%s: %d spills, %d selections, %d feedbacks, want %d, %d, 2", tc.name, m.Spills(), selects, feedbacks, tc.spills, tc.selects)
+		if selects, feedbacks := m.Stats(); selects != tc.selects || feedbacks != 2 {
+			t.Errorf("%s: %d selections, %d feedbacks, want %d, 2", tc.name, selects, feedbacks, tc.selects)
 		}
 		// A whole-device selection binds its winner after the snapshot; a
 		// slice selection, fit or not, leaves the table to the placement layer.
+		before := tc.dst()
+		before.Bind(tc.bound, "MC")
 		for i, e := range dst.Entries() {
-			if e.GID == tc.bound {
-				before[i].Load++
-				before[i].BoundKinds["MC"]++
-			}
-			if !reflect.DeepEqual(*e, before[i]) {
-				t.Errorf("%s: row %d ended %+v, want %+v", tc.name, e.GID, *e, before[i])
+			if !reflect.DeepEqual(e, before.Entries()[i]) {
+				t.Errorf("%s: row %d ended %+v, want %+v", tc.name, e.GID, *e, *before.Entries()[i])
 			}
 		}
 	}
@@ -131,5 +111,50 @@ func TestSelectAtWithoutRecorder(t *testing.T) {
 	}
 	if n, _ := m.Stats(); n != 2 || m.DST().Entry(0).Load != 1 || m.DST().Entry(1).Load != 1 {
 		t.Fatalf("%d selections, loads %d and %d: want 2, 1 and 1", n, m.DST().Entry(0).Load, m.DST().Entry(1).Load)
+	}
+}
+
+// TestSelectReleaseZeroAlloc: once warm, a selection and its release
+// allocate nothing under any policy — the feedback policies included, on a
+// 16-row table with every class's history in the SFT and 32 bindings live.
+func TestSelectReleaseZeroAlloc(t *testing.T) {
+	kinds := []string{"DC", "MC", "GA", "BS"}
+	for _, name := range append(Names(), "Frag") {
+		pol, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]*DSTEntry, 16)
+		for i := range rows {
+			rows[i] = &DSTEntry{GID: GID(i), Node: i / 4, LocalDev: i % 4, Weight: float64(1 + i%4), MemBandwidth: 1e4}
+		}
+		m := NewMapper(NewDST(rows), pol)
+		type binding struct {
+			gid  GID
+			kind string
+		}
+		var live [32]binding
+		fbs := make([]rpcproto.Feedback, len(kinds))
+		for i, kind := range kinds {
+			fbs[i] = rpcproto.Feedback{Kind: kind, ExecTime: 2 * sim.Second, GPUTime: sim.Second,
+				XferTime: 100 * sim.Millisecond, MemBW: 500, GPUUtil: 0.5}
+		}
+		i := 0
+		cycle := func() {
+			slot := &live[i%len(live)]
+			if i >= len(live) {
+				m.Feedback(&fbs[i%len(kinds)])
+				m.Release(slot.gid, slot.kind)
+			}
+			kind := kinds[i%len(kinds)]
+			*slot = binding{m.Select(Request{AppID: i, Kind: kind, Node: i % 4, Tenant: int64(i % 8)}), kind}
+			i++
+		}
+		for i < 256 {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+			t.Errorf("%s: %v allocs per Select+Release, want 0", name, allocs)
+		}
 	}
 }

@@ -52,10 +52,10 @@ func NewGRR() *GRR { return &GRR{} }
 // Name implements Policy.
 func (g *GRR) Name() string { return "GRR" }
 
-// Select implements Policy. Non-Healthy devices are skipped: the cursor
-// advances past them, so round-robin continues over the surviving pool.
-// When every device is down the plain rotation answer is returned and the
-// Mapper's spillover (or the caller) deals with the exhausted pool.
+// Select implements Policy. Non-Healthy and ineligible devices are skipped:
+// the cursor advances past them, so round-robin continues over the
+// surviving pool. When no Healthy eligible device is left the plain rotation
+// answer is returned.
 func (g *GRR) Select(req Request, dst *DST, sft *SFT) GID {
 	n := dst.Len()
 	rows := dst.Entries()
@@ -102,9 +102,9 @@ func (GWtMin) Select(req Request, dst *DST, sft *SFT) GID {
 // argmin picks the eligible entry minimizing score; ties prefer devices on
 // the request's node, then lower GIDs. Non-Healthy entries are skipped; if
 // the whole pool is down the scan falls back to every eligible row so
-// callers always get an answer (the Mapper surfaces the exhaustion
-// separately). Slice requests never fall back past eligibility — a row that
-// cannot fit the profile is not an answer at any health.
+// callers always get an answer. Slice requests never fall back past
+// eligibility — a row that cannot fit the profile is not an answer at any
+// health.
 func argmin(dst *DST, req Request, score func(*DSTEntry) float64) GID {
 	if gid, ok := argminWhere(dst, req, score, true); ok {
 		return gid
@@ -152,12 +152,13 @@ type devLoad struct {
 // defaultExec is the assumed runtime of a class with no history.
 const defaultExec = 10e6 // 10 s
 
-// loadOf folds the SFT history of every application bound to e.
+// loadOf folds the SFT history of every application bound to e, in the
+// row's kind order, so the float sums are the same on every run.
 func loadOf(e *DSTEntry, sft *SFT) devLoad {
 	var l devLoad
-	for _, kind := range e.boundKindsSorted() {
-		n := float64(e.BoundKinds[kind])
-		h, ok := sft.Lookup(kind)
+	for _, kc := range e.BoundKinds {
+		n := float64(kc.N)
+		h, ok := sft.Lookup(kc.Kind)
 		if !ok {
 			l.exec += n * defaultExec / e.Weight
 			l.kern += n * defaultExec / 2 / e.Weight
@@ -202,40 +203,38 @@ func remoteCost(h *SFTEntry, e *DSTEntry, req Request) float64 {
 	return remoteXferFactor * float64(h.XferTime)
 }
 
-// RTF is Runtime Feedback: a reactive policy balancing on the measured
+// The feedback policies score devices with the requesting class's SFT
+// history. They are reachable only through ByName's Arbiter, which runs
+// them once the class has history, so none of them handles its absence.
+
+// rtf is Runtime Feedback: a reactive policy balancing on the measured
 // runtimes of bound applications instead of static weights — the expected
 // completion backlog in real time replaces GWtMin's population count.
-type RTF struct{}
+type rtf struct{}
 
 // Name implements Policy.
-func (RTF) Name() string { return "RTF" }
+func (rtf) Name() string { return "RTF" }
 
 // Select implements Policy.
-func (RTF) Select(req Request, dst *DST, sft *SFT) GID {
-	if sft.Samples(req.Kind) == 0 {
-		return GWtMin{}.Select(req, dst, sft)
-	}
+func (rtf) Select(req Request, dst *DST, sft *SFT) GID {
 	mine, _ := sft.Lookup(req.Kind)
 	return argmin(dst, req, func(e *DSTEntry) float64 {
 		return loadOf(e, sft).exec + remoteCost(mine, e, req)
 	})
 }
 
-// GUF is GPU Utilization Feedback: balance on measured backlog while
+// guf is GPU Utilization Feedback: balance on measured backlog while
 // avoiding the collocation of applications with high GPU utilization on the
 // same device (the NUMA-contention analogue): a high-utilization arrival
 // pays for every busy co-tenant, a near-idle one squeezes in anywhere.
-type GUF struct{}
+type guf struct{}
 
 // Name implements Policy.
-func (GUF) Name() string { return "GUF" }
+func (guf) Name() string { return "GUF" }
 
 // Select implements Policy.
-func (GUF) Select(req Request, dst *DST, sft *SFT) GID {
-	mine, ok := sft.Lookup(req.Kind)
-	if !ok {
-		return GWtMin{}.Select(req, dst, sft)
-	}
+func (guf) Select(req Request, dst *DST, sft *SFT) GID {
+	mine, _ := sft.Lookup(req.Kind)
 	myExec := float64(mine.ExecTime)
 	return argmin(dst, req, func(e *DSTEntry) float64 {
 		l := loadOf(e, sft)
@@ -246,26 +245,23 @@ func (GUF) Select(req Request, dst *DST, sft *SFT) GID {
 	})
 }
 
-// DTF is Data Transfer Feedback: engine-aware balancing. A device's
+// dtf is Data Transfer Feedback: engine-aware balancing. A device's
 // kernel-engine and copy-engine backlogs are tracked separately, and an
 // arrival pays only for the engines it actually needs — so transfer-bound
 // applications land next to compute-bound ones and the device's memcpy and
 // compute engines run concurrently.
-type DTF struct{}
+type dtf struct{}
 
 // Name implements Policy.
-func (DTF) Name() string { return "DTF" }
+func (dtf) Name() string { return "DTF" }
 
 // Select implements Policy.
-func (DTF) Select(req Request, dst *DST, sft *SFT) GID {
-	mine, ok := sft.Lookup(req.Kind)
-	if !ok {
-		return GWtMin{}.Select(req, dst, sft)
-	}
+func (dtf) Select(req Request, dst *DST, sft *SFT) GID {
+	mine, _ := sft.Lookup(req.Kind)
 	kernT, xferT, _ := kindDemands(mine)
 	tot := kernT + xferT
 	if tot <= 0 {
-		return RTF{}.Select(req, dst, sft)
+		return rtf{}.Select(req, dst, sft)
 	}
 	fk, fx := kernT/tot, xferT/tot
 	cpu := float64(mine.ExecTime) - float64(mine.GPUTime)
@@ -280,28 +276,25 @@ func (DTF) Select(req Request, dst *DST, sft *SFT) GID {
 	})
 }
 
-// MBF is Memory Bandwidth Feedback: DTF's engine-aware balancing extended
+// mbf is Memory Bandwidth Feedback: DTF's engine-aware balancing extended
 // with the approximate memory bandwidth of each class (total kernel data
 // accesses over time on the GPU). Bandwidth-bound arrivals avoid devices
 // already under bandwidth pressure, so compute-bound co-tenants hide the
 // memory latencies of bandwidth-bound kernels. Because the bandwidth
 // estimate folds in both runtime and transfer behaviour, MBF inherits RTF's
 // and DTF's signals.
-type MBF struct{}
+type mbf struct{}
 
 // Name implements Policy.
-func (MBF) Name() string { return "MBF" }
+func (mbf) Name() string { return "MBF" }
 
 // Select implements Policy.
-func (MBF) Select(req Request, dst *DST, sft *SFT) GID {
-	mine, ok := sft.Lookup(req.Kind)
-	if !ok {
-		return GWtMin{}.Select(req, dst, sft)
-	}
+func (mbf) Select(req Request, dst *DST, sft *SFT) GID {
+	mine, _ := sft.Lookup(req.Kind)
 	kernT, xferT, myBW := kindDemands(mine)
 	tot := kernT + xferT
 	if tot <= 0 {
-		return RTF{}.Select(req, dst, sft)
+		return rtf{}.Select(req, dst, sft)
 	}
 	fk, fx := kernT/tot, xferT/tot
 	return argmin(dst, req, func(e *DSTEntry) float64 {
@@ -385,20 +378,12 @@ func fragOf(e *DSTEntry, frac int, mem int64) float64 {
 func FragScore(e *DSTEntry) float64 { return fragOf(e, e.FreeFrac, e.FreeMem) }
 
 // Arbiter is the Policy Arbiter: it runs the static policy until the SFT
-// holds MinSamples reports for the requesting class, then switches to the
-// feedback policy (the paper's dynamic policy switching).
+// holds a report for the requesting class, then switches to the feedback
+// policy (the paper's dynamic policy switching). It is the only place a
+// class without history is handled.
 type Arbiter struct {
-	Static     Policy
-	Feedback   Policy
-	MinSamples int
-}
-
-// NewArbiter builds an arbiter with the given static/feedback pair.
-func NewArbiter(static, feedback Policy, minSamples int) *Arbiter {
-	if minSamples <= 0 {
-		minSamples = 1
-	}
-	return &Arbiter{Static: static, Feedback: feedback, MinSamples: minSamples}
+	Static   Policy
+	Feedback Policy
 }
 
 // Name implements Policy.
@@ -408,7 +393,7 @@ func (a *Arbiter) Name() string {
 
 // Select implements Policy.
 func (a *Arbiter) Select(req Request, dst *DST, sft *SFT) GID {
-	if sft.Samples(req.Kind) >= a.MinSamples {
+	if sft.Samples(req.Kind) > 0 {
 		return a.Feedback.Select(req, dst, sft)
 	}
 	return a.Static.Select(req, dst, sft)
@@ -425,13 +410,13 @@ func ByName(name string) (Policy, error) {
 	case "GWtMin":
 		return GWtMin{}, nil
 	case "RTF":
-		return NewArbiter(GWtMin{}, RTF{}, 1), nil
+		return &Arbiter{GWtMin{}, rtf{}}, nil
 	case "GUF":
-		return NewArbiter(GWtMin{}, GUF{}, 1), nil
+		return &Arbiter{GWtMin{}, guf{}}, nil
 	case "DTF":
-		return NewArbiter(GWtMin{}, DTF{}, 1), nil
+		return &Arbiter{GWtMin{}, dtf{}}, nil
 	case "MBF":
-		return NewArbiter(GWtMin{}, MBF{}, 1), nil
+		return &Arbiter{GWtMin{}, mbf{}}, nil
 	case "Frag":
 		return Frag{}, nil
 	default:

@@ -3,6 +3,7 @@ package balancer
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,6 +21,9 @@ import (
 //   - GRR visits every healthy device exactly once per rotation.
 //   - The feedback policies never select a non-Healthy row while a Healthy
 //     one exists (a Dead pick would route work to a corpse).
+//   - No policy, for a classic or a slice request, picks a non-Healthy or
+//     ineligible row while a Healthy eligible one exists — the guarantee that
+//     lets the Mapper bind what the policy picks.
 //
 // On failure the offending table is shrunk row by row before printing, so
 // the counterexample is minimal.
@@ -45,14 +49,26 @@ func randTables(rng *rand.Rand) (*DST, *SFT) {
 			MemBandwidth: 1e4 * (1 + rng.Float64()),
 			Load:         rng.Intn(20),
 			Health:       Health(rng.Intn(3)), // Healthy, Suspect or Dead
-			BoundKinds:   make(map[string]int),
-		}
-		for _, kind := range propertyKinds {
-			if rng.Intn(3) == 0 {
-				rows[i].BoundKinds[kind] = 1 + rng.Intn(4)
-			}
+			BoundKinds:   randKinds(rng),
 		}
 	}
+	return NewDST(rows), randSFT(rng)
+}
+
+// randKinds draws a row's bound classes, sorted by kind as Bind keeps them.
+func randKinds(rng *rand.Rand) []KindCount {
+	var kinds []KindCount
+	for _, kind := range propertyKinds {
+		if rng.Intn(3) == 0 {
+			kinds = append(kinds, KindCount{kind, 1 + rng.Intn(4)})
+		}
+	}
+	slices.SortFunc(kinds, func(a, b KindCount) int { return strings.Compare(a.Kind, b.Kind) })
+	return kinds
+}
+
+// randSFT draws up to three reports for each class.
+func randSFT(rng *rand.Rand) *SFT {
 	sft := NewSFT()
 	for _, kind := range propertyKinds {
 		for s := rng.Intn(4); s > 0; s-- {
@@ -67,7 +83,7 @@ func randTables(rng *rand.Rand) (*DST, *SFT) {
 			})
 		}
 	}
-	return NewDST(rows), sft
+	return sft
 }
 
 func healthyGIDs(dst *DST) []GID {
@@ -224,14 +240,16 @@ func TestGRRVisitsEveryHealthyDeviceOncePerRotation(t *testing.T) {
 }
 
 // TestFeedbackPoliciesNeverPickDeadRows pins the health invariant for every
-// feedback policy, with and without SFT history (the no-history paths
-// delegate to GWtMin, which must uphold it too).
+// feedback policy as ByName builds it, with and without SFT history (without
+// it the Policy Arbiter answers with GWtMin, which must uphold it too).
 func TestFeedbackPoliciesNeverPickDeadRows(t *testing.T) {
-	policies := []Policy{RTF{}, GUF{}, DTF{}, MBF{}}
-	for _, pol := range policies {
-		pol := pol
-		t.Run(pol.Name(), func(t *testing.T) {
-			checkProperty(t, pol.Name()+" health", func(rng *rand.Rand, dst *DST, sft *SFT) (bool, string) {
+	for _, name := range []string{"RTF", "GUF", "DTF", "MBF"} {
+		pol, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			checkProperty(t, name+" health", func(rng *rand.Rand, dst *DST, sft *SFT) (bool, string) {
 				if rng.Intn(4) == 0 {
 					sft = NewSFT() // exercise the no-history delegation path
 				}
@@ -256,26 +274,100 @@ func TestFeedbackPoliciesNeverPickDeadRows(t *testing.T) {
 }
 
 // TestArbiterSwitchesAtThreshold pins the Policy Arbiter's switching rule on
-// randomized histories: below MinSamples the static policy answers, at or
-// above it the feedback policy does.
+// randomized tables for every feedback policy ByName builds: until the class
+// has a report GWtMin answers, from the first report on the feedback policy
+// does.
 func TestArbiterSwitchesAtThreshold(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		rng := rand.New(rand.NewSource(sweep.FoldSeed(7, uint64(round))))
 		dst, _ := randTables(rng)
-		min := 1 + rng.Intn(4)
-		a := NewArbiter(GWtMin{}, RTF{}, min)
-		sft := NewSFT()
-		req := Request{AppID: 1, Kind: "MC", Node: 0}
-		for s := 0; s <= min; s++ {
-			want := GWtMin{}.Select(req, dst, sft)
-			if sft.Samples("MC") >= min {
-				want = RTF{}.Select(req, dst, sft)
+		req := Request{AppID: 1, Kind: "MC", Node: rng.Intn(3)}
+		for _, name := range []string{"RTF", "GUF", "DTF", "MBF"} {
+			pol, _ := ByName(name)
+			a := pol.(*Arbiter)
+			sft := NewSFT()
+			for s := 0; s < 3; s++ {
+				want := GWtMin{}.Select(req, dst, sft)
+				if s > 0 {
+					want = a.Feedback.Select(req, dst, sft)
+				}
+				if got := a.Select(req, dst, sft); got != want {
+					t.Fatalf("round %d, %s: with %d samples the arbiter picked %d, want %d",
+						round, name, s, got, want)
+				}
+				sft.Record(&rpcproto.Feedback{Kind: "MC", ExecTime: 1e6, GPUTime: 5e5, XferTime: 1e5, GPUUtil: 0.5})
 			}
-			if got := a.Select(req, dst, sft); got != want {
-				t.Fatalf("round %d: with %d samples (threshold %d) arbiter picked %d, want %d",
-					round, sft.Samples("MC"), min, got, want)
-			}
-			sft.Record(&rpcproto.Feedback{Kind: "MC", ExecTime: 1e6, GPUTime: 5e5, GPUUtil: 0.5})
 		}
+	}
+}
+
+// randFleet builds a random table of whole devices, partitionable devices
+// with part of their capacity carved, and slice rows, at every health.
+func randFleet(rng *rand.Rand) *DST {
+	shapes := migShapes()
+	n := 1 + rng.Intn(8)
+	rows := make([]*DSTEntry, n)
+	for i := range rows {
+		e := &DSTEntry{
+			GID:          GID(i),
+			Node:         rng.Intn(3),
+			Weight:       0.5 + 3.5*rng.Float64(),
+			MemBandwidth: 1e4 * (1 + rng.Float64()),
+			Load:         rng.Intn(6),
+			Health:       Health(rng.Intn(3)),
+			BoundKinds:   randKinds(rng),
+		}
+		switch rng.Intn(3) {
+		case 1:
+			e.Partitionable, e.Shapes = true, shapes
+			e.TotalFrac, e.TotalMem = 7, 800
+			e.FreeFrac, e.FreeMem = rng.Intn(8), 100*rng.Int63n(9)
+		case 2:
+			e.IsSlice, e.Parent, e.Profile = true, GID(rng.Intn(n)), "2g"
+		}
+		rows[i] = e
+	}
+	return NewDST(rows)
+}
+
+// TestPoliciesPickHealthyEligibleRows holds every ByName policy, through the
+// Mapper, to the guarantee the Mapper relies on to bind what the policy
+// picks: whenever the table has a Healthy row eligible for the request, the
+// pick is one. A slice request with no eligible row parks instead.
+func TestPoliciesPickHealthyEligibleRows(t *testing.T) {
+	for _, name := range append(Names(), "Frag") {
+		t.Run(name, func(t *testing.T) {
+			for round := 0; round < propertyRounds; round++ {
+				rng := rand.New(rand.NewSource(sweep.FoldSeed(20261015, uint64(round))))
+				pol, _ := ByName(name)
+				dst := randFleet(rng)
+				m := NewMapper(dst, pol)
+				m.sft = randSFT(rng)
+				for pick := 0; pick < 4; pick++ {
+					req := Request{AppID: pick, Kind: propertyKinds[rng.Intn(len(propertyKinds))], Node: rng.Intn(3)}
+					if rng.Intn(2) == 0 {
+						s := migShapes()[rng.Intn(len(migShapes()))]
+						req.SliceProfile, req.SliceFrac, req.SliceMem = s.Name, s.Frac, s.Mem
+					}
+					exists := slices.ContainsFunc(dst.Entries(), func(e *DSTEntry) bool {
+						return e.Health == Healthy && eligible(e, req)
+					})
+					var gid GID
+					if req.WantsSlice() {
+						var ok bool
+						if gid, ok = m.SelectSliceAt(0, req); ok != exists {
+							t.Fatalf("round %d pick %d: slice %s placed=%v with a fit existing=%v\n%s",
+								round, pick, req.SliceProfile, ok, exists, dumpDST(dst))
+						}
+					} else {
+						gid = m.Select(req)
+					}
+					if e := dst.Entry(gid); exists && (e == nil || e.Health != Healthy || !eligible(e, req)) {
+						t.Fatalf("round %d pick %d: %+v picked gid %d (%+v) while a Healthy eligible row exists\n%s",
+							round, pick, req, gid, e, dumpDST(dst))
+					}
+				}
+			}
+		})
 	}
 }

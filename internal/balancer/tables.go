@@ -3,13 +3,14 @@
 // loads, the Scheduler Feedback Table (SFT) fed by device-level schedulers,
 // the Target GPU Selector policies — GRR, GMin, GWtMin and the
 // feedback-based RTF, GUF, DTF and MBF — and the Policy Arbiter that
-// switches from a static to a feedback policy once enough history has
-// accumulated.
+// switches from a static to a feedback policy once the requesting class has
+// history.
 package balancer
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
@@ -33,8 +34,8 @@ type DSTEntry struct {
 	MemBandwidth float64
 
 	// Dynamic state.
-	Load       int            // applications currently bound
-	BoundKinds map[string]int // bound application classes
+	Load       int         // applications currently bound
+	BoundKinds []KindCount // bound application classes, sorted by Kind
 
 	// Failure-detector state (see health.go). Zero value = Healthy.
 	Health      Health
@@ -51,6 +52,13 @@ type DSTEntry struct {
 	IsSlice       bool         // row is a carved slice, not a device
 	Parent        GID          // physical row a slice was carved from
 	Profile       string       // slice profile name ("1g".."7g")
+}
+
+// KindCount is one application class bound to a row and how many of its
+// applications the row holds (always at least one).
+type KindCount struct {
+	Kind string
+	N    int
 }
 
 // SliceShape mirrors one gpu.SliceProfile for placement: the demand a
@@ -79,8 +87,8 @@ type DST struct {
 
 // NewDST builds the table from per-device rows. Ownership of the rows
 // transfers to the DST: it retains the slice AND normalizes the rows in
-// place (nil BoundKinds maps are allocated, non-positive Weights default
-// to 1), so callers must not reuse or concurrently mutate them afterwards.
+// place (non-positive Weights default to 1), so callers must not reuse or
+// concurrently mutate them afterwards.
 func NewDST(entries []*DSTEntry) *DST {
 	d := &DST{byGID: make(map[GID]int, len(entries))}
 	for _, e := range entries {
@@ -99,9 +107,6 @@ func (d *DST) AddRow(e *DSTEntry) {
 func (d *DST) addRow(e *DSTEntry) {
 	if _, dup := d.byGID[e.GID]; dup {
 		panic(fmt.Sprintf("balancer: duplicate DST row for gid %d", e.GID))
-	}
-	if e.BoundKinds == nil {
-		e.BoundKinds = make(map[string]int)
 	}
 	if e.Weight <= 0 {
 		e.Weight = 1
@@ -128,9 +133,15 @@ func (d *DST) Entry(gid GID) *DSTEntry {
 
 // Bind records an application of the given class binding to gid.
 func (d *DST) Bind(gid GID, kind string) {
-	if e := d.Entry(gid); e != nil {
-		e.Load++
-		e.BoundKinds[kind]++
+	e := d.Entry(gid)
+	if e == nil {
+		return
+	}
+	e.Load++
+	if i, ok := e.kindIndex(kind); ok {
+		e.BoundKinds[i].N++
+	} else {
+		e.BoundKinds = slices.Insert(e.BoundKinds, i, KindCount{Kind: kind, N: 1})
 	}
 }
 
@@ -147,14 +158,23 @@ func (d *DST) Unbind(gid GID, kind string) {
 	} else {
 		d.UnbindClamps++
 	}
-	if e.BoundKinds[kind] > 0 {
-		e.BoundKinds[kind]--
-		if e.BoundKinds[kind] == 0 {
-			delete(e.BoundKinds, kind)
-		}
-	} else {
+	i, ok := e.kindIndex(kind)
+	if !ok {
 		d.UnbindClamps++
+		return
 	}
+	e.BoundKinds[i].N--
+	if e.BoundKinds[i].N == 0 {
+		e.BoundKinds = slices.Delete(e.BoundKinds, i, i+1)
+	}
+}
+
+// kindIndex finds kind in the row's sorted bound classes: its index and
+// true, or the index it would be inserted at and false.
+func (e *DSTEntry) kindIndex(kind string) (int, bool) {
+	return slices.BinarySearchFunc(e.BoundKinds, kind, func(kc KindCount, k string) int {
+		return strings.Compare(kc.Kind, k)
+	})
 }
 
 // CarveCapacity deducts a slice's demand from a partitionable row's free
@@ -186,17 +206,6 @@ func (d *DST) ReturnCapacity(gid GID, frac int, mem int64) {
 		panic(fmt.Sprintf("balancer: capacity over-return on gid %d: %d/%d sevenths, %d/%d bytes",
 			gid, e.FreeFrac, e.TotalFrac, e.FreeMem, e.TotalMem))
 	}
-}
-
-// boundKindsSorted returns the device's bound classes in sorted order for
-// deterministic iteration.
-func (e *DSTEntry) boundKindsSorted() []string {
-	ks := make([]string, 0, len(e.BoundKinds))
-	for k := range e.BoundKinds {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }
 
 // SFTEntry aggregates the feedback history of one application class.

@@ -41,22 +41,18 @@ const (
 // Policies lists the placement policies in display order.
 func Policies() []string { return []string{PolicyLeastLoaded, PolicyFrag} }
 
-// Supernode describes one supernode: the node/GPU fleet of a core run plus
-// the admission capacity the global scheduler may promise away.
+// Supernode describes one supernode: the node/GPU fleet of a core run. Its
+// admission capacity, the slots the global scheduler may promise away, is
+// DefaultSlotsPerDevice per device.
 type Supernode struct {
 	// Nodes is the supernode's fleet, exactly as core.Config.Nodes.
 	Nodes []core.NodeConfig
-
-	// SlotsPerDevice sets the supernode's admission capacity: the global
-	// ledger holds devices × SlotsPerDevice tenant slots. Slots are the
-	// cluster tier's capacity currency — an admission-control budget
-	// (tenants the supernode will serve concurrently), deliberately
-	// coarser than the per-device DST the supernode's own mapper runs.
-	// Defaults to DefaultSlotsPerDevice.
-	SlotsPerDevice int
 }
 
 // DefaultSlotsPerDevice is the admission slots carried by each device.
+// Slots are the cluster tier's capacity currency — an admission-control
+// budget (tenants the supernode will serve concurrently), deliberately
+// coarser than the per-device DST the supernode's own mapper runs.
 const DefaultSlotsPerDevice = 4
 
 // devices counts the supernode's devices.
@@ -70,11 +66,7 @@ func (s Supernode) devices() int {
 
 // Capacity returns the supernode's total admission slots.
 func (s Supernode) Capacity() int {
-	spd := s.SlotsPerDevice
-	if spd <= 0 {
-		spd = DefaultSlotsPerDevice
-	}
-	return s.devices() * spd
+	return s.devices() * DefaultSlotsPerDevice
 }
 
 // Config describes a full cluster-tier run.

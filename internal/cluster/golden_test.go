@@ -46,8 +46,8 @@ var clusterGoldenInts = map[string][]int{
 // clusterGoldenSHA pins the sha256 of each policy's concatenated
 // per-supernode JSONL trace (supernode order).
 var clusterGoldenSHA = map[string]string{
-	"least-loaded": "84c12ec89b37907ad03edb99760b585b6eb5f08ed79d692c96a092dd32063d00",
-	"frag":         "e21a1629937e36ffff250adc6b1a34db293dce892877dc69b726c0465797ca1b",
+	"least-loaded": "cdb9ff590474dedcfeec3231e559342f42a691ce628a372085879f00a33b4b23",
+	"frag":         "3fe07c9e050011c92cb06c053c8eafb986d58c67d3b44a377a6842c611e18f67",
 }
 
 // goldenVector extracts the pinned float metrics from a result.

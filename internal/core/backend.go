@@ -24,13 +24,15 @@ type stringsBackend struct {
 }
 
 // newStringsBackend spawns the backend daemon for the device with the given
-// GID, on the device's environment kernel.
+// GID, on the device's environment kernel. Its packer runs with the zero
+// packer.Config, so pinned staging costs nothing (EXPERIMENTS.md, known
+// divergence 5).
 func newStringsBackend(c *Cluster, e *shardEnv, gid int) *stringsBackend {
 	rt := cuda.NewRuntime(e.k, []*gpu.Device{c.devices[gid]}, c.cfg.CUDA)
 	b := &stringsBackend{
 		c:     c,
 		gid:   gid,
-		pk:    packer.New(rt, c.cfg.Packer),
+		pk:    packer.New(rt, packer.Config{}),
 		conns: sim.NewQueue[*rpcproto.Conn](e.k),
 	}
 	b.pk.SetRecorder(e.rec, gid)

@@ -15,7 +15,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/interpose"
-	"repro/internal/packer"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 	"repro/internal/sim/shard"
@@ -75,9 +74,8 @@ type Config struct {
 	// "LAS" or "PS". Ignored in ModeCUDA; "PS" is Strings-only.
 	DevPolicy string
 
-	Sched  devsched.Config
-	CUDA   cuda.Config
-	Packer packer.Config
+	Sched devsched.Config
+	CUDA  cuda.Config
 
 	// LocalLink and RemoteLink override the RPC link models (zero values
 	// select the package defaults).

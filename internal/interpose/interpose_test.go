@@ -2,12 +2,14 @@ package interpose
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/balancer"
 	"repro/internal/cuda"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // fakeFabric pairs the interposer with an in-kernel echo backend that
@@ -23,6 +25,9 @@ type fakeFabric struct {
 	exitRep  *rpcproto.Reply
 	feedback []*rpcproto.Feedback
 	released []string
+
+	// stale, when set, is answered with the previous call's Seq.
+	stale cuda.CallID
 
 	// Failure-detector scripting for the recovery tests.
 	health    func(gid balancer.GID) balancer.Health // nil → always Suspect
@@ -42,11 +47,18 @@ func newFakeFabric(k *sim.Kernel) *fakeFabric {
 			cc := *call
 			f.received = append(f.received, &cc)
 			reply := &rpcproto.Reply{Seq: call.Seq}
+			if call.ID == f.stale {
+				reply.Seq--
+			}
 			switch call.ID {
 			case cuda.CallMalloc:
 				reply.PtrID, reply.PtrSize = 77, call.Bytes
 			case cuda.CallStreamCreate:
 				reply.Stream = 5
+			case cuda.CallEventCreate:
+				reply.Event = 6
+			case cuda.CallEventElapsed:
+				reply.Elapsed = 42
 			case cuda.CallDeviceCount:
 				reply.Count = 4
 			case cuda.CallThreadExit:
@@ -262,5 +274,81 @@ func TestThreadExitRelaysFeedback(t *testing.T) {
 	}
 	if c := f.pool.GetCall(); c != f.exitCall || c.ID != 0 {
 		t.Fatalf("the pool's call is %p %+v, want the exit call %p zeroed", c, c, f.exitCall)
+	}
+}
+
+func TestEventCallsForwarded(t *testing.T) {
+	f := drive(t, func(f *fakeFabric, ip *Interposer) {
+		start, err := ip.EventCreate()
+		if err != nil || start != 6 {
+			t.Errorf("EventCreate = %v, %v", start, err)
+		}
+		if err := ip.EventRecord(start, cuda.DefaultStream); err != nil {
+			t.Errorf("EventRecord: %v", err)
+		}
+		if err := ip.EventSynchronize(start); err != nil {
+			t.Errorf("EventSynchronize: %v", err)
+		}
+		if d, err := ip.EventElapsed(start, start); err != nil || d != 42 {
+			t.Errorf("EventElapsed = %v, %v, want 42us", d, err)
+		}
+		if err := ip.EventDestroy(start); err != nil {
+			t.Errorf("EventDestroy: %v", err)
+		}
+	})
+	want := []cuda.CallID{cuda.CallSetDevice, cuda.CallEventCreate, cuda.CallEventRecord,
+		cuda.CallEventSync, cuda.CallEventElapsed, cuda.CallEventDestroy}
+	if len(f.received) != len(want) {
+		t.Fatalf("received %d calls, want %d", len(f.received), len(want))
+	}
+	for i, c := range f.received {
+		if c.ID != want[i] || c.NonBlocking != (c.ID == cuda.CallEventRecord || c.ID == cuda.CallEventDestroy) {
+			t.Fatalf("call %d = %v (non-blocking %v), want %v", i, c.ID, c.NonBlocking, want[i])
+		}
+		if i > 1 && c.Event != 6 {
+			t.Fatalf("call %v names event %d, want 6", c.ID, c.Event)
+		}
+	}
+	if f.received[4].Event2 != 6 {
+		t.Fatalf("EventElapsed's end event = %d, want 6", f.received[4].Event2)
+	}
+}
+
+// A reply whose Seq is not the blocking call's fails the call: outside
+// recovery mode nothing retransmits, so no later reply would answer it.
+func TestReplySeqMismatchFailsTheCall(t *testing.T) {
+	finished := false
+	drive(t, func(f *fakeFabric, ip *Interposer) {
+		f.stale = cuda.CallMalloc
+		_, err := ip.Malloc(100)
+		if err == nil || err.Error() != "interpose: reply 1 does not answer call 2" {
+			t.Errorf("Malloc answered with the previous call's Seq: err = %v", err)
+		}
+		finished = true
+	})
+	if !finished {
+		t.Fatal("the app is still waiting for a reply that will never come")
+	}
+}
+
+func TestSendTracesEachCall(t *testing.T) {
+	rec := trace.New()
+	drive(t, func(f *fakeFabric, ip *Interposer) {
+		ip.SetTrace(rec, 0)
+		if _, err := ip.Malloc(100); err != nil {
+			t.Errorf("Malloc: %v", err)
+		}
+		if ip.GID() != f.gid {
+			t.Errorf("GID = %d, want %d", ip.GID(), f.gid)
+		}
+	})
+	var calls []string
+	for _, sp := range rec.Snapshot().Spans {
+		if sp.Kind == trace.KCall {
+			calls = append(calls, sp.Name)
+		}
+	}
+	if !reflect.DeepEqual(calls, []string{"cudaSetDevice", "cudaMalloc"}) {
+		t.Fatalf("call spans = %v", calls)
 	}
 }

@@ -312,8 +312,7 @@ func (ip *Interposer) failover() (*rpcproto.Reply, error) {
 	var lastErr error = cuda.ErrBackendLost
 	for attempt := 0; attempt < budget; attempt++ {
 		// Release the failed binding and select a survivor. The DST row of
-		// the dead device is already non-Healthy, so the spillover reroutes
-		// us to the healthy pool.
+		// the dead device is already non-Healthy, so the policy skips it.
 		ip.fab.ReportFeedback(ip.gid, ip.kind, nil)
 		ip.gid = ip.fab.SelectGPU(ip.p, balancer.Request{
 			AppID: ip.appID, Kind: ip.kind, Node: ip.node, Tenant: ip.tenant,

@@ -95,3 +95,64 @@ func TestMTSessionBlockingCallHoldsOrder(t *testing.T) {
 		t.Fatalf("cross-thread interleaving broke the session: %v", errs[0])
 	}
 }
+
+// TestMTSessionForwardsEveryCall drives every cuda.Client call through two
+// thread views of one session: each reaches the shared binding in the
+// threads' intended order, and the second thread's exit tears it down.
+func TestMTSessionForwardsEveryCall(t *testing.T) {
+	k := sim.NewKernel(1)
+	f := newFakeFabric(k)
+	sess := NewMTSession(k, New(f, nil, 9, 3, 1, "MC", 0, true))
+	check := func(what string, err error) {
+		if err != nil {
+			t.Errorf("%s: %v", what, err)
+		}
+	}
+	var ev cuda.EventID
+	k.Go("t1", func(p *sim.Proc) {
+		c := sess.Thread(p)
+		if c.Proc() != p {
+			t.Error("thread view runs on another process")
+		}
+		check("SetDevice", c.SetDevice(0))
+		s, err := c.StreamCreate()
+		check("StreamCreate", err)
+		check("MemcpyAsync", c.MemcpyAsync(cuda.H2D, cuda.Ptr{ID: 1, Size: 8}, 8, s))
+		check("StreamSynchronize", c.StreamSynchronize(s))
+		check("StreamDestroy", c.StreamDestroy(s))
+		ev, err = c.EventCreate()
+		check("EventCreate", err)
+		check("EventRecord", c.EventRecord(ev, cuda.DefaultStream))
+	})
+	k.Go("t2", func(p *sim.Proc) {
+		c := sess.Thread(p)
+		p.Sleep(sim.Millisecond) // after t1's calls
+		if n := c.DeviceCount(); n != 4 {
+			t.Errorf("DeviceCount = %d", n)
+		}
+		ptr, err := c.Malloc(64)
+		check("Malloc", err)
+		check("Free", c.Free(ptr))
+		check("EventSynchronize", c.EventSynchronize(ev))
+		_, err = c.EventElapsed(ev, ev)
+		check("EventElapsed", err)
+		check("EventDestroy", c.EventDestroy(ev))
+		check("ThreadExit", c.ThreadExit())
+	})
+	k.Run()
+	want := []cuda.CallID{cuda.CallSetDevice, cuda.CallStreamCreate, cuda.CallMemcpyAsync,
+		cuda.CallStreamSync, cuda.CallStreamDestroy, cuda.CallEventCreate, cuda.CallEventRecord,
+		cuda.CallMalloc, cuda.CallFree, cuda.CallEventSync, cuda.CallEventElapsed,
+		cuda.CallEventDestroy, cuda.CallThreadExit}
+	if len(f.received) != len(want) {
+		t.Fatalf("received %d calls, want %d", len(f.received), len(want))
+	}
+	for i, c := range f.received {
+		if c.ID != want[i] || c.Seq != uint64(i+1) {
+			t.Fatalf("call %d = %v seq %d, want %v seq %d", i, c.ID, c.Seq, want[i], i+1)
+		}
+	}
+	if len(f.released) != 1 {
+		t.Fatalf("ThreadExit released %d bindings, want 1", len(f.released))
+	}
+}

@@ -124,16 +124,8 @@ func (s *Set) AppendChrome(b []byte) []byte {
 		b = appendJSONString(b, d.Class)
 		b = append(b, `,"policy":`...)
 		b = appendJSONString(b, d.Policy)
-		b = append(b, `,"raw":`...)
-		b = appendInt(b, int64(d.Raw))
 		b = append(b, `,"picked":`...)
 		b = appendInt(b, int64(d.Picked))
-		b = append(b, `,"spilled":`...)
-		if d.Spilled {
-			b = append(b, "true"...)
-		} else {
-			b = append(b, "false"...)
-		}
 		b = append(b, `,"sft_samples":`...)
 		b = appendInt(b, int64(d.SFTSamples))
 		b = append(b, `,"rows":[`...)

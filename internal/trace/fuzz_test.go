@@ -18,7 +18,7 @@ func FuzzParseJSONL(f *testing.F) {
 	f.Add(sampleSet().AppendJSONL(nil))
 	f.Add([]byte(`{"t":"span","id":1,"parent":0,"kind":"request","name":"MC","app":1,"gid":0,"arg":0,"start":5,"end":-1}`))
 	f.Add([]byte(`{"t":"event","kind":"wake","name":"","app":1,"gid":0,"arg":0,"at":9}`))
-	f.Add([]byte(`{"t":"decision","at":1,"app":1,"class":"MC","node":0,"tenant":1,"policy":"GMin","raw":0,"picked":0,"spilled":false,"sft_samples":0,"sft_exec":0,"rows":[]}`))
+	f.Add([]byte(`{"t":"decision","at":1,"app":1,"class":"MC","node":0,"tenant":1,"policy":"GMin","picked":0,"sft_samples":0,"sft_exec":0,"rows":[]}`))
 	f.Add([]byte(`{"t":"decision","rows":[{"gid":0,"health":"Healthy","weight":1e999}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		set, err := ParseJSONL(data)

@@ -26,7 +26,7 @@ var goldenCells = []struct {
 // goldenTraceSHA pins the concatenated JSONL export of the whole grid.
 // Captured from the sequential run at commit time; any change to the span
 // stream — ordering, field values, encoding — shows up here.
-const goldenTraceSHA = "1889c8a8dcba56fc280d8e23f1848d071ffaf962e1acf229cd9e7712a5648903"
+const goldenTraceSHA = "110a26ced8d11ce70b6667eead070c2cdc039243ba507ad164cc6988b175f132"
 
 // runGoldenGrid executes the grid at the given worker count and returns each
 // cell's JSONL export, in grid order.

@@ -119,12 +119,8 @@ func appendDecisionJSONL(b []byte, d Decision) []byte {
 	b = appendInt(b, d.Tenant)
 	b = append(b, `,"policy":`...)
 	b = appendJSONString(b, d.Policy)
-	b = append(b, `,"raw":`...)
-	b = appendInt(b, int64(d.Raw))
 	b = append(b, `,"picked":`...)
 	b = appendInt(b, int64(d.Picked))
-	b = append(b, `,"spilled":`...)
-	b = strconv.AppendBool(b, d.Spilled)
 	b = append(b, `,"sft_samples":`...)
 	b = appendInt(b, int64(d.SFTSamples))
 	b = append(b, `,"sft_exec":`...)
@@ -196,9 +192,7 @@ type jsonlRecord struct {
 	Node       int             `json:"node"`
 	Tenant     int64           `json:"tenant"`
 	Policy     string          `json:"policy"`
-	Raw        int             `json:"raw"`
 	Picked     int             `json:"picked"`
-	Spilled    bool            `json:"spilled"`
 	SFTSamples int             `json:"sft_samples"`
 	SFTExec    int64           `json:"sft_exec"`
 	Rows       []jsonlAuditRow `json:"rows"`
@@ -256,8 +250,7 @@ func ParseJSONL(data []byte) (*Set, error) {
 		case "decision":
 			d := Decision{
 				At: fromWire(rec.At), App: rec.App, Class: rec.Class,
-				Node: rec.Node, Tenant: rec.Tenant, Policy: rec.Policy,
-				Raw: rec.Raw, Picked: rec.Picked, Spilled: rec.Spilled,
+				Node: rec.Node, Tenant: rec.Tenant, Policy: rec.Policy, Picked: rec.Picked,
 				SFTSamples: rec.SFTSamples, SFTExec: fromWire(rec.SFTExec),
 			}
 			for _, row := range rec.Rows {

@@ -24,7 +24,7 @@ func sampleSet() *Set {
 		Decisions: []Decision{
 			{
 				At: 120, App: 1, Class: "MC", Node: 0, Tenant: 4, Policy: "GMin",
-				Raw: 1, Picked: 0, Spilled: true, SFTSamples: 5, SFTExec: 1234,
+				Picked: 0, SFTSamples: 5, SFTExec: 1234,
 				Rows: []DecisionRow{
 					{GID: 0, Node: 0, Health: "Healthy", Load: 2, Weight: 1.5},
 					{GID: 1, Node: 0, Health: "Dead", Load: 0, Weight: 0.25},

@@ -21,7 +21,6 @@ type ReqSummary struct {
 	Exec     sim.Time // total time executing inside the Context Packer
 	OpTime   sim.Time // total GPU engine time (kernels + copies)
 	Selected sim.Time // device-selection round-trip time
-	Spilled  bool     // the decision audit rerouted the policy's pick
 }
 
 // Summarize folds the span stream into per-request summaries, ordered by
@@ -61,13 +60,6 @@ func (s *Set) Summarize() []ReqSummary {
 			r.OpTime += sp.Duration()
 		}
 	}
-	for _, d := range s.Decisions {
-		if d.Spilled {
-			if r, ok := byApp[d.App]; ok {
-				r.Spilled = true
-			}
-		}
-	}
 	out := make([]ReqSummary, 0, len(order))
 	for _, app := range order {
 		out = append(out, *byApp[app])
@@ -93,12 +85,8 @@ func (s *Set) WriteTimeline(w io.Writer) error {
 		if r.End >= r.Start {
 			lat = (r.End - r.Start).String()
 		}
-		spill := ""
-		if r.Spilled {
-			spill = "  (spilled)"
-		}
-		if _, err := fmt.Fprintf(w, "%-5d %-6s %3d %12v %12s %6d %12v %12v %12v%s\n",
-			r.App, r.Name, r.GID, r.Start, lat, r.Calls, r.Wait, r.Exec, r.OpTime, spill); err != nil {
+		if _, err := fmt.Fprintf(w, "%-5d %-6s %3d %12v %12s %6d %12v %12v %12v\n",
+			r.App, r.Name, r.GID, r.Start, lat, r.Calls, r.Wait, r.Exec, r.OpTime); err != nil {
 			return err
 		}
 	}
@@ -109,12 +97,8 @@ func (s *Set) WriteTimeline(w io.Writer) error {
 // line with its row snapshot.
 func (s *Set) WriteDecisions(w io.Writer) error {
 	for _, d := range s.Decisions {
-		verdict := fmt.Sprintf("gid %d", d.Picked)
-		if d.Spilled {
-			verdict = fmt.Sprintf("gid %d (policy named %d, spilled)", d.Picked, d.Raw)
-		}
-		if _, err := fmt.Fprintf(w, "%12v app %-4d %-6s node %d %-8s -> %s  [sft: %d samples, exec %v]\n",
-			d.At, d.App, d.Class, d.Node, d.Policy, verdict, d.SFTSamples, d.SFTExec); err != nil {
+		if _, err := fmt.Fprintf(w, "%12v app %-4d %-6s node %d %-8s -> gid %d  [sft: %d samples, exec %v]\n",
+			d.At, d.App, d.Class, d.Node, d.Policy, d.Picked, d.SFTSamples, d.SFTExec); err != nil {
 			return err
 		}
 		for _, row := range d.Rows {

@@ -22,9 +22,6 @@ func summarySet() *Set {
 			// Cluster-scoped span (App -1) must not create a summary row.
 			{ID: 9, Kind: KOp, Name: "sys", App: -1, GID: 0, Start: 1, End: 2},
 		},
-		Decisions: []Decision{
-			{At: 205, App: 1, Class: "MC", Policy: "GMin", Raw: 1, Picked: 0, Spilled: true},
-		},
 	}
 }
 
@@ -48,12 +45,6 @@ func TestSummarize(t *testing.T) {
 		t.Errorf("wait/exec/op/selected = %v/%v/%v/%v, want 30/30/20/5",
 			r.Wait, r.Exec, r.OpTime, r.Selected)
 	}
-	if !r.Spilled {
-		t.Error("spilled decision not folded into the summary")
-	}
-	if sums[0].Spilled {
-		t.Error("app 2 marked spilled without a spilled decision")
-	}
 }
 
 func TestWriteTimeline(t *testing.T) {
@@ -73,22 +64,19 @@ func TestWriteTimeline(t *testing.T) {
 	if !strings.Contains(lines[1], "open") {
 		t.Errorf("open request row = %q, want latency 'open'", lines[1])
 	}
-	if !strings.Contains(lines[2], "(spilled)") {
-		t.Errorf("spilled request row = %q, want '(spilled)' marker", lines[2])
-	}
 }
 
 func TestWriteDecisions(t *testing.T) {
 	set := &Set{Decisions: []Decision{
 		{
 			At: 120, App: 1, Class: "MC", Node: 0, Tenant: 4, Policy: "GMin",
-			Raw: 1, Picked: 0, Spilled: true, SFTSamples: 5, SFTExec: 1234,
+			Picked: 0, SFTSamples: 5, SFTExec: 1234,
 			Rows: []DecisionRow{
 				{GID: 0, Node: 0, Health: "Healthy", Load: 2, Weight: 1.5},
 				{GID: 1, Node: 0, Health: "Dead", Load: 0, Weight: 0.25},
 			},
 		},
-		{At: 300, App: 2, Class: "BS", Policy: "GRR", Raw: 1, Picked: 1},
+		{At: 300, App: 2, Class: "BS", Policy: "GRR", Picked: 1},
 	}}
 	var buf bytes.Buffer
 	if err := set.WriteDecisions(&buf); err != nil {
@@ -96,7 +84,7 @@ func TestWriteDecisions(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"policy named 1, spilled", "sft: 5 samples",
+		"GMin     -> gid 0  [sft: 5 samples, exec 1.234ms]",
 		"gid 0 node 0 Healthy", "gid 1 node 0 Dead", "gid 1  [sft: 0 samples",
 	} {
 		if !strings.Contains(out, want) {

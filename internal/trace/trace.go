@@ -152,7 +152,7 @@ type DecisionRow struct {
 
 // Decision is the structured audit record of one cudaSetDevice override:
 // which DST rows the policy consulted, what the SFT knew about the class,
-// which device the policy named and which one actually won.
+// and which device the policy picked.
 type Decision struct {
 	At     sim.Time
 	App    int
@@ -161,9 +161,7 @@ type Decision struct {
 	Tenant int64
 	Policy string
 
-	Raw     int  // the policy's own pick
-	Picked  int  // the final pick after the mapper's health spill-over
-	Spilled bool // Picked != Raw because Raw's row was not Healthy
+	Picked int // the policy's pick (−1: a slice request parked, nothing fit)
 
 	SFTSamples int      // feedback history depth for Class at decision time
 	SFTExec    sim.Time // the SFT's mean runtime estimate for Class (0 if none)
