@@ -92,7 +92,8 @@ bench:
 # any of the gated packages (the observability layer, seed folding, the
 # worker pool, the kernel, the shard coordinator, the analytic fast-forward
 # layer, the analysis framework, the device model, the device scheduler, the
-# Affinity Mapper, the cluster tier, core, the fault injector, and the
+# Affinity Mapper, the cluster tier, core, the fault injector, the
+# application models, the report renderer, the experiment runners, and the
 # marshalled-call path: CUDA interposer, cuda runtime, wire protocol and
 # executor, Context Packer, the TCP wire probe) drops
 # below 85% statement coverage. The device scheduler's reference policies live
@@ -107,7 +108,8 @@ cover:
 		repro/internal/analysis repro/internal/gpu repro/internal/cluster \
 		repro/internal/core repro/internal/cuda repro/internal/rpcproto \
 		repro/internal/packer repro/internal/remoting repro/internal/devsched \
-		repro/internal/balancer repro/internal/faults repro/internal/interpose
+		repro/internal/balancer repro/internal/faults repro/internal/interpose \
+		repro/internal/workload repro/internal/report repro/internal/experiments
 
 # Short fuzz pass over every native fuzz target: the kernel's schedule
 # against its one-heap reference, the wire codec, the framing layer and the

@@ -20,17 +20,9 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/workload"
 )
-
-var kinds = map[string]workload.Kind{
-	"DC": workload.DXTC, "SC": workload.Scan, "BO": workload.BinomialOptions,
-	"MM": workload.MatrixMultiply, "HI": workload.Histogram, "EV": workload.Eigenvalues,
-	"BS": workload.BlackScholes, "MC": workload.MonteCarlo,
-	"GA": workload.Gaussian, "SN": workload.SortingNetworks,
-}
 
 func main() {
 	mode := flag.String("mode", "strings", "runtime: cuda, rain or strings")
@@ -56,21 +48,16 @@ func main() {
 		log.Fatalf("unknown style %q", *styleArg)
 	}
 
-	cfg := core.Config{
-		Seed:      *seed,
-		Balance:   *balance,
-		DevPolicy: *dev,
-		CUDA:      cuda.Config{BlockOnOOM: *memGuard},
-	}
-	switch strings.ToLower(*mode) {
-	case "cuda":
-		cfg.Mode = core.ModeCUDA
-	case "rain":
-		cfg.Mode = core.ModeRain
-	case "strings":
-		cfg.Mode = core.ModeStrings
-	default:
+	m, ok := core.ModeByName(*mode)
+	if !ok {
 		log.Fatalf("unknown mode %q", *mode)
+	}
+	cfg := core.Config{
+		Seed:       *seed,
+		Mode:       m,
+		Balance:    *balance,
+		DevPolicy:  *dev,
+		BlockOnOOM: *memGuard,
 	}
 	cfg.Nodes = []core.NodeConfig{
 		{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}},
@@ -91,7 +78,7 @@ func main() {
 		if len(kv) != 2 {
 			log.Fatalf("bad stream %q (want KIND:COUNT)", part)
 		}
-		kind, ok := kinds[strings.ToUpper(kv[0])]
+		kind, ok := workload.KindByCode(kv[0])
 		if !ok {
 			log.Fatalf("unknown benchmark %q", kv[0])
 		}
@@ -126,9 +113,8 @@ func main() {
 	fmt.Printf("requests: %d launched, %d finished, horizon %v\n\n",
 		r.Launched, r.Finished, r.EndTime)
 	for _, k := range r.Kinds() {
-		cs := r.Completions[k]
 		fmt.Printf("  %-3v %3d requests, avg %v, p50 %v, p95 %v\n",
-			k, len(cs), r.AvgCompletion(k),
+			k, len(r.Completions(k)), r.AvgCompletion(k),
 			r.PercentileCompletion(k, 0.5), r.PercentileCompletion(k, 0.95))
 	}
 	fmt.Println()

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/balancer"
@@ -29,20 +28,13 @@ import (
 	"repro/internal/workload"
 )
 
-var kinds = map[string]workload.Kind{
-	"DC": workload.DXTC, "SC": workload.Scan, "BO": workload.BinomialOptions,
-	"MM": workload.MatrixMultiply, "HI": workload.Histogram, "EV": workload.Eigenvalues,
-	"BS": workload.BlackScholes, "MC": workload.MonteCarlo,
-	"GA": workload.Gaussian, "SN": workload.SortingNetworks,
-}
-
-// kindNames returns the benchmark codes, sorted, for error listings.
+// kindNames returns the benchmark codes, in Table I order, for error
+// listings.
 func kindNames() []string {
-	names := make([]string, 0, len(kinds))
-	for name := range kinds {
-		names = append(names, name)
+	names := make([]string, len(workload.AllKinds))
+	for i, k := range workload.AllKinds {
+		names[i] = k.String()
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -71,21 +63,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	kind, ok := kinds[strings.ToUpper(*kindArg)]
+	kind, ok := workload.KindByCode(*kindArg)
 	if !ok {
 		fmt.Fprintf(stderr, "strings-trace: unknown benchmark %q; valid kinds: %s\n",
 			*kindArg, strings.Join(kindNames(), ", "))
 		return 1
 	}
-	var mode core.Mode
-	switch strings.ToLower(*modeArg) {
-	case "cuda":
-		mode = core.ModeCUDA
-	case "rain":
-		mode = core.ModeRain
-	case "strings":
-		mode = core.ModeStrings
-	default:
+	mode, ok := core.ModeByName(*modeArg)
+	if !ok {
 		fmt.Fprintf(stderr, "strings-trace: unknown mode %q; valid modes: cuda, rain, strings\n", *modeArg)
 		return 1
 	}

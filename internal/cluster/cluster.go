@@ -91,19 +91,9 @@ type Config struct {
 	// model schedulers racing over stale state. Default 8.
 	SnapshotEvery int
 
-	// MaxRetries bounds the refresh-and-retry loop after a commit
-	// conflict before the tenant parks. Default 3.
-	MaxRetries int
-
 	// ParkCapacity bounds the admission park queue; a tenant arriving to
 	// a full fleet with a full queue is rejected. Default 64.
 	ParkCapacity int
-
-	// Mode, Balance and DevPolicy configure the underlying supernode runs
-	// (defaults: ModeStrings, GMin, none).
-	Mode      core.Mode
-	Balance   string
-	DevPolicy string
 
 	// Workers sets the parallelism of the supernode runs (parallel.Map
 	// semantics: 0 = GOMAXPROCS, results bit-identical at any value).
@@ -119,20 +109,11 @@ func (c Config) withDefaults() Config {
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 8
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
-	}
 	if c.ParkCapacity <= 0 {
 		c.ParkCapacity = 64
 	}
 	if c.Policy == "" {
 		c.Policy = PolicyLeastLoaded
-	}
-	if c.Balance == "" {
-		c.Balance = "GMin"
-	}
-	if c.Mode == 0 { // core.ModeCUDA is the zero value but never wanted here
-		c.Mode = core.ModeStrings
 	}
 	return c
 }

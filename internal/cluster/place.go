@@ -68,6 +68,10 @@ func (h *departureHeap) Push(x any)     { *h = append(*h, x.(departure)) }
 func (h *departureHeap) Pop() any       { old := *h; n := len(old); d := old[n-1]; *h = old[:n-1]; return d }
 func (h departureHeap) peek() departure { return h[0] }
 
+// maxRetries bounds the refresh-and-retry loop after a commit conflict
+// before the tenant parks.
+const maxRetries = 3
+
 // engine is the shared-state placement state machine.
 type engine struct {
 	cfg  Config
@@ -190,7 +194,7 @@ func (e *engine) commit(sn, slots int) {
 // tryPlace runs the optimistic placement loop for one tenant: pick from the
 // snapshot, validate against the ledger, refresh and retry on conflict.
 // Returns the chosen supernode and retries consumed, or ok=false when the
-// fleet has no room within MaxRetries.
+// fleet has no room within maxRetries.
 func (e *engine) tryPlace(slots int) (sn, retries int, ok bool) {
 	for attempt := 0; ; attempt++ {
 		cand := e.pick(slots)
@@ -203,7 +207,7 @@ func (e *engine) tryPlace(slots int) (sn, retries int, ok bool) {
 			// conflict, the price of optimism over stale state.
 			e.log.Conflicts++
 		}
-		if attempt >= e.cfg.MaxRetries {
+		if attempt >= maxRetries {
 			return -1, attempt, false
 		}
 		e.refresh()

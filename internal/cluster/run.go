@@ -115,12 +115,14 @@ func Run(cfg Config) (*Result, error) {
 		if len(streams[i]) == 0 {
 			return snOut{res: SupernodeResult{Run: core.NewRunResultForPooling()}}
 		}
+		// Every supernode is a Strings deployment balancing with GMin and
+		// no device-level policy.
 		ccfg := core.Config{
 			Seed:    sweep.FoldSeed(cfg.Seed, uint64(i)),
 			Nodes:   cfg.Supernodes[i].Nodes,
-			Mode:    cfg.Mode,
-			Balance: cfg.Balance, DevPolicy: cfg.DevPolicy,
-			Kernel: arena.Get(),
+			Mode:    core.ModeStrings,
+			Balance: "GMin",
+			Kernel:  arena.Get(),
 		}
 		defer arena.Put(ccfg.Kernel)
 		if cfg.Traced {

@@ -28,7 +28,7 @@ type stringsBackend struct {
 // packer.Config, so pinned staging costs nothing (EXPERIMENTS.md, known
 // divergence 5).
 func newStringsBackend(c *Cluster, e *shardEnv, gid int) *stringsBackend {
-	rt := cuda.NewRuntime(e.k, []*gpu.Device{c.devices[gid]}, c.cfg.CUDA)
+	rt := cuda.NewRuntime(e.k, []*gpu.Device{c.devices[gid]}, c.cudaConfig())
 	b := &stringsBackend{
 		c:     c,
 		gid:   gid,
@@ -89,7 +89,7 @@ func (c *Cluster) openApp(p *sim.Proc, gid int, first *rpcproto.Call, pool *rpcp
 	appID := int(first.AppID)
 	// The process sees one device: a capped view of the pool's slice, not a
 	// fresh one-element slice per application.
-	rt := cuda.NewRuntime(p.Kernel(), c.devices[gid:gid+1:gid+1], c.cfg.CUDA)
+	rt := cuda.NewRuntime(p.Kernel(), c.devices[gid:gid+1:gid+1], c.cudaConfig())
 	rt.SetOwner(appID)
 	rp := &rainPort{t: *rt.NewThread(p, appID), pool: pool}
 	return rp, rp.t.SetDevice(0)

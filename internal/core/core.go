@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/balancer"
 	"repro/internal/cuda"
@@ -55,6 +56,17 @@ func (m Mode) String() string {
 	}
 }
 
+// ModeByName resolves a mode name ("CUDA", "Rain", "Strings") to its Mode,
+// case-insensitively.
+func ModeByName(name string) (Mode, bool) {
+	for m := ModeCUDA; m <= ModeStrings; m++ {
+		if strings.EqualFold(m.String(), name) {
+			return m, true
+		}
+	}
+	return 0, false
+}
+
 // NodeConfig describes one server node.
 type NodeConfig struct {
 	Devices []gpu.Spec
@@ -75,11 +87,14 @@ type Config struct {
 	DevPolicy string
 
 	Sched devsched.Config
-	CUDA  cuda.Config
 
-	// LocalLink and RemoteLink override the RPC link models (zero values
-	// select the package defaults).
-	LocalLink  rpcproto.LinkSpec
+	// BlockOnOOM makes every simulated CUDA runtime's cudaMalloc wait for
+	// device memory instead of failing with cudaErrorMemoryAllocation.
+	BlockOnOOM bool
+
+	// RemoteLink overrides the cross-node RPC link model (the zero value
+	// selects rpcproto.RemoteLink). Same-node links are always
+	// rpcproto.SharedMemLink.
 	RemoteLink rpcproto.LinkSpec
 
 	// Trace installs a utilization tracer on every device.
@@ -216,9 +231,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.DevPolicy == "" {
 		cfg.DevPolicy = "none"
-	}
-	if cfg.LocalLink == (rpcproto.LinkSpec{}) {
-		cfg.LocalLink = rpcproto.SharedMemLink
 	}
 	if cfg.RemoteLink == (rpcproto.LinkSpec{}) {
 		cfg.RemoteLink = rpcproto.RemoteLink
@@ -378,6 +390,11 @@ func devPolicyFactory(cfg Config) (func() devsched.Policy, error) {
 		return nil, fmt.Errorf("core: unknown device policy %q", cfg.DevPolicy)
 	}
 }
+
+// cudaConfig configures every CUDA runtime the cluster builds. Only
+// BlockOnOOM is set: the runtime's host-side overheads are never charged
+// (EXPERIMENTS.md, known divergence 6).
+func (c *Cluster) cudaConfig() cuda.Config { return cuda.Config{BlockOnOOM: c.cfg.BlockOnOOM} }
 
 // Mapper returns the affinity mapper (nil in ModeCUDA).
 func (c *Cluster) Mapper() *balancer.Mapper { return c.mapper }

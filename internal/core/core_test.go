@@ -51,7 +51,7 @@ func gaStream(n int) []workload.StreamSpec {
 
 func TestCUDAModeCompletesRequests(t *testing.T) {
 	r := mustRun(t, Config{Seed: 1, Nodes: twoGPUNode(), Mode: ModeCUDA}, gaStream(5))
-	if got := len(r.Completions[workload.Gaussian]); got != 5 {
+	if got := len(r.Completions(workload.Gaussian)); got != 5 {
 		t.Fatalf("completions = %d, want 5", got)
 	}
 	if r.AvgCompletion(workload.Gaussian) <= 0 {
@@ -61,14 +61,14 @@ func TestCUDAModeCompletesRequests(t *testing.T) {
 
 func TestRainModeCompletesRequests(t *testing.T) {
 	r := mustRun(t, Config{Seed: 1, Nodes: twoGPUNode(), Mode: ModeRain, Balance: "GRR"}, gaStream(5))
-	if got := len(r.Completions[workload.Gaussian]); got != 5 {
+	if got := len(r.Completions(workload.Gaussian)); got != 5 {
 		t.Fatalf("completions = %d, want 5", got)
 	}
 }
 
 func TestStringsModeCompletesRequests(t *testing.T) {
 	r := mustRun(t, Config{Seed: 1, Nodes: twoGPUNode(), Mode: ModeStrings, Balance: "GMin"}, gaStream(5))
-	if got := len(r.Completions[workload.Gaussian]); got != 5 {
+	if got := len(r.Completions(workload.Gaussian)); got != 5 {
 		t.Fatalf("completions = %d, want 5", got)
 	}
 }

@@ -68,12 +68,12 @@ func (f *nodeFabric) SelectGPU(p *sim.Proc, req balancer.Request) balancer.GID {
 	// each way; elsewhere toMapper and reply carry the remote latency.
 	local := f.node == mapperNode
 	if local {
-		p.Sleep(c.cfg.LocalLink.Latency)
+		p.Sleep(rpcproto.SharedMemLink.Latency)
 	}
 	f.toMapper(m)
 	p.Wait(m.done)
 	if local {
-		p.Sleep(c.cfg.LocalLink.Latency)
+		p.Sleep(rpcproto.SharedMemLink.Latency)
 	}
 	return out.gid
 }
@@ -86,7 +86,7 @@ func (f *nodeFabric) SelectGPU(p *sim.Proc, req balancer.Request) balancer.GID {
 // instant as, but ordered before) the handshake call.
 func (f *nodeFabric) ConnectBackend(p *sim.Proc, gid balancer.GID, _ int) rpcproto.Endpoint {
 	c, e, oe := f.c, f.e, f.c.devEnv[gid]
-	link := c.cfg.LocalLink
+	link := rpcproto.SharedMemLink
 	if c.mapper.DST().Entry(gid).Node != f.node {
 		link = c.cfg.RemoteLink
 	}

@@ -36,7 +36,7 @@ func oneKernelSupernode(t *testing.T, cfg Config) *Cluster {
 // bound is exact to the microsecond.
 func TestCrossNodeReportsPayTheLink(t *testing.T) {
 	c := oneKernelSupernode(t, Config{Seed: 1})
-	lat, local := c.cfg.RemoteLink.Latency, c.cfg.LocalLink.Latency
+	lat, local := c.cfg.RemoteLink.Latency, rpcproto.SharedMemLink.Latency
 	const reportAt = 10 * sim.Millisecond
 	var gids [2]balancer.GID
 	var selected [2]sim.Time

@@ -160,8 +160,6 @@ func TestFaultRunDeterminism(t *testing.T) {
 	base := faultRun(t, 11, faults.Plan{}, faultStreams(3))
 	plan := faults.Plan{
 		Faults: []faults.Fault{{At: base.EndTime / 2, Kind: faults.KillNode, Node: 1}},
-		Seed:   5,
-		Jitter: sim.Second,
 	}
 	a := faultRun(t, 11, plan, faultStreams(3))
 	b := faultRun(t, 11, plan, faultStreams(3))

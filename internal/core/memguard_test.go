@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -47,7 +46,7 @@ func TestWithoutMemoryGuardBurstOOMs(t *testing.T) {
 
 func TestMemoryGuardAdmitsBurst(t *testing.T) {
 	c, err := New(Config{Seed: 2, Nodes: tinyGPU(), Mode: ModeStrings,
-		Balance: "GRR", CUDA: cuda.Config{BlockOnOOM: true}})
+		Balance: "GRR", BlockOnOOM: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestMemoryGuardAdmitsBurst(t *testing.T) {
 func TestMemoryGuardPreservesThroughputWhenUncontended(t *testing.T) {
 	run := func(guard bool) sim.Time {
 		cfg := Config{Seed: 3, Nodes: twoGPUNode(), Mode: ModeStrings,
-			Balance: "GMin", CUDA: cuda.Config{BlockOnOOM: guard}}
+			Balance: "GMin", BlockOnOOM: guard}
 		r := mustRun(t, cfg, gaStream(4))
 		return r.AvgCompletion(workload.Gaussian)
 	}

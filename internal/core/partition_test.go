@@ -335,10 +335,10 @@ func TestRepeatedRunCountsOnce(t *testing.T) {
 			}
 			want := 5 * batch
 			if r.Launched != want || r.Finished != want || len(r.Requests) != want ||
-				len(r.Completions[workload.Gaussian]) != want {
+				len(r.Completions(workload.Gaussian)) != want {
 				t.Fatalf("shards=%d batch %d: launched %d finished %d requests %d completions %d, want %d each",
 					shards, batch, r.Launched, r.Finished, len(r.Requests),
-					len(r.Completions[workload.Gaussian]), want)
+					len(r.Completions(workload.Gaussian)), want)
 			}
 		}
 		c.Close()

@@ -174,7 +174,7 @@ func TestMultiThreadedAppsAcrossModes(t *testing.T) {
 	for _, mode := range []Mode{ModeCUDA, ModeRain, ModeStrings} {
 		cfg := Config{Seed: 9, Nodes: twoGPUNode(), Mode: mode, Balance: "GMin"}
 		r := mustRun(t, cfg, streams)
-		if got := len(r.Completions[workload.SortingNetworks]); got != 3 {
+		if got := len(r.Completions(workload.SortingNetworks)); got != 3 {
 			t.Fatalf("%v: completions = %d", mode, got)
 		}
 	}

@@ -17,10 +17,6 @@ import (
 
 // RunResult aggregates one experiment run.
 type RunResult struct {
-	// Completions holds arrival-to-completion latencies per application
-	// class.
-	Completions map[workload.Kind][]sim.Time
-
 	// TenantService is the total attained GPU service per tenant (the
 	// fairness experiments' allocation measure).
 	TenantService map[int64]sim.Time
@@ -35,7 +31,8 @@ type RunResult struct {
 	EndTime sim.Time
 
 	// Requests is the per-request event log (completion order; use
-	// SortedRequests for submission order).
+	// SortedRequests for submission order). It is the only record of
+	// completions: Completions, AvgCompletion and Kinds read it.
 	Requests []RequestEvent
 
 	Launched int
@@ -94,7 +91,6 @@ func (r *RunResult) AvgAdmissionWait() sim.Time {
 
 func newRunResult() *RunResult {
 	return &RunResult{
-		Completions:   make(map[workload.Kind][]sim.Time),
 		TenantService: make(map[int64]sim.Time),
 		TenantWeight:  make(map[int64]int),
 	}
@@ -104,14 +100,11 @@ func newRunResult() *RunResult {
 // replicated runs into.
 func NewRunResultForPooling() *RunResult { return newRunResult() }
 
-// Merge pools another run's results into r: completions and request logs
-// append, per-tenant services and counters sum, the horizon takes the
-// maximum. Pooled averages and ratios then weight every request equally
-// across replications.
+// Merge pools another run's results into r: request logs append,
+// per-tenant services and counters sum, the horizon takes the maximum.
+// Pooled averages and ratios then weight every request equally across
+// replications.
 func (r *RunResult) Merge(o *RunResult) {
-	for k, ts := range o.Completions {
-		r.Completions[k] = append(r.Completions[k], ts...)
-	}
 	for id, svc := range o.TenantService {
 		r.TenantService[id] += svc
 	}
@@ -135,24 +128,38 @@ func (r *RunResult) Merge(o *RunResult) {
 	}
 }
 
+// Completions returns the arrival-to-completion latencies of k's finished
+// requests (those with an empty Err), in log order.
+func (r *RunResult) Completions(k workload.Kind) []sim.Time {
+	var ts []sim.Time
+	for _, ev := range r.Requests {
+		if ev.Kind == k && ev.Err == "" {
+			ts = append(ts, ev.CompletionTime())
+		}
+	}
+	return ts
+}
+
 // AvgCompletion returns the mean completion latency for a class (0 if the
 // class never completed).
 func (r *RunResult) AvgCompletion(k workload.Kind) sim.Time {
-	ts := r.Completions[k]
-	if len(ts) == 0 {
+	var sum, n int64
+	for _, ev := range r.Requests {
+		if ev.Kind == k && ev.Err == "" {
+			sum += int64(ev.CompletionTime())
+			n++
+		}
+	}
+	if n == 0 {
 		return 0
 	}
-	var sum int64
-	for _, t := range ts {
-		sum += int64(t)
-	}
-	return sim.Time(sum / int64(len(ts)))
+	return sim.Time(sum / n)
 }
 
 // PercentileCompletion returns the p-quantile (0..1) of a class's
 // completion latencies.
 func (r *RunResult) PercentileCompletion(k workload.Kind, p float64) sim.Time {
-	ts := r.Completions[k]
+	ts := r.Completions(k)
 	if len(ts) == 0 {
 		return 0
 	}
@@ -165,11 +172,13 @@ func (r *RunResult) PercentileCompletion(k workload.Kind, p float64) sim.Time {
 
 // Kinds returns the classes with completions, in Kind order.
 func (r *RunResult) Kinds() []workload.Kind {
-	ks := make([]workload.Kind, 0, len(r.Completions))
-	for k := range r.Completions {
-		ks = append(ks, k)
+	var ks []workload.Kind
+	for _, ev := range r.Requests {
+		if ev.Err == "" && !slices.Contains(ks, ev.Kind) {
+			ks = append(ks, ev.Kind)
+		}
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	slices.Sort(ks)
 	return ks
 }
 
@@ -308,7 +317,7 @@ func (e *shardEnv) runApp(p *sim.Proc, app *workload.App, s workload.StreamSpec)
 	case ModeCUDA:
 		// A private process on the bare runtime, seeing only its node's
 		// devices.
-		rt := cuda.NewRuntime(e.k, c.nodeDev[s.Node], c.cfg.CUDA)
+		rt := cuda.NewRuntime(e.k, c.nodeDev[s.Node], c.cudaConfig())
 		rt.SetOwner(app.ID)
 		client = rt.NewThread(p, app.ID)
 		if threaded {
@@ -351,7 +360,6 @@ func (e *shardEnv) runApp(p *sim.Proc, app *workload.App, s workload.StreamSpec)
 	if ipose != nil && ipose.Disrupted() {
 		e.results.Recovered++
 	}
-	e.results.Completions[s.Kind] = append(e.results.Completions[s.Kind], app.CompletionTime())
 	e.recordRequest(app, s, gid, "")
 
 	// Tenant GPU service for fairness accounting.

@@ -40,7 +40,7 @@ func TestSliceRunEndToEnd(t *testing.T) {
 	if got := len(r.AdmissionWaits); got != 3 {
 		t.Fatalf("len(AdmissionWaits) = %d, want 3", got)
 	}
-	if got := len(r.Completions[workload.Gaussian]); got != 12 {
+	if got := len(r.Completions(workload.Gaussian)); got != 12 {
 		t.Fatalf("completions = %d, want 12", got)
 	}
 	if r.StrandedHorizon <= 0 {
@@ -93,7 +93,7 @@ func TestSliceMixedWithClassic(t *testing.T) {
 	if r.SliceCarves != 1 || r.SliceReleases != 1 {
 		t.Fatalf("carves/releases = %d/%d, want 1/1", r.SliceCarves, r.SliceReleases)
 	}
-	if got := len(r.Completions[workload.Gaussian]); got != 6 {
+	if got := len(r.Completions(workload.Gaussian)); got != 6 {
 		t.Fatalf("completions = %d, want 6", got)
 	}
 }

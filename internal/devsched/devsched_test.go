@@ -118,7 +118,7 @@ func TestTFSAlternatesTenantsBySlice(t *testing.T) {
 	}
 	// The winner accrues service; after slice expiry the other tenant runs.
 	first[0].Attained = 30 * sim.Millisecond
-	next := tfs.Pick(cfg.TFSBaseSlice+1, entries, &cfg)
+	next := tfs.Pick(tfsBaseSlice+1, entries, &cfg)
 	if next[0].TenantID == winner {
 		t.Fatal("TFS did not rotate to the starved tenant")
 	}
@@ -134,7 +134,7 @@ func TestTFSWeightsScaleSlices(t *testing.T) {
 		t.Fatal("no pick")
 	}
 	// Whoever won, its slice should be weight-scaled.
-	want := cfg.TFSBaseSlice * sim.Time(got[0].Weight)
+	want := tfsBaseSlice * sim.Time(got[0].Weight)
 	if tfs.turnLen != want {
 		t.Fatalf("slice = %v, want %v", tfs.turnLen, want)
 	}
@@ -165,8 +165,8 @@ func TestTFSPenalizesOvershoot(t *testing.T) {
 	first := tfs.Pick(0, entries, &cfg)
 	winner := first[0]
 	// The winner massively overshoots its slice (async work landing late).
-	winner.Attained = 10 * cfg.TFSBaseSlice
-	tfs.Pick(cfg.TFSBaseSlice+1, entries, &cfg)
+	winner.Attained = 10 * tfsBaseSlice
+	tfs.Pick(tfsBaseSlice+1, entries, &cfg)
 	if tfs.penalty[winner.TenantID] <= 0 {
 		t.Fatal("no overshoot penalty recorded")
 	}
@@ -234,8 +234,7 @@ func TestDispatcherGatesThreads(t *testing.T) {
 	// the high-CGS thread run while the low-CGS one has work.
 	k := sim.NewKernel(1)
 	dev := testDev(k)
-	cfg := Config{Epoch: 100 * sim.Microsecond}
-	s := New(k, dev, 0, LAS{}, cfg)
+	s := New(k, dev, 0, LAS{}, Config{})
 	ctx := dev.NewContext()
 	type bt struct {
 		entry   *Entry
@@ -314,7 +313,7 @@ func TestConfigDefaults(t *testing.T) {
 	if _, ok := s.policy.(AllAwake); !ok {
 		t.Fatal("nil policy should become AllAwake")
 	}
-	if s.cfg.Epoch != DefaultConfig().Epoch || s.cfg.LASDecay != 0.8 {
+	if s.cfg.LASDecay != 0.8 {
 		t.Fatalf("defaults not applied: %+v", s.cfg)
 	}
 }
@@ -324,7 +323,7 @@ func TestPSDispatcherKeepsAtMostThreeAwake(t *testing.T) {
 	// the awake set must never exceed the engine-slot count.
 	k := sim.NewKernel(1)
 	dev := testDev(k)
-	s := New(k, dev, 0, PS{}, Config{Epoch: 50 * sim.Microsecond})
+	s := New(k, dev, 0, PS{}, Config{})
 	ctx := dev.NewContext()
 	maxAwake := 0
 	countAwake := func() {

@@ -182,7 +182,7 @@ func (t *TFS) Pick(now sim.Time, entries []*Entry, cfg *Config) []*Entry {
 		}
 		if pick != nil {
 			t.current = pick.id
-			t.turnLen = cfg.TFSBaseSlice * sim.Time(pick.weight)
+			t.turnLen = tfsBaseSlice * sim.Time(pick.weight)
 			t.sliceEnd = now + t.turnLen
 			t.turnBase = pick.attained
 			t.active = true

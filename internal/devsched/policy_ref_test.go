@@ -106,7 +106,7 @@ func (t *refTFS) Pick(now sim.Time, entries []*Entry, cfg *Config) []*Entry {
 		return nil
 	}
 	t.current = best.id
-	t.turnLen = cfg.TFSBaseSlice * sim.Time(best.weight)
+	t.turnLen = tfsBaseSlice * sim.Time(best.weight)
 	t.sliceEnd = now + t.turnLen
 	t.turnBase = best.attained
 	t.active = true
@@ -224,9 +224,9 @@ func (h *history) step() {
 	switch rng.Intn(4) {
 	case 0: // same instant: a kick
 	case 1, 2:
-		h.now += h.cfg.Epoch
+		h.now += epoch
 	default: // past any slice a weight of 3 can buy
-		h.now += 4 * h.cfg.TFSBaseSlice
+		h.now += 4 * tfsBaseSlice
 	}
 	for _, e := range h.entries {
 		if rng.Intn(4) == 0 {
@@ -335,12 +335,12 @@ func TestTFSCurrentTenantLeavesMidSlice(t *testing.T) {
 	if got := appIDs(tfs.Pick(0, []*Entry{a, b}, &cfg)); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("first pick %v, want [1]", got)
 	}
-	a.Attained = 10 * cfg.TFSBaseSlice
+	a.Attained = 10 * tfsBaseSlice
 	a.exited = true
 	if got := appIDs(tfs.Pick(sim.Millisecond, []*Entry{b}, &cfg)); !reflect.DeepEqual(got, []int{2}) {
 		t.Fatalf("pick after the current tenant left %v, want [2]", got)
 	}
-	if len(tfs.penalty) != 0 || tfs.current != 200 || tfs.sliceEnd != sim.Millisecond+cfg.TFSBaseSlice {
+	if len(tfs.penalty) != 0 || tfs.current != 200 || tfs.sliceEnd != sim.Millisecond+tfsBaseSlice {
 		t.Fatalf("state after the current tenant left: %+v", tfs)
 	}
 }
@@ -366,7 +366,7 @@ func TestTFSTenantGoesIdleAndReturns(t *testing.T) {
 	if got := appIDs(tfs.Pick(2*sim.Millisecond, entries, &cfg)); !reflect.DeepEqual(got, []int{2}) {
 		t.Fatalf("tenant 100's return cut tenant 200's slice short: %v", got)
 	}
-	if got := appIDs(tfs.Pick(sim.Millisecond+cfg.TFSBaseSlice, entries, &cfg)); !reflect.DeepEqual(got, []int{1, 3}) {
+	if got := appIDs(tfs.Pick(sim.Millisecond+tfsBaseSlice, entries, &cfg)); !reflect.DeepEqual(got, []int{1, 3}) {
 		t.Fatalf("pick after tenant 200's slice %v, want the less-served tenant 100's [1 3]", got)
 	}
 }
@@ -494,7 +494,6 @@ func TestDispatcherTurnZeroAlloc(t *testing.T) {
 		for i, e := range pickShape() {
 			s.Register(e.AppID, e.TenantID, e.Weight, "X", e.Backlog).Phase = Phase(1 + i%4)
 		}
-		epoch := s.cfg.Epoch
 		k.RunUntil(100 * epoch) // warm-up: scratch grown, timer slots and event pool primed
 		turns := k.Dispatched()
 		allocs := math.Inf(1)
@@ -525,7 +524,6 @@ func TestPSPhaseChangeAloneDoesNotKick(t *testing.T) {
 		es = append(es, s.Register(id, int64(id), 1, "X", constBacklog(1)))
 		s.SetPhaseEntry(es[id-1], PhaseKL)
 	}
-	epoch := s.cfg.Epoch
 	k.RunUntil(epoch / 2)
 	awake := func() string { return fmt.Sprint(es[0].Awake, es[1].Awake, es[2].Awake, es[3].Awake) }
 	if got := awake(); got != "true true true false" {

@@ -10,15 +10,17 @@ import (
 	"repro/internal/trace"
 )
 
+const (
+	// epoch is the dispatcher's re-evaluation period (the scheduling
+	// epoch). The LAS time quantum and TFS slices are multiples of it.
+	epoch = 5 * sim.Millisecond
+
+	// tfsBaseSlice is the per-weight-unit residency slice of TFS.
+	tfsBaseSlice = 20 * sim.Millisecond
+)
+
 // Config tunes the scheduler.
 type Config struct {
-	// Epoch is the dispatcher's re-evaluation period (the scheduling
-	// epoch). The LAS time quantum and TFS slices are multiples of it.
-	Epoch sim.Time
-
-	// TFSBaseSlice is the per-weight-unit residency slice of TFS.
-	TFSBaseSlice sim.Time
-
 	// LASDecay is k in CGS_n = k·GS_n + (1-k)·CGS_{n-1}; the paper uses
 	// 0.8.
 	LASDecay float64
@@ -38,11 +40,7 @@ type Config struct {
 
 // DefaultConfig returns the configuration used in the experiments.
 func DefaultConfig() Config {
-	return Config{
-		Epoch:        5 * sim.Millisecond,
-		TFSBaseSlice: 20 * sim.Millisecond,
-		LASDecay:     0.8,
-	}
+	return Config{LASDecay: 0.8}
 }
 
 // Scheduler is the per-device GPU scheduler.
@@ -72,12 +70,6 @@ func (s *Scheduler) SetRecorder(rec *trace.Recorder) { s.rec = rec }
 func New(k *sim.Kernel, dev *gpu.Device, gid int, policy Policy, cfg Config) *Scheduler {
 	if policy == nil {
 		policy = AllAwake{}
-	}
-	if cfg.Epoch <= 0 {
-		cfg.Epoch = DefaultConfig().Epoch
-	}
-	if cfg.TFSBaseSlice <= 0 {
-		cfg.TFSBaseSlice = DefaultConfig().TFSBaseSlice
 	}
 	if cfg.LASDecay <= 0 || cfg.LASDecay > 1 {
 		cfg.LASDecay = DefaultConfig().LASDecay
@@ -244,7 +236,7 @@ func (s *Scheduler) dispatch(d *sim.Daemon) {
 		d.WaitKick()
 		return
 	}
-	d.WaitKickTimeout(s.cfg.Epoch)
+	d.WaitKickTimeout(epoch)
 }
 
 // refresh updates every entry's Request Monitor state from the device.

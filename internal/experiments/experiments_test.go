@@ -274,7 +274,7 @@ func TestAblationContextSwitchShape(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Requests <= 0 || o.LambdaFactor <= 0 || o.FairHorizon <= 0 {
+	if o.Requests <= 0 || o.LambdaFactor <= 0 {
 		t.Fatalf("defaults missing: %+v", o)
 	}
 	if len(o.Pairs) != 24 || len(o.Apps) != 10 {

@@ -117,6 +117,9 @@ func (s *Suite) Fig10() *metrics.Table {
 		s.pairBaseline1N, balancingSystems("fig10"))
 }
 
+// fairHorizon is the contention window of the fairness experiments.
+const fairHorizon = 40 * sim.Second
+
 // jainCell is the fairness measure of Figure 11: the pair's two tenants
 // stream at one GPU under cfg, saturating it through the fixed contention
 // window, and the cell is the Jain index over their attained service, each
@@ -126,7 +129,7 @@ func (s *Suite) jainCell(cfg core.Config, p workload.Pair, keyPrefix string) flo
 	long := workload.StreamSpec{Kind: p.Long, Count: 8, Lambda: sim.Second, Node: 0, Tenant: 1, Weight: 1}
 	short := workload.StreamSpec{Kind: p.Short, Count: 40, Lambda: sim.Second / 2, Node: 0, Tenant: 2, Weight: 1}
 	service := func(key string, streams ...workload.StreamSpec) map[int64]sim.Time {
-		return s.run(scenario{key: keyPrefix + key, cfg: cfg, streams: streams, horizon: s.opt.FairHorizon}).TenantService
+		return s.run(scenario{key: keyPrefix + key, cfg: cfg, streams: streams, horizon: fairHorizon}).TenantService
 	}
 	soloA := service("/solo/"+p.Long.String(), long)[1]
 	soloB := service("/solo/"+p.Short.String(), short)[2]

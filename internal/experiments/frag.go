@@ -90,7 +90,7 @@ func (s *Suite) fragRun(policy string) *core.RunResult {
 func fragP99(r *core.RunResult) float64 {
 	var all []float64
 	for _, k := range workload.AllKinds {
-		for _, t := range r.Completions[k] {
+		for _, t := range r.Completions(k) {
 			all = append(all, float64(t))
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/cuda"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -18,11 +17,11 @@ import (
 // balancing and context packing.
 //
 // Every series runs with cudaMalloc waiting for device memory instead of
-// failing (cuda.Config.BlockOnOOM, strings-run's -memguard). A pipelined application holds two
-// staging buffers, so on the bare runtime, where every request lands on the
-// 1 GiB Quadro 2000, the ninth concurrent MC request does not fit; the paper
-// assumes the arrival rate never gets there, and the default 12 requests a
-// stream does. Up to 8 requests no allocation waits.
+// failing (core.Config.BlockOnOOM, strings-run's -memguard). A pipelined
+// application holds two staging buffers, so on the bare runtime, where every
+// request lands on the 1 GiB Quadro 2000, the ninth concurrent MC request does
+// not fit; the paper assumes the arrival rate never gets there, and the
+// default 12 requests a stream does. Up to 8 requests no allocation waits.
 func (s *Suite) AblationAppStyle() *metrics.Table {
 	defer s.arena.Close()
 	kinds := []workload.Kind{workload.MonteCarlo, workload.BinomialOptions}
@@ -45,7 +44,7 @@ func (s *Suite) AblationAppStyle() *metrics.Table {
 				key: fmt.Sprintf("abl-style/%s/%s", sr.name, k),
 				cfg: core.Config{
 					Nodes: singleNode(), Mode: sr.mode, Balance: "GMin",
-					CUDA: cuda.Config{BlockOnOOM: true},
+					BlockOnOOM: true,
 				},
 				streams: []workload.StreamSpec{{
 					Kind: k, Count: s.opt.Requests, LambdaFactor: s.opt.LambdaFactor,

@@ -33,9 +33,6 @@ type Options struct {
 	// to its application's solo runtime (paper: λ proportional to runtime).
 	LambdaFactor float64
 
-	// FairHorizon is the contention window of the fairness experiments.
-	FairHorizon sim.Time
-
 	// Pairs restricts the 24-pair experiments (nil = all).
 	Pairs []workload.Pair
 
@@ -61,9 +58,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LambdaFactor <= 0 {
 		o.LambdaFactor = 0.6
-	}
-	if o.FairHorizon <= 0 {
-		o.FairHorizon = 40 * sim.Second
 	}
 	if o.Pairs == nil {
 		o.Pairs = workload.Pairs()

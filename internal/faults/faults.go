@@ -1,15 +1,13 @@
-// Package faults is the deterministic fault injector: a seeded,
-// sim-clock-driven process that fires a configured schedule of backend
-// failures — killing a whole node, killing a single GPU, stalling a GPU for
-// a while, or degrading its service rate — against any Target. All timing
-// runs on the virtual clock and all randomness flows through a threaded
-// *rand.Rand seeded from the plan, so two runs of the same plan produce the
-// same fault sequence event for event.
+// Package faults is the deterministic fault injector: a sim-clock-driven
+// process that fires a configured schedule of backend failures — killing a
+// whole node, killing a single GPU, stalling a GPU for a while, or degrading
+// its service rate — against any Target. The schedule fires exactly as given,
+// on the virtual clock, so two runs of the same plan produce the same fault
+// sequence event for event.
 package faults
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/sim"
@@ -75,14 +73,6 @@ func (f Fault) String() string {
 // Plan is a full injection schedule. The zero value is disabled.
 type Plan struct {
 	Faults []Fault
-
-	// Seed seeds the jitter stream (independent of the simulation seed so
-	// fault timing can be varied without disturbing arrivals).
-	Seed int64
-
-	// Jitter, when positive, shifts each fault's fire time by a uniform
-	// offset in [0, Jitter) drawn from the seeded stream.
-	Jitter sim.Time
 }
 
 // Enabled reports whether the plan schedules any faults.
@@ -98,20 +88,13 @@ type Target interface {
 
 // Start launches the injector process on k. A disabled plan spawns nothing,
 // so fault-free simulations carry zero extra events. Faults fire in
-// (time, schedule-order) order; jitter is applied before sorting so the
-// fire order is itself deterministic for a given plan.
+// (time, schedule-order) order.
 func Start(k *sim.Kernel, plan Plan, t Target) {
 	if !plan.Enabled() {
 		return
 	}
 	seq := make([]Fault, len(plan.Faults))
 	copy(seq, plan.Faults)
-	if plan.Jitter > 0 {
-		rng := rand.New(rand.NewSource(plan.Seed))
-		for i := range seq {
-			seq[i].At += sim.Time(rng.Int63n(int64(plan.Jitter)))
-		}
-	}
 	sort.SliceStable(seq, func(i, j int) bool { return seq[i].At < seq[j].At })
 	k.Go("fault-injector", func(p *sim.Proc) {
 		for _, f := range seq {

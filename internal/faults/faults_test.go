@@ -61,31 +61,6 @@ func TestFaultsFireAtScheduledTimes(t *testing.T) {
 	}
 }
 
-func TestJitterIsSeededAndDeterministic(t *testing.T) {
-	plan := Plan{
-		Faults: []Fault{
-			{At: 5 * sim.Second, Kind: KillGPU, GID: 0},
-			{At: 5 * sim.Second, Kind: KillGPU, GID: 1},
-		},
-		Seed:   42,
-		Jitter: 2 * sim.Second,
-	}
-	a, b := runPlan(plan), runPlan(plan)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same plan diverged:\n%v\n%v", a, b)
-	}
-	plan.Seed = 43
-	c := runPlan(plan)
-	if reflect.DeepEqual(a, c) {
-		t.Fatalf("different jitter seeds produced identical timing %v", a)
-	}
-	// Jitter never fires a fault before its scheduled time.
-	base := runPlan(Plan{Faults: plan.Faults})
-	if len(base) != 2 {
-		t.Fatalf("base fired %v", base)
-	}
-}
-
 func TestPlanInputNotMutated(t *testing.T) {
 	in := []Fault{
 		{At: 9 * sim.Second, Kind: KillGPU, GID: 1},
@@ -93,7 +68,7 @@ func TestPlanInputNotMutated(t *testing.T) {
 	}
 	orig := make([]Fault, len(in))
 	copy(orig, in)
-	runPlan(Plan{Faults: in, Seed: 7, Jitter: sim.Second})
+	runPlan(Plan{Faults: in})
 	if !reflect.DeepEqual(in, orig) {
 		t.Fatalf("Start mutated the caller's fault slice: %v", in)
 	}

@@ -42,7 +42,7 @@ type Device struct {
 	memQ         sim.Ring[*memWaiter] // admission-control FIFO (AllocBlocking)
 	memWaitFree  []*memWaiter         // recycled waiter records
 
-	tracer     Tracer
+	tracer     *UtilTrace
 	onComplete func(*Op)
 	opFree     []*Op // recycled pool-managed ops (see GetOp)
 
@@ -73,12 +73,6 @@ type copyEngine struct {
 	busy    float64 // integral of busy time
 }
 
-// Tracer receives utilization segments as the device state evolves; used to
-// reconstruct Fig 1/2-style utilization timelines.
-type Tracer interface {
-	Segment(from, to sim.Time, computeUtil, bwUtil float64, copiesBusy int, residentCtx int)
-}
-
 // NewDevice creates a device with the given spec and identifier and starts
 // its driver daemon on k.
 func NewDevice(k *sim.Kernel, spec Spec, id int) *Device {
@@ -99,8 +93,9 @@ func (d *Device) ID() int { return d.id }
 // Spec returns the device's capabilities.
 func (d *Device) Spec() Spec { return d.spec }
 
-// SetTracer installs a utilization tracer. Pass nil to disable.
-func (d *Device) SetTracer(t Tracer) { d.tracer = t }
+// SetTracer installs a utilization tracer, which then receives every
+// utilization segment as the device state evolves. Pass nil to disable.
+func (d *Device) SetTracer(t *UtilTrace) { d.tracer = t }
 
 // SetOnComplete installs a completion callback invoked for every finished op
 // (after its Done event fires). Used by the Request Monitor.

@@ -18,13 +18,14 @@ type UtilSegment struct {
 	ResidentCtx int
 }
 
-// UtilTrace records utilization segments; it implements Tracer. Zero-length
-// segments are skipped and adjacent identical segments are merged.
+// UtilTrace records utilization segments, from which Fig 1/2-style
+// utilization timelines are reconstructed. Zero-length segments are skipped
+// and adjacent identical segments are merged.
 type UtilTrace struct {
 	Segments []UtilSegment
 }
 
-// Segment implements Tracer.
+// Segment records the device state over [from, to).
 func (u *UtilTrace) Segment(from, to sim.Time, cu, bu float64, copies, ctx int) {
 	if to <= from {
 		return

@@ -24,34 +24,22 @@ type Recovery struct {
 	// CallTimeout bounds each blocking call's wait for a reply. 0 disables
 	// recovery.
 	CallTimeout sim.Time
-
-	// MaxRetries is how many times a timed-out idempotent call is
-	// retransmitted on the same connection before giving up (default 3 —
-	// enough for one frontend to drive the detector to Dead on its own).
-	MaxRetries int
-
-	// BackoffBase and BackoffCap shape the retransmit delay: the first
-	// retry waits BackoffBase, doubling per attempt up to BackoffCap
-	// (defaults 1ms and 50ms of virtual time).
-	BackoffBase sim.Time
-	BackoffCap  sim.Time
 }
+
+const (
+	// maxRetries is how many times a timed-out idempotent call is
+	// retransmitted on the same connection before giving up: enough for
+	// one frontend to drive the detector to Dead on its own.
+	maxRetries = 3
+
+	// The first retransmit waits backoffBase, doubling per attempt up to
+	// backoffCap (virtual time).
+	backoffBase = sim.Millisecond
+	backoffCap  = 50 * sim.Millisecond
+)
 
 // Enabled reports whether recovery is on.
 func (r Recovery) Enabled() bool { return r.CallTimeout > 0 }
-
-func (r Recovery) withDefaults() Recovery {
-	if r.MaxRetries <= 0 {
-		r.MaxRetries = 3
-	}
-	if r.BackoffBase <= 0 {
-		r.BackoffBase = sim.Millisecond
-	}
-	if r.BackoffCap <= 0 {
-		r.BackoffCap = 50 * sim.Millisecond
-	}
-	return r
-}
 
 // vPtr is one client-visible allocation's mapping onto the current backend.
 type vPtr struct {
@@ -87,19 +75,12 @@ func (ip *Interposer) SetRecovery(r Recovery) {
 		return
 	}
 	ip.rec = recState{
-		cfg:     r.withDefaults(),
+		cfg:     r,
 		ptrs:    make(map[int64]*vPtr),
 		streams: make(map[int32]int32),
 		events:  make(map[int32]int32),
 	}
 }
-
-// Timeouts returns how many blocking calls timed out.
-func (ip *Interposer) Timeouts() int { return ip.rec.timeouts }
-
-// Failovers returns how many times the interposer rebound to a replacement
-// GPU.
-func (ip *Interposer) Failovers() int { return ip.rec.failovers }
 
 // Disrupted reports whether the application was touched by a backend
 // failure at any point (timeout or failover).
@@ -229,7 +210,7 @@ func (ip *Interposer) awaitReply(seq uint64) (*rpcproto.Reply, bool, error) {
 // forget; blocking calls are guarded by the call timeout, retransmitted if
 // idempotent, and failed over once the mapper declares the backend Dead.
 func (ip *Interposer) sendReliable(c *rpcproto.Call, blocking bool) (*rpcproto.Reply, error) {
-	backoff := ip.rec.cfg.BackoffBase
+	backoff := backoffBase
 	sends := 0
 	for {
 		w := ip.wireCall(c)
@@ -271,17 +252,14 @@ func (ip *Interposer) sendReliable(c *rpcproto.Call, blocking bool) (*rpcproto.R
 			ip.seq++
 			c.Seq = ip.seq
 			sends = 0
-			backoff = ip.rec.cfg.BackoffBase
+			backoff = backoffBase
 			continue
 		}
-		if !retryable(c.ID) || sends > ip.rec.cfg.MaxRetries {
+		if !retryable(c.ID) || sends > maxRetries {
 			return nil, cuda.ErrBackendLost
 		}
 		ip.p.Sleep(backoff)
-		backoff *= 2
-		if backoff > ip.rec.cfg.BackoffCap {
-			backoff = ip.rec.cfg.BackoffCap
-		}
+		backoff = min(2*backoff, backoffCap)
 	}
 }
 

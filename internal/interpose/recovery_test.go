@@ -125,8 +125,8 @@ func TestRecoveryDisabledIsUntouched(t *testing.T) {
 		if err := ip.DeviceSynchronize(); err != nil {
 			t.Errorf("DeviceSynchronize: %v", err)
 		}
-		if ip.Timeouts() != 0 || ip.Failovers() != 0 || ip.Disrupted() {
-			t.Errorf("disabled recovery accumulated state: %d/%d", ip.Timeouts(), ip.Failovers())
+		if ip.rec.timeouts != 0 || ip.rec.failovers != 0 || ip.Disrupted() {
+			t.Errorf("disabled recovery accumulated state: %d/%d", ip.rec.timeouts, ip.rec.failovers)
 		}
 	})
 	if f.failures != 0 || f.recovered != 0 {
@@ -148,8 +148,8 @@ func TestTimeoutRetrySucceeds(t *testing.T) {
 		if err := ip.DeviceSynchronize(); err != nil {
 			t.Errorf("DeviceSynchronize after retry: %v", err)
 		}
-		if ip.Timeouts() != 1 {
-			t.Errorf("Timeouts = %d, want 1", ip.Timeouts())
+		if ip.rec.timeouts != 1 {
+			t.Errorf("Timeouts = %d, want 1", ip.rec.timeouts)
 		}
 		if !ip.Disrupted() {
 			t.Error("Disrupted = false after a timeout")
@@ -191,9 +191,9 @@ func TestRetryBudgetExhaustionSurfacesBackendLost(t *testing.T) {
 			t.Errorf("sync against a dead-silent backend = %v, want ErrBackendLost", err)
 		}
 	})
-	// Original + MaxRetries retransmits, each reported to the detector.
+	// Original + maxRetries retransmits, each reported to the detector.
 	if f.failures != 4 {
-		t.Fatalf("failure reports = %d, want 4 (1 + MaxRetries)", f.failures)
+		t.Fatalf("failure reports = %d, want 4 (1 + maxRetries)", f.failures)
 	}
 }
 
@@ -218,8 +218,8 @@ func TestFailoverReplaysStateOnReplacement(t *testing.T) {
 		if err := ip.DeviceSynchronize(); err != nil {
 			t.Errorf("DeviceSynchronize after failover: %v", err)
 		}
-		if ip.Failovers() != 1 {
-			t.Errorf("Failovers = %d, want 1", ip.Failovers())
+		if ip.rec.failovers != 1 {
+			t.Errorf("Failovers = %d, want 1", ip.rec.failovers)
 		}
 		if ip.gid != 1 {
 			t.Errorf("Device after failover = %d, want 1", ip.gid)

@@ -18,30 +18,20 @@ var palette = []string{
 	"#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac",
 }
 
-// ChartOptions tunes BarChart.
-type ChartOptions struct {
-	Width  int // total SVG width (default 960)
-	Height int // total SVG height (default 360)
-}
-
 // BarChart renders a grouped bar chart of the table as an SVG fragment.
 // Values are clamped at zero (the experiment tables are ratios and
 // percentages).
-func BarChart(t *metrics.Table, opt ChartOptions) string {
-	if opt.Width <= 0 {
-		opt.Width = 960
-	}
-	if opt.Height <= 0 {
-		opt.Height = 360
-	}
+func BarChart(t *metrics.Table) string {
 	const (
+		width   = 960 // total SVG width
+		height  = 360 // total SVG height
 		marginL = 56
 		marginR = 16
 		marginT = 28
 		marginB = 46
 	)
-	plotW := float64(opt.Width - marginL - marginR)
-	plotH := float64(opt.Height - marginT - marginB)
+	plotW := float64(width - marginL - marginR)
+	plotH := float64(height - marginT - marginB)
 
 	maxV := 0.0
 	for _, s := range t.Series {
@@ -58,7 +48,7 @@ func BarChart(t *metrics.Table, opt ChartOptions) string {
 
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="11">`,
-		opt.Width, opt.Height)
+		width, height)
 	fmt.Fprintf(&b, `<text x="%d" y="16" font-size="13" font-weight="bold">%s</text>`,
 		marginL, html.EscapeString(t.Title))
 
@@ -68,7 +58,7 @@ func BarChart(t *metrics.Table, opt ChartOptions) string {
 		v := maxV * float64(i) / float64(ticks)
 		y := marginT + plotH - plotH*float64(i)/float64(ticks)
 		fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="#ddd"/>`,
-			marginL, y, opt.Width-marginR, y)
+			marginL, y, width-marginR, y)
 		fmt.Fprintf(&b, `<text x="%d" y="%.1f" text-anchor="end" fill="#555">%.2f</text>`,
 			marginL-6, y+4, v)
 	}
@@ -97,13 +87,13 @@ func BarChart(t *metrics.Table, opt ChartOptions) string {
 					html.EscapeString(s.Name), html.EscapeString(lab), v)
 			}
 			fmt.Fprintf(&b, `<text x="%.1f" y="%d" text-anchor="middle" fill="#333">%s</text>`,
-				gx+groupW/2, opt.Height-marginB+16, html.EscapeString(lab))
+				gx+groupW/2, height-marginB+16, html.EscapeString(lab))
 		}
 	}
 
 	// Legend.
 	lx := marginL
-	ly := opt.Height - 14
+	ly := height - 14
 	for si, s := range t.Series {
 		fmt.Fprintf(&b, `<rect x="%d" y="%d" width="10" height="10" fill="%s"/>`,
 			lx, ly-9, palette[si%len(palette)])
@@ -128,7 +118,7 @@ func NewPage(title string) *Page { return &Page{Title: title} }
 func (p *Page) AddTable(t *metrics.Table) {
 	var b strings.Builder
 	b.WriteString(`<section>`)
-	b.WriteString(BarChart(t, ChartOptions{}))
+	b.WriteString(BarChart(t))
 	b.WriteString(`<details><summary>numbers</summary><pre>`)
 	b.WriteString(html.EscapeString(t.Format()))
 	b.WriteString(`</pre></details></section>`)

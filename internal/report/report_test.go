@@ -18,7 +18,7 @@ func sample() *metrics.Table {
 }
 
 func TestBarChartWellFormed(t *testing.T) {
-	svg := BarChart(sample(), ChartOptions{})
+	svg := BarChart(sample())
 	if err := xml.Unmarshal([]byte(svg), new(interface{})); err != nil {
 		t.Fatalf("SVG is not well-formed XML: %v", err)
 	}
@@ -36,13 +36,13 @@ func TestBarChartWellFormed(t *testing.T) {
 
 func TestBarChartEmptyAndNegative(t *testing.T) {
 	empty := &metrics.Table{Title: "empty"}
-	svg := BarChart(empty, ChartOptions{Width: 300, Height: 200})
+	svg := BarChart(empty)
 	if err := xml.Unmarshal([]byte(svg), new(interface{})); err != nil {
 		t.Fatalf("empty chart invalid: %v", err)
 	}
 	neg := &metrics.Table{Title: "neg", Labels: []string{"x"}}
 	neg.Add("s", []float64{-5})
-	svg = BarChart(neg, ChartOptions{})
+	svg = BarChart(neg)
 	if strings.Contains(svg, `height="-`) {
 		t.Fatal("negative bar height emitted")
 	}
@@ -51,7 +51,7 @@ func TestBarChartEmptyAndNegative(t *testing.T) {
 func TestBarChartShortSeriesPadded(t *testing.T) {
 	tb := &metrics.Table{Title: "t", Labels: []string{"a", "b"},
 		Series: []metrics.Series{{Name: "s", Values: []float64{1}}}} // shorter than labels
-	svg := BarChart(tb, ChartOptions{})
+	svg := BarChart(tb)
 	if err := xml.Unmarshal([]byte(svg), new(interface{})); err != nil {
 		t.Fatalf("padded chart invalid: %v", err)
 	}

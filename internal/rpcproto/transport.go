@@ -28,10 +28,6 @@ var (
 	// behaviour the paper reports. The remoting ablation bench sweeps this
 	// bandwidth.
 	RemoteLink = LinkSpec{Latency: 60 * sim.Microsecond, Bandwidth: 2000}
-
-	// GigELink is literal Gigabit Ethernet (~125 bytes/us), used by the
-	// network-sensitivity ablation.
-	GigELink = LinkSpec{Latency: 60 * sim.Microsecond, Bandwidth: 125}
 )
 
 // TransferTime returns the sender-side serialization cost of size bytes.

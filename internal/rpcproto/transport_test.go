@@ -149,7 +149,8 @@ func TestGigESlowerThanShm(t *testing.T) {
 		k.Run()
 		return done
 	}
-	shm, gige := run(SharedMemLink), run(GigELink)
+	// Literal Gigabit Ethernet: ~125 bytes/us.
+	shm, gige := run(SharedMemLink), run(LinkSpec{Latency: 60 * sim.Microsecond, Bandwidth: 125})
 	if gige <= shm {
 		t.Fatalf("GigE RTT %v not slower than shm RTT %v", gige, shm)
 	}

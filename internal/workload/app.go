@@ -58,9 +58,6 @@ type App struct {
 	Finished  sim.Time // completion
 }
 
-// CompletionTime returns the request's arrival-to-completion latency.
-func (a *App) CompletionTime() sim.Time { return a.Finished - a.Submitted }
-
 // Run executes the application against a CUDA client in its configured
 // style.
 func (a *App) Run(c cuda.Client) error {
@@ -90,12 +87,7 @@ func (a *App) runPipelined(c cuda.Client) error {
 			return fmt.Errorf("app %d: %w", a.ID, err)
 		}
 	}
-	kern := cuda.Kernel{
-		Name:       a.Profile.Name,
-		Compute:    a.Profile.KernCompute,
-		MemTraffic: a.Profile.KernTraffic,
-		Occupancy:  a.Profile.KernOcc,
-	}
+	kern := a.kernel()
 	for i := 0; i < a.Profile.Iters; i++ {
 		lane := i % 2
 		if i >= 2 {
@@ -156,53 +148,68 @@ func (a *App) copyChunkedAsync(c cuda.Client, dir cuda.Dir, buf cuda.Ptr, total 
 	return nil
 }
 
-// runSync executes the application exactly as the original SDK samples are
-// structured: select a device, allocate a staging buffer, then iterate CPU
-// phase → synchronous chunked H2D copies → kernel launch → synchronous
-// chunked D2H copies, and finally synchronize, free and exit. All GPU work
-// goes to the default stream; any asynchrony is the runtime's to discover.
-func (a *App) runSync(c cuda.Client) error {
-	p := c.Proc()
-	a.Started = p.Now()
-	if err := c.SetDevice(a.PreferredDev); err != nil {
-		return fmt.Errorf("app %d: %w", a.ID, err)
-	}
-	buf, err := c.Malloc(a.Profile.BufBytes)
-	if err != nil {
-		return fmt.Errorf("app %d: %w", a.ID, err)
-	}
-	kern := cuda.Kernel{
+// kernel is the application's per-iteration kernel launch.
+func (a *App) kernel() cuda.Kernel {
+	return cuda.Kernel{
 		Name:       a.Profile.Name,
 		Compute:    a.Profile.KernCompute,
 		MemTraffic: a.Profile.KernTraffic,
 		Occupancy:  a.Profile.KernOcc,
 	}
-	for i := 0; i < a.Profile.Iters; i++ {
-		if a.Profile.CPUPerIter > 0 {
-			p.Sleep(a.Profile.CPUPerIter)
-		}
-		if err := a.copyChunked(c, cuda.H2D, buf, a.Profile.H2DPerIter); err != nil {
-			return fmt.Errorf("app %d h2d: %w", a.ID, err)
-		}
-		if kern.Compute > 0 || kern.MemTraffic > 0 {
-			if err := c.Launch(kern, cuda.DefaultStream); err != nil {
-				return fmt.Errorf("app %d launch: %w", a.ID, err)
-			}
-		}
-		if err := a.copyChunked(c, cuda.D2H, buf, a.Profile.D2HPerIter); err != nil {
-			return fmt.Errorf("app %d d2h: %w", a.ID, err)
-		}
-	}
-	if err := c.DeviceSynchronize(); err != nil {
-		return fmt.Errorf("app %d sync: %w", a.ID, err)
-	}
-	if err := c.Free(buf); err != nil {
-		return fmt.Errorf("app %d free: %w", a.ID, err)
+}
+
+// runSync executes the application exactly as the original SDK samples are
+// structured: one synchronous thread over every iteration, then exit.
+func (a *App) runSync(c cuda.Client) error {
+	p := c.Proc()
+	a.Started = p.Now()
+	if err := a.syncThread(c, a.Profile.Iters); err != nil {
+		return fmt.Errorf("app %d: %w", a.ID, err)
 	}
 	if err := c.ThreadExit(); err != nil {
 		return fmt.Errorf("app %d exit: %w", a.ID, err)
 	}
 	a.Finished = p.Now()
+	return nil
+}
+
+// syncThread is one synchronous host thread: select a device, allocate a
+// staging buffer, then iterate CPU phase → synchronous chunked H2D copies →
+// kernel launch → synchronous chunked D2H copies, and finally synchronize
+// and free. All GPU work goes to the default stream; any asynchrony is the
+// runtime's to discover.
+func (a *App) syncThread(c cuda.Client, iters int) error {
+	p := c.Proc()
+	if err := c.SetDevice(a.PreferredDev); err != nil {
+		return err
+	}
+	buf, err := c.Malloc(a.Profile.BufBytes)
+	if err != nil {
+		return err
+	}
+	kern := a.kernel()
+	for i := 0; i < iters; i++ {
+		if a.Profile.CPUPerIter > 0 {
+			p.Sleep(a.Profile.CPUPerIter)
+		}
+		if err := a.copyChunked(c, cuda.H2D, buf, a.Profile.H2DPerIter); err != nil {
+			return fmt.Errorf("h2d: %w", err)
+		}
+		if kern.Compute > 0 || kern.MemTraffic > 0 {
+			if err := c.Launch(kern, cuda.DefaultStream); err != nil {
+				return fmt.Errorf("launch: %w", err)
+			}
+		}
+		if err := a.copyChunked(c, cuda.D2H, buf, a.Profile.D2HPerIter); err != nil {
+			return fmt.Errorf("d2h: %w", err)
+		}
+	}
+	if err := c.DeviceSynchronize(); err != nil {
+		return fmt.Errorf("sync: %w", err)
+	}
+	if err := c.Free(buf); err != nil {
+		return fmt.Errorf("free: %w", err)
+	}
 	return nil
 }
 

@@ -12,20 +12,14 @@ import (
 // factory (the bare runtime hands out process threads; Strings hands out
 // MTSession views whose per-device buffer synchronization keeps the
 // threads' GPU operations in application order). Each thread owns a private
-// staging buffer and runs the synchronous loop over its share of
-// iterations; the main thread joins them and performs the final exit.
+// staging buffer and runs syncThread over its share of iterations; the main
+// thread joins them and performs the final exit.
 func (a *App) RunThreaded(p *sim.Proc, factory func(*sim.Proc) cuda.Client, nThreads int) error {
 	if nThreads < 1 {
 		nThreads = 1
 	}
 	a.Started = p.Now()
 	k := p.Kernel()
-	kern := cuda.Kernel{
-		Name:       a.Profile.Name,
-		Compute:    a.Profile.KernCompute,
-		MemTraffic: a.Profile.KernTraffic,
-		Occupancy:  a.Profile.KernOcc,
-	}
 	errs := make([]error, nThreads)
 	done := make([]*sim.Event, nThreads)
 	per := a.Profile.Iters / nThreads
@@ -40,40 +34,7 @@ func (a *App) RunThreaded(p *sim.Proc, factory func(*sim.Proc) cuda.Client, nThr
 		done[ti] = k.NewEvent()
 		k.Go(fmt.Sprintf("app-%d-t%d", a.ID, ti), func(tp *sim.Proc) {
 			defer done[ti].Fire()
-			c := factory(tp)
-			if err := c.SetDevice(a.PreferredDev); err != nil {
-				errs[ti] = err
-				return
-			}
-			buf, err := c.Malloc(a.Profile.BufBytes)
-			if err != nil {
-				errs[ti] = err
-				return
-			}
-			for i := 0; i < iters; i++ {
-				if a.Profile.CPUPerIter > 0 {
-					tp.Sleep(a.Profile.CPUPerIter)
-				}
-				if err := a.copyChunked(c, cuda.H2D, buf, a.Profile.H2DPerIter); err != nil {
-					errs[ti] = err
-					return
-				}
-				if kern.Compute > 0 || kern.MemTraffic > 0 {
-					if err := c.Launch(kern, cuda.DefaultStream); err != nil {
-						errs[ti] = err
-						return
-					}
-				}
-				if err := a.copyChunked(c, cuda.D2H, buf, a.Profile.D2HPerIter); err != nil {
-					errs[ti] = err
-					return
-				}
-			}
-			if err := c.DeviceSynchronize(); err != nil {
-				errs[ti] = err
-				return
-			}
-			errs[ti] = c.Free(buf)
+			errs[ti] = a.syncThread(factory(tp), iters)
 		})
 	}
 	for _, ev := range done {
