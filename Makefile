@@ -54,12 +54,12 @@ lint: stringscheck
 	fi
 
 # One iteration of every micro-benchmark: proves they still compile and run
-# without paying full benchmark time. The codec, timer-delivery and
-# sleep-next benchmarks must report 0 allocs/op at any -benchtime (heap-churn
+# without paying full benchmark time. The codec, timer-delivery, sleep-next
+# and backend-call benchmarks must report 0 allocs/op at any -benchtime (heap-churn
 # does under `make bench`; a single iteration reads the runtime's own strays
 # over its 64 coroutines).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSleepNext|BenchmarkHeapChurn|BenchmarkSpawnExit|BenchmarkCodecRoundTrip' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSleepNext|BenchmarkHeapChurn|BenchmarkSpawnExit|BenchmarkCodecRoundTrip|BenchmarkBackendCall' -benchtime=1x .
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/rpcproto/
 	$(GO) run ./cmd/strings-bench -exp faults -pairs 1 -requests 4
 	@# Sweep-engine determinism: the same small grid at -parallel 1 and 4
@@ -86,7 +86,7 @@ examples:
 
 # Full micro-benchmark pass with allocation counts.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSleepNext|BenchmarkHeapChurn|BenchmarkSpawnExit|BenchmarkCodecRoundTrip' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSleepNext|BenchmarkHeapChurn|BenchmarkSpawnExit|BenchmarkCodecRoundTrip|BenchmarkBackendCall' -benchmem .
 
 # Coverage gate: run the internal packages with -coverprofile and fail if
 # any of the gated packages (the observability layer, seed folding, the

@@ -156,6 +156,10 @@ func spanTransfer(pass *Pass, n ast.Node, s spanState, onDrop func(token.Pos)) {
 		return // handled via g.Defers at exit
 	case *ast.AssignStmt:
 		for i, r := range n.Rhs {
+			if _, local := ast.Unparen(n.Lhs[i]).(*ast.Ident); !local {
+				spanEscape(pass, r, s) // stored into a field or an element: ownership moves with it
+				continue
+			}
 			call, ok := ast.Unparen(r).(*ast.CallExpr)
 			if ok && isSpanOpen(pass, call) && i < len(n.Lhs) {
 				if id, ok := ast.Unparen(n.Lhs[i]).(*ast.Ident); ok {

@@ -69,6 +69,17 @@ func handoff(r *trace.Recorder, sink func(trace.SpanID)) {
 	sink(sp)
 }
 
+// holder keeps a span past the function that opened it.
+type holder struct{ sp trace.SpanID }
+
+// stored: storing the ID into a field transfers ownership, directly or from
+// a local.
+func stored(r *trace.Recorder, h *holder) {
+	h.sp = r.Begin("stored")
+	sp := r.Begin("stored later")
+	h.sp = sp
+}
+
 // dropped: a Begin whose result is never bound can never be ended.
 func dropped(r *trace.Recorder) {
 	r.Begin("dropped") // want `span opened and immediately discarded`

@@ -5,91 +5,50 @@ import (
 
 	"repro/internal/cuda"
 	"repro/internal/devsched"
-	"repro/internal/gpu"
-	"repro/internal/packer"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 )
 
-// stringsBackend is the Design III backend: one process per GPU, hosting a
-// backend thread per connected application. All threads share the process's
-// CUDA runtime (hence a single GPU context) through the Context Packer, and
-// every thread is gated by the device scheduler's Dispatcher.
-type stringsBackend struct {
-	c     *Cluster
-	gid   int
-	pk    *packer.Packer
-	conns *sim.Queue[*rpcproto.Conn]
-	nexts int
-}
-
-// newStringsBackend spawns the backend daemon for the device with the given
-// GID, on the device's environment kernel. Its packer runs with the zero
-// packer.Config, so pinned staging costs nothing (EXPERIMENTS.md, known
-// divergence 5).
-func newStringsBackend(c *Cluster, e *shardEnv, gid int) *stringsBackend {
-	rt := cuda.NewRuntime(e.k, []*gpu.Device{c.devices[gid]}, c.cudaConfig())
-	b := &stringsBackend{
-		c:     c,
-		gid:   gid,
-		pk:    packer.New(rt, packer.Config{}),
-		conns: sim.NewQueue[*rpcproto.Conn](e.k),
-	}
-	b.pk.SetRecorder(e.rec, gid)
-	e.k.Go(fmt.Sprintf("backend-%d", gid), b.acceptLoop)
-	return b
-}
-
-// accept hands a new frontend connection to the daemon.
-func (b *stringsBackend) accept(conn *rpcproto.Conn) { b.conns.Put(conn) }
-
-// acceptLoop spawns one backend thread per accepted connection.
-func (b *stringsBackend) acceptLoop(p *sim.Proc) {
-	for {
-		conn := b.conns.Get(p)
-		b.nexts++
-		gid, n := b.gid, b.nexts
-		ep := conn.B()
-		p.Kernel().GoNamed(func() string { return fmt.Sprintf("bt-%d-%d", gid, n) },
-			func(tp *sim.Proc) { b.c.serveApp(tp, gid, ep, b) })
-	}
-}
-
-// openApp is the Strings half of serveApp: the application's lane is a
-// Context Packer port on the backend process's shared runtime, so its calls
-// are translated (AST/SST/MOT) before they execute.
-func (b *stringsBackend) openApp(p *sim.Proc, _ int, first *rpcproto.Call, pool *rpcproto.Pool) (appPort, error) {
-	port, err := b.pk.Open(p, int(first.AppID), first.TenantID)
-	if err != nil {
-		return nil, err
-	}
-	port.SetPool(pool)
-	return port, nil
-}
-
-// serveRainConn spawns a Rain (Design I) backend process for one
-// application. The process runs on the device's kernel and draws its
-// sequence number from that kernel's application counter.
-func (c *Cluster) serveRainConn(gid int, conn *rpcproto.Conn) {
+// accept starts the backend side of a new frontend connection to gid, on the
+// device's kernel: a thread of the GPU's Strings backend process, or a Rain
+// (Design I) process numbered from that kernel's application counter.
+func (c *Cluster) accept(gid int, conn *rpcproto.Conn) {
 	e := c.devEnv[gid]
-	e.appSeq++
-	seq := e.appSeq
-	ep := conn.B()
-	e.k.GoNamed(func() string { return fmt.Sprintf("rain-%d-%d", gid, seq) },
-		func(p *sim.Proc) { c.serveApp(p, gid, ep, c) })
+	var name func() string
+	if c.cfg.Mode == ModeStrings {
+		c.threads[gid]++
+		n := c.threads[gid]
+		name = func() string { return fmt.Sprintf("bt-%d-%d", gid, n) }
+	} else {
+		e.appSeq++
+		seq := e.appSeq
+		name = func() string { return fmt.Sprintf("rain-%d-%d", gid, seq) }
+	}
+	e.k.GoDaemonNamed(name, (&session{c: c, gid: gid, ep: conn.B()}).step)
 }
 
-// openApp is the Rain half of serveApp: a fresh CUDA runtime per application
-// — and therefore a private GPU context — executing the application's calls
-// verbatim: synchronous memcpys stay synchronous, device synchronizes stay
-// device-wide, everything runs on the context's default stream. The
-// per-device scheduler still gates submission, which is how TFS-Rain and
-// LAS-Rain are realized.
+// openApp gives an application that completed the handshake its lane on device
+// gid, the lane's thread running on p, or on the session daemon with p nil.
+// Under Strings the lane is a Context Packer port on the GPU's backend
+// process, so its calls are translated (AST/SST/MOT) before they execute.
+// Under Rain it is a fresh CUDA runtime — and therefore a private GPU context
+// — executing the application's calls verbatim: synchronous memcpys stay
+// synchronous, device synchronizes stay device-wide, everything runs on the
+// context's default stream. The per-device scheduler still gates submission,
+// which is how TFS-Rain and LAS-Rain are realized.
 func (c *Cluster) openApp(p *sim.Proc, gid int, first *rpcproto.Call, pool *rpcproto.Pool) (appPort, error) {
 	appID := int(first.AppID)
+	if c.cfg.Mode == ModeStrings {
+		port, err := c.packers[gid].Open(p, appID, first.TenantID)
+		if err != nil {
+			return nil, err
+		}
+		port.SetPool(pool)
+		return port, nil
+	}
 	// The process sees one device: a capped view of the pool's slice, not a
 	// fresh one-element slice per application.
-	rt := cuda.NewRuntime(p.Kernel(), c.devices[gid:gid+1:gid+1], c.cudaConfig())
+	rt := cuda.NewRuntime(c.devEnv[gid].k, c.devices[gid:gid+1:gid+1], c.cudaConfig())
 	rt.SetOwner(appID)
 	rp := &rainPort{t: *rt.NewThread(p, appID), pool: pool}
 	return rp, rp.t.SetDevice(0)
@@ -109,95 +68,178 @@ func (rp *rainPort) Execute(call *rpcproto.Call) *rpcproto.Reply {
 	return reply
 }
 
+func (rp *rainPort) Pending() *sim.Event { return rp.t.Pending() }
+
 // appPort is one application's execution lane at a backend: it turns a
-// marshalled call into its reply, blocking the serving process for as long
-// as the call takes.
+// marshalled call into its reply, final once Pending returns nil.
 type appPort interface {
 	Execute(call *rpcproto.Call) *rpcproto.Reply
+	Pending() *sim.Event
 }
 
-// appHost is what differs between the designs: how an application that
-// completed the handshake gets its lane on device gid.
-type appHost interface {
-	openApp(p *sim.Proc, gid int, first *rpcproto.Call, pool *rpcproto.Pool) (appPort, error)
+// session is one application's backend thread (Strings) or backend process
+// (Rain), run as a daemon: it performs the registration handshake with the
+// Request Manager, opens the application's lane, then executes the
+// application's marshalled calls under the Dispatcher's wake/sleep gating.
+// A step runs from the stage the last one waited in to the next wait.
+type session struct {
+	c     *Cluster
+	gid   int
+	ep    rpcproto.Endpoint
+	pool  *rpcproto.Pool
+	entry *devsched.Entry // nil until the handshake registers the application
+	port  appPort
+	held  int
+
+	at    stage
+	call  *rpcproto.Call  // the call in hand
+	reply *rpcproto.Reply // its reply
+	t0    sim.Time        // when the call began executing
+	cost  sim.Time        // the reply's transfer, still to be paid
+	last  bool            // the reply is the session's last
 }
 
-// serveApp is one application's backend thread (Strings) or backend process
-// (Rain): it performs the registration handshake with the Request Manager,
-// opens the application's lane on host, then executes the application's
-// marshalled calls under the Dispatcher's wake/sleep gating.
-func (c *Cluster) serveApp(p *sim.Proc, gid int, ep rpcproto.Endpoint, host appHost) {
-	first, ok := ep.Recv(p).(*rpcproto.Call)
-	if !ok || first.ID != cuda.CallSetDevice {
-		reply := &rpcproto.Reply{}
-		reply.SetError(cuda.ErrInvalidValue)
-		ep.Send(p, reply, 0)
-		return
-	}
-	if c.faultGate(p, gid) {
-		// The backend died before (or while) the registration was served:
-		// the daemon is gone, so the handshake reply never leaves the node.
-		return
-	}
-	appID := int(first.AppID)
-	pool := ep.Pool()
-	sched := c.scheds[gid]
-	held := 0
-	entry := sched.Register(appID, first.TenantID, int(first.Weight),
-		first.KernelName, func() int { return held + ep.InboxLen() })
-	port, err := host.openApp(p, gid, first, pool)
-	reply := pool.GetReply()
-	reply.Seq = first.Seq
-	reply.SetError(err)
-	ep.Send(p, reply, 0)
-	if err != nil {
-		sched.Unregister(appID)
-		return
-	}
+// stage is where a session's next step starts.
+type stage uint8
+
+const (
+	recv      stage = iota // take the next call, and sit out a stall
+	gated                  // apply a kill, or go for the turn
+	turn                   // wait for the Dispatcher to have the thread awake
+	executing              // wait out the call's device work and degrade penalty
+	executed               // dispose of the executed call
+	sending                // pay the reply's transfer, then post it
+)
+
+// backlog is the Dispatcher's view of the thread's pending requests: the
+// call in hand plus the inbox.
+func (s *session) backlog() int { return s.held + s.ep.InboxLen() }
+
+func (s *session) step(d *sim.Daemon) {
+	c, gid, sched := s.c, s.gid, s.c.scheds[s.gid]
 	for {
-		call, ok := ep.Recv(p).(*rpcproto.Call)
-		if !ok {
-			continue
-		}
-		if c.faultGate(p, gid) {
-			// Killed: swallow the call and keep draining the inbox so
-			// retransmissions die here instead of backing up the queue.
-			continue
-		}
-		held = 1
-		sched.SetPhaseEntry(entry, devsched.CallPhase(call))
-		if devsched.GatesOnDispatch(call.ID) {
-			sched.WaitTurn(p, entry)
-		}
-		t0 := p.Now()
-		reply := port.Execute(call)
-		c.degradePenalty(p, gid, p.Now()-t0)
-		held = 0
-		sched.SetPhaseEntry(entry, devsched.PhaseDFL)
-		if c.gpuDown[gid] {
-			// The kill landed while the call executed: the reply is lost
-			// with the daemon.
-			if call.ID == cuda.CallThreadExit {
-				sched.Unregister(appID)
+		switch s.at {
+		case recv:
+			msg, ok := s.ep.Take(d)
+			if !ok {
 				return
 			}
-			pool.FreeReply(reply)
-			continue
+			call, ok := msg.(*rpcproto.Call)
+			if s.entry == nil && (!ok || call.ID != cuda.CallSetDevice) {
+				s.reply = &rpcproto.Reply{}
+				s.reply.SetError(cuda.ErrInvalidValue)
+				s.send(0, true)
+			} else if ok {
+				s.call, s.at = call, gated
+				if stall := c.stallUntil[gid] - d.Now(); stall > 0 && !c.gpuDown[gid] {
+					d.Sleep(stall)
+					return
+				}
+			}
+
+		case gated:
+			switch {
+			case c.gpuDown[gid] && s.entry == nil:
+				// The backend died before (or while) the registration was
+				// served: the handshake reply never leaves the node.
+				d.Exit()
+				return
+			case c.gpuDown[gid]:
+				// Killed: swallow the call and keep draining the inbox so
+				// retransmissions die here instead of backing up the queue.
+				s.drop()
+			case s.entry == nil:
+				// The handshake: the Request Manager registers the
+				// application, its lane opens, and the reply goes back.
+				first := s.call
+				s.pool = s.ep.Pool()
+				s.entry = sched.Register(int(first.AppID), first.TenantID, int(first.Weight), first.KernelName, s.backlog)
+				port, err := c.openApp(nil, gid, first, s.pool)
+				s.port = port
+				s.reply = s.pool.GetReply()
+				s.reply.Seq = first.Seq
+				s.reply.SetError(err)
+				s.send(0, err != nil)
+			default:
+				s.held, s.at = 1, turn
+				sched.SetPhaseEntry(s.entry, devsched.CallPhase(s.call))
+			}
+
+		case turn:
+			if devsched.GatesOnDispatch(s.call.ID) && !sched.Turn(s.entry) {
+				d.WaitSignal(s.entry.Wake)
+				return
+			}
+			s.t0, s.at = d.Now(), executing
+			s.reply = s.port.Execute(s.call)
+
+		case executing:
+			if ev := s.port.Pending(); ev != nil {
+				d.Wait(ev)
+				return
+			}
+			s.at = executed
+			if f := c.degrade[gid]; f > 1 && d.Now() > s.t0 {
+				d.Sleep(sim.Time(float64(d.Now()-s.t0) * (f - 1)))
+				return
+			}
+
+		case executed:
+			s.held = 0
+			sched.SetPhaseEntry(s.entry, devsched.PhaseDFL)
+			exit := s.call.ID == cuda.CallThreadExit
+			switch {
+			case c.gpuDown[gid]:
+				// The kill landed while the call executed: the reply is lost
+				// with the daemon.
+				s.drop()
+				if exit {
+					sched.Unregister(s.entry.AppID)
+					d.Exit()
+					return
+				}
+			case exit:
+				s.reply.Feedback = sched.Unregister(s.entry.AppID)
+				s.send(0, true)
+			case !s.call.NonBlocking:
+				// Blocking round trip: the frontend owns both frames now and
+				// recycles them when it issues its next call.
+				s.send(s.call.ReplyPayloadBytes(), false)
+			default:
+				s.drop() // non-blocking: the reply is suppressed
+			}
+
+		case sending:
+			if cost := s.cost; cost > 0 {
+				s.cost = 0
+				d.Sleep(cost)
+				return
+			}
+			s.ep.Post(s.reply)
+			if s.last {
+				if s.entry != nil && s.call.ID == cuda.CallSetDevice {
+					sched.Unregister(s.entry.AppID) // the lane never opened
+				}
+				d.Exit()
+				return
+			}
+			s.call, s.reply, s.at = nil, nil, recv
 		}
-		if call.ID == cuda.CallThreadExit {
-			reply.Feedback = sched.Unregister(appID)
-			ep.Send(p, reply, 0)
-			return
-		}
-		if !call.NonBlocking {
-			// Blocking round trip: the frontend owns both frames now and
-			// recycles them when it issues its next call.
-			ep.Send(p, reply, call.ReplyPayloadBytes())
-			continue
-		}
-		// Non-blocking: the frontend forgot the call at issue and the reply
-		// is suppressed, so this side recycles both.
-		pool.FreeReply(reply)
-		pool.FreeCall(call)
 	}
+}
+
+// send makes the reply in hand the next to post, the session's last with
+// last, once its transfer with payload bulk bytes is paid.
+func (s *session) send(payload int64, last bool) {
+	s.at, s.cost, s.last = sending, s.ep.Cost(s.reply, payload), last
+}
+
+// drop discards the call in hand and its reply, and goes back to receiving: a
+// non-blocking call, which the frontend forgot at issue, is this side's too.
+func (s *session) drop() {
+	s.pool.FreeReply(s.reply)
+	if s.call.NonBlocking {
+		s.pool.FreeCall(s.call)
+	}
+	s.call, s.reply, s.at = nil, nil, recv
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/interpose"
+	"repro/internal/packer"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 	"repro/internal/sim/shard"
@@ -159,7 +160,14 @@ type Cluster struct {
 	traces  []*gpu.UtilTrace
 	nodeDev [][]*gpu.Device // per node
 	scheds  []*devsched.Scheduler
-	backs   []*stringsBackend
+
+	// The Strings (Design III) backend: one process per GPU, hosting a
+	// backend thread per connected application. All threads share the
+	// process's CUDA runtime (hence a single GPU context) through the Context
+	// Packer, and every thread is gated by the device scheduler's Dispatcher;
+	// threads counts those each process has started.
+	packers []*packer.Packer
+	threads []int
 
 	// The node→kernel partition (see partition.go): one environment per
 	// kernel, every kernel driven by coord. nodes maps a node, and devEnv a
@@ -366,7 +374,13 @@ func (c *Cluster) serveDevice(gid int) {
 	s.SetRecorder(e.rec)
 	c.scheds = append(c.scheds, s)
 	if c.cfg.Mode == ModeStrings {
-		c.backs = append(c.backs, newStringsBackend(c, e, gid))
+		// The packer runs with the zero packer.Config, so pinned staging
+		// costs nothing (EXPERIMENTS.md, known divergence 5).
+		rt := cuda.NewRuntime(e.k, []*gpu.Device{c.devices[gid]}, c.cudaConfig())
+		pk := packer.New(rt, packer.Config{})
+		pk.SetRecorder(e.rec, gid)
+		c.packers = append(c.packers, pk)
+		c.threads = append(c.threads, 0)
 	}
 }
 

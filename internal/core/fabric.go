@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/balancer"
+	"repro/internal/interpose"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 )
@@ -21,6 +22,9 @@ type nodeFabric struct {
 	node int
 	e    *shardEnv // the kernel the node's devices, streams and frontends live on
 }
+
+// Fabric returns the interpose.Fabric of the applications arriving at node.
+func (c *Cluster) Fabric(node int) interpose.Fabric { return c.nodes[node] }
 
 // deliver runs fn on node to's kernel delay after the present on node
 // from's: a kernel timer when the nodes share a kernel, a mailbox message
@@ -102,16 +106,6 @@ func (f *nodeFabric) ConnectBackend(p *sim.Proc, gid balancer.GID, _ int) rpcpro
 	conn.SetPools(&e.pool, &oe.pool)
 	e.sh.Send(oe.idx, link.Latency, func() { c.accept(int(gid), conn) })
 	return conn.A()
-}
-
-// accept hands a new frontend connection to gid's backend: the Strings
-// daemon's accept queue, or a fresh per-application Rain backend process.
-func (c *Cluster) accept(gid int, conn *rpcproto.Conn) {
-	if c.cfg.Mode == ModeStrings {
-		c.backs[gid].accept(conn)
-		return
-	}
-	c.serveRainConn(gid, conn)
 }
 
 // ReportFeedback implements interpose.Fabric.

@@ -49,28 +49,3 @@ func (c *Cluster) DegradeGPU(gid int, factor float64) {
 	}
 	c.degrade[gid] = factor
 }
-
-// faultGate applies the injected fault state to one received call on gid:
-// a killed backend swallows it (true = discard, no reply will ever come), a
-// stalled backend freezes the serving process until the stall lifts. All
-// checks are nil-cost in fault-free runs.
-func (c *Cluster) faultGate(p *sim.Proc, gid int) bool {
-	if c.gpuDown[gid] {
-		return true
-	}
-	if until := c.stallUntil[gid]; until > p.Now() {
-		p.Sleep(until - p.Now())
-		if c.gpuDown[gid] {
-			return true
-		}
-	}
-	return false
-}
-
-// degradePenalty charges the injected service-time multiplier for a call
-// that took dt to execute.
-func (c *Cluster) degradePenalty(p *sim.Proc, gid int, dt sim.Time) {
-	if f := c.degrade[gid]; f > 1 && dt > 0 {
-		p.Sleep(sim.Time(float64(dt) * (f - 1)))
-	}
-}

@@ -260,7 +260,7 @@ func (c *Cluster) run(streams []workload.StreamSpec, drive func()) (*RunResult, 
 	return c.collect(), nil
 }
 
-// launchStream spawns the per-stream arrival process on the kernel of the
+// launchStream starts the per-stream arrival daemon on the kernel of the
 // stream's arrival node.
 func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 	var arrivals []sim.Time
@@ -274,11 +274,14 @@ func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 	}
 	prof := workload.ProfileFor(s.Kind)
 	e := c.nodes[s.Node].e
-	e.k.Go(fmt.Sprintf("stream-%d-%s", si, s.Kind), func(p *sim.Proc) {
-		for i, at := range arrivals {
-			if at > p.Now() {
-				p.Sleep(at - p.Now())
+	i := 0
+	e.k.GoDaemon(fmt.Sprintf("stream-%d-%s", si, s.Kind), func(d *sim.Daemon) {
+		for ; i < len(arrivals); i++ {
+			if at := arrivals[i]; at > d.Now() {
+				d.Sleep(at - d.Now())
+				return
 			}
+			n := i
 			app := &workload.App{
 				Profile: prof,
 				Style:   s.Style,
@@ -294,9 +297,10 @@ func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 			e.results.TenantWeight[s.Tenant] = s.Weight
 			e.appTenant[app.ID] = s.Tenant
 			e.k.GoNamed(
-				func() string { return fmt.Sprintf("app-%s-%d.%d", s.Kind, si, i) },
+				func() string { return fmt.Sprintf("app-%s-%d.%d", s.Kind, si, n) },
 				func(ap *sim.Proc) { e.runApp(ap, app, s) })
 		}
+		d.Exit()
 	})
 }
 

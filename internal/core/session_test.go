@@ -1,0 +1,368 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/cuda"
+	"repro/internal/devsched"
+	"repro/internal/faults"
+	"repro/internal/gpu"
+	"repro/internal/rpcproto"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// The backend thread is a step machine (session). What it owes the rest of
+// the model is what the coroutine loop it replaced did, wait for wait:
+// refServeApp is that loop, kept as the reference, over the blocking forms of
+// the same waits. Seeded call scripts drive both and must leave equal reply
+// logs and traces.
+
+// refServeApp is the backend loop as a coroutine: one application's backend
+// thread (Strings) or backend process (Rain) on p, its lane opened on p so
+// that every call blocks p until it is done.
+func (c *Cluster) refServeApp(p *sim.Proc, gid int, ep rpcproto.Endpoint) {
+	first, ok := ep.Recv(p).(*rpcproto.Call)
+	if !ok || first.ID != cuda.CallSetDevice {
+		reply := &rpcproto.Reply{}
+		reply.SetError(cuda.ErrInvalidValue)
+		ep.Send(p, reply, 0)
+		return
+	}
+	if c.refFaultGate(p, gid) {
+		return
+	}
+	appID := int(first.AppID)
+	pool := ep.Pool()
+	sched := c.scheds[gid]
+	held := 0
+	entry := sched.Register(appID, first.TenantID, int(first.Weight),
+		first.KernelName, func() int { return held + ep.InboxLen() })
+	port, err := c.openApp(p, gid, first, pool)
+	reply := pool.GetReply()
+	reply.Seq = first.Seq
+	reply.SetError(err)
+	ep.Send(p, reply, 0)
+	if err != nil {
+		sched.Unregister(appID)
+		return
+	}
+	for {
+		call, ok := ep.Recv(p).(*rpcproto.Call)
+		if !ok {
+			continue
+		}
+		if c.refFaultGate(p, gid) {
+			continue
+		}
+		held = 1
+		sched.SetPhaseEntry(entry, devsched.CallPhase(call))
+		for devsched.GatesOnDispatch(call.ID) && !sched.Turn(entry) {
+			p.WaitSignal(entry.Wake)
+		}
+		t0 := p.Now()
+		reply := port.Execute(call)
+		if f := c.degrade[gid]; f > 1 && p.Now() > t0 {
+			p.Sleep(sim.Time(float64(p.Now()-t0) * (f - 1)))
+		}
+		held = 0
+		sched.SetPhaseEntry(entry, devsched.PhaseDFL)
+		if c.gpuDown[gid] {
+			if call.ID == cuda.CallThreadExit {
+				sched.Unregister(appID)
+				return
+			}
+			pool.FreeReply(reply)
+			continue
+		}
+		if call.ID == cuda.CallThreadExit {
+			reply.Feedback = sched.Unregister(appID)
+			ep.Send(p, reply, 0)
+			return
+		}
+		if !call.NonBlocking {
+			ep.Send(p, reply, call.ReplyPayloadBytes())
+			continue
+		}
+		pool.FreeReply(reply)
+		pool.FreeCall(call)
+	}
+}
+
+// refFaultGate is the reference's fault check: a killed backend swallows the
+// call (true), a stalled one sleeps the stall out first.
+func (c *Cluster) refFaultGate(p *sim.Proc, gid int) bool {
+	if c.gpuDown[gid] {
+		return true
+	}
+	if until := c.stallUntil[gid]; until > p.Now() {
+		p.Sleep(until - p.Now())
+		return c.gpuDown[gid]
+	}
+	return false
+}
+
+// refAccept is accept for the reference: the backend side of conn as a
+// process running refServeApp.
+func (c *Cluster) refAccept(gid int, conn *rpcproto.Conn) {
+	ep := conn.B()
+	c.devEnv[gid].k.Go("ref-backend", func(p *sim.Proc) { c.refServeApp(p, gid, ep) })
+}
+
+// A call script is one application's calls. Handles (pointers, streams,
+// events) are picked among those the application's earlier replies returned,
+// or, one past them, a handle it never got: a bogus pointer, the default
+// stream, an unknown event.
+type scriptCall struct {
+	id          cuda.CallID
+	nonBlocking bool
+	gap         sim.Time // host time before the call is issued
+	bytes       int64
+	dir         cuda.Dir
+	pick, pick2 int
+	compute     float64
+	traffic     float64
+	occ         float64
+}
+
+type scriptApp struct {
+	start  sim.Time
+	tenant int64
+	weight int32
+	calls  []scriptCall // the last is a blocking cudaThreadExit
+}
+
+type backendScript struct {
+	mode   Mode
+	policy string
+	guard  bool  // BlockOnOOM
+	mem    int64 // device memory
+	apps   []scriptApp
+	plan   faults.Plan
+}
+
+// newBackendScript deals a script from rng: a mode and device policy, a
+// device small enough that two tenants' buffers do not fit together, one to
+// three applications issuing every call kind blocking and non-blocking, and
+// kill, stall and degrade faults landing at random instants.
+func newBackendScript(rng *rand.Rand) backendScript {
+	sc := backendScript{mode: ModeStrings, guard: rng.Intn(2) == 0, mem: 3 << 20}
+	if rng.Intn(3) == 0 {
+		sc.mode = ModeRain
+	}
+	policies := []string{"none", "TFS", "LAS", "PS"}
+	if sc.mode == ModeRain {
+		policies = policies[:3]
+	}
+	sc.policy = policies[rng.Intn(len(policies))]
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		app := scriptApp{start: sim.Time(rng.Intn(3000)), tenant: int64(1 + rng.Intn(2)), weight: int32(1 + rng.Intn(3))}
+		for j, m := 0, 2+rng.Intn(14); j < m; j++ {
+			app.calls = append(app.calls, scriptCall{
+				id:          cuda.CallID(1 + rng.Intn(int(cuda.CallEventDestroy))),
+				nonBlocking: rng.Intn(3) == 0,
+				gap:         sim.Time(rng.Intn(4) * rng.Intn(1500)),
+				bytes:       int64(1+rng.Intn(4)) << 19,
+				dir:         cuda.Dir(rng.Intn(2)),
+				pick:        rng.Intn(8),
+				pick2:       rng.Intn(8),
+				compute:     float64(1+rng.Intn(20)) * 48e6,
+				traffic:     float64(rng.Intn(8)) * 1e6,
+				occ:         0.25 * float64(1+rng.Intn(4)),
+			})
+		}
+		app.calls = append(app.calls, scriptCall{id: cuda.CallThreadExit})
+		sc.apps = append(sc.apps, app)
+	}
+	at := func() sim.Time { return sim.Time(rng.Intn(40_000)) }
+	if rng.Intn(3) == 0 {
+		sc.plan.Faults = append(sc.plan.Faults, faults.Fault{At: at(), Kind: faults.KillGPU})
+	}
+	if rng.Intn(3) == 0 {
+		sc.plan.Faults = append(sc.plan.Faults, faults.Fault{At: at(), Kind: faults.StallGPU, Dur: sim.Time(1 + rng.Intn(20_000))})
+	}
+	if rng.Intn(3) == 0 {
+		sc.plan.Faults = append(sc.plan.Faults, faults.Fault{At: at(), Kind: faults.DegradeGPU, Factor: 1.5 + float64(rng.Intn(4))/2})
+	}
+	return sc
+}
+
+// replyRec is one line of a script's reply log: a reply as its application
+// received it, or the timeout that ended the application.
+type replyRec struct {
+	At      sim.Time
+	App     int
+	Seq     uint64
+	ID      cuda.CallID
+	Reply   rpcproto.Reply
+	Fb      rpcproto.Feedback
+	Timeout bool
+}
+
+// scriptTimeout is how long an application waits for a reply before it gives
+// the backend up: longer than any stall a script injects.
+const scriptTimeout = 2 * sim.Second
+
+// scriptHorizon ends a script's run: a tenant left registered by a kill or an
+// allocation that never fits keeps the device scheduler's epochs ticking.
+const scriptHorizon = 30 * sim.Second
+
+// runBackendScript runs sc on a one-GPU node, each application's connection
+// accepted by accept, and returns the reply log and the trace.
+func runBackendScript(t *testing.T, sc backendScript, accept func(c *Cluster, gid int, conn *rpcproto.Conn)) ([]replyRec, []byte) {
+	t.Helper()
+	spec := gpu.TeslaC2050
+	spec.MemBytes = sc.mem
+	c, err := New(Config{
+		Seed: 1, Nodes: []NodeConfig{{Devices: []gpu.Spec{spec}}}, Mode: sc.mode,
+		DevPolicy: sc.policy, BlockOnOOM: sc.guard, Recorder: trace.New(), Faults: sc.plan,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var log []replyRec
+	pool := &rpcproto.Pool{}
+	for i, app := range sc.apps {
+		c.K.Go(fmt.Sprintf("script-%d", i), func(p *sim.Proc) {
+			p.Sleep(app.start)
+			conn := rpcproto.NewConn(c.K, rpcproto.SharedMemLink)
+			conn.SetPools(pool, pool)
+			accept(c, 0, conn)
+			ep := conn.A()
+			var ptrs []cuda.Ptr
+			var streams, events []int32
+			seq := uint64(0)
+			call := func(sc scriptCall, fill func(*rpcproto.Call)) bool {
+				p.Sleep(sc.gap)
+				seq++
+				m := pool.GetCall()
+				m.ID, m.Seq, m.NonBlocking = sc.id, seq, sc.nonBlocking
+				fill(m)
+				ep.Send(p, m, m.PayloadBytes())
+				if m.NonBlocking {
+					return true
+				}
+				msg, ok := ep.RecvTimeout(p, scriptTimeout)
+				if !ok {
+					log = append(log, replyRec{At: p.Now(), App: i, Seq: seq, ID: sc.id, Timeout: true})
+					return false
+				}
+				r := msg.(*rpcproto.Reply)
+				rec := replyRec{At: p.Now(), App: i, Seq: seq, ID: sc.id, Reply: *r}
+				if r.Feedback != nil {
+					rec.Fb, rec.Reply.Feedback = *r.Feedback, nil
+				}
+				log = append(log, rec)
+				if r.Err == "" {
+					switch sc.id {
+					case cuda.CallMalloc:
+						ptrs = append(ptrs, cuda.Ptr{Dev: int(r.PtrDev), ID: r.PtrID, Size: r.PtrSize})
+					case cuda.CallStreamCreate:
+						streams = append(streams, r.Stream)
+					case cuda.CallEventCreate:
+						events = append(events, r.Event)
+					}
+				}
+				pool.FreeCall(m)
+				pool.FreeReply(r)
+				return true
+			}
+			ptr := func(k int) cuda.Ptr {
+				if k %= len(ptrs) + 1; k < len(ptrs) {
+					return ptrs[k]
+				}
+				return cuda.Ptr{ID: 1 << 40, Size: 1 << 20}
+			}
+			stream := func(k int) int32 {
+				if k %= len(streams) + 1; k < len(streams) {
+					return streams[k]
+				}
+				return 0
+			}
+			event := func(k int) int32 {
+				if k %= len(events) + 1; k < len(events) {
+					return events[k]
+				}
+				return 99
+			}
+			hello := scriptCall{id: cuda.CallSetDevice}
+			if !call(hello, func(m *rpcproto.Call) {
+				m.AppID, m.TenantID, m.Weight, m.KernelName = int64(100+i), app.tenant, app.weight, "script"
+			}) {
+				return
+			}
+			for _, s := range app.calls {
+				ok := call(s, func(m *rpcproto.Call) {
+					switch s.id {
+					case cuda.CallMalloc:
+						m.Bytes = s.bytes
+					case cuda.CallFree, cuda.CallMemcpy, cuda.CallMemcpyAsync:
+						pt := ptr(s.pick)
+						m.PtrID, m.PtrSize, m.PtrDev = pt.ID, pt.Size, int32(pt.Dev)
+						m.Dir, m.Bytes = s.dir, min(s.bytes, pt.Size)
+						m.Stream = stream(s.pick2)
+					case cuda.CallLaunch:
+						m.KernelName, m.Compute, m.MemTraffic, m.Occupancy = "k", s.compute, s.traffic, s.occ
+						m.Stream = stream(s.pick)
+					case cuda.CallStreamSync, cuda.CallStreamDestroy:
+						m.Stream = stream(s.pick)
+					case cuda.CallEventRecord, cuda.CallEventSync, cuda.CallEventElapsed, cuda.CallEventDestroy:
+						m.Event, m.Event2, m.Stream = event(s.pick), event(s.pick2), stream(s.pick2)
+					}
+				})
+				if !ok {
+					return
+				}
+			}
+		})
+	}
+	c.coord.RunUntil(scriptHorizon)
+	var jsonl []byte
+	for _, rec := range c.Recorders() {
+		jsonl = rec.Snapshot().AppendJSONL(jsonl)
+	}
+	return log, jsonl
+}
+
+// TestSessionMatchesCoroutineLoop runs 1 000 seeded call scripts through the
+// session daemon and through the coroutine loop it replaced.
+func TestSessionMatchesCoroutineLoop(t *testing.T) {
+	n := 1000
+	if testing.Short() {
+		n = 200
+	}
+	rng := rand.New(rand.NewSource(28))
+	var replies, timeouts, failed, feedback int
+	for i := 0; i < n; i++ {
+		sc := newBackendScript(rng)
+		want, wantTrace := runBackendScript(t, sc, (*Cluster).refAccept)
+		got, gotTrace := runBackendScript(t, sc, (*Cluster).accept)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("script %d (%v, %s, guard %v, %v): reply logs differ\nsession %+v\nloop    %+v",
+				i, sc.mode, sc.policy, sc.guard, sc.plan.Faults, got, want)
+		}
+		if string(gotTrace) != string(wantTrace) {
+			t.Fatalf("script %d (%v, %s, guard %v, %v): traces differ", i, sc.mode, sc.policy, sc.guard, sc.plan.Faults)
+		}
+		for _, r := range want {
+			replies++
+			switch {
+			case r.Timeout:
+				timeouts++
+			case r.Reply.Err != "":
+				failed++
+			}
+			if r.Fb.AppID != 0 {
+				feedback++
+			}
+		}
+	}
+	t.Logf("%d replies: %d timeouts, %d errors, %d with feedback", replies, timeouts, failed, feedback)
+	if timeouts == 0 || failed == 0 || feedback == 0 {
+		t.Fatal("the scripts no longer reach kills, failing calls and clean exits")
+	}
+}

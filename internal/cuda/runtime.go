@@ -45,7 +45,7 @@ type procCtx struct {
 	events    map[EventID]*eventRec // lazily allocated on first EventCreate
 	nextEv    EventID
 	created   bool
-	evScratch []*sim.Event // DeviceSynchronize snapshot buffer
+	evScratch []*sim.Event // the waits of a device-wide synchronize (syncDevice)
 }
 
 // eventRec is one CUDA event's state: the marker op of its latest record.
@@ -59,23 +59,25 @@ func NewRuntime(k *sim.Kernel, devices []*gpu.Device, cfg Config) *Runtime {
 	return &Runtime{k: k, cfg: cfg, devices: devices, ctxs: make([]*procCtx, len(devices))}
 }
 
-// ensureCtx returns the process's context state on dev, creating it (and
-// charging the context-creation cost to p) on first touch.
-func (rt *Runtime) ensureCtx(p *sim.Proc, dev int) *procCtx {
-	pc := rt.ctxs[dev]
+// Kernel returns the kernel the runtime's devices run on.
+func (rt *Runtime) Kernel() *sim.Kernel { return rt.k }
+
+// ctx returns the process's context state on the thread's device, creating it
+// (and charging the context-creation cost to the thread) on first touch.
+func (t *Thread) ctx() *procCtx {
+	rt := t.rt
+	pc := rt.ctxs[t.dev]
 	if pc == nil {
 		pc = &procCtx{
-			ctx:    rt.devices[dev].NewContext(),
+			ctx:    rt.devices[t.dev].NewContext(),
 			next:   1,
 			nextEv: 1,
 		}
 		if rt.owner != 0 {
 			pc.ctx.Owner = rt.owner
 		}
-		rt.ctxs[dev] = pc
-		if rt.cfg.ContextCreate > 0 {
-			p.Sleep(rt.cfg.ContextCreate)
-		}
+		rt.ctxs[t.dev] = pc
+		t.charge(rt.cfg.ContextCreate)
 		pc.created = true
 	}
 	return pc
@@ -139,6 +141,11 @@ func (pc *procCtx) stream(id StreamID) (*gpu.Stream, error) {
 
 // Thread is one host thread of the process; it implements Client executing
 // directly against the local devices (the bare CUDA runtime path).
+//
+// A call that waits (Memcpy, Malloc under BlockOnOOM, the synchronizes,
+// StreamDestroy, ThreadExit) settles its result up to the wait and leaves the
+// events to wait for pending; Pending is the rest of the call. A thread on a
+// process waits them out inside the call, a daemon's returns with them.
 type Thread struct {
 	rt     *Runtime
 	p      *sim.Proc
@@ -148,12 +155,60 @@ type Thread struct {
 	nextID int64
 	exited bool
 	calls  int
+
+	// The call in flight's waits, each holding a reference its end releases
+	// (waits[nw] is next), and what the call does after them.
+	waits []*sim.Event
+	nw    int
+	one   [1]*sim.Event
+	then  func(*Thread)
+	sid   StreamID // the stream StreamDestroy drops
 }
 
 // NewThread binds a host thread executing on sim process p with application
-// id appID (used for device-side service attribution).
+// id appID (used for device-side service attribution). With p nil the thread
+// is a daemon's, and its runtime's Config must charge no host-side costs.
 func (rt *Runtime) NewThread(p *sim.Proc, appID int) *Thread {
 	return &Thread{rt: rt, p: p, appID: appID}
+}
+
+// charge spends a host-side cost on the thread's process.
+func (t *Thread) charge(d sim.Time) {
+	if d > 0 {
+		t.p.Sleep(d)
+	}
+}
+
+// await makes evs the call's waits and then what follows them, and waits them
+// out on the thread's process, if it has one.
+func (t *Thread) await(evs []*sim.Event, then func(*Thread)) {
+	t.waits, t.nw, t.then = evs, 0, then
+	for ev := t.Pending(); ev != nil && t.p != nil; ev = t.Pending() {
+		t.p.Wait(ev)
+	}
+}
+
+// awaitOne is await on one event.
+func (t *Thread) awaitOne(ev *sim.Event, then func(*Thread)) {
+	t.one[0] = ev
+	t.await(t.one[:], then)
+}
+
+// Pending is the rest of the call in flight: it returns the event the call
+// waits for next, and once all have fired finishes the call and returns nil.
+func (t *Thread) Pending() *sim.Event {
+	for ; t.nw < len(t.waits); t.nw++ {
+		ev := t.waits[t.nw]
+		if !ev.Fired() {
+			return ev
+		}
+		ev.Unref()
+	}
+	if then := t.then; then != nil {
+		then(t)
+	}
+	t.waits, t.one[0], t.then = nil, nil, nil
+	return nil
 }
 
 // Proc returns the sim process executing this thread.
@@ -165,9 +220,7 @@ func (t *Thread) Calls() int { return t.calls }
 // overhead charges the per-call CPU cost.
 func (t *Thread) overhead() {
 	t.calls++
-	if t.rt.cfg.APIOverhead > 0 {
-		t.p.Sleep(t.rt.cfg.APIOverhead)
-	}
+	t.charge(t.rt.cfg.APIOverhead)
 }
 
 // SetDevice implements Client.
@@ -198,20 +251,24 @@ func (t *Thread) Malloc(bytes int64) (Ptr, error) {
 	if bytes <= 0 {
 		return Ptr{}, ErrInvalidValue
 	}
-	t.rt.ensureCtx(t.p, t.dev)
-	if t.rt.cfg.MallocLatency > 0 {
-		t.p.Sleep(t.rt.cfg.MallocLatency)
-	}
+	t.ctx()
+	t.charge(t.rt.cfg.MallocLatency)
+	var granted *sim.Event
+	var err error
 	if t.rt.cfg.BlockOnOOM {
-		if err := t.rt.devices[t.dev].AllocBlocking(t.p, bytes); err != nil {
-			return Ptr{}, fmt.Errorf("%w: %v", ErrMemoryAllocation, err)
-		}
-	} else if err := t.rt.devices[t.dev].Alloc(bytes); err != nil {
+		granted, err = t.rt.devices[t.dev].Reserve(bytes)
+	} else {
+		err = t.rt.devices[t.dev].Alloc(bytes)
+	}
+	if err != nil {
 		return Ptr{}, fmt.Errorf("%w: %v", ErrMemoryAllocation, err)
 	}
 	t.nextID++
 	p := Ptr{Dev: t.dev, ID: int64(t.appID)<<32 | t.nextID, Size: bytes}
 	t.allocs = append(t.allocs, p)
+	if granted != nil {
+		t.awaitOne(granted, nil)
+	}
 	return p, nil
 }
 
@@ -226,9 +283,7 @@ func (t *Thread) Free(p Ptr) error {
 	// removal is a swap with the tail.
 	t.allocs[i] = t.allocs[len(t.allocs)-1]
 	t.allocs = t.allocs[:len(t.allocs)-1]
-	if t.rt.cfg.MallocLatency > 0 {
-		t.p.Sleep(t.rt.cfg.MallocLatency)
-	}
+	t.charge(t.rt.cfg.MallocLatency)
 	t.rt.devices[p.Dev].Free(p.Size)
 	return nil
 }
@@ -239,7 +294,7 @@ func (t *Thread) Free(p Ptr) error {
 // completion event is owned by the stream's lastOp slot: it is released when
 // a newer op replaces it, or when the stream is destroyed.
 func (t *Thread) submit(op *gpu.Op, s StreamID) (*sim.Event, error) {
-	pc := t.rt.ensureCtx(t.p, t.dev)
+	pc := t.ctx()
 	st, err := pc.stream(s)
 	if err != nil {
 		t.rt.devices[t.dev].PutOp(op)
@@ -279,8 +334,7 @@ func (t *Thread) Memcpy(dir Dir, p Ptr, bytes int64) error {
 	// Hold a reference across the wait so a concurrent submit on the same
 	// stream cannot release the event's last reference while we are parked.
 	ev.Ref()
-	t.p.Wait(ev)
-	ev.Unref()
+	t.awaitOne(ev, nil)
 	return nil
 }
 
@@ -326,7 +380,7 @@ func (t *Thread) StreamCreate() (StreamID, error) {
 	if t.exited {
 		return 0, ErrThreadExited
 	}
-	pc := t.rt.ensureCtx(t.p, t.dev)
+	pc := t.ctx()
 	id := pc.next
 	pc.next++
 	pc.setStream(id, pc.ctx.NewStream())
@@ -336,22 +390,28 @@ func (t *Thread) StreamCreate() (StreamID, error) {
 // StreamSynchronize implements Client.
 func (t *Thread) StreamSynchronize(s StreamID) error {
 	t.overhead()
-	pc := t.rt.ensureCtx(t.p, t.dev)
+	pc := t.ctx()
 	if !pc.hasStream(s) && s != DefaultStream {
 		return ErrInvalidStream
 	}
+	t.awaitLast(pc, s, nil)
+	return nil
+}
+
+// awaitLast is await on the newest op of stream s, if any.
+func (t *Thread) awaitLast(pc *procCtx, s StreamID, then func(*Thread)) {
 	if ev := pc.last(s); ev != nil {
 		ev.Ref()
-		t.p.Wait(ev)
-		ev.Unref()
+		t.awaitOne(ev, then)
+		return
 	}
-	return nil
+	t.await(nil, then)
 }
 
 // StreamDestroy implements Client.
 func (t *Thread) StreamDestroy(s StreamID) error {
 	t.overhead()
-	pc := t.rt.ensureCtx(t.p, t.dev)
+	pc := t.ctx()
 	if s == DefaultStream {
 		return ErrInvalidValue
 	}
@@ -359,31 +419,42 @@ func (t *Thread) StreamDestroy(s StreamID) error {
 		return ErrInvalidStream
 	}
 	// CUDA's cudaStreamDestroy waits for the stream's outstanding work.
-	if ev := pc.last(s); ev != nil {
-		ev.Ref()
-		t.p.Wait(ev)
-		ev.Unref()
-		ev.Unref() //lint:allow poolsafe -- not a double-free: this drops the lastOp slot's own reference, distinct from the Ref taken above
-		pc.lastOp[s] = nil
-	}
-	// The stream is drained: remove it from the device's dispatch scan too,
-	// or a packed context accretes one dead stream per application served.
-	pc.ctx.DestroyStream(pc.streams[s])
-	pc.dropStream(s)
+	t.sid = s
+	t.awaitLast(pc, s, (*Thread).destroyed)
 	return nil
+}
+
+// destroyed ends StreamDestroy once the stream has drained. The stream leaves
+// the device's dispatch scan too, or a packed context accretes one dead stream
+// per application served.
+func (t *Thread) destroyed() {
+	pc := t.rt.ctxs[t.dev]
+	if len(t.waits) == 1 {
+		t.waits[0].Unref() // the lastOp slot's own reference; the wait released the other
+		pc.lastOp[t.sid] = nil
+	}
+	pc.ctx.DestroyStream(pc.streams[t.sid])
+	pc.dropStream(t.sid)
 }
 
 // DeviceSynchronize implements Client. It waits for all work the process has
 // queued on the current device, across all of the process's streams.
 func (t *Thread) DeviceSynchronize() error {
 	t.overhead()
-	pc := t.rt.ensureCtx(t.p, t.dev)
+	t.syncDevice((*Thread).synced)
+	return nil
+}
+
+// syncDevice waits for the newest op of every stream of the process on the
+// current device, then does then, which starts with synced.
+func (t *Thread) syncDevice(then func(*Thread)) {
+	pc := t.ctx()
 	// Collect first (holding references): waiting can replace lastOps from
 	// other threads; device sync covers work queued as of the call. The dense
 	// table iterates in ascending StreamID order, keeping the wait order of
 	// the sorted-map-keys code this replaces. The scratch buffer is claimed
-	// for the duration — a concurrent sync on another thread falls back to a
-	// fresh allocation.
+	// until the waits are over — a concurrent sync on another thread falls
+	// back to a fresh allocation.
 	evs := pc.evScratch[:0]
 	pc.evScratch = nil
 	for _, id := range pc.live {
@@ -392,13 +463,13 @@ func (t *Thread) DeviceSynchronize() error {
 			evs = append(evs, ev)
 		}
 	}
-	for _, ev := range evs {
-		t.p.Wait(ev)
-		ev.Unref()
-	}
-	clear(evs)
-	pc.evScratch = evs[:0]
-	return nil
+	t.await(evs, then)
+}
+
+// synced ends a device-wide synchronize: the wait list goes back.
+func (t *Thread) synced() {
+	clear(t.waits)
+	t.rt.ctxs[t.dev].evScratch = t.waits[:0]
 }
 
 // EventCreate implements Client.
@@ -407,7 +478,7 @@ func (t *Thread) EventCreate() (EventID, error) {
 	if t.exited {
 		return 0, ErrThreadExited
 	}
-	pc := t.rt.ensureCtx(t.p, t.dev)
+	pc := t.ctx()
 	if pc.events == nil {
 		pc.events = make(map[EventID]*eventRec)
 	}
@@ -424,7 +495,7 @@ func (t *Thread) EventRecord(e EventID, s StreamID) error {
 	if t.exited {
 		return ErrThreadExited
 	}
-	pc := t.rt.ensureCtx(t.p, t.dev)
+	pc := t.ctx()
 	rec, ok := pc.events[e]
 	if !ok {
 		return ErrInvalidEvent
@@ -443,7 +514,7 @@ func (t *Thread) EventRecord(e EventID, s StreamID) error {
 // EventSynchronize implements Client.
 func (t *Thread) EventSynchronize(e EventID) error {
 	t.overhead()
-	pc := t.rt.ensureCtx(t.p, t.dev)
+	pc := t.ctx()
 	rec, ok := pc.events[e]
 	if !ok {
 		return ErrInvalidEvent
@@ -451,14 +522,14 @@ func (t *Thread) EventSynchronize(e EventID) error {
 	if rec.marker == nil {
 		return ErrNotReady
 	}
-	t.p.Wait(rec.marker.Done)
+	t.awaitOne(rec.marker.Done, nil) // a marker's event is not pooled: it needs no reference
 	return nil
 }
 
 // EventElapsed implements Client.
 func (t *Thread) EventElapsed(start, end EventID) (sim.Time, error) {
 	t.overhead()
-	pc := t.rt.ensureCtx(t.p, t.dev)
+	pc := t.ctx()
 	a, okA := pc.events[start]
 	b, okB := pc.events[end]
 	if !okA || !okB {
@@ -480,7 +551,7 @@ func (t *Thread) EventElapsed(start, end EventID) (sim.Time, error) {
 // EventDestroy implements Client.
 func (t *Thread) EventDestroy(e EventID) error {
 	t.overhead()
-	pc := t.rt.ensureCtx(t.p, t.dev)
+	pc := t.ctx()
 	if _, ok := pc.events[e]; !ok {
 		return ErrInvalidEvent
 	}
@@ -494,9 +565,14 @@ func (t *Thread) ThreadExit() error {
 	if t.exited {
 		return ErrThreadExited
 	}
-	if err := t.DeviceSynchronize(); err != nil {
-		return err
-	}
+	t.overhead()
+	t.syncDevice((*Thread).exit)
+	return nil
+}
+
+// exit ends ThreadExit: the thread's allocations are released.
+func (t *Thread) exit() {
+	t.synced()
 	// Free in (device, allocation-id) order: Free itself is additive, but
 	// releasing in arrival order would make any future accounting hook on the
 	// free path depend on the swap-removals Free performed.
@@ -511,5 +587,4 @@ func (t *Thread) ThreadExit() error {
 	}
 	t.allocs = nil
 	t.exited = true
-	return nil
 }

@@ -19,6 +19,14 @@ func testDev(k *sim.Kernel) *gpu.Device {
 
 func constBacklog(n int) func() int { return func() int { return n } }
 
+// WaitTurn parks p until the dispatcher has the thread holding e awake: the
+// blocking form of Turn.
+func (s *Scheduler) WaitTurn(p *sim.Proc, e *Entry) {
+	for !s.Turn(e) {
+		p.WaitSignal(e.Wake)
+	}
+}
+
 func TestRegisterAssignsSignalIDs(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, testDev(k), 0, AllAwake{}, Config{})

@@ -213,7 +213,7 @@ func (t *TFS) Pick(now sim.Time, entries []*Entry, cfg *Config) []*Entry {
 // back to the phase priority KL > H2D = D2H > DFL; ties within a phase go to
 // the thread with least attained service, which keeps PS nearly as fair as
 // TFS. PS sees a phase change at its next turn (the epoch boundary, or a
-// sleeping thread's WaitTurn kick); the change itself kicks nothing.
+// sleeping thread's Turn kick); the change itself kicks nothing.
 type PS struct{}
 
 // psFill is the phase priority; its first pickSlots phases are the engines'.

@@ -15,6 +15,7 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Phase is a backend thread's current GPU-usage phase, as reported to the
@@ -88,6 +89,10 @@ type Entry struct {
 
 	exited  bool
 	pickGen uint64 // dispatcher generation that last picked this entry awake
+
+	// waiting is set while the thread waits for its Turn, under waitSpan.
+	waiting  bool
+	waitSpan trace.SpanID
 }
 
 // HasWork reports whether the thread has a pending request to run.

@@ -62,7 +62,7 @@ type Scheduler struct {
 
 // SetRecorder installs the observability recorder: registrations,
 // unregistrations and dispatcher wake/sleep transitions then emit events,
-// and WaitTurn parks emit spans. A nil recorder disables all of it.
+// and waits for a Turn emit spans. A nil recorder disables all of it.
 func (s *Scheduler) SetRecorder(rec *trace.Recorder) { s.rec = rec }
 
 // New creates a scheduler for dev (identified cluster-wide by gid) with the
@@ -148,24 +148,29 @@ func (s *Scheduler) Unregister(appID int) *rpcproto.Feedback {
 
 // SetPhaseEntry records the current GPU phase of the thread holding RCB entry
 // e (backend threads get it from Register). Nothing is kicked: PS sees it at
-// its next turn (the epoch boundary, or an earlier WaitTurn kick).
+// its next turn (the epoch boundary, or an earlier Turn's kick).
 func (s *Scheduler) SetPhaseEntry(e *Entry, ph Phase) {
 	e.Phase = ph
 }
 
-// WaitTurn parks the backend thread until the dispatcher has it awake. A
-// sleeping thread arriving with fresh work nudges the dispatcher so an idle
-// device never sits on a parked request until the next epoch.
-func (s *Scheduler) WaitTurn(p *sim.Proc, e *Entry) {
+// Turn reports whether the thread holding e may run now; if not, the thread
+// waits on e.Wake and asks again. A sleeping thread arriving with fresh work
+// nudges the dispatcher so an idle device never sits on a parked request until
+// the next epoch.
+func (s *Scheduler) Turn(e *Entry) bool {
 	if e.Awake {
-		return
+		if e.waiting {
+			e.waiting = false
+			s.rec.End(e.waitSpan, s.k.Now())
+		}
+		return true
 	}
-	sp := s.rec.Begin(trace.KWait, 0, p.Now(), "wait-turn", e.AppID, s.gid, int64(e.SignalID))
-	s.Kick()
-	for !e.Awake {
-		p.WaitSignal(e.Wake)
+	if !e.waiting {
+		e.waiting = true
+		e.waitSpan = s.rec.Begin(trace.KWait, 0, s.k.Now(), "wait-turn", e.AppID, s.gid, int64(e.SignalID))
+		s.Kick()
 	}
-	s.rec.End(sp, p.Now())
+	return false
 }
 
 // Kick forces a dispatcher re-evaluation at the current instant. It does
@@ -232,7 +237,7 @@ func (s *Scheduler) dispatch(d *sim.Daemon) {
 	}
 	if !anyWork {
 		// Nothing to arbitrate: sleep until a thread shows up with
-		// work (WaitTurn kicks) or membership changes.
+		// work (Turn kicks) or membership changes.
 		d.WaitKick()
 		return
 	}

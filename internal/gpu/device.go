@@ -39,8 +39,7 @@ type Device struct {
 
 	memUsed      int64
 	memHighWater int64
-	memQ         sim.Ring[*memWaiter] // admission-control FIFO (AllocBlocking)
-	memWaitFree  []*memWaiter         // recycled waiter records
+	memQ         sim.Ring[memWaiter] // admission-control FIFO (Reserve)
 
 	tracer     *UtilTrace
 	onComplete func(*Op)
@@ -235,21 +234,23 @@ func (d *Device) Alloc(bytes int64) error {
 	return nil
 }
 
-// memWaiter is one parked AllocBlocking request. The granter (Free) reserves
-// the capacity on the waiter's behalf before firing done, so a woken waiter
-// never re-checks — and a late small request can never slip in between the
-// free and the head waiter's wake-up.
+// memWaiter is one queued Reserve request. The granter (Free) reserves the
+// capacity on the waiter's behalf before firing done, so a woken waiter never
+// re-checks — and a late small request can never slip in between the free and
+// the head waiter's wake-up.
 type memWaiter struct {
 	bytes int64
 	done  *sim.Event
 }
 
-// AllocBlocking reserves device memory, parking p in strict FIFO order until
-// enough capacity frees up. It only fails on invalid sizes (a request larger
-// than the device can ever satisfy, or negative). This is the
-// memory-pressure admission control the paper leaves as future work ("with
-// virtual memory support, Strings can eliminate the assumption on the
-// maximum rate of request arrivals").
+// Reserve reserves device memory for a caller that can wait: it takes bytes
+// now and returns nil, or queues the request in strict FIFO order and returns
+// the event Free fires once it has reserved them for it. The caller holds the
+// event's one reference and releases it after the wait. It only fails on
+// invalid sizes (a request larger than the device can ever satisfy, or
+// negative). This is the memory-pressure admission control the paper leaves
+// as future work ("with virtual memory support, Strings can eliminate the
+// assumption on the maximum rate of request arrivals").
 //
 // FIFO here is head-of-line reservation, not wake-all-and-race: a request
 // joins the queue whenever the queue is non-empty — even if its own bytes
@@ -258,9 +259,9 @@ type memWaiter struct {
 // any late small request take freed capacity ahead of the FIFO head, so a
 // large blocked allocation could starve indefinitely under steady small
 // traffic (regression-tested in TestAllocBlockingNoHeadOfLineBypass).
-func (d *Device) AllocBlocking(p *sim.Proc, bytes int64) error {
+func (d *Device) Reserve(bytes int64) (*sim.Event, error) {
 	if bytes < 0 || bytes > d.spec.MemBytes {
-		return fmt.Errorf("gpu%d: unsatisfiable allocation %d of %d",
+		return nil, fmt.Errorf("gpu%d: unsatisfiable allocation %d of %d",
 			d.id, bytes, d.spec.MemBytes)
 	}
 	if d.memQ.Len() == 0 && d.memUsed+bytes <= d.spec.MemBytes {
@@ -268,33 +269,11 @@ func (d *Device) AllocBlocking(p *sim.Proc, bytes int64) error {
 		if d.memUsed > d.memHighWater {
 			d.memHighWater = d.memUsed
 		}
-		return nil
+		return nil, nil
 	}
-	w := d.getMemWaiter(bytes)
+	w := memWaiter{bytes: bytes, done: d.k.NewPooledEvent()}
 	d.memQ.Push(w)
-	p.Wait(w.done)
-	// The granter already took the capacity for us; just recycle the record.
-	d.putMemWaiter(w)
-	return nil
-}
-
-// getMemWaiter draws a waiter record from the free list.
-func (d *Device) getMemWaiter(bytes int64) *memWaiter {
-	if n := len(d.memWaitFree); n > 0 {
-		w := d.memWaitFree[n-1]
-		d.memWaitFree[n-1] = nil
-		d.memWaitFree = d.memWaitFree[:n-1]
-		w.bytes = bytes
-		w.done.Reset()
-		return w
-	}
-	return &memWaiter{bytes: bytes, done: d.k.NewEvent()}
-}
-
-// putMemWaiter recycles a granted waiter record.
-func (d *Device) putMemWaiter(w *memWaiter) {
-	w.bytes = 0
-	d.memWaitFree = append(d.memWaitFree, w) // free-list growth is amortized, bounded by peak parked waiters
+	return w.done, nil
 }
 
 // grantMemWaiters hands freed capacity to parked allocations in FIFO order,

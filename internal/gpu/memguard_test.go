@@ -6,6 +6,16 @@ import (
 	"repro/internal/sim"
 )
 
+// AllocBlocking is Reserve and the wait for its grant, on p.
+func (d *Device) AllocBlocking(p *sim.Proc, bytes int64) error {
+	granted, err := d.Reserve(bytes)
+	if granted != nil {
+		p.Wait(granted)
+		granted.Unref()
+	}
+	return err
+}
+
 func TestAllocBlockingWaitsForFree(t *testing.T) {
 	k := sim.NewKernel(1)
 	d := NewDevice(k, testSpec(), 0) // 1 MiB

@@ -70,6 +70,13 @@ type Port struct {
 	proc   *sim.Proc
 	closed bool
 	pool   *rpcproto.Pool
+
+	// The call in flight: its reply, its exec span, and what it does after
+	// its thread's waits (on stream synced, for releaseSynced).
+	reply  *rpcproto.Reply
+	span   trace.SpanID
+	then   func(*Port)
+	synced cuda.StreamID
 }
 
 // SetPool installs the RPC frame pool replies are drawn from (the serving
@@ -79,7 +86,8 @@ func (port *Port) SetPool(pool *rpcproto.Pool) { port.pool = pool }
 
 // Open registers an application with the packer (the Stream Creator's job):
 // it binds a backend CUDA thread for the app on the backend process's
-// context and creates the app's dedicated stream.
+// context and creates the app's dedicated stream. The thread runs on p, or is
+// a daemon's with p nil (cuda.NewThread), which charges no pinned staging.
 func (pk *Packer) Open(p *sim.Proc, appID int, tenant int64) (*Port, error) {
 	if _, dup := pk.ports[appID]; dup {
 		return nil, fmt.Errorf("packer: app %d already open", appID)
@@ -113,29 +121,74 @@ func (port *Port) retarget(call *rpcproto.Call) {
 }
 
 // Execute runs one marshalled CUDA call through the packer's translations
-// and returns the reply (nil for calls whose reply is suppressed because the
-// frontend issued them as non-blocking RPCs).
+// and returns the reply, final once Pending returns nil.
 func (port *Port) Execute(call *rpcproto.Call) *rpcproto.Reply {
+	reply := port.pool.GetReply()
+	port.reply = reply
 	if rec := port.pk.rec; rec.Enabled() {
-		sp := rec.Begin(trace.KExec, 0, port.proc.Now(), call.ID.String(),
+		port.span = rec.Begin(trace.KExec, 0, port.pk.rt.Kernel().Now(), call.ID.String(),
 			port.AppID, port.pk.gid, int64(call.Seq))
-		reply := port.execute(call)
-		rec.End(sp, port.proc.Now())
-		return reply
 	}
-	return port.execute(call)
+	port.execute(call, reply)
+	port.Pending()
+	return reply
 }
 
-// execute is Execute's body: the AST/SST/MOT translations, then the shared
-// verbatim executor. A translation rewrites the frame in place — the backend
-// owns a received frame's addressing fields, and a rewritten stream is no
-// longer the default one, so a frame delivered twice translates the same way.
-func (port *Port) execute(call *rpcproto.Call) *rpcproto.Reply {
-	reply := port.pool.GetReply()
+// Pending is the rest of the call in flight: it returns the event the call
+// waits for next, and once all have fired completes the call and returns nil.
+func (port *Port) Pending() *sim.Event {
+	for port.reply != nil {
+		if ev := port.thread.Pending(); ev != nil {
+			return ev
+		}
+		if then := port.then; then != nil {
+			port.then = nil
+			then(port)
+			continue
+		}
+		port.pk.rec.End(port.span, port.pk.rt.Kernel().Now())
+		port.reply = nil
+	}
+	return nil
+}
+
+// releaseSynced frees the pinned buffers of the stream a copy or a
+// synchronize waited for (MOT, SST).
+func (port *Port) releaseSynced() {
+	if port.reply.Err == "" {
+		port.pk.pmt.ReleaseSynced(port.AppID, port.synced)
+	}
+}
+
+// releaseApp frees the application's pinned buffers (SST).
+func (port *Port) releaseApp() { port.pk.pmt.ReleaseApp(port.AppID) }
+
+// closeStream and closeThread finish a close once the application's stream
+// has drained: its pinned memory, stream and allocations go.
+func (port *Port) closeStream() {
+	port.releaseApp()
+	if err := port.thread.StreamDestroy(port.stream); err != nil {
+		port.reply.SetError(err)
+		return
+	}
+	port.then = (*Port).closeThread
+}
+
+func (port *Port) closeThread() {
+	delete(port.pk.ports, port.AppID)
+	port.reply.SetError(port.thread.ThreadExit())
+}
+
+// execute is Execute's first half: the AST/SST/MOT translations, then the
+// shared verbatim executor. A translation rewrites the frame in place — the
+// backend owns a received frame's addressing fields, and a rewritten stream is
+// no longer the default one, so a frame delivered twice translates the same
+// way. What the call does after its thread's waits is left in port.then.
+func (port *Port) execute(call *rpcproto.Call, reply *rpcproto.Reply) {
 	reply.Seq = call.Seq
 	if port.closed {
 		reply.SetError(cuda.ErrThreadExited)
-		return reply
+		return
 	}
 	t := port.thread
 	switch call.ID {
@@ -146,7 +199,7 @@ func (port *Port) execute(call *rpcproto.Call) *rpcproto.Reply {
 
 	case cuda.CallMemcpy:
 		port.memcpy(call, reply)
-		return reply
+		return
 
 	case cuda.CallMemcpyAsync:
 		port.retarget(call)
@@ -161,17 +214,15 @@ func (port *Port) execute(call *rpcproto.Call) *rpcproto.Reply {
 	case cuda.CallStreamSync:
 		port.retarget(call)
 		rpcproto.Execute(t, call, reply)
-		if reply.Err == "" {
-			port.pk.pmt.ReleaseSynced(port.AppID, cuda.StreamID(call.Stream))
-		}
-		return reply
+		port.then, port.synced = (*Port).releaseSynced, cuda.StreamID(call.Stream)
+		return
 
 	case cuda.CallStreamDestroy:
 		// The default stream is the application's dedicated one here; it
 		// lives until cudaThreadExit.
 		if cuda.StreamID(call.Stream) == cuda.DefaultStream {
 			reply.SetError(cuda.ErrInvalidValue)
-			return reply
+			return
 		}
 
 	case cuda.CallDeviceSync:
@@ -179,17 +230,21 @@ func (port *Port) execute(call *rpcproto.Call) *rpcproto.Reply {
 		// app's own stream, so co-tenants are unaffected.
 		if err := t.StreamSynchronize(port.stream); err != nil {
 			reply.SetError(err)
-			return reply
+			return
 		}
-		port.pk.pmt.ReleaseApp(port.AppID)
-		return reply
+		port.then = (*Port).releaseApp
+		return
 
 	case cuda.CallThreadExit:
-		reply.SetError(port.close())
-		return reply
+		port.closed = true
+		if err := t.StreamSynchronize(port.stream); err != nil {
+			reply.SetError(err)
+			return
+		}
+		port.then = (*Port).closeStream
+		return
 	}
 	rpcproto.Execute(t, call, reply)
-	return reply
 }
 
 // memcpy implements the MOT: synchronous copies become asynchronous, staged
@@ -216,25 +271,7 @@ func (port *Port) memcpy(call *rpcproto.Call, reply *rpcproto.Reply) {
 		reply.SetError(err)
 		return
 	}
-	port.pk.pmt.ReleaseSynced(port.AppID, s)
-}
-
-// close tears the port down: drain the app's stream, release its pinned
-// memory and its device allocations, destroy its stream.
-func (port *Port) close() error {
-	if port.closed {
-		return cuda.ErrThreadExited
-	}
-	port.closed = true
-	if err := port.thread.StreamSynchronize(port.stream); err != nil {
-		return err
-	}
-	port.pk.pmt.ReleaseApp(port.AppID)
-	if err := port.thread.StreamDestroy(port.stream); err != nil {
-		return err
-	}
-	delete(port.pk.ports, port.AppID)
-	return port.thread.ThreadExit()
+	port.then, port.synced = (*Port).releaseSynced, s
 }
 
 // pinCost charges the MOT's host-to-pinned staging copy.

@@ -442,10 +442,10 @@ func TestMOTErrorPaths(t *testing.T) {
 		if n := pk.pmt.Len(); n != 0 {
 			t.Errorf("PMT entries = %d after failed copies, want 0", n)
 		}
-		if err := port.close(); err != nil {
+		if err := port.Execute(&rpcproto.Call{ID: cuda.CallThreadExit}).AsError(); err != nil {
 			t.Errorf("close: %v", err)
 		}
-		if err := port.close(); !errors.Is(err, cuda.ErrThreadExited) {
+		if err := port.Execute(&rpcproto.Call{ID: cuda.CallThreadExit}).AsError(); !errors.Is(err, cuda.ErrThreadExited) {
 			t.Errorf("second close = %v, want ErrThreadExited", err)
 		}
 	})

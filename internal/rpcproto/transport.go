@@ -104,10 +104,19 @@ func (c *Conn) B() Endpoint {
 // after the link latency. Messages sent from one endpoint arrive in order
 // (on cross-kernel conns the mailbox breaks equal instants by send sequence).
 func (e Endpoint) Send(p *sim.Proc, msg Msg, payload int64) {
-	size := int64(wireSize(msg)) + payload
-	if cost := e.conn.link.TransferTime(size); cost > 0 {
+	if cost := e.Cost(msg, payload); cost > 0 {
 		p.Sleep(cost)
 	}
+	e.Post(msg)
+}
+
+// Cost is Send's charge to the sender.
+func (e Endpoint) Cost(msg Msg, payload int64) sim.Time {
+	return e.conn.link.TransferTime(int64(wireSize(msg)) + payload)
+}
+
+// Post is Send once the sender has been charged the Cost.
+func (e Endpoint) Post(msg Msg) {
 	if e.x != nil {
 		e.x(e.conn.link.Latency, e.out, msg)
 		return
@@ -130,6 +139,9 @@ func (e Endpoint) RetainFrames() { e.conn.pools = [2]*Pool{} }
 
 // Recv blocks until the next message arrives.
 func (e Endpoint) Recv(p *sim.Proc) Msg { return e.in.Get(p) }
+
+// Take is Recv for a daemon (sim.Queue.Take).
+func (e Endpoint) Take(d *sim.Daemon) (Msg, bool) { return e.in.Take(d) }
 
 // RecvTimeout blocks until the next message arrives or d elapses; ok is
 // false on timeout. This is the interposer's per-call failure detector: a

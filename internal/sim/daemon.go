@@ -1,21 +1,24 @@
 package sim
 
 // Daemon is a pseudo-process for a service loop whose body never blocks
-// mid-way: a device driver, a dispatcher. It owns an ordinary Proc — id,
-// name, epoch, pending activations, so Blocked, ProcCount and the tracer see
-// it like any process — but no coroutine.
+// mid-way: a device driver, a dispatcher, a backend thread. It owns an
+// ordinary Proc — id, name, epoch, pending activations, so Blocked, ProcCount
+// and the tracer see it like any process — but no coroutine.
 // Every activation of the daemon runs step once, inline, on whatever stack
 // popped the activation (RunUntil's, or a parking process's: Kernel.dispatch),
 // so a wake-up costs a function call rather than two coroutine switches.
 //
 // step must not park. It ends by calling exactly one of WaitKick,
-// WaitKickTimeout, Sleep or Exit and returning; the next activation calls
-// step again, so state that has to survive a wait lives in the owner, not on
-// a stack. DESIGN.md §12 has the scheduling-order argument.
+// WaitKickTimeout, Sleep, Wait, WaitSignal or Exit and returning; the next
+// activation calls step again, so state that has to survive a wait lives in
+// the owner, not on a stack. A wait that is over as soon as it is made steps
+// again at once, as a process's Wait and Sleep return at once. DESIGN.md §12
+// has the scheduling-order argument.
 type Daemon struct {
 	p     Proc
 	step  func(d *Daemon)
 	state daemonState
+	again bool // the step's wait is already over: step again inline
 }
 
 type daemonState uint8
@@ -23,7 +26,7 @@ type daemonState uint8
 const (
 	daemonStepping daemonState = iota // step running, or first activation pending
 	daemonKickWait                    // parked; the next Kick wakes it
-	daemonParked                      // asleep, kicked and about to wake, or exited: Kick is ignored
+	daemonParked                      // asleep, waiting, kicked and about to wake, or exited: Kick is ignored
 )
 
 // GoDaemon creates a daemon named name and schedules its first step at the
@@ -38,14 +41,28 @@ func (k *Kernel) GoDaemon(name string, step func(d *Daemon)) *Daemon {
 	return d
 }
 
-// run executes one step for the activation the caller just popped.
+// GoDaemonNamed is GoDaemon with a lazily formatted name, as GoNamed is Go's.
+func (k *Kernel) GoDaemonNamed(nameFn func() string, step func(d *Daemon)) *Daemon {
+	d := k.GoDaemon("", step)
+	d.p.nameFn = nameFn
+	return d
+}
+
+// run executes one step for the activation the caller just popped, and again
+// for as long as the step's wait is over when it is made.
 func (d *Daemon) run() {
-	d.p.parked = false
-	d.p.epoch++
-	d.state = daemonStepping
-	d.step(d)
-	if d.state == daemonStepping {
-		panic("sim: daemon " + d.p.name + " step returned without waiting")
+	for {
+		d.p.parked = false
+		d.p.epoch++
+		d.state = daemonStepping
+		d.step(d)
+		if d.state == daemonStepping {
+			panic("sim: daemon " + d.p.Name() + " step returned without waiting")
+		}
+		if !d.again {
+			return
+		}
+		d.again = false
 	}
 }
 
@@ -54,9 +71,10 @@ func (d *Daemon) Now() Time { return d.p.k.now }
 
 // Kick wakes the daemon at the current instant if it is parked in WaitKick
 // or WaitKickTimeout, and does nothing otherwise — while a step runs, during
-// a Sleep, after an earlier Kick of the same wait, after Exit, and on a nil
-// daemon (a service that has not started yet). A request made mid-step is
-// not remembered, so a step reads its owner's state afresh before it waits.
+// a Sleep, Wait or WaitSignal, after an earlier Kick of the same wait, after
+// Exit, and on a nil daemon (a service that has not started yet). A request
+// made mid-step is not remembered, so a step reads its owner's state afresh
+// before it waits.
 func (d *Daemon) Kick() {
 	if d == nil || d.state != daemonKickWait {
 		return
@@ -76,10 +94,28 @@ func (d *Daemon) WaitKickTimeout(dl Time) {
 }
 
 // Sleep ends the step; the next step runs after dl. Kicks in between are
-// ignored.
+// ignored. A wake-up that would be the very next activation is taken on the
+// spot, as Proc.Sleep takes it.
 func (d *Daemon) Sleep(dl Time) {
-	d.p.k.schedule(&d.p, d.p.k.now+dl, wakeTimer)
+	dl = max(dl, 0)
 	d.end(daemonParked)
+	if d.again = d.p.k.wakeNext(dl); !d.again {
+		d.p.k.schedule(&d.p, d.p.k.now+dl, wakeTimer)
+	}
+}
+
+// Wait ends the step; the next step runs when e fires — at once if it has.
+func (d *Daemon) Wait(e *Event) {
+	d.end(daemonParked)
+	if d.again = e.fired; !d.again {
+		e.waiters.Push(&d.p)
+	}
+}
+
+// WaitSignal ends the step; the next step runs when s is next notified.
+func (d *Daemon) WaitSignal(s *Signal) {
+	d.end(daemonParked)
+	s.waiters.Push(&d.p)
 }
 
 // Exit ends the step and the daemon: it leaves the process table and never
@@ -93,7 +129,7 @@ func (d *Daemon) Exit() {
 // end records the step's one wait.
 func (d *Daemon) end(s daemonState) {
 	if d.state != daemonStepping {
-		panic("sim: daemon " + d.p.name + " waited twice in one step")
+		panic("sim: daemon " + d.p.Name() + " waited twice in one step")
 	}
 	d.p.parked = true
 	d.state = s

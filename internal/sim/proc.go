@@ -157,10 +157,19 @@ func (p *Proc) park() {
 // on the spot and leaves the kernel as that round trip would have: one
 // sequence number, one dispatch, the gap counted as dispatch counts it.
 func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		d = 0
+	d = max(d, 0)
+	if p.k.wakeNext(d) {
+		p.wakeTag = wakeTimer
+		p.epoch++
+		return
 	}
-	k := p.k
+	p.k.schedule(p, p.k.now+d, wakeTimer)
+	p.park()
+}
+
+// wakeNext takes a sleep's wake-up d from now on the spot when it would be the
+// very next activation taken, and reports whether it did.
+func (k *Kernel) wakeNext(d Time) bool {
 	at := k.now + d
 	if k.nowQ.Len() == 0 && at <= k.limit && !k.stopped && !k.unwinding &&
 		(k.future.len() == 0 || k.future.root().at > at) {
@@ -168,12 +177,9 @@ func (p *Proc) Sleep(d Time) {
 		k.dispatched++
 		k.countJump(d)
 		k.now = at
-		p.wakeTag = wakeTimer
-		p.epoch++
-		return
+		return true
 	}
-	k.schedule(p, at, wakeTimer)
-	p.park()
+	return false
 }
 
 // Wait blocks until e fires. If e has already fired it returns immediately.

@@ -36,9 +36,23 @@ func (q *Queue[T]) Get(p *Proc) T {
 	for q.items.Len() == 0 {
 		p.WaitSignal(&q.ready)
 	}
+	return q.pop()
+}
+
+// Take is Get for a daemon: it removes and returns the oldest item, or, when
+// there is none, ends d's step waiting for the next Put and reports false.
+func (q *Queue[T]) Take(d *Daemon) (v T, ok bool) {
+	if q.items.Len() == 0 {
+		d.WaitSignal(&q.ready)
+		return v, false
+	}
+	return q.pop(), true
+}
+
+// pop removes the oldest item for a receiver, passing the baton if items
+// remain, so a burst of Puts wakes every parked receiver exactly once.
+func (q *Queue[T]) pop() T {
 	v := q.items.Pop()
-	// If items remain and other receivers are parked, pass the baton so a
-	// burst of Puts wakes every waiter exactly once.
 	if q.items.Len() > 0 {
 		q.ready.NotifyOne()
 	}
@@ -67,9 +81,5 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Time) (v T, ok bool) {
 			return v, false
 		}
 	}
-	v = q.items.Pop()
-	if q.items.Len() > 0 {
-		q.ready.NotifyOne()
-	}
-	return v, true
+	return q.pop(), true
 }

@@ -47,12 +47,13 @@ func (h *refActs) Pop() any {
 }
 
 // refKernel is the reference executor: one container/heap ordered by
-// (at, seq), every wake-up and every sleep queued in it.
+// (at, seq), every wake-up and every sleep queued in it. inline counts the
+// daemon waits on an event that had already fired.
 type refKernel struct {
-	now, horizon, skipped         Time
-	seq, dispatched, jumps, stale uint64
-	stopped                       bool
-	h                             refActs
+	now, horizon, skipped                 Time
+	seq, dispatched, jumps, stale, inline uint64
+	stopped                               bool
+	h                                     refActs
 }
 
 func (r *refKernel) schedule(p *refProc, at Time, tag int32, fire func()) {
@@ -139,7 +140,8 @@ func TestActHeapAgainstContainerHeap(t *testing.T) {
 }
 
 // A program is a handful of processes and daemons over two signals, two
-// queues and the timers, and a driver that runs the kernel in slices.
+// events, two queues and the timers, and a driver that runs the kernel in
+// slices.
 const (
 	opSleep    = iota // Sleep(d)
 	opAfter           // After(d): the callback notifies signal x and kicks daemon x
@@ -149,19 +151,21 @@ const (
 	opNotify          // Notify signal x
 	opKick            // Kick daemon x
 	opStop            // Stop
+	opFire            // Fire event x
 )
 
 // programOps is what a process's steps are drawn from.
-var programOps = []int{opSleep, opSleep, opSleep, opAfter, opAfterPut, opGet, opWaitSig, opWaitSig, opNotify, opKick, opStop}
+var programOps = []int{opSleep, opSleep, opSleep, opAfter, opAfterPut, opGet, opWaitSig, opWaitSig, opNotify, opKick, opStop, opFire}
 
 type op struct {
 	kind, x int
 	d       Time
 }
 
-// A daemon step acts (opNotify, opAfterPut, or nothing: -1) and then
-// waits: end 0 WaitKick, 1 WaitKickTimeout(d), 2 Sleep(d). After its last
-// step it exits.
+// A daemon step acts (opNotify, opAfterPut, opFire, or nothing: -1) and then
+// waits: end 0 WaitKick, 1 WaitKickTimeout(d), 2 Sleep(d), 3 WaitSignal(signal
+// x), 4 Wait(event x) — which, on an event that has fired, continues the step
+// at once. After its last step it exits.
 type daemonStep struct {
 	act, x, end int
 	d           Time
@@ -224,7 +228,7 @@ func newProgram(data []byte) program {
 	for i, n := 0, t.next(3); i < n; i++ {
 		steps := make([]daemonStep, 1+t.next(5))
 		for j := range steps {
-			steps[j] = daemonStep{act: []int{-1, opNotify, opAfterPut}[t.next(3)], x: t.next(2), end: t.next(3), d: t.duration()}
+			steps[j] = daemonStep{act: []int{-1, opNotify, opAfterPut, opFire}[t.next(4)], x: t.next(2), end: t.next(5), d: t.duration()}
 		}
 		pr.daemons = append(pr.daemons, steps)
 	}
@@ -272,6 +276,7 @@ func runOnKernel(k *Kernel, pr program) schedTrace {
 	var tr schedTrace
 	k.SetFFHorizon(pr.horizon)
 	sigs := []*Signal{k.NewSignal(), k.NewSignal()}
+	evs := []*Event{k.NewEvent(), k.NewEvent()}
 	qs := []*Queue[any]{NewQueue[any](k), NewQueue[any](k)}
 	daemons := make([]*Daemon, 2)
 	timer := func(x int) func() {
@@ -296,14 +301,20 @@ func runOnKernel(k *Kernel, pr program) schedTrace {
 				sigs[s.x].Notify()
 			case opAfterPut:
 				k.AfterPut(s.d, qs[s.x], 100+j)
+			case opFire:
+				evs[s.x].Fire()
 			}
 			switch s.end {
 			case 0:
 				d.WaitKick()
 			case 1:
 				d.WaitKickTimeout(s.d)
-			default:
+			case 2:
 				d.Sleep(s.d)
+			case 3:
+				d.WaitSignal(sigs[s.x])
+			default:
+				d.Wait(evs[s.x])
 			}
 		})
 	}
@@ -330,6 +341,8 @@ func runOnKernel(k *Kernel, pr program) schedTrace {
 					daemons[o.x].Kick()
 				case opStop:
 					k.Stop()
+				case opFire:
+					evs[o.x].Fire()
 				}
 				tr.log(p.Now(), i, pc, val)
 			}
@@ -376,6 +389,24 @@ func (s *refSignal) remove(p *refProc) {
 	}
 }
 
+// refEvent is Event over the reference.
+type refEvent struct {
+	r       *refKernel
+	fired   bool
+	waiters []*refProc
+}
+
+func (e *refEvent) fire() {
+	if e.fired {
+		return
+	}
+	e.fired = true
+	for _, w := range e.waiters {
+		e.r.schedule(w, e.r.now, wakeEvent, nil)
+	}
+	e.waiters = nil
+}
+
 type refQueue struct {
 	items []int
 	ready refSignal
@@ -407,6 +438,7 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 	var tr schedTrace
 	r := &refKernel{horizon: pr.horizon}
 	sigs := []*refSignal{{r: r}, {r: r}}
+	evs := []*refEvent{{r: r}, {r: r}}
 	qs := []*refQueue{{ready: refSignal{r: r}}, {ready: refSignal{r: r}}}
 	daemons := make([]*refDaemon, 2)
 	timer := func(x int) func() {
@@ -422,22 +454,41 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 		daemons[j] = d
 		d.p.run = func(int32) {
 			d.kickWait = false
-			tr.log(r.now, 100+j, pc, 0)
-			if pc == len(steps) {
+			for {
+				tr.log(r.now, 100+j, pc, 0)
+				if pc == len(steps) {
+					return
+				}
+				s := steps[pc]
+				pc++
+				switch s.act {
+				case opNotify:
+					sigs[s.x].notify(len(sigs[s.x].waiters))
+				case opAfterPut:
+					r.schedule(nil, r.now+s.d, 0, func() { qs[s.x].put(100 + j) })
+				case opFire:
+					evs[s.x].fire()
+				}
+				switch s.end {
+				case 0:
+					d.kickWait = true
+				case 1:
+					r.schedule(&d.p, r.now+s.d, wakeTimer, nil)
+					d.kickWait = true
+				case 2:
+					r.schedule(&d.p, r.now+s.d, wakeTimer, nil)
+				case 3:
+					sigs[s.x].waiters = append(sigs[s.x].waiters, &d.p)
+				default:
+					if e := evs[s.x]; !e.fired {
+						e.waiters = append(e.waiters, &d.p)
+						return
+					}
+					r.inline++
+					continue
+				}
 				return
 			}
-			s := steps[pc]
-			pc++
-			switch s.act {
-			case opNotify:
-				sigs[s.x].notify(len(sigs[s.x].waiters))
-			case opAfterPut:
-				r.schedule(nil, r.now+s.d, 0, func() { qs[s.x].put(100 + j) })
-			}
-			if s.end != 0 {
-				r.schedule(&d.p, r.now+s.d, wakeTimer, nil)
-			}
-			d.kickWait = s.end != 2
 		}
 		r.schedule(&d.p, r.now, wakeStart, nil)
 	}
@@ -494,6 +545,8 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 					daemons[o.x].kick(r)
 				case opStop:
 					r.stopped = true
+				case opFire:
+					evs[o.x].fire()
 				}
 				tr.log(r.now, i, pc, val)
 			}
@@ -520,7 +573,7 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 // scheduleCoverage counts, over the programs checked, the cases they are there
 // to produce.
 type scheduleCoverage struct {
-	programs, dispatches, taken, stale, jumps uint64
+	programs, dispatches, taken, stale, jumps, inline uint64
 }
 
 // checkSchedule runs the program data encodes on k twice, a Reset before each
@@ -546,6 +599,7 @@ func checkSchedule(t *testing.T, k *Kernel, data []byte, cov *scheduleCoverage) 
 	cov.taken += k.seq - k.Queued()
 	cov.stale += r.stale
 	cov.jumps += r.jumps
+	cov.inline += r.inline
 }
 
 // TestKernelScheduleMatchesOneQueue checks 2 500 seeded random programs on one
@@ -562,7 +616,7 @@ func TestKernelScheduleMatchesOneQueue(t *testing.T) {
 		checkSchedule(t, k, data[:rng.Intn(len(data)+1)], &cov)
 	}
 	t.Logf("%+v", cov)
-	if cov.dispatches < 10*cov.programs || cov.taken < cov.programs || 2*cov.stale < cov.programs || 2*cov.jumps < cov.programs {
+	if cov.dispatches < 10*cov.programs || cov.taken < cov.programs || 2*cov.stale < cov.programs || 2*cov.jumps < cov.programs || 8*cov.inline < cov.programs {
 		t.Fatalf("the programs no longer cover what they are for: %+v", cov)
 	}
 }

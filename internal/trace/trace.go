@@ -40,7 +40,7 @@ const (
 	// Packer (backend side).
 	KExec
 	// KWait spans a backend thread parked in the device scheduler's
-	// WaitTurn gate.
+	// Turn gate.
 	KWait
 	// KOp spans one GPU op (kernel or copy) from engine start to
 	// completion.
