@@ -123,9 +123,11 @@ func TestAllocBudgetPerEvent(t *testing.T) {
 // comes in: one application instance per request, so a frontend process, a
 // backend thread and some twenty marshalled calls each. On the repo benchmark's
 // node_mega shape (one 2-GPU Strings node, GMin, a sparse Gaussian stream) a
-// request costs 23.13 allocations once the pools are warm, the same figure in
-// every run: 23.17 while the backend thread was a coroutine and an accept loop
-// queued its connection, 63 while every process built its own coroutine, 39
+// request costs 10.15 allocations once the pools are warm, the same figure in
+// every run: 23.13 while every request built its backend session, connection
+// and packer lane afresh, 23.17 while the backend thread was a coroutine and
+// an accept loop queued its connection, 63 while every process built its own
+// coroutine, 39
 // while every connection warmed a frame pool of its own, 35 while a connection
 // was five objects, every application got a multi-thread session and the last
 // call's frames were dropped, and 26 while a signal's first waiter grew a ring
@@ -139,7 +141,7 @@ func TestAllocBudgetPerRequest(t *testing.T) {
 	}
 	const (
 		requests = 4000
-		budget   = 23.5 // measured 23.13
+		budget   = 10.5 // measured 10.15
 	)
 	runMega(t, 1, 200)
 	allocs := minMallocs(1, func() { runMega(t, 2, requests) })
@@ -157,11 +159,12 @@ func TestAllocBudgetPerRequest(t *testing.T) {
 // where the Dispatcher turns over a few dozen entries every 5 ms epoch) and
 // two Fig 12-shaped cells (the pair on the four-GPU supernode under GWtMin
 // with PS and with LAS), construction included. A turn allocates nothing, so
-// a request costs 50.69 and 55.38 allocations here — streams, launch closures,
+// a request costs 48.75 and 44.15 allocations here — streams, launch closures,
 // a cluster built for a dozen requests and its processes unwound on Close —
-// and each budget is its reading rounded up to the next half (64.06 and 66.31
-// while each backend thread built a coroutine, 70.42 and 73.38 before the
-// first waiter of a signal, event or mutex lived inline). With
+// and each budget is its reading rounded up to the next half (50.69 and 55.38
+// before sessions, connections and lanes were reused, 64.06 and 66.31 while
+// each backend thread built a coroutine, 70.42 and 73.38 before the first
+// waiter of a signal, event or mutex lived inline). With
 // policies that rebuilt maps and slices and called sort.Slice every turn the
 // same cells cost 2 668, 12 857 and 8 587 allocations a request: 41, 188 and
 // 125 times these budgets.
@@ -196,9 +199,9 @@ func TestAllocBudgetContendedCell(t *testing.T) {
 		horizon sim.Time // 0 = run to completion
 		budget  float64
 	}{
-		{"fig11/TFS-Strings", core.Config{Nodes: oneGPU, Mode: core.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * sim.Second, 51.0},
-		{"fig12/GWtMinPS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 55.5},
-		{"fig12/GWtMinLAS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 55.5},
+		{"fig11/TFS-Strings", core.Config{Nodes: oneGPU, Mode: core.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * sim.Second, 49.0},
+		{"fig12/GWtMinPS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 44.5},
+		{"fig12/GWtMinLAS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 44.5},
 	}
 	for _, cell := range cells {
 		run := func(seed int64) int {
@@ -239,10 +242,12 @@ func TestAllocBudgetContendedCell(t *testing.T) {
 // Gaussian stream arriving at 0.03 of the solo rate so about 45 % of the
 // requests are served across a mailbox. A cross-kernel message is a value, a
 // frame is recycled by whichever kernel consumes it and a window neither
-// sorts nor allocates, so such a request costs 30.16 allocations here (29 over
-// the benchmark's longer pass), seven more than node_mega's; the budget is
-// that rounded up to the next half (30.75 while the backend thread was a
-// coroutine, 33.76 before a first waiter lived inline). While every message was a closure,
+// sorts nor allocates, so such a request costs 18.95 allocations here (17.5
+// over the benchmark's longer pass), nine more than node_mega's: a
+// cross-kernel connection is not reused. The budget is that rounded up to the
+// next half (30.16 before sessions, same-kernel connections and lanes were
+// reused, 30.75 while the backend thread was a coroutine, 33.76 before a first
+// waiter lived inline). While every message was a closure,
 // cross-kernel conns dropped their frames and each window sorted its lists,
 // the same run cost 118.
 func TestAllocBudgetShardedRequest(t *testing.T) {
@@ -252,7 +257,7 @@ func TestAllocBudgetShardedRequest(t *testing.T) {
 	const (
 		nodes    = 4
 		requests = 4000
-		budget   = 30.5 // measured 30.16
+		budget   = 19.0 // measured 18.95
 	)
 	run := func(seed int64, requests int) shard.Stats {
 		cfg := core.Config{Seed: seed, Mode: core.ModeStrings, Balance: "GMin", Shards: 1}
@@ -320,24 +325,26 @@ func TestResumeBudgetPerRequest(t *testing.T) {
 // are dispatched (Kernel.Queued). On the node_mega shape a request is 202
 // dispatches; it queued 219 activations (the difference is stale timeouts)
 // while every sleep pushed its own wake-up, 183.27 once a sleep whose wake-up
-// is provably next took it on the spot, and queues 182.27 now that no accept
-// loop wakes up for the connection. The count repeats exactly, and the
-// ceiling is the reading rounded up, so a change that sends those sleeps —
-// the backend thread's included — back through the heap fails here before it
-// shows as a slower benchmark.
+// is provably next took it on the spot, 182.27 once no accept loop woke up for
+// the connection, and queues 141.34 now that a link delivery whose receiver
+// is provably next runs the receiver in place of its wake-up. The count
+// repeats exactly, and the ceiling is the reading rounded up to the next half,
+// so a change that sends those sleeps or wake-ups — the backend thread's
+// included — back through the heap fails here before it shows as a slower
+// benchmark.
 func TestQueueBudgetPerRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("queue budget measurement skipped in -short mode")
 	}
 	const (
 		requests = 4000
-		budget   = 183.0 // measured 182.27
+		budget   = 141.5 // measured 141.34
 	)
 	res := runMega(t, 1, requests)
 	perRequest := float64(res.Queued) / requests
-	t.Logf("%d queued activations = %.2f a request over %d events (budget %.0f)", res.Queued, perRequest, res.Events, budget)
+	t.Logf("%d queued activations = %.2f a request over %d events (budget %.1f)", res.Queued, perRequest, res.Events, budget)
 	if perRequest > budget {
-		t.Fatalf("queue budget exceeded: %.2f queued activations/request > %.0f", perRequest, budget)
+		t.Fatalf("queue budget exceeded: %.2f queued activations/request > %.1f", perRequest, budget)
 	}
 }
 
@@ -377,14 +384,50 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 // of thousands of times a window, in every window.
 func requireZeroAllocWindow(t *testing.T, k *sim.Kernel, span sim.Time, minEvents int) {
 	t.Helper()
-	allocs := minMallocs(5, func() {
+	requireZeroAlloc(t, func() {
 		if n := k.RunUntil(k.Now() + span); n < minEvents {
 			t.Fatalf("only %d events dispatched in a measured window, want at least %d", n, minEvents)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state dispatch allocated %d times in the quietest of five windows", allocs)
+}
+
+// requireZeroAlloc fails unless the quietest of five runs of window allocated
+// nothing.
+func requireZeroAlloc(t *testing.T, window func()) {
+	t.Helper()
+	if allocs := minMallocs(5, window); allocs != 0 {
+		t.Fatalf("steady state allocated %d times in the quietest of five windows", allocs)
 	}
+}
+
+// TestBenchSetupsZeroAlloc holds the micro-benchmarks that `make bench-smoke`
+// expects 0 allocs/op of to it, on the set-ups they time: a timer delivery, a
+// sleep taken on the spot, an intercepted call through a backend thread and a
+// wire round trip allocate nothing once warm.
+func TestBenchSetupsZeroAlloc(t *testing.T) {
+	t.Run("TimerDelivery", func(t *testing.T) {
+		k := timerDelivery()
+		defer k.Close()
+		requireZeroAllocWindow(t, k, 60*2000, 2000)
+	})
+	t.Run("SleepNext", func(t *testing.T) {
+		k := sleepNext()
+		defer k.Close()
+		requireZeroAllocWindow(t, k, 3*2000, 2000)
+	})
+	t.Run("BackendCall", func(t *testing.T) {
+		c, run := backendCall(t)
+		defer c.Close()
+		requireZeroAlloc(t, func() { run(3 * 300) })
+	})
+	t.Run("CodecRoundTrip", func(t *testing.T) {
+		roundTrip := codecRoundTrip(t)
+		requireZeroAlloc(t, func() {
+			for range 1000 {
+				roundTrip()
+			}
+		})
+	})
 }
 
 // TestTimerSteadyStateZeroAlloc is the timer-driven twin: two persistent

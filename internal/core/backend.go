@@ -14,17 +14,20 @@ import (
 // (Design I) process numbered from that kernel's application counter.
 func (c *Cluster) accept(gid int, conn *rpcproto.Conn) {
 	e := c.devEnv[gid]
-	var name func() string
+	n := &e.appSeq
 	if c.cfg.Mode == ModeStrings {
-		c.threads[gid]++
-		n := c.threads[gid]
-		name = func() string { return fmt.Sprintf("bt-%d-%d", gid, n) }
-	} else {
-		e.appSeq++
-		seq := e.appSeq
-		name = func() string { return fmt.Sprintf("rain-%d-%d", gid, seq) }
+		n = &c.threads[gid]
 	}
-	e.k.GoDaemonNamed(name, (&session{c: c, gid: gid, ep: conn.B()}).step)
+	*n++
+	var s *session
+	if i := len(e.sessions) - 1; i >= 0 {
+		s, e.sessions = e.sessions[i], e.sessions[:i]
+	} else {
+		s = &session{c: c, e: e}
+		s.nameFn, s.stepFn, s.backlogFn = s.name, s.step, s.backlog
+	}
+	s.serving = serving{gid: gid, n: *n, ep: conn.B()}
+	e.k.StartDaemon(&s.d, s.nameFn, s.stepFn)
 }
 
 // openApp gives an application that completed the handshake its lane on device
@@ -81,10 +84,25 @@ type appPort interface {
 // (Rain), run as a daemon: it performs the registration handshake with the
 // Request Manager, opens the application's lane, then executes the
 // application's marshalled calls under the Dispatcher's wake/sleep gating.
-// A step runs from the stage the last one waited in to the next wait.
+// A step runs from the stage the last one waited in to the next wait. An
+// exited session, daemon and all, serves the next connection on its kernel.
 type session struct {
-	c     *Cluster
+	d sim.Daemon
+	c *Cluster
+	e *shardEnv
+
+	// Its methods as values, bound once: a reused session starts allocation-free.
+	nameFn    func() string
+	stepFn    func(*sim.Daemon)
+	backlogFn func() int
+
+	serving
+}
+
+// serving is a session's state for the application it serves.
+type serving struct {
 	gid   int
+	n     int // the number in its name (bt-gid-n, rain-gid-n)
 	ep    rpcproto.Endpoint
 	pool  *rpcproto.Pool
 	entry *devsched.Entry // nil until the handshake registers the application
@@ -115,6 +133,20 @@ const (
 // call in hand plus the inbox.
 func (s *session) backlog() int { return s.held + s.ep.InboxLen() }
 
+func (s *session) name() string {
+	if s.c.cfg.Mode == ModeStrings {
+		return fmt.Sprintf("bt-%d-%d", s.gid, s.n)
+	}
+	return fmt.Sprintf("rain-%d-%d", s.gid, s.n)
+}
+
+// exit ends the daemon and leaves the session for the next accept; nothing is
+// queued for it, as it waits for one thing at a time and exits from a step.
+func (s *session) exit(d *sim.Daemon) {
+	d.Exit()
+	s.e.sessions = append(s.e.sessions, s) // bounded by peak live sessions
+}
+
 func (s *session) step(d *sim.Daemon) {
 	c, gid, sched := s.c, s.gid, s.c.scheds[s.gid]
 	for {
@@ -142,7 +174,7 @@ func (s *session) step(d *sim.Daemon) {
 			case c.gpuDown[gid] && s.entry == nil:
 				// The backend died before (or while) the registration was
 				// served: the handshake reply never leaves the node.
-				d.Exit()
+				s.exit(d)
 				return
 			case c.gpuDown[gid]:
 				// Killed: swallow the call and keep draining the inbox so
@@ -153,7 +185,7 @@ func (s *session) step(d *sim.Daemon) {
 				// application, its lane opens, and the reply goes back.
 				first := s.call
 				s.pool = s.ep.Pool()
-				s.entry = sched.Register(int(first.AppID), first.TenantID, int(first.Weight), first.KernelName, s.backlog)
+				s.entry = sched.Register(int(first.AppID), first.TenantID, int(first.Weight), first.KernelName, s.backlogFn)
 				port, err := c.openApp(nil, gid, first, s.pool)
 				s.port = port
 				s.reply = s.pool.GetReply()
@@ -194,12 +226,12 @@ func (s *session) step(d *sim.Daemon) {
 				// with the daemon.
 				s.drop()
 				if exit {
-					sched.Unregister(s.entry.AppID)
-					d.Exit()
+					sched.Unregister(s.entry)
+					s.exit(d)
 					return
 				}
 			case exit:
-				s.reply.Feedback = sched.Unregister(s.entry.AppID)
+				s.reply.Feedback = sched.Unregister(s.entry)
 				s.send(0, true)
 			case !s.call.NonBlocking:
 				// Blocking round trip: the frontend owns both frames now and
@@ -218,9 +250,12 @@ func (s *session) step(d *sim.Daemon) {
 			s.ep.Post(s.reply)
 			if s.last {
 				if s.entry != nil && s.call.ID == cuda.CallSetDevice {
-					sched.Unregister(s.entry.AppID) // the lane never opened
+					sched.Unregister(s.entry) // the lane never opened
 				}
-				d.Exit()
+				// The last message either side sends: the connection goes back
+				// for reuse once the frontend has read it too.
+				s.ep.Close()
+				s.exit(d)
 				return
 			}
 			s.call, s.reply, s.at = nil, nil, recv

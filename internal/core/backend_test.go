@@ -57,3 +57,51 @@ func TestKilledBackendRecyclesNonBlockingFrames(t *testing.T) {
 		}
 	}
 }
+
+// A connection goes back to its kernel's pool once the session has exited and
+// the frontend has read the cudaThreadExit reply — and never when the backend
+// was killed under the exit, nor when the frontend runs under recovery, though
+// the frontend closes its side in both and the session itself is reused.
+func TestConnReturnsOnlyAfterACleanExit(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		kill, recovery bool
+		want           bool // the connection is the pool's next
+	}{{"clean", false, false, true}, {"killed", true, false, false}, {"recovery", false, true, false}} {
+		c, err := New(Config{Seed: 1, Nodes: []NodeConfig{{Devices: []gpu.Spec{gpu.TeslaC2050}}}, Mode: ModeStrings})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := c.envs[0]
+		var exit *rpcproto.Reply
+		conn := e.conns.Get(c.K, rpcproto.SharedMemLink)
+		c.K.Go("app", func(p *sim.Proc) {
+			conn.SetPools(&e.pool, &e.pool)
+			c.accept(0, conn)
+			ep := conn.A()
+			if tc.recovery {
+				ep.RetainFrames()
+			}
+			ep.Send(p, &rpcproto.Call{ID: cuda.CallSetDevice, Seq: 1, AppID: 1, TenantID: 1, Weight: 1}, 0)
+			ep.Recv(p)
+			ep.Send(p, &rpcproto.Call{ID: cuda.CallLaunch, Seq: 2, NonBlocking: true, KernelName: "k", Compute: 1e9, Occupancy: 1}, 0)
+			ep.Send(p, &rpcproto.Call{ID: cuda.CallThreadExit, Seq: 3}, 0) // waits out the ~1 ms kernel
+			if tc.kill {
+				p.Sleep(500)
+				c.KillGPU(0)
+			}
+			if m, ok := ep.RecvTimeout(p, sim.Second); ok {
+				exit = m.(*rpcproto.Reply)
+			}
+			ep.Close()
+		})
+		c.coord.RunUntil(10 * sim.Second)
+		if (exit != nil) == tc.kill || len(e.sessions) != 1 {
+			t.Errorf("%s: exit reply %+v, %d sessions to reuse; want a reply unless killed, and the session", tc.name, exit, len(e.sessions))
+		}
+		if got := e.conns.Get(c.K, rpcproto.SharedMemLink) == conn; got != tc.want {
+			t.Errorf("%s: connection back in the pool %v, want %v", tc.name, got, tc.want)
+		}
+		c.Close()
+	}
+}

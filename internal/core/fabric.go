@@ -95,7 +95,7 @@ func (f *nodeFabric) ConnectBackend(p *sim.Proc, gid balancer.GID, _ int) rpcpro
 		link = c.cfg.RemoteLink
 	}
 	if oe == e {
-		conn := rpcproto.NewConn(e.k, link)
+		conn := e.conns.Get(e.k, link)
 		conn.SetPools(&e.pool, &e.pool)
 		c.accept(int(gid), conn)
 		return conn.A()

@@ -13,19 +13,28 @@ import (
 const appIDStride = 1 << 32
 
 // shardEnv is one kernel's slice of the cluster: the kernel and its
-// coordinator handle, the recorder, result sink and frame pool local to it,
-// and the app-ID/tenant bookkeeping of the streams arriving at its nodes.
+// coordinator handle, the recorder, result sink, frame pool and finished
+// connections and sessions local to it, and the app-ID/tenant bookkeeping of
+// the streams arriving at its nodes.
 type shardEnv struct {
-	c    *Cluster
-	idx  int
-	k    *sim.Kernel
-	sh   *shard.Shard
-	rec  *trace.Recorder
-	pool rpcproto.Pool
+	c        *Cluster
+	idx      int
+	k        *sim.Kernel
+	sh       *shard.Shard
+	rec      *trace.Recorder
+	pool     rpcproto.Pool
+	conns    rpcproto.ConnPool
+	sessions []*session
 
-	results   *RunResult
-	appSeq    int
-	appTenant map[int]int64
+	results *RunResult
+	appSeq  int
+	apps    []appTenant // in launch order, which is app-id order
+}
+
+// appTenant is one launched application and its tenant.
+type appTenant struct {
+	id     int
+	tenant int64
 }
 
 // shardEligible reports whether the per-node shard partition can express
@@ -77,7 +86,7 @@ func (c *Cluster) buildEnvs() {
 		}
 		c.envs = append(c.envs, &shardEnv{
 			c: c, idx: i, k: k, sh: c.coord.Shard(i), rec: rec,
-			results: newRunResult(), appTenant: make(map[int]int64),
+			results: newRunResult(),
 		})
 	}
 	for n := range cfg.Nodes {

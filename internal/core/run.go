@@ -223,12 +223,7 @@ func (c *Cluster) RunUntil(streams []workload.StreamSpec, horizon sim.Time) (*Ru
 	// view at the horizon.
 	r.TenantService = make(map[int64]sim.Time)
 	for _, e := range c.envs {
-		appIDs := make([]int, 0, len(e.appTenant))
-		for appID := range e.appTenant {
-			appIDs = append(appIDs, appID)
-		}
-		slices.Sort(appIDs)
-		for _, appID := range appIDs {
+		for _, app := range e.apps {
 			var svc sim.Time
 			for _, d := range c.devices {
 				// Delivered service only: the driver's context-switch charge
@@ -236,9 +231,9 @@ func (c *Cluster) RunUntil(streams []workload.StreamSpec, horizon sim.Time) (*Ru
 				// schedulers' *own* accounting — and hence their decisions —
 				// but the experiment measures what applications actually
 				// received).
-				svc += d.AppService(appID)
+				svc += d.AppService(app.id)
 			}
-			r.TenantService[e.appTenant[appID]] += svc
+			r.TenantService[app.tenant] += svc
 		}
 	}
 	return r, nil
@@ -295,7 +290,7 @@ func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 			}
 			e.results.Launched++
 			e.results.TenantWeight[s.Tenant] = s.Weight
-			e.appTenant[app.ID] = s.Tenant
+			e.apps = append(e.apps, appTenant{app.ID, s.Tenant}) // bounded by the requests launched
 			e.k.GoNamed(
 				func() string { return fmt.Sprintf("app-%s-%d.%d", s.Kind, si, n) },
 				func(ap *sim.Proc) { e.runApp(ap, app, s) })

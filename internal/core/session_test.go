@@ -47,7 +47,7 @@ func (c *Cluster) refServeApp(p *sim.Proc, gid int, ep rpcproto.Endpoint) {
 	reply.SetError(err)
 	ep.Send(p, reply, 0)
 	if err != nil {
-		sched.Unregister(appID)
+		sched.Unregister(entry)
 		return
 	}
 	for {
@@ -72,14 +72,14 @@ func (c *Cluster) refServeApp(p *sim.Proc, gid int, ep rpcproto.Endpoint) {
 		sched.SetPhaseEntry(entry, devsched.PhaseDFL)
 		if c.gpuDown[gid] {
 			if call.ID == cuda.CallThreadExit {
-				sched.Unregister(appID)
+				sched.Unregister(entry)
 				return
 			}
 			pool.FreeReply(reply)
 			continue
 		}
 		if call.ID == cuda.CallThreadExit {
-			reply.Feedback = sched.Unregister(appID)
+			reply.Feedback = sched.Unregister(entry)
 			ep.Send(p, reply, 0)
 			return
 		}
@@ -138,16 +138,26 @@ type scriptApp struct {
 type backendScript struct {
 	mode   Mode
 	policy string
-	guard  bool  // BlockOnOOM
-	mem    int64 // device memory
-	apps   []scriptApp
-	plan   faults.Plan
+	guard  bool          // BlockOnOOM
+	mem    int64         // device memory
+	rounds []scriptRound // run back to back on one cluster
+}
+
+// scriptRound is one round of a script: its applications, and the faults that
+// hit while they run at instants from the round's start. Each round starts
+// scriptHorizon after the one before, on a GPU revived from that round's
+// faults, so the sessions, connections and lanes the earlier rounds left
+// behind — after a kill, a stall or a degrade too — serve the later ones.
+type scriptRound struct {
+	apps []scriptApp
+	plan faults.Plan
 }
 
 // newBackendScript deals a script from rng: a mode and device policy, a
-// device small enough that two tenants' buffers do not fit together, one to
-// three applications issuing every call kind blocking and non-blocking, and
-// kill, stall and degrade faults landing at random instants.
+// device small enough that two tenants' buffers do not fit together, and one
+// to three rounds of one to three applications issuing every call kind
+// blocking and non-blocking, with kill, stall and degrade faults landing at
+// random instants.
 func newBackendScript(rng *rand.Rand) backendScript {
 	sc := backendScript{mode: ModeStrings, guard: rng.Intn(2) == 0, mem: 3 << 20}
 	if rng.Intn(3) == 0 {
@@ -158,6 +168,14 @@ func newBackendScript(rng *rand.Rand) backendScript {
 		policies = policies[:3]
 	}
 	sc.policy = policies[rng.Intn(len(policies))]
+	for r, n := 0, 1+rng.Intn(3); r < n; r++ {
+		sc.rounds = append(sc.rounds, newScriptRound(rng))
+	}
+	return sc
+}
+
+func newScriptRound(rng *rand.Rand) scriptRound {
+	var sc scriptRound
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
 		app := scriptApp{start: sim.Time(rng.Intn(3000)), tenant: int64(1 + rng.Intn(2)), weight: int32(1 + rng.Intn(3))}
 		for j, m := 0, 2+rng.Intn(14); j < m; j++ {
@@ -194,6 +212,7 @@ func newBackendScript(rng *rand.Rand) backendScript {
 // received it, or the timeout that ended the application.
 type replyRec struct {
 	At      sim.Time
+	Round   int
 	App     int
 	Seq     uint64
 	ID      cuda.CallID
@@ -206,121 +225,48 @@ type replyRec struct {
 // the backend up: longer than any stall a script injects.
 const scriptTimeout = 2 * sim.Second
 
-// scriptHorizon ends a script's run: a tenant left registered by a kill or an
+// scriptHorizon ends a script round: a tenant left registered by a kill or an
 // allocation that never fits keeps the device scheduler's epochs ticking.
 const scriptHorizon = 30 * sim.Second
 
-// runBackendScript runs sc on a one-GPU node, each application's connection
-// accepted by accept, and returns the reply log and the trace.
+// runBackendScript runs sc's rounds on a one-GPU node, each application's
+// connection taken from the kernel's pool and accepted by accept, and returns
+// the reply log and the trace.
 func runBackendScript(t *testing.T, sc backendScript, accept func(c *Cluster, gid int, conn *rpcproto.Conn)) ([]replyRec, []byte) {
 	t.Helper()
 	spec := gpu.TeslaC2050
 	spec.MemBytes = sc.mem
+	var plan faults.Plan
+	for r, round := range sc.rounds {
+		for _, f := range round.plan.Faults {
+			f.At += sim.Time(r) * scriptHorizon
+			plan.Faults = append(plan.Faults, f)
+		}
+	}
 	c, err := New(Config{
 		Seed: 1, Nodes: []NodeConfig{{Devices: []gpu.Spec{spec}}}, Mode: sc.mode,
-		DevPolicy: sc.policy, BlockOnOOM: sc.guard, Recorder: trace.New(), Faults: sc.plan,
+		DevPolicy: sc.policy, BlockOnOOM: sc.guard, Recorder: trace.New(), Faults: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.K.Go("revive", func(p *sim.Proc) {
+		for r := 1; r < len(sc.rounds); r++ {
+			p.Sleep(sim.Time(r)*scriptHorizon - 1 - p.Now())
+			c.gpuDown[0], c.stallUntil[0], c.degrade[0] = false, 0, 0
+		}
+	})
 	var log []replyRec
 	pool := &rpcproto.Pool{}
-	for i, app := range sc.apps {
-		c.K.Go(fmt.Sprintf("script-%d", i), func(p *sim.Proc) {
-			p.Sleep(app.start)
-			conn := rpcproto.NewConn(c.K, rpcproto.SharedMemLink)
-			conn.SetPools(pool, pool)
-			accept(c, 0, conn)
-			ep := conn.A()
-			var ptrs []cuda.Ptr
-			var streams, events []int32
-			seq := uint64(0)
-			call := func(sc scriptCall, fill func(*rpcproto.Call)) bool {
-				p.Sleep(sc.gap)
-				seq++
-				m := pool.GetCall()
-				m.ID, m.Seq, m.NonBlocking = sc.id, seq, sc.nonBlocking
-				fill(m)
-				ep.Send(p, m, m.PayloadBytes())
-				if m.NonBlocking {
-					return true
-				}
-				msg, ok := ep.RecvTimeout(p, scriptTimeout)
-				if !ok {
-					log = append(log, replyRec{At: p.Now(), App: i, Seq: seq, ID: sc.id, Timeout: true})
-					return false
-				}
-				r := msg.(*rpcproto.Reply)
-				rec := replyRec{At: p.Now(), App: i, Seq: seq, ID: sc.id, Reply: *r}
-				if r.Feedback != nil {
-					rec.Fb, rec.Reply.Feedback = *r.Feedback, nil
-				}
-				log = append(log, rec)
-				if r.Err == "" {
-					switch sc.id {
-					case cuda.CallMalloc:
-						ptrs = append(ptrs, cuda.Ptr{Dev: int(r.PtrDev), ID: r.PtrID, Size: r.PtrSize})
-					case cuda.CallStreamCreate:
-						streams = append(streams, r.Stream)
-					case cuda.CallEventCreate:
-						events = append(events, r.Event)
-					}
-				}
-				pool.FreeCall(m)
-				pool.FreeReply(r)
-				return true
-			}
-			ptr := func(k int) cuda.Ptr {
-				if k %= len(ptrs) + 1; k < len(ptrs) {
-					return ptrs[k]
-				}
-				return cuda.Ptr{ID: 1 << 40, Size: 1 << 20}
-			}
-			stream := func(k int) int32 {
-				if k %= len(streams) + 1; k < len(streams) {
-					return streams[k]
-				}
-				return 0
-			}
-			event := func(k int) int32 {
-				if k %= len(events) + 1; k < len(events) {
-					return events[k]
-				}
-				return 99
-			}
-			hello := scriptCall{id: cuda.CallSetDevice}
-			if !call(hello, func(m *rpcproto.Call) {
-				m.AppID, m.TenantID, m.Weight, m.KernelName = int64(100+i), app.tenant, app.weight, "script"
-			}) {
-				return
-			}
-			for _, s := range app.calls {
-				ok := call(s, func(m *rpcproto.Call) {
-					switch s.id {
-					case cuda.CallMalloc:
-						m.Bytes = s.bytes
-					case cuda.CallFree, cuda.CallMemcpy, cuda.CallMemcpyAsync:
-						pt := ptr(s.pick)
-						m.PtrID, m.PtrSize, m.PtrDev = pt.ID, pt.Size, int32(pt.Dev)
-						m.Dir, m.Bytes = s.dir, min(s.bytes, pt.Size)
-						m.Stream = stream(s.pick2)
-					case cuda.CallLaunch:
-						m.KernelName, m.Compute, m.MemTraffic, m.Occupancy = "k", s.compute, s.traffic, s.occ
-						m.Stream = stream(s.pick)
-					case cuda.CallStreamSync, cuda.CallStreamDestroy:
-						m.Stream = stream(s.pick)
-					case cuda.CallEventRecord, cuda.CallEventSync, cuda.CallEventElapsed, cuda.CallEventDestroy:
-						m.Event, m.Event2, m.Stream = event(s.pick), event(s.pick2), stream(s.pick2)
-					}
-				})
-				if !ok {
-					return
-				}
-			}
-		})
+	for r, round := range sc.rounds {
+		for i, app := range round.apps {
+			c.K.Go(fmt.Sprintf("script-%d.%d", r, i), func(p *sim.Proc) {
+				runScriptApp(p, c, accept, pool, r, i, app, &log)
+			})
+		}
 	}
-	c.coord.RunUntil(scriptHorizon)
+	c.coord.RunUntil(sim.Time(len(sc.rounds)) * scriptHorizon)
 	var jsonl []byte
 	for _, rec := range c.Recorders() {
 		jsonl = rec.Snapshot().AppendJSONL(jsonl)
@@ -328,8 +274,112 @@ func runBackendScript(t *testing.T, sc backendScript, accept func(c *Cluster, gi
 	return log, jsonl
 }
 
+// runScriptApp is application i of round r on p: it connects, registers, makes
+// its calls and logs their replies, until a call times out or it has read a
+// cudaThreadExit reply; then it closes its side of the connection.
+func runScriptApp(p *sim.Proc, c *Cluster, accept func(c *Cluster, gid int, conn *rpcproto.Conn), pool *rpcproto.Pool, r, i int, app scriptApp, log *[]replyRec) {
+	p.Sleep(sim.Time(r)*scriptHorizon + app.start)
+	conn := c.envs[0].conns.Get(c.K, rpcproto.SharedMemLink)
+	conn.SetPools(pool, pool)
+	accept(c, 0, conn)
+	ep := conn.A()
+	var ptrs []cuda.Ptr
+	var streams, events []int32
+	seq := uint64(0)
+	call := func(sc scriptCall, fill func(*rpcproto.Call)) bool {
+		p.Sleep(sc.gap)
+		seq++
+		m := pool.GetCall()
+		m.ID, m.Seq, m.NonBlocking = sc.id, seq, sc.nonBlocking
+		fill(m)
+		ep.Send(p, m, m.PayloadBytes())
+		if m.NonBlocking {
+			return true
+		}
+		msg, ok := ep.RecvTimeout(p, scriptTimeout)
+		if !ok {
+			*log = append(*log, replyRec{At: p.Now(), Round: r, App: i, Seq: seq, ID: sc.id, Timeout: true})
+			return false
+		}
+		rep := msg.(*rpcproto.Reply)
+		rec := replyRec{At: p.Now(), Round: r, App: i, Seq: seq, ID: sc.id, Reply: *rep}
+		if rep.Feedback != nil {
+			rec.Fb, rec.Reply.Feedback = *rep.Feedback, nil
+		}
+		*log = append(*log, rec)
+		if rep.Err == "" {
+			switch sc.id {
+			case cuda.CallMalloc:
+				ptrs = append(ptrs, cuda.Ptr{Dev: int(rep.PtrDev), ID: rep.PtrID, Size: rep.PtrSize})
+			case cuda.CallStreamCreate:
+				streams = append(streams, rep.Stream)
+			case cuda.CallEventCreate:
+				events = append(events, rep.Event)
+			}
+		}
+		pool.FreeCall(m)
+		pool.FreeReply(rep)
+		if sc.id == cuda.CallThreadExit {
+			// Like the interposer: the session has exited, nothing more is
+			// sent, and this side is done with the connection.
+			ep.Close()
+			return false
+		}
+		return true
+	}
+	ptr := func(k int) cuda.Ptr {
+		if k %= len(ptrs) + 1; k < len(ptrs) {
+			return ptrs[k]
+		}
+		return cuda.Ptr{ID: 1 << 40, Size: 1 << 20}
+	}
+	stream := func(k int) int32 {
+		if k %= len(streams) + 1; k < len(streams) {
+			return streams[k]
+		}
+		return 0
+	}
+	event := func(k int) int32 {
+		if k %= len(events) + 1; k < len(events) {
+			return events[k]
+		}
+		return 99
+	}
+	hello := scriptCall{id: cuda.CallSetDevice}
+	if !call(hello, func(m *rpcproto.Call) {
+		m.AppID, m.TenantID, m.Weight, m.KernelName = int64(100*(r+1)+i), app.tenant, app.weight, "script"
+	}) {
+		return
+	}
+	for _, s := range app.calls {
+		ok := call(s, func(m *rpcproto.Call) {
+			switch s.id {
+			case cuda.CallMalloc:
+				m.Bytes = s.bytes
+			case cuda.CallFree, cuda.CallMemcpy, cuda.CallMemcpyAsync:
+				pt := ptr(s.pick)
+				m.PtrID, m.PtrSize, m.PtrDev = pt.ID, pt.Size, int32(pt.Dev)
+				m.Dir, m.Bytes = s.dir, min(s.bytes, pt.Size)
+				m.Stream = stream(s.pick2)
+			case cuda.CallLaunch:
+				m.KernelName, m.Compute, m.MemTraffic, m.Occupancy = "k", s.compute, s.traffic, s.occ
+				m.Stream = stream(s.pick)
+			case cuda.CallStreamSync, cuda.CallStreamDestroy:
+				m.Stream = stream(s.pick)
+			case cuda.CallEventRecord, cuda.CallEventSync, cuda.CallEventElapsed, cuda.CallEventDestroy:
+				m.Event, m.Event2, m.Stream = event(s.pick), event(s.pick2), stream(s.pick2)
+			}
+		})
+		if !ok {
+			return
+		}
+	}
+}
+
 // TestSessionMatchesCoroutineLoop runs 1 000 seeded call scripts through the
-// session daemon and through the coroutine loop it replaced.
+// session daemon and through the coroutine loop it replaced. The loop reuses
+// nothing but lanes; the sessions reuse sessions and connections as well, and
+// none of it may show.
 func TestSessionMatchesCoroutineLoop(t *testing.T) {
 	n := 1000
 	if testing.Short() {
@@ -337,16 +387,31 @@ func TestSessionMatchesCoroutineLoop(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(28))
 	var replies, timeouts, failed, feedback int
+	var sessions, afterFault, conns int // accepts that reused a session (after a faulty round) or a connection
 	for i := 0; i < n; i++ {
 		sc := newBackendScript(rng)
+		seen := map[*rpcproto.Conn]bool{}
+		accept := func(c *Cluster, gid int, conn *rpcproto.Conn) {
+			if seen[conn] {
+				conns++
+			}
+			seen[conn] = true
+			if len(c.devEnv[gid].sessions) > 0 {
+				sessions++
+				if r := int(c.K.Now() / scriptHorizon); r > 0 && sc.rounds[r-1].plan.Enabled() {
+					afterFault++
+				}
+			}
+			c.accept(gid, conn)
+		}
 		want, wantTrace := runBackendScript(t, sc, (*Cluster).refAccept)
-		got, gotTrace := runBackendScript(t, sc, (*Cluster).accept)
+		got, gotTrace := runBackendScript(t, sc, accept)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("script %d (%v, %s, guard %v, %v): reply logs differ\nsession %+v\nloop    %+v",
-				i, sc.mode, sc.policy, sc.guard, sc.plan.Faults, got, want)
+			t.Fatalf("script %d (%v, %s, guard %v, %+v): reply logs differ\nsession %+v\nloop    %+v",
+				i, sc.mode, sc.policy, sc.guard, sc.rounds, got, want)
 		}
 		if string(gotTrace) != string(wantTrace) {
-			t.Fatalf("script %d (%v, %s, guard %v, %v): traces differ", i, sc.mode, sc.policy, sc.guard, sc.plan.Faults)
+			t.Fatalf("script %d (%v, %s, guard %v, %+v): traces differ", i, sc.mode, sc.policy, sc.guard, sc.rounds)
 		}
 		for _, r := range want {
 			replies++
@@ -361,8 +426,12 @@ func TestSessionMatchesCoroutineLoop(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d replies: %d timeouts, %d errors, %d with feedback", replies, timeouts, failed, feedback)
+	t.Logf("%d replies: %d timeouts, %d errors, %d with feedback; %d sessions reused (%d after a faulty round), %d connections",
+		replies, timeouts, failed, feedback, sessions, afterFault, conns)
 	if timeouts == 0 || failed == 0 || feedback == 0 {
 		t.Fatal("the scripts no longer reach kills, failing calls and clean exits")
+	}
+	if sessions == 0 || afterFault == 0 || conns == 0 {
+		t.Fatal("the scripts no longer reuse sessions and connections")
 	}
 }

@@ -169,7 +169,15 @@ type Thread struct {
 // id appID (used for device-side service attribution). With p nil the thread
 // is a daemon's, and its runtime's Config must charge no host-side costs.
 func (rt *Runtime) NewThread(p *sim.Proc, appID int) *Thread {
-	return &Thread{rt: rt, p: p, appID: appID}
+	t := &Thread{}
+	rt.InitThread(t, p, appID)
+	return t
+}
+
+// InitThread makes *t, held by value or reused after its ThreadExit, a new
+// thread of the runtime as NewThread does; its allocation list keeps its array.
+func (rt *Runtime) InitThread(t *Thread, p *sim.Proc, appID int) {
+	*t = Thread{rt: rt, p: p, appID: appID, allocs: t.allocs[:0]}
 }
 
 // charge spends a host-side cost on the thread's process.
@@ -585,6 +593,6 @@ func (t *Thread) exit() {
 	for _, p := range t.allocs {
 		t.rt.devices[p.Dev].Free(p.Size)
 	}
-	t.allocs = nil
+	t.allocs = t.allocs[:0]
 	t.exited = true
 }

@@ -38,11 +38,8 @@ func TestRegisterAssignsSignalIDs(t *testing.T) {
 	if !e1.Awake || !e2.Awake {
 		t.Fatal("AllAwake entries should be born awake")
 	}
-	if s.byApp[1] != e1 || s.byApp[99] != nil {
-		t.Fatal("Entry lookup broken")
-	}
-	if got := len(s.entries); got != 2 {
-		t.Fatalf("Entries = %d", got)
+	if got := len(s.entries); got != 2 || s.entries[0] != e1 || s.entries[1] != e2 {
+		t.Fatalf("Entries = %v, want the two in app-id order", s.entries)
 	}
 }
 
@@ -50,13 +47,14 @@ func TestUnregisterProducesFeedback(t *testing.T) {
 	k := sim.NewKernel(1)
 	dev := testDev(k)
 	s := New(k, dev, 3, AllAwake{}, Config{})
+	var e *Entry
 	k.Go("app", func(p *sim.Proc) {
-		s.Register(1, 10, 1, "DC", constBacklog(0))
+		e = s.Register(1, 10, 1, "DC", constBacklog(0))
 		st := dev.NewContext().NewStream()
 		op := &gpu.Op{Kind: gpu.OpKernel, Compute: 50000, AppID: 1}
 		p.Wait(st.Submit(op))
 		p.Sleep(50) // total wall 100us, GPU 50us
-		fb := s.Unregister(1)
+		fb := s.Unregister(e)
 		if fb == nil {
 			t.Error("no feedback returned")
 			return
@@ -72,7 +70,7 @@ func TestUnregisterProducesFeedback(t *testing.T) {
 		}
 	})
 	k.Run()
-	if s.byApp[1] != nil {
+	if len(s.entries) != 0 || s.Unregister(e) != nil {
 		t.Fatal("entry not removed")
 	}
 }

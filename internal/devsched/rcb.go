@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/cuda"
+	"repro/internal/gpu"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -78,12 +79,13 @@ type Entry struct {
 	SignalID int
 
 	// Request Monitor state.
-	Attained    sim.Time // total attained GPU service
-	XferTime    sim.Time // copy-engine time attained
-	MemTraffic  float64  // device-memory traffic so far (bytes)
-	CGS         float64  // decayed cumulative GPU service (eq. 1)
-	epochSample sim.Time // service reading at the last epoch boundary
-	lastRefresh sim.Time // when the Request Monitor last sampled the device
+	Attained    sim.Time     // total attained GPU service
+	XferTime    sim.Time     // copy-engine time attained
+	MemTraffic  float64      // device-memory traffic so far (bytes)
+	CGS         float64      // decayed cumulative GPU service (eq. 1)
+	epochSample sim.Time     // service reading at the last epoch boundary
+	lastRefresh sim.Time     // when the Request Monitor last sampled the device
+	acct        *gpu.AppAcct // the device's record of the application, held to skip a lookup
 
 	// TFS bookkeeping lives in the policy, keyed by tenant.
 

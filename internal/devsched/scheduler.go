@@ -52,8 +52,7 @@ type Scheduler struct {
 	policy Policy
 
 	entries []*Entry // maintained in ascending AppID order
-	byApp   map[int]*Entry
-	gen     uint64 // dispatcher pick generation (see dispatch)
+	gen     uint64   // dispatcher pick generation (see dispatch)
 	nextSig int
 	disp    *sim.Daemon // nil until ensureDispatcher starts it
 	closed  bool
@@ -80,7 +79,6 @@ func New(k *sim.Kernel, dev *gpu.Device, gid int, policy Policy, cfg Config) *Sc
 		gid:    gid,
 		cfg:    cfg,
 		policy: policy,
-		byApp:  make(map[int]*Entry),
 	}
 	return s
 }
@@ -105,6 +103,7 @@ func (s *Scheduler) Register(appID int, tenant int64, weight int, kind string, b
 		Wake:       s.k.NewSignal(),
 		SignalID:   s.nextSig,
 		Phase:      PhaseIdle,
+		acct:       s.dev.Acct(appID),
 	}
 	// With the pass-through policy threads are born awake; real policies
 	// gate them through the dispatcher.
@@ -117,31 +116,29 @@ func (s *Scheduler) Register(appID int, tenant int64, weight int, kind string, b
 	s.entries = append(s.entries, nil)
 	copy(s.entries[i+1:], s.entries[i:])
 	s.entries[i] = e
-	s.byApp[appID] = e
 	s.rec.Event(trace.KRegister, s.k.Now(), kind, appID, s.gid, int64(e.SignalID))
 	s.ensureDispatcher()
 	s.Kick()
 	return e
 }
 
-// Unregister removes the application from the RCB and returns the Feedback
-// Engine's report, which the backend piggybacks on the cudaThreadExit reply.
-func (s *Scheduler) Unregister(appID int) *rpcproto.Feedback {
-	e, ok := s.byApp[appID]
-	if !ok {
+// Unregister removes the application holding RCB entry e and returns the
+// Feedback Engine's report, which the backend piggybacks on the cudaThreadExit
+// reply; nil for an entry already removed.
+func (s *Scheduler) Unregister(e *Entry) *rpcproto.Feedback {
+	if e.exited {
 		return nil
 	}
 	s.refreshEntry(e)
 	fb := e.feedback(s.k.Now(), s.gid)
 	e.exited = true
-	delete(s.byApp, appID)
 	for i, x := range s.entries {
 		if x == e {
 			s.entries = append(s.entries[:i], s.entries[i+1:]...)
 			break
 		}
 	}
-	s.rec.Event(trace.KUnregister, s.k.Now(), e.Kind, appID, s.gid, int64(fb.GPUTime))
+	s.rec.Event(trace.KUnregister, s.k.Now(), e.Kind, e.AppID, s.gid, int64(fb.GPUTime))
 	s.Kick()
 	return fb
 }
@@ -264,7 +261,7 @@ func (s *Scheduler) refreshEntry(e *Entry) {
 		return
 	}
 	e.lastRefresh = now
-	u := s.dev.AppUsage(e.AppID)
+	u := e.acct.Usage()
 	cur := u.Service + u.SwitchCharge
 	gs := cur - e.epochSample
 	if gs < 0 {

@@ -73,7 +73,7 @@ func TestOpTimesAndAppCounters(t *testing.T) {
 func TestAppAccountingRecords(t *testing.T) {
 	k := sim.NewKernel(1)
 	d := NewDevice(k, testSpec(), 0)
-	d.acct(500).switches += 100
+	d.Acct(500).switches += 100
 	s := d.NewContext().NewStream()
 	const apps = 150 // several slabs of records
 	k.Go("apps", func(p *sim.Proc) {

@@ -52,12 +52,13 @@ type Device struct {
 	switchTime  sim.Time
 	kernelsDone int
 	copiesDone  int
-	apps        map[int]*appAcct
-	acctFree    []appAcct // records not yet handed out by acct
+	apps        map[int]*AppAcct
+	acctFree    []AppAcct // records not yet handed out by Acct
 }
 
-// appAcct is one application's accounting on a device.
-type appAcct struct {
+// AppAcct is one application's accounting on a device, a handle valid for the
+// device's lifetime: dispatched ops and the device scheduler hold it.
+type AppAcct struct {
 	service  float64 // attained GPU service, microseconds
 	xferTime float64 // attained copy-engine time
 	memTraf  float64 // device-memory traffic, bytes
@@ -80,7 +81,7 @@ func NewDevice(k *sim.Kernel, spec Spec, id int) *Device {
 		spec:     spec.normalized(),
 		id:       id,
 		slowdown: 1,
-		apps:     make(map[int]*appAcct),
+		apps:     make(map[int]*AppAcct),
 	}
 	d.drv = k.GoDaemon(fmt.Sprintf("gpu%d-driver", id), d.driver)
 	return d
@@ -113,6 +114,7 @@ type Context struct {
 	dev        *Device
 	id         int
 	streams    []*Stream
+	spare      []*Stream // destroyed streams, for NewStream to reuse
 	nextStream int
 	pending    int // ops queued or running
 
@@ -137,11 +139,30 @@ type Stream struct {
 	id    int
 	queue sim.Ring[*Op]
 	busy  bool // head op dispatched to an engine and not yet finished
+
+	acct    *AppAcct // of the application whose op it dispatched last
+	acctApp int
 }
 
-// NewStream creates a stream in the context.
+// acctFor returns appID's accounting record: a stream serves one application
+// at a time, so dispatch looks one up per application, not per op.
+func (s *Stream) acctFor(appID int) *AppAcct {
+	if s.acct == nil || s.acctApp != appID {
+		s.acct, s.acctApp = s.ctx.dev.Acct(appID), appID
+	}
+	return s.acct
+}
+
+// NewStream creates a stream in the context, under the next id, reusing a
+// destroyed one and its op ring.
 func (c *Context) NewStream() *Stream {
-	s := &Stream{ctx: c, id: c.nextStream}
+	var s *Stream
+	if n := len(c.spare); n > 0 {
+		s, c.spare = c.spare[n-1], c.spare[:n-1]
+	} else {
+		s = &Stream{}
+	}
+	s.ctx, s.id = c, c.nextStream
 	c.nextStream++
 	c.streams = append(c.streams, s)
 	return s
@@ -168,6 +189,7 @@ func (c *Context) DestroyStream(s *Stream) {
 		}
 	}
 	s.ctx = nil
+	c.spare = append(c.spare, s) // bounded by peak live streams
 }
 
 // Submit enqueues op on the stream and returns the op's completion event.
@@ -387,7 +409,7 @@ func (d *Device) advance(now sim.Time) {
 		if op.remaining < 0 {
 			op.remaining = 0
 		}
-		a := d.acct(op.AppID)
+		a := op.acct
 		a.service += elapsed / d.slowdown
 		a.served = true
 	}
@@ -409,7 +431,7 @@ func (d *Device) reap(now sim.Time) bool {
 		if op.finishAt(now, d.slowdown) <= now {
 			d.running = append(d.running[:i], d.running[i+1:]...)
 			d.kernelsDone++
-			d.acct(op.AppID).memTraf += op.MemTraffic
+			op.acct.memTraf += op.MemTraffic
 			d.finish(op, now)
 			done = true
 		} else {
@@ -425,7 +447,7 @@ func (d *Device) reap(now sim.Time) bool {
 			op := e.cur
 			e.cur = nil
 			d.copiesDone++
-			a := d.acct(op.AppID)
+			a := op.acct
 			a.xferTime += float64(now - op.Started)
 			a.service += float64(now - op.Started)
 			a.served = true
@@ -436,8 +458,8 @@ func (d *Device) reap(now sim.Time) bool {
 	return done
 }
 
-// acct returns appID's accounting record, creating it on first use.
-func (d *Device) acct(appID int) *appAcct {
+// Acct returns appID's accounting record, creating it on first use.
+func (d *Device) Acct(appID int) *AppAcct {
 	a := d.apps[appID]
 	if a == nil {
 		if len(d.acctFree) == 0 {
@@ -445,7 +467,7 @@ func (d *Device) acct(appID int) *appAcct {
 			// handful of applications holds a handful and one that serves
 			// thousands allocates rarely.
 			n := min(max(len(d.apps), 4), 256)
-			d.acctFree = make([]appAcct, n)
+			d.acctFree = make([]AppAcct, n)
 		}
 		a = &d.acctFree[0]
 		d.acctFree = d.acctFree[1:]
@@ -548,7 +570,7 @@ func (d *Device) finishSwitch(now sim.Time) {
 		// the coarse accounting of per-process-context runtimes. The
 		// charge is tracked separately so measurements can distinguish
 		// delivered service from the scheduler's inflated view.
-		d.acct(next.Owner).switches += float64(d.spec.ContextSwitch)
+		d.Acct(next.Owner).switches += float64(d.spec.ContextSwitch)
 	}
 	d.resident = next
 	d.residing = now
@@ -611,6 +633,7 @@ func (d *Device) dispatch(now sim.Time) bool {
 			}
 			s.queue.Pop()
 			s.busy = true
+			op.acct = s.acctFor(op.AppID)
 			op.kernelDemands(&d.spec)
 			op.Started = now
 			op.SoloTime = sim.Time(op.soloDur + 0.5)
@@ -621,6 +644,7 @@ func (d *Device) dispatch(now sim.Time) bool {
 			e := d.engineFor(op.Kind)
 			s.queue.Pop()
 			s.busy = true
+			op.acct = s.acctFor(op.AppID)
 			e.queue.Push(op)
 			dispatched = true
 		}
@@ -716,12 +740,17 @@ type AppUsage struct {
 }
 
 // AppUsage reads appID's accounting in one lookup, zero for an application
-// never seen; the device scheduler samples it per entry per turn.
+// never seen.
 func (d *Device) AppUsage(appID int) AppUsage {
 	a := d.apps[appID]
 	if a == nil {
 		return AppUsage{}
 	}
+	return a.Usage()
+}
+
+// Usage reads the record; the device scheduler samples it per entry per turn.
+func (a *AppAcct) Usage() AppUsage {
 	return AppUsage{
 		Service:      sim.Time(a.service + 0.5),
 		SwitchCharge: sim.Time(a.switches + 0.5),

@@ -68,10 +68,11 @@ type Op struct {
 	Finished  sim.Time
 	SoloTime  sim.Time // duration the op would take on an idle device
 	stream    *Stream
-	remaining float64 // normalized remaining work in [0,1] (kernels)
-	demandCPU float64 // compute demand fraction while running
-	demandBW  float64 // bandwidth demand fraction while running
-	soloDur   float64 // solo duration in microseconds (float)
+	acct      *AppAcct // AppID's record, from dispatch on
+	remaining float64  // normalized remaining work in [0,1] (kernels)
+	demandCPU float64  // compute demand fraction while running
+	demandBW  float64  // bandwidth demand fraction while running
+	soloDur   float64  // solo duration in microseconds (float)
 	running   bool
 	pooled    bool // drawn from the device free list; recycled on completion
 }

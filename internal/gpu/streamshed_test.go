@@ -11,14 +11,20 @@ import (
 // driver's per-evaluation dispatch scan stays proportional to live
 // applications instead of applications ever served. Before the fix a
 // million-request run spent most of its wall time re-scanning dead streams.
+// The next stream is the destroyed one again, under the next id.
 func TestDestroyStreamShedsDispatchScan(t *testing.T) {
 	k := sim.NewKernel(1)
 	d := NewDevice(k, testSpec(), 0)
 	ctx := d.NewContext()
 	keep := ctx.NewStream()
+	var churned *Stream
 	k.Go("churn", func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
 			s := ctx.NewStream()
+			if churned != nil && s != churned || s.id != i+1 {
+				t.Errorf("stream %d is %p with id %d: want the destroyed %p under id %d", i, s, s.id, churned, i+1)
+			}
+			churned = s
 			p.Wait(s.Submit(&Op{Kind: OpH2D, Bytes: 10}))
 			ctx.DestroyStream(s)
 		}

@@ -142,9 +142,10 @@ func (ip *Interposer) newCall(id cuda.CallID) *rpcproto.Call {
 }
 
 // ensureBound lazily binds to a GPU: CUDA initializes on first use when the
-// application never calls cudaSetDevice.
+// application never calls cudaSetDevice. After ThreadExit every call fails in
+// SetDevice, as on cuda.Thread: the session is gone, its connection reused.
 func (ip *Interposer) ensureBound() error {
-	if ip.bound {
+	if ip.bound && !ip.exited {
 		return nil
 	}
 	return ip.SetDevice(0)
@@ -423,16 +424,16 @@ func (ip *Interposer) EventDestroy(e cuda.EventID) error {
 // ThreadExit implements cuda.Client: the reply piggybacks the Feedback
 // Engine's report, which the interposer relays to the affinity mapper.
 func (ip *Interposer) ThreadExit() error {
-	if ip.exited {
-		return cuda.ErrThreadExited
-	}
 	if err := ip.ensureBound(); err != nil {
 		return err
 	}
 	r, err := ip.send(ip.newCall(cuda.CallThreadExit), true)
 	ip.exited = true
-	if r != nil && r.Feedback != nil {
-		ip.LastFeedback = r.Feedback
+	if r != nil {
+		ip.ep.Close() // the session's last reply is in: this side is done too
+		if r.Feedback != nil {
+			ip.LastFeedback = r.Feedback
+		}
 	}
 	ip.freeLast() // no next call will: the feedback was all that was left to read
 	ip.fab.ReportFeedback(ip.gid, ip.kind, ip.LastFeedback)

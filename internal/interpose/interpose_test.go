@@ -2,7 +2,9 @@ package interpose
 
 import (
 	"errors"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/balancer"
@@ -274,6 +276,56 @@ func TestThreadExitRelaysFeedback(t *testing.T) {
 	}
 	if c := f.pool.GetCall(); c != f.exitCall || c.ID != 0 {
 		t.Fatalf("the pool's call is %p %+v, want the exit call %p zeroed", c, c, f.exitCall)
+	}
+}
+
+// Every call after ThreadExit fails at once with ErrThreadExited and sends
+// nothing: the backend session has exited, so a call that reached its inbox
+// would wait for a reply forever.
+func TestCallsAfterThreadExitFail(t *testing.T) {
+	k := sim.NewKernel(1)
+	defer k.Close()
+	f := newFakeFabric(k)
+	k.Go("app", func(p *sim.Proc) {
+		ip := New(f, p, 9, 3, 2, "MC", 0, true)
+		ptr, err := ip.Malloc(100)
+		if err != nil {
+			t.Errorf("Malloc: %v", err)
+		}
+		if err := ip.ThreadExit(); err != nil {
+			t.Errorf("ThreadExit: %v", err)
+		}
+		sent := len(f.received)
+		calls := map[string]func() error{
+			"SetDevice":         func() error { return ip.SetDevice(0) },
+			"Malloc":            func() error { _, err := ip.Malloc(100); return err },
+			"Free":              func() error { return ip.Free(ptr) },
+			"Memcpy":            func() error { return ip.Memcpy(cuda.D2H, ptr, 10) },
+			"MemcpyAsync":       func() error { return ip.MemcpyAsync(cuda.H2D, ptr, 10, 0) },
+			"Launch":            func() error { return ip.Launch(cuda.Kernel{Name: "k"}, 0) },
+			"StreamCreate":      func() error { _, err := ip.StreamCreate(); return err },
+			"StreamSynchronize": func() error { return ip.StreamSynchronize(0) },
+			"StreamDestroy":     func() error { return ip.StreamDestroy(5) },
+			"DeviceSynchronize": ip.DeviceSynchronize,
+			"EventCreate":       func() error { _, err := ip.EventCreate(); return err },
+			"EventRecord":       func() error { return ip.EventRecord(6, 0) },
+			"EventSynchronize":  func() error { return ip.EventSynchronize(6) },
+			"EventElapsed":      func() error { _, err := ip.EventElapsed(6, 6); return err },
+			"EventDestroy":      func() error { return ip.EventDestroy(6) },
+			"ThreadExit":        ip.ThreadExit,
+		}
+		for _, name := range slices.Sorted(maps.Keys(calls)) {
+			if err := calls[name](); !errors.Is(err, cuda.ErrThreadExited) {
+				t.Errorf("%s after ThreadExit = %v, want ErrThreadExited", name, err)
+			}
+		}
+		if len(f.received) != sent {
+			t.Errorf("%d calls reached the backend after ThreadExit", len(f.received)-sent)
+		}
+	})
+	k.Run()
+	if b := k.Blocked(); len(b) != 0 {
+		t.Fatalf("blocked after the run: %v", b)
 	}
 }
 

@@ -16,8 +16,6 @@
 package packer
 
 import (
-	"fmt"
-
 	"repro/internal/cuda"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
@@ -37,12 +35,12 @@ func DefaultConfig() Config { return Config{PinBandwidth: 4000} }
 // Packer owns the single shared GPU context of one backend process (one per
 // device) and the per-device Pinned Memory Table.
 type Packer struct {
-	rt    *cuda.Runtime
-	cfg   Config
-	pmt   *PMT
-	ports map[int]*Port
-	rec   *trace.Recorder
-	gid   int // gPool device id, for span attribution (-1 when unset)
+	rt   *cuda.Runtime
+	cfg  Config
+	pmt  *PMT
+	free []*Port // closed lanes, for Open to reuse
+	rec  *trace.Recorder
+	gid  int // gPool device id, for span attribution (-1 when unset)
 }
 
 // SetRecorder installs the observability recorder and the packer's gPool
@@ -55,18 +53,20 @@ func (pk *Packer) SetRecorder(rec *trace.Recorder, gid int) {
 
 // New creates a packer over the backend process's CUDA runtime.
 func New(rt *cuda.Runtime, cfg Config) *Packer {
-	return &Packer{rt: rt, cfg: cfg, pmt: NewPMT(), ports: make(map[int]*Port), gid: -1}
+	return &Packer{rt: rt, cfg: cfg, pmt: NewPMT(), gid: -1}
 }
 
 // Port is one application's lane through the packer: its backend CUDA
-// thread, its dedicated stream, and its share of the PMT.
+// thread, its dedicated stream, and its rows of the PMT. Once its
+// cudaThreadExit completes, the next Open reuses it, thread and stream too.
 type Port struct {
 	pk     *Packer
 	AppID  int
 	Tenant int64
 
-	thread *cuda.Thread
+	thread cuda.Thread
 	stream cuda.StreamID
+	pinned PinnedRows
 	proc   *sim.Proc
 	closed bool
 	pool   *rpcproto.Pool
@@ -89,10 +89,15 @@ func (port *Port) SetPool(pool *rpcproto.Pool) { port.pool = pool }
 // context and creates the app's dedicated stream. The thread runs on p, or is
 // a daemon's with p nil (cuda.NewThread), which charges no pinned staging.
 func (pk *Packer) Open(p *sim.Proc, appID int, tenant int64) (*Port, error) {
-	if _, dup := pk.ports[appID]; dup {
-		return nil, fmt.Errorf("packer: app %d already open", appID)
+	var port *Port
+	if n := len(pk.free); n > 0 {
+		port, pk.free = pk.free[n-1], pk.free[:n-1]
+	} else {
+		port = &Port{}
 	}
-	t := pk.rt.NewThread(p, appID)
+	*port = Port{pk: pk, AppID: appID, Tenant: tenant, thread: port.thread, pinned: port.pinned, proc: p}
+	t := &port.thread
+	pk.rt.InitThread(t, p, appID)
 	if err := t.SetDevice(0); err != nil { // backend processes are per-GPU
 		return nil, err
 	}
@@ -100,8 +105,7 @@ func (pk *Packer) Open(p *sim.Proc, appID int, tenant int64) (*Port, error) {
 	if err != nil {
 		return nil, err
 	}
-	port := &Port{pk: pk, AppID: appID, Tenant: tenant, thread: t, stream: s, proc: p}
-	pk.ports[appID] = port
+	port.stream = s
 	return port, nil
 }
 
@@ -156,15 +160,16 @@ func (port *Port) Pending() *sim.Event {
 // synchronize waited for (MOT, SST).
 func (port *Port) releaseSynced() {
 	if port.reply.Err == "" {
-		port.pk.pmt.ReleaseSynced(port.AppID, port.synced)
+		port.pk.pmt.ReleaseSynced(&port.pinned, port.synced)
 	}
 }
 
 // releaseApp frees the application's pinned buffers (SST).
-func (port *Port) releaseApp() { port.pk.pmt.ReleaseApp(port.AppID) }
+func (port *Port) releaseApp() { port.pk.pmt.ReleaseApp(&port.pinned) }
 
 // closeStream and closeThread finish a close once the application's stream
-// has drained: its pinned memory, stream and allocations go.
+// has drained: its pinned memory, stream and allocations go, and then the
+// lane itself goes back to the packer (free).
 func (port *Port) closeStream() {
 	port.releaseApp()
 	if err := port.thread.StreamDestroy(port.stream); err != nil {
@@ -175,9 +180,13 @@ func (port *Port) closeStream() {
 }
 
 func (port *Port) closeThread() {
-	delete(port.pk.ports, port.AppID)
 	port.reply.SetError(port.thread.ThreadExit())
+	port.then = (*Port).free
 }
+
+// free returns the closed lane for the next Open; until then it answers
+// only with ErrThreadExited.
+func (port *Port) free() { port.pk.free = append(port.pk.free, port) } // bounded by peak open lanes
 
 // execute is Execute's first half: the AST/SST/MOT translations, then the
 // shared verbatim executor. A translation rewrites the frame in place — the
@@ -190,7 +199,7 @@ func (port *Port) execute(call *rpcproto.Call, reply *rpcproto.Reply) {
 		reply.SetError(cuda.ErrThreadExited)
 		return
 	}
-	t := port.thread
+	t := &port.thread
 	switch call.ID {
 	case cuda.CallSetDevice:
 		// Target selection already happened at the balancer: whatever GID the
@@ -205,7 +214,7 @@ func (port *Port) execute(call *rpcproto.Call, reply *rpcproto.Reply) {
 		port.retarget(call)
 		if call.Dir == cuda.H2D {
 			port.pinCost(call.Bytes)
-			port.pk.pmt.Add(port.AppID, cuda.StreamID(call.Stream), call.Bytes, call.Dir)
+			port.pk.pmt.Add(&port.pinned, port.AppID, cuda.StreamID(call.Stream), call.Bytes, call.Dir)
 		}
 
 	case cuda.CallLaunch, cuda.CallEventRecord:
@@ -252,13 +261,13 @@ func (port *Port) execute(call *rpcproto.Call, reply *rpcproto.Reply) {
 // pinned buffer is reclaimed at the app's next sync point); D2H must return
 // data, so it synchronizes the app's stream first.
 func (port *Port) memcpy(call *rpcproto.Call, reply *rpcproto.Reply) {
-	t, s := port.thread, port.stream
+	t, s := &port.thread, port.stream
 	ptr := cuda.Ptr{Dev: int(call.PtrDev), ID: call.PtrID, Size: call.PtrSize}
 	if call.Dir == cuda.H2D {
 		port.pinCost(call.Bytes)
-		id := port.pk.pmt.Add(port.AppID, s, call.Bytes, call.Dir)
+		id := port.pk.pmt.Add(&port.pinned, port.AppID, s, call.Bytes, call.Dir)
 		if err := t.MemcpyAsync(cuda.H2D, ptr, call.Bytes, s); err != nil {
-			port.pk.pmt.Release(id)
+			port.pk.pmt.Release(&port.pinned, id)
 			reply.SetError(err)
 		}
 		return

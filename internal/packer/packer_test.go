@@ -43,9 +43,6 @@ func TestOpenCreatesDedicatedStream(t *testing.T) {
 		if port.stream == cuda.DefaultStream {
 			t.Error("port stream is the default stream")
 		}
-		if _, err := pk.Open(p, 1, 10); err == nil {
-			t.Error("duplicate Open succeeded")
-		}
 		port2, err := pk.Open(p, 2, 11)
 		if err != nil {
 			t.Errorf("second Open: %v", err)
@@ -53,6 +50,37 @@ func TestOpenCreatesDedicatedStream(t *testing.T) {
 		}
 		if port2.stream == port.stream {
 			t.Error("two apps share one stream")
+		}
+	})
+	k.Run()
+}
+
+// A lane whose cudaThreadExit has completed is the next Open's — port and
+// thread, its stream under a new id — with nothing of the application before:
+// no allocation, pinned row or call count, and pointers numbered afresh. A
+// lane still open is never handed out.
+func TestClosedLaneIsReused(t *testing.T) {
+	k := sim.NewKernel(1)
+	pk, dev := newPacker(k)
+	k.Go("bt", func(p *sim.Proc) {
+		first, _ := pk.Open(p, 1, 10)
+		other, _ := pk.Open(p, 2, 11)
+		ptr, _ := mallocVia(first, 1000)
+		first.Execute(&rpcproto.Call{ID: cuda.CallMemcpy, Dir: cuda.H2D, PtrID: ptr.ID, PtrSize: ptr.Size, Bytes: 400})
+		if r := first.Execute(&rpcproto.Call{ID: cuda.CallThreadExit}); r.Err != "" {
+			t.Errorf("exit: %s", r.Err)
+		}
+		next, err := pk.Open(p, 3, 12)
+		if err != nil || next != first || other == first {
+			t.Fatalf("Open after an exit = %p, %v; want the closed lane %p (the open one is %p)", next, err, first, other)
+		}
+		if next.stream <= other.stream || next.AppID != 3 || next.Tenant != 12 || next.closed ||
+			len(next.pinned) != 0 || next.thread.Calls() != 2 || dev.MemUsed() != 0 {
+			t.Errorf("reused lane: stream %d (last %d), app %d tenant %d closed %v, %d pinned rows, %d calls, %d bytes in use",
+				next.stream, other.stream, next.AppID, next.Tenant, next.closed, len(next.pinned), next.thread.Calls(), dev.MemUsed())
+		}
+		if got, _ := mallocVia(next, 10); got.ID != 3<<32|1 {
+			t.Errorf("first pointer of the reused lane = %#x, want %#x", got.ID, 3<<32|1)
 		}
 	})
 	k.Run()
@@ -253,7 +281,7 @@ func TestTranslationTable(t *testing.T) {
 	pk, _ := newPacker(k)
 	k.Go("bt", func(p *sim.Proc) {
 		port, _ := pk.Open(p, 1, 10)
-		th := port.thread
+		th := &port.thread
 		own := int32(port.stream)
 		ptr, _ := mallocVia(port, 1000)
 		explicit := port.Execute(&rpcproto.Call{ID: cuda.CallStreamCreate}).Stream

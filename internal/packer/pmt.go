@@ -16,17 +16,18 @@ type PinnedEntry struct {
 	Dir    cuda.Dir
 }
 
+// PinnedRows is one application's rows of the table in id order (ids only
+// grow, so appends stay sorted). They live on the application's Port: a
+// release sweep walks only the releasing application's rows and reaches them
+// without a lookup, and a reused port keeps their backing array.
+type PinnedRows []PinnedEntry
+
 // PMT is the per-device Pinned Memory Table. It tracks the pinned staging
 // buffers backing asynchronous memory operations; buffers are reclaimed when
 // the owning application reaches a synchronization point (stream sync,
-// device sync, D2H copy completion, or exit).
-//
-// Rows are kept per application in id order (ids only grow, so appends stay
-// sorted): a release sweep walks only the releasing application's rows.
+// device sync, D2H copy completion, or exit). The table hands out ids and
+// keeps the device-wide accounting; the rows are the applications'.
 type PMT struct {
-	apps   map[int][]PinnedEntry
-	spare  [][]PinnedEntry // emptied lists, for the next application to fill
-	slab   []PinnedEntry   // new lists are cut from it, four to an allocation
 	nextID int64
 
 	// Accounting.
@@ -37,26 +38,21 @@ type PMT struct {
 	TotalPinned int64 // cumulative bytes ever pinned
 }
 
-// rowsCap is the capacity a new list starts with: a typical application's
-// staging depth, so most lists never regrow.
+// rowsCap is the capacity an application's rows start with: a typical
+// application's staging depth, so most never regrow.
 const rowsCap = 8
 
 // NewPMT returns an empty table.
-func NewPMT() *PMT { return &PMT{apps: make(map[int][]PinnedEntry)} }
+func NewPMT() *PMT { return &PMT{} }
 
-// Add records a new pinned staging buffer and returns its id.
-func (t *PMT) Add(appID int, stream cuda.StreamID, bytes int64, dir cuda.Dir) int64 {
+// Add records a new pinned staging buffer in the application's rows and
+// returns its id.
+func (t *PMT) Add(rows *PinnedRows, appID int, stream cuda.StreamID, bytes int64, dir cuda.Dir) int64 {
 	t.nextID++
-	rows, ok := t.apps[appID]
-	if n := len(t.spare); !ok && n > 0 {
-		rows, t.spare = t.spare[n-1], t.spare[:n-1]
-	} else if !ok {
-		if len(t.slab) == 0 {
-			t.slab = make([]PinnedEntry, 4*rowsCap)
-		}
-		rows, t.slab = t.slab[:0:rowsCap], t.slab[rowsCap:] // capped: appends cannot run into a neighbour
+	if *rows == nil {
+		*rows = make(PinnedRows, 0, rowsCap)
 	}
-	t.apps[appID] = append(rows, PinnedEntry{ID: t.nextID, AppID: appID, Stream: stream, Bytes: bytes, Dir: dir})
+	*rows = append(*rows, PinnedEntry{ID: t.nextID, AppID: appID, Stream: stream, Bytes: bytes, Dir: dir})
 	t.Pinned += bytes
 	t.TotalPinned += bytes
 	t.TotalAdds++
@@ -64,40 +60,26 @@ func (t *PMT) Add(appID int, stream cuda.StreamID, bytes int64, dir cuda.Dir) in
 	return t.nextID
 }
 
-// Release frees one entry by id, whichever application's it is.
-func (t *PMT) Release(id int64) {
-	owner, at := 0, -1
-	for appID, rows := range t.apps {
-		for i := range rows {
-			if rows[i].ID == id {
-				owner, at = appID, i
-			}
-		}
+// Release frees the entry with the given id from the rows, if it is there.
+func (t *PMT) Release(rows *PinnedRows, id int64) {
+	if i := slices.IndexFunc(*rows, func(e PinnedEntry) bool { return e.ID == id }); i >= 0 {
+		t.Pinned -= (*rows)[i].Bytes
+		t.TotalFrees++
+		*rows = slices.Delete(*rows, i, i+1)
 	}
-	if at < 0 {
-		return
-	}
-	rows := t.apps[owner]
-	t.Pinned -= rows[at].Bytes
-	t.TotalFrees++
-	t.keep(owner, append(rows[:at], rows[at+1:]...))
 }
 
-// ReleaseSynced frees every entry of the application on the given stream —
-// the stream has drained, so the copies have consumed their staging buffers.
-func (t *PMT) ReleaseSynced(appID int, stream cuda.StreamID) { t.sweep(appID, stream, false) }
+// ReleaseSynced frees every entry of the rows on the given stream — the
+// stream has drained, so the copies have consumed their staging buffers.
+func (t *PMT) ReleaseSynced(rows *PinnedRows, stream cuda.StreamID) { t.sweep(rows, stream, false) }
 
-// ReleaseApp frees every entry of the application (device sync or exit).
-func (t *PMT) ReleaseApp(appID int) { t.sweep(appID, 0, true) }
+// ReleaseApp frees every entry of the rows (device sync or exit).
+func (t *PMT) ReleaseApp(rows *PinnedRows) { t.sweep(rows, 0, true) }
 
-// sweep frees the application's entries on one stream, or on every stream.
-func (t *PMT) sweep(appID int, stream cuda.StreamID, every bool) {
-	rows, ok := t.apps[appID]
-	if !ok {
-		return
-	}
-	kept := rows[:0]
-	for _, e := range rows {
+// sweep frees the entries on one stream, or on every stream.
+func (t *PMT) sweep(rows *PinnedRows, stream cuda.StreamID, every bool) {
+	kept := (*rows)[:0]
+	for _, e := range *rows {
 		if every || e.Stream == stream {
 			t.Pinned -= e.Bytes
 			t.TotalFrees++
@@ -105,23 +87,8 @@ func (t *PMT) sweep(appID int, stream cuda.StreamID, every bool) {
 			kept = append(kept, e)
 		}
 	}
-	t.keep(appID, kept)
-}
-
-// keep stores what a release left of an application's rows.
-func (t *PMT) keep(appID int, rows []PinnedEntry) {
-	if len(rows) > 0 {
-		t.apps[appID] = rows
-		return
-	}
-	delete(t.apps, appID)
-	t.spare = append(t.spare, rows)
+	*rows = kept
 }
 
 // Len returns the number of live entries.
 func (t *PMT) Len() int { return t.TotalAdds - t.TotalFrees }
-
-// AppEntries returns the live entries of one application, ordered by id.
-func (t *PMT) AppEntries(appID int) []PinnedEntry {
-	return slices.Clone(t.apps[appID])
-}

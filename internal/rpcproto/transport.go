@@ -60,6 +60,28 @@ type Conn struct {
 	xToB  CrossDeliver // non-nil when the two sides live on different kernels
 	xToA  CrossDeliver
 	pools [2]*Pool // side A's and side B's frame pool; nil allocates and drops
+
+	home   *ConnPool // where the connection goes once both sides Close it; nil: nowhere
+	open   uint8     // bit i: side i has not closed
+	unread int       // messages posted and not yet received
+}
+
+// ConnPool recycles the connections of one kernel. The zero ConnPool is empty.
+type ConnPool struct{ free []*Conn }
+
+// Get returns a same-kernel connection over link, as NewConn would: a closed
+// one, inboxes and all, with the pools the last SetPools left, or a new one.
+func (cp *ConnPool) Get(k *sim.Kernel, link LinkSpec) *Conn {
+	n := len(cp.free)
+	if n == 0 {
+		c := NewConn(k, link)
+		c.home, c.open = cp, 3
+		return c
+	}
+	c := cp.free[n-1]
+	cp.free = cp.free[:n-1]
+	c.link, c.open = link, 3
+	return c
 }
 
 // NewConn creates a connection over the given link, with no frame pools.
@@ -117,6 +139,7 @@ func (e Endpoint) Cost(msg Msg, payload int64) sim.Time {
 
 // Post is Send once the sender has been charged the Cost.
 func (e Endpoint) Post(msg Msg) {
+	e.conn.unread++
 	if e.x != nil {
 		e.x(e.conn.link.Latency, e.out, msg)
 		return
@@ -133,22 +156,48 @@ func (e Endpoint) Pool() *Pool {
 	return e.conn.pools[e.side]
 }
 
-// RetainFrames makes both endpoints hand out the nil pool from here on. The
-// recovery layer calls it before its first call, so before a backend can ask.
-func (e Endpoint) RetainFrames() { e.conn.pools = [2]*Pool{} }
+// RetainFrames makes both endpoints hand out the nil pool from here on and
+// keeps the connection out of its ConnPool: a retransmitted frame outlives any
+// round trip. The recovery layer calls it before a backend can ask.
+func (e Endpoint) RetainFrames() {
+	e.conn.pools = [2]*Pool{}
+	e.conn.home = nil
+}
+
+// Close ends this side's use of the connection. A pooled one goes back once
+// both sides have closed it with every message received, so nothing of this
+// use reaches the next; one closed with a message on its way is left to the GC.
+func (e Endpoint) Close() {
+	c := e.conn
+	c.open &^= 1 << e.side
+	if c.open == 0 && c.unread == 0 && c.home != nil {
+		c.home.free = append(c.home.free, c) // bounded by peak open connections
+	}
+}
 
 // Recv blocks until the next message arrives.
-func (e Endpoint) Recv(p *sim.Proc) Msg { return e.in.Get(p) }
+func (e Endpoint) Recv(p *sim.Proc) Msg {
+	e.conn.unread-- // this side is open while it waits, so Close cannot see it early
+	return e.in.Get(p)
+}
 
 // Take is Recv for a daemon (sim.Queue.Take).
-func (e Endpoint) Take(d *sim.Daemon) (Msg, bool) { return e.in.Take(d) }
+func (e Endpoint) Take(d *sim.Daemon) (Msg, bool) { return e.got(e.in.Take(d)) }
 
 // RecvTimeout blocks until the next message arrives or d elapses; ok is
 // false on timeout. This is the interposer's per-call failure detector: a
 // backend that died mid-call never replies, and the timeout is the only
 // signal the frontend gets.
 func (e Endpoint) RecvTimeout(p *sim.Proc, d sim.Time) (Msg, bool) {
-	return e.in.GetTimeout(p, d)
+	return e.got(e.in.GetTimeout(p, d))
+}
+
+// got books a message received, if ok.
+func (e Endpoint) got(m Msg, ok bool) (Msg, bool) {
+	if ok {
+		e.conn.unread--
+	}
+	return m, ok
 }
 
 // InboxLen returns the number of delivered, unconsumed messages.

@@ -25,21 +25,22 @@ func (h *actHeap) reset() {
 // Caller checks len.
 func (h *actHeap) root() *activation { return &h.a[0] }
 
-// push adds v, which carries the highest sequence number so far: it sifts up
-// past later instants only, and is stored once, where the hole stops.
-func (h *actHeap) push(v activation) {
+// hole opens the slot of a new activation at the instant at, which carries the
+// highest sequence number so far: the hole sifts up past later instants only,
+// and the caller fills it where it stops, valid until the next hole or drop.
+func (h *actHeap) hole(at Time) *activation {
 	h.a = append(h.a, activation{})
 	a := h.a
 	i := len(a) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if a[p].at <= v.at {
+		if a[p].at <= at {
 			break
 		}
 		a[i] = a[p]
 		i = p
 	}
-	a[i] = v
+	return &a[i]
 }
 
 // drop removes the minimum, which the caller has read through root.

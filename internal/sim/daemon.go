@@ -33,19 +33,26 @@ const (
 // current virtual time. Like Go it may be called before Run or from inside a
 // running process (or step).
 func (k *Kernel) GoDaemon(name string, step func(d *Daemon)) *Daemon {
-	k.nextID++
-	d := &Daemon{step: step}
-	d.p = Proc{k: k, id: k.nextID, name: name, daemon: d}
-	k.procs[&d.p] = struct{}{}
-	k.schedule(&d.p, k.now, wakeStart)
+	d := &Daemon{}
+	k.StartDaemon(d, nil, step)
+	d.p.name = name
 	return d
 }
 
-// GoDaemonNamed is GoDaemon with a lazily formatted name, as GoNamed is Go's.
-func (k *Kernel) GoDaemonNamed(nameFn func() string, step func(d *Daemon)) *Daemon {
-	d := k.GoDaemon("", step)
-	d.p.nameFn = nameFn
-	return d
+// StartDaemon is GoDaemon for a daemon its owner holds by value, named lazily
+// by nameFn: d is the zero Daemon, or one that has exited with no activation
+// left queued for it, which starts over under a fresh id — so nothing of its
+// previous run can step the next. It panics on a daemon that is live or has
+// activations pending.
+func (k *Kernel) StartDaemon(d *Daemon, nameFn func() string, step func(d *Daemon)) {
+	if d.p.k != nil && (!d.p.done || d.p.pending != 0) {
+		panic("sim: StartDaemon of " + d.p.Name() + " while it is live or has activations pending")
+	}
+	k.nextID++
+	d.p = Proc{k: k, id: k.nextID, nameFn: nameFn, daemon: d}
+	d.step, d.state, d.again = step, daemonStepping, false
+	k.procs[&d.p] = struct{}{}
+	k.schedule(&d.p, k.now, wakeStart)
 }
 
 // run executes one step for the activation the caller just popped, and again

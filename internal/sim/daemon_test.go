@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -25,6 +26,70 @@ func TestDaemonKickDuringSleepIsIgnored(t *testing.T) {
 	k.Run()
 	if !reflect.DeepEqual(steps, []Time{0, 10}) {
 		t.Fatalf("steps at %v, want [0 10]: a kick must not cut a Sleep short", steps)
+	}
+}
+
+// An owner holding its daemon by value starts it again once it has exited.
+// While the last run's deadline is still queued the restart panics; once that
+// activation has gone by, the daemon starts over under a fresh id and a name
+// formatted afresh, and nothing of the first run steps the second.
+func TestStartDaemonReusesAnExitedDaemon(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	var o struct {
+		d     Daemon
+		run   int
+		n     int // steps of the current run
+		steps []string
+	}
+	name := func() string { return fmt.Sprintf("svc-%d", o.run) }
+	step := func(d *Daemon) {
+		o.n++
+		o.steps = append(o.steps, fmt.Sprintf("%d@%d", o.run, int64(d.Now())))
+		switch {
+		case o.n > 1:
+			d.Exit()
+		case o.run == 1:
+			d.WaitKickTimeout(10)
+		default:
+			d.WaitKick()
+		}
+	}
+	restart := func() (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		k.StartDaemon(&o.d, name, step)
+		return false
+	}
+	o.run = 1
+	k.StartDaemon(&o.d, name, step)
+	first := o.d.p.id
+	k.Go("owner", func(p *Proc) {
+		p.Sleep(2)
+		if !restart() {
+			t.Error("restart of a live daemon did not panic")
+		}
+		o.d.Kick() // the first run exits at 2; its deadline at 10 stays queued
+		p.Sleep(1)
+		if !restart() {
+			t.Error("restart with the first run's deadline pending did not panic")
+		}
+		p.Sleep(7) // the deadline goes by stale, ahead of this wake-up
+		o.run, o.n = 2, 0
+		if restart() {
+			t.Fatal("restart of an exited daemon with nothing pending panicked")
+		}
+		p.Sleep(1)
+		if b := k.Blocked(); !reflect.DeepEqual(b, []string{"svc-2"}) || o.d.p.id == first {
+			t.Errorf("second run blocked as %v with id %d (first %d), want [svc-2] under a fresh id", b, o.d.p.id, first)
+		}
+		o.d.Kick()
+	})
+	k.Run()
+	if want := []string{"1@0", "1@2", "2@10", "2@11"}; !reflect.DeepEqual(o.steps, want) {
+		t.Fatalf("steps %v, want %v", o.steps, want)
+	}
+	if k.ProcCount() != 0 {
+		t.Fatalf("%d processes left", k.ProcCount())
 	}
 }
 

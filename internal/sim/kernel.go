@@ -37,7 +37,7 @@ const DefaultFFHorizon = Millisecond
 // (time, sequence) order of one queue, which keeps runs bit-identical, and no
 // activation is copied from one structure to the other on the way. A Sleep
 // whose wake-up would be the very next activation is not queued at all
-// (Proc.Sleep).
+// (Proc.Sleep), nor is such a wake-up of a timer delivery's receiver (fire).
 //
 // There is one dispatch loop (dispatch), and whoever pops an activation runs it
 // from where it stands: RunUntil on the caller's goroutine, a parking process
@@ -62,6 +62,7 @@ type Kernel struct {
 	dispatched uint64
 	resumes    uint64
 	queued     uint64
+	folds      uint64 // deliveries whose receiver ran in place of its queued wake-up (fire)
 	running    *Proc
 	procs      map[*Proc]struct{}
 	nextID     int
@@ -147,6 +148,7 @@ func (k *Kernel) Reset(seed int64) {
 	k.dispatched = 0
 	k.resumes = 0
 	k.queued = 0
+	k.folds = 0
 	clear(k.procs)
 	k.nextID = 0
 	k.rng = rand.New(rand.NewSource(seed))
@@ -231,8 +233,8 @@ func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 func (k *Kernel) Resumes() uint64 { return k.resumes }
 
 // Queued returns the number of activations since NewKernel or Reset that went
-// through the heap or the ring: every wake-up, start and timer except the
-// sleeps taken on the spot (Proc.Sleep).
+// through the heap or the ring: every wake-up, start and timer but the sleeps
+// taken on the spot (Proc.Sleep) and the delivery wake-ups run in place (fire).
 func (k *Kernel) Queued() uint64 { return k.queued }
 
 // SetTracer installs a trace callback invoked by Proc.Tracef. A nil tracer
@@ -321,16 +323,17 @@ func (k *Kernel) schedule(p *Proc, at Time, tag int32) {
 
 // place queues a new activation at the instant at, stamped with the next
 // sequence number: in the ring when that is the current instant, in the heap
-// otherwise.
+// otherwise, written straight into the slot it claims there.
 func (k *Kernel) place(at Time, p *Proc, epoch uint64, tag int32) {
 	k.seq++
 	k.queued++
-	a := activation{at: at, seq: k.seq, proc: p, epoch: epoch, tag: tag}
+	var a *activation
 	if at == k.now {
-		k.nowQ.Push(a)
+		a = k.nowQ.pushSlot()
 	} else {
-		k.future.push(a)
+		a = k.future.hole(at)
 	}
+	a.at, a.seq, a.proc, a.epoch, a.tag = at, k.seq, p, epoch, tag
 }
 
 // frontDue returns the next activation in (time, sequence) order where it
@@ -378,16 +381,18 @@ func (k *Kernel) pop(inHeap bool) {
 	if inHeap {
 		k.future.drop()
 	} else {
-		k.nowQ.Pop()
+		k.nowQ.drop()
 	}
 }
 
 // dispatch takes activations in (time, sequence) order and runs each from where
 // the caller stands — p parking, or RunUntil (nil): a timer fires, a daemon
 // steps, another process's wake-up resumes its coroutine from this stack with
-// p marked as driving. It returns true once it has consumed p's own wake-up,
-// and false when nothing may run from here: Stop, nothing due by the limit, or
-// the front wake-up (left queued) is for a process driving below p: p yields.
+// p marked as driving. A delivery whose receiver's wake-up is provably next is
+// followed by that receiver at once (Kernel.fire). It returns true once it has
+// consumed p's own wake-up, and false when nothing may run from here: Stop,
+// nothing due by the limit, or the front wake-up (left queued) is for a process
+// driving below p: p yields.
 func (k *Kernel) dispatch(p *Proc) bool {
 	for !k.stopped {
 		a, inHeap := k.frontDue()
@@ -398,21 +403,21 @@ func (k *Kernel) dispatch(p *Proc) bool {
 		if q == nil {
 			at, slot := a.at, int32(a.epoch)
 			k.pop(inHeap)
-			k.fire(at, slot)
-			continue
-		}
-		if q.done || a.epoch != q.epoch {
+			if q = k.fire(at, slot); q == nil {
+				continue
+			}
+		} else if q.done || a.epoch != q.epoch {
 			k.pop(inHeap)
 			q.pending-- // stale wakeup from an earlier park
 			continue
-		}
-		if q.driving {
+		} else if q.driving {
 			break
+		} else {
+			q.pending--
+			k.now = a.at
+			q.wakeTag = a.tag
+			k.pop(inHeap)
 		}
-		q.pending--
-		k.now = a.at
-		q.wakeTag = a.tag
-		k.pop(inHeap)
 		k.dispatched++
 		k.running = q
 		switch {

@@ -17,12 +17,16 @@ type Ring[T any] struct {
 func (r *Ring[T]) Len() int { return r.n }
 
 // Push appends v at the back.
-func (r *Ring[T]) Push(v T) {
+func (r *Ring[T]) Push(v T) { *r.pushSlot() = v }
+
+// pushSlot appends a slot for the caller to fill, valid until the next Push.
+func (r *Ring[T]) pushSlot() *T {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	s := &r.buf[(r.head+r.n)&(len(r.buf)-1)]
 	r.n++
+	return s
 }
 
 // Pop removes and returns the front item. It panics on an empty ring.
@@ -30,12 +34,17 @@ func (r *Ring[T]) Pop() T {
 	if r.n == 0 {
 		panic("sim: Pop on empty ring")
 	}
-	var zero T
 	v := r.buf[r.head]
+	r.drop()
+	return v
+}
+
+// drop removes the front item without copying it out. Caller checks Len.
+func (r *Ring[T]) drop() {
+	var zero T
 	r.buf[r.head] = zero // release the reference for the GC
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	return v
 }
 
 // Front returns the front item without removing it. It panics on an empty

@@ -121,7 +121,7 @@ func TestActHeapAgainstContainerHeap(t *testing.T) {
 	for seq := uint64(1); seq <= 20000 || len(ref) > 0; seq++ {
 		if seq <= 20000 && rng.Intn(5) < 3 {
 			at := Time(rng.Intn(64))
-			h.push(activation{at: at, seq: seq, epoch: seq})
+			*h.hole(at) = activation{at: at, seq: seq, epoch: seq}
 			heap.Push(&ref, refAct{at: at, seq: seq})
 			continue
 		}
@@ -141,12 +141,17 @@ func TestActHeapAgainstContainerHeap(t *testing.T) {
 
 // A program is a handful of processes and daemons over two signals, two
 // events, two queues and the timers, and a driver that runs the kernel in
-// slices.
+// slices. AfterPut deliveries find their receivers parked in Get, in
+// GetTimeout with the timeout pending, in a daemon's Take, driving lower on
+// the stack, or not there at all, with same-instant competitors queued or not:
+// the cases the kernel runs a receiver in place of its wake-up, and those it
+// must not.
 const (
 	opSleep    = iota // Sleep(d)
 	opAfter           // After(d): the callback notifies signal x and kicks daemon x
 	opAfterPut        // AfterPut(d) into queue x
-	opGet             // Get from queue x
+	opGet             // Get from queue x; a daemon's act: Take from queue x
+	opGetTO           // GetTimeout(queue x, d)
 	opWaitSig         // WaitSignalTimeout(signal x, d)
 	opNotify          // Notify signal x
 	opKick            // Kick daemon x
@@ -155,17 +160,19 @@ const (
 )
 
 // programOps is what a process's steps are drawn from.
-var programOps = []int{opSleep, opSleep, opSleep, opAfter, opAfterPut, opGet, opWaitSig, opWaitSig, opNotify, opKick, opStop, opFire}
+var programOps = []int{opSleep, opSleep, opSleep, opAfter, opAfterPut, opAfterPut, opGet, opGetTO, opWaitSig, opWaitSig, opNotify, opKick, opStop, opFire}
 
 type op struct {
 	kind, x int
 	d       Time
 }
 
-// A daemon step acts (opNotify, opAfterPut, opFire, or nothing: -1) and then
-// waits: end 0 WaitKick, 1 WaitKickTimeout(d), 2 Sleep(d), 3 WaitSignal(signal
-// x), 4 Wait(event x) — which, on an event that has fired, continues the step
-// at once. After its last step it exits.
+// A daemon step acts (opNotify, opAfterPut, opFire, opGet, or nothing: -1)
+// and then waits: end 0 WaitKick, 1 WaitKickTimeout(d), 2 Sleep(d), 3
+// WaitSignal(signal x), 4 Wait(event x) — which, on an event that has fired,
+// continues the step at once. A Take that finds the queue empty waits for the
+// next Put instead, and the step starts over when it comes. After its last
+// step the daemon exits.
 type daemonStep struct {
 	act, x, end int
 	d           Time
@@ -228,7 +235,7 @@ func newProgram(data []byte) program {
 	for i, n := 0, t.next(3); i < n; i++ {
 		steps := make([]daemonStep, 1+t.next(5))
 		for j := range steps {
-			steps[j] = daemonStep{act: []int{-1, opNotify, opAfterPut, opFire}[t.next(4)], x: t.next(2), end: t.next(5), d: t.duration()}
+			steps[j] = daemonStep{act: []int{-1, opNotify, opAfterPut, opFire, opGet}[t.next(5)], x: t.next(2), end: t.next(5), d: t.duration()}
 		}
 		pr.daemons = append(pr.daemons, steps)
 	}
@@ -295,6 +302,13 @@ func runOnKernel(k *Kernel, pr program) schedTrace {
 				return
 			}
 			s := steps[pc]
+			if s.act == opGet {
+				v, ok := qs[s.x].Take(d)
+				if !ok {
+					return
+				}
+				tr.log(d.Now(), 100+j, pc, v.(int))
+			}
 			pc++
 			switch s.act {
 			case opNotify:
@@ -331,6 +345,11 @@ func runOnKernel(k *Kernel, pr program) schedTrace {
 					k.AfterPut(o.d, qs[o.x], i)
 				case opGet:
 					val = qs[o.x].Get(p).(int)
+				case opGetTO:
+					val = -1
+					if v, ok := qs[o.x].GetTimeout(p, o.d); ok {
+						val = v.(int)
+					}
 				case opWaitSig:
 					if p.WaitSignalTimeout(sigs[o.x], o.d) {
 						val = 1
@@ -417,6 +436,17 @@ func (q *refQueue) put(v int) {
 	q.ready.notify(1)
 }
 
+// take removes the oldest item, passing the baton if items remain. Caller
+// checks there is one.
+func (q *refQueue) take() int {
+	v := q.items[0]
+	q.items = q.items[1:]
+	if len(q.items) > 0 {
+		q.ready.notify(1)
+	}
+	return v
+}
+
 // refDaemon is Daemon over the reference: kickable only while it waits for a
 // kick.
 type refDaemon struct {
@@ -460,6 +490,14 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 					return
 				}
 				s := steps[pc]
+				if s.act == opGet {
+					q := qs[s.x]
+					if len(q.items) == 0 {
+						q.ready.waiters = append(q.ready.waiters, &d.p)
+						return
+					}
+					tr.log(r.now, 100+j, pc, q.take())
+				}
 				pc++
 				switch s.act {
 				case opNotify:
@@ -495,6 +533,7 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 	for i, ops := range pr.procs {
 		p := &refProc{}
 		pc, blocked := 0, false
+		deadline := Time(-1) // of the GetTimeout in progress, -1 between them
 		p.run = func(tag int32) {
 			if blocked {
 				blocked = false
@@ -510,7 +549,16 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 					}
 					tr.log(r.now, i, pc, val)
 					pc++
-				} // opGet looks at the queue again
+				case opGetTO:
+					if q := qs[o.x]; tag != wakeEvent {
+						q.ready.remove(p)
+						if len(q.items) == 0 {
+							tr.log(r.now, i, pc, -1)
+							pc++
+							deadline = -1
+						} // else an item raced in at the deadline
+					}
+				} // opGet and a woken GetTimeout look at the queue again
 			}
 			for ; pc < len(ops); pc++ {
 				o, val := ops[pc], 0
@@ -530,10 +578,23 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 						blocked = true
 						return
 					}
-					val, q.items = q.items[0], q.items[1:]
-					if len(q.items) > 0 {
-						q.ready.notify(1)
+					val = q.take()
+				case opGetTO:
+					q := qs[o.x]
+					if deadline < 0 {
+						deadline = r.now + o.d
 					}
+					if len(q.items) > 0 {
+						val = q.take()
+					} else if remain := deadline - r.now; remain > 0 {
+						q.ready.waiters = append(q.ready.waiters, p)
+						r.schedule(p, r.now+remain, wakeTimer, nil)
+						blocked = true
+						return
+					} else {
+						val = -1
+					}
+					deadline = -1
 				case opWaitSig:
 					sigs[o.x].waiters = append(sigs[o.x].waiters, p)
 					r.schedule(p, r.now+o.d, wakeTimer, nil)
@@ -573,7 +634,7 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 // scheduleCoverage counts, over the programs checked, the cases they are there
 // to produce.
 type scheduleCoverage struct {
-	programs, dispatches, taken, stale, jumps, inline uint64
+	programs, dispatches, taken, folded, stale, jumps, inline uint64
 }
 
 // checkSchedule runs the program data encodes on k twice, a Reset before each
@@ -596,7 +657,8 @@ func checkSchedule(t *testing.T, k *Kernel, data []byte, cov *scheduleCoverage) 
 	}
 	cov.programs++
 	cov.dispatches += r.dispatched
-	cov.taken += k.seq - k.Queued()
+	cov.taken += k.seq - k.Queued() - k.folds
+	cov.folded += k.folds
 	cov.stale += r.stale
 	cov.jumps += r.jumps
 	cov.inline += r.inline
@@ -616,14 +678,18 @@ func TestKernelScheduleMatchesOneQueue(t *testing.T) {
 		checkSchedule(t, k, data[:rng.Intn(len(data)+1)], &cov)
 	}
 	t.Logf("%+v", cov)
-	if cov.dispatches < 10*cov.programs || cov.taken < cov.programs || 2*cov.stale < cov.programs || 2*cov.jumps < cov.programs || 8*cov.inline < cov.programs {
+	if cov.dispatches < 10*cov.programs || cov.taken < cov.programs || 4*cov.folded < cov.programs ||
+		2*cov.stale < cov.programs || 2*cov.jumps < cov.programs || 8*cov.inline < cov.programs {
 		t.Fatalf("the programs no longer cover what they are for: %+v", cov)
 	}
 }
 
 // FuzzKernelSchedule is the same check on the fuzzer's programs.
 func FuzzKernelSchedule(f *testing.F) {
-	f.Add([]byte{}) // one process, one Sleep(0); testdata/fuzz holds a full-sized program
+	// One process, one Sleep(0). testdata/fuzz holds a full-sized program, and
+	// seed-fold, whose deliveries wake a daemon in Take, a process in GetTimeout
+	// and one driving lower on the stack.
+	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k := NewKernel(1)
 		defer k.Close()
