@@ -120,12 +120,13 @@ func TestAllocBudgetPerEvent(t *testing.T) {
 }
 
 // TestAllocBudgetPerRequest is the same budget in the unit the paper's load
-// comes in: one application instance per request, so a frontend process, a
+// comes in: one application instance per request, so a frontend thread, a
 // backend thread and some twenty marshalled calls each. On the repo benchmark's
 // node_mega shape (one 2-GPU Strings node, GMin, a sparse Gaussian stream) a
-// request costs 10.15 allocations once the pools are warm, the same figure in
-// every run: 23.13 while every request built its backend session, connection
-// and packer lane afresh, 23.17 while the backend thread was a coroutine and
+// request costs 3.13 allocations once the pools are warm, the same figure in
+// every run: 10.15 while every frontend was a coroutine with its own App,
+// interposer, process and two closures, 23.13 while every request built its
+// backend session, connection and packer lane afresh, 23.17 while the backend thread was a coroutine and
 // an accept loop queued its connection, 63 while every process built its own
 // coroutine, 39
 // while every connection warmed a frame pool of its own, 35 while a connection
@@ -141,7 +142,7 @@ func TestAllocBudgetPerRequest(t *testing.T) {
 	}
 	const (
 		requests = 4000
-		budget   = 10.5 // measured 10.15
+		budget   = 3.5 // measured 3.13
 	)
 	runMega(t, 1, 200)
 	allocs := minMallocs(1, func() { runMega(t, 2, requests) })
@@ -159,10 +160,11 @@ func TestAllocBudgetPerRequest(t *testing.T) {
 // where the Dispatcher turns over a few dozen entries every 5 ms epoch) and
 // two Fig 12-shaped cells (the pair on the four-GPU supernode under GWtMin
 // with PS and with LAS), construction included. A turn allocates nothing, so
-// a request costs 48.75 and 44.15 allocations here — streams, launch closures,
-// a cluster built for a dozen requests and its processes unwound on Close —
-// and each budget is its reading rounded up to the next half (50.69 and 55.38
-// before sessions, connections and lanes were reused, 64.06 and 66.31 while
+// a request costs 32.69 and 35.62 allocations here — streams, arrival
+// closures, a cluster built for a dozen requests and its processes unwound on
+// Close — and each budget is its reading rounded up to the next half (48.75
+// and 44.15 while every frontend was a coroutine, 50.69 and 55.38 before
+// sessions, connections and lanes were reused, 64.06 and 66.31 while
 // each backend thread built a coroutine, 70.42 and 73.38 before the first
 // waiter of a signal, event or mutex lived inline). With
 // policies that rebuilt maps and slices and called sort.Slice every turn the
@@ -199,9 +201,9 @@ func TestAllocBudgetContendedCell(t *testing.T) {
 		horizon sim.Time // 0 = run to completion
 		budget  float64
 	}{
-		{"fig11/TFS-Strings", core.Config{Nodes: oneGPU, Mode: core.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * sim.Second, 49.0},
-		{"fig12/GWtMinPS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 44.5},
-		{"fig12/GWtMinLAS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 44.5},
+		{"fig11/TFS-Strings", core.Config{Nodes: oneGPU, Mode: core.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * sim.Second, 33.0},
+		{"fig12/GWtMinPS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 36.0},
+		{"fig12/GWtMinLAS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 36.0},
 	}
 	for _, cell := range cells {
 		run := func(seed int64) int {
@@ -237,86 +239,105 @@ func TestAllocBudgetContendedCell(t *testing.T) {
 }
 
 // TestAllocBudgetShardedRequest is the budget where a request's GPU is as
-// often as not on another kernel: the repo benchmark's fleet_sharded shape —
-// four 2-GPU Strings nodes, one shard kernel each, GMin, every node's
-// Gaussian stream arriving at 0.03 of the solo rate so about 45 % of the
-// requests are served across a mailbox. A cross-kernel message is a value, a
-// frame is recycled by whichever kernel consumes it and a window neither
-// sorts nor allocates, so such a request costs 18.95 allocations here (17.5
-// over the benchmark's longer pass), nine more than node_mega's: a
-// cross-kernel connection is not reused. The budget is that rounded up to the
-// next half (30.16 before sessions, same-kernel connections and lanes were
+// often as not on another kernel: the repo benchmark's fleet_sharded shape
+// (runFleet), where about 45 % of the requests are served across a mailbox. A
+// cross-kernel message is a value, a frame is recycled by whichever kernel
+// consumes it and a window neither sorts nor allocates, so such a request
+// costs 11.47 allocations here (10.40 over the benchmark's longer pass), eight
+// more than node_mega's: a cross-kernel connection is not reused. The budget
+// is that rounded up to the next half (18.95 while every frontend was a
+// coroutine, 30.16 before sessions, same-kernel connections and lanes were
 // reused, 30.75 while the backend thread was a coroutine, 33.76 before a first
-// waiter lived inline). While every message was a closure,
-// cross-kernel conns dropped their frames and each window sorted its lists,
-// the same run cost 118.
+// waiter lived inline). While every message was a closure, cross-kernel conns
+// dropped their frames and each window sorted its lists, the same run cost 118.
 func TestAllocBudgetShardedRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget measurement skipped in -short mode")
 	}
 	const (
-		nodes    = 4
 		requests = 4000
-		budget   = 19.0 // measured 18.95
+		budget   = 11.5 // measured 11.47
 	)
-	run := func(seed int64, requests int) shard.Stats {
-		cfg := core.Config{Seed: seed, Mode: core.ModeStrings, Balance: "GMin", Shards: 1}
-		var streams []workload.StreamSpec
-		for i := 0; i < nodes; i++ {
-			cfg.Nodes = append(cfg.Nodes, core.NodeConfig{Devices: []gpu.Spec{
-				gpu.Quadro2000, gpu.TeslaC2050,
-			}})
-			streams = append(streams, workload.StreamSpec{
-				Kind: workload.Gaussian, Count: requests / nodes, LambdaFactor: 0.03,
-				Node: i, Tenant: int64(i + 1), Weight: 1,
-			})
-		}
-		c, err := core.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		r, err := c.Run(streams)
-		if err != nil || len(r.Errors) > 0 || r.Finished != requests || !c.Sharded() {
-			t.Fatalf("sharded fleet run: %v %v, finished %d of %d, sharded %v", err, r.Errors, r.Finished, requests, c.Sharded())
-		}
-		return c.ShardStats()
-	}
-	run(1, 200)
-	var stats shard.Stats
-	allocs := minMallocs(1, func() { stats = run(2, requests) })
+	runFleet(t, 1, 200)
+	var fleet fleetResult
+	allocs := minMallocs(1, func() { fleet = runFleet(t, 2, requests) })
 	perRequest := float64(allocs) / requests
 	t.Logf("%.2f allocs/request over %d requests, %d windows and %d cross-kernel messages, construction included (budget %.1f)",
-		perRequest, requests, stats.Windows, stats.Messages, budget)
-	if stats.Messages < 10*requests {
-		t.Fatalf("only %d cross-kernel messages over %d requests: the fleet did not remote", stats.Messages, requests)
+		perRequest, requests, fleet.Windows, fleet.Messages, budget)
+	if fleet.Messages < 10*requests {
+		t.Fatalf("only %d cross-kernel messages over %d requests: the fleet did not remote", fleet.Messages, requests)
 	}
 	if perRequest > budget {
 		t.Fatalf("alloc budget exceeded: %.2f allocs/request > %.1f", perRequest, budget)
 	}
 }
 
+// fleetResult is what runFleet reads off the cluster.
+type fleetResult struct {
+	shard.Stats
+	Resumes uint64
+}
+
+// runFleet runs the repo benchmark's fleet_sharded shape: four 2-GPU Strings
+// nodes, one shard kernel each, GMin, every node's Gaussian stream arriving at
+// 0.03 of the solo rate.
+func runFleet(t *testing.T, seed int64, requests int) fleetResult {
+	t.Helper()
+	const nodes = 4
+	cfg := core.Config{Seed: seed, Mode: core.ModeStrings, Balance: "GMin", Shards: 1}
+	var streams []workload.StreamSpec
+	for i := 0; i < nodes; i++ {
+		cfg.Nodes = append(cfg.Nodes, core.NodeConfig{Devices: []gpu.Spec{
+			gpu.Quadro2000, gpu.TeslaC2050,
+		}})
+		streams = append(streams, workload.StreamSpec{
+			Kind: workload.Gaussian, Count: requests / nodes, LambdaFactor: 0.03,
+			Node: i, Tenant: int64(i + 1), Weight: 1,
+		})
+	}
+	c, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.Run(streams)
+	if err != nil || len(r.Errors) > 0 || r.Finished != requests || !c.Sharded() {
+		t.Fatalf("sharded fleet run: %v %v, finished %d of %d, sharded %v", err, r.Errors, r.Finished, requests, c.Sharded())
+	}
+	return fleetResult{c.ShardStats(), c.Resumes()}
+}
+
 // TestResumeBudgetPerRequest is the handoff budget in the same unit. A request
-// is one frontend/backend-thread pair exchanging some three dozen messages.
-// The backend thread, the accept path and the arrival loop are daemons, so a
-// message costs no resume: what is left, 4.88 a request, is the frontend
-// process being resumed where it cannot take its own wake-up. It was 36.98
-// while every delivery to the backend thread resumed its coroutine, and 70.41
-// with a driver-only dispatch loop. The count repeats exactly; the budget is
-// the reading rounded up to the next half.
+// is one frontend/backend-thread pair exchanging some three dozen messages,
+// and every process on its path is a daemon — the frontend, the backend
+// thread, the accept path, the arrival loop — so a message costs no resume.
+// The one resume left on the node_mega shape is the Affinity Mapper's start;
+// on the fleet_sharded shape the mapper's coroutine, woken by selections from
+// other nodes, is resumed 2.05 times a request. The shapes read 4.88 and 26.0
+// while the frontend was a coroutine, 36.98 on node_mega while every delivery
+// to the backend thread resumed its coroutine, and 70.41 with a driver-only
+// dispatch loop. The counts repeat exactly; each budget is its reading
+// rounded up to the next half.
 func TestResumeBudgetPerRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resume budget measurement skipped in -short mode")
 	}
 	const (
 		requests = 4000
-		budget   = 5.0 // measured 4.88
+		budget   = 0.5 // measured 0.00
+		fleetCap = 2.5 // measured 2.05
 	)
 	res := runMega(t, 1, requests)
 	perRequest := float64(res.Resumes) / requests
-	t.Logf("%d resumes = %.2f a request over %d events (budget %.1f)", res.Resumes, perRequest, res.Events, budget)
+	t.Logf("node_mega: %d resumes = %.2f a request over %d events (budget %.1f)", res.Resumes, perRequest, res.Events, budget)
 	if perRequest > budget {
 		t.Fatalf("resume budget exceeded: %.2f resumes/request > %.1f", perRequest, budget)
+	}
+	fleet := runFleet(t, 1, requests)
+	perRequest = float64(fleet.Resumes) / requests
+	t.Logf("fleet_sharded: %d resumes = %.2f a request (budget %.1f)", fleet.Resumes, perRequest, fleetCap)
+	if perRequest > fleetCap {
+		t.Fatalf("sharded resume budget exceeded: %.2f resumes/request > %.1f", perRequest, fleetCap)
 	}
 }
 
@@ -326,19 +347,20 @@ func TestResumeBudgetPerRequest(t *testing.T) {
 // dispatches; it queued 219 activations (the difference is stale timeouts)
 // while every sleep pushed its own wake-up, 183.27 once a sleep whose wake-up
 // is provably next took it on the spot, 182.27 once no accept loop woke up for
-// the connection, and queues 141.34 now that a link delivery whose receiver
-// is provably next runs the receiver in place of its wake-up. The count
-// repeats exactly, and the ceiling is the reading rounded up to the next half,
-// so a change that sends those sleeps or wake-ups — the backend thread's
-// included — back through the heap fails here before it shows as a slower
-// benchmark.
+// the connection, 141.34 once a link delivery whose receiver is provably next
+// ran the receiver in place of its wake-up, and queues 125.25 now that a kick
+// takes the GPU driver's deadline out of the queue instead of leaving it to go
+// by stale (16 a request). The count repeats exactly, and the ceiling is the
+// reading rounded up to the next half, so a change that sends those sleeps or
+// wake-ups — the backend thread's included — back through the heap, or leaves
+// kicked deadlines queued, fails here before it shows as a slower benchmark.
 func TestQueueBudgetPerRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("queue budget measurement skipped in -short mode")
 	}
 	const (
 		requests = 4000
-		budget   = 141.5 // measured 141.34
+		budget   = 125.5 // measured 125.25
 	)
 	res := runMega(t, 1, requests)
 	perRequest := float64(res.Queued) / requests

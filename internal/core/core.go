@@ -188,19 +188,17 @@ type Cluster struct {
 	// Slice-placement tenant state (see slices.go); inert unless the fleet has
 	// partitionable devices and a run declares slice streams.
 	sl sliceState
-}
 
-// selectResult carries a selection answer from the mapper service back to
-// the waiting interposer.
-type selectResult struct {
-	gid balancer.GID
+	// syncOnCoroutine runs sync applications through runApp, the frontend
+	// daemon's reference, as the other styles run (tests only).
+	syncOnCoroutine bool
 }
 
 // mapperMsg is a message to the affinity-mapper service process: a
 // selection request, a feedback/release relay, or failure-detector traffic.
 type mapperMsg struct {
 	req balancer.Request
-	out *selectResult
+	out *balancer.GID // where a selection's verdict lands
 
 	fb      *rpcproto.Feedback
 	release bool
@@ -463,7 +461,7 @@ func (c *Cluster) mapperLoop(p *sim.Proc) {
 				c.handleSliceSelect(p, m)
 				continue
 			}
-			m.out.gid = c.mapper.SelectAt(p.Now(), m.req)
+			*m.out = c.mapper.SelectAt(p.Now(), m.req)
 			c.reply(m)
 		case m.release:
 			if m.fb != nil {

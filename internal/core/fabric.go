@@ -64,22 +64,18 @@ func (c *Cluster) reply(m mapperMsg) {
 // SelectGPU implements interpose.Fabric. Requests from tenants with a
 // slice profile are enriched with the profile's demand here, so the
 // interposer stays slice-agnostic.
-func (f *nodeFabric) SelectGPU(p *sim.Proc, req balancer.Request) balancer.GID {
-	c := f.c
-	out := &selectResult{}
-	m := mapperMsg{req: c.sliceDemand(req), out: out, done: f.e.k.NewEvent()}
-	// On the mapper's node the requester itself waits out the local link,
-	// each way; elsewhere toMapper and reply carry the remote latency.
-	local := f.node == mapperNode
-	if local {
-		p.Sleep(rpcproto.SharedMemLink.Latency)
+func (f *nodeFabric) SelectGPU(req balancer.Request, gid *balancer.GID, done *sim.Event) {
+	f.toMapper(mapperMsg{req: f.c.sliceDemand(req), out: gid, done: done})
+}
+
+// SelectHop implements interpose.Fabric: on the mapper's node the requester
+// itself waits out the local link, each way; elsewhere toMapper and reply
+// carry the remote latency.
+func (f *nodeFabric) SelectHop() sim.Time {
+	if f.node == mapperNode {
+		return rpcproto.SharedMemLink.Latency
 	}
-	f.toMapper(m)
-	p.Wait(m.done)
-	if local {
-		p.Sleep(rpcproto.SharedMemLink.Latency)
-	}
-	return out.gid
+	return 0
 }
 
 // ConnectBackend implements interpose.Fabric. A backend on the frontend's

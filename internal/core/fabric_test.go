@@ -43,7 +43,12 @@ func TestCrossNodeReportsPayTheLink(t *testing.T) {
 	for node := range gids {
 		node, f := node, c.nodes[node]
 		c.K.Go("reporter", func(p *sim.Proc) {
-			gids[node] = f.SelectGPU(p, balancer.Request{AppID: 900 + node, Kind: "GA", Node: node, Tenant: 1})
+			// The interposer's round trip: the hop each way is the caller's.
+			hop, done := f.SelectHop(), c.K.NewEvent()
+			p.Sleep(hop)
+			f.SelectGPU(balancer.Request{AppID: 900 + node, Kind: "GA", Node: node, Tenant: 1}, &gids[node], done)
+			p.Wait(done)
+			p.Sleep(hop)
 			selected[node] = p.Now()
 			p.Sleep(reportAt - p.Now())
 			f.ReportFeedback(gids[node], "GA", &rpcproto.Feedback{

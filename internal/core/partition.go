@@ -14,17 +14,18 @@ const appIDStride = 1 << 32
 
 // shardEnv is one kernel's slice of the cluster: the kernel and its
 // coordinator handle, the recorder, result sink, frame pool and finished
-// connections and sessions local to it, and the app-ID/tenant bookkeeping of
-// the streams arriving at its nodes.
+// connections, sessions and frontends local to it, and the app-ID/tenant
+// bookkeeping of the streams arriving at its nodes.
 type shardEnv struct {
-	c        *Cluster
-	idx      int
-	k        *sim.Kernel
-	sh       *shard.Shard
-	rec      *trace.Recorder
-	pool     rpcproto.Pool
-	conns    rpcproto.ConnPool
-	sessions []*session
+	c         *Cluster
+	idx       int
+	k         *sim.Kernel
+	sh        *shard.Shard
+	rec       *trace.Recorder
+	pool      rpcproto.Pool
+	conns     rpcproto.ConnPool
+	sessions  []*session
+	frontends []*frontend
 
 	results *RunResult
 	appSeq  int

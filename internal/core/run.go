@@ -269,6 +269,7 @@ func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 	}
 	prof := workload.ProfileFor(s.Kind)
 	e := c.nodes[s.Node].e
+	steps := s.Style == workload.StyleSync && !c.cfg.Recovery.Enabled() && !c.syncOnCoroutine
 	i := 0
 	e.k.GoDaemon(fmt.Sprintf("stream-%d-%s", si, s.Kind), func(d *sim.Daemon) {
 		for ; i < len(arrivals); i++ {
@@ -276,8 +277,7 @@ func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 				d.Sleep(at - d.Now())
 				return
 			}
-			n := i
-			app := &workload.App{
+			app := workload.App{
 				Profile: prof,
 				Style:   s.Style,
 				ID:      e.nextAppID(),
@@ -291,16 +291,28 @@ func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 			e.results.Launched++
 			e.results.TenantWeight[s.Tenant] = s.Weight
 			e.apps = append(e.apps, appTenant{app.ID, s.Tenant}) // bounded by the requests launched
+			if steps {
+				e.startFrontend(app, &s, si, i)
+				continue
+			}
+			n, a := i, app
 			e.k.GoNamed(
-				func() string { return fmt.Sprintf("app-%s-%d.%d", s.Kind, si, n) },
-				func(ap *sim.Proc) { e.runApp(ap, app, s) })
+				func() string { return appName(s.Kind, si, n) },
+				func(ap *sim.Proc) { e.runApp(ap, &a, s) })
 		}
 		d.Exit()
 	})
 }
 
-// runApp executes one application request end to end and records its
-// outcome against the owning environment's recorder and result sink.
+// appName names the frontend of stream si's nth request.
+func appName(kind workload.Kind, si, n int) string {
+	return fmt.Sprintf("app-%s-%d.%d", kind, si, n)
+}
+
+// runApp executes one application request end to end on a coroutine — the
+// pipelined and multi-threaded styles, and any style with recovery armed —
+// and records its outcome against the owning environment's recorder and
+// result sink.
 func (e *shardEnv) runApp(p *sim.Proc, app *workload.App, s workload.StreamSpec) {
 	c := e.c
 	app.Submitted = p.Now()
@@ -338,6 +350,14 @@ func (e *shardEnv) runApp(p *sim.Proc, app *workload.App, s workload.StreamSpec)
 	} else {
 		err = app.Run(client)
 	}
+	e.record(app, s, ipose, reqSpan, err)
+}
+
+// record books a finished application's outcome: its request span, the
+// result sink's counters, the request log and its tenant's GPU service. ipose
+// is its interposer, nil under CUDA.
+func (e *shardEnv) record(app *workload.App, s workload.StreamSpec, ipose *interpose.Interposer, reqSpan trace.SpanID, err error) {
+	c := e.c
 	gid := -1
 	if ipose != nil {
 		gid = int(ipose.GID())
@@ -345,7 +365,7 @@ func (e *shardEnv) runApp(p *sim.Proc, app *workload.App, s workload.StreamSpec)
 		gid = devs[app.PreferredDev%len(devs)].ID()
 	}
 	e.rec.SetGID(reqSpan, gid)
-	e.rec.End(reqSpan, p.Now())
+	e.rec.End(reqSpan, e.k.Now())
 	if err != nil {
 		if errors.Is(err, cuda.ErrBackendLost) {
 			e.results.Lost++

@@ -67,13 +67,15 @@ func TestRainBackendsExitWithApps(t *testing.T) {
 // caller's kernel keeps its coroutines for the caller's next run and gives
 // them up on its own Close. Not skipped in -short: it is the leak gate.
 func TestCloseLeavesNoRequestGoroutines(t *testing.T) {
+	// A sync application runs on a daemon, so one stream of each shape is
+	// pipelined: its applications are coroutines, and goroutines.
 	streams := []workload.StreamSpec{
 		{Kind: workload.Gaussian, Count: 12, LambdaFactor: 0.2, Node: 0, Tenant: 1, Weight: 1},
-		{Kind: workload.Gaussian, Count: 12, LambdaFactor: 0.2, Node: 1, Tenant: 2, Weight: 1},
+		{Kind: workload.Gaussian, Count: 12, LambdaFactor: 0.2, Node: 1, Tenant: 2, Weight: 1, Style: workload.StylePipelined},
 	}
 	// Fig 11's shape: two saturating streams on one GPU, cut at a horizon.
 	contended := []workload.StreamSpec{
-		{Kind: workload.DXTC, Count: 8, Lambda: sim.Second, Node: 0, Tenant: 1, Weight: 1},
+		{Kind: workload.DXTC, Count: 8, Lambda: sim.Second, Node: 0, Tenant: 1, Weight: 1, Style: workload.StylePipelined},
 		{Kind: workload.MonteCarlo, Count: 40, Lambda: sim.Second / 2, Node: 0, Tenant: 2, Weight: 1},
 	}
 	oneGPU := []NodeConfig{{Devices: []gpu.Spec{gpu.TeslaC2050}}}

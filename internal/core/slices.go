@@ -118,7 +118,7 @@ func (c *Cluster) serveSlice(p *sim.Proc, m mapperMsg) bool {
 	} else if gid, ok = c.placeSlice(p, m.req); !ok {
 		return false
 	}
-	m.out.gid = gid
+	*m.out = gid
 	c.reply(m)
 	return true
 }

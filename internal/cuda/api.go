@@ -134,6 +134,30 @@ type Client interface {
 	Proc() *sim.Proc
 }
 
+// Op is one call with its arguments: those of a sync application's fixed
+// sequence — cudaSetDevice, cudaMalloc, cudaMemcpy[Async], a launch,
+// cudaDeviceSynchronize, cudaFree, cudaThreadExit.
+type Op struct {
+	ID     CallID
+	Dev    int
+	Dir    Dir
+	Ptr    Ptr
+	Bytes  int64
+	Kernel Kernel
+	Stream StreamID
+}
+
+// Stepper is a Client driven from a daemon's steps instead of a process:
+// Issue makes the call without blocking, and Await drives it to its end,
+// reporting false each time it ended d's step in a wait and true once the
+// call is over. Result is then the call's outcome: its error and, for Malloc,
+// the pointer.
+type Stepper interface {
+	Issue(op *Op)
+	Await(d *sim.Daemon) bool
+	Result() (Ptr, error)
+}
+
 // CallID identifies an API call for marshalling and statistics; the values
 // form the wire protocol's opcode space.
 type CallID int

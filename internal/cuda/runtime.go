@@ -163,7 +163,47 @@ type Thread struct {
 	one   [1]*sim.Event
 	then  func(*Thread)
 	sid   StreamID // the stream StreamDestroy drops
+
+	// The outcome of the call Issue made (Stepper).
+	ptr Ptr
+	err error
 }
+
+// Issue implements Stepper for a daemon's thread: the call settles what it
+// can at once and leaves its waits to Await.
+func (t *Thread) Issue(op *Op) {
+	t.ptr = Ptr{}
+	switch op.ID {
+	case CallSetDevice:
+		t.err = t.SetDevice(op.Dev)
+	case CallMalloc:
+		t.ptr, t.err = t.Malloc(op.Bytes)
+	case CallMemcpy:
+		t.err = t.Memcpy(op.Dir, op.Ptr, op.Bytes)
+	case CallLaunch:
+		t.err = t.Launch(op.Kernel, op.Stream)
+	case CallDeviceSync:
+		t.err = t.DeviceSynchronize()
+	case CallFree:
+		t.err = t.Free(op.Ptr)
+	case CallThreadExit:
+		t.err = t.ThreadExit()
+	default:
+		t.err = ErrNotImplemented
+	}
+}
+
+// Await implements Stepper: the call's waits are Pending's.
+func (t *Thread) Await(d *sim.Daemon) bool {
+	if ev := t.Pending(); ev != nil {
+		d.Wait(ev)
+		return false
+	}
+	return true
+}
+
+// Result implements Stepper.
+func (t *Thread) Result() (Ptr, error) { return t.ptr, t.err }
 
 // NewThread binds a host thread executing on sim process p with application
 // id appID (used for device-side service attribution). With p nil the thread

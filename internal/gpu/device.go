@@ -115,6 +115,7 @@ type Context struct {
 	id         int
 	streams    []*Stream
 	spare      []*Stream // destroyed streams, for NewStream to reuse
+	ready      []*Stream // the streams with an op to dispatch, in id order (Stream.list)
 	nextStream int
 	pending    int // ops queued or running
 
@@ -135,10 +136,11 @@ func (d *Device) NewContext() *Context {
 // Stream is an in-order op queue within a context; ops on different streams
 // of the resident context execute concurrently.
 type Stream struct {
-	ctx   *Context
-	id    int
-	queue sim.Ring[*Op]
-	busy  bool // head op dispatched to an engine and not yet finished
+	ctx    *Context
+	id     int
+	queue  sim.Ring[*Op]
+	busy   bool // head op dispatched to an engine and not yet finished
+	listed bool // on its context's ready list
 
 	acct    *AppAcct // of the application whose op it dispatched last
 	acctApp int
@@ -153,8 +155,26 @@ func (s *Stream) acctFor(appID int) *AppAcct {
 	return s.acct
 }
 
+// list puts s on its context's ready list, in id order, if it is neither
+// busy nor empty and not there already. Submit and finish call it; dispatch
+// walks the list and takes off what it leaves busy or empty, so the list is
+// always the streams the driver has something to look at.
+func (s *Stream) list() {
+	if s.listed || s.busy || s.queue.Len() == 0 {
+		return
+	}
+	s.listed = true
+	c := s.ctx
+	i := len(c.ready)
+	c.ready = append(c.ready, s) // bounded by the context's live streams
+	for ; i > 0 && c.ready[i-1].id > s.id; i-- {
+		c.ready[i] = c.ready[i-1]
+	}
+	c.ready[i] = s
+}
+
 // NewStream creates a stream in the context, under the next id, reusing a
-// destroyed one and its op ring.
+// destroyed one and its op ring. Ids rise, so creation order is id order.
 func (c *Context) NewStream() *Stream {
 	var s *Stream
 	if n := len(c.spare); n > 0 {
@@ -168,22 +188,18 @@ func (c *Context) NewStream() *Stream {
 	return s
 }
 
-// DestroyStream removes a drained stream from the context. The driver's
-// dispatch loop scans every stream of the resident context on every
-// evaluation, so a long-lived packed context must shed dead streams or the
-// scan grows with every application ever served — quadratic over a
-// million-request run. Only idle streams are removed (the CUDA layer drains
-// a stream before destroying it); a stream with queued or in-flight work is
-// left in place.
+// DestroyStream removes a drained stream from the context, so that a
+// long-lived packed context does not accrete one dead stream per application
+// served. Only idle streams are removed (the CUDA layer drains a stream
+// before destroying it), and an idle stream is on no ready list; a stream
+// with queued or in-flight work is left in place.
 func (c *Context) DestroyStream(s *Stream) {
 	if s == nil || s.ctx != c || s.busy || s.queue.Len() > 0 {
 		return
 	}
 	for i, x := range c.streams {
 		if x == s {
-			// Splice, preserving creation order: dispatch iterates this
-			// slice, and the relative order of live streams is part of the
-			// deterministic schedule.
+			// Splice, preserving creation order, which is id order.
 			c.streams = append(c.streams[:i], c.streams[i+1:]...)
 			break
 		}
@@ -203,6 +219,7 @@ func (s *Stream) Submit(op *Op) *sim.Event {
 	op.stream = s
 	op.Enqueued = d.k.Now()
 	s.queue.Push(op)
+	s.list()
 	s.ctx.pending++
 	d.wake()
 	return op.Done
@@ -480,8 +497,10 @@ func (d *Device) Acct(appID int) *AppAcct {
 func (d *Device) finish(op *Op, now sim.Time) {
 	op.Finished = now
 	op.running = false
-	op.stream.busy = false
-	op.stream.ctx.pending--
+	s := op.stream
+	s.busy = false
+	s.list()
+	s.ctx.pending--
 	op.Done.Fire()
 	if d.onComplete != nil {
 		d.onComplete(op)
@@ -606,49 +625,31 @@ func (d *Device) nextPendingContext() *Context {
 	return nil
 }
 
-// dispatch feeds stream-head ops of the resident context to the engines; it
-// reports whether anything new was dispatched.
+// dispatch feeds stream-head ops of the resident context to the engines, in
+// stream id order; it reports whether anything new was dispatched. It walks
+// the ready list, not every stream, and keeps on it only the streams it
+// leaves neither busy nor empty: a marker's successor, a kernel held back by
+// the concurrency limit. Nothing it calls lists a stream meanwhile: a
+// completion only schedules its waiters.
 func (d *Device) dispatch(now sim.Time) bool {
 	if d.resident == nil || d.draining {
 		return false
 	}
 	dispatched := false
-	for _, s := range d.resident.streams {
-		if s.busy || s.queue.Len() == 0 {
-			continue
+	c := d.resident
+	kept := c.ready[:0]
+	for _, s := range c.ready {
+		if d.dispatchHead(s, now) {
+			dispatched = true
 		}
-		op := s.queue.Front()
-		switch op.Kind {
-		case OpMarker:
-			// Zero-cost stream marker: completes immediately in order.
-			s.queue.Pop()
-			op.Started = now
-			d.finish(op, now)
-			dispatched = true
-		case OpKernel:
-			if len(d.running) >= d.spec.MaxConcurrentKernels {
-				// Fermi's concurrent-kernel limit: leave the op queued;
-				// the driver re-evaluates when a kernel completes.
-				continue
-			}
-			s.queue.Pop()
-			s.busy = true
-			op.acct = s.acctFor(op.AppID)
-			op.kernelDemands(&d.spec)
-			op.Started = now
-			op.SoloTime = sim.Time(op.soloDur + 0.5)
-			op.running = true
-			d.running = append(d.running, op)
-			dispatched = true
-		case OpH2D, OpD2H:
-			e := d.engineFor(op.Kind)
-			s.queue.Pop()
-			s.busy = true
-			op.acct = s.acctFor(op.AppID)
-			e.queue.Push(op)
-			dispatched = true
+		if s.busy || s.queue.Len() == 0 {
+			s.listed = false
+		} else {
+			kept = append(kept, s)
 		}
 	}
+	clear(c.ready[len(kept):])
+	c.ready = kept
 	if dispatched {
 		d.recomputeSlowdown()
 		// Reset projected finish baselines: remaining already reflects the
@@ -668,6 +669,39 @@ func (d *Device) dispatch(now sim.Time) bool {
 		}
 	}
 	return dispatched
+}
+
+// dispatchHead feeds s's head op to its engine, or completes it if it is a
+// marker, and reports whether it did.
+func (d *Device) dispatchHead(s *Stream, now sim.Time) bool {
+	op := s.queue.Front()
+	switch op.Kind {
+	case OpMarker:
+		// Zero-cost stream marker: completes immediately in order.
+		s.queue.Pop()
+		op.Started = now
+		d.finish(op, now)
+	case OpKernel:
+		if len(d.running) >= d.spec.MaxConcurrentKernels {
+			// Fermi's concurrent-kernel limit: leave the op queued;
+			// the driver re-evaluates when a kernel completes.
+			return false
+		}
+		s.queue.Pop()
+		s.busy = true
+		op.acct = s.acctFor(op.AppID)
+		op.kernelDemands(&d.spec)
+		op.Started = now
+		op.SoloTime = sim.Time(op.soloDur + 0.5)
+		op.running = true
+		d.running = append(d.running, op)
+	case OpH2D, OpD2H:
+		s.queue.Pop()
+		s.busy = true
+		op.acct = s.acctFor(op.AppID)
+		d.engineFor(op.Kind).queue.Push(op)
+	}
+	return true
 }
 
 // engineFor returns the copy engine serving the given direction, honouring

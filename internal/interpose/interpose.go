@@ -23,9 +23,14 @@ import (
 // runtime: the affinity-mapper RPC, backend connections, and the feedback
 // relay.
 type Fabric interface {
-	// SelectGPU performs the device-selection RPC with the workload
-	// balancer; it blocks the calling process for the control round trip.
-	SelectGPU(p *sim.Proc, req balancer.Request) balancer.GID
+	// SelectGPU posts the device-selection RPC to the workload balancer
+	// without blocking: done fires once the verdict is in *gid. The caller
+	// waits out SelectHop before the request and again after the verdict.
+	SelectGPU(req balancer.Request, gid *balancer.GID, done *sim.Event)
+	// SelectHop is the link a selection's caller waits out itself, each way:
+	// the local link on the mapper's node, zero elsewhere, where the relay
+	// pays the remote link.
+	SelectHop() sim.Time
 	// ConnectBackend opens an RPC connection from the application's node to
 	// the backend daemon serving gid and returns the frontend endpoint.
 	ConnectBackend(p *sim.Proc, gid balancer.GID, fromNode int) rpcproto.Endpoint
@@ -51,7 +56,8 @@ const MarshalOverhead = 3 * sim.Microsecond
 // Interposer implements cuda.Client for one application thread.
 type Interposer struct {
 	fab    Fabric
-	p      *sim.Proc
+	k      *sim.Kernel
+	p      *sim.Proc // nil for a thread a daemon runs (Stepper)
 	appID  int
 	tenant int64
 	weight int
@@ -92,6 +98,18 @@ type Interposer struct {
 	pool      *rpcproto.Pool
 	lastCall  *rpcproto.Call
 	lastReply *rpcproto.Reply
+
+	// sel latches a selection's verdict; Init keeps it for the next thread.
+	sel *sim.Event
+
+	// The call in flight of a thread a daemon runs (step.go).
+	at       stage
+	op       cuda.CallID
+	inflight *rpcproto.Call
+	blocking bool
+	span     trace.SpanID
+	ptr      cuda.Ptr
+	err      error
 }
 
 // SetTrace installs the observability recorder and the enclosing request
@@ -106,9 +124,23 @@ func (ip *Interposer) SetTrace(tr *trace.Recorder, reqSpan trace.SpanID) {
 // scheduler for SFT keying. async enables non-blocking RPCs for calls
 // without output parameters (Strings); Rain's frontend passes false.
 func New(fab Fabric, p *sim.Proc, appID int, tenant int64, weight int, kind string, node int, async bool) *Interposer {
-	return &Interposer{
-		fab: fab, p: p, appID: appID, tenant: tenant, weight: weight,
-		kind: kind, node: node, async: async,
+	ip := &Interposer{}
+	var k *sim.Kernel
+	if p != nil { // nil for an MTSession's, which lends it its threads
+		k = p.Kernel()
+	}
+	ip.Init(fab, k, appID, tenant, weight, kind, node, async)
+	ip.p = p
+	return ip
+}
+
+// Init makes *ip, held by value or reused after its thread is done, the
+// interposer New makes, for a thread a daemon on k runs through the Stepper
+// methods instead of a process.
+func (ip *Interposer) Init(fab Fabric, k *sim.Kernel, appID int, tenant int64, weight int, kind string, node int, async bool) {
+	*ip = Interposer{
+		fab: fab, k: k, appID: appID, tenant: tenant, weight: weight,
+		kind: kind, node: node, async: async, sel: ip.sel,
 	}
 }
 
@@ -160,11 +192,16 @@ func (ip *Interposer) send(c *rpcproto.Call, blocking bool) (*rpcproto.Reply, er
 	if !ip.tr.Enabled() {
 		return ip.sendRPC(c, blocking)
 	}
-	sp := ip.tr.Begin(trace.KCall, ip.reqSpan, ip.p.Now(), c.ID.String(),
-		ip.appID, int(ip.gid), int64(c.Seq))
+	sp := ip.beginCall(c)
 	r, err := ip.sendRPC(c, blocking)
-	ip.tr.End(sp, ip.p.Now())
+	ip.tr.End(sp, ip.k.Now())
 	return r, err
+}
+
+// beginCall opens the span of c's frontend-visible latency.
+func (ip *Interposer) beginCall(c *rpcproto.Call) trace.SpanID {
+	return ip.tr.Begin(trace.KCall, ip.reqSpan, ip.k.Now(), c.ID.String(),
+		ip.appID, int(ip.gid), int64(c.Seq))
 }
 
 // sendRPC is send's wire path.
@@ -181,7 +218,11 @@ func (ip *Interposer) sendRPC(c *rpcproto.Call, blocking bool) (*rpcproto.Reply,
 	if !blocking {
 		return nil, nil
 	}
-	msg := ip.ep.Recv(ip.p)
+	return ip.received(c, ip.ep.Recv(ip.p))
+}
+
+// received takes msg as the reply to the blocking call c.
+func (ip *Interposer) received(c *rpcproto.Call, msg rpcproto.Msg) (*rpcproto.Reply, error) {
 	r, ok := msg.(*rpcproto.Reply)
 	if !ok {
 		return nil, fmt.Errorf("interpose: unexpected message %T", msg)
@@ -220,21 +261,54 @@ func (ip *Interposer) SetDevice(dev int) error {
 		return nil
 	}
 	ip.p.Sleep(MarshalOverhead)
-	sel := ip.tr.Begin(trace.KSelect, ip.reqSpan, ip.p.Now(), "select-gpu",
-		ip.appID, -1, 0)
-	gid := ip.fab.SelectGPU(ip.p, balancer.Request{
+	sel := ip.beginSelect()
+	ip.selectGPU()
+	_, err := ip.send(ip.bind(sel), true)
+	return err
+}
+
+// beginSelect opens the span of the device-selection round trip.
+func (ip *Interposer) beginSelect() trace.SpanID {
+	return ip.tr.Begin(trace.KSelect, ip.reqSpan, ip.k.Now(), "select-gpu", ip.appID, -1, 0)
+}
+
+// selectGPU is the device-selection round trip on the thread's process: the
+// verdict lands in ip.gid.
+func (ip *Interposer) selectGPU() {
+	hop := ip.fab.SelectHop()
+	if hop > 0 {
+		ip.p.Sleep(hop)
+	}
+	ip.p.Wait(ip.postSelect())
+	if hop > 0 {
+		ip.p.Sleep(hop)
+	}
+}
+
+// postSelect posts the selection request and returns the latch of its
+// verdict, which lands in ip.gid.
+func (ip *Interposer) postSelect() *sim.Event {
+	if ip.sel == nil {
+		ip.sel = ip.k.NewEvent()
+	}
+	ip.sel.Reset()
+	ip.fab.SelectGPU(balancer.Request{
 		AppID: ip.appID, Kind: ip.kind, Node: ip.node, Tenant: ip.tenant,
-	})
-	ip.tr.SetGID(sel, int(gid))
-	ip.tr.End(sel, ip.p.Now())
-	ip.gid = gid
+	}, &ip.gid, ip.sel)
+	return ip.sel
+}
+
+// bind ends the selection span sel, connects to the chosen GPU's backend and
+// returns the registration call.
+func (ip *Interposer) bind(sel trace.SpanID) *rpcproto.Call {
+	ip.tr.SetGID(sel, int(ip.gid))
+	ip.tr.End(sel, ip.k.Now())
 	ip.connect()
 	ip.bound = true
 	reg := ip.newCall(cuda.CallSetDevice)
-	reg.Dev = int32(gid)
+	reg.Dev = int32(ip.gid)
 	reg.KernelName = ip.kind // carries the class for RCB/SFT keying
-	_, err := ip.send(reg, true)
-	return err
+	return reg
 }
 
 // DeviceCount implements cuda.Client: applications see the whole gPool.
@@ -242,74 +316,67 @@ func (ip *Interposer) DeviceCount() int {
 	return ip.fab.PoolSize()
 }
 
+// marshal stamps op's call and reports whether the frontend waits for its
+// reply. Calls without output parameters ride the non-blocking path: frees,
+// launches, asynchronous copies, and host-to-device copies, which carry the
+// buffer with the request (the MOT makes them asynchronous at the backend);
+// a device-to-host copy must return data, so it blocks.
+func (ip *Interposer) marshal(op *cuda.Op) (*rpcproto.Call, bool) {
+	c := ip.newCall(op.ID)
+	c.Dir, c.Bytes, c.Stream = op.Dir, op.Bytes, int32(op.Stream)
+	c.PtrID, c.PtrSize, c.PtrDev = op.Ptr.ID, op.Ptr.Size, int32(op.Ptr.Dev)
+	k := &op.Kernel
+	c.KernelName, c.Compute, c.MemTraffic, c.Occupancy = k.Name, k.Compute, k.MemTraffic, k.Occupancy
+	switch op.ID {
+	case cuda.CallMemcpy:
+		return c, op.Dir == cuda.D2H
+	case cuda.CallFree, cuda.CallMemcpyAsync, cuda.CallLaunch:
+		return c, false
+	}
+	return c, true
+}
+
+// call makes op's call on the thread's process.
+func (ip *Interposer) call(op *cuda.Op) (*rpcproto.Reply, error) {
+	if err := ip.ensureBound(); err != nil {
+		return nil, err
+	}
+	return ip.send(ip.marshal(op))
+}
+
 // Malloc implements cuda.Client.
 func (ip *Interposer) Malloc(bytes int64) (cuda.Ptr, error) {
-	if err := ip.ensureBound(); err != nil {
-		return cuda.Ptr{}, err
-	}
-	c := ip.newCall(cuda.CallMalloc)
-	c.Bytes = bytes
-	r, err := ip.send(c, true)
+	r, err := ip.call(&cuda.Op{ID: cuda.CallMalloc, Bytes: bytes})
 	if err != nil {
 		return cuda.Ptr{}, err
 	}
 	return ip.internPtr(r), nil
 }
 
-// Free implements cuda.Client. Free has no output parameters, so it rides
-// the non-blocking path.
+// Free implements cuda.Client.
 func (ip *Interposer) Free(ptr cuda.Ptr) error {
-	if err := ip.ensureBound(); err != nil {
-		return err
+	_, err := ip.call(&cuda.Op{ID: cuda.CallFree, Ptr: ptr})
+	if err == nil { // a non-blocking send reports no error: the call went out
+		ip.forgetPtr(ptr.ID)
 	}
-	c := ip.newCall(cuda.CallFree)
-	c.PtrID, c.PtrSize, c.PtrDev = ptr.ID, ptr.Size, int32(ptr.Dev)
-	_, err := ip.send(c, false)
-	ip.forgetPtr(ptr.ID)
 	return err
 }
 
-// Memcpy implements cuda.Client. Host-to-device copies carry the buffer
-// with the request and return immediately (the MOT makes them asynchronous
-// at the backend); device-to-host copies must return data, so they block.
+// Memcpy implements cuda.Client.
 func (ip *Interposer) Memcpy(dir cuda.Dir, ptr cuda.Ptr, bytes int64) error {
-	if err := ip.ensureBound(); err != nil {
-		return err
-	}
-	c := ip.newCall(cuda.CallMemcpy)
-	c.Dir = dir
-	c.Bytes = bytes
-	c.PtrID, c.PtrSize, c.PtrDev = ptr.ID, ptr.Size, int32(ptr.Dev)
-	_, err := ip.send(c, dir == cuda.D2H)
+	_, err := ip.call(&cuda.Op{ID: cuda.CallMemcpy, Dir: dir, Ptr: ptr, Bytes: bytes})
 	return err
 }
 
 // MemcpyAsync implements cuda.Client.
 func (ip *Interposer) MemcpyAsync(dir cuda.Dir, ptr cuda.Ptr, bytes int64, s cuda.StreamID) error {
-	if err := ip.ensureBound(); err != nil {
-		return err
-	}
-	c := ip.newCall(cuda.CallMemcpyAsync)
-	c.Dir = dir
-	c.Bytes = bytes
-	c.Stream = int32(s)
-	c.PtrID, c.PtrSize, c.PtrDev = ptr.ID, ptr.Size, int32(ptr.Dev)
-	_, err := ip.send(c, false)
+	_, err := ip.call(&cuda.Op{ID: cuda.CallMemcpyAsync, Dir: dir, Ptr: ptr, Bytes: bytes, Stream: s})
 	return err
 }
 
 // Launch implements cuda.Client; launches are asynchronous RPCs.
 func (ip *Interposer) Launch(k cuda.Kernel, s cuda.StreamID) error {
-	if err := ip.ensureBound(); err != nil {
-		return err
-	}
-	c := ip.newCall(cuda.CallLaunch)
-	c.KernelName = k.Name
-	c.Compute = k.Compute
-	c.MemTraffic = k.MemTraffic
-	c.Occupancy = k.Occupancy
-	c.Stream = int32(s)
-	_, err := ip.send(c, false)
+	_, err := ip.call(&cuda.Op{ID: cuda.CallLaunch, Kernel: k, Stream: s})
 	return err
 }
 
@@ -351,10 +418,7 @@ func (ip *Interposer) StreamDestroy(s cuda.StreamID) error {
 // DeviceSynchronize implements cuda.Client. The backend's SST scopes it to
 // the application's own stream.
 func (ip *Interposer) DeviceSynchronize() error {
-	if err := ip.ensureBound(); err != nil {
-		return err
-	}
-	_, err := ip.send(ip.newCall(cuda.CallDeviceSync), true)
+	_, err := ip.call(&cuda.Op{ID: cuda.CallDeviceSync})
 	return err
 }
 
@@ -427,7 +491,14 @@ func (ip *Interposer) ThreadExit() error {
 	if err := ip.ensureBound(); err != nil {
 		return err
 	}
-	r, err := ip.send(ip.newCall(cuda.CallThreadExit), true)
+	r, err := ip.send(ip.marshal(&cuda.Op{ID: cuda.CallThreadExit}))
+	ip.exit(r)
+	return err
+}
+
+// exit ends the thread once ThreadExit's reply r is in (nil if it failed):
+// the feedback goes to the mapper and the binding is released.
+func (ip *Interposer) exit(r *rpcproto.Reply) {
 	ip.exited = true
 	if r != nil {
 		ip.ep.Close() // the session's last reply is in: this side is done too
@@ -437,5 +508,4 @@ func (ip *Interposer) ThreadExit() error {
 	}
 	ip.freeLast() // no next call will: the feedback was all that was left to read
 	ip.fab.ReportFeedback(ip.gid, ip.kind, ip.LastFeedback)
-	return err
 }

@@ -30,6 +30,8 @@ type fakeFabric struct {
 
 	// stale, when set, is answered with the previous call's Seq.
 	stale cuda.CallID
+	// hop is the link a selection's caller waits out each way.
+	hop sim.Time
 
 	// Failure-detector scripting for the recovery tests.
 	health    func(gid balancer.GID) balancer.Health // nil → always Suspect
@@ -79,10 +81,12 @@ func newFakeFabric(k *sim.Kernel) *fakeFabric {
 	return f
 }
 
-func (f *fakeFabric) SelectGPU(p *sim.Proc, req balancer.Request) balancer.GID {
+func (f *fakeFabric) SelectGPU(req balancer.Request, gid *balancer.GID, done *sim.Event) {
 	f.selected = append(f.selected, req)
-	return f.gid
+	*gid = f.gid
+	done.Fire()
 }
+func (f *fakeFabric) SelectHop() sim.Time { return f.hop }
 func (f *fakeFabric) ConnectBackend(p *sim.Proc, gid balancer.GID, fromNode int) rpcproto.Endpoint {
 	return f.conn.A()
 }

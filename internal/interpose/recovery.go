@@ -292,9 +292,7 @@ func (ip *Interposer) failover() (*rpcproto.Reply, error) {
 		// Release the failed binding and select a survivor. The DST row of
 		// the dead device is already non-Healthy, so the policy skips it.
 		ip.fab.ReportFeedback(ip.gid, ip.kind, nil)
-		ip.gid = ip.fab.SelectGPU(ip.p, balancer.Request{
-			AppID: ip.appID, Kind: ip.kind, Node: ip.node, Tenant: ip.tenant,
-		})
+		ip.selectGPU()
 		ip.connect()
 
 		reg, err := ip.rebind()

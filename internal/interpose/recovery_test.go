@@ -76,14 +76,16 @@ type failFabric struct {
 	released  int
 }
 
-func (f *failFabric) SelectGPU(p *sim.Proc, req balancer.Request) balancer.GID {
+func (f *failFabric) SelectGPU(req balancer.Request, gid *balancer.GID, done *sim.Event) {
 	i := f.selects
 	if i >= len(f.gids) {
 		i = len(f.gids) - 1
 	}
 	f.selects++
-	return f.gids[i]
+	*gid = f.gids[i]
+	done.Fire()
 }
+func (f *failFabric) SelectHop() sim.Time { return 0 }
 func (f *failFabric) ConnectBackend(p *sim.Proc, gid balancer.GID, fromNode int) rpcproto.Endpoint {
 	return f.backends[gid].conn.A()
 }

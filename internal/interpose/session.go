@@ -21,6 +21,7 @@ type MTSession struct {
 // NewMTSession wraps an interposer for multi-threaded use. The interposer's
 // creating thread may keep using it directly only via a Thread view.
 func NewMTSession(k *sim.Kernel, ip *Interposer) *MTSession {
+	ip.k = k
 	return &MTSession{ip: ip, mu: k.NewMutex()}
 }
 

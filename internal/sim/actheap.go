@@ -25,10 +25,20 @@ func (h *actHeap) reset() {
 // Caller checks len.
 func (h *actHeap) root() *activation { return &h.a[0] }
 
+// track tells x, stored or about to be stored at index i, where it lies if it
+// is a daemon's deadline (Daemon.WaitKickTimeout): every sift that moves one
+// calls it, and that is how the heap keeps the index a Kick removes it by.
+func (x *activation) track(i int) {
+	if x.tag == wakeDeadline {
+		x.proc.daemon.dl = int32(i) + 1
+	}
+}
+
 // hole opens the slot of a new activation at the instant at, which carries the
 // highest sequence number so far: the hole sifts up past later instants only,
-// and the caller fills it where it stops, valid until the next hole or drop.
-func (h *actHeap) hole(at Time) *activation {
+// and the caller fills the slot at the index it returns, valid until the next
+// hole or drop.
+func (h *actHeap) hole(at Time) int {
 	h.a = append(h.a, activation{})
 	a := h.a
 	i := len(a) - 1
@@ -37,24 +47,37 @@ func (h *actHeap) hole(at Time) *activation {
 		if a[p].at <= at {
 			break
 		}
+		a[p].track(i)
 		a[i] = a[p]
 		i = p
 	}
-	return &a[i]
+	return i
 }
 
 // drop removes the minimum, which the caller has read through root.
-func (h *actHeap) drop() {
+func (h *actHeap) drop() { h.remove(0) }
+
+// remove takes the activation at index i out of the heap: the last one fills
+// the gap and sifts up or down from there.
+func (h *actHeap) remove(i int) {
 	a := h.a
 	n := len(a) - 1
 	v := a[n]
 	a[n] = activation{}
 	a = a[:n]
 	h.a = a
-	if n == 0 {
+	if i == n {
 		return
 	}
-	i := 0
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !before(&v, &a[p]) {
+			break
+		}
+		a[p].track(i)
+		a[i] = a[p]
+		i = p
+	}
 	for {
 		c := i<<2 + 1
 		if c >= n {
@@ -69,8 +92,10 @@ func (h *actHeap) drop() {
 		if !before(&a[m], &v) {
 			break
 		}
+		a[m].track(i)
 		a[i] = a[m]
 		i = m
 	}
+	v.track(i)
 	a[i] = v
 }

@@ -18,7 +18,8 @@ type Daemon struct {
 	p     Proc
 	step  func(d *Daemon)
 	state daemonState
-	again bool // the step's wait is already over: step again inline
+	again bool  // the step's wait is already over: step again inline
+	dl    int32 // 1 + the heap index of its WaitKickTimeout deadline, 0 if none is queued
 }
 
 type daemonState uint8
@@ -50,7 +51,7 @@ func (k *Kernel) StartDaemon(d *Daemon, nameFn func() string, step func(d *Daemo
 	}
 	k.nextID++
 	d.p = Proc{k: k, id: k.nextID, nameFn: nameFn, daemon: d}
-	d.step, d.state, d.again = step, daemonStepping, false
+	d.step, d.state, d.again, d.dl = step, daemonStepping, false, 0
 	k.procs[&d.p] = struct{}{}
 	k.schedule(&d.p, k.now, wakeStart)
 }
@@ -58,6 +59,7 @@ func (k *Kernel) StartDaemon(d *Daemon, nameFn func() string, step func(d *Daemo
 // run executes one step for the activation the caller just popped, and again
 // for as long as the step's wait is over when it is made.
 func (d *Daemon) run() {
+	d.dl = 0 // the deadline, if it was one, has left the heap
 	for {
 		d.p.parked = false
 		d.p.epoch++
@@ -82,12 +84,28 @@ func (d *Daemon) Now() Time { return d.p.k.now }
 // Exit, and on a nil daemon (a service that has not started yet). A request
 // made mid-step is not remembered, so a step reads its owner's state afresh
 // before it waits.
+//
+// A WaitKickTimeout deadline due later leaves the queue: it could only be
+// dispatched stale. One due at the current instant stays and is the wake-up,
+// since it precedes every activation queued at this instant; the kick then
+// queues nothing. Either way no activation is dispatched that would not have
+// been, and none is dispatched in another order.
 func (d *Daemon) Kick() {
 	if d == nil || d.state != daemonKickWait {
 		return
 	}
 	d.state = daemonParked
-	d.p.k.schedule(&d.p, d.p.k.now, wakeEvent)
+	k := d.p.k
+	if d.dl != 0 && k.future.a[d.dl-1].at == k.now {
+		return
+	}
+	if d.dl != 0 { // it never goes through the queue, and Queued does not count it
+		k.future.remove(int(d.dl - 1))
+		k.queued--
+		d.dl = 0
+		d.p.pending--
+	}
+	k.schedule(&d.p, k.now, wakeEvent)
 }
 
 // WaitKick ends the step; the next step runs when Kick is called.
@@ -96,7 +114,7 @@ func (d *Daemon) WaitKick() { d.end(daemonKickWait) }
 // WaitKickTimeout ends the step; the next step runs when Kick is called or
 // after dl, whichever comes first.
 func (d *Daemon) WaitKickTimeout(dl Time) {
-	d.p.k.schedule(&d.p, d.p.k.now+dl, wakeTimer)
+	d.p.k.schedule(&d.p, d.p.k.now+dl, wakeDeadline)
 	d.end(daemonKickWait)
 }
 

@@ -30,8 +30,9 @@ func TestDaemonKickDuringSleepIsIgnored(t *testing.T) {
 }
 
 // An owner holding its daemon by value starts it again once it has exited.
-// While the last run's deadline is still queued the restart panics; once that
-// activation has gone by, the daemon starts over under a fresh id and a name
+// While the last run is live, or kicked with the kick still queued, the
+// restart panics; the kick took the run's deadline out of the queue, so once
+// the kick has gone by the daemon starts over under a fresh id and a name
 // formatted afresh, and nothing of the first run steps the second.
 func TestStartDaemonReusesAnExitedDaemon(t *testing.T) {
 	k := NewKernel(1)
@@ -68,12 +69,11 @@ func TestStartDaemonReusesAnExitedDaemon(t *testing.T) {
 		if !restart() {
 			t.Error("restart of a live daemon did not panic")
 		}
-		o.d.Kick() // the first run exits at 2; its deadline at 10 stays queued
-		p.Sleep(1)
+		o.d.Kick() // the first run exits at 2, and its deadline at 10 leaves the queue
 		if !restart() {
-			t.Error("restart with the first run's deadline pending did not panic")
+			t.Error("restart with the kick pending did not panic")
 		}
-		p.Sleep(7) // the deadline goes by stale, ahead of this wake-up
+		p.Sleep(1)
 		o.run, o.n = 2, 0
 		if restart() {
 			t.Fatal("restart of an exited daemon with nothing pending panicked")
@@ -85,11 +85,57 @@ func TestStartDaemonReusesAnExitedDaemon(t *testing.T) {
 		o.d.Kick()
 	})
 	k.Run()
-	if want := []string{"1@0", "1@2", "2@10", "2@11"}; !reflect.DeepEqual(o.steps, want) {
+	if want := []string{"1@0", "1@2", "2@3", "2@4"}; !reflect.DeepEqual(o.steps, want) {
 		t.Fatalf("steps %v, want %v", o.steps, want)
 	}
 	if k.ProcCount() != 0 {
 		t.Fatalf("%d processes left", k.ProcCount())
+	}
+}
+
+// TestKickLeavesOnlyLiveDeadlines: a kick takes a WaitKickTimeout deadline due
+// later out of the queue, and Queued stops counting it, so the wake-up the kick
+// queues leaves Queued where it was. One due at the kick's instant is the
+// wake-up, so the kick queues nothing. Either way the daemon steps once, at the
+// instant it would have, and the clock never visits the cancelled deadline.
+func TestKickLeavesOnlyLiveDeadlines(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	var steps []Time
+	d := k.GoDaemon("svc", func(d *Daemon) {
+		steps = append(steps, d.Now())
+		switch len(steps) {
+		case 1, 2:
+			d.WaitKickTimeout(5)
+		default:
+			d.Exit()
+		}
+	})
+	var queued, heap []int
+	kick := func() {
+		q, h := k.Queued(), k.future.len()
+		d.Kick()
+		queued = append(queued, int(k.Queued()-q))
+		heap = append(heap, k.future.len()-h)
+	}
+	k.Go("kicker", func(p *Proc) {
+		p.Sleep(2)
+		kick()     // the deadline at 5 leaves the heap; the kick's wake-up goes in the ring
+		p.Sleep(5) // at 7, ahead of the second deadline, which is due now
+		kick()
+	})
+	k.Run()
+	if want := []Time{0, 2, 7}; !reflect.DeepEqual(steps, want) {
+		t.Fatalf("steps at %v, want %v", steps, want)
+	}
+	if want := []int{0, 0}; !reflect.DeepEqual(queued, want) {
+		t.Fatalf("the kicks moved Queued by %v, want %v", queued, want)
+	}
+	if want := []int{-1, 0}; !reflect.DeepEqual(heap, want) {
+		t.Fatalf("the kicks moved the heap by %v, want %v", heap, want)
+	}
+	if k.Now() != 7 || k.future.len() != 0 {
+		t.Fatalf("ended at %v with %d activations queued, want 7 and none", k.Now(), k.future.len())
 	}
 }
 
@@ -119,8 +165,8 @@ func TestDaemonKickTwiceInOneInstantSchedulesOnce(t *testing.T) {
 	}
 }
 
-// A kick supersedes the armed deadline: the deadline's activation goes
-// stale and is neither run nor counted.
+// A kick supersedes the armed deadline: the deadline leaves the queue and is
+// neither run nor counted.
 func TestDaemonKickSupersedesDeadline(t *testing.T) {
 	k := NewKernel(1)
 	var steps []Time

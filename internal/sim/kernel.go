@@ -234,7 +234,8 @@ func (k *Kernel) Resumes() uint64 { return k.resumes }
 
 // Queued returns the number of activations since NewKernel or Reset that went
 // through the heap or the ring: every wake-up, start and timer but the sleeps
-// taken on the spot (Proc.Sleep) and the delivery wake-ups run in place (fire).
+// taken on the spot (Proc.Sleep), the delivery wake-ups run in place (fire)
+// and the daemon deadlines a kick took out of the queue (Daemon.Kick).
 func (k *Kernel) Queued() uint64 { return k.queued }
 
 // SetTracer installs a trace callback invoked by Proc.Tracef. A nil tracer
@@ -310,6 +311,7 @@ const (
 	wakeStart = iota
 	wakeTimer
 	wakeEvent
+	wakeDeadline // a daemon's WaitKickTimeout deadline: the heap keeps its index
 )
 
 // schedule enqueues a wakeup of p at time at (which must be >= now).
@@ -327,13 +329,15 @@ func (k *Kernel) schedule(p *Proc, at Time, tag int32) {
 func (k *Kernel) place(at Time, p *Proc, epoch uint64, tag int32) {
 	k.seq++
 	k.queued++
-	var a *activation
 	if at == k.now {
-		a = k.nowQ.pushSlot()
-	} else {
-		a = k.future.hole(at)
+		a := k.nowQ.pushSlot()
+		a.at, a.seq, a.proc, a.epoch, a.tag = at, k.seq, p, epoch, tag
+		return
 	}
+	i := k.future.hole(at)
+	a := &k.future.a[i]
 	a.at, a.seq, a.proc, a.epoch, a.tag = at, k.seq, p, epoch, tag
+	a.track(i)
 }
 
 // frontDue returns the next activation in (time, sequence) order where it

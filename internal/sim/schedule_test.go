@@ -48,12 +48,13 @@ func (h *refActs) Pop() any {
 
 // refKernel is the reference executor: one container/heap ordered by
 // (at, seq), every wake-up and every sleep queued in it. inline counts the
-// daemon waits on an event that had already fired.
+// daemon waits on an event that had already fired, cancelled the deadlines
+// kicks took out of the heap.
 type refKernel struct {
-	now, horizon, skipped                 Time
-	seq, dispatched, jumps, stale, inline uint64
-	stopped                               bool
-	h                                     refActs
+	now, horizon, skipped                            Time
+	seq, dispatched, jumps, stale, inline, cancelled uint64
+	stopped                                          bool
+	h                                                refActs
 }
 
 func (r *refKernel) schedule(p *refProc, at Time, tag int32, fire func()) {
@@ -121,7 +122,7 @@ func TestActHeapAgainstContainerHeap(t *testing.T) {
 	for seq := uint64(1); seq <= 20000 || len(ref) > 0; seq++ {
 		if seq <= 20000 && rng.Intn(5) < 3 {
 			at := Time(rng.Intn(64))
-			*h.hole(at) = activation{at: at, seq: seq, epoch: seq}
+			h.a[h.hole(at)] = activation{at: at, seq: seq, epoch: seq}
 			heap.Push(&ref, refAct{at: at, seq: seq})
 			continue
 		}
@@ -448,17 +449,35 @@ func (q *refQueue) take() int {
 }
 
 // refDaemon is Daemon over the reference: kickable only while it waits for a
-// kick.
+// kick. deadline is the instant of its WaitKickTimeout deadline while one is
+// queued at a later instant than the wait began, -1 otherwise.
 type refDaemon struct {
 	p        refProc
 	kickWait bool
+	deadline Time
 }
 
+// kick drops a deadline due later and queues the wake-up; a deadline due now
+// is the wake-up, and nothing is queued.
 func (d *refDaemon) kick(r *refKernel) {
-	if d != nil && d.kickWait {
-		d.kickWait = false
-		r.schedule(&d.p, r.now, wakeEvent, nil)
+	if d == nil || !d.kickWait {
+		return
 	}
+	d.kickWait = false
+	if d.deadline >= 0 {
+		if d.deadline == r.now {
+			return
+		}
+		for i, a := range r.h {
+			if a.p == &d.p && a.epoch == d.p.epoch {
+				heap.Remove(&r.h, i)
+				r.cancelled++
+				break
+			}
+		}
+		d.deadline = -1
+	}
+	r.schedule(&d.p, r.now, wakeEvent, nil)
 }
 
 // runOnReference runs pr on a reference kernel: each process is a
@@ -480,10 +499,10 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 	}
 	for j, steps := range pr.daemons {
 		pc := 0
-		d := &refDaemon{}
+		d := &refDaemon{deadline: -1}
 		daemons[j] = d
 		d.p.run = func(int32) {
-			d.kickWait = false
+			d.kickWait, d.deadline = false, -1
 			for {
 				tr.log(r.now, 100+j, pc, 0)
 				if pc == len(steps) {
@@ -513,6 +532,9 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 				case 1:
 					r.schedule(&d.p, r.now+s.d, wakeTimer, nil)
 					d.kickWait = true
+					if s.d > 0 {
+						d.deadline = r.now + s.d
+					}
 				case 2:
 					r.schedule(&d.p, r.now+s.d, wakeTimer, nil)
 				case 3:
@@ -634,7 +656,7 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 // scheduleCoverage counts, over the programs checked, the cases they are there
 // to produce.
 type scheduleCoverage struct {
-	programs, dispatches, taken, folded, stale, jumps, inline uint64
+	programs, dispatches, taken, folded, stale, jumps, inline, cancelled uint64
 }
 
 // checkSchedule runs the program data encodes on k twice, a Reset before each
@@ -657,8 +679,9 @@ func checkSchedule(t *testing.T, k *Kernel, data []byte, cov *scheduleCoverage) 
 	}
 	cov.programs++
 	cov.dispatches += r.dispatched
-	cov.taken += k.seq - k.Queued() - k.folds
+	cov.taken += k.seq - k.Queued() - k.folds - r.cancelled
 	cov.folded += k.folds
+	cov.cancelled += r.cancelled
 	cov.stale += r.stale
 	cov.jumps += r.jumps
 	cov.inline += r.inline
@@ -679,7 +702,8 @@ func TestKernelScheduleMatchesOneQueue(t *testing.T) {
 	}
 	t.Logf("%+v", cov)
 	if cov.dispatches < 10*cov.programs || cov.taken < cov.programs || 4*cov.folded < cov.programs ||
-		2*cov.stale < cov.programs || 2*cov.jumps < cov.programs || 8*cov.inline < cov.programs {
+		2*cov.stale < cov.programs || 2*cov.jumps < cov.programs || 8*cov.inline < cov.programs ||
+		16*cov.cancelled < cov.programs {
 		t.Fatalf("the programs no longer cover what they are for: %+v", cov)
 	}
 }
