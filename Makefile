@@ -35,15 +35,14 @@ fmt:
 # stringscheck: the determinism/protocol analyzer suite (DESIGN.md
 # "Determinism invariants" and "Static analysis"): a standalone binary that
 # typechecks the named packages against `go list -export` data and runs
-# eight single-package analyzers over them.
+# six single-package analyzers over them.
 stringscheck:
 	$(GO) build -o $(BIN)/stringscheck ./cmd/stringscheck
 
 # The suite is part of the inner loop, so it carries a wall-time budget:
-# the whole pass — go list, typechecking, all eight analyzers, CFG
-# construction and the dataflow fixpoints — must finish in 60s or the
-# target fails. A slow linter is a skipped linter. Findings print as
-# file:line:col: analyzer: message.
+# the whole pass — go list, typechecking and all six analyzers — must
+# finish in 60s or the target fails. A slow linter is a skipped linter.
+# Findings print as file:line:col: analyzer: message.
 lint: stringscheck
 	@start=$$(date +%s); \
 	$(BIN)/stringscheck ./... || exit 1; \

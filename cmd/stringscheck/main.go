@@ -1,6 +1,6 @@
 // Command stringscheck enforces the simulator's determinism and protocol
 // invariants — the ones no test can observe, or that guard a fault — with
-// eight analyzers (DESIGN.md "Determinism invariants" and "Static
+// six analyzers (DESIGN.md "Determinism invariants" and "Static
 // analysis"):
 //
 //	simclock   — no wall-clock time in sim-driven packages
@@ -8,9 +8,6 @@
 //	maporder   — no map-iteration order leaking into simulator state
 //	rawgo      — no raw goroutines in sim-driven packages, the kernel included
 //	errflow    — no silently discarded errors on rpcproto/remoting paths
-//	poolsafe   — no use-after-release / double-release of pooled objects;
-//	             pool-return methods must zero before storing
-//	spanpair   — every trace span Begin reaches an End on all CFG exits
 //	allowaudit — //lint:allow hygiene: unknown names, missing reasons,
 //	             stale suppressions
 //
@@ -22,7 +19,8 @@
 // Diagnostics print to stderr as file:line:col: analyzer: message; with
 // -json they print to stdout as one sorted JSON array, byte-identical across
 // runs of the same tree (CI archives it). Heap allocation on the request
-// path is measured, not analysed: see alloc_test.go.
+// path, pooled objects used after release and trace spans left open are
+// measured at run time, not analysed: see DESIGN.md "Static analysis".
 // Suppress a finding with: //lint:allow <analyzer> -- <reason>
 package main
 

@@ -1,18 +1,17 @@
 // Package analysis is a small, dependency-free reimplementation of the
-// golang.org/x/tools/go/analysis vocabulary, carrying the eight stringscheck
+// golang.org/x/tools/go/analysis vocabulary, carrying the six stringscheck
 // analyzers that mechanically enforce the simulator's determinism and
 // protocol invariants — the ones no test can observe, or that guard a fault
 // (see DESIGN.md "Determinism invariants" and "Static analysis").
 //
 // An Analyzer inspects one typechecked package and reports Diagnostics; Run
 // executes a set of analyzers over a Target and filters diagnostics through
-// //lint:allow suppressions. Every analyzer sees one package at a time and
-// nothing crosses a package boundary. poolsafe and spanpair are
-// flow-sensitive: they share an intra-procedural CFG with a forward fixpoint
-// driver (cfg.go), written here because the offline build environment cannot
-// vendor x/tools. Heap allocation on the request path is not an analyzer's
-// business: the runtime budgets (alloc_test.go and the per-package ZeroAlloc
-// tests) measure it.
+// //lint:allow suppressions. Every analyzer is syntactic, sees one package at
+// a time, and nothing crosses a package boundary. A bug class that runtime
+// tests catch is not an analyzer's business: heap allocation on the request
+// path (alloc_test.go and the per-package ZeroAlloc tests), pooled objects
+// used after release (the frame and op tests and the goldens) and trace
+// spans left open (the run-end open-span check) are all measured.
 package analysis
 
 import (
@@ -92,14 +91,10 @@ func NewInfo() *types.Info {
 	}
 }
 
-// All returns the full stringscheck suite in reporting order: the five
-// syntactic analyzers, the two flow-sensitive ones, and the suppression
-// auditor.
+// All returns the full stringscheck suite in reporting order: the five rules
+// and the suppression auditor.
 func All() []*Analyzer {
-	return []*Analyzer{
-		Simclock, Detrand, Maporder, Rawgo, Errflow,
-		Poolsafe, Spanpair, Allowaudit,
-	}
+	return []*Analyzer{Simclock, Detrand, Maporder, Rawgo, Errflow, Allowaudit}
 }
 
 // Run executes analyzers over the target, applies //lint:allow filtering,
@@ -196,17 +191,6 @@ func simDriven(pkg *types.Package) bool {
 		}
 	}
 	return false
-}
-
-// objOf resolves an identifier to its variable object (use or def).
-func objOf(pass *Pass, id *ast.Ident) *types.Var {
-	if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok {
-		return v
-	}
-	if v, ok := pass.TypesInfo.Defs[id].(*types.Var); ok {
-		return v
-	}
-	return nil
 }
 
 // pathEndsWith reports whether path equals suffix or ends with "/"+suffix.

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"go/token"
-	"go/types"
-	"testing"
-)
+import "testing"
 
 func TestAnyUsedAndAllRan(t *testing.T) {
 	d := &AllowDirective{}
@@ -25,19 +21,5 @@ func TestAnyUsedAndAllRan(t *testing.T) {
 	}
 	if !allRan(pass) {
 		t.Error("full run set reported incomplete")
-	}
-}
-
-func TestTypeHelpers(t *testing.T) {
-	pkg := types.NewPackage("p", "p")
-	dev := types.NewNamed(types.NewTypeName(token.NoPos, pkg, "Dev", nil), types.NewStruct(nil, nil), nil)
-	if got := typeName(dev); got != "Dev" {
-		t.Errorf("typeName(Dev) = %q", got)
-	}
-	if got := typeName(nil); got != "?" {
-		t.Errorf("typeName(nil) = %q", got)
-	}
-	if got := typeName(types.NewSlice(dev)); got != "[]p.Dev" {
-		t.Errorf("typeName([]Dev) = %q", got)
 	}
 }

@@ -34,10 +34,18 @@ func typo(n int) int {
 	return n + 1 //lint:allow simclok -- fixture: misspelled on purpose // want `unknown analyzer "simclok"`
 }
 
-// retired: hotalloc was an analyzer until the runtime budgets became the one
-// allocation gate; an allow naming it must not come back unnoticed.
+// retired: each name below was an analyzer until runtime tests were shown to
+// catch its bug class; an allow naming one must not come back unnoticed.
 func retired(n int) []int {
 	return make([]int, n) //lint:allow hotalloc -- fixture: names a deleted analyzer // want `unknown analyzer "hotalloc"`
+}
+
+func retiredPool(n int) int {
+	return n + 4 //lint:allow poolsafe -- fixture: names a deleted analyzer // want `unknown analyzer "poolsafe"`
+}
+
+func retiredSpan(n int) int {
+	return n + 5 //lint:allow spanpair -- fixture: names a deleted analyzer // want `unknown analyzer "spanpair"`
 }
 
 // notRan: maporder is not part of this suite invocation, so its unused

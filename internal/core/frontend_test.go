@@ -141,6 +141,9 @@ func runAppScript(t testing.TB, sc appScript, coroutine bool) scriptRun {
 	}
 	out.log = buf.Bytes()
 	for _, rec := range c.Recorders() {
+		if open := rec.Open(); r.Finished == r.Launched && len(open) > 0 {
+			t.Fatalf("all %d requests finished, but span %+v is open", r.Finished, open[0])
+		}
 		out.jsonl = rec.Snapshot().AppendJSONL(out.jsonl)
 	}
 	out.events, out.end, out.finished = c.Dispatched(), r.EndTime, r.Finished

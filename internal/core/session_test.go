@@ -267,8 +267,18 @@ func runBackendScript(t *testing.T, sc backendScript, accept func(c *Cluster, gi
 		}
 	}
 	c.coord.RunUntil(sim.Time(len(sc.rounds)) * scriptHorizon)
+	apps, exits := 0, 0
+	for _, round := range sc.rounds {
+		apps += len(round.apps)
+	}
+	for _, r := range log {
+		exits += btoi(r.ID == cuda.CallThreadExit && !r.Timeout)
+	}
 	var jsonl []byte
 	for _, rec := range c.Recorders() {
+		if open := rec.Open(); exits == apps && len(open) > 0 {
+			t.Fatalf("every application exited, but span %+v is open", open[0])
+		}
 		jsonl = rec.Snapshot().AppendJSONL(jsonl)
 	}
 	return log, jsonl

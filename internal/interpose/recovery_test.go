@@ -2,6 +2,7 @@ package interpose
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/balancer"
@@ -199,20 +200,38 @@ func TestRetryBudgetExhaustionSurfacesBackendLost(t *testing.T) {
 	}
 }
 
+// TestFailoverReplaysStateOnReplacement: when backend 0 dies the interposer
+// registers on backend 1 and replays its streams, allocations and events
+// there, each table in ascending virtual-id order, so the replacement hands
+// out its ids in the order the application first got them; later calls on
+// the client-visible handles carry the replacement's ids.
 func TestFailoverReplaysStateOnReplacement(t *testing.T) {
+	const ptrs, streams, events = 8, 3, 3
 	f := driveRecovery(t, 2, []balancer.GID{0, 1}, func(f *failFabric, ip *Interposer) {
 		ip.SetDevice(0)
-		ptr, err := ip.Malloc(4096)
-		if err != nil {
-			t.Fatalf("Malloc: %v", err)
+		var ps []cuda.Ptr
+		for i := range ptrs {
+			p, err := ip.Malloc(int64(4096 * (i + 1)))
+			if err != nil {
+				t.Fatalf("Malloc: %v", err)
+			}
+			ps = append(ps, p)
 		}
-		st, err := ip.StreamCreate()
-		if err != nil {
-			t.Fatalf("StreamCreate: %v", err)
+		var sts []cuda.StreamID
+		for range streams {
+			st, err := ip.StreamCreate()
+			if err != nil {
+				t.Fatalf("StreamCreate: %v", err)
+			}
+			sts = append(sts, st)
 		}
-		ev, err := ip.EventCreate()
-		if err != nil {
-			t.Fatalf("EventCreate: %v", err)
+		var evs []cuda.EventID
+		for range events {
+			ev, err := ip.EventCreate()
+			if err != nil {
+				t.Fatalf("EventCreate: %v", err)
+			}
+			evs = append(evs, ev)
 		}
 		// Backend 0 dies: swallow everything; one failure → Dead.
 		f.backends[0].swallow = func(c *rpcproto.Call) bool { return true }
@@ -220,63 +239,64 @@ func TestFailoverReplaysStateOnReplacement(t *testing.T) {
 		if err := ip.DeviceSynchronize(); err != nil {
 			t.Errorf("DeviceSynchronize after failover: %v", err)
 		}
-		if ip.rec.failovers != 1 {
-			t.Errorf("Failovers = %d, want 1", ip.rec.failovers)
+		if ip.rec.failovers != 1 || ip.gid != 1 {
+			t.Errorf("%d failovers, now on device %d; want 1, on device 1", ip.rec.failovers, ip.gid)
 		}
-		if ip.gid != 1 {
-			t.Errorf("Device after failover = %d, want 1", ip.gid)
+		for i, p := range ps {
+			if err := ip.MemcpyAsync(cuda.H2D, p, 128, sts[i%streams]); err != nil {
+				t.Errorf("MemcpyAsync on replayed handles: %v", err)
+			}
 		}
-		// Client-visible handles survived the failover; the wire calls below
-		// must carry backend 1's ids.
-		if err := ip.MemcpyAsync(cuda.H2D, ptr, 128, st); err != nil {
-			t.Errorf("MemcpyAsync on replayed handles: %v", err)
+		for i, ev := range evs {
+			if err := ip.EventRecord(ev, sts[i]); err != nil {
+				t.Errorf("EventRecord on replayed handles: %v", err)
+			}
 		}
-		if err := ip.EventRecord(ev, st); err != nil {
-			t.Errorf("EventRecord on replayed handles: %v", err)
-		}
-		if err := ip.Free(ptr); err != nil {
-			t.Errorf("Free of replayed ptr: %v", err)
+		for _, p := range ps {
+			if err := ip.Free(p); err != nil {
+				t.Errorf("Free of replayed ptr: %v", err)
+			}
 		}
 	})
-	b1 := f.backends[1]
-	var ids []cuda.CallID
-	for _, c := range b1.received {
-		ids = append(ids, c.ID)
+	// Backend 1 numbers pointers from 1001, streams from 501 and events from
+	// 701, in the order it is asked for them.
+	type wire struct {
+		id     cuda.CallID
+		bytes  int64 // of a Malloc
+		ptr    int64
+		stream int32
+		event  int32
 	}
-	// Rebind: register, replay stream, allocation and event; then the
-	// pending DeviceCount, then the post-failover traffic.
-	want := []cuda.CallID{cuda.CallSetDevice, cuda.CallStreamCreate, cuda.CallMalloc,
-		cuda.CallEventCreate, cuda.CallDeviceSync, cuda.CallMemcpyAsync,
-		cuda.CallEventRecord, cuda.CallFree}
-	if len(ids) != len(want) {
-		t.Fatalf("backend 1 call sequence = %v, want %v", ids, want)
+	want := []wire{{id: cuda.CallSetDevice}}
+	for range streams {
+		want = append(want, wire{id: cuda.CallStreamCreate})
 	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("backend 1 call sequence = %v, want %v", ids, want)
+	for i := range ptrs {
+		want = append(want, wire{id: cuda.CallMalloc, bytes: int64(4096 * (i + 1))})
+	}
+	for range events {
+		want = append(want, wire{id: cuda.CallEventCreate})
+	}
+	want = append(want, wire{id: cuda.CallDeviceSync})
+	for i := range ptrs {
+		want = append(want, wire{id: cuda.CallMemcpyAsync, ptr: 1001 + int64(i), stream: 501 + int32(i%streams)})
+	}
+	for i := range events {
+		want = append(want, wire{id: cuda.CallEventRecord, stream: 501 + int32(i), event: 701 + int32(i)})
+	}
+	for i := range ptrs {
+		want = append(want, wire{id: cuda.CallFree, ptr: 1001 + int64(i)})
+	}
+	var got []wire
+	for _, c := range f.backends[1].received {
+		w := wire{id: c.ID, ptr: c.PtrID, stream: c.Stream, event: c.Event}
+		if c.ID == cuda.CallMalloc {
+			w.bytes = c.Bytes
 		}
+		got = append(got, w)
 	}
-	// The replayed Malloc preserved the size, and later calls use the
-	// replacement's handles (backend 1 ids start at 1001/501/701).
-	for _, c := range b1.received {
-		switch c.ID {
-		case cuda.CallMalloc:
-			if c.Bytes != 4096 {
-				t.Fatalf("replayed Malloc bytes = %d, want 4096", c.Bytes)
-			}
-		case cuda.CallMemcpyAsync:
-			if c.PtrID != 1001 || c.Stream != 501 {
-				t.Fatalf("MemcpyAsync used stale ids: ptr=%d stream=%d", c.PtrID, c.Stream)
-			}
-		case cuda.CallEventRecord:
-			if c.Event != 701 {
-				t.Fatalf("EventRecord used stale event id %d", c.Event)
-			}
-		case cuda.CallFree:
-			if c.PtrID != 1001 {
-				t.Fatalf("Free used stale ptr id %d", c.PtrID)
-			}
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("backend 1 received\n%+v\nwant, replays in ascending virtual-id order,\n%+v", got, want)
 	}
 	if f.released == 0 {
 		t.Fatal("failover never released the dead binding")

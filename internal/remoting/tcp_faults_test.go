@@ -1,6 +1,7 @@
 package remoting
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math/rand"
@@ -195,6 +196,39 @@ func TestServeConnSurvivesHardClose(t *testing.T) {
 	}
 	if err := <-done; !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("ServeConn exit = %v, want ErrClosedPipe", err)
+	}
+}
+
+// writeFailRW serves the frames it holds to reads and fails every write.
+type writeFailRW struct{ io.Reader }
+
+var errReplyWrite = errors.New("reply write failed")
+
+func (writeFailRW) Write([]byte) (int, error) { return 0, errReplyWrite }
+
+// TestServeConnEndsOnReplyWriteError: a reply that cannot be written ends the
+// session with that write's error at the first blocking call, although the
+// transport still has calls to read.
+func TestServeConnEndsOnReplyWriteError(t *testing.T) {
+	var in bytes.Buffer
+	first := 0
+	for seq := uint64(1); seq <= 3; seq++ {
+		frame, err := rpcproto.EncodeCall(&rpcproto.Call{ID: cuda.CallDeviceCount, Seq: seq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Write(frame)
+		if seq == 1 {
+			first = in.Len()
+		}
+	}
+	unread := in.Len() - first
+	err := (&TCPBackend{Spec: gpu.TeslaC2050}).ServeConn(writeFailRW{&in})
+	if !errors.Is(err, errReplyWrite) {
+		t.Fatalf("ServeConn exit = %v, want the reply write's error", err)
+	}
+	if in.Len() != unread {
+		t.Fatalf("ServeConn read %d bytes past the failed reply", unread-in.Len())
 	}
 }
 

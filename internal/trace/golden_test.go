@@ -56,6 +56,9 @@ func runGoldenGrid(t *testing.T, workers int) [][]byte {
 			t.Errorf("cell %d: %v %v", i, err, r.Errors)
 			return nil
 		}
+		if open := rec.Open(); r.Finished == r.Launched && len(open) > 0 {
+			t.Errorf("cell %d: all %d requests finished, but span %+v is open", i, r.Finished, open[0])
+		}
 		return rec.Snapshot().AppendJSONL(nil)
 	})
 }

@@ -276,3 +276,19 @@ func (r *Recorder) Snapshot() *Set {
 		Decisions: append([]Decision(nil), r.decisions...),
 	}
 }
+
+// Open returns the spans still in flight (End = -1), in recording order.
+// After a run whose requests all finished it is empty: an open span there is
+// a Begin whose End was skipped.
+func (r *Recorder) Open() []Span {
+	if r == nil {
+		return nil
+	}
+	var out []Span
+	for _, s := range r.spans {
+		if s.End == open {
+			out = append(out, s)
+		}
+	}
+	return out
+}

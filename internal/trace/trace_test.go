@@ -23,7 +23,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Event(KWake, 7, "", 1, 0, 0)
 	r.RecordDecision(Decision{})
 	set := r.Snapshot()
-	if set == nil || len(set.Spans)+len(set.Events)+len(set.Decisions) != 0 {
+	if set == nil || len(set.Spans)+len(set.Events)+len(set.Decisions)+len(r.Open()) != 0 {
 		t.Errorf("nil Snapshot = %+v, want empty set", set)
 	}
 }
@@ -103,6 +103,13 @@ func TestOpenSpanDuration(t *testing.T) {
 	}
 	if sp.Duration() != 0 {
 		t.Errorf("open span Duration = %v, want 0", sp.Duration())
+	}
+	if open := r.Open(); len(open) != 1 || open[0] != sp {
+		t.Errorf("Open() = %+v, want the one open span", open)
+	}
+	r.End(sp.ID, 60)
+	if open := r.Open(); len(open) != 0 {
+		t.Errorf("Open() after End = %+v, want none", open)
 	}
 }
 
