@@ -11,8 +11,9 @@ test:
 
 # Full-tree race pass. A simulation is one goroutine, so what there is to
 # race is the worker pool that fans whole simulations out (internal/parallel)
-# and what its workers share: the kernel arena, the suite's scenario cache and
-# trace book, and the TCP remoting path. -short skips the heavyweight
+# and what its workers share: the kernel arena (kernels one worker reset and
+# another reuses, never a live process), the suite's scenario cache and trace
+# book, and the TCP remoting path. -short skips the heavyweight
 # experiment sweeps (guarded with testing.Short) so the whole pass stays under
 # ~2 minutes while still racing the parallel-vs-sequential figure-grid
 # comparison.

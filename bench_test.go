@@ -107,8 +107,10 @@ func BenchmarkKernelDispatch(b *testing.B) {
 }
 
 // BenchmarkQueuePingPong measures the baton-passing handoff through
-// sim.Queue: a producer and a consumer alternating through a pair of
-// depth-one queues, the pattern behind every interposer→scheduler exchange.
+// sim.Queue between two coroutines: a producer and a consumer alternating
+// through a pair of depth-one queues. Each handoff is one resume — two
+// switches, in from the dispatch loop and back out — so a round trip costs
+// two; no benchmarked workload makes one, its request path being daemons.
 func BenchmarkQueuePingPong(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -220,9 +222,11 @@ func BenchmarkHeapChurn(b *testing.B) {
 }
 
 // BenchmarkSpawnExit measures a process's whole life — Go, first resume,
-// one sleep, exit — as the request path pays it: one process at a time on a
-// warm kernel, so each spawn moves into the coroutine the last one left. The
-// allocation is the Proc itself.
+// one sleep, exit — one process at a time on a warm kernel: the Proc, the
+// coroutine built for it and ended with its body, and two resumes (its start
+// and its spawner's next wake-up; its own sleep is taken on the spot). It is
+// what an application of a blocking style (pipelined, multi-threaded, under
+// recovery) pays once per request.
 func BenchmarkSpawnExit(b *testing.B) {
 	k := sim.NewKernel(1)
 	defer k.Close()

@@ -9,8 +9,9 @@ import (
 )
 
 // TestRunLeavesNothingBehind is the cluster tier's leak gate, -short
-// included: Run closes its kernel arena, so it returns with the goroutine
-// count it found, and its supernodes' clusters are garbage once the result
+// included: its kernel arena resets every kernel it takes back, so Run
+// returns with the goroutine count it found, and its supernodes' clusters
+// are garbage once the result
 // is dropped — run after run the process stays the size the first left it.
 func TestRunLeavesNothingBehind(t *testing.T) {
 	cfg := goldenCfg("least-loaded")

@@ -104,9 +104,8 @@ func Run(cfg Config) (*Result, error) {
 
 	// One core run per supernode, fanned out through the blessed pool.
 	// Kernels recycle through a shared arena: workers fewer than
-	// supernodes reuse their predecessor's backing arrays and coroutines.
+	// supernodes reuse their predecessor's backing arrays.
 	var arena parallel.KernelArena
-	defer arena.Close()
 	type snOut struct {
 		res SupernodeResult
 		err error

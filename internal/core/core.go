@@ -121,10 +121,11 @@ type Config struct {
 	// Kernel, when non-nil, is Reset(Seed) and reused instead of building a
 	// fresh kernel — the sweep workers recycle kernels through a
 	// parallel.KernelArena so back-to-back cells reuse the heap and ring
-	// backing arrays and the process coroutines. A reset kernel reproduces a
-	// fresh kernel's event sequence exactly (see internal/sim reset tests),
-	// so this is purely an allocation optimization. The kernel remains the
-	// caller's: Cluster.Close does not close it.
+	// backing arrays. A reset kernel reproduces a fresh kernel's event
+	// sequence exactly (see internal/sim reset tests), so this is purely an
+	// allocation optimization. The kernel remains the caller's:
+	// Cluster.Close does not close it, and the processes a horizon left
+	// parked on it keep their goroutines until the caller's Reset or Close.
 	Kernel *sim.Kernel
 
 	// Traces, when non-nil, memoizes materialized arrival traces so cells
@@ -161,6 +162,13 @@ type Cluster struct {
 	nodeDev [][]*gpu.Device // per node
 	scheds  []*devsched.Scheduler
 
+	// The mapper's state between steps (mapperStep): mapPend holds every
+	// message of the earliest unserved arrival instant, then at most one
+	// later message; mapServing is set while the mapper spends the service
+	// time on the message at the front.
+	mapPend    []mapperMsg
+	mapServing bool
+
 	// The Strings (Design III) backend: one process per GPU, hosting a
 	// backend thread per connected application. All threads share the
 	// process's CUDA runtime (hence a single GPU context) through the Context
@@ -194,7 +202,7 @@ type Cluster struct {
 	syncOnCoroutine bool
 }
 
-// mapperMsg is a message to the affinity-mapper service process: a
+// mapperMsg is a message to the affinity-mapper service: a
 // selection request, a feedback/release relay, or failure-detector traffic.
 type mapperMsg struct {
 	req balancer.Request
@@ -300,7 +308,7 @@ func New(cfg Config) (*Cluster, error) {
 	c.mapper = balancer.NewMapper(balancer.NewDST(rows), pol)
 	c.mapper.SetRecorder(cfg.Recorder)
 	c.mapQ = sim.NewQueue[mapperMsg](c.K)
-	c.K.Go("affinity-mapper", c.mapperLoop)
+	c.K.GoDaemon("affinity-mapper", c.mapperStep)
 
 	for g := range c.devices {
 		c.serveDevice(g)
@@ -418,57 +426,69 @@ func (c *Cluster) Devices() []*gpu.Device { return c.devices }
 // Config.Trace).
 func (c *Cluster) Trace(gid int) *gpu.UtilTrace { return c.traces[gid] }
 
-// mapperLoop is the GPU Affinity Mapper service process.
-func (c *Cluster) mapperLoop(p *sim.Proc) {
-	const serviceTime = 3 * sim.Microsecond
-	// pend holds every message of the earliest unserved arrival instant,
-	// then at most one later message.
-	var pend []mapperMsg
-	for {
-		if len(pend) == 0 {
-			pend = append(pend, c.mapQ.Get(p))
+// mapperServiceTime is what the Affinity Mapper spends on one message.
+const mapperServiceTime = 3 * sim.Microsecond
+
+// mapperStep is the GPU Affinity Mapper service: it takes a message, spends
+// the service time on it, and answers it.
+func (c *Cluster) mapperStep(d *sim.Daemon) {
+	if c.mapServing {
+		c.mapServing = false
+		c.serveMapper(d.Now())
+	}
+	if len(c.mapPend) == 0 {
+		m, ok := c.mapQ.Take(d)
+		if !ok {
+			return
 		}
-		p.Sleep(serviceTime)
-		// First come, first served; arrivals of one instant are served in
-		// node order, not in the order the kernel happened to run their
-		// senders — that order shifts with the node→kernel partition.
-		best := 0
-		for i := 1; ; i++ {
-			if i == len(pend) {
-				m, ok := c.mapQ.TryGet()
-				if !ok {
-					break
-				}
-				pend = append(pend, m)
-			}
-			if pend[i].at != pend[0].at {
+		c.mapPend = append(c.mapPend, m)
+	}
+	c.mapServing = true
+	d.Sleep(mapperServiceTime)
+}
+
+// serveMapper answers one pending message. First come, first served;
+// arrivals of one instant are served in node order, not in the order the
+// kernel happened to run their senders — that order shifts with the
+// node→kernel partition.
+func (c *Cluster) serveMapper(now sim.Time) {
+	pend := c.mapPend
+	best := 0
+	for i := 1; ; i++ {
+		if i == len(pend) {
+			m, ok := c.mapQ.TryGet()
+			if !ok {
 				break
 			}
-			if pend[i].node < pend[best].node {
-				best = i
-			}
+			pend = append(pend, m)
 		}
-		m := pend[best]
-		pend = append(pend[:best], pend[best+1:]...)
-		switch {
-		case m.fail:
-			m.hOut.h = c.mapper.ReportFailure(m.hGID)
-			c.reply(m)
-		case m.recovered:
-			c.mapper.ReportRecovered(m.hGID)
-		case m.done != nil:
-			if m.req.WantsSlice() {
-				c.handleSliceSelect(p, m)
-				continue
-			}
-			*m.out = c.mapper.SelectAt(p.Now(), m.req)
-			c.reply(m)
-		case m.release:
-			if m.fb != nil {
-				c.mapper.Feedback(m.fb)
-			}
-			c.mapper.Release(m.relGID, m.relKind)
-			c.noteSliceRelease(p, m.relGID)
+		if pend[i].at != pend[0].at {
+			break
 		}
+		if pend[i].node < pend[best].node {
+			best = i
+		}
+	}
+	m := pend[best]
+	c.mapPend = append(pend[:best], pend[best+1:]...)
+	switch {
+	case m.fail:
+		m.hOut.h = c.mapper.ReportFailure(m.hGID)
+		c.reply(m)
+	case m.recovered:
+		c.mapper.ReportRecovered(m.hGID)
+	case m.done != nil:
+		if m.req.WantsSlice() {
+			c.handleSliceSelect(now, m)
+			return
+		}
+		*m.out = c.mapper.SelectAt(now, m.req)
+		c.reply(m)
+	case m.release:
+		if m.fb != nil {
+			c.mapper.Feedback(m.fb)
+		}
+		c.mapper.Release(m.relGID, m.relKind)
+		c.noteSliceRelease(now, m.relGID)
 	}
 }

@@ -12,9 +12,6 @@ import (
 	"repro/internal/workload"
 )
 
-// mapperService is mapperLoop's per-message service time.
-const mapperService = 3 * sim.Microsecond
-
 // oneKernelSupernode builds the supernode with both nodes on one kernel —
 // the partition in which a cross-node report used to be free.
 func oneKernelSupernode(t *testing.T, cfg Config) *Cluster {
@@ -66,10 +63,10 @@ func TestCrossNodeReportsPayTheLink(t *testing.T) {
 		want int
 		what string
 	}{
-		{reportAt + mapperService - 1, 0, "before node 0's report is served"},
-		{reportAt + mapperService, 1, "node 0's report, served the instant it was made"},
-		{reportAt + lat + mapperService - 1, 1, "node 1's report still on the link"},
-		{reportAt + lat + mapperService, 2, "node 1's report, one link latency later"},
+		{reportAt + mapperServiceTime - 1, 0, "before node 0's report is served"},
+		{reportAt + mapperServiceTime, 1, "node 0's report, served the instant it was made"},
+		{reportAt + lat + mapperServiceTime - 1, 1, "node 1's report still on the link"},
+		{reportAt + lat + mapperServiceTime, 2, "node 1's report, one link latency later"},
 	} {
 		if got := feedbacksAt(step.at); got != step.want {
 			t.Fatalf("at %v the mapper had folded %d reports, want %d (%s)", step.at, got, step.want, step.what)
@@ -77,10 +74,10 @@ func TestCrossNodeReportsPayTheLink(t *testing.T) {
 	}
 	// Both selections left at 0: node 0's waits out the local link each way,
 	// node 1's the remote one.
-	if want := 2*local + mapperService; selected[0] != want {
+	if want := 2*local + mapperServiceTime; selected[0] != want {
 		t.Fatalf("node 0 selection returned at %v, want %v", selected[0], want)
 	}
-	if want := 2*lat + mapperService; selected[1] != want {
+	if want := 2*lat + mapperServiceTime; selected[1] != want {
 		t.Fatalf("node 1 selection returned at %v, want %v", selected[1], want)
 	}
 
@@ -104,22 +101,56 @@ func TestCrossNodeReportsPayTheLink(t *testing.T) {
 	}
 	// Node 0's report is served first (it arrives first), node 1's on an
 	// idle mapper a link latency later.
-	if took[0] != mapperService || took[1] != 2*lat+mapperService {
-		t.Fatalf("failure round trips took %v, want [%v %v]", took, mapperService, 2*lat+mapperService)
+	if took[0] != mapperServiceTime || took[1] != 2*lat+mapperServiceTime {
+		t.Fatalf("failure round trips took %v, want [%v %v]", took, mapperServiceTime, 2*lat+mapperServiceTime)
 	}
 	dst := c.mapper.DST()
 	recoveredAt := failAt + sim.Millisecond // node 0's verdict + 1 ms
-	c.K.RunUntil(recoveredAt + 2*mapperService)
+	c.K.RunUntil(recoveredAt + 2*mapperServiceTime)
 	if dst.Health(2) != balancer.Healthy || dst.Health(3) != balancer.Suspect {
 		t.Fatalf("after node 0's recovery report: gid 2 %v, gid 3 %v", dst.Health(2), dst.Health(3))
 	}
-	c.K.RunUntil(recoveredAt + 3*lat + 2*mapperService - 1)
+	c.K.RunUntil(recoveredAt + 3*lat + 2*mapperServiceTime - 1)
 	if dst.Health(3) != balancer.Suspect {
 		t.Fatal("node 1's recovery report reached the mapper early")
 	}
-	c.K.RunUntil(recoveredAt + 3*lat + 2*mapperService)
+	c.K.RunUntil(recoveredAt + 3*lat + 2*mapperServiceTime)
 	if dst.Health(3) != balancer.Healthy {
 		t.Fatal("node 1's recovery report did not arrive one link latency after it was made")
+	}
+}
+
+// TestMapperServesOneInstantInNodeOrder: selections that reach the mapper's
+// queue at one instant are answered in node order, not in the order the
+// kernel ran their senders. Node 1's arrives first — its link delivery fires
+// before the process that posts node 0's wakes — yet node 0's is served first.
+func TestMapperServesOneInstantInNodeOrder(t *testing.T) {
+	c := oneKernelSupernode(t, Config{Seed: 1})
+	lat := c.cfg.RemoteLink.Latency
+	const arriveAt = 10 * sim.Millisecond
+	var gids [2]balancer.GID
+	var answered [2]sim.Time
+	var done [2]*sim.Event
+	for node := range done {
+		done[node] = c.K.NewEvent()
+		c.K.Go("answer", func(p *sim.Proc) {
+			p.Wait(done[node])
+			answered[node] = p.Now()
+		})
+	}
+	c.K.Go("poster", func(p *sim.Proc) {
+		p.Sleep(arriveAt - lat - p.Now())
+		c.nodes[1].SelectGPU(balancer.Request{AppID: 901, Kind: "GA", Node: 1, Tenant: 1}, &gids[1], done[1])
+		p.Sleep(lat)
+		c.nodes[0].SelectGPU(balancer.Request{AppID: 900, Kind: "GA", Node: 0, Tenant: 1}, &gids[0], done[0])
+	})
+	c.K.RunUntil(arriveAt + sim.Millisecond)
+	if c.mapQ.Len() != 0 || len(c.mapPend) != 0 {
+		t.Fatalf("mapper left %d queued and %d pending messages", c.mapQ.Len(), len(c.mapPend))
+	}
+	want := [2]sim.Time{arriveAt + mapperServiceTime, arriveAt + 2*mapperServiceTime + lat}
+	if answered != want {
+		t.Fatalf("selections answered at %v, want %v: node 0's first, node 1's one service time and the link later", answered, want)
 	}
 }
 

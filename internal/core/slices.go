@@ -19,8 +19,8 @@ import (
 // admission wait is part of the request's completion latency, which is how
 // packing quality surfaces as an SLO.
 //
-// Every mutation of the placement state happens inside the mapperLoop
-// service process, so slice runs are exactly as deterministic as
+// Every mutation of the placement state happens inside the mapper's service
+// step (mapperStep), so slice runs are exactly as deterministic as
 // whole-device ones. Fleets without slice streams never touch any of this.
 
 // sliceState is the tenant ledger the mapper service owns; capacity lives in
@@ -99,11 +99,11 @@ func (c *Cluster) sliceDemand(req balancer.Request) balancer.Request {
 // handleSliceSelect serves one slice-demanding selection request inside the
 // mapper service: route to the tenant's live slice, or place-and-carve, or
 // park until a release frees capacity.
-func (c *Cluster) handleSliceSelect(p *sim.Proc, m mapperMsg) {
+func (c *Cluster) handleSliceSelect(now sim.Time, m mapperMsg) {
 	if _, asked := c.sl.tenantAsk[m.req.Tenant]; !asked {
-		c.sl.tenantAsk[m.req.Tenant] = p.Now()
+		c.sl.tenantAsk[m.req.Tenant] = now
 	}
-	if !c.serveSlice(p, m) {
+	if !c.serveSlice(now, m) {
 		c.result().SliceParks++
 		c.sl.parked = append(c.sl.parked, m)
 	}
@@ -111,11 +111,11 @@ func (c *Cluster) handleSliceSelect(p *sim.Proc, m mapperMsg) {
 
 // serveSlice answers m with its tenant's live slice, or places and carves
 // one. false when nothing fits; m is then left unanswered.
-func (c *Cluster) serveSlice(p *sim.Proc, m mapperMsg) bool {
+func (c *Cluster) serveSlice(now sim.Time, m mapperMsg) bool {
 	gid, ok := c.sl.tenantGID[m.req.Tenant]
 	if ok {
 		c.mapper.DST().Bind(gid, m.req.Kind)
-	} else if gid, ok = c.placeSlice(p, m.req); !ok {
+	} else if gid, ok = c.placeSlice(now, m.req); !ok {
 		return false
 	}
 	*m.out = gid
@@ -125,26 +125,26 @@ func (c *Cluster) serveSlice(p *sim.Proc, m mapperMsg) bool {
 
 // placeSlice asks the policy for a parent device and carves the tenant's
 // slice from it. ok=false when nothing fits.
-func (c *Cluster) placeSlice(p *sim.Proc, req balancer.Request) (balancer.GID, bool) {
-	parent, ok := c.mapper.SelectSliceAt(p.Now(), req)
+func (c *Cluster) placeSlice(now sim.Time, req balancer.Request) (balancer.GID, bool) {
+	parent, ok := c.mapper.SelectSliceAt(now, req)
 	if !ok {
 		return 0, false
 	}
-	gid := c.carveSlice(p, parent, req)
+	gid := c.carveSlice(now, parent, req)
 	c.sl.tenantGID[req.Tenant] = gid
 	c.sl.sliceTenant[gid] = req.Tenant
 	c.mapper.DST().Bind(gid, req.Kind)
 	r := c.result()
 	r.SliceCarves++
-	r.AdmissionWaits = append(r.AdmissionWaits, p.Now()-c.sl.tenantAsk[req.Tenant])
+	r.AdmissionWaits = append(r.AdmissionWaits, now-c.sl.tenantAsk[req.Tenant])
 	return gid, true
 }
 
 // carveSlice materializes one slice: the parent row's capacity, a fresh
 // device with scheduler and backend, and the slice's own DST row at the
 // parent's location.
-func (c *Cluster) carveSlice(p *sim.Proc, parent balancer.GID, req balancer.Request) balancer.GID {
-	c.strandedTick(p.Now())
+func (c *Cluster) carveSlice(now sim.Time, parent balancer.GID, req balancer.Request) balancer.GID {
+	c.strandedTick(now)
 	dst := c.mapper.DST()
 	dst.CarveCapacity(parent, req.SliceFrac, req.SliceMem)
 	spec := c.devices[parent].Spec().Slice(c.sl.tenantProfile[req.Tenant])
@@ -164,7 +164,7 @@ func (c *Cluster) carveSlice(p *sim.Proc, parent balancer.GID, req balancer.Requ
 // release. When the released binding was the tenant's last request, the
 // tenant departs: its slice is destroyed, the capacity returns to the
 // parent, and parked requests are retried in arrival order.
-func (c *Cluster) noteSliceRelease(p *sim.Proc, gid balancer.GID) {
+func (c *Cluster) noteSliceRelease(now sim.Time, gid balancer.GID) {
 	tenant, ok := c.sl.sliceTenant[gid]
 	if !ok {
 		return
@@ -173,14 +173,14 @@ func (c *Cluster) noteSliceRelease(p *sim.Proc, gid balancer.GID) {
 	if c.sl.tenantServed[tenant] < c.sl.tenantExpect[tenant] {
 		return
 	}
-	c.destroySlice(p, gid, tenant)
-	c.admitParked(p)
+	c.destroySlice(now, gid, tenant)
+	c.admitParked(now)
 }
 
 // destroySlice marks the slice row dead and returns its capacity to the
 // parent row.
-func (c *Cluster) destroySlice(p *sim.Proc, gid balancer.GID, tenant int64) {
-	c.strandedTick(p.Now())
+func (c *Cluster) destroySlice(now sim.Time, gid balancer.GID, tenant int64) {
+	c.strandedTick(now)
 	dst := c.mapper.DST()
 	prof := c.sl.tenantProfile[tenant]
 	dst.ReturnCapacity(dst.Entry(gid).Parent, prof.Frac, prof.MemBytes)
@@ -192,10 +192,10 @@ func (c *Cluster) destroySlice(p *sim.Proc, gid balancer.GID, tenant int64) {
 
 // admitParked retries parked requests in arrival order, granting every one
 // that now fits (tenants whose slice appeared meanwhile route to it).
-func (c *Cluster) admitParked(p *sim.Proc) {
+func (c *Cluster) admitParked(now sim.Time) {
 	kept := c.sl.parked[:0]
 	for _, m := range c.sl.parked {
-		if !c.serveSlice(p, m) {
+		if !c.serveSlice(now, m) {
 			kept = append(kept, m)
 		}
 	}

@@ -28,7 +28,6 @@ func ablationPair() workload.Pair {
 // and Strings (packed context). Strings should be insensitive: packing
 // removes the switches entirely.
 func (s *Suite) AblationContextSwitch() *metrics.Table {
-	defer s.arena.Close()
 	costs := []sim.Time{0, 200 * sim.Microsecond, 700 * sim.Microsecond, 2 * sim.Millisecond}
 	labels := make([]string, len(costs))
 	rain := make([]float64, len(costs))
@@ -69,7 +68,6 @@ func (s *Suite) AblationContextSwitch() *metrics.Table {
 // the transfer-heavy pair: the second DMA engine is what lets H2D and D2H
 // phases run concurrently.
 func (s *Suite) AblationCopyEngines() *metrics.Table {
-	defer s.arena.Close()
 	p := ablationPair()
 	labels := []string{"1 engine", "2 engines"}
 	vals := make([]float64, 2)
@@ -101,7 +99,6 @@ func (s *Suite) AblationCopyEngines() *metrics.Table {
 // the transfer-heavy pair — how fast remoting loses its value as the
 // network thins (125 B/us is literal Gigabit Ethernet).
 func (s *Suite) AblationRemoteBandwidth() *metrics.Table {
-	defer s.arena.Close()
 	bands := []float64{125, 500, 2000, 8000}
 	labels := make([]string, len(bands))
 	vals := make([]float64, len(bands))
@@ -128,7 +125,6 @@ func (s *Suite) AblationRemoteBandwidth() *metrics.Table {
 // AblationLASDecay sweeps eq. 1's decay constant k and reports LAS-Strings'
 // weighted speedup for the ablation pair over the 4-GPU GRR baseline.
 func (s *Suite) AblationLASDecay() *metrics.Table {
-	defer s.arena.Close()
 	ks := []float64{0.2, 0.5, 0.8, 0.95}
 	labels := make([]string, len(ks))
 	vals := make([]float64, len(ks))
@@ -158,7 +154,6 @@ func (s *Suite) AblationLASDecay() *metrics.Table {
 // under TFS to quantify how coarse monitoring (Rain's handicap) erodes
 // fairness control.
 func (s *Suite) AblationAccountingLag() *metrics.Table {
-	defer s.arena.Close()
 	lags := []sim.Time{0, 50 * sim.Millisecond, 200 * sim.Millisecond, 1 * sim.Second}
 	labels := make([]string, len(lags))
 	vals := make([]float64, len(lags))
@@ -182,7 +177,6 @@ func (s *Suite) AblationAccountingLag() *metrics.Table {
 // once feedback arrives) against pure static GWtMin — isolating the value of
 // dynamic policy switching.
 func (s *Suite) AblationArbiter() *metrics.Table {
-	defer s.arena.Close()
 	p := ablationPair()
 	base := s.pairBaseline1N(p)
 	labels := []string{"GWtMin (static)", "PA on (MBF)"}

@@ -24,7 +24,6 @@ func faultRecovery() interpose.Recovery {
 // after the kill, and how many in-flight requests were recovered onto
 // surviving GPUs versus lost.
 func (s *Suite) Faults() *metrics.Table {
-	defer s.arena.Close()
 	tab := &metrics.Table{
 		Title:  "Degradation: node 1 killed at half-makespan (GMin-Strings, 4-GPU supernode)",
 		Labels: s.pairLabels(),

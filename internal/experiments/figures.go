@@ -53,7 +53,6 @@ func (s *Suite) fig9Base(k workload.Kind) *core.RunResult {
 // the memoized cache, so there is no barrier between the baseline pass and
 // the policy runs.
 func (s *Suite) Fig9() *metrics.Table {
-	defer s.arena.Close()
 	labels := make([]string, len(s.opt.Apps))
 	for i, k := range s.opt.Apps {
 		labels[i] = k.String()
@@ -90,7 +89,6 @@ func (s *Suite) Fig9() *metrics.Table {
 // one at node 1) and a cell is the pair's weighted speedup over base's run
 // of it, with the AVG column last.
 func (s *Suite) pairFigure(title string, base func(workload.Pair) *core.RunResult, systems []system) *metrics.Table {
-	defer s.arena.Close()
 	tab := &metrics.Table{Title: title, Labels: s.pairLabels()}
 	rows := s.grid(len(systems), len(s.opt.Pairs),
 		func(r, c int) float64 {
@@ -148,7 +146,6 @@ func (s *Suite) jainCell(cfg core.Config, p workload.Pair, keyPrefix string) flo
 // shared GPU under the bare CUDA runtime, TFS-Rain and TFS-Strings. Paper
 // averages: ~80.5% CUDA, ~84.9% TFS-Rain, 91% TFS-Strings.
 func (s *Suite) Fig11() *metrics.Table {
-	defer s.arena.Close()
 	tab := &metrics.Table{
 		Title:  "Fig 11: fairness of equal-share tenants on one GPU (Jain index)",
 		Labels: s.pairLabels(),

@@ -31,7 +31,8 @@ func liveBytes() int64 {
 
 // TestSuiteLeavesNothingBehind is the leak gate of the figure path, -short
 // included: every figure returns with the goroutine count it found — the
-// arena's coroutines closed, the processes its horizons cut off unwound — and
+// processes its horizons cut off unwound when the arena took their kernels
+// back — and
 // a dropped suite is garbage, so pass after pass the process stays the size
 // the first one left it.
 func TestSuiteLeavesNothingBehind(t *testing.T) {

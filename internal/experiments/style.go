@@ -23,7 +23,6 @@ import (
 // not fit; the paper assumes the arrival rate never gets there, and the
 // default 12 requests a stream does. Up to 8 requests no allocation waits.
 func (s *Suite) AblationAppStyle() *metrics.Table {
-	defer s.arena.Close()
 	kinds := []workload.Kind{workload.MonteCarlo, workload.BinomialOptions}
 	labels := make([]string, len(kinds))
 	rows := map[string][]float64{}

@@ -112,10 +112,8 @@ type Suite struct {
 	cache map[string]*cacheEntry
 
 	// arena recycles kernels across scenarios so back-to-back runs on one
-	// worker reuse the event heap and ring backing arrays and the process
-	// coroutines. A suite has no Close, so every exported method that runs
-	// scenarios closes the arena as it returns: a suite that is dropped
-	// between figures holds no goroutine.
+	// worker reuse the event heap and ring backing arrays. A pooled kernel
+	// is reset and holds no goroutine, so a suite needs no Close.
 	arena parallel.KernelArena
 
 	// traces shares materialized arrival traces across scenarios — every

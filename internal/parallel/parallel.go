@@ -1,6 +1,6 @@
 // Package parallel is the single blessed home of host concurrency in the
-// reproduction. A simulation runs on one goroutine: the kernel resumes one
-// process coroutine at a time and a sharded run steps its kernels in turn
+// reproduction. A simulation runs on one goroutine: the kernel's dispatch
+// loop runs one activation at a time and a sharded run steps its kernels in turn
 // (DESIGN.md §8 rule 4, §15). What fans out across host cores is whole,
 // independent simulations, and it goes through this package: Do/Map/Workers
 // (the repository's one worker-pool goroutine site and its //lint:allow rawgo

@@ -99,7 +99,6 @@ func TestWorkersResolution(t *testing.T) {
 // kernel behaves like a fresh one after Reset.
 func TestKernelArenaReuses(t *testing.T) {
 	var a KernelArena
-	defer a.Close()
 	k1 := a.Get()
 	k1.Go("p", func(p *sim.Proc) { p.Sleep(5) })
 	k1.Run()
@@ -133,10 +132,9 @@ func goroutines() int {
 	return n
 }
 
-// TestKernelArenaKeepsCoroutines: Put unwinds what the run left parked and
-// keeps the coroutines with the kernel, so the next run on it builds none;
-// Close gives every one of them back and leaves the arena usable.
-func TestKernelArenaKeepsCoroutines(t *testing.T) {
+// TestKernelArenaPutEndsProcesses: Put unwinds what the run left parked, so
+// a pooled kernel holds no goroutine, and the next run on it starts clean.
+func TestKernelArenaPutEndsProcesses(t *testing.T) {
 	base := goroutines()
 	var a KernelArena
 	run := func() *sim.Kernel {
@@ -146,32 +144,27 @@ func TestKernelArenaKeepsCoroutines(t *testing.T) {
 			k.Go("p", func(p *sim.Proc) { p.Sleep(sim.Time(10 * (i + 1))) })
 		}
 		k.RunUntil(25) // three still parked
+		if n := runtime.NumGoroutine(); n != base+3 {
+			t.Fatalf("%d goroutines at the horizon, want the baseline's %d and the three parked processes'", n, base)
+		}
 		a.Put(k)
 		if k.ProcCount() != 0 {
 			t.Fatalf("Put left %d processes on the kernel", k.ProcCount())
 		}
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("%d goroutines after Put, %d before the arena's first run", n, base)
+		}
 		return k
 	}
 	k1 := run()
-	if n := runtime.NumGoroutine(); n != base+5 {
-		t.Fatalf("%d goroutines after Put, want the baseline's %d and the run's 5 coroutines", n, base)
+	if k2 := run(); k2 != k1 {
+		t.Fatal("the second run did not reuse the pooled kernel")
 	}
-	if k2 := run(); k2 != k1 || runtime.NumGoroutine() != base+5 {
-		t.Fatalf("second run: reused = %v, %d goroutines, want true and %d", k2 == k1, runtime.NumGoroutine(), base+5)
-	}
-	a.Close()
-	if n := runtime.NumGoroutine(); n != base {
-		t.Fatalf("%d goroutines after Close, %d before the arena's first run", n, base)
-	}
-	if k3 := run(); k3 != k1 {
-		t.Fatal("Close dropped the pooled kernel")
-	}
-	a.Close()
 }
 
-// TestKernelArenaConcurrent: kernels — with the coroutines one pool's workers
-// built and parked processes on — are taken up by the goroutines of the next
-// pool, which unwind, reuse and finally close them (run under -race).
+// TestKernelArenaConcurrent: kernels — some with parked processes on — are
+// taken up by the goroutines of the next pool, which unwind and reuse them
+// (run under -race); none is left holding a goroutine.
 func TestKernelArenaConcurrent(t *testing.T) {
 	base := goroutines()
 	var a KernelArena
@@ -196,7 +189,6 @@ func TestKernelArenaConcurrent(t *testing.T) {
 	if gets != 128 || reused < 64 {
 		t.Errorf("Stats = (%d, %d), want 128 gets and the second round's 64 reused", gets, reused)
 	}
-	a.Close()
 	if n := goroutines(); n != base {
 		t.Errorf("%d goroutines after Close, %d before", n, base)
 	}

@@ -1,15 +1,17 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 )
 
-// A process per request must not cost a goroutine per request: finished
-// processes leave their coroutines for the next spawn, the pool stays at the
-// peak number of live processes, and Close gives it all back.
-func TestCoroutinePoolBoundsGoroutines(t *testing.T) {
+// A process per request must not cost a goroutine per finished request: a
+// process's coroutine ends with its body, so the goroutines peak at the number
+// of live processes and the run leaves none behind; Close ends the ones a
+// horizon left parked, and the kernel runs on after it.
+func TestFinishedProcessesEndTheirGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	k := NewKernel(1)
 	const cycles, live = 10000, 8
@@ -29,124 +31,21 @@ func TestCoroutinePoolBoundsGoroutines(t *testing.T) {
 	if peak > base+live+2 {
 		t.Fatalf("goroutines peaked at %d over a baseline of %d with %d processes live", peak, base, live+1)
 	}
-	if len(k.idle) == 0 || len(k.idle) > live+2 {
-		t.Fatalf("%d idle coroutines after the run, want 1..%d", len(k.idle), live+2)
+	if n := runtime.NumGoroutine(); k.ProcCount() != 0 || n > base {
+		t.Fatalf("after a drained run: ProcCount=%d, %d goroutines over a baseline of %d", k.ProcCount(), n, base)
 	}
-	if k.ProcCount() != 0 || len(k.Blocked()) != 0 {
-		t.Fatalf("idle coroutines show as processes: ProcCount=%d Blocked=%v", k.ProcCount(), k.Blocked())
-	}
+	k.Go("parked", func(p *Proc) { p.Sleep(100) })
+	k.RunUntil(k.Now() + 10)
 	k.Close()
 	k.Close() // idempotent
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after Close, %d before the run", n, base)
 	}
-	// A closed kernel still runs: it builds coroutines again.
 	ran := false
 	k.Go("again", func(p *Proc) { ran = true })
 	k.Run()
-	k.Close()
 	if !ran || runtime.NumGoroutine() > base {
 		t.Fatalf("after Close: ran=%v goroutines=%d, want true %d", ran, runtime.NumGoroutine(), base)
-	}
-	// A chain of 64, each waiting on the next: the resume stack grows as deep
-	// as the chain, every process exits at its own depth, and each leaves a
-	// coroutine that Close can stop like any other.
-	const links = 64
-	deepest := 0
-	done := make([]*Event, links+1)
-	for i := range done {
-		done[i] = k.NewEvent()
-	}
-	chain(k, links, func(level int, p *Proc) {
-		if level == links {
-			deepest = resumeStackDepth(t, k)
-		}
-		p.Wait(done[level])
-		done[level-1].Fire()
-	})
-	k.After(1, done[links].Fire)
-	k.Run()
-	if deepest != links || len(k.idle) != links || k.ProcCount() != 0 {
-		t.Fatalf("chain reached depth %d and left %d idle coroutines, %d processes; want %d, %d, 0", deepest, len(k.idle), k.ProcCount(), links, links)
-	}
-	k.Close()
-	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("%d goroutines after closing the chain's kernel, %d before the run", n, base)
-	}
-}
-
-// The second occupant of a coroutine is a new process in every respect, and
-// activations left by the first cannot reach it.
-func TestRecycledCoroutineIsAFreshProcess(t *testing.T) {
-	k := NewKernel(1)
-	defer k.Close()
-	sig := k.NewSignal()
-	var first, second *Proc
-	var woke []Time
-	first = k.Go("first", func(p *Proc) {
-		p.WaitSignalTimeout(sig, 10) // leaves a timeout activation at 10 behind
-	})
-	k.Go("driver", func(p *Proc) {
-		p.Sleep(3)
-		sig.Notify()
-		p.Sleep(1)
-		if len(k.idle) != 1 {
-			t.Errorf("%d idle coroutines after first exited, want 1", len(k.idle))
-		}
-		second = k.GoNamed(func() string { return "second" }, func(p *Proc) {
-			if p.epoch != 1 {
-				t.Errorf("second starts at epoch %d, want 1", p.epoch)
-			}
-			p.Sleep(20)
-			woke = append(woke, p.Now())
-		})
-		if len(k.idle) != 0 {
-			t.Errorf("second did not take the idle coroutine")
-		}
-	})
-	k.Run()
-	if !reflect.DeepEqual(woke, []Time{24}) {
-		t.Fatalf("second woke at %v, want [24]: first's stale timeout at 10 must not reach it", woke)
-	}
-	if first == second || first.id == second.id || first.Name() != "first" || second.Name() != "second" {
-		t.Fatalf("first = %d %q, second = %d %q", first.id, first.Name(), second.id, second.Name())
-	}
-	if first.pending != 0 || second.pending != 0 {
-		t.Fatalf("pending counts %d, %d after a drained run", first.pending, second.pending)
-	}
-
-	// Where on the resume stack a coroutine was left does not matter to the
-	// next occupant: l3 exits three deep, and a tenant spawned by l1 once the
-	// stack has unwound moves into l3's coroutine and starts two deep.
-	var exited []int
-	started, tenantWoke := 0, Time(-1)
-	chain(k, 3, func(level int, p *Proc) {
-		p.Sleep(Time(10 * (3 - level)))
-		if level > 1 {
-			exited = append(exited, resumeStackDepth(t, k))
-			return
-		}
-		if len(k.idle) != 2 {
-			t.Fatalf("%d idle coroutines after l3 and l2 exited, want 2", len(k.idle))
-		}
-		l3s := k.idle[0]
-		k.Go("brief", func(p *Proc) {}) // in and out of l2's coroutine
-		k.Go("tenant", func(p *Proc) {
-			if l3s.p != p {
-				t.Errorf("tenant is not on l3's coroutine")
-			}
-			started = resumeStackDepth(t, k)
-			p.Sleep(7)
-			tenantWoke = p.Now()
-		})
-		p.Sleep(50)
-	})
-	k.Run()
-	if !reflect.DeepEqual(exited, []int{3, 2}) || started != 2 {
-		t.Fatalf("l3, l2 exited at depths %v, tenant started at %d; want [3 2] and 2", exited, started)
-	}
-	if want := k.Now() - 50 + 7; tenantWoke != want {
-		t.Fatalf("tenant woke at %v, want %v", tenantWoke, want)
 	}
 }
 
@@ -174,7 +73,7 @@ var enders = []struct {
 }
 
 // Reset and Close unwind a process wherever it is parked: nothing after the
-// park runs, every defer runs once, and the coroutine is the kernel's again.
+// park runs, every defer runs once, and its goroutine ends.
 func TestResetAndCloseUnwindParkedProcesses(t *testing.T) {
 	parks := []struct {
 		name string
@@ -213,10 +112,6 @@ func TestResetAndCloseUnwindParkedProcesses(t *testing.T) {
 				t.Errorf("%s/%s: ran on = %v, defers run = %d, ProcCount = %d; want false, 2, 0",
 					pk.name, e.name, after, deferred, k.ProcCount())
 			}
-			if e.name == "Reset" && len(k.idle) != 1 {
-				t.Errorf("%s/Reset: %d idle coroutines, want the victim's", pk.name, len(k.idle))
-			}
-			k.Close()
 			if n := runtime.NumGoroutine(); n > base {
 				t.Fatalf("%s/%s: %d goroutines after Close, %d before", pk.name, e.name, n, base)
 			}
@@ -225,35 +120,22 @@ func TestResetAndCloseUnwindParkedProcesses(t *testing.T) {
 }
 
 // A process spawned and never started is unwound without its body running,
-// on a fresh coroutine and on one a finished process left, and the coroutine
-// serves the next process like any other.
+// and the kernel serves the next process like any other.
 func TestUnwindSkipsNeverStartedProcess(t *testing.T) {
 	for _, e := range enders {
-		for _, reused := range []bool{false, true} {
-			k := NewKernel(1)
-			if reused {
-				k.Go("first", func(p *Proc) {})
-				k.Run()
-			}
-			k.Go("never", func(p *Proc) { t.Errorf("%s: a never-started body ran (reused=%v)", e.name, reused) })
-			if reused && len(k.idle) != 0 {
-				t.Fatal("never did not take first's coroutine")
-			}
-			e.end(k)
-			if k.ProcCount() != 0 {
-				t.Errorf("%s: ProcCount = %d after unwinding a never-started process", e.name, k.ProcCount())
-			}
-			if e.name == "Reset" && len(k.idle) != 1 {
-				t.Errorf("Reset: %d idle coroutines, want 1 (reused=%v)", len(k.idle), reused)
-			}
-			ran := false
-			k.Go("next", func(p *Proc) { p.Sleep(1); ran = true })
-			k.Run()
-			if !ran {
-				t.Errorf("%s: the process after the unwinding did not run (reused=%v)", e.name, reused)
-			}
-			k.Close()
+		k := NewKernel(1)
+		k.Go("never", func(p *Proc) { t.Errorf("%s: a never-started body ran", e.name) })
+		e.end(k)
+		if k.ProcCount() != 0 {
+			t.Errorf("%s: ProcCount = %d after unwinding a never-started process", e.name, k.ProcCount())
 		}
+		ran := false
+		k.Go("next", func(p *Proc) { p.Sleep(1); ran = true })
+		k.Run()
+		if !ran {
+			t.Errorf("%s: the process after the unwinding did not run", e.name)
+		}
+		k.Close()
 	}
 }
 
@@ -350,40 +232,121 @@ func TestCloseEndsDaemons(t *testing.T) {
 	}
 }
 
-// Reset leaves every coroutine the run made on the idle list — as many as the
-// run's peak of live processes — so the same run again builds none.
-func TestResetKeepsEveryCoroutine(t *testing.T) {
-	k := NewKernel(1)
-	defer k.Close()
-	peak := 0
-	run := func() {
-		spawn := func(name string, life Time) {
-			k.Go(name, func(p *Proc) { p.Sleep(life) })
-			peak = max(peak, k.ProcCount())
-		}
-		k.Go("spawner", func(p *Proc) {
-			for i := 0; i < 40; i++ {
-				if i%4 == 0 {
-					spawn("long", 1000) // still parked when the run stops
-				} else {
-					spawn("req", Time(3+i%7))
-				}
-				p.Sleep(1)
+// chain starts depth nested processes, each spawning the next and then
+// running its own part of body(level, p).
+func chain(k *Kernel, depth int, body func(level int, p *Proc)) {
+	var spawn func(level int)
+	spawn = func(level int) {
+		k.Go(fmt.Sprintf("l%d", level), func(p *Proc) {
+			if level < depth {
+				spawn(level + 1)
 			}
-			spawn("late", 0) // never started
-			k.Stop()
+			body(level, p)
 		})
-		k.Run()
-		k.Reset(1)
 	}
-	run()
-	if peak < 12 || len(k.idle) != peak {
-		t.Fatalf("%d idle coroutines after Reset, peak of live processes %d", len(k.idle), peak)
+	spawn(1)
+}
+
+// Where a run is cut is not part of the schedule: the random script logs the
+// same run under one Run as under RunUntil in 1-tick windows, and resumes no
+// more than once per process wake-up on either.
+func TestWindowedRunLeavesScheduleAlone(t *testing.T) {
+	var total scriptCoverage
+	for seed := int64(1); seed <= 25; seed++ {
+		_, cov, run := runTimerScript(t, seed, scriptMode{})
+		_, _, win := runTimerScript(t, seed, scriptMode{windowed: true})
+		if !reflect.DeepEqual(run.Log, win.Log) {
+			t.Fatalf("seed %d: 1-tick windows changed the run:\n  run: %v\nwindows: %v", seed, run.Log, win.Log)
+		}
+		if run.Events != win.Events || run.Timers != win.Timers {
+			t.Fatalf("seed %d: events %d vs %d, timers %d vs %d", seed, run.Events, win.Events, run.Timers, win.Timers)
+		}
+		wakeups := run.Events - run.Timers
+		if run.Resumes > wakeups || win.Resumes > wakeups {
+			t.Fatalf("seed %d: %d and %d resumes for %d process wake-ups", seed, run.Resumes, win.Resumes, wakeups)
+		}
+		total.spawned += cov.spawned
 	}
-	goroutines := runtime.NumGoroutine()
-	run()
-	if len(k.idle) != peak || runtime.NumGoroutine() != goroutines {
-		t.Fatalf("the second run left %d idle coroutines and %d goroutines, want %d and %d: it built new ones",
-			len(k.idle), runtime.NumGoroutine(), peak, goroutines)
+	if total.spawned == 0 {
+		t.Fatalf("script no longer spawns processes: %+v", total)
+	}
+}
+
+// threeDue is a scenario whose three processes are all due at t = 5, where
+// cut (if any) runs in the last one's body; the log is what an interrupted
+// and resumed run must reproduce.
+func threeDue(k *Kernel, cut func()) *[]string {
+	log := new([]string)
+	k.SetTracer(func(at Time, proc, msg string) {
+		*log = append(*log, fmt.Sprintf("%v %s %s", at, proc, msg))
+	})
+	for level := 1; level <= 3; level++ {
+		k.Go(fmt.Sprintf("l%d", level), func(p *Proc) {
+			p.Sleep(5)
+			if level == 3 && cut != nil {
+				cut()
+			}
+			p.Tracef("woke")
+			p.Sleep(Time(10 * (4 - level)))
+			p.Tracef("done")
+		})
+	}
+	return log
+}
+
+// Stop from the last of three processes due at one instant, and a limit that
+// falls once all three have woken, both return from the run, and the
+// run picks up where it left off.
+func TestStopAndLimitWithSeveralDue(t *testing.T) {
+	ref := NewKernel(1)
+	want := threeDue(ref, nil)
+	ref.Run()
+	ref.Close()
+
+	k := NewKernel(1)
+	got := threeDue(k, k.Stop)
+	k.Run()
+	if k.Now() != 5 || len(*got) != 3 { // Stop takes effect when l3 next parks
+		t.Fatalf("Stop: run returned at %v having logged %v", k.Now(), *got)
+	}
+	k.Run()
+	if !reflect.DeepEqual(*got, *want) {
+		t.Fatalf("run resumed after Stop logged\n %v, want\n %v", *got, *want)
+	}
+	k.Close()
+
+	k = NewKernel(1)
+	got = threeDue(k, nil)
+	k.RunUntil(7) // all three have woken and sleep past the limit
+	if k.Now() != 7 || len(*got) != 3 {
+		t.Fatalf("limit: run returned at %v having logged %v", k.Now(), *got)
+	}
+	k.Run()
+	if !reflect.DeepEqual(*got, *want) {
+		t.Fatalf("run resumed after the limit logged\n %v, want\n %v", *got, *want)
+	}
+	k.Close()
+}
+
+// A panic in a process surfaces from Run with its value, also from a process
+// spawned by a process that is parked.
+func TestPanicSurfacesFromAnyDepth(t *testing.T) {
+	for _, depth := range []int{1, 3} {
+		k := NewKernel(1)
+		chain(k, depth, func(level int, p *Proc) {
+			p.Sleep(Time(level))
+			if level == depth {
+				panic(fmt.Sprintf("boom at level %d", level))
+			}
+			p.Sleep(100)
+		})
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			k.Run()
+		}()
+		if want := fmt.Sprintf("boom at level %d", depth); got != want {
+			t.Fatalf("depth %d: Run surfaced %v, want %q", depth, got, want)
+		}
 	}
 }

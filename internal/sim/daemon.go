@@ -4,9 +4,9 @@ package sim
 // mid-way: a device driver, a dispatcher, a backend thread. It owns an
 // ordinary Proc — id, name, epoch, pending activations, so Blocked, ProcCount
 // and the tracer see it like any process — but no coroutine.
-// Every activation of the daemon runs step once, inline, on whatever stack
-// popped the activation (RunUntil's, or a parking process's: Kernel.dispatch),
-// so a wake-up costs a function call rather than two coroutine switches.
+// Every activation of the daemon runs step once, inline, on the dispatch
+// loop's stack (Kernel.dispatch), so a wake-up costs a function call rather
+// than two coroutine switches.
 //
 // step must not park. It ends by calling exactly one of WaitKick,
 // WaitKickTimeout, Sleep, Wait, WaitSignal or Exit and returning; the next

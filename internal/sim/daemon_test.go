@@ -238,56 +238,46 @@ func TestDaemonStepMustWaitExactlyOnce(t *testing.T) {
 	}
 }
 
-// A process that parks behind a daemon activation runs the step on its own
-// stack, and fires a timer ahead of it there too; Stop called from either
-// still hands control back to the driver before anything else runs — also
-// when the parking process stands three deep on the resume stack, where every
-// level below it has to yield in turn.
+// A daemon step and a timer run on RunUntil's stack, never inside a parking
+// process, and Stop called from either returns from the run before anything
+// else runs.
 func TestStopFromInlineDaemonStepReturnsToDriver(t *testing.T) {
 	for _, mode := range []string{"daemon", "timer"} {
-		for _, depth := range []int{1, 3} {
-			k := NewKernel(1)
-			inPark := false
-			stoppedAt := 0
-			otherRan := false
-			var finished Time = -1
-			stop := func() {
-				buf := make([]byte, 4096)
-				inPark = strings.Contains(string(buf[:runtime.Stack(buf, false)]), "(*Proc).park")
-				stoppedAt = resumeStackDepth(t, k)
-				k.Stop()
-			}
-			chain(k, depth, func(level int, p *Proc) {
-				if level < depth {
-					p.Sleep(20)
-					return
-				}
-				if mode == "timer" {
-					k.After(0, stop)
-				} else {
-					k.GoDaemon("d", func(d *Daemon) {
-						stop()
-						d.WaitKick()
-					})
-				}
-				k.Go("other", func(p *Proc) { otherRan = true })
-				p.Sleep(10)
-				finished = p.Now()
-			})
-			k.RunUntil(100)
-			requireStackUnwound(t, k)
-			if !inPark || stoppedAt != depth {
-				t.Fatalf("%s/%d: ran inside a parking process: %v, at depth %d", mode, depth, inPark, stoppedAt)
-			}
-			if otherRan || finished != -1 || k.Now() != 0 {
-				t.Fatalf("%s/%d: Stop did not return at once: otherRan=%v finished=%v now=%v", mode, depth, otherRan, finished, k.Now())
-			}
-			k.Run()
-			if !otherRan || finished != 10 {
-				t.Fatalf("%s/%d: resumed run: otherRan=%v finished=%v, want true 10", mode, depth, otherRan, finished)
-			}
-			k.Close()
+		k := NewKernel(1)
+		underRunUntil := false
+		otherRan := false
+		var finished Time = -1
+		stop := func() {
+			buf := make([]byte, 4096)
+			stack := string(buf[:runtime.Stack(buf, false)])
+			underRunUntil = strings.Contains(stack, "(*Kernel).RunUntil") && !strings.Contains(stack, "(*Proc).park")
+			k.Stop()
 		}
+		k.Go("parker", func(p *Proc) {
+			if mode == "timer" {
+				k.After(0, stop)
+			} else {
+				k.GoDaemon("d", func(d *Daemon) {
+					stop()
+					d.WaitKick()
+				})
+			}
+			k.Go("other", func(p *Proc) { otherRan = true })
+			p.Sleep(10)
+			finished = p.Now()
+		})
+		k.RunUntil(100)
+		if !underRunUntil {
+			t.Fatalf("%s: ran inside a parking process", mode)
+		}
+		if otherRan || finished != -1 || k.Now() != 0 {
+			t.Fatalf("%s: Stop did not return at once: otherRan=%v finished=%v now=%v", mode, otherRan, finished, k.Now())
+		}
+		k.Run()
+		if !otherRan || finished != 10 {
+			t.Fatalf("%s: resumed run: otherRan=%v finished=%v, want true 10", mode, otherRan, finished)
+		}
+		k.Close()
 	}
 }
 
@@ -333,8 +323,8 @@ func TestDaemonWaitEventAndSignal(t *testing.T) {
 	if !reflect.DeepEqual(steps, []Time{0, 7, 7, 9}) {
 		t.Fatalf("steps at %v, want [0 7 7 9]", steps)
 	}
-	if k.ProcCount() != 0 || k.Resumes() != 1 {
-		t.Fatalf("ProcCount=%d Resumes=%d, want 0 and 1: the driver's start, its sleeps taken on the spot", k.ProcCount(), k.Resumes())
+	if k.ProcCount() != 0 || k.Resumes() != 2 {
+		t.Fatalf("ProcCount=%d Resumes=%d, want 0 and 2: the driver's start and its wake-up at 8, its other sleeps taken on the spot", k.ProcCount(), k.Resumes())
 	}
 }
 

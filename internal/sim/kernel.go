@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"slices"
 	"sort"
@@ -39,20 +40,15 @@ const DefaultFFHorizon = Millisecond
 // whose wake-up would be the very next activation is not queued at all
 // (Proc.Sleep), nor is such a wake-up of a timer delivery's receiver (fire).
 //
-// There is one dispatch loop (dispatch), and whoever pops an activation runs it
-// from where it stands: RunUntil on the caller's goroutine, a parking process
-// on its own coroutine. A timer (After, AfterPut: an activation with no
-// process) fires there, a Daemon (a service loop that never blocks mid-body)
-// steps there, the process's own next wake-up is consumed with no switch at
-// all, and another process's wake-up resumes that process's coroutine right
-// there. The processes suspended mid-resume form a stack with RunUntil at the
-// bottom; a coroutine is only continued by yielding back into it, so when the
-// next wake-up belongs to a process lower on the stack, the levels above yield
-// in turn until it is on top. A round trip between two processes so costs two
-// coroutine switches, not a driver's four; DESIGN.md §12 has the invariants.
+// There is one dispatch loop (dispatch), run by RunUntil on the caller's
+// goroutine, and every activation runs on its stack: a timer (After,
+// AfterPut: an activation with no process) fires there, a Daemon (a service
+// loop that never blocks mid-body) steps there, and a process's wake-up
+// resumes that process's coroutine until it parks again and yields back.
+// DESIGN.md §12 has the rules.
 //
 // A Kernel is not safe for use from goroutines other than its own processes
-// and the single goroutine driving Run/RunUntil.
+// and the single goroutine that calls Run/RunUntil.
 type Kernel struct {
 	now        Time
 	seq        uint64
@@ -73,8 +69,8 @@ type Kernel struct {
 	// Fast-forward accounting: jumps of >= ffHorizon over known-quiet
 	// virtual time (see FastForwards). ffAt is the future instant whose jump
 	// frontDue has counted while the clock has yet to reach it (its
-	// activations so far were stale, or wait for a process lower on the
-	// stack); it means nothing once now has caught up.
+	// activations so far were stale); it means nothing once now has caught
+	// up.
 	ffHorizon Time
 	ffJumps   uint64
 	ffSkipped Time
@@ -90,11 +86,7 @@ type Kernel struct {
 	tslots []timerSlot
 	tfree  int32
 
-	// idle holds the coroutines finished and unwound processes left behind
-	// (proc.go): spawn reuses them, Reset keeps them, Close stops them.
-	// Every coroutine the kernel ever made is here, occupied by a process in
-	// procs, or — while unwinding is set — on its way from one to the other.
-	idle      []*coro
+	// unwinding is set while Reset or Close ends the live processes (unwind).
 	unwinding bool
 }
 
@@ -126,8 +118,8 @@ func NewKernel(seed int64) *Kernel {
 
 // Reset returns the kernel to the state NewKernel(seed) would produce while
 // keeping the event heap's, now-queue's, event pool's and timer slot table's
-// backing arrays and the idle process coroutines, so a worker that runs many
-// simulations back to back stops paying the ramp-up allocations of each run.
+// backing arrays, so a worker that runs many simulations back to back stops
+// paying the ramp-up allocations of each run.
 // A reset kernel is indistinguishable from a fresh one: the clock, sequence
 // counter, dispatch count, random stream and process table all start over,
 // and the (time, sequence) dispatch order of the next run is bit-exact with
@@ -165,10 +157,10 @@ func (k *Kernel) Reset(seed int64) {
 	k.tfree = -1
 }
 
-// unwind ends every live process, so that the process table is empty and all
-// the kernel's coroutines are idle. A daemon owns no coroutine and simply
+// unwind ends every live process, so that the process table is empty and no
+// coroutine of the kernel's is left. A daemon owns no coroutine and simply
 // exits. The others go in id order: one parked mid-body is resumed into a
-// panic that runs the body's defers and nothing else of it (park, coro.body),
+// panic that runs the body's defers and nothing else of it (park, Proc.body),
 // one that never started has its body skipped. No activation is dispatched
 // meanwhile — a park reached from a defer panics too — so what the defers can
 // do is what a timer callback can: fire, notify, unlock, spawn (a process
@@ -202,19 +194,10 @@ func (k *Kernel) unwind(caller string) {
 	}
 }
 
-// Close ends the live processes (unwind) and then stops every coroutine —
-// goroutines the garbage collector cannot reclaim, so whoever created a
-// kernel calls Close when dropping it. An idle coroutine is suspended between
-// two processes and stopping it runs no model code. The kernel remains
-// usable: the next Go builds coroutines again.
-func (k *Kernel) Close() {
-	k.unwind("Close")
-	for i, c := range k.idle {
-		c.stop()
-		k.idle[i] = nil
-	}
-	k.idle = k.idle[:0]
-}
+// Close ends the live processes (unwind). A process parked when a run
+// returned holds a goroutine the garbage collector cannot reclaim, so whoever
+// created a kernel calls Close when dropping it. The kernel remains usable.
+func (k *Kernel) Close() { k.unwind("Close") }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -284,9 +267,9 @@ func (k *Kernel) GoNamed(nameFn func() string, fn func(p *Proc)) *Proc {
 	return k.spawn("", nameFn, fn)
 }
 
-// spawn creates the process on an idle coroutine, or on a new one when none is
-// idle. The body runs on first resume; control returns to the resumer
-// whenever the process parks.
+// spawn creates the process on a coroutine of its own. The body runs on
+// first resume; control returns to the resumer whenever the process parks,
+// and the coroutine ends when the body returns or is unwound.
 func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Proc {
 	k.nextID++
 	p := &Proc{
@@ -296,12 +279,7 @@ func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Pro
 		nameFn: nameFn,
 	}
 	k.procs[p] = struct{}{}
-	c := k.takeIdle()
-	if c == nil {
-		c = newCoro()
-	}
-	c.p, c.fn = p, fn
-	p.resume = c.resume
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) { p.run(fn, yield) })
 	k.schedule(p, k.now, wakeStart)
 	return p
 }
@@ -347,8 +325,8 @@ func (k *Kernel) place(at Time, p *Proc, epoch uint64, tag int32) {
 // next only once the ring is empty, and the interval between is then a
 // quiescent gap the clock is about to jump over wholesale: it is counted when
 // the root is first seen, which is not always when the clock moves (a stale
-// root is dropped without moving it, one for a process lower on the stack is
-// seen again from there), so ffAt remembers the instant until the queue empties.
+// root is dropped without moving it), so ffAt remembers the instant until the
+// queue empties.
 func (k *Kernel) frontDue() (*activation, bool) {
 	if k.future.len() > 0 {
 		if a := k.future.root(); a.at == k.now || k.nowQ.Len() == 0 {
@@ -389,19 +367,16 @@ func (k *Kernel) pop(inHeap bool) {
 	}
 }
 
-// dispatch takes activations in (time, sequence) order and runs each from where
-// the caller stands — p parking, or RunUntil (nil): a timer fires, a daemon
-// steps, another process's wake-up resumes its coroutine from this stack with
-// p marked as driving. A delivery whose receiver's wake-up is provably next is
-// followed by that receiver at once (Kernel.fire). It returns true once it has
-// consumed p's own wake-up, and false when nothing may run from here: Stop,
-// nothing due by the limit, or the front wake-up (left queued) is for a process
-// driving below p: p yields.
-func (k *Kernel) dispatch(p *Proc) bool {
+// dispatch takes activations in (time, sequence) order and runs each on the
+// caller's stack — RunUntil's: a timer fires, a daemon steps, a process's
+// wake-up resumes its coroutine until it yields back. A delivery whose
+// receiver's wake-up is provably next is followed by that receiver at once
+// (Kernel.fire). It returns on Stop, or when nothing is due by the limit.
+func (k *Kernel) dispatch() {
 	for !k.stopped {
 		a, inHeap := k.frontDue()
 		if a == nil {
-			break
+			return
 		}
 		q := a.proc
 		if q == nil {
@@ -414,8 +389,6 @@ func (k *Kernel) dispatch(p *Proc) bool {
 			k.pop(inHeap)
 			q.pending-- // stale wakeup from an earlier park
 			continue
-		} else if q.driving {
-			break
 		} else {
 			q.pending--
 			k.now = a.at
@@ -424,23 +397,13 @@ func (k *Kernel) dispatch(p *Proc) bool {
 		}
 		k.dispatched++
 		k.running = q
-		switch {
-		case q == p:
-			return true
-		case q.daemon != nil:
+		if q.daemon != nil {
 			q.daemon.run()
-		default:
-			if p != nil {
-				p.driving = true
-			}
+		} else {
 			k.resumes++
 			q.resume()
-			if p != nil {
-				p.driving = false
-			}
 		}
 	}
-	return false
 }
 
 // Run executes activations until none remain or Stop is called. It returns
@@ -456,7 +419,7 @@ func (k *Kernel) RunUntil(limit Time) int {
 	k.stopped = false
 	k.limit = limit
 	start := k.dispatched
-	k.dispatch(nil)
+	k.dispatch()
 	k.running = nil
 	if !k.stopped && (k.future.len() > 0 || k.nowQ.Len() > 0) && k.now < limit {
 		// The head activation is beyond the limit: the interval up to the
@@ -487,15 +450,20 @@ func (k *Kernel) NextEventTime() (Time, bool) {
 
 // Blocked returns the names of processes that are alive but have no pending
 // activation — i.e. processes waiting on events that can no longer fire.
-// Useful in tests to assert clean termination. The names are sorted so
-// diagnostics never leak map-iteration order (stringscheck maporder parity).
+// Useful in tests to assert clean termination. The processes are named in id
+// order and the names returned sorted, so diagnostics never leak
+// map-iteration order (stringscheck maporder parity).
 func (k *Kernel) Blocked() []string {
-	var names []string
-	//lint:allow maporder -- p.Name() is a pure accessor and names are sorted below
+	var blocked []*Proc
 	for p := range k.procs {
 		if !p.done && p.pending == 0 && p.parked {
-			names = append(names, p.Name())
+			blocked = append(blocked, p)
 		}
+	}
+	slices.SortFunc(blocked, func(a, b *Proc) int { return a.id - b.id })
+	names := make([]string, len(blocked))
+	for i, p := range blocked {
+		names[i] = p.Name()
 	}
 	sort.Strings(names)
 	return names

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"iter"
-)
+import "fmt"
 
 // Proc is a simulated process: a coroutine cooperatively scheduled by a
 // Kernel. All Proc methods must be called from the process's own function;
@@ -16,9 +13,9 @@ type Proc struct {
 	nameFn func() string // lazy name, formatted on first use (GoNamed)
 
 	// resume switches into the process's coroutine (the caller's side of
-	// iter.Pull, called by Kernel.dispatch); yield switches back out to that
-	// caller (called by park). Both belong to the coro the process occupies.
-	// A daemon's process has neither: its activations run daemon.run instead.
+	// iter.Pull, called by Kernel.dispatch and Kernel.unwind); yield switches
+	// back out to that caller (called by park). A daemon's process has
+	// neither: its activations run daemon.run instead.
 	resume func() (struct{}, bool)
 	yield  func(struct{}) bool
 	daemon *Daemon
@@ -27,70 +24,28 @@ type Proc struct {
 	pending int    // number of queued activations
 	parked  bool
 	done    bool
-	driving bool // inside park, suspended in the resume() of another process
 	wakeTag int32
 }
 
-// coro is a coroutine that runs one process after another. A process whose
-// function returns — or is unwound by Reset or Close — leaves the coroutine
-// suspended on the kernel's idle list with its stack grown and its iter.Pull
-// plumbing built, and the next spawn moves in; a request-per-process model
-// would otherwise pay for both on every request. The fresh Proc per occupant
-// is what keeps them apart: activations left over from the previous occupant
-// name a Proc that is done.
-type coro struct {
-	resume func() (struct{}, bool)
-	stop   func()
-	p      *Proc // the occupant, nil while idle
-	fn     func(p *Proc)
-}
-
-func newCoro() *coro {
-	c := &coro{}
-	c.resume, c.stop = iter.Pull(c.run)
-	return c
-}
-
-// takeIdle removes and returns an idle coroutine, or nil if there is none.
-func (k *Kernel) takeIdle() *coro {
-	n := len(k.idle)
-	if n == 0 {
-		return nil
-	}
-	c := k.idle[n-1]
-	k.idle[n-1] = nil
-	k.idle = k.idle[:n-1]
-	return c
-}
-
 // unwound is what park panics with while the kernel unwinds its processes
-// (Kernel.unwind); coro.body alone recovers it.
+// (Kernel.unwind); body alone recovers it.
 type unwound struct{}
 
-// run is the coroutine body: the occupant's function, then the idle list
-// until spawn installs the next occupant and its start activation resumes
-// the coroutine, or Close stops it (the yield returns false).
-func (c *coro) run(yield func(struct{}) bool) {
-	for {
-		p, k := c.p, c.p.k
-		p.yield = yield
-		p.epoch++
-		c.body(p)
-		p.done = true
-		delete(k.procs, p)
-		c.p, c.fn = nil, nil
-		k.idle = append(k.idle, c) // free-list growth is amortized, bounded by peak live processes
-		if !yield(struct{}{}) {
-			return
-		}
-	}
+// run is the body of the process's coroutine: the process's function, after
+// which the process leaves the table and the coroutine ends.
+func (p *Proc) run(fn func(p *Proc), yield func(struct{}) bool) {
+	p.yield = yield
+	p.epoch++
+	p.body(fn)
+	p.done = true
+	delete(p.k.procs, p)
 }
 
-// body runs the occupant's function. While the kernel unwinds, a process that
+// body runs the process's function. While the kernel unwinds, a process that
 // never started is skipped, and the panic a started one's park raises ends
 // here once the function's defers have run; any other panic goes on to
 // whoever resumed the coroutine.
-func (c *coro) body(p *Proc) {
+func (p *Proc) body(fn func(p *Proc)) {
 	k := p.k
 	if k.unwinding {
 		return
@@ -104,7 +59,7 @@ func (c *coro) body(p *Proc) {
 			}
 		}
 	}()
-	c.fn(p)
+	fn(p)
 }
 
 // Name returns the process name given to Kernel.Go, formatting it on first
@@ -123,23 +78,19 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// park blocks until this process's next wakeup. It runs the dispatch loop
-// from where it stands and continues with no coroutine switch if its own
-// wake-up comes up; only when nothing may run from here (Kernel.dispatch) does
-// it yield to whoever resumed it, to be resumed by whoever pops its wake-up —
-// or by Kernel.unwind, which it answers by panicking out of the body; so does
-// a park that one of the body's defers reaches on the way out.
+// park blocks until this process's next wakeup: it yields to RunUntil's
+// dispatch loop, which resumes it when it pops that wake-up — or to
+// Kernel.unwind, which it answers by panicking out of the body; so does a park
+// that one of the body's defers reaches on the way out.
 func (p *Proc) park() {
 	k := p.k
 	if k.unwinding {
 		panic(unwound{})
 	}
 	p.parked = true
-	if !k.dispatch(p) {
-		p.yield(struct{}{})
-		if k.unwinding {
-			panic(unwound{})
-		}
+	p.yield(struct{}{})
+	if k.unwinding {
+		panic(unwound{})
 	}
 	p.parked = false
 	p.epoch++

@@ -49,10 +49,9 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 
 	reused := NewKernel(7)
 	// Pollute: a different workload, different seed, left unfinished by a
-	// horizon so parked processes, pending activations, an armed timer, the
-	// idle coroutines of finished processes and a resume stack that was three
-	// deep when the horizon fell survive the run — and the three, unwound by
-	// Reset, fire an event and pass on a mutex that others wait for.
+	// horizon so parked processes, pending activations and an armed timer
+	// survive the run — and a chain of three, unwound by Reset, fires an
+	// event and passes on a mutex that others wait for.
 	reused.Go("polluter", func(p *Proc) {
 		for i := 0; i < 50; i++ {
 			reused.Go("short", func(p *Proc) { p.Sleep(5) })
@@ -71,7 +70,6 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 			t.Error("a process handed a mutex by an unwinding defer ran")
 		})
 	})
-	deepest := 0
 	chain(reused, 3, func(level int, p *Proc) {
 		switch level {
 		case 2:
@@ -80,18 +78,13 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 			held.Lock(p)
 			defer held.Unlock()
 		}
-		p.Sleep(Time(200 - level)) // l3 wakes first, on top of l1 and l2
-		deepest = max(deepest, resumeStackDepth(t, reused))
+		p.Sleep(Time(200 - level))
 		p.Sleep(300)
 		t.Error("a process parked before Reset ran after it")
 	})
 	reused.RunUntil(200)
-	requireStackUnwound(t, reused)
-	if deepest < 3 {
-		t.Fatalf("polluter chain ran %d deep, want at least 3", deepest)
-	}
-	if reused.Dispatched() == 0 || len(reused.idle) == 0 {
-		t.Fatalf("polluter run dispatched %d events and left %d idle coroutines", reused.Dispatched(), len(reused.idle))
+	if reused.Dispatched() == 0 || reused.ProcCount() < 5 {
+		t.Fatalf("polluter run dispatched %d events and left %d processes", reused.Dispatched(), reused.ProcCount())
 	}
 
 	reused.Reset(42)
@@ -102,12 +95,8 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 		t.Errorf("reset kernel diverged from fresh kernel:\nfresh: %v\nreused: %v", fresh, got)
 	}
 
-	// A second reuse of the same kernel must reproduce it again, this time
-	// with every process on a recycled coroutine.
+	// A second reuse of the same kernel must reproduce it again.
 	reused.Reset(42)
-	if len(reused.idle) < 3 {
-		t.Fatalf("Reset kept %d idle coroutines, want the workload's 3", len(reused.idle))
-	}
 	if got := resetWorkload(reused); !reflect.DeepEqual(got, fresh) {
 		t.Errorf("second reuse diverged from fresh kernel:\nfresh: %v\nreused: %v", fresh, got)
 	}

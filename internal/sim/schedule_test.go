@@ -143,8 +143,8 @@ func TestActHeapAgainstContainerHeap(t *testing.T) {
 // A program is a handful of processes and daemons over two signals, two
 // events, two queues and the timers, and a driver that runs the kernel in
 // slices. AfterPut deliveries find their receivers parked in Get, in
-// GetTimeout with the timeout pending, in a daemon's Take, driving lower on
-// the stack, or not there at all, with same-instant competitors queued or not:
+// GetTimeout with the timeout pending, in a daemon's Take, or not there at
+// all, with same-instant competitors queued or not:
 // the cases the kernel runs a receiver in place of its wake-up, and those it
 // must not.
 const (
@@ -711,8 +711,8 @@ func TestKernelScheduleMatchesOneQueue(t *testing.T) {
 // FuzzKernelSchedule is the same check on the fuzzer's programs.
 func FuzzKernelSchedule(f *testing.F) {
 	// One process, one Sleep(0). testdata/fuzz holds a full-sized program, and
-	// seed-fold, whose deliveries wake a daemon in Take, a process in GetTimeout
-	// and one driving lower on the stack.
+	// seed-fold, whose deliveries wake a daemon in Take and a process in
+	// GetTimeout.
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k := NewKernel(1)

@@ -11,8 +11,8 @@ type timerSlot struct {
 	next int32
 }
 
-// After schedules fn to run at now+d, on the stack of whoever pops the
-// timer's activation: RunUntil's, or a parking process's (Kernel.dispatch).
+// After schedules fn to run at now+d, on the stack of RunUntil's dispatch
+// loop (Kernel.dispatch).
 // Callbacks must not block (they may Put into queues, fire events, notify
 // signals — anything non-parking). A timer is ordered like any activation,
 // by (deadline, registration sequence), so timers due at the same instant
@@ -51,7 +51,7 @@ func (k *Kernel) armTimer(d Time) *timerSlot {
 // popped it, so the limit and Stop hold — and vacates the slot first, so a
 // callback that arms a timer may reuse it. A receiver whose wake-up would be
 // the very next activation taken (Proc.Sleep's argument: nothing in the ring,
-// no heap root at this instant, the receiver not driving below) is not queued:
+// no heap root at this instant) is not queued:
 // fire stamps it the sequence number the wake-up would have taken and returns
 // it for dispatch to run in place. Otherwise it returns nil.
 func (k *Kernel) fire(at Time, i int32) *Proc {
@@ -71,7 +71,7 @@ func (k *Kernel) fire(at Time, i int32) *Proc {
 		return nil
 	}
 	r := w.Pop()
-	if k.nowQ.Len() > 0 || r.driving || r.done ||
+	if k.nowQ.Len() > 0 || r.done ||
 		(k.future.len() > 0 && k.future.root().at == at) {
 		k.schedule(r, at, wakeEvent)
 		return nil

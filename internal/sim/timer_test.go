@@ -328,22 +328,20 @@ type scriptResult struct {
 }
 
 // scriptCoverage counts the cases the script is there to produce, so a
-// change to the generator cannot quietly stop covering them. maxDepth is the
-// deepest resume stack a script step ran on.
+// change to the generator cannot quietly stop covering them.
 type scriptCoverage struct {
-	zeroDelay, sameInstant, reentrant, parkedGet, spawned, maxDepth int
+	zeroDelay, sameInstant, reentrant, parkedGet, spawned int
 }
 
 // scriptMode selects how the script is run: its timers through the kernel or
 // through the coroutine reference, and the kernel driven by one Run or by
-// RunUntil in 1-tick windows, each of which ends with the resume stack
-// unwound to the driver.
+// RunUntil in 1-tick windows.
 type scriptMode struct {
 	reference, windowed bool
 }
 
 // scriptTrace is the run as the dispatch loop saw it, which the timer
-// contract leaves open and the resume-stack tests (handoff_test.go) pin: every
+// contract leaves open and TestWindowedRunLeavesScheduleAlone pins: every
 // step, delivery and exit in the order it ran, and the kernel's counters.
 type scriptTrace struct {
 	Log     []string
@@ -465,9 +463,6 @@ func runTimerScript(t *testing.T, seed int64, mode scriptMode) (scriptResult, sc
 			for s := 0; s < steps; s++ {
 				res.Steps[i] = append(res.Steps[i], p.Now())
 				p.Tracef("step %d", s)
-				if d := resumeStackDepth(t, k); d > cov.maxDepth {
-					cov.maxDepth = d
-				}
 				switch rng.Intn(6) {
 				case 0:
 					p.Sleep(Time(rng.Intn(4)))
@@ -501,11 +496,9 @@ func runTimerScript(t *testing.T, seed int64, mode scriptMode) (scriptResult, sc
 	if mode.windowed {
 		for _, ok := k.NextEventTime(); ok; _, ok = k.NextEventTime() {
 			k.RunUntil(k.Now() + 1)
-			requireStackUnwound(t, k)
 		}
 	} else {
 		k.Run()
-		requireStackUnwound(t, k)
 	}
 	trace.Events, trace.Timers, trace.Resumes = k.Dispatched(), uint64(len(regs)), k.Resumes()
 	sort.Slice(res.Callbacks, func(a, b int) bool {
