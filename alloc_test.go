@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/sim"
@@ -121,36 +122,61 @@ func TestAllocBudgetPerEvent(t *testing.T) {
 
 // TestAllocBudgetPerRequest is the same budget in the unit the paper's load
 // comes in: one application instance per request, so a frontend thread, a
-// backend thread and some twenty marshalled calls each. On the repo benchmark's
-// node_mega shape (one 2-GPU Strings node, GMin, a sparse Gaussian stream) a
-// request costs 3.13 allocations once the pools are warm, the same figure in
-// every run: 10.15 while every frontend was a coroutine with its own App,
-// interposer, process and two closures, 23.13 while every request built its
-// backend session, connection and packer lane afresh, 23.17 while the backend thread was a coroutine and
-// an accept loop queued its connection, 63 while every process built its own
-// coroutine, 39
-// while every connection warmed a frame pool of its own, 35 while a connection
-// was five objects, every application got a multi-thread session and the last
-// call's frames were dropped, and 26 while a signal's first waiter grew a ring
-// of eight. The ceiling is the reading rounded up to the next half, so one more
-// allocation a request fails it: nothing static checks allocation, this test
-// and its three siblings are the only gate the request path has (DESIGN.md
-// §13).
+// backend thread and some twenty marshalled calls each. A request allocates
+// nothing once the pools are warm — sessions with their RCB entries,
+// frontends, connections, lanes, frames with their reports and mapper
+// messages are all reused — so what the shapes read is construction spread
+// over the requests: the repo benchmark's node_mega shape (one 2-GPU Strings
+// node, GMin, a sparse Gaussian stream) and its cluster_bursty shape
+// (cluster.Run over the bursty spec, three supernodes, a 60 s horizon). Each
+// budget is the reading rounded up to the next tenth, so one more allocation
+// a request fails it: nothing static checks allocation, this test and its
+// siblings are the only gate the request path has (DESIGN.md §13). The shapes
+// read 3.13 and 6.19 while the RCB entry, its signal, the report and the
+// relayed mapper messages were allocated per request.
 func TestAllocBudgetPerRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget measurement skipped in -short mode")
 	}
-	const (
-		requests = 4000
-		budget   = 3.5 // measured 3.13
-	)
-	runMega(t, 1, 200)
-	allocs := minMallocs(1, func() { runMega(t, 2, requests) })
-	perRequest := float64(allocs) / requests
-	t.Logf("%.2f allocs/request over %d requests, construction included (budget %.1f)", perRequest, requests, budget)
-	if perRequest > budget {
-		t.Fatalf("alloc budget exceeded: %.2f allocs/request > %.1f", perRequest, budget)
+	for _, shape := range []struct {
+		name   string
+		run    func(seed int64) (requests int)
+		budget float64
+	}{
+		{"node_mega", func(seed int64) int { runMega(t, seed, 16000); return 16000 }, 0.1},         // measured 0.04
+		{"cluster_bursty", func(seed int64) int { return runBursty(t, seed, 60*sim.Second) }, 0.6}, // measured 0.52
+	} {
+		shape.run(1)
+		var requests int
+		allocs := minMallocs(1, func() { requests = shape.run(2) })
+		perRequest := float64(allocs) / float64(requests)
+		t.Logf("%s: %.3f allocs/request over %d requests, construction included (budget %.1f)", shape.name, perRequest, requests, shape.budget)
+		if perRequest > shape.budget {
+			t.Errorf("%s: alloc budget exceeded: %.3f allocs/request > %.1f", shape.name, perRequest, shape.budget)
+		}
 	}
+}
+
+// runBursty runs the repo benchmark's cluster_bursty shape over horizon on one
+// worker and returns the requests its placed tenants submitted.
+func runBursty(t *testing.T, seed int64, horizon sim.Time) int {
+	t.Helper()
+	spec, err := workload.ParseOpenArrivalSpec(
+		"bursty:rate=0.6,horizon=1s,kind=GA,life=80s,lambda=800ms,bigevery=8,bigslots=4,burst=8,spread=2s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Horizon = horizon
+	node := core.NodeConfig{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}}
+	sn := cluster.Supernode{Nodes: []core.NodeConfig{node, node}}
+	res, err := cluster.Run(cluster.Config{
+		Seed: seed, Supernodes: []cluster.Supernode{sn, sn, sn}, Policy: cluster.PolicyLeastLoaded,
+		ParkCapacity: 1 << 20, Arrivals: spec, Workers: 1,
+	})
+	if err != nil || res.Finished != res.Requests {
+		t.Fatalf("bursty cluster run: %v, finished %d of %d", err, res.Finished, res.Requests)
+	}
+	return res.Requests
 }
 
 // TestAllocBudgetContendedCell is the budget where the device scheduler's
@@ -159,18 +185,12 @@ func TestAllocBudgetPerRequest(t *testing.T) {
 // saturating one GPU under TFS-Strings through the fixed contention window,
 // where the Dispatcher turns over a few dozen entries every 5 ms epoch) and
 // two Fig 12-shaped cells (the pair on the four-GPU supernode under GWtMin
-// with PS and with LAS), construction included. A turn allocates nothing, so
-// a request costs 32.38 and 34.46 allocations here — streams, arrival
-// closures, a cluster built for a dozen requests and its processes unwound on
-// Close — and each budget is the reading before the mapper became a daemon,
-// 32.69 and 35.62, rounded up to the next half (48.75
-// and 44.15 while every frontend was a coroutine, 50.69 and 55.38 before
-// sessions, connections and lanes were reused, 64.06 and 66.31 while
-// each backend thread built a coroutine, 70.42 and 73.38 before the first
-// waiter of a signal, event or mutex lived inline). With
-// policies that rebuilt maps and slices and called sort.Slice every turn the
-// same cells cost 2 668, 12 857 and 8 587 allocations a request: 41, 188 and
-// 125 times these budgets.
+// with PS and with LAS), construction included. Neither a turn nor a request
+// allocates, so what a request costs here — streams, arrival closures, a
+// cluster built for a dozen requests and its processes unwound on Close — is
+// construction, and each budget is the reading rounded up to the next half.
+// The cells read 32.38 and 34.46 while every request allocated its RCB entry,
+// signal and report.
 func TestAllocBudgetContendedCell(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget measurement skipped in -short mode")
@@ -186,24 +206,25 @@ func TestAllocBudgetContendedCell(t *testing.T) {
 		// A cell is a dozen to four dozen requests, so the runtime's own
 		// allocations move a single reading by up to 0.8 a request (0.1 on
 		// one P): the same seed five times, and the least.
-		var requests int
-		allocs := minMallocs(5, func() { requests, _ = cell.run(t, 2) })
-		perRequest := float64(allocs) / float64(requests)
-		t.Logf("%s: %.2f allocs/request over %d requests, construction included (budget %.1f)", cell.name, perRequest, requests, cell.budget)
+		var res cellResult
+		allocs := minMallocs(5, func() { res = cell.run(t, 2) })
+		perRequest := float64(allocs) / float64(res.launched)
+		t.Logf("%s: %.2f allocs/request over %d requests, construction included (budget %.1f)", cell.name, perRequest, res.launched, cell.budget)
 		if perRequest > cell.budget {
 			t.Errorf("%s: alloc budget exceeded: %.2f allocs/request > %.1f", cell.name, perRequest, cell.budget)
 		}
 	}
 }
 
-// contendedCell is one of the figure-shaped cells TestAllocBudgetContendedCell
-// and TestResumeBudgetPerRequest run through core.
+// contendedCell is one of the figure-shaped cells TestAllocBudgetContendedCell,
+// TestResumeBudgetPerRequest and TestQueueBudgetPerRequest run through core.
 type contendedCell struct {
-	name    string
-	cfg     core.Config
-	streams []workload.StreamSpec
-	horizon sim.Time // 0 = run to completion
-	budget  float64  // allocations a request
+	name       string
+	cfg        core.Config
+	streams    []workload.StreamSpec
+	horizon    sim.Time // 0 = run to completion
+	budget     float64  // allocations a request
+	dispatches float64  // kernel dispatches a request
 }
 
 // contendedCells returns a Fig 11-shaped cell and two Fig 12-shaped ones.
@@ -223,15 +244,20 @@ func contendedCells() []contendedCell {
 		{Kind: pair.Short, Count: 8, LambdaFactor: 0.6, Node: 1, Tenant: 2, Weight: 1},
 	}
 	return []contendedCell{
-		{"fig11/TFS-Strings", core.Config{Nodes: oneGPU, Mode: core.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * sim.Second, 33.0},
-		{"fig12/GWtMinPS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 36.0},
-		{"fig12/GWtMinLAS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 36.0},
+		{"fig11/TFS-Strings", core.Config{Nodes: oneGPU, Mode: core.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * sim.Second, 30.5, 170.0},
+		{"fig12/GWtMinPS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 29.0, 565.0},
+		{"fig12/GWtMinLAS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 29.0, 565.0},
 	}
 }
 
-// run runs the cell at seed on a fresh cluster and returns the applications
-// launched and the coroutine resumes the run took.
-func (cell contendedCell) run(t *testing.T, seed int64) (launched int, resumes uint64) {
+// cellResult is what a cell's run reads off the cluster.
+type cellResult struct {
+	launched            int
+	resumes, dispatched uint64
+}
+
+// run runs the cell at seed on a fresh cluster.
+func (cell contendedCell) run(t *testing.T, seed int64) cellResult {
 	t.Helper()
 	cell.cfg.Seed = seed
 	c, err := core.New(cell.cfg)
@@ -248,28 +274,25 @@ func (cell contendedCell) run(t *testing.T, seed int64) (launched int, resumes u
 	if err != nil || len(r.Errors) > 0 {
 		t.Fatalf("%s: %v %v", cell.name, err, r.Errors)
 	}
-	return r.Launched, c.Resumes()
+	return cellResult{r.Launched, c.Resumes(), c.Dispatched()}
 }
 
 // TestAllocBudgetShardedRequest is the budget where a request's GPU is as
 // often as not on another kernel: the repo benchmark's fleet_sharded shape
 // (runFleet), where about 45 % of the requests are served across a mailbox. A
 // cross-kernel message is a value, a frame is recycled by whichever kernel
-// consumes it and a window neither sorts nor allocates, so such a request
-// costs 11.47 allocations here (10.40 over the benchmark's longer pass), eight
-// more than node_mega's: a cross-kernel connection is not reused. The budget
-// is that rounded up to the next half (18.95 while every frontend was a
-// coroutine, 30.16 before sessions, same-kernel connections and lanes were
-// reused, 30.75 while the backend thread was a coroutine, 33.76 before a first
-// waiter lived inline). While every message was a closure, cross-kernel conns
-// dropped their frames and each window sorted its lists, the same run cost 118.
+// consumes it and a window neither sorts nor allocates, so what a request
+// costs here, 4.72 allocations, is nearly all the cross-kernel connection,
+// which is not reused. The budget is that rounded up to the next half. The
+// shape read 11.47 while the RCB entry, its signal, the report and the relayed
+// mapper messages were allocated per request.
 func TestAllocBudgetShardedRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget measurement skipped in -short mode")
 	}
 	const (
 		requests = 4000
-		budget   = 11.5 // measured 11.47
+		budget   = 5.0 // measured 4.72
 	)
 	runFleet(t, 1, 200)
 	var fleet fleetResult
@@ -342,24 +365,24 @@ func TestResumeBudgetPerRequest(t *testing.T) {
 	check("node_mega", runMega(t, 1, requests).Resumes, requests)
 	check("fleet_sharded", runFleet(t, 1, requests).Resumes, requests)
 	for _, cell := range contendedCells() {
-		launched, resumes := cell.run(t, 2)
-		check(cell.name, resumes, launched)
+		res := cell.run(t, 2)
+		check(cell.name, res.resumes, res.launched)
 	}
 }
 
 // TestQueueBudgetPerRequest is the queue budget in the same unit: how many of
 // a request's activations are stored in the kernel's heap or ring before they
-// are dispatched (Kernel.Queued). On the node_mega shape a request is 202
-// dispatches; it queued 219 activations (the difference is stale timeouts)
-// while every sleep pushed its own wake-up, 183.27 once a sleep whose wake-up
-// is provably next took it on the spot, 182.27 once no accept loop woke up for
-// the connection, 141.34 once a link delivery whose receiver is provably next
-// ran the receiver in place of its wake-up, and queues 125.25 now that a kick
-// takes the GPU driver's deadline out of the queue instead of leaving it to go
-// by stale (16 a request). The count repeats exactly, and the ceiling is the
-// reading rounded up to the next half, so a change that sends those sleeps or
-// wake-ups — the backend thread's included — back through the heap, or leaves
-// kicked deadlines queued, fails here before it shows as a slower benchmark.
+// are dispatched (Kernel.Queued). On the node_mega shape that is 125.25 a
+// request, 219 while every sleep, delivery wake-up and kicked deadline went
+// through the heap. The count repeats exactly, and the ceiling is the reading
+// rounded up to the next half, so a change that sends provably-next sleeps or
+// delivery wake-ups — the backend thread's included — back through the heap,
+// or leaves kicked deadlines queued, fails here before it shows as a slower
+// benchmark. On the contended cells it bounds what the kernel dispatches a
+// launched application (Kernel.Dispatched): a quiet Dispatcher's epoch
+// deadline moves instead of stepping (Daemon.SetIdle), so a change that
+// dispatches quiet turns again fails under the cell's name. The cells read
+// 279.6 and 4 722 while every turn was dispatched.
 func TestQueueBudgetPerRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("queue budget measurement skipped in -short mode")
@@ -372,7 +395,15 @@ func TestQueueBudgetPerRequest(t *testing.T) {
 	perRequest := float64(res.Queued) / requests
 	t.Logf("%d queued activations = %.2f a request over %d events (budget %.1f)", res.Queued, perRequest, res.Events, budget)
 	if perRequest > budget {
-		t.Fatalf("queue budget exceeded: %.2f queued activations/request > %.1f", perRequest, budget)
+		t.Errorf("queue budget exceeded: %.2f queued activations/request > %.1f", perRequest, budget)
+	}
+	for _, cell := range contendedCells() {
+		res := cell.run(t, 2)
+		perApp := float64(res.dispatched) / float64(res.launched)
+		t.Logf("%s: %d dispatches = %.1f an application (budget %.1f)", cell.name, res.dispatched, perApp, cell.dispatches)
+		if perApp > cell.dispatches {
+			t.Errorf("%s: dispatch budget exceeded: %.1f dispatches/application > %.1f", cell.name, perApp, cell.dispatches)
+		}
 	}
 }
 

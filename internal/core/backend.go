@@ -96,6 +96,10 @@ type session struct {
 	stepFn    func(*sim.Daemon)
 	backlogFn func() int
 
+	// rcb is the application's RCB entry, which the session owns and the
+	// device scheduler lists from Register to Unregister.
+	rcb devsched.Entry
+
 	serving
 }
 
@@ -105,7 +109,7 @@ type serving struct {
 	n     int // the number in its name (bt-gid-n, rain-gid-n)
 	ep    rpcproto.Endpoint
 	pool  *rpcproto.Pool
-	entry *devsched.Entry // nil until the handshake registers the application
+	entry *devsched.Entry // &rcb once the handshake registers the application, nil before
 	port  appPort
 	held  int
 
@@ -185,7 +189,8 @@ func (s *session) step(d *sim.Daemon) {
 				// application, its lane opens, and the reply goes back.
 				first := s.call
 				s.pool = s.ep.Pool()
-				s.entry = sched.Register(int(first.AppID), first.TenantID, int(first.Weight), first.KernelName, s.backlogFn)
+				s.entry = &s.rcb
+				sched.Register(s.entry, int(first.AppID), first.TenantID, int(first.Weight), first.KernelName, s.backlogFn)
 				port, err := c.openApp(nil, gid, first, s.pool)
 				s.port = port
 				s.reply = s.pool.GetReply()
@@ -199,7 +204,7 @@ func (s *session) step(d *sim.Daemon) {
 
 		case turn:
 			if devsched.GatesOnDispatch(s.call.ID) && !sched.Turn(s.entry) {
-				d.WaitSignal(s.entry.Wake)
+				d.WaitSignal(&s.entry.Wake)
 				return
 			}
 			s.t0, s.at = d.Now(), executing
@@ -226,12 +231,12 @@ func (s *session) step(d *sim.Daemon) {
 				// with the daemon.
 				s.drop()
 				if exit {
-					sched.Unregister(s.entry)
+					sched.Unregister(s.entry, nil)
 					s.exit(d)
 					return
 				}
 			case exit:
-				s.reply.Feedback = sched.Unregister(s.entry)
+				sched.Unregister(s.entry, s.reply.AttachFeedback())
 				s.send(0, true)
 			case !s.call.NonBlocking:
 				// Blocking round trip: the frontend owns both frames now and
@@ -250,7 +255,7 @@ func (s *session) step(d *sim.Daemon) {
 			s.ep.Post(s.reply)
 			if s.last {
 				if s.entry != nil && s.call.ID == cuda.CallSetDevice {
-					sched.Unregister(s.entry) // the lane never opened
+					sched.Unregister(s.entry, nil) // the lane never opened
 				}
 				// The last message either side sends: the connection goes back
 				// for reuse once the frontend has read it too.

@@ -156,8 +156,8 @@ type Cluster struct {
 	cfg Config
 
 	mapper  *balancer.Mapper
-	mapQ    *sim.Queue[mapperMsg]
-	devices []*gpu.Device // indexed by GID
+	mapQ    *sim.Queue[any] // *mapperMsg, from the pool mapFree
+	devices []*gpu.Device   // indexed by GID
 	traces  []*gpu.UtilTrace
 	nodeDev [][]*gpu.Device // per node
 	scheds  []*devsched.Scheduler
@@ -166,8 +166,9 @@ type Cluster struct {
 	// message of the earliest unserved arrival instant, then at most one
 	// later message; mapServing is set while the mapper spends the service
 	// time on the message at the front.
-	mapPend    []mapperMsg
+	mapPend    []*mapperMsg
 	mapServing bool
+	mapFree    []*mapperMsg
 
 	// The Strings (Design III) backend: one process per GPU, hosting a
 	// backend thread per connected application. All threads share the
@@ -208,7 +209,8 @@ type mapperMsg struct {
 	req balancer.Request
 	out *balancer.GID // where a selection's verdict lands
 
-	fb      *rpcproto.Feedback
+	fb      rpcproto.Feedback
+	hasFB   bool
 	release bool
 	relGID  balancer.GID
 	relKind string
@@ -219,7 +221,7 @@ type mapperMsg struct {
 	hGID      balancer.GID
 	hOut      *healthResult
 
-	// node is the sender's node and at the instant the message reached the
+	// node is the sender's node and at the instant the message reaches the
 	// mapper's queue. Selections and failure reports are answered: the
 	// verdict fires done on the sender's node (see Cluster.reply).
 	node int
@@ -307,7 +309,7 @@ func New(cfg Config) (*Cluster, error) {
 	// Affinity mapper service.
 	c.mapper = balancer.NewMapper(balancer.NewDST(rows), pol)
 	c.mapper.SetRecorder(cfg.Recorder)
-	c.mapQ = sim.NewQueue[mapperMsg](c.K)
+	c.mapQ = sim.NewQueue[any](c.K)
 	c.K.GoDaemon("affinity-mapper", c.mapperStep)
 
 	for g := range c.devices {
@@ -441,7 +443,7 @@ func (c *Cluster) mapperStep(d *sim.Daemon) {
 		if !ok {
 			return
 		}
-		c.mapPend = append(c.mapPend, m)
+		c.mapPend = append(c.mapPend, m.(*mapperMsg))
 	}
 	c.mapServing = true
 	d.Sleep(mapperServiceTime)
@@ -460,7 +462,7 @@ func (c *Cluster) serveMapper(now sim.Time) {
 			if !ok {
 				break
 			}
-			pend = append(pend, m)
+			pend = append(pend, m.(*mapperMsg))
 		}
 		if pend[i].at != pend[0].at {
 			break
@@ -469,7 +471,8 @@ func (c *Cluster) serveMapper(now sim.Time) {
 			best = i
 		}
 	}
-	m := pend[best]
+	m := *pend[best]
+	c.mapFree = append(c.mapFree, pend[best]) // bounded by peak undelivered messages
 	c.mapPend = append(pend[:best], pend[best+1:]...)
 	switch {
 	case m.fail:
@@ -485,8 +488,8 @@ func (c *Cluster) serveMapper(now sim.Time) {
 		*m.out = c.mapper.SelectAt(now, m.req)
 		c.reply(m)
 	case m.release:
-		if m.fb != nil {
-			c.mapper.Feedback(m.fb)
+		if m.hasFB {
+			c.mapper.Feedback(&m.fb)
 		}
 		c.mapper.Release(m.relGID, m.relKind)
 		c.noteSliceRelease(now, m.relGID)

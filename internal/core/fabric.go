@@ -26,30 +26,34 @@ type nodeFabric struct {
 // Fabric returns the interpose.Fabric of the applications arriving at node.
 func (c *Cluster) Fabric(node int) interpose.Fabric { return c.nodes[node] }
 
-// deliver runs fn on node to's kernel delay after the present on node
-// from's: a kernel timer when the nodes share a kernel, a mailbox message
-// when they do not. fn must not block.
-func (c *Cluster) deliver(from, to int, delay sim.Time, fn func()) {
-	c.nodes[from].e.sh.Send(c.nodes[to].e.idx, delay, fn)
-}
-
-// toMapper relays a control message from the node to the mapper service.
-func (f *nodeFabric) toMapper(m mapperMsg) {
+// toMapper relays a control message from the node to the mapper service in
+// a pooled copy, stamped with its arrival instant: at once from the mapper's
+// own node, RemoteLink.Latency later from any other — a kernel timer when the
+// two nodes share a kernel, a mailbox message when they do not.
+func (f *nodeFabric) toMapper(msg mapperMsg) {
 	c := f.c
+	m := c.newMapperMsg()
+	*m = msg
 	m.node = f.node
 	if f.node == mapperNode {
-		c.enqueue(m)
+		m.at = c.K.Now()
+		c.mapQ.Put(m)
 		return
 	}
-	sent := m // captured here, so only relayed messages move to the heap
-	c.deliver(f.node, mapperNode, c.cfg.RemoteLink.Latency, func() { c.enqueue(sent) })
+	lat := c.cfg.RemoteLink.Latency
+	m.at = f.e.k.Now() + lat
+	f.e.sh.SendPut(c.nodes[mapperNode].e.idx, lat, c.mapQ, m)
 }
 
-// enqueue puts a message on the mapper's queue, stamped with its arrival
-// instant. Runs on the mapper's kernel.
-func (c *Cluster) enqueue(m mapperMsg) {
-	m.at = c.K.Now()
-	c.mapQ.Put(m)
+// newMapperMsg takes a message from the pool the mapper returns them to. The
+// whole composition runs on one goroutine, so one pool serves every kernel.
+func (c *Cluster) newMapperMsg() *mapperMsg {
+	if n := len(c.mapFree); n > 0 {
+		m := c.mapFree[n-1]
+		c.mapFree = c.mapFree[:n-1]
+		return m
+	}
+	return &mapperMsg{} // pool grow-on-miss: bounded by peak undelivered messages
 }
 
 // reply fires a mapper verdict's completion event on the requester's node.
@@ -58,7 +62,7 @@ func (c *Cluster) reply(m mapperMsg) {
 		m.done.Fire()
 		return
 	}
-	c.deliver(mapperNode, m.node, c.cfg.RemoteLink.Latency, m.done.Fire)
+	c.nodes[mapperNode].e.sh.SendFire(c.nodes[m.node].e.idx, c.cfg.RemoteLink.Latency, m.done)
 }
 
 // SelectGPU implements interpose.Fabric. Requests from tenants with a
@@ -96,7 +100,7 @@ func (f *nodeFabric) ConnectBackend(p *sim.Proc, gid balancer.GID, _ int) rpcpro
 		c.accept(int(gid), conn)
 		return conn.A()
 	}
-	conn := rpcproto.NewCrossConn(e.k, oe.k, link,
+	conn := rpcproto.NewCrossConn(e.k, link,
 		func(lat sim.Time, q *sim.Queue[rpcproto.Msg], m rpcproto.Msg) { e.sh.SendPut(oe.idx, lat, q, m) },
 		func(lat sim.Time, q *sim.Queue[rpcproto.Msg], m rpcproto.Msg) { oe.sh.SendPut(e.idx, lat, q, m) })
 	conn.SetPools(&e.pool, &oe.pool)
@@ -106,7 +110,11 @@ func (f *nodeFabric) ConnectBackend(p *sim.Proc, gid balancer.GID, _ int) rpcpro
 
 // ReportFeedback implements interpose.Fabric.
 func (f *nodeFabric) ReportFeedback(gid balancer.GID, kind string, fb *rpcproto.Feedback) {
-	f.toMapper(mapperMsg{fb: fb, release: true, relGID: gid, relKind: kind})
+	m := mapperMsg{release: true, relGID: gid, relKind: kind}
+	if fb != nil {
+		m.fb, m.hasFB = *fb, true
+	}
+	f.toMapper(m)
 }
 
 // ReportFailure implements interpose.Fabric: it relays one failed call to

@@ -39,7 +39,8 @@ func (c *Cluster) refServeApp(p *sim.Proc, gid int, ep rpcproto.Endpoint) {
 	pool := ep.Pool()
 	sched := c.scheds[gid]
 	held := 0
-	entry := sched.Register(appID, first.TenantID, int(first.Weight),
+	entry := new(devsched.Entry)
+	sched.Register(entry, appID, first.TenantID, int(first.Weight),
 		first.KernelName, func() int { return held + ep.InboxLen() })
 	port, err := c.openApp(p, gid, first, pool)
 	reply := pool.GetReply()
@@ -47,7 +48,7 @@ func (c *Cluster) refServeApp(p *sim.Proc, gid int, ep rpcproto.Endpoint) {
 	reply.SetError(err)
 	ep.Send(p, reply, 0)
 	if err != nil {
-		sched.Unregister(entry)
+		sched.Unregister(entry, nil)
 		return
 	}
 	for {
@@ -61,7 +62,7 @@ func (c *Cluster) refServeApp(p *sim.Proc, gid int, ep rpcproto.Endpoint) {
 		held = 1
 		sched.SetPhaseEntry(entry, devsched.CallPhase(call))
 		for devsched.GatesOnDispatch(call.ID) && !sched.Turn(entry) {
-			p.WaitSignal(entry.Wake)
+			p.WaitSignal(&entry.Wake)
 		}
 		t0 := p.Now()
 		reply := port.Execute(call)
@@ -72,14 +73,14 @@ func (c *Cluster) refServeApp(p *sim.Proc, gid int, ep rpcproto.Endpoint) {
 		sched.SetPhaseEntry(entry, devsched.PhaseDFL)
 		if c.gpuDown[gid] {
 			if call.ID == cuda.CallThreadExit {
-				sched.Unregister(entry)
+				sched.Unregister(entry, nil)
 				return
 			}
 			pool.FreeReply(reply)
 			continue
 		}
 		if call.ID == cuda.CallThreadExit {
-			reply.Feedback = sched.Unregister(entry)
+			sched.Unregister(entry, reply.AttachFeedback())
 			ep.Send(p, reply, 0)
 			return
 		}

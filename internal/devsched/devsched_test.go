@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/gpu"
+	"repro/internal/rpcproto"
 	"repro/internal/sim"
 )
 
@@ -23,15 +24,22 @@ func constBacklog(n int) func() int { return func() int { return n } }
 // blocking form of Turn.
 func (s *Scheduler) WaitTurn(p *sim.Proc, e *Entry) {
 	for !s.Turn(e) {
-		p.WaitSignal(e.Wake)
+		p.WaitSignal(&e.Wake)
 	}
+}
+
+// register is Register into a new entry.
+func (s *Scheduler) register(appID int, tenant int64, weight int, kind string, backlog func() int) *Entry {
+	e := new(Entry)
+	s.Register(e, appID, tenant, weight, kind, backlog)
+	return e
 }
 
 func TestRegisterAssignsSignalIDs(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, testDev(k), 0, AllAwake{}, Config{})
-	e1 := s.Register(1, 10, 1, "DC", constBacklog(0))
-	e2 := s.Register(2, 11, 1, "MC", constBacklog(0))
+	e1 := s.register(1, 10, 1, "DC", constBacklog(0))
+	e2 := s.register(2, 11, 1, "MC", constBacklog(0))
 	if e1.SignalID == e2.SignalID {
 		t.Fatal("signal ids collide")
 	}
@@ -49,13 +57,13 @@ func TestUnregisterProducesFeedback(t *testing.T) {
 	s := New(k, dev, 3, AllAwake{}, Config{})
 	var e *Entry
 	k.Go("app", func(p *sim.Proc) {
-		e = s.Register(1, 10, 1, "DC", constBacklog(0))
+		e = s.register(1, 10, 1, "DC", constBacklog(0))
 		st := dev.NewContext().NewStream()
 		op := &gpu.Op{Kind: gpu.OpKernel, Compute: 50000, AppID: 1}
 		p.Wait(st.Submit(op))
 		p.Sleep(50) // total wall 100us, GPU 50us
-		fb := s.Unregister(e)
-		if fb == nil {
+		fb := new(rpcproto.Feedback)
+		if !s.Unregister(e, fb) {
 			t.Error("no feedback returned")
 			return
 		}
@@ -70,7 +78,7 @@ func TestUnregisterProducesFeedback(t *testing.T) {
 		}
 	})
 	k.Run()
-	if len(s.entries) != 0 || s.Unregister(e) != nil {
+	if len(s.entries) != 0 || s.Unregister(e, nil) {
 		t.Fatal("entry not removed")
 	}
 }
@@ -251,7 +259,7 @@ func TestDispatcherGatesThreads(t *testing.T) {
 		i := i
 		st := ctx.NewStream()
 		b := &bt{pending: 5}
-		b.entry = s.Register(i+1, int64(i), 1, "X", func() int { return b.pending })
+		b.entry = s.register(i+1, int64(i), 1, "X", func() int { return b.pending })
 		k.Go("bt", func(p *sim.Proc) {
 			for j := 0; j < 5; j++ {
 				s.WaitTurn(p, b.entry)
@@ -277,7 +285,7 @@ func TestDispatcherGatesThreads(t *testing.T) {
 func TestWaitTurnReleasesImmediatelyWhenAwake(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, testDev(k), 0, AllAwake{}, Config{})
-	e := s.Register(1, 1, 1, "X", constBacklog(1))
+	e := s.register(1, 1, 1, "X", constBacklog(1))
 	var waited sim.Time
 	k.Go("bt", func(p *sim.Proc) {
 		t0 := p.Now()
@@ -307,7 +315,7 @@ func TestPhaseStrings(t *testing.T) {
 func TestWeightDefaultsToOne(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, testDev(k), 0, AllAwake{}, Config{})
-	e := s.Register(1, 1, 0, "X", constBacklog(0))
+	e := s.register(1, 1, 0, "X", constBacklog(0))
 	if e.Weight != 1 {
 		t.Fatalf("weight = %d, want 1", e.Weight)
 	}
@@ -347,7 +355,7 @@ func TestPSDispatcherKeepsAtMostThreeAwake(t *testing.T) {
 		i := i
 		st := ctx.NewStream()
 		pending := 6
-		e := s.Register(i+1, int64(i), 1, "X", func() int { return pending })
+		e := s.register(i+1, int64(i), 1, "X", func() int { return pending })
 		k.Go(fmt.Sprintf("bt%d", i), func(p *sim.Proc) {
 			for j := 0; j < 6; j++ {
 				var op *gpu.Op
@@ -388,7 +396,7 @@ func TestKickBeforeDispatcherStartsIsNoop(t *testing.T) {
 		k.Run() // park the device driver
 		s := New(k, dev, 0, policy, Config{})
 		if name == "all-awake" {
-			s.Register(1, 1, 1, "X", constBacklog(1))
+			s.register(1, 1, 1, "X", constBacklog(1))
 		}
 		procs := k.ProcCount()
 		s.Kick()
@@ -404,7 +412,7 @@ func TestKickBeforeDispatcherStartsIsNoop(t *testing.T) {
 func TestIdleDispatcherIsBlockedUntilClosed(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, testDev(k), 7, LAS{}, Config{})
-	s.Register(1, 1, 1, "X", constBacklog(0))
+	s.register(1, 1, 1, "X", constBacklog(0))
 	k.Run()
 	if got := fmt.Sprint(k.Blocked()); got != "[devsched-7 gpu0-driver]" {
 		t.Fatalf("Blocked = %s, want [devsched-7 gpu0-driver]", got)

@@ -10,7 +10,9 @@ type Policy interface {
 	// Pick returns the entries to keep awake until the next evaluation. It
 	// runs every epoch and on every kick, so it allocates nothing in steady
 	// state: the result lives in the policy's or cfg's scratch and is valid
-	// until the next Pick on either.
+	// until the next Pick on either. The pick is empty if and only if no
+	// entry has work, which is how the Dispatcher learns it may sleep
+	// (AllAwake, which never runs one, keeps every entry).
 	Pick(now sim.Time, entries []*Entry, cfg *Config) []*Entry
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -265,8 +266,9 @@ func (h *history) step() {
 }
 
 // TestPoliciesMatchReference drives each in-place policy and its oracle through
-// the same random histories: the picked app ids agree on every turn, and TFS's
-// carried state agrees after every turn.
+// the same random histories: the picked app ids agree on every turn, a pick is
+// empty exactly when no entry has work (the Policy contract the Dispatcher
+// reads idleness from), and TFS's carried state agrees after every turn.
 func TestPoliciesMatchReference(t *testing.T) {
 	const (
 		seeds = 6
@@ -292,6 +294,9 @@ func TestPoliciesMatchReference(t *testing.T) {
 				if !reflect.DeepEqual(g, w) {
 					t.Fatalf("%s seed %d turn %d (%d entries, now %v): picked %v, reference %v",
 						pol.name, seed, turn, len(h.entries), h.now, g, w)
+				}
+				if anyWork := slices.ContainsFunc(h.entries, (*Entry).HasWork); anyWork != (len(g) > 0) {
+					t.Fatalf("%s seed %d turn %d: picked %v with work on an entry: %v", pol.name, seed, turn, g, anyWork)
 				}
 				picks += len(g)
 				if tfs, ok := got.(*TFS); ok {
@@ -481,30 +486,60 @@ func TestPickSteadyStateZeroAlloc(t *testing.T) {
 // TestDispatcherTurnZeroAlloc is the same budget one level up: a real
 // Scheduler's whole turn — Request Monitor refresh from the device, Pick,
 // wake/sleep marking, re-arming the epoch timer — with no recorder installed.
-// AllocsPerRun counts the whole process's mallocs, so one window of 10 000
-// turns also reads whatever the runtime allocated on its own account meanwhile
-// (a single window does in one run of make cover in three); the least of five
-// windows on the same warm kernel does not, and an allocation the turn makes
-// is in all five, 10 000 times over.
+// A daemon without an idle hook changes every entry's phase each epoch, so no
+// turn is quiet and every one runs. AllocsPerRun counts the whole process's
+// mallocs, so one window of 10 000 turns also reads whatever the runtime
+// allocated on its own account meanwhile (a single window does in one run of
+// make cover in three); the least of five windows on the same warm kernel
+// does not, and an allocation the turn makes is in all five, 10 000 times
+// over.
+//
+// The converse: with nothing changing, the same Dispatcher under LAS (three
+// entries with work) and PS (eight) takes one turn over 10 000 epochs — the
+// one after RunUntil is entered — and moves its deadline past the limit.
 func TestDispatcherTurnZeroAlloc(t *testing.T) {
 	const epochs = 10000
 	for _, mk := range []func() Policy{func() Policy { return NewTFS() }, func() Policy { return LAS{} }, func() Policy { return PS{} }} {
 		k := sim.NewKernel(1)
 		s := New(k, testDev(k), 0, mk(), Config{})
 		for i, e := range pickShape() {
-			s.Register(e.AppID, e.TenantID, e.Weight, "X", e.Backlog).Phase = Phase(1 + i%4)
+			s.register(e.AppID, e.TenantID, e.Weight, "X", e.Backlog).Phase = Phase(1 + i%4)
 		}
+		flips := 0
+		k.GoDaemon("phases", func(d *sim.Daemon) {
+			flips++
+			for i, e := range s.entries {
+				e.Phase = Phase(1 + (i+flips)%4)
+			}
+			d.Sleep(epoch)
+		})
 		k.RunUntil(100 * epoch) // warm-up: scratch grown, timer slots and event pool primed
-		turns := k.Dispatched()
+		turns := s.gen
 		allocs := math.Inf(1)
 		for window := 0; window < 5; window++ {
 			allocs = min(allocs, testing.AllocsPerRun(1, func() { k.RunUntil(k.Now() + epochs*epoch) }))
 		}
-		if turns = k.Dispatched() - turns; turns < 5*epochs {
-			t.Fatalf("%s: %d events in %d epochs, the dispatcher is not turning", s.policy.Name(), turns, epochs)
+		if turns = s.gen - turns; turns < 5*epochs {
+			t.Fatalf("%s: %d turns in %d epochs, the dispatcher is not turning", s.policy.Name(), turns, 5*epochs)
 		}
 		if allocs != 0 {
 			t.Errorf("%s: %v allocs over %d dispatcher turns in the quietest of five windows, want 0", s.policy.Name(), allocs, epochs)
+		}
+		s.Close()
+		k.Close()
+	}
+	for _, quiet := range []struct {
+		policy  Policy
+		entries int
+	}{{LAS{}, 3}, {PS{}, 8}} {
+		k := sim.NewKernel(1)
+		s := New(k, testDev(k), 0, quiet.policy, Config{})
+		for i, e := range pickShape()[:quiet.entries] {
+			s.register(e.AppID, e.TenantID, e.Weight, "X", e.Backlog).Phase = Phase(1 + i%4)
+		}
+		k.RunUntil(100 * epoch)
+		if n := k.RunUntil(k.Now() + epochs*epoch); n > 2 {
+			t.Errorf("%s: a quiet dispatcher dispatched %d steps over %d epochs, want at most 2", quiet.policy.Name(), n, epochs)
 		}
 		s.Close()
 		k.Close()
@@ -521,7 +556,7 @@ func TestPSPhaseChangeAloneDoesNotKick(t *testing.T) {
 	s := New(k, testDev(k), 0, PS{}, Config{})
 	var es []*Entry
 	for id := 1; id <= 4; id++ {
-		es = append(es, s.Register(id, int64(id), 1, "X", constBacklog(1)))
+		es = append(es, s.register(id, int64(id), 1, "X", constBacklog(1)))
 		s.SetPhaseEntry(es[id-1], PhaseKL)
 	}
 	k.RunUntil(epoch / 2)

@@ -51,7 +51,9 @@ func (ph Phase) String() string {
 	}
 }
 
-// Entry is one application's row in the Request Control Block.
+// Entry is one application's row in the Request Control Block. Its storage
+// belongs to the backend thread that registers it (Scheduler.Register), which
+// may reuse it for its next application once Unregister has returned.
 type Entry struct {
 	AppID    int
 	TenantID int64
@@ -72,7 +74,7 @@ type Entry struct {
 	// Awake is the dispatcher's gate: the backend thread checks it before
 	// executing each GPU request and parks on Wake while false.
 	Awake bool
-	Wake  *sim.Signal
+	Wake  sim.Signal
 
 	// SignalID is the "real-time signal number" assigned during the
 	// registration handshake (kept for protocol fidelity and debugging).
@@ -121,14 +123,13 @@ func (e *Entry) GPUUtil(now sim.Time) float64 {
 	return u
 }
 
-// feedback builds the Feedback Engine's report for the application.
-func (e *Entry) feedback(now sim.Time, gid int) *rpcproto.Feedback {
-	exec := now - e.Registered
-	fb := &rpcproto.Feedback{
+// feedback writes the Feedback Engine's report for the application into fb.
+func (e *Entry) feedback(now sim.Time, gid int, fb *rpcproto.Feedback) {
+	*fb = rpcproto.Feedback{
 		AppID:    int64(e.AppID),
 		Kind:     e.Kind,
 		GID:      int32(gid),
-		ExecTime: exec,
+		ExecTime: now - e.Registered,
 		GPUTime:  e.Attained,
 		XferTime: e.XferTime,
 		GPUUtil:  e.GPUUtil(now),
@@ -136,7 +137,6 @@ func (e *Entry) feedback(now sim.Time, gid int) *rpcproto.Feedback {
 	if e.Attained > 0 {
 		fb.MemBW = e.MemTraffic / float64(e.Attained)
 	}
-	return fb
 }
 
 // CallPhase classifies a marshalled CUDA call into the scheduler's phase

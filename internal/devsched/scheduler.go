@@ -53,6 +53,7 @@ type Scheduler struct {
 
 	entries []*Entry // maintained in ascending AppID order
 	gen     uint64   // dispatcher pick generation (see dispatch)
+	picked  int      // entries the last turn picked
 	nextSig int
 	disp    *sim.Daemon // nil until ensureDispatcher starts it
 	closed  bool
@@ -83,24 +84,23 @@ func New(k *sim.Kernel, dev *gpu.Device, gid int, policy Policy, cfg Config) *Sc
 	return s
 }
 
-// Register performs the Request Manager's registration: it creates the RCB
-// entry, assigns the thread its signal id (the 3-way handshake's step 2) and
-// returns the entry whose Wake signal the backend thread must honour. The
-// backlog callback lets the dispatcher see whether the thread has pending
-// requests.
-func (s *Scheduler) Register(appID int, tenant int64, weight int, kind string, backlog func() int) *Entry {
+// Register performs the Request Manager's registration into e, an entry the
+// caller owns: it fills the RCB row, assigns the thread its signal id (the
+// 3-way handshake's step 2) and lists the row; the backend thread then honours
+// e.Wake. The backlog callback lets the dispatcher see whether the thread has
+// pending requests.
+func (s *Scheduler) Register(e *Entry, appID int, tenant int64, weight int, kind string, backlog func() int) {
 	if weight <= 0 {
 		weight = 1
 	}
 	s.nextSig++
-	e := &Entry{
+	*e = Entry{
 		AppID:      appID,
 		TenantID:   tenant,
 		Weight:     weight,
 		Kind:       kind,
 		Registered: s.k.Now(),
 		Backlog:    backlog,
-		Wake:       s.k.NewSignal(),
 		SignalID:   s.nextSig,
 		Phase:      PhaseIdle,
 		acct:       s.dev.Acct(appID),
@@ -119,18 +119,20 @@ func (s *Scheduler) Register(appID int, tenant int64, weight int, kind string, b
 	s.rec.Event(trace.KRegister, s.k.Now(), kind, appID, s.gid, int64(e.SignalID))
 	s.ensureDispatcher()
 	s.Kick()
-	return e
 }
 
-// Unregister removes the application holding RCB entry e and returns the
-// Feedback Engine's report, which the backend piggybacks on the cudaThreadExit
-// reply; nil for an entry already removed.
-func (s *Scheduler) Unregister(e *Entry) *rpcproto.Feedback {
+// Unregister removes the application holding RCB entry e and writes the
+// Feedback Engine's report, which the backend piggybacks on the
+// cudaThreadExit reply, into fb unless fb is nil. It reports false, and
+// writes nothing, for an entry already removed.
+func (s *Scheduler) Unregister(e *Entry, fb *rpcproto.Feedback) bool {
 	if e.exited {
-		return nil
+		return false
 	}
-	s.refreshEntry(e)
-	fb := e.feedback(s.k.Now(), s.gid)
+	s.refreshEntry(e, s.k.Now())
+	if fb != nil {
+		e.feedback(s.k.Now(), s.gid, fb)
+	}
 	e.exited = true
 	for i, x := range s.entries {
 		if x == e {
@@ -138,9 +140,9 @@ func (s *Scheduler) Unregister(e *Entry) *rpcproto.Feedback {
 			break
 		}
 	}
-	s.rec.Event(trace.KUnregister, s.k.Now(), e.Kind, e.AppID, s.gid, int64(fb.GPUTime))
+	s.rec.Event(trace.KUnregister, s.k.Now(), e.Kind, e.AppID, s.gid, int64(e.Attained))
 	s.Kick()
-	return fb
+	return true
 }
 
 // SetPhaseEntry records the current GPU phase of the thread holding RCB entry
@@ -190,6 +192,7 @@ func (s *Scheduler) ensureDispatcher() {
 		return
 	}
 	s.disp = s.k.GoDaemon(nameFor(s.gid), s.dispatch)
+	s.disp.SetIdle(s.idle)
 }
 
 func nameFor(gid int) string {
@@ -207,21 +210,17 @@ func (s *Scheduler) dispatch(d *sim.Daemon) {
 		d.WaitKick()
 		return
 	}
-	s.refresh()
+	now := d.Now()
+	s.refresh(now)
 	// The policy sees the live slice (already app-id ordered; policies
 	// never reorder it). Picks are marked with a generation counter on
 	// the entry, replacing a per-epoch set allocation.
 	s.gen++
-	now := d.Now()
 	awake := s.policy.Pick(now, s.entries, &s.cfg)
 	for _, e := range awake {
 		e.pickGen = s.gen
 	}
-	anyWork := false
 	for _, e := range s.entries {
-		if e.HasWork() {
-			anyWork = true
-		}
 		want := e.pickGen == s.gen
 		if want && !e.Awake {
 			e.Awake = true
@@ -232,19 +231,79 @@ func (s *Scheduler) dispatch(d *sim.Daemon) {
 			s.rec.Event(trace.KSleep, now, "", e.AppID, s.gid, 0)
 		}
 	}
-	if !anyWork {
-		// Nothing to arbitrate: sleep until a thread shows up with
-		// work (Turn kicks) or membership changes.
+	s.picked = len(awake)
+	if len(awake) == 0 {
+		// No entry has work (the Policy contract): sleep until a thread
+		// shows up with work (Turn kicks) or membership changes.
 		d.WaitKick()
 		return
 	}
 	d.WaitKickTimeout(epoch)
 }
 
-// refresh updates every entry's Request Monitor state from the device.
-func (s *Scheduler) refresh() {
+// idle is the Dispatcher's idle hook (sim.Daemon.SetIdle), called for the
+// epoch turn due at at when nothing has run since the last turn and nothing
+// can before bound. The turns from at on see what the last one saw — the same
+// entries, backlogs and phases, device usage standing still — and pick what it
+// picked while TFS's slice lasts, while the pick holds every entry with work,
+// and under PS with lag 0, which picks by phase and attained service. idle
+// returns the first epoch instant at or after bound and that horizon, having
+// replayed the Request Monitor updates of the turns before it.
+func (s *Scheduler) idle(at, bound sim.Time) sim.Time {
+	switch p := s.policy.(type) {
+	case *TFS:
+		bound = min(bound, p.sliceEnd)
+	case LAS, PS:
+		if _, ps := p.(PS); !ps || s.cfg.AccountingLag > 0 {
+			n := 0
+			for _, e := range s.entries {
+				if e.HasWork() {
+					n++
+				}
+			}
+			if n != s.picked {
+				return at
+			}
+		}
+	default:
+		return at
+	}
+	if s.closed || bound <= at {
+		return at
+	}
+	next := at + (bound-at+epoch-1)/epoch*epoch
+	s.replay(at, next)
+	return next
+}
+
+// replay makes the Request Monitor updates of the turns at from, from+epoch,
+// ... before to. Usage stands still over them, so after an entry's first
+// refresh there each further one, one a lag (an epoch under lag 0), only
+// decays its CGS with no new service, down to 0, and moves lastRefresh.
+func (s *Scheduler) replay(from, to sim.Time) {
+	lag := s.cfg.AccountingLag
+	every := max(epoch, (lag+epoch-1)/epoch*epoch)
 	for _, e := range s.entries {
-		s.refreshEntry(e)
+		t := from
+		if lag > 0 && e.lastRefresh != 0 && from-e.lastRefresh < lag {
+			t += (e.lastRefresh + lag - from + epoch - 1) / epoch * epoch
+		}
+		if t >= to {
+			continue
+		}
+		s.refreshEntry(e, t)
+		n := (to - 1 - t) / every
+		for i := n; i > 0 && e.CGS != 0; i-- {
+			e.CGS *= 1 - s.cfg.LASDecay // refreshEntry's decay with gs 0
+		}
+		e.lastRefresh = t + n*every
+	}
+}
+
+// refresh updates every entry's Request Monitor state from the device.
+func (s *Scheduler) refresh(now sim.Time) {
+	for _, e := range s.entries {
+		s.refreshEntry(e, now)
 	}
 }
 
@@ -255,8 +314,7 @@ func (s *Scheduler) refresh() {
 // two apart, which is the accounting error the paper attributes Rain's
 // fairness loss to. Under Strings' packed context the charge is always
 // zero, so the view is exact.
-func (s *Scheduler) refreshEntry(e *Entry) {
-	now := s.k.Now()
+func (s *Scheduler) refreshEntry(e *Entry, now sim.Time) {
 	if s.cfg.AccountingLag > 0 && e.lastRefresh != 0 && now-e.lastRefresh < s.cfg.AccountingLag {
 		return
 	}

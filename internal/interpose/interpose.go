@@ -76,8 +76,10 @@ type Interposer struct {
 	exited bool
 
 	// LastFeedback is the report returned on ThreadExit (also relayed to
-	// the mapper); experiments read it for per-tenant accounting.
+	// the mapper); experiments read it for per-tenant accounting. It points
+	// at fb, where the report is copied out of the reply frame.
 	LastFeedback *rpcproto.Feedback
+	fb           rpcproto.Feedback
 
 	// rec is the failure-handling state (see recovery.go); disabled by
 	// default, armed via SetRecovery.
@@ -503,7 +505,8 @@ func (ip *Interposer) exit(r *rpcproto.Reply) {
 	if r != nil {
 		ip.ep.Close() // the session's last reply is in: this side is done too
 		if r.Feedback != nil {
-			ip.LastFeedback = r.Feedback
+			ip.fb = *r.Feedback
+			ip.LastFeedback = &ip.fb
 		}
 	}
 	ip.freeLast() // no next call will: the feedback was all that was left to read

@@ -130,7 +130,7 @@ func (s *tcpSession) serve(p *sim.Proc) {
 		s.reply = rpcproto.Reply{}
 		rpcproto.Execute(t, call, &s.reply)
 		if call.ID == cuda.CallThreadExit {
-			s.reply.Feedback = &rpcproto.Feedback{
+			*s.reply.AttachFeedback() = rpcproto.Feedback{
 				AppID:    call.AppID,
 				Kind:     call.KernelName,
 				ExecTime: p.Now(),

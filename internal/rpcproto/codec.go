@@ -265,8 +265,8 @@ func DecodeCallInto(c *Call, body []byte, names *Interner) error {
 }
 
 // DecodeReplyInto parses a frameReply body (without the length prefix) into
-// rp, overwriting every field. A reused rp's Feedback struct is recycled when
-// the frame carries feedback and cleared when it does not.
+// rp, overwriting every field. A report the frame carries lands in rp's own
+// storage (AttachFeedback); Feedback is nil when it carries none.
 func DecodeReplyInto(rp *Reply, body []byte, names *Interner) error {
 	r := &rbuf{b: body}
 	if kind := r.u8(); kind != frameReply {
@@ -282,11 +282,7 @@ func DecodeReplyInto(rp *Reply, body []byte, names *Interner) error {
 	rp.Event = r.i32()
 	rp.Elapsed = r.i64()
 	if r.boolean() {
-		f := rp.Feedback
-		if f == nil {
-			f = &Feedback{}
-			rp.Feedback = f
-		}
+		f := rp.AttachFeedback()
 		f.AppID = r.i64()
 		f.Kind = r.str(names)
 		f.GID = r.i32()

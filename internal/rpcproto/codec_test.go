@@ -56,11 +56,11 @@ func TestReplyRoundTripWithFeedback(t *testing.T) {
 	r := &Reply{
 		Seq: 42, Err: "cuda: out of memory", PtrID: 1, PtrSize: 2, PtrDev: 3,
 		Stream: 4, Count: 5,
-		Feedback: &Feedback{
-			AppID: 7, Kind: "MC", GID: 2,
-			ExecTime: 33 * sim.Second, GPUTime: 11 * sim.Second,
-			XferTime: 3 * sim.Second, MemBW: 3047.32, GPUUtil: 0.45,
-		},
+	}
+	*r.AttachFeedback() = Feedback{
+		AppID: 7, Kind: "MC", GID: 2,
+		ExecTime: 33 * sim.Second, GPUTime: 11 * sim.Second,
+		XferTime: 3 * sim.Second, MemBW: 3047.32, GPUUtil: 0.45,
 	}
 	frame := mustEncodeReply(t, r)
 	got, err := Decode(frame[4:])
@@ -228,7 +228,7 @@ func TestQuickReplyRoundTrip(t *testing.T) {
 		withFB bool, app int64, kind string, exec, gput int64, bw, util float64) bool {
 		r := &Reply{Seq: seq, Err: errs, PtrID: ptr, Stream: stream, Count: count}
 		if withFB {
-			r.Feedback = &Feedback{
+			*r.AttachFeedback() = Feedback{
 				AppID: app, Kind: kind,
 				ExecTime: sim.Time(exec), GPUTime: sim.Time(gput),
 				MemBW: bw, GPUUtil: util,

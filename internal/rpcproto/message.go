@@ -71,8 +71,19 @@ type Reply struct {
 	Elapsed int64 // microseconds (cudaEventElapsedTime)
 
 	// Feedback is piggybacked on the cudaThreadExit reply (the paper's
-	// Feedback Engine path to the Scheduler Feedback Table).
+	// Feedback Engine path to the Scheduler Feedback Table). A sender or a
+	// decoder points it at fb (AttachFeedback), so the report travels in
+	// the pooled frame.
 	Feedback *Feedback
+	fb       Feedback
+}
+
+// AttachFeedback points Feedback at the frame's own zeroed report and
+// returns it for the caller to fill. It is valid as long as the frame.
+func (r *Reply) AttachFeedback() *Feedback {
+	r.fb = Feedback{}
+	r.Feedback = &r.fb
+	return r.Feedback
 }
 
 // Feedback carries the Request Monitor's per-application characteristics

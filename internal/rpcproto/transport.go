@@ -86,18 +86,15 @@ func (cp *ConnPool) Get(k *sim.Kernel, link LinkSpec) *Conn {
 
 // NewConn creates a connection over the given link, with no frame pools.
 func NewConn(k *sim.Kernel, link LinkSpec) *Conn {
-	return NewCrossConn(k, k, link, nil, nil)
+	return NewCrossConn(k, link, nil, nil)
 }
 
 // NewCrossConn creates a connection whose A side lives on kernel kA and B
-// side on kernel kB. Each inbox queue lives on its reader's kernel, and
-// sends route through the per-direction deliver hooks instead of a local
-// timer (NewConn: one kernel and no hooks).
-func NewCrossConn(kA, kB *sim.Kernel, link LinkSpec, toB, toA CrossDeliver) *Conn {
-	c := &Conn{k: kA, link: link, xToB: toB, xToA: toA}
-	c.toB.Init(kB)
-	c.toA.Init(kA)
-	return c
+// side on another kernel. Each inbox queue is its reader's, and sends route
+// through the per-direction deliver hooks, which put on the reader's kernel,
+// instead of a local timer (NewConn: one kernel and no hooks).
+func NewCrossConn(kA *sim.Kernel, link LinkSpec, toB, toA CrossDeliver) *Conn {
+	return &Conn{k: kA, link: link, xToB: toB, xToA: toA}
 }
 
 // SetPools installs the frame pools the endpoints hand out: that of the kernel

@@ -82,13 +82,13 @@ func TestConnBidirectional(t *testing.T) {
 // A connection is one object: its two inboxes and their signals are part of
 // it, on one kernel or across two.
 func TestConnIsOneAllocation(t *testing.T) {
-	kA, kB := sim.NewKernel(1), sim.NewKernel(2)
+	kA := sim.NewKernel(1)
 	deliver := func(sim.Time, *sim.Queue[Msg], Msg) {}
 	var sink *Conn
 	if n := testing.AllocsPerRun(100, func() { sink = NewConn(kA, SharedMemLink) }); n != 1 {
 		t.Errorf("NewConn allocates %v objects, want 1", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { sink = NewCrossConn(kA, kB, RemoteLink, deliver, deliver) }); n != 1 {
+	if n := testing.AllocsPerRun(100, func() { sink = NewCrossConn(kA, RemoteLink, deliver, deliver) }); n != 1 {
 		t.Errorf("NewCrossConn allocates %v objects, want 1", n)
 	}
 	if a, b := sink.A(), sink.B(); a.out != b.in || a.in != b.out || a.in == a.out {
@@ -231,7 +231,7 @@ func TestCrossConnFramesChangeKernels(t *testing.T) {
 	pools := make([]Pool, 2)
 	connect := func(a, b int) *Conn {
 		sa, sb := co.Shard(a), co.Shard(b)
-		conn := NewCrossConn(kernels[a], kernels[b], link,
+		conn := NewCrossConn(kernels[a], link,
 			func(lat sim.Time, q *sim.Queue[Msg], m Msg) { sa.SendPut(b, lat, q, m) },
 			func(lat sim.Time, q *sim.Queue[Msg], m Msg) { sb.SendPut(a, lat, q, m) })
 		conn.SetPools(&pools[a], &pools[b])

@@ -81,8 +81,8 @@ func TestResetAndCloseUnwindParkedProcesses(t *testing.T) {
 	}{
 		{"Sleep", func(k *Kernel, p *Proc) { p.Sleep(100) }},
 		{"Wait", func(k *Kernel, p *Proc) { p.Wait(k.NewEvent()) }},
-		{"WaitSignal", func(k *Kernel, p *Proc) { p.WaitSignal(k.NewSignal()) }},
-		{"WaitSignalTimeout", func(k *Kernel, p *Proc) { p.WaitSignalTimeout(k.NewSignal(), 100) }},
+		{"WaitSignal", func(k *Kernel, p *Proc) { p.WaitSignal(new(Signal)) }},
+		{"WaitSignalTimeout", func(k *Kernel, p *Proc) { p.WaitSignalTimeout(new(Signal), 100) }},
 		{"Queue.Get", func(k *Kernel, p *Proc) { NewQueue[int](k).Get(p) }},
 		{"Mutex.Lock", func(k *Kernel, p *Proc) {
 			m := k.NewMutex()

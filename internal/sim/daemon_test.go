@@ -33,7 +33,8 @@ func TestDaemonKickDuringSleepIsIgnored(t *testing.T) {
 // While the last run is live, or kicked with the kick still queued, the
 // restart panics; the kick took the run's deadline out of the queue, so once
 // the kick has gone by the daemon starts over under a fresh id and a name
-// formatted afresh, and nothing of the first run steps the second.
+// formatted afresh, and nothing of the first run, idle hook included, steps the
+// second.
 func TestStartDaemonReusesAnExitedDaemon(t *testing.T) {
 	k := NewKernel(1)
 	defer k.Close()
@@ -63,6 +64,7 @@ func TestStartDaemonReusesAnExitedDaemon(t *testing.T) {
 	}
 	o.run = 1
 	k.StartDaemon(&o.d, name, step)
+	o.d.SetIdle(func(at, _ Time) Time { return at })
 	first := o.d.p.id
 	k.Go("owner", func(p *Proc) {
 		p.Sleep(2)
@@ -77,6 +79,9 @@ func TestStartDaemonReusesAnExitedDaemon(t *testing.T) {
 		o.run, o.n = 2, 0
 		if restart() {
 			t.Fatal("restart of an exited daemon with nothing pending panicked")
+		}
+		if o.d.idle != nil {
+			t.Error("the second run kept the first run's idle hook")
 		}
 		p.Sleep(1)
 		if b := k.Blocked(); !reflect.DeepEqual(b, []string{"svc-2"}) || o.d.p.id == first {
@@ -288,7 +293,7 @@ func TestStopFromInlineDaemonStepReturnsToDriver(t *testing.T) {
 func TestDaemonWaitEventAndSignal(t *testing.T) {
 	k := NewKernel(1)
 	defer k.Close()
-	ev, sig := k.NewEvent(), k.NewSignal()
+	ev, sig := k.NewEvent(), new(Signal)
 	var steps []Time
 	var inline [2]uint64 // Dispatched and seq when the step waited on the fired event
 	d := k.GoDaemon("d", func(d *Daemon) {

@@ -92,19 +92,17 @@ func (e *Event) Fire() {
 // Signal is a repeatable notification: each Notify wakes the processes
 // currently waiting (in wait order) and leaves the signal ready for new
 // waiters. It is the building block for condition-variable-style coordination
-// such as the Dispatcher waking backend threads.
+// such as the Dispatcher waking backend threads. A waiter is woken on its own
+// kernel, so the zero Signal is ready for use and can live inside its owner.
 type Signal struct {
-	k       *Kernel
 	waiters waitQ
 }
-
-// NewSignal returns a signal bound to k.
-func (k *Kernel) NewSignal() *Signal { return &Signal{k: k} }
 
 // Notify wakes every process currently waiting on s.
 func (s *Signal) Notify() {
 	for n := s.waiters.Len(); n > 0; n-- {
-		s.k.schedule(s.waiters.Pop(), s.k.now, wakeEvent)
+		p := s.waiters.Pop()
+		p.k.schedule(p, p.k.now, wakeEvent)
 	}
 }
 
@@ -114,6 +112,7 @@ func (s *Signal) NotifyOne() bool {
 	if s.waiters.Len() == 0 {
 		return false
 	}
-	s.k.schedule(s.waiters.Pop(), s.k.now, wakeEvent)
+	p := s.waiters.Pop()
+	p.k.schedule(p, p.k.now, wakeEvent)
 	return true
 }

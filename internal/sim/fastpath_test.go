@@ -39,7 +39,7 @@ func TestSameInstantOrderingAcrossYields(t *testing.T) {
 // a later park the activation must be discarded silently.
 func TestStaleWakeupInterleavedWithSameInstantReschedule(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := new(Signal)
 	var wakes []Time
 	k.Go("w", func(p *Proc) {
 		if !p.WaitSignalTimeout(s, 30) {
@@ -144,7 +144,7 @@ func TestRunUntilLimitBoundary(t *testing.T) {
 // The dispatch counter excludes stale wakeups and accumulates across runs.
 func TestDispatchedCounter(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := new(Signal)
 	k.Go("w", func(p *Proc) {
 		p.WaitSignalTimeout(s, 10) // event wins; timer activation goes stale
 		p.Sleep(100)
@@ -292,7 +292,7 @@ func TestSleepTakenCountsItsJump(t *testing.T) {
 func TestStaleOnlyInstantCountsOneJump(t *testing.T) {
 	k := NewKernel(1)
 	k.SetFFHorizon(50)
-	s := k.NewSignal()
+	s := new(Signal)
 	for i := 0; i < 2; i++ {
 		k.Go("w", func(p *Proc) { p.WaitSignalTimeout(s, 100) })
 	}
@@ -315,7 +315,7 @@ func TestStaleOnlyInstantCountsOneJump(t *testing.T) {
 func TestStaleOnlyInstantIsForgottenOnceDrained(t *testing.T) {
 	k := NewKernel(1)
 	k.SetFFHorizon(50)
-	s := k.NewSignal()
+	s := new(Signal)
 	k.Go("w", func(p *Proc) { p.WaitSignalTimeout(s, 100) })
 	k.Go("n", func(p *Proc) {
 		p.Sleep(1)

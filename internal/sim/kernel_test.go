@@ -207,7 +207,7 @@ func TestDoubleFireIsNoop(t *testing.T) {
 
 func TestWaitTimeoutExpires(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := new(Signal)
 	var fired bool
 	var at Time
 	k.Go("w", func(p *Proc) {
@@ -225,7 +225,7 @@ func TestWaitTimeoutExpires(t *testing.T) {
 
 func TestWaitTimeoutEventWins(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := new(Signal)
 	var fired bool
 	var at Time
 	k.Go("w", func(p *Proc) {
@@ -249,7 +249,7 @@ func TestStaleTimerDoesNotRewake(t *testing.T) {
 	// After a notification wins, the pending timeout activation must not disturb
 	// the process's next park.
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := new(Signal)
 	var at Time
 	k.Go("w", func(p *Proc) {
 		p.WaitSignalTimeout(s, 30)
@@ -270,7 +270,7 @@ func TestTimedOutWaiterIsNotWokenByLateFire(t *testing.T) {
 	// A waiter whose timeout won leaves the signal: a Notify that comes later
 	// must not wake it out of whatever park it is in by then.
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := new(Signal)
 	var at Time
 	k.Go("w", func(p *Proc) {
 		if p.WaitSignalTimeout(s, 10) {
@@ -294,7 +294,7 @@ func TestTimedOutWaiterIsNotWokenByLateFire(t *testing.T) {
 
 func TestSignalNotifyAllAndOne(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := new(Signal)
 	var woke []string
 	for _, n := range []string{"a", "b"} {
 		n := n
@@ -325,7 +325,7 @@ func TestSignalNotifyAllAndOne(t *testing.T) {
 
 func TestSignalTimeoutDropsWaiter(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewSignal()
+	s := new(Signal)
 	var got bool
 	k.Go("w", func(p *Proc) {
 		got = p.WaitSignalTimeout(s, 5)

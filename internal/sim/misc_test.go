@@ -88,7 +88,7 @@ func TestStopInsideTimerCallbackWorld(t *testing.T) {
 func TestQueueLenAndSignalWaiting(t *testing.T) {
 	k := NewKernel(1)
 	q := NewQueue[int](k)
-	s := k.NewSignal()
+	s := new(Signal)
 	k.Go("w", func(p *Proc) {
 		q.Put(1)
 		q.Put(2)

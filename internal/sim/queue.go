@@ -12,15 +12,9 @@ type Queue[T any] struct {
 	ready Signal
 }
 
-// NewQueue returns an empty queue bound to k.
-func NewQueue[T any](k *Kernel) *Queue[T] {
-	q := &Queue[T]{}
-	q.Init(k)
-	return q
-}
-
-// Init binds a zero queue to k, for one embedded by value in its owner.
-func (q *Queue[T]) Init(k *Kernel) { q.ready.k = k }
+// NewQueue returns an empty queue for processes of k. The zero Queue is one
+// too, for a queue embedded by value in its owner.
+func NewQueue[T any](k *Kernel) *Queue[T] { return &Queue[T]{} }
 
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return q.items.Len() }

@@ -10,8 +10,9 @@ import (
 // The kernel stores an activation in one of two structures, reads the next one
 // where it lies and does not store some sleeps at all. What it owes its callers
 // is what a single queue ordered by (time, sequence) that queues everything
-// would do. refKernel is that queue; checkSchedule runs random programs on both
-// and compares every dispatch, the counters and the next pending instant.
+// would do, idle hooks' moves included. refKernel is that queue;
+// checkSchedule runs random programs on both and compares every dispatch, the
+// counters and the next pending instant.
 
 // refAct is a pending activation of the reference: of a process (stale once
 // the process has been woken since), or a timer (p nil) that runs fire.
@@ -25,10 +26,11 @@ type refAct struct {
 }
 
 // refProc is a process or daemon of the reference: run continues it, told what
-// woke it.
+// woke it. daemon is set for a daemon's.
 type refProc struct {
-	epoch uint64
-	run   func(tag int32)
+	epoch  uint64
+	run    func(tag int32)
+	daemon *refDaemon
 }
 
 type refActs []refAct
@@ -47,14 +49,42 @@ func (h *refActs) Pop() any {
 }
 
 // refKernel is the reference executor: one container/heap ordered by
-// (at, seq), every wake-up and every sleep queued in it. inline counts the
-// daemon waits on an event that had already fired, cancelled the deadlines
-// kicks took out of the heap.
+// (at, seq), every wake-up and every sleep queued in it. What the kernel does
+// not queue it counts: taken the sleeps the kernel takes on the spot, folds
+// the delivery wake-ups it runs in place, cancelled the deadlines kicks take
+// out of the heap, moved the deadlines idle hooks move — so the kernel's
+// Queued is seq less those. inline counts the daemon waits on an event that
+// had already fired. busy counts what breaks a hooked daemon's quiet: a
+// timer, a process's wake-up, a step of a daemon without a hook, a runUntil
+// call.
 type refKernel struct {
-	now, horizon, skipped                            Time
-	seq, dispatched, jumps, stale, inline, cancelled uint64
-	stopped                                          bool
-	h                                                refActs
+	now, horizon, skipped, limit                                          Time
+	seq, dispatched, jumps, stale, inline, taken, folds, cancelled, moved uint64
+	busy                                                                  uint64
+	stopped                                                               bool
+	h                                                                     refActs
+}
+
+// queued is Kernel.Queued.
+func (r *refKernel) queued() uint64 { return r.seq - r.taken - r.folds - r.cancelled - r.moved }
+
+// nextAfter reports whether every queued activation is due after at.
+func (r *refKernel) nextAfter(at Time) bool {
+	for _, a := range r.h {
+		if a.at <= at {
+			return false
+		}
+	}
+	return true
+}
+
+// sleep queues p's wake-up d from now, and counts it taken on the spot when
+// the kernel would (Proc.Sleep).
+func (r *refKernel) sleep(p *refProc, d Time) {
+	if at := r.now + d; at <= r.limit && !r.stopped && r.nextAfter(at) {
+		r.taken++
+	}
+	r.schedule(p, r.now+d, wakeTimer, nil)
 }
 
 func (r *refKernel) schedule(p *refProc, at Time, tag int32, fire func()) {
@@ -78,8 +108,13 @@ func (r *refKernel) countJump(gap Time) {
 // new front is measured from now.
 func (r *refKernel) runUntil(limit Time) int {
 	r.stopped = false
+	r.limit = limit
+	r.busy++
 	start, front := r.dispatched, r.now
 	for !r.stopped && len(r.h) > 0 && r.h[0].at <= limit {
+		if r.moveIdle(limit) {
+			continue
+		}
 		a := heap.Pop(&r.h).(refAct)
 		if a.at > front {
 			front = a.at
@@ -92,17 +127,54 @@ func (r *refKernel) runUntil(limit Time) int {
 		r.now = a.at
 		r.dispatched++
 		if a.p == nil {
+			r.busy++
 			a.fire()
 			continue
 		}
 		a.p.epoch++
+		d := a.p.daemon
+		if d == nil || d.hook == nil {
+			r.busy++
+		}
 		a.p.run(a.tag)
+		if d != nil {
+			d.calm = r.busy + 1
+		}
 	}
 	if !r.stopped && len(r.h) > 0 && r.now < limit {
 		r.countJump(limit - r.now)
 		r.now = limit
 	}
 	return int(r.dispatched - start)
+}
+
+// moveIdle is Kernel.moveIdle: the root, a daemon's live deadline, goes to
+// the instant its hook names if the daemon has been quiet since its last
+// step. The bound is the earliest other activation queued, or limit+1.
+func (r *refKernel) moveIdle(limit Time) bool {
+	a := r.h[0]
+	if a.p == nil || a.p.daemon == nil || a.epoch != a.p.epoch {
+		return false
+	}
+	d := a.p.daemon
+	if d.hook == nil || d.deadline < 0 || !d.kickWait || d.calm != r.busy+1 {
+		return false
+	}
+	bound := limit + 1
+	for _, b := range r.h[1:] {
+		bound = min(bound, b.at)
+	}
+	at := d.hook(a.at, bound)
+	if at <= a.at {
+		return false
+	}
+	heap.Pop(&r.h)
+	r.seq++
+	a.at, a.seq = at, r.seq
+	heap.Push(&r.h, a)
+	d.deadline = at
+	r.moved++
+	return true
 }
 
 func (r *refKernel) nextEventTime() (Time, bool) {
@@ -179,6 +251,50 @@ type daemonStep struct {
 	d           Time
 }
 
+// A daemon's idle hook: none, or one that declines, or one that moves the
+// deadline to bound-1, bound or bound+d. Each moves the deadline to or past
+// bound at once, or nearly: one that crept would take the whole run to reach
+// a limit at the end of time. Two hooked daemons past each other's deadlines
+// leapfrog that way, so a hook moves at most hookMoves deadlines a run.
+const (
+	hookNone = iota
+	hookDecline
+	hookBefore
+	hookAt
+	hookAfter
+	hookKinds
+)
+
+type idleHook struct {
+	kind int
+	d    Time
+}
+
+const hookMoves = 8
+
+// install returns the hook a run of a program gives a daemon, which logs each
+// call into tr as daemon j's.
+func (h idleHook) install(tr *schedTrace, j int) func(at, bound Time) Time {
+	left := hookMoves
+	return func(at, bound Time) Time {
+		tr.log(at, 200+j, 0, int(bound))
+		to := at
+		switch h.kind {
+		case hookBefore:
+			to = bound - 1
+		case hookAt:
+			to = bound
+		case hookAfter:
+			to = bound + h.d
+		}
+		if to <= at || left == 0 {
+			return at
+		}
+		left--
+		return to
+	}
+}
+
 // A driver step arms a timer from outside the run (inject) and runs until
 // limit: now+d, or off instants of the next pending activation.
 const (
@@ -199,6 +315,7 @@ type program struct {
 	horizon Time
 	procs   [][]op
 	daemons [][]daemonStep
+	hooks   []idleHook // one per daemon
 	driver  []driverStep
 }
 
@@ -243,11 +360,38 @@ func newProgram(data []byte) program {
 	for i, n := 0, t.next(6); i < n; i++ {
 		pr.driver = append(pr.driver, driverStep{inject: t.next(4) == 0, limit: t.next(limitKinds), d: t.duration()})
 	}
+	// The hooks come last, so a program written before them decodes as it
+	// did, with none. A hooked daemon, one of the above or one more, takes
+	// new steps: longer-lived, mostly quiet and mostly in WaitKickTimeout
+	// with a deadline a few ticks out, which the hook may move once the
+	// processes are done or parked for good.
+	for j := 0; j < 2 && j <= len(pr.daemons); j++ {
+		hook := idleHook{t.next(hookKinds), t.duration()}
+		if hook.kind == hookNone && j == len(pr.daemons) {
+			break
+		}
+		if hook.kind != hookNone {
+			steps := make([]daemonStep, 1+t.next(16))
+			for i := range steps {
+				s := daemonStep{act: []int{-1, -1, -1, opNotify, opAfterPut, opFire, opGet}[t.next(7)], x: t.next(2), end: []int{1, 1, 1, 1, 0, 2, 3, 4}[t.next(8)], d: t.duration()}
+				if s.end == 1 {
+					s.d = Time(1 + t.next(3))
+				}
+				steps[i] = s
+			}
+			if j == len(pr.daemons) {
+				pr.daemons = append(pr.daemons, nil)
+			}
+			pr.daemons[j] = steps
+		}
+		pr.hooks = append(pr.hooks, hook)
+	}
 	return pr
 }
 
 // dispatchRec is one line of the dispatch log: who ran at what instant (a
-// process, 100+ a daemon, -1 a timer), at which step, and what the step read.
+// process, 100+ a daemon, -1 a timer), at which step, and what the step read;
+// or, Who 200+ a daemon, its idle hook's call for a deadline At with bound Val.
 type dispatchRec struct {
 	At           Time
 	Who, PC, Val int
@@ -258,6 +402,7 @@ type checkpoint struct {
 	Ran, Log         int
 	Now, Skipped     Time
 	Seq, Disp, Jumps uint64
+	Queued           uint64
 	Next             Time
 	Pending          bool
 }
@@ -283,7 +428,7 @@ func (s driverStep) limitFor(now, next Time, pending bool) Time {
 func runOnKernel(k *Kernel, pr program) schedTrace {
 	var tr schedTrace
 	k.SetFFHorizon(pr.horizon)
-	sigs := []*Signal{k.NewSignal(), k.NewSignal()}
+	sigs := []*Signal{new(Signal), new(Signal)}
 	evs := []*Event{k.NewEvent(), k.NewEvent()}
 	qs := []*Queue[any]{NewQueue[any](k), NewQueue[any](k)}
 	daemons := make([]*Daemon, 2)
@@ -332,6 +477,9 @@ func runOnKernel(k *Kernel, pr program) schedTrace {
 				d.Wait(evs[s.x])
 			}
 		})
+		if h := pr.hooks[j]; h.kind != hookNone {
+			daemons[j].SetIdle(h.install(&tr, j))
+		}
 	}
 	for i, ops := range pr.procs {
 		k.Go("p", func(p *Proc) {
@@ -371,7 +519,7 @@ func runOnKernel(k *Kernel, pr program) schedTrace {
 	point := func(ran int) {
 		next, pending := k.NextEventTime()
 		jumps, skipped := k.FastForwards()
-		tr.Points = append(tr.Points, checkpoint{ran, len(tr.Log), k.Now(), skipped, k.seq, k.Dispatched(), jumps, next, pending})
+		tr.Points = append(tr.Points, checkpoint{ran, len(tr.Log), k.Now(), skipped, k.seq, k.Dispatched(), jumps, k.Queued(), next, pending})
 	}
 	point(0)
 	for _, s := range pr.driver {
@@ -437,6 +585,15 @@ func (q *refQueue) put(v int) {
 	q.ready.notify(1)
 }
 
+// deliver is an AfterPut delivery: a put whose receiver's wake-up, when it is
+// the next activation, the kernel runs in place without queueing it.
+func (q *refQueue) deliver(v int) {
+	if r := q.ready.r; len(q.ready.waiters) > 0 && r.nextAfter(r.now) {
+		r.folds++
+	}
+	q.put(v)
+}
+
 // take removes the oldest item, passing the baton if items remain. Caller
 // checks there is one.
 func (q *refQueue) take() int {
@@ -450,11 +607,14 @@ func (q *refQueue) take() int {
 
 // refDaemon is Daemon over the reference: kickable only while it waits for a
 // kick. deadline is the instant of its WaitKickTimeout deadline while one is
-// queued at a later instant than the wait began, -1 otherwise.
+// queued at a later instant than the wait began, -1 otherwise. hook is its
+// idle hook, and calm 1 + the kernel's busy count when its last step ended.
 type refDaemon struct {
 	p        refProc
 	kickWait bool
 	deadline Time
+	hook     func(at, bound Time) Time
+	calm     uint64
 }
 
 // kick drops a deadline due later and queues the wake-up; a deadline due now
@@ -500,6 +660,10 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 	for j, steps := range pr.daemons {
 		pc := 0
 		d := &refDaemon{deadline: -1}
+		d.p.daemon = d
+		if h := pr.hooks[j]; h.kind != hookNone {
+			d.hook = h.install(&tr, j)
+		}
 		daemons[j] = d
 		d.p.run = func(int32) {
 			d.kickWait, d.deadline = false, -1
@@ -522,7 +686,7 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 				case opNotify:
 					sigs[s.x].notify(len(sigs[s.x].waiters))
 				case opAfterPut:
-					r.schedule(nil, r.now+s.d, 0, func() { qs[s.x].put(100 + j) })
+					r.schedule(nil, r.now+s.d, 0, func() { qs[s.x].deliver(100 + j) })
 				case opFire:
 					evs[s.x].fire()
 				}
@@ -536,7 +700,7 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 						d.deadline = r.now + s.d
 					}
 				case 2:
-					r.schedule(&d.p, r.now+s.d, wakeTimer, nil)
+					r.sleep(&d.p, s.d)
 				case 3:
 					sigs[s.x].waiters = append(sigs[s.x].waiters, &d.p)
 				default:
@@ -586,13 +750,13 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 				o, val := ops[pc], 0
 				switch o.kind {
 				case opSleep:
-					r.schedule(p, r.now+o.d, wakeTimer, nil)
+					r.sleep(p, o.d)
 					blocked = true
 					return
 				case opAfter:
 					r.schedule(nil, r.now+o.d, 0, timer(o.x))
 				case opAfterPut:
-					r.schedule(nil, r.now+o.d, 0, func() { qs[o.x].put(i) })
+					r.schedule(nil, r.now+o.d, 0, func() { qs[o.x].deliver(i) })
 				case opGet:
 					q := qs[o.x]
 					if len(q.items) == 0 {
@@ -638,7 +802,7 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 	}
 	point := func(ran int) {
 		next, pending := r.nextEventTime()
-		tr.Points = append(tr.Points, checkpoint{ran, len(tr.Log), r.now, r.skipped, r.seq, r.dispatched, r.jumps, next, pending})
+		tr.Points = append(tr.Points, checkpoint{ran, len(tr.Log), r.now, r.skipped, r.seq, r.dispatched, r.jumps, r.queued(), next, pending})
 	}
 	point(0)
 	for _, s := range pr.driver {
@@ -656,7 +820,7 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 // scheduleCoverage counts, over the programs checked, the cases they are there
 // to produce.
 type scheduleCoverage struct {
-	programs, dispatches, taken, folded, stale, jumps, inline, cancelled uint64
+	programs, dispatches, taken, folded, stale, jumps, inline, cancelled, moved uint64
 }
 
 // checkSchedule runs the program data encodes on k twice, a Reset before each
@@ -679,12 +843,13 @@ func checkSchedule(t *testing.T, k *Kernel, data []byte, cov *scheduleCoverage) 
 	}
 	cov.programs++
 	cov.dispatches += r.dispatched
-	cov.taken += k.seq - k.Queued() - k.folds - r.cancelled
-	cov.folded += k.folds
+	cov.taken += r.taken
+	cov.folded += r.folds
 	cov.cancelled += r.cancelled
 	cov.stale += r.stale
 	cov.jumps += r.jumps
 	cov.inline += r.inline
+	cov.moved += r.moved
 }
 
 // TestKernelScheduleMatchesOneQueue checks 2 500 seeded random programs on one
@@ -703,16 +868,17 @@ func TestKernelScheduleMatchesOneQueue(t *testing.T) {
 	t.Logf("%+v", cov)
 	if cov.dispatches < 10*cov.programs || cov.taken < cov.programs || 4*cov.folded < cov.programs ||
 		2*cov.stale < cov.programs || 2*cov.jumps < cov.programs || 8*cov.inline < cov.programs ||
-		16*cov.cancelled < cov.programs {
+		16*cov.cancelled < cov.programs || 4*cov.moved < cov.programs {
 		t.Fatalf("the programs no longer cover what they are for: %+v", cov)
 	}
 }
 
 // FuzzKernelSchedule is the same check on the fuzzer's programs.
 func FuzzKernelSchedule(f *testing.F) {
-	// One process, one Sleep(0). testdata/fuzz holds a full-sized program, and
-	// seed-fold, whose deliveries wake a daemon in Take and a process in
-	// GetTimeout.
+	// One process, one Sleep(0). testdata/fuzz holds seed-mixed, a
+	// full-sized program, and seed-fold, whose deliveries wake a daemon in
+	// Take and a process in GetTimeout, both without hooks; and seed-idle,
+	// whose hooked daemons' deadlines move 16 times.
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k := NewKernel(1)

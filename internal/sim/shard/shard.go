@@ -44,22 +44,26 @@ import (
 const none = sim.Time(1<<62 - 1)
 
 // message is one cross-shard effect, a timer of the destination kernel at
-// instant at: fn runs or, when fn is nil (the closure-free form), v is put on
+// instant at: fn runs or, in the closure-free forms, ev fires or v is put on
 // q. seq is the per-source send sequence that breaks same-instant ties.
 type message struct {
 	at       sim.Time
 	src, dst int
 	seq      uint64
 	fn       func()
+	ev       *sim.Event
 	q        *sim.Queue[any]
 	v        any
 }
 
 // arm schedules the effect on k, d from k's present.
 func (m *message) arm(k *sim.Kernel, d sim.Time) {
-	if m.fn != nil {
+	switch {
+	case m.fn != nil:
 		k.After(d, m.fn)
-	} else {
+	case m.ev != nil:
+		k.AfterFire(d, m.ev)
+	default:
 		k.AfterPut(d, m.q, m.v)
 	}
 }
@@ -128,6 +132,12 @@ func (s *Shard) Send(dst int, delay sim.Time, fn func()) {
 // sim.Kernel.AfterPut is to After: the form for request-path traffic.
 func (s *Shard) SendPut(dst int, delay sim.Time, q *sim.Queue[any], v any) {
 	s.post(dst, delay, message{q: q, v: v})
+}
+
+// SendFire is Send(dst, delay, e.Fire) without the bound method, as
+// sim.Kernel.AfterFire is to After.
+func (s *Shard) SendFire(dst int, delay sim.Time, e *sim.Event) {
+	s.post(dst, delay, message{ev: e})
 }
 
 // post arms a self-send at once and stamps any other message into the outbox.

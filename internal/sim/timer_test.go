@@ -370,7 +370,7 @@ func runTimerScript(t *testing.T, seed int64, mode scriptMode) (scriptResult, sc
 	defer k.Close()
 	var svc timerService = k
 	if mode.reference {
-		svc = &coroTimers{k: k, kick: k.NewSignal()}
+		svc = &coroTimers{k: k, kick: new(Signal)}
 	}
 	var trace scriptTrace
 	k.SetTracer(func(at Time, proc, msg string) {
