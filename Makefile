@@ -113,14 +113,12 @@ cover:
 		repro/internal/workload repro/internal/report repro/internal/experiments
 
 # Short fuzz pass over every native fuzz target: the kernel's schedule
-# against its one-heap reference (idle hooks' deadline moves included), the
-# Dispatcher with its idle hook against every turn taken, the frontend daemon
-# against App.Run on a coroutine, the wire codec, the framing layer and the
-# trace encoders each get 10s of coverage-guided input on top of the
-# committed corpus under testdata/fuzz/.
+# against its one-heap reference, the frontend daemon against App.Run on a
+# coroutine, the wire codec, the framing layer and the trace encoders each get
+# 10s of coverage-guided input on top of the committed corpus under
+# testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelSchedule -fuzztime 10s ./internal/sim/
-	$(GO) test -run '^$$' -fuzz FuzzQuietTurns -fuzztime 10s ./internal/devsched/
 	$(GO) test -run '^$$' -fuzz FuzzFrontendSteps -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/rpcproto/
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/rpcproto/

@@ -224,7 +224,7 @@ type contendedCell struct {
 	streams    []workload.StreamSpec
 	horizon    sim.Time // 0 = run to completion
 	budget     float64  // allocations a request
-	dispatches float64  // kernel dispatches a request
+	dispatches float64  // kernel dispatches a launched application
 }
 
 // contendedCells returns a Fig 11-shaped cell and two Fig 12-shaped ones.
@@ -244,9 +244,9 @@ func contendedCells() []contendedCell {
 		{Kind: pair.Short, Count: 8, LambdaFactor: 0.6, Node: 1, Tenant: 2, Weight: 1},
 	}
 	return []contendedCell{
-		{"fig11/TFS-Strings", core.Config{Nodes: oneGPU, Mode: core.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * sim.Second, 30.5, 170.0},
-		{"fig12/GWtMinPS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 29.0, 565.0},
-		{"fig12/GWtMinLAS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 29.0, 565.0},
+		{"fig11/TFS-Strings", core.Config{Nodes: oneGPU, Mode: core.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * sim.Second, 30.5, 280.0},
+		{"fig12/GWtMinPS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 29.0, 4722.5},
+		{"fig12/GWtMinLAS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 29.0, 4722.5},
 	}
 }
 
@@ -379,10 +379,10 @@ func TestResumeBudgetPerRequest(t *testing.T) {
 // delivery wake-ups — the backend thread's included — back through the heap,
 // or leaves kicked deadlines queued, fails here before it shows as a slower
 // benchmark. On the contended cells it bounds what the kernel dispatches a
-// launched application (Kernel.Dispatched): a quiet Dispatcher's epoch
-// deadline moves instead of stepping (Daemon.SetIdle), so a change that
-// dispatches quiet turns again fails under the cell's name. The cells read
-// 279.6 and 4 722 while every turn was dispatched.
+// launched application (Kernel.Dispatched), by the same rule: the cells read
+// 279.6 and 4 722.2, one Dispatcher turn an epoch or kick included, so a
+// change that dispatches more — a turn, a wake-up, a timer — fails under the
+// cell's name.
 func TestQueueBudgetPerRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("queue budget measurement skipped in -short mode")

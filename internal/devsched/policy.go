@@ -129,7 +129,15 @@ func (t *TFS) Pick(now sim.Time, entries []*Entry, cfg *Config) []*Entry {
 		n := 2 * len(entries)
 		t.views, t.work = make([]tenantView, 0, n), make([]*Entry, 0, n)
 	}
-	views, work := t.views[:0], t.work[:0]
+	// The current tenant keeps the device while its slice lasts and it has
+	// work, whatever the others stand at: only its entries are read.
+	if t.active && now < t.sliceEnd {
+		if work := t.list(entries, t.current); len(work) > 0 {
+			return work
+		}
+	}
+
+	views := t.views[:0]
 	for _, e := range entries {
 		i := 0
 		for i < len(views) && views[i].id < e.TenantID {
@@ -141,72 +149,60 @@ func (t *TFS) Pick(now sim.Time, entries []*Entry, cfg *Config) []*Entry {
 			views[i] = tenantView{id: e.TenantID, weight: e.Weight}
 		}
 		views[i].attained += float64(e.Attained)
-		if e.HasWork() {
-			views[i].hasWork = true
-			work = work[:len(work)+1]
-			work[len(work)-1] = e
-		}
+		views[i].hasWork = views[i].hasWork || e.HasWork()
 	}
 
-	var pick *tenantView
 	if t.active {
-		var cur *tenantView
+		// Turn over: penalize overshoot beyond the allocated slice.
 		for i := range views {
 			if views[i].id == t.current {
-				cur = &views[i]
-			}
-		}
-		if cur != nil && now < t.sliceEnd && cur.hasWork {
-			pick = cur // slice still valid
-		} else {
-			// Turn over: penalize overshoot beyond the allocated slice.
-			if cur != nil {
-				used := cur.attained - t.turnBase
+				used := views[i].attained - t.turnBase
 				alloc := float64(t.turnLen)
 				if used > alloc {
 					t.penalty[t.current] += used - alloc
 				}
 			}
-			t.active = false
+		}
+		t.active = false
+	}
+	// Choose the tenant with the least weighted (attained + penalty) among
+	// tenants with pending work — the "least attained fair share". The views
+	// are in id order, so a tie stays with the lower id.
+	var pick *tenantView
+	var bestKey float64
+	for i := range views {
+		if tv := &views[i]; tv.hasWork {
+			if key := (tv.attained + t.penalty[tv.id]) / float64(tv.weight); pick == nil || key < bestKey {
+				pick, bestKey = tv, key
+			}
 		}
 	}
 	if pick == nil {
-		// Choose the tenant with the least weighted (attained + penalty)
-		// among tenants with pending work — the "least attained fair share".
-		// The views are in id order, so a tie stays with the lower id.
-		var bestKey float64
-		for i := range views {
-			if tv := &views[i]; tv.hasWork {
-				if key := (tv.attained + t.penalty[tv.id]) / float64(tv.weight); pick == nil || key < bestKey {
-					pick, bestKey = tv, key
-				}
-			}
-		}
-		if pick != nil {
-			t.current = pick.id
-			t.turnLen = tfsBaseSlice * sim.Time(pick.weight)
-			t.sliceEnd = now + t.turnLen
-			t.turnBase = pick.attained
-			t.active = true
-		}
-	}
-
-	// Cut the work list down to the picked tenant's entries, in place and so
-	// still in app-id order, and clear what this list and the previous turn's
-	// result held beyond them: no entry stays past the turn after it was listed.
-	n := 0
-	for _, e := range work {
-		if pick != nil && e.TenantID == pick.id {
-			work[n] = e
-			n++
-		}
-	}
-	clear(t.work[n:max(len(work), len(t.work))])
-	t.work = work[:n]
-	if n == 0 {
+		clear(t.work)
+		t.work = t.work[:0]
 		return nil
 	}
-	return t.work
+	t.current = pick.id
+	t.turnLen = tfsBaseSlice * sim.Time(pick.weight)
+	t.sliceEnd = now + t.turnLen
+	t.turnBase = pick.attained
+	t.active = true
+	return t.list(entries, pick.id)
+}
+
+// list lists tenant's entries with work, in app-id order, and clears what the
+// previous list held beyond them: no entry stays past the turn after it was
+// listed.
+func (t *TFS) list(entries []*Entry, tenant int64) []*Entry {
+	work := t.work[:0]
+	for _, e := range entries {
+		if e.TenantID == tenant && e.HasWork() {
+			work = append(work, e)
+		}
+	}
+	clear(t.work[len(work):max(len(work), len(t.work))])
+	t.work = work
+	return work
 }
 
 // PS is Phase Selection: wake one thread per GPU engine phase so that the

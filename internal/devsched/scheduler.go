@@ -53,7 +53,6 @@ type Scheduler struct {
 
 	entries []*Entry // maintained in ascending AppID order
 	gen     uint64   // dispatcher pick generation (see dispatch)
-	picked  int      // entries the last turn picked
 	nextSig int
 	disp    *sim.Daemon // nil until ensureDispatcher starts it
 	closed  bool
@@ -129,7 +128,7 @@ func (s *Scheduler) Unregister(e *Entry, fb *rpcproto.Feedback) bool {
 	if e.exited {
 		return false
 	}
-	s.refreshEntry(e, s.k.Now())
+	s.refreshEntry(e)
 	if fb != nil {
 		e.feedback(s.k.Now(), s.gid, fb)
 	}
@@ -192,7 +191,6 @@ func (s *Scheduler) ensureDispatcher() {
 		return
 	}
 	s.disp = s.k.GoDaemon(nameFor(s.gid), s.dispatch)
-	s.disp.SetIdle(s.idle)
 }
 
 func nameFor(gid int) string {
@@ -210,12 +208,12 @@ func (s *Scheduler) dispatch(d *sim.Daemon) {
 		d.WaitKick()
 		return
 	}
-	now := d.Now()
-	s.refresh(now)
+	s.refresh()
 	// The policy sees the live slice (already app-id ordered; policies
 	// never reorder it). Picks are marked with a generation counter on
 	// the entry, replacing a per-epoch set allocation.
 	s.gen++
+	now := d.Now()
 	awake := s.policy.Pick(now, s.entries, &s.cfg)
 	for _, e := range awake {
 		e.pickGen = s.gen
@@ -231,7 +229,6 @@ func (s *Scheduler) dispatch(d *sim.Daemon) {
 			s.rec.Event(trace.KSleep, now, "", e.AppID, s.gid, 0)
 		}
 	}
-	s.picked = len(awake)
 	if len(awake) == 0 {
 		// No entry has work (the Policy contract): sleep until a thread
 		// shows up with work (Turn kicks) or membership changes.
@@ -241,69 +238,10 @@ func (s *Scheduler) dispatch(d *sim.Daemon) {
 	d.WaitKickTimeout(epoch)
 }
 
-// idle is the Dispatcher's idle hook (sim.Daemon.SetIdle), called for the
-// epoch turn due at at when nothing has run since the last turn and nothing
-// can before bound. The turns from at on see what the last one saw — the same
-// entries, backlogs and phases, device usage standing still — and pick what it
-// picked while TFS's slice lasts, while the pick holds every entry with work,
-// and under PS with lag 0, which picks by phase and attained service. idle
-// returns the first epoch instant at or after bound and that horizon, having
-// replayed the Request Monitor updates of the turns before it.
-func (s *Scheduler) idle(at, bound sim.Time) sim.Time {
-	switch p := s.policy.(type) {
-	case *TFS:
-		bound = min(bound, p.sliceEnd)
-	case LAS, PS:
-		if _, ps := p.(PS); !ps || s.cfg.AccountingLag > 0 {
-			n := 0
-			for _, e := range s.entries {
-				if e.HasWork() {
-					n++
-				}
-			}
-			if n != s.picked {
-				return at
-			}
-		}
-	default:
-		return at
-	}
-	if s.closed || bound <= at {
-		return at
-	}
-	next := at + (bound-at+epoch-1)/epoch*epoch
-	s.replay(at, next)
-	return next
-}
-
-// replay makes the Request Monitor updates of the turns at from, from+epoch,
-// ... before to. Usage stands still over them, so after an entry's first
-// refresh there each further one, one a lag (an epoch under lag 0), only
-// decays its CGS with no new service, down to 0, and moves lastRefresh.
-func (s *Scheduler) replay(from, to sim.Time) {
-	lag := s.cfg.AccountingLag
-	every := max(epoch, (lag+epoch-1)/epoch*epoch)
-	for _, e := range s.entries {
-		t := from
-		if lag > 0 && e.lastRefresh != 0 && from-e.lastRefresh < lag {
-			t += (e.lastRefresh + lag - from + epoch - 1) / epoch * epoch
-		}
-		if t >= to {
-			continue
-		}
-		s.refreshEntry(e, t)
-		n := (to - 1 - t) / every
-		for i := n; i > 0 && e.CGS != 0; i-- {
-			e.CGS *= 1 - s.cfg.LASDecay // refreshEntry's decay with gs 0
-		}
-		e.lastRefresh = t + n*every
-	}
-}
-
 // refresh updates every entry's Request Monitor state from the device.
-func (s *Scheduler) refresh(now sim.Time) {
+func (s *Scheduler) refresh() {
 	for _, e := range s.entries {
-		s.refreshEntry(e, now)
+		s.refreshEntry(e)
 	}
 }
 
@@ -314,7 +252,8 @@ func (s *Scheduler) refresh(now sim.Time) {
 // two apart, which is the accounting error the paper attributes Rain's
 // fairness loss to. Under Strings' packed context the charge is always
 // zero, so the view is exact.
-func (s *Scheduler) refreshEntry(e *Entry, now sim.Time) {
+func (s *Scheduler) refreshEntry(e *Entry) {
+	now := s.k.Now()
 	if s.cfg.AccountingLag > 0 && e.lastRefresh != 0 && now-e.lastRefresh < s.cfg.AccountingLag {
 		return
 	}
@@ -330,5 +269,8 @@ func (s *Scheduler) refreshEntry(e *Entry, now sim.Time) {
 	e.XferTime = u.TransferTime
 	e.MemTraffic = u.MemTraffic
 	k := s.cfg.LASDecay
-	e.CGS = k*float64(gs) + (1-k)*e.CGS
+	// Each product is rounded on its own (the explicit conversions), so no
+	// architecture fuses the sum into one multiply-add and the decay reads
+	// the same bits everywhere.
+	e.CGS = float64(k*float64(gs)) + float64((1-k)*e.CGS)
 }

@@ -80,7 +80,7 @@ func TestClosedLaneIsReused(t *testing.T) {
 				next.stream, other.stream, next.AppID, next.Tenant, next.closed, len(next.pinned), next.thread.Calls(), dev.MemUsed())
 		}
 		if got, _ := mallocVia(next, 10); got.ID != 3<<32|1 {
-			t.Errorf("first pointer of the reused lane = %#x, want %#x", got.ID, 3<<32|1)
+			t.Errorf("first pointer of the reused lane = %#x, want %#x", got.ID, int64(3<<32|1))
 		}
 	})
 	k.Run()

@@ -78,22 +78,6 @@ func (h *actHeap) remove(i int) {
 		a[i] = a[p]
 		i = p
 	}
-	h.down(i, v)
-}
-
-// delay moves the root to the later instant at under the sequence number seq,
-// sifting it down to its place.
-func (h *actHeap) delay(at Time, seq uint64) {
-	v := h.a[0]
-	v.at, v.seq = at, seq
-	h.down(0, v)
-}
-
-// down stores v at index i or below, where the heap order puts it: i is a hole
-// whose parent precedes v.
-func (h *actHeap) down(i int, v activation) {
-	a := h.a
-	n := len(a)
 	for {
 		c := i<<2 + 1
 		if c >= n {

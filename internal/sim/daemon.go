@@ -20,9 +20,6 @@ type Daemon struct {
 	state daemonState
 	again bool  // the step's wait is already over: step again inline
 	dl    int32 // 1 + the heap index of its WaitKickTimeout deadline, 0 if none is queued
-
-	idle func(at, bound Time) Time // SetIdle's hook, nil if none
-	calm uint64                    // 1 + the kernel's busy count when the last step ended, 0 before the first
 }
 
 type daemonState uint8
@@ -46,15 +43,15 @@ func (k *Kernel) GoDaemon(name string, step func(d *Daemon)) *Daemon {
 // StartDaemon is GoDaemon for a daemon its owner holds by value, named lazily
 // by nameFn: d is the zero Daemon, or one that has exited with no activation
 // left queued for it, which starts over under a fresh id — so nothing of its
-// previous run, idle hook included, can step the next. It panics on a daemon
-// that is live or has activations pending.
+// previous run can step the next. It panics on a daemon that is live or has
+// activations pending.
 func (k *Kernel) StartDaemon(d *Daemon, nameFn func() string, step func(d *Daemon)) {
 	if d.p.k != nil && (!d.p.done || d.p.pending != 0) {
 		panic("sim: StartDaemon of " + d.p.Name() + " while it is live or has activations pending")
 	}
 	k.nextID++
 	d.p = Proc{k: k, id: k.nextID, nameFn: nameFn, daemon: d}
-	d.step, d.state, d.again, d.dl, d.idle, d.calm = step, daemonStepping, false, 0, nil, 0
+	d.step, d.state, d.again, d.dl = step, daemonStepping, false, 0
 	k.procs[&d.p] = struct{}{}
 	k.schedule(&d.p, k.now, wakeStart)
 }
@@ -72,27 +69,11 @@ func (d *Daemon) run() {
 			panic("sim: daemon " + d.p.Name() + " step returned without waiting")
 		}
 		if !d.again {
-			d.calm = d.p.k.busy + 1
 			return
 		}
 		d.again = false
 	}
 }
-
-// SetIdle installs hook as the daemon's idle hook, or removes it (nil). The
-// kernel calls it when the daemon's WaitKickTimeout deadline, due at at, is
-// the next activation and nothing has run since the daemon's last step — no
-// timer, no process, no daemon without a hook, no RunUntil call; steps of
-// hooked daemons do not count. Nothing else can then run before bound, the
-// earliest other pending activation (or the instant after the run limit).
-// The hook returns the instant of the first step that must run: one later
-// than at moves the deadline there, in place of the steps in between, which
-// the hook answers for. It must not touch the kernel.
-//
-// A hooked daemon promises that its steps reach other hooked daemons only
-// through the activations they queue, which count. The order argument is in
-// DESIGN.md §12.
-func (d *Daemon) SetIdle(hook func(at, bound Time) Time) { d.idle = hook }
 
 // Now returns the current virtual time.
 func (d *Daemon) Now() Time { return d.p.k.now }

@@ -33,8 +33,7 @@ func TestDaemonKickDuringSleepIsIgnored(t *testing.T) {
 // While the last run is live, or kicked with the kick still queued, the
 // restart panics; the kick took the run's deadline out of the queue, so once
 // the kick has gone by the daemon starts over under a fresh id and a name
-// formatted afresh, and nothing of the first run, idle hook included, steps the
-// second.
+// formatted afresh, and nothing of the first run steps the second.
 func TestStartDaemonReusesAnExitedDaemon(t *testing.T) {
 	k := NewKernel(1)
 	defer k.Close()
@@ -64,7 +63,6 @@ func TestStartDaemonReusesAnExitedDaemon(t *testing.T) {
 	}
 	o.run = 1
 	k.StartDaemon(&o.d, name, step)
-	o.d.SetIdle(func(at, _ Time) Time { return at })
 	first := o.d.p.id
 	k.Go("owner", func(p *Proc) {
 		p.Sleep(2)
@@ -79,9 +77,6 @@ func TestStartDaemonReusesAnExitedDaemon(t *testing.T) {
 		o.run, o.n = 2, 0
 		if restart() {
 			t.Fatal("restart of an exited daemon with nothing pending panicked")
-		}
-		if o.d.idle != nil {
-			t.Error("the second run kept the first run's idle hook")
 		}
 		p.Sleep(1)
 		if b := k.Blocked(); !reflect.DeepEqual(b, []string{"svc-2"}) || o.d.p.id == first {

@@ -59,7 +59,6 @@ type Kernel struct {
 	resumes    uint64
 	queued     uint64
 	folds      uint64 // deliveries whose receiver ran in place of its queued wake-up (fire)
-	busy       uint64 // activations but steps of daemons with an idle hook, and RunUntil calls (Daemon.SetIdle)
 	running    *Proc
 	procs      map[*Proc]struct{}
 	nextID     int
@@ -142,7 +141,6 @@ func (k *Kernel) Reset(seed int64) {
 	k.resumes = 0
 	k.queued = 0
 	k.folds = 0
-	k.busy = 0
 	clear(k.procs)
 	k.nextID = 0
 	k.rng = rand.New(rand.NewSource(seed))
@@ -330,24 +328,18 @@ func (k *Kernel) place(at Time, p *Proc, epoch uint64, tag int32) {
 // root is dropped without moving it), so ffAt remembers the instant until the
 // queue empties.
 func (k *Kernel) frontDue() (*activation, bool) {
-	for k.future.len() > 0 {
-		a := k.future.root()
-		if a.at != k.now && k.nowQ.Len() > 0 {
-			break
+	if k.future.len() > 0 {
+		if a := k.future.root(); a.at == k.now || k.nowQ.Len() == 0 {
+			if a.at > k.limit {
+				return nil, false
+			}
+			if a.at != k.ffAt {
+				k.ffAt = a.at
+				k.countJump(a.at - k.now)
+			}
+			return a, true
 		}
-		if a.at > k.limit {
-			return nil, false
-		}
-		if a.tag == wakeDeadline && a.proc.daemon.idle != nil && k.moveIdle(a) {
-			continue
-		}
-		if a.at != k.ffAt {
-			k.ffAt = a.at
-			k.countJump(a.at - k.now)
-		}
-		return a, true
-	}
-	if k.nowQ.Len() == 0 {
+	} else if k.nowQ.Len() == 0 {
 		k.ffAt = -1
 		return nil, false
 	}
@@ -355,36 +347,6 @@ func (k *Kernel) frontDue() (*activation, bool) {
 		return nil, false
 	}
 	return k.nowQ.front(), false
-}
-
-// moveIdle offers the deadline a, the heap's root and the next activation due,
-// to its daemon's idle hook, which the caller has checked for, when nothing
-// has run since the daemon's last step but steps of hooked daemons
-// (Daemon.SetIdle). The hook gets the deadline's
-// instant and a bound: the earliest other activation — the ring's, at now, or
-// the least of the root's children — or the instant after the run limit. A
-// later instant it returns moves the deadline there in place, under the next
-// sequence number, and moveIdle reports true; nothing is dispatched.
-func (k *Kernel) moveIdle(a *activation) bool {
-	d := a.proc.daemon
-	if d.calm != k.busy+1 {
-		return false
-	}
-	bound := k.limit + 1
-	if k.nowQ.Len() > 0 {
-		bound = k.now
-	} else {
-		for i := 1; i <= 4 && i < k.future.len(); i++ {
-			bound = min(bound, k.future.a[i].at)
-		}
-	}
-	at := d.idle(a.at, bound)
-	if at <= a.at {
-		return false
-	}
-	k.seq++
-	k.future.delay(at, k.seq)
-	return true
 }
 
 // countJump books a clock jump of gap over known-quiet virtual time as a
@@ -435,13 +397,9 @@ func (k *Kernel) dispatch() {
 		}
 		k.dispatched++
 		k.running = q
-		if d := q.daemon; d != nil {
-			if d.idle == nil {
-				k.busy++
-			}
-			d.run()
+		if q.daemon != nil {
+			q.daemon.run()
 		} else {
-			k.busy++
 			k.resumes++
 			q.resume()
 		}
@@ -460,7 +418,6 @@ func (k *Kernel) Run() int { return k.RunUntil(maxTime) }
 func (k *Kernel) RunUntil(limit Time) int {
 	k.stopped = false
 	k.limit = limit
-	k.busy++
 	start := k.dispatched
 	k.dispatch()
 	k.running = nil

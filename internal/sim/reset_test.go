@@ -7,10 +7,9 @@ import (
 )
 
 // resetWorkload is a small but structurally busy scenario: staggered
-// sleepers, a queue-fed consumer, an event rendezvous, a timer callback, a
-// ticking daemon whose idle hook moves its quiet deadlines, and kernel
-// randomness, so a reset kernel has to reproduce heap ordering, ring FIFO
-// behaviour, timer delivery, deadline moves and the seeded random stream.
+// sleepers, a queue-fed consumer, an event rendezvous, a timer callback and
+// kernel randomness, so a reset kernel has to reproduce heap ordering, ring
+// FIFO behaviour, timer delivery and the seeded random stream.
 func resetWorkload(k *Kernel) []string {
 	var log []string
 	k.SetTracer(func(t Time, proc, msg string) {
@@ -37,19 +36,6 @@ func resetWorkload(k *Kernel) []string {
 		p.Tracef("done at %v", p.Now())
 	})
 	k.After(3, func() { log = append(log, "timer@3") })
-	ticks := 0
-	k.GoDaemon("ticker", func(d *Daemon) {
-		log = append(log, fmt.Sprintf("%v tick %d", d.Now(), ticks))
-		if ticks++; ticks == 8 {
-			d.Exit()
-			return
-		}
-		d.WaitKickTimeout(2)
-	}).SetIdle(func(at, bound Time) Time {
-		log = append(log, fmt.Sprintf("idle %v until %v", at, bound))
-		return min(bound, (at+4)/5*5) // the tick due at a multiple of 5
-
-	})
 	k.Run()
 	log = append(log, fmt.Sprintf("end now=%v dispatched=%d", k.Now(), k.Dispatched()))
 	return log
@@ -73,7 +59,6 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 		}
 	})
 	reused.After(1000, func() { t.Error("timer armed before Reset fired after it") })
-	reused.GoDaemon("idler", func(d *Daemon) { d.WaitKickTimeout(7) }).SetIdle(func(at, bound Time) Time { return bound })
 	gate, held := reused.NewEvent(), reused.NewMutex()
 	reused.Go("gated", func(p *Proc) {
 		p.Wait(gate)

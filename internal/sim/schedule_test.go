@@ -3,16 +3,18 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
 // The kernel stores an activation in one of two structures, reads the next one
 // where it lies and does not store some sleeps at all. What it owes its callers
 // is what a single queue ordered by (time, sequence) that queues everything
-// would do, idle hooks' moves included. refKernel is that queue;
-// checkSchedule runs random programs on both and compares every dispatch, the
-// counters and the next pending instant.
+// would do. refKernel is that queue; checkSchedule runs random programs on both
+// and compares every dispatch, the counters and the next pending instant.
 
 // refAct is a pending activation of the reference: of a process (stale once
 // the process has been woken since), or a timer (p nil) that runs fire.
@@ -26,12 +28,21 @@ type refAct struct {
 }
 
 // refProc is a process or daemon of the reference: run continues it, told what
-// woke it. daemon is set for a daemon's.
+// woke it. in is what it last waited in on a queue.
 type refProc struct {
-	epoch  uint64
-	run    func(tag int32)
-	daemon *refDaemon
+	epoch uint64
+	run   func(tag int32)
+	in    int
 }
+
+// What a reference process or daemon waits in on a queue; a delivery folded
+// into it is counted under that.
+const (
+	inTake  = iota // a daemon's Take
+	inGet          // a process's Get
+	inGetTO        // a process's GetTimeout
+	inKinds
+)
 
 type refActs []refAct
 
@@ -52,21 +63,19 @@ func (h *refActs) Pop() any {
 // (at, seq), every wake-up and every sleep queued in it. What the kernel does
 // not queue it counts: taken the sleeps the kernel takes on the spot, folds
 // the delivery wake-ups it runs in place, cancelled the deadlines kicks take
-// out of the heap, moved the deadlines idle hooks move — so the kernel's
-// Queued is seq less those. inline counts the daemon waits on an event that
-// had already fired. busy counts what breaks a hooked daemon's quiet: a
-// timer, a process's wake-up, a step of a daemon without a hook, a runUntil
-// call.
+// out of the heap — so the kernel's Queued is seq less those. inline counts
+// the daemon waits on an event that had already fired, foldsIn the folds by
+// what their receiver waited in.
 type refKernel struct {
-	now, horizon, skipped, limit                                          Time
-	seq, dispatched, jumps, stale, inline, taken, folds, cancelled, moved uint64
-	busy                                                                  uint64
-	stopped                                                               bool
-	h                                                                     refActs
+	now, horizon, skipped, limit                                   Time
+	seq, dispatched, jumps, stale, inline, taken, folds, cancelled uint64
+	foldsIn                                                        [inKinds]uint64
+	stopped                                                        bool
+	h                                                              refActs
 }
 
 // queued is Kernel.Queued.
-func (r *refKernel) queued() uint64 { return r.seq - r.taken - r.folds - r.cancelled - r.moved }
+func (r *refKernel) queued() uint64 { return r.seq - r.taken - r.folds - r.cancelled }
 
 // nextAfter reports whether every queued activation is due after at.
 func (r *refKernel) nextAfter(at Time) bool {
@@ -109,12 +118,8 @@ func (r *refKernel) countJump(gap Time) {
 func (r *refKernel) runUntil(limit Time) int {
 	r.stopped = false
 	r.limit = limit
-	r.busy++
 	start, front := r.dispatched, r.now
 	for !r.stopped && len(r.h) > 0 && r.h[0].at <= limit {
-		if r.moveIdle(limit) {
-			continue
-		}
 		a := heap.Pop(&r.h).(refAct)
 		if a.at > front {
 			front = a.at
@@ -127,54 +132,17 @@ func (r *refKernel) runUntil(limit Time) int {
 		r.now = a.at
 		r.dispatched++
 		if a.p == nil {
-			r.busy++
 			a.fire()
 			continue
 		}
 		a.p.epoch++
-		d := a.p.daemon
-		if d == nil || d.hook == nil {
-			r.busy++
-		}
 		a.p.run(a.tag)
-		if d != nil {
-			d.calm = r.busy + 1
-		}
 	}
 	if !r.stopped && len(r.h) > 0 && r.now < limit {
 		r.countJump(limit - r.now)
 		r.now = limit
 	}
 	return int(r.dispatched - start)
-}
-
-// moveIdle is Kernel.moveIdle: the root, a daemon's live deadline, goes to
-// the instant its hook names if the daemon has been quiet since its last
-// step. The bound is the earliest other activation queued, or limit+1.
-func (r *refKernel) moveIdle(limit Time) bool {
-	a := r.h[0]
-	if a.p == nil || a.p.daemon == nil || a.epoch != a.p.epoch {
-		return false
-	}
-	d := a.p.daemon
-	if d.hook == nil || d.deadline < 0 || !d.kickWait || d.calm != r.busy+1 {
-		return false
-	}
-	bound := limit + 1
-	for _, b := range r.h[1:] {
-		bound = min(bound, b.at)
-	}
-	at := d.hook(a.at, bound)
-	if at <= a.at {
-		return false
-	}
-	heap.Pop(&r.h)
-	r.seq++
-	a.at, a.seq = at, r.seq
-	heap.Push(&r.h, a)
-	d.deadline = at
-	r.moved++
-	return true
 }
 
 func (r *refKernel) nextEventTime() (Time, bool) {
@@ -251,50 +219,6 @@ type daemonStep struct {
 	d           Time
 }
 
-// A daemon's idle hook: none, or one that declines, or one that moves the
-// deadline to bound-1, bound or bound+d. Each moves the deadline to or past
-// bound at once, or nearly: one that crept would take the whole run to reach
-// a limit at the end of time. Two hooked daemons past each other's deadlines
-// leapfrog that way, so a hook moves at most hookMoves deadlines a run.
-const (
-	hookNone = iota
-	hookDecline
-	hookBefore
-	hookAt
-	hookAfter
-	hookKinds
-)
-
-type idleHook struct {
-	kind int
-	d    Time
-}
-
-const hookMoves = 8
-
-// install returns the hook a run of a program gives a daemon, which logs each
-// call into tr as daemon j's.
-func (h idleHook) install(tr *schedTrace, j int) func(at, bound Time) Time {
-	left := hookMoves
-	return func(at, bound Time) Time {
-		tr.log(at, 200+j, 0, int(bound))
-		to := at
-		switch h.kind {
-		case hookBefore:
-			to = bound - 1
-		case hookAt:
-			to = bound
-		case hookAfter:
-			to = bound + h.d
-		}
-		if to <= at || left == 0 {
-			return at
-		}
-		left--
-		return to
-	}
-}
-
 // A driver step arms a timer from outside the run (inject) and runs until
 // limit: now+d, or off instants of the next pending activation.
 const (
@@ -315,7 +239,6 @@ type program struct {
 	horizon Time
 	procs   [][]op
 	daemons [][]daemonStep
-	hooks   []idleHook // one per daemon
 	driver  []driverStep
 }
 
@@ -360,38 +283,11 @@ func newProgram(data []byte) program {
 	for i, n := 0, t.next(6); i < n; i++ {
 		pr.driver = append(pr.driver, driverStep{inject: t.next(4) == 0, limit: t.next(limitKinds), d: t.duration()})
 	}
-	// The hooks come last, so a program written before them decodes as it
-	// did, with none. A hooked daemon, one of the above or one more, takes
-	// new steps: longer-lived, mostly quiet and mostly in WaitKickTimeout
-	// with a deadline a few ticks out, which the hook may move once the
-	// processes are done or parked for good.
-	for j := 0; j < 2 && j <= len(pr.daemons); j++ {
-		hook := idleHook{t.next(hookKinds), t.duration()}
-		if hook.kind == hookNone && j == len(pr.daemons) {
-			break
-		}
-		if hook.kind != hookNone {
-			steps := make([]daemonStep, 1+t.next(16))
-			for i := range steps {
-				s := daemonStep{act: []int{-1, -1, -1, opNotify, opAfterPut, opFire, opGet}[t.next(7)], x: t.next(2), end: []int{1, 1, 1, 1, 0, 2, 3, 4}[t.next(8)], d: t.duration()}
-				if s.end == 1 {
-					s.d = Time(1 + t.next(3))
-				}
-				steps[i] = s
-			}
-			if j == len(pr.daemons) {
-				pr.daemons = append(pr.daemons, nil)
-			}
-			pr.daemons[j] = steps
-		}
-		pr.hooks = append(pr.hooks, hook)
-	}
 	return pr
 }
 
 // dispatchRec is one line of the dispatch log: who ran at what instant (a
-// process, 100+ a daemon, -1 a timer), at which step, and what the step read;
-// or, Who 200+ a daemon, its idle hook's call for a deadline At with bound Val.
+// process, 100+ a daemon, -1 a timer), at which step, and what the step read.
 type dispatchRec struct {
 	At           Time
 	Who, PC, Val int
@@ -477,9 +373,6 @@ func runOnKernel(k *Kernel, pr program) schedTrace {
 				d.Wait(evs[s.x])
 			}
 		})
-		if h := pr.hooks[j]; h.kind != hookNone {
-			daemons[j].SetIdle(h.install(&tr, j))
-		}
 	}
 	for i, ops := range pr.procs {
 		k.Go("p", func(p *Proc) {
@@ -590,6 +483,7 @@ func (q *refQueue) put(v int) {
 func (q *refQueue) deliver(v int) {
 	if r := q.ready.r; len(q.ready.waiters) > 0 && r.nextAfter(r.now) {
 		r.folds++
+		r.foldsIn[q.ready.waiters[0].in]++
 	}
 	q.put(v)
 }
@@ -607,14 +501,11 @@ func (q *refQueue) take() int {
 
 // refDaemon is Daemon over the reference: kickable only while it waits for a
 // kick. deadline is the instant of its WaitKickTimeout deadline while one is
-// queued at a later instant than the wait began, -1 otherwise. hook is its
-// idle hook, and calm 1 + the kernel's busy count when its last step ended.
+// queued at a later instant than the wait began, -1 otherwise.
 type refDaemon struct {
 	p        refProc
 	kickWait bool
 	deadline Time
-	hook     func(at, bound Time) Time
-	calm     uint64
 }
 
 // kick drops a deadline due later and queues the wake-up; a deadline due now
@@ -660,10 +551,6 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 	for j, steps := range pr.daemons {
 		pc := 0
 		d := &refDaemon{deadline: -1}
-		d.p.daemon = d
-		if h := pr.hooks[j]; h.kind != hookNone {
-			d.hook = h.install(&tr, j)
-		}
 		daemons[j] = d
 		d.p.run = func(int32) {
 			d.kickWait, d.deadline = false, -1
@@ -761,6 +648,7 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 					q := qs[o.x]
 					if len(q.items) == 0 {
 						q.ready.waiters = append(q.ready.waiters, p)
+						p.in = inGet
 						blocked = true
 						return
 					}
@@ -774,6 +662,7 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 						val = q.take()
 					} else if remain := deadline - r.now; remain > 0 {
 						q.ready.waiters = append(q.ready.waiters, p)
+						p.in = inGetTO
 						r.schedule(p, r.now+remain, wakeTimer, nil)
 						blocked = true
 						return
@@ -820,7 +709,8 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 // scheduleCoverage counts, over the programs checked, the cases they are there
 // to produce.
 type scheduleCoverage struct {
-	programs, dispatches, taken, folded, stale, jumps, inline, cancelled, moved uint64
+	programs, dispatches, taken, folded, stale, jumps, inline, cancelled uint64
+	foldedIn                                                             [inKinds]uint64
 }
 
 // checkSchedule runs the program data encodes on k twice, a Reset before each
@@ -849,7 +739,9 @@ func checkSchedule(t *testing.T, k *Kernel, data []byte, cov *scheduleCoverage) 
 	cov.stale += r.stale
 	cov.jumps += r.jumps
 	cov.inline += r.inline
-	cov.moved += r.moved
+	for i, n := range r.foldsIn {
+		cov.foldedIn[i] += n
+	}
 }
 
 // TestKernelScheduleMatchesOneQueue checks 2 500 seeded random programs on one
@@ -868,8 +760,45 @@ func TestKernelScheduleMatchesOneQueue(t *testing.T) {
 	t.Logf("%+v", cov)
 	if cov.dispatches < 10*cov.programs || cov.taken < cov.programs || 4*cov.folded < cov.programs ||
 		2*cov.stale < cov.programs || 2*cov.jumps < cov.programs || 8*cov.inline < cov.programs ||
-		16*cov.cancelled < cov.programs || 4*cov.moved < cov.programs {
+		16*cov.cancelled < cov.programs {
 		t.Fatalf("the programs no longer cover what they are for: %+v", cov)
+	}
+}
+
+// TestScheduleSeeds decodes the committed FuzzKernelSchedule corpus through
+// checkSchedule and holds each program to what it is kept for: seed-fold's
+// deliveries wake a daemon in Take and a process in GetTimeout in place, and
+// seed-mixed, full-sized, takes a sleep on the spot, folds a delivery, drops a
+// stale wake-up and jumps the clock.
+func TestScheduleSeeds(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ok   func(c scheduleCoverage) bool
+	}{
+		{"seed-fold", func(c scheduleCoverage) bool { return c.foldedIn[inTake] > 0 && c.foldedIn[inGetTO] > 0 }},
+		{"seed-mixed", func(c scheduleCoverage) bool {
+			return c.dispatches >= 10 && c.taken > 0 && c.folded > 0 && c.stale > 0 && c.jumps > 0
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			raw, err := os.ReadFile("testdata/fuzz/FuzzKernelSchedule/" + c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+			data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+			if !ok || err != nil {
+				t.Fatalf("not a one-[]byte corpus file: %v", err)
+			}
+			k := NewKernel(1)
+			defer k.Close()
+			var cov scheduleCoverage
+			checkSchedule(t, k, []byte(data), &cov)
+			t.Logf("%+v", cov)
+			if !c.ok(cov) {
+				t.Errorf("the program no longer covers what it is kept for: %+v", cov)
+			}
+		})
 	}
 }
 
@@ -877,8 +806,7 @@ func TestKernelScheduleMatchesOneQueue(t *testing.T) {
 func FuzzKernelSchedule(f *testing.F) {
 	// One process, one Sleep(0). testdata/fuzz holds seed-mixed, a
 	// full-sized program, and seed-fold, whose deliveries wake a daemon in
-	// Take and a process in GetTimeout, both without hooks; and seed-idle,
-	// whose hooked daemons' deadlines move 16 times.
+	// Take and a process in GetTimeout (TestScheduleSeeds checks both).
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k := NewKernel(1)

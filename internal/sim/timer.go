@@ -65,7 +65,6 @@ func (k *Kernel) armTimer(d Time) *timerSlot {
 func (k *Kernel) fire(at Time, i int32) *Proc {
 	k.now = at
 	k.dispatched++
-	k.busy++
 	s := &k.tslots[i]
 	fn, ev, q, msg := s.fn, s.ev, s.q, s.msg
 	*s = timerSlot{next: k.tfree}
