@@ -113,10 +113,10 @@ cover:
 		repro/internal/workload repro/internal/report repro/internal/experiments
 
 # Short fuzz pass over every native fuzz target: the kernel's schedule
-# against its one-heap reference, the frontend daemon against App.Run on a
-# coroutine, the wire codec, the framing layer and the trace encoders each get
-# 10s of coverage-guided input on top of the committed corpus under
-# testdata/fuzz/.
+# against its one-heap reference, a frontend script on a fresh kernel against
+# the same script on a kernel reset after another, the wire codec, the framing
+# layer and the trace encoders each get 10s of coverage-guided input on top of
+# the committed corpus under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelSchedule -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzFrontendSteps -fuzztime 10s ./internal/core/

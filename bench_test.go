@@ -300,20 +300,16 @@ func codecRoundTrip(tb testing.TB) func() {
 }
 
 // BenchmarkBackendCall measures one intercepted CUDA call through a Strings
-// backend thread: a single application on a warm one-GPU node cycles through a
-// non-blocking host-to-device copy, a non-blocking launch and a blocking
-// device-to-host copy. One op is one call; resumes/call counts the coroutine
-// switches a call costs. Steady state allocates nothing
-// (TestBenchSetupsZeroAlloc).
+// backend thread: a single application, its interposer driven from a daemon,
+// on a warm one-GPU node cycles through a non-blocking host-to-device copy, a
+// non-blocking launch and a blocking device-to-host copy. One op is one call.
+// Steady state allocates nothing (TestBenchSetupsZeroAlloc).
 func BenchmarkBackendCall(b *testing.B) {
 	c, run := backendCall(b)
 	defer c.Close()
-	resumes := c.K.Resumes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	run(b.N)
-	b.StopTimer()
-	b.ReportMetric(float64(c.K.Resumes()-resumes)/float64(b.N), "resumes/call")
 }
 
 // backendCall is BenchmarkBackendCall's set-up, warm; run makes n more calls.
@@ -330,28 +326,35 @@ func backendCall(tb testing.TB) (c *core.Cluster, run func(n int)) {
 	calls, target := 0, 0
 	more := new(sim.Signal)
 	var callErr error
-	k.Go("app", func(p *sim.Proc) {
-		ip := interpose.New(c.Fabric(0), p, 1, 1, 1, "bench", 0, true)
-		ptr, err := ip.Malloc(1 << 20)
-		if err != nil {
-			callErr = err
-			return
-		}
-		kern := cuda.Kernel{Name: "bench", Compute: 4.8e6, Occupancy: 1}
-		for i := 0; callErr == nil; i++ {
-			for calls == target {
-				p.WaitSignal(more)
+	var ip interpose.Interposer
+	ip.Init(c.Fabric(0), k, 1, 1, 1, "bench", 0, true)
+	kern := cuda.Kernel{Name: "bench", Compute: 4.8e6, Occupancy: 1}
+	ops := [...]cuda.Op{{ID: cuda.CallMemcpy, Dir: cuda.H2D, Bytes: 4096}, {ID: cuda.CallLaunch, Kernel: kern},
+		{ID: cuda.CallMemcpy, Dir: cuda.D2H, Bytes: 4096}, {ID: cuda.CallMalloc, Bytes: 1 << 20}}
+	busy := true
+	ip.Issue(&ops[3]) // the Malloc, driven from the daemon's first step
+	k.GoDaemon("app", func(d *sim.Daemon) {
+		for callErr == nil {
+			if busy {
+				if !ip.Await(d) {
+					return
+				}
+				busy = false
+				var r cuda.Ret
+				if r, callErr = ip.Result(); r.Ptr.Size > 0 {
+					ops[0].Ptr, ops[2].Ptr = r.Ptr, r.Ptr
+				} else {
+					calls++
+				}
 			}
-			switch i % 3 {
-			case 0:
-				callErr = ip.Memcpy(cuda.H2D, ptr, 4096)
-			case 1:
-				callErr = ip.Launch(kern, cuda.DefaultStream)
-			default:
-				callErr = ip.Memcpy(cuda.D2H, ptr, 4096)
+			if calls == target {
+				d.WaitSignal(more)
+				return
 			}
-			calls++
+			busy = true
+			ip.Issue(&ops[calls%3])
 		}
+		d.Exit()
 	})
 	run = func(n int) {
 		target = calls + n

@@ -31,7 +31,7 @@ func (c *Cluster) accept(gid int, conn *rpcproto.Conn) {
 }
 
 // openApp gives an application that completed the handshake its lane on device
-// gid, the lane's thread running on p, or on the session daemon with p nil.
+// gid, the lane's thread running on the session daemon.
 // Under Strings the lane is a Context Packer port on the GPU's backend
 // process, so its calls are translated (AST/SST/MOT) before they execute.
 // Under Rain it is a fresh CUDA runtime — and therefore a private GPU context
@@ -39,10 +39,10 @@ func (c *Cluster) accept(gid int, conn *rpcproto.Conn) {
 // synchronous, device synchronizes stay device-wide, everything runs on the
 // context's default stream. The per-device scheduler still gates submission,
 // which is how TFS-Rain and LAS-Rain are realized.
-func (c *Cluster) openApp(p *sim.Proc, gid int, first *rpcproto.Call, pool *rpcproto.Pool) (appPort, error) {
+func (c *Cluster) openApp(gid int, first *rpcproto.Call, pool *rpcproto.Pool) (appPort, error) {
 	appID := int(first.AppID)
 	if c.cfg.Mode == ModeStrings {
-		port, err := c.packers[gid].Open(p, appID, first.TenantID)
+		port, err := c.packers[gid].Open(nil, appID, first.TenantID)
 		if err != nil {
 			return nil, err
 		}
@@ -53,7 +53,7 @@ func (c *Cluster) openApp(p *sim.Proc, gid int, first *rpcproto.Call, pool *rpcp
 	// fresh one-element slice per application.
 	rt := cuda.NewRuntime(c.devEnv[gid].k, c.devices[gid:gid+1:gid+1], c.cudaConfig())
 	rt.SetOwner(appID)
-	rp := &rainPort{t: *rt.NewThread(p, appID), pool: pool}
+	rp := &rainPort{t: *rt.NewThread(nil, appID), pool: pool}
 	return rp, rp.t.SetDevice(0)
 }
 
@@ -191,7 +191,7 @@ func (s *session) step(d *sim.Daemon) {
 				s.pool = s.ep.Pool()
 				s.entry = &s.rcb
 				sched.Register(s.entry, int(first.AppID), first.TenantID, int(first.Weight), first.KernelName, s.backlogFn)
-				port, err := c.openApp(nil, gid, first, s.pool)
+				port, err := c.openApp(gid, first, s.pool)
 				s.port = port
 				s.reply = s.pool.GetReply()
 				s.reply.Seq = first.Seq

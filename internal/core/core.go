@@ -197,10 +197,6 @@ type Cluster struct {
 	// Slice-placement tenant state (see slices.go); inert unless the fleet has
 	// partitionable devices and a run declares slice streams.
 	sl sliceState
-
-	// syncOnCoroutine runs sync applications through runApp, the frontend
-	// daemon's reference, as the other styles run (tests only).
-	syncOnCoroutine bool
 }
 
 // mapperMsg is a message to the affinity-mapper service: a
@@ -219,7 +215,7 @@ type mapperMsg struct {
 	fail      bool
 	recovered bool
 	hGID      balancer.GID
-	hOut      *healthResult
+	hOut      *balancer.Health
 
 	// node is the sender's node and at the instant the message reaches the
 	// mapper's queue. Selections and failure reports are answered: the
@@ -227,11 +223,6 @@ type mapperMsg struct {
 	node int
 	at   sim.Time
 	done *sim.Event
-}
-
-// healthResult carries a failure report's verdict back to the caller.
-type healthResult struct {
-	h balancer.Health
 }
 
 // New builds a cluster per cfg. The kernels, devices, gPool, mapper service
@@ -476,7 +467,7 @@ func (c *Cluster) serveMapper(now sim.Time) {
 	c.mapPend = append(pend[:best], pend[best+1:]...)
 	switch {
 	case m.fail:
-		m.hOut.h = c.mapper.ReportFailure(m.hGID)
+		*m.hOut = c.mapper.ReportFailure(m.hGID)
 		c.reply(m)
 	case m.recovered:
 		c.mapper.ReportRecovered(m.hGID)

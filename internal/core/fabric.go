@@ -88,7 +88,7 @@ func (f *nodeFabric) SelectHop() sim.Time {
 // readers' kernels and whose deliveries ride the mailboxes; the accept is
 // sent ahead on the same mailbox, so it is injected before (or at the same
 // instant as, but ordered before) the handshake call.
-func (f *nodeFabric) ConnectBackend(p *sim.Proc, gid balancer.GID, _ int) rpcproto.Endpoint {
+func (f *nodeFabric) ConnectBackend(gid balancer.GID) rpcproto.Endpoint {
 	c, e, oe := f.c, f.e, f.c.devEnv[gid]
 	link := rpcproto.SharedMemLink
 	if c.mapper.DST().Entry(gid).Node != f.node {
@@ -118,13 +118,9 @@ func (f *nodeFabric) ReportFeedback(gid balancer.GID, kind string, fb *rpcproto.
 }
 
 // ReportFailure implements interpose.Fabric: it relays one failed call to
-// the affinity mapper's failure detector and blocks for the verdict.
-func (f *nodeFabric) ReportFailure(p *sim.Proc, gid balancer.GID) balancer.Health {
-	out := &healthResult{}
-	m := mapperMsg{fail: true, hGID: gid, hOut: out, done: f.e.k.NewEvent()}
-	f.toMapper(m)
-	p.Wait(m.done)
-	return out.h
+// the affinity mapper's failure detector, whose verdict fires done.
+func (f *nodeFabric) ReportFailure(gid balancer.GID, h *balancer.Health, done *sim.Event) {
+	f.toMapper(mapperMsg{fail: true, hGID: gid, hOut: h, done: done})
 }
 
 // ReportRecovered implements interpose.Fabric (fire and forget).

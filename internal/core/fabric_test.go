@@ -89,7 +89,9 @@ func TestCrossNodeReportsPayTheLink(t *testing.T) {
 		node, f := node, c.nodes[node]
 		c.K.Go("detector", func(p *sim.Proc) {
 			p.Sleep(failAt - p.Now())
-			health[node] = f.ReportFailure(p, balancer.GID(2+node))
+			verdict := c.K.NewEvent()
+			f.ReportFailure(balancer.GID(2+node), &health[node], verdict)
+			p.Wait(verdict)
 			took[node] = p.Now() - failAt
 			p.Sleep(sim.Millisecond)
 			f.ReportRecovered(balancer.GID(2 + node))

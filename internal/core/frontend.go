@@ -8,19 +8,20 @@ import (
 	"repro/internal/workload"
 )
 
-// frontend is a sync application's host thread run as a daemon: the
+// frontend is an application's host thread run as a daemon: the
 // application's step machine (workload.Steps) over its CUDA client — the
 // interposer under Strings and Rain, a thread of a private runtime under
-// CUDA — every piece held by value. An exited frontend, daemon and all, serves
-// the next sync request on its kernel. runApp is the same request on a
-// coroutine, and the reference this is tested against.
+// CUDA — every piece held by value. A multi-threaded application's second
+// thread calls through the same interposer, or through a second thread of the
+// runtime. An exited frontend, daemon and all, serves the next request on its
+// kernel.
 type frontend struct {
 	d     sim.Daemon
 	e     *shardEnv
 	app   workload.App
 	steps workload.Steps
 	ip    interpose.Interposer
-	th    cuda.Thread
+	th    [2]cuda.Thread
 
 	s     *workload.StreamSpec
 	si, n int          // stream si's nth request
@@ -53,7 +54,8 @@ func (f *frontend) step(d *sim.Daemon) {
 		f.begun = true
 		app.Submitted = d.Now()
 		f.req = e.rec.Begin(trace.KRequest, 0, d.Now(), s.Kind.String(), app.ID, -1, s.Tenant)
-		f.steps.Start(app, f.client())
+		c, c1 := f.clients()
+		f.steps.Start(app, c, c1)
 	}
 	done, err := f.steps.Step(d)
 	if !done {
@@ -66,19 +68,28 @@ func (f *frontend) step(d *sim.Daemon) {
 	e.record(app, *s, ipose, f.req, err)
 	f.begun = false
 	d.Exit()
-	e.frontends = append(e.frontends, f) // bounded by peak live frontends
+	// A timed reply wait leaves its deadline queued, stale, once a reply
+	// ends it, and a daemon with an activation pending cannot start over: a
+	// frontend that ran with recovery armed is not reused.
+	if !e.c.cfg.Recovery.Enabled() {
+		e.frontends = append(e.frontends, f) // bounded by peak live frontends
+	}
 }
 
-// client readies the application's CUDA client, as runApp makes it.
-func (f *frontend) client() cuda.Stepper {
-	e, c, s := f.e, f.e.c, f.s
-	if c.cfg.Mode == ModeCUDA {
-		rt := cuda.NewRuntime(e.k, c.nodeDev[s.Node], c.cudaConfig())
-		rt.SetOwner(f.app.ID)
-		rt.InitThread(&f.th, nil, f.app.ID)
-		return &f.th
+// clients readies the application's CUDA clients, its main thread's and a
+// second thread's: under CUDA two threads of a private runtime, seeing only
+// the node's devices; otherwise the one interposer.
+func (f *frontend) clients() (c, c1 cuda.Stepper) {
+	e, cl, s, id := f.e, f.e.c, f.s, f.app.ID
+	if cl.cfg.Mode == ModeCUDA {
+		rt := cuda.NewRuntime(e.k, cl.nodeDev[s.Node], cl.cudaConfig())
+		rt.SetOwner(id)
+		rt.InitThread(&f.th[0], nil, id)
+		rt.InitThread(&f.th[1], nil, id)
+		return &f.th[0], &f.th[1]
 	}
-	f.ip.Init(c.nodes[s.Node], e.k, f.app.ID, s.Tenant, s.Weight, s.Kind.String(), s.Node, c.cfg.Mode == ModeStrings)
+	f.ip.Init(cl.nodes[s.Node], e.k, id, s.Tenant, s.Weight, s.Kind.String(), s.Node, cl.cfg.Mode == ModeStrings)
+	f.ip.SetRecovery(cl.cfg.Recovery)
 	f.ip.SetTrace(e.rec, f.req)
-	return &f.ip
+	return &f.ip, &f.ip
 }

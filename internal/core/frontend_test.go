@@ -2,13 +2,17 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"os"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/cuda"
 	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/sim"
@@ -16,10 +20,11 @@ import (
 	"repro/internal/workload"
 )
 
-// A sync application's frontend is a step machine (frontend, workload.Steps).
-// What it owes the model is what App.Run on a coroutine does, wait for wait:
-// runApp, which still runs the other styles, is the reference. Seeded scripts
-// run both ways and must leave byte-equal request logs and traces.
+// An application's frontend is a step machine (frontend, workload.Steps). What
+// it owes the model is what the coroutine request path it replaced did, wait
+// for wait: seeded scripts must leave the request logs, traces, end times and
+// blocked processes that path left, whose digests testdata/transcripts.txt
+// keeps.
 
 // appScript is one cluster and the streams it serves.
 type appScript struct {
@@ -38,8 +43,9 @@ var scriptKinds = []workload.Kind{
 // newAppScript deals a script from rng: a mode (Strings, Rain or CUDA) and
 // its policies, one node or up to three, on one kernel or one kernel each, a
 // device memory that may not fit two buffers with or without BlockOnOOM, kill,
-// stall and degrade faults on one kernel, and one to three streams of one to
-// four requests, sync but for the odd pipelined one.
+// stall and degrade faults on one kernel, recovery armed on a third of the
+// interposed scripts, and one to three streams of one to four requests, half
+// of them sync, a quarter pipelined and a quarter multi-threaded.
 func newAppScript(rng *rand.Rand) appScript {
 	sc := appScript{horizon: 40 * sim.Second}
 	cfg := &sc.cfg
@@ -87,6 +93,9 @@ func newAppScript(rng *rand.Rand) appScript {
 			cfg.Faults.Faults = append(cfg.Faults.Faults, faults.Fault{At: at(), Kind: faults.DegradeGPU, GID: rng.Intn(gids), Factor: 1.5 + float64(rng.Intn(4))/2})
 		}
 	}
+	if cfg.Mode != ModeCUDA && rng.Intn(3) == 0 {
+		cfg.Recovery.CallTimeout = []sim.Time{20 * sim.Millisecond, 500 * sim.Millisecond, 5 * sim.Second}[rng.Intn(3)]
+	}
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
 		s := workload.StreamSpec{
 			Kind: scriptKinds[rng.Intn(len(scriptKinds))], Count: 1 + rng.Intn(4),
@@ -94,8 +103,11 @@ func newAppScript(rng *rand.Rand) appScript {
 			Tenant: int64(1 + rng.Intn(3)), Weight: 1 + rng.Intn(3),
 			Start: sim.Time(rng.Int63n(int64(sim.Second))),
 		}
-		if rng.Intn(8) == 0 {
+		switch rng.Intn(4) {
+		case 0:
 			s.Style = workload.StylePipelined
+		case 1:
+			s.Style = workload.StyleMultiThread
 		}
 		sc.streams = append(sc.streams, s)
 	}
@@ -116,20 +128,21 @@ type scriptRun struct {
 	end        sim.Time
 	blocked    []string
 	finished   int
-	reused     bool // a frontend served a request after an earlier one
+	styles     [3]int // requests finished, by style
+	reused     bool   // a frontend served a request after an earlier one
 }
 
-// runAppScript runs sc on a fresh cluster, its sync applications on frontend
-// daemons or, with coroutine, on runApp.
-func runAppScript(t testing.TB, sc appScript, coroutine bool) scriptRun {
+// playScript runs sc on a cluster built on k, Reset, or on a fresh kernel
+// when k is nil.
+func playScript(t testing.TB, sc appScript, k *sim.Kernel) scriptRun {
 	t.Helper()
 	sc.cfg.Recorder = trace.New()
+	sc.cfg.Kernel = k
 	c, err := New(sc.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.syncOnCoroutine = coroutine
 	r, err := c.RunUntil(sc.streams, sc.horizon)
 	if err != nil {
 		t.Fatal(err)
@@ -141,12 +154,21 @@ func runAppScript(t testing.TB, sc appScript, coroutine bool) scriptRun {
 	}
 	out.log = buf.Bytes()
 	for _, rec := range c.Recorders() {
-		if open := rec.Open(); r.Finished == r.Launched && len(open) > 0 {
-			t.Fatalf("all %d requests finished, but span %+v is open", r.Finished, open[0])
-		}
 		out.jsonl = rec.Snapshot().AppendJSONL(out.jsonl)
 	}
+	// A failover abandons its backend session mid-call, the session's
+	// exec span with it; short of that, every span of a finished run ends.
+	if r.Finished == r.Launched && !bytes.Contains(out.jsonl, []byte(`"kind":"failover"`)) {
+		for _, rec := range c.Recorders() {
+			if open := rec.Open(); len(open) > 0 {
+				t.Fatalf("all %d requests finished, but span %+v is open", r.Finished, open[0])
+			}
+		}
+	}
 	out.events, out.end, out.finished = c.Dispatched(), r.EndTime, r.Finished
+	for _, ev := range r.Requests {
+		out.styles[ev.Style] += btoi(ev.Err == "")
+	}
 	idle := 0
 	for _, e := range c.envs {
 		out.blocked = append(out.blocked, e.k.Blocked()...)
@@ -156,61 +178,98 @@ func runAppScript(t testing.TB, sc appScript, coroutine bool) scriptRun {
 	return out
 }
 
-// checkAppScript runs sc both ways and fails on the first difference.
-func checkAppScript(t testing.TB, i int, sc appScript) (want, got scriptRun) {
-	t.Helper()
-	want = runAppScript(t, sc, true)
-	got = runAppScript(t, sc, false)
-	what := fmt.Sprintf("script %d (%v %s/%s, shards %d, guard %v, %d nodes, faults %v, streams %+v)",
-		i, sc.cfg.Mode, sc.cfg.Balance, sc.cfg.DevPolicy, sc.cfg.Shards, sc.cfg.BlockOnOOM, len(sc.cfg.Nodes), sc.cfg.Faults.Faults, sc.streams)
-	if !bytes.Equal(got.log, want.log) {
-		t.Fatalf("%s: request logs differ\nframes    %s\ncoroutine %s", what, got.log, want.log)
-	}
-	if !bytes.Equal(got.jsonl, want.jsonl) {
-		t.Fatalf("%s: traces differ", what)
-	}
-	if got.events != want.events || got.end != want.end || !slices.Equal(got.blocked, want.blocked) {
-		t.Fatalf("%s: %d events to %v, blocked %v; the coroutine %d to %v, blocked %v",
-			what, got.events, got.end, got.blocked, want.events, want.end, want.blocked)
-	}
-	return want, got
+// digest is the sha256 of what a run leaves: its request log, JSONL trace,
+// end time and blocked processes.
+func (r scriptRun) digest() string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\x00%s\x00%d\x00%s", r.log, r.jsonl, r.end, strings.Join(r.blocked, "\n"))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestFrontendMatchesCoroutine runs 1 000 seeded scripts through the frontend
-// daemon and through App.Run on a coroutine.
+// transcripts.txt holds one line per script newAppScript deals from
+// rand.NewSource(31), in order, after a comment: its index, the digest of its
+// run, and the activations the run dispatched. The coroutine request path the
+// frontend daemon replaced wrote it; it is not regenerated.
+
+// TestFrontendMatchesCoroutine runs the transcribed scripts on frontend
+// daemons: each run must leave the digest the coroutine request path left and
+// dispatch no more activations than it did. The scripts reach every style
+// under every mode, sharded fleets, failed and stuck requests, reused
+// frontends, retransmits, failovers and lost backends.
 func TestFrontendMatchesCoroutine(t *testing.T) {
-	n := 1000
+	data, err := os.ReadFile("testdata/transcripts.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")[1:]
 	if testing.Short() {
-		n = 150
+		lines = lines[:150]
 	}
 	rng := rand.New(rand.NewSource(31))
-	var finished, errored, hung, sharded, reused int
-	modes := map[Mode]int{}
-	for i := 0; i < n; i++ {
-		sc := newAppScript(rng)
-		want, got := checkAppScript(t, i, sc)
-		modes[sc.cfg.Mode]++
-		finished += want.finished
-		errored += bytes.Count(want.log, []byte(`"err":`))
-		for _, name := range want.blocked {
-			hung += btoi(strings.HasPrefix(name, "app-"))
+	reach := map[string]bool{}
+	set := func(what string, ok bool) { reach[what] = reach[what] || ok }
+	for i, line := range lines {
+		var at int
+		var digest string
+		var dispatched uint64
+		if _, err := fmt.Sscan(line, &at, &digest, &dispatched); err != nil || at != i {
+			t.Fatalf("transcript %d: bad line %q (%v)", i, line, err)
 		}
-		sharded += btoi(sc.cfg.Shards > 0)
-		reused += btoi(got.reused)
+		sc := newAppScript(rng)
+		got := playScript(t, sc, nil)
+		if d := got.digest(); d != digest || got.events > dispatched {
+			t.Fatalf("script %d (%v %s/%s, shards %d, guard %v, %d nodes, faults %v, recovery %v, streams %+v): digest %s after %d activations, want %s after at most %d",
+				i, sc.cfg.Mode, sc.cfg.Balance, sc.cfg.DevPolicy, sc.cfg.Shards, sc.cfg.BlockOnOOM, len(sc.cfg.Nodes),
+				sc.cfg.Faults.Faults, sc.cfg.Recovery, sc.streams, d, got.events, digest, dispatched)
+		}
+		for st, n := range got.styles {
+			set(fmt.Sprint(sc.cfg.Mode, "/", workload.Style(st)), n > 0)
+			set(fmt.Sprint("sharded/", workload.Style(st)), n > 0 && sc.cfg.Shards > 0)
+		}
+		set("failed", bytes.Contains(got.log, []byte(`"err":`)))
+		set("stuck", slices.ContainsFunc(got.blocked, func(name string) bool { return strings.HasPrefix(name, "app-") }))
+		set("reused", got.reused)
+		retries, failovers := bytes.Count(got.jsonl, []byte(`"kind":"retry"`)), bytes.Count(got.jsonl, []byte(`"kind":"failover"`))
+		set("retransmit", retries > failovers)
+		set("failover", failovers > 0 && got.finished > 0)
+		set("lost", bytes.Contains(got.log, []byte(cuda.ErrBackendLost.Error())))
 	}
-	t.Logf("%d scripts (%d Strings, %d Rain, %d CUDA; %d sharded): %d requests finished, %d failed, %d stuck; %d reused a frontend",
-		n, modes[ModeStrings], modes[ModeRain], modes[ModeCUDA], sharded, finished, errored, hung, reused)
-	if errored == 0 || hung == 0 || sharded == 0 || reused == 0 {
-		t.Fatal("the scripts no longer reach failed and stuck requests, sharded fleets and reused frontends")
+	t.Logf("%d scripts reach %v", len(lines), reach)
+	want := []string{"failed", "stuck", "reused"}
+	if !testing.Short() {
+		want = append(want, "sharded/multithread", "retransmit", "failover", "lost")
+		for _, m := range []Mode{ModeStrings, ModeRain, ModeCUDA} {
+			for st := range 3 {
+				want = append(want, fmt.Sprint(m, "/", workload.Style(st)))
+			}
+		}
+	}
+	for _, w := range want {
+		if !reach[w] {
+			t.Errorf("the scripts no longer reach %s", w)
+		}
 	}
 }
 
-// FuzzFrontendSteps is the same check on scripts dealt from the fuzzer's bytes.
+// FuzzFrontendSteps runs a script dealt from the fuzzer's bytes on a fresh
+// cluster, then on one built over a kernel Reset after another script: what
+// the first run left behind must not reach the second, which leaves the same
+// request log and trace.
 func FuzzFrontendSteps(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := fnv.New64a()
 		h.Write(data)
-		checkAppScript(t, 0, newAppScript(rand.New(rand.NewSource(int64(h.Sum64())))))
+		rng := rand.New(rand.NewSource(int64(h.Sum64())))
+		sc, other := newAppScript(rng), newAppScript(rng)
+		want := playScript(t, sc, nil)
+		k := sim.NewKernel(0)
+		defer k.Close()
+		playScript(t, other, k)
+		got := playScript(t, sc, k)
+		if !bytes.Equal(got.log, want.log) || !bytes.Equal(got.jsonl, want.jsonl) {
+			t.Fatalf("%v %s/%s, streams %+v: a reset kernel's run differs from a fresh one's\nreset %s\nfresh %s",
+				sc.cfg.Mode, sc.cfg.Balance, sc.cfg.DevPolicy, sc.streams, got.log, want.log)
+		}
 	})
 }

@@ -242,6 +242,38 @@ func TestRequestLogRoundTrip(t *testing.T) {
 	}
 }
 
+// timeLaunch times a launch of kern between two events on ip, its SetDevice
+// first with bind, from a daemon on k, and returns the elapsed time and the
+// first error. The backend hands out events 1 and 2: were they others, the
+// synchronize would fail.
+func timeLaunch(k *sim.Kernel, ip *interpose.Interposer, bind bool, kern cuda.Kernel) (elapsed sim.Time, evErr error) {
+	ops := []cuda.Op{{ID: cuda.CallEventCreate}, {ID: cuda.CallEventCreate},
+		{ID: cuda.CallEventRecord, Event: 1}, {ID: cuda.CallLaunch, Kernel: kern}, {ID: cuda.CallEventRecord, Event: 2},
+		{ID: cuda.CallEventSync, Event: 2}, {ID: cuda.CallEventElapsed, Event: 1, Event2: 2}, {ID: cuda.CallThreadExit}}
+	if bind {
+		ops = append([]cuda.Op{{ID: cuda.CallSetDevice}}, ops...)
+	}
+	i, busy := 0, false
+	k.GoDaemon("event-app", func(d *sim.Daemon) {
+		for ; i < len(ops) && evErr == nil; i++ {
+			if !busy {
+				busy = true
+				ip.Issue(&ops[i])
+			}
+			if !ip.Await(d) {
+				return
+			}
+			busy = false
+			var r cuda.Ret
+			r, evErr = ip.Result()
+			elapsed = max(elapsed, r.Elapsed)
+		}
+		d.Exit()
+	})
+	k.Run()
+	return elapsed, evErr
+}
+
 func TestEventsThroughFullStringsStack(t *testing.T) {
 	// Drive CUDA events end to end: interposer → wire → backend thread →
 	// Context Packer (AST retargets the default-stream records onto the
@@ -251,36 +283,9 @@ func TestEventsThroughFullStringsStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var elapsed sim.Time
-	var evErr error
-	c.K.Go("event-app", func(p *sim.Proc) {
-		ip := interpose.New(c.nodes[0], p, 991, 1, 1, "EVT", 0, true)
-		if evErr = ip.SetDevice(0); evErr != nil {
-			return
-		}
-		start, err := ip.EventCreate()
-		if err != nil {
-			evErr = err
-			return
-		}
-		end, err := ip.EventCreate()
-		if err != nil {
-			evErr = err
-			return
-		}
-		ip.EventRecord(start, cuda.DefaultStream)
-		ip.Launch(cuda.Kernel{Name: "timed", Compute: 103e6}, cuda.DefaultStream)
-		ip.EventRecord(end, cuda.DefaultStream)
-		if evErr = ip.EventSynchronize(end); evErr != nil {
-			return
-		}
-		elapsed, evErr = ip.EventElapsed(start, end)
-		if evErr != nil {
-			return
-		}
-		evErr = ip.ThreadExit()
-	})
-	c.K.Run()
+	var ip interpose.Interposer
+	ip.Init(c.nodes[0], c.K, 991, 1, 1, "EVT", 0, true)
+	elapsed, evErr := timeLaunch(c.K, &ip, true, cuda.Kernel{Name: "timed", Compute: 103e6})
 	if evErr != nil {
 		t.Fatalf("event flow failed: %v", evErr)
 	}
@@ -297,28 +302,9 @@ func TestEventsUnderRainMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var elapsed sim.Time
-	var evErr error
-	c.K.Go("event-app", func(p *sim.Proc) {
-		ip := interpose.New(c.nodes[0], p, 993, 1, 1, "EVT", 0, false)
-		start, err := ip.EventCreate()
-		if err != nil {
-			evErr = err
-			return
-		}
-		end, _ := ip.EventCreate()
-		ip.EventRecord(start, cuda.DefaultStream)
-		ip.Launch(cuda.Kernel{Compute: 48e6}, cuda.DefaultStream) // 100us on Quadro2000
-		ip.EventRecord(end, cuda.DefaultStream)
-		if evErr = ip.EventSynchronize(end); evErr != nil {
-			return
-		}
-		elapsed, evErr = ip.EventElapsed(start, end)
-		if evErr == nil {
-			evErr = ip.ThreadExit()
-		}
-	})
-	c.K.Run()
+	var ip interpose.Interposer
+	ip.Init(c.nodes[0], c.K, 993, 1, 1, "EVT", 0, false)
+	elapsed, evErr := timeLaunch(c.K, &ip, false, cuda.Kernel{Compute: 48e6}) // 100us on Quadro2000
 	if evErr != nil {
 		t.Fatalf("Rain event flow failed: %v", evErr)
 	}

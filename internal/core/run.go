@@ -269,7 +269,6 @@ func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 	}
 	prof := workload.ProfileFor(s.Kind)
 	e := c.nodes[s.Node].e
-	steps := s.Style == workload.StyleSync && !c.cfg.Recovery.Enabled() && !c.syncOnCoroutine
 	i := 0
 	e.k.GoDaemon(fmt.Sprintf("stream-%d-%s", si, s.Kind), func(d *sim.Daemon) {
 		for ; i < len(arrivals); i++ {
@@ -291,14 +290,7 @@ func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 			e.results.Launched++
 			e.results.TenantWeight[s.Tenant] = s.Weight
 			e.apps = append(e.apps, appTenant{app.ID, s.Tenant}) // bounded by the requests launched
-			if steps {
-				e.startFrontend(app, &s, si, i)
-				continue
-			}
-			n, a := i, app
-			e.k.GoNamed(
-				func() string { return appName(s.Kind, si, n) },
-				func(ap *sim.Proc) { e.runApp(ap, &a, s) })
+			e.startFrontend(app, &s, si, i)
 		}
 		d.Exit()
 	})
@@ -307,50 +299,6 @@ func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 // appName names the frontend of stream si's nth request.
 func appName(kind workload.Kind, si, n int) string {
 	return fmt.Sprintf("app-%s-%d.%d", kind, si, n)
-}
-
-// runApp executes one application request end to end on a coroutine — the
-// pipelined and multi-threaded styles, and any style with recovery armed —
-// and records its outcome against the owning environment's recorder and
-// result sink.
-func (e *shardEnv) runApp(p *sim.Proc, app *workload.App, s workload.StreamSpec) {
-	c := e.c
-	app.Submitted = p.Now()
-	reqSpan := e.rec.Begin(trace.KRequest, 0, p.Now(),
-		s.Kind.String(), app.ID, -1, s.Tenant)
-	var client cuda.Client
-	var ipose *interpose.Interposer
-	// Only a multi-threaded application has further threads to make clients
-	// for; the others never pay for the factory or the session behind it.
-	threaded := app.Style == workload.StyleMultiThread
-	var factory func(*sim.Proc) cuda.Client
-	switch c.cfg.Mode {
-	case ModeCUDA:
-		// A private process on the bare runtime, seeing only its node's
-		// devices.
-		rt := cuda.NewRuntime(e.k, c.nodeDev[s.Node], c.cudaConfig())
-		rt.SetOwner(app.ID)
-		client = rt.NewThread(p, app.ID)
-		if threaded {
-			factory = func(tp *sim.Proc) cuda.Client { return rt.NewThread(tp, app.ID) }
-		}
-	default:
-		ipose = interpose.New(c.nodes[s.Node], p, app.ID, s.Tenant, s.Weight,
-			s.Kind.String(), s.Node, c.cfg.Mode == ModeStrings)
-		ipose.SetRecovery(c.cfg.Recovery)
-		ipose.SetTrace(e.rec, reqSpan)
-		client = ipose
-		if threaded {
-			factory = interpose.NewMTSession(e.k, ipose).Thread
-		}
-	}
-	var err error
-	if threaded {
-		err = app.RunThreaded(p, factory, 2)
-	} else {
-		err = app.Run(client)
-	}
-	e.record(app, s, ipose, reqSpan, err)
 }
 
 // record books a finished application's outcome: its request span, the

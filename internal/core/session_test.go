@@ -22,8 +22,8 @@ import (
 // logs and traces.
 
 // refServeApp is the backend loop as a coroutine: one application's backend
-// thread (Strings) or backend process (Rain) on p, its lane opened on p so
-// that every call blocks p until it is done.
+// thread (Strings) or backend process (Rain) on p, which waits out each call's
+// lane before it goes on.
 func (c *Cluster) refServeApp(p *sim.Proc, gid int, ep rpcproto.Endpoint) {
 	first, ok := ep.Recv(p).(*rpcproto.Call)
 	if !ok || first.ID != cuda.CallSetDevice {
@@ -42,7 +42,7 @@ func (c *Cluster) refServeApp(p *sim.Proc, gid int, ep rpcproto.Endpoint) {
 	entry := new(devsched.Entry)
 	sched.Register(entry, appID, first.TenantID, int(first.Weight),
 		first.KernelName, func() int { return held + ep.InboxLen() })
-	port, err := c.openApp(p, gid, first, pool)
+	port, err := c.openApp(gid, first, pool)
 	reply := pool.GetReply()
 	reply.Seq = first.Seq
 	reply.SetError(err)
@@ -66,6 +66,9 @@ func (c *Cluster) refServeApp(p *sim.Proc, gid int, ep rpcproto.Endpoint) {
 		}
 		t0 := p.Now()
 		reply := port.Execute(call)
+		for ev := port.Pending(); ev != nil; ev = port.Pending() {
+			p.Wait(ev)
+		}
 		if f := c.degrade[gid]; f > 1 && p.Now() > t0 {
 			p.Sleep(sim.Time(float64(p.Now()-t0) * (f - 1)))
 		}
@@ -262,9 +265,9 @@ func runBackendScript(t *testing.T, sc backendScript, accept func(c *Cluster, gi
 	pool := &rpcproto.Pool{}
 	for r, round := range sc.rounds {
 		for i, app := range round.apps {
-			c.K.Go(fmt.Sprintf("script-%d.%d", r, i), func(p *sim.Proc) {
-				runScriptApp(p, c, accept, pool, r, i, app, &log)
-			})
+			sc := &scriptClient{c: c, accept: accept, pool: pool, r: r, i: i, app: app, log: &log,
+				calls: append([]scriptCall{{id: cuda.CallSetDevice}}, app.calls...)}
+			c.K.GoDaemon(fmt.Sprintf("script-%d.%d", r, i), sc.step)
 		}
 	}
 	c.coord.RunUntil(sim.Time(len(sc.rounds)) * scriptHorizon)
@@ -285,106 +288,139 @@ func runBackendScript(t *testing.T, sc backendScript, accept func(c *Cluster, gi
 	return log, jsonl
 }
 
-// runScriptApp is application i of round r on p: it connects, registers, makes
-// its calls and logs their replies, until a call times out or it has read a
-// cudaThreadExit reply; then it closes its side of the connection.
-func runScriptApp(p *sim.Proc, c *Cluster, accept func(c *Cluster, gid int, conn *rpcproto.Conn), pool *rpcproto.Pool, r, i int, app scriptApp, log *[]replyRec) {
-	p.Sleep(sim.Time(r)*scriptHorizon + app.start)
-	conn := c.envs[0].conns.Get(c.K, rpcproto.SharedMemLink)
-	conn.SetPools(pool, pool)
-	accept(c, 0, conn)
-	ep := conn.A()
-	var ptrs []cuda.Ptr
-	var streams, events []int32
-	seq := uint64(0)
-	call := func(sc scriptCall, fill func(*rpcproto.Call)) bool {
-		p.Sleep(sc.gap)
-		seq++
-		m := pool.GetCall()
-		m.ID, m.Seq, m.NonBlocking = sc.id, seq, sc.nonBlocking
-		fill(m)
-		ep.Send(p, m, m.PayloadBytes())
-		if m.NonBlocking {
-			return true
-		}
-		msg, ok := ep.RecvTimeout(p, scriptTimeout)
-		if !ok {
-			*log = append(*log, replyRec{At: p.Now(), Round: r, App: i, Seq: seq, ID: sc.id, Timeout: true})
-			return false
-		}
-		rep := msg.(*rpcproto.Reply)
-		rec := replyRec{At: p.Now(), Round: r, App: i, Seq: seq, ID: sc.id, Reply: *rep}
-		if rep.Feedback != nil {
-			rec.Fb, rec.Reply.Feedback = *rep.Feedback, nil
-		}
-		*log = append(*log, rec)
-		if rep.Err == "" {
-			switch sc.id {
-			case cuda.CallMalloc:
-				ptrs = append(ptrs, cuda.Ptr{Dev: int(rep.PtrDev), ID: rep.PtrID, Size: rep.PtrSize})
-			case cuda.CallStreamCreate:
-				streams = append(streams, rep.Stream)
-			case cuda.CallEventCreate:
-				events = append(events, rep.Event)
-			}
-		}
-		pool.FreeCall(m)
-		pool.FreeReply(rep)
-		if sc.id == cuda.CallThreadExit {
-			// Like the interposer: the session has exited, nothing more is
-			// sent, and this side is done with the connection.
-			ep.Close()
-			return false
-		}
-		return true
-	}
-	ptr := func(k int) cuda.Ptr {
-		if k %= len(ptrs) + 1; k < len(ptrs) {
-			return ptrs[k]
-		}
-		return cuda.Ptr{ID: 1 << 40, Size: 1 << 20}
-	}
-	stream := func(k int) int32 {
-		if k %= len(streams) + 1; k < len(streams) {
-			return streams[k]
-		}
-		return 0
-	}
-	event := func(k int) int32 {
-		if k %= len(events) + 1; k < len(events) {
-			return events[k]
-		}
-		return 99
-	}
-	hello := scriptCall{id: cuda.CallSetDevice}
-	if !call(hello, func(m *rpcproto.Call) {
-		m.AppID, m.TenantID, m.Weight, m.KernelName = int64(100*(r+1)+i), app.tenant, app.weight, "script"
-	}) {
-		return
-	}
-	for _, s := range app.calls {
-		ok := call(s, func(m *rpcproto.Call) {
-			switch s.id {
-			case cuda.CallMalloc:
-				m.Bytes = s.bytes
-			case cuda.CallFree, cuda.CallMemcpy, cuda.CallMemcpyAsync:
-				pt := ptr(s.pick)
-				m.PtrID, m.PtrSize, m.PtrDev = pt.ID, pt.Size, int32(pt.Dev)
-				m.Dir, m.Bytes = s.dir, min(s.bytes, pt.Size)
-				m.Stream = stream(s.pick2)
-			case cuda.CallLaunch:
-				m.KernelName, m.Compute, m.MemTraffic, m.Occupancy = "k", s.compute, s.traffic, s.occ
-				m.Stream = stream(s.pick)
-			case cuda.CallStreamSync, cuda.CallStreamDestroy:
-				m.Stream = stream(s.pick)
-			case cuda.CallEventRecord, cuda.CallEventSync, cuda.CallEventElapsed, cuda.CallEventDestroy:
-				m.Event, m.Event2, m.Stream = event(s.pick), event(s.pick2), stream(s.pick2)
-			}
-		})
-		if !ok {
+// scriptClient is application i of round r, a daemon: it connects, registers,
+// makes its calls and logs their replies, until a call times out or it has
+// read a cudaThreadExit reply; then it closes its side of the connection.
+type scriptClient struct {
+	c      *Cluster
+	accept func(c *Cluster, gid int, conn *rpcproto.Conn)
+	pool   *rpcproto.Pool
+	r, i   int
+	app    scriptApp
+	log    *[]replyRec
+
+	calls   []scriptCall // the registration, then the app's
+	ep      rpcproto.Endpoint
+	ptrs    []cuda.Ptr
+	streams []int32
+	events  []int32
+	pc      int // the call in hand
+	at      uint8
+	m       *rpcproto.Call
+}
+
+func (s *scriptClient) step(d *sim.Daemon) {
+	for s.pc < len(s.calls) {
+		switch s.at {
+		case 0: // wait for the round and the application's start
+			s.at = 1
+			d.Sleep(sim.Time(s.r)*scriptHorizon + s.app.start)
 			return
+		case 1: // connect first; wait out the call's gap
+			if s.pc == 0 {
+				conn := s.c.envs[0].conns.Get(s.c.K, rpcproto.SharedMemLink)
+				conn.SetPools(s.pool, s.pool)
+				s.accept(s.c, 0, conn)
+				s.ep = conn.A()
+			}
+			s.at = 2
+			d.Sleep(s.calls[s.pc].gap)
+			return
+		case 2: // pay its transfer
+			s.m, s.at = s.fill(s.calls[s.pc]), 3
+			if cost := s.ep.Cost(s.m, s.m.PayloadBytes()); cost > 0 {
+				d.Sleep(cost)
+				return
+			}
+		case 3: // post it
+			s.ep.Post(s.m)
+			s.at = 4
+			if s.m.NonBlocking {
+				s.pc, s.at = s.pc+1, 1
+			}
+		case 4: // wait for its reply
+			msg, ok, expired := s.ep.TakeTimeout(d, scriptTimeout)
+			if !ok && !expired {
+				return
+			}
+			if !s.replied(d, msg, ok) {
+				d.Exit()
+				return
+			}
+			s.pc, s.at = s.pc+1, 1
 		}
 	}
+	d.Exit()
+}
+
+// fill makes sc's frame, on the handles earlier replies returned.
+func (s *scriptClient) fill(sc scriptCall) *rpcproto.Call {
+	m := s.pool.GetCall()
+	m.ID, m.Seq, m.NonBlocking = sc.id, uint64(s.pc+1), sc.nonBlocking
+	stream := func(k int) int32 { return pick(s.streams, k, 0) }
+	switch sc.id {
+	case cuda.CallSetDevice:
+		m.AppID, m.TenantID, m.Weight, m.KernelName = int64(100*(s.r+1)+s.i), s.app.tenant, s.app.weight, "script"
+	case cuda.CallMalloc:
+		m.Bytes = sc.bytes
+	case cuda.CallFree, cuda.CallMemcpy, cuda.CallMemcpyAsync:
+		pt := pick(s.ptrs, sc.pick, cuda.Ptr{ID: 1 << 40, Size: 1 << 20})
+		m.PtrID, m.PtrSize, m.PtrDev = pt.ID, pt.Size, int32(pt.Dev)
+		m.Dir, m.Bytes = sc.dir, min(sc.bytes, pt.Size)
+		m.Stream = stream(sc.pick2)
+	case cuda.CallLaunch:
+		m.KernelName, m.Compute, m.MemTraffic, m.Occupancy = "k", sc.compute, sc.traffic, sc.occ
+		m.Stream = stream(sc.pick)
+	case cuda.CallStreamSync, cuda.CallStreamDestroy:
+		m.Stream = stream(sc.pick)
+	case cuda.CallEventRecord, cuda.CallEventSync, cuda.CallEventElapsed, cuda.CallEventDestroy:
+		m.Event, m.Event2, m.Stream = pick(s.events, sc.pick, 99), pick(s.events, sc.pick2, 99), stream(sc.pick2)
+	}
+	return m
+}
+
+// pick is the kth of the handles hs, or, one past them, none: a handle the
+// application never got.
+func pick[T any](hs []T, k int, none T) T {
+	if k %= len(hs) + 1; k < len(hs) {
+		return hs[k]
+	}
+	return none
+}
+
+// replied logs the reply msg to the call in flight, or its timeout (!ok), and
+// reports whether the application goes on.
+func (s *scriptClient) replied(d *sim.Daemon, msg rpcproto.Msg, ok bool) bool {
+	sc, seq := s.calls[s.pc], s.m.Seq
+	if !ok {
+		*s.log = append(*s.log, replyRec{At: d.Now(), Round: s.r, App: s.i, Seq: seq, ID: sc.id, Timeout: true})
+		return false
+	}
+	rep := msg.(*rpcproto.Reply)
+	rec := replyRec{At: d.Now(), Round: s.r, App: s.i, Seq: seq, ID: sc.id, Reply: *rep}
+	if rep.Feedback != nil {
+		rec.Fb, rec.Reply.Feedback = *rep.Feedback, nil
+	}
+	*s.log = append(*s.log, rec)
+	if rep.Err == "" {
+		switch sc.id {
+		case cuda.CallMalloc:
+			s.ptrs = append(s.ptrs, cuda.Ptr{Dev: int(rep.PtrDev), ID: rep.PtrID, Size: rep.PtrSize})
+		case cuda.CallStreamCreate:
+			s.streams = append(s.streams, rep.Stream)
+		case cuda.CallEventCreate:
+			s.events = append(s.events, rep.Event)
+		}
+	}
+	s.pool.FreeCall(s.m)
+	s.pool.FreeReply(rep)
+	if sc.id == cuda.CallThreadExit {
+		// Like the interposer: the session has exited, nothing more is
+		// sent, and this side is done with the connection.
+		s.ep.Close()
+		return false
+	}
+	return true
 }
 
 // TestSessionMatchesCoroutineLoop runs 1 000 seeded call scripts through the

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -61,14 +62,12 @@ func TestRainBackendsExitWithApps(t *testing.T) {
 	}
 }
 
-// A closed cluster holds no goroutine at all — not for the requests it served,
-// not for the service processes a drained run leaves parked, not for the
-// applications a horizon cut off mid-call — on kernels New created; a
-// caller's kernel keeps what a horizon left parked until its own Close. Not
-// skipped in -short: it is the leak gate.
+// A run holds no goroutine for its requests, and a closed cluster no process —
+// not for the requests it served, not for the service processes a drained run
+// leaves parked, not for the applications a horizon cut off mid-call — on
+// kernels New created; a caller's kernel keeps what a horizon left parked
+// until its own Close. Not skipped in -short: it is the leak gate.
 func TestCloseLeavesNoRequestGoroutines(t *testing.T) {
-	// A sync application runs on a daemon, so one stream of each shape is
-	// pipelined: its applications are coroutines, and goroutines.
 	streams := []workload.StreamSpec{
 		{Kind: workload.Gaussian, Count: 12, LambdaFactor: 0.2, Node: 0, Tenant: 1, Weight: 1},
 		{Kind: workload.Gaussian, Count: 12, LambdaFactor: 0.2, Node: 1, Tenant: 2, Weight: 1, Style: workload.StylePipelined},
@@ -108,25 +107,21 @@ func TestCloseLeavesNoRequestGoroutines(t *testing.T) {
 			if err != nil || len(r.Errors) > 0 {
 				t.Fatalf("%s: run: %v %v", tc.name, err, r.Errors)
 			}
-			during := runtime.NumGoroutine() - before
-			if tc.horizon > 0 && during <= 0 {
-				t.Fatalf("%s cycle %d: %d goroutines over the baseline with applications in flight", tc.name, cycle, during)
+			// A goroutine some earlier test left winding down may end in
+			// between, so the bounds are one-sided.
+			if during := runtime.NumGoroutine() - before; during > 0 {
+				t.Fatalf("%s cycle %d: %d goroutines over the baseline with the run over", tc.name, cycle, during)
 			}
 			c.Close()
 			c.Close()
-			after := runtime.NumGoroutine() - before
 			if tc.cfg.Kernel != nil {
-				if tc.horizon > 0 && after <= 0 {
-					t.Fatalf("%s cycle %d: Close took the caller's kernel from %d goroutines to %d", tc.name, cycle, during, after)
+				if n := own.ProcCount(); tc.horizon > 0 && n == 0 {
+					t.Fatalf("%s cycle %d: Close ended the processes of the caller's kernel", tc.name, cycle)
 				}
 				own.Close()
-				after = runtime.NumGoroutine() - before
 			}
-			// A goroutine some earlier test left winding down may end in
-			// between, so the bound is one-sided.
-			if after > 0 {
-				t.Fatalf("%s cycle %d: %d goroutines over the baseline before Close, %d after, want none",
-					tc.name, cycle, during, after)
+			if after := runtime.NumGoroutine() - before; after > 0 {
+				t.Fatalf("%s cycle %d: %d goroutines over the baseline after Close, want none", tc.name, cycle, after)
 			}
 			for _, e := range c.envs {
 				if n := e.k.ProcCount(); n != 0 {
@@ -134,5 +129,42 @@ func TestCloseLeavesNoRequestGoroutines(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunStartsNoGoroutine: every request runs on a daemon, so a run cut off
+// with multi-threaded, pipelined or recovering requests in flight holds no
+// goroutine for them. The recovering run is TestNodeKillMidRunRecovers's.
+func TestRunStartsNoGoroutine(t *testing.T) {
+	killAt := faultRun(t, 7, faults.Plan{}, faultStreams(4)).EndTime / 2
+	strings := Config{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin"}
+	recovering := strings
+	recovering.Seed, recovering.Recovery = 7, testRecovery()
+	recovering.Faults.Faults = []faults.Fault{{At: killAt, Kind: faults.KillNode, Node: 1}}
+	for _, tc := range []struct {
+		cfg     Config
+		streams []workload.StreamSpec
+		horizon sim.Time
+	}{
+		{strings, []workload.StreamSpec{{Kind: workload.Gaussian, Count: 8, LambdaFactor: 0.2, Node: 0, Tenant: 1, Weight: 1, Style: workload.StyleMultiThread}}, 2 * sim.Second},
+		{strings, []workload.StreamSpec{{Kind: workload.Gaussian, Count: 8, LambdaFactor: 0.2, Node: 0, Tenant: 1, Weight: 1, Style: workload.StylePipelined}}, 2 * sim.Second},
+		{recovering, faultStreams(4), killAt + killAt/2},
+	} {
+		before := runtime.NumGoroutine()
+		c, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.RunUntil(tc.streams, tc.horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Finished+r.Lost == r.Launched {
+			t.Fatalf("%v: all %d requests over by %v, want some in flight", tc.streams[0].Style, r.Launched, tc.horizon)
+		}
+		if n := runtime.NumGoroutine() - before; n != 0 {
+			t.Errorf("%v: %d goroutines over the baseline with %d requests in flight", tc.streams[0].Style, n, r.Launched-r.Finished-r.Lost)
+		}
+		c.Close()
 	}
 }

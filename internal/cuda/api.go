@@ -129,14 +129,9 @@ type Client interface {
 	// (cudaThreadExit): outstanding work is synchronized and the thread's
 	// allocations are released.
 	ThreadExit() error
-	// Proc returns the simulated process executing this thread, giving
-	// applications access to the virtual clock for their CPU phases.
-	Proc() *sim.Proc
 }
 
-// Op is one call with its arguments: those of a sync application's fixed
-// sequence — cudaSetDevice, cudaMalloc, cudaMemcpy[Async], a launch,
-// cudaDeviceSynchronize, cudaFree, cudaThreadExit.
+// Op is one call of the Client API with its arguments.
 type Op struct {
 	ID     CallID
 	Dev    int
@@ -145,17 +140,30 @@ type Op struct {
 	Bytes  int64
 	Kernel Kernel
 	Stream StreamID
+	Event  EventID
+	Event2 EventID // an elapsed-time query's end event
+}
+
+// Ret is what a call returns besides its error: the pointer cudaMalloc
+// allocates, the stream or event a create makes, the time
+// cudaEventElapsedTime measures, the count cudaGetDeviceCount reports.
+type Ret struct {
+	Ptr     Ptr
+	Stream  StreamID
+	Event   EventID
+	Elapsed sim.Time
+	Count   int
 }
 
 // Stepper is a Client driven from a daemon's steps instead of a process:
 // Issue makes the call without blocking, and Await drives it to its end,
 // reporting false each time it ended d's step in a wait and true once the
-// call is over. Result is then the call's outcome: its error and, for Malloc,
-// the pointer.
+// call is over. Result is then the call's outcome. The op is the caller's,
+// and stays as it is, until Await reports the call over.
 type Stepper interface {
 	Issue(op *Op)
 	Await(d *sim.Daemon) bool
-	Result() (Ptr, error)
+	Result() (Ret, error)
 }
 
 // CallID identifies an API call for marshalling and statistics; the values

@@ -165,29 +165,49 @@ type Thread struct {
 	sid   StreamID // the stream StreamDestroy drops
 
 	// The outcome of the call Issue made (Stepper).
-	ptr Ptr
+	ret Ret
 	err error
 }
 
 // Issue implements Stepper for a daemon's thread: the call settles what it
 // can at once and leaves its waits to Await.
 func (t *Thread) Issue(op *Op) {
-	t.ptr = Ptr{}
+	t.ret, t.err = Ret{}, nil
 	switch op.ID {
 	case CallSetDevice:
 		t.err = t.SetDevice(op.Dev)
+	case CallDeviceCount:
+		t.ret.Count = t.DeviceCount()
 	case CallMalloc:
-		t.ptr, t.err = t.Malloc(op.Bytes)
-	case CallMemcpy:
-		t.err = t.Memcpy(op.Dir, op.Ptr, op.Bytes)
-	case CallLaunch:
-		t.err = t.Launch(op.Kernel, op.Stream)
-	case CallDeviceSync:
-		t.err = t.DeviceSynchronize()
+		t.ret.Ptr, t.err = t.Malloc(op.Bytes)
 	case CallFree:
 		t.err = t.Free(op.Ptr)
+	case CallMemcpy:
+		t.err = t.Memcpy(op.Dir, op.Ptr, op.Bytes)
+	case CallMemcpyAsync:
+		t.err = t.MemcpyAsync(op.Dir, op.Ptr, op.Bytes, op.Stream)
+	case CallLaunch:
+		t.err = t.Launch(op.Kernel, op.Stream)
+	case CallStreamCreate:
+		t.ret.Stream, t.err = t.StreamCreate()
+	case CallStreamSync:
+		t.err = t.StreamSynchronize(op.Stream)
+	case CallStreamDestroy:
+		t.err = t.StreamDestroy(op.Stream)
+	case CallDeviceSync:
+		t.err = t.DeviceSynchronize()
 	case CallThreadExit:
 		t.err = t.ThreadExit()
+	case CallEventCreate:
+		t.ret.Event, t.err = t.EventCreate()
+	case CallEventRecord:
+		t.err = t.EventRecord(op.Event, op.Stream)
+	case CallEventSync:
+		t.err = t.EventSynchronize(op.Event)
+	case CallEventElapsed:
+		t.ret.Elapsed, t.err = t.EventElapsed(op.Event, op.Event2)
+	case CallEventDestroy:
+		t.err = t.EventDestroy(op.Event)
 	default:
 		t.err = ErrNotImplemented
 	}
@@ -203,7 +223,7 @@ func (t *Thread) Await(d *sim.Daemon) bool {
 }
 
 // Result implements Stepper.
-func (t *Thread) Result() (Ptr, error) { return t.ptr, t.err }
+func (t *Thread) Result() (Ret, error) { return t.ret, t.err }
 
 // NewThread binds a host thread executing on sim process p with application
 // id appID (used for device-side service attribution). With p nil the thread
@@ -258,9 +278,6 @@ func (t *Thread) Pending() *sim.Event {
 	t.waits, t.one[0], t.then = nil, nil, nil
 	return nil
 }
-
-// Proc returns the sim process executing this thread.
-func (t *Thread) Proc() *sim.Proc { return t.p }
 
 // Calls returns the number of API calls the thread has made.
 func (t *Thread) Calls() int { return t.calls }

@@ -34,11 +34,11 @@ var fig9Golden = map[string][]float64{
 	"GWtMin-Strings": {4.27048423888, 1.0950806931, 4.71467875446, 2.17746970273, 3.06442834729},
 }
 
-// checkFig9Golden compares one Fig 9 table against the pinned values.
-func checkFig9Golden(t *testing.T, variant string, tab *metrics.Table) {
+// checkGolden compares a table against pinned values, series by series.
+func checkGolden(t *testing.T, variant string, tab *metrics.Table, golden map[string][]float64) {
 	t.Helper()
 	const tol = 1e-9 // golden values carry 12 significant digits
-	for series, want := range fig9Golden {
+	for series, want := range golden {
 		row := tab.Row(series)
 		if row == nil {
 			t.Errorf("%s: series %q missing from Fig 9", variant, series)
@@ -85,7 +85,7 @@ func TestFig9Golden(t *testing.T) {
 		opt := fig9GoldenOpts()
 		v.mutate(&opt)
 		tables[i] = NewSuite(opt).Fig9()
-		checkFig9Golden(t, v.name, tables[i])
+		checkGolden(t, v.name, tables[i], fig9Golden)
 	}
 	for i := 1; i < len(variants); i++ {
 		if !reflect.DeepEqual(tables[i], tables[0]) {
@@ -93,4 +93,31 @@ func TestFig9Golden(t *testing.T) {
 				variants[i].name, variants[0].name)
 		}
 	}
+}
+
+// The application-style ablation and the degradation study at strings-bench's
+// default options (seed 1, 12 requests a stream, λ factor 0.6, every pair):
+// the only tables whose pipelined and recovering requests no other golden
+// reaches.
+var (
+	appStyleGolden = map[string][]float64{
+		"CUDA/sync":         {86.785327, 73.619349},
+		"CUDA/pipelined":    {72.032554, 62.883223},
+		"Strings/sync":      {15.010212, 27.404272},
+		"Strings/pipelined": {8.88539, 17.661959},
+	}
+	faultsGolden = map[string][]float64{
+		"no-fault req/s":  {0.135053797161, 0.111280281869, 0.14348146453, 0.149813536455, 0.356544575345, 0.260368000226, 0.368822912371, 0.378127973858, 0.23679427905, 0.215870300978, 0.198421233675, 0.224499157533, 0.12620084362, 0.0992353445336, 0.120065297512, 0.115338345411, 0.151072430325, 0.106433124577, 0.151497156637, 0.154714798894, 0.0942577513368, 0.105253436355, 0.094342085771, 0.094342085771, 0.174659592241},
+		"pre-kill req/s":  {0.189075317302, 0.144664366429, 0.186525905227, 0.19475759885, 0.178272287673, 0.208294402892, 0.516352077319, 0.45375356863, 0.14207656743, 0.129522180587, 0.277789727145, 0.314298820547, 0.164061096706, 0.138929483036, 0.156084887703, 0.149939849899, 0.196394160905, 0.170292999323, 0.212096020898, 0.201129238563, 0.113109302137, 0.147354811672, 0.122644712081, 0.122644712081, 0.201252670627},
+		"post-kill req/s": {0.0269706486522, 0.0390547764385, 0.035051707929, 0.0355506742561, 0.110772070624, 0.078526452172, 0.0315171844691, 0.0407960348743, 0.0997232444903, 0.0977915831553, 0.0303269391122, 0.0296801726919, 0.0302977659678, 0.0285613479117, 0.0317651204946, 0.0322079084909, 0.0355874495023, 0.0192055798202, 0.0288269113285, 0.0380108034306, 0.0364294612539, 0.0249130558227, 0.0341504645073, 0.0341504645073, 0.042911159246},
+		"recovered":       {2, 3, 3, 3, 5, 6, 2, 3, 6, 6, 2, 2, 3, 2, 3, 3, 3, 1, 2, 3, 2, 2, 2, 2, 2.95833333333},
+		"lost":            {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	}
+)
+
+// TestAppStyleAndFaultsGolden pins the two tables to 12 significant digits.
+func TestAppStyleAndFaultsGolden(t *testing.T) {
+	s := NewSuite(Options{Seed: 1, Requests: 12, LambdaFactor: 0.6})
+	checkGolden(t, "ablation", s.AblationAppStyle(), appStyleGolden)
+	checkGolden(t, "faults", s.Faults(), faultsGolden)
 }

@@ -1,5 +1,5 @@
 // Package faults is the deterministic fault injector: a sim-clock-driven
-// process that fires a configured schedule of backend failures — killing a
+// daemon that fires a configured schedule of backend failures — killing a
 // whole node, killing a single GPU, stalling a GPU for a while, or degrading
 // its service rate — against any Target. The schedule fires exactly as given,
 // on the virtual clock, so two runs of the same plan produce the same fault
@@ -86,9 +86,9 @@ type Target interface {
 	DegradeGPU(gid int, factor float64)
 }
 
-// Start launches the injector process on k. A disabled plan spawns nothing,
-// so fault-free simulations carry zero extra events. Faults fire in
-// (time, schedule-order) order.
+// Start launches the injector on k: a daemon that sleeps until its next
+// fault. A disabled plan starts nothing, so fault-free simulations carry zero
+// extra events. Faults fire in (time, schedule-order) order.
 func Start(k *sim.Kernel, plan Plan, t Target) {
 	if !plan.Enabled() {
 		return
@@ -96,12 +96,13 @@ func Start(k *sim.Kernel, plan Plan, t Target) {
 	seq := make([]Fault, len(plan.Faults))
 	copy(seq, plan.Faults)
 	sort.SliceStable(seq, func(i, j int) bool { return seq[i].At < seq[j].At })
-	k.Go("fault-injector", func(p *sim.Proc) {
-		for _, f := range seq {
-			if f.At > p.Now() {
-				p.Sleep(f.At - p.Now())
+	k.GoDaemon("fault-injector", func(d *sim.Daemon) {
+		for ; len(seq) > 0; seq = seq[1:] {
+			f := seq[0]
+			if f.At > d.Now() {
+				d.Sleep(f.At - d.Now())
+				return
 			}
-			p.Tracef("inject %v", f)
 			switch f.Kind {
 			case KillNode:
 				t.KillNode(f.Node)
@@ -113,5 +114,6 @@ func Start(k *sim.Kernel, plan Plan, t Target) {
 				t.DegradeGPU(f.GID, f.Factor)
 			}
 		}
+		d.Exit()
 	})
 }

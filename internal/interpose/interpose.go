@@ -6,7 +6,8 @@
 // applies the paper's asynchrony optimization: calls without output
 // parameters (kernel launches, host-to-device copies, frees) are issued as
 // non-blocking RPCs so the application's CPU component runs ahead of the
-// runtime layer.
+// runtime layer. The application's host threads are daemons that drive the
+// interposer as a cuda.Stepper.
 package interpose
 
 import (
@@ -33,15 +34,15 @@ type Fabric interface {
 	SelectHop() sim.Time
 	// ConnectBackend opens an RPC connection from the application's node to
 	// the backend daemon serving gid and returns the frontend endpoint.
-	ConnectBackend(p *sim.Proc, gid balancer.GID, fromNode int) rpcproto.Endpoint
+	ConnectBackend(gid balancer.GID) rpcproto.Endpoint
 	// ReportFeedback relays a Feedback Engine report (piggybacked on the
 	// cudaThreadExit reply) to the affinity mapper and releases the
 	// binding.
 	ReportFeedback(gid balancer.GID, kind string, fb *rpcproto.Feedback)
-	// ReportFailure feeds one failed call against gid into the mapper's
-	// failure detector and returns the row's resulting health; it blocks
-	// the calling process for the control round trip.
-	ReportFailure(p *sim.Proc, gid balancer.GID) balancer.Health
+	// ReportFailure posts one failed call against gid to the mapper's failure
+	// detector without blocking: done fires once the row's resulting health
+	// is in *h.
+	ReportFailure(gid balancer.GID, h *balancer.Health, done *sim.Event)
 	// ReportRecovered records a successful call against a previously
 	// suspect device (fire and forget).
 	ReportRecovered(gid balancer.GID)
@@ -53,11 +54,13 @@ type Fabric interface {
 // RPC issue, charged per intercepted call.
 const MarshalOverhead = 3 * sim.Microsecond
 
-// Interposer implements cuda.Client for one application thread.
+// Interposer is the interception layer of one application, a cuda.Stepper a
+// daemon drives (step.go): each call is marshalled, sent to the backend that
+// serves the application's GPU and, unless it has no output parameters,
+// answered.
 type Interposer struct {
 	fab    Fabric
 	k      *sim.Kernel
-	p      *sim.Proc // nil for a thread a daemon runs (Stepper)
 	appID  int
 	tenant int64
 	weight int
@@ -101,16 +104,19 @@ type Interposer struct {
 	lastCall  *rpcproto.Call
 	lastReply *rpcproto.Reply
 
-	// sel latches a selection's verdict; Init keeps it for the next thread.
-	sel *sim.Event
+	// sel latches a selection's or a failure report's verdict, the latter
+	// landing in health; Init keeps it for the next application.
+	sel    *sim.Event
+	health balancer.Health
 
-	// The call in flight of a thread a daemon runs (step.go).
+	// The call in flight (step.go): the caller's op, the stage it is at, its
+	// frame and span, and its outcome.
 	at       stage
-	op       cuda.CallID
+	op       *cuda.Op
 	inflight *rpcproto.Call
 	blocking bool
 	span     trace.SpanID
-	ptr      cuda.Ptr
+	ret      cuda.Ret
 	err      error
 }
 
@@ -121,33 +127,17 @@ func (ip *Interposer) SetTrace(tr *trace.Recorder, reqSpan trace.SpanID) {
 	ip.reqSpan = reqSpan
 }
 
-// New creates the interposer for an application thread running on process p
-// at the given node. kind is the application's class name, carried to the
-// scheduler for SFT keying. async enables non-blocking RPCs for calls
-// without output parameters (Strings); Rain's frontend passes false.
-func New(fab Fabric, p *sim.Proc, appID int, tenant int64, weight int, kind string, node int, async bool) *Interposer {
-	ip := &Interposer{}
-	var k *sim.Kernel
-	if p != nil { // nil for an MTSession's, which lends it its threads
-		k = p.Kernel()
-	}
-	ip.Init(fab, k, appID, tenant, weight, kind, node, async)
-	ip.p = p
-	return ip
-}
-
-// Init makes *ip, held by value or reused after its thread is done, the
-// interposer New makes, for a thread a daemon on k runs through the Stepper
-// methods instead of a process.
+// Init makes *ip, held by value or reused after its application is done, the
+// interposer of application appID on kernel k at the given node. kind is the
+// application's class name, carried to the scheduler for SFT keying. async
+// enables non-blocking RPCs for calls without output parameters (Strings);
+// Rain's frontend passes false.
 func (ip *Interposer) Init(fab Fabric, k *sim.Kernel, appID int, tenant int64, weight int, kind string, node int, async bool) {
 	*ip = Interposer{
 		fab: fab, k: k, appID: appID, tenant: tenant, weight: weight,
 		kind: kind, node: node, async: async, sel: ip.sel,
 	}
 }
-
-// Proc implements cuda.Client.
-func (ip *Interposer) Proc() *sim.Proc { return ip.p }
 
 // GID returns the gPool device the application was bound to.
 func (ip *Interposer) GID() balancer.GID { return ip.gid }
@@ -175,52 +165,11 @@ func (ip *Interposer) newCall(id cuda.CallID) *rpcproto.Call {
 	return c
 }
 
-// ensureBound lazily binds to a GPU: CUDA initializes on first use when the
-// application never calls cudaSetDevice. After ThreadExit every call fails in
-// SetDevice, as on cuda.Thread: the session is gone, its connection reused.
-func (ip *Interposer) ensureBound() error {
-	if ip.bound && !ip.exited {
-		return nil
-	}
-	return ip.SetDevice(0)
-}
-
-// send issues a call; blocking calls wait for and return the matching
-// reply, non-blocking calls return immediately (the paper's asynchronous
-// RPC optimization; errors surface at the next synchronizing call). With a
-// recorder installed, each call gets a span covering its frontend-visible
-// latency (non-blocking calls close at issue).
-func (ip *Interposer) send(c *rpcproto.Call, blocking bool) (*rpcproto.Reply, error) {
-	if !ip.tr.Enabled() {
-		return ip.sendRPC(c, blocking)
-	}
-	sp := ip.beginCall(c)
-	r, err := ip.sendRPC(c, blocking)
-	ip.tr.End(sp, ip.k.Now())
-	return r, err
-}
-
-// beginCall opens the span of c's frontend-visible latency.
+// beginCall opens the span of c's frontend-visible latency: a non-blocking
+// call's closes at issue.
 func (ip *Interposer) beginCall(c *rpcproto.Call) trace.SpanID {
 	return ip.tr.Begin(trace.KCall, ip.reqSpan, ip.k.Now(), c.ID.String(),
 		ip.appID, int(ip.gid), int64(c.Seq))
-}
-
-// sendRPC is send's wire path.
-func (ip *Interposer) sendRPC(c *rpcproto.Call, blocking bool) (*rpcproto.Reply, error) {
-	ip.p.Sleep(MarshalOverhead)
-	if !ip.async {
-		blocking = true
-	}
-	c.NonBlocking = !blocking
-	if ip.rec.cfg.Enabled() {
-		return ip.sendReliable(c, blocking)
-	}
-	ip.ep.Send(ip.p, c, c.PayloadBytes())
-	if !blocking {
-		return nil, nil
-	}
-	return ip.received(c, ip.ep.Recv(ip.p))
 }
 
 // received takes msg as the reply to the blocking call c.
@@ -244,29 +193,11 @@ func (ip *Interposer) received(c *rpcproto.Call, msg rpcproto.Msg) (*rpcproto.Re
 // connect opens the connection to the bound GPU's backend. Retransmission
 // retains frames past their round trip, so under recovery neither side recycles.
 func (ip *Interposer) connect() {
-	ip.ep = ip.fab.ConnectBackend(ip.p, ip.gid, ip.node)
+	ip.ep = ip.fab.ConnectBackend(ip.gid)
 	if ip.rec.cfg.Enabled() {
 		ip.ep.RetainFrames()
 	}
 	ip.pool = ip.ep.Pool()
-}
-
-// SetDevice implements cuda.Client: the call is intercepted and the target
-// GPU is chosen by the workload balancer instead of the application.
-func (ip *Interposer) SetDevice(dev int) error {
-	if ip.exited {
-		return cuda.ErrThreadExited
-	}
-	if ip.bound {
-		// Re-selection after binding is ignored: the balancer owns
-		// placement for the application's lifetime.
-		return nil
-	}
-	ip.p.Sleep(MarshalOverhead)
-	sel := ip.beginSelect()
-	ip.selectGPU()
-	_, err := ip.send(ip.bind(sel), true)
-	return err
 }
 
 // beginSelect opens the span of the device-selection round trip.
@@ -274,34 +205,27 @@ func (ip *Interposer) beginSelect() trace.SpanID {
 	return ip.tr.Begin(trace.KSelect, ip.reqSpan, ip.k.Now(), "select-gpu", ip.appID, -1, 0)
 }
 
-// selectGPU is the device-selection round trip on the thread's process: the
-// verdict lands in ip.gid.
-func (ip *Interposer) selectGPU() {
-	hop := ip.fab.SelectHop()
-	if hop > 0 {
-		ip.p.Sleep(hop)
-	}
-	ip.p.Wait(ip.postSelect())
-	if hop > 0 {
-		ip.p.Sleep(hop)
-	}
-}
-
 // postSelect posts the selection request and returns the latch of its
 // verdict, which lands in ip.gid.
 func (ip *Interposer) postSelect() *sim.Event {
+	ip.fab.SelectGPU(balancer.Request{
+		AppID: ip.appID, Kind: ip.kind, Node: ip.node, Tenant: ip.tenant,
+	}, &ip.gid, ip.latch())
+	return ip.sel
+}
+
+// latch readies the verdict latch for a request to the mapper.
+func (ip *Interposer) latch() *sim.Event {
 	if ip.sel == nil {
 		ip.sel = ip.k.NewEvent()
 	}
 	ip.sel.Reset()
-	ip.fab.SelectGPU(balancer.Request{
-		AppID: ip.appID, Kind: ip.kind, Node: ip.node, Tenant: ip.tenant,
-	}, &ip.gid, ip.sel)
 	return ip.sel
 }
 
 // bind ends the selection span sel, connects to the chosen GPU's backend and
-// returns the registration call.
+// returns the registration call: the balancer, not the application, picks
+// the device.
 func (ip *Interposer) bind(sel trace.SpanID) *rpcproto.Call {
 	ip.tr.SetGID(sel, int(ip.gid))
 	ip.tr.End(sel, ip.k.Now())
@@ -313,189 +237,26 @@ func (ip *Interposer) bind(sel trace.SpanID) *rpcproto.Call {
 	return reg
 }
 
-// DeviceCount implements cuda.Client: applications see the whole gPool.
-func (ip *Interposer) DeviceCount() int {
-	return ip.fab.PoolSize()
-}
-
 // marshal stamps op's call and reports whether the frontend waits for its
 // reply. Calls without output parameters ride the non-blocking path: frees,
-// launches, asynchronous copies, and host-to-device copies, which carry the
-// buffer with the request (the MOT makes them asynchronous at the backend);
-// a device-to-host copy must return data, so it blocks.
+// launches, asynchronous copies, event records and destroys, and
+// host-to-device copies, which carry the buffer with the request (the MOT
+// makes them asynchronous at the backend); a device-to-host copy must return
+// data, so it blocks.
 func (ip *Interposer) marshal(op *cuda.Op) (*rpcproto.Call, bool) {
 	c := ip.newCall(op.ID)
 	c.Dir, c.Bytes, c.Stream = op.Dir, op.Bytes, int32(op.Stream)
 	c.PtrID, c.PtrSize, c.PtrDev = op.Ptr.ID, op.Ptr.Size, int32(op.Ptr.Dev)
+	c.Event, c.Event2 = int32(op.Event), int32(op.Event2)
 	k := &op.Kernel
 	c.KernelName, c.Compute, c.MemTraffic, c.Occupancy = k.Name, k.Compute, k.MemTraffic, k.Occupancy
 	switch op.ID {
 	case cuda.CallMemcpy:
 		return c, op.Dir == cuda.D2H
-	case cuda.CallFree, cuda.CallMemcpyAsync, cuda.CallLaunch:
+	case cuda.CallFree, cuda.CallMemcpyAsync, cuda.CallLaunch, cuda.CallEventRecord, cuda.CallEventDestroy:
 		return c, false
 	}
 	return c, true
-}
-
-// call makes op's call on the thread's process.
-func (ip *Interposer) call(op *cuda.Op) (*rpcproto.Reply, error) {
-	if err := ip.ensureBound(); err != nil {
-		return nil, err
-	}
-	return ip.send(ip.marshal(op))
-}
-
-// Malloc implements cuda.Client.
-func (ip *Interposer) Malloc(bytes int64) (cuda.Ptr, error) {
-	r, err := ip.call(&cuda.Op{ID: cuda.CallMalloc, Bytes: bytes})
-	if err != nil {
-		return cuda.Ptr{}, err
-	}
-	return ip.internPtr(r), nil
-}
-
-// Free implements cuda.Client.
-func (ip *Interposer) Free(ptr cuda.Ptr) error {
-	_, err := ip.call(&cuda.Op{ID: cuda.CallFree, Ptr: ptr})
-	if err == nil { // a non-blocking send reports no error: the call went out
-		ip.forgetPtr(ptr.ID)
-	}
-	return err
-}
-
-// Memcpy implements cuda.Client.
-func (ip *Interposer) Memcpy(dir cuda.Dir, ptr cuda.Ptr, bytes int64) error {
-	_, err := ip.call(&cuda.Op{ID: cuda.CallMemcpy, Dir: dir, Ptr: ptr, Bytes: bytes})
-	return err
-}
-
-// MemcpyAsync implements cuda.Client.
-func (ip *Interposer) MemcpyAsync(dir cuda.Dir, ptr cuda.Ptr, bytes int64, s cuda.StreamID) error {
-	_, err := ip.call(&cuda.Op{ID: cuda.CallMemcpyAsync, Dir: dir, Ptr: ptr, Bytes: bytes, Stream: s})
-	return err
-}
-
-// Launch implements cuda.Client; launches are asynchronous RPCs.
-func (ip *Interposer) Launch(k cuda.Kernel, s cuda.StreamID) error {
-	_, err := ip.call(&cuda.Op{ID: cuda.CallLaunch, Kernel: k, Stream: s})
-	return err
-}
-
-// StreamCreate implements cuda.Client.
-func (ip *Interposer) StreamCreate() (cuda.StreamID, error) {
-	if err := ip.ensureBound(); err != nil {
-		return 0, err
-	}
-	r, err := ip.send(ip.newCall(cuda.CallStreamCreate), true)
-	if err != nil {
-		return 0, err
-	}
-	return ip.internStream(r.Stream), nil
-}
-
-// StreamSynchronize implements cuda.Client.
-func (ip *Interposer) StreamSynchronize(s cuda.StreamID) error {
-	if err := ip.ensureBound(); err != nil {
-		return err
-	}
-	c := ip.newCall(cuda.CallStreamSync)
-	c.Stream = int32(s)
-	_, err := ip.send(c, true)
-	return err
-}
-
-// StreamDestroy implements cuda.Client.
-func (ip *Interposer) StreamDestroy(s cuda.StreamID) error {
-	if err := ip.ensureBound(); err != nil {
-		return err
-	}
-	c := ip.newCall(cuda.CallStreamDestroy)
-	c.Stream = int32(s)
-	_, err := ip.send(c, true)
-	ip.forgetStream(s)
-	return err
-}
-
-// DeviceSynchronize implements cuda.Client. The backend's SST scopes it to
-// the application's own stream.
-func (ip *Interposer) DeviceSynchronize() error {
-	_, err := ip.call(&cuda.Op{ID: cuda.CallDeviceSync})
-	return err
-}
-
-// EventCreate implements cuda.Client.
-func (ip *Interposer) EventCreate() (cuda.EventID, error) {
-	if err := ip.ensureBound(); err != nil {
-		return 0, err
-	}
-	r, err := ip.send(ip.newCall(cuda.CallEventCreate), true)
-	if err != nil {
-		return 0, err
-	}
-	return ip.internEvent(r.Event), nil
-}
-
-// EventRecord implements cuda.Client; records ride the non-blocking path
-// (no output parameters).
-func (ip *Interposer) EventRecord(e cuda.EventID, s cuda.StreamID) error {
-	if err := ip.ensureBound(); err != nil {
-		return err
-	}
-	c := ip.newCall(cuda.CallEventRecord)
-	c.Event = int32(e)
-	c.Stream = int32(s)
-	_, err := ip.send(c, false)
-	return err
-}
-
-// EventSynchronize implements cuda.Client.
-func (ip *Interposer) EventSynchronize(e cuda.EventID) error {
-	if err := ip.ensureBound(); err != nil {
-		return err
-	}
-	c := ip.newCall(cuda.CallEventSync)
-	c.Event = int32(e)
-	_, err := ip.send(c, true)
-	return err
-}
-
-// EventElapsed implements cuda.Client.
-func (ip *Interposer) EventElapsed(start, end cuda.EventID) (sim.Time, error) {
-	if err := ip.ensureBound(); err != nil {
-		return 0, err
-	}
-	c := ip.newCall(cuda.CallEventElapsed)
-	c.Event = int32(start)
-	c.Event2 = int32(end)
-	r, err := ip.send(c, true)
-	if err != nil {
-		return 0, err
-	}
-	return sim.Time(r.Elapsed), nil
-}
-
-// EventDestroy implements cuda.Client; no output parameters.
-func (ip *Interposer) EventDestroy(e cuda.EventID) error {
-	if err := ip.ensureBound(); err != nil {
-		return err
-	}
-	c := ip.newCall(cuda.CallEventDestroy)
-	c.Event = int32(e)
-	_, err := ip.send(c, false)
-	ip.forgetEvent(e)
-	return err
-}
-
-// ThreadExit implements cuda.Client: the reply piggybacks the Feedback
-// Engine's report, which the interposer relays to the affinity mapper.
-func (ip *Interposer) ThreadExit() error {
-	if err := ip.ensureBound(); err != nil {
-		return err
-	}
-	r, err := ip.send(ip.marshal(&cuda.Op{ID: cuda.CallThreadExit}))
-	ip.exit(r)
-	return err
 }
 
 // exit ends the thread once ThreadExit's reply r is in (nil if it failed):

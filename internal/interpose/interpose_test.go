@@ -2,9 +2,7 @@ package interpose
 
 import (
 	"errors"
-	"maps"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/balancer"
@@ -86,47 +84,85 @@ func (f *fakeFabric) SelectGPU(req balancer.Request, gid *balancer.GID, done *si
 	*gid = f.gid
 	done.Fire()
 }
-func (f *fakeFabric) SelectHop() sim.Time { return f.hop }
-func (f *fakeFabric) ConnectBackend(p *sim.Proc, gid balancer.GID, fromNode int) rpcproto.Endpoint {
-	return f.conn.A()
-}
+func (f *fakeFabric) SelectHop() sim.Time                               { return f.hop }
+func (f *fakeFabric) ConnectBackend(gid balancer.GID) rpcproto.Endpoint { return f.conn.A() }
 func (f *fakeFabric) ReportFeedback(gid balancer.GID, kind string, fb *rpcproto.Feedback) {
 	f.released = append(f.released, kind)
 	f.feedback = append(f.feedback, fb)
 }
-func (f *fakeFabric) ReportFailure(p *sim.Proc, gid balancer.GID) balancer.Health {
+func (f *fakeFabric) ReportFailure(gid balancer.GID, h *balancer.Health, done *sim.Event) {
 	f.failures++
-	if f.health == nil {
-		return balancer.Suspect
+	*h = balancer.Suspect
+	if f.health != nil {
+		*h = f.health(gid)
 	}
-	return f.health(gid)
+	done.Fire()
 }
 func (f *fakeFabric) ReportRecovered(gid balancer.GID) { f.recovered++ }
 func (f *fakeFabric) PoolSize() int                    { return 4 }
 
-func drive(t *testing.T, fn func(f *fakeFabric, ip *Interposer)) *fakeFabric {
-	t.Helper()
-	k := sim.NewKernel(1)
-	f := newFakeFabric(k)
-	k.Go("app", func(p *sim.Proc) {
-		ip := New(f, p, 9, 3, 2, "MC", 0, true)
-		fn(f, ip)
+// run makes ops through ip from a daemon on k, one after another, and runs
+// k; check, if set, sees each call's outcome as it ends.
+func run(k *sim.Kernel, ip *Interposer, ops []cuda.Op, check func(i int, r cuda.Ret, err error)) {
+	i, busy := 0, false
+	k.GoDaemon("app", func(d *sim.Daemon) {
+		for ; i < len(ops); i++ {
+			if !busy {
+				busy = true
+				ip.Issue(&ops[i])
+			}
+			if !ip.Await(d) {
+				return
+			}
+			busy = false
+			if r, err := ip.Result(); check != nil {
+				check(i, r, err)
+			}
+		}
+		d.Exit()
 	})
 	k.Run()
+}
+
+// drive makes ops on an interposer over a fake backend, with the asynchrony
+// optimization as Strings has it or, with sync, as Rain does not; setup, if
+// set, runs first, and check sees each call's outcome.
+func drive(sync bool, setup func(f *fakeFabric, ip *Interposer), ops []cuda.Op,
+	check func(f *fakeFabric, ip *Interposer, i int, r cuda.Ret, err error)) *fakeFabric {
+	k := sim.NewKernel(1)
+	f := newFakeFabric(k)
+	var ip Interposer
+	ip.Init(f, k, 9, 3, 2, "MC", 0, !sync)
+	if setup != nil {
+		setup(f, &ip)
+	}
+	run(k, &ip, ops, func(i int, r cuda.Ret, err error) { check(f, &ip, i, r, err) })
 	return f
 }
 
-func TestSetDeviceOverridesSelection(t *testing.T) {
-	f := drive(t, func(f *fakeFabric, ip *Interposer) {
-		if err := ip.SetDevice(0); err != nil {
-			t.Errorf("SetDevice: %v", err)
+// noErr fails t on any call's error.
+func noErr(t *testing.T) func(f *fakeFabric, ip *Interposer, i int, r cuda.Ret, err error) {
+	return func(f *fakeFabric, ip *Interposer, i int, r cuda.Ret, err error) {
+		if err != nil {
+			t.Errorf("call %d: %v", i, err)
 		}
+	}
+}
+
+// The fake backend hands out pointer 77, stream 5 and event 6.
+var (
+	setDevice = cuda.Op{ID: cuda.CallSetDevice}
+	ptr77     = cuda.Ptr{ID: 77, Size: 100}
+)
+
+func TestSetDeviceOverridesSelection(t *testing.T) {
+	f := drive(false, nil, []cuda.Op{setDevice, {ID: cuda.CallSetDevice, Dev: 3}}, func(f *fakeFabric, ip *Interposer, i int, r cuda.Ret, err error) {
+		if err != nil {
+			t.Errorf("SetDevice %d: %v", i, err)
+		}
+		// The second SetDevice is ignored: the balancer owns placement.
 		if ip.gid != 1 {
 			t.Errorf("Device = %d, want balancer's GID 1", ip.gid)
-		}
-		// A second SetDevice is ignored: the balancer owns placement.
-		if err := ip.SetDevice(3); err != nil {
-			t.Errorf("re-SetDevice: %v", err)
 		}
 	})
 	if len(f.selected) != 1 {
@@ -143,11 +179,7 @@ func TestSetDeviceOverridesSelection(t *testing.T) {
 }
 
 func TestLazyBindingOnFirstCall(t *testing.T) {
-	f := drive(t, func(f *fakeFabric, ip *Interposer) {
-		if _, err := ip.Malloc(100); err != nil {
-			t.Errorf("Malloc: %v", err)
-		}
-	})
+	f := drive(false, nil, []cuda.Op{{ID: cuda.CallMalloc, Bytes: 100}}, noErr(t))
 	if len(f.selected) != 1 {
 		t.Fatalf("lazy bind selections = %d", len(f.selected))
 	}
@@ -157,21 +189,25 @@ func TestLazyBindingOnFirstCall(t *testing.T) {
 }
 
 func TestAsyncCallsAreNonBlocking(t *testing.T) {
-	f := drive(t, func(f *fakeFabric, ip *Interposer) {
-		ip.SetDevice(0)
-		ptr, _ := ip.Malloc(1000)
-		t0 := ip.Proc().Now()
-		if err := ip.Memcpy(cuda.H2D, ptr, 500); err != nil {
-			t.Errorf("H2D: %v", err)
+	ptr := cuda.Ptr{ID: 77, Size: 1000}
+	var t0 sim.Time
+	f := drive(false, nil, []cuda.Op{setDevice, {ID: cuda.CallMalloc, Bytes: 1000},
+		{ID: cuda.CallMemcpy, Dir: cuda.H2D, Ptr: ptr, Bytes: 500},
+		{ID: cuda.CallLaunch, Kernel: cuda.Kernel{Compute: 1}},
+		{ID: cuda.CallFree, Ptr: ptr}}, func(f *fakeFabric, ip *Interposer, i int, r cuda.Ret, err error) {
+		if err != nil {
+			t.Errorf("call %d: %v", i, err)
 		}
-		if err := ip.Launch(cuda.Kernel{Compute: 1}, cuda.DefaultStream); err != nil {
-			t.Errorf("Launch: %v", err)
-		}
-		if err := ip.Free(ptr); err != nil {
-			t.Errorf("Free: %v", err)
-		}
-		if d := ip.Proc().Now() - t0; d > 3*MarshalOverhead {
-			t.Errorf("async calls blocked for %v", d)
+		switch i {
+		case 1:
+			if r.Ptr != ptr {
+				t.Errorf("Malloc = %+v, want %+v", r.Ptr, ptr)
+			}
+			t0 = f.k.Now()
+		case 4:
+			if d := f.k.Now() - t0; d > 3*MarshalOverhead {
+				t.Errorf("async calls blocked for %v", d)
+			}
 		}
 	})
 	var flags []bool
@@ -189,16 +225,9 @@ func TestAsyncCallsAreNonBlocking(t *testing.T) {
 
 func TestSyncModeForcesBlocking(t *testing.T) {
 	// async=false (the Rain frontend) turns every RPC synchronous.
-	k := sim.NewKernel(1)
-	f := newFakeFabric(k)
-	k.Go("app", func(p *sim.Proc) {
-		ip := New(f, p, 9, 3, 1, "MC", 0, false)
-		ip.SetDevice(0)
-		ptr, _ := ip.Malloc(100)
-		ip.Memcpy(cuda.H2D, ptr, 50)
-		ip.Launch(cuda.Kernel{Compute: 1}, cuda.DefaultStream)
-	})
-	k.Run()
+	f := drive(true, nil, []cuda.Op{setDevice, {ID: cuda.CallMalloc, Bytes: 100},
+		{ID: cuda.CallMemcpy, Dir: cuda.H2D, Ptr: ptr77, Bytes: 50},
+		{ID: cuda.CallLaunch, Kernel: cuda.Kernel{Compute: 1}}}, noErr(t))
 	for _, c := range f.received {
 		if c.NonBlocking {
 			t.Fatalf("call %v non-blocking under sync frontend", c.ID)
@@ -207,63 +236,57 @@ func TestSyncModeForcesBlocking(t *testing.T) {
 }
 
 func TestD2HBlocksForData(t *testing.T) {
-	drive(t, func(f *fakeFabric, ip *Interposer) {
-		ip.SetDevice(0)
-		ptr, _ := ip.Malloc(100)
-		if err := ip.Memcpy(cuda.D2H, ptr, 50); err != nil {
-			t.Errorf("D2H: %v", err)
-		}
-		// The reply consumed above must leave the reply stream aligned.
-		if n := ip.DeviceCount(); n != 4 {
-			t.Errorf("DeviceCount = %d", n)
-		}
-	})
+	drive(false, nil, []cuda.Op{setDevice, {ID: cuda.CallMalloc, Bytes: 100},
+		{ID: cuda.CallMemcpy, Dir: cuda.D2H, Ptr: ptr77, Bytes: 50}, {ID: cuda.CallDeviceCount}},
+		func(f *fakeFabric, ip *Interposer, i int, r cuda.Ret, err error) {
+			if err != nil {
+				t.Errorf("call %d: %v", i, err)
+			}
+			// The reply consumed above must leave the reply stream aligned.
+			if i == 3 && r.Count != 4 {
+				t.Errorf("DeviceCount = %d", r.Count)
+			}
+		})
 }
 
 func TestStreamLifecycleForwarded(t *testing.T) {
-	f := drive(t, func(f *fakeFabric, ip *Interposer) {
-		ip.SetDevice(0)
-		s, err := ip.StreamCreate()
-		if err != nil || s != 5 {
-			t.Errorf("StreamCreate = %v, %v", s, err)
-		}
-		if err := ip.MemcpyAsync(cuda.H2D, cuda.Ptr{ID: 1, Size: 10}, 10, s); err != nil {
-			t.Errorf("MemcpyAsync: %v", err)
-		}
-		if err := ip.StreamSynchronize(s); err != nil {
-			t.Errorf("StreamSynchronize: %v", err)
-		}
-		if err := ip.StreamDestroy(s); err != nil {
-			t.Errorf("StreamDestroy: %v", err)
-		}
-		if err := ip.DeviceSynchronize(); err != nil {
-			t.Errorf("DeviceSynchronize: %v", err)
-		}
-	})
+	f := drive(false, nil, []cuda.Op{setDevice, {ID: cuda.CallStreamCreate},
+		{ID: cuda.CallMemcpyAsync, Dir: cuda.H2D, Ptr: cuda.Ptr{ID: 1, Size: 10}, Bytes: 10, Stream: 5},
+		{ID: cuda.CallStreamSync, Stream: 5}, {ID: cuda.CallStreamDestroy, Stream: 5}, {ID: cuda.CallDeviceSync}},
+		func(f *fakeFabric, ip *Interposer, i int, r cuda.Ret, err error) {
+			if err != nil {
+				t.Errorf("call %d: %v", i, err)
+			}
+			if i == 1 && r.Stream != 5 {
+				t.Errorf("StreamCreate = %v", r.Stream)
+			}
+		})
 	var ids []cuda.CallID
 	for _, c := range f.received {
 		ids = append(ids, c.ID)
 	}
 	want := []cuda.CallID{cuda.CallSetDevice, cuda.CallStreamCreate,
 		cuda.CallMemcpyAsync, cuda.CallStreamSync, cuda.CallStreamDestroy, cuda.CallDeviceSync}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("call sequence = %v, want %v", ids, want)
-		}
+	if !reflect.DeepEqual(ids, want) {
+		t.Fatalf("call sequence = %v, want %v", ids, want)
 	}
 }
 
 func TestThreadExitRelaysFeedback(t *testing.T) {
-	f := drive(t, func(f *fakeFabric, ip *Interposer) {
-		ip.SetDevice(0)
-		if err := ip.ThreadExit(); err != nil {
-			t.Errorf("ThreadExit: %v", err)
-		}
-		if ip.LastFeedback == nil || ip.LastFeedback.GPUTime != 123 {
-			t.Errorf("LastFeedback = %+v", ip.LastFeedback)
-		}
-		if err := ip.ThreadExit(); !errors.Is(err, cuda.ErrThreadExited) {
-			t.Errorf("second exit = %v", err)
+	exit := cuda.Op{ID: cuda.CallThreadExit}
+	f := drive(false, nil, []cuda.Op{setDevice, exit, exit}, func(f *fakeFabric, ip *Interposer, i int, r cuda.Ret, err error) {
+		switch i {
+		case 1:
+			if err != nil {
+				t.Errorf("ThreadExit: %v", err)
+			}
+			if ip.LastFeedback == nil || ip.LastFeedback.GPUTime != 123 {
+				t.Errorf("LastFeedback = %+v", ip.LastFeedback)
+			}
+		case 2:
+			if !errors.Is(err, cuda.ErrThreadExited) {
+				t.Errorf("second exit = %v", err)
+			}
 		}
 	})
 	if len(f.feedback) != 1 || f.feedback[0].GPUTime != 123 {
@@ -287,69 +310,43 @@ func TestThreadExitRelaysFeedback(t *testing.T) {
 // nothing: the backend session has exited, so a call that reached its inbox
 // would wait for a reply forever.
 func TestCallsAfterThreadExitFail(t *testing.T) {
-	k := sim.NewKernel(1)
-	defer k.Close()
-	f := newFakeFabric(k)
-	k.Go("app", func(p *sim.Proc) {
-		ip := New(f, p, 9, 3, 2, "MC", 0, true)
-		ptr, err := ip.Malloc(100)
-		if err != nil {
-			t.Errorf("Malloc: %v", err)
+	ops := []cuda.Op{{ID: cuda.CallMalloc, Bytes: 100}, {ID: cuda.CallThreadExit}}
+	for id := cuda.CallSetDevice; id <= cuda.CallEventDestroy; id++ {
+		if id != cuda.CallDeviceCount { // answered locally, from the gPool
+			ops = append(ops, cuda.Op{ID: id, Ptr: ptr77, Dir: cuda.D2H, Bytes: 10, Stream: 5, Event: 6, Event2: 6})
 		}
-		if err := ip.ThreadExit(); err != nil {
-			t.Errorf("ThreadExit: %v", err)
-		}
-		sent := len(f.received)
-		calls := map[string]func() error{
-			"SetDevice":         func() error { return ip.SetDevice(0) },
-			"Malloc":            func() error { _, err := ip.Malloc(100); return err },
-			"Free":              func() error { return ip.Free(ptr) },
-			"Memcpy":            func() error { return ip.Memcpy(cuda.D2H, ptr, 10) },
-			"MemcpyAsync":       func() error { return ip.MemcpyAsync(cuda.H2D, ptr, 10, 0) },
-			"Launch":            func() error { return ip.Launch(cuda.Kernel{Name: "k"}, 0) },
-			"StreamCreate":      func() error { _, err := ip.StreamCreate(); return err },
-			"StreamSynchronize": func() error { return ip.StreamSynchronize(0) },
-			"StreamDestroy":     func() error { return ip.StreamDestroy(5) },
-			"DeviceSynchronize": ip.DeviceSynchronize,
-			"EventCreate":       func() error { _, err := ip.EventCreate(); return err },
-			"EventRecord":       func() error { return ip.EventRecord(6, 0) },
-			"EventSynchronize":  func() error { return ip.EventSynchronize(6) },
-			"EventElapsed":      func() error { _, err := ip.EventElapsed(6, 6); return err },
-			"EventDestroy":      func() error { return ip.EventDestroy(6) },
-			"ThreadExit":        ip.ThreadExit,
-		}
-		for _, name := range slices.Sorted(maps.Keys(calls)) {
-			if err := calls[name](); !errors.Is(err, cuda.ErrThreadExited) {
-				t.Errorf("%s after ThreadExit = %v, want ErrThreadExited", name, err)
-			}
-		}
-		if len(f.received) != sent {
-			t.Errorf("%d calls reached the backend after ThreadExit", len(f.received)-sent)
+	}
+	sent := 0
+	f := drive(false, nil, ops, func(f *fakeFabric, ip *Interposer, i int, r cuda.Ret, err error) {
+		switch {
+		case i < 2 && err != nil:
+			t.Errorf("%v: %v", ops[i].ID, err)
+		case i == 1:
+			sent = len(f.received)
+		case i >= 2 && !errors.Is(err, cuda.ErrThreadExited):
+			t.Errorf("%v after ThreadExit = %v, want ErrThreadExited", ops[i].ID, err)
 		}
 	})
-	k.Run()
-	if b := k.Blocked(); len(b) != 0 {
+	if len(f.received) != sent {
+		t.Errorf("%d calls reached the backend after ThreadExit", len(f.received)-sent)
+	}
+	if b := f.k.Blocked(); len(b) != 0 {
 		t.Fatalf("blocked after the run: %v", b)
 	}
 }
 
 func TestEventCallsForwarded(t *testing.T) {
-	f := drive(t, func(f *fakeFabric, ip *Interposer) {
-		start, err := ip.EventCreate()
-		if err != nil || start != 6 {
-			t.Errorf("EventCreate = %v, %v", start, err)
+	f := drive(false, nil, []cuda.Op{{ID: cuda.CallEventCreate}, {ID: cuda.CallEventRecord, Event: 6},
+		{ID: cuda.CallEventSync, Event: 6}, {ID: cuda.CallEventElapsed, Event: 6, Event2: 6},
+		{ID: cuda.CallEventDestroy, Event: 6}}, func(f *fakeFabric, ip *Interposer, i int, r cuda.Ret, err error) {
+		if err != nil {
+			t.Errorf("call %d: %v", i, err)
 		}
-		if err := ip.EventRecord(start, cuda.DefaultStream); err != nil {
-			t.Errorf("EventRecord: %v", err)
+		if i == 0 && r.Event != 6 {
+			t.Errorf("EventCreate = %v", r.Event)
 		}
-		if err := ip.EventSynchronize(start); err != nil {
-			t.Errorf("EventSynchronize: %v", err)
-		}
-		if d, err := ip.EventElapsed(start, start); err != nil || d != 42 {
-			t.Errorf("EventElapsed = %v, %v, want 42us", d, err)
-		}
-		if err := ip.EventDestroy(start); err != nil {
-			t.Errorf("EventDestroy: %v", err)
+		if i == 3 && r.Elapsed != 42 {
+			t.Errorf("EventElapsed = %v, want 42us", r.Elapsed)
 		}
 	})
 	want := []cuda.CallID{cuda.CallSetDevice, cuda.CallEventCreate, cuda.CallEventRecord,
@@ -374,9 +371,8 @@ func TestEventCallsForwarded(t *testing.T) {
 // recovery mode nothing retransmits, so no later reply would answer it.
 func TestReplySeqMismatchFailsTheCall(t *testing.T) {
 	finished := false
-	drive(t, func(f *fakeFabric, ip *Interposer) {
-		f.stale = cuda.CallMalloc
-		_, err := ip.Malloc(100)
+	stale := func(f *fakeFabric, ip *Interposer) { f.stale = cuda.CallMalloc }
+	drive(false, stale, []cuda.Op{{ID: cuda.CallMalloc, Bytes: 100}}, func(f *fakeFabric, ip *Interposer, i int, r cuda.Ret, err error) {
 		if err == nil || err.Error() != "interpose: reply 1 does not answer call 2" {
 			t.Errorf("Malloc answered with the previous call's Seq: err = %v", err)
 		}
@@ -389,9 +385,9 @@ func TestReplySeqMismatchFailsTheCall(t *testing.T) {
 
 func TestSendTracesEachCall(t *testing.T) {
 	rec := trace.New()
-	drive(t, func(f *fakeFabric, ip *Interposer) {
-		ip.SetTrace(rec, 0)
-		if _, err := ip.Malloc(100); err != nil {
+	traced := func(f *fakeFabric, ip *Interposer) { ip.SetTrace(rec, 0) }
+	drive(false, traced, []cuda.Op{{ID: cuda.CallMalloc, Bytes: 100}}, func(f *fakeFabric, ip *Interposer, i int, r cuda.Ret, err error) {
+		if err != nil {
 			t.Errorf("Malloc: %v", err)
 		}
 		if ip.GID() != f.gid {

@@ -65,6 +65,31 @@ type recState struct {
 	timeouts  int
 	failovers int
 	disrupted bool // a timeout occurred since the last acknowledged success
+
+	// The call in flight's: the frame last sent (its wire form, or a
+	// replay call), the sends so far and the wait before the next
+	// retransmit.
+	wire    *rpcproto.Call
+	sends   int
+	backoff sim.Time
+
+	// A failover in progress: the attempts it may make and has made, the
+	// error of the last, and the replay of the current one — the calls that
+	// register on the replacement and re-create the virtual-id tables'
+	// resources there, the one in flight first, and the registration's reply.
+	failing  bool
+	budget   int
+	attempt  int
+	lastErr  error
+	replay   []replayCall
+	regReply *rpcproto.Reply
+}
+
+// replayCall is one call of a failover's replay: the registration, or the
+// re-creation of a stream, an allocation or an event, by virtual id.
+type replayCall struct {
+	id  cuda.CallID
+	vid int64
 }
 
 // SetRecovery arms (or disarms) failure handling. Call before the first
@@ -184,174 +209,210 @@ func (ip *Interposer) wireCall(c *rpcproto.Call) *rpcproto.Call {
 	return &w
 }
 
-// awaitReply waits for the reply matching seq, bounded by the call timeout.
-// ok=false means the timeout expired.
-func (ip *Interposer) awaitReply(seq uint64) (*rpcproto.Reply, bool, error) {
-	for {
-		msg, ok := ip.ep.RecvTimeout(ip.p, ip.rec.cfg.CallTimeout)
-		if !ok {
-			return nil, false, nil
-		}
-		r, isReply := msg.(*rpcproto.Reply)
-		if !isReply {
-			return nil, true, fmt.Errorf("interpose: unexpected message %T", msg)
-		}
-		if r.Seq == seq {
-			return r, true, nil
-		}
-		if r.Seq > seq {
-			return nil, true, fmt.Errorf("interpose: reply %d overtook call %d", r.Seq, seq)
-		}
-		// Stale reply from a retransmitted earlier call: skip.
-	}
-}
-
-// sendReliable is the recovery-mode send path: non-blocking calls fire and
+// recover runs the recovery stages of the call in flight (see stage) and
+// reports false once it ended d's step in a wait. Non-blocking calls fire and
 // forget; blocking calls are guarded by the call timeout, retransmitted if
 // idempotent, and failed over once the mapper declares the backend Dead.
-func (ip *Interposer) sendReliable(c *rpcproto.Call, blocking bool) (*rpcproto.Reply, error) {
-	backoff := backoffBase
-	sends := 0
-	for {
-		w := ip.wireCall(c)
-		ip.ep.Send(ip.p, w, w.PayloadBytes())
-		sends++
-		if !blocking {
-			return nil, nil
+// While a failover replays, the frame sent is the replay call in flight.
+func (ip *Interposer) recover(d *sim.Daemon) bool {
+	rec := &ip.rec
+	switch ip.at {
+	case relSend:
+		rec.wire, ip.at = ip.wireCall(ip.inflight), txPaying
+	case txPaying:
+		ip.at = txPosting
+		if cost := ip.ep.Cost(rec.wire, rec.wire.PayloadBytes()); cost > 0 {
+			d.Sleep(cost)
+			return false
 		}
-		r, ok, err := ip.awaitReply(w.Seq)
-		if err != nil {
-			return nil, err
+	case txPosting:
+		ip.ep.Post(rec.wire)
+		ip.at = txReplying
+		if !rec.failing {
+			rec.sends++
+			if !ip.blocking {
+				ip.finish(nil, nil)
+			}
 		}
-		if ok {
-			if ip.rec.disrupted {
-				ip.rec.disrupted = false
+	case txReplying:
+		r, waiting, err := ip.await(d, rec.wire.Seq)
+		switch {
+		case waiting:
+			return false
+		case rec.failing:
+			return ip.replayed(d, r, err)
+		case r != nil || err != nil:
+			if r != nil && rec.disrupted {
+				rec.disrupted = false
 				ip.fab.ReportRecovered(ip.gid)
 			}
-			return r, r.AsError()
+			ip.finish(r, err)
+		default:
+			// Timed out: feed the failure detector, then decide between a
+			// retransmit on the same connection and a failover.
+			rec.timeouts++
+			rec.disrupted = true
+			ip.tr.Event(trace.KRetry, ip.k.Now(), ip.inflight.ID.String(), ip.appID, int(ip.gid), int64(rec.sends))
+			ip.at = relVerdict
+			return ip.reportFailure(d)
 		}
+	case relVerdict:
+		switch {
+		case ip.health == balancer.Dead:
+			rec.failing, rec.budget, rec.attempt, rec.lastErr = true, ip.fab.PoolSize(), 0, cuda.ErrBackendLost
+			ip.failover()
+		case !retryable(ip.inflight.ID) || rec.sends > maxRetries:
+			ip.finish(nil, cuda.ErrBackendLost)
+		default:
+			ip.at = relSend
+			d.Sleep(rec.backoff)
+			rec.backoff = min(2*rec.backoff, backoffCap)
+			return false
+		}
+	case rpFailed:
+		rec.attempt++
+		ip.failover()
+	}
+	return true
+}
 
-		// Timed out: feed the failure detector and decide between a
-		// retransmit on the same connection and a failover.
-		ip.rec.timeouts++
-		ip.rec.disrupted = true
-		ip.tr.Event(trace.KRetry, ip.p.Now(), c.ID.String(), ip.appID, int(ip.gid), int64(sends))
-		health := ip.fab.ReportFailure(ip.p, ip.gid)
-		if health == balancer.Dead {
-			reg, err := ip.failover()
-			if err != nil {
-				return nil, err
-			}
-			if c.ID == cuda.CallSetDevice {
-				// The pending call was the registration itself; the
-				// failover's rebind already performed it.
-				return reg, reg.AsError()
-			}
-			// Re-issue on the replacement backend under a fresh sequence
-			// number (the new session has its own reply stream).
-			ip.seq++
-			c.Seq = ip.seq
-			sends = 0
-			backoff = backoffBase
-			continue
+// await takes the reply to the call numbered seq, waiting at most the call
+// timeout: the reply with its error, an error for a stream that cannot carry
+// it, neither once the timeout expired, or waiting while d's step ends in the
+// wait. A stale reply from a retransmitted earlier call is skipped, and the
+// next waited for afresh.
+func (ip *Interposer) await(d *sim.Daemon, seq uint64) (r *rpcproto.Reply, waiting bool, err error) {
+	for {
+		msg, ok, expired := ip.ep.TakeTimeout(d, ip.rec.cfg.CallTimeout)
+		if !ok {
+			return nil, !expired, nil
 		}
-		if !retryable(c.ID) || sends > maxRetries {
-			return nil, cuda.ErrBackendLost
+		r, isReply := msg.(*rpcproto.Reply)
+		switch {
+		case !isReply:
+			return nil, false, fmt.Errorf("interpose: unexpected message %T", msg)
+		case r.Seq == seq:
+			return r, false, r.AsError()
+		case r.Seq > seq:
+			return nil, false, fmt.Errorf("interpose: reply %d overtook call %d", r.Seq, seq)
 		}
-		ip.p.Sleep(backoff)
-		backoff = min(2*backoff, backoffCap)
 	}
 }
 
-// sendOnce issues one blocking call during rebind/replay, guarded by the
-// call timeout but never retried (the failover loop handles failures by
-// moving on to the next candidate backend).
-func (ip *Interposer) sendOnce(c *rpcproto.Call) (*rpcproto.Reply, error) {
-	ip.ep.Send(ip.p, c, c.PayloadBytes())
-	r, ok, err := ip.awaitReply(c.Seq)
+// reportFailure posts a failure report against the bound GPU and ends d's step
+// waiting for the verdict, which lands in ip.health.
+func (ip *Interposer) reportFailure(d *sim.Daemon) bool {
+	ip.fab.ReportFailure(ip.gid, &ip.health, ip.latch())
+	d.Wait(ip.sel)
+	return false
+}
+
+// failover makes the next attempt to move off the dead binding: it releases
+// the binding and selects a survivor (the DST row of the dead device is
+// already non-Healthy, so the policy skips it), or, once every device has
+// been tried, fails the call in flight with the last attempt's error.
+func (ip *Interposer) failover() {
+	rec := &ip.rec
+	if rec.attempt == rec.budget {
+		rec.failing = false
+		ip.finish(nil, rec.lastErr)
+		return
+	}
+	ip.fab.ReportFeedback(ip.gid, ip.kind, nil)
+	ip.at = selOut
+}
+
+// rebind connects to the replacement and starts its replay: the registration
+// handshake, then the application's surviving state — streams, allocations
+// and events, each in ascending virtual-id order — whose replies remap the
+// virtual-id tables to the replacement's handles. Device-resident data is not
+// re-staged: the simulator carries no payloads, and a real implementation
+// would restore it from host-side shadow copies at this point.
+func (ip *Interposer) rebind() {
+	rec := &ip.rec
+	ip.connect()
+	rec.replay = append(rec.replay[:0], replayCall{id: cuda.CallSetDevice})
+	for _, vid := range sortedKeys(rec.streams) {
+		rec.replay = append(rec.replay, replayCall{cuda.CallStreamCreate, int64(vid)})
+	}
+	ptrs := make([]int64, 0, len(rec.ptrs))
+	for vid := range rec.ptrs {
+		ptrs = append(ptrs, vid)
+	}
+	slices.Sort(ptrs)
+	for _, vid := range ptrs {
+		rec.replay = append(rec.replay, replayCall{cuda.CallMalloc, vid})
+	}
+	for _, vid := range sortedKeys(rec.events) {
+		rec.replay = append(rec.replay, replayCall{cuda.CallEventCreate, int64(vid)})
+	}
+	ip.replayNext()
+}
+
+// replayNext sends the next replay call, never retried: a failure moves the
+// failover on to the next candidate.
+func (ip *Interposer) replayNext() {
+	rec := &ip.rec
+	next := rec.replay[0]
+	rec.wire = ip.newCall(next.id)
+	switch next.id {
+	case cuda.CallSetDevice:
+		rec.wire.Dev, rec.wire.KernelName = int32(ip.gid), ip.kind
+	case cuda.CallMalloc:
+		rec.wire.Bytes = rec.ptrs[next.vid].size
+	}
+	ip.at = txPaying
+}
+
+// replayed takes the outcome of the replay call in flight — its reply r, an
+// error, or neither on a timeout — and sends the next call, or after the last
+// ends the failover, and the call in flight goes on; on a failure it reports
+// the replacement and ends d's step waiting for the verdict.
+func (ip *Interposer) replayed(d *sim.Daemon, r *rpcproto.Reply, err error) bool {
+	rec := &ip.rec
+	if r == nil && err == nil {
+		err = cuda.ErrBackendLost
+	}
 	if err != nil {
-		return nil, err
+		rec.lastErr = err
+		ip.at = rpFailed
+		return ip.reportFailure(d)
 	}
-	if !ok {
-		return nil, cuda.ErrBackendLost
-	}
-	return r, r.AsError()
-}
-
-// failover releases the dead binding, asks the mapper for a replacement
-// GPU, re-registers there and replays the application's surviving state —
-// streams, allocations and events, in ascending virtual-id order — updating
-// the virtual-id tables to the replacement's handles. It returns the
-// registration reply. Device-resident data is not re-staged: the simulator
-// carries no payloads, and a real implementation would restore it from
-// host-side shadow copies at this point.
-func (ip *Interposer) failover() (*rpcproto.Reply, error) {
-	budget := ip.fab.PoolSize()
-	var lastErr error = cuda.ErrBackendLost
-	for attempt := 0; attempt < budget; attempt++ {
-		// Release the failed binding and select a survivor. The DST row of
-		// the dead device is already non-Healthy, so the policy skips it.
-		ip.fab.ReportFeedback(ip.gid, ip.kind, nil)
-		ip.selectGPU()
-		ip.connect()
-
-		reg, err := ip.rebind()
-		if err == nil {
-			ip.rec.failovers++
-			ip.rec.disrupted = false
-			ip.tr.Event(trace.KFailover, ip.p.Now(), ip.kind, ip.appID, int(ip.gid), int64(attempt+1))
-			ip.tr.SetGID(ip.reqSpan, int(ip.gid))
-			return reg, nil
-		}
-		lastErr = err
-		_ = ip.fab.ReportFailure(ip.p, ip.gid)
-	}
-	return nil, lastErr
-}
-
-// rebind performs the registration handshake and state replay on the
-// current endpoint.
-func (ip *Interposer) rebind() (*rpcproto.Reply, error) {
-	reg := ip.newCall(cuda.CallSetDevice)
-	reg.Dev = int32(ip.gid)
-	reg.KernelName = ip.kind
-	rep, err := ip.sendOnce(reg)
-	if err != nil {
-		return nil, err
-	}
-
-	for _, vid := range sortedKeys(ip.rec.streams) {
-		c := ip.newCall(cuda.CallStreamCreate)
-		r, err := ip.sendOnce(c)
-		if err != nil {
-			return nil, err
-		}
-		ip.rec.streams[vid] = r.Stream
-	}
-	ptrVids := make([]int64, 0, len(ip.rec.ptrs))
-	for vid := range ip.rec.ptrs {
-		ptrVids = append(ptrVids, vid)
-	}
-	slices.Sort(ptrVids)
-	for _, vid := range ptrVids {
-		m := ip.rec.ptrs[vid]
-		c := ip.newCall(cuda.CallMalloc)
-		c.Bytes = m.size
-		r, err := ip.sendOnce(c)
-		if err != nil {
-			return nil, err
-		}
+	done := rec.replay[0]
+	rec.replay = rec.replay[1:]
+	switch done.id {
+	case cuda.CallSetDevice:
+		rec.regReply = r
+	case cuda.CallStreamCreate:
+		rec.streams[int32(done.vid)] = r.Stream
+	case cuda.CallMalloc:
+		m := rec.ptrs[done.vid]
 		m.bid, m.dev = r.PtrID, r.PtrDev
+	default:
+		rec.events[int32(done.vid)] = r.Event
 	}
-	for _, vid := range sortedKeys(ip.rec.events) {
-		c := ip.newCall(cuda.CallEventCreate)
-		r, err := ip.sendOnce(c)
-		if err != nil {
-			return nil, err
-		}
-		ip.rec.events[vid] = r.Event
+	if len(rec.replay) > 0 {
+		ip.replayNext()
+		return true
 	}
-	return rep, nil
+	rec.failing = false
+	rec.failovers++
+	rec.disrupted = false
+	ip.tr.Event(trace.KFailover, ip.k.Now(), ip.kind, ip.appID, int(ip.gid), int64(rec.attempt+1))
+	ip.tr.SetGID(ip.reqSpan, int(ip.gid))
+	if ip.inflight.ID == cuda.CallSetDevice {
+		// The call in flight was the registration itself; the replay's
+		// registration performed it.
+		ip.finish(rec.regReply, nil)
+		return true
+	}
+	// Re-issue on the replacement backend under a fresh sequence number
+	// (the new session has its own reply stream).
+	ip.seq++
+	ip.inflight.Seq = ip.seq
+	rec.sends, rec.backoff = 0, backoffBase
+	ip.at = relSend
+	return true
 }
 
 // sortedKeys returns a virtual-id table's keys in ascending order.

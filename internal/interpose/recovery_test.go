@@ -87,45 +87,49 @@ func (f *failFabric) SelectGPU(req balancer.Request, gid *balancer.GID, done *si
 	done.Fire()
 }
 func (f *failFabric) SelectHop() sim.Time { return 0 }
-func (f *failFabric) ConnectBackend(p *sim.Proc, gid balancer.GID, fromNode int) rpcproto.Endpoint {
+func (f *failFabric) ConnectBackend(gid balancer.GID) rpcproto.Endpoint {
 	return f.backends[gid].conn.A()
 }
 func (f *failFabric) ReportFeedback(gid balancer.GID, kind string, fb *rpcproto.Feedback) {
 	f.released++
 }
-func (f *failFabric) ReportFailure(p *sim.Proc, gid balancer.GID) balancer.Health {
+func (f *failFabric) ReportFailure(gid balancer.GID, h *balancer.Health, done *sim.Event) {
 	f.failures++
-	if f.health == nil {
-		return balancer.Suspect
+	*h = balancer.Suspect
+	if f.health != nil {
+		*h = f.health(f.failures)
 	}
-	return f.health(f.failures)
+	done.Fire()
 }
 func (f *failFabric) ReportRecovered(gid balancer.GID) { f.recovered++ }
 func (f *failFabric) PoolSize() int                    { return len(f.backends) }
 
-// driveRecovery runs fn in a kernel against n scripted backends with
-// recovery armed.
-func driveRecovery(t *testing.T, n int, gids []balancer.GID, fn func(f *failFabric, ip *Interposer)) *failFabric {
-	t.Helper()
+// driveRecovery makes ops on an interposer with recovery armed over n
+// scripted backends; setup runs first, and check sees each call's outcome.
+func driveRecovery(n int, gids []balancer.GID, setup func(f *failFabric, ip *Interposer), ops []cuda.Op,
+	check func(f *failFabric, ip *Interposer, i int, r cuda.Ret, err error)) *failFabric {
 	k := sim.NewKernel(1)
 	f := &failFabric{gids: gids}
 	for i := 0; i < n; i++ {
 		f.backends = append(f.backends, startScriptedBackend(k, "backend"))
 	}
-	k.Go("app", func(p *sim.Proc) {
-		ip := New(f, p, 9, 3, 2, "MC", 0, true)
-		ip.SetRecovery(Recovery{CallTimeout: 10 * sim.Millisecond})
-		fn(f, ip)
-	})
-	k.Run()
+	var ip Interposer
+	ip.Init(f, k, 9, 3, 2, "MC", 0, true)
+	ip.SetRecovery(Recovery{CallTimeout: 10 * sim.Millisecond})
+	if setup != nil {
+		setup(f, &ip)
+	}
+	run(k, &ip, ops, func(i int, r cuda.Ret, err error) { check(f, &ip, i, r, err) })
 	return f
 }
 
+var deviceSync = cuda.Op{ID: cuda.CallDeviceSync}
+
 func TestRecoveryDisabledIsUntouched(t *testing.T) {
-	f := driveRecovery(t, 1, []balancer.GID{0}, func(f *failFabric, ip *Interposer) {
+	f := driveRecovery(1, []balancer.GID{0}, func(f *failFabric, ip *Interposer) {
 		ip.SetRecovery(Recovery{}) // disarm again
-		ip.SetDevice(0)
-		if err := ip.DeviceSynchronize(); err != nil {
+	}, []cuda.Op{setDevice, deviceSync}, func(f *failFabric, ip *Interposer, i int, r cuda.Ret, err error) {
+		if i == 1 && err != nil {
 			t.Errorf("DeviceSynchronize: %v", err)
 		}
 		if ip.rec.timeouts != 0 || ip.rec.failovers != 0 || ip.Disrupted() {
@@ -138,7 +142,7 @@ func TestRecoveryDisabledIsUntouched(t *testing.T) {
 }
 
 func TestTimeoutRetrySucceeds(t *testing.T) {
-	f := driveRecovery(t, 1, []balancer.GID{0}, func(f *failFabric, ip *Interposer) {
+	f := driveRecovery(1, []balancer.GID{0}, func(f *failFabric, ip *Interposer) {
 		swallowed := false
 		f.backends[0].swallow = func(c *rpcproto.Call) bool {
 			if c.ID == cuda.CallDeviceSync && !swallowed {
@@ -147,8 +151,11 @@ func TestTimeoutRetrySucceeds(t *testing.T) {
 			}
 			return false
 		}
-		ip.SetDevice(0)
-		if err := ip.DeviceSynchronize(); err != nil {
+	}, []cuda.Op{setDevice, deviceSync}, func(f *failFabric, ip *Interposer, i int, r cuda.Ret, err error) {
+		if i == 0 {
+			return
+		}
+		if err != nil {
 			t.Errorf("DeviceSynchronize after retry: %v", err)
 		}
 		if ip.rec.timeouts != 1 {
@@ -177,23 +184,26 @@ func TestTimeoutRetrySucceeds(t *testing.T) {
 }
 
 func TestNonRetryableTimeoutSurfacesBackendLost(t *testing.T) {
-	driveRecovery(t, 1, []balancer.GID{0}, func(f *failFabric, ip *Interposer) {
+	driveRecovery(1, []balancer.GID{0}, func(f *failFabric, ip *Interposer) {
 		f.backends[0].swallow = func(c *rpcproto.Call) bool { return c.ID == cuda.CallMalloc }
-		ip.SetDevice(0)
-		if _, err := ip.Malloc(100); !errors.Is(err, cuda.ErrBackendLost) {
+	}, []cuda.Op{setDevice, {ID: cuda.CallMalloc, Bytes: 100}}, func(f *failFabric, ip *Interposer, i int, r cuda.Ret, err error) {
+		if i == 1 && !errors.Is(err, cuda.ErrBackendLost) {
 			t.Errorf("Malloc on a silent backend = %v, want ErrBackendLost", err)
 		}
 	})
 }
 
 func TestRetryBudgetExhaustionSurfacesBackendLost(t *testing.T) {
-	f := driveRecovery(t, 1, []balancer.GID{0}, func(f *failFabric, ip *Interposer) {
-		ip.SetDevice(0)
-		f.backends[0].swallow = func(c *rpcproto.Call) bool { return true }
-		if err := ip.DeviceSynchronize(); !errors.Is(err, cuda.ErrBackendLost) {
-			t.Errorf("sync against a dead-silent backend = %v, want ErrBackendLost", err)
-		}
-	})
+	f := driveRecovery(1, []balancer.GID{0}, nil, []cuda.Op{setDevice, deviceSync},
+		func(f *failFabric, ip *Interposer, i int, r cuda.Ret, err error) {
+			if i == 0 {
+				f.backends[0].swallow = func(c *rpcproto.Call) bool { return true }
+				return
+			}
+			if !errors.Is(err, cuda.ErrBackendLost) {
+				t.Errorf("sync against a dead-silent backend = %v, want ErrBackendLost", err)
+			}
+		})
 	// Original + maxRetries retransmits, each reported to the detector.
 	if f.failures != 4 {
 		t.Fatalf("failure reports = %d, want 4 (1 + maxRetries)", f.failures)
@@ -204,57 +214,57 @@ func TestRetryBudgetExhaustionSurfacesBackendLost(t *testing.T) {
 // registers on backend 1 and replays its streams, allocations and events
 // there, each table in ascending virtual-id order, so the replacement hands
 // out its ids in the order the application first got them; later calls on
-// the client-visible handles carry the replacement's ids.
+// the client-visible handles carry the replacement's ids. The application's
+// handles are virtual, numbered from 1 in the order it got them.
 func TestFailoverReplaysStateOnReplacement(t *testing.T) {
 	const ptrs, streams, events = 8, 3, 3
-	f := driveRecovery(t, 2, []balancer.GID{0, 1}, func(f *failFabric, ip *Interposer) {
-		ip.SetDevice(0)
-		var ps []cuda.Ptr
-		for i := range ptrs {
-			p, err := ip.Malloc(int64(4096 * (i + 1)))
-			if err != nil {
-				t.Fatalf("Malloc: %v", err)
-			}
-			ps = append(ps, p)
+	ops := []cuda.Op{setDevice}
+	for i := range ptrs {
+		ops = append(ops, cuda.Op{ID: cuda.CallMalloc, Bytes: int64(4096 * (i + 1))})
+	}
+	for range streams {
+		ops = append(ops, cuda.Op{ID: cuda.CallStreamCreate})
+	}
+	for range events {
+		ops = append(ops, cuda.Op{ID: cuda.CallEventCreate})
+	}
+	died := len(ops)
+	ops = append(ops, deviceSync)
+	ptr := func(i int) cuda.Ptr { return cuda.Ptr{ID: int64(i + 1), Size: int64(4096 * (i + 1))} }
+	for i := range ptrs {
+		ops = append(ops, cuda.Op{ID: cuda.CallMemcpyAsync, Dir: cuda.H2D, Ptr: ptr(i), Bytes: 128, Stream: cuda.StreamID(i%streams + 1)})
+	}
+	for i := range events {
+		ops = append(ops, cuda.Op{ID: cuda.CallEventRecord, Event: cuda.EventID(i + 1), Stream: cuda.StreamID(i + 1)})
+	}
+	for i := range ptrs {
+		ops = append(ops, cuda.Op{ID: cuda.CallFree, Ptr: ptr(i)})
+	}
+	f := driveRecovery(2, []balancer.GID{0, 1}, nil, ops, func(f *failFabric, ip *Interposer, i int, r cuda.Ret, err error) {
+		if err != nil {
+			t.Fatalf("%v (call %d): %v", ops[i].ID, i, err)
 		}
-		var sts []cuda.StreamID
-		for range streams {
-			st, err := ip.StreamCreate()
-			if err != nil {
-				t.Fatalf("StreamCreate: %v", err)
-			}
-			sts = append(sts, st)
+		want := cuda.Ret{}
+		switch {
+		case i == 0:
+		case i <= ptrs:
+			want.Ptr = ptr(i - 1)
+		case i <= ptrs+streams:
+			want.Stream = cuda.StreamID(i - ptrs)
+		case i < died:
+			want.Event = cuda.EventID(i - ptrs - streams)
 		}
-		var evs []cuda.EventID
-		for range events {
-			ev, err := ip.EventCreate()
-			if err != nil {
-				t.Fatalf("EventCreate: %v", err)
-			}
-			evs = append(evs, ev)
+		if r != want {
+			t.Fatalf("%v (call %d) returned %+v, want %+v", ops[i].ID, i, r, want)
 		}
-		// Backend 0 dies: swallow everything; one failure → Dead.
-		f.backends[0].swallow = func(c *rpcproto.Call) bool { return true }
-		f.health = func(n int) balancer.Health { return balancer.Dead }
-		if err := ip.DeviceSynchronize(); err != nil {
-			t.Errorf("DeviceSynchronize after failover: %v", err)
-		}
-		if ip.rec.failovers != 1 || ip.gid != 1 {
-			t.Errorf("%d failovers, now on device %d; want 1, on device 1", ip.rec.failovers, ip.gid)
-		}
-		for i, p := range ps {
-			if err := ip.MemcpyAsync(cuda.H2D, p, 128, sts[i%streams]); err != nil {
-				t.Errorf("MemcpyAsync on replayed handles: %v", err)
-			}
-		}
-		for i, ev := range evs {
-			if err := ip.EventRecord(ev, sts[i]); err != nil {
-				t.Errorf("EventRecord on replayed handles: %v", err)
-			}
-		}
-		for _, p := range ps {
-			if err := ip.Free(p); err != nil {
-				t.Errorf("Free of replayed ptr: %v", err)
+		switch i {
+		case died - 1:
+			// Backend 0 dies: swallow everything; one failure → Dead.
+			f.backends[0].swallow = func(c *rpcproto.Call) bool { return true }
+			f.health = func(n int) balancer.Health { return balancer.Dead }
+		case died:
+			if ip.rec.failovers != 1 || ip.gid != 1 {
+				t.Errorf("%d failovers, now on device %d; want 1, on device 1", ip.rec.failovers, ip.gid)
 			}
 		}
 	})

@@ -181,12 +181,13 @@ func (e Endpoint) Recv(p *sim.Proc) Msg {
 // Take is Recv for a daemon (sim.Queue.Take).
 func (e Endpoint) Take(d *sim.Daemon) (Msg, bool) { return e.got(e.in.Take(d)) }
 
-// RecvTimeout blocks until the next message arrives or d elapses; ok is
-// false on timeout. This is the interposer's per-call failure detector: a
-// backend that died mid-call never replies, and the timeout is the only
-// signal the frontend gets.
-func (e Endpoint) RecvTimeout(p *sim.Proc, d sim.Time) (Msg, bool) {
-	return e.got(e.in.GetTimeout(p, d))
+// TakeTimeout is Take with a timeout (sim.Queue.TakeTimeout). It is the
+// interposer's per-call failure detector: a backend that died mid-call never
+// replies, and the timeout is the only signal the frontend gets.
+func (e Endpoint) TakeTimeout(d *sim.Daemon, dl sim.Time) (m Msg, ok, expired bool) {
+	m, ok, expired = e.in.TakeTimeout(d, dl)
+	e.got(m, ok)
+	return m, ok, expired
 }
 
 // got books a message received, if ok.

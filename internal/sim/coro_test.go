@@ -84,11 +84,6 @@ func TestResetAndCloseUnwindParkedProcesses(t *testing.T) {
 		{"WaitSignal", func(k *Kernel, p *Proc) { p.WaitSignal(new(Signal)) }},
 		{"WaitSignalTimeout", func(k *Kernel, p *Proc) { p.WaitSignalTimeout(new(Signal), 100) }},
 		{"Queue.Get", func(k *Kernel, p *Proc) { NewQueue[int](k).Get(p) }},
-		{"Mutex.Lock", func(k *Kernel, p *Proc) {
-			m := k.NewMutex()
-			m.Lock(p)
-			m.Lock(p)
-		}},
 	}
 	base := runtime.NumGoroutine()
 	for _, pk := range parks {

@@ -9,7 +9,8 @@ package sim
 // than two coroutine switches.
 //
 // step must not park. It ends by calling exactly one of WaitKick,
-// WaitKickTimeout, Sleep, Wait, WaitSignal or Exit and returning; the next
+// WaitKickTimeout, Sleep, Wait, WaitSignal or Exit — or a queue's Take or
+// TakeTimeout that finds nothing — and returning; the next
 // activation calls step again, so state that has to survive a wait lives in
 // the owner, not on a stack. A wait that is over as soon as it is made steps
 // again at once, as a process's Wait and Sleep return at once. DESIGN.md §12
@@ -20,6 +21,11 @@ type Daemon struct {
 	state daemonState
 	again bool  // the step's wait is already over: step again inline
 	dl    int32 // 1 + the heap index of its WaitKickTimeout deadline, 0 if none is queued
+
+	// sig is the signal a timed wait (Queue.TakeTimeout) waits on until the
+	// step it wakes, and timedOut tells that step the deadline woke it.
+	sig      *Signal
+	timedOut bool
 }
 
 type daemonState uint8
@@ -52,6 +58,7 @@ func (k *Kernel) StartDaemon(d *Daemon, nameFn func() string, step func(d *Daemo
 	k.nextID++
 	d.p = Proc{k: k, id: k.nextID, nameFn: nameFn, daemon: d}
 	d.step, d.state, d.again, d.dl = step, daemonStepping, false, 0
+	d.sig, d.timedOut = nil, false
 	k.procs[&d.p] = struct{}{}
 	k.schedule(&d.p, k.now, wakeStart)
 }
@@ -60,6 +67,17 @@ func (k *Kernel) StartDaemon(d *Daemon, nameFn func() string, step func(d *Daemo
 // for as long as the step's wait is over when it is made.
 func (d *Daemon) run() {
 	d.dl = 0 // the deadline, if it was one, has left the heap
+	d.timedOut = false
+	if s := d.sig; s != nil {
+		// A timed wait is over. Woken by its deadline, the daemon leaves the
+		// signal, as Proc.waitTimed does; woken by a notify, the deadline is
+		// left to go stale.
+		d.sig = nil
+		if d.p.wakeTag == wakeTimer {
+			d.timedOut = true
+			s.waiters.Remove(&d.p)
+		}
+	}
 	for {
 		d.p.parked = false
 		d.p.epoch++
@@ -77,6 +95,9 @@ func (d *Daemon) run() {
 
 // Now returns the current virtual time.
 func (d *Daemon) Now() Time { return d.p.k.now }
+
+// Kernel returns the kernel running the daemon.
+func (d *Daemon) Kernel() *Kernel { return d.p.k }
 
 // Kick wakes the daemon at the current instant if it is parked in WaitKick
 // or WaitKickTimeout, and does nothing otherwise — while a step runs, during
@@ -141,6 +162,15 @@ func (d *Daemon) Wait(e *Event) {
 func (d *Daemon) WaitSignal(s *Signal) {
 	d.end(daemonParked)
 	s.waiters.Push(&d.p)
+}
+
+// waitTimed ends the step; the next step runs when s is next notified or after
+// dl, whichever comes first.
+func (d *Daemon) waitTimed(s *Signal, dl Time) {
+	d.end(daemonParked)
+	s.waiters.Push(&d.p)
+	d.p.k.schedule(&d.p, d.p.k.now+dl, wakeTimer)
+	d.sig = s
 }
 
 // Exit ends the step and the daemon: it leaves the process table and never

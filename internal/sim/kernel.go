@@ -254,30 +254,12 @@ func (k *Kernel) FastForwards() (jumps uint64, skipped Time) {
 
 // Go creates a new process named name executing fn and schedules its first
 // activation at the current virtual time. It may be called before Run or from
-// inside a running process.
+// inside a running process. The process runs on a coroutine of its own: the
+// body runs on first resume; control returns to the resumer whenever the
+// process parks, and the coroutine ends when the body returns or is unwound.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	return k.spawn(name, nil, fn)
-}
-
-// GoNamed is Go with a lazily formatted name: nameFn runs at most once, the
-// first time the name is actually needed (a Tracef line, Blocked, a
-// diagnostic dump). Hot paths that spawn a process per request avoid the
-// formatting allocations entirely when nothing observes the name.
-func (k *Kernel) GoNamed(nameFn func() string, fn func(p *Proc)) *Proc {
-	return k.spawn("", nameFn, fn)
-}
-
-// spawn creates the process on a coroutine of its own. The body runs on
-// first resume; control returns to the resumer whenever the process parks,
-// and the coroutine ends when the body returns or is unwound.
-func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Proc {
 	k.nextID++
-	p := &Proc{
-		k:      k,
-		id:     k.nextID,
-		name:   name,
-		nameFn: nameFn,
-	}
+	p := &Proc{k: k, id: k.nextID, name: name}
 	k.procs[p] = struct{}{}
 	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) { p.run(fn, yield) })
 	k.schedule(p, k.now, wakeStart)

@@ -10,7 +10,7 @@ type Proc struct {
 	k      *Kernel
 	id     int
 	name   string
-	nameFn func() string // lazy name, formatted on first use (GoNamed)
+	nameFn func() string // a daemon's lazy name, formatted on first use (StartDaemon)
 
 	// resume switches into the process's coroutine (the caller's side of
 	// iter.Pull, called by Kernel.dispatch and Kernel.unwind); yield switches
@@ -62,8 +62,8 @@ func (p *Proc) body(fn func(p *Proc)) {
 	fn(p)
 }
 
-// Name returns the process name given to Kernel.Go, formatting it on first
-// use when the process was created with GoNamed.
+// Name returns the process name given to Kernel.Go or GoDaemon, formatting it
+// on first use when a daemon was started with a name function.
 func (p *Proc) Name() string {
 	if p.name == "" && p.nameFn != nil {
 		p.name = p.nameFn()

@@ -43,6 +43,25 @@ func (q *Queue[T]) Take(d *Daemon) (v T, ok bool) {
 	return q.pop(), true
 }
 
+// TakeTimeout is GetTimeout for a daemon, a wait over two steps. It removes
+// and returns the oldest item (ok). When there is none it ends d's step
+// waiting for the next Put for at most dl and reports neither ok nor expired;
+// the step that wait's deadline wakes finds the wait over (expired), as does a
+// call with dl not positive. An item that comes in at the deadline instant
+// before the step runs is still taken.
+func (q *Queue[T]) TakeTimeout(d *Daemon, dl Time) (v T, ok, expired bool) {
+	if q.items.Len() > 0 {
+		d.timedOut = false
+		return q.pop(), true, false
+	}
+	if d.timedOut || dl <= 0 {
+		d.timedOut = false
+		return v, false, true
+	}
+	d.waitTimed(&q.ready, dl)
+	return v, false, false
+}
+
 // pop removes the oldest item for a receiver, passing the baton if items
 // remain, so a burst of Puts wakes every parked receiver exactly once.
 func (q *Queue[T]) pop() T {

@@ -107,58 +107,6 @@ func TestQueueGetTimeout(t *testing.T) {
 	}
 }
 
-func TestMutexExclusion(t *testing.T) {
-	k := NewKernel(1)
-	m := k.NewMutex()
-	var trace []string
-	worker := func(n string, start Time) {
-		k.Go(n, func(p *Proc) {
-			p.Sleep(start)
-			m.Lock(p)
-			trace = append(trace, fmt.Sprintf("%s+%v", n, p.Now()))
-			p.Sleep(10)
-			trace = append(trace, fmt.Sprintf("%s-%v", n, p.Now()))
-			m.Unlock()
-		})
-	}
-	worker("a", 0)
-	worker("b", 1)
-	worker("c", 2)
-	k.Run()
-	want := []string{"a+0us", "a-10us", "b+10us", "b-20us", "c+20us", "c-30us"}
-	if !reflect.DeepEqual(trace, want) {
-		t.Fatalf("trace = %v, want %v", trace, want)
-	}
-}
-
-func TestMutexUnlockOfUnlockedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on unlocking an unlocked mutex")
-		}
-	}()
-	NewKernel(1).NewMutex().Unlock()
-}
-
-func TestMutexLockUnlock(t *testing.T) {
-	k := NewKernel(1)
-	m := k.NewMutex()
-	counter := 0
-	for i := 0; i < 10; i++ {
-		k.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			m.Lock(p)
-			c := counter
-			p.Sleep(3)
-			counter = c + 1
-			m.Unlock()
-		})
-	}
-	k.Run()
-	if counter != 10 {
-		t.Fatalf("counter = %d, want 10 (critical section violated)", counter)
-	}
-}
-
 // Property: a queue delivers exactly the multiset of puts, in order, for any
 // interleaving of producer delays.
 func TestQuickQueueDeliversAllInOrder(t *testing.T) {

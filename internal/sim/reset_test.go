@@ -51,7 +51,7 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 	// Pollute: a different workload, different seed, left unfinished by a
 	// horizon so parked processes, pending activations and an armed timer
 	// survive the run — and a chain of three, unwound by Reset, fires an
-	// event and passes on a mutex that others wait for.
+	// event and notifies a signal that others wait for.
 	reused.Go("polluter", func(p *Proc) {
 		for i := 0; i < 50; i++ {
 			reused.Go("short", func(p *Proc) { p.Sleep(5) })
@@ -59,15 +59,15 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 		}
 	})
 	reused.After(1000, func() { t.Error("timer armed before Reset fired after it") })
-	gate, held := reused.NewEvent(), reused.NewMutex()
+	gate, baton := reused.NewEvent(), new(Signal)
 	reused.Go("gated", func(p *Proc) {
 		p.Wait(gate)
 		t.Error("a process woken by an unwinding defer ran")
 	})
 	reused.After(150, func() { // born after the chain: unwound after the Unlock that wakes it
-		reused.Go("locker", func(p *Proc) {
-			held.Lock(p)
-			t.Error("a process handed a mutex by an unwinding defer ran")
+		reused.Go("waiter", func(p *Proc) {
+			p.WaitSignal(baton)
+			t.Error("a process notified by an unwinding defer ran")
 		})
 	})
 	chain(reused, 3, func(level int, p *Proc) {
@@ -75,8 +75,7 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 		case 2:
 			defer gate.Fire()
 		case 3:
-			held.Lock(p)
-			defer held.Unlock()
+			defer baton.NotifyOne()
 		}
 		p.Sleep(Time(200 - level))
 		p.Sleep(300)
@@ -88,8 +87,8 @@ func TestKernelResetReproducesFreshRun(t *testing.T) {
 	}
 
 	reused.Reset(42)
-	if !gate.Fired() || !held.locked || held.waiters.Len() != 0 {
-		t.Fatalf("unwinding ran no defers: gate fired = %v, mutex locked = %v with %d waiters", gate.Fired(), held.locked, held.waiters.Len())
+	if !gate.Fired() || baton.waiters.Len() != 0 {
+		t.Fatalf("unwinding ran no defers: gate fired = %v, %d waiters left on the signal", gate.Fired(), baton.waiters.Len())
 	}
 	if got := resetWorkload(reused); !reflect.DeepEqual(got, fresh) {
 		t.Errorf("reset kernel diverged from fresh kernel:\nfresh: %v\nreused: %v", fresh, got)

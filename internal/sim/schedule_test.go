@@ -38,9 +38,10 @@ type refProc struct {
 // What a reference process or daemon waits in on a queue; a delivery folded
 // into it is counted under that.
 const (
-	inTake  = iota // a daemon's Take
-	inGet          // a process's Get
-	inGetTO        // a process's GetTimeout
+	inTake   = iota // a daemon's Take
+	inGet           // a process's Get
+	inGetTO         // a process's GetTimeout
+	inTakeTO        // a daemon's TakeTimeout
 	inKinds
 )
 
@@ -65,10 +66,12 @@ func (h *refActs) Pop() any {
 // the delivery wake-ups it runs in place, cancelled the deadlines kicks take
 // out of the heap — so the kernel's Queued is seq less those. inline counts
 // the daemon waits on an event that had already fired, foldsIn the folds by
-// what their receiver waited in.
+// what their receiver waited in, and timedOut and timedTook how the daemon
+// TakeTimeout waits ended: at their deadline, or with an item.
 type refKernel struct {
 	now, horizon, skipped, limit                                   Time
 	seq, dispatched, jumps, stale, inline, taken, folds, cancelled uint64
+	timedOut, timedTook                                            uint64
 	foldsIn                                                        [inKinds]uint64
 	stopped                                                        bool
 	h                                                              refActs
@@ -192,7 +195,7 @@ const (
 	opAfter           // After(d): the callback notifies signal x and kicks daemon x
 	opAfterPut        // AfterPut(d) into queue x
 	opGet             // Get from queue x; a daemon's act: Take from queue x
-	opGetTO           // GetTimeout(queue x, d)
+	opGetTO           // GetTimeout(queue x, d); a daemon's act: TakeTimeout(queue x, d)
 	opWaitSig         // WaitSignalTimeout(signal x, d)
 	opNotify          // Notify signal x
 	opKick            // Kick daemon x
@@ -208,12 +211,14 @@ type op struct {
 	d       Time
 }
 
-// A daemon step acts (opNotify, opAfterPut, opFire, opGet, or nothing: -1)
-// and then waits: end 0 WaitKick, 1 WaitKickTimeout(d), 2 Sleep(d), 3
-// WaitSignal(signal x), 4 Wait(event x) — which, on an event that has fired,
-// continues the step at once. A Take that finds the queue empty waits for the
-// next Put instead, and the step starts over when it comes. After its last
-// step the daemon exits.
+// A daemon step acts (opNotify, opAfterPut, opFire, opGet, opGetTO, or
+// nothing: -1) and then waits: end 0 WaitKick, 1 WaitKickTimeout(d), 2
+// Sleep(d), 3 WaitSignal(signal x), 4 Wait(event x) — which, on an event that
+// has fired, continues the step at once. A Take or TakeTimeout that finds the
+// queue empty waits for the next Put instead, and the step starts over when it
+// comes, or, for TakeTimeout, at its deadline. After its last step the daemon
+// exits. Which Takes are timed comes from the tape's tail, so a program dealt
+// before TakeTimeout existed decodes as it did.
 type daemonStep struct {
 	act, x, end int
 	d           Time
@@ -283,6 +288,13 @@ func newProgram(data []byte) program {
 	for i, n := 0, t.next(6); i < n; i++ {
 		pr.driver = append(pr.driver, driverStep{inject: t.next(4) == 0, limit: t.next(limitKinds), d: t.duration()})
 	}
+	for _, steps := range pr.daemons {
+		for j := range steps {
+			if steps[j].act == opGet && t.next(2) == 1 {
+				steps[j].act = opGetTO
+			}
+		}
+	}
 	return pr
 }
 
@@ -344,12 +356,23 @@ func runOnKernel(k *Kernel, pr program) schedTrace {
 				return
 			}
 			s := steps[pc]
-			if s.act == opGet {
+			switch s.act {
+			case opGet:
 				v, ok := qs[s.x].Take(d)
 				if !ok {
 					return
 				}
 				tr.log(d.Now(), 100+j, pc, v.(int))
+			case opGetTO:
+				v, ok, expired := qs[s.x].TakeTimeout(d, s.d)
+				if !ok && !expired {
+					return
+				}
+				val := -1
+				if ok {
+					val = v.(int)
+				}
+				tr.log(d.Now(), 100+j, pc, val)
 			}
 			pc++
 			switch s.act {
@@ -501,11 +524,13 @@ func (q *refQueue) take() int {
 
 // refDaemon is Daemon over the reference: kickable only while it waits for a
 // kick. deadline is the instant of its WaitKickTimeout deadline while one is
-// queued at a later instant than the wait began, -1 otherwise.
+// queued at a later instant than the wait began, -1 otherwise; timed is the
+// queue of its TakeTimeout wait while it waits.
 type refDaemon struct {
 	p        refProc
 	kickWait bool
 	deadline Time
+	timed    *refQueue
 }
 
 // kick drops a deadline due later and queues the wake-up; a deadline due now
@@ -552,21 +577,42 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 		pc := 0
 		d := &refDaemon{deadline: -1}
 		daemons[j] = d
-		d.p.run = func(int32) {
+		d.p.run = func(tag int32) {
 			d.kickWait, d.deadline = false, -1
+			waited, timedOut := d.timed != nil, false
+			if waited {
+				if timedOut = tag == wakeTimer; timedOut {
+					d.timed.ready.remove(&d.p)
+				}
+				d.timed = nil
+			}
 			for {
 				tr.log(r.now, 100+j, pc, 0)
 				if pc == len(steps) {
 					return
 				}
 				s := steps[pc]
-				if s.act == opGet {
-					q := qs[s.x]
-					if len(q.items) == 0 {
+				if timed := s.act == opGetTO; timed || s.act == opGet {
+					q, val := qs[s.x], -1
+					switch {
+					case len(q.items) > 0:
+						if val = q.take(); waited {
+							r.timedTook++
+						}
+					case timed && (timedOut || s.d <= 0):
+						if timedOut {
+							r.timedOut++
+						}
+					default:
 						q.ready.waiters = append(q.ready.waiters, &d.p)
+						if d.p.in = inTake; timed {
+							d.p.in, d.timed = inTakeTO, q
+							r.schedule(&d.p, r.now+s.d, wakeTimer, nil)
+						}
 						return
 					}
-					tr.log(r.now, 100+j, pc, q.take())
+					waited, timedOut = false, false
+					tr.log(r.now, 100+j, pc, val)
 				}
 				pc++
 				switch s.act {
@@ -710,6 +756,7 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 // to produce.
 type scheduleCoverage struct {
 	programs, dispatches, taken, folded, stale, jumps, inline, cancelled uint64
+	timedOut, timedTook                                                  uint64
 	foldedIn                                                             [inKinds]uint64
 }
 
@@ -739,6 +786,8 @@ func checkSchedule(t *testing.T, k *Kernel, data []byte, cov *scheduleCoverage) 
 	cov.stale += r.stale
 	cov.jumps += r.jumps
 	cov.inline += r.inline
+	cov.timedOut += r.timedOut
+	cov.timedTook += r.timedTook
 	for i, n := range r.foldsIn {
 		cov.foldedIn[i] += n
 	}
@@ -760,16 +809,17 @@ func TestKernelScheduleMatchesOneQueue(t *testing.T) {
 	t.Logf("%+v", cov)
 	if cov.dispatches < 10*cov.programs || cov.taken < cov.programs || 4*cov.folded < cov.programs ||
 		2*cov.stale < cov.programs || 2*cov.jumps < cov.programs || 8*cov.inline < cov.programs ||
-		16*cov.cancelled < cov.programs {
+		16*cov.cancelled < cov.programs || 64*cov.timedOut < cov.programs || 64*cov.timedTook < cov.programs {
 		t.Fatalf("the programs no longer cover what they are for: %+v", cov)
 	}
 }
 
 // TestScheduleSeeds decodes the committed FuzzKernelSchedule corpus through
 // checkSchedule and holds each program to what it is kept for: seed-fold's
-// deliveries wake a daemon in Take and a process in GetTimeout in place, and
+// deliveries wake a daemon in Take and a process in GetTimeout in place,
 // seed-mixed, full-sized, takes a sleep on the spot, folds a delivery, drops a
-// stale wake-up and jumps the clock.
+// stale wake-up and jumps the clock, and seed-timed's daemon TakeTimeout waits
+// end at their deadline and with an item.
 func TestScheduleSeeds(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -779,6 +829,7 @@ func TestScheduleSeeds(t *testing.T) {
 		{"seed-mixed", func(c scheduleCoverage) bool {
 			return c.dispatches >= 10 && c.taken > 0 && c.folded > 0 && c.stale > 0 && c.jumps > 0
 		}},
+		{"seed-timed", func(c scheduleCoverage) bool { return c.timedOut > 0 && c.timedTook > 0 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			raw, err := os.ReadFile("testdata/fuzz/FuzzKernelSchedule/" + c.name)
@@ -805,8 +856,9 @@ func TestScheduleSeeds(t *testing.T) {
 // FuzzKernelSchedule is the same check on the fuzzer's programs.
 func FuzzKernelSchedule(f *testing.F) {
 	// One process, one Sleep(0). testdata/fuzz holds seed-mixed, a
-	// full-sized program, and seed-fold, whose deliveries wake a daemon in
-	// Take and a process in GetTimeout (TestScheduleSeeds checks both).
+	// full-sized program, seed-fold, whose deliveries wake a daemon in Take
+	// and a process in GetTimeout, and seed-timed, whose daemon TakeTimeout
+	// waits time out and take an item (TestScheduleSeeds checks all three).
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k := NewKernel(1)

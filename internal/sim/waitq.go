@@ -1,6 +1,6 @@
 package sim
 
-// waitQ is the FIFO of processes parked on an Event, a Signal or a Mutex. It
+// waitQ is the FIFO of processes parked on an Event or a Signal. It
 // is almost always one process, and that one lives inline: first is the
 // oldest waiter when set, rest holds those that arrived while the list was
 // not empty, so a wait does not allocate a ring for one slot's worth.

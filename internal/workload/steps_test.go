@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
-	"reflect"
+	"fmt"
 	"testing"
 
 	"repro/internal/cuda"
@@ -12,85 +14,32 @@ import (
 
 var errInjected = errors.New("injected")
 
-// failingClient is a thread whose nth call (counting from 1; 0 = none) fails.
-type failingClient struct {
-	*cuda.Thread
-	n, calls int
-}
-
-func (f *failingClient) fails() bool { f.calls++; return f.calls == f.n }
-
-func (f *failingClient) SetDevice(dev int) error {
-	if f.fails() {
-		return errInjected
-	}
-	return f.Thread.SetDevice(dev)
-}
-
-func (f *failingClient) Malloc(bytes int64) (cuda.Ptr, error) {
-	if f.fails() {
-		return cuda.Ptr{}, errInjected
-	}
-	return f.Thread.Malloc(bytes)
-}
-
-func (f *failingClient) Memcpy(dir cuda.Dir, p cuda.Ptr, bytes int64) error {
-	if f.fails() {
-		return errInjected
-	}
-	return f.Thread.Memcpy(dir, p, bytes)
-}
-
-func (f *failingClient) Launch(k cuda.Kernel, s cuda.StreamID) error {
-	if f.fails() {
-		return errInjected
-	}
-	return f.Thread.Launch(k, s)
-}
-
-func (f *failingClient) DeviceSynchronize() error {
-	if f.fails() {
-		return errInjected
-	}
-	return f.Thread.DeviceSynchronize()
-}
-
-func (f *failingClient) Free(p cuda.Ptr) error {
-	if f.fails() {
-		return errInjected
-	}
-	return f.Thread.Free(p)
-}
-
-func (f *failingClient) ThreadExit() error {
-	if f.fails() {
-		return errInjected
-	}
-	return f.Thread.ThreadExit()
-}
-
-// failingStepper is the same thread driven as a Stepper.
+// failingStepper is a thread of a bare runtime whose nth call (counting from
+// 1 over every thread that shares calls; 0 = none) fails.
 type failingStepper struct {
-	failingClient
+	*cuda.Thread
+	n      int
+	calls  *int
 	failed bool
 }
 
 func (f *failingStepper) Issue(op *cuda.Op) {
-	if f.failed = f.fails(); !f.failed {
+	*f.calls++
+	if f.failed = *f.calls == f.n; !f.failed {
 		f.Thread.Issue(op)
 	}
 }
 
 func (f *failingStepper) Await(d *sim.Daemon) bool { return f.failed || f.Thread.Await(d) }
 
-func (f *failingStepper) Result() (cuda.Ptr, error) {
+func (f *failingStepper) Result() (cuda.Ret, error) {
 	if f.failed {
-		return cuda.Ptr{}, errInjected
+		return cuda.Ret{}, errInjected
 	}
 	return f.Thread.Result()
 }
 
-// stepsRun is what one sync request leaves.
+// stepsRun is what one request leaves.
 type stepsRun struct {
 	started, finished sim.Time
 	calls             int
@@ -98,42 +47,39 @@ type stepsRun struct {
 	stats             gpu.Stats
 }
 
-// runSteps runs one MC request in StyleSync on a bare runtime over one device
-// with its nth call failing: through Steps on a daemon with steps, else
-// through App.Run on a process.
-func runSteps(t *testing.T, spec gpu.Spec, n int, steps bool) stepsRun {
-	t.Helper()
+// runBare runs app to its end on a daemon through c, its second thread, if
+// any, through c1, and returns its error.
+func runBare(k *sim.Kernel, app *App, c, c1 cuda.Stepper) error {
+	var r Steps
+	var err error
+	k.GoDaemon("app", func(d *sim.Daemon) {
+		if r.a == nil {
+			app.Submitted = d.Now()
+			r.Start(app, c, c1)
+		}
+		if done, e := r.Step(d); done {
+			err = e
+			d.Exit()
+		}
+	})
+	k.Run()
+	return err
+}
+
+// runSteps runs one MC request in style on a bare runtime over one device
+// with its nth call failing.
+func runSteps(spec gpu.Spec, style Style, n int) stepsRun {
 	k := sim.NewKernel(1)
 	defer k.Close()
 	dev := gpu.NewDevice(k, spec, 0)
 	rt := cuda.NewRuntime(k, []*gpu.Device{dev}, cuda.Config{})
-	app := &App{Profile: ProfileFor(MonteCarlo), ID: 7}
+	app := &App{Profile: ProfileFor(MonteCarlo), Style: style, ID: 7}
+	var th [2]cuda.Thread
 	var out stepsRun
-	var err error
-	if steps {
-		var th cuda.Thread
-		rt.InitThread(&th, nil, app.ID)
-		c := &failingStepper{failingClient: failingClient{Thread: &th, n: n}}
-		var r Steps
-		k.GoDaemon("app", func(d *sim.Daemon) {
-			if r.a == nil {
-				app.Submitted = d.Now()
-				r.Start(app, c)
-			}
-			done, e := r.Step(d)
-			if done {
-				err, out.calls = e, c.calls
-				d.Exit()
-			}
-		})
-	} else {
-		k.Go("app", func(p *sim.Proc) {
-			app.Submitted = p.Now()
-			c := &failingClient{Thread: rt.NewThread(p, app.ID), n: n}
-			err, out.calls = app.Run(c), c.calls
-		})
-	}
-	k.Run()
+	c := [2]*failingStepper{{Thread: &th[0], n: n, calls: &out.calls}, {Thread: &th[1], n: n, calls: &out.calls}}
+	rt.InitThread(&th[0], nil, app.ID)
+	rt.InitThread(&th[1], nil, app.ID)
+	err := runBare(k, app, c[0], c[1])
 	out.started, out.finished, out.stats = app.Started, app.Finished, dev.Stats()
 	if err != nil {
 		out.err = err.Error()
@@ -141,24 +87,39 @@ func runSteps(t *testing.T, spec gpu.Spec, n int, steps bool) stepsRun {
 	return out
 }
 
-// TestStepsMatchRunSync runs a sync request through Steps and through App.Run,
-// with every call in turn failing and with none, on a device that fits its
-// buffer and on one that does not: the two make the same calls, start and
-// finish at the same instants, leave the device the same and fail with the
-// same error.
+// TestStepsMatchRunSync runs a request of each style, with every call in turn
+// failing and with none, on a device that fits its buffers and on one that
+// does not, and holds the runs to those the style's program made on a process
+// before the step machine replaced it (runSync for sync): the same calls, the
+// same start and finish instants, the device left the same, the same errors.
+// Those runs are pinned as one digest a style.
 func TestStepsMatchRunSync(t *testing.T) {
 	small := gpu.TeslaC2050
 	small.MemBytes = ProfileFor(MonteCarlo).BufBytes / 2
-	for _, spec := range []gpu.Spec{gpu.TeslaC2050, small} {
-		calls := runSteps(t, spec, 0, false).calls
-		for n := 0; n <= calls; n++ {
-			want, got := runSteps(t, spec, n, false), runSteps(t, spec, n, true)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d bytes, call %d failing: steps %+v\nApp.Run %+v", spec.MemBytes, n, got, want)
+	for _, tc := range []struct {
+		style Style
+		runs  int
+		want  string
+	}{
+		{StyleSync, 537, "d5c82e64bdafeefd1f18978b4def51c505d63624d9c1bd83d415817f1e5c7582"},
+		{StylePipelined, 558, "9f27b10e081fe92dd5f7c4798a6051b44d24c20aa882c2016aadb6776d7673cc"},
+		{StyleMultiThread, 543, "f5c90dd2c0caab79ac62547c3505868370cf2320415a7c9ed821158615a2757c"},
+	} {
+		h := sha256.New()
+		runs := 0
+		for _, spec := range []gpu.Spec{gpu.TeslaC2050, small} {
+			calls := runSteps(spec, tc.style, 0).calls
+			for n := 0; n <= calls; n++ {
+				out := runSteps(spec, tc.style, n)
+				if (n > 0 || spec.MemBytes < gpu.TeslaC2050.MemBytes) != (out.err != "") {
+					t.Fatalf("%v, %d bytes, call %d failing: err %q", tc.style, spec.MemBytes, n, out.err)
+				}
+				fmt.Fprintf(h, "%+v\n", out)
+				runs++
 			}
-			if (n > 0 || spec.MemBytes < gpu.TeslaC2050.MemBytes) != (want.err != "") {
-				t.Fatalf("%d bytes, call %d failing: err %q", spec.MemBytes, n, want.err)
-			}
+		}
+		if d := hex.EncodeToString(h.Sum(nil)); runs != tc.runs || d != tc.want {
+			t.Errorf("%v: %d runs, digest %s; want %d, %s", tc.style, runs, d, tc.runs, tc.want)
 		}
 	}
 }

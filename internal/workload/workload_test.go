@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 )
@@ -130,15 +129,9 @@ func TestSoloRunsMatchTableI(t *testing.T) {
 			prof := ProfileFor(k)
 			kern := sim.NewKernel(1)
 			dev := gpu.NewDevice(kern, Reference, 0)
-			rt := cuda.NewRuntime(kern, []*gpu.Device{dev}, cuda.Config{})
 			app := &App{Profile: prof, ID: 1}
-			var runErr error
-			kern.Go("app", func(p *sim.Proc) {
-				c := rt.NewThread(p, app.ID)
-				runErr = app.Run(c)
-			})
-			kern.Run()
-			if runErr != nil {
+			c, c1 := bareThreads(kern, []*gpu.Device{dev}, app.ID)
+			if runErr := runBare(kern, app, c, c1); runErr != nil {
 				t.Fatalf("run failed: %v", runErr)
 			}
 			T := float64(app.Finished - app.Started)
@@ -232,14 +225,9 @@ func TestPipelinedStyleFasterSolo(t *testing.T) {
 	run := func(style Style) sim.Time {
 		kern := sim.NewKernel(1)
 		dev := gpu.NewDevice(kern, Reference, 0)
-		rt := cuda.NewRuntime(kern, []*gpu.Device{dev}, cuda.Config{})
 		app := &App{Profile: ProfileFor(MonteCarlo), Style: style, ID: 1}
-		var runErr error
-		kern.Go("app", func(p *sim.Proc) {
-			runErr = app.Run(rt.NewThread(p, app.ID))
-		})
-		kern.Run()
-		if runErr != nil {
+		c, c1 := bareThreads(kern, []*gpu.Device{dev}, app.ID)
+		if runErr := runBare(kern, app, c, c1); runErr != nil {
 			t.Fatalf("%v run failed: %v", style, runErr)
 		}
 		return app.Finished - app.Started
@@ -256,14 +244,11 @@ func TestPipelinedStyleFasterSolo(t *testing.T) {
 func TestPipelinedMemoryCleanup(t *testing.T) {
 	kern := sim.NewKernel(1)
 	dev := gpu.NewDevice(kern, Reference, 0)
-	rt := cuda.NewRuntime(kern, []*gpu.Device{dev}, cuda.Config{})
 	app := &App{Profile: ProfileFor(SortingNetworks), Style: StylePipelined, ID: 1}
-	kern.Go("app", func(p *sim.Proc) {
-		if err := app.Run(rt.NewThread(p, app.ID)); err != nil {
-			t.Errorf("run: %v", err)
-		}
-	})
-	kern.Run()
+	c, c1 := bareThreads(kern, []*gpu.Device{dev}, app.ID)
+	if err := runBare(kern, app, c, c1); err != nil {
+		t.Errorf("run: %v", err)
+	}
 	if dev.MemUsed() != 0 {
 		t.Fatalf("pipelined app leaked %d bytes", dev.MemUsed())
 	}
