@@ -136,8 +136,11 @@ fuzz-smoke:
 benchmark:
 	$(GO) run ./benchmark -workload all -seconds 3
 
-# Non-test Go lines outside benchmark/ and testdata/: the size figure
-# ROADMAP asks every PR to report (before → after) in CHANGES.md.
+# Go lines outside benchmark/ and testdata/, the size figures ROADMAP asks
+# every PR to report (before → after) in CHANGES.md: non-test files on the
+# first line, _test.go files on the second.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
+		-exec cat {} + | wc -l
+	@find . -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
 		-exec cat {} + | wc -l

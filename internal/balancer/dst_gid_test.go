@@ -1,9 +1,6 @@
 package balancer
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // Regression test for the positional-GID lookup bug: DST.Entry used to
 // return d.entries[gid], which is only correct while every row's GID equals
@@ -141,68 +138,4 @@ func TestDSTCarveReturnCapacity(t *testing.T) {
 	}
 	mustPanic("overcommit", func() { dst.CarveCapacity(0, 8, 0) })
 	mustPanic("over-return", func() { dst.ReturnCapacity(0, 1, 1) })
-}
-
-// TestDSTCapacityInvariantsProperty drives a seeded random carve/return
-// schedule on one MIG row against a shadow ledger of the live slices: a
-// slice request is eligible exactly when its carve does not panic, the row
-// never over-commits and always reads the whole minus what the live slices
-// hold, draining every slice restores the whole, and over-returning panics.
-func TestDSTCapacityInvariantsProperty(t *testing.T) {
-	shapes := []SliceShape{{"1g", 1, 100}, {"2g", 2, 200}, {"3g", 3, 400}, {"4g", 4, 400}, {"7g", 7, 800}}
-	carves := func(dst *DST, s SliceShape) (ok bool) {
-		defer func() { ok = recover() == nil }()
-		dst.CarveCapacity(0, s.Frac, s.Mem)
-		return
-	}
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		dst := NewDST([]*DSTEntry{{GID: 0, Partitionable: true,
-			TotalFrac: 7, FreeFrac: 7, TotalMem: 800, FreeMem: 800, Shapes: shapes}})
-		row := dst.Entry(0)
-		var live []SliceShape
-		for step := 0; step < 200; step++ {
-			if rng.Intn(2) == 0 || len(live) == 0 {
-				s := shapes[rng.Intn(len(shapes))]
-				fits := eligible(row, Request{SliceProfile: s.Name, SliceFrac: s.Frac, SliceMem: s.Mem})
-				if ok := carves(dst, s); ok != fits {
-					t.Fatalf("trial %d step %d: eligible(%s)=%v but carve ok=%v", trial, step, s.Name, fits, ok)
-				}
-				if fits {
-					live = append(live, s)
-				}
-			} else {
-				i := rng.Intn(len(live))
-				dst.ReturnCapacity(0, live[i].Frac, live[i].Mem)
-				live = append(live[:i], live[i+1:]...)
-			}
-			usedFrac, usedMem := 0, int64(0)
-			for _, s := range live {
-				usedFrac += s.Frac
-				usedMem += s.Mem
-			}
-			if usedFrac > row.TotalFrac || usedMem > row.TotalMem {
-				t.Fatalf("trial %d step %d: carved %d/7, %d bytes exceeds the row", trial, step, usedFrac, usedMem)
-			}
-			if row.FreeFrac != row.TotalFrac-usedFrac || row.FreeMem != row.TotalMem-usedMem {
-				t.Fatalf("trial %d step %d: row free %d/%d, shadow says %d/%d", trial, step,
-					row.FreeFrac, row.FreeMem, row.TotalFrac-usedFrac, row.TotalMem-usedMem)
-			}
-		}
-		for _, s := range live {
-			dst.ReturnCapacity(0, s.Frac, s.Mem)
-		}
-		if row.FreeFrac != row.TotalFrac || row.FreeMem != row.TotalMem {
-			t.Fatalf("trial %d: drained row free %d/%d, want whole", trial, row.FreeFrac, row.FreeMem)
-		}
-		s := shapes[rng.Intn(len(shapes))]
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("trial %d: returning an uncarved %s did not panic", trial, s.Name)
-				}
-			}()
-			dst.ReturnCapacity(0, s.Frac, s.Mem)
-		}()
-	}
 }

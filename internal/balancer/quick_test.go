@@ -8,69 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Property: every policy always returns a valid GID for any table state and
-// request, and the mapper's bind/unbind bookkeeping never underflows.
-func TestQuickPoliciesAlwaysValid(t *testing.T) {
-	kinds := []string{"DC", "MC", "HI", "GA", ""}
-	f := func(ops []uint16, polIdx uint8) bool {
-		names := Names()
-		pol, err := ByName(names[int(polIdx)%len(names)])
-		if err != nil {
-			return false
-		}
-		m := NewMapper(pool4(), pol)
-		type binding struct {
-			gid  GID
-			kind string
-		}
-		var live []binding
-		for _, op := range ops {
-			switch op % 4 {
-			case 0, 1: // select
-				kind := kinds[int(op/4)%len(kinds)]
-				req := Request{
-					AppID: int(op), Kind: kind,
-					Node: int(op/8) % 2, Tenant: int64(op % 3),
-				}
-				gid := m.Select(req)
-				if m.DST().Entry(gid) == nil {
-					return false
-				}
-				live = append(live, binding{gid, kind})
-			case 2: // release
-				if len(live) > 0 {
-					b := live[0]
-					live = live[1:]
-					m.Release(b.gid, b.kind)
-				}
-			default: // feedback
-				m.Feedback(&rpcproto.Feedback{
-					Kind:     kinds[int(op/4)%len(kinds)],
-					ExecTime: sim.Time(op) * 1000,
-					GPUTime:  sim.Time(op) * 500,
-					XferTime: sim.Time(op) * 100,
-					MemBW:    float64(op % 5000),
-					GPUUtil:  float64(op%100) / 100,
-				})
-			}
-			// Invariant: loads equal live bindings per gid, never negative.
-			counts := map[GID]int{}
-			for _, b := range live {
-				counts[b.gid]++
-			}
-			for _, e := range m.DST().Entries() {
-				if e.Load < 0 || e.Load != counts[e.GID] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: SFT running means stay within the range of recorded samples,
 // and drift resets never lose more history than was recorded (the retained
 // sample count plus resets is consistent).

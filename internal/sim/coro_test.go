@@ -248,8 +248,8 @@ func chain(k *Kernel, depth int, body func(level int, p *Proc)) {
 func TestWindowedRunLeavesScheduleAlone(t *testing.T) {
 	var total scriptCoverage
 	for seed := int64(1); seed <= 25; seed++ {
-		_, cov, run := runTimerScript(t, seed, scriptMode{})
-		_, _, win := runTimerScript(t, seed, scriptMode{windowed: true})
+		cov, run := runTimerScript(t, seed, scriptMode{})
+		_, win := runTimerScript(t, seed, scriptMode{windowed: true})
 		if !reflect.DeepEqual(run.Log, win.Log) {
 			t.Fatalf("seed %d: 1-tick windows changed the run:\n  run: %v\nwindows: %v", seed, run.Log, win.Log)
 		}

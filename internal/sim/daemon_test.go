@@ -281,53 +281,6 @@ func TestStopFromInlineDaemonStepReturnsToDriver(t *testing.T) {
 	}
 }
 
-// Wait and WaitSignal end the step like any other wait: the next step runs
-// when the event fires or the signal is notified, and a Kick meanwhile is
-// ignored. A Wait on an event that has already fired continues the step from
-// the same activation: no dispatch, no sequence number, nothing queued.
-func TestDaemonWaitEventAndSignal(t *testing.T) {
-	k := NewKernel(1)
-	defer k.Close()
-	ev, sig := k.NewEvent(), new(Signal)
-	var steps []Time
-	var inline [2]uint64 // Dispatched and seq when the step waited on the fired event
-	d := k.GoDaemon("d", func(d *Daemon) {
-		steps = append(steps, d.Now())
-		switch len(steps) {
-		case 1:
-			d.Wait(ev)
-		case 2:
-			inline = [2]uint64{k.Dispatched(), k.seq}
-			d.Wait(ev) // fired at 7: the third step runs at once
-		case 3:
-			if k.Dispatched() != inline[0] || k.seq != inline[1] {
-				t.Errorf("a wait on a fired event dispatched %d and scheduled %d activations, want none",
-					k.Dispatched()-inline[0], k.seq-inline[1])
-			}
-			d.WaitSignal(sig)
-		default:
-			d.Exit()
-		}
-	})
-	k.Go("driver", func(p *Proc) {
-		p.Sleep(5)
-		d.Kick() // ignored: the daemon waits on the event
-		p.Sleep(2)
-		ev.Fire()
-		p.Sleep(1)
-		d.Kick() // ignored: the daemon waits on the signal
-		p.Sleep(1)
-		sig.Notify()
-	})
-	k.Run()
-	if !reflect.DeepEqual(steps, []Time{0, 7, 7, 9}) {
-		t.Fatalf("steps at %v, want [0 7 7 9]", steps)
-	}
-	if k.ProcCount() != 0 || k.Resumes() != 2 {
-		t.Fatalf("ProcCount=%d Resumes=%d, want 0 and 2: the driver's start and its wake-up at 8, its other sleeps taken on the spot", k.ProcCount(), k.Resumes())
-	}
-}
-
 // A daemon's Sleep whose wake-up is provably the next activation is taken on
 // the spot, as a process's is: counted as dispatched, never queued.
 func TestDaemonSleepTakenOnTheSpot(t *testing.T) {

@@ -41,66 +41,6 @@ func resetWorkload(k *Kernel) []string {
 	return log
 }
 
-// TestKernelResetReproducesFreshRun is the reuse contract: running the same
-// scenario on a reset kernel — even one polluted by a different prior run —
-// yields exactly the event sequence a brand-new kernel produces.
-func TestKernelResetReproducesFreshRun(t *testing.T) {
-	fresh := resetWorkload(NewKernel(42))
-
-	reused := NewKernel(7)
-	// Pollute: a different workload, different seed, left unfinished by a
-	// horizon so parked processes, pending activations and an armed timer
-	// survive the run — and a chain of three, unwound by Reset, fires an
-	// event and notifies a signal that others wait for.
-	reused.Go("polluter", func(p *Proc) {
-		for i := 0; i < 50; i++ {
-			reused.Go("short", func(p *Proc) { p.Sleep(5) })
-			p.Sleep(Time(10 + reused.Rand().Intn(100)))
-		}
-	})
-	reused.After(1000, func() { t.Error("timer armed before Reset fired after it") })
-	gate, baton := reused.NewEvent(), new(Signal)
-	reused.Go("gated", func(p *Proc) {
-		p.Wait(gate)
-		t.Error("a process woken by an unwinding defer ran")
-	})
-	reused.After(150, func() { // born after the chain: unwound after the Unlock that wakes it
-		reused.Go("waiter", func(p *Proc) {
-			p.WaitSignal(baton)
-			t.Error("a process notified by an unwinding defer ran")
-		})
-	})
-	chain(reused, 3, func(level int, p *Proc) {
-		switch level {
-		case 2:
-			defer gate.Fire()
-		case 3:
-			defer baton.NotifyOne()
-		}
-		p.Sleep(Time(200 - level))
-		p.Sleep(300)
-		t.Error("a process parked before Reset ran after it")
-	})
-	reused.RunUntil(200)
-	if reused.Dispatched() == 0 || reused.ProcCount() < 5 {
-		t.Fatalf("polluter run dispatched %d events and left %d processes", reused.Dispatched(), reused.ProcCount())
-	}
-
-	reused.Reset(42)
-	if !gate.Fired() || baton.waiters.Len() != 0 {
-		t.Fatalf("unwinding ran no defers: gate fired = %v, %d waiters left on the signal", gate.Fired(), baton.waiters.Len())
-	}
-	if got := resetWorkload(reused); !reflect.DeepEqual(got, fresh) {
-		t.Errorf("reset kernel diverged from fresh kernel:\nfresh: %v\nreused: %v", fresh, got)
-	}
-
-	// A second reuse of the same kernel must reproduce it again.
-	reused.Reset(42)
-	if got := resetWorkload(reused); !reflect.DeepEqual(got, fresh) {
-		t.Errorf("second reuse diverged from fresh kernel:\nfresh: %v\nreused: %v", fresh, got)
-	}
-}
-
 // TestKernelResetWithArmedDaemons: what a horizon leaves armed — a timer on
 // a far deadline, one daemon asleep, one kick-waiting with a deadline — dies
 // with the reset: the activations go with the heap, and the next run has a

@@ -818,8 +818,9 @@ func TestKernelScheduleMatchesOneQueue(t *testing.T) {
 // checkSchedule and holds each program to what it is kept for: seed-fold's
 // deliveries wake a daemon in Take and a process in GetTimeout in place,
 // seed-mixed, full-sized, takes a sleep on the spot, folds a delivery, drops a
-// stale wake-up and jumps the clock, and seed-timed's daemon TakeTimeout waits
-// end at their deadline and with an item.
+// stale wake-up and jumps the clock, seed-timed's daemon TakeTimeout waits
+// end at their deadline and with an item, and seed-kick's kick takes a
+// WaitKickTimeout deadline due later out of the queue.
 func TestScheduleSeeds(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -830,6 +831,7 @@ func TestScheduleSeeds(t *testing.T) {
 			return c.dispatches >= 10 && c.taken > 0 && c.folded > 0 && c.stale > 0 && c.jumps > 0
 		}},
 		{"seed-timed", func(c scheduleCoverage) bool { return c.timedOut > 0 && c.timedTook > 0 }},
+		{"seed-kick", func(c scheduleCoverage) bool { return c.cancelled > 0 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			raw, err := os.ReadFile("testdata/fuzz/FuzzKernelSchedule/" + c.name)
@@ -857,8 +859,9 @@ func TestScheduleSeeds(t *testing.T) {
 func FuzzKernelSchedule(f *testing.F) {
 	// One process, one Sleep(0). testdata/fuzz holds seed-mixed, a
 	// full-sized program, seed-fold, whose deliveries wake a daemon in Take
-	// and a process in GetTimeout, and seed-timed, whose daemon TakeTimeout
-	// waits time out and take an item (TestScheduleSeeds checks all three).
+	// and a process in GetTimeout, seed-timed, whose daemon TakeTimeout waits
+	// time out and take an item, and seed-kick, whose kick takes a later
+	// deadline out of the queue (TestScheduleSeeds checks all four).
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k := NewKernel(1)

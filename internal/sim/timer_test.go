@@ -1,11 +1,9 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -210,139 +208,21 @@ func TestResetDropsArmedTimersAndReusesSlots(t *testing.T) {
 	}
 }
 
-// timerService is what the contract script drives: the kernel's own
-// After/AfterPut, or the coroutine reference below.
-type timerService interface {
-	After(d Time, fn func())
-	AfterPut(d Time, q *Queue[any], msg any)
-}
-
-// refEntry is one deferred action of the reference service.
-type refEntry struct {
-	at  Time
-	seq uint64
-	fn  func()
-	q   *Queue[any]
-	msg any
-}
-
-// refHeap orders the reference service's entries by (deadline, registration
-// sequence) through container/heap.
-type refHeap []refEntry
-
-func (h refHeap) Len() int      { return len(h) }
-func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h refHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h *refHeap) Push(x any) { *h = append(*h, x.(refEntry)) }
-func (h *refHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return e
-}
-
-// coroTimers is the timer service written as a process over its own heap: a
-// coroutine looping over a "kicked" flag, a Signal and WaitSignalTimeout. It
-// is what the kernel's timers replaced, kept as the reference for what a
-// timer service owes its callers whatever its mechanism.
-type coroTimers struct {
-	k       *Kernel
-	heap    refHeap
-	seq     uint64
-	kick    *Signal
-	kicked  bool
-	started bool
-}
-
-func (t *coroTimers) After(d Time, fn func()) { t.push(d, refEntry{fn: fn}) }
-
-func (t *coroTimers) AfterPut(d Time, q *Queue[any], msg any) {
-	t.push(d, refEntry{q: q, msg: msg})
-}
-
-func (t *coroTimers) push(d Time, e refEntry) {
-	if d < 0 {
-		d = 0
-	}
-	t.seq++
-	e.at = t.k.now + d
-	e.seq = t.seq
-	heap.Push(&t.heap, e)
-	if !t.started {
-		t.started = true
-		t.k.Go("sim-timers", t.run)
-		return
-	}
-	t.kicked = true
-	t.kick.Notify()
-}
-
-func (t *coroTimers) run(p *Proc) {
-	for {
-		for len(t.heap) > 0 && t.heap[0].at <= p.Now() {
-			e := heap.Pop(&t.heap).(refEntry)
-			if e.fn != nil {
-				e.fn()
-			} else {
-				e.q.Put(e.msg)
-			}
-		}
-		if t.kicked {
-			t.kicked = false
-			continue
-		}
-		if len(t.heap) == 0 {
-			p.WaitSignal(t.kick)
-			continue
-		}
-		p.WaitSignalTimeout(t.kick, t.heap[0].at-p.Now())
-	}
-}
-
-// delivery is one timer reaching its target: a callback running, or a
-// process taking an AfterPut message out of its queue.
-type delivery struct {
-	At Time
-	ID int
-}
-
-// scriptResult is everything the two timer services must agree on. The two
-// differ in how timers interleave with process wakeups inside one instant
-// (the reference fires a whole instant's timers from one activation of its
-// service process), so the script keeps every process's timeline a function
-// of its own random stream and of when — not in which order within an
-// instant — its own timers fire, and the comparison is per process.
-type scriptResult struct {
-	Callbacks []delivery // every callback, sorted by (time, id)
-	Steps     [][]Time   // per process: the instant each script step began
-	Gets      [][]Time   // per process: the instant each Get returned
-	Payloads  [][]int    // per process: the messages received, sorted
-	Now       Time
-	Blocked   []string
-	Procs     int
-}
-
-// scriptCoverage counts the cases the script is there to produce, so a
-// change to the generator cannot quietly stop covering them.
+// scriptCoverage counts the processes the script spawns mid-run, so a
+// change to the generator cannot quietly stop producing them.
 type scriptCoverage struct {
-	zeroDelay, sameInstant, reentrant, parkedGet, spawned int
+	spawned int
 }
 
-// scriptMode selects how the script is run: its timers through the kernel or
-// through the coroutine reference, and the kernel driven by one Run or by
+// scriptMode selects how the script's kernel is driven: by one Run or by
 // RunUntil in 1-tick windows.
 type scriptMode struct {
-	reference, windowed bool
+	windowed bool
 }
 
-// scriptTrace is the run as the dispatch loop saw it, which the timer
-// contract leaves open and TestWindowedRunLeavesScheduleAlone pins: every
-// step, delivery and exit in the order it ran, and the kernel's counters.
+// scriptTrace is the run as the dispatch loop saw it, which
+// TestWindowedRunLeavesScheduleAlone pins: every step, delivery and exit in
+// the order it ran, and the kernel's counters.
 type scriptTrace struct {
 	Log     []string
 	Events  uint64 // Dispatched
@@ -360,25 +240,18 @@ type cbPlan struct {
 
 // runTimerScript drives a seeded random mix of After, AfterPut, Sleep,
 // Queue.Get and short-lived child processes from four processes through the
-// kernel's own timers or, with mode.reference set, through coroTimers. It
-// fails the test if the run breaks the ordering rule on its own terms: timers
-// due at one instant are delivered in registration order, callbacks overall
-// and messages per queue.
-func runTimerScript(t *testing.T, seed int64, mode scriptMode) (scriptResult, scriptCoverage, scriptTrace) {
+// kernel's timers. It fails the test if the run breaks the ordering rule on
+// its own terms: every timer is delivered at its deadline, and timers due at
+// one instant in registration order, callbacks overall and messages per
+// queue.
+func runTimerScript(t *testing.T, seed int64, mode scriptMode) (scriptCoverage, scriptTrace) {
 	const procs, steps = 4, 120
 	k := NewKernel(seed)
 	defer k.Close()
-	var svc timerService = k
-	if mode.reference {
-		svc = &coroTimers{k: k, kick: new(Signal)}
-	}
 	var trace scriptTrace
 	k.SetTracer(func(at Time, proc, msg string) {
 		trace.Log = append(trace.Log, fmt.Sprintf("%v %s %s", at, proc, msg))
 	})
-	res := scriptResult{
-		Steps: make([][]Time, procs), Gets: make([][]Time, procs), Payloads: make([][]int, procs),
-	}
 	var cov scriptCoverage
 	delays := []int{0, 0, 1, 2, 3, 5, 8}
 
@@ -388,15 +261,7 @@ func runTimerScript(t *testing.T, seed int64, mode scriptMode) (scriptResult, sc
 		n   int
 	}
 	regs := map[int]reg{}
-	var lastPush Time = -1
 	register := func(id, d int) {
-		if d == 0 {
-			cov.zeroDelay++
-		}
-		if lastPush == k.now {
-			cov.sameInstant++
-		}
-		lastPush = k.now
 		regs[id] = reg{due: k.now + Time(d), n: len(regs)}
 	}
 	// inOrder reports whether id may be delivered after prev.
@@ -424,7 +289,7 @@ func runTimerScript(t *testing.T, seed int64, mode scriptMode) (scriptResult, sc
 		var arm func(pl *cbPlan)
 		arm = func(pl *cbPlan) {
 			register(pl.id, pl.d)
-			svc.After(Time(pl.d), func() {
+			k.After(Time(pl.d), func() {
 				if k.now != regs[pl.id].due {
 					t.Errorf("seed %d: callback %d due %v ran at %v", seed, pl.id, regs[pl.id].due, k.now)
 				}
@@ -432,20 +297,15 @@ func runTimerScript(t *testing.T, seed int64, mode scriptMode) (scriptResult, sc
 					t.Errorf("seed %d: callback %d ran after %d, against (deadline, registration) order", seed, pl.id, lastCB)
 				}
 				lastCB = pl.id
-				res.Callbacks = append(res.Callbacks, delivery{k.now, pl.id})
 				trace.Log = append(trace.Log, fmt.Sprintf("%v callback %d", k.now, pl.id))
 				if pl.child != nil {
-					cov.reentrant++
 					arm(pl.child)
 					register(-pl.id, pl.putD)
-					svc.AfterPut(Time(pl.putD), q, -pl.id)
+					k.AfterPut(Time(pl.putD), q, -pl.id)
 				}
 			})
 		}
 		get := func(p *Proc) {
-			if q.Len() == 0 {
-				cov.parkedGet++
-			}
 			id := q.Get(p).(int)
 			got++
 			if p.Now() < regs[id].due {
@@ -455,13 +315,10 @@ func runTimerScript(t *testing.T, seed int64, mode scriptMode) (scriptResult, sc
 				t.Errorf("seed %d: p%d received %d after %d, against (deadline, registration) order", seed, i, id, lastMsg)
 			}
 			lastMsg = id
-			res.Gets[i] = append(res.Gets[i], p.Now())
-			res.Payloads[i] = append(res.Payloads[i], id)
 			p.Tracef("got %d", id)
 		}
 		k.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
 			for s := 0; s < steps; s++ {
-				res.Steps[i] = append(res.Steps[i], p.Now())
 				p.Tracef("step %d", s)
 				switch rng.Intn(6) {
 				case 0:
@@ -472,7 +329,7 @@ func runTimerScript(t *testing.T, seed int64, mode scriptMode) (scriptResult, sc
 					id, d := newID(), delays[rng.Intn(len(delays))]
 					owed++
 					register(id, d)
-					svc.AfterPut(Time(d), q, id)
+					k.AfterPut(Time(d), q, id)
 				case 3:
 					if got < owed {
 						get(p)
@@ -501,47 +358,5 @@ func runTimerScript(t *testing.T, seed int64, mode scriptMode) (scriptResult, sc
 		k.Run()
 	}
 	trace.Events, trace.Timers, trace.Resumes = k.Dispatched(), uint64(len(regs)), k.Resumes()
-	sort.Slice(res.Callbacks, func(a, b int) bool {
-		x, y := res.Callbacks[a], res.Callbacks[b]
-		return x.At < y.At || x.At == y.At && x.ID < y.ID
-	})
-	for _, p := range res.Payloads {
-		sort.Ints(p)
-	}
-	res.Now = k.Now()
-	res.Procs = k.ProcCount()
-	for _, name := range k.Blocked() {
-		if mode.reference && name == "sim-timers" {
-			res.Procs-- // the reference's service process is not part of the contract
-			continue
-		}
-		res.Blocked = append(res.Blocked, name)
-	}
-	return res, cov, trace
-}
-
-// TestTimerContract holds the kernel's timers to the reference service on a
-// random script: every callback runs exactly at its deadline, every process
-// sees the same timeline and the same messages, and the run ends in the same
-// state. How many events either spends on it is not part of the contract.
-func TestTimerContract(t *testing.T) {
-	var total scriptCoverage
-	for seed := int64(1); seed <= 25; seed++ {
-		want, _, _ := runTimerScript(t, seed, scriptMode{reference: true})
-		got, cov, _ := runTimerScript(t, seed, scriptMode{})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: kernel timers differ from the coroutine reference:\nwant %+v\n got %+v", seed, want, got)
-		}
-		if len(got.Callbacks) == 0 || len(got.Gets[0]) == 0 {
-			t.Fatalf("seed %d: script delivered nothing", seed)
-		}
-		total.zeroDelay += cov.zeroDelay
-		total.sameInstant += cov.sameInstant
-		total.reentrant += cov.reentrant
-		total.parkedGet += cov.parkedGet
-		total.spawned += cov.spawned
-	}
-	if total.zeroDelay == 0 || total.sameInstant == 0 || total.reentrant == 0 || total.parkedGet == 0 || total.spawned == 0 {
-		t.Fatalf("script no longer covers every case: %+v", total)
-	}
+	return cov, trace
 }
