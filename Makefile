@@ -11,9 +11,11 @@ test:
 
 # Full-tree race pass. A simulation is one goroutine, so what there is to
 # race is the worker pool that fans whole simulations out (internal/parallel)
-# and what its workers share: the kernel arena (kernels one worker reset and
-# another reuses, never a live process), the suite's scenario cache and trace
-# book, and the TCP remoting path. -short skips the heavyweight
+# and what its workers share: the suite's and the cluster tier's core.Arena
+# (slabs — a kernel and the sessions, frontends, processes and contexts on it
+# — one worker's closed cluster returns and another's borrows, never with a
+# live process), the suite's scenario cache and trace book, and the TCP
+# remoting path. -short skips the heavyweight
 # experiment sweeps (guarded with testing.Short) so the whole pass stays under
 # ~2 minutes while still racing the parallel-vs-sequential figure-grid
 # comparison.
@@ -65,11 +67,16 @@ bench-smoke:
 	$(GO) run ./cmd/strings-bench -exp faults -pairs 1 -requests 4
 	@# Sweep-engine determinism: the same small grid at -parallel 1 and 4
 	@# must emit byte-identical tables (the wall-clock footer is stripped —
-	@# it is the only line allowed to differ).
+	@# it is the only line allowed to differ). Fig 11's horizon-cut CUDA and
+	@# TFS-Rain cells leave processes live for Close to take back, and at 4
+	@# workers the arena's slabs change hands between them.
 	@mkdir -p $(BIN)
 	$(GO) run ./cmd/strings-bench -exp fig9 -requests 4 -parallel 1 -csv | grep -v '^(' > $(BIN)/sweep-smoke-seq.csv
 	$(GO) run ./cmd/strings-bench -exp fig9 -requests 4 -parallel 4 -csv | grep -v '^(' > $(BIN)/sweep-smoke-par.csv
 	diff $(BIN)/sweep-smoke-seq.csv $(BIN)/sweep-smoke-par.csv
+	$(GO) run ./cmd/strings-bench -exp fig11 -requests 4 -parallel 1 -csv | grep -v '^(' > $(BIN)/fig11-smoke-seq.csv
+	$(GO) run ./cmd/strings-bench -exp fig11 -requests 4 -parallel 4 -csv | grep -v '^(' > $(BIN)/fig11-smoke-par.csv
+	diff $(BIN)/fig11-smoke-seq.csv $(BIN)/fig11-smoke-par.csv
 	@# Slice-placement study: a small frag grid, its CSV kept as a CI
 	@# artifact. Like the sweep check above, worker count must not change
 	@# a single byte of the table.
@@ -113,8 +120,8 @@ cover:
 		repro/internal/workload repro/internal/report repro/internal/experiments
 
 # Short fuzz pass over every native fuzz target: the kernel's schedule
-# against its one-heap reference, a frontend script on a fresh kernel against
-# the same script on a kernel reset after another, the wire codec, the framing
+# against its one-heap reference, a frontend script on a fresh cluster against
+# the same script on a warm arena slab after another, the wire codec, the framing
 # layer and the trace encoders each get 10s of coverage-guided input on top of
 # the committed corpus under testdata/fuzz/.
 fuzz-smoke:

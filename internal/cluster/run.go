@@ -103,9 +103,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// One core run per supernode, fanned out through the blessed pool.
-	// Kernels recycle through a shared arena: workers fewer than
-	// supernodes reuse their predecessor's backing arrays.
-	var arena parallel.KernelArena
+	// Clusters borrow from a shared arena: workers fewer than supernodes
+	// reuse what their predecessor built.
+	var arena core.Arena
 	type snOut struct {
 		res SupernodeResult
 		err error
@@ -121,9 +121,8 @@ func Run(cfg Config) (*Result, error) {
 			Nodes:   cfg.Supernodes[i].Nodes,
 			Mode:    core.ModeStrings,
 			Balance: "GMin",
-			Kernel:  arena.Get(),
+			Arena:   &arena,
 		}
-		defer arena.Put(ccfg.Kernel)
 		if cfg.Traced {
 			ccfg.Recorder = trace.New()
 		}

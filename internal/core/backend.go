@@ -23,9 +23,13 @@ func (c *Cluster) accept(gid int, conn *rpcproto.Conn) {
 	if i := len(e.sessions) - 1; i >= 0 {
 		s, e.sessions = e.sessions[i], e.sessions[:i]
 	} else {
-		s = &session{c: c, e: e}
+		s = &session{}
 		s.nameFn, s.stepFn, s.backlogFn = s.name, s.step, s.backlog
+		if e.lent {
+			e.made.sessions = append(e.made.sessions, s) // bounded by peak live sessions
+		}
 	}
+	s.c, s.e, s.idle = c, e, false
 	s.serving = serving{gid: gid, n: *n, ep: conn.B()}
 	e.k.StartDaemon(&s.d, s.nameFn, s.stepFn)
 }
@@ -34,12 +38,12 @@ func (c *Cluster) accept(gid int, conn *rpcproto.Conn) {
 // gid, the lane's thread running on the session daemon.
 // Under Strings the lane is a Context Packer port on the GPU's backend
 // process, so its calls are translated (AST/SST/MOT) before they execute.
-// Under Rain it is a fresh CUDA runtime — and therefore a private GPU context
-// — executing the application's calls verbatim: synchronous memcpys stay
-// synchronous, device synchronizes stay device-wide, everything runs on the
-// context's default stream. The per-device scheduler still gates submission,
-// which is how TFS-Rain and LAS-Rain are realized.
-func (c *Cluster) openApp(gid int, first *rpcproto.Call, pool *rpcproto.Pool) (appPort, error) {
+// Under Rain it is rp, a fresh CUDA process — and therefore a private GPU
+// context — executing the application's calls verbatim: synchronous memcpys
+// stay synchronous, device synchronizes stay device-wide, everything runs on
+// the context's default stream. The per-device scheduler still gates
+// submission, which is how TFS-Rain and LAS-Rain are realized.
+func (c *Cluster) openApp(gid int, first *rpcproto.Call, pool *rpcproto.Pool, rp *rainPort) (appPort, error) {
 	appID := int(first.AppID)
 	if c.cfg.Mode == ModeStrings {
 		port, err := c.packers[gid].Open(nil, appID, first.TenantID)
@@ -51,16 +55,19 @@ func (c *Cluster) openApp(gid int, first *rpcproto.Call, pool *rpcproto.Pool) (a
 	}
 	// The process sees one device: a capped view of the pool's slice, not a
 	// fresh one-element slice per application.
-	rt := cuda.NewRuntime(c.devEnv[gid].k, c.devices[gid:gid+1:gid+1], c.cudaConfig())
-	rt.SetOwner(appID)
-	rp := &rainPort{t: *rt.NewThread(nil, appID), pool: pool}
+	rp.rt.Init(c.devEnv[gid].k, c.devices[gid:gid+1:gid+1], c.cudaConfig())
+	rp.rt.SetOwner(appID)
+	rp.rt.InitThread(&rp.t, nil, appID)
+	rp.pool = pool
 	return rp, rp.t.SetDevice(0)
 }
 
-// rainPort is a Rain application's lane: its private thread behind the
-// shared verbatim executor. The thread is held by value so that the lane is
-// one object per application, not two.
+// rainPort is a Rain application's lane: its private process, one thread of
+// it, behind the shared verbatim executor. Both are held by value, and the
+// lane by its session, so that a reused session's process starts
+// allocation-free.
 type rainPort struct {
+	rt   cuda.Runtime
 	t    cuda.Thread
 	pool *rpcproto.Pool
 }
@@ -99,6 +106,10 @@ type session struct {
 	// rcb is the application's RCB entry, which the session owns and the
 	// device scheduler lists from Register to Unregister.
 	rcb devsched.Entry
+
+	// rain is the Rain process the session hosts, released when it exits.
+	rain rainPort
+	idle bool // on its slab's free list
 
 	serving
 }
@@ -144,10 +155,13 @@ func (s *session) name() string {
 	return fmt.Sprintf("rain-%d-%d", s.gid, s.n)
 }
 
-// exit ends the daemon and leaves the session for the next accept; nothing is
-// queued for it, as it waits for one thing at a time and exits from a step.
+// exit ends the daemon and its process, and leaves the session for the next
+// accept; nothing is queued for it, as it waits for one thing at a time and
+// exits from a step.
 func (s *session) exit(d *sim.Daemon) {
 	d.Exit()
+	s.rain.rt.Release()
+	s.idle = true
 	s.e.sessions = append(s.e.sessions, s) // bounded by peak live sessions
 }
 
@@ -191,7 +205,7 @@ func (s *session) step(d *sim.Daemon) {
 				s.pool = s.ep.Pool()
 				s.entry = &s.rcb
 				sched.Register(s.entry, int(first.AppID), first.TenantID, int(first.Weight), first.KernelName, s.backlogFn)
-				port, err := c.openApp(gid, first, s.pool)
+				port, err := c.openApp(gid, first, s.pool, &s.rain)
 				s.port = port
 				s.reply = s.pool.GetReply()
 				s.reply.Seq = first.Seq

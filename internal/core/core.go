@@ -118,15 +118,15 @@ type Config struct {
 	// pre-fault-tolerance behaviour.
 	Recovery interpose.Recovery
 
-	// Kernel, when non-nil, is Reset(Seed) and reused instead of building a
-	// fresh kernel — the sweep workers recycle kernels through a
-	// parallel.KernelArena so back-to-back cells reuse the heap and ring
-	// backing arrays. A reset kernel reproduces a fresh kernel's event
-	// sequence exactly (see internal/sim reset tests), so this is purely an
-	// allocation optimization. The kernel remains the caller's:
-	// Cluster.Close does not close it, and the processes a horizon left
-	// parked on it keep their goroutines until the caller's Reset or Close.
-	Kernel *sim.Kernel
+	// Arena, when non-nil, lends the cluster its kernel: one reset and warm
+	// from the arena's earlier clusters, with the free lists of what ran on
+	// it — frames, connections, sessions and frontends with the Rain and
+	// CUDA processes they hold, spare GPU contexts — and Close gives it
+	// back. A reused kernel or object behaves as a fresh one (the sweep's
+	// goldens and FuzzFrontendSteps hold warm runs to cold ones), so this is
+	// purely an allocation optimization. A sharded run's other kernels are
+	// the cluster's own.
+	Arena *Arena
 
 	// Traces, when non-nil, memoizes materialized arrival traces so cells
 	// that replay the same workload stream share one immutable slice
@@ -152,8 +152,9 @@ type Config struct {
 
 // Cluster is a fully wired simulated deployment.
 type Cluster struct {
-	K   *sim.Kernel
-	cfg Config
+	K    *sim.Kernel
+	cfg  Config
+	lent *slab // the Arena's, until Close gives it back
 
 	mapper  *balancer.Mapper
 	mapQ    *sim.Queue[any] // *mapperMsg, from the pool mapFree
@@ -263,8 +264,9 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	c.K = cfg.Kernel
-	if c.K != nil {
+	if cfg.Arena != nil {
+		c.lent = cfg.Arena.get()
+		c.K = c.lent.k
 		c.K.Reset(cfg.Seed)
 	} else {
 		c.K = sim.NewKernel(cfg.Seed)
@@ -334,6 +336,7 @@ func dstRow(gid balancer.GID, node, local int, spec gpu.Spec) *balancer.DSTEntry
 func (c *Cluster) addDevice(e *shardEnv, spec gpu.Spec) *gpu.Device {
 	gid := len(c.devices)
 	d := gpu.NewDevice(e.k, spec, gid)
+	d.SetSpares(&e.spares)
 	var tr *gpu.UtilTrace
 	if c.cfg.Trace {
 		tr = &gpu.UtilTrace{}

@@ -30,6 +30,7 @@ func mustRun(t *testing.T, cfg Config, streams []workload.StreamSpec) *RunResult
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	defer c.Close()
 	r, err := c.Run(streams)
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -10,18 +10,20 @@ import (
 
 // frontend is an application's host thread run as a daemon: the
 // application's step machine (workload.Steps) over its CUDA client — the
-// interposer under Strings and Rain, a thread of a private runtime under
-// CUDA — every piece held by value. A multi-threaded application's second
-// thread calls through the same interposer, or through a second thread of the
-// runtime. An exited frontend, daemon and all, serves the next request on its
-// kernel.
+// interposer under Strings and Rain, a thread of a private process under
+// CUDA — every piece held by value, the process included. A multi-threaded
+// application's second thread calls through the same interposer, or through a
+// second thread of the process. An exited frontend, daemon and all, serves
+// the next request on its kernel.
 type frontend struct {
 	d     sim.Daemon
 	e     *shardEnv
 	app   workload.App
 	steps workload.Steps
 	ip    interpose.Interposer
+	rt    cuda.Runtime
 	th    [2]cuda.Thread
+	idle  bool // on its slab's free list
 
 	s     *workload.StreamSpec
 	si, n int          // stream si's nth request
@@ -39,9 +41,13 @@ func (e *shardEnv) startFrontend(app workload.App, s *workload.StreamSpec, si, n
 	if i := len(e.frontends) - 1; i >= 0 {
 		f, e.frontends = e.frontends[i], e.frontends[:i]
 	} else {
-		f = &frontend{e: e}
+		f = &frontend{}
 		f.nameFn, f.stepFn = f.name, f.step
+		if e.lent {
+			e.made.frontends = append(e.made.frontends, f) // bounded by peak live frontends
+		}
 	}
+	f.e, f.idle = e, false
 	f.app, f.s, f.si, f.n = app, s, si, n
 	e.k.StartDaemon(&f.d, f.nameFn, f.stepFn)
 }
@@ -68,10 +74,12 @@ func (f *frontend) step(d *sim.Daemon) {
 	e.record(app, *s, ipose, f.req, err)
 	f.begun = false
 	d.Exit()
+	f.rt.Release()
 	// A timed reply wait leaves its deadline queued, stale, once a reply
 	// ends it, and a daemon with an activation pending cannot start over: a
-	// frontend that ran with recovery armed is not reused.
+	// frontend that ran with recovery armed is not reused in this run.
 	if !e.c.cfg.Recovery.Enabled() {
+		f.idle = true
 		e.frontends = append(e.frontends, f) // bounded by peak live frontends
 	}
 }
@@ -82,10 +90,10 @@ func (f *frontend) step(d *sim.Daemon) {
 func (f *frontend) clients() (c, c1 cuda.Stepper) {
 	e, cl, s, id := f.e, f.e.c, f.s, f.app.ID
 	if cl.cfg.Mode == ModeCUDA {
-		rt := cuda.NewRuntime(e.k, cl.nodeDev[s.Node], cl.cudaConfig())
-		rt.SetOwner(id)
-		rt.InitThread(&f.th[0], nil, id)
-		rt.InitThread(&f.th[1], nil, id)
+		f.rt.Init(e.k, cl.nodeDev[s.Node], cl.cudaConfig())
+		f.rt.SetOwner(id)
+		f.rt.InitThread(&f.th[0], nil, id)
+		f.rt.InitThread(&f.th[1], nil, id)
 		return &f.th[0], &f.th[1]
 	}
 	f.ip.Init(cl.nodes[s.Node], e.k, id, s.Tenant, s.Weight, s.Kind.String(), s.Node, cl.cfg.Mode == ModeStrings)

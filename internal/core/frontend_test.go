@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -127,22 +128,27 @@ type scriptRun struct {
 	events     uint64
 	end        sim.Time
 	blocked    []string
+	launched   int
 	finished   int
 	styles     [3]int // requests finished, by style
-	reused     bool   // a frontend served a request after an earlier one
+	reused     bool   // a frontend served a request after an earlier one of the run
+	warm       bool   // a frontend an earlier run left served one of this run
 }
 
-// playScript runs sc on a cluster built on k, Reset, or on a fresh kernel
-// when k is nil.
-func playScript(t testing.TB, sc appScript, k *sim.Kernel) scriptRun {
+// playScript runs sc on a cluster of its own, or on one an arena lends when a
+// is not nil.
+func playScript(t testing.TB, sc appScript, a *Arena) scriptRun {
 	t.Helper()
 	sc.cfg.Recorder = trace.New()
-	sc.cfg.Kernel = k
+	sc.cfg.Arena = a
 	c, err := New(sc.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// Frontends are taken from the free list last in, first out, so the first
+	// one started on the lent kernel is one an earlier run left, if any is.
+	left := len(c.envs[0].frontends)
 	r, err := c.RunUntil(sc.streams, sc.horizon)
 	if err != nil {
 		t.Fatal(err)
@@ -165,16 +171,17 @@ func playScript(t testing.TB, sc appScript, k *sim.Kernel) scriptRun {
 			}
 		}
 	}
-	out.events, out.end, out.finished = c.Dispatched(), r.EndTime, r.Finished
+	out.events, out.end, out.launched, out.finished = c.Dispatched(), r.EndTime, r.Launched, r.Finished
 	for _, ev := range r.Requests {
 		out.styles[ev.Style] += btoi(ev.Err == "")
 	}
+	out.warm = left > 0 && len(c.envs[0].apps) > 0
 	idle := 0
 	for _, e := range c.envs {
 		out.blocked = append(out.blocked, e.k.Blocked()...)
 		idle += len(e.frontends)
 	}
-	out.reused = idle > 0 && idle < r.Finished
+	out.reused = a == nil && idle > 0 && idle < r.Finished
 	return out
 }
 
@@ -193,9 +200,11 @@ func (r scriptRun) digest() string {
 
 // TestFrontendMatchesCoroutine runs the transcribed scripts on frontend
 // daemons: each run must leave the digest the coroutine request path left and
-// dispatch no more activations than it did. The scripts reach every style
-// under every mode, sharded fleets, failed and stuck requests, reused
-// frontends, retransmits, failovers and lost backends.
+// dispatch no more activations than it did. Every second script runs warm, on
+// a kernel one arena lends them all, so half the digests hold reused sessions,
+// frontends and processes to what fresh ones did. The scripts reach every
+// style under every mode, sharded fleets, failed and stuck requests, reused
+// frontends, warm runs, retransmits, failovers and lost backends.
 func TestFrontendMatchesCoroutine(t *testing.T) {
 	data, err := os.ReadFile("testdata/transcripts.txt")
 	if err != nil {
@@ -206,6 +215,7 @@ func TestFrontendMatchesCoroutine(t *testing.T) {
 		lines = lines[:150]
 	}
 	rng := rand.New(rand.NewSource(31))
+	var arena Arena
 	reach := map[string]bool{}
 	set := func(what string, ok bool) { reach[what] = reach[what] || ok }
 	for i, line := range lines {
@@ -216,10 +226,14 @@ func TestFrontendMatchesCoroutine(t *testing.T) {
 			t.Fatalf("transcript %d: bad line %q (%v)", i, line, err)
 		}
 		sc := newAppScript(rng)
-		got := playScript(t, sc, nil)
+		var a *Arena
+		if i%2 == 1 {
+			a = &arena
+		}
+		got := playScript(t, sc, a)
 		if d := got.digest(); d != digest || got.events > dispatched {
-			t.Fatalf("script %d (%v %s/%s, shards %d, guard %v, %d nodes, faults %v, recovery %v, streams %+v): digest %s after %d activations, want %s after at most %d",
-				i, sc.cfg.Mode, sc.cfg.Balance, sc.cfg.DevPolicy, sc.cfg.Shards, sc.cfg.BlockOnOOM, len(sc.cfg.Nodes),
+			t.Fatalf("script %d (warm %v, %v %s/%s, shards %d, guard %v, %d nodes, faults %v, recovery %v, streams %+v): digest %s after %d activations, want %s after at most %d",
+				i, a != nil, sc.cfg.Mode, sc.cfg.Balance, sc.cfg.DevPolicy, sc.cfg.Shards, sc.cfg.BlockOnOOM, len(sc.cfg.Nodes),
 				sc.cfg.Faults.Faults, sc.cfg.Recovery, sc.streams, d, got.events, digest, dispatched)
 		}
 		for st, n := range got.styles {
@@ -229,6 +243,7 @@ func TestFrontendMatchesCoroutine(t *testing.T) {
 		set("failed", bytes.Contains(got.log, []byte(`"err":`)))
 		set("stuck", slices.ContainsFunc(got.blocked, func(name string) bool { return strings.HasPrefix(name, "app-") }))
 		set("reused", got.reused)
+		set(fmt.Sprint("warm/", sc.cfg.Mode), got.warm)
 		retries, failovers := bytes.Count(got.jsonl, []byte(`"kind":"retry"`)), bytes.Count(got.jsonl, []byte(`"kind":"failover"`))
 		set("retransmit", retries > failovers)
 		set("failover", failovers > 0 && got.finished > 0)
@@ -239,6 +254,7 @@ func TestFrontendMatchesCoroutine(t *testing.T) {
 	if !testing.Short() {
 		want = append(want, "sharded/multithread", "retransmit", "failover", "lost")
 		for _, m := range []Mode{ModeStrings, ModeRain, ModeCUDA} {
+			want = append(want, fmt.Sprint("warm/", m))
 			for st := range 3 {
 				want = append(want, fmt.Sprint(m, "/", workload.Style(st)))
 			}
@@ -252,24 +268,66 @@ func TestFrontendMatchesCoroutine(t *testing.T) {
 }
 
 // FuzzFrontendSteps runs a script dealt from the fuzzer's bytes on a fresh
-// cluster, then on one built over a kernel Reset after another script: what
-// the first run left behind must not reach the second, which leaves the same
+// cluster, then on one an arena lends after another script ran on it: what
+// the first run left behind — sessions, frontends and processes, live ones a
+// horizon cut off included — must not reach the second, which leaves the same
 // request log and trace.
 func FuzzFrontendSteps(f *testing.F) {
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h := fnv.New64a()
-		h.Write(data)
-		rng := rand.New(rand.NewSource(int64(h.Sum64())))
-		sc, other := newAppScript(rng), newAppScript(rng)
-		want := playScript(t, sc, nil)
-		k := sim.NewKernel(0)
-		defer k.Close()
-		playScript(t, other, k)
-		got := playScript(t, sc, k)
-		if !bytes.Equal(got.log, want.log) || !bytes.Equal(got.jsonl, want.jsonl) {
-			t.Fatalf("%v %s/%s, streams %+v: a reset kernel's run differs from a fresh one's\nreset %s\nfresh %s",
-				sc.cfg.Mode, sc.cfg.Balance, sc.cfg.DevPolicy, sc.streams, got.log, want.log)
-		}
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { playWarm(t, data) })
+}
+
+// playWarm is FuzzFrontendSteps's body: it deals the two scripts from data,
+// plays them, and returns how the first and the warm run went.
+func playWarm(t *testing.T, data []byte) (first appScript, firstRun, warm scriptRun) {
+	h := fnv.New64a()
+	h.Write(data)
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	sc, other := newAppScript(rng), newAppScript(rng)
+	want := playScript(t, sc, nil)
+	var arena Arena
+	firstRun = playScript(t, other, &arena)
+	got := playScript(t, sc, &arena)
+	if !bytes.Equal(got.log, want.log) || !bytes.Equal(got.jsonl, want.jsonl) {
+		t.Fatalf("%v %s/%s, streams %+v, after %v %+v: a warm run differs from a fresh one's\nwarm  %s\nfresh %s",
+			sc.cfg.Mode, sc.cfg.Balance, sc.cfg.DevPolicy, sc.streams, other.cfg.Mode, other.streams, got.log, want.log)
+	}
+	return other, firstRun, got
+}
+
+// TestFrontendStepsSeeds holds FuzzFrontendSteps's committed corpus to what
+// each seed is kept for: seed-rain-cut and seed-cuda-cut play a Rain and a
+// CUDA script cut off at its horizon with applications live before a warm
+// run, and seed-kill one with a KillGPU fault.
+func TestFrontendStepsSeeds(t *testing.T) {
+	cut := func(m Mode) func(appScript, scriptRun) bool {
+		return func(sc appScript, r scriptRun) bool { return sc.cfg.Mode == m && r.finished < r.launched }
+	}
+	for _, c := range []struct {
+		name string
+		ok   func(appScript, scriptRun) bool
+	}{
+		{"seed-rain-cut", cut(ModeRain)},
+		{"seed-cuda-cut", cut(ModeCUDA)},
+		{"seed-kill", func(sc appScript, _ scriptRun) bool {
+			return slices.ContainsFunc(sc.cfg.Faults.Faults, func(f faults.Fault) bool { return f.Kind == faults.KillGPU })
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			raw, err := os.ReadFile("testdata/fuzz/FuzzFrontendSteps/" + c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+			data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+			if !ok || err != nil {
+				t.Fatalf("not a one-[]byte corpus file: %v", err)
+			}
+			first, firstRun, warm := playWarm(t, []byte(data))
+			if !c.ok(first, firstRun) || !warm.warm {
+				t.Errorf("the seed no longer plays what it is kept for: first %v, %d of %d finished, faults %v; warm %v",
+					first.cfg.Mode, firstRun.finished, firstRun.launched, first.cfg.Faults.Faults, warm.warm)
+			}
+		})
+	}
 }

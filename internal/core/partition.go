@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/rpcproto"
 	"repro/internal/sim"
 	"repro/internal/sim/shard"
 	"repro/internal/trace"
@@ -12,20 +11,17 @@ import (
 // i*appIDStride+1, i*appIDStride+2, ...
 const appIDStride = 1 << 32
 
-// shardEnv is one kernel's slice of the cluster: the kernel and its
-// coordinator handle, the recorder, result sink, frame pool and finished
-// connections, sessions and frontends local to it, and the app-ID/tenant
-// bookkeeping of the streams arriving at its nodes.
+// shardEnv is one kernel's slice of the cluster: the kernel with the free
+// lists of what runs on it (a slab, lent by Config.Arena for the first
+// kernel), its coordinator handle, the recorder, result sink, and the
+// app-ID/tenant bookkeeping of the streams arriving at its nodes.
 type shardEnv struct {
-	c         *Cluster
-	idx       int
-	k         *sim.Kernel
-	sh        *shard.Shard
-	rec       *trace.Recorder
-	pool      rpcproto.Pool
-	conns     rpcproto.ConnPool
-	sessions  []*session
-	frontends []*frontend
+	*slab // own, or the arena's
+	own   slab
+	c     *Cluster
+	idx   int
+	sh    *shard.Shard
+	rec   *trace.Recorder
 
 	results *RunResult
 	appSeq  int
@@ -85,10 +81,13 @@ func (c *Cluster) buildEnvs() {
 		if i > 0 && rec.Enabled() {
 			rec = trace.New()
 		}
-		c.envs = append(c.envs, &shardEnv{
-			c: c, idx: i, k: k, sh: c.coord.Shard(i), rec: rec,
-			results: newRunResult(),
-		})
+		e := &shardEnv{c: c, idx: i, sh: c.coord.Shard(i), rec: rec, results: newRunResult()}
+		e.slab = &e.own
+		if i == 0 && c.lent != nil {
+			e.slab = c.lent
+		}
+		e.k = k
+		c.envs = append(c.envs, e)
 	}
 	for n := range cfg.Nodes {
 		// Nodes are dealt round-robin onto the kernels: all onto the one
@@ -149,15 +148,21 @@ func (c *Cluster) Recorders() []*trace.Recorder {
 	return recs
 }
 
-// Close closes every kernel New created — the processes the run left parked
-// are unwound and no goroutine remains — and ends the cluster: devices and
-// results stay readable, it cannot run again. A Config.Kernel stays its
-// owner's to close. Safe to call more than once.
+// Close closes every kernel — the processes the run left parked are unwound
+// and no goroutine remains — and ends the cluster: devices and results stay
+// readable, it cannot run again. A kernel lent by Config.Arena goes back to
+// the arena, reset, with the sessions and frontends the run left live, and
+// belongs to the arena's next cluster from then on. Safe to call more than
+// once.
 func (c *Cluster) Close() {
-	for _, e := range c.envs {
-		if e.k != c.cfg.Kernel {
+	for i, e := range c.envs {
+		if i > 0 || c.cfg.Arena == nil {
 			e.k.Close()
 		}
+	}
+	if c.lent != nil {
+		c.cfg.Arena.put(c.lent)
+		c.lent = nil
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // TestReusedKernelAndSharedTracesReproduceFreshRun is the core-level reuse
-// guarantee the sweep engine depends on: a cluster built on a recycled
-// kernel (Config.Kernel) with a shared trace cache (Config.Traces) must
+// guarantee the sweep engine depends on: a cluster built on a slab an arena
+// lends (Config.Arena) with a shared trace cache (Config.Traces) must
 // produce a RunResult deeply equal to a cluster built from scratch.
 func TestReusedKernelAndSharedTracesReproduceFreshRun(t *testing.T) {
 	streams := []workload.StreamSpec{
@@ -28,13 +28,13 @@ func TestReusedKernelAndSharedTracesReproduceFreshRun(t *testing.T) {
 		fresh[i] = mustRun(t, cfg, streams)
 	}
 
-	// One kernel and one trace book recycled across all three runs — the
-	// sweep worker's steady state. Pollution from each run must not leak
-	// into the next.
-	k := sim.NewKernel(999)
+	// One arena and one trace book shared by all three runs — the sweep
+	// worker's steady state. Pollution from each run must not leak into the
+	// next.
+	var arena Arena
 	book := workload.NewTraceBook()
 	for i, cfg := range cfgs {
-		cfg.Kernel = k
+		cfg.Arena = &arena
 		cfg.Traces = book
 		got := mustRun(t, cfg, streams)
 		if !reflect.DeepEqual(got, fresh[i]) {

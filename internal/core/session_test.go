@@ -42,7 +42,7 @@ func (c *Cluster) refServeApp(p *sim.Proc, gid int, ep rpcproto.Endpoint) {
 	entry := new(devsched.Entry)
 	sched.Register(entry, appID, first.TenantID, int(first.Weight),
 		first.KernelName, func() int { return held + ep.InboxLen() })
-	port, err := c.openApp(gid, first, pool)
+	port, err := c.openApp(gid, first, pool, new(rainPort))
 	reply := pool.GetReply()
 	reply.Seq = first.Seq
 	reply.SetError(err)

@@ -62,11 +62,37 @@ func TestRainBackendsExitWithApps(t *testing.T) {
 	}
 }
 
+// An exited Rain or CUDA process gives its context back to the spare list and
+// its streams' newest-op events back to the kernel: two hundred applications
+// one after another on one GPU leave the device listing none of their
+// contexts and at most two spare ones — the last resident's and the one before
+// it — and the kernel holding none of its pooled events.
+func TestExitedProcessesAreReleased(t *testing.T) {
+	for _, mode := range []Mode{ModeRain, ModeCUDA} {
+		c, err := New(Config{Seed: 1, Nodes: []NodeConfig{{Devices: []gpu.Spec{gpu.TeslaC2050}}}, Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Run([]workload.StreamSpec{{Kind: workload.Gaussian, Count: 200, LambdaFactor: 3, Node: 0, Tenant: 1, Weight: 1}})
+		if err != nil || r.Finished != 200 {
+			t.Fatalf("%v: %v, finished %d of 200", mode, err, r.Finished)
+		}
+		d := c.Devices()[0]
+		if n, spare := d.Contexts(), c.envs[0].spares.Len(); n != 0 || spare > 2 {
+			t.Errorf("%v: the device lists %d contexts and %d are spare after 200 applications, want none and at most 2", mode, n, spare)
+		}
+		if made, free := c.K.PooledEvents(); made != free {
+			t.Errorf("%v: %d of the kernel's %d pooled events are held after the run", mode, made-free, made)
+		}
+		c.Close()
+	}
+}
+
 // A run holds no goroutine for its requests, and a closed cluster no process —
 // not for the requests it served, not for the service processes a drained run
 // leaves parked, not for the applications a horizon cut off mid-call — on
-// kernels New created; a caller's kernel keeps what a horizon left parked
-// until its own Close. Not skipped in -short: it is the leak gate.
+// its own kernels or on the one an arena lent it, which goes back reset. Not
+// skipped in -short: it is the leak gate.
 func TestCloseLeavesNoRequestGoroutines(t *testing.T) {
 	streams := []workload.StreamSpec{
 		{Kind: workload.Gaussian, Count: 12, LambdaFactor: 0.2, Node: 0, Tenant: 1, Weight: 1},
@@ -78,7 +104,7 @@ func TestCloseLeavesNoRequestGoroutines(t *testing.T) {
 		{Kind: workload.MonteCarlo, Count: 40, Lambda: sim.Second / 2, Node: 0, Tenant: 2, Weight: 1},
 	}
 	oneGPU := []NodeConfig{{Devices: []gpu.Spec{gpu.TeslaC2050}}}
-	own := sim.NewKernel(0)
+	own := &Arena{}
 	for _, tc := range []struct {
 		name    string
 		cfg     Config
@@ -86,9 +112,9 @@ func TestCloseLeavesNoRequestGoroutines(t *testing.T) {
 	}{
 		{"one kernel", Config{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin"}, 0},
 		{"sharded", Config{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin", Shards: 1}, 0},
-		{"caller's kernel", Config{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin", Kernel: own}, 0},
+		{"arena", Config{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin", Arena: own}, 0},
 		{"horizon", Config{Seed: 3, Nodes: oneGPU, Mode: ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, 40 * sim.Second},
-		{"horizon, caller's kernel", Config{Seed: 3, Nodes: oneGPU, Mode: ModeRain, Balance: "GRR", DevPolicy: "TFS", Kernel: own}, 40 * sim.Second},
+		{"horizon, arena", Config{Seed: 3, Nodes: oneGPU, Mode: ModeRain, Balance: "GRR", DevPolicy: "TFS", Arena: own}, 40 * sim.Second},
 	} {
 		for cycle := 0; cycle < 4; cycle++ {
 			before := runtime.NumGoroutine()
@@ -114,12 +140,6 @@ func TestCloseLeavesNoRequestGoroutines(t *testing.T) {
 			}
 			c.Close()
 			c.Close()
-			if tc.cfg.Kernel != nil {
-				if n := own.ProcCount(); tc.horizon > 0 && n == 0 {
-					t.Fatalf("%s cycle %d: Close ended the processes of the caller's kernel", tc.name, cycle)
-				}
-				own.Close()
-			}
 			if after := runtime.NumGoroutine() - before; after > 0 {
 				t.Fatalf("%s cycle %d: %d goroutines over the baseline after Close, want none", tc.name, cycle, after)
 			}

@@ -30,7 +30,7 @@ func (rt *Runtime) SetOwner(appID int) { rt.owner = appID }
 // small sequential integers, and the per-call map lookups they replace were a
 // measurable slice of the event hot path.
 type procCtx struct {
-	ctx     *gpu.Context
+	ctx     *gpu.Context  // nil until first touch
 	streams []*gpu.Stream // indexed by StreamID; nil = not created/destroyed
 	lastOp  []*sim.Event  // completion of the newest op per stream
 	next    StreamID
@@ -44,7 +44,6 @@ type procCtx struct {
 
 	events    map[EventID]*eventRec // lazily allocated on first EventCreate
 	nextEv    EventID
-	created   bool
 	evScratch []*sim.Event // the waits of a device-wide synchronize (syncDevice)
 }
 
@@ -56,7 +55,54 @@ type eventRec struct {
 // NewRuntime creates the runtime of a fresh host process seeing the given
 // devices (device ordinals are indices into the slice).
 func NewRuntime(k *sim.Kernel, devices []*gpu.Device, cfg Config) *Runtime {
-	return &Runtime{k: k, cfg: cfg, devices: devices, ctxs: make([]*procCtx, len(devices))}
+	rt := &Runtime{}
+	rt.Init(k, devices, cfg)
+	return rt
+}
+
+// Init makes *rt, held by value or reused once its process is over (Release),
+// the runtime of a fresh process as NewRuntime does; its context tables keep
+// their arrays. The contexts of a process that was not released are left to
+// their devices.
+func (rt *Runtime) Init(k *sim.Kernel, devices []*gpu.Device, cfg Config) {
+	ctxs := rt.ctxs[:cap(rt.ctxs)]
+	for _, pc := range ctxs {
+		if pc != nil {
+			pc.reset()
+		}
+	}
+	for len(ctxs) < len(devices) {
+		ctxs = append(ctxs, nil)
+	}
+	*rt = Runtime{k: k, cfg: cfg, devices: devices, ctxs: ctxs[:len(devices)]}
+}
+
+// Release ends the process: each of its contexts gives up the newest-op
+// events its streams hold, and one with no work left is destroyed on its
+// device, which may hand it to the next process. A context still running
+// work stays on its device. The runtime is left ready for Init.
+func (rt *Runtime) Release() {
+	for i, pc := range rt.ctxs {
+		if pc == nil || pc.ctx == nil {
+			continue
+		}
+		for _, ev := range pc.lastOp {
+			ev.Unref()
+		}
+		rt.devices[i].DestroyContext(pc.ctx)
+		pc.reset()
+	}
+}
+
+// reset forgets the context and everything in it, keeping the tables' arrays.
+func (pc *procCtx) reset() {
+	pc.ctx = nil
+	clear(pc.streams)
+	pc.streams = pc.streams[:0]
+	clear(pc.lastOp)
+	pc.lastOp = pc.lastOp[:0]
+	pc.live = pc.live[:0]
+	clear(pc.events)
 }
 
 // Kernel returns the kernel the runtime's devices run on.
@@ -68,17 +114,16 @@ func (t *Thread) ctx() *procCtx {
 	rt := t.rt
 	pc := rt.ctxs[t.dev]
 	if pc == nil {
-		pc = &procCtx{
-			ctx:    rt.devices[t.dev].NewContext(),
-			next:   1,
-			nextEv: 1,
-		}
+		pc = &procCtx{}
+		rt.ctxs[t.dev] = pc
+	}
+	if pc.ctx == nil {
+		pc.ctx = rt.devices[t.dev].NewContext()
+		pc.next, pc.nextEv = 1, 1
 		if rt.owner != 0 {
 			pc.ctx.Owner = rt.owner
 		}
-		rt.ctxs[t.dev] = pc
 		t.charge(rt.cfg.ContextCreate)
-		pc.created = true
 	}
 	return pc
 }

@@ -111,10 +111,11 @@ type Suite struct {
 	mu    sync.Mutex
 	cache map[string]*cacheEntry
 
-	// arena recycles kernels across scenarios so back-to-back runs on one
-	// worker reuse the event heap and ring backing arrays. A pooled kernel
-	// is reset and holds no goroutine, so a suite needs no Close.
-	arena parallel.KernelArena
+	// arena lends every scenario's cluster a warm kernel and free lists, so
+	// back-to-back runs on one worker reuse what the earlier ones built. A
+	// returned slab is reset and holds no goroutine, so a suite needs no
+	// Close.
+	arena core.Arena
 
 	// traces shares materialized arrival traces across scenarios — every
 	// policy of a figure replays the identical workload, so the streams
@@ -160,8 +161,7 @@ func (s *Suite) run(sc scenario) *core.RunResult {
 	s.mu.Unlock()
 	e.once.Do(func() {
 		pooled := core.NewRunResultForPooling()
-		sc.cfg.Kernel = s.arena.Get()
-		defer s.arena.Put(sc.cfg.Kernel)
+		sc.cfg.Arena = &s.arena
 		sc.cfg.Traces = s.traces
 		for rep := 0; rep < s.opt.Seeds; rep++ {
 			sc.cfg.Seed = s.repSeed(rep)
@@ -169,13 +169,13 @@ func (s *Suite) run(sc scenario) *core.RunResult {
 			if err != nil {
 				panic(fmt.Sprintf("experiments: %v", err))
 			}
-			defer c.Close()
 			var r *core.RunResult
 			if sc.horizon > 0 {
 				r, err = c.RunUntil(sc.streams, sc.horizon)
 			} else {
 				r, err = c.Run(sc.streams)
 			}
+			c.Close()
 			if err != nil {
 				panic(fmt.Sprintf("experiments: %v", err))
 			}

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -17,8 +18,9 @@ type Device struct {
 	spec Spec
 	id   int
 
-	contexts []*Context
-	nextCtx  int
+	contexts []*Context // the live ones, in id order
+	nextCtx  int        // the id the next context gets
+	spares   *Spares    // where destroyed contexts go (SetSpares); nil: nowhere
 	resident *Context
 	residing sim.Time // when the resident context became resident
 	draining bool     // stop dispatching: waiting to switch contexts
@@ -111,13 +113,14 @@ func (d *Device) Close() {
 // execute concurrently; switching the resident context costs
 // Spec.ContextSwitch.
 type Context struct {
-	dev        *Device
+	dev        *Device // nil while the context is spare
 	id         int
 	streams    []*Stream
 	spare      []*Stream // destroyed streams, for NewStream to reuse
 	ready      []*Stream // the streams with an op to dispatch, in id order (Stream.list)
 	nextStream int
-	pending    int // ops queued or running
+	pending    int  // ops queued or running
+	retired    bool // destroyed while resident: spare once residency moves on
 
 	// Owner attributes the context to an application (-1 when shared).
 	// When the driver switches to an owned context, the switch cost is
@@ -126,11 +129,72 @@ type Context struct {
 	Owner int
 }
 
-// NewContext creates a context on the device.
+// Spares is a free list of destroyed contexts, each with the streams it had,
+// for the devices that share it to reuse. Devices on one kernel may share
+// one (SetSpares), so that a context outlives the device it was made on; the
+// zero Spares is empty.
+type Spares struct{ ctxs []*Context }
+
+// Len returns the number of spare contexts.
+func (sp *Spares) Len() int { return len(sp.ctxs) }
+
+// SetSpares makes the device destroy contexts into sp and create them from
+// it. A device without one leaves its destroyed contexts to the collector.
+func (d *Device) SetSpares(sp *Spares) { d.spares = sp }
+
+// NewContext creates a context on the device, under the next id, reusing a
+// spare one and its streams. Ids rise, so creation order is id order.
 func (d *Device) NewContext() *Context {
-	c := &Context{dev: d, id: len(d.contexts), Owner: -1}
-	d.contexts = append(d.contexts, c)
+	var c *Context
+	if sp := d.spares; sp != nil && len(sp.ctxs) > 0 {
+		n := len(sp.ctxs)
+		c, sp.ctxs = sp.ctxs[n-1], sp.ctxs[:n-1]
+	} else {
+		c = &Context{}
+	}
+	c.dev, c.id, c.nextStream, c.Owner = d, d.nextCtx, 0, -1
+	d.nextCtx++
+	d.contexts = append(d.contexts, c) // bounded by peak live contexts
 	return c
+}
+
+// Contexts returns how many contexts the device lists: created and not
+// destroyed.
+func (d *Device) Contexts() int { return len(d.contexts) }
+
+// DestroyContext removes an idle context from the device with its streams,
+// the counterpart of DestroyStream for a process that has exited, so that
+// the device does not scan one dead context per process it has served. The
+// context leaves the device's list at once, and becomes spare for NewContext
+// on any device sharing the spare list once it is neither resident nor being
+// switched to: the driver compares the next context with the resident one to
+// decide whether a switch is charged. A context with queued or running work
+// is left in place.
+func (d *Device) DestroyContext(c *Context) {
+	if c == nil || c.dev != d || c.retired || c.pending > 0 {
+		return
+	}
+	i := slices.Index(d.contexts, c)
+	d.contexts = slices.Delete(d.contexts, i, i+1)
+	for _, s := range c.streams {
+		s.ctx = nil
+	}
+	c.spare = append(c.spare, c.streams...) // bounded by peak live streams
+	clear(c.streams)
+	c.streams = c.streams[:0]
+	if c == d.resident || c == d.switching {
+		c.retired = true
+		return
+	}
+	d.spare(c)
+}
+
+// spare gives a destroyed context to the spare list.
+func (d *Device) spare(c *Context) {
+	c.dev, c.retired = nil, false
+	if d.spares != nil {
+		d.spares.ctxs = append(d.spares.ctxs, c) // bounded by peak live contexts
+	}
 }
 
 // Stream is an in-order op queue within a context; ops on different streams
@@ -182,7 +246,9 @@ func (c *Context) NewStream() *Stream {
 	} else {
 		s = &Stream{}
 	}
-	s.ctx, s.id = c, c.nextStream
+	// A spare stream may have served another device, where its application's
+	// id meant another record: its accounting cache starts over.
+	s.ctx, s.id, s.acct = c, c.nextStream, nil
 	c.nextStream++
 	c.streams = append(c.streams, s)
 	return s
@@ -583,6 +649,9 @@ func (d *Device) trySwitch(now sim.Time) bool {
 func (d *Device) finishSwitch(now sim.Time) {
 	next := d.switching
 	d.switching = nil
+	if old := d.resident; old.retired {
+		d.spare(old)
+	}
 	d.advance(now)
 	if next.Owner >= 0 {
 		// The incoming context's owner "pays" for the switch, mirroring
@@ -600,19 +669,20 @@ func (d *Device) finishSwitch(now sim.Time) {
 // context if it still has work and its slice is valid, otherwise the next
 // context with pending work in cyclic id order after the resident.
 func (d *Device) nextPendingContext() *Context {
-	n := len(d.contexts)
-	if n == 0 {
-		return nil
-	}
 	start := 0
-	if d.resident != nil {
-		start = d.resident.id + 1
+	if r := d.resident; r != nil {
 		// Respect the slice: prefer the resident while it has work and
 		// slice remains.
-		if d.resident.pending > 0 && d.k.Now()-d.residing < d.spec.TimeSlice {
-			return d.resident
+		if r.pending > 0 && d.k.Now()-d.residing < d.spec.TimeSlice {
+			return r
+		}
+		// The live contexts are in id order; start after the resident's id,
+		// which a destroyed resident keeps.
+		for start < len(d.contexts) && d.contexts[start].id <= r.id {
+			start++
 		}
 	}
+	n := len(d.contexts)
 	for i := 0; i < n; i++ {
 		c := d.contexts[(start+i)%n]
 		if c.pending > 0 {

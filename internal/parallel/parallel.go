@@ -3,9 +3,11 @@
 // loop runs one activation at a time and a sharded run steps its kernels in turn
 // (DESIGN.md §8 rule 4, §15). What fans out across host cores is whole,
 // independent simulations, and it goes through this package: Do/Map/Workers
-// (the repository's one worker-pool goroutine site and its //lint:allow rawgo
-// justification), KernelArena (kernels recycled between the runs of a pool)
-// and Stopwatch (the bench harnesses' wall clock).
+// (the repository's one worker-pool goroutine site) and Stopwatch (the bench
+// harnesses' wall clock). The package imports nothing of the simulator, so
+// the determinism lint's goroutine and wall-clock rules stop at its boundary
+// by construction. What the runs of a pool recycle between them is
+// core.Arena's.
 //
 // The determinism contract: callers hand Do/Map a body whose iterations are
 // fully independent — each builds its own cluster and kernel, shares no
@@ -79,7 +81,7 @@ func Do(n, workers int, fn func(i int)) {
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		label := pprof.Labels("parallel_worker", strconv.Itoa(w))
-		go func() { //lint:allow rawgo -- the blessed worker pool: each iteration owns a private cluster and kernel and shares nothing with the simulated world (package doc)
+		go func() {
 			defer wg.Done()
 			pprof.Do(context.Background(), label, func(context.Context) {
 				for {

@@ -5,24 +5,23 @@ import "time"
 // Stopwatch measures host wall time around whole simulations. It exists so
 // the bench harnesses have one audited place to touch the wall clock: the
 // measured duration is reporting output only and never reaches simulated
-// state, which is the standing justification for the simclock suppressions
-// below. Code outside benchmarking should not need it.
+// state. Code outside benchmarking should not need it.
 type Stopwatch struct {
-	start time.Time //lint:allow simclock -- bench harness stopwatch: wall time measures the simulator itself and never reaches simulated state
+	start time.Time
 }
 
 // StartStopwatch begins timing.
 func StartStopwatch() Stopwatch {
-	return Stopwatch{start: time.Now()} //lint:allow simclock -- bench harness stopwatch: wall time measures the simulator itself and never reaches simulated state
+	return Stopwatch{start: time.Now()}
 }
 
 // Seconds returns the wall seconds elapsed since the stopwatch started.
 func (s Stopwatch) Seconds() float64 {
-	return time.Since(s.start).Seconds() //lint:allow simclock -- bench harness stopwatch: wall time measures the simulator itself and never reaches simulated state
+	return time.Since(s.start).Seconds()
 }
 
 // Nanoseconds returns the wall nanoseconds elapsed since the stopwatch
 // started.
 func (s Stopwatch) Nanoseconds() int64 {
-	return time.Since(s.start).Nanoseconds() //lint:allow simclock -- bench harness stopwatch: wall time measures the simulator itself and never reaches simulated state
+	return time.Since(s.start).Nanoseconds()
 }

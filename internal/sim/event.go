@@ -30,8 +30,14 @@ func (k *Kernel) NewPooledEvent() *Event {
 		e.refs = 1
 		return e
 	}
+	k.evMade++
 	return &Event{k: k, pooled: true, refs: 1} // pool grow-on-miss: amortized to zero once the free list reaches peak occupancy
 }
+
+// PooledEvents returns how many pooled events the kernel has made and how many
+// of them are back on its free list. The rest are held — by their owners, or
+// for good by whatever a run cut off at its horizon left holding them.
+func (k *Kernel) PooledEvents() (made, free int) { return k.evMade, len(k.evFree) }
 
 // Ref takes an additional reference on a pooled event. It is a no-op on nil
 // and unpooled events, so callers need not distinguish.

@@ -78,8 +78,9 @@ type Kernel struct {
 
 	// evFree recycles pooled events (NewPooledEvent); kept across Reset so a
 	// reused kernel skips the ramp-up allocations, like the heap and ring
-	// backing arrays.
+	// backing arrays. evMade counts the pooled events made.
 	evFree []*Event
+	evMade int
 
 	// tslots holds the payloads of armed timers; tfree heads the free list
 	// threaded through the vacant slots, -1 when there is none (timer.go).
