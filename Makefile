@@ -101,10 +101,10 @@ bench:
 # worker pool, the kernel, the shard coordinator, the analytic fast-forward
 # layer, the analysis framework, the device model, the device scheduler, the
 # Affinity Mapper, the cluster tier, core, the fault injector, the
-# application models, the report renderer, the experiment runners, and the
-# marshalled-call path: CUDA interposer, cuda runtime, wire protocol and
-# executor, Context Packer, the TCP wire probe) drops
-# below 85% statement coverage. The device scheduler's reference policies live
+# application models, the report renderer, the experiment runners, the
+# scenario text form, and the marshalled-call path: CUDA interposer, cuda
+# runtime, wire protocol and executor, Context Packer, the TCP wire probe)
+# drops below 85% statement coverage. The device scheduler's reference policies live
 # in _test.go files and do not count. The profile lands in $(BIN)/cover.out
 # for CI to upload.
 cover:
@@ -117,13 +117,15 @@ cover:
 		repro/internal/core repro/internal/cuda repro/internal/rpcproto \
 		repro/internal/packer repro/internal/remoting repro/internal/devsched \
 		repro/internal/balancer repro/internal/faults repro/internal/interpose \
-		repro/internal/workload repro/internal/report repro/internal/experiments
+		repro/internal/workload repro/internal/report repro/internal/experiments \
+		repro/internal/scenario
 
 # Short fuzz pass over every native fuzz target: the kernel's schedule
 # against its one-heap reference, a frontend script on a fresh cluster against
-# the same script on a warm arena slab after another, the wire codec, the framing
-# layer and the trace encoders each get 10s of coverage-guided input on top of
-# the committed corpus under testdata/fuzz/.
+# the same script on a warm arena slab after another, the wire codec, the
+# framing layer, the trace encoders and the arrival and scenario text forms
+# each get 10s of coverage-guided input on top of the committed corpus under
+# testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelSchedule -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzFrontendSteps -fuzztime 10s ./internal/core/
@@ -135,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpanEncode -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzEventEncode -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzOpenArrivalSpec -fuzztime 10s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz FuzzScenarioRoundTrip -fuzztime 10s ./internal/scenario/
 
 # The repo benchmark (BENCHMARK.json, benchmark/README.md): all four
 # workloads at the shortest accepted run length, results and the per-layer

@@ -4,7 +4,7 @@
 //
 //	strings-bench [-exp all|table1|fig1|fig2|fig9|fig10|fig11|fig12|fig13|fig14|fig15|headline|frag|ablations|faults|cluster]
 //	              [-requests N] [-lambda F] [-seed S] [-pairs N] [-width W]
-//	              [-parallel N] [-seeds N] [-cluster-spec SPEC]
+//	              [-parallel N] [-seeds N] [-scenario SCENARIO]
 //	              [-csv] [-html out.html]
 //	              [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
@@ -19,9 +19,10 @@
 //
 // Two experiments are opt-in: excluded from -exp all, they run only when
 // named. faults is the degradation study (a node killed mid-run). cluster
-// is the cluster-tier study: open-arrival tenants from -cluster-spec placed
-// over a three-supernode fleet, one run per placement policy, reported as
-// one table with a series per policy.
+// is the cluster-tier study: -scenario's open-arrival tenants placed over its
+// supernodes (internal/scenario's text form; by default three two-node
+// supernodes of Quadro 2000 + Tesla C2050 pairs), one run per placement
+// policy, reported as one table with a series per policy.
 //
 // -parallel bounds how many experiment cells (or supernode runs) execute
 // concurrently (0 = GOMAXPROCS, 1 = sequential). Output is byte-identical
@@ -41,42 +42,28 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/report"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
-// clusterFleet is the -exp cluster fleet: three two-node supernodes of
-// Quadro 2000 + Tesla C2050 pairs (48 admission slots at the default 4
-// slots/device) — the same shape the internal/cluster invariance suite pins.
-func clusterFleet() []cluster.Supernode {
-	sn := cluster.Supernode{Nodes: []core.NodeConfig{
-		{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}},
-		{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}},
-	}}
-	return []cluster.Supernode{sn, sn, sn}
-}
-
-// clusterTable runs the cluster-tier scenario once per placement policy —
-// open-arrival tenants from spec placed over clusterFleet — and tabulates
-// the admission counters, volume and latency tail with one series per
-// policy. Every value is simulated, so the table is identical at any
-// workers setting.
-func clusterTable(spec workload.OpenArrivalSpec, seed int64, workers int) (*metrics.Table, error) {
+// clusterTable runs the cluster-tier scenario once per placement policy and
+// tabulates the admission counters, volume and latency tail with one series
+// per policy (the scenario's own policy= is not read). Every value is
+// simulated, so the table is identical at any workers setting.
+func clusterTable(sc scenario.Scenario, workers int) (*metrics.Table, error) {
 	tab := &metrics.Table{
-		Title: "Cluster tier: 3-supernode fleet, " + spec.String(),
+		Title: fmt.Sprintf("Cluster tier: %d-supernode fleet, %v", sc.Supernodes, sc.Arrivals),
 		Labels: []string{"born", "placed", "parked", "rejected", "conflicts",
 			"requests", "events", "p50 s", "p99 s", "p999 s", "fairness"},
 	}
 	for _, policy := range cluster.Policies() {
-		r, err := cluster.Run(cluster.Config{
-			Seed: seed, Supernodes: clusterFleet(), Policy: policy,
-			Arrivals: spec, Workers: workers,
-		})
+		cfg := sc.Cluster()
+		cfg.Policy, cfg.Workers = policy, workers
+		r, err := cluster.Run(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -113,8 +100,8 @@ func run(args []string, out, errOut io.Writer) int {
 	htmlOut := fs.String("html", "", "also write an HTML report with SVG charts to this path")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this path on exit")
-	clusterSpec := fs.String("cluster-spec", "poisson:rate=0.5,horizon=2400s,kind=GA,life=80s,lambda=800ms,bigevery=16,bigslots=2",
-		"open-arrival spec for -exp cluster (process:key=value,...)")
+	clusterText := fs.String("scenario", "supernodes=3;fleet=Quadro2000+TeslaC2050/Quadro2000+TeslaC2050;arrivals=poisson:rate=0.5,horizon=2400s,kind=GA,life=80s,lambda=800ms,bigevery=16,bigslots=2;seed=1",
+		"the cluster-tier run of -exp cluster, in internal/scenario's text form")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
@@ -130,9 +117,12 @@ func run(args []string, out, errOut io.Writer) int {
 		fmt.Fprintf(errOut, "invalid -pairs %d\nvalid range: 1..%d (a prefix of the workload pairs A..X)\n", *pairs, len(allPairs))
 		return 1
 	}
-	arrivals, err := workload.ParseOpenArrivalSpec(*clusterSpec)
+	clusterRun, err := scenario.Parse(*clusterText)
+	if err == nil && clusterRun.Supernodes == 0 {
+		err = fmt.Errorf("no supernodes= (a single deployment runs under strings-run)")
+	}
 	if err != nil {
-		fmt.Fprintf(errOut, "invalid -cluster-spec: %v\n", err)
+		fmt.Fprintf(errOut, "invalid -scenario: %v\n", err)
 		return 1
 	}
 
@@ -220,7 +210,7 @@ func run(args []string, out, errOut io.Writer) int {
 		)},
 		{name: "faults", extra: true, fn: tables(suite.Faults)},
 		{name: "cluster", extra: true, fn: func() error {
-			t, err := clusterTable(arrivals, *seed, *parallelN)
+			t, err := clusterTable(clusterRun, *parallelN)
 			if err != nil {
 				return err
 			}

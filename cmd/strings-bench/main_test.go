@@ -27,8 +27,10 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 			[]string{"invalid -pairs 0", "valid range: 1..24"}},
 		{"unknown experiment", []string{"-exp", "fig99"},
 			[]string{"unknown experiment", "table1", "fig9", "opt-in", "faults, cluster"}},
-		{"bad cluster spec", []string{"-exp", "cluster", "-cluster-spec", "lunar:rate=1"},
-			[]string{"-cluster-spec", "unknown arrival process"}},
+		{"bad cluster spec", []string{"-exp", "cluster", "-scenario", "supernodes=3;arrivals=lunar:rate=1"},
+			[]string{"invalid -scenario", "unknown arrival process"}},
+		{"single-deployment scenario", []string{"-exp", "cluster", "-scenario", "streams=MC:8"},
+			[]string{"invalid -scenario", "no supernodes="}},
 		{"unparsable flag", []string{"-requests", "xyz"}, []string{"invalid value"}},
 	}
 	for _, tc := range cases {
@@ -70,7 +72,7 @@ func TestRunClusterExperiment(t *testing.T) {
 		t.Helper()
 		args := append([]string{
 			"-exp", "cluster", "-csv",
-			"-cluster-spec", "poisson:rate=0.8,horizon=40s,kind=GA,life=12s,lambda=1s",
+			"-scenario", "supernodes=3;fleet=Quadro2000+TeslaC2050/Quadro2000+TeslaC2050;arrivals=poisson:rate=0.8,horizon=40s,kind=GA,life=12s,lambda=1s",
 		}, extra...)
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 0 {

@@ -10,22 +10,22 @@ import (
 )
 
 // TestRunRejectsInvalidFlags pins the CLI's failure mode: every invalid
-// flag value exits 1 and the error names the valid alternatives, matching
-// strings-bench's -exp behavior.
+// scenario key or flag value exits 1 and the error names the valid
+// alternatives, matching strings-bench's -exp behavior.
 func TestRunRejectsInvalidFlags(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
 		want []string // substrings the stderr message must contain
 	}{
-		{"unknown kind", []string{"-kind", "ZZ"}, []string{"unknown benchmark", "MC", "DC", "SN"}},
-		{"unknown mode", []string{"-mode", "vulkan"}, []string{"unknown mode", "cuda", "rain", "strings"}},
-		{"unknown balance", []string{"-balance", "BOGUS"}, []string{"unknown balancing policy", "GRR", "GMin", "MBF"}},
-		{"zero count", []string{"-count", "0"}, []string{"-count must be at least 1"}},
-		{"negative count", []string{"-count", "-3"}, []string{"-count must be at least 1"}},
+		{"unknown kind", []string{"-scenario", "streams=ZZ:6"}, []string{"unknown benchmark", "MC", "DC", "SN"}},
+		{"unknown mode", []string{"-scenario", "streams=MC:6;mode=vulkan"}, []string{"unknown mode", "cuda", "rain", "strings"}},
+		{"unknown balance", []string{"-scenario", "streams=MC:6;balance=BOGUS"}, []string{"unknown balancing policy", "GRR", "GMin", "MBF"}},
+		{"zero count", []string{"-scenario", "streams=MC:0"}, []string{"count must be at least 1"}},
+		{"negative count", []string{"-scenario", "streams=MC:-3"}, []string{"count must be at least 1"}},
 		{"zero width", []string{"-width", "0"}, []string{"-width must be at least 1"}},
-		{"zero lambda", []string{"-lambda", "0"}, []string{"-lambda must be positive"}},
-		{"unparsable flag", []string{"-count", "xyz"}, []string{"invalid value"}},
+		{"zero lambda", []string{"-scenario", "streams=MC:6;lambda=0"}, []string{"lambda", "is not a positive number"}},
+		{"unparsable flag", []string{"-width", "xyz"}, []string{"invalid value"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,7 +50,7 @@ func TestRunHappyPath(t *testing.T) {
 	jsonlPath := filepath.Join(dir, "trace.jsonl")
 	var stdout, stderr bytes.Buffer
 	args := []string{
-		"-kind", "MC", "-count", "2", "-mode", "strings", "-balance", "GMin",
+		"-scenario", "streams=MC:2;mode=strings;balance=GMin",
 		"-trace", chromePath, "-jsonl", jsonlPath, "-audit",
 	}
 	if code := run(args, &stdout, &stderr); code != 0 {
@@ -103,7 +103,7 @@ func TestRunDeterministic(t *testing.T) {
 	invoke := func(tag string) (string, []byte) {
 		path := filepath.Join(dir, tag+".jsonl")
 		var stdout, stderr bytes.Buffer
-		args := []string{"-count", "3", "-jsonl", path}
+		args := []string{"-scenario", "streams=MC:3;lambda=0.4", "-jsonl", path}
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("run(%v) = %d, stderr:\n%s", args, code, stderr.String())
 		}

@@ -10,28 +10,23 @@ import (
 	"path/filepath"
 
 	"repro/internal/core"
-	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/report"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
 func main() {
-	cluster, err := core.New(core.Config{
-		Seed: 77,
-		Nodes: []core.NodeConfig{
-			{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}},
-		},
-		Mode:    core.ModeStrings,
-		Balance: "MBF",
-	})
+	sc, err := scenario.Parse("fleet=Quadro2000+TeslaC2050;mode=strings;balance=MBF;streams=HI:5,MC:10;lambda=0.5;seed=77")
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := cluster.Run([]workload.StreamSpec{
-		{Kind: workload.Histogram, Count: 5, LambdaFactor: 0.5, Node: 0, Tenant: 1, Weight: 1},
-		{Kind: workload.MonteCarlo, Count: 10, LambdaFactor: 0.5, Node: 0, Tenant: 2, Weight: 1},
-	})
+	cfg, streams := sc.Core()
+	cluster, err := core.New(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r, err := cluster.Run(streams)
 	if err != nil {
 		log.Fatal(err)
 	}

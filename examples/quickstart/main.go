@@ -10,49 +10,36 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/gpu"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 func main() {
-	stream := []workload.StreamSpec{{
-		Kind:         workload.MonteCarlo,
-		Count:        8,
-		LambdaFactor: 0.5, // mean inter-arrival = half the solo runtime
-		Node:         0,
-		Tenant:       1,
-		Weight:       1,
-	}}
-
-	configs := []struct {
-		label string
-		mode  core.Mode
-		dev   string
-	}{
-		{"CUDA runtime (static provisioning)", core.ModeCUDA, ""},
-		{"Rain (GMin balancing)", core.ModeRain, "none"},
-		{"Strings (GMin balancing + PS scheduling)", core.ModeStrings, "PS"},
+	// One node with a Quadro 2000 and a Tesla C2050 (the scenario default);
+	// 8 Monte Carlo requests, mean inter-arrival half the solo runtime.
+	const run = "streams=MC:8;lambda=0.5;seed=42"
+	configs := []struct{ label, scenario string }{
+		{"CUDA runtime (static provisioning)", "mode=cuda"},
+		{"Rain (GMin balancing)", "mode=rain"},
+		{"Strings (GMin balancing + PS scheduling)", "mode=strings;dev=PS"},
 	}
 
 	fmt.Println("8 Monte Carlo requests, one node with a Quadro 2000 and a Tesla C2050")
 	fmt.Println()
 	var baseline sim.Time
 	for _, c := range configs {
-		cluster, err := core.New(core.Config{
-			Seed: 42,
-			Nodes: []core.NodeConfig{{Devices: []gpu.Spec{
-				gpu.Quadro2000, gpu.TeslaC2050,
-			}}},
-			Mode:      c.mode,
-			Balance:   "GMin",
-			DevPolicy: c.dev,
-		})
+		sc, err := scenario.Parse(c.scenario + ";" + run)
+		if err != nil {
+			log.Fatal(err)
+		}
+		cfg, streams := sc.Core()
+		cluster, err := core.New(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer cluster.Close()
-		r, err := cluster.Run(stream)
+		r, err := cluster.Run(streams)
 		if err != nil {
 			log.Fatal(err)
 		}

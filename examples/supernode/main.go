@@ -13,29 +13,24 @@ import (
 
 	"repro/internal/balancer"
 	"repro/internal/core"
-	"repro/internal/gpu"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 func run(balance string) (*core.RunResult, *core.Cluster) {
-	cluster, err := core.New(core.Config{
-		Seed: 11,
-		Nodes: []core.NodeConfig{
-			{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}},
-			{Devices: []gpu.Spec{gpu.Quadro4000, gpu.TeslaC2070}},
-		},
-		Mode:    core.ModeStrings,
-		Balance: balance,
-	})
+	sc, err := scenario.Parse("fleet=Quadro2000+TeslaC2050/Quadro4000+TeslaC2070;mode=strings;" +
+		"streams=HI:6,MC:10@1;lambda=0.5;seed=11;balance=" + balance)
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := cluster.Run([]workload.StreamSpec{
-		{Kind: workload.Histogram, Count: 6, LambdaFactor: 0.5, Node: 0, Tenant: 1, Weight: 1},
-		{Kind: workload.MonteCarlo, Count: 10, LambdaFactor: 0.5, Node: 1, Tenant: 2, Weight: 1},
-	})
+	cfg, streams := sc.Core()
+	cluster, err := core.New(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r, err := cluster.Run(streams)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"crypto/sha256"
@@ -7,24 +7,25 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
-// goldenCfg is the pinned golden scenario: three two-node supernodes under a
-// short big-tenant Poisson arrival mix, traced.
-func goldenCfg(policy string) Config {
-	return Config{
-		Seed:       3,
-		Supernodes: []Supernode{testSupernode(), testSupernode(), testSupernode()},
-		Policy:     policy,
-		Arrivals: workload.OpenArrivalSpec{
-			Process: workload.ProcPoisson, Rate: 1.2, Horizon: 100 * sim.Second,
-			Kind: workload.Gaussian, MeanLife: 25 * sim.Second, Lambda: sim.Second,
-			BigEvery: 4, BigSlots: 5,
-		},
-		Traced: true,
+// goldenScenario is the pinned golden scenario: three two-node supernodes
+// under a short big-tenant Poisson arrival mix.
+const goldenScenario = "supernodes=3;fleet=Quadro2000+TeslaC2050/Quadro2000+TeslaC2050;" +
+	"arrivals=poisson:rate=1.2,horizon=100s,kind=GA,life=25s,lambda=1s,bigevery=4,bigslots=5;seed=3"
+
+// goldenCfg is the golden scenario's run under policy, traced.
+func goldenCfg(t testing.TB, policy string) cluster.Config {
+	sc, err := scenario.Parse(goldenScenario + ";policy=" + policy)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg := sc.Cluster()
+	cfg.Traced = true
+	return cfg
 }
 
 // clusterGolden pins the scenario's float metrics per policy to the exact
@@ -53,7 +54,7 @@ var clusterGoldenSHA = map[string]string{
 }
 
 // goldenVector extracts the pinned float metrics from a result.
-func goldenVector(r *Result) []float64 {
+func goldenVector(r *cluster.Result) []float64 {
 	v := []float64{
 		sim.Time(r.P50).Seconds(), sim.Time(r.P99).Seconds(), sim.Time(r.P999).Seconds(),
 		r.Fairness,
@@ -66,7 +67,7 @@ func goldenVector(r *Result) []float64 {
 }
 
 // goldenInts extracts the pinned counters from a result.
-func goldenInts(r *Result) []int {
+func goldenInts(r *cluster.Result) []int {
 	return []int{
 		r.Log.Born, r.Log.Placed, r.Log.Parked, r.Log.Rejected, r.Log.Conflicts,
 		r.Requests, r.Finished, int(r.Events),
@@ -74,7 +75,7 @@ func goldenInts(r *Result) []int {
 }
 
 // goldenTrace concatenates the per-supernode traces and hashes them.
-func goldenTrace(r *Result) string {
+func goldenTrace(r *cluster.Result) string {
 	var all []byte
 	for _, sn := range r.Supernodes {
 		all = append(all, sn.TraceJSONL...)
@@ -91,18 +92,18 @@ func TestClusterGolden(t *testing.T) {
 	const tol = 1e-9 // golden floats carry 12 significant digits
 	variants := []struct {
 		name   string
-		mutate func(*Config)
+		mutate func(*cluster.Config)
 	}{
-		{"reused-kernels", func(*Config) {}},
-		{"sequential", func(c *Config) { c.Workers = 1 }},
-		{"parallel-8", func(c *Config) { c.Workers = 8 }},
+		{"reused-kernels", func(*cluster.Config) {}},
+		{"sequential", func(c *cluster.Config) { c.Workers = 1 }},
+		{"parallel-8", func(c *cluster.Config) { c.Workers = 8 }},
 	}
-	for _, policy := range Policies() {
-		var base *Result
+	for _, policy := range cluster.Policies() {
+		var base *cluster.Result
 		for vi, v := range variants {
-			cfg := goldenCfg(policy)
+			cfg := goldenCfg(t, policy)
 			v.mutate(&cfg)
-			r, err := Run(cfg)
+			r, err := cluster.Run(cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", policy, v.name, err)
 			}

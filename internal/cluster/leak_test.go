@@ -1,20 +1,21 @@
-package cluster
+package cluster_test
 
 import (
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
 // TestRunLeavesNothingBehind is the cluster tier's leak gate, -short
-// included: its kernel arena resets every kernel it takes back, so Run
+// included: its kernel arena resets every kernel it takes back, so cluster.Run
 // returns with the goroutine count it found, and its supernodes' clusters
 // are garbage once the result
 // is dropped — run after run the process stays the size the first left it.
 func TestRunLeavesNothingBehind(t *testing.T) {
-	cfg := goldenCfg("least-loaded")
+	cfg := goldenCfg(t, "least-loaded")
 	cfg.Traced = false
 	cfg.Workers = 2
 	cfg.Arrivals.Horizon = 30 * sim.Second
@@ -26,7 +27,7 @@ func TestRunLeavesNothingBehind(t *testing.T) {
 	}
 	run := func() {
 		before := runtime.NumGoroutine()
-		r, err := Run(cfg)
+		r, err := cluster.Run(cfg)
 		if err != nil || r.Finished == 0 {
 			t.Fatalf("run: %v, %+v", err, r)
 		}
@@ -36,7 +37,7 @@ func TestRunLeavesNothingBehind(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		if n > before {
-			t.Fatalf("Run returned with %d goroutines, %d before it", n, before)
+			t.Fatalf("cluster.Run returned with %d goroutines, %d before it", n, before)
 		}
 	}
 	run()

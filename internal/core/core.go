@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/balancer"
 	"repro/internal/cuda"
@@ -55,17 +54,6 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
-}
-
-// ModeByName resolves a mode name ("CUDA", "Rain", "Strings") to its Mode,
-// case-insensitively.
-func ModeByName(name string) (Mode, bool) {
-	for m := ModeCUDA; m <= ModeStrings; m++ {
-		if strings.EqualFold(m.String(), name) {
-			return m, true
-		}
-	}
-	return 0, false
 }
 
 // NodeConfig describes one server node.
@@ -220,10 +208,10 @@ type mapperMsg struct {
 
 	// node is the sender's node and at the instant the message reaches the
 	// mapper's queue. Selections and failure reports are answered: the
-	// verdict fires done on the sender's node (see Cluster.reply).
+	// verdict calls done on the sender's node (see Cluster.reply).
 	node int
 	at   sim.Time
-	done *sim.Event
+	done func()
 }
 
 // New builds a cluster per cfg. The kernels, devices, gPool, mapper service

@@ -56,19 +56,19 @@ func (c *Cluster) newMapperMsg() *mapperMsg {
 	return &mapperMsg{} // pool grow-on-miss: bounded by peak undelivered messages
 }
 
-// reply fires a mapper verdict's completion event on the requester's node.
+// reply calls a mapper verdict's completion on the requester's node.
 func (c *Cluster) reply(m mapperMsg) {
 	if m.node == mapperNode {
-		m.done.Fire()
+		m.done()
 		return
 	}
-	c.nodes[mapperNode].e.sh.SendFire(c.nodes[m.node].e.idx, c.cfg.RemoteLink.Latency, m.done)
+	c.nodes[mapperNode].e.sh.Send(c.nodes[m.node].e.idx, c.cfg.RemoteLink.Latency, m.done)
 }
 
 // SelectGPU implements interpose.Fabric. Requests from tenants with a
 // slice profile are enriched with the profile's demand here, so the
 // interposer stays slice-agnostic.
-func (f *nodeFabric) SelectGPU(req balancer.Request, gid *balancer.GID, done *sim.Event) {
+func (f *nodeFabric) SelectGPU(req balancer.Request, gid *balancer.GID, done func()) {
 	f.toMapper(mapperMsg{req: f.c.sliceDemand(req), out: gid, done: done})
 }
 
@@ -118,8 +118,8 @@ func (f *nodeFabric) ReportFeedback(gid balancer.GID, kind string, fb *rpcproto.
 }
 
 // ReportFailure implements interpose.Fabric: it relays one failed call to
-// the affinity mapper's failure detector, whose verdict fires done.
-func (f *nodeFabric) ReportFailure(gid balancer.GID, h *balancer.Health, done *sim.Event) {
+// the affinity mapper's failure detector, whose verdict calls done.
+func (f *nodeFabric) ReportFailure(gid balancer.GID, h *balancer.Health, done func()) {
 	f.toMapper(mapperMsg{fail: true, hGID: gid, hOut: h, done: done})
 }
 

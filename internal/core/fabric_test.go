@@ -43,7 +43,7 @@ func TestCrossNodeReportsPayTheLink(t *testing.T) {
 			// The interposer's round trip: the hop each way is the caller's.
 			hop, done := f.SelectHop(), c.K.NewEvent()
 			p.Sleep(hop)
-			f.SelectGPU(balancer.Request{AppID: 900 + node, Kind: "GA", Node: node, Tenant: 1}, &gids[node], done)
+			f.SelectGPU(balancer.Request{AppID: 900 + node, Kind: "GA", Node: node, Tenant: 1}, &gids[node], done.Fire)
 			p.Wait(done)
 			p.Sleep(hop)
 			selected[node] = p.Now()
@@ -90,7 +90,7 @@ func TestCrossNodeReportsPayTheLink(t *testing.T) {
 		c.K.Go("detector", func(p *sim.Proc) {
 			p.Sleep(failAt - p.Now())
 			verdict := c.K.NewEvent()
-			f.ReportFailure(balancer.GID(2+node), &health[node], verdict)
+			f.ReportFailure(balancer.GID(2+node), &health[node], verdict.Fire)
 			p.Wait(verdict)
 			took[node] = p.Now() - failAt
 			p.Sleep(sim.Millisecond)
@@ -142,9 +142,9 @@ func TestMapperServesOneInstantInNodeOrder(t *testing.T) {
 	}
 	c.K.Go("poster", func(p *sim.Proc) {
 		p.Sleep(arriveAt - lat - p.Now())
-		c.nodes[1].SelectGPU(balancer.Request{AppID: 901, Kind: "GA", Node: 1, Tenant: 1}, &gids[1], done[1])
+		c.nodes[1].SelectGPU(balancer.Request{AppID: 901, Kind: "GA", Node: 1, Tenant: 1}, &gids[1], done[1].Fire)
 		p.Sleep(lat)
-		c.nodes[0].SelectGPU(balancer.Request{AppID: 900, Kind: "GA", Node: 0, Tenant: 1}, &gids[0], done[0])
+		c.nodes[0].SelectGPU(balancer.Request{AppID: 900, Kind: "GA", Node: 0, Tenant: 1}, &gids[0], done[0].Fire)
 	})
 	c.K.RunUntil(arriveAt + sim.Millisecond)
 	if c.mapQ.Len() != 0 || len(c.mapPend) != 0 {

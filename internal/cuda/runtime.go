@@ -26,20 +26,22 @@ type Runtime struct {
 func (rt *Runtime) SetOwner(appID int) { rt.owner = appID }
 
 // procCtx is the process's context state on one device. Streams and their
-// newest-op events live in dense slices indexed by StreamID — stream ids are
-// small sequential integers, and the per-call map lookups they replace were a
-// measurable slice of the event hot path.
+// newest-op events live in dense slices — stream ids are sequential integers,
+// and the per-call map lookups they replace were a measurable slice of the
+// event hot path. Slot 0 is the default stream's and stream id > 0 is at slot
+// id-base: ids up to base were destroyed and trimmed, so a packed context
+// serving one application after another keeps tables its live streams' size.
 type procCtx struct {
 	ctx     *gpu.Context  // nil until first touch
-	streams []*gpu.Stream // indexed by StreamID; nil = not created/destroyed
+	streams []*gpu.Stream // by slot; nil = not created/destroyed
 	lastOp  []*sim.Event  // completion of the newest op per stream
+	base    StreamID
 	next    StreamID
 
 	// live lists the ids of existing streams in ascending order (ids are
 	// handed out monotonically and appended on creation). Device-wide
-	// operations walk this instead of the full dense tables: a packed
-	// context serving a long request stream accumulates destroyed-stream
-	// slots forever, and scanning them per sync would be quadratic.
+	// operations walk this instead of the dense tables, which keep the
+	// destroyed streams that live ones follow.
 	live []StreamID
 
 	events    map[EventID]*eventRec // lazily allocated on first EventCreate
@@ -101,6 +103,7 @@ func (pc *procCtx) reset() {
 	pc.streams = pc.streams[:0]
 	clear(pc.lastOp)
 	pc.lastOp = pc.lastOp[:0]
+	pc.base = 0
 	pc.live = pc.live[:0]
 	clear(pc.events)
 }
@@ -128,27 +131,40 @@ func (t *Thread) ctx() *procCtx {
 	return pc
 }
 
+// at is id's slot in the dense tables, which may be past their end; -1 for a
+// trimmed id.
+func (pc *procCtx) at(id StreamID) int {
+	if id > DefaultStream {
+		if id -= pc.base; id <= DefaultStream {
+			return -1
+		}
+	}
+	return int(id)
+}
+
 // hasStream reports whether id names a live stream.
 func (pc *procCtx) hasStream(id StreamID) bool {
-	return id >= 0 && int(id) < len(pc.streams) && pc.streams[id] != nil
+	i := pc.at(id)
+	return i >= 0 && i < len(pc.streams) && pc.streams[i] != nil
 }
 
 // last returns the completion event of the newest op on the stream, nil when
 // the stream is idle or unknown.
 func (pc *procCtx) last(id StreamID) *sim.Event {
-	if id >= 0 && int(id) < len(pc.lastOp) {
-		return pc.lastOp[id]
+	if i := pc.at(id); i >= 0 && i < len(pc.lastOp) {
+		return pc.lastOp[i]
 	}
 	return nil
 }
 
 // setStream grows the dense stream table to cover id and installs s.
 func (pc *procCtx) setStream(id StreamID, s *gpu.Stream) {
-	for int(id) >= len(pc.streams) {
+	i := pc.at(id)
+	for i >= len(pc.streams) {
 		pc.streams = append(pc.streams, nil)
 		pc.lastOp = append(pc.lastOp, nil)
 	}
-	pc.streams[id] = s
+	pc.streams[i] = s
 	// Ids are monotonic except for the default stream (id 0, materialized
 	// lazily), so an append keeps live ascending in every case but that one.
 	if n := len(pc.live); n == 0 || pc.live[n-1] < id {
@@ -160,9 +176,24 @@ func (pc *procCtx) setStream(id StreamID, s *gpu.Stream) {
 	}
 }
 
-// dropStream clears a destroyed stream's slots and removes it from live.
+// dropStream clears a destroyed stream's slots and removes it from live. The
+// lowest stream after the default one takes the destroyed streams up to the
+// next live one out of the tables with it (a destroyed stream's lastOp slot
+// is already empty).
 func (pc *procCtx) dropStream(id StreamID) {
-	pc.streams[id] = nil
+	i := pc.at(id)
+	pc.streams[i] = nil
+	if i == 1 {
+		for i < len(pc.streams) && pc.streams[i] == nil {
+			i++
+		}
+		n := copy(pc.streams[1:], pc.streams[i:]) + 1
+		copy(pc.lastOp[1:], pc.lastOp[i:])
+		clear(pc.streams[n:])
+		clear(pc.lastOp[n:])
+		pc.streams, pc.lastOp = pc.streams[:n], pc.lastOp[:n]
+		pc.base += StreamID(i - 1)
+	}
 	for i, x := range pc.live {
 		if x == id {
 			pc.live = append(pc.live[:i], pc.live[i+1:]...)
@@ -174,7 +205,7 @@ func (pc *procCtx) dropStream(id StreamID) {
 // stream resolves a StreamID, lazily materializing the default stream.
 func (pc *procCtx) stream(id StreamID) (*gpu.Stream, error) {
 	if pc.hasStream(id) {
-		return pc.streams[id], nil
+		return pc.streams[pc.at(id)], nil
 	}
 	if id != DefaultStream {
 		return nil, ErrInvalidStream
@@ -415,10 +446,11 @@ func (t *Thread) submit(op *gpu.Op, s StreamID) (*sim.Event, error) {
 		op.Done = t.rt.k.NewPooledEvent()
 	}
 	ev := st.Submit(op)
-	if old := pc.lastOp[s]; old != nil {
+	i := pc.at(s)
+	if old := pc.lastOp[i]; old != nil {
 		old.Unref()
 	}
-	pc.lastOp[s] = ev
+	pc.lastOp[i] = ev
 	return ev, nil
 }
 
@@ -539,11 +571,12 @@ func (t *Thread) StreamDestroy(s StreamID) error {
 // per application served.
 func (t *Thread) destroyed() {
 	pc := t.rt.ctxs[t.dev]
+	i := pc.at(t.sid)
 	if len(t.waits) == 1 {
 		t.waits[0].Unref() // the lastOp slot's own reference; the wait released the other
-		pc.lastOp[t.sid] = nil
+		pc.lastOp[i] = nil
 	}
-	pc.ctx.DestroyStream(pc.streams[t.sid])
+	pc.ctx.DestroyStream(pc.streams[i])
 	pc.dropStream(t.sid)
 }
 
@@ -568,7 +601,7 @@ func (t *Thread) syncDevice(then func(*Thread)) {
 	evs := pc.evScratch[:0]
 	pc.evScratch = nil
 	for _, id := range pc.live {
-		if ev := pc.lastOp[id]; ev != nil {
+		if ev := pc.lastOp[pc.at(id)]; ev != nil {
 			ev.Ref()
 			evs = append(evs, ev)
 		}

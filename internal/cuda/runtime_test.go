@@ -352,3 +352,55 @@ func TestDefaultConfigSane(t *testing.T) {
 		t.Fatalf("DefaultConfig has zero overheads: %+v", cfg)
 	}
 }
+
+// TestStreamTablesStaySmall: a context that creates and destroys a stream a
+// thousand times — a packed context serving one application after another —
+// keeps its stream tables the size of its live streams, ids still rise, and
+// a destroyed id, trimmed or not, is an invalid stream.
+func TestStreamTablesStaySmall(t *testing.T) {
+	k := sim.NewKernel(1)
+	rt := NewRuntime(k, []*gpu.Device{testDev(k)}, zcfg())
+	k.Go("app", func(p *sim.Proc) {
+		c := rt.NewThread(p, 1)
+		ptr, _ := c.Malloc(1000)
+		keep, _ := c.StreamCreate() // a live stream ahead of the churn stops the trim
+		var first, last StreamID
+		for i := 0; i < 1000; i++ {
+			s, err := c.StreamCreate()
+			if err != nil || s <= last {
+				t.Fatalf("create %d = %v, %v after %v", i, s, err, last)
+			}
+			if i == 0 {
+				first = s
+			}
+			last = s
+			if err := c.MemcpyAsync(H2D, ptr, 10, s); err != nil {
+				t.Fatalf("copy on %v: %v", s, err)
+			}
+			if err := c.StreamDestroy(s); err != nil {
+				t.Fatalf("destroy %v: %v", s, err)
+			}
+			if i == 500 {
+				if err := c.StreamDestroy(keep); err != nil {
+					t.Fatalf("destroy %v: %v", keep, err)
+				}
+			}
+		}
+		pc := rt.ctxs[0]
+		if len(pc.streams) > 4 || len(pc.lastOp) != len(pc.streams) {
+			t.Errorf("after 1000 streams the tables hold %d and %d slots, want a handful", len(pc.streams), len(pc.lastOp))
+		}
+		for _, s := range []StreamID{keep, first, last} {
+			if err := c.StreamSynchronize(s); !errors.Is(err, ErrInvalidStream) {
+				t.Errorf("sync of destroyed stream %v = %v, want ErrInvalidStream", s, err)
+			}
+			if err := c.MemcpyAsync(H2D, ptr, 10, s); !errors.Is(err, ErrInvalidStream) {
+				t.Errorf("copy on destroyed stream %v = %v, want ErrInvalidStream", s, err)
+			}
+		}
+		if err := c.MemcpyAsync(H2D, ptr, 10, DefaultStream); err != nil {
+			t.Errorf("copy on the default stream: %v", err)
+		}
+	})
+	k.Run()
+}

@@ -17,7 +17,7 @@ import (
 // balancing and context packing.
 //
 // Every series runs with cudaMalloc waiting for device memory instead of
-// failing (core.Config.BlockOnOOM, strings-run's -memguard). A pipelined
+// failing (core.Config.BlockOnOOM, the scenario key memguard=true). A pipelined
 // application holds two staging buffers, so on the bare runtime, where every
 // request lands on the 1 GiB Quadro 2000, the ninth concurrent MC request does
 // not fit; the paper assumes the arrival rate never gets there, and the

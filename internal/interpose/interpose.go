@@ -25,9 +25,9 @@ import (
 // relay.
 type Fabric interface {
 	// SelectGPU posts the device-selection RPC to the workload balancer
-	// without blocking: done fires once the verdict is in *gid. The caller
+	// without blocking: done is called once the verdict is in *gid. The caller
 	// waits out SelectHop before the request and again after the verdict.
-	SelectGPU(req balancer.Request, gid *balancer.GID, done *sim.Event)
+	SelectGPU(req balancer.Request, gid *balancer.GID, done func())
 	// SelectHop is the link a selection's caller waits out itself, each way:
 	// the local link on the mapper's node, zero elsewhere, where the relay
 	// pays the remote link.
@@ -40,9 +40,9 @@ type Fabric interface {
 	// binding.
 	ReportFeedback(gid balancer.GID, kind string, fb *rpcproto.Feedback)
 	// ReportFailure posts one failed call against gid to the mapper's failure
-	// detector without blocking: done fires once the row's resulting health
-	// is in *h.
-	ReportFailure(gid balancer.GID, h *balancer.Health, done *sim.Event)
+	// detector without blocking: done is called once the row's resulting
+	// health is in *h.
+	ReportFailure(gid balancer.GID, h *balancer.Health, done func())
 	// ReportRecovered records a successful call against a previously
 	// suspect device (fire and forget).
 	ReportRecovered(gid balancer.GID)
@@ -105,8 +105,10 @@ type Interposer struct {
 	lastReply *rpcproto.Reply
 
 	// sel latches a selection's or a failure report's verdict, the latter
-	// landing in health; Init keeps it for the next application.
-	sel    *sim.Event
+	// landing in health; fire is sel.Fire, bound once, for the fabric to
+	// call with the verdict. Init keeps both for the next application.
+	sel    sim.Event
+	fire   func()
 	health balancer.Health
 
 	// The call in flight (step.go): the caller's op, the stage it is at, its
@@ -135,7 +137,7 @@ func (ip *Interposer) SetTrace(tr *trace.Recorder, reqSpan trace.SpanID) {
 func (ip *Interposer) Init(fab Fabric, k *sim.Kernel, appID int, tenant int64, weight int, kind string, node int, async bool) {
 	*ip = Interposer{
 		fab: fab, k: k, appID: appID, tenant: tenant, weight: weight,
-		kind: kind, node: node, async: async, sel: ip.sel,
+		kind: kind, node: node, async: async, sel: ip.sel, fire: ip.fire,
 	}
 }
 
@@ -211,16 +213,17 @@ func (ip *Interposer) postSelect() *sim.Event {
 	ip.fab.SelectGPU(balancer.Request{
 		AppID: ip.appID, Kind: ip.kind, Node: ip.node, Tenant: ip.tenant,
 	}, &ip.gid, ip.latch())
-	return ip.sel
+	return &ip.sel
 }
 
-// latch readies the verdict latch for a request to the mapper.
-func (ip *Interposer) latch() *sim.Event {
-	if ip.sel == nil {
-		ip.sel = ip.k.NewEvent()
+// latch readies the verdict latch for a request to the mapper and returns
+// what fires it.
+func (ip *Interposer) latch() func() {
+	if ip.fire == nil {
+		ip.fire = ip.sel.Fire
 	}
 	ip.sel.Reset()
-	return ip.sel
+	return ip.fire
 }
 
 // bind ends the selection span sel, connects to the chosen GPU's backend and

@@ -79,10 +79,10 @@ func newFakeFabric(k *sim.Kernel) *fakeFabric {
 	return f
 }
 
-func (f *fakeFabric) SelectGPU(req balancer.Request, gid *balancer.GID, done *sim.Event) {
+func (f *fakeFabric) SelectGPU(req balancer.Request, gid *balancer.GID, done func()) {
 	f.selected = append(f.selected, req)
 	*gid = f.gid
-	done.Fire()
+	done()
 }
 func (f *fakeFabric) SelectHop() sim.Time                               { return f.hop }
 func (f *fakeFabric) ConnectBackend(gid balancer.GID) rpcproto.Endpoint { return f.conn.A() }
@@ -90,13 +90,13 @@ func (f *fakeFabric) ReportFeedback(gid balancer.GID, kind string, fb *rpcproto.
 	f.released = append(f.released, kind)
 	f.feedback = append(f.feedback, fb)
 }
-func (f *fakeFabric) ReportFailure(gid balancer.GID, h *balancer.Health, done *sim.Event) {
+func (f *fakeFabric) ReportFailure(gid balancer.GID, h *balancer.Health, done func()) {
 	f.failures++
 	*h = balancer.Suspect
 	if f.health != nil {
 		*h = f.health(gid)
 	}
-	done.Fire()
+	done()
 }
 func (f *fakeFabric) ReportRecovered(gid balancer.GID) { f.recovered++ }
 func (f *fakeFabric) PoolSize() int                    { return 4 }

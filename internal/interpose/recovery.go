@@ -303,7 +303,7 @@ func (ip *Interposer) await(d *sim.Daemon, seq uint64) (r *rpcproto.Reply, waiti
 // waiting for the verdict, which lands in ip.health.
 func (ip *Interposer) reportFailure(d *sim.Daemon) bool {
 	ip.fab.ReportFailure(ip.gid, &ip.health, ip.latch())
-	d.Wait(ip.sel)
+	d.Wait(&ip.sel)
 	return false
 }
 

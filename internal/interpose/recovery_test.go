@@ -77,14 +77,14 @@ type failFabric struct {
 	released  int
 }
 
-func (f *failFabric) SelectGPU(req balancer.Request, gid *balancer.GID, done *sim.Event) {
+func (f *failFabric) SelectGPU(req balancer.Request, gid *balancer.GID, done func()) {
 	i := f.selects
 	if i >= len(f.gids) {
 		i = len(f.gids) - 1
 	}
 	f.selects++
 	*gid = f.gids[i]
-	done.Fire()
+	done()
 }
 func (f *failFabric) SelectHop() sim.Time { return 0 }
 func (f *failFabric) ConnectBackend(gid balancer.GID) rpcproto.Endpoint {
@@ -93,13 +93,13 @@ func (f *failFabric) ConnectBackend(gid balancer.GID) rpcproto.Endpoint {
 func (f *failFabric) ReportFeedback(gid balancer.GID, kind string, fb *rpcproto.Feedback) {
 	f.released++
 }
-func (f *failFabric) ReportFailure(gid balancer.GID, h *balancer.Health, done *sim.Event) {
+func (f *failFabric) ReportFailure(gid balancer.GID, h *balancer.Health, done func()) {
 	f.failures++
 	*h = balancer.Suspect
 	if f.health != nil {
 		*h = f.health(f.failures)
 	}
-	done.Fire()
+	done()
 }
 func (f *failFabric) ReportRecovered(gid balancer.GID) { f.recovered++ }
 func (f *failFabric) PoolSize() int                    { return len(f.backends) }

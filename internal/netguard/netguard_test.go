@@ -35,17 +35,18 @@ func TestDeadlineReArmsPerRead(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	g := WithDeadlines(a, 80*time.Millisecond, 0)
-	// Two sequential slow-ish writes, each within the per-read budget but
-	// together beyond it: only a re-armed deadline lets both succeed.
+	g := WithDeadlines(a, 300*time.Millisecond, 0)
+	// Three sequential slow-ish writes, each gap 150ms inside the per-read
+	// budget but together beyond it: only a re-armed deadline lets every read
+	// succeed, with 150ms of slack for a loaded host.
 	go func() {
-		for i := 0; i < 2; i++ {
-			time.Sleep(50 * time.Millisecond)
+		for i := 0; i < 3; i++ {
+			time.Sleep(150 * time.Millisecond)
 			b.Write([]byte{byte(i)})
 		}
 	}()
 	buf := make([]byte, 1)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if _, err := g.Read(buf); err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}

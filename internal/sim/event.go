@@ -3,6 +3,8 @@ package sim
 // Event is a one-shot latch. Processes that Wait on it park until Fire is
 // called; once fired, all subsequent waits return immediately. Events are the
 // completion tokens of the simulation (an op finished, a request completed).
+// A waiter is woken on its own kernel, so the zero Event is ready for use and
+// can live inside its owner; only pooled events need their kernel.
 type Event struct {
 	k       *Kernel
 	fired   bool
@@ -90,7 +92,8 @@ func (e *Event) Fire() {
 	}
 	e.fired = true
 	for e.waiters.Len() > 0 {
-		e.k.schedule(e.waiters.Pop(), e.k.now, wakeEvent)
+		p := e.waiters.Pop()
+		p.k.schedule(p, p.k.now, wakeEvent)
 	}
 	e.maybeRecycle()
 }

@@ -32,43 +32,6 @@ func TestSameInstantOrderingAcrossYields(t *testing.T) {
 	}
 }
 
-// Stale-epoch wakeups interleaved with same-instant self-reschedules: a
-// process whose event wait wins against a pending timeout leaves a stale
-// timer activation behind; same-instant Sleep(0)s (the fast path) must neither
-// consume nor be disturbed by it, and when the stale instant arrives during
-// a later park the activation must be discarded silently.
-func TestStaleWakeupInterleavedWithSameInstantReschedule(t *testing.T) {
-	k := NewKernel(1)
-	s := new(Signal)
-	var wakes []Time
-	k.Go("w", func(p *Proc) {
-		if !p.WaitSignalTimeout(s, 30) {
-			t.Error("event at t=10 should have beaten the t=30 timeout")
-		}
-		// The t=30 timer activation is now stale. Interleave same-instant
-		// self-reschedules at t=10, then sleep across the stale instant.
-		for i := 0; i < 3; i++ {
-			p.Sleep(0)
-			wakes = append(wakes, p.Now())
-		}
-		p.Sleep(15) // t=25
-		wakes = append(wakes, p.Now())
-		p.Sleep(0) // same-instant reschedule right before the stale instant
-		wakes = append(wakes, p.Now())
-		p.Sleep(10) // parks across t=30: the stale timer must not cut it short
-		wakes = append(wakes, p.Now())
-	})
-	k.Go("f", func(p *Proc) {
-		p.Sleep(10)
-		s.Notify()
-	})
-	k.Run()
-	want := []Time{10, 10, 10, 25, 25, 35}
-	if !reflect.DeepEqual(wakes, want) {
-		t.Fatalf("wakes = %v, want %v", wakes, want)
-	}
-}
-
 // Stop during a same-instant batch halts after the currently executing
 // process parks; the rest of the batch stays pending and resumes on the next
 // Run call in the original order.
@@ -98,46 +61,6 @@ func TestStopDuringSameInstantBatch(t *testing.T) {
 	}
 	if k.Now() != 1 {
 		t.Fatalf("clock moved to %v resuming a same-instant batch", k.Now())
-	}
-}
-
-// RunUntil at the limit boundary: activations exactly at the limit run; with
-// pending work beyond the limit the clock parks exactly at the limit; with
-// nothing pending the clock stays at the last dispatched instant.
-func TestRunUntilLimitBoundary(t *testing.T) {
-	k := NewKernel(1)
-	var wakes []Time
-	k.Go("s", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			p.Sleep(10)
-			wakes = append(wakes, p.Now())
-		}
-	})
-	n := k.RunUntil(20) // activations at 10 and 20 are <= limit and must run
-	if n != 3 {         // start activation + two timer wakeups
-		t.Fatalf("dispatched %d activations, want 3", n)
-	}
-	if !reflect.DeepEqual(wakes, []Time{10, 20}) {
-		t.Fatalf("wakes = %v, want [10 20]", wakes)
-	}
-	if k.Now() != 20 {
-		t.Fatalf("clock = %v, want 20us (exactly the limit)", k.Now())
-	}
-	k.RunUntil(25) // head is at 30: nothing runs, clock advances to the limit
-	if len(wakes) != 2 || k.Now() != 25 {
-		t.Fatalf("after quiet RunUntil: wakes=%v clock=%v, want 2 wakes @25us", wakes, k.Now())
-	}
-	k.Run() // drain: last activation at 40, clock must stay there (no limit snap)
-	if !reflect.DeepEqual(wakes, []Time{10, 20, 30, 40}) {
-		t.Fatalf("wakes = %v", wakes)
-	}
-	if k.Now() != 40 {
-		t.Fatalf("clock = %v after drain, want 40us", k.Now())
-	}
-	// A drained kernel must not move on further RunUntil calls either.
-	k.RunUntil(1000)
-	if k.Now() != 40 {
-		t.Fatalf("clock = %v after empty RunUntil, want 40us", k.Now())
 	}
 }
 

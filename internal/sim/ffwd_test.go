@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 )
@@ -68,87 +67,6 @@ func TestRunUntilLimitSnapCountsAsFastForward(t *testing.T) {
 	jumps, skipped := k.FastForwards()
 	if jumps != 1 || skipped != 995 {
 		t.Fatalf("jumps, skipped = %d, %v; want 1, 995 (the 5..1000 snap)", jumps, skipped)
-	}
-}
-
-// TestResetAfterFastForwardJump: Reset must zero the fast-forward counters
-// and reproduce an FF-heavy run bit-exactly, including the counters.
-func TestResetAfterFastForwardJump(t *testing.T) {
-	type snapshot struct {
-		dispatched uint64
-		jumps      uint64
-		skipped    Time
-		end        Time
-	}
-	run := func(k *Kernel) snapshot {
-		k.SetFFHorizon(50)
-		for i := 0; i < 3; i++ {
-			k.Go(fmt.Sprintf("sleeper-%d", i), func(p *Proc) {
-				p.Sleep(Time(100 * (i + 1)))
-				p.Sleep(7)
-			})
-		}
-		k.Run()
-		j, s := k.FastForwards()
-		return snapshot{dispatched: k.Dispatched(), jumps: j, skipped: s, end: k.Now()}
-	}
-	k := NewKernel(42)
-	first := run(k)
-	if first.jumps == 0 {
-		t.Fatal("scenario produced no fast-forward jumps; the reset check would be vacuous")
-	}
-	k.Reset(42)
-	if j, s := k.FastForwards(); j != 0 || s != 0 {
-		t.Fatalf("counters survived Reset: jumps=%d skipped=%v", j, s)
-	}
-	// Reset also zeroes the dispatch counter, so the snapshots compare raw.
-	second := run(k)
-	if second != first {
-		t.Fatalf("reset kernel diverged:\n first: %+v\nsecond: %+v", first, second)
-	}
-}
-
-// TestFFHorizonCannotChangeSchedule is the fast-forward contract: the horizon
-// is observability only. The same workload runs with a tiny, the default, and
-// an enormous horizon; the dispatch traces must be identical event for event,
-// with only the counters differing.
-func TestFFHorizonCannotChangeSchedule(t *testing.T) {
-	run := func(horizon Time) (trace []string, dispatched uint64) {
-		k := NewKernel(9)
-		if horizon != 0 {
-			k.SetFFHorizon(horizon)
-		}
-		k.SetTracer(func(at Time, proc, msg string) {
-			trace = append(trace, fmt.Sprintf("%v %s %s", at, proc, msg))
-		})
-		q := NewQueue[int](k)
-		for i := 0; i < 4; i++ {
-			k.Go(fmt.Sprintf("prod-%d", i), func(p *Proc) {
-				for j := 0; j < 5; j++ {
-					p.Sleep(Time(1 + k.Rand().Intn(2000)))
-					q.Put(i*10 + j)
-					p.Tracef("put %d", i*10+j)
-				}
-			})
-		}
-		k.Go("consumer", func(p *Proc) {
-			for n := 0; n < 20; n++ {
-				v := q.Get(p)
-				p.Tracef("got %v", v)
-			}
-		})
-		k.Run()
-		return trace, k.Dispatched()
-	}
-	baseTrace, baseN := run(0) // default horizon
-	for _, h := range []Time{1, 50 * Second} {
-		tr, n := run(h)
-		if n != baseN {
-			t.Fatalf("horizon %v changed dispatch count: %d != %d", h, n, baseN)
-		}
-		if !reflect.DeepEqual(tr, baseTrace) {
-			t.Fatalf("horizon %v changed the schedule", h)
-		}
 	}
 }
 

@@ -44,26 +44,21 @@ import (
 const none = sim.Time(1<<62 - 1)
 
 // message is one cross-shard effect, a timer of the destination kernel at
-// instant at: fn runs or, in the closure-free forms, ev fires or v is put on
-// q. seq is the per-source send sequence that breaks same-instant ties.
+// instant at: fn runs or, in the closure-free form, v is put on q. seq is the per-source send sequence that breaks same-instant ties.
 type message struct {
 	at       sim.Time
 	src, dst int
 	seq      uint64
 	fn       func()
-	ev       *sim.Event
 	q        *sim.Queue[any]
 	v        any
 }
 
 // arm schedules the effect on k, d from k's present.
 func (m *message) arm(k *sim.Kernel, d sim.Time) {
-	switch {
-	case m.fn != nil:
+	if m.fn != nil {
 		k.After(d, m.fn)
-	case m.ev != nil:
-		k.AfterFire(d, m.ev)
-	default:
+	} else {
 		k.AfterPut(d, m.q, m.v)
 	}
 }
@@ -132,12 +127,6 @@ func (s *Shard) Send(dst int, delay sim.Time, fn func()) {
 // sim.Kernel.AfterPut is to After: the form for request-path traffic.
 func (s *Shard) SendPut(dst int, delay sim.Time, q *sim.Queue[any], v any) {
 	s.post(dst, delay, message{q: q, v: v})
-}
-
-// SendFire is Send(dst, delay, e.Fire) without the bound method, as
-// sim.Kernel.AfterFire is to After.
-func (s *Shard) SendFire(dst int, delay sim.Time, e *sim.Event) {
-	s.post(dst, delay, message{ev: e})
 }
 
 // post arms a self-send at once and stamps any other message into the outbox.

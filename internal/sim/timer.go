@@ -1,13 +1,11 @@
 package sim
 
-// timerSlot holds what an armed timer delivers: a callback (fn), an event to
-// fire (ev) or a direct message delivery (q, msg) — the closure-free forms
-// behind AfterFire and AfterPut. The timer itself is an activation with no
+// timerSlot holds what an armed timer delivers: a callback (fn) or a direct
+// message delivery (q, msg) — the closure-free form behind AfterPut. The timer itself is an activation with no
 // process (see Kernel.fire) carrying the slot's index. A vacant slot links to
 // the next vacant one.
 type timerSlot struct {
 	fn   func()
-	ev   *Event
 	q    *Queue[any]
 	msg  any
 	next int32
@@ -30,12 +28,6 @@ func (k *Kernel) After(d Time, fn func()) {
 func (k *Kernel) AfterPut(d Time, q *Queue[any], msg any) {
 	s := k.armTimer(d)
 	s.q, s.msg = q, msg
-}
-
-// AfterFire schedules e to fire at now+d: After(d, e.Fire) without the bound
-// method's allocation.
-func (k *Kernel) AfterFire(d Time, e *Event) {
-	k.armTimer(d).ev = e
 }
 
 // armTimer claims a free slot, schedules its activation at now+d and returns
@@ -66,15 +58,11 @@ func (k *Kernel) fire(at Time, i int32) *Proc {
 	k.now = at
 	k.dispatched++
 	s := &k.tslots[i]
-	fn, ev, q, msg := s.fn, s.ev, s.q, s.msg
+	fn, q, msg := s.fn, s.q, s.msg
 	*s = timerSlot{next: k.tfree}
 	k.tfree = i
 	if fn != nil {
 		fn()
-		return nil
-	}
-	if ev != nil {
-		ev.Fire()
 		return nil
 	}
 	q.items.Push(msg)

@@ -180,34 +180,6 @@ func TestDrainedTimersLeaveNothingBlocked(t *testing.T) {
 	}
 }
 
-// Reset drops armed timers and hands their slots to the next run.
-func TestResetDropsArmedTimersAndReusesSlots(t *testing.T) {
-	k := NewKernel(1)
-	for i := 0; i < 5; i++ {
-		k.After(Time(100+i), func() { t.Error("timer armed before Reset fired after it") })
-	}
-	k.After(1, func() {})
-	k.RunUntil(50)
-	slots := cap(k.tslots)
-	k.Reset(2)
-	if len(k.tslots) != 0 || k.tfree != -1 {
-		t.Fatalf("after Reset: %d slots in use, free head %d", len(k.tslots), k.tfree)
-	}
-	fired := 0
-	for i := 0; i < 6; i++ {
-		k.AfterPut(Time(100+i), nil, nil)
-	}
-	if len(k.tslots) != 6 || cap(k.tslots) != slots {
-		t.Fatalf("re-arming after Reset: %d slots, capacity %d -> %d", len(k.tslots), slots, cap(k.tslots))
-	}
-	k.Reset(2)
-	k.After(200, func() { fired++ })
-	k.Run()
-	if fired != 1 || k.Now() != 200 {
-		t.Fatalf("fired = %d now = %v, want 1 at 200", fired, k.Now())
-	}
-}
-
 // scriptCoverage counts the processes the script spawns mid-run, so a
 // change to the generator cannot quietly stop producing them.
 type scriptCoverage struct {

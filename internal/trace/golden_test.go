@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/gpu"
 	"repro/internal/parallel"
+	"repro/internal/scenario"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // goldenCells is the fixed grid of traced runs: the strings-trace default
@@ -34,24 +34,22 @@ func runGoldenGrid(t *testing.T, workers int) [][]byte {
 	t.Helper()
 	return parallel.Map(len(goldenCells), workers, func(i int) []byte {
 		cell := goldenCells[i]
-		rec := trace.New()
-		c, err := core.New(core.Config{
-			Seed: cell.seed,
-			Nodes: []core.NodeConfig{{Devices: []gpu.Spec{
-				gpu.Quadro2000, gpu.TeslaC2050,
-			}}},
-			Mode:     core.ModeStrings,
-			Balance:  cell.balance,
-			Recorder: rec,
-		})
+		sc, err := scenario.Parse(fmt.Sprintf("fleet=Quadro2000+TeslaC2050;mode=strings;balance=%s;streams=MC:6;lambda=0.4;seed=%d",
+			cell.balance, cell.seed))
 		if err != nil {
 			t.Errorf("cell %d: %v", i, err)
 			return nil
 		}
-		r, err := c.Run([]workload.StreamSpec{{
-			Kind: workload.MonteCarlo, Count: 6, LambdaFactor: 0.4,
-			Node: 0, Tenant: 1, Weight: 1,
-		}})
+		rec := trace.New()
+		cfg, streams := sc.Core()
+		cfg.Recorder = rec
+		c, err := core.New(cfg)
+		if err != nil {
+			t.Errorf("cell %d: %v", i, err)
+			return nil
+		}
+		defer c.Close()
+		r, err := c.Run(streams)
 		if err != nil || len(r.Errors) > 0 {
 			t.Errorf("cell %d: %v %v", i, err, r.Errors)
 			return nil

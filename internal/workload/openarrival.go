@@ -450,12 +450,17 @@ func (s OpenArrivalSpec) String() string {
 		fmt.Fprintf(&b, ",weight=%d", s.Weight)
 	}
 	if s.BigEvery > 0 {
-		fmt.Fprintf(&b, ",bigevery=%d,bigslots=%d", s.BigEvery, s.BigSlots)
+		fmt.Fprintf(&b, ",bigevery=%d", s.BigEvery)
 	}
-	if s.Process == ProcDiurnal {
+	if s.BigSlots != 0 {
+		fmt.Fprintf(&b, ",bigslots=%d", s.BigSlots)
+	}
+	// A process's own parameters always print; another's only when set, so
+	// the form re-parses to the same spec whatever was given.
+	if s.Process == ProcDiurnal || s.Period != 0 || s.Depth != 0 {
 		fmt.Fprintf(&b, ",period=%s,depth=%g", durString(s.Period), s.Depth)
 	}
-	if s.Process == ProcBursty {
+	if s.Process == ProcBursty || s.BurstMean != 0 || s.BurstSpread != 0 {
 		fmt.Fprintf(&b, ",burst=%g,spread=%s", s.BurstMean, durString(s.BurstSpread))
 	}
 	return b.String()

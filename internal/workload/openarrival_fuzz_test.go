@@ -20,6 +20,7 @@ func FuzzOpenArrivalSpec(f *testing.F) {
 	f.Add("weekly:rate=1,horizon=10s")
 	f.Add("poisson:rate=NaN,horizon=10s")
 	f.Add("poisson:rate=1,horizon=10s,color=red")
+	f.Add("poisson:rate=1,horizon=1s,period=5s,depth=0.5,bigslots=3,burst=-2")
 	f.Add("poisson:rate,horizon")
 	f.Add(":,=,:")
 	f.Add("")
