@@ -77,6 +77,15 @@ bench-smoke:
 	$(GO) run ./cmd/strings-bench -exp fig11 -requests 4 -parallel 1 -csv | grep -v '^(' > $(BIN)/fig11-smoke-seq.csv
 	$(GO) run ./cmd/strings-bench -exp fig11 -requests 4 -parallel 4 -csv | grep -v '^(' > $(BIN)/fig11-smoke-par.csv
 	diff $(BIN)/fig11-smoke-seq.csv $(BIN)/fig11-smoke-par.csv
+	@# Fig 10 alternates the one-node baseline and the four-GPU supernode, so
+	@# one slab's devices, schedulers and packers are re-initialised from one
+	@# fleet to the other.
+	$(GO) run ./cmd/strings-bench -exp fig10 -requests 4 -parallel 1 -csv | grep -v '^(' > $(BIN)/fig10-smoke-seq.csv
+	$(GO) run ./cmd/strings-bench -exp fig10 -requests 4 -parallel 4 -csv | grep -v '^(' > $(BIN)/fig10-smoke-par.csv
+	diff $(BIN)/fig10-smoke-seq.csv $(BIN)/fig10-smoke-par.csv
+	@# Twenty requests overfill the bare-CUDA baseline's GPU: it must wait for
+	@# memory, not fail the figure.
+	$(GO) run ./cmd/strings-bench -exp fig9 -requests 20 > /dev/null
 	@# Slice-placement study: a small frag grid, its CSV kept as a CI
 	@# artifact. Like the sweep check above, worker count must not change
 	@# a single byte of the table.

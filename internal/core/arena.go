@@ -3,8 +3,10 @@ package core
 import (
 	"sync"
 
+	"repro/internal/devsched"
 	"repro/internal/gpu"
 	"repro/internal/interpose"
+	"repro/internal/packer"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -30,9 +32,10 @@ type Arena struct {
 }
 
 // slab is one kernel and the free lists of what runs on it: the frame pool,
-// connections, GPU contexts the kernel's devices share, and idle sessions and
-// frontends. An arena's slab also lists in made every session and frontend
-// it made, for put to take back the live ones.
+// connections, GPU contexts the kernel's devices share, idle sessions,
+// frontends and arrival daemons, and devices, device schedulers and packers,
+// which New re-initialises to any fleet. An arena's slab also lists in made
+// every session, frontend and arrival it made, for put to take back.
 type slab struct {
 	k         *sim.Kernel
 	lent      bool // an arena's
@@ -41,23 +44,38 @@ type slab struct {
 	spares    gpu.Spares
 	sessions  []*session
 	frontends []*frontend
+	arrivals  []*arrival
+	devices   []*gpu.Device
+	scheds    []*devsched.Scheduler
+	packers   []*packer.Packer
+	tables    tables // the last cluster's
 	made      struct {
 		sessions  []*session
 		frontends []*frontend
+		arrivals  []*arrival
 	}
+}
+
+// take pops an idle object off a free list, or makes a new one.
+func take[T any](free *[]*T) *T {
+	n := len(*free) - 1
+	if n < 0 {
+		return new(T)
+	}
+	x := (*free)[n]
+	*free = (*free)[:n]
+	return x
 }
 
 // get lends a slab: an idle one, or a new one over a new kernel.
 func (a *Arena) get() *slab {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if n := len(a.free); n > 0 {
-		s := a.free[n-1]
-		a.free[n-1] = nil
-		a.free = a.free[:n-1]
-		return s
+	s := take(&a.free)
+	if s.k == nil {
+		s.k, s.lent = sim.NewKernel(0), true
 	}
-	return &slab{k: sim.NewKernel(0), lent: true}
+	return s
 }
 
 // put takes a slab back once its cluster is closed: the kernel is reset,
@@ -71,12 +89,16 @@ func (a *Arena) put(s *slab) {
 	a.free = append(a.free, s)
 }
 
-// takeBack returns to the free lists the sessions and frontends a run left
-// live, cut off at a RunUntil horizon or stuck. Their daemons are gone with
-// the kernel's reset, their processes are released, and what may still name
-// them — a selection latch, a multi-threaded application's threads — is
-// dropped rather than reused.
+// takeBack returns to the free lists every arrival daemon and the sessions
+// and frontends a run left live, cut off at a RunUntil horizon or stuck.
+// Their daemons are gone with the kernel's reset, their processes are
+// released, and what may still name them — a selection latch, a
+// multi-threaded application's threads — is dropped rather than reused.
 func (s *slab) takeBack() {
+	for _, a := range s.made.arrivals {
+		a.d, a.times = sim.Daemon{}, nil
+	}
+	s.arrivals = append(s.arrivals[:0], s.made.arrivals...)
 	for _, x := range s.made.sessions {
 		if !x.idle {
 			x.d = sim.Daemon{}

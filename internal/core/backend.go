@@ -19,11 +19,8 @@ func (c *Cluster) accept(gid int, conn *rpcproto.Conn) {
 		n = &c.threads[gid]
 	}
 	*n++
-	var s *session
-	if i := len(e.sessions) - 1; i >= 0 {
-		s, e.sessions = e.sessions[i], e.sessions[:i]
-	} else {
-		s = &session{}
+	s := take(&e.sessions)
+	if s.stepFn == nil {
 		s.nameFn, s.stepFn, s.backlogFn = s.name, s.step, s.backlog
 		if e.lent {
 			e.made.sessions = append(e.made.sessions, s) // bounded by peak live sessions

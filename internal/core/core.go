@@ -109,8 +109,10 @@ type Config struct {
 	// Arena, when non-nil, lends the cluster its kernel: one reset and warm
 	// from the arena's earlier clusters, with the free lists of what ran on
 	// it — frames, connections, sessions and frontends with the Rain and
-	// CUDA processes they hold, spare GPU contexts — and Close gives it
-	// back. A reused kernel or object behaves as a fresh one (the sweep's
+	// CUDA processes they hold, spare GPU contexts, and the devices, device
+	// schedulers and packers New re-initialises to this fleet — and Close
+	// gives it all back, so the cluster's devices are not readable after
+	// Close. A reused kernel or object behaves as a fresh one (the sweep's
 	// goldens and FuzzFrontendSteps hold warm runs to cold ones), so this is
 	// purely an allocation optimization. A sharded run's other kernels are
 	// the cluster's own.
@@ -144,20 +146,39 @@ type Cluster struct {
 	cfg  Config
 	lent *slab // the Arena's, until Close gives it back
 
-	mapper  *balancer.Mapper
-	mapQ    *sim.Queue[any] // *mapperMsg, from the pool mapFree
-	devices []*gpu.Device   // indexed by GID
-	traces  []*gpu.UtilTrace
-	nodeDev [][]*gpu.Device // per node
-	scheds  []*devsched.Scheduler
+	mapper *balancer.Mapper
+	mapD   sim.Daemon
 
 	// The mapper's state between steps (mapperStep): mapPend holds every
 	// message of the earliest unserved arrival instant, then at most one
 	// later message; mapServing is set while the mapper spends the service
 	// time on the message at the front.
-	mapPend    []*mapperMsg
 	mapServing bool
-	mapFree    []*mapperMsg
+
+	// The node→kernel partition (see partition.go): one environment per
+	// kernel, every kernel driven by coord. nodes maps a node, and devEnv a
+	// GID, to its environment.
+	envs  []*shardEnv
+	nodes []*nodeFabric
+	coord *shard.Coordinator
+
+	newDevPolicy func() devsched.Policy // nil in ModeCUDA
+
+	tables
+
+	// Slice-placement tenant state (see slices.go); inert unless the fleet has
+	// partitionable devices and a run declares slice streams.
+	sl sliceState
+}
+
+// tables are the cluster's per-GPU tables and the mapper's queues, which a
+// cluster on an arena's kernel takes from the slab and Close gives back.
+type tables struct {
+	devices []*gpu.Device // indexed by GID
+	devEnv  []*shardEnv
+	traces  []*gpu.UtilTrace
+	nodeDev [][]*gpu.Device // per node, each a view of devices
+	scheds  []*devsched.Scheduler
 
 	// The Strings (Design III) backend: one process per GPU, hosting a
 	// backend thread per connected application. All threads share the
@@ -167,25 +188,31 @@ type Cluster struct {
 	packers []*packer.Packer
 	threads []int
 
-	// The node→kernel partition (see partition.go): one environment per
-	// kernel, every kernel driven by coord. nodes maps a node, and devEnv a
-	// GID, to its environment.
-	envs   []*shardEnv
-	nodes  []*nodeFabric
-	devEnv []*shardEnv
-	coord  *shard.Coordinator
-
-	newDevPolicy func() devsched.Policy // nil in ModeCUDA
-
-	// Injected fault state, indexed by GID and written only by the fault
-	// injector (all zero in fault-free runs).
+	// Injected fault state, written only by the fault injector (all zero in
+	// fault-free runs).
 	gpuDown    []bool
 	stallUntil []sim.Time
 	degrade    []float64
 
-	// Slice-placement tenant state (see slices.go); inert unless the fleet has
-	// partitionable devices and a run declares slice streams.
-	sl sliceState
+	mapQ    sim.Queue[any] // *mapperMsg, from the pool mapFree
+	mapPend []*mapperMsg
+	mapFree []*mapperMsg
+}
+
+// reuse returns the tables emptied, keeping their arrays.
+func (t *tables) reuse() tables {
+	t.mapQ.Reset()
+	return tables{
+		devices: empty(t.devices), devEnv: empty(t.devEnv), traces: empty(t.traces),
+		nodeDev: empty(t.nodeDev), scheds: empty(t.scheds), packers: empty(t.packers),
+		threads: t.threads[:0], gpuDown: t.gpuDown[:0], stallUntil: t.stallUntil[:0], degrade: t.degrade[:0],
+		mapQ: t.mapQ, mapPend: empty(t.mapPend), mapFree: t.mapFree,
+	}
+}
+
+func empty[T any](s []T) []T {
+	clear(s)
+	return s[:0]
 }
 
 // mapperMsg is a message to the affinity-mapper service: a
@@ -256,6 +283,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.lent = cfg.Arena.get()
 		c.K = c.lent.k
 		c.K.Reset(cfg.Seed)
+		c.tables = c.lent.tables.reuse()
 	} else {
 		c.K = sim.NewKernel(cfg.Seed)
 	}
@@ -263,11 +291,12 @@ func New(cfg Config) (*Cluster, error) {
 
 	// Physical devices, each on its node's kernel.
 	for n, node := range cfg.Nodes {
-		var devs []*gpu.Device
+		lo := len(c.devices)
 		for _, spec := range node.Devices {
-			devs = append(devs, c.addDevice(c.nodes[n].e, spec))
+			c.addDevice(c.nodes[n].e, spec)
 		}
-		c.nodeDev = append(c.nodeDev, devs)
+		hi := len(c.devices)
+		c.nodeDev = append(c.nodeDev, c.devices[lo:hi:hi])
 	}
 
 	if cfg.Mode == ModeCUDA {
@@ -290,8 +319,7 @@ func New(cfg Config) (*Cluster, error) {
 	// Affinity mapper service.
 	c.mapper = balancer.NewMapper(balancer.NewDST(rows), pol)
 	c.mapper.SetRecorder(cfg.Recorder)
-	c.mapQ = sim.NewQueue[any](c.K)
-	c.K.GoDaemon("affinity-mapper", c.mapperStep)
+	c.K.StartDaemon(&c.mapD, func() string { return "affinity-mapper" }, c.mapperStep)
 
 	for g := range c.devices {
 		c.serveDevice(g)
@@ -321,9 +349,9 @@ func dstRow(gid balancer.GID, node, local int, spec gpu.Spec) *balancer.DSTEntry
 
 // addDevice creates the device for the next gPool row on e's kernel, with
 // the utilization tracer, the GPU-op span hook and a clean fault state.
-func (c *Cluster) addDevice(e *shardEnv, spec gpu.Spec) *gpu.Device {
+func (c *Cluster) addDevice(e *shardEnv, spec gpu.Spec) {
 	gid := len(c.devices)
-	d := gpu.NewDevice(e.k, spec, gid)
+	d := take(&e.devices).Init(e.k, spec, gid)
 	d.SetSpares(&e.spares)
 	var tr *gpu.UtilTrace
 	if c.cfg.Trace {
@@ -347,7 +375,6 @@ func (c *Cluster) addDevice(e *shardEnv, spec gpu.Spec) *gpu.Device {
 	c.gpuDown = append(c.gpuDown, false)
 	c.stallUntil = append(c.stallUntil, 0)
 	c.degrade = append(c.degrade, 0)
-	return d
 }
 
 // serveDevice starts gid's device scheduler and, for Strings, its per-GPU
@@ -360,14 +387,13 @@ func (c *Cluster) serveDevice(gid int) {
 	if c.cfg.Mode == ModeRain && schedCfg.AccountingLag == 0 {
 		schedCfg.AccountingLag = 100 * sim.Millisecond
 	}
-	s := devsched.New(e.k, c.devices[gid], gid, c.newDevPolicy(), schedCfg)
+	s := take(&e.scheds).Init(e.k, c.devices[gid], gid, c.newDevPolicy(), schedCfg)
 	s.SetRecorder(e.rec)
 	c.scheds = append(c.scheds, s)
 	if c.cfg.Mode == ModeStrings {
 		// The packer runs with the zero packer.Config, so pinned staging
 		// costs nothing (EXPERIMENTS.md, known divergence 5).
-		rt := cuda.NewRuntime(e.k, []*gpu.Device{c.devices[gid]}, c.cudaConfig())
-		pk := packer.New(rt, packer.Config{})
+		pk := take(&e.packers).Init(e.k, c.devices[gid:gid+1:gid+1], c.cudaConfig(), packer.Config{})
 		pk.SetRecorder(e.rec, gid)
 		c.packers = append(c.packers, pk)
 		c.threads = append(c.threads, 0)

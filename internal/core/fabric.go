@@ -29,10 +29,12 @@ func (c *Cluster) Fabric(node int) interpose.Fabric { return c.nodes[node] }
 // toMapper relays a control message from the node to the mapper service in
 // a pooled copy, stamped with its arrival instant: at once from the mapper's
 // own node, RemoteLink.Latency later from any other — a kernel timer when the
-// two nodes share a kernel, a mailbox message when they do not.
+// two nodes share a kernel, a mailbox message when they do not. The copy
+// comes from the pool the mapper returns them to: the whole composition runs
+// on one goroutine, so one pool serves every kernel.
 func (f *nodeFabric) toMapper(msg mapperMsg) {
 	c := f.c
-	m := c.newMapperMsg()
+	m := take(&c.mapFree)
 	*m = msg
 	m.node = f.node
 	if f.node == mapperNode {
@@ -42,18 +44,7 @@ func (f *nodeFabric) toMapper(msg mapperMsg) {
 	}
 	lat := c.cfg.RemoteLink.Latency
 	m.at = f.e.k.Now() + lat
-	f.e.sh.SendPut(c.nodes[mapperNode].e.idx, lat, c.mapQ, m)
-}
-
-// newMapperMsg takes a message from the pool the mapper returns them to. The
-// whole composition runs on one goroutine, so one pool serves every kernel.
-func (c *Cluster) newMapperMsg() *mapperMsg {
-	if n := len(c.mapFree); n > 0 {
-		m := c.mapFree[n-1]
-		c.mapFree = c.mapFree[:n-1]
-		return m
-	}
-	return &mapperMsg{} // pool grow-on-miss: bounded by peak undelivered messages
+	f.e.sh.SendPut(c.nodes[mapperNode].e.idx, lat, &c.mapQ, m)
 }
 
 // reply calls a mapper verdict's completion on the requester's node.

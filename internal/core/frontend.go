@@ -37,11 +37,8 @@ type frontend struct {
 
 // startFrontend starts app, stream si's nth request, on a frontend daemon.
 func (e *shardEnv) startFrontend(app workload.App, s *workload.StreamSpec, si, n int) {
-	var f *frontend
-	if i := len(e.frontends) - 1; i >= 0 {
-		f, e.frontends = e.frontends[i], e.frontends[:i]
-	} else {
-		f = &frontend{}
+	f := take(&e.frontends)
+	if f.stepFn == nil {
 		f.nameFn, f.stepFn = f.name, f.step
 		if e.lent {
 			e.made.frontends = append(e.made.frontends, f) // bounded by peak live frontends

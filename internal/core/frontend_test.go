@@ -115,6 +115,30 @@ func newAppScript(rng *rand.Rand) appScript {
 	return sc
 }
 
+// newMIGScript deals a script for a MIG fleet: Strings on one node of one or
+// two partitionable devices, one to three slice tenants of one to three
+// requests each, and a third of the time a horizon that cuts the run off.
+// Carved slices are devices too, so a warm slab hands them out again.
+func newMIGScript(rng *rand.Rand) appScript {
+	sc := appScript{horizon: 40 * sim.Second}
+	if rng.Intn(3) == 0 {
+		sc.horizon = sim.Time(1 + rng.Int63n(int64(4*sim.Second)))
+	}
+	sc.cfg = Config{Seed: 1 + rng.Int63n(1000), Mode: ModeStrings, Balance: "Frag", BlockOnOOM: rng.Intn(2) == 0}
+	sc.cfg.Nodes = []NodeConfig{{Devices: []gpu.Spec{gpu.TeslaC2050.WithMIG()}}}
+	if rng.Intn(2) == 0 {
+		sc.cfg.Nodes[0].Devices = append(sc.cfg.Nodes[0].Devices, gpu.Quadro4000.WithMIG())
+	}
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		sc.streams = append(sc.streams, workload.StreamSpec{
+			Kind: scriptKinds[rng.Intn(len(scriptKinds))], Count: 1 + rng.Intn(3),
+			Lambda: sim.Time(1 + rng.Int63n(int64(3*sim.Second))), Tenant: int64(1 + i), Weight: 1,
+			SliceProfile: []string{"1g", "2g", "3g", "7g"}[rng.Intn(4)],
+		})
+	}
+	return sc
+}
+
 func btoi(b bool) int {
 	if b {
 		return 1
@@ -131,6 +155,7 @@ type scriptRun struct {
 	launched   int
 	finished   int
 	styles     [3]int // requests finished, by style
+	carves     int    // MIG slices carved
 	reused     bool   // a frontend served a request after an earlier one of the run
 	warm       bool   // a frontend an earlier run left served one of this run
 }
@@ -171,7 +196,7 @@ func playScript(t testing.TB, sc appScript, a *Arena) scriptRun {
 			}
 		}
 	}
-	out.events, out.end, out.launched, out.finished = c.Dispatched(), r.EndTime, r.Launched, r.Finished
+	out.events, out.end, out.launched, out.finished, out.carves = c.Dispatched(), r.EndTime, r.Launched, r.Finished, r.SliceCarves
 	for _, ev := range r.Requests {
 		out.styles[ev.Style] += btoi(ev.Err == "")
 	}
@@ -214,7 +239,7 @@ func TestFrontendMatchesCoroutine(t *testing.T) {
 	if testing.Short() {
 		lines = lines[:150]
 	}
-	rng := rand.New(rand.NewSource(31))
+	rng, migs := rand.New(rand.NewSource(31)), rand.New(rand.NewSource(37))
 	var arena Arena
 	reach := map[string]bool{}
 	set := func(what string, ok bool) { reach[what] = reach[what] || ok }
@@ -229,6 +254,12 @@ func TestFrontendMatchesCoroutine(t *testing.T) {
 		var a *Arena
 		if i%2 == 1 {
 			a = &arena
+		}
+		if i%20 == 1 {
+			// A MIG fleet on the slab between two warm scripts.
+			m := playWarmAs(t, newMIGScript(migs), &arena)
+			set("warm/mig", m.warm && m.carves > 0)
+			set("mig/cut", m.carves > 0 && m.finished < m.launched)
 		}
 		got := playScript(t, sc, a)
 		if d := got.digest(); d != digest || got.events > dispatched {
@@ -252,7 +283,7 @@ func TestFrontendMatchesCoroutine(t *testing.T) {
 	t.Logf("%d scripts reach %v", len(lines), reach)
 	want := []string{"failed", "stuck", "reused"}
 	if !testing.Short() {
-		want = append(want, "sharded/multithread", "retransmit", "failover", "lost")
+		want = append(want, "sharded/multithread", "retransmit", "failover", "lost", "warm/mig", "mig/cut")
 		for _, m := range []Mode{ModeStrings, ModeRain, ModeCUDA} {
 			want = append(want, fmt.Sprint("warm/", m))
 			for st := range 3 {
@@ -267,32 +298,39 @@ func TestFrontendMatchesCoroutine(t *testing.T) {
 	}
 }
 
-// FuzzFrontendSteps runs a script dealt from the fuzzer's bytes on a fresh
-// cluster, then on one an arena lends after another script ran on it: what
-// the first run left behind — sessions, frontends and processes, live ones a
-// horizon cut off included — must not reach the second, which leaves the same
-// request log and trace.
+// FuzzFrontendSteps deals a MIG script and two others from the fuzzer's bytes
+// and plays them one after another on one arena's slab, each of them also on
+// a fresh cluster: what a run left behind — sessions, frontends, processes,
+// devices with their contexts and ops, packers and schedulers, live ones a
+// horizon cut off included — must not reach the next, which leaves the
+// request log and trace its fresh run leaves.
 func FuzzFrontendSteps(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) { playWarm(t, data) })
 }
 
-// playWarm is FuzzFrontendSteps's body: it deals the two scripts from data,
-// plays them, and returns how the first and the warm run went.
+// playWarm is FuzzFrontendSteps's body: it deals the scripts from data, plays
+// them, and returns how the second script went and how the last went warm.
 func playWarm(t *testing.T, data []byte) (first appScript, firstRun, warm scriptRun) {
 	h := fnv.New64a()
 	h.Write(data)
 	rng := rand.New(rand.NewSource(int64(h.Sum64())))
 	sc, other := newAppScript(rng), newAppScript(rng)
-	want := playScript(t, sc, nil)
 	var arena Arena
-	firstRun = playScript(t, other, &arena)
-	got := playScript(t, sc, &arena)
+	playWarmAs(t, newMIGScript(rng), &arena)
+	return other, playWarmAs(t, other, &arena), playWarmAs(t, sc, &arena)
+}
+
+// playWarmAs plays sc on a fresh cluster and then on one a lends, and fails
+// unless the two leave the same request log and trace.
+func playWarmAs(t *testing.T, sc appScript, a *Arena) scriptRun {
+	t.Helper()
+	want, got := playScript(t, sc, nil), playScript(t, sc, a)
 	if !bytes.Equal(got.log, want.log) || !bytes.Equal(got.jsonl, want.jsonl) {
-		t.Fatalf("%v %s/%s, streams %+v, after %v %+v: a warm run differs from a fresh one's\nwarm  %s\nfresh %s",
-			sc.cfg.Mode, sc.cfg.Balance, sc.cfg.DevPolicy, sc.streams, other.cfg.Mode, other.streams, got.log, want.log)
+		t.Fatalf("%v %s/%s, %d nodes, faults %v, horizon %v, streams %+v: a warm run differs from a fresh one's\nwarm  %s\nfresh %s",
+			sc.cfg.Mode, sc.cfg.Balance, sc.cfg.DevPolicy, len(sc.cfg.Nodes), sc.cfg.Faults.Faults, sc.horizon, sc.streams, got.log, want.log)
 	}
-	return other, firstRun, got
+	return got
 }
 
 // TestFrontendStepsSeeds holds FuzzFrontendSteps's committed corpus to what

@@ -149,10 +149,11 @@ func (c *Cluster) Recorders() []*trace.Recorder {
 }
 
 // Close closes every kernel — the processes the run left parked are unwound
-// and no goroutine remains — and ends the cluster: devices and results stay
-// readable, it cannot run again. A kernel lent by Config.Arena goes back to
-// the arena, reset, with the sessions and frontends the run left live, and
-// belongs to the arena's next cluster from then on. Safe to call more than
+// and no goroutine remains — and ends the cluster: results stay readable, it
+// cannot run again. So do devices, unless Config.Arena lent the kernel: then
+// it goes back to the arena, reset, with the sessions and frontends the run
+// left live and every device, device scheduler and packer, which the arena's
+// next cluster re-initialises; Devices returns nil. Safe to call more than
 // once.
 func (c *Cluster) Close() {
 	for i, e := range c.envs {
@@ -160,8 +161,12 @@ func (c *Cluster) Close() {
 			e.k.Close()
 		}
 	}
-	if c.lent != nil {
-		c.cfg.Arena.put(c.lent)
+	if s := c.lent; s != nil {
+		s.devices = append(s.devices, c.devices...) // bounded by the largest fleet
+		s.scheds = append(s.scheds, c.scheds...)
+		s.packers = append(s.packers, c.packers...)
+		s.tables, c.tables = c.tables, tables{} // so that stale reads fail loudly
+		c.cfg.Arena.put(s)
 		c.lent = nil
 	}
 }

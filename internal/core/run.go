@@ -258,42 +258,65 @@ func (c *Cluster) run(streams []workload.StreamSpec, drive func()) (*RunResult, 
 // launchStream starts the per-stream arrival daemon on the kernel of the
 // stream's arrival node.
 func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
-	var arrivals []sim.Time
+	e := c.nodes[s.Node].e
+	a := take(&e.arrivals)
+	if a.stepFn == nil {
+		a.nameFn, a.stepFn = a.name, a.step
+		if e.lent {
+			e.made.arrivals = append(e.made.arrivals, a) // bounded by peak streams
+		}
+	}
 	if c.cfg.Traces != nil {
 		// Shared immutable trace; the book derives it with the same seed
 		// formula, so the two paths are bit-identical.
-		arrivals = c.cfg.Traces.Arrivals(c.cfg.Seed, si, s)
+		a.times = c.cfg.Traces.Arrivals(c.cfg.Seed, si, s)
 	} else {
 		rng := rand.New(rand.NewSource(workload.StreamSeed(c.cfg.Seed, si)))
-		arrivals = s.Arrivals(rng)
+		a.times = s.Arrivals(rng)
 	}
-	prof := workload.ProfileFor(s.Kind)
-	e := c.nodes[s.Node].e
-	i := 0
-	e.k.GoDaemon(fmt.Sprintf("stream-%d-%s", si, s.Kind), func(d *sim.Daemon) {
-		for ; i < len(arrivals); i++ {
-			if at := arrivals[i]; at > d.Now() {
-				d.Sleep(at - d.Now())
-				return
-			}
-			app := workload.App{
-				Profile: prof,
-				Style:   s.Style,
-				ID:      e.nextAppID(),
-				Tenant:  s.Tenant,
-				Weight:  s.Weight,
-				// The application's programmed (static) device choice —
-				// the one the CUDA-runtime baseline honours and Strings
-				// overrides.
-				PreferredDev: 0,
-			}
-			e.results.Launched++
-			e.results.TenantWeight[s.Tenant] = s.Weight
-			e.apps = append(e.apps, appTenant{app.ID, s.Tenant}) // bounded by the requests launched
-			e.startFrontend(app, &s, si, i)
+	a.e, a.s, a.si, a.i = e, s, si, 0
+	e.k.StartDaemon(&a.d, a.nameFn, a.stepFn)
+}
+
+// arrival is a stream's arrival daemon, which starts each request on a
+// frontend. Its frontends read the stream from it, so it is reused only once
+// its cluster has closed.
+type arrival struct {
+	d     sim.Daemon
+	e     *shardEnv
+	s     workload.StreamSpec
+	si, i int // stream si, whose ith request is next
+	times []sim.Time
+
+	nameFn func() string // its name and step, bound once
+	stepFn func(*sim.Daemon)
+}
+
+func (a *arrival) name() string { return fmt.Sprintf("stream-%d-%s", a.si, a.s.Kind) }
+
+func (a *arrival) step(d *sim.Daemon) {
+	e, s := a.e, &a.s
+	for ; a.i < len(a.times); a.i++ {
+		if at := a.times[a.i]; at > d.Now() {
+			d.Sleep(at - d.Now())
+			return
 		}
-		d.Exit()
-	})
+		app := workload.App{
+			Profile: workload.ProfileFor(s.Kind),
+			Style:   s.Style,
+			ID:      e.nextAppID(),
+			Tenant:  s.Tenant,
+			Weight:  s.Weight,
+			// The application's programmed (static) device choice — the
+			// one the CUDA-runtime baseline honours and Strings overrides.
+			PreferredDev: 0,
+		}
+		e.results.Launched++
+		e.results.TenantWeight[s.Tenant] = s.Weight
+		e.apps = append(e.apps, appTenant{app.ID, s.Tenant}) // bounded by the requests launched
+		e.startFrontend(app, s, a.si, a.i)
+	}
+	d.Exit()
 }
 
 // appName names the frontend of stream si's nth request.

@@ -54,9 +54,11 @@ type Scheduler struct {
 	entries []*Entry // maintained in ascending AppID order
 	gen     uint64   // dispatcher pick generation (see dispatch)
 	nextSig int
-	disp    *sim.Daemon // nil until ensureDispatcher starts it
+	disp    sim.Daemon // the Dispatcher, once ensureDispatcher has started it
 	closed  bool
 	rec     *trace.Recorder
+	nameFn  func() string // the Dispatcher's name and step, bound once
+	stepFn  func(*sim.Daemon)
 }
 
 // SetRecorder installs the observability recorder: registrations,
@@ -67,18 +69,21 @@ func (s *Scheduler) SetRecorder(rec *trace.Recorder) { s.rec = rec }
 // New creates a scheduler for dev (identified cluster-wide by gid) with the
 // given policy; AllAwake (nil policy) disables dispatch gating.
 func New(k *sim.Kernel, dev *gpu.Device, gid int, policy Policy, cfg Config) *Scheduler {
+	return new(Scheduler).Init(k, dev, gid, policy, cfg)
+}
+
+// Init makes *s, new or reused once its kernel has been reset or closed, the
+// scheduler New returns; its RCB list keeps its array. It returns s.
+func (s *Scheduler) Init(k *sim.Kernel, dev *gpu.Device, gid int, policy Policy, cfg Config) *Scheduler {
 	if policy == nil {
 		policy = AllAwake{}
 	}
 	if cfg.LASDecay <= 0 || cfg.LASDecay > 1 {
 		cfg.LASDecay = DefaultConfig().LASDecay
 	}
-	s := &Scheduler{
-		k:      k,
-		dev:    dev,
-		gid:    gid,
-		cfg:    cfg,
-		policy: policy,
+	*s = Scheduler{
+		k: k, dev: dev, gid: gid, cfg: cfg, policy: policy,
+		entries: s.entries[:0], nameFn: s.nameFn, stepFn: s.stepFn,
 	}
 	return s
 }
@@ -184,18 +189,19 @@ func (s *Scheduler) Close() {
 // ensureDispatcher starts the dispatcher daemon on first registration.
 // AllAwake needs no dispatcher.
 func (s *Scheduler) ensureDispatcher() {
-	if s.disp != nil {
+	if s.disp.Kernel() != nil { // started
 		return
 	}
 	if _, ok := s.policy.(AllAwake); ok {
 		return
 	}
-	s.disp = s.k.GoDaemon(nameFor(s.gid), s.dispatch)
+	if s.stepFn == nil {
+		s.nameFn, s.stepFn = s.name, s.dispatch
+	}
+	s.k.StartDaemon(&s.disp, s.nameFn, s.stepFn)
 }
 
-func nameFor(gid int) string {
-	return fmt.Sprintf("devsched-%d", gid)
-}
+func (s *Scheduler) name() string { return fmt.Sprintf("devsched-%d", s.gid) }
 
 // dispatch is one turn of the Dispatcher: every epoch (or kick) it refreshes
 // the Request Monitor's accounting and applies the policy's wake set.

@@ -118,6 +118,17 @@ func TestFig9Orderings(t *testing.T) {
 	}
 }
 
+// TestFig9BaselineOutgrowsMemory: twenty Monte Carlo requests on their
+// programmed GPU need more memory than it has, so the bare-CUDA baseline waits
+// for it instead of failing the figure with an out-of-memory error.
+func TestFig9BaselineOutgrowsMemory(t *testing.T) {
+	s := NewSuite(Options{Seed: 1, Requests: 20, Apps: []workload.Kind{workload.MonteCarlo}})
+	tab := s.Fig9() // the suite panics on any application error
+	if v := avgRow(t, tab, "GMin-Strings"); v <= 1 {
+		t.Errorf("GMin-Strings speedup %.2f over the blocked CUDA baseline, want above 1", v)
+	}
+}
+
 func TestFig10ShapeHolds(t *testing.T) {
 	s := smallSuite()
 	tab := s.Fig10()

@@ -32,11 +32,13 @@ func balancingSystems(fig string) []system {
 
 // fig9Base runs (or recalls) Figure 9's bare-CUDA baseline for one
 // application class. Grid cells call it on demand; the singleflight cache
-// makes concurrent first calls collapse into a single simulation.
+// makes concurrent first calls collapse into a single simulation. Every
+// application keeps its programmed device, so a long stream outgrows that
+// GPU's memory: cudaMalloc waits for it (BlockOnOOM) rather than failing.
 func (s *Suite) fig9Base(k workload.Kind) *core.RunResult {
 	return s.run(scenario{
 		key:     "fig9/cuda/" + k.String(),
-		cfg:     core.Config{Nodes: singleNode(), Mode: core.ModeCUDA},
+		cfg:     core.Config{Nodes: singleNode(), Mode: core.ModeCUDA, BlockOnOOM: true},
 		streams: []workload.StreamSpec{s.stream(k, s.opt.Requests, 0, 1)},
 	})
 }

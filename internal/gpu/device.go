@@ -25,9 +25,12 @@ type Device struct {
 	residing sim.Time // when the resident context became resident
 	draining bool     // stop dispatching: waiting to switch contexts
 
-	drv       *sim.Daemon
+	drv       sim.Daemon
 	switching *Context // mid context switch: becomes resident when the driver's sleep ends
 	closed    bool
+
+	nameFn func() string // its driver's name and step, bound once
+	stepFn func(*sim.Daemon)
 
 	// Compute engine: the set of concurrently running kernels under a
 	// uniform processor-sharing slowdown.
@@ -55,7 +58,9 @@ type Device struct {
 	kernelsDone int
 	copiesDone  int
 	apps        map[int]*AppAcct
-	acctFree    []AppAcct // records not yet handed out by Acct
+	acctFree    []AppAcct   // records not yet handed out by Acct
+	acctChunks  [][]AppAcct // the chunks acctFree is carved from, kept by Init
+	acctNext    int         // the next of them to carve
 }
 
 // AppAcct is one application's accounting on a device, a handle valid for the
@@ -77,16 +82,67 @@ type copyEngine struct {
 
 // NewDevice creates a device with the given spec and identifier and starts
 // its driver daemon on k.
-func NewDevice(k *sim.Kernel, spec Spec, id int) *Device {
-	d := &Device{
-		k:        k,
-		spec:     spec.normalized(),
-		id:       id,
-		slowdown: 1,
-		apps:     make(map[int]*AppAcct),
+func NewDevice(k *sim.Kernel, spec Spec, id int) *Device { return new(Device).Init(k, spec, id) }
+
+// Init makes *d, new or reused once its kernel has been reset or closed, the
+// device NewDevice(k, spec, id) returns, keeping its op free list, accounting
+// records and ring arrays; what a horizon left on it is reclaimed first.
+// It returns d.
+func (d *Device) Init(k *sim.Kernel, spec Spec, id int) *Device {
+	d.reclaim()
+	if d.apps == nil {
+		d.apps = make(map[int]*AppAcct)
 	}
-	d.drv = k.GoDaemon(fmt.Sprintf("gpu%d-driver", id), d.driver)
+	clear(d.apps)
+	for _, c := range d.acctChunks {
+		clear(c)
+	}
+	d.memQ.Reset()
+	*d = Device{
+		k: k, spec: spec.normalized(), id: id, slowdown: 1,
+		contexts: d.contexts[:0], running: d.running[:0],
+		h2d: copyEngine{queue: d.h2d.queue}, d2h: copyEngine{queue: d.d2h.queue}, memQ: d.memQ,
+		opFree: d.opFree, apps: d.apps, acctChunks: d.acctChunks,
+		nameFn: d.nameFn, stepFn: d.stepFn,
+	}
+	if d.stepFn == nil {
+		d.nameFn, d.stepFn = d.name, d.driver
+	}
+	k.StartDaemon(&d.drv, d.nameFn, d.stepFn)
 	return d
+}
+
+func (d *Device) name() string { return fmt.Sprintf("gpu%d-driver", d.id) }
+
+// reclaim gives the ops a run left in flight to the op free list, and its
+// contexts, live or retired, with their streams to the spare list.
+func (d *Device) reclaim() {
+	for _, op := range d.running {
+		d.PutOp(op)
+	}
+	for _, e := range []*copyEngine{&d.h2d, &d.d2h} {
+		d.PutOp(e.cur)
+		for e.queue.Len() > 0 {
+			d.PutOp(e.queue.Pop())
+		}
+	}
+	for _, c := range d.contexts {
+		for _, s := range c.streams {
+			for s.queue.Len() > 0 {
+				d.PutOp(s.queue.Pop())
+			}
+			s.busy, s.listed = false, false
+		}
+		c.shelve()
+		clear(c.ready)
+		c.ready, c.pending = c.ready[:0], 0
+		d.spare(c)
+	}
+	for _, c := range [...]*Context{d.resident, d.switching} {
+		if c != nil && c.retired {
+			d.spare(c)
+		}
+	}
 }
 
 // ID returns the device's local identifier.
@@ -176,17 +232,22 @@ func (d *Device) DestroyContext(c *Context) {
 	}
 	i := slices.Index(d.contexts, c)
 	d.contexts = slices.Delete(d.contexts, i, i+1)
+	c.shelve()
+	if c == d.resident || c == d.switching {
+		c.retired = true
+		return
+	}
+	d.spare(c)
+}
+
+// shelve moves the context's streams to its spare list.
+func (c *Context) shelve() {
 	for _, s := range c.streams {
 		s.ctx = nil
 	}
 	c.spare = append(c.spare, c.streams...) // bounded by peak live streams
 	clear(c.streams)
 	c.streams = c.streams[:0]
-	if c == d.resident || c == d.switching {
-		c.retired = true
-		return
-	}
-	d.spare(c)
 }
 
 // spare gives a destroyed context to the spare list.
@@ -546,11 +607,15 @@ func (d *Device) Acct(appID int) *AppAcct {
 	a := d.apps[appID]
 	if a == nil {
 		if len(d.acctFree) == 0 {
-			// As many records again as are in use, so a device that serves a
-			// handful of applications holds a handful and one that serves
-			// thousands allocates rarely.
-			n := min(max(len(d.apps), 4), 256)
-			d.acctFree = make([]AppAcct, n)
+			if d.acctNext == len(d.acctChunks) {
+				// As many records again as are in use, so a device that
+				// serves a handful of applications holds a handful and one
+				// that serves thousands allocates rarely.
+				n := min(max(len(d.apps), 4), 256)
+				d.acctChunks = append(d.acctChunks, make([]AppAcct, n)) // bounded by the records in use
+			}
+			d.acctFree = d.acctChunks[d.acctNext]
+			d.acctNext++
 		}
 		a = &d.acctFree[0]
 		d.acctFree = d.acctFree[1:]

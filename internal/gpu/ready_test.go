@@ -37,7 +37,7 @@ func runReadyScript(t *testing.T, seed int64) (steps, held, waiting int) {
 	spec := testSpec()
 	spec.MaxConcurrentKernels = 2
 	d := &Device{k: k, spec: spec.normalized(), slowdown: 1, apps: make(map[int]*AppAcct)}
-	d.drv = k.GoDaemon("gpu0-driver", func(dm *sim.Daemon) {
+	k.StartDaemon(&d.drv, func() string { return "gpu0-driver" }, func(dm *sim.Daemon) {
 		d.driver(dm)
 		steps++
 		for _, c := range d.contexts {

@@ -17,6 +17,7 @@ package packer
 
 import (
 	"repro/internal/cuda"
+	"repro/internal/gpu"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -35,9 +36,9 @@ func DefaultConfig() Config { return Config{PinBandwidth: 4000} }
 // Packer owns the single shared GPU context of one backend process (one per
 // device) and the per-device Pinned Memory Table.
 type Packer struct {
-	rt   *cuda.Runtime
+	rt   cuda.Runtime // the backend process's
 	cfg  Config
-	pmt  *PMT
+	pmt  PMT
 	free []*Port // closed lanes, for Open to reuse
 	rec  *trace.Recorder
 	gid  int // gPool device id, for span attribution (-1 when unset)
@@ -51,9 +52,20 @@ func (pk *Packer) SetRecorder(rec *trace.Recorder, gid int) {
 	pk.gid = gid
 }
 
-// New creates a packer over the backend process's CUDA runtime.
+// New creates a packer over (a copy of) the backend process's CUDA runtime.
 func New(rt *cuda.Runtime, cfg Config) *Packer {
-	return &Packer{rt: rt, cfg: cfg, pmt: NewPMT(), gid: -1}
+	return &Packer{rt: *rt, cfg: cfg, gid: -1}
+}
+
+// Init makes *pk, new or reused once its kernel has been reset or closed, the
+// packer New returns over a fresh process seeing devices; its context tables
+// and closed lanes keep their arrays, and the lanes still open are dropped.
+// What the old process held needs no release: the kernel's Reset takes back
+// its events, and its device's Init its context. It returns pk.
+func (pk *Packer) Init(k *sim.Kernel, devices []*gpu.Device, rtCfg cuda.Config, cfg Config) *Packer {
+	pk.rt.Init(k, devices, rtCfg)
+	*pk = Packer{rt: pk.rt, cfg: cfg, free: pk.free, gid: -1}
+	return pk
 }
 
 // Port is one application's lane through the packer: its backend CUDA

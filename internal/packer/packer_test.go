@@ -2,6 +2,8 @@ package packer
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cuda"
@@ -478,4 +480,54 @@ func TestMOTErrorPaths(t *testing.T) {
 		}
 	})
 	k.Run()
+}
+
+// packerScript runs, on pk, a few applications that each open a lane, copy
+// in through the MOT, launch, synchronize and exit, and runs k to horizon (0:
+// to quiescence). It returns when each call returned and how, and the PMT.
+func packerScript(k *sim.Kernel, pk *Packer, horizon sim.Time) string {
+	var log []string
+	for app := 1; app <= 3; app++ {
+		k.Go("bt", func(p *sim.Proc) {
+			port, err := pk.Open(p, app, int64(10+app))
+			if err != nil {
+				log = append(log, err.Error())
+				return
+			}
+			ptr, r := mallocVia(port, int64(app)<<12)
+			for _, call := range []*rpcproto.Call{
+				{ID: cuda.CallMemcpy, Dir: cuda.H2D, PtrID: ptr.ID, PtrSize: ptr.Size, Bytes: 2000},
+				{ID: cuda.CallLaunch, Compute: float64(app) * 1e5, Occupancy: 0.5},
+				{ID: cuda.CallStreamSync},
+				{ID: cuda.CallThreadExit},
+			} {
+				log = append(log, fmt.Sprintf("app %d %v %q at %d", app, call.ID, r.Err, p.Now()))
+				r = port.Execute(call)
+			}
+		})
+	}
+	if horizon > 0 {
+		k.RunUntil(horizon)
+	} else {
+		k.Run()
+	}
+	return fmt.Sprintf("%s\n%+v", strings.Join(log, "\n"), pk.pmt)
+}
+
+// TestReusedPackerRunsAsNew: a packer re-initialised after a run cut off
+// mid-call, over its re-initialised device on the reset kernel, serves the
+// next applications as a new packer does, PMT and all.
+func TestReusedPackerRunsAsNew(t *testing.T) {
+	k := sim.NewKernel(1)
+	dev := testDev(k)
+	want := packerScript(k, New(cuda.NewRuntime(k, []*gpu.Device{dev}, cuda.Config{}), Config{PinBandwidth: 10}), 0)
+	pk := new(Packer).Init(k, []*gpu.Device{dev}, cuda.Config{}, Config{PinBandwidth: 10})
+	for _, horizon := range []sim.Time{300, 0} {
+		k.Reset(1)
+		dev.Init(k, dev.Spec(), 0)
+		pk.Init(k, []*gpu.Device{dev}, cuda.Config{}, Config{PinBandwidth: 10})
+		if got := packerScript(k, pk, horizon); horizon == 0 && got != want {
+			t.Fatalf("the reused packer served\n%s\na new one\n%s", got, want)
+		}
+	}
 }

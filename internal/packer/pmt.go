@@ -42,9 +42,6 @@ type PMT struct {
 // application's staging depth, so most never regrow.
 const rowsCap = 8
 
-// NewPMT returns an empty table.
-func NewPMT() *PMT { return &PMT{} }
-
 // Add records a new pinned staging buffer in the application's rows and
 // returns its id.
 func (t *PMT) Add(rows *PinnedRows, appID int, stream cuda.StreamID, bytes int64, dir cuda.Dir) int64 {

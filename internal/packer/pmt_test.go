@@ -11,7 +11,7 @@ import (
 )
 
 func TestPMTAddReleaseAccounting(t *testing.T) {
-	pmt := NewPMT()
+	pmt := &PMT{}
 	var rows PinnedRows
 	id1 := pmt.Add(&rows, 1, 3, 100, cuda.H2D)
 	id2 := pmt.Add(&rows, 1, 3, 200, cuda.H2D)
@@ -36,7 +36,7 @@ func TestPMTAddReleaseAccounting(t *testing.T) {
 }
 
 func TestPMTReleaseSyncedScopedToStream(t *testing.T) {
-	pmt := NewPMT()
+	pmt := &PMT{}
 	var app1, app2 PinnedRows
 	pmt.Add(&app1, 1, 3, 100, cuda.H2D)
 	pmt.Add(&app1, 1, 4, 100, cuda.H2D)
@@ -51,7 +51,7 @@ func TestPMTReleaseSyncedScopedToStream(t *testing.T) {
 }
 
 func TestPMTReleaseApp(t *testing.T) {
-	pmt := NewPMT()
+	pmt := &PMT{}
 	var app1, app2 PinnedRows
 	pmt.Add(&app1, 1, 3, 100, cuda.H2D)
 	pmt.Add(&app1, 1, 4, 100, cuda.H2D)
@@ -72,7 +72,7 @@ type pinned struct {
 // the sum of live entries and never go negative; high water is monotone.
 func TestQuickPMTBalance(t *testing.T) {
 	f := func(ops []uint16) bool {
-		pmt := NewPMT()
+		pmt := &PMT{}
 		var rows [4]PinnedRows
 		var live []pinned
 		for _, op := range ops {
@@ -163,7 +163,7 @@ func TestPMTMatchesReference(t *testing.T) {
 	const apps, streams, steps = 8, 3, 4000
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		got, want := NewPMT(), &refPMT{entries: map[int64]PinnedEntry{}}
+		got, want := &PMT{}, &refPMT{entries: map[int64]PinnedEntry{}}
 		var rows [apps]PinnedRows
 		var ids []pinned
 		for step := 0; step < steps; step++ {
@@ -206,7 +206,7 @@ func TestPMTMatchesReference(t *testing.T) {
 // syncs its streams, exits — allocates nothing once its port's rows have been
 // round: a lane and its rows are reused by the next application.
 func TestPMTSteadyStateZeroAlloc(t *testing.T) {
-	pmt := NewPMT()
+	pmt := &PMT{}
 	var rows [2]PinnedRows // two lanes, taken in turn
 	app := 0
 	request := func() {

@@ -11,6 +11,7 @@ type Event struct {
 	pooled  bool  // drawn from the kernel free list; recycled via Ref/Unref
 	refs    int32 // outstanding references to a pooled event
 	waiters waitQ
+	made    *Event // the pooled event its kernel made before this one
 }
 
 // NewEvent returns an unfired event bound to k.
@@ -33,7 +34,21 @@ func (k *Kernel) NewPooledEvent() *Event {
 		return e
 	}
 	k.evMade++
-	return &Event{k: k, pooled: true, refs: 1} // pool grow-on-miss: amortized to zero once the free list reaches peak occupancy
+	k.evLast = &Event{k: k, pooled: true, refs: 1, made: k.evLast} // pool grow-on-miss: amortized to zero once the free list reaches peak occupancy
+	return k.evLast
+}
+
+// repool frees every pooled event the kernel made, whoever a horizon left
+// holding it (Reset), unfired, so a stale Unref cannot list one twice.
+func (k *Kernel) repool() {
+	clear(k.evFree)
+	k.evFree = k.evFree[:0]
+	for e := k.evLast; e != nil; e = e.made {
+		e.fired, e.refs = false, 0
+		e.waiters.first = nil
+		e.waiters.rest.Reset()
+		k.evFree = append(k.evFree, e) // bounded by the events made
+	}
 }
 
 // PooledEvents returns how many pooled events the kernel has made and how many

@@ -78,9 +78,11 @@ type Kernel struct {
 
 	// evFree recycles pooled events (NewPooledEvent); kept across Reset so a
 	// reused kernel skips the ramp-up allocations, like the heap and ring
-	// backing arrays. evMade counts the pooled events made.
+	// backing arrays. evMade counts the pooled events made, and evLast is the
+	// newest of them, the head of their list (Event.made).
 	evFree []*Event
 	evMade int
+	evLast *Event
 
 	// tslots holds the payloads of armed timers; tfree heads the free list
 	// threaded through the vacant slots, -1 when there is none (timer.go).
@@ -119,7 +121,8 @@ func NewKernel(seed int64) *Kernel {
 
 // Reset returns the kernel to the state NewKernel(seed) would produce while
 // keeping the event heap's, now-queue's, event pool's and timer slot table's
-// backing arrays, so a worker that runs many simulations back to back stops
+// backing arrays — every pooled event goes back to the pool, whoever still
+// holds it — so a worker that runs many simulations back to back stops
 // paying the ramp-up allocations of each run.
 // A reset kernel is indistinguishable from a fresh one: the clock, sequence
 // counter, dispatch count, random stream and process table all start over,
@@ -144,7 +147,8 @@ func (k *Kernel) Reset(seed int64) {
 	k.folds = 0
 	clear(k.procs)
 	k.nextID = 0
-	k.rng = rand.New(rand.NewSource(seed))
+	k.rng.Seed(seed) // in place: a fresh source is some 5 KB
+	k.repool()
 	k.tracer = nil
 	k.stopped = false
 	k.ffHorizon = DefaultFFHorizon

@@ -16,6 +16,13 @@ type Queue[T any] struct {
 // too, for a queue embedded by value in its owner.
 func NewQueue[T any](k *Kernel) *Queue[T] { return &Queue[T]{} }
 
+// Reset empties the queue and forgets its waiters, keeping the ring's array,
+// for a queue that outlives a Reset of its kernel.
+func (q *Queue[T]) Reset() {
+	q.items.Reset()
+	q.ready = Signal{}
+}
+
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
 
