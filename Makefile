@@ -93,12 +93,17 @@ bench-smoke:
 	$(GO) run ./cmd/strings-bench -exp frag -requests 6 -parallel 4 -csv | grep -v '^(' > $(BIN)/frag-smoke-par.csv
 	diff $(BIN)/frag-smoke.csv $(BIN)/frag-smoke-par.csv
 
-# The six examples are the documented use of the library (README): run each
-# and fail on the first non-zero exit. All finish in virtual time; remoting
-# listens on a loopback port of the kernel's choosing.
+# The six examples are the documented use of the library (README): run each,
+# fail on the first non-zero exit, and byte-diff its stdout against the
+# expected.out beside it. All finish in virtual time, so their output is
+# fixed, except remoting's: it listens on a loopback port of the kernel's
+# choosing and prints the address, so it is run but not diffed. analysis
+# prints where os.TempDir() put its files, so TMPDIR is pinned.
 examples:
+	@mkdir -p $(BIN)
 	@for e in examples/*/; do \
-		echo "== $$e"; $(GO) run ./$$e > /dev/null || exit 1; \
+		echo "== $$e"; TMPDIR=/tmp $(GO) run ./$$e > $(BIN)/example.out || exit 1; \
+		[ $$e = examples/remoting/ ] || diff $${e}expected.out $(BIN)/example.out || exit 1; \
 	done
 
 # Full micro-benchmark pass with allocation counts.

@@ -209,13 +209,15 @@ func runSparse(t *testing.T, mode core.Mode, seed int64, requests int) {
 // ones before it left in the suite's arena. The unit is the simulation, and
 // the budget the reading rounded up to the next tenth. The grid read 526.9
 // while every cluster started with empty free lists and every Rain or CUDA
-// process built its runtime, context and streams, and 357.20 while every
-// cluster built its devices, device schedulers and packers.
+// process built its runtime, context and streams, 357.20 while every
+// cluster built its devices, device schedulers and packers, and 167.42 while
+// Fig 13 ran its 4-GPU GRR baseline again under a name of its own and two
+// CUDA threads' overlapping device syncs dropped one wait list.
 func TestAllocBudgetSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget measurement skipped in -short mode")
 	}
-	const budget = 167.5 // measured 167.42
+	const budget = 164.0 // measured 163.93
 	pass := func() int {
 		s := experiments.NewSuite(experiments.Options{Seed: 1, Requests: 4, Workers: 1, Pairs: workload.Pairs()[:2],
 			Apps: []workload.Kind{workload.DXTC, workload.Gaussian}})
@@ -350,7 +352,7 @@ func contendedCells() []contendedCell {
 		{Kind: pair.Short, Count: 8, LambdaFactor: 0.6, Node: 1, Tenant: 2, Weight: 1},
 	}
 	return []contendedCell{
-		{"fig11/TFS-Strings", core.Config{Nodes: oneGPU, Mode: core.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * sim.Second, 30.5, 280.0},
+		{"fig11/TFS-Strings", core.Config{Nodes: oneGPU, Mode: core.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * sim.Second, 30.0, 280.0},
 		{"fig12/GWtMinPS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 26.0, 4722.5},
 		{"fig12/GWtMinLAS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 26.0, 4722.5},
 	}

@@ -1,6 +1,8 @@
 // strings-run executes one scenario — a fleet, a runtime mode, a balancing
-// policy, a device-level policy and a set of request streams — and prints its
-// per-kind completion times and per-device counters.
+// policy, a device-level policy and a set of request streams, run to
+// completion or cut at horizon= — and prints its per-kind completion times
+// and per-device counters. A failing experiment cell prints the -scenario
+// that replays it here.
 //
 // Usage:
 //
@@ -16,7 +18,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/scenario"
 )
 
@@ -42,31 +43,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	if sc.Supernodes > 0 {
-		return fail(fmt.Errorf("a supernodes= scenario is the cluster tier's: run it with strings-bench -exp cluster -scenario"))
-	}
-	cfg, streams := sc.Core()
-	cluster, err := core.New(cfg)
+	cluster, r, err := sc.Run(scenario.Env{})
 	if err != nil {
 		return fail(err)
 	}
 	defer cluster.Close()
-	r, err := cluster.Run(streams)
-	if err != nil {
-		return fail(err)
-	}
-	if len(r.Errors) > 0 {
-		return fail(fmt.Errorf("application errors: %v", r.Errors))
-	}
 
 	fmt.Fprintf(stdout, "mode=%s balance=%s dev=%s nodes=%d seed=%d\n",
-		cfg.Mode, cfg.Balance, cfg.DevPolicy, len(cfg.Nodes), cfg.Seed)
+		sc.Mode, sc.Balance, sc.Dev, len(sc.Fleet), sc.Seed)
 	fmt.Fprintf(stdout, "requests: %d launched, %d finished, horizon %v\n\n",
 		r.Launched, r.Finished, r.EndTime)
 	for _, k := range r.Kinds() {
 		fmt.Fprintf(stdout, "  %-3v %3d requests, avg %v, p50 %v, p95 %v\n",
 			k, len(r.Completions(k)), r.AvgCompletion(k),
 			r.PercentileCompletion(k, 0.5), r.PercentileCompletion(k, 0.95))
+	}
+	if sc.Horizon > 0 { // what a cut run measures: each tenant's service in the window
+		for tenant := range int64(len(sc.Streams)) {
+			fmt.Fprintf(stdout, "  tenant %d served %v\n", tenant+1, r.TenantService[tenant+1])
+		}
 	}
 	fmt.Fprintln(stdout)
 	for gid, d := range cluster.Devices() {

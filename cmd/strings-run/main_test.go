@@ -42,6 +42,25 @@ func TestRunMatchesFlagReports(t *testing.T) {
 	}
 }
 
+// TestRunReplaysHorizonCell replays Fig 11's TFS-Strings cell for pair B as
+// the experiment suite prints it, cut at its 40 s window: every request is
+// still in flight at the horizon, and the report gives each tenant's service
+// in the window, what the figure's Jain index is computed from.
+func TestRunReplaysHorizonCell(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "fig11-tfs-strings-B.out"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	cell := "fleet=TeslaC2050;balance=GRR;dev=TFS;streams=DC:8/every=1s,MC:40/every=500ms;horizon=40s"
+	if code := run([]string{"-scenario", cell}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("-scenario %q printed\n%s\nwant (testdata/fig11-tfs-strings-B.out)\n%s", cell, stdout.String(), want)
+	}
+}
+
 // TestRunRejectsBadScenarios: a scenario that does not parse, a cluster-tier
 // one, and one core.New refuses each exit 1 with the reason.
 func TestRunRejectsBadScenarios(t *testing.T) {

@@ -20,7 +20,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/trace"
 )
@@ -53,34 +52,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-width must be at least 1 (got %d)", *width))
 	}
 	sc, err := scenario.Parse(*text)
-	if err == nil && sc.Supernodes > 0 {
-		err = fmt.Errorf("a supernodes= scenario is the cluster tier's: run it with strings-bench -exp cluster -scenario")
-	}
 	if err != nil {
 		return fail(err)
 	}
-
 	rec := trace.New()
-	cfg, streams := sc.Core()
-	cfg.Trace, cfg.Recorder = true, rec
-	cluster, err := core.New(cfg)
+	cluster, r, err := sc.Run(scenario.Env{Recorder: rec, Trace: true})
 	if err != nil {
 		return fail(err)
 	}
 	defer cluster.Close()
-	r, err := cluster.Run(streams)
-	if err != nil {
-		return fail(err)
-	}
-	if len(r.Errors) > 0 {
-		return fail(fmt.Errorf("application errors: %v", r.Errors))
-	}
 
-	runs := make([]string, len(streams))
-	for i, st := range streams {
+	runs := make([]string, len(sc.Streams))
+	for i, st := range sc.Streams {
 		runs[i] = fmt.Sprintf("%d %v", st.Count, st.Kind)
 	}
-	fmt.Fprintf(stdout, "%s requests under %v/%s, makespan %v\n\n", strings.Join(runs, " + "), cfg.Mode, cfg.Balance, r.EndTime)
+	fmt.Fprintf(stdout, "%s requests under %v/%s, makespan %v\n\n", strings.Join(runs, " + "), sc.Mode, sc.Balance, r.EndTime)
 	set := rec.Snapshot()
 	if *jsonOut != "" {
 		if err := writeFile(*jsonOut, func(w io.Writer) error {

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/scenario"
@@ -21,18 +20,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg, streams := sc.Core()
-	cluster, err := core.New(cfg)
+	cluster, r, err := sc.Run(scenario.Env{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := cluster.Run(streams)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(r.Errors) > 0 {
-		log.Fatalf("application errors: %v", r.Errors)
-	}
+	defer cluster.Close()
 
 	// Tail latency per class.
 	fmt.Println("latency per class:")

@@ -9,41 +9,28 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/gpu"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
 func main() {
-	streams := []workload.StreamSpec{
-		{Kind: workload.DXTC, Count: 5, LambdaFactor: 0.7, Node: 0, Tenant: 1, Weight: 1},
-		{Kind: workload.MonteCarlo, Count: 10, LambdaFactor: 0.5, Node: 0, Tenant: 2, Weight: 1},
-		{Kind: workload.Scan, Count: 6, LambdaFactor: 0.7, Node: 0, Tenant: 3, Weight: 1},
-	}
+	// The default fleet, one node with a Quadro 2000 and a Tesla C2050. The
+	// MC tenant arrives faster than the other two.
+	const run = "mode=strings;streams=DC:5,MC:10/lambda=0.5,SC:6;lambda=0.7;seed=7"
 
 	fmt.Println("Three tenants (DC, MC, SC streams) on one node with two GPUs, Strings runtime")
 	fmt.Println()
 	fmt.Printf("%-8s %12s %12s %12s %14s\n", "policy", "DC avg", "MC avg", "SC avg", "GPU busy (s)")
 	for _, policy := range []string{"GRR", "GMin", "GWtMin", "RTF", "GUF", "DTF", "MBF"} {
-		cluster, err := core.New(core.Config{
-			Seed: 7,
-			Nodes: []core.NodeConfig{{Devices: []gpu.Spec{
-				gpu.Quadro2000, gpu.TeslaC2050,
-			}}},
-			Mode:    core.ModeStrings,
-			Balance: policy,
-		})
+		sc, err := scenario.Parse(run + ";balance=" + policy)
 		if err != nil {
 			log.Fatal(err)
+		}
+		cluster, r, err := sc.Run(scenario.Env{})
+		if err != nil {
+			log.Fatalf("%s: %v", policy, err)
 		}
 		defer cluster.Close()
-		r, err := cluster.Run(streams)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(r.Errors) > 0 {
-			log.Fatalf("%s: application errors: %v", policy, r.Errors)
-		}
 		var busy float64
 		for _, d := range cluster.Devices() {
 			st := d.Stats()

@@ -10,49 +10,29 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/gpu"
 	"repro/internal/metrics"
-	"repro/internal/sim"
-	"repro/internal/workload"
+	"repro/internal/scenario"
 )
 
-func measure(mode core.Mode, devPolicy string) *core.RunResult {
-	cluster, err := core.New(core.Config{
-		Seed: 3,
-		Nodes: []core.NodeConfig{
-			{Devices: []gpu.Spec{gpu.TeslaC2050}},
-		},
-		Mode:      mode,
-		Balance:   "GRR",
-		DevPolicy: devPolicy,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	r, err := cluster.RunUntil([]workload.StreamSpec{
-		{Kind: workload.Histogram, Count: 10, Lambda: sim.Second, Node: 0, Tenant: 1, Weight: 3},
-		{Kind: workload.MonteCarlo, Count: 40, Lambda: sim.Second / 2, Node: 0, Tenant: 2, Weight: 1},
-	}, 40*sim.Second)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return r
-}
-
 func main() {
+	// One Tesla C2050; both tenants keep it busy through a 40 s window.
+	const run = "fleet=TeslaC2050;balance=GRR;streams=HI:10/every=1s/weight=3,MC:40/every=500ms;horizon=40s;seed=3"
 	fmt.Println("Tenant 1 (HI stream, weight 3) vs tenant 2 (MC stream, weight 1),")
 	fmt.Println("one Tesla C2050, 40 s contention window")
 	fmt.Println()
-	for _, sys := range []struct {
-		label string
-		mode  core.Mode
-		dev   string
-	}{
-		{"bare CUDA runtime", core.ModeCUDA, ""},
-		{"Strings + TFS", core.ModeStrings, "TFS"},
+	for _, sys := range []struct{ label, scenario string }{
+		{"bare CUDA runtime", "mode=cuda"},
+		{"Strings + TFS", "mode=strings;dev=TFS"},
 	} {
-		r := measure(sys.mode, sys.dev)
+		sc, err := scenario.Parse(run + ";" + sys.scenario)
+		if err != nil {
+			log.Fatal(err)
+		}
+		cluster, r, err := sc.Run(scenario.Env{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		cluster.Close()
 		s1, s2 := r.TenantService[1], r.TenantService[2]
 		alloc := r.FairnessAllocations()
 		fmt.Printf("%s:\n", sys.label)

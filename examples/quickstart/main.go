@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -33,19 +32,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg, streams := sc.Core()
-		cluster, err := core.New(cfg)
+		cluster, r, err := sc.Run(scenario.Env{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer cluster.Close()
-		r, err := cluster.Run(streams)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(r.Errors) > 0 {
-			log.Fatalf("application errors: %v", r.Errors)
-		}
 		avg := r.AvgCompletion(workload.MonteCarlo)
 		if baseline == 0 {
 			baseline = avg

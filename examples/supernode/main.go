@@ -25,17 +25,9 @@ func run(balance string) (*core.RunResult, *core.Cluster) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg, streams := sc.Core()
-	cluster, err := core.New(cfg)
+	cluster, r, err := sc.Run(scenario.Env{})
 	if err != nil {
-		log.Fatal(err)
-	}
-	r, err := cluster.Run(streams)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(r.Errors) > 0 {
-		log.Fatalf("%s: application errors: %v", balance, r.Errors)
+		log.Fatalf("%s: %v", balance, err)
 	}
 	return r, cluster
 }

@@ -44,9 +44,8 @@ type procCtx struct {
 	// destroyed streams that live ones follow.
 	live []StreamID
 
-	events    map[EventID]*eventRec // lazily allocated on first EventCreate
-	nextEv    EventID
-	evScratch []*sim.Event // the waits of a device-wide synchronize (syncDevice)
+	events map[EventID]*eventRec // lazily allocated on first EventCreate
+	nextEv EventID
 }
 
 // eventRec is one CUDA event's state: the marker op of its latest record.
@@ -237,6 +236,7 @@ type Thread struct {
 	waits []*sim.Event
 	nw    int
 	one   [1]*sim.Event
+	syncs []*sim.Event // a device-wide synchronize's waits, kept for the next
 	then  func(*Thread)
 	sid   StreamID // the stream StreamDestroy drops
 
@@ -311,9 +311,10 @@ func (rt *Runtime) NewThread(p *sim.Proc, appID int) *Thread {
 }
 
 // InitThread makes *t, held by value or reused after its ThreadExit, a new
-// thread of the runtime as NewThread does; its allocation list keeps its array.
+// thread of the runtime as NewThread does; its allocation and wait lists keep
+// their arrays.
 func (rt *Runtime) InitThread(t *Thread, p *sim.Proc, appID int) {
-	*t = Thread{rt: rt, p: p, appID: appID, allocs: t.allocs[:0]}
+	*t = Thread{rt: rt, p: p, appID: appID, allocs: t.allocs[:0], syncs: t.syncs[:0]}
 }
 
 // charge spends a host-side cost on the thread's process.
@@ -595,11 +596,16 @@ func (t *Thread) syncDevice(then func(*Thread)) {
 	// Collect first (holding references): waiting can replace lastOps from
 	// other threads; device sync covers work queued as of the call. The dense
 	// table iterates in ascending StreamID order, keeping the wait order of
-	// the sorted-map-keys code this replaces. The scratch buffer is claimed
-	// until the waits are over — a concurrent sync on another thread falls
-	// back to a fresh allocation.
-	evs := pc.evScratch[:0]
-	pc.evScratch = nil
+	// the sorted-map-keys code this replaces. The list is the thread's own,
+	// so syncs of other threads on the same packed context can overlap it;
+	// one stream's wait needs none.
+	evs := t.one[:0]
+	if len(pc.live) > 1 {
+		if cap(t.syncs) < len(pc.live) {
+			t.syncs = make([]*sim.Event, 0, 2*len(pc.live))
+		}
+		evs = t.syncs
+	}
 	for _, id := range pc.live {
 		if ev := pc.lastOp[pc.at(id)]; ev != nil {
 			ev.Ref()
@@ -609,11 +615,8 @@ func (t *Thread) syncDevice(then func(*Thread)) {
 	t.await(evs, then)
 }
 
-// synced ends a device-wide synchronize: the wait list goes back.
-func (t *Thread) synced() {
-	clear(t.waits)
-	t.rt.ctxs[t.dev].evScratch = t.waits[:0]
-}
+// synced ends a device-wide synchronize: the wait list drops its events.
+func (t *Thread) synced() { clear(t.waits) }
 
 // EventCreate implements Client.
 func (t *Thread) EventCreate() (EventID, error) {

@@ -404,3 +404,36 @@ func TestStreamTablesStaySmall(t *testing.T) {
 	})
 	k.Run()
 }
+
+// TestOverlappingDeviceSyncsAllocateNothing: two threads of one packed context
+// synchronize the device at once, round after round. Each thread keeps its own
+// wait list, so once both have synchronized before, neither allocates.
+func TestOverlappingDeviceSyncsAllocateNothing(t *testing.T) {
+	k := sim.NewKernel(1)
+	rt := NewRuntime(k, []*gpu.Device{testDev(k)}, zcfg())
+	var a, b Thread
+	rt.InitThread(&a, nil, 1)
+	rt.InitThread(&b, nil, 2)
+	s, err := a.StreamCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sync := &Op{ID: CallDeviceSync}
+	round := func() {
+		a.Launch(Kernel{Compute: 1000}, DefaultStream)
+		b.Launch(Kernel{Compute: 1000}, s)
+		a.Issue(sync)
+		b.Issue(sync)
+		if a.Pending() == nil || b.Pending() == nil {
+			t.Fatal("a device-wide sync did not wait for the kernels")
+		}
+		k.Run()
+		if a.Pending() != nil || b.Pending() != nil {
+			t.Fatal("a device-wide sync still waits after the kernels ended")
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(50, round); n != 0 {
+		t.Errorf("two overlapping device syncs allocate %v times a round, want 0", n)
+	}
+}

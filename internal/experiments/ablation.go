@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/gpu"
 	"repro/internal/metrics"
-	"repro/internal/rpcproto"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -23,6 +23,18 @@ func ablationPair() workload.Pair {
 	return workload.Pair{Label: "B", Long: workload.DXTC, Short: workload.MonteCarlo}
 }
 
+// respec is a copy of fleet with set applied to every device's spec.
+func respec(fleet []core.NodeConfig, set func(*gpu.Spec)) []core.NodeConfig {
+	out := make([]core.NodeConfig, len(fleet))
+	for n, node := range fleet {
+		out[n].Devices = append([]gpu.Spec(nil), node.Devices...)
+		for d := range out[n].Devices {
+			set(&out[n].Devices[d])
+		}
+	}
+	return out
+}
+
 // AblationContextSwitch sweeps the driver's context-switch cost and
 // reports the pair's mean completion time under Rain (per-app contexts)
 // and Strings (packed context). Strings should be insensitive: packing
@@ -35,18 +47,9 @@ func (s *Suite) AblationContextSwitch() *metrics.Table {
 	p := ablationPair()
 	for i, cost := range costs {
 		labels[i] = cost.String()
-		nodes := singleNode()
-		for n := range nodes {
-			for d := range nodes[n].Devices {
-				nodes[n].Devices[d].ContextSwitch = cost
-			}
-		}
+		fleet := respec(singleNode, func(d *gpu.Spec) { d.ContextSwitch = cost })
 		for _, mode := range []core.Mode{core.ModeRain, core.ModeStrings} {
-			r := s.run(scenario{
-				key:     fmt.Sprintf("abl-ctx/%v/%s", cost, mode),
-				cfg:     core.Config{Nodes: nodes, Mode: mode, Balance: "GMin"},
-				streams: s.pairStreams(p, false),
-			})
+			r := s.run(s.on(system{mode: mode}, fleet, s.pairStreams(p, false)...))
 			mean := float64(r.AvgCompletion(p.Long)+r.AvgCompletion(p.Short)) / 2e6
 			if mode == core.ModeRain {
 				rain[i] = mean
@@ -72,18 +75,8 @@ func (s *Suite) AblationCopyEngines() *metrics.Table {
 	labels := []string{"1 engine", "2 engines"}
 	vals := make([]float64, 2)
 	for i, engines := range []int{1, 2} {
-		nodes := singleNode()
-		for n := range nodes {
-			for d := range nodes[n].Devices {
-				nodes[n].Devices[d].CopyEngines = engines
-			}
-		}
-		r := s.run(scenario{
-			key: fmt.Sprintf("abl-ce/%d", engines),
-			cfg: core.Config{Nodes: nodes, Mode: core.ModeStrings,
-				Balance: "GMin", DevPolicy: "PS"},
-			streams: s.pairStreams(p, false),
-		})
+		fleet := respec(singleNode, func(d *gpu.Spec) { d.CopyEngines = engines })
+		r := s.run(s.on(system{mode: core.ModeStrings, dev: "PS"}, fleet, s.pairStreams(p, false)...))
 		vals[i] = float64(r.AvgCompletion(p.Long)+r.AvgCompletion(p.Short)) / 2e6
 	}
 	tab := &metrics.Table{
@@ -106,13 +99,9 @@ func (s *Suite) AblationRemoteBandwidth() *metrics.Table {
 	base := s.pairBaseline1N(p)
 	for i, bw := range bands {
 		labels[i] = fmt.Sprintf("%.0fMB/s", bw)
-		r := s.run(scenario{
-			key: fmt.Sprintf("abl-net/%.0f", bw),
-			cfg: core.Config{Nodes: supernode(), Mode: core.ModeStrings, Balance: "GRR",
-				RemoteLink: rpcproto.LinkSpec{Latency: 60 * sim.Microsecond, Bandwidth: bw}},
-			streams: s.pairStreams(p, true),
-		})
-		vals[i] = weightedSpeedup(p, base, r)
+		sc := s.on(system{mode: core.ModeStrings, bal: "GRR"}, supernode, s.pairStreams(p, true)...)
+		sc.LinkBW = bw
+		vals[i] = weightedSpeedup(p, base, s.run(sc))
 	}
 	tab := &metrics.Table{
 		Title:  "Ablation: interconnect bandwidth vs GRR-Strings speedup (DC-MC pair)",
@@ -132,15 +121,9 @@ func (s *Suite) AblationLASDecay() *metrics.Table {
 	base := s.pairBaseline4G(p)
 	for i, k := range ks {
 		labels[i] = fmt.Sprintf("k=%.2f", k)
-		cfg := core.Config{Nodes: supernode(), Mode: core.ModeStrings,
-			Balance: "GWtMin", DevPolicy: "LAS"}
-		cfg.Sched.LASDecay = k
-		r := s.run(scenario{
-			key:     fmt.Sprintf("abl-las/%.2f", k),
-			cfg:     cfg,
-			streams: s.pairStreams(p, true),
-		})
-		vals[i] = weightedSpeedup(p, base, r)
+		sc := s.on(system{mode: core.ModeStrings, bal: "GWtMin", dev: "LAS"}, supernode, s.pairStreams(p, true)...)
+		sc.LASDecay = k
+		vals[i] = weightedSpeedup(p, base, s.run(sc))
 	}
 	tab := &metrics.Table{
 		Title:  "Ablation: LAS decay constant k (eq. 1) vs speedup over 4-GPU GRR",
@@ -160,10 +143,9 @@ func (s *Suite) AblationAccountingLag() *metrics.Table {
 	p := ablationPair()
 	for i, lag := range lags {
 		labels[i] = lag.String()
-		cfg := core.Config{Nodes: oneGPU(), Mode: core.ModeStrings,
-			Balance: "GRR", DevPolicy: "TFS"}
-		cfg.Sched.AccountingLag = lag
-		vals[i] = s.jainCell(cfg, p, fmt.Sprintf("abl-lag/%v", lag))
+		sc := s.on(system{mode: core.ModeStrings, bal: "GRR", dev: "TFS"}, oneGPU)
+		sc.AcctLag = lag
+		vals[i] = s.jainCell(sc, p)
 	}
 	tab := &metrics.Table{
 		Title:  "Ablation: Request Monitor accounting lag vs TFS fairness (Jain)",
@@ -181,20 +163,10 @@ func (s *Suite) AblationArbiter() *metrics.Table {
 	base := s.pairBaseline1N(p)
 	labels := []string{"GWtMin (static)", "PA on (MBF)"}
 	vals := make([]float64, 2)
-
-	r := s.run(scenario{
-		key:     "abl-pa/static",
-		cfg:     core.Config{Nodes: supernode(), Mode: core.ModeStrings, Balance: "GWtMin"},
-		streams: s.pairStreams(p, true),
-	})
-	vals[0] = weightedSpeedup(p, base, r)
-
-	r = s.run(scenario{
-		key:     "abl-pa/on",
-		cfg:     core.Config{Nodes: supernode(), Mode: core.ModeStrings, Balance: "MBF"},
-		streams: s.pairStreams(p, true),
-	})
-	vals[1] = weightedSpeedup(p, base, r)
+	for i, bal := range []string{"GWtMin", "MBF"} {
+		r := s.run(s.on(system{mode: core.ModeStrings, bal: bal}, supernode, s.pairStreams(p, true)...))
+		vals[i] = weightedSpeedup(p, base, r)
+	}
 
 	tab := &metrics.Table{
 		Title:  "Ablation: Policy Arbiter dynamic switching (DC-MC pair, WS vs 1N-GRR)",

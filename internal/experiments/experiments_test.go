@@ -221,22 +221,31 @@ func TestFig14And15FeedbackWins(t *testing.T) {
 	}
 }
 
+// TestSuiteCachingSharesBaselines: the suite memoizes runs under their
+// scenario text, so a figure re-reads every run another figure made. After
+// Fig 10, Fig 13 adds only its three policy runs a pair (its 4-GPU GRR
+// baseline is Fig 10's GRR-Rain cell), and Fig 12 then adds none (its 1-node
+// baselines are Fig 10's, its policy runs Fig 13's).
 func TestSuiteCachingSharesBaselines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep; skipped with -short (race gate)")
 	}
 	s := smallSuite()
 	s.Fig10()
-	runs := s.Runs
-	s.Fig12() // reuses the per-pair 1N baselines
-	extra := s.Runs - runs
-	want := 3 * len(s.opt.Pairs) // only the three policy runs per pair
-	if extra != want {
-		t.Fatalf("Fig12 added %d runs, want %d (baseline cache miss?)", extra, want)
-	}
-	s.Fig12()
-	if s.Runs != runs+extra {
-		t.Fatal("repeat Fig12 re-ran scenarios")
+	for _, fig := range []struct {
+		name  string
+		run   func() *metrics.Table
+		extra int
+	}{
+		{"Fig13", s.Fig13, 3 * len(s.opt.Pairs)},
+		{"Fig12", s.Fig12, 0},
+		{"Fig13 again", s.Fig13, 0},
+	} {
+		runs := s.Runs
+		fig.run()
+		if extra := s.Runs - runs; extra != fig.extra {
+			t.Errorf("%s added %d runs, want %d (a shared run missed the cache?)", fig.name, extra, fig.extra)
+		}
 	}
 }
 

@@ -3,19 +3,16 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/interpose"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
-// faultRecovery is the interposer recovery configuration used by the
-// degradation experiment. The call timeout must comfortably exceed the
+// faultTimeout is the interposers' call timeout in the degradation
+// experiment, which arms their recovery. It must comfortably exceed the
 // longest healthy blocking call (a device sync behind a contended queue can
 // wait many virtual seconds), or the failure detector would mark live GPUs
 // Suspect and distort placement in the no-fault baseline.
-func faultRecovery() interpose.Recovery {
-	return interpose.Recovery{CallTimeout: 60 * sim.Second}
-}
+const faultTimeout = 60 * sim.Second
 
 // Faults measures graceful degradation: the Figure 10 supernode workload
 // under GMin-Strings with recovery enabled, re-run with node 1 (two of the
@@ -36,26 +33,12 @@ func (s *Suite) Faults() *metrics.Table {
 	lost := make([]float64, n)
 	s.forEach(n, func(i int) {
 		p := s.opt.Pairs[i]
-		cfg := core.Config{
-			Nodes:    supernode(),
-			Mode:     core.ModeStrings,
-			Balance:  "GMin",
-			Recovery: faultRecovery(),
-		}
-		base := s.run(scenario{
-			key:     "faults/base/" + p.Label,
-			cfg:     cfg,
-			streams: s.pairStreams(p, true),
-		})
+		sc := s.on(system{mode: core.ModeStrings}, supernode, s.pairStreams(p, true)...)
+		sc.Timeout = faultTimeout
+		base := s.run(sc)
 		killAt := base.EndTime / 2
-		cfg.Faults = faults.Plan{Faults: []faults.Fault{
-			{At: killAt, Kind: faults.KillNode, Node: 1},
-		}}
-		faulted := s.run(scenario{
-			key:     "faults/kill/" + p.Label,
-			cfg:     cfg,
-			streams: s.pairStreams(p, true),
-		})
+		sc.Faults = faults.Plan{Faults: []faults.Fault{{At: killAt, Kind: faults.KillNode, Node: 1}}}
+		faulted := s.run(sc)
 		noFault[i] = s.throughput(base, 0, base.EndTime)
 		preKill[i] = s.throughput(faulted, 0, killAt)
 		postKill[i] = s.throughput(faulted, killAt, faulted.EndTime)

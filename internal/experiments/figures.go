@@ -3,28 +3,18 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// system is one series of a figure: a runtime mode with a balancing policy
-// and a device-level policy ("" = none). key prefixes the cache keys of its
-// runs; it is spelled out because two figures re-read runs under another
-// name (Figure 13 reads Figure 12's).
-type system struct {
-	name, key string
-	mode      core.Mode
-	bal, dev  string
-}
-
 // balancingSystems are the six mode × static-balancing systems of Figures 9
-// and 10, keyed under fig.
-func balancingSystems(fig string) []system {
+// and 10.
+func balancingSystems() []system {
 	var out []system
 	for _, mode := range []core.Mode{core.ModeRain, core.ModeStrings} {
 		for _, bal := range []string{"GRR", "GMin", "GWtMin"} {
-			name := bal + "-" + mode.String()
-			out = append(out, system{name: name, key: fig + "/" + name, mode: mode, bal: bal})
+			out = append(out, system{name: bal + "-" + mode.String(), mode: mode, bal: bal})
 		}
 	}
 	return out
@@ -36,11 +26,9 @@ func balancingSystems(fig string) []system {
 // application keeps its programmed device, so a long stream outgrows that
 // GPU's memory: cudaMalloc waits for it (BlockOnOOM) rather than failing.
 func (s *Suite) fig9Base(k workload.Kind) *core.RunResult {
-	return s.run(scenario{
-		key:     "fig9/cuda/" + k.String(),
-		cfg:     core.Config{Nodes: singleNode(), Mode: core.ModeCUDA, BlockOnOOM: true},
-		streams: []workload.StreamSpec{s.stream(k, s.opt.Requests, 0, 1)},
-	})
+	sc := s.on(system{mode: core.ModeCUDA}, singleNode, scenario.Stream{Kind: k, Count: s.opt.Requests})
+	sc.BlockOnOOM = true
+	return s.run(sc)
 }
 
 // Fig9 reproduces Figure 9: workload balancing on the single two-GPU node.
@@ -63,18 +51,14 @@ func (s *Suite) Fig9() *metrics.Table {
 		Title:  "Fig 9: workload balancing vs CUDA runtime (relative speedup, 1 node x 2 GPUs)",
 		Labels: labels,
 	}
-	combos := balancingSystems("fig9")
+	combos := balancingSystems()
 	// Figure 9 streams a single application class per run; every class gets
 	// the full stream length (queue dynamics are the point of the figure).
 	rows := s.grid(len(combos), len(s.opt.Apps),
 		func(r, c int) float64 {
 			cb, k := combos[r], s.opt.Apps[c]
 			base := s.fig9Base(k).AvgCompletion(k)
-			run := s.run(scenario{
-				key:     cb.key + "/" + k.String(),
-				cfg:     core.Config{Nodes: singleNode(), Mode: cb.mode, Balance: cb.bal},
-				streams: []workload.StreamSpec{s.stream(k, s.opt.Requests, 0, 1)},
-			})
+			run := s.run(s.on(cb, singleNode, scenario.Stream{Kind: k, Count: s.opt.Requests}))
 			if avg := run.AvgCompletion(k); avg > 0 {
 				return float64(base) / float64(avg)
 			}
@@ -95,12 +79,7 @@ func (s *Suite) pairFigure(title string, base func(workload.Pair) *core.RunResul
 	rows := s.grid(len(systems), len(s.opt.Pairs),
 		func(r, c int) float64 {
 			sys, p := systems[r], s.opt.Pairs[c]
-			run := s.run(scenario{
-				key: sys.key + "/" + p.Label,
-				cfg: core.Config{Nodes: supernode(), Mode: sys.mode,
-					Balance: sys.bal, DevPolicy: sys.dev},
-				streams: s.pairStreams(p, true),
-			})
+			run := s.run(s.on(sys, supernode, s.pairStreams(p, true)...))
 			return weightedSpeedup(p, base(p), run)
 		})
 	for ri, sys := range systems {
@@ -114,26 +93,28 @@ func (s *Suite) pairFigure(title string, base func(workload.Pair) *core.RunResul
 // baseline. Paper averages: Rain 1.60/1.80/1.82×, Strings 2.64/2.69/2.88×.
 func (s *Suite) Fig10() *metrics.Table {
 	return s.pairFigure("Fig 10: GPU sharing on the 4-GPU supernode (weighted speedup vs 1-node GRR)",
-		s.pairBaseline1N, balancingSystems("fig10"))
+		s.pairBaseline1N, balancingSystems())
 }
 
 // fairHorizon is the contention window of the fairness experiments.
 const fairHorizon = 40 * sim.Second
 
 // jainCell is the fairness measure of Figure 11: the pair's two tenants
-// stream at one GPU under cfg, saturating it through the fixed contention
+// stream at one GPU under sc, saturating it through the fixed contention
 // window, and the cell is the Jain index over their attained service, each
-// normalized by what the tenant attains alone. The solo runs are keyed by
-// application class, so pairs sharing a class share them.
-func (s *Suite) jainCell(cfg core.Config, p workload.Pair, keyPrefix string) float64 {
-	long := workload.StreamSpec{Kind: p.Long, Count: 8, Lambda: sim.Second, Node: 0, Tenant: 1, Weight: 1}
-	short := workload.StreamSpec{Kind: p.Short, Count: 40, Lambda: sim.Second / 2, Node: 0, Tenant: 2, Weight: 1}
-	service := func(key string, streams ...workload.StreamSpec) map[int64]sim.Time {
-		return s.run(scenario{key: keyPrefix + key, cfg: cfg, streams: streams, horizon: fairHorizon}).TenantService
+// normalized by what the tenant attains alone. A solo run is the same
+// scenario for every pair with that stream, so those pairs share it.
+func (s *Suite) jainCell(sc scenario.Scenario, p workload.Pair) float64 {
+	sc.Fleet, sc.Horizon = oneGPU, fairHorizon
+	long := scenario.Stream{Kind: p.Long, Count: 8, Every: sim.Second}
+	short := scenario.Stream{Kind: p.Short, Count: 40, Every: sim.Second / 2}
+	service := func(streams ...scenario.Stream) map[int64]sim.Time {
+		sc.Streams = streams
+		return s.run(sc).TenantService
 	}
-	soloA := service("/solo/"+p.Long.String(), long)[1]
-	soloB := service("/solo/"+p.Short.String(), short)[2]
-	shared := service("/pair/"+p.Label, long, short)
+	soloA := service(long)[1]
+	soloB := service(short)[1] // alone, the short stream is tenant 1
+	shared := service(long, short)
 	xa, xb := 0.0, 0.0
 	if soloA > 0 {
 		xa = float64(shared[1]) / float64(soloA)
@@ -153,16 +134,12 @@ func (s *Suite) Fig11() *metrics.Table {
 		Labels: s.pairLabels(),
 	}
 	systems := []system{
-		{name: "CUDA", mode: core.ModeCUDA},
-		{name: "TFS-Rain", mode: core.ModeRain, dev: "TFS"},
-		{name: "TFS-Strings", mode: core.ModeStrings, dev: "TFS"},
+		{name: "CUDA", mode: core.ModeCUDA, bal: "GRR"},
+		{name: "TFS-Rain", mode: core.ModeRain, bal: "GRR", dev: "TFS"},
+		{name: "TFS-Strings", mode: core.ModeStrings, bal: "GRR", dev: "TFS"},
 	}
 	rows := s.grid(len(systems), len(s.opt.Pairs),
-		func(r, c int) float64 {
-			sys := systems[r]
-			cfg := core.Config{Nodes: oneGPU(), Mode: sys.mode, Balance: "GRR", DevPolicy: sys.dev}
-			return s.jainCell(cfg, s.opt.Pairs[c], "fig11/"+sys.name)
-		})
+		func(r, c int) float64 { return s.jainCell(s.on(systems[r], oneGPU), s.opt.Pairs[c]) })
 	for ri, sys := range systems {
 		tab.Add(sys.name, rows[ri])
 	}
@@ -171,13 +148,13 @@ func (s *Suite) Fig11() *metrics.Table {
 
 // fig12Systems are the throughput-oriented device-scheduling systems of
 // Figures 12 and 13, GWtMin balancing under each; names are the series names
-// of the figure asking. Both figures key the runs under fig12, so Figure 13
-// re-reads them against its own baseline.
+// of the figure asking. The runs are the same scenarios in both figures, so
+// Figure 13 re-reads Figure 12's against its own baseline.
 func fig12Systems(names ...string) []system {
 	return []system{
-		{name: names[0], key: "fig12/GWtMinLAS-Rain", mode: core.ModeRain, bal: "GWtMin", dev: "LAS"},
-		{name: names[1], key: "fig12/GWtMinLAS-Strings", mode: core.ModeStrings, bal: "GWtMin", dev: "LAS"},
-		{name: names[2], key: "fig12/GWtMinPS-Strings", mode: core.ModeStrings, bal: "GWtMin", dev: "PS"},
+		{name: names[0], mode: core.ModeRain, bal: "GWtMin", dev: "LAS"},
+		{name: names[1], mode: core.ModeStrings, bal: "GWtMin", dev: "LAS"},
+		{name: names[2], mode: core.ModeStrings, bal: "GWtMin", dev: "PS"},
 	}
 }
 
@@ -204,10 +181,10 @@ func (s *Suite) Fig13() *metrics.Table {
 func (s *Suite) Fig14() *metrics.Table {
 	return s.pairFigure("Fig 14: feedback-based load balancing (weighted speedup vs 1-node GRR)",
 		s.pairBaseline1N, []system{
-			{name: "RTF-Rain", key: "fig14/RTF-Rain", mode: core.ModeRain, bal: "RTF"},
-			{name: "GUF-Rain", key: "fig14/GUF-Rain", mode: core.ModeRain, bal: "GUF"},
-			{name: "RTF-Strings", key: "fig14/RTF-Strings", mode: core.ModeStrings, bal: "RTF"},
-			{name: "GUF-Strings", key: "fig14/GUF-Strings", mode: core.ModeStrings, bal: "GUF"},
+			{name: "RTF-Rain", mode: core.ModeRain, bal: "RTF"},
+			{name: "GUF-Rain", mode: core.ModeRain, bal: "GUF"},
+			{name: "RTF-Strings", mode: core.ModeStrings, bal: "RTF"},
+			{name: "GUF-Strings", mode: core.ModeStrings, bal: "GUF"},
 		})
 }
 
@@ -218,7 +195,7 @@ func (s *Suite) Fig14() *metrics.Table {
 func (s *Suite) Fig15() *metrics.Table {
 	return s.pairFigure("Fig 15: Strings-specific feedback policies (weighted speedup vs 1-node GRR)",
 		s.pairBaseline1N, []system{
-			{name: "DTF-Strings", key: "fig15/DTF", mode: core.ModeStrings, bal: "DTF"},
-			{name: "MBF-Strings", key: "fig15/MBF", mode: core.ModeStrings, bal: "MBF"},
+			{name: "DTF-Strings", mode: core.ModeStrings, bal: "DTF"},
+			{name: "MBF-Strings", mode: core.ModeStrings, bal: "MBF"},
 		})
 }

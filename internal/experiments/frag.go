@@ -4,6 +4,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -22,13 +23,10 @@ var fragPolicies = []string{"Frag", "GMin", "GRR"}
 
 // migFleet is the study's fleet: two nodes of two MIG-capable devices each —
 // 28 compute sevenths total.
-func migFleet() []core.NodeConfig {
-	dev := gpu.TeslaC2050.WithMIG()
-	return []core.NodeConfig{
-		{Devices: []gpu.Spec{dev, dev}},
-		{Devices: []gpu.Spec{dev, dev}},
-	}
-}
+var migFleet = func() []core.NodeConfig {
+	node := core.NodeConfig{Devices: []gpu.Spec{gpu.TeslaC2050.WithMIG(), gpu.TeslaC2050.WithMIG()}}
+	return []core.NodeConfig{node, node}
+}()
 
 // fragStreams builds the study's tenant population: a steady trickle of
 // small-slice tenants (a new 1g/2g/3g tenant every 2 s, holding its slice
@@ -38,15 +36,12 @@ func migFleet() []core.NodeConfig {
 // capacity sits stranded — is decided purely by where the small slices
 // went, which is the effect under measurement. Starts are staggered
 // deterministically; only the per-stream arrival jitter is random.
-func (s *Suite) fragStreams() []workload.StreamSpec {
-	var streams []workload.StreamSpec
-	tenant := int64(1)
-	add := func(profile string, kind workload.Kind, count int, lambda, start sim.Time, node int) {
-		streams = append(streams, workload.StreamSpec{
-			Kind: kind, Count: count, Lambda: lambda, Node: node,
-			Tenant: tenant, Weight: 1, SliceProfile: profile, Start: start,
+func (s *Suite) fragStreams() []scenario.Stream {
+	var streams []scenario.Stream
+	add := func(profile string, kind workload.Kind, count int, every, start sim.Time, node int) {
+		streams = append(streams, scenario.Stream{
+			Kind: kind, Count: count, Profile: profile, Node: node, Every: every, Start: start,
 		})
-		tenant++
 	}
 
 	// Small tenants: 8 per unit of Options.Requests, profiles cycling
@@ -77,11 +72,7 @@ func (s *Suite) fragStreams() []workload.StreamSpec {
 
 // fragRun executes the sliced-fleet scenario under one placement policy.
 func (s *Suite) fragRun(policy string) *core.RunResult {
-	return s.run(scenario{
-		key:     "frag/" + policy,
-		cfg:     core.Config{Nodes: migFleet(), Mode: core.ModeStrings, Balance: policy},
-		streams: s.fragStreams(),
-	})
+	return s.run(s.on(system{mode: core.ModeStrings, bal: policy}, migFleet, s.fragStreams()...))
 }
 
 // fragP99 is the p99 arrival-to-completion latency (seconds) across every

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -22,29 +23,20 @@ func (s *Suite) TableI() *metrics.Table {
 	runtime := make([]float64, len(s.opt.Apps))
 	for i, k := range s.opt.Apps {
 		labels[i] = k.String()
-		cfg := core.Config{Seed: s.opt.Seed, Nodes: oneGPU(), Mode: core.ModeCUDA}
-		c, err := core.New(cfg)
-		if err != nil {
-			panic(err)
-		}
-		r, err := c.Run([]workload.StreamSpec{{
-			Kind: k, Count: 1, Lambda: 1, Node: 0, Tenant: 1, Weight: 1,
-		}})
-		c.Close()
-		if err != nil || len(r.Errors) > 0 {
-			panic(fmt.Sprintf("experiments: TableI %v: %v %v", k, err, r.Errors))
-		}
+		c, r := mustRun(s.on(system{mode: core.ModeCUDA}, oneGPU, scenario.Stream{Kind: k, Count: 1, Every: 1}), scenario.Env{})
 		dev := c.Devices()[0]
 		total := float64(r.AvgCompletion(k))
 		gputime := float64(dev.AppService(1))
 		xfer := float64(dev.AppTransferTime(1))
+		traffic := dev.AppMemTraffic(1)
+		c.Close()
 		runtime[i] = total / 1e6
 		if total > 0 {
 			gpuPct[i] = 100 * gputime / total
 		}
 		if gputime > 0 {
 			xferPct[i] = 100 * xfer / gputime
-			memBW[i] = dev.AppMemTraffic(1) / gputime // B/us == MB/s
+			memBW[i] = traffic / gputime // B/us == MB/s
 		}
 	}
 	tab := &metrics.Table{
@@ -67,21 +59,9 @@ func (s *Suite) Fig1() *metrics.Table {
 	mem := make([]float64, len(s.opt.Apps))
 	for i, k := range s.opt.Apps {
 		labels[i] = k.String()
-		cfg := core.Config{Seed: s.opt.Seed, Nodes: oneGPU(), Mode: core.ModeCUDA, Trace: true}
-		c, err := core.New(cfg)
-		if err != nil {
-			panic(err)
-		}
-		n := 4
-		r, err := c.Run([]workload.StreamSpec{{
-			Kind: k, Count: n, LambdaFactor: s.opt.LambdaFactor,
-			Node: 0, Tenant: 1, Weight: 1,
-		}})
-		c.Close()
-		if err != nil || len(r.Errors) > 0 {
-			panic(fmt.Sprintf("experiments: Fig1 %v: %v %v", k, err, r.Errors))
-		}
+		c, r := mustRun(s.on(system{mode: core.ModeCUDA}, oneGPU, scenario.Stream{Kind: k, Count: 4}), scenario.Env{Trace: true})
 		cu, bu := c.Trace(0).MeanUtil(r.EndTime)
+		c.Close()
 		compute[i] = 100 * cu
 		mem[i] = 100 * bu
 	}
@@ -120,26 +100,9 @@ type Fig2Result struct {
 // CUDA streams from one context.
 func (s *Suite) Fig2() *Fig2Result {
 	run := func(mode core.Mode) (*gpu.UtilTrace, sim.Time) {
-		cfg := core.Config{
-			Seed: s.opt.Seed, Nodes: oneGPU(), Mode: mode,
-			Balance: "GRR", Trace: true,
-		}
-		c, err := core.New(cfg)
-		if err != nil {
-			panic(err)
-		}
+		mc := scenario.Stream{Kind: workload.MonteCarlo, Count: min(s.opt.Requests, 6), Lambda: 0.3}
+		c, r := mustRun(s.on(system{mode: mode, bal: "GRR"}, oneGPU, mc), scenario.Env{Trace: true})
 		defer c.Close()
-		n := s.opt.Requests
-		if n > 6 {
-			n = 6
-		}
-		r, err := c.Run([]workload.StreamSpec{{
-			Kind: workload.MonteCarlo, Count: n, LambdaFactor: 0.3,
-			Node: 0, Tenant: 1, Weight: 1,
-		}})
-		if err != nil || len(r.Errors) > 0 {
-			panic(fmt.Sprintf("experiments: Fig2: %v %v", err, r.Errors))
-		}
 		return c.Trace(0), r.EndTime
 	}
 	seq, seqEnd := run(core.ModeCUDA)

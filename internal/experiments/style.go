@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -39,18 +38,9 @@ func (s *Suite) AblationAppStyle() *metrics.Table {
 	for i, k := range kinds {
 		labels[i] = k.String()
 		for _, sr := range series {
-			r := s.run(scenario{
-				key: fmt.Sprintf("abl-style/%s/%s", sr.name, k),
-				cfg: core.Config{
-					Nodes: singleNode(), Mode: sr.mode, Balance: "GMin",
-					BlockOnOOM: true,
-				},
-				streams: []workload.StreamSpec{{
-					Kind: k, Count: s.opt.Requests, LambdaFactor: s.opt.LambdaFactor,
-					Node: 0, Tenant: 1, Weight: 1, Style: sr.style,
-				}},
-			})
-			rows[sr.name] = append(rows[sr.name], float64(r.AvgCompletion(k))/1e6)
+			sc := s.on(system{mode: sr.mode}, singleNode, scenario.Stream{Kind: k, Count: s.opt.Requests})
+			sc.Style, sc.BlockOnOOM = sr.style, true
+			rows[sr.name] = append(rows[sr.name], float64(s.run(sc).AvgCompletion(k))/1e6)
 		}
 	}
 	tab := &metrics.Table{

@@ -14,6 +14,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/workload"
@@ -83,33 +84,27 @@ func (o Options) longRequests() int {
 	return n
 }
 
-// The paper's testbed nodes.
-func nodeA() core.NodeConfig {
-	return core.NodeConfig{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}}
-}
-func nodeB() core.NodeConfig {
-	return core.NodeConfig{Devices: []gpu.Spec{gpu.Quadro4000, gpu.TeslaC2070}}
-}
+// The paper's testbed fleets. Cells share them, and nothing writes them.
+var (
+	nodeA = core.NodeConfig{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}}
+	nodeB = core.NodeConfig{Devices: []gpu.Spec{gpu.Quadro4000, gpu.TeslaC2070}}
 
-// singleNode is the small-scale two-GPU server.
-func singleNode() []core.NodeConfig { return []core.NodeConfig{nodeA()} }
+	singleNode = []core.NodeConfig{nodeA}                                 // the small-scale two-GPU server
+	supernode  = []core.NodeConfig{nodeA, nodeB}                          // the emulated four-GPU server
+	oneGPU     = []core.NodeConfig{{Devices: []gpu.Spec{gpu.TeslaC2050}}} // the fairness experiments' shared device
+)
 
-// supernode is the emulated four-GPU server.
-func supernode() []core.NodeConfig { return []core.NodeConfig{nodeA(), nodeB()} }
-
-// oneGPU is the fairness experiments' single shared device.
-func oneGPU() []core.NodeConfig {
-	return []core.NodeConfig{{Devices: []gpu.Spec{gpu.TeslaC2050}}}
-}
-
-// Suite memoizes scenario results so figures sharing baselines (e.g. the
-// single-node GRR-Rain run) pay for them once. A suite is safe for
-// concurrent use: scenarios deduplicate through a singleflight cache and
-// run on independent virtual clocks.
+// Suite memoizes scenario results under their text form, so figures sharing
+// a run (the single-node GRR-Rain baseline, or Figure 13's baseline, which is
+// Figure 10's GRR-Rain cell) pay for it once. A suite is safe for concurrent
+// use: scenarios deduplicate through a singleflight cache and run on
+// independent virtual clocks.
 type Suite struct {
 	opt   Options
+	base  scenario.Scenario // the scenario default at the options' λ and seed
 	mu    sync.Mutex
 	cache map[string]*cacheEntry
+	key   []byte // the text form of the lookup holding mu
 
 	// arena lends every scenario's cluster a warm kernel and free lists, so
 	// back-to-back runs on one worker reuse what the earlier ones built. A
@@ -135,53 +130,33 @@ type cacheEntry struct {
 
 // NewSuite creates a suite with the given options.
 func NewSuite(opt Options) *Suite {
-	return &Suite{
+	s := &Suite{
 		opt:    opt.withDefaults(),
+		base:   scenario.Default(),
 		cache:  make(map[string]*cacheEntry),
 		traces: workload.NewTraceBook(),
 	}
+	s.base.Lambda, s.base.Seed = s.opt.LambdaFactor, s.opt.Seed
+	return s
 }
 
-// scenario identifies a memoizable run.
-type scenario struct {
-	key     string
-	cfg     core.Config
-	streams []workload.StreamSpec
-	horizon sim.Time // 0 = run to completion
-}
-
-// run executes (or recalls) a scenario.
-func (s *Suite) run(sc scenario) *core.RunResult {
+// run executes (or recalls) a scenario. A lookup that hits allocates nothing:
+// the key is built into the suite's buffer.
+func (s *Suite) run(sc scenario.Scenario) *core.RunResult {
 	s.mu.Lock()
-	e, ok := s.cache[sc.key]
+	s.key = sc.Append(s.key[:0])
+	e, ok := s.cache[string(s.key)]
 	if !ok {
 		e = &cacheEntry{}
-		s.cache[sc.key] = e
+		s.cache[string(s.key)] = e
 	}
 	s.mu.Unlock()
 	e.once.Do(func() {
 		pooled := core.NewRunResultForPooling()
-		sc.cfg.Arena = &s.arena
-		sc.cfg.Traces = s.traces
 		for rep := 0; rep < s.opt.Seeds; rep++ {
-			sc.cfg.Seed = s.repSeed(rep)
-			c, err := core.New(sc.cfg)
-			if err != nil {
-				panic(fmt.Sprintf("experiments: %v", err))
-			}
-			var r *core.RunResult
-			if sc.horizon > 0 {
-				r, err = c.RunUntil(sc.streams, sc.horizon)
-			} else {
-				r, err = c.Run(sc.streams)
-			}
+			sc.Seed = s.repSeed(rep)
+			c, r := mustRun(sc, scenario.Env{Arena: &s.arena, Traces: s.traces})
 			c.Close()
-			if err != nil {
-				panic(fmt.Sprintf("experiments: %v", err))
-			}
-			if len(r.Errors) > 0 {
-				panic(fmt.Sprintf("experiments: scenario %s: app errors: %v", sc.key, r.Errors[0]))
-			}
 			pooled.Merge(r)
 			s.mu.Lock()
 			s.Runs++
@@ -190,9 +165,19 @@ func (s *Suite) run(sc scenario) *core.RunResult {
 		e.res = pooled
 	})
 	if e.res == nil {
-		panic(fmt.Sprintf("experiments: scenario %s failed in another goroutine", sc.key))
+		panic(fmt.Sprintf("experiments: the run failed in another goroutine (replay: strings-run -scenario '%s')", sc))
 	}
 	return e.res
+}
+
+// mustRun runs sc in env and returns its cluster open, for the devices to be
+// read. A failed run panics with the text that replays it.
+func mustRun(sc scenario.Scenario, env scenario.Env) (*core.Cluster, *core.RunResult) {
+	c, r, err := sc.Run(env)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v (replay: strings-run -scenario '%s')", err, sc))
+	}
+	return c, r
 }
 
 // repSeed derives replication rep's run seed. Replication 0 runs the base
@@ -228,25 +213,41 @@ func (s *Suite) grid(rows, cols int, fn func(r, c int) float64) [][]float64 {
 	return out
 }
 
-// stream builds one request stream.
-func (s *Suite) stream(kind workload.Kind, count, node int, tenant int64) workload.StreamSpec {
-	return workload.StreamSpec{
-		Kind: kind, Count: count, LambdaFactor: s.opt.LambdaFactor,
-		Node: node, Tenant: tenant, Weight: 1,
+// system is one series of a figure: a runtime mode with a balancing policy
+// and a device-level policy, each "" for the scenario default.
+type system struct {
+	name     string
+	mode     core.Mode
+	bal, dev string
+}
+
+// grrRain is GRR balancing under Rain, the baseline system.
+var grrRain = system{name: "GRR-Rain", mode: core.ModeRain, bal: "GRR"}
+
+// on is sys serving streams on fleet, at the suite's λ and seed.
+func (s *Suite) on(sys system, fleet []core.NodeConfig, streams ...scenario.Stream) scenario.Scenario {
+	sc := s.base
+	sc.Fleet, sc.Mode, sc.Streams = fleet, sys.mode, streams
+	if sys.bal != "" {
+		sc.Balance = sys.bal
 	}
+	if sys.dev != "" {
+		sc.Dev = sys.dev
+	}
+	return sc
 }
 
 // pairStreams builds the Group A/Group B streams of a pair. Under the
 // supernode the long stream arrives at node 0 and the short one at node 1;
 // collapsed to one node both arrive at node 0.
-func (s *Suite) pairStreams(p workload.Pair, twoNodes bool) []workload.StreamSpec {
+func (s *Suite) pairStreams(p workload.Pair, twoNodes bool) []scenario.Stream {
 	nodeOfB := 0
 	if twoNodes {
 		nodeOfB = 1
 	}
-	return []workload.StreamSpec{
-		s.stream(p.Long, s.opt.longRequests(), 0, 1),
-		s.stream(p.Short, s.opt.Requests, nodeOfB, 2),
+	return []scenario.Stream{
+		{Kind: p.Long, Count: s.opt.longRequests()},
+		{Kind: p.Short, Count: s.opt.Requests, Node: nodeOfB},
 	}
 }
 
@@ -254,21 +255,13 @@ func (s *Suite) pairStreams(p workload.Pair, twoNodes bool) []workload.StreamSpe
 // pair served by single-node GRR (Rain's remoting generation, as the
 // cross-figure arithmetic of the paper implies).
 func (s *Suite) pairBaseline1N(p workload.Pair) *core.RunResult {
-	return s.run(scenario{
-		key:     "base1N/" + p.Label,
-		cfg:     core.Config{Nodes: singleNode(), Mode: core.ModeRain, Balance: "GRR"},
-		streams: s.pairStreams(p, false),
-	})
+	return s.run(s.on(grrRain, singleNode, s.pairStreams(p, false)...))
 }
 
 // pairBaseline4G is Figure 13's baseline: the supernode shared under GRR
-// (Rain).
+// (Rain), which is Figure 10's GRR-Rain cell.
 func (s *Suite) pairBaseline4G(p workload.Pair) *core.RunResult {
-	return s.run(scenario{
-		key:     "base4G/" + p.Label,
-		cfg:     core.Config{Nodes: supernode(), Mode: core.ModeRain, Balance: "GRR"},
-		streams: s.pairStreams(p, true),
-	})
+	return s.run(s.on(grrRain, supernode, s.pairStreams(p, true)...))
 }
 
 // weightedSpeedup computes the pair's weighted speedup of run over base:

@@ -7,15 +7,20 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/devsched"
 	"repro/internal/faults"
 	"repro/internal/gpu"
+	"repro/internal/interpose"
+	"repro/internal/rpcproto"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // FuzzScenarioRoundTrip: Parse never panics, and whatever it accepts prints
 // to a form that parses back to the same value. The committed corpus holds
-// the CLIs' default scenarios and the golden tests'.
+// the CLIs' default scenarios, the golden tests', the fairshare example's and
+// cells the experiment suite runs: a Fig 9 baseline, a context-switch
+// ablation, a Fig 11 horizon cut and a fragmentation-study roster.
 func FuzzScenarioRoundTrip(f *testing.F) {
 	f.Add("fleet=TeslaC2050:mig+TeslaC2050:mig/Quadro4000;streams=GA:4:3g,MC:2@1;faults=KillGPU:1@10s,StallGPU:0@5s/2s,DegradeGPU:2@1s/2.5,KillNode:1@30s;memguard=true;style=pipelined")
 	f.Add("supernodes=2;policy=frag;arrivals=diurnal:rate=2,horizon=600s,period=120s,depth=0.6;seed=-4")
@@ -48,6 +53,7 @@ func TestParseBuilds(t *testing.T) {
 	cfg, streams := s.Core()
 	want := core.Config{
 		Seed: 7, Mode: core.ModeRain, Balance: "GRR", DevPolicy: "TFS", BlockOnOOM: true,
+		RemoteLink: rpcproto.RemoteLink, Sched: devsched.DefaultConfig(),
 		Nodes: []core.NodeConfig{
 			{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}},
 			{Devices: []gpu.Spec{gpu.Quadro4000, gpu.TeslaC2070.WithMIG()}},
@@ -69,6 +75,36 @@ func TestParseBuilds(t *testing.T) {
 	}
 	if got, want := s.String(), "fleet=Quadro2000+TeslaC2050/Quadro4000+TeslaC2070:mig;mode=rain;balance=GRR;dev=TFS;"+
 		"streams=MC:4,SC:3:1g@1;lambda=0.8;style=multithread;faults=KillNode:1@30s,DegradeGPU:2@1ms/2.5;memguard=true;seed=7"; got != want {
+		t.Errorf("String() = %q\nwant %q", got, want)
+	}
+
+	s, err = Parse("fleet=TeslaC2050{ctxswitch=0s,copyengines=1}/Quadro2000:mig{copyengines=2};" +
+		"streams=HI:10/every=1s/weight=3,MC:40@1/lambda=0.4/start=1.5s/weight=1;horizon=40s;linkbw=125;lasdecay=0.5;acctlag=50ms;timeout=1m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, streams = s.Core()
+	tesla, quadro := gpu.TeslaC2050, gpu.Quadro2000.WithMIG()
+	tesla.ContextSwitch, tesla.CopyEngines, quadro.CopyEngines = 0, 1, 2
+	want = core.Config{
+		Seed: 1, Mode: core.ModeStrings, Balance: "GMin", DevPolicy: "none",
+		Nodes:      []core.NodeConfig{{Devices: []gpu.Spec{tesla}}, {Devices: []gpu.Spec{quadro}}},
+		RemoteLink: rpcproto.LinkSpec{Latency: rpcproto.RemoteLink.Latency, Bandwidth: 125},
+		Sched:      devsched.Config{LASDecay: 0.5, AccountingLag: 50 * sim.Millisecond},
+		Recovery:   interpose.Recovery{CallTimeout: 60 * sim.Second},
+	}
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("Core() = %+v\nwant %+v", cfg, want)
+	}
+	wantStreams = []workload.StreamSpec{
+		{Kind: workload.Histogram, Count: 10, Lambda: sim.Second, LambdaFactor: 0.6, Tenant: 1, Weight: 3},
+		{Kind: workload.MonteCarlo, Count: 40, LambdaFactor: 0.4, Node: 1, Tenant: 2, Weight: 1, Start: 1500 * sim.Millisecond},
+	}
+	if !reflect.DeepEqual(streams, wantStreams) {
+		t.Errorf("streams = %+v\nwant %+v", streams, wantStreams)
+	}
+	if got, want := s.String(), "fleet=TeslaC2050{ctxswitch=0s,copyengines=1}/Quadro2000:mig{copyengines=2};"+
+		"streams=HI:10/every=1s/weight=3,MC:40@1/lambda=0.4/start=1500ms;horizon=40s;linkbw=125;lasdecay=0.5;acctlag=50ms;timeout=60s"; got != want {
 		t.Errorf("String() = %q\nwant %q", got, want)
 	}
 
@@ -115,11 +151,43 @@ func TestParseRejects(t *testing.T) {
 		{"supernodes=2;arrivals=lunar:rate=1", "unknown arrival process"},
 		{"supernodes=2;arrivals=poisson:rate=1,horizon=1s;policy=random", "unknown placement policy \"random\"; valid: least-loaded, frag"},
 		{"supernodes=2;arrivals=poisson:rate=1,horizon=1s;streams=MC:1", "streams= has no effect on this run (supernodes=2)"},
+		{"supernodes=2;arrivals=poisson:rate=1,horizon=1s;horizon=5s", "horizon= has no effect on this run (supernodes=2)"},
+		{"streams=MC:1;horizon=0s", `horizon: "0s" is not a duration of at least 1us`},
+		{"streams=MC:1;lasdecay=1.5", `lasdecay: "1.5" is not a number in (0, 1]`},
+		{"streams=MC:1;linkbw=-1", `linkbw: "-1" is not a positive number`},
+		{"streams=MC:1;acctlag=-1s", `acctlag: "-1s" is not a duration of at least 0s`},
+		{"streams=MC:1/speed=2", `unknown key "speed"; valid: lambda, every, start, weight`},
+		{"streams=MC:1/every=1s/every=2s", `key "every" given twice`},
+		{"streams=MC:1/lambda=0.5/every=1s", "lambda= and every= both set"},
+		{"streams=MC:1/weight=0", `weight: "0" is not a positive integer`},
+		{"streams=MC:1;fleet=TeslaC2050{copyengines=3}", `copyengines: "3" is not 1 or 2`},
+		{"streams=MC:1;fleet=TeslaC2050{ctxswitch=0s", "overrides go in {KEY=VALUE,...}"},
+		{"streams=MC:1;fleet=TeslaC2050{memory=1}", `unknown key "memory"; valid: ctxswitch, copyengines`},
 	}
 	for _, tc := range cases {
 		_, err := Parse(tc.text)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Parse(%q) = %v, want an error containing %q", tc.text, err, tc.want)
 		}
+	}
+}
+
+// TestAppendAllocatesNothing: a memo keys every lookup on the text form, so
+// printing a scenario that uses every level of the grammar — device
+// overrides, stream options, durations, numbers and faults — into a buffer
+// with room allocates nothing.
+func TestAppendAllocatesNothing(t *testing.T) {
+	s, err := Parse("fleet=TeslaC2050{ctxswitch=0s,copyengines=1}+Quadro2000/TeslaC2070;mode=rain;dev=TFS;" +
+		"streams=DC:8/every=1s,MC:40@1/every=500ms/start=2s/weight=3,GA:3:1g/lambda=0.4;horizon=40s;linkbw=125;lasdecay=0.5;" +
+		"acctlag=50ms;timeout=60s;faults=KillNode:1@12345us,DegradeGPU:0@1s/2.5;memguard=true;seed=9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 1024)
+	if n := testing.AllocsPerRun(100, func() { buf = s.Append(buf[:0]) }); n != 0 {
+		t.Errorf("Append allocates %v times, want 0", n)
+	}
+	if got := string(buf); got != s.String() {
+		t.Errorf("Append wrote %q, String is %q", got, s.String())
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/scenario"
 	"repro/internal/trace"
@@ -41,19 +40,12 @@ func runGoldenGrid(t *testing.T, workers int) [][]byte {
 			return nil
 		}
 		rec := trace.New()
-		cfg, streams := sc.Core()
-		cfg.Recorder = rec
-		c, err := core.New(cfg)
+		c, r, err := sc.Run(scenario.Env{Recorder: rec})
 		if err != nil {
 			t.Errorf("cell %d: %v", i, err)
 			return nil
 		}
 		defer c.Close()
-		r, err := c.Run(streams)
-		if err != nil || len(r.Errors) > 0 {
-			t.Errorf("cell %d: %v %v", i, err, r.Errors)
-			return nil
-		}
 		if open := rec.Open(); r.Finished == r.Launched && len(open) > 0 {
 			t.Errorf("cell %d: all %d requests finished, but span %+v is open", i, r.Finished, open[0])
 		}
