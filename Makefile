@@ -64,13 +64,18 @@ lint: stringscheck
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSleepNext|BenchmarkHeapChurn|BenchmarkSpawnExit|BenchmarkCodecRoundTrip|BenchmarkBackendCall' -benchtime=1x .
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/rpcproto/
-	$(GO) run ./cmd/strings-bench -exp faults -pairs 1 -requests 4
+	@# The fault study at -parallel 1 and 4 must print the same table too:
+	@# recovery's connections retain their frames and faults kill DST rows,
+	@# and neither may reach the next cluster on the slab.
+	@mkdir -p $(BIN)
+	$(GO) run ./cmd/strings-bench -exp faults -pairs 1 -requests 4 -parallel 1 -csv | grep -v '^(' > $(BIN)/faults-smoke-seq.csv
+	$(GO) run ./cmd/strings-bench -exp faults -pairs 1 -requests 4 -parallel 4 -csv | grep -v '^(' > $(BIN)/faults-smoke-par.csv
+	diff $(BIN)/faults-smoke-seq.csv $(BIN)/faults-smoke-par.csv
 	@# Sweep-engine determinism: the same small grid at -parallel 1 and 4
 	@# must emit byte-identical tables (the wall-clock footer is stripped —
 	@# it is the only line allowed to differ). Fig 11's horizon-cut CUDA and
 	@# TFS-Rain cells leave processes live for Close to take back, and at 4
 	@# workers the arena's slabs change hands between them.
-	@mkdir -p $(BIN)
 	$(GO) run ./cmd/strings-bench -exp fig9 -requests 4 -parallel 1 -csv | grep -v '^(' > $(BIN)/sweep-smoke-seq.csv
 	$(GO) run ./cmd/strings-bench -exp fig9 -requests 4 -parallel 4 -csv | grep -v '^(' > $(BIN)/sweep-smoke-par.csv
 	diff $(BIN)/sweep-smoke-seq.csv $(BIN)/sweep-smoke-par.csv
@@ -112,8 +117,7 @@ bench:
 
 # Coverage gate: run the internal packages with -coverprofile and fail if
 # any of the gated packages (the observability layer, seed folding, the
-# worker pool, the kernel, the shard coordinator, the analytic fast-forward
-# layer, the analysis framework, the device model, the device scheduler, the
+# worker pool, the kernel, the shard coordinator, the analysis framework, the device model, the device scheduler, the
 # Affinity Mapper, the cluster tier, core, the fault injector, the
 # application models, the report renderer, the experiment runners, the
 # scenario text form, and the marshalled-call path: CUDA interposer, cuda
@@ -126,7 +130,7 @@ cover:
 	$(GO) test -coverprofile=$(BIN)/cover.out ./internal/...
 	$(GO) run ./cmd/covercheck -profile $(BIN)/cover.out -min 85 \
 		repro/internal/trace repro/internal/sweep repro/internal/parallel \
-		repro/internal/sim repro/internal/sim/shard repro/internal/analytic \
+		repro/internal/sim repro/internal/sim/shard \
 		repro/internal/analysis repro/internal/gpu repro/internal/cluster \
 		repro/internal/core repro/internal/cuda repro/internal/rpcproto \
 		repro/internal/packer repro/internal/remoting repro/internal/devsched \

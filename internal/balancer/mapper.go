@@ -24,6 +24,20 @@ func NewMapper(dst *DST, policy Policy) *Mapper {
 	return &Mapper{dst: dst, sft: NewSFT(), policy: policy}
 }
 
+// Init re-initialises the mapper for another fleet under policy: it is then
+// what NewMapper(NewDST(nil), policy) returns, and no row of the last fleet, a
+// carved slice's included, stays in its table. It keeps the maps' storage and
+// the row structs, behind the table's end for NewRow to hand out again.
+func (m *Mapper) Init(policy Policy) *Mapper {
+	d, s := m.dst, m.sft
+	clear(d.byGID)
+	clear(s.byKind)
+	*d = DST{entries: d.entries[:0], byGID: d.byGID}
+	*s = SFT{byKind: s.byKind}
+	*m = Mapper{dst: d, sft: s, policy: policy}
+	return m
+}
+
 // DST returns the Device Status Table.
 func (m *Mapper) DST() *DST { return m.dst }
 

@@ -219,7 +219,7 @@ func (rtf) Name() string { return "RTF" }
 func (rtf) Select(req Request, dst *DST, sft *SFT) GID {
 	mine, _ := sft.Lookup(req.Kind)
 	return argmin(dst, req, func(e *DSTEntry) float64 {
-		return loadOf(e, sft).exec + remoteCost(mine, e, req)
+		return loadOf(e, sft).exec + remoteCost(&mine, e, req)
 	})
 }
 
@@ -241,7 +241,7 @@ func (guf) Select(req Request, dst *DST, sft *SFT) GID {
 		// Expected delay: measured backlog plus the interference of
 		// sharing the device with busy tenants, scaled by how much this
 		// class itself needs the GPU.
-		return l.exec + l.util*mine.GPUUtil*myExec + remoteCost(mine, e, req)
+		return l.exec + l.util*mine.GPUUtil*myExec + remoteCost(&mine, e, req)
 	})
 }
 
@@ -258,7 +258,7 @@ func (dtf) Name() string { return "DTF" }
 // Select implements Policy.
 func (dtf) Select(req Request, dst *DST, sft *SFT) GID {
 	mine, _ := sft.Lookup(req.Kind)
-	kernT, xferT, _ := kindDemands(mine)
+	kernT, xferT, _ := kindDemands(&mine)
 	tot := kernT + xferT
 	if tot <= 0 {
 		return rtf{}.Select(req, dst, sft)
@@ -272,7 +272,7 @@ func (dtf) Select(req Request, dst *DST, sft *SFT) GID {
 		l := loadOf(e, sft)
 		// Per-engine queueing delay weighted by this class's use of each
 		// engine; the CPU component is contention-free.
-		return fk*l.kern + fx*l.xfer + 0.1*cpu + remoteCost(mine, e, req)
+		return fk*l.kern + fx*l.xfer + 0.1*cpu + remoteCost(&mine, e, req)
 	})
 }
 
@@ -291,7 +291,7 @@ func (mbf) Name() string { return "MBF" }
 // Select implements Policy.
 func (mbf) Select(req Request, dst *DST, sft *SFT) GID {
 	mine, _ := sft.Lookup(req.Kind)
-	kernT, xferT, myBW := kindDemands(mine)
+	kernT, xferT, myBW := kindDemands(&mine)
 	tot := kernT + xferT
 	if tot <= 0 {
 		return rtf{}.Select(req, dst, sft)
@@ -302,7 +302,7 @@ func (mbf) Select(req Request, dst *DST, sft *SFT) GID {
 		myFrac := myBW / e.MemBandwidth
 		// Engine-aware delay plus the bandwidth-contention slowdown the
 		// arrival's kernels would suffer (and cause) on this device.
-		return fk*l.kern + fx*l.xfer + l.bw*myFrac*kernT + remoteCost(mine, e, req)
+		return fk*l.kern + fx*l.xfer + l.bw*myFrac*kernT + remoteCost(&mine, e, req)
 	})
 }
 

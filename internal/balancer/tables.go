@@ -97,11 +97,24 @@ func NewDST(entries []*DSTEntry) *DST {
 	return d
 }
 
-// AddRow appends a dynamically created row (a carved slice) to the table.
+// AddRow appends a row — a device's, or a carved slice's — to the table.
 // Like NewDST, ownership of the row transfers to the DST. GIDs must be
 // unique for the table's lifetime; reusing one panics.
 func (d *DST) AddRow(e *DSTEntry) {
 	d.addRow(e)
+}
+
+// NewRow returns a zeroed row for the next AddRow: the struct the next slot
+// held before the table was last emptied, with its bound-class and shape
+// arrays, or a new one.
+func (d *DST) NewRow() *DSTEntry {
+	if n := len(d.entries); n < cap(d.entries) {
+		if e := d.entries[:n+1][n]; e != nil {
+			*e = DSTEntry{BoundKinds: e.BoundKinds[:0], Shapes: e.Shapes[:0]}
+			return e
+		}
+	}
+	return new(DSTEntry)
 }
 
 func (d *DST) addRow(e *DSTEntry) {
@@ -227,7 +240,7 @@ type SFTEntry struct {
 // class's fresh reports drift far from its accumulated history, the stale
 // history is discarded and the class is re-learned.
 type SFT struct {
-	byKind map[string]*SFTEntry
+	byKind map[string]SFTEntry
 
 	// DriftResets counts histories discarded because the class's behaviour
 	// changed.
@@ -242,7 +255,7 @@ const driftFactor = 2.5
 const driftMinSamples = 3
 
 // NewSFT returns an empty table.
-func NewSFT() *SFT { return &SFT{byKind: make(map[string]*SFTEntry)} }
+func NewSFT() *SFT { return &SFT{byKind: make(map[string]SFTEntry)} }
 
 // Record folds a feedback report into the class's running means.
 func (s *SFT) Record(fb *rpcproto.Feedback) {
@@ -255,14 +268,12 @@ func (s *SFT) Record(fb *rpcproto.Feedback) {
 		if ratio > driftFactor || ratio < 1/driftFactor {
 			// The class's behaviour has shifted: drop the stale history
 			// and re-learn from this report on.
-			delete(s.byKind, fb.Kind)
 			s.DriftResets++
 			ok = false
 		}
 	}
 	if !ok {
-		e = &SFTEntry{Kind: fb.Kind}
-		s.byKind[fb.Kind] = e
+		e = SFTEntry{Kind: fb.Kind}
 	}
 	n := float64(e.Samples)
 	merge := func(old sim.Time, v sim.Time) sim.Time {
@@ -274,10 +285,11 @@ func (s *SFT) Record(fb *rpcproto.Feedback) {
 	e.MemBW = (e.MemBW*n + fb.MemBW) / (n + 1)
 	e.GPUUtil = (e.GPUUtil*n + fb.GPUUtil) / (n + 1)
 	e.Samples++
+	s.byKind[fb.Kind] = e
 }
 
 // Lookup returns the class's history, if any.
-func (s *SFT) Lookup(kind string) (*SFTEntry, bool) {
+func (s *SFT) Lookup(kind string) (SFTEntry, bool) {
 	e, ok := s.byKind[kind]
 	return e, ok
 }

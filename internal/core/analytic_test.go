@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/analytic"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -22,7 +21,7 @@ func TestSimulatorMatchesMG1PS(t *testing.T) {
 	for _, factor := range []float64{2.5, 1.7} {
 		lambda := sim.Time(factor * float64(prof.SoloRuntime))
 		rate := 1.0 / lambda.Seconds()
-		want, err := analytic.MG1PS(soloGPU, rate)
+		want, err := mg1PS(soloGPU, rate)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +75,7 @@ func TestSimulatorBracketedByMMc(t *testing.T) {
 	soloGPU := prof.SoloRuntime.Seconds() * prof.GPUPct / 100
 	soloCPU := prof.SoloRuntime.Seconds() - soloGPU
 	lower := prof.SoloRuntime.Seconds() // cannot beat solo
-	upper, errU := analytic.MMc(2, soloGPU, rate)
+	upper, errU := mmc(2, soloGPU, rate)
 	if errU != nil {
 		t.Fatal(errU)
 	}
@@ -99,7 +98,7 @@ func TestFastForwardMatchesAnalyticIdle(t *testing.T) {
 	soloGPU := prof.SoloRuntime.Seconds() * prof.GPUPct / 100
 	soloCPU := prof.SoloRuntime.Seconds() - soloGPU
 	lambda := sim.Time(4.0 * float64(prof.SoloRuntime))
-	want, err := analytic.MG1PS(soloGPU, 1.0/lambda.Seconds())
+	want, err := mg1PS(soloGPU, 1.0/lambda.Seconds())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,9 @@ import (
 
 // TestArenaReuses: a closed cluster's slab is the next cluster's, its kernel
 // reset, and the sessions and frontends a horizon cut off mid-call back on the
-// free lists with the ones that had exited.
+// free lists with the ones that had exited. The slab keeps nothing of the
+// closed cluster's a caller may still read: its mapper is gone from it, and its
+// result is the caller's alone.
 func TestArenaReuses(t *testing.T) {
 	var a Arena
 	cfg := Config{Seed: 3, Nodes: []NodeConfig{{Devices: []gpu.Spec{gpu.TeslaC2050}}},
@@ -35,6 +37,10 @@ func TestArenaReuses(t *testing.T) {
 		t.Fatalf("%d of %d sessions and %d of %d frontends back on the free lists, want all",
 			len(s.sessions), len(s.made.sessions), len(s.frontends), len(s.made.frontends))
 	}
+	if c.Mapper() != nil || s.env.results != nil {
+		t.Fatalf("after Close the cluster holds mapper %p and its slab result %p, want neither", c.Mapper(), s.env.results)
+	}
+	launched, logged := r.Launched, len(r.Requests)
 	c, err = New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -42,6 +48,10 @@ func TestArenaReuses(t *testing.T) {
 	defer c.Close()
 	if c.K != k || c.K.Now() != 0 || c.K.Dispatched() != 0 {
 		t.Fatalf("the next cluster got kernel %p at %v after %d dispatches, want %p reset", c.K, c.K.Now(), c.K.Dispatched(), k)
+	}
+	if _, err := c.RunUntil(contended, 40*sim.Second); err != nil || r.Launched != launched || len(r.Requests) != logged {
+		t.Fatalf("%v: the next cluster's run moved the last one's result to %d launched and %d logged, from %d and %d",
+			err, r.Launched, len(r.Requests), launched, logged)
 	}
 }
 

@@ -110,12 +110,15 @@ type Config struct {
 	// from the arena's earlier clusters, with the free lists of what ran on
 	// it — frames, connections, sessions and frontends with the Rain and
 	// CUDA processes they hold, spare GPU contexts, and the devices, device
-	// schedulers and packers New re-initialises to this fleet — and Close
-	// gives it all back, so the cluster's devices are not readable after
-	// Close. A reused kernel or object behaves as a fresh one (the sweep's
-	// goldens and FuzzFrontendSteps hold warm runs to cold ones), so this is
-	// purely an allocation optimization. A sharded run's other kernels are
-	// the cluster's own.
+	// schedulers and packers New re-initialises to this fleet — and the
+	// control plane New re-initialises too: the kernel's environment, its
+	// coordinator, the node fabrics and the Affinity Mapper with its DST and
+	// SFT. Close gives it all back, so the cluster's devices and mapper are
+	// not readable after Close; the result is the caller's. A reused kernel
+	// or object behaves as a fresh one (the sweep's goldens and
+	// FuzzFrontendSteps hold warm runs to cold ones), so this is purely an
+	// allocation optimization. A sharded run's other kernels are the
+	// cluster's own.
 	Arena *Arena
 
 	// Traces, when non-nil, memoizes materialized arrival traces so cells
@@ -156,10 +159,8 @@ type Cluster struct {
 	mapServing bool
 
 	// The node→kernel partition (see partition.go): one environment per
-	// kernel, every kernel driven by coord. nodes maps a node, and devEnv a
-	// GID, to its environment.
-	envs  []*shardEnv
-	nodes []*nodeFabric
+	// kernel (tables.envs), every kernel driven by coord. tables.nodes maps a
+	// node, and devEnv a GID, to its environment.
 	coord *shard.Coordinator
 
 	newDevPolicy func() devsched.Policy // nil in ModeCUDA
@@ -171,9 +172,13 @@ type Cluster struct {
 	sl sliceState
 }
 
-// tables are the cluster's per-GPU tables and the mapper's queues, which a
-// cluster on an arena's kernel takes from the slab and Close gives back.
+// tables are the cluster's environments, node fabrics, per-GPU tables and
+// the mapper's queues, which a cluster on an arena's kernel takes from the
+// slab and Close gives back.
 type tables struct {
+	envs  []*shardEnv
+	nodes []nodeFabric
+
 	devices []*gpu.Device // indexed by GID
 	devEnv  []*shardEnv
 	traces  []*gpu.UtilTrace
@@ -203,6 +208,7 @@ type tables struct {
 func (t *tables) reuse() tables {
 	t.mapQ.Reset()
 	return tables{
+		envs: empty(t.envs), nodes: empty(t.nodes),
 		devices: empty(t.devices), devEnv: empty(t.devEnv), traces: empty(t.traces),
 		nodeDev: empty(t.nodeDev), scheds: empty(t.scheds), packers: empty(t.packers),
 		threads: t.threads[:0], gpuDown: t.gpuDown[:0], stallUntil: t.stallUntil[:0], degrade: t.degrade[:0],
@@ -303,22 +309,25 @@ func New(cfg Config) (*Cluster, error) {
 		return c, nil
 	}
 
-	// The gPool Creator: one DST row per device, GIDs in node order. The
+	// The Affinity Mapper, the slab's re-initialised when there is one, and
+	// the gPool Creator: one DST row per device, GIDs in node order. The
 	// rows' (GID, Node, LocalDev) columns are the paper's gMap.
-	rows := make([]*balancer.DSTEntry, 0, len(c.devices))
+	if c.lent != nil && c.lent.mapper != nil {
+		c.mapper = c.lent.mapper.Init(pol)
+	} else {
+		c.mapper = balancer.NewMapper(balancer.NewDST(nil), pol)
+	}
+	c.mapper.SetRecorder(cfg.Recorder)
+	dst := c.mapper.DST()
 	for n, devs := range c.nodeDev {
 		for i, d := range devs {
-			row := dstRow(balancer.GID(len(rows)), n, i, d.Spec())
+			row := dstRow(dst.NewRow(), balancer.GID(dst.Len()), n, i, d.Spec())
 			if row.Partitionable {
 				c.sl.numPart++
 			}
-			rows = append(rows, row)
+			dst.AddRow(row)
 		}
 	}
-
-	// Affinity mapper service.
-	c.mapper = balancer.NewMapper(balancer.NewDST(rows), pol)
-	c.mapper.SetRecorder(cfg.Recorder)
 	c.K.StartDaemon(&c.mapD, func() string { return "affinity-mapper" }, c.mapperStep)
 
 	for g := range c.devices {
@@ -328,14 +337,12 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// dstRow is the gPool Creator's row for one device: its location, its
-// capability weights and, when it is partitionable, its whole capacity and
-// slice shapes. spec is the device's normalized spec.
-func dstRow(gid balancer.GID, node, local int, spec gpu.Spec) *balancer.DSTEntry {
-	row := &balancer.DSTEntry{
-		GID: gid, Node: node, LocalDev: local, Name: spec.Name,
-		Weight: spec.Weight, ComputeRate: spec.ComputeRate, MemBandwidth: spec.MemBandwidth,
-	}
+// dstRow fills row, a zeroed one, as the gPool Creator's row for one device:
+// its location, its capability weights and, when it is partitionable, its
+// whole capacity and slice shapes. spec is the device's normalized spec.
+func dstRow(row *balancer.DSTEntry, gid balancer.GID, node, local int, spec gpu.Spec) *balancer.DSTEntry {
+	row.GID, row.Node, row.LocalDev, row.Name = gid, node, local, spec.Name
+	row.Weight, row.ComputeRate, row.MemBandwidth = spec.Weight, spec.ComputeRate, spec.MemBandwidth
 	if spec.Partitionable() {
 		row.Partitionable = true
 		row.TotalFrac, row.FreeFrac = gpu.SliceFractions, gpu.SliceFractions
@@ -426,7 +433,8 @@ func devPolicyFactory(cfg Config) (func() devsched.Policy, error) {
 // (EXPERIMENTS.md, known divergence 6).
 func (c *Cluster) cudaConfig() cuda.Config { return cuda.Config{BlockOnOOM: c.cfg.BlockOnOOM} }
 
-// Mapper returns the affinity mapper (nil in ModeCUDA).
+// Mapper returns the affinity mapper (nil in ModeCUDA, and after Close when
+// Config.Arena lent the cluster its kernel: the mapper is the arena's then).
 func (c *Cluster) Mapper() *balancer.Mapper { return c.mapper }
 
 // Devices returns the devices in GID order.

@@ -24,7 +24,7 @@ type nodeFabric struct {
 }
 
 // Fabric returns the interpose.Fabric of the applications arriving at node.
-func (c *Cluster) Fabric(node int) interpose.Fabric { return c.nodes[node] }
+func (c *Cluster) Fabric(node int) interpose.Fabric { return &c.nodes[node] }
 
 // toMapper relays a control message from the node to the mapper service in
 // a pooled copy, stamped with its arrival instant: at once from the mapper's

@@ -38,7 +38,7 @@ func TestCrossNodeReportsPayTheLink(t *testing.T) {
 	var gids [2]balancer.GID
 	var selected [2]sim.Time
 	for node := range gids {
-		node, f := node, c.nodes[node]
+		node, f := node, &c.nodes[node]
 		c.K.Go("reporter", func(p *sim.Proc) {
 			// The interposer's round trip: the hop each way is the caller's.
 			hop, done := f.SelectHop(), c.K.NewEvent()
@@ -86,7 +86,7 @@ func TestCrossNodeReportsPayTheLink(t *testing.T) {
 	var took [2]sim.Time
 	var health [2]balancer.Health
 	for node := range gids {
-		node, f := node, c.nodes[node]
+		node, f := node, &c.nodes[node]
 		c.K.Go("detector", func(p *sim.Proc) {
 			p.Sleep(failAt - p.Now())
 			verdict := c.K.NewEvent()

@@ -93,7 +93,7 @@ func (f *frontend) clients() (c, c1 cuda.Stepper) {
 		f.rt.InitThread(&f.th[1], nil, id)
 		return &f.th[0], &f.th[1]
 	}
-	f.ip.Init(cl.nodes[s.Node], e.k, id, s.Tenant, s.Weight, s.Kind.String(), s.Node, cl.cfg.Mode == ModeStrings)
+	f.ip.Init(&cl.nodes[s.Node], e.k, id, s.Tenant, s.Weight, s.Kind.String(), s.Node, cl.cfg.Mode == ModeStrings)
 	f.ip.SetRecovery(cl.cfg.Recovery)
 	f.ip.SetTrace(e.rec, f.req)
 	return &f.ip, &f.ip

@@ -299,11 +299,13 @@ func TestFrontendMatchesCoroutine(t *testing.T) {
 }
 
 // FuzzFrontendSteps deals a MIG script and two others from the fuzzer's bytes
-// and plays them one after another on one arena's slab, each of them also on
-// a fresh cluster: what a run left behind — sessions, frontends, processes,
-// devices with their contexts and ops, packers and schedulers, live ones a
-// horizon cut off included — must not reach the next, which leaves the
-// request log and trace its fresh run leaves.
+// and plays them one after another on one arena's slab, the MIG script twice,
+// the second time cut off halfway, each of them also on a fresh cluster: what
+// a run left behind — sessions, frontends, processes, connections, devices
+// with their contexts and ops, packers and schedulers, the mapper's tables
+// with their carved slice rows, live ones a horizon cut off included — must
+// not reach the next, which leaves the request log and trace its fresh run
+// leaves.
 func FuzzFrontendSteps(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) { playWarm(t, data) })
@@ -317,7 +319,9 @@ func playWarm(t *testing.T, data []byte) (first appScript, firstRun, warm script
 	rng := rand.New(rand.NewSource(int64(h.Sum64())))
 	sc, other := newAppScript(rng), newAppScript(rng)
 	var arena Arena
-	playWarmAs(t, newMIGScript(rng), &arena)
+	mig := newMIGScript(rng)
+	mig.horizon = playWarmAs(t, mig, &arena).end / 2
+	playWarmAs(t, mig, &arena)
 	return other, playWarmAs(t, other, &arena), playWarmAs(t, sc, &arena)
 }
 

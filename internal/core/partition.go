@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+
 	"repro/internal/sim"
 	"repro/internal/sim/shard"
 	"repro/internal/trace"
@@ -13,8 +15,9 @@ const appIDStride = 1 << 32
 
 // shardEnv is one kernel's slice of the cluster: the kernel with the free
 // lists of what runs on it (a slab, lent by Config.Arena for the first
-// kernel), its coordinator handle, the recorder, result sink, and the
-// app-ID/tenant bookkeeping of the streams arriving at its nodes.
+// kernel, whose environment the slab keeps), its coordinator handle, the
+// recorder, result sink, and the app-ID/tenant bookkeeping of the streams
+// arriving at its nodes.
 type shardEnv struct {
 	*slab // own, or the arena's
 	own   slab
@@ -63,36 +66,48 @@ func shardEligible(cfg Config) bool {
 // buildEnvs lays out the node→kernel partition: one kernel per node when
 // sharding is requested and the topology allows it, one kernel for every
 // node otherwise — in both cases under one coordinator whose lookahead is
-// the remote-link latency. Everything downstream reads the partition as
-// data (c.nodes[n].e, c.devEnv[gid]); nothing asks which layout it is.
+// the remote-link latency (one kernel has no use for it: an arena's slab
+// keeps the coordinator over its kernel, and its environment). Everything
+// downstream reads the partition as data (c.nodes[n].e, c.devEnv[gid]);
+// nothing asks which layout it is.
 func (c *Cluster) buildEnvs() {
 	cfg := c.cfg
-	kernels := []*sim.Kernel{c.K}
+	n := 1
 	if cfg.Shards >= 1 && shardEligible(cfg) {
-		for n := 1; n < len(cfg.Nodes); n++ {
+		n = len(cfg.Nodes)
+	}
+	if c.lent != nil && n == 1 {
+		c.coord = c.lent.coord
+	} else {
+		kernels := []*sim.Kernel{c.K}
+		for len(kernels) < n {
 			// The kernel RNG is unused by the model (streams carry their
 			// own seeded sources), so all kernels may share the seed.
 			kernels = append(kernels, sim.NewKernel(cfg.Seed))
 		}
+		c.coord = shard.NewCoordinator(kernels, cfg.RemoteLink.Latency, 0)
 	}
-	c.coord = shard.NewCoordinator(kernels, cfg.RemoteLink.Latency, 0)
-	for i, k := range kernels {
+	for i := range n {
 		rec := cfg.Recorder
 		if i > 0 && rec.Enabled() {
 			rec = trace.New()
 		}
-		e := &shardEnv{c: c, idx: i, sh: c.coord.Shard(i), rec: rec, results: newRunResult()}
-		e.slab = &e.own
+		var e *shardEnv
 		if i == 0 && c.lent != nil {
-			e.slab = c.lent
+			e = c.lent.env
+		} else {
+			e = new(shardEnv)
+			e.slab = &e.own
 		}
-		e.k = k
+		sh := c.coord.Shard(i)
+		*e = shardEnv{slab: e.slab, c: c, idx: i, sh: sh, rec: rec, results: newRunResult(), apps: e.apps[:0]}
+		e.k = sh.K
 		c.envs = append(c.envs, e)
 	}
 	for n := range cfg.Nodes {
 		// Nodes are dealt round-robin onto the kernels: all onto the one
 		// kernel, or node n onto kernel n.
-		c.nodes = append(c.nodes, &nodeFabric{c: c, node: n, e: c.envs[n%len(c.envs)]})
+		c.nodes = append(c.nodes, nodeFabric{c: c, node: n, e: c.envs[n%len(c.envs)]})
 	}
 }
 
@@ -150,11 +165,12 @@ func (c *Cluster) Recorders() []*trace.Recorder {
 
 // Close closes every kernel — the processes the run left parked are unwound
 // and no goroutine remains — and ends the cluster: results stay readable, it
-// cannot run again. So do devices, unless Config.Arena lent the kernel: then
-// it goes back to the arena, reset, with the sessions and frontends the run
-// left live and every device, device scheduler and packer, which the arena's
-// next cluster re-initialises; Devices returns nil. Safe to call more than
-// once.
+// cannot run again. So do devices and the mapper, unless Config.Arena lent the
+// kernel: then it goes back to the arena, reset, with the sessions, frontends
+// and connections the run left live, every device, device scheduler and
+// packer, the environment, node fabrics and mapper, which the arena's next
+// cluster re-initialises; Devices and Mapper return nil, and the result is
+// the caller's alone. Safe to call more than once.
 func (c *Cluster) Close() {
 	for i, e := range c.envs {
 		if i > 0 || c.cfg.Arena == nil {
@@ -165,7 +181,9 @@ func (c *Cluster) Close() {
 		s.devices = append(s.devices, c.devices...) // bounded by the largest fleet
 		s.scheds = append(s.scheds, c.scheds...)
 		s.packers = append(s.packers, c.packers...)
-		s.tables, c.tables = c.tables, tables{} // so that stale reads fail loudly
+		s.mapper, c.mapper = cmp.Or(c.mapper, s.mapper), nil // none in ModeCUDA
+		s.env.results = nil                                  // the caller's now
+		s.tables, c.tables = c.tables, tables{}              // so that stale reads fail loudly
 		c.cfg.Arena.put(s)
 		c.lent = nil
 	}

@@ -154,7 +154,7 @@ func (c *Cluster) carveSlice(now sim.Time, parent balancer.GID, req balancer.Req
 	c.serveDevice(int(gid))
 
 	pe := dst.Entry(parent)
-	row := dstRow(gid, pe.Node, pe.LocalDev, spec)
+	row := dstRow(dst.NewRow(), gid, pe.Node, pe.LocalDev, spec)
 	row.IsSlice, row.Parent, row.Profile = true, parent, req.SliceProfile
 	dst.AddRow(row)
 	return gid

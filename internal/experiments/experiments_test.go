@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -423,5 +425,30 @@ func TestSeedsPoolReplications(t *testing.T) {
 	b := three.Fig10().Row("GRR-Strings")[0]
 	if b <= 0 || a <= 0 {
 		t.Fatalf("degenerate values %v, %v", a, b)
+	}
+}
+
+// TestSuiteResultIsTheRuns: a single-seed cell is its scenario's own result,
+// not a copy pooled from it, and a two-seed cell is the first replication's
+// result with the second merged in, as Merge leaves them.
+func TestSuiteResultIsTheRuns(t *testing.T) {
+	run := func(sc scenario.Scenario) *core.RunResult {
+		c, r := mustRun(sc, scenario.Env{})
+		c.Close()
+		return r
+	}
+	p := workload.Pairs()[0]
+	for _, seeds := range []int{1, 2} {
+		s := NewSuite(Options{Seed: 1, Requests: 4, Seeds: seeds})
+		sc := s.on(grrRain, supernode, s.pairStreams(p, true)...)
+		got := s.run(sc)
+		want := run(sc)
+		for rep := 1; rep < seeds; rep++ {
+			sc.Seed = s.repSeed(rep)
+			want.Merge(run(sc))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d seeds: the suite's result differs from its runs'\nsuite %+v\nruns  %+v", seeds, got, want)
+		}
 	}
 }

@@ -152,12 +152,16 @@ func (s *Suite) run(sc scenario.Scenario) *core.RunResult {
 	}
 	s.mu.Unlock()
 	e.once.Do(func() {
-		pooled := core.NewRunResultForPooling()
+		var pooled *core.RunResult
 		for rep := 0; rep < s.opt.Seeds; rep++ {
 			sc.Seed = s.repSeed(rep)
 			c, r := mustRun(sc, scenario.Env{Arena: &s.arena, Traces: s.traces})
 			c.Close()
-			pooled.Merge(r)
+			if pooled == nil {
+				pooled = r // later replications pool into the first's result
+			} else {
+				pooled.Merge(r)
+			}
 			s.mu.Lock()
 			s.Runs++
 			s.mu.Unlock()

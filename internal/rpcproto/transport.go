@@ -62,12 +62,16 @@ type Conn struct {
 	pools [2]*Pool // side A's and side B's frame pool; nil allocates and drops
 
 	home   *ConnPool // where the connection goes once both sides Close it; nil: nowhere
+	made   *Conn     // the connection its pool made before it
 	open   uint8     // bit i: side i has not closed
 	unread int       // messages posted and not yet received
 }
 
 // ConnPool recycles the connections of one kernel. The zero ConnPool is empty.
-type ConnPool struct{ free []*Conn }
+type ConnPool struct {
+	free []*Conn
+	made *Conn // the last connection Get made that may come back, linking the others
+}
 
 // Get returns a same-kernel connection over link, as NewConn would: a closed
 // one, inboxes and all, with the pools the last SetPools left, or a new one.
@@ -76,12 +80,47 @@ func (cp *ConnPool) Get(k *sim.Kernel, link LinkSpec) *Conn {
 	if n == 0 {
 		c := NewConn(k, link)
 		c.home, c.open = cp, 3
+		c.made, cp.made = cp.made, c
 		return c
 	}
 	c := cp.free[n-1]
 	cp.free = cp.free[:n-1]
 	c.link, c.open = link, 3
 	return c
+}
+
+// Reclaim takes back, once the kernel has been reset, every connection Get
+// made that a run left out: open at a RunUntil horizon, or closed with a
+// message on its way. Each comes back as Close would leave it, its inboxes
+// emptied into the pools of their readers and keeping their arrays. A
+// connection that retains frames is its pool's no more.
+func (cp *ConnPool) Reclaim() {
+	cp.free = cp.free[:0]
+	for p := &cp.made; *p != nil; {
+		c := *p
+		if c.home == nil { // RetainFrames: a frame may still be retransmitted
+			*p, c.made = c.made, nil
+			continue
+		}
+		drain(&c.toB, c.pools[1])
+		drain(&c.toA, c.pools[0])
+		c.open, c.unread = 0, 0
+		cp.free = append(cp.free, c) // bounded by peak open connections
+		p = &c.made
+	}
+}
+
+// drain empties an inbox into its reader's pool, forgetting its waiters.
+func drain(q *sim.Queue[Msg], p *Pool) {
+	for m, ok := q.TryGet(); ok; m, ok = q.TryGet() {
+		switch f := m.(type) {
+		case *Call:
+			p.FreeCall(f)
+		case *Reply:
+			p.FreeReply(f)
+		}
+	}
+	q.Reset()
 }
 
 // NewConn creates a connection over the given link, with no frame pools.

@@ -252,7 +252,8 @@ func (k *Kernel) SetFFHorizon(d Time) {
 // scheduled activation (and every device model is parked on its own wakeup),
 // the interval in between is provably quiet and the clock moves wholesale.
 // These counters make that behaviour measurable so idle-heavy scenarios can
-// report a skip ratio and be validated against internal/analytic predictions.
+// report a skip ratio and be validated against closed-form queueing
+// predictions (core's queueing_test.go).
 func (k *Kernel) FastForwards() (jumps uint64, skipped Time) {
 	return k.ffJumps, k.ffSkipped
 }
