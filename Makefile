@@ -11,10 +11,10 @@ test:
 
 # Full-tree race pass. A simulation is one goroutine, so what there is to
 # race is the worker pool that fans whole simulations out (internal/parallel)
-# and what its workers share: the suite's and the cluster tier's core.Arena
-# (slabs — a kernel and the sessions, frontends, processes and contexts on it
-# — one worker's closed cluster returns and another's borrows, never with a
-# live process), the suite's scenario cache and trace book, and the TCP
+# and what its workers share: core's one arena (slabs — a kernel and the
+# sessions, frontends, processes and contexts on it — one worker's closed
+# cluster returns and another's borrows, never with a live process), the
+# suite's scenario cache and trace book, and the TCP
 # remoting path. -short skips the heavyweight
 # experiment sweeps (guarded with testing.Short) so the whole pass stays under
 # ~2 minutes while still racing the parallel-vs-sequential figure-grid
@@ -64,6 +64,10 @@ lint: stringscheck
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSleepNext|BenchmarkHeapChurn|BenchmarkSpawnExit|BenchmarkCodecRoundTrip|BenchmarkBackendCall' -benchtime=1x .
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/rpcproto/
+	@# The goldens, transcripts and fresh-vs-reused checks twice in one process:
+	@# the second pass runs on the slabs the first left in core's arena, so a
+	@# reuse leak shows as a golden mismatch.
+	$(GO) test -count=2 -run 'Golden|Transcript|Reproduce|Matches' . ./internal/core/ ./internal/experiments/
 	@# The fault study at -parallel 1 and 4 must print the same table too:
 	@# recovery's connections retain their frames and faults kill DST rows,
 	@# and neither may reach the next cluster on the slab.

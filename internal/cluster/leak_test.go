@@ -10,10 +10,10 @@ import (
 )
 
 // TestRunLeavesNothingBehind is the cluster tier's leak gate, -short
-// included: its kernel arena resets every kernel it takes back, so cluster.Run
-// returns with the goroutine count it found, and its supernodes' clusters
-// are garbage once the result
-// is dropped — run after run the process stays the size the first left it.
+// included: core's arena resets every kernel it takes back, so cluster.Run
+// returns with the goroutine count it found, and what its supernodes' clusters
+// leave is the arena's warm slabs — run after run the process stays the size
+// the first left it.
 func TestRunLeavesNothingBehind(t *testing.T) {
 	cfg := goldenCfg(t, "least-loaded")
 	cfg.Traced = false

@@ -102,10 +102,8 @@ func Run(cfg Config) (*Result, error) {
 		placedPer[p.Supernode]++
 	}
 
-	// One core run per supernode, fanned out through the blessed pool.
-	// Clusters borrow from a shared arena: workers fewer than supernodes
-	// reuse what their predecessor built.
-	var arena core.Arena
+	// One core run per supernode, fanned out through the blessed pool:
+	// workers fewer than supernodes reuse the kernels their predecessor built.
 	type snOut struct {
 		res SupernodeResult
 		err error
@@ -121,7 +119,6 @@ func Run(cfg Config) (*Result, error) {
 			Nodes:   cfg.Supernodes[i].Nodes,
 			Mode:    core.ModeStrings,
 			Balance: "GMin",
-			Arena:   &arena,
 		}
 		if cfg.Traced {
 			ccfg.Recorder = trace.New()

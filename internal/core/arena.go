@@ -6,46 +6,39 @@ import (
 	"repro/internal/balancer"
 	"repro/internal/devsched"
 	"repro/internal/gpu"
-	"repro/internal/interpose"
 	"repro/internal/packer"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 	"repro/internal/sim/shard"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// Arena lends the clusters of a sweep warm slabs: a kernel, and the free
-// lists of what ran on it — frames, connections, backend sessions,
-// application frontends with the processes they hold, spare GPU contexts,
-// the supernode and its control plane — so that a worker running hundreds
-// of short simulations stops paying each one's ramp-up allocations. New
-// takes a slab (Config.Arena) and Cluster.Close gives it back, reset, with
-// whatever a RunUntil horizon left live taken back to its free list. Reuse
-// is invisible: a reset kernel runs the event sequence of a fresh one, and a
-// reused object starts as a new one would. The free lists belong to the arena, so a dropped arena is garbage.
-//
-// It is a mutex-guarded free list rather than a sync.Pool: a returned slab
-// is always handed out again, never dropped by the GC, so the reuse path runs
-// on every sweep instead of probabilistically. The zero Arena is empty and
-// safe for concurrent use.
-type Arena struct {
+// arena lends clusters their kernels as warm slabs, so that hundreds of short
+// simulations stop paying each one's ramp-up allocations. Reuse is invisible:
+// a reset kernel runs the event sequence of a fresh one, and a reused object
+// starts as a new one would. It is a mutex-guarded free list rather than a
+// sync.Pool, so that the reuse path runs on every simulation, not by luck;
+// the zero arena is empty.
+type arena struct {
 	mu   sync.Mutex
 	free []*slab
 }
 
-// slab is one kernel and the free lists of what runs on it: the frame pool,
-// connections, GPU contexts the kernel's devices share, idle sessions,
-// frontends and arrival daemons, and devices, device schedulers and packers,
-// which New re-initialises to any fleet. An arena's slab also keeps the
-// control plane New re-initialises — the kernel's environment, the
-// coordinator over it alone, the Affinity Mapper — and lists in made every
-// session, frontend and arrival it made, for put to take back.
+// shared is the arena New builds every cluster on. It holds as many slabs as
+// the process ever ran kernels at once.
+var shared arena
+
+// slab is one kernel and the free lists of what runs on it — frames,
+// connections, GPU contexts, sessions, frontends, arrival daemons, devices,
+// device schedulers and packers — with a coordinator over the kernel alone, a
+// mapper, and in made every session, frontend and arrival it made, for put to
+// take back. While a cluster runs on the kernel, the slab is its environment
+// there: shard handle, recorder, result sink and launched applications.
 type slab struct {
 	k         *sim.Kernel
-	lent      bool               // an arena's
-	env       *shardEnv          // the kernel's, its apps array kept
 	coord     *shard.Coordinator // over k alone, which leaves it no state of its own
-	mapper    *balancer.Mapper   // the last Strings or Rain cluster's
+	mapper    *balancer.Mapper   // the cluster's, on its first kernel's slab
 	pool      rpcproto.Pool
 	conns     rpcproto.ConnPool
 	spares    gpu.Spares
@@ -55,12 +48,21 @@ type slab struct {
 	devices   []*gpu.Device
 	scheds    []*devsched.Scheduler
 	packers   []*packer.Packer
-	tables    tables // the last cluster's
+	tables    tables // kept by the first kernel's slab between clusters
 	made      struct {
 		sessions  []*session
 		frontends []*frontend
 		arrivals  []*arrival
 	}
+
+	c   *Cluster
+	idx int
+	sh  *shard.Shard
+	rec *trace.Recorder
+
+	results *RunResult
+	appSeq  int
+	apps    []appTenant // in launch order, which is app-id order
 }
 
 // take pops an idle object off a free list, or makes a new one.
@@ -75,14 +77,14 @@ func take[T any](free *[]*T) *T {
 }
 
 // get lends a slab: an idle one, or a new one over a new kernel.
-func (a *Arena) get() *slab {
+func (a *arena) get() *slab {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	s := take(&a.free)
 	if s.k == nil {
-		s.k, s.lent = sim.NewKernel(0), true
-		s.env = &shardEnv{slab: s}
+		s.k = sim.NewKernel(0)
 		s.coord = shard.NewCoordinator([]*sim.Kernel{s.k}, 0, 0)
+		s.mapper = balancer.NewMapper(balancer.NewDST(nil), nil)
 	}
 	return s
 }
@@ -90,9 +92,10 @@ func (a *Arena) get() *slab {
 // put takes a slab back once its cluster is closed: the kernel is reset,
 // which unwinds the processes the run left, and the sessions, frontends and
 // connections still live go back to their free lists.
-func (a *Arena) put(s *slab) {
+func (a *arena) put(s *slab) {
 	s.k.Reset(0)
 	s.takeBack()
+	s.c, s.sh, s.rec, s.results = nil, nil, nil, nil // the closed cluster's; the result is the caller's
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.free = append(a.free, s)
@@ -100,10 +103,9 @@ func (a *Arena) put(s *slab) {
 
 // takeBack returns to the free lists every arrival daemon and the sessions,
 // frontends and connections a run left live, cut off at a RunUntil horizon or
-// stuck. Their daemons are gone with the kernel's reset, their processes are
-// released, the frames in the connections' inboxes go back to the pool, and
-// what may still name them — a selection latch, a multi-threaded
-// application's threads — is dropped rather than reused.
+// stuck: their daemons are gone with the kernel's reset, their processes are
+// released, and their frames freed as rpcproto.Pool's rules for a cut run
+// say. A multi-threaded application's threads are dropped rather than reused.
 func (s *slab) takeBack() {
 	s.conns.Reclaim()
 	for _, a := range s.made.arrivals {
@@ -114,6 +116,8 @@ func (s *slab) takeBack() {
 		if !x.idle {
 			x.d = sim.Daemon{}
 			x.rain.rt.Release()
+			x.pool.FreeReply(x.reply) // the frames in hand: its call, and a reply not yet posted
+			x.pool.FreeCall(x.call)
 			x.serving = serving{}
 			x.idle = true
 			s.sessions = append(s.sessions, x)
@@ -123,7 +127,7 @@ func (s *slab) takeBack() {
 		if !f.idle {
 			f.d = sim.Daemon{}
 			f.rt.Release()
-			f.ip = interpose.Interposer{}
+			f.ip.Cut()
 			f.steps = workload.Steps{}
 			f.begun = false
 			f.idle = true

@@ -22,9 +22,7 @@ func (c *Cluster) accept(gid int, conn *rpcproto.Conn) {
 	s := take(&e.sessions)
 	if s.stepFn == nil {
 		s.nameFn, s.stepFn, s.backlogFn = s.name, s.step, s.backlog
-		if e.lent {
-			e.made.sessions = append(e.made.sessions, s) // bounded by peak live sessions
-		}
+		e.made.sessions = append(e.made.sessions, s) // bounded by peak live sessions
 	}
 	s.c, s.e, s.idle = c, e, false
 	s.serving = serving{gid: gid, n: *n, ep: conn.B()}
@@ -93,7 +91,7 @@ type appPort interface {
 type session struct {
 	d sim.Daemon
 	c *Cluster
-	e *shardEnv
+	e *slab
 
 	// Its methods as values, bound once: a reused session starts allocation-free.
 	nameFn    func() string

@@ -106,21 +106,6 @@ type Config struct {
 	// pre-fault-tolerance behaviour.
 	Recovery interpose.Recovery
 
-	// Arena, when non-nil, lends the cluster its kernel: one reset and warm
-	// from the arena's earlier clusters, with the free lists of what ran on
-	// it — frames, connections, sessions and frontends with the Rain and
-	// CUDA processes they hold, spare GPU contexts, and the devices, device
-	// schedulers and packers New re-initialises to this fleet — and the
-	// control plane New re-initialises too: the kernel's environment, its
-	// coordinator, the node fabrics and the Affinity Mapper with its DST and
-	// SFT. Close gives it all back, so the cluster's devices and mapper are
-	// not readable after Close; the result is the caller's. A reused kernel
-	// or object behaves as a fresh one (the sweep's goldens and
-	// FuzzFrontendSteps hold warm runs to cold ones), so this is purely an
-	// allocation optimization. A sharded run's other kernels are the
-	// cluster's own.
-	Arena *Arena
-
 	// Traces, when non-nil, memoizes materialized arrival traces so cells
 	// that replay the same workload stream share one immutable slice
 	// instead of regenerating it per run. Derivation is bit-identical to
@@ -145,9 +130,9 @@ type Config struct {
 
 // Cluster is a fully wired simulated deployment.
 type Cluster struct {
-	K    *sim.Kernel
-	cfg  Config
-	lent *slab // the Arena's, until Close gives it back
+	K     *sim.Kernel
+	cfg   Config
+	arena *arena // where Close gives the kernels back
 
 	mapper *balancer.Mapper
 	mapD   sim.Daemon
@@ -173,14 +158,14 @@ type Cluster struct {
 }
 
 // tables are the cluster's environments, node fabrics, per-GPU tables and
-// the mapper's queues, which a cluster on an arena's kernel takes from the
-// slab and Close gives back.
+// the mapper's queues, which a cluster takes from the slab of its first
+// kernel and Close gives back.
 type tables struct {
-	envs  []*shardEnv
+	envs  []*slab
 	nodes []nodeFabric
 
 	devices []*gpu.Device // indexed by GID
-	devEnv  []*shardEnv
+	devEnv  []*slab
 	traces  []*gpu.UtilTrace
 	nodeDev [][]*gpu.Device // per node, each a view of devices
 	scheds  []*devsched.Scheduler
@@ -247,11 +232,14 @@ type mapperMsg struct {
 	done func()
 }
 
-// New builds a cluster per cfg. The kernels, devices, gPool, mapper service
-// and (for ModeStrings) per-GPU backends are created immediately. The
-// configuration is validated before anything that Close would have to
-// release exists.
-func New(cfg Config) (*Cluster, error) {
+// New builds a cluster per cfg on kernels the process's one arena lends, warm
+// from the clusters closed before: kernels, devices, gPool, mapper service and
+// (for ModeStrings) per-GPU backends are re-initialised or created at once.
+// The configuration is validated before anything Close gives back is taken.
+func New(cfg Config) (*Cluster, error) { return newCluster(cfg, &shared) }
+
+// newCluster is New on slabs of a.
+func newCluster(cfg Config, a *arena) (*Cluster, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("core: no nodes configured")
 	}
@@ -274,7 +262,7 @@ func New(cfg Config) (*Cluster, error) {
 			}
 		}
 	}
-	c := &Cluster{cfg: cfg}
+	c := &Cluster{cfg: cfg, arena: a}
 	var pol balancer.Policy
 	if cfg.Mode != ModeCUDA {
 		var err error
@@ -284,14 +272,6 @@ func New(cfg Config) (*Cluster, error) {
 		if c.newDevPolicy, err = devPolicyFactory(cfg); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.Arena != nil {
-		c.lent = cfg.Arena.get()
-		c.K = c.lent.k
-		c.K.Reset(cfg.Seed)
-		c.tables = c.lent.tables.reuse()
-	} else {
-		c.K = sim.NewKernel(cfg.Seed)
 	}
 	c.buildEnvs()
 
@@ -309,14 +289,10 @@ func New(cfg Config) (*Cluster, error) {
 		return c, nil
 	}
 
-	// The Affinity Mapper, the slab's re-initialised when there is one, and
-	// the gPool Creator: one DST row per device, GIDs in node order. The
-	// rows' (GID, Node, LocalDev) columns are the paper's gMap.
-	if c.lent != nil && c.lent.mapper != nil {
-		c.mapper = c.lent.mapper.Init(pol)
-	} else {
-		c.mapper = balancer.NewMapper(balancer.NewDST(nil), pol)
-	}
+	// The Affinity Mapper, the first slab's re-initialised, and the gPool
+	// Creator: one DST row per device, GIDs in node order. The rows' (GID,
+	// Node, LocalDev) columns are the paper's gMap.
+	c.mapper = c.envs[0].mapper.Init(pol)
 	c.mapper.SetRecorder(cfg.Recorder)
 	dst := c.mapper.DST()
 	for n, devs := range c.nodeDev {
@@ -356,7 +332,7 @@ func dstRow(row *balancer.DSTEntry, gid balancer.GID, node, local int, spec gpu.
 
 // addDevice creates the device for the next gPool row on e's kernel, with
 // the utilization tracer, the GPU-op span hook and a clean fault state.
-func (c *Cluster) addDevice(e *shardEnv, spec gpu.Spec) {
+func (c *Cluster) addDevice(e *slab, spec gpu.Spec) {
 	gid := len(c.devices)
 	d := take(&e.devices).Init(e.k, spec, gid)
 	d.SetSpares(&e.spares)
@@ -433,11 +409,11 @@ func devPolicyFactory(cfg Config) (func() devsched.Policy, error) {
 // (EXPERIMENTS.md, known divergence 6).
 func (c *Cluster) cudaConfig() cuda.Config { return cuda.Config{BlockOnOOM: c.cfg.BlockOnOOM} }
 
-// Mapper returns the affinity mapper (nil in ModeCUDA, and after Close when
-// Config.Arena lent the cluster its kernel: the mapper is the arena's then).
+// Mapper returns the affinity mapper (nil in ModeCUDA, and after Close: the
+// mapper is the arena's then).
 func (c *Cluster) Mapper() *balancer.Mapper { return c.mapper }
 
-// Devices returns the devices in GID order.
+// Devices returns the devices in GID order (none after Close).
 func (c *Cluster) Devices() []*gpu.Device { return c.devices }
 
 // Trace returns the utilization trace of device gid (nil unless

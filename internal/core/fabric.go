@@ -20,7 +20,7 @@ const mapperNode = 0
 type nodeFabric struct {
 	c    *Cluster
 	node int
-	e    *shardEnv // the kernel the node's devices, streams and frontends live on
+	e    *slab // the kernel the node's devices, streams and frontends live on
 }
 
 // Fabric returns the interpose.Fabric of the applications arriving at node.

@@ -17,7 +17,7 @@ import (
 // the next request on its kernel.
 type frontend struct {
 	d     sim.Daemon
-	e     *shardEnv
+	e     *slab
 	app   workload.App
 	steps workload.Steps
 	ip    interpose.Interposer
@@ -36,13 +36,11 @@ type frontend struct {
 }
 
 // startFrontend starts app, stream si's nth request, on a frontend daemon.
-func (e *shardEnv) startFrontend(app workload.App, s *workload.StreamSpec, si, n int) {
+func (e *slab) startFrontend(app workload.App, s *workload.StreamSpec, si, n int) {
 	f := take(&e.frontends)
 	if f.stepFn == nil {
 		f.nameFn, f.stepFn = f.name, f.step
-		if e.lent {
-			e.made.frontends = append(e.made.frontends, f) // bounded by peak live frontends
-		}
+		e.made.frontends = append(e.made.frontends, f) // bounded by peak live frontends
 	}
 	f.e, f.idle = e, false
 	f.app, f.s, f.si, f.n = app, s, si, n

@@ -160,13 +160,16 @@ type scriptRun struct {
 	warm       bool   // a frontend an earlier run left served one of this run
 }
 
-// playScript runs sc on a cluster of its own, or on one an arena lends when a
-// is not nil.
-func playScript(t testing.TB, sc appScript, a *Arena) scriptRun {
+// playScript runs sc on a cluster of its own, or on one warm from the arena a
+// when a is not nil.
+func playScript(t testing.TB, sc appScript, a *arena) scriptRun {
 	t.Helper()
 	sc.cfg.Recorder = trace.New()
-	sc.cfg.Arena = a
-	c, err := New(sc.cfg)
+	cold := a == nil
+	if cold {
+		a = new(arena)
+	}
+	c, err := newCluster(sc.cfg, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +209,7 @@ func playScript(t testing.TB, sc appScript, a *Arena) scriptRun {
 		out.blocked = append(out.blocked, e.k.Blocked()...)
 		idle += len(e.frontends)
 	}
-	out.reused = a == nil && idle > 0 && idle < r.Finished
+	out.reused = cold && idle > 0 && idle < r.Finished
 	return out
 }
 
@@ -240,7 +243,7 @@ func TestFrontendMatchesCoroutine(t *testing.T) {
 		lines = lines[:150]
 	}
 	rng, migs := rand.New(rand.NewSource(31)), rand.New(rand.NewSource(37))
-	var arena Arena
+	var warm arena
 	reach := map[string]bool{}
 	set := func(what string, ok bool) { reach[what] = reach[what] || ok }
 	for i, line := range lines {
@@ -251,13 +254,13 @@ func TestFrontendMatchesCoroutine(t *testing.T) {
 			t.Fatalf("transcript %d: bad line %q (%v)", i, line, err)
 		}
 		sc := newAppScript(rng)
-		var a *Arena
+		var a *arena
 		if i%2 == 1 {
-			a = &arena
+			a = &warm
 		}
 		if i%20 == 1 {
 			// A MIG fleet on the slab between two warm scripts.
-			m := playWarmAs(t, newMIGScript(migs), &arena)
+			m := playWarmAs(t, newMIGScript(migs), &warm)
 			set("warm/mig", m.warm && m.carves > 0)
 			set("mig/cut", m.carves > 0 && m.finished < m.launched)
 		}
@@ -318,16 +321,16 @@ func playWarm(t *testing.T, data []byte) (first appScript, firstRun, warm script
 	h.Write(data)
 	rng := rand.New(rand.NewSource(int64(h.Sum64())))
 	sc, other := newAppScript(rng), newAppScript(rng)
-	var arena Arena
+	var a arena
 	mig := newMIGScript(rng)
-	mig.horizon = playWarmAs(t, mig, &arena).end / 2
-	playWarmAs(t, mig, &arena)
-	return other, playWarmAs(t, other, &arena), playWarmAs(t, sc, &arena)
+	mig.horizon = playWarmAs(t, mig, &a).end / 2
+	playWarmAs(t, mig, &a)
+	return other, playWarmAs(t, other, &a), playWarmAs(t, sc, &a)
 }
 
 // playWarmAs plays sc on a fresh cluster and then on one a lends, and fails
 // unless the two leave the same request log and trace.
-func playWarmAs(t *testing.T, sc appScript, a *Arena) scriptRun {
+func playWarmAs(t *testing.T, sc appScript, a *arena) scriptRun {
 	t.Helper()
 	want, got := playScript(t, sc, nil), playScript(t, sc, a)
 	if !bytes.Equal(got.log, want.log) || !bytes.Equal(got.jsonl, want.jsonl) {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"cmp"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/sim/shard"
@@ -12,24 +12,6 @@ import (
 // globally unique without cross-kernel coordination: environment i hands out
 // i*appIDStride+1, i*appIDStride+2, ...
 const appIDStride = 1 << 32
-
-// shardEnv is one kernel's slice of the cluster: the kernel with the free
-// lists of what runs on it (a slab, lent by Config.Arena for the first
-// kernel, whose environment the slab keeps), its coordinator handle, the
-// recorder, result sink, and the app-ID/tenant bookkeeping of the streams
-// arriving at its nodes.
-type shardEnv struct {
-	*slab // own, or the arena's
-	own   slab
-	c     *Cluster
-	idx   int
-	sh    *shard.Shard
-	rec   *trace.Recorder
-
-	results *RunResult
-	appSeq  int
-	apps    []appTenant // in launch order, which is app-id order
-}
 
 // appTenant is one launched application and its tenant.
 type appTenant struct {
@@ -63,46 +45,42 @@ func shardEligible(cfg Config) bool {
 	return true
 }
 
-// buildEnvs lays out the node→kernel partition: one kernel per node when
-// sharding is requested and the topology allows it, one kernel for every
-// node otherwise — in both cases under one coordinator whose lookahead is
-// the remote-link latency (one kernel has no use for it: an arena's slab
-// keeps the coordinator over its kernel, and its environment). Everything
-// downstream reads the partition as data (c.nodes[n].e, c.devEnv[gid]);
-// nothing asks which layout it is.
+// buildEnvs lays out the node→kernel partition, a slab per kernel: one kernel
+// per node when sharding is requested and the topology allows it, one for
+// every node otherwise. The first slab brings the tables, and one kernel its
+// coordinator (lookahead 0, counters zero); several kernels run under one
+// whose lookahead is the remote-link latency. Everything downstream reads the
+// partition as data (c.nodes[n].e, c.devEnv[gid]), not which layout it is.
 func (c *Cluster) buildEnvs() {
-	cfg := c.cfg
+	cfg, a := c.cfg, c.arena
 	n := 1
 	if cfg.Shards >= 1 && shardEligible(cfg) {
 		n = len(cfg.Nodes)
 	}
-	if c.lent != nil && n == 1 {
-		c.coord = c.lent.coord
-	} else {
-		kernels := []*sim.Kernel{c.K}
-		for len(kernels) < n {
-			// The kernel RNG is unused by the model (streams carry their
-			// own seeded sources), so all kernels may share the seed.
-			kernels = append(kernels, sim.NewKernel(cfg.Seed))
+	first := a.get()
+	c.tables = first.tables.reuse()
+	c.envs = append(c.envs, first)
+	for len(c.envs) < n {
+		c.envs = append(c.envs, a.get())
+	}
+	c.K, c.coord = first.k, first.coord
+	if n > 1 {
+		kernels := make([]*sim.Kernel, n)
+		for i, e := range c.envs {
+			kernels[i] = e.k
 		}
 		c.coord = shard.NewCoordinator(kernels, cfg.RemoteLink.Latency, 0)
 	}
-	for i := range n {
+	for i, e := range c.envs {
+		// The kernel RNG is unused by the model (streams carry their own
+		// seeded sources), so all kernels may share the seed.
+		e.k.Reset(cfg.Seed)
 		rec := cfg.Recorder
 		if i > 0 && rec.Enabled() {
 			rec = trace.New()
 		}
-		var e *shardEnv
-		if i == 0 && c.lent != nil {
-			e = c.lent.env
-		} else {
-			e = new(shardEnv)
-			e.slab = &e.own
-		}
-		sh := c.coord.Shard(i)
-		*e = shardEnv{slab: e.slab, c: c, idx: i, sh: sh, rec: rec, results: newRunResult(), apps: e.apps[:0]}
-		e.k = sh.K
-		c.envs = append(c.envs, e)
+		e.c, e.idx, e.sh, e.rec = c, i, c.coord.Shard(i), rec
+		e.results, e.appSeq, e.apps = newRunResult(), 0, e.apps[:0]
 	}
 	for n := range cfg.Nodes {
 		// Nodes are dealt round-robin onto the kernels: all onto the one
@@ -117,12 +95,7 @@ func (c *Cluster) Sharded() bool { return len(c.envs) > 1 }
 
 // ShardStats returns the coordinator's window-protocol counters (zero when
 // not sharded: one kernel runs no windows).
-func (c *Cluster) ShardStats() shard.Stats {
-	if !c.Sharded() {
-		return shard.Stats{}
-	}
-	return c.coord.Stats()
-}
+func (c *Cluster) ShardStats() shard.Stats { return c.coord.Stats() }
 
 // Dispatched returns the total activations dispatched across every kernel.
 func (c *Cluster) Dispatched() (n uint64) {
@@ -163,34 +136,36 @@ func (c *Cluster) Recorders() []*trace.Recorder {
 	return recs
 }
 
-// Close closes every kernel — the processes the run left parked are unwound
-// and no goroutine remains — and ends the cluster: results stay readable, it
-// cannot run again. So do devices and the mapper, unless Config.Arena lent the
-// kernel: then it goes back to the arena, reset, with the sessions, frontends
-// and connections the run left live, every device, device scheduler and
-// packer, the environment, node fabrics and mapper, which the arena's next
-// cluster re-initialises; Devices and Mapper return nil, and the result is
+// Close ends the cluster. Every device, device scheduler and packer goes to
+// the slab of the kernel it ran on, the mapper and tables stay with the first
+// kernel's, and every slab goes back to the arena, its kernel reset: the
+// processes the run left parked are unwound and no goroutine remains. After
+// Close, Devices, Mapper, Sharded and Recorders read empty and the result is
 // the caller's alone. Safe to call more than once.
 func (c *Cluster) Close() {
-	for i, e := range c.envs {
-		if i > 0 || c.cfg.Arena == nil {
-			e.k.Close()
-		}
+	envs := c.envs
+	if len(envs) == 0 {
+		return
 	}
-	if s := c.lent; s != nil {
-		s.devices = append(s.devices, c.devices...) // bounded by the largest fleet
-		s.scheds = append(s.scheds, c.scheds...)
-		s.packers = append(s.packers, c.packers...)
-		s.mapper, c.mapper = cmp.Or(c.mapper, s.mapper), nil // none in ModeCUDA
-		s.env.results = nil                                  // the caller's now
-		s.tables, c.tables = c.tables, tables{}              // so that stale reads fail loudly
-		c.cfg.Arena.put(s)
-		c.lent = nil
+	// Last to first, for the next cluster to take them in GID order.
+	for gid, d := range slices.Backward(c.devices) {
+		c.devEnv[gid].devices = append(c.devEnv[gid].devices, d) // bounded by the kernel's largest share of a fleet
+	}
+	for gid, s := range slices.Backward(c.scheds) {
+		c.devEnv[gid].scheds = append(c.devEnv[gid].scheds, s)
+	}
+	for gid, p := range slices.Backward(c.packers) {
+		c.devEnv[gid].packers = append(c.devEnv[gid].packers, p)
+	}
+	c.mapper = nil
+	envs[0].tables, c.tables = c.tables, tables{} // so that stale reads fail loudly
+	for _, e := range slices.Backward(envs) {
+		c.arena.put(e)
 	}
 }
 
 // nextAppID allocates the next application ID from the environment's range.
-func (e *shardEnv) nextAppID() int {
+func (e *slab) nextAppID() int {
 	e.appSeq++
 	return e.idx*appIDStride + e.appSeq
 }

@@ -28,7 +28,8 @@ func shardedScenario() []workload.StreamSpec {
 }
 
 // runShardedOnce runs the scenario at a Shards setting and returns the
-// results plus the concatenated JSONL trace bytes.
+// results, the concatenated JSONL trace bytes and the cluster, closed when
+// the test ends.
 func runShardedOnce(t *testing.T, mode Mode, shards int) (*RunResult, []byte, *Cluster) {
 	t.Helper()
 	cfg := Config{
@@ -40,7 +41,7 @@ func runShardedOnce(t *testing.T, mode Mode, shards int) (*RunResult, []byte, *C
 	if err != nil {
 		t.Fatalf("New(shards=%d): %v", shards, err)
 	}
-	defer c.Close()
+	t.Cleanup(c.Close)
 	r, err := c.Run(shardedScenario())
 	if err != nil {
 		t.Fatalf("Run(shards=%d): %v", shards, err)

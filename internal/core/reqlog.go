@@ -44,7 +44,7 @@ func (e RequestEvent) CompletionTime() sim.Time {
 }
 
 // recordRequest appends a request event to the owning environment's log.
-func (e *shardEnv) recordRequest(app *workload.App, s workload.StreamSpec, gid int, errStr string) {
+func (e *slab) recordRequest(app *workload.App, s workload.StreamSpec, gid int, errStr string) {
 	ev := RequestEvent{
 		AppID:  app.ID,
 		Kind:   s.Kind,

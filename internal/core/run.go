@@ -262,9 +262,7 @@ func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 	a := take(&e.arrivals)
 	if a.stepFn == nil {
 		a.nameFn, a.stepFn = a.name, a.step
-		if e.lent {
-			e.made.arrivals = append(e.made.arrivals, a) // bounded by peak streams
-		}
+		e.made.arrivals = append(e.made.arrivals, a) // bounded by peak streams
 	}
 	if c.cfg.Traces != nil {
 		// Shared immutable trace; the book derives it with the same seed
@@ -283,7 +281,7 @@ func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 // its cluster has closed.
 type arrival struct {
 	d     sim.Daemon
-	e     *shardEnv
+	e     *slab
 	s     workload.StreamSpec
 	si, i int // stream si, whose ith request is next
 	times []sim.Time
@@ -327,7 +325,7 @@ func appName(kind workload.Kind, si, n int) string {
 // record books a finished application's outcome: its request span, the
 // result sink's counters, the request log and its tenant's GPU service. ipose
 // is its interposer, nil under CUDA.
-func (e *shardEnv) record(app *workload.App, s workload.StreamSpec, ipose *interpose.Interposer, reqSpan trace.SpanID, err error) {
+func (e *slab) record(app *workload.App, s workload.StreamSpec, ipose *interpose.Interposer, reqSpan trace.SpanID, err error) {
 	c := e.c
 	gid := -1
 	if ipose != nil {

@@ -91,8 +91,8 @@ func TestExitedProcessesAreReleased(t *testing.T) {
 // A run holds no goroutine for its requests, and a closed cluster no process —
 // not for the requests it served, not for the service processes a drained run
 // leaves parked, not for the applications a horizon cut off mid-call — on
-// its own kernels or on the one an arena lent it, which goes back reset. Not
-// skipped in -short: it is the leak gate.
+// kernels whose slabs go back to the arena reset, from a cold arena or a warm
+// one. Not skipped in -short: it is the leak gate.
 func TestCloseLeavesNoRequestGoroutines(t *testing.T) {
 	streams := []workload.StreamSpec{
 		{Kind: workload.Gaussian, Count: 12, LambdaFactor: 0.2, Node: 0, Tenant: 1, Weight: 1},
@@ -104,21 +104,26 @@ func TestCloseLeavesNoRequestGoroutines(t *testing.T) {
 		{Kind: workload.MonteCarlo, Count: 40, Lambda: sim.Second / 2, Node: 0, Tenant: 2, Weight: 1},
 	}
 	oneGPU := []NodeConfig{{Devices: []gpu.Spec{gpu.TeslaC2050}}}
-	own := &Arena{}
+	own := &arena{}
 	for _, tc := range []struct {
 		name    string
 		cfg     Config
+		arena   *arena // nil: a cold one every cycle
 		horizon sim.Time
 	}{
-		{"one kernel", Config{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin"}, 0},
-		{"sharded", Config{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin", Shards: 1}, 0},
-		{"arena", Config{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin", Arena: own}, 0},
-		{"horizon", Config{Seed: 3, Nodes: oneGPU, Mode: ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, 40 * sim.Second},
-		{"horizon, arena", Config{Seed: 3, Nodes: oneGPU, Mode: ModeRain, Balance: "GRR", DevPolicy: "TFS", Arena: own}, 40 * sim.Second},
+		{"one kernel", Config{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin"}, nil, 0},
+		{"sharded", Config{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin", Shards: 1}, nil, 0},
+		{"warm", Config{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin"}, own, 0},
+		{"horizon", Config{Seed: 3, Nodes: oneGPU, Mode: ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, nil, 40 * sim.Second},
+		{"horizon, warm", Config{Seed: 3, Nodes: oneGPU, Mode: ModeRain, Balance: "GRR", DevPolicy: "TFS"}, own, 40 * sim.Second},
 	} {
 		for cycle := 0; cycle < 4; cycle++ {
 			before := runtime.NumGoroutine()
-			c, err := New(tc.cfg)
+			a := tc.arena
+			if a == nil {
+				a = new(arena)
+			}
+			c, err := newCluster(tc.cfg, a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,12 +143,13 @@ func TestCloseLeavesNoRequestGoroutines(t *testing.T) {
 			if during := runtime.NumGoroutine() - before; during > 0 {
 				t.Fatalf("%s cycle %d: %d goroutines over the baseline with the run over", tc.name, cycle, during)
 			}
+			envs := c.envs
 			c.Close()
 			c.Close()
 			if after := runtime.NumGoroutine() - before; after > 0 {
 				t.Fatalf("%s cycle %d: %d goroutines over the baseline after Close, want none", tc.name, cycle, after)
 			}
-			for _, e := range c.envs {
+			for _, e := range envs {
 				if n := e.k.ProcCount(); n != 0 {
 					t.Fatalf("%s cycle %d: %d processes live on kernel %d after Close: %v", tc.name, cycle, n, e.idx, e.k.Blocked())
 				}

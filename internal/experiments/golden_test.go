@@ -71,7 +71,7 @@ func TestFig9Golden(t *testing.T) {
 		name   string
 		mutate func(*Options)
 	}{
-		// The default path: kernels recycled through the suite's arena,
+		// The default path: kernels recycled through core's arena,
 		// traces shared, workers at GOMAXPROCS.
 		{"reused-kernels", func(*Options) {}},
 		// Sequential reference execution.

@@ -33,8 +33,8 @@ func liveBytes() int64 {
 // included: every figure returns with the goroutine count it found — the
 // processes its horizons cut off unwound when the arena took their kernels
 // back — and
-// a dropped suite is garbage, so pass after pass the process stays the size
-// the first one left it.
+// what a dropped suite leaves is core's warm slabs, so pass after pass the
+// process stays the size the first one left it.
 func TestSuiteLeavesNothingBehind(t *testing.T) {
 	ps := workload.Pairs()
 	pass := func() {

@@ -106,12 +106,6 @@ type Suite struct {
 	cache map[string]*cacheEntry
 	key   []byte // the text form of the lookup holding mu
 
-	// arena lends every scenario's cluster a warm kernel and free lists, so
-	// back-to-back runs on one worker reuse what the earlier ones built. A
-	// returned slab is reset and holds no goroutine, so a suite needs no
-	// Close.
-	arena core.Arena
-
 	// traces shares materialized arrival traces across scenarios — every
 	// policy of a figure replays the identical workload, so the streams
 	// are derived once and aliased read-only everywhere.
@@ -155,7 +149,7 @@ func (s *Suite) run(sc scenario.Scenario) *core.RunResult {
 		var pooled *core.RunResult
 		for rep := 0; rep < s.opt.Seeds; rep++ {
 			sc.Seed = s.repSeed(rep)
-			c, r := mustRun(sc, scenario.Env{Arena: &s.arena, Traces: s.traces})
+			c, r := mustRun(sc, scenario.Env{Traces: s.traces})
 			c.Close()
 			if pooled == nil {
 				pooled = r // later replications pool into the first's result

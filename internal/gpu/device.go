@@ -185,11 +185,15 @@ type Context struct {
 	Owner int
 }
 
-// Spares is a free list of destroyed contexts, each with the streams it had,
+// Spares is a free list of destroyed contexts and of the streams they had,
 // for the devices that share it to reuse. Devices on one kernel may share
 // one (SetSpares), so that a context outlives the device it was made on; the
-// zero Spares is empty.
-type Spares struct{ ctxs []*Context }
+// zero Spares is empty. The streams are pooled apart from the contexts, so
+// that a context that served few streams does not keep a packed one's.
+type Spares struct {
+	ctxs    []*Context
+	streams []*Stream
+}
 
 // Len returns the number of spare contexts.
 func (sp *Spares) Len() int { return len(sp.ctxs) }
@@ -254,7 +258,10 @@ func (c *Context) shelve() {
 func (d *Device) spare(c *Context) {
 	c.dev, c.retired = nil, false
 	if d.spares != nil {
-		d.spares.ctxs = append(d.spares.ctxs, c) // bounded by peak live contexts
+		d.spares.ctxs = append(d.spares.ctxs, c)                // bounded by peak live contexts
+		d.spares.streams = append(d.spares.streams, c.spare...) // bounded by peak live streams
+		clear(c.spare)
+		c.spare = c.spare[:0]
 	}
 }
 
@@ -299,11 +306,15 @@ func (s *Stream) list() {
 }
 
 // NewStream creates a stream in the context, under the next id, reusing a
-// destroyed one and its op ring. Ids rise, so creation order is id order.
+// destroyed one and its op ring, the context's or a spare one. Ids rise, so
+// creation order is id order.
 func (c *Context) NewStream() *Stream {
 	var s *Stream
 	if n := len(c.spare); n > 0 {
 		s, c.spare = c.spare[n-1], c.spare[:n-1]
+	} else if sp := c.dev.spares; sp != nil && len(sp.streams) > 0 {
+		n := len(sp.streams)
+		s, sp.streams = sp.streams[n-1], sp.streams[:n-1]
 	} else {
 		s = &Stream{}
 	}

@@ -141,6 +141,19 @@ func (ip *Interposer) Init(fab Fabric, k *sim.Kernel, appID int, tenant int64, w
 	}
 }
 
+// Cut readies *ip, whose application a simulation horizon cut off, for the
+// next Init: it frees the frames only it holds — the last round trip's, and a
+// call not yet posted — and keeps fire, bound to sel, which forgets the
+// waiter the horizon left parked on it. A posted call is the backend's to
+// free, or its inbox's.
+func (ip *Interposer) Cut() {
+	ip.freeLast()
+	if ip.at == marshal || ip.at == paying || ip.at == posting {
+		ip.pool.FreeCall(ip.inflight)
+	}
+	*ip = Interposer{fire: ip.fire}
+}
+
 // GID returns the gPool device the application was bound to.
 func (ip *Interposer) GID() balancer.GID { return ip.gid }
 

@@ -6,8 +6,8 @@
 // (the repository's one worker-pool goroutine site) and Stopwatch (the bench
 // harnesses' wall clock). The package imports nothing of the simulator, so
 // the determinism lint's goroutine and wall-clock rules stop at its boundary
-// by construction. What the runs of a pool recycle between them is
-// core.Arena's.
+// by construction. What the runs of a pool recycle between them is the
+// kernels of core's one arena.
 //
 // The determinism contract: callers hand Do/Map a body whose iterations are
 // fully independent — each builds its own cluster and kernel, shares no

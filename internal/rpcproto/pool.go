@@ -20,7 +20,11 @@ package rpcproto
 //     backend frees the call — and the suppressed reply — at the end of the
 //     serve iteration;
 //   - a connection under recovery hands out no pool (Endpoint.RetainFrames):
-//     retransmission keeps frames alive past any single round trip.
+//     retransmission keeps frames alive past any single round trip;
+//   - a run cut off at a horizon: each side frees what it holds in hand — the
+//     frontend its last round trip and a call not yet posted, the backend the
+//     call it serves and a reply not yet posted — ConnPool.Reclaim what waits
+//     in an inbox, and a frame on the wire is dropped.
 //
 // The zero Pool is valid. A nil *Pool is the valid disabled pool: Get
 // allocates fresh frames and Free drops them, so callers need not guard.

@@ -366,7 +366,6 @@ func (s Scenario) Cluster() cluster.Config {
 // Env is what a run borrows rather than describes: none of it is in the text
 // form, and none of it changes what the run computes.
 type Env struct {
-	Arena    *core.Arena
 	Traces   *workload.TraceBook
 	Recorder *trace.Recorder
 	Trace    bool // a utilization tracer on every device
@@ -380,7 +379,7 @@ func (s Scenario) Run(env Env) (*core.Cluster, *core.RunResult, error) {
 		return nil, nil, fmt.Errorf("a supernodes= scenario is the cluster tier's: run it with strings-bench -exp cluster -scenario")
 	}
 	cfg, streams := s.Core()
-	cfg.Arena, cfg.Traces, cfg.Recorder, cfg.Trace = env.Arena, env.Traces, env.Recorder, env.Trace
+	cfg.Traces, cfg.Recorder, cfg.Trace = env.Traces, env.Recorder, env.Trace
 	c, err := core.New(cfg)
 	if err != nil {
 		return nil, nil, err
