@@ -105,14 +105,13 @@ bench-smoke:
 # The six examples are the documented use of the library (README): run each,
 # fail on the first non-zero exit, and byte-diff its stdout against the
 # expected.out beside it. All finish in virtual time, so their output is
-# fixed, except remoting's: it listens on a loopback port of the kernel's
-# choosing and prints the address, so it is run but not diffed. analysis
-# prints where os.TempDir() put its files, so TMPDIR is pinned.
+# fixed; remoting prints the loopback address the kernel chose on stderr.
+# analysis prints where os.TempDir() put its files, so TMPDIR is pinned.
 examples:
 	@mkdir -p $(BIN)
 	@for e in examples/*/; do \
 		echo "== $$e"; TMPDIR=/tmp $(GO) run ./$$e > $(BIN)/example.out || exit 1; \
-		[ $$e = examples/remoting/ ] || diff $${e}expected.out $(BIN)/example.out || exit 1; \
+		diff $${e}expected.out $(BIN)/example.out || exit 1; \
 	done
 
 # Full micro-benchmark pass with allocation counts.

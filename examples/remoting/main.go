@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"os"
 	"time"
 
 	"repro/internal/cuda"
@@ -52,7 +53,7 @@ func main() {
 		WriteTimeout: 30 * time.Second,
 	}
 	go func() { _ = backend.Serve(lis) }()
-	fmt.Printf("backend daemon (simulated %s) listening on %s\n\n", gpu.TeslaC2050.Name, lis.Addr())
+	fmt.Fprintf(os.Stderr, "backend daemon (simulated %s) listening on %s\n", gpu.TeslaC2050.Name, lis.Addr())
 
 	// Dial with retries so a slow-starting daemon doesn't fail the client.
 	conn, err := netguard.DialRetry("tcp", lis.Addr().String(), 5, 20*time.Millisecond)

@@ -148,8 +148,6 @@ type Cluster struct {
 	// node, and devEnv a GID, to its environment.
 	coord *shard.Coordinator
 
-	newDevPolicy func() devsched.Policy // nil in ModeCUDA
-
 	tables
 
 	// Slice-placement tenant state (see slices.go); inert unless the fleet has
@@ -269,8 +267,11 @@ func newCluster(cfg Config, a *arena) (*Cluster, error) {
 		if pol, err = balancer.ByName(cfg.Balance); err != nil {
 			return nil, err
 		}
-		if c.newDevPolicy, err = devPolicyFactory(cfg); err != nil {
+		if err = devsched.CheckName(cfg.DevPolicy); err != nil {
 			return nil, err
+		}
+		if cfg.DevPolicy == "PS" && cfg.Mode != ModeStrings {
+			return nil, fmt.Errorf("core: PS is a Strings-only policy")
 		}
 	}
 	c.buildEnvs()
@@ -370,7 +371,7 @@ func (c *Cluster) serveDevice(gid int) {
 	if c.cfg.Mode == ModeRain && schedCfg.AccountingLag == 0 {
 		schedCfg.AccountingLag = 100 * sim.Millisecond
 	}
-	s := take(&e.scheds).Init(e.k, c.devices[gid], gid, c.newDevPolicy(), schedCfg)
+	s := take(&e.scheds).Init(e.k, c.devices[gid], gid, c.cfg.DevPolicy, schedCfg)
 	s.SetRecorder(e.rec)
 	c.scheds = append(c.scheds, s)
 	if c.cfg.Mode == ModeStrings {
@@ -380,27 +381,6 @@ func (c *Cluster) serveDevice(gid int) {
 		pk.SetRecorder(e.rec, gid)
 		c.packers = append(c.packers, pk)
 		c.threads = append(c.threads, 0)
-	}
-}
-
-// devPolicyFactory validates cfg.DevPolicy and returns a constructor of
-// fresh policy values (stateful policies like TFS need one instance per
-// device).
-func devPolicyFactory(cfg Config) (func() devsched.Policy, error) {
-	switch cfg.DevPolicy {
-	case "none":
-		return func() devsched.Policy { return devsched.AllAwake{} }, nil
-	case "TFS":
-		return func() devsched.Policy { return devsched.NewTFS() }, nil
-	case "LAS":
-		return func() devsched.Policy { return devsched.LAS{} }, nil
-	case "PS":
-		if cfg.Mode != ModeStrings {
-			return nil, fmt.Errorf("core: PS is a Strings-only policy")
-		}
-		return func() devsched.Policy { return devsched.PS{} }, nil
-	default:
-		return nil, fmt.Errorf("core: unknown device policy %q", cfg.DevPolicy)
 	}
 }
 

@@ -1,9 +1,12 @@
 // Package cuda simulates the CUDA runtime library over the gpu device model.
 //
-// Applications program against the Client interface — a faithful subset of
-// the CUDA runtime API surface the paper's interposer intercepts
-// (cudaSetDevice, cudaMalloc, cudaMemcpy[Async], kernel launch,
-// cudaDeviceSynchronize, cudaStream*, cudaThreadExit). A Runtime instance
+// A Thread's methods are a faithful subset of the CUDA runtime API surface
+// the paper's interposer intercepts (cudaSetDevice, cudaMalloc,
+// cudaMemcpy[Async], kernel launch, cudaDeviceSynchronize, cudaStream*,
+// cudaEvent*, cudaThreadExit). An Op is one such call with its arguments, and
+// Thread.Issue is the one place an Op's opcode becomes a method call:
+// applications issue Ops through a Stepper, and the backends' executor
+// (rpcproto.Execute) issues a marshalled frame's. A Runtime instance
 // corresponds to one host process: threads of the same Runtime share one GPU
 // context per device (CUDA ≥ 4.0 semantics), while distinct Runtimes get
 // distinct contexts that the device driver multiplexes with context-switch
@@ -78,60 +81,7 @@ var (
 	ErrBackendLost = errors.New("cuda: backend lost")
 )
 
-// Client is the per-application-thread view of a CUDA runtime. The bare
-// runtime implements it directly; the Strings interposer implements it by
-// forwarding calls to backend daemons.
-type Client interface {
-	// SetDevice selects the target device for subsequent calls
-	// (cudaSetDevice).
-	SetDevice(dev int) error
-	// DeviceCount returns the number of visible devices
-	// (cudaGetDeviceCount).
-	DeviceCount() int
-	// Malloc allocates device memory (cudaMalloc).
-	Malloc(bytes int64) (Ptr, error)
-	// Free releases device memory (cudaFree).
-	Free(p Ptr) error
-	// Memcpy is a synchronous host↔device copy (cudaMemcpy); it blocks the
-	// calling thread until the copy completes.
-	Memcpy(dir Dir, p Ptr, bytes int64) error
-	// MemcpyAsync is the stream-ordered asynchronous copy
-	// (cudaMemcpyAsync).
-	MemcpyAsync(dir Dir, p Ptr, bytes int64, s StreamID) error
-	// Launch enqueues a kernel on a stream (cudaConfigureCall+cudaLaunch).
-	// Launches are asynchronous, as in CUDA.
-	Launch(k Kernel, s StreamID) error
-	// StreamCreate creates a stream (cudaStreamCreate).
-	StreamCreate() (StreamID, error)
-	// StreamSynchronize blocks until all work queued on the stream has
-	// completed (cudaStreamSynchronize).
-	StreamSynchronize(s StreamID) error
-	// StreamDestroy destroys a stream (cudaStreamDestroy).
-	StreamDestroy(s StreamID) error
-	// DeviceSynchronize blocks until all of the process's work on the
-	// current device has completed (cudaDeviceSynchronize).
-	DeviceSynchronize() error
-	// EventCreate creates a timing event (cudaEventCreate).
-	EventCreate() (EventID, error)
-	// EventRecord enqueues the event as a marker on the stream
-	// (cudaEventRecord); the event's timestamp is when the device reaches
-	// it.
-	EventRecord(e EventID, s StreamID) error
-	// EventSynchronize blocks until the event's marker has completed
-	// (cudaEventSynchronize).
-	EventSynchronize(e EventID) error
-	// EventElapsed returns the device time between two completed events
-	// (cudaEventElapsedTime).
-	EventElapsed(start, end EventID) (sim.Time, error)
-	// EventDestroy releases the event (cudaEventDestroy).
-	EventDestroy(e EventID) error
-	// ThreadExit tears down the calling thread's CUDA state
-	// (cudaThreadExit): outstanding work is synchronized and the thread's
-	// allocations are released.
-	ThreadExit() error
-}
-
-// Op is one call of the Client API with its arguments.
+// Op is one call of the runtime API with its arguments.
 type Op struct {
 	ID     CallID
 	Dev    int
@@ -155,11 +105,13 @@ type Ret struct {
 	Count   int
 }
 
-// Stepper is a Client driven from a daemon's steps instead of a process:
-// Issue makes the call without blocking, and Await drives it to its end,
-// reporting false each time it ended d's step in a wait and true once the
-// call is over. Result is then the call's outcome. The op is the caller's,
-// and stays as it is, until Await reports the call over.
+// Stepper is an application thread's view of a CUDA runtime, driven from a
+// daemon's steps: Issue makes the call without blocking, and Await drives it
+// to its end, reporting false each time it ended d's step in a wait and true
+// once the call is over. Result is then the call's outcome. The op is the
+// caller's, and stays as it is, until Await reports the call over. The bare
+// runtime's Thread implements it directly; the Strings interposer by
+// forwarding calls to backend daemons.
 type Stepper interface {
 	Issue(op *Op)
 	Await(d *sim.Daemon) bool

@@ -214,8 +214,8 @@ func (pc *procCtx) stream(id StreamID) (*gpu.Stream, error) {
 	return s, nil
 }
 
-// Thread is one host thread of the process; it implements Client executing
-// directly against the local devices (the bare CUDA runtime path).
+// Thread is one host thread of the process, executing directly against the
+// local devices (the bare CUDA runtime path).
 //
 // A call that waits (Memcpy, Malloc under BlockOnOOM, the synchronizes,
 // StreamDestroy, ThreadExit) settles its result up to the wait and leaves the
@@ -245,8 +245,11 @@ type Thread struct {
 	err error
 }
 
-// Issue implements Stepper for a daemon's thread: the call settles what it
-// can at once and leaves its waits to Await.
+// Issue implements Stepper, and is the one place an opcode turns into a
+// method call: the backends' executor (rpcproto.Execute) issues every
+// marshalled call here. On a daemon's thread the call settles what it can at
+// once and leaves its waits to Await (or Pending); on a process's thread it
+// waits them out before Issue returns.
 func (t *Thread) Issue(op *Op) {
 	t.ret, t.err = Ret{}, nil
 	switch op.ID {
@@ -365,7 +368,7 @@ func (t *Thread) overhead() {
 	t.charge(t.rt.cfg.APIOverhead)
 }
 
-// SetDevice implements Client.
+// SetDevice selects the target device for subsequent calls (cudaSetDevice).
 func (t *Thread) SetDevice(dev int) error {
 	t.overhead()
 	if t.exited {
@@ -378,13 +381,13 @@ func (t *Thread) SetDevice(dev int) error {
 	return nil
 }
 
-// DeviceCount implements Client.
+// DeviceCount returns the number of visible devices (cudaGetDeviceCount).
 func (t *Thread) DeviceCount() int {
 	t.overhead()
 	return len(t.rt.devices)
 }
 
-// Malloc implements Client.
+// Malloc allocates device memory (cudaMalloc).
 func (t *Thread) Malloc(bytes int64) (Ptr, error) {
 	t.overhead()
 	if t.exited {
@@ -414,7 +417,7 @@ func (t *Thread) Malloc(bytes int64) (Ptr, error) {
 	return p, nil
 }
 
-// Free implements Client.
+// Free releases device memory (cudaFree).
 func (t *Thread) Free(p Ptr) error {
 	t.overhead()
 	i := slices.Index(t.allocs, p)
@@ -455,7 +458,7 @@ func (t *Thread) submit(op *gpu.Op, s StreamID) (*sim.Event, error) {
 	return ev, nil
 }
 
-// Memcpy implements Client.
+// Memcpy is a synchronous host↔device copy (cudaMemcpy).
 func (t *Thread) Memcpy(dir Dir, p Ptr, bytes int64) error {
 	t.overhead()
 	if t.exited {
@@ -481,7 +484,7 @@ func (t *Thread) Memcpy(dir Dir, p Ptr, bytes int64) error {
 	return nil
 }
 
-// MemcpyAsync implements Client.
+// MemcpyAsync is the stream-ordered asynchronous copy (cudaMemcpyAsync).
 func (t *Thread) MemcpyAsync(dir Dir, p Ptr, bytes int64, s StreamID) error {
 	t.overhead()
 	if t.exited {
@@ -500,7 +503,7 @@ func (t *Thread) MemcpyAsync(dir Dir, p Ptr, bytes int64, s StreamID) error {
 	return err
 }
 
-// Launch implements Client.
+// Launch enqueues a kernel on a stream, asynchronously (cudaLaunch).
 func (t *Thread) Launch(k Kernel, s StreamID) error {
 	t.overhead()
 	if t.exited {
@@ -517,7 +520,7 @@ func (t *Thread) Launch(k Kernel, s StreamID) error {
 	return err
 }
 
-// StreamCreate implements Client.
+// StreamCreate creates a stream (cudaStreamCreate).
 func (t *Thread) StreamCreate() (StreamID, error) {
 	t.overhead()
 	if t.exited {
@@ -530,7 +533,7 @@ func (t *Thread) StreamCreate() (StreamID, error) {
 	return id, nil
 }
 
-// StreamSynchronize implements Client.
+// StreamSynchronize waits for the stream's work (cudaStreamSynchronize).
 func (t *Thread) StreamSynchronize(s StreamID) error {
 	t.overhead()
 	pc := t.ctx()
@@ -551,7 +554,7 @@ func (t *Thread) awaitLast(pc *procCtx, s StreamID, then func(*Thread)) {
 	t.await(nil, then)
 }
 
-// StreamDestroy implements Client.
+// StreamDestroy destroys a stream once its work is done (cudaStreamDestroy).
 func (t *Thread) StreamDestroy(s StreamID) error {
 	t.overhead()
 	pc := t.ctx()
@@ -581,8 +584,8 @@ func (t *Thread) destroyed() {
 	pc.dropStream(t.sid)
 }
 
-// DeviceSynchronize implements Client. It waits for all work the process has
-// queued on the current device, across all of the process's streams.
+// DeviceSynchronize blocks until all of the process's work on the current
+// device has completed, across all of its streams (cudaDeviceSynchronize).
 func (t *Thread) DeviceSynchronize() error {
 	t.overhead()
 	t.syncDevice((*Thread).synced)
@@ -618,7 +621,7 @@ func (t *Thread) syncDevice(then func(*Thread)) {
 // synced ends a device-wide synchronize: the wait list drops its events.
 func (t *Thread) synced() { clear(t.waits) }
 
-// EventCreate implements Client.
+// EventCreate creates a timing event (cudaEventCreate).
 func (t *Thread) EventCreate() (EventID, error) {
 	t.overhead()
 	if t.exited {
@@ -634,8 +637,9 @@ func (t *Thread) EventCreate() (EventID, error) {
 	return id, nil
 }
 
-// EventRecord implements Client: the event becomes a zero-cost marker op on
-// the stream; its timestamp is the virtual time the device completes it.
+// EventRecord enqueues the event as a zero-cost marker op on the stream
+// (cudaEventRecord); its timestamp is the virtual time the device completes
+// it.
 func (t *Thread) EventRecord(e EventID, s StreamID) error {
 	t.overhead()
 	if t.exited {
@@ -657,7 +661,7 @@ func (t *Thread) EventRecord(e EventID, s StreamID) error {
 	return nil
 }
 
-// EventSynchronize implements Client.
+// EventSynchronize waits for the event's marker (cudaEventSynchronize).
 func (t *Thread) EventSynchronize(e EventID) error {
 	t.overhead()
 	pc := t.ctx()
@@ -672,7 +676,8 @@ func (t *Thread) EventSynchronize(e EventID) error {
 	return nil
 }
 
-// EventElapsed implements Client.
+// EventElapsed returns the device time between two completed events
+// (cudaEventElapsedTime).
 func (t *Thread) EventElapsed(start, end EventID) (sim.Time, error) {
 	t.overhead()
 	pc := t.ctx()
@@ -694,7 +699,7 @@ func (t *Thread) EventElapsed(start, end EventID) (sim.Time, error) {
 	return d, nil
 }
 
-// EventDestroy implements Client.
+// EventDestroy releases the event (cudaEventDestroy).
 func (t *Thread) EventDestroy(e EventID) error {
 	t.overhead()
 	pc := t.ctx()
@@ -705,8 +710,8 @@ func (t *Thread) EventDestroy(e EventID) error {
 	return nil
 }
 
-// ThreadExit implements Client: synchronizes the device and releases the
-// thread's allocations.
+// ThreadExit tears down the calling thread's CUDA state (cudaThreadExit):
+// outstanding work is synchronized and the thread's allocations are released.
 func (t *Thread) ThreadExit() error {
 	if t.exited {
 		return ErrThreadExited

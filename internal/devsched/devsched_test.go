@@ -37,7 +37,7 @@ func (s *Scheduler) register(appID int, tenant int64, weight int, kind string, b
 
 func TestRegisterAssignsSignalIDs(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := New(k, testDev(k), 0, AllAwake{}, Config{})
+	s := New(k, testDev(k), 0, "none", Config{})
 	e1 := s.register(1, 10, 1, "DC", constBacklog(0))
 	e2 := s.register(2, 11, 1, "MC", constBacklog(0))
 	if e1.SignalID == e2.SignalID {
@@ -54,7 +54,7 @@ func TestRegisterAssignsSignalIDs(t *testing.T) {
 func TestUnregisterProducesFeedback(t *testing.T) {
 	k := sim.NewKernel(1)
 	dev := testDev(k)
-	s := New(k, dev, 3, AllAwake{}, Config{})
+	s := New(k, dev, 3, "none", Config{})
 	var e *Entry
 	k.Go("app", func(p *sim.Proc) {
 		e = s.register(1, 10, 1, "DC", constBacklog(0))
@@ -248,7 +248,7 @@ func TestDispatcherGatesThreads(t *testing.T) {
 	// the high-CGS thread run while the low-CGS one has work.
 	k := sim.NewKernel(1)
 	dev := testDev(k)
-	s := New(k, dev, 0, LAS{}, Config{})
+	s := New(k, dev, 0, "LAS", Config{})
 	ctx := dev.NewContext()
 	type bt struct {
 		entry   *Entry
@@ -284,7 +284,7 @@ func TestDispatcherGatesThreads(t *testing.T) {
 
 func TestWaitTurnReleasesImmediatelyWhenAwake(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := New(k, testDev(k), 0, AllAwake{}, Config{})
+	s := New(k, testDev(k), 0, "none", Config{})
 	e := s.register(1, 1, 1, "X", constBacklog(1))
 	var waited sim.Time
 	k.Go("bt", func(p *sim.Proc) {
@@ -314,7 +314,7 @@ func TestPhaseStrings(t *testing.T) {
 
 func TestWeightDefaultsToOne(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := New(k, testDev(k), 0, AllAwake{}, Config{})
+	s := New(k, testDev(k), 0, "none", Config{})
 	e := s.register(1, 1, 0, "X", constBacklog(0))
 	if e.Weight != 1 {
 		t.Fatalf("weight = %d, want 1", e.Weight)
@@ -323,9 +323,9 @@ func TestWeightDefaultsToOne(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := New(k, testDev(k), 0, nil, Config{})
+	s := New(k, testDev(k), 0, "", Config{})
 	if _, ok := s.policy.(AllAwake); !ok {
-		t.Fatal("nil policy should become AllAwake")
+		t.Fatal("the empty policy name should be AllAwake")
 	}
 	if s.cfg.LASDecay != 0.8 {
 		t.Fatalf("defaults not applied: %+v", s.cfg)
@@ -337,7 +337,7 @@ func TestPSDispatcherKeepsAtMostThreeAwake(t *testing.T) {
 	// the awake set must never exceed the engine-slot count.
 	k := sim.NewKernel(1)
 	dev := testDev(k)
-	s := New(k, dev, 0, PS{}, Config{})
+	s := New(k, dev, 0, "PS", Config{})
 	ctx := dev.NewContext()
 	maxAwake := 0
 	countAwake := func() {
@@ -390,7 +390,7 @@ func TestPSDispatcherKeepsAtMostThreeAwake(t *testing.T) {
 // pass-through policy, which never starts one — do nothing: no process, no
 // activation.
 func TestKickBeforeDispatcherStartsIsNoop(t *testing.T) {
-	for name, policy := range map[string]Policy{"unregistered": LAS{}, "all-awake": AllAwake{}} {
+	for name, policy := range map[string]string{"unregistered": "LAS", "all-awake": "none"} {
 		k := sim.NewKernel(1)
 		dev := testDev(k)
 		k.Run() // park the device driver
@@ -411,7 +411,7 @@ func TestKickBeforeDispatcherStartsIsNoop(t *testing.T) {
 // name like the coroutine it replaced, and Close removes it.
 func TestIdleDispatcherIsBlockedUntilClosed(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := New(k, testDev(k), 7, LAS{}, Config{})
+	s := New(k, testDev(k), 7, "LAS", Config{})
 	s.register(1, 1, 1, "X", constBacklog(0))
 	k.Run()
 	if got := fmt.Sprint(k.Blocked()); got != "[devsched-7 gpu0-driver]" {

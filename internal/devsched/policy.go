@@ -118,6 +118,16 @@ type tenantView struct {
 // NewTFS returns a fresh fair-share policy instance (state is per device).
 func NewTFS() *TFS { return &TFS{penalty: make(map[int64]float64)} }
 
+// reset makes t the policy NewTFS returns, keeping its map and scratch.
+func (t *TFS) reset() {
+	if t.penalty == nil {
+		t.penalty = make(map[int64]float64)
+	}
+	clear(t.penalty)
+	clear(t.work)
+	*t = TFS{penalty: t.penalty, views: t.views[:0], work: t.work[:0]}
+}
+
 // Name implements Policy.
 func (t *TFS) Name() string { return "TFS" }
 

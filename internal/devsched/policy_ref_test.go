@@ -281,6 +281,7 @@ func TestPoliciesMatchReference(t *testing.T) {
 		{"LAS", func() (picker, picker) { return LAS{}, refLAS{} }},
 		{"PS", func() (picker, picker) { return PS{}, refPS{} }},
 		{"TFS", func() (picker, picker) { return NewTFS(), newRefTFS() }},
+		{"TFS reused", func() (picker, picker) { return reusedTFS(), newRefTFS() }},
 	}
 	for _, pol := range policies {
 		for seed := int64(1); seed <= seeds; seed++ {
@@ -312,6 +313,19 @@ func TestPoliciesMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// reusedTFS is the TFS of a scheduler re-initialised after it ran a history
+// of its own: Init must leave it as NewTFS would.
+func reusedTFS() *TFS {
+	k := sim.NewKernel(1)
+	s := New(k, testDev(k), 0, "TFS", Config{})
+	for h, turn := newHistory(99), 0; turn < 500; turn++ {
+		h.step()
+		s.policy.Pick(h.now, h.entries, &h.cfg)
+	}
+	s.Init(k, s.dev, 0, "TFS", Config{})
+	return s.policy.(*TFS)
 }
 
 func backlogged(id int, tenant int64, ph Phase) *Entry {
@@ -493,9 +507,9 @@ func TestPickSteadyStateZeroAlloc(t *testing.T) {
 // is in all five, 10 000 times over.
 func TestDispatcherTurnZeroAlloc(t *testing.T) {
 	const epochs = 10000
-	for _, mk := range []func() Policy{func() Policy { return NewTFS() }, func() Policy { return LAS{} }, func() Policy { return PS{} }} {
+	for _, policy := range []string{"TFS", "LAS", "PS"} {
 		k := sim.NewKernel(1)
-		s := New(k, testDev(k), 0, mk(), Config{})
+		s := New(k, testDev(k), 0, policy, Config{})
 		for i, e := range pickShape() {
 			s.register(e.AppID, e.TenantID, e.Weight, "X", e.Backlog).Phase = Phase(1 + i%4)
 		}
@@ -523,7 +537,7 @@ func TestDispatcherTurnZeroAlloc(t *testing.T) {
 // purpose; see EXPERIMENTS.md "Known divergences and why", item 4.
 func TestPSPhaseChangeAloneDoesNotKick(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := New(k, testDev(k), 0, PS{}, Config{})
+	s := New(k, testDev(k), 0, "PS", Config{})
 	var es []*Entry
 	for id := 1; id <= 4; id++ {
 		es = append(es, s.register(id, int64(id), 1, "X", constBacklog(1)))

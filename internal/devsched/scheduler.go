@@ -2,6 +2,7 @@ package devsched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/gpu"
@@ -50,6 +51,7 @@ type Scheduler struct {
 	gid    int
 	cfg    Config
 	policy Policy
+	tfs    TFS // the policy when it is TFS, whose state is per device
 
 	entries []*Entry // maintained in ascending AppID order
 	gen     uint64   // dispatcher pick generation (see dispatch)
@@ -66,24 +68,48 @@ type Scheduler struct {
 // and waits for a Turn emit spans. A nil recorder disables all of it.
 func (s *Scheduler) SetRecorder(rec *trace.Recorder) { s.rec = rec }
 
-// New creates a scheduler for dev (identified cluster-wide by gid) with the
-// given policy; AllAwake (nil policy) disables dispatch gating.
-func New(k *sim.Kernel, dev *gpu.Device, gid int, policy Policy, cfg Config) *Scheduler {
+// Names are the device policies' figure labels, "none" the pass-through
+// AllAwake's: the names a Scheduler runs.
+var Names = []string{"none", "TFS", "LAS", "PS"}
+
+// CheckName returns an error unless name is one of Names.
+func CheckName(name string) error {
+	if !slices.Contains(Names, name) {
+		return fmt.Errorf("devsched: unknown device policy %q", name)
+	}
+	return nil
+}
+
+// New creates a scheduler for dev (identified cluster-wide by gid) running
+// the device policy named policy, one of Names; the pass-through "none" (or
+// "") disables dispatch gating.
+func New(k *sim.Kernel, dev *gpu.Device, gid int, policy string, cfg Config) *Scheduler {
 	return new(Scheduler).Init(k, dev, gid, policy, cfg)
 }
 
 // Init makes *s, new or reused once its kernel has been reset or closed, the
-// scheduler New returns; its RCB list keeps its array. It returns s.
-func (s *Scheduler) Init(k *sim.Kernel, dev *gpu.Device, gid int, policy Policy, cfg Config) *Scheduler {
-	if policy == nil {
-		policy = AllAwake{}
-	}
+// scheduler New returns; its RCB list keeps its array, and its TFS its map
+// and scratch. It returns s.
+func (s *Scheduler) Init(k *sim.Kernel, dev *gpu.Device, gid int, policy string, cfg Config) *Scheduler {
 	if cfg.LASDecay <= 0 || cfg.LASDecay > 1 {
 		cfg.LASDecay = DefaultConfig().LASDecay
 	}
 	*s = Scheduler{
-		k: k, dev: dev, gid: gid, cfg: cfg, policy: policy,
+		k: k, dev: dev, gid: gid, cfg: cfg, tfs: s.tfs,
 		entries: s.entries[:0], nameFn: s.nameFn, stepFn: s.stepFn,
+	}
+	switch policy {
+	case "", "none":
+		s.policy = AllAwake{}
+	case "TFS":
+		s.tfs.reset()
+		s.policy = &s.tfs
+	case "LAS":
+		s.policy = LAS{}
+	case "PS":
+		s.policy = PS{}
+	default:
+		panic(CheckName(policy))
 	}
 	return s
 }

@@ -261,11 +261,7 @@ func (ip *Interposer) bind(sel trace.SpanID) *rpcproto.Call {
 // data, so it blocks.
 func (ip *Interposer) marshal(op *cuda.Op) (*rpcproto.Call, bool) {
 	c := ip.newCall(op.ID)
-	c.Dir, c.Bytes, c.Stream = op.Dir, op.Bytes, int32(op.Stream)
-	c.PtrID, c.PtrSize, c.PtrDev = op.Ptr.ID, op.Ptr.Size, int32(op.Ptr.Dev)
-	c.Event, c.Event2 = int32(op.Event), int32(op.Event2)
-	k := &op.Kernel
-	c.KernelName, c.Compute, c.MemTraffic, c.Occupancy = k.Name, k.Compute, k.MemTraffic, k.Occupancy
+	c.SetOp(op)
 	switch op.ID {
 	case cuda.CallMemcpy:
 		return c, op.Dir == cuda.D2H

@@ -274,7 +274,7 @@ func (port *Port) execute(call *rpcproto.Call, reply *rpcproto.Reply) {
 // data, so it synchronizes the app's stream first.
 func (port *Port) memcpy(call *rpcproto.Call, reply *rpcproto.Reply) {
 	t, s := &port.thread, port.stream
-	ptr := cuda.Ptr{Dev: int(call.PtrDev), ID: call.PtrID, Size: call.PtrSize}
+	ptr := call.Op().Ptr
 	if call.Dir == cuda.H2D {
 		port.pinCost(call.Bytes)
 		id := port.pk.pmt.Add(&port.pinned, port.AppID, s, call.Bytes, call.Dir)

@@ -1,7 +1,6 @@
 package rpcproto
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,129 +9,73 @@ import (
 	"repro/internal/sim"
 )
 
-// fakeClient records the one cuda.Client method a call turned into, with its
-// arguments, and answers with canned outputs and a canned error.
-type fakeClient struct {
-	got string
-	err error
-}
-
-func (f *fakeClient) note(format string, a ...any) error {
-	f.got = fmt.Sprintf(format, a...)
-	return f.err
-}
-
-func (f *fakeClient) SetDevice(dev int) error { return f.note("SetDevice(%d)", dev) }
-func (f *fakeClient) Device() int             { return 0 }
-func (f *fakeClient) DeviceCount() int        { f.note("DeviceCount()"); return 3 }
-func (f *fakeClient) Malloc(bytes int64) (cuda.Ptr, error) {
-	return cuda.Ptr{Dev: 2, ID: 41, Size: bytes}, f.note("Malloc(%d)", bytes)
-}
-func (f *fakeClient) Free(p cuda.Ptr) error { return f.note("Free(%v)", p) }
-func (f *fakeClient) Memcpy(dir cuda.Dir, p cuda.Ptr, bytes int64) error {
-	return f.note("Memcpy(%v,%v,%d)", dir, p, bytes)
-}
-func (f *fakeClient) MemcpyAsync(dir cuda.Dir, p cuda.Ptr, bytes int64, s cuda.StreamID) error {
-	return f.note("MemcpyAsync(%v,%v,%d,%d)", dir, p, bytes, s)
-}
-func (f *fakeClient) Launch(k cuda.Kernel, s cuda.StreamID) error {
-	return f.note("Launch(%v,%d)", k, s)
-}
-func (f *fakeClient) StreamCreate() (cuda.StreamID, error) { return 5, f.note("StreamCreate()") }
-func (f *fakeClient) StreamSynchronize(s cuda.StreamID) error {
-	return f.note("StreamSynchronize(%d)", s)
-}
-func (f *fakeClient) StreamDestroy(s cuda.StreamID) error { return f.note("StreamDestroy(%d)", s) }
-func (f *fakeClient) DeviceSynchronize() error            { return f.note("DeviceSynchronize()") }
-func (f *fakeClient) EventCreate() (cuda.EventID, error)  { return 6, f.note("EventCreate()") }
-func (f *fakeClient) EventRecord(e cuda.EventID, s cuda.StreamID) error {
-	return f.note("EventRecord(%d,%d)", e, s)
-}
-func (f *fakeClient) EventSynchronize(e cuda.EventID) error { return f.note("EventSynchronize(%d)", e) }
-func (f *fakeClient) EventElapsed(start, end cuda.EventID) (sim.Time, error) {
-	return 77, f.note("EventElapsed(%d,%d)", start, end)
-}
-func (f *fakeClient) EventDestroy(e cuda.EventID) error { return f.note("EventDestroy(%d)", e) }
-func (f *fakeClient) ThreadExit() error                 { return f.note("ThreadExit()") }
-func (f *fakeClient) Proc() *sim.Proc                   { return nil }
-
-// TestExecuteConformance pins the executor opcode by opcode: which method a
-// frame becomes and with which arguments, which reply fields carry the
-// outputs, and that a failure comes back as the error string alone.
+// TestExecuteConformance pins the executor opcode by opcode: SetOp then Op
+// gives back an op with every operand set, Execute leaves the frame as it was
+// and answers its sequence number (an unknown opcode with ErrNotImplemented),
+// and SetRet carries every field of a Ret, and the error, into the reply.
 func TestExecuteConformance(t *testing.T) {
-	// One frame with every field set: each opcode must pick out its own.
-	frame := Call{
-		Seq: 9, AppID: 4, TenantID: 8, Weight: 2, Dev: 1, Stream: 3, Event: 11, Event2: 12,
-		Dir: cuda.D2H, Bytes: 4096, PtrID: 21, PtrSize: 8192, PtrDev: 1,
-		KernelName: "k", Compute: 1.5, MemTraffic: 2.5, Occupancy: 0.5,
+	full := cuda.Op{
+		Dev: 1, Dir: cuda.D2H, Ptr: cuda.Ptr{Dev: 2, ID: 21, Size: 8192}, Bytes: 4096,
+		Kernel: cuda.Kernel{Name: "k", Compute: 1.5, MemTraffic: 2.5, Occupancy: 0.5},
+		Stream: 3, Event: 11, Event2: 12,
 	}
-	ptr := cuda.Ptr{Dev: 1, ID: 21, Size: 8192}
-	kern := cuda.Kernel{Name: "k", Compute: 1.5, MemTraffic: 2.5, Occupancy: 0.5}
-	cases := []struct {
-		id   cuda.CallID
-		want string // the method call; "" = none
-		out  Reply  // outputs on success (Seq aside)
-	}{
-		{cuda.CallSetDevice, "SetDevice(1)", Reply{}},
-		{cuda.CallDeviceCount, "DeviceCount()", Reply{Count: 3}},
-		{cuda.CallMalloc, "Malloc(4096)", Reply{PtrID: 41, PtrSize: 4096, PtrDev: 2}},
-		{cuda.CallFree, fmt.Sprintf("Free(%v)", ptr), Reply{}},
-		{cuda.CallMemcpy, fmt.Sprintf("Memcpy(%v,%v,4096)", cuda.D2H, ptr), Reply{}},
-		{cuda.CallMemcpyAsync, fmt.Sprintf("MemcpyAsync(%v,%v,4096,3)", cuda.D2H, ptr), Reply{}},
-		{cuda.CallLaunch, fmt.Sprintf("Launch(%v,3)", kern), Reply{}},
-		{cuda.CallStreamCreate, "StreamCreate()", Reply{Stream: 5}},
-		{cuda.CallStreamSync, "StreamSynchronize(3)", Reply{}},
-		{cuda.CallStreamDestroy, "StreamDestroy(3)", Reply{}},
-		{cuda.CallDeviceSync, "DeviceSynchronize()", Reply{}},
-		{cuda.CallThreadExit, "ThreadExit()", Reply{}},
-		{cuda.CallEventCreate, "EventCreate()", Reply{Event: 6}},
-		{cuda.CallEventRecord, "EventRecord(11,3)", Reply{}},
-		{cuda.CallEventSync, "EventSynchronize(11)", Reply{}},
-		{cuda.CallEventElapsed, "EventElapsed(11,12)", Reply{Elapsed: 77}},
-		{cuda.CallEventDestroy, "EventDestroy(11)", Reply{}},
-		{cuda.CallID(99), "", Reply{Err: cuda.ErrNotImplemented.Error()}},
-	}
-	if len(cases) != int(cuda.CallEventDestroy)+1 {
-		t.Fatalf("table has %d rows for %d opcodes plus an unknown one", len(cases), cuda.CallEventDestroy)
-	}
-	for _, tc := range cases {
-		call := frame
-		call.ID = tc.id
+	k := sim.NewKernel(1)
+	defer k.Close()
+	rt := cuda.NewRuntime(k, []*gpu.Device{gpu.NewDevice(k, gpu.TeslaC2050, 0)}, cuda.Config{})
+	for id := cuda.CallSetDevice; id <= cuda.CallEventDestroy+1; id++ {
+		op := full
+		op.ID = id
+		call := Call{Seq: 9}
+		call.SetOp(&op)
+		if got := call.Op(); got != op || !populated(reflect.ValueOf(got)) {
+			t.Errorf("%v: SetOp then Op gave %+v, want %+v", id, got, op)
+		}
 		sent := call
-
-		f := &fakeClient{}
 		var reply Reply
-		Execute(f, &call, &reply)
-		want := tc.out
-		want.Seq = 9
-		if f.got != tc.want || !reflect.DeepEqual(reply, want) {
-			t.Errorf("%v: called %q, reply %+v; want %q, %+v", tc.id, f.got, reply, tc.want, want)
+		Execute(rt.NewThread(nil, 3), &call, &reply)
+		if call != sent || reply.Seq != 9 {
+			t.Errorf("%v: Execute rewrote the frame to %+v, or answered seq %d", id, call, reply.Seq)
 		}
-		if call != sent {
-			t.Errorf("%v: Execute rewrote the frame: %+v", tc.id, call)
-		}
-
-		// The same call failing: the error string, and no output fields —
-		// except cudaGetDeviceCount, which cannot fail.
-		if tc.want == "" || tc.id == cuda.CallDeviceCount {
-			continue
-		}
-		f = &fakeClient{err: cuda.ErrInvalidValue}
-		reply = Reply{}
-		Execute(f, &call, &reply)
-		if want := (Reply{Seq: 9, Err: cuda.ErrInvalidValue.Error()}); !reflect.DeepEqual(reply, want) {
-			t.Errorf("%v failing: reply %+v, want %+v", tc.id, reply, want)
-		}
-		if reply.AsError() != cuda.ErrInvalidValue {
-			t.Errorf("%v failing: AsError = %v", tc.id, reply.AsError())
+		if id > cuda.CallEventDestroy && reply.AsError() != cuda.ErrNotImplemented {
+			t.Errorf("%v: reply %+v, want %v", id, reply, cuda.ErrNotImplemented)
 		}
 	}
+
+	ret := cuda.Ret{Ptr: cuda.Ptr{Dev: 2, ID: 41, Size: 4096}, Stream: 5, Event: 6, Elapsed: 77, Count: 3}
+	if !populated(reflect.ValueOf(ret)) {
+		t.Fatal("the Ret under test leaves a field zero")
+	}
+	var r Reply
+	r.SetRet(ret, cuda.ErrInvalidValue)
+	want := Reply{PtrID: 41, PtrSize: 4096, PtrDev: 2, Stream: 5, Event: 6, Elapsed: 77, Count: 3,
+		Err: cuda.ErrInvalidValue.Error()}
+	if !reflect.DeepEqual(r, want) {
+		t.Errorf("SetRet: reply %+v, want %+v", r, want)
+	}
+	r.SetRet(cuda.Ret{}, nil)
+	if !reflect.DeepEqual(r, Reply{}) {
+		t.Errorf("SetRet of nothing: reply %+v, want it empty", r)
+	}
+}
+
+// populated reports whether no field of v, a struct, or of the structs in it
+// is zero.
+func populated(v reflect.Value) bool {
+	if v.Kind() != reflect.Struct {
+		return !v.IsZero()
+	}
+	for i := 0; i < v.NumField(); i++ {
+		if !populated(v.Field(i)) {
+			return false
+		}
+	}
+	return true
 }
 
 // script is a CUDA program exercising every blocking and non-blocking call
 // class: allocation, sync and async copies on two streams, kernels, events,
 // errors, teardown.
-func script(t cuda.Client) []Reply {
+func script(t *cuda.Thread) []Reply {
 	var out []Reply
 	do := func(c Call) Reply {
 		c.Seq = uint64(len(out) + 1)
@@ -178,9 +121,9 @@ func script(t cuda.Client) []Reply {
 	return out
 }
 
-// directScript is script written against cuda.Client by hand: what an
-// application linked against the bare runtime would do.
-func directScript(t cuda.Client) []Reply {
+// directScript is script written as direct calls on the thread's methods: what
+// an application linked against the bare runtime would do.
+func directScript(t *cuda.Thread) []Reply {
 	var out []Reply
 	add := func(r Reply, err error) {
 		r.Seq = uint64(len(out) + 1)
@@ -235,7 +178,7 @@ func directScript(t cuda.Client) []Reply {
 // and requires equal replies, an equal end time and an equal event count:
 // the executor adds nothing and drops nothing.
 func TestExecuteTwinRun(t *testing.T) {
-	run := func(prog func(cuda.Client) []Reply) (replies []Reply, end sim.Time, events uint64) {
+	run := func(prog func(*cuda.Thread) []Reply) (replies []Reply, end sim.Time, events uint64) {
 		k := sim.NewKernel(1)
 		dev := gpu.NewDevice(k, gpu.Spec{
 			Name: "t", ComputeRate: 1000, MemBandwidth: 100,

@@ -56,10 +56,11 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzCallRoundTrip builds a Call from arbitrary field values and checks
-// that AppendCall → DecodeCallInto is the identity on every field, and that
-// re-encoding the decoded call reproduces the wire bytes exactly. Floats are
-// compared by their IEEE bit patterns so NaN payloads must survive the trip
-// too (the wire format stores raw Float64bits).
+// that AppendCall → DecodeCallInto is the identity on every field, that
+// re-encoding the decoded call reproduces the wire bytes exactly, and that so
+// does marshalling its Op back with SetOp. Floats are compared by their IEEE
+// bit patterns so NaN payloads must survive the trip too (the wire format
+// stores raw Float64bits).
 func FuzzCallRoundTrip(f *testing.F) {
 	s := sampleCall()
 	f.Add(uint32(s.ID), s.Seq, s.AppID, s.TenantID, s.Weight, s.Dev, s.Stream,
@@ -119,6 +120,13 @@ func FuzzCallRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(wire, wire2) {
 			t.Fatal("re-encode of decoded call is not byte-identical")
+		}
+		// The executor's op is the frame's operands, all of them: marshalled
+		// back, it leaves the call as it was, bit for bit.
+		op := out.Op()
+		out.SetOp(&op)
+		if wire3, _ := AppendCall(nil, &out); !bytes.Equal(wire, wire3) {
+			t.Fatalf("SetOp(Op()) changed the call: %+v", out)
 		}
 	})
 }

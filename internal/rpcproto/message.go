@@ -128,6 +128,34 @@ func (r *Reply) SetError(err error) {
 	r.Err = err.Error()
 }
 
+// SetOp writes op, its opcode and operands, into the frame: how the
+// interposer marshals a call. Identity, sequence and blocking are the
+// sender's to stamp.
+func (c *Call) SetOp(op *cuda.Op) {
+	c.ID, c.Dev, c.Dir, c.Bytes = op.ID, int32(op.Dev), op.Dir, op.Bytes
+	c.PtrID, c.PtrSize, c.PtrDev = op.Ptr.ID, op.Ptr.Size, int32(op.Ptr.Dev)
+	c.Stream, c.Event, c.Event2 = int32(op.Stream), int32(op.Event), int32(op.Event2)
+	k := &op.Kernel
+	c.KernelName, c.Compute, c.MemTraffic, c.Occupancy = k.Name, k.Compute, k.MemTraffic, k.Occupancy
+}
+
+// Op is the op SetOp wrote: how Execute unmarshals a call.
+func (c *Call) Op() cuda.Op {
+	return cuda.Op{ID: c.ID, Dev: int(c.Dev), Dir: c.Dir, Bytes: c.Bytes,
+		Ptr:    cuda.Ptr{Dev: int(c.PtrDev), ID: c.PtrID, Size: c.PtrSize},
+		Kernel: cuda.Kernel{Name: c.KernelName, Compute: c.Compute, MemTraffic: c.MemTraffic, Occupancy: c.Occupancy},
+		Stream: cuda.StreamID(c.Stream), Event: cuda.EventID(c.Event), Event2: cuda.EventID(c.Event2)}
+}
+
+// SetRet writes a call's outcome, what it returned and its error, into the
+// reply: how Execute answers.
+func (r *Reply) SetRet(ret cuda.Ret, err error) {
+	r.PtrID, r.PtrSize, r.PtrDev = ret.Ptr.ID, ret.Ptr.Size, int32(ret.Ptr.Dev)
+	r.Stream, r.Event, r.Count = int32(ret.Stream), int32(ret.Event), int32(ret.Count)
+	r.Elapsed = int64(ret.Elapsed)
+	r.SetError(err)
+}
+
 // PayloadBytes returns the bulk data size a call ships over the wire beyond
 // the header: H2D copies carry the host buffer with the request.
 func (c *Call) PayloadBytes() int64 {

@@ -104,7 +104,7 @@ const (
 var (
 	modes  = []string{"cuda", "rain", "strings"}          // core.Mode
 	styles = []string{"sync", "pipelined", "multithread"} // workload.Style
-	devs   = []string{"none", "TFS", "LAS", "PS"}         // core.Config.DevPolicy
+	devs   = devsched.Names                               // core.Config.DevPolicy
 	specs  = []gpu.Spec{gpu.Quadro2000, gpu.Quadro4000, gpu.TeslaC2050, gpu.TeslaC2070}
 	kinds  = []faults.Kind{faults.KillNode, faults.KillGPU, faults.StallGPU, faults.DegradeGPU}
 )

@@ -6,10 +6,10 @@
 // Each application is calibrated so that, run alone on the reference device
 // (Tesla C2050), its solo runtime, GPU-time fraction, data-transfer fraction
 // and kernel memory bandwidth reproduce the characteristics the paper
-// reports. The applications are written against cuda.Client exactly as a
-// CUDA SDK sample would be: synchronous memcpys and kernel launches on the
-// default stream, a device synchronize, and cudaThreadExit — leaving all
-// asynchrony for the Strings runtime to recover via interposition.
+// reports. An application issues its calls through a cuda.Stepper (Steps)
+// exactly as a CUDA SDK sample would: synchronous memcpys and kernel launches
+// on the default stream, a device synchronize, and cudaThreadExit — leaving
+// all asynchrony for the Strings runtime to recover via interposition.
 package workload
 
 import (
