@@ -68,6 +68,9 @@ bench-smoke:
 	@# the second pass runs on the slabs the first left in core's arena, so a
 	@# reuse leak shows as a golden mismatch.
 	$(GO) test -count=2 -run 'Golden|Transcript|Reproduce|Matches' . ./internal/core/ ./internal/experiments/
+	@# The allocation budgets twice in one process too: a slab that grows from
+	@# one warm round to the next fails the second.
+	$(GO) test -count=2 -run 'AllocBudget' .
 	@# The fault study at -parallel 1 and 4 must print the same table too:
 	@# recovery's connections retain their frames and faults kill DST rows,
 	@# and neither may reach the next cluster on the slab.

@@ -217,13 +217,14 @@ func runSparse(t *testing.T, mode core.Mode, seed int64, requests int) {
 // while every cluster built its gPool, mapper, environment and fabrics, a
 // horizon's open connections were dropped, and the suite copied each result,
 // 112.40 while every suite started on an arena of its own and a cut
-// application's frames and selection latch were dropped, and 34.30 while
-// every cluster built each device's policy.
+// application's frames and selection latch were dropped, 34.30 while
+// every cluster built each device's policy, and 32.16 while a packer dropped
+// the lanes a cut run left open and a request log grew by doubling.
 func TestAllocBudgetSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget measurement skipped in -short mode")
 	}
-	const budget = 32.2 // measured 32.16 alone, 32.05 after the package's other tests
+	const budget = 17.5 // measured 17.47 alone, 17.37 after the package's other tests
 	pass := func() int {
 		s := experiments.NewSuite(experiments.Options{Seed: 1, Requests: 4, Workers: 1, Pairs: workload.Pairs()[:2],
 			Apps: []workload.Kind{workload.DXTC, workload.Gaussian}})
@@ -246,11 +247,12 @@ func TestAllocBudgetSuite(t *testing.T) {
 // four-GPU supernode was closed re-initialises the devices, device
 // schedulers and packers, gPool and mapper, environment, coordinator and
 // node fabrics the arena's slab kept rather than building them again. What
-// New and Close still allocate is the cluster's own — the Cluster, its mapper
-// daemon's step, the result and its two maps — and the budget is the reading.
-// It read 31 while every cluster built its control plane.
+// New and Close still allocate is the cluster's own — the Cluster, the result
+// and its two maps — and the budget is the reading. It read 31 while every
+// cluster built its control plane, and 5 while every New bound its mapper
+// daemon's step anew.
 func TestAllocBudgetWarmConstruction(t *testing.T) {
-	const budget = 5.0 // measured 5
+	const budget = 4.0 // measured 4
 	cfg := core.Config{Seed: 1, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "PS",
 		Nodes: []core.NodeConfig{
 			{Devices: []gpu.Spec{gpu.Quadro2000, gpu.TeslaC2050}},
@@ -300,15 +302,17 @@ func runBursty(t *testing.T, seed int64, horizon sim.Time) int {
 // where the Dispatcher turns over a few dozen entries every 5 ms epoch) and
 // two Fig 12-shaped cells (the pair on the four-GPU supernode under GWtMin
 // with PS and with LAS), construction included. Neither a turn nor a request
-// allocates, so what a request costs here — streams, arrival closures, a
-// cluster built for a dozen requests and its processes unwound on Close — is
-// construction, and each budget is the reading rounded up to the next half.
+// allocates, so what a request costs here — the streams' arrivals, and a
+// cluster built for a dozen requests with its result — is construction, and
+// each budget is the reading rounded up to the next half.
 // The cells read 32.38 and 34.46 while every request allocated its RCB entry,
 // signal and report, and the Fig 12 cells 25.69 while the gPool Creator built
 // a row list of its own and the SFT allocated each class's history. They read
 // 29.67 and 25.69 while a cluster New built without an arena was cold, and
-// Fig 11's 5.96 while a cut application's frames and latch were dropped and
-// 3.62 while every cluster built each device's TFS.
+// Fig 11's 5.96 while a cut application's frames and latch were dropped,
+// 3.62 while every cluster built each device's TFS, and the cells 3.35 and
+// 1.23 while a packer dropped the lanes a cut run left open and a request log
+// grew by doubling.
 func TestAllocBudgetContendedCell(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget measurement skipped in -short mode")
@@ -401,9 +405,9 @@ func contendedCells() []contendedCell {
 		{Kind: pair.Short, Count: 8, LambdaFactor: 0.6, Node: 1, Tenant: 2, Weight: 1},
 	}
 	return []contendedCell{
-		{"fig11/TFS-Strings", core.Config{Nodes: oneGPU, Mode: core.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * sim.Second, 3.5, 280.0},
-		{"fig12/GWtMinPS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 1.5, 4722.5},
-		{"fig12/GWtMinLAS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 1.5, 4722.5},
+		{"fig11/TFS-Strings", core.Config{Nodes: oneGPU, Mode: core.ModeStrings, Balance: "GRR", DevPolicy: "TFS"}, saturating, 40 * sim.Second, 0.5, 280.0},
+		{"fig12/GWtMinPS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "PS"}, split, 0, 1.0, 4722.5},
+		{"fig12/GWtMinLAS-Strings", core.Config{Nodes: supernode, Mode: core.ModeStrings, Balance: "GWtMin", DevPolicy: "LAS"}, split, 0, 1.0, 4722.5},
 	}
 }
 

@@ -39,6 +39,7 @@ type slab struct {
 	k         *sim.Kernel
 	coord     *shard.Coordinator // over k alone, which leaves it no state of its own
 	mapper    *balancer.Mapper   // the cluster's, on its first kernel's slab
+	mapStep   func(*sim.Daemon)  // its daemon's step (mapperStep), bound once
 	pool      rpcproto.Pool
 	conns     rpcproto.ConnPool
 	spares    gpu.Spares
@@ -85,6 +86,7 @@ func (a *arena) get() *slab {
 		s.k = sim.NewKernel(0)
 		s.coord = shard.NewCoordinator([]*sim.Kernel{s.k}, 0, 0)
 		s.mapper = balancer.NewMapper(balancer.NewDST(nil), nil)
+		s.mapStep = s.mapperStep
 	}
 	return s
 }

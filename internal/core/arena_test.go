@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/gpu"
@@ -161,5 +162,37 @@ func TestArenaPutEndsProcesses(t *testing.T) {
 	k1 := run()
 	if k2 := run(); k2 != k1 {
 		t.Fatal("the second run did not reuse the pooled kernel")
+	}
+}
+
+// TestWarmRunSizesTheRequestLogOnce: a run sizes each request log once, for
+// the Counts of the streams it is given, in the sink that logs them: the
+// cluster's on one kernel, and sharded kernel 0's, which collect folds the
+// other kernels' into, and theirs. So a log never grows by doubling, and a
+// warm run of a dozen requests on one kernel allocates its cluster, its
+// result with the log, and its streams' arrivals, and nothing else: 11
+// allocations, which read 16 while the log doubled its way to 16 entries and
+// every New bound the mapper daemon's step anew.
+func TestWarmRunSizesTheRequestLogOnce(t *testing.T) {
+	const budget = 11 // measured 11
+	streams := []workload.StreamSpec{
+		{Kind: workload.MonteCarlo, Count: 8, LambdaFactor: 0.6, Node: 0, Tenant: 1, Weight: 1},
+		{Kind: workload.DXTC, Count: 4, LambdaFactor: 0.6, Node: 1, Tenant: 2, Weight: 1},
+	}
+	room := cap(slices.Grow([]RequestEvent(nil), 12)) // one allocation's, rounded up to its size class
+	for _, shards := range []int{0, 1} {
+		var a arena
+		cfg := Config{Seed: 1, Mode: ModeStrings, Balance: "GMin", DevPolicy: "TFS", Shards: shards, Nodes: supernode()}
+		if r := runOn(t, &a, cfg, streams, 0); len(r.Requests) != 12 || cap(r.Requests) != room {
+			t.Fatalf("shards %d: the log holds %d requests in room for %d, want 12 in %d", shards, len(r.Requests), cap(r.Requests), room)
+		}
+		if shards == 1 || testing.Short() {
+			continue // a sharded run allocates cross-kernel connections; -race its own
+		}
+		got := testing.AllocsPerRun(20, func() { runOn(t, &a, cfg, streams, 0) })
+		t.Logf("%.0f allocations a warm run of 12 requests (budget %d)", got, budget)
+		if got > budget {
+			t.Errorf("a warm run of 12 requests allocates %.0f times, budget %d", got, budget)
+		}
 	}
 }

@@ -305,7 +305,7 @@ func newCluster(cfg Config, a *arena) (*Cluster, error) {
 			dst.AddRow(row)
 		}
 	}
-	c.K.StartDaemon(&c.mapD, func() string { return "affinity-mapper" }, c.mapperStep)
+	c.K.StartDaemon(&c.mapD, func() string { return "affinity-mapper" }, c.envs[0].mapStep)
 
 	for g := range c.devices {
 		c.serveDevice(g)
@@ -403,9 +403,11 @@ func (c *Cluster) Trace(gid int) *gpu.UtilTrace { return c.traces[gid] }
 // mapperServiceTime is what the Affinity Mapper spends on one message.
 const mapperServiceTime = 3 * sim.Microsecond
 
-// mapperStep is the GPU Affinity Mapper service: it takes a message, spends
-// the service time on it, and answers it.
-func (c *Cluster) mapperStep(d *sim.Daemon) {
+// mapperStep is the GPU Affinity Mapper service of the cluster on e, its first
+// kernel's slab: it takes a message, spends the service time on it, and
+// answers it.
+func (e *slab) mapperStep(d *sim.Daemon) {
+	c := e.c
 	if c.mapServing {
 		c.mapServing = false
 		c.serveMapper(d.Now())

@@ -43,7 +43,8 @@ func (e RequestEvent) CompletionTime() sim.Time {
 	return sim.Time(e.FinishedUS - e.SubmittedUS)
 }
 
-// recordRequest appends a request event to the owning environment's log.
+// recordRequest appends a request event to the owning environment's log,
+// which sizeLogs sized for it.
 func (e *slab) recordRequest(app *workload.App, s workload.StreamSpec, gid int, errStr string) {
 	ev := RequestEvent{
 		AppID:  app.ID,

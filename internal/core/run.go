@@ -249,10 +249,29 @@ func (c *Cluster) run(streams []workload.StreamSpec, drive func()) (*RunResult, 
 		if s.Node < 0 || s.Node >= len(c.nodes) {
 			return nil, fmt.Errorf("core: stream %d arrives at unknown node %d", si, s.Node)
 		}
+	}
+	c.sizeLogs(streams)
+	for si, s := range streams {
 		c.launchStream(si, s)
 	}
 	drive()
 	return c.collect(), nil
+}
+
+// sizeLogs sizes every result sink's request log once, for the requests the
+// streams can launch: a request is logged by the sink of its arrival node's
+// kernel, and collect folds the other sinks into the first, so the first
+// holds them all.
+func (c *Cluster) sizeLogs(streams []workload.StreamSpec) {
+	for i, e := range c.envs {
+		n := 0
+		for _, s := range streams {
+			if i == 0 || c.nodes[s.Node].e == e {
+				n += s.Count
+			}
+		}
+		e.results.Requests = slices.Grow(e.results.Requests, n)
+	}
 }
 
 // launchStream starts the per-stream arrival daemon on the kernel of the

@@ -36,12 +36,13 @@ func DefaultConfig() Config { return Config{PinBandwidth: 4000} }
 // Packer owns the single shared GPU context of one backend process (one per
 // device) and the per-device Pinned Memory Table.
 type Packer struct {
-	rt   cuda.Runtime // the backend process's
-	cfg  Config
-	pmt  PMT
-	free []*Port // closed lanes, for Open to reuse
-	rec  *trace.Recorder
-	gid  int // gPool device id, for span attribution (-1 when unset)
+	rt    cuda.Runtime // the backend process's
+	cfg   Config
+	pmt   PMT
+	lanes []*Port // every lane Open made, for Init to take back
+	free  []*Port // empty lanes, for Open to reuse
+	rec   *trace.Recorder
+	gid   int // gPool device id, for span attribution (-1 when unset)
 }
 
 // SetRecorder installs the observability recorder and the packer's gPool
@@ -59,18 +60,27 @@ func New(rt *cuda.Runtime, cfg Config) *Packer {
 
 // Init makes *pk, new or reused once its kernel has been reset or closed, the
 // packer New returns over a fresh process seeing devices; its context tables
-// and closed lanes keep their arrays, and the lanes still open are dropped.
-// What the old process held needs no release: the kernel's Reset takes back
-// its events, and its device's Init its context. It returns pk.
+// keep their arrays. Every lane it made goes back on the free list emptied,
+// the ones a cut run left open too: no pinned row, allocation or process of
+// the run before stays on it. What the old process held needs no release:
+// the kernel's Reset takes back its events, and its device's Init its context
+// and memory. It returns pk.
 func (pk *Packer) Init(k *sim.Kernel, devices []*gpu.Device, rtCfg cuda.Config, cfg Config) *Packer {
 	pk.rt.Init(k, devices, rtCfg)
-	*pk = Packer{rt: pk.rt, cfg: cfg, free: pk.free, gid: -1}
+	free := pk.free[:0]
+	for _, port := range pk.lanes {
+		*port = Port{thread: port.thread, pinned: port.pinned[:0]}
+		pk.rt.InitThread(&port.thread, nil, 0)
+		free = append(free, port)
+	}
+	*pk = Packer{rt: pk.rt, cfg: cfg, lanes: pk.lanes, free: free, gid: -1}
 	return pk
 }
 
 // Port is one application's lane through the packer: its backend CUDA
 // thread, its dedicated stream, and its rows of the PMT. Once its
-// cudaThreadExit completes, the next Open reuses it, thread and stream too.
+// cudaThreadExit completes, or the packer's Init takes it back from a cut
+// run, the next Open reuses it, thread and row arrays too.
 type Port struct {
 	pk     *Packer
 	AppID  int
@@ -106,6 +116,7 @@ func (pk *Packer) Open(p *sim.Proc, appID int, tenant int64) (*Port, error) {
 		port, pk.free = pk.free[n-1], pk.free[:n-1]
 	} else {
 		port = &Port{}
+		pk.lanes = append(pk.lanes, port) // bounded by peak open lanes
 	}
 	*port = Port{pk: pk, AppID: appID, Tenant: tenant, thread: port.thread, pinned: port.pinned, proc: p}
 	t := &port.thread
@@ -198,7 +209,7 @@ func (port *Port) closeThread() {
 
 // free returns the closed lane for the next Open; until then it answers
 // only with ErrThreadExited.
-func (port *Port) free() { port.pk.free = append(port.pk.free, port) } // bounded by peak open lanes
+func (port *Port) free() { port.pk.free = append(port.pk.free, port) } // bounded by the lanes made
 
 // execute is Execute's first half: the AST/SST/MOT translations, then the
 // shared verbatim executor. A translation rewrites the frame in place — the

@@ -531,3 +531,54 @@ func TestReusedPackerRunsAsNew(t *testing.T) {
 		}
 	}
 }
+
+// TestCutLanesComeBack: the lanes a run cut off mid-call left open, with their
+// pinned rows, allocations and processes, are all back on the free list after
+// Init, emptied, so the next run's Opens take only them and see nothing of the
+// run before: no row, and pointers numbered afresh.
+func TestCutLanesComeBack(t *testing.T) {
+	k := sim.NewKernel(1)
+	dev := testDev(k)
+	pk := new(Packer).Init(k, []*gpu.Device{dev}, cuda.Config{}, Config{PinBandwidth: 10})
+	cut := map[*Port]bool{}
+	for app := 1; app <= 3; app++ {
+		k.Go("bt", func(p *sim.Proc) {
+			port, _ := pk.Open(p, app, 10)
+			cut[port] = true
+			ptr, _ := mallocVia(port, 1000)
+			for _, call := range []*rpcproto.Call{
+				{ID: cuda.CallMemcpyAsync, Dir: cuda.H2D, PtrID: ptr.ID, PtrSize: ptr.Size, Bytes: 400},
+				{ID: cuda.CallLaunch, Compute: 1e9, Occupancy: 0.5},
+				{ID: cuda.CallStreamSync}, // cut off here
+			} {
+				port.Execute(call)
+			}
+		})
+	}
+	k.RunUntil(1000)
+	if len(cut) != 3 || pk.pmt.Len() != 3 {
+		t.Fatalf("the cut left %d lanes open and %d rows pinned, want 3 and 3", len(cut), pk.pmt.Len())
+	}
+	k.Reset(1)
+	dev.Init(k, dev.Spec(), 0)
+	pk.Init(k, []*gpu.Device{dev}, cuda.Config{}, Config{PinBandwidth: 10})
+	if len(pk.free) != len(cut) {
+		t.Fatalf("%d lanes on the free list after Init, want the %d the cut left open", len(pk.free), len(cut))
+	}
+	k.Go("bt", func(p *sim.Proc) {
+		for app := 4; app <= 6; app++ {
+			port, err := pk.Open(p, app, 10)
+			if err != nil || !cut[port] || len(port.pinned) != 0 {
+				t.Fatalf("Open = %p, %v with %d pinned rows, want a lane of the cut run, emptied", port, err, len(port.pinned))
+			}
+			delete(cut, port)
+			if ptr, _ := mallocVia(port, 10); ptr.ID != int64(app)<<32|1 {
+				t.Errorf("first pointer of app %d = %#x, want %#x", app, ptr.ID, int64(app)<<32|1)
+			}
+		}
+	})
+	k.Run()
+	if dev.MemUsed() != 30 || pk.pmt.Len() != 0 {
+		t.Errorf("the next run holds %d bytes and %d pinned rows, want 30 and none", dev.MemUsed(), pk.pmt.Len())
+	}
+}
