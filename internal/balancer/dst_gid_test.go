@@ -2,52 +2,6 @@ package balancer
 
 import "testing"
 
-// Regression test for the positional-GID lookup bug: DST.Entry used to
-// return d.entries[gid], which is only correct while every row's GID equals
-// its position. A DST built from a sparse row set — e.g. the alive view
-// after a middle node was removed, or a table with carved-slice rows
-// retired — silently returned the WRONG device's row (or nil for valid
-// GIDs past the row count). Entry must key on the row's GID field.
-func TestDSTEntryByGIDNotPosition(t *testing.T) {
-	// The alive rows after a reconfiguration removed the middle node that
-	// owned GIDs 1 and 2: positions 0,1,2 hold GIDs 0,3,4.
-	dst := NewDST([]*DSTEntry{
-		{GID: 0, Node: 0, Name: "a"},
-		{GID: 3, Node: 2, Name: "b"},
-		{GID: 4, Node: 2, Name: "c"},
-	})
-	if e := dst.Entry(3); e == nil || e.Name != "b" {
-		t.Fatalf("Entry(3) = %+v, want row b", e)
-	}
-	if e := dst.Entry(4); e == nil || e.Name != "c" {
-		t.Fatalf("Entry(4) = %+v, want row c", e)
-	}
-	// GIDs 1 and 2 are gone from this view: lookups must miss, not alias
-	// positions 1 and 2.
-	if e := dst.Entry(1); e != nil {
-		t.Fatalf("Entry(1) = row %q, want nil (gid not in table)", e.Name)
-	}
-	if e := dst.Entry(2); e != nil {
-		t.Fatalf("Entry(2) = row %q, want nil (gid not in table)", e.Name)
-	}
-
-	// Bind/Unbind by GID must hit the row they name.
-	dst.Bind(4, "MC")
-	if got := dst.Entry(4).Load; got != 1 {
-		t.Fatalf("after Bind(4): load = %d, want 1", got)
-	}
-	if got := dst.Entry(3).Load; got != 0 {
-		t.Fatalf("Bind(4) leaked onto gid 3: load = %d", got)
-	}
-	dst.Unbind(4, "MC")
-	if got := dst.Entry(4).Load; got != 0 {
-		t.Fatalf("after Unbind(4): load = %d, want 0", got)
-	}
-	if dst.UnbindClamps != 0 {
-		t.Fatalf("balanced bind/unbind counted %d clamps", dst.UnbindClamps)
-	}
-}
-
 func TestDSTAddRowAndRetire(t *testing.T) {
 	dst := NewDST([]*DSTEntry{{GID: 0}, {GID: 1}})
 	dst.AddRow(&DSTEntry{GID: 7, Name: "slice", IsSlice: true, Parent: 1, Profile: "2g"})

@@ -190,3 +190,22 @@ func TestFaultsIgnoredInCUDAMode(t *testing.T) {
 		t.Fatalf("CUDA-mode run with a fault plan: %+v", r)
 	}
 }
+
+// TestShorterStallLeavesALongerOne stalls every GPU for 4 s from the start
+// and, a millisecond later, for one second: the shorter stall ends inside the
+// longer one, so the run is the longer stall's alone, request for request.
+func TestShorterStallLeavesALongerOne(t *testing.T) {
+	var long, both faults.Plan
+	for gid := range 4 {
+		f := faults.Fault{At: sim.Millisecond, Kind: faults.StallGPU, GID: gid, Dur: 4 * sim.Second}
+		long.Faults = append(long.Faults, f)
+		both.Faults = append(both.Faults, f)
+		f.At, f.Dur = 2*sim.Millisecond, sim.Second
+		both.Faults = append(both.Faults, f)
+	}
+	a := faultRun(t, 9, long, faultStreams(2))
+	b := faultRun(t, 9, both, faultStreams(2))
+	if !reflect.DeepEqual(a.SortedRequests(), b.SortedRequests()) {
+		t.Fatalf("a shorter stall inside a longer one changed the run: end %v, alone %v", b.EndTime, a.EndTime)
+	}
+}

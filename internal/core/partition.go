@@ -177,14 +177,15 @@ func (c *Cluster) result() *RunResult { return c.envs[0].results }
 
 // collect folds what the other environments recorded since the last
 // collection into the cluster result, in kernel order, and stamps the end
-// time (the latest kernel clock). Their sinks restart empty, so totals over
-// several runs of one cluster do not depend on the partition.
+// time (the latest kernel clock). Their sinks restart empty, emptied in
+// place, so totals over several runs of one cluster do not depend on the
+// partition.
 func (c *Cluster) collect() *RunResult {
 	r := c.result()
 	r.EndTime = c.K.Now()
 	for _, e := range c.envs[1:] {
 		r.Merge(e.results)
-		e.results = newRunResult()
+		e.results.reset()
 		if t := e.k.Now(); t > r.EndTime {
 			r.EndTime = t
 		}

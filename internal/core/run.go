@@ -96,6 +96,18 @@ func newRunResult() *RunResult {
 	}
 }
 
+// reset makes r what newRunResult returns, keeping its maps and arrays.
+func (r *RunResult) reset() {
+	clear(r.TenantService)
+	clear(r.TenantWeight)
+	clear(r.Errors)
+	clear(r.Requests)
+	*r = RunResult{
+		TenantService: r.TenantService, TenantWeight: r.TenantWeight, Errors: r.Errors[:0],
+		Requests: r.Requests[:0], AdmissionWaits: r.AdmissionWaits[:0],
+	}
+}
+
 // NewRunResultForPooling returns an empty result suitable for merging
 // replicated runs into.
 func NewRunResultForPooling() *RunResult { return newRunResult() }
@@ -220,8 +232,8 @@ func (c *Cluster) RunUntil(streams []workload.StreamSpec, horizon sim.Time) (*Ru
 		return nil, err
 	}
 	// Replace the completion-derived tenant accounting with the devices'
-	// view at the horizon.
-	r.TenantService = make(map[int64]sim.Time)
+	// view at the horizon, in the sink's own map.
+	clear(r.TenantService)
 	for _, e := range c.envs {
 		for _, app := range e.apps {
 			var svc sim.Time

@@ -69,7 +69,7 @@ func TestRainBackendsExitWithApps(t *testing.T) {
 // it — and the kernel holding none of its pooled events.
 func TestExitedProcessesAreReleased(t *testing.T) {
 	for _, mode := range []Mode{ModeRain, ModeCUDA} {
-		c, err := New(Config{Seed: 1, Nodes: []NodeConfig{{Devices: []gpu.Spec{gpu.TeslaC2050}}}, Mode: mode})
+		c, err := newCluster(Config{Seed: 1, Nodes: []NodeConfig{{Devices: []gpu.Spec{gpu.TeslaC2050}}}, Mode: mode}, new(arena))
 		if err != nil {
 			t.Fatal(err)
 		}

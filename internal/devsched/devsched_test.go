@@ -83,58 +83,10 @@ func TestUnregisterProducesFeedback(t *testing.T) {
 	}
 }
 
-func TestLASPicksLeastAttained(t *testing.T) {
-	e1 := &Entry{AppID: 1, CGS: 100, Backlog: constBacklog(1)}
-	e2 := &Entry{AppID: 2, CGS: 10, Backlog: constBacklog(1)}
-	e3 := &Entry{AppID: 3, CGS: 5, Backlog: constBacklog(0)} // no work
-	e4 := &Entry{AppID: 4, CGS: 50, Backlog: constBacklog(1)}
-	e5 := &Entry{AppID: 5, CGS: 70, Backlog: constBacklog(1)}
-	cfg := DefaultConfig()
-	got := LAS{}.Pick(0, []*Entry{e1, e2, e3, e4, e5}, &cfg)
-	if len(got) != lasWidth {
-		t.Fatalf("LAS picked %d entries, want %d", len(got), lasWidth)
-	}
-	// Least-attained first; the idle entry is never picked.
-	if got[0].AppID != 2 || got[1].AppID != 4 || got[2].AppID != 5 {
-		ids := []int{got[0].AppID, got[1].AppID, got[2].AppID}
-		t.Fatalf("LAS picked %v, want [2 4 5]", ids)
-	}
-	for _, e := range got {
-		if e.AppID == 3 {
-			t.Fatal("LAS picked the workless entry")
-		}
-	}
-}
-
 func TestLASNooneHasWork(t *testing.T) {
 	cfg := DefaultConfig()
 	if got := (LAS{}).Pick(0, []*Entry{{AppID: 1, Backlog: constBacklog(0)}}, &cfg); got != nil {
 		t.Fatalf("LAS picked %v with no work", got)
-	}
-}
-
-func TestTFSAlternatesTenantsBySlice(t *testing.T) {
-	cfg := DefaultConfig()
-	tfs := NewTFS()
-	e1 := &Entry{AppID: 1, TenantID: 100, Weight: 1, Backlog: constBacklog(1)}
-	e2 := &Entry{AppID: 2, TenantID: 200, Weight: 1, Backlog: constBacklog(1)}
-	entries := []*Entry{e1, e2}
-
-	first := tfs.Pick(0, entries, &cfg)
-	if len(first) != 1 {
-		t.Fatalf("picked %d entries", len(first))
-	}
-	winner := first[0].TenantID
-	// Same instant re-pick: slice unexpired, same tenant.
-	again := tfs.Pick(1*sim.Millisecond, entries, &cfg)
-	if again[0].TenantID != winner {
-		t.Fatal("TFS switched tenants mid-slice")
-	}
-	// The winner accrues service; after slice expiry the other tenant runs.
-	first[0].Attained = 30 * sim.Millisecond
-	next := tfs.Pick(tfsBaseSlice+1, entries, &cfg)
-	if next[0].TenantID == winner {
-		t.Fatal("TFS did not rotate to the starved tenant")
 	}
 }
 
@@ -186,51 +138,6 @@ func TestTFSPenalizesOvershoot(t *testing.T) {
 	}
 }
 
-func TestPSOnePerPhase(t *testing.T) {
-	cfg := DefaultConfig()
-	mk := func(id int, ph Phase, att sim.Time) *Entry {
-		return &Entry{AppID: id, Phase: ph, Attained: att, Backlog: constBacklog(1)}
-	}
-	entries := []*Entry{
-		mk(1, PhaseKL, 100),
-		mk(2, PhaseKL, 50), // least attained KL
-		mk(3, PhaseH2D, 10),
-		mk(4, PhaseD2H, 10),
-		mk(5, PhaseDFL, 0),
-	}
-	got := PS{}.Pick(0, entries, &cfg)
-	if len(got) != 3 {
-		t.Fatalf("PS picked %d, want 3", len(got))
-	}
-	ids := map[int]bool{}
-	for _, e := range got {
-		ids[e.AppID] = true
-	}
-	if !ids[2] || !ids[3] || !ids[4] {
-		t.Fatalf("PS picked %v, want {2,3,4}", ids)
-	}
-}
-
-func TestPSFillsSlotsByPriority(t *testing.T) {
-	cfg := DefaultConfig()
-	entries := []*Entry{
-		{AppID: 1, Phase: PhaseKL, Attained: 0, Backlog: constBacklog(1)},
-		{AppID: 2, Phase: PhaseKL, Attained: 5, Backlog: constBacklog(1)},
-		{AppID: 3, Phase: PhaseKL, Attained: 9, Backlog: constBacklog(1)},
-		{AppID: 4, Phase: PhaseDFL, Attained: 0, Backlog: constBacklog(1)},
-	}
-	got := PS{}.Pick(0, entries, &cfg)
-	if len(got) != 3 {
-		t.Fatalf("PS picked %d, want 3", len(got))
-	}
-	// All three slots go to KL candidates before DFL.
-	for _, e := range got {
-		if e.Phase != PhaseKL {
-			t.Fatalf("PS filled slot with %v before exhausting KL", e.Phase)
-		}
-	}
-}
-
 func TestPSIdleTreatedAsDefault(t *testing.T) {
 	cfg := DefaultConfig()
 	entries := []*Entry{
@@ -240,46 +147,6 @@ func TestPSIdleTreatedAsDefault(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("PS ignored an idle-phase entry with work")
 	}
-}
-
-func TestDispatcherGatesThreads(t *testing.T) {
-	// Two fake backend threads submit kernels gated by LAS: the device
-	// should never see both contexts' work interleaved in a way that lets
-	// the high-CGS thread run while the low-CGS one has work.
-	k := sim.NewKernel(1)
-	dev := testDev(k)
-	s := New(k, dev, 0, "LAS", Config{})
-	ctx := dev.NewContext()
-	type bt struct {
-		entry   *Entry
-		pending int
-	}
-	var done [2]sim.Time
-	for i := 0; i < 2; i++ {
-		i := i
-		st := ctx.NewStream()
-		b := &bt{pending: 5}
-		b.entry = s.register(i+1, int64(i), 1, "X", func() int { return b.pending })
-		k.Go("bt", func(p *sim.Proc) {
-			for j := 0; j < 5; j++ {
-				s.WaitTurn(p, b.entry)
-				ev := st.Submit(&gpu.Op{Kind: gpu.OpKernel, Compute: 20000, AppID: i + 1})
-				p.Wait(ev)
-				b.pending--
-			}
-			done[i] = p.Now()
-		})
-	}
-	k.Run()
-	if done[0] == 0 || done[1] == 0 {
-		t.Fatal("threads did not finish under dispatcher gating")
-	}
-	// Service should be near-equal: LAS alternates between equal jobs.
-	a, b := dev.AppService(1), dev.AppService(2)
-	if a != b {
-		t.Fatalf("services %v vs %v, want equal for symmetric jobs", a, b)
-	}
-	s.Close()
 }
 
 func TestWaitTurnReleasesImmediatelyWhenAwake(t *testing.T) {

@@ -101,3 +101,17 @@ func TestQueueLenAndSignalWaiting(t *testing.T) {
 	})
 	k.Run()
 }
+
+// TestFiringAFiredPooledEventFreesItOnce fires a released pooled event twice:
+// the second Fire is a no-op, so the event is on the free list once and the
+// next two NewPooledEvent calls hand out two events.
+func TestFiringAFiredPooledEventFreesItOnce(t *testing.T) {
+	k := NewKernel(1)
+	e := k.NewPooledEvent()
+	e.Unref() // released unfired: the first Fire recycles it
+	e.Fire()
+	e.Fire()
+	if a, b := k.NewPooledEvent(), k.NewPooledEvent(); a == b {
+		t.Fatal("NewPooledEvent handed out one event twice: a second Fire freed it again")
+	}
+}
