@@ -54,15 +54,24 @@ lint: stringscheck
 	if [ $$elapsed -gt 60 ]; then \
 		echo "lint: exceeded the 60s wall-time budget"; exit 1; \
 	fi
+	@# arm64 fuses x*y + z into one instruction unless an explicit float64(…)
+	@# rounds the product, and the fused result can differ from amd64's in the
+	@# last bit, so a golden would hold on one and not the other. Cross-compile
+	@# (the build cache replays the listings) and fail on any fused
+	@# multiply-add in a repro/ package.
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags='repro/...=-S' ./... 2>&1) || { echo "$$asm" | tail -20; exit 1; }; \
+	fused=$$(echo "$$asm" | grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' | grep -oE '[^ (]*\.go:[0-9]+' | sort -u); \
+	if [ -n "$$fused" ]; then echo "lint: arm64 fuses a multiply-add at"; echo "$$fused"; exit 1; fi; \
+	echo "lint: no fused multiply-add on arm64"
 
 # One iteration of every micro-benchmark: proves they still compile and run
 # without paying full benchmark time. What they allocate is not read here: a
 # single iteration also counts the runtime's own strays. The zero-alloc claims
 # are gated by a test on the same set-ups instead: TestBenchSetupsZeroAlloc
-# (timer delivery, sleep-next, backend call, codec round trip of a reply
-# carrying a report); a whole request's are TestAllocBudgetPerRequest's.
+# (timer delivery, sleep-next, chatter over sleepers, backend call, codec
+# round trip of a reply carrying a report); a whole request's are TestAllocBudgetPerRequest's.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSleepNext|BenchmarkHeapChurn|BenchmarkSpawnExit|BenchmarkCodecRoundTrip|BenchmarkBackendCall' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSleepNext|BenchmarkHeapChurn|BenchmarkChatterOverSleepers|BenchmarkSpawnExit|BenchmarkCodecRoundTrip|BenchmarkBackendCall' -benchtime=1x .
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/rpcproto/
 	@# The goldens, transcripts and fresh-vs-reused checks twice in one process:
 	@# the second pass runs on the slabs the first left in core's arena, so a
@@ -119,7 +128,7 @@ examples:
 
 # Full micro-benchmark pass with allocation counts.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSleepNext|BenchmarkHeapChurn|BenchmarkSpawnExit|BenchmarkCodecRoundTrip|BenchmarkBackendCall' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkKernelDispatch|BenchmarkQueuePingPong|BenchmarkTimerDelivery|BenchmarkSleepNext|BenchmarkHeapChurn|BenchmarkChatterOverSleepers|BenchmarkSpawnExit|BenchmarkCodecRoundTrip|BenchmarkBackendCall' -benchmem .
 
 # Coverage gate: run the internal packages with -coverprofile and fail if
 # any of the gated packages (the observability layer, seed folding, the

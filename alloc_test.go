@@ -626,8 +626,9 @@ func requireZeroAlloc(t *testing.T, window func()) {
 
 // TestBenchSetupsZeroAlloc holds the micro-benchmarks that `make bench-smoke`
 // expects 0 allocs/op of to it, on the set-ups they time: a timer delivery, a
-// sleep taken on the spot, an intercepted call through a backend thread and a
-// wire round trip allocate nothing once warm.
+// sleep taken on the spot, deliveries over far-tier sleepers, an intercepted
+// call through a backend thread and a wire round trip allocate nothing once
+// warm.
 func TestBenchSetupsZeroAlloc(t *testing.T) {
 	t.Run("TimerDelivery", func(t *testing.T) {
 		k := timerDelivery()
@@ -638,6 +639,11 @@ func TestBenchSetupsZeroAlloc(t *testing.T) {
 		k := sleepNext()
 		defer k.Close()
 		requireZeroAllocWindow(t, k, 3*2000, 2000)
+	})
+	t.Run("ChatterOverSleepers", func(t *testing.T) {
+		k := chatterOverSleepers()
+		defer k.Close()
+		requireZeroAllocWindow(t, k, 2*20000, 20000)
 	})
 	t.Run("BackendCall", func(t *testing.T) {
 		c, run := backendCall(t)

@@ -163,7 +163,7 @@ func loadOf(e *DSTEntry, sft *SFT) devLoad {
 			l.exec += n * defaultExec / e.Weight
 			l.kern += n * defaultExec / 2 / e.Weight
 			l.xfer += n * defaultExec / 10
-			l.util += n * 0.5
+			l.util += float64(n * 0.5)
 			continue
 		}
 		kernT := float64(h.GPUTime - h.XferTime)
@@ -172,9 +172,9 @@ func loadOf(e *DSTEntry, sft *SFT) devLoad {
 		}
 		l.exec += n * float64(h.ExecTime) / e.Weight
 		l.kern += n * kernT / e.Weight
-		l.xfer += n * float64(h.XferTime)
+		l.xfer += float64(n * float64(h.XferTime))
 		l.bw += n * h.MemBW / e.MemBandwidth
-		l.util += n * h.GPUUtil
+		l.util += float64(n * h.GPUUtil)
 	}
 	return l
 }
@@ -241,7 +241,7 @@ func (guf) Select(req Request, dst *DST, sft *SFT) GID {
 		// Expected delay: measured backlog plus the interference of
 		// sharing the device with busy tenants, scaled by how much this
 		// class itself needs the GPU.
-		return l.exec + l.util*mine.GPUUtil*myExec + remoteCost(&mine, e, req)
+		return l.exec + float64(l.util*mine.GPUUtil*myExec) + remoteCost(&mine, e, req)
 	})
 }
 
@@ -272,7 +272,7 @@ func (dtf) Select(req Request, dst *DST, sft *SFT) GID {
 		l := loadOf(e, sft)
 		// Per-engine queueing delay weighted by this class's use of each
 		// engine; the CPU component is contention-free.
-		return fk*l.kern + fx*l.xfer + 0.1*cpu + remoteCost(&mine, e, req)
+		return float64(fk*l.kern) + float64(fx*l.xfer) + float64(0.1*cpu) + remoteCost(&mine, e, req)
 	})
 }
 
@@ -302,7 +302,7 @@ func (mbf) Select(req Request, dst *DST, sft *SFT) GID {
 		myFrac := myBW / e.MemBandwidth
 		// Engine-aware delay plus the bandwidth-contention slowdown the
 		// arrival's kernels would suffer (and cause) on this device.
-		return fk*l.kern + fx*l.xfer + l.bw*myFrac*kernT + remoteCost(&mine, e, req)
+		return float64(fk*l.kern) + float64(fx*l.xfer) + float64(l.bw*myFrac*kernT) + remoteCost(&mine, e, req)
 	})
 }
 
@@ -339,7 +339,7 @@ func (Frag) Select(req Request, dst *DST, sft *SFT) GID {
 		// The epsilon term prefers the tighter-packed survivor among
 		// equal-gradient candidates; it is far below any ΔF step (1/|P|
 		// per newly stranded profile), so it only breaks exact ties.
-		return (after - before) + 1e-9*capScalar(e, e.FreeFrac-req.SliceFrac, e.FreeMem-req.SliceMem)
+		return (after - before) + float64(1e-9*capScalar(e, e.FreeFrac-req.SliceFrac, e.FreeMem-req.SliceMem))
 	})
 }
 

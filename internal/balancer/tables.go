@@ -277,13 +277,13 @@ func (s *SFT) Record(fb *rpcproto.Feedback) {
 	}
 	n := float64(e.Samples)
 	merge := func(old sim.Time, v sim.Time) sim.Time {
-		return sim.Time((float64(old)*n + float64(v)) / (n + 1))
+		return sim.Time((float64(float64(old)*n) + float64(v)) / (n + 1))
 	}
 	e.ExecTime = merge(e.ExecTime, fb.ExecTime)
 	e.GPUTime = merge(e.GPUTime, fb.GPUTime)
 	e.XferTime = merge(e.XferTime, fb.XferTime)
-	e.MemBW = (e.MemBW*n + fb.MemBW) / (n + 1)
-	e.GPUUtil = (e.GPUUtil*n + fb.GPUUtil) / (n + 1)
+	e.MemBW = (float64(e.MemBW*n) + fb.MemBW) / (n + 1)
+	e.GPUUtil = (float64(e.GPUUtil*n) + fb.GPUUtil) / (n + 1)
 	e.Samples++
 	s.byKind[fb.Kind] = e
 }

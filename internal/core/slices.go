@@ -212,7 +212,7 @@ func (c *Cluster) strandedTick(now sim.Time) {
 		return
 	}
 	if now > c.sl.strandedAt {
-		c.sl.strandedInt += c.strandedFrac() * float64(now-c.sl.strandedAt)
+		c.sl.strandedInt += float64(c.strandedFrac() * float64(now-c.sl.strandedAt))
 		c.sl.strandedAt = now
 	}
 }

@@ -557,8 +557,8 @@ func (d *Device) advance(now sim.Time) {
 		}
 		d.tracer.Segment(d.lastEval, now, cu, bu, copies, rc)
 	}
-	d.busyCompute += elapsed * cu
-	d.busyBW += elapsed * bu
+	d.busyCompute += float64(elapsed * cu)
+	d.busyBW += float64(elapsed * bu)
 	for _, op := range d.running {
 		op.remaining -= elapsed / (op.soloDur * d.slowdown)
 		if op.remaining < 0 {
@@ -657,7 +657,7 @@ func (o *Op) finishAt(now sim.Time, s float64) sim.Time {
 	if o.remaining <= 0 {
 		return now
 	}
-	return now + sim.Time(o.remaining*o.soloDur*s+0.9999)
+	return now + sim.Time(float64(o.remaining*o.soloDur*s)+0.9999)
 }
 
 // recomputeSlowdown refreshes the uniform processor-sharing slowdown from the

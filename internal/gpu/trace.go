@@ -88,7 +88,7 @@ func (u *UtilTrace) BusyBuckets(horizon sim.Time, n int) []float64 {
 			to = float64(horizon)
 		}
 		for b := int(from / w); b < n && float64(b)*w < to; b++ {
-			lo := float64(b) * w
+			lo := float64(float64(b) * w)
 			hi := lo + w
 			if lo < from {
 				lo = from
@@ -162,8 +162,8 @@ func (u *UtilTrace) MeanUtil(horizon sim.Time) (computeUtil, bwUtil float64) {
 			continue
 		}
 		dt := float64(to - s.From)
-		c += dt * s.ComputeUtil
-		b += dt * s.BWUtil
+		c += float64(dt * s.ComputeUtil)
+		b += float64(dt * s.BWUtil)
 	}
 	return c / float64(horizon), b / float64(horizon)
 }

@@ -52,7 +52,7 @@ func JainFairness(x []float64) float64 {
 	var sum, sq float64
 	for _, v := range x {
 		sum += v
-		sq += v * v
+		sq += float64(v * v)
 	}
 	if sq == 0 {
 		return 0

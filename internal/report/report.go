@@ -69,7 +69,7 @@ func BarChart(t *metrics.Table) string {
 		groupW := plotW / float64(nGroups)
 		barW := groupW * 0.8 / float64(nSeries)
 		for gi, lab := range t.Labels {
-			gx := float64(marginL) + groupW*float64(gi)
+			gx := float64(marginL) + float64(groupW*float64(gi))
 			for si, s := range t.Series {
 				v := 0.0
 				if gi < len(s.Values) {
@@ -79,7 +79,7 @@ func BarChart(t *metrics.Table) string {
 					v = 0
 				}
 				h := plotH * v / maxV
-				x := gx + groupW*0.1 + barW*float64(si)
+				x := gx + float64(groupW*0.1) + float64(barW*float64(si))
 				y := marginT + plotH - h
 				fmt.Fprintf(&b,
 					`<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"><title>%s / %s: %.3f</title></rect>`,
@@ -87,7 +87,7 @@ func BarChart(t *metrics.Table) string {
 					html.EscapeString(s.Name), html.EscapeString(lab), v)
 			}
 			fmt.Fprintf(&b, `<text x="%.1f" y="%d" text-anchor="middle" fill="#333">%s</text>`,
-				gx+groupW/2, height-marginB+16, html.EscapeString(lab))
+				gx+float64(groupW/2), height-marginB+16, html.EscapeString(lab))
 		}
 	}
 

@@ -20,7 +20,7 @@ type Daemon struct {
 	step  func(d *Daemon)
 	state daemonState
 	again bool  // the step's wait is already over: step again inline
-	dl    int32 // 1 + the heap index of its WaitKickTimeout deadline, 0 if none is queued
+	dl    int32 // where its WaitKickTimeout deadline is queued (futureQ.tier), 0 if none is
 
 	// sig is the signal a timed wait (Queue.TakeTimeout) waits on until the
 	// step it wakes, and timedOut tells that step the deadline woke it.
@@ -66,7 +66,7 @@ func (k *Kernel) StartDaemon(d *Daemon, nameFn func() string, step func(d *Daemo
 // run executes one step for the activation the caller just popped, and again
 // for as long as the step's wait is over when it is made.
 func (d *Daemon) run() {
-	d.dl = 0 // the deadline, if it was one, has left the heap
+	d.dl = 0 // the deadline, if it was one, has left the queue
 	d.timedOut = false
 	if s := d.sig; s != nil {
 		// A timed wait is over. Woken by its deadline, the daemon leaves the
@@ -117,11 +117,13 @@ func (d *Daemon) Kick() {
 	}
 	d.state = daemonParked
 	k := d.p.k
-	if d.dl != 0 && k.future.a[d.dl-1].at == k.now {
-		return
-	}
-	if d.dl != 0 { // it never goes through the queue, and Queued does not count it
-		k.future.remove(int(d.dl - 1))
+	if d.dl != 0 {
+		h, i := k.future.tier(d.dl)
+		if h.a[i].at == k.now {
+			return
+		}
+		// It never goes through the queue, and Queued does not count it.
+		k.future.remove(h, i)
 		k.queued--
 		d.dl = 0
 		d.p.pending--

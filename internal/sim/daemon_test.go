@@ -113,10 +113,10 @@ func TestKickLeavesOnlyLiveDeadlines(t *testing.T) {
 	})
 	var queued, heap []int
 	kick := func() {
-		q, h := k.Queued(), k.future.len()
+		q, h := k.Queued(), k.future.near.len()
 		d.Kick()
 		queued = append(queued, int(k.Queued()-q))
-		heap = append(heap, k.future.len()-h)
+		heap = append(heap, k.future.near.len()-h)
 	}
 	k.Go("kicker", func(p *Proc) {
 		p.Sleep(2)
@@ -134,8 +134,8 @@ func TestKickLeavesOnlyLiveDeadlines(t *testing.T) {
 	if want := []int{-1, 0}; !reflect.DeepEqual(heap, want) {
 		t.Fatalf("the kicks moved the heap by %v, want %v", heap, want)
 	}
-	if k.Now() != 7 || k.future.len() != 0 {
-		t.Fatalf("ended at %v with %d activations queued, want 7 and none", k.Now(), k.future.len())
+	if k.Now() != 7 || k.future.root() != nil {
+		t.Fatalf("ended at %v with %+v queued, want 7 and nothing", k.Now(), k.future.root())
 	}
 }
 

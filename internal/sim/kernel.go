@@ -24,19 +24,21 @@ const DefaultFFHorizon = Millisecond
 // kernel's dispatch loop, which advances the virtual clock to the next
 // scheduled activation.
 //
-// Scheduling state is split in two for speed. Activations at a future instant
-// live in a 4-ary min-heap ordered by (time, sequence) (actHeap). Activations
-// at the *current* instant go to a plain FIFO ring instead: sequence numbers
-// are monotone, so arrival order is (time, sequence) order, and the common
-// case — a process yielding, a Put waking a Get, an event firing at now —
-// costs O(1) with no heap traffic. Every ring entry is at k.now: schedule
-// routes there only what is due now, and the clock moves only when the ring
-// is empty. The next activation is read where it lies (frontDue): the heap's
-// root while it is at the current instant — it was pushed while that instant
-// was still in the future, so it predates every ring entry — then the ring's
-// front, then the heap's root at a later instant. That is the single
+// Scheduling state is split for speed. Activations at a future instant live
+// in the future queue (futureQ): two 4-ary min-heaps ordered by (time,
+// sequence), near for what is due less than 64 µs ahead when placed, far for
+// the rest; the lesser root is what one heap of both would pop. Activations at
+// the *current* instant go to a plain FIFO ring instead: sequence numbers are
+// monotone, so arrival order is (time, sequence) order, and the common case —
+// a process yielding, a Put waking a Get, an event firing at now — costs O(1)
+// with no heap traffic. Every ring entry is at k.now: schedule routes there
+// only what is due now, and the clock moves only when the ring is empty. The
+// next activation is read where it lies (frontDue): the future queue's root
+// while it is at the current instant — it was placed while that instant was
+// still in the future, so it predates every ring entry — then the ring's
+// front, then the future queue's root at a later instant. That is the single
 // (time, sequence) order of one queue, which keeps runs bit-identical, and no
-// activation is copied from one structure to the other on the way. A Sleep
+// activation is copied from one structure to another on the way. A Sleep
 // whose wake-up would be the very next activation is not queued at all
 // (Proc.Sleep), nor is such a wake-up of a timer delivery's receiver (fire).
 //
@@ -53,7 +55,7 @@ type Kernel struct {
 	now        Time
 	seq        uint64
 	limit      Time
-	future     actHeap
+	future     futureQ
 	nowQ       Ring[activation]
 	dispatched uint64
 	resumes    uint64
@@ -111,6 +113,7 @@ type activation struct {
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
 		limit:     maxTime,
+		future:    futureQ{near: actHeap{code: 1}, far: actHeap{code: -1<<31 + 1}},
 		procs:     make(map[*Proc]struct{}),
 		rng:       rand.New(rand.NewSource(seed)),
 		ffHorizon: DefaultFFHorizon,
@@ -120,7 +123,7 @@ func NewKernel(seed int64) *Kernel {
 }
 
 // Reset returns the kernel to the state NewKernel(seed) would produce while
-// keeping the event heap's, now-queue's, event pool's and timer slot table's
+// keeping the future queue's, now-queue's, event pool's and timer slot table's
 // backing arrays — every pooled event goes back to the pool, whoever still
 // holds it — so a worker that runs many simulations back to back stops
 // paying the ramp-up allocations of each run.
@@ -132,7 +135,7 @@ func NewKernel(seed int64) *Kernel {
 // Reset must only be called between runs — after Run/RunUntil has returned
 // and before any new process is created. Processes a previous run left alive
 // (parked at a RunUntil horizon, say, or spawned and never started) are
-// unwound first (unwind); then their activations are discarded with the heap,
+// unwound first (unwind); then their activations are discarded with the queue,
 // and armed timers are dropped with them. Any installed tracer is removed.
 func (k *Kernel) Reset(seed int64) {
 	k.unwind("Reset")
@@ -155,7 +158,7 @@ func (k *Kernel) Reset(seed int64) {
 	k.ffJumps = 0
 	k.ffSkipped = 0
 	k.ffAt = -1
-	// The armed timers' activations went with the heap; release what their
+	// The armed timers' activations went with the queue; release what their
 	// slots held and start the table over in the same backing array.
 	clear(k.tslots)
 	k.tslots = k.tslots[:0]
@@ -221,9 +224,9 @@ func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 func (k *Kernel) Resumes() uint64 { return k.resumes }
 
 // Queued returns the number of activations since NewKernel or Reset that went
-// through the heap or the ring: every wake-up, start and timer but the sleeps
-// taken on the spot (Proc.Sleep), the delivery wake-ups run in place (fire)
-// and the daemon deadlines a kick took out of the queue (Daemon.Kick).
+// through the future queue or the ring: every wake-up, start and timer but the
+// sleeps taken on the spot (Proc.Sleep), the delivery wake-ups run in place
+// (fire) and the daemon deadlines a kick took out of the queue (Daemon.Kick).
 func (k *Kernel) Queued() uint64 { return k.queued }
 
 // SetTracer installs a trace callback invoked by Proc.Tracef. A nil tracer
@@ -277,7 +280,7 @@ const (
 	wakeStart = iota
 	wakeTimer
 	wakeEvent
-	wakeDeadline // a daemon's WaitKickTimeout deadline: the heap keeps its index
+	wakeDeadline // a daemon's WaitKickTimeout deadline: the queue keeps its place
 )
 
 // schedule enqueues a wakeup of p at time at (which must be >= now).
@@ -290,8 +293,8 @@ func (k *Kernel) schedule(p *Proc, at Time, tag int32) {
 }
 
 // place queues a new activation at the instant at, stamped with the next
-// sequence number: in the ring when that is the current instant, in the heap
-// otherwise, written straight into the slot it claims there.
+// sequence number: in the ring when that is the current instant, in the future
+// queue otherwise, written straight into the slot it claims there.
 func (k *Kernel) place(at Time, p *Proc, epoch uint64, tag int32) {
 	k.seq++
 	k.queued++
@@ -300,24 +303,21 @@ func (k *Kernel) place(at Time, p *Proc, epoch uint64, tag int32) {
 		a.at, a.seq, a.proc, a.epoch, a.tag = at, k.seq, p, epoch, tag
 		return
 	}
-	i := k.future.hole(at)
-	a := &k.future.a[i]
-	a.at, a.seq, a.proc, a.epoch, a.tag = at, k.seq, p, epoch, tag
-	a.track(i)
+	k.future.place(k.now, at, k.seq, p, epoch, tag)
 }
 
 // frontDue returns the next activation in (time, sequence) order where it
-// lies, and whether that is the heap (its root) or the ring (its front); nil
-// if none is due by the run limit. The caller reads it and then removes it
-// with pop, before anything is placed. The heap's root at a later instant is
+// lies, and whether that is the future queue (its root) or the ring (its
+// front); nil if none is due by the run limit. The caller reads it and then
+// removes it with pop, before anything is placed. The root at a later instant is
 // next only once the ring is empty, and the interval between is then a
 // quiescent gap the clock is about to jump over wholesale: it is counted when
 // the root is first seen, which is not always when the clock moves (a stale
 // root is dropped without moving it), so ffAt remembers the instant until the
 // queue empties.
 func (k *Kernel) frontDue() (*activation, bool) {
-	if k.future.len() > 0 {
-		if a := k.future.root(); a.at == k.now || k.nowQ.Len() == 0 {
+	if a := k.future.root(); a != nil {
+		if a.at == k.now || k.nowQ.Len() == 0 {
 			if a.at > k.limit {
 				return nil, false
 			}
@@ -347,8 +347,8 @@ func (k *Kernel) countJump(gap Time) {
 }
 
 // pop removes the activation frontDue returned.
-func (k *Kernel) pop(inHeap bool) {
-	if inHeap {
+func (k *Kernel) pop(inFuture bool) {
+	if inFuture {
 		k.future.drop()
 	} else {
 		k.nowQ.drop()
@@ -362,26 +362,26 @@ func (k *Kernel) pop(inHeap bool) {
 // (Kernel.fire). It returns on Stop, or when nothing is due by the limit.
 func (k *Kernel) dispatch() {
 	for !k.stopped {
-		a, inHeap := k.frontDue()
+		a, inFuture := k.frontDue()
 		if a == nil {
 			return
 		}
 		q := a.proc
 		if q == nil {
 			at, slot := a.at, int32(a.epoch)
-			k.pop(inHeap)
+			k.pop(inFuture)
 			if q = k.fire(at, slot); q == nil {
 				continue
 			}
 		} else if q.done || a.epoch != q.epoch {
-			k.pop(inHeap)
+			k.pop(inFuture)
 			q.pending-- // stale wakeup from an earlier park
 			continue
 		} else {
 			q.pending--
 			k.now = a.at
 			q.wakeTag = a.tag
-			k.pop(inHeap)
+			k.pop(inFuture)
 		}
 		k.dispatched++
 		k.running = q
@@ -409,7 +409,7 @@ func (k *Kernel) RunUntil(limit Time) int {
 	start := k.dispatched
 	k.dispatch()
 	k.running = nil
-	if !k.stopped && (k.future.len() > 0 || k.nowQ.Len() > 0) && k.now < limit {
+	if !k.stopped && (k.future.root() != nil || k.nowQ.Len() > 0) && k.now < limit {
 		// The head activation is beyond the limit: the interval up to the
 		// limit is known quiet, so the clock may advance to it wholesale.
 		k.countJump(limit - k.now)
@@ -430,8 +430,8 @@ func (k *Kernel) NextEventTime() (Time, bool) {
 	if k.nowQ.Len() > 0 {
 		return k.now, true
 	}
-	if k.future.len() > 0 {
-		return k.future.root().at, true
+	if a := k.future.root(); a != nil {
+		return a.at, true
 	}
 	return 0, false
 }

@@ -102,11 +102,11 @@ func (p *Proc) park() {
 //
 // When the wake-up would be the very next activation taken — nothing is
 // queued at the current instant, it falls within the run limit, the run is
-// neither stopped nor unwinding, and the heap is empty or its root strictly
-// later (a root at the same instant is older and goes first) — queueing it,
-// parking and taking it back would change nothing else, so Sleep consumes it
-// on the spot and leaves the kernel as that round trip would have: one
-// sequence number, one dispatch, the gap counted as dispatch counts it.
+// neither stopped nor unwinding, and the future queue is empty or its root
+// strictly later (a root at the same instant is older and goes first) —
+// queueing it, parking and taking it back would change nothing else, so Sleep
+// consumes it on the spot and leaves the kernel as that round trip would have:
+// one sequence number, one dispatch, the gap counted as dispatch counts it.
 func (p *Proc) Sleep(d Time) {
 	d = max(d, 0)
 	if p.k.wakeNext(d) {
@@ -122,8 +122,8 @@ func (p *Proc) Sleep(d Time) {
 // very next activation taken, and reports whether it did.
 func (k *Kernel) wakeNext(d Time) bool {
 	at := k.now + d
-	if k.nowQ.Len() == 0 && at <= k.limit && !k.stopped && !k.unwinding &&
-		(k.future.len() == 0 || k.future.root().at > at) {
+	if r := k.future.root(); k.nowQ.Len() == 0 && at <= k.limit && !k.stopped && !k.unwinding &&
+		(r == nil || r.at > at) {
 		k.seq++
 		k.dispatched++
 		k.countJump(d)

@@ -25,6 +25,7 @@ type refAct struct {
 	epoch uint64
 	tag   int32
 	fire  func()
+	tier  int8 // where the kernel queues it: 0 the ring, 1 the near tier, 2 the far one (futureQ)
 }
 
 // refProc is a process or daemon of the reference: run continues it, told what
@@ -67,11 +68,13 @@ func (h *refActs) Pop() any {
 // out of the heap — so the kernel's Queued is seq less those. inline counts
 // the daemon waits on an event that had already fired, foldsIn the folds by
 // what their receiver waited in, and timedOut and timedTook how the daemon
-// TakeTimeout waits ended: at their deadline, or with an item.
+// TakeTimeout waits ended: at their deadline, or with an item. far counts what
+// the kernel places in its far tier, and tierTies the pops whose instant an
+// entry of the other tier shares.
 type refKernel struct {
 	now, horizon, skipped, limit                                   Time
 	seq, dispatched, jumps, stale, inline, taken, folds, cancelled uint64
-	timedOut, timedTook                                            uint64
+	timedOut, timedTook, far, tierTies                             uint64
 	foldsIn                                                        [inKinds]uint64
 	stopped                                                        bool
 	h                                                              refActs
@@ -102,6 +105,13 @@ func (r *refKernel) sleep(p *refProc, d Time) {
 func (r *refKernel) schedule(p *refProc, at Time, tag int32, fire func()) {
 	r.seq++
 	a := refAct{at: at, seq: r.seq, p: p, tag: tag, fire: fire}
+	switch {
+	case at-r.now >= nearSpan:
+		a.tier = 2
+		r.far++
+	case at > r.now:
+		a.tier = 1
+	}
 	if p != nil {
 		a.epoch = p.epoch
 	}
@@ -124,6 +134,12 @@ func (r *refKernel) runUntil(limit Time) int {
 	start, front := r.dispatched, r.now
 	for !r.stopped && len(r.h) > 0 && r.h[0].at <= limit {
 		a := heap.Pop(&r.h).(refAct)
+		for _, b := range r.h {
+			if b.at == a.at && a.tier > 0 && b.tier > 0 && b.tier != a.tier {
+				r.tierTies++ // the kernel's two roots tie on the instant: seq decides
+				break
+			}
+		}
 		if a.at > front {
 			front = a.at
 			r.countJump(a.at - r.now)
@@ -155,31 +171,84 @@ func (r *refKernel) nextEventTime() (Time, bool) {
 	return r.h[0].at, true
 }
 
-// TestActHeapAgainstContainerHeap drives the kernel's heap at depths the
-// programs below never reach: random instants with many ties, pushes and drops
-// interleaved, every root compared with container/heap's.
+// TestActHeapAgainstContainerHeap drives the kernel's future queue at depths
+// the programs below never reach, against one container/heap: instants drawn
+// from the current one to twice the near span ahead, so equal instants fall in
+// both tiers; places, pops and removals interleaved; every root compared. A
+// popped root moves the clock to its instant, as dispatch does. Some entries
+// are daemon deadlines, and a removal takes one out by its Daemon.dl code, so
+// the codes are checked to name their own entry in either tier.
 func TestActHeapAgainstContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	var h actHeap
+	k := NewKernel(1)
+	q := &k.future
 	var ref refActs
+	daemons := make([]Daemon, 8)
+	for i := range daemons {
+		daemons[i].p.daemon = &daemons[i]
+	}
+	deadline := map[*Daemon]uint64{} // the seq of each daemon's queued deadline
+	var now Time
+	var popped, removed [2]int // near, far
+	tierOf := func(h *actHeap) int {
+		if h == &q.far {
+			return 1
+		}
+		return 0
+	}
 	for seq := uint64(1); seq <= 20000 || len(ref) > 0; seq++ {
 		if seq <= 20000 && rng.Intn(5) < 3 {
-			at := Time(rng.Intn(64))
-			h.a[h.hole(at)] = activation{at: at, seq: seq, epoch: seq}
-			heap.Push(&ref, refAct{at: at, seq: seq})
+			k.now, k.seq = now, seq-1
+			at := now + 1 + Time(rng.Intn(int(2*nearSpan)))
+			d := &daemons[rng.Intn(len(daemons))]
+			if d.dl != 0 || rng.Intn(3) > 0 {
+				k.place(at, nil, seq, wakeTimer)
+				heap.Push(&ref, refAct{at: at, seq: seq})
+				continue
+			}
+			k.place(at, &d.p, seq, wakeDeadline)
+			heap.Push(&ref, refAct{at: at, seq: seq, tag: wakeDeadline})
+			deadline[d] = seq
 			continue
 		}
 		if len(ref) == 0 {
 			continue
 		}
-		want := heap.Pop(&ref).(refAct)
-		if got := h.root(); got.at != want.at || got.seq != want.seq || got.epoch != want.seq {
-			t.Fatalf("root (%v, %d, epoch %d), want (%v, %d) with its own epoch", got.at, got.seq, got.epoch, want.at, want.seq)
+		if d := &daemons[rng.Intn(len(daemons))]; d.dl != 0 && rng.Intn(2) == 0 {
+			h, i := q.tier(d.dl)
+			want := deadline[d]
+			if got := h.a[i]; got.proc != &d.p || got.seq != want {
+				t.Fatalf("dl %d names seq %d, want the daemon's deadline seq %d", d.dl, got.seq, want)
+			}
+			removed[tierOf(h)]++
+			q.remove(h, i)
+			d.dl = 0
+			for j := range ref {
+				if ref[j].seq == want {
+					heap.Remove(&ref, j)
+					break
+				}
+			}
+			continue
 		}
-		h.drop()
+		want := heap.Pop(&ref).(refAct)
+		got := q.root()
+		if got == nil || got.at != want.at || got.seq != want.seq || got.epoch != want.seq {
+			t.Fatalf("root %+v, want (%v, %d) with its own epoch", got, want.at, want.seq)
+		}
+		popped[tierOf(q.topH)]++
+		if got.tag == wakeDeadline {
+			got.proc.daemon.dl = 0 // as Daemon.run clears it
+		}
+		now = got.at
+		q.drop()
 	}
-	if h.len() != 0 {
-		t.Fatalf("%d entries left", h.len())
+	if q.near.len()+q.far.len() != 0 || q.root() != nil {
+		t.Fatalf("%d near and %d far entries left", q.near.len(), q.far.len())
+	}
+	t.Logf("popped near/far %v, removed near/far %v", popped, removed)
+	if min(popped[0], popped[1], removed[0], removed[1]) < 100 {
+		t.Fatalf("both tiers no longer see pops and removals: popped %v, removed %v", popped, removed)
 	}
 }
 
@@ -248,11 +317,13 @@ type program struct {
 }
 
 // programHorizon is the fast-forward horizon programs run with: the
-// durations below sit at, one short of and beyond it, and are small enough
-// that wake-ups collide at one instant all the time.
+// durations below sit at, one short of and beyond it and the future queue's
+// near span, and are small enough that wake-ups collide at one instant all
+// the time, in one tier and across the two.
 const programHorizon = 16
 
-var programDurations = []Time{0, 0, 1, 2, 3, 5, programHorizon - 1, programHorizon, programHorizon + 1, 50}
+var programDurations = []Time{0, 0, 1, 2, 3, 5, programHorizon - 1, programHorizon, programHorizon + 1, 50,
+	nearSpan - 1, nearSpan, nearSpan + 1}
 
 // tape deals a program's choices from fuzz input; an exhausted tape deals zeros.
 type tape struct{ b []byte }
@@ -756,7 +827,7 @@ func runOnReference(pr program) (schedTrace, *refKernel) {
 // to produce.
 type scheduleCoverage struct {
 	programs, dispatches, taken, folded, stale, jumps, inline, cancelled uint64
-	timedOut, timedTook                                                  uint64
+	timedOut, timedTook, far, tierTies                                   uint64
 	foldedIn                                                             [inKinds]uint64
 }
 
@@ -788,6 +859,8 @@ func checkSchedule(t *testing.T, k *Kernel, data []byte, cov *scheduleCoverage) 
 	cov.inline += r.inline
 	cov.timedOut += r.timedOut
 	cov.timedTook += r.timedTook
+	cov.far += r.far
+	cov.tierTies += r.tierTies
 	for i, n := range r.foldsIn {
 		cov.foldedIn[i] += n
 	}
@@ -809,7 +882,8 @@ func TestKernelScheduleMatchesOneQueue(t *testing.T) {
 	t.Logf("%+v", cov)
 	if cov.dispatches < 10*cov.programs || cov.taken < cov.programs || 4*cov.folded < cov.programs ||
 		2*cov.stale < cov.programs || 2*cov.jumps < cov.programs || 8*cov.inline < cov.programs ||
-		16*cov.cancelled < cov.programs || 64*cov.timedOut < cov.programs || 64*cov.timedTook < cov.programs {
+		16*cov.cancelled < cov.programs || 64*cov.timedOut < cov.programs || 64*cov.timedTook < cov.programs ||
+		cov.far < cov.programs || 16*cov.tierTies < cov.programs {
 		t.Fatalf("the programs no longer cover what they are for: %+v", cov)
 	}
 }
@@ -818,9 +892,10 @@ func TestKernelScheduleMatchesOneQueue(t *testing.T) {
 // checkSchedule and holds each program to what it is kept for: seed-fold's
 // deliveries wake a daemon in Take and a process in GetTimeout in place,
 // seed-mixed, full-sized, takes a sleep on the spot, folds a delivery, drops a
-// stale wake-up and jumps the clock, seed-timed's daemon TakeTimeout waits
-// end at their deadline and with an item, and seed-kick's kick takes a
-// WaitKickTimeout deadline due later out of the queue.
+// stale wake-up, jumps the clock and pops an instant both tiers of the future
+// queue hold, seed-timed's daemon TakeTimeout waits end at their deadline and
+// with an item, and seed-kick's kick takes a WaitKickTimeout deadline due
+// later out of the queue.
 func TestScheduleSeeds(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -828,7 +903,8 @@ func TestScheduleSeeds(t *testing.T) {
 	}{
 		{"seed-fold", func(c scheduleCoverage) bool { return c.foldedIn[inTake] > 0 && c.foldedIn[inGetTO] > 0 }},
 		{"seed-mixed", func(c scheduleCoverage) bool {
-			return c.dispatches >= 10 && c.taken > 0 && c.folded > 0 && c.stale > 0 && c.jumps > 0
+			return c.dispatches >= 10 && c.taken > 0 && c.folded > 0 && c.stale > 0 && c.jumps > 0 &&
+				c.far > 0 && c.tierTies > 0
 		}},
 		{"seed-timed", func(c scheduleCoverage) bool { return c.timedOut > 0 && c.timedTook > 0 }},
 		{"seed-kick", func(c scheduleCoverage) bool { return c.cancelled > 0 }},

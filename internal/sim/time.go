@@ -40,4 +40,4 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // FromSeconds converts floating-point seconds to a Time, rounding to the
 // nearest microsecond.
-func FromSeconds(s float64) Time { return Time(s*float64(Second) + 0.5) }
+func FromSeconds(s float64) Time { return Time(float64(s*float64(Second)) + 0.5) }

@@ -51,7 +51,7 @@ func (k *Kernel) armTimer(d Time) *timerSlot {
 // popped it, so the limit and Stop hold — and vacates the slot first, so a
 // callback that arms a timer may reuse it. A receiver whose wake-up would be
 // the very next activation taken (Proc.Sleep's argument: nothing in the ring,
-// no heap root at this instant) is not queued:
+// no future root at this instant) is not queued:
 // fire stamps it the sequence number the wake-up would have taken and returns
 // it for dispatch to run in place. Otherwise it returns nil.
 func (k *Kernel) fire(at Time, i int32) *Proc {
@@ -71,8 +71,7 @@ func (k *Kernel) fire(at Time, i int32) *Proc {
 		return nil
 	}
 	r := w.Pop()
-	if k.nowQ.Len() > 0 || r.done ||
-		(k.future.len() > 0 && k.future.root().at == at) {
+	if f := k.future.root(); k.nowQ.Len() > 0 || r.done || (f != nil && f.at == at) {
 		k.schedule(r, at, wakeEvent)
 		return nil
 	}

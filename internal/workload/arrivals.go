@@ -13,8 +13,8 @@ import (
 //
 // the negative-exponential model of the SPECpower_ssj2008 service generator.
 func ExpInterArrival(rng *rand.Rand, lambda sim.Time) sim.Time {
-	x := 1 - rng.Float64() // (0, 1]
-	return sim.Time(-float64(lambda)*math.Log(x) + 0.5)
+	x := 1 - float64(rng.Float64()) // (0, 1]
+	return sim.Time(float64(-float64(lambda)*math.Log(x)) + 0.5)
 }
 
 // StreamSpec describes one random stream of requests for a single

@@ -265,7 +265,7 @@ func (s OpenArrivalSpec) diurnalInstants(rng *rand.Rand, limit int) []sim.Time {
 	t := ExpInterArrival(rng, gap)
 	for t < s.Horizon && len(out) < limit {
 		phase := 2 * math.Pi * float64(t) / float64(s.Period)
-		accept := (1 - s.Depth*math.Cos(phase)) / (1 + s.Depth)
+		accept := (1 - float64(s.Depth*math.Cos(phase))) / (1 + s.Depth)
 		if rng.Float64() < accept {
 			out = append(out, t)
 		}

@@ -75,10 +75,10 @@ func derive(s Spec, ref gpu.Spec) Profile {
 	g := s.GPUPct / 100
 	x := math.Min(s.XferPct/100, maxXferFrac)
 
-	G := g * T   // GPU time: transfers + kernels
-	X := x * G   // transfer time
-	K := G - X   // kernel time
-	cpu := T - G // host time
+	G := float64(g * T) // GPU time: transfers + kernels
+	X := float64(x * G) // transfer time
+	K := G - X          // kernel time
+	cpu := T - G        // host time
 	iters := float64(s.Iters)
 
 	p.CPUPerIter = sim.Time(cpu/iters + 0.5)
@@ -104,7 +104,7 @@ func derive(s Spec, ref gpu.Spec) Profile {
 		b = traffic / (ref.MemBandwidth * K)
 	}
 	// Occupancy: memory-bound kernels cannot fill the compute pipelines.
-	occ := 1 - 0.8*b
+	occ := 1 - float64(0.8*b)
 	if occ < minOcc {
 		occ = minOcc
 	}
