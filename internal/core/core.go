@@ -14,7 +14,6 @@ import (
 	"repro/internal/devsched"
 	"repro/internal/faults"
 	"repro/internal/gpu"
-	"repro/internal/interpose"
 	"repro/internal/packer"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
@@ -100,11 +99,11 @@ type Config struct {
 	// fail).
 	Faults faults.Plan
 
-	// Recovery arms the interposers' failure handling: per-call timeouts,
-	// idempotent retransmits and failover to a surviving GPU. The zero
-	// value disables it, leaving the frontend bit-identical to the
-	// pre-fault-tolerance behaviour.
-	Recovery interpose.Recovery
+	// CallTimeout bounds each interposer's wait for a blocking call's reply
+	// and arms its failure handling: idempotent retransmits and failover to
+	// a surviving GPU. 0 disables both, leaving the frontend bit-identical
+	// to the pre-fault-tolerance behaviour.
+	CallTimeout sim.Time
 
 	// Traces, when non-nil, memoizes materialized arrival traces so cells
 	// that replay the same workload stream share one immutable slice

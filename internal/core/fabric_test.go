@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/balancer"
 	"repro/internal/faults"
-	"repro/internal/interpose"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -188,7 +187,7 @@ func TestStallRecoveryFromRemoteFrontend(t *testing.T) {
 	} {
 		c, err := New(Config{
 			Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin", Shards: tc.shards,
-			Faults: tc.plan, Recovery: interpose.Recovery{CallTimeout: sim.Second},
+			Faults: tc.plan, CallTimeout: sim.Second,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -5,15 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/interpose"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// recovered returns a recovery config suited to the short test workloads.
-func testRecovery() interpose.Recovery {
-	return interpose.Recovery{CallTimeout: 30 * sim.Second}
-}
+// testCallTimeout arms recovery at a call timeout suited to the short test
+// workloads.
+const testCallTimeout = 30 * sim.Second
 
 // faultRun executes a Strings supernode run with the given plan and
 // recovery, without the no-error assertions of mustRun (faults may lose
@@ -22,7 +20,7 @@ func faultRun(t *testing.T, seed int64, plan faults.Plan, streams []workload.Str
 	t.Helper()
 	c, err := New(Config{
 		Seed: seed, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin",
-		Faults: plan, Recovery: testRecovery(),
+		Faults: plan, CallTimeout: testCallTimeout,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

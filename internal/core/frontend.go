@@ -72,8 +72,8 @@ func (f *frontend) step(d *sim.Daemon) {
 	f.rt.Release()
 	// A timed reply wait leaves its deadline queued, stale, once a reply
 	// ends it, and a daemon with an activation pending cannot start over: a
-	// frontend that ran with recovery armed is not reused in this run.
-	if !e.c.cfg.Recovery.Enabled() {
+	// frontend that ran with a call timeout is not reused in this run.
+	if e.c.cfg.CallTimeout == 0 {
 		f.idle = true
 		e.frontends = append(e.frontends, f) // bounded by peak live frontends
 	}
@@ -91,8 +91,7 @@ func (f *frontend) clients() (c, c1 cuda.Stepper) {
 		f.rt.InitThread(&f.th[1], nil, id)
 		return &f.th[0], &f.th[1]
 	}
-	f.ip.Init(&cl.nodes[s.Node], e.k, id, s.Tenant, s.Weight, s.Kind.String(), s.Node, cl.cfg.Mode == ModeStrings)
-	f.ip.SetRecovery(cl.cfg.Recovery)
+	f.ip.Init(&cl.nodes[s.Node], e.k, id, s.Tenant, s.Weight, s.Kind.String(), s.Node, cl.cfg.Mode == ModeStrings, cl.cfg.CallTimeout)
 	f.ip.SetTrace(e.rec, f.req)
 	return &f.ip, &f.ip
 }

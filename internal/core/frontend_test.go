@@ -95,7 +95,7 @@ func newAppScript(rng *rand.Rand) appScript {
 		}
 	}
 	if cfg.Mode != ModeCUDA && rng.Intn(3) == 0 {
-		cfg.Recovery.CallTimeout = []sim.Time{20 * sim.Millisecond, 500 * sim.Millisecond, 5 * sim.Second}[rng.Intn(3)]
+		cfg.CallTimeout = []sim.Time{20 * sim.Millisecond, 500 * sim.Millisecond, 5 * sim.Second}[rng.Intn(3)]
 	}
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
 		s := workload.StreamSpec{
@@ -266,9 +266,9 @@ func TestFrontendMatchesCoroutine(t *testing.T) {
 		}
 		got := playScript(t, sc, a)
 		if d := got.digest(); d != digest || got.events > dispatched {
-			t.Fatalf("script %d (warm %v, %v %s/%s, shards %d, guard %v, %d nodes, faults %v, recovery %v, streams %+v): digest %s after %d activations, want %s after at most %d",
+			t.Fatalf("script %d (warm %v, %v %s/%s, shards %d, guard %v, %d nodes, faults %v, call timeout %v, streams %+v): digest %s after %d activations, want %s after at most %d",
 				i, a != nil, sc.cfg.Mode, sc.cfg.Balance, sc.cfg.DevPolicy, sc.cfg.Shards, sc.cfg.BlockOnOOM, len(sc.cfg.Nodes),
-				sc.cfg.Faults.Faults, sc.cfg.Recovery, sc.streams, d, got.events, digest, dispatched)
+				sc.cfg.Faults.Faults, sc.cfg.CallTimeout, sc.streams, d, got.events, digest, dispatched)
 		}
 		for st, n := range got.styles {
 			set(fmt.Sprint(sc.cfg.Mode, "/", workload.Style(st)), n > 0)

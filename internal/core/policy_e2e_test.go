@@ -284,7 +284,7 @@ func TestEventsThroughFullStringsStack(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ip interpose.Interposer
-	ip.Init(&c.nodes[0], c.K, 991, 1, 1, "EVT", 0, true)
+	ip.Init(&c.nodes[0], c.K, 991, 1, 1, "EVT", 0, true, 0)
 	elapsed, evErr := timeLaunch(c.K, &ip, true, cuda.Kernel{Name: "timed", Compute: 103e6})
 	if evErr != nil {
 		t.Fatalf("event flow failed: %v", evErr)
@@ -303,7 +303,7 @@ func TestEventsUnderRainMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ip interpose.Interposer
-	ip.Init(&c.nodes[0], c.K, 993, 1, 1, "EVT", 0, false)
+	ip.Init(&c.nodes[0], c.K, 993, 1, 1, "EVT", 0, false, 0)
 	elapsed, evErr := timeLaunch(c.K, &ip, false, cuda.Kernel{Compute: 48e6}) // 100us on Quadro2000
 	if evErr != nil {
 		t.Fatalf("Rain event flow failed: %v", evErr)

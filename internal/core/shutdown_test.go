@@ -165,7 +165,7 @@ func TestRunStartsNoGoroutine(t *testing.T) {
 	killAt := faultRun(t, 7, faults.Plan{}, faultStreams(4)).EndTime / 2
 	strings := Config{Seed: 3, Nodes: supernode(), Mode: ModeStrings, Balance: "GMin"}
 	recovering := strings
-	recovering.Seed, recovering.Recovery = 7, testRecovery()
+	recovering.Seed, recovering.CallTimeout = 7, testCallTimeout
 	recovering.Faults.Faults = []faults.Fault{{At: killAt, Kind: faults.KillNode, Node: 1}}
 	for _, tc := range []struct {
 		cfg     Config

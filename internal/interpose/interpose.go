@@ -72,6 +72,10 @@ type Interposer struct {
 	// baseline predates it and issues every RPC synchronously.
 	async bool
 
+	// timeout bounds each blocking call's wait for its reply and arms the
+	// failure handling of recovery.go; 0 leaves both off.
+	timeout sim.Time
+
 	bound  bool
 	gid    balancer.GID
 	ep     rpcproto.Endpoint
@@ -84,8 +88,8 @@ type Interposer struct {
 	LastFeedback *rpcproto.Feedback
 	fb           rpcproto.Feedback
 
-	// rec is the failure-handling state (see recovery.go); disabled by
-	// default, armed via SetRecovery.
+	// rec is the failure-handling state (see recovery.go), empty unless a
+	// call timeout is set.
 	rec recState
 
 	// tr is the observability recorder (nil when tracing is off) and
@@ -94,8 +98,8 @@ type Interposer struct {
 	reqSpan trace.SpanID
 
 	// pool recycles Call/Reply frames through the frontend's kernel (nil —
-	// allocate-and-drop — until bound, and always nil in recovery mode,
-	// whose retransmission state retains frames past the round trip).
+	// allocate-and-drop — until bound, and always nil under a call timeout,
+	// whose retransmits retain frames past the round trip).
 	// lastCall/lastReply are the previous blocking round trip's frames:
 	// by the time the frontend issues the next call the reply has been
 	// fully consumed, so newCall recycles them one call late, and ThreadExit
@@ -112,10 +116,11 @@ type Interposer struct {
 	health balancer.Health
 
 	// The call in flight (step.go): the caller's op, the stage it is at, its
-	// frame and span, and its outcome.
+	// frame, the frame that goes out for it (send), its span and its outcome.
 	at       stage
 	op       *cuda.Op
 	inflight *rpcproto.Call
+	out      *rpcproto.Call
 	blocking bool
 	span     trace.SpanID
 	ret      cuda.Ret
@@ -133,11 +138,15 @@ func (ip *Interposer) SetTrace(tr *trace.Recorder, reqSpan trace.SpanID) {
 // interposer of application appID on kernel k at the given node. kind is the
 // application's class name, carried to the scheduler for SFT keying. async
 // enables non-blocking RPCs for calls without output parameters (Strings);
-// Rain's frontend passes false.
-func (ip *Interposer) Init(fab Fabric, k *sim.Kernel, appID int, tenant int64, weight int, kind string, node int, async bool) {
+// Rain's frontend passes false. A callTimeout above 0 arms recovery
+// (recovery.go).
+func (ip *Interposer) Init(fab Fabric, k *sim.Kernel, appID int, tenant int64, weight int, kind string, node int, async bool, callTimeout sim.Time) {
 	*ip = Interposer{
 		fab: fab, k: k, appID: appID, tenant: tenant, weight: weight,
-		kind: kind, node: node, async: async, sel: ip.sel, fire: ip.fire,
+		kind: kind, node: node, async: async, timeout: callTimeout, sel: ip.sel, fire: ip.fire,
+	}
+	if callTimeout > 0 {
+		ip.rec.ptrs, ip.rec.streams, ip.rec.events = make(map[int64]*vPtr), make(map[int32]int32), make(map[int32]int32)
 	}
 }
 
@@ -187,29 +196,54 @@ func (ip *Interposer) beginCall(c *rpcproto.Call) trace.SpanID {
 		ip.appID, int(ip.gid), int64(c.Seq))
 }
 
-// received takes msg as the reply to the blocking call c.
-func (ip *Interposer) received(c *rpcproto.Call, msg rpcproto.Msg) (*rpcproto.Reply, error) {
-	r, ok := msg.(*rpcproto.Reply)
-	if !ok {
-		return nil, fmt.Errorf("interpose: unexpected message %T", msg)
+// send readies the frame that goes out for the call in flight and moves it on
+// to paying: the call itself or, under a call timeout, wireCall's copy, whose
+// virtual ids name the current backend's resources.
+func (ip *Interposer) send() {
+	ip.out, ip.at = ip.inflight, paying
+	if ip.timeout > 0 {
+		ip.out = ip.wireCall(ip.inflight)
 	}
-	// Without retransmission the backend answers each blocking call once,
-	// in order, so the next reply is this call's or the stream is broken.
-	if r.Seq != c.Seq {
-		return nil, fmt.Errorf("interpose: reply %d does not answer call %d", r.Seq, c.Seq)
-	}
-	// Both frames are now owned by the frontend; the next newCall recycles
-	// them once this reply has been consumed.
-	ip.lastCall = c
-	ip.lastReply = r
-	return r, r.AsError()
 }
 
-// connect opens the connection to the bound GPU's backend. Retransmission
-// retains frames past their round trip, so under recovery neither side recycles.
+// await takes the reply to the frame last sent, waiting at most the call
+// timeout if one is set: the reply with its error, an error for a stream that
+// cannot carry it, neither once the timeout expired, or waiting while d's step
+// ends in the wait. The backend answers each blocking call once, in order, so
+// a reply older than the call comes first only from a retransmit: it is
+// skipped once some call has timed out, and any other mismatch breaks the
+// stream. The round trip's frames are the frontend's from here on; the next
+// newCall recycles them once the reply has been consumed.
+func (ip *Interposer) await(d *sim.Daemon) (r *rpcproto.Reply, waiting bool, err error) {
+	for {
+		var msg rpcproto.Msg
+		ok, expired := false, false
+		if ip.timeout > 0 {
+			msg, ok, expired = ip.ep.TakeTimeout(d, ip.timeout)
+		} else {
+			msg, ok = ip.ep.Take(d)
+		}
+		if !ok {
+			return nil, !expired, nil
+		}
+		r, isReply := msg.(*rpcproto.Reply)
+		switch seq := ip.out.Seq; {
+		case !isReply:
+			return nil, false, fmt.Errorf("interpose: unexpected message %T", msg)
+		case r.Seq == seq:
+			ip.lastCall, ip.lastReply = ip.out, r
+			return r, false, r.AsError()
+		case r.Seq > seq || ip.rec.timeouts == 0:
+			return nil, false, fmt.Errorf("interpose: reply %d does not answer call %d", r.Seq, seq)
+		}
+	}
+}
+
+// connect opens the connection to the bound GPU's backend. Retransmits retain
+// frames past their round trip, so under a call timeout neither side recycles.
 func (ip *Interposer) connect() {
 	ip.ep = ip.fab.ConnectBackend(ip.gid)
-	if ip.rec.cfg.Enabled() {
+	if ip.timeout > 0 {
 		ip.ep.RetainFrames()
 	}
 	ip.pool = ip.ep.Pool()

@@ -132,7 +132,7 @@ func drive(sync bool, setup func(f *fakeFabric, ip *Interposer), ops []cuda.Op,
 	k := sim.NewKernel(1)
 	f := newFakeFabric(k)
 	var ip Interposer
-	ip.Init(f, k, 9, 3, 2, "MC", 0, !sync)
+	ip.Init(f, k, 9, 3, 2, "MC", 0, !sync, 0)
 	if setup != nil {
 		setup(f, &ip)
 	}
@@ -367,8 +367,8 @@ func TestEventCallsForwarded(t *testing.T) {
 	}
 }
 
-// A reply whose Seq is not the blocking call's fails the call: outside
-// recovery mode nothing retransmits, so no later reply would answer it.
+// A reply whose Seq is not the blocking call's fails the call: before any
+// call timed out nothing retransmits, so no later reply would answer it.
 func TestReplySeqMismatchFailsTheCall(t *testing.T) {
 	finished := false
 	stale := func(f *fakeFabric, ip *Interposer) { f.stale = cuda.CallMalloc }

@@ -1,7 +1,7 @@
 package interpose
 
 import (
-	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/balancer"
@@ -10,21 +10,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// Recovery configures the interposer's failure handling. The zero value
-// disables it entirely: no timeouts are armed, no bookkeeping runs, and the
-// interposer behaves bit-identically to the pre-fault-tolerance code. With
-// a CallTimeout set, every blocking RPC is guarded by a virtual-time
-// timeout; idempotent calls are retransmitted with capped exponential
-// backoff, and once the affinity mapper declares the backend Dead the
-// interposer fails over to a replacement GPU, re-registers, replays its
-// surviving state (allocations, streams, events) and re-issues the pending
-// call. Non-retryable calls on a lost backend surface cuda.ErrBackendLost.
-type Recovery struct {
-	// CallTimeout bounds each blocking call's wait for a reply. 0 disables
-	// recovery.
-	CallTimeout sim.Time
-}
 
 const (
 	// maxRetries is how many times a timed-out idempotent call is
@@ -38,9 +23,6 @@ const (
 	backoffCap  = 50 * sim.Millisecond
 )
 
-// Enabled reports whether recovery is on.
-func (r Recovery) Enabled() bool { return r.CallTimeout > 0 }
-
 // vPtr is one client-visible allocation's mapping onto the current backend.
 type vPtr struct {
 	bid  int64 // backend pointer id
@@ -48,13 +30,19 @@ type vPtr struct {
 	dev  int32
 }
 
-// recState is the interposer's failure-handling state. In recovery mode the
-// ids handed to the application are virtual: the interposer owns the
-// namespace so that resources re-created on a replacement backend keep
-// their client-visible identity.
+// recState is the interposer's failure handling, armed by a call timeout
+// (Init); without one no bookkeeping runs and no wait is timed. With one,
+// every blocking RPC's wait for its reply is bounded by it; idempotent calls
+// are retransmitted with capped exponential backoff, and once the affinity
+// mapper declares the backend Dead the interposer fails over to a replacement
+// GPU, re-registers, replays its surviving state (allocations, streams,
+// events) and re-issues the pending call. Non-retryable calls on a lost
+// backend surface cuda.ErrBackendLost. Every frame, a call's and a replay's,
+// goes out through the one send path (step.go). The ids handed to the
+// application are virtual: the interposer owns the namespace so that
+// resources re-created on a replacement backend keep their client-visible
+// identity.
 type recState struct {
-	cfg Recovery
-
 	ptrs    map[int64]*vPtr // virtual ptr id → backend mapping
 	streams map[int32]int32 // virtual stream id → backend stream id
 	events  map[int32]int32 // virtual event id → backend event id
@@ -66,10 +54,8 @@ type recState struct {
 	failovers int
 	disrupted bool // a timeout occurred since the last acknowledged success
 
-	// The call in flight's: the frame last sent (its wire form, or a
-	// replay call), the sends so far and the wait before the next
+	// The call in flight's sends so far and the wait before the next
 	// retransmit.
-	wire    *rpcproto.Call
 	sends   int
 	backoff sim.Time
 
@@ -90,21 +76,6 @@ type recState struct {
 type replayCall struct {
 	id  cuda.CallID
 	vid int64
-}
-
-// SetRecovery arms (or disarms) failure handling. Call before the first
-// CUDA call.
-func (ip *Interposer) SetRecovery(r Recovery) {
-	if !r.Enabled() {
-		ip.rec = recState{}
-		return
-	}
-	ip.rec = recState{
-		cfg:     r,
-		ptrs:    make(map[int64]*vPtr),
-		streams: make(map[int32]int32),
-		events:  make(map[int32]int32),
-	}
 }
 
 // Disrupted reports whether the application was touched by a backend
@@ -131,7 +102,7 @@ func retryable(id cuda.CallID) bool {
 
 // internPtr assigns (or refreshes) the virtual id for a backend allocation.
 func (ip *Interposer) internPtr(r *rpcproto.Reply) cuda.Ptr {
-	if !ip.rec.cfg.Enabled() {
+	if ip.timeout == 0 {
 		return cuda.Ptr{Dev: int(r.PtrDev), ID: r.PtrID, Size: r.PtrSize}
 	}
 	ip.rec.nextPtr++
@@ -142,7 +113,7 @@ func (ip *Interposer) internPtr(r *rpcproto.Reply) cuda.Ptr {
 
 // internStream assigns the virtual id for a backend stream.
 func (ip *Interposer) internStream(bid int32) cuda.StreamID {
-	if !ip.rec.cfg.Enabled() {
+	if ip.timeout == 0 {
 		return cuda.StreamID(bid)
 	}
 	ip.rec.nextStr++
@@ -153,31 +124,13 @@ func (ip *Interposer) internStream(bid int32) cuda.StreamID {
 
 // internEvent assigns the virtual id for a backend event.
 func (ip *Interposer) internEvent(bid int32) cuda.EventID {
-	if !ip.rec.cfg.Enabled() {
+	if ip.timeout == 0 {
 		return cuda.EventID(bid)
 	}
 	ip.rec.nextEvt++
 	vid := ip.rec.nextEvt
 	ip.rec.events[vid] = bid
 	return cuda.EventID(vid)
-}
-
-// forgetPtr / forgetStream / forgetEvent drop destroyed resources from the
-// replay tables.
-func (ip *Interposer) forgetPtr(vid int64) {
-	if ip.rec.cfg.Enabled() {
-		delete(ip.rec.ptrs, vid)
-	}
-}
-func (ip *Interposer) forgetStream(vid cuda.StreamID) {
-	if ip.rec.cfg.Enabled() {
-		delete(ip.rec.streams, int32(vid))
-	}
-}
-func (ip *Interposer) forgetEvent(vid cuda.EventID) {
-	if ip.rec.cfg.Enabled() {
-		delete(ip.rec.events, int32(vid))
-	}
 }
 
 // wireCall rewrites a call's virtual resource ids into the current
@@ -210,52 +163,10 @@ func (ip *Interposer) wireCall(c *rpcproto.Call) *rpcproto.Call {
 }
 
 // recover runs the recovery stages of the call in flight (see stage) and
-// reports false once it ended d's step in a wait. Non-blocking calls fire and
-// forget; blocking calls are guarded by the call timeout, retransmitted if
-// idempotent, and failed over once the mapper declares the backend Dead.
-// While a failover replays, the frame sent is the replay call in flight.
+// reports false once it ended d's step in a wait.
 func (ip *Interposer) recover(d *sim.Daemon) bool {
 	rec := &ip.rec
 	switch ip.at {
-	case relSend:
-		rec.wire, ip.at = ip.wireCall(ip.inflight), txPaying
-	case txPaying:
-		ip.at = txPosting
-		if cost := ip.ep.Cost(rec.wire, rec.wire.PayloadBytes()); cost > 0 {
-			d.Sleep(cost)
-			return false
-		}
-	case txPosting:
-		ip.ep.Post(rec.wire)
-		ip.at = txReplying
-		if !rec.failing {
-			rec.sends++
-			if !ip.blocking {
-				ip.finish(nil, nil)
-			}
-		}
-	case txReplying:
-		r, waiting, err := ip.await(d, rec.wire.Seq)
-		switch {
-		case waiting:
-			return false
-		case rec.failing:
-			return ip.replayed(d, r, err)
-		case r != nil || err != nil:
-			if r != nil && rec.disrupted {
-				rec.disrupted = false
-				ip.fab.ReportRecovered(ip.gid)
-			}
-			ip.finish(r, err)
-		default:
-			// Timed out: feed the failure detector, then decide between a
-			// retransmit on the same connection and a failover.
-			rec.timeouts++
-			rec.disrupted = true
-			ip.tr.Event(trace.KRetry, ip.k.Now(), ip.inflight.ID.String(), ip.appID, int(ip.gid), int64(rec.sends))
-			ip.at = relVerdict
-			return ip.reportFailure(d)
-		}
 	case relVerdict:
 		switch {
 		case ip.health == balancer.Dead:
@@ -264,7 +175,7 @@ func (ip *Interposer) recover(d *sim.Daemon) bool {
 		case !retryable(ip.inflight.ID) || rec.sends > maxRetries:
 			ip.finish(nil, cuda.ErrBackendLost)
 		default:
-			ip.at = relSend
+			ip.send()
 			d.Sleep(rec.backoff)
 			rec.backoff = min(2*rec.backoff, backoffCap)
 			return false
@@ -276,27 +187,15 @@ func (ip *Interposer) recover(d *sim.Daemon) bool {
 	return true
 }
 
-// await takes the reply to the call numbered seq, waiting at most the call
-// timeout: the reply with its error, an error for a stream that cannot carry
-// it, neither once the timeout expired, or waiting while d's step ends in the
-// wait. A stale reply from a retransmitted earlier call is skipped, and the
-// next waited for afresh.
-func (ip *Interposer) await(d *sim.Daemon, seq uint64) (r *rpcproto.Reply, waiting bool, err error) {
-	for {
-		msg, ok, expired := ip.ep.TakeTimeout(d, ip.rec.cfg.CallTimeout)
-		if !ok {
-			return nil, !expired, nil
-		}
-		r, isReply := msg.(*rpcproto.Reply)
-		switch {
-		case !isReply:
-			return nil, false, fmt.Errorf("interpose: unexpected message %T", msg)
-		case r.Seq == seq:
-			return r, false, r.AsError()
-		case r.Seq > seq:
-			return nil, false, fmt.Errorf("interpose: reply %d overtook call %d", r.Seq, seq)
-		}
-	}
+// timedOut feeds the failure detector the call in flight's timeout and ends
+// d's step waiting for the verdict, on which relVerdict chooses between a
+// retransmit on the same connection and a failover.
+func (ip *Interposer) timedOut(d *sim.Daemon) bool {
+	ip.rec.timeouts++
+	ip.rec.disrupted = true
+	ip.tr.Event(trace.KRetry, ip.k.Now(), ip.inflight.ID.String(), ip.appID, int(ip.gid), int64(ip.rec.sends))
+	ip.at = relVerdict
+	return ip.reportFailure(d)
 }
 
 // reportFailure posts a failure report against the bound GPU and ends d's step
@@ -332,36 +231,29 @@ func (ip *Interposer) rebind() {
 	rec := &ip.rec
 	ip.connect()
 	rec.replay = append(rec.replay[:0], replayCall{id: cuda.CallSetDevice})
-	for _, vid := range sortedKeys(rec.streams) {
+	for _, vid := range slices.Sorted(maps.Keys(rec.streams)) {
 		rec.replay = append(rec.replay, replayCall{cuda.CallStreamCreate, int64(vid)})
 	}
-	ptrs := make([]int64, 0, len(rec.ptrs))
-	for vid := range rec.ptrs {
-		ptrs = append(ptrs, vid)
-	}
-	slices.Sort(ptrs)
-	for _, vid := range ptrs {
+	for _, vid := range slices.Sorted(maps.Keys(rec.ptrs)) {
 		rec.replay = append(rec.replay, replayCall{cuda.CallMalloc, vid})
 	}
-	for _, vid := range sortedKeys(rec.events) {
+	for _, vid := range slices.Sorted(maps.Keys(rec.events)) {
 		rec.replay = append(rec.replay, replayCall{cuda.CallEventCreate, int64(vid)})
 	}
 	ip.replayNext()
 }
 
-// replayNext sends the next replay call, never retried: a failure moves the
-// failover on to the next candidate.
+// replayNext makes the next replay call the frame that goes out, never
+// retried: a failure moves the failover on to the next candidate.
 func (ip *Interposer) replayNext() {
-	rec := &ip.rec
-	next := rec.replay[0]
-	rec.wire = ip.newCall(next.id)
+	next := ip.rec.replay[0]
+	ip.out, ip.at = ip.newCall(next.id), paying
 	switch next.id {
 	case cuda.CallSetDevice:
-		rec.wire.Dev, rec.wire.KernelName = int32(ip.gid), ip.kind
+		ip.out.Dev, ip.out.KernelName = int32(ip.gid), ip.kind
 	case cuda.CallMalloc:
-		rec.wire.Bytes = rec.ptrs[next.vid].size
+		ip.out.Bytes = ip.rec.ptrs[next.vid].size
 	}
-	ip.at = txPaying
 }
 
 // replayed takes the outcome of the replay call in flight — its reply r, an
@@ -411,16 +303,6 @@ func (ip *Interposer) replayed(d *sim.Daemon, r *rpcproto.Reply, err error) bool
 	ip.seq++
 	ip.inflight.Seq = ip.seq
 	rec.sends, rec.backoff = 0, backoffBase
-	ip.at = relSend
+	ip.send()
 	return true
-}
-
-// sortedKeys returns a virtual-id table's keys in ascending order.
-func sortedKeys(m map[int32]int32) []int32 {
-	ks := make([]int32, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	slices.Sort(ks)
-	return ks
 }

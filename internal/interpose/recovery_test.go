@@ -114,8 +114,7 @@ func driveRecovery(n int, gids []balancer.GID, setup func(f *failFabric, ip *Int
 		f.backends = append(f.backends, startScriptedBackend(k, "backend"))
 	}
 	var ip Interposer
-	ip.Init(f, k, 9, 3, 2, "MC", 0, true)
-	ip.SetRecovery(Recovery{CallTimeout: 10 * sim.Millisecond})
+	ip.Init(f, k, 9, 3, 2, "MC", 0, true, 10*sim.Millisecond)
 	if setup != nil {
 		setup(f, &ip)
 	}
@@ -127,7 +126,7 @@ var deviceSync = cuda.Op{ID: cuda.CallDeviceSync}
 
 func TestRecoveryDisabledIsUntouched(t *testing.T) {
 	f := driveRecovery(1, []balancer.GID{0}, func(f *failFabric, ip *Interposer) {
-		ip.SetRecovery(Recovery{}) // disarm again
+		ip.Init(f, ip.k, 9, 3, 2, "MC", 0, true, 0) // disarm again
 	}, []cuda.Op{setDevice, deviceSync}, func(f *failFabric, ip *Interposer, i int, r cuda.Ret, err error) {
 		if i == 1 && err != nil {
 			t.Errorf("DeviceSynchronize: %v", err)

@@ -17,16 +17,12 @@ const (
 	selPost                // post the selection, wait for the verdict
 	selBack                // wait out the link back
 	binding                // connect and register, or, failing over, replay
-	marshal                // pay the call's marshalling cost
-	paying                 // pay its transfer
+	marshal                // ready the frame that goes out, pay the marshalling cost
+	paying                 // pay the frame's transfer
 	posting                // post it
-	replying               // wait for its reply
+	replying               // wait for its reply, at most the call timeout
 
 	// Recovery (recovery.go).
-	relSend    // the call's wire form goes out next
-	txPaying   // pay the transfer of the frame going out
-	txPosting  // post it
-	txReplying // wait for its reply, at most the call timeout
 	relVerdict // the call timed out: act on the failure report's verdict
 	rpFailed   // a replay failed: its failure report is in, try another device
 )
@@ -97,31 +93,42 @@ func (ip *Interposer) Await(d *sim.Daemon) bool {
 			}
 			ip.start(ip.bind(ip.span), true)
 		case marshal:
-			ip.at = paying
-			if ip.rec.cfg.Enabled() {
-				ip.at = relSend
-			}
+			ip.send()
 			d.Sleep(MarshalOverhead)
 			return false
 		case paying:
 			ip.at = posting
-			if cost := ip.ep.Cost(ip.inflight, ip.inflight.PayloadBytes()); cost > 0 {
+			if cost := ip.ep.Cost(ip.out, ip.out.PayloadBytes()); cost > 0 {
 				d.Sleep(cost)
 				return false
 			}
 		case posting:
-			ip.ep.Post(ip.inflight)
-			if !ip.blocking {
-				ip.finish(nil, nil)
-				break
-			}
+			ip.ep.Post(ip.out)
 			ip.at = replying
-		case replying:
-			msg, ok := ip.ep.Take(d)
-			if !ok {
-				return false
+			if !ip.rec.failing { // a replay call is not the call in flight
+				ip.rec.sends++
+				if !ip.blocking {
+					ip.finish(nil, nil)
+				}
 			}
-			ip.finish(ip.received(ip.inflight, msg))
+		case replying:
+			r, waiting, err := ip.await(d)
+			switch {
+			case waiting:
+				return false
+			case ip.rec.failing:
+				if !ip.replayed(d, r, err) {
+					return false
+				}
+			case r == nil && err == nil:
+				return ip.timedOut(d)
+			default:
+				if r != nil && ip.rec.disrupted {
+					ip.rec.disrupted = false
+					ip.fab.ReportRecovered(ip.gid)
+				}
+				ip.finish(r, err)
+			}
 		default:
 			if !ip.recover(d) {
 				return false
@@ -148,16 +155,16 @@ func (ip *Interposer) finish(r *rpcproto.Reply, err error) {
 		if err == nil {
 			ip.ret.Ptr = ip.internPtr(r)
 		}
-	case cuda.CallFree:
+	case cuda.CallFree: // the virtual-id tables are nil unless recovery is armed
 		if err == nil { // a non-blocking send reports no error: the call went out
-			ip.forgetPtr(op.Ptr.ID)
+			delete(ip.rec.ptrs, op.Ptr.ID)
 		}
 	case cuda.CallStreamCreate:
 		if err == nil {
 			ip.ret.Stream = ip.internStream(r.Stream)
 		}
 	case cuda.CallStreamDestroy:
-		ip.forgetStream(op.Stream)
+		delete(ip.rec.streams, int32(op.Stream))
 	case cuda.CallEventCreate:
 		if err == nil {
 			ip.ret.Event = ip.internEvent(r.Event)
@@ -167,7 +174,7 @@ func (ip *Interposer) finish(r *rpcproto.Reply, err error) {
 			ip.ret.Elapsed = sim.Time(r.Elapsed)
 		}
 	case cuda.CallEventDestroy:
-		ip.forgetEvent(op.Event)
+		delete(ip.rec.events, int32(op.Event))
 	case cuda.CallThreadExit:
 		ip.exit(r)
 	}

@@ -43,8 +43,8 @@ type stepRun struct {
 
 // runStepOps makes stepOps on an interposer one hop from the mapper, over a
 // shared-memory link that charges for the payload, with a recorder, through
-// Issue and Await on a daemon.
-func runStepOps(t *testing.T, async bool) stepRun {
+// Issue and Await on a daemon, under the given call timeout.
+func runStepOps(t *testing.T, async bool, timeout sim.Time) stepRun {
 	t.Helper()
 	k := sim.NewKernel(1)
 	defer k.Close()
@@ -55,7 +55,7 @@ func runStepOps(t *testing.T, async bool) stepRun {
 	rec := trace.New()
 	var out stepRun
 	var ip Interposer
-	ip.Init(f, k, 9, 3, 2, "MC", 0, async)
+	ip.Init(f, k, 9, 3, 2, "MC", 0, async, timeout)
 	ip.SetTrace(rec, 0)
 	run(k, &ip, stepOps, func(i int, r cuda.Ret, err error) {
 		msg := ""
@@ -86,22 +86,33 @@ func (r stepRun) digest() string {
 // and Await, under Strings and under Rain, leaves what the blocking methods it
 // replaced left on a process: the calls the backend got, the instant each
 // call ended with its result, the feedback relayed and the spans recorded —
-// pinned as the digests of those runs.
+// pinned as the digests of those runs. Armed with a call timeout that no
+// reply outlasts, it leaves the same, but for the virtual id 1 that Malloc
+// hands the application for the backend's 77.
 func TestStepperMatchesBlockingCalls(t *testing.T) {
 	for _, tc := range []struct {
-		async bool
-		want  string
+		async   bool
+		timeout sim.Time
+		want    string
 	}{
-		{true, "eea3d0f8e761b898aef7892aac380235bbdfb832460281c7cdd48f189ad5dbe4"},
-		{false, "8c80750fbfa2f782217ba4fdc20cd3ae07112dfca9bd73d13582658dcd4661c5"},
+		{true, 0, "eea3d0f8e761b898aef7892aac380235bbdfb832460281c7cdd48f189ad5dbe4"},
+		{false, 0, "8c80750fbfa2f782217ba4fdc20cd3ae07112dfca9bd73d13582658dcd4661c5"},
+		{true, 60 * sim.Second, "eea3d0f8e761b898aef7892aac380235bbdfb832460281c7cdd48f189ad5dbe4"},
+		{false, 60 * sim.Second, "8c80750fbfa2f782217ba4fdc20cd3ae07112dfca9bd73d13582658dcd4661c5"},
 	} {
-		got := runStepOps(t, tc.async)
+		got := runStepOps(t, tc.async, tc.timeout)
+		if tc.timeout > 0 {
+			if got.ptrs[1].ID != 1 {
+				t.Fatalf("async %v, timeout %v: Malloc returned %+v, want virtual id 1", tc.async, tc.timeout, got.ptrs[1])
+			}
+			got.ptrs[1].ID = stepBuf.ID
+		}
 		if d := got.digest(); d != tc.want {
-			t.Fatalf("async %v: digest %s, want %s, of %+v", tc.async, d, tc.want, got)
+			t.Fatalf("async %v, timeout %v: digest %s, want %s, of %+v", tc.async, tc.timeout, d, tc.want, got)
 		}
 		if len(got.received) != 8 || len(got.selected) != 1 || len(got.feedback) != 1 || got.errs[9] != cuda.ErrThreadExited.Error() {
-			t.Fatalf("async %v: %d calls, %d selections, %d feedbacks, errors %q: the run did not go as scripted",
-				tc.async, len(got.received), len(got.selected), len(got.feedback), got.errs)
+			t.Fatalf("async %v, timeout %v: %d calls, %d selections, %d feedbacks, errors %q: the run did not go as scripted",
+				tc.async, tc.timeout, len(got.received), len(got.selected), len(got.feedback), got.errs)
 		}
 	}
 }

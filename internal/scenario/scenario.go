@@ -28,7 +28,6 @@ import (
 	"repro/internal/devsched"
 	"repro/internal/faults"
 	"repro/internal/gpu"
-	"repro/internal/interpose"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -334,8 +333,8 @@ func (s Scenario) Core() (core.Config, []workload.StreamSpec) {
 	cfg := core.Config{
 		Seed: s.Seed, Nodes: s.Fleet, Mode: s.Mode, Balance: s.Balance,
 		DevPolicy: s.Dev, BlockOnOOM: s.BlockOnOOM, Faults: s.Faults,
-		Sched:    devsched.Config{LASDecay: s.LASDecay, AccountingLag: s.AcctLag},
-		Recovery: interpose.Recovery{CallTimeout: s.Timeout},
+		Sched:       devsched.Config{LASDecay: s.LASDecay, AccountingLag: s.AcctLag},
+		CallTimeout: s.Timeout,
 	}
 	if s.LinkBW > 0 {
 		cfg.RemoteLink = rpcproto.LinkSpec{Latency: rpcproto.RemoteLink.Latency, Bandwidth: s.LinkBW}

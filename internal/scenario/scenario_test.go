@@ -10,7 +10,6 @@ import (
 	"repro/internal/devsched"
 	"repro/internal/faults"
 	"repro/internal/gpu"
-	"repro/internal/interpose"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -88,10 +87,10 @@ func TestParseBuilds(t *testing.T) {
 	tesla.ContextSwitch, tesla.CopyEngines, quadro.CopyEngines = 0, 1, 2
 	want = core.Config{
 		Seed: 1, Mode: core.ModeStrings, Balance: "GMin", DevPolicy: "none",
-		Nodes:      []core.NodeConfig{{Devices: []gpu.Spec{tesla}}, {Devices: []gpu.Spec{quadro}}},
-		RemoteLink: rpcproto.LinkSpec{Latency: rpcproto.RemoteLink.Latency, Bandwidth: 125},
-		Sched:      devsched.Config{LASDecay: 0.5, AccountingLag: 50 * sim.Millisecond},
-		Recovery:   interpose.Recovery{CallTimeout: 60 * sim.Second},
+		Nodes:       []core.NodeConfig{{Devices: []gpu.Spec{tesla}}, {Devices: []gpu.Spec{quadro}}},
+		RemoteLink:  rpcproto.LinkSpec{Latency: rpcproto.RemoteLink.Latency, Bandwidth: 125},
+		Sched:       devsched.Config{LASDecay: 0.5, AccountingLag: 50 * sim.Millisecond},
+		CallTimeout: 60 * sim.Second,
 	}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Errorf("Core() = %+v\nwant %+v", cfg, want)
