@@ -135,8 +135,9 @@ bench:
 # worker pool, the kernel, the shard coordinator, the analysis framework, the device model, the device scheduler, the
 # Affinity Mapper, the cluster tier, core, the fault injector, the
 # application models, the report renderer, the experiment runners, the
-# scenario text form, and the marshalled-call path: CUDA interposer, cuda
-# runtime, wire protocol and executor, Context Packer, the TCP wire probe)
+# text forms (textform's key table, the scenario), and the marshalled-call
+# path: CUDA interposer, cuda runtime, wire protocol and executor, Context
+# Packer, the TCP wire probe)
 # drops below 85% statement coverage, read off go test's own per-package
 # figure (a package's own statements: analysis gates the framework, not its
 # driver/ and load/). The device scheduler's reference policies live in
@@ -147,7 +148,7 @@ cover:
 	$(GO) test -coverprofile=$(BIN)/cover.out ./internal/... > $(BIN)/cover.txt; \
 		status=$$?; cat $(BIN)/cover.txt; exit $$status
 	@awk -v min=85 -v pkgs="trace sweep parallel sim sim/shard analysis gpu cluster core cuda rpcproto \
-		packer remoting devsched balancer faults interpose workload report experiments scenario" ' \
+		packer remoting devsched balancer faults interpose workload report experiments scenario textform" ' \
 		BEGIN { n = split(pkgs, p, " "); for (i = 1; i <= n; i++) gated["repro/internal/" p[i]] = 1 } \
 		/coverage:/ { for (i = 1; i <= NF; i++) if ($$i in gated) { pct = $$(NF-2); sub("%", "", pct); \
 			seen[$$i] = 1; if (pct + 0 < min) { print "cover: " $$i " at " pct "%, below " min "%"; bad = 1 } } } \
@@ -157,9 +158,10 @@ cover:
 # Short fuzz pass over every native fuzz target: the kernel's schedule
 # against its one-heap reference, a frontend script on a fresh cluster against
 # the same script on a warm arena slab after another, the wire codec, the
-# framing layer, the trace encoders and the arrival and scenario text forms
-# each get 10s of coverage-guided input on top of the committed corpus under
-# testdata/fuzz/.
+# framing layer (the one frame reader, the TCP backend's too), the trace
+# encoders and the arrival and scenario text forms (both driving textform's
+# one key table) each get 10s of coverage-guided input on top of the
+# committed corpus under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelSchedule -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzFrontendSteps -fuzztime 10s ./internal/core/

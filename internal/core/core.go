@@ -107,8 +107,8 @@ type Config struct {
 
 	// Traces, when non-nil, memoizes materialized arrival traces so cells
 	// that replay the same workload stream share one immutable slice
-	// instead of regenerating it per run. Derivation is bit-identical to
-	// the inline path (workload.StreamSeed).
+	// instead of regenerating it per run; a nil book derives each trace
+	// the same way, uncached.
 	Traces *workload.TraceBook
 
 	// Shards chooses how the one control-plane model executes, never what

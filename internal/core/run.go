@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 
@@ -295,14 +294,7 @@ func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 		a.nameFn, a.stepFn = a.name, a.step
 		e.made.arrivals = append(e.made.arrivals, a) // bounded by peak streams
 	}
-	if c.cfg.Traces != nil {
-		// Shared immutable trace; the book derives it with the same seed
-		// formula, so the two paths are bit-identical.
-		a.times = c.cfg.Traces.Arrivals(c.cfg.Seed, si, s)
-	} else {
-		rng := rand.New(rand.NewSource(workload.StreamSeed(c.cfg.Seed, si)))
-		a.times = s.Arrivals(rng)
-	}
+	a.times = c.cfg.Traces.Arrivals(c.cfg.Seed, si, s) // shared and read-only when the book is set
 	a.e, a.s, a.si, a.i = e, s, si, 0
 	e.k.StartDaemon(&a.d, a.nameFn, a.stepFn)
 }

@@ -62,10 +62,8 @@ func (b *TCPBackend) ServeConn(rw io.ReadWriter) (err error) {
 	sess := newTCPSession(b.Spec)
 	defer sess.k.Close() // unwinds the session process, parked on its next call
 	fr := rpcproto.NewFrameReader(rw)
-	defer fr.Close()
-	fw := rpcproto.NewFrameWriter(rw)
-	defer fw.Close()
 	var call rpcproto.Call
+	var out []byte // the session's encode buffer, one reply at a time
 	for {
 		body, err := fr.Next()
 		if err != nil {
@@ -81,7 +79,10 @@ func (b *TCPBackend) ServeConn(rw io.ReadWriter) (err error) {
 		if call.NonBlocking {
 			continue
 		}
-		if err := fw.WriteReply(reply); err != nil {
+		if out, err = rpcproto.AppendReply(out[:0], reply); err != nil {
+			return err
+		}
+		if _, err := rw.Write(out); err != nil {
 			return err
 		}
 		if call.ID == cuda.CallThreadExit {

@@ -8,7 +8,7 @@ import (
 )
 
 // Oversized strings must fail the encode loudly instead of truncating the
-// field on the wire (the old encoder silently wrote a zero-length string).
+// field on the wire, and hand dst back as it was: no partial frame is written.
 func TestEncodeStringTooLong(t *testing.T) {
 	long := strings.Repeat("x", 1<<16)
 
@@ -19,8 +19,8 @@ func TestEncodeStringTooLong(t *testing.T) {
 	}
 
 	r := &Reply{Seq: 1, Err: long}
-	if _, err := AppendReply(nil, r); !errors.Is(err, ErrStringTooLong) {
-		t.Fatalf("oversized reply Err: err = %v, want ErrStringTooLong", err)
+	if out, err := AppendReply([]byte("prefix"), r); !errors.Is(err, ErrStringTooLong) || string(out) != "prefix" {
+		t.Fatalf("oversized reply Err: %q, %v; want the prefix back and ErrStringTooLong", out, err)
 	}
 
 	r = &Reply{Seq: 1, Feedback: &Feedback{Kind: long}}
@@ -44,54 +44,16 @@ func TestEncodeStringTooLong(t *testing.T) {
 	}
 }
 
-// A FrameWriter error on an oversized string must leave the stream clean: no
-// partial frame may reach the underlying writer.
-func TestFrameWriterOversizedLeavesStreamClean(t *testing.T) {
-	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	defer fw.Close()
-	bad := &Reply{Seq: 1, Err: strings.Repeat("x", 1<<16)}
-	if err := fw.WriteReply(bad); !errors.Is(err, ErrStringTooLong) {
-		t.Fatalf("WriteReply err = %v, want ErrStringTooLong", err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("%d bytes leaked to the stream after a failed encode", buf.Len())
-	}
-	if err := fw.WriteReply(&Reply{Seq: 2}); err != nil {
-		t.Fatal(err)
-	}
-	fr := NewFrameReader(&buf)
-	defer fr.Close()
-	body, err := fr.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Reply
-	if err := DecodeReplyInto(&got, body, &fr.Names); err != nil {
-		t.Fatal(err)
-	}
-	if got.Seq != 2 {
-		t.Fatalf("Seq = %d after recovery", got.Seq)
-	}
-}
-
-// FrameWriter/FrameReader round trip a mixed sequence of calls and replies
-// through their reusable buffers.
+// A FrameReader reads back, through its reusable buffer, a mixed sequence of
+// calls and replies that AppendCall and AppendReply wrote.
 func TestFrameReaderWriterRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	defer fw.Close()
 	fr := NewFrameReader(&buf)
-	defer fr.Close()
-
 	for i := 0; i < 10; i++ {
 		c := sampleCall()
 		c.Seq = uint64(i)
 		buf.Write(mustEncodeCall(t, c))
-		if err := fw.WriteReply(&Reply{Seq: uint64(i), Err: "x",
-			Feedback: &Feedback{AppID: int64(i), Kind: "MC"}}); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(mustEncodeReply(t, &Reply{Seq: uint64(i), Err: "x", Feedback: &Feedback{AppID: int64(i), Kind: "MC"}}))
 	}
 	var call Call
 	var reply Reply
@@ -199,29 +161,26 @@ func BenchmarkDecodeCallInto(b *testing.B) {
 }
 
 // BenchmarkFrameRoundTrip pushes a call and a feedback-bearing reply through
-// FrameWriter → FrameReader each iteration. After warmup (buffer growth,
-// interner fill) the loop must be allocation-free.
+// AppendCall/AppendReply → FrameReader each iteration. After warmup (buffer
+// growth, interner fill) the loop must be allocation-free.
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	defer fw.Close()
 	fr := NewFrameReader(&buf)
-	defer fr.Close()
 	c := sampleCall()
 	rep := &Reply{Seq: 9, Feedback: &Feedback{AppID: 7, Kind: "MC", MemBW: 0.5}}
 	var gotC Call
 	var gotR Reply
-	var cbuf []byte
+	var out []byte
 	iter := func() {
 		buf.Reset()
 		var err error
-		if cbuf, err = AppendCall(cbuf[:0], c); err != nil {
+		if out, err = AppendCall(out[:0], c); err != nil {
 			b.Fatal(err)
 		}
-		buf.Write(cbuf)
-		if err := fw.WriteReply(rep); err != nil {
+		if out, err = AppendReply(out, rep); err != nil {
 			b.Fatal(err)
 		}
+		buf.Write(out)
 		body, err := fr.Next()
 		if err != nil {
 			b.Fatal(err)

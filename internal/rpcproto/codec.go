@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"repro/internal/cuda"
 	"repro/internal/sim"
@@ -197,7 +196,8 @@ func AppendCall(dst []byte, c *Call) ([]byte, error) {
 }
 
 // AppendReply appends r's framed encoding to dst and returns the extended
-// buffer. With sufficient capacity in dst it does not allocate.
+// buffer. With sufficient capacity in dst it does not allocate. On an error
+// it returns dst as it was, so a failed encode writes no partial frame.
 func AppendReply(dst []byte, r *Reply) ([]byte, error) {
 	start := len(dst)
 	w := &wbuf{b: append(dst, 0, 0, 0, 0)}
@@ -328,83 +328,26 @@ func WriteFrame(w io.Writer, frame []byte) error {
 }
 
 // ReadFrame reads one frame body (without length prefix) from r into a fresh
-// buffer. Steady-state readers should use FrameReader, which reuses its
+// buffer. Steady-state readers should keep a FrameReader, which reuses its
 // buffer across frames.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrame {
-		return nil, fmt.Errorf("%w: frame length %d", ErrCorruptFrame, n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
+func ReadFrame(r io.Reader) ([]byte, error) { return NewFrameReader(r).Next() }
 
-// bufPool recycles frame buffers across FrameReader/FrameWriter lifetimes so
-// per-connection sessions (one remoting session per accepted conn) reuse
-// steady-state buffers instead of regrowing them.
-var bufPool = sync.Pool{
-	New: func() interface{} {
-		b := make([]byte, 0, 512)
-		return &b
-	},
-}
-
-// FrameWriter writes framed messages to an io.Writer through a reusable,
-// pool-backed encode buffer: steady-state writes perform zero allocations.
-type FrameWriter struct {
-	w   io.Writer
-	buf *[]byte
-}
-
-// NewFrameWriter returns a writer over w.
-func NewFrameWriter(w io.Writer) *FrameWriter {
-	return &FrameWriter{w: w, buf: bufPool.Get().(*[]byte)}
-}
-
-// WriteReply encodes and writes one reply frame.
-func (fw *FrameWriter) WriteReply(r *Reply) error {
-	b, err := AppendReply((*fw.buf)[:0], r)
-	*fw.buf = b[:0]
-	if err != nil {
-		return err
-	}
-	_, err = fw.w.Write(b)
-	return err
-}
-
-// Close returns the encode buffer to the pool. The writer must not be used
-// afterwards.
-func (fw *FrameWriter) Close() {
-	if fw.buf != nil {
-		bufPool.Put(fw.buf)
-		fw.buf = nil
-	}
-}
-
-// FrameReader reads framed messages from an io.Reader through a reusable,
-// pool-backed body buffer. The slice returned by Next is valid only until
-// the following Next call.
+// FrameReader reads framed messages from an io.Reader into a buffer it
+// reuses. The slice returned by Next is valid only until the following Next
+// call.
 type FrameReader struct {
 	r     io.Reader
-	buf   *[]byte
+	buf   []byte
 	hdr   [4]byte
 	Names Interner // shared string table for DecodeCallInto/DecodeReplyInto
 }
 
 // NewFrameReader returns a reader over r.
-func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{r: r, buf: bufPool.Get().(*[]byte)}
-}
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 
 // Next reads one frame body (without the length prefix) into the reader's
-// buffer and returns it. Steady-state reads perform zero allocations.
+// buffer and returns it. Once the buffer has grown to the largest frame,
+// reads perform zero allocations.
 func (fr *FrameReader) Next() ([]byte, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return nil, err
@@ -413,21 +356,12 @@ func (fr *FrameReader) Next() ([]byte, error) {
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("%w: frame length %d", ErrCorruptFrame, n)
 	}
-	if cap(*fr.buf) < int(n) {
-		*fr.buf = make([]byte, n)
+	if cap(fr.buf) < int(n) {
+		fr.buf = make([]byte, n)
 	}
-	body := (*fr.buf)[:n]
+	body := fr.buf[:n]
 	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return nil, err
 	}
 	return body, nil
-}
-
-// Close returns the body buffer to the pool. The reader must not be used
-// afterwards, and slices returned by Next become invalid.
-func (fr *FrameReader) Close() {
-	if fr.buf != nil {
-		bufPool.Put(fr.buf)
-		fr.buf = nil
-	}
 }

@@ -12,21 +12,18 @@ import (
 // test reads back as the "wire".
 type pipeBuf struct{ bytes.Buffer }
 
-func testReply(seq uint64) *Reply {
-	return &Reply{Seq: seq, PtrID: 1, PtrSize: 4096}
+// testFrame is a reply frame; the tests write it in one Write, as the TCP backend does.
+func testFrame(t *testing.T, seq uint64) []byte {
+	return mustEncodeReply(t, &Reply{Seq: seq, PtrID: 1, PtrSize: 4096})
 }
 
 func TestFaultyRWPassThrough(t *testing.T) {
 	var wire pipeBuf
 	f := &FaultyRW{RW: &wire, Rng: rand.New(rand.NewSource(1))}
-	fw := NewFrameWriter(f)
-	defer fw.Close()
-	if err := fw.WriteReply(testReply(7)); err != nil {
-		t.Fatalf("WriteReply: %v", err)
+	if _, err := f.Write(testFrame(t, 7)); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
-	fr := NewFrameReader(f)
-	defer fr.Close()
-	body, err := fr.Next()
+	body, err := NewFrameReader(f).Next()
 	if err != nil {
 		t.Fatalf("Next: %v", err)
 	}
@@ -45,10 +42,8 @@ func TestFaultyRWPassThrough(t *testing.T) {
 func TestFaultyRWDropSwallowsFrames(t *testing.T) {
 	var wire pipeBuf
 	f := &FaultyRW{RW: &wire, Rng: rand.New(rand.NewSource(1)), DropProb: 1}
-	fw := NewFrameWriter(f)
-	defer fw.Close()
 	for seq := uint64(1); seq <= 3; seq++ {
-		if err := fw.WriteReply(testReply(seq)); err != nil {
+		if _, err := f.Write(testFrame(t, seq)); err != nil {
 			t.Fatalf("dropped write %d surfaced error %v", seq, err)
 		}
 	}
@@ -63,9 +58,7 @@ func TestFaultyRWDropSwallowsFrames(t *testing.T) {
 func TestFaultyRWTruncateIsMidFrameDisconnect(t *testing.T) {
 	var wire pipeBuf
 	f := &FaultyRW{RW: &wire, Rng: rand.New(rand.NewSource(1)), TruncateProb: 1}
-	fw := NewFrameWriter(f)
-	defer fw.Close()
-	if err := fw.WriteReply(testReply(1)); !errors.Is(err, io.ErrClosedPipe) {
+	if _, err := f.Write(testFrame(t, 1)); !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("truncated write error = %v, want ErrClosedPipe", err)
 	}
 	if wire.Len() == 0 {
@@ -73,9 +66,7 @@ func TestFaultyRWTruncateIsMidFrameDisconnect(t *testing.T) {
 	}
 	// The half-frame on the wire must fail to parse as a full frame —
 	// the reader sees an unexpected EOF, not a corrupt success.
-	fr := NewFrameReader(&wire)
-	defer fr.Close()
-	if _, err := fr.Next(); err == nil {
+	if _, err := NewFrameReader(&wire).Next(); err == nil {
 		t.Fatal("reading a truncated frame succeeded")
 	}
 	// The transport is hard-closed afterwards.
@@ -110,10 +101,8 @@ func TestFaultyRWSeededScheduleIsDeterministic(t *testing.T) {
 	run := func() (drops int, wire int) {
 		var buf pipeBuf
 		f := &FaultyRW{RW: &buf, Rng: rand.New(rand.NewSource(99)), DropProb: 0.5}
-		fw := NewFrameWriter(f)
-		defer fw.Close()
 		for seq := uint64(1); seq <= 32; seq++ {
-			if err := fw.WriteReply(testReply(seq)); err != nil {
+			if _, err := f.Write(testFrame(t, seq)); err != nil {
 				t.Fatalf("write %d: %v", seq, err)
 			}
 		}

@@ -183,7 +183,8 @@ func FuzzReplyRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzReadFrame feeds arbitrary byte streams through the framing layer.
+// FuzzReadFrame feeds arbitrary byte streams through ReadFrame, which is
+// FrameReader.Next on a fresh reader: the TCP backend's reader as well.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	seed, _ := EncodeCall(sampleCall())

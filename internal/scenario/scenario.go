@@ -20,7 +20,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/balancer"
 	"repro/internal/cluster"
@@ -30,6 +29,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
+	"repro/internal/textform"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -92,10 +92,11 @@ func Default() Scenario {
 // def is Default(), what String compares each key against.
 var def = Default()
 
-// Which run reads a key.
+// Which run reads a key (a textform.Field's Scope); single is 0, what
+// textform's constructors leave.
 const (
-	both = iota
-	single
+	single = iota
+	both
 	tier
 )
 
@@ -108,80 +109,66 @@ var (
 	kinds  = []faults.Kind{faults.KillNode, faults.KillGPU, faults.StallGPU, faults.DegradeGPU}
 )
 
-// field is one key of a text form over a T: the run that reads it, how its
-// value parses into a T and how it appends to text from one.
-type field[T any] struct {
-	key    string
-	scope  int
-	parse  func(x *T, v string) error
-	format func(b []byte, x T) []byte
-}
-
-var fields = []field[Scenario]{
-	{"supernodes", tier, func(s *Scenario, v string) (err error) {
+var fields = []textform.Field[Scenario]{
+	{Key: "supernodes", Scope: tier, Parse: func(s *Scenario, v string) (err error) {
 		if s.Supernodes, err = strconv.Atoi(v); err != nil || s.Supernodes < 1 {
 			return fmt.Errorf("%q is not a positive integer", v)
 		}
 		return nil
-	}, func(b []byte, s Scenario) []byte { return strconv.AppendInt(b, int64(s.Supernodes), 10) }},
-	{"fleet", both, func(s *Scenario, v string) (err error) {
-		s.Fleet, err = list(v, "/", func(node string) (n core.NodeConfig, err error) {
-			n.Devices, err = list(node, "+", parseDevice)
+	}, Format: func(b []byte, s Scenario) []byte { return strconv.AppendInt(b, int64(s.Supernodes), 10) }},
+	{Key: "fleet", Scope: both, Parse: func(s *Scenario, v string) (err error) {
+		s.Fleet, err = textform.List(v, "/", func(node string) (n core.NodeConfig, err error) {
+			n.Devices, err = textform.List(node, "+", parseDevice)
 			return n, err
 		})
 		return err
-	}, func(b []byte, s Scenario) []byte {
-		return appendList(b, s.Fleet, "/", func(b []byte, n core.NodeConfig) []byte { return appendList(b, n.Devices, "+", appendDevice) })
+	}, Format: func(b []byte, s Scenario) []byte {
+		return textform.AppendList(b, s.Fleet, "/", func(b []byte, n core.NodeConfig) []byte { return textform.AppendList(b, n.Devices, "+", appendDevice) })
 	}},
-	oneOf("mode", single, "mode", modes, func(s Scenario) string { return modes[s.Mode] },
+	textform.OneOf("mode", single, "mode", modes, func(s Scenario) string { return modes[s.Mode] },
 		func(s *Scenario, v string) { s.Mode = core.Mode(slices.Index(modes, v)) }),
-	oneOf("balance", single, "balancing policy", append(balancer.Names(), "Frag"),
+	textform.OneOf("balance", single, "balancing policy", append(balancer.Names(), "Frag"),
 		func(s Scenario) string { return s.Balance }, func(s *Scenario, v string) { s.Balance = v }),
-	oneOf("dev", single, "device policy", devs, func(s Scenario) string { return s.Dev }, func(s *Scenario, v string) { s.Dev = v }),
-	{"streams", single, func(s *Scenario, v string) (err error) {
-		s.Streams, err = list(v, ",", parseStream)
+	textform.OneOf("dev", single, "device policy", devs, func(s Scenario) string { return s.Dev }, func(s *Scenario, v string) { s.Dev = v }),
+	{Key: "streams", Scope: single, Parse: func(s *Scenario, v string) (err error) {
+		s.Streams, err = textform.List(v, ",", parseStream)
 		return err
-	}, func(b []byte, s Scenario) []byte { return appendList(b, s.Streams, ",", appendStream) }},
-	number("lambda", math.Inf(1), func(s Scenario) float64 { return s.Lambda }, func(s *Scenario, f float64) { s.Lambda = f }),
-	oneOf("style", single, "style", styles, func(s Scenario) string { return styles[s.Style] },
+	}, Format: func(b []byte, s Scenario) []byte { return textform.AppendList(b, s.Streams, ",", appendStream) }},
+	textform.Number("lambda", math.Inf(1), func(s Scenario) float64 { return s.Lambda }, func(s *Scenario, f float64) { s.Lambda = f }),
+	textform.OneOf("style", single, "style", styles, func(s Scenario) string { return styles[s.Style] },
 		func(s *Scenario, v string) { s.Style = workload.Style(slices.Index(styles, v)) }),
-	{"faults", single, func(s *Scenario, v string) (err error) {
-		s.Faults.Faults, err = list(v, ",", parseFault)
+	{Key: "faults", Scope: single, Parse: func(s *Scenario, v string) (err error) {
+		s.Faults.Faults, err = textform.List(v, ",", parseFault)
 		return err
-	}, func(b []byte, s Scenario) []byte { return appendList(b, s.Faults.Faults, ",", appendFault) }},
-	{"memguard", single, func(s *Scenario, v string) (err error) {
+	}, Format: func(b []byte, s Scenario) []byte { return textform.AppendList(b, s.Faults.Faults, ",", appendFault) }},
+	{Key: "memguard", Scope: single, Parse: func(s *Scenario, v string) (err error) {
 		s.BlockOnOOM, err = strconv.ParseBool(v)
 		return err
-	}, func(b []byte, s Scenario) []byte { return strconv.AppendBool(b, s.BlockOnOOM) }},
-	duration("horizon", 1, func(s Scenario) sim.Time { return s.Horizon }, func(s *Scenario, t sim.Time) { s.Horizon = t }),
-	number("linkbw", math.Inf(1), func(s Scenario) float64 { return s.LinkBW }, func(s *Scenario, f float64) { s.LinkBW = f }),
-	number("lasdecay", 1, func(s Scenario) float64 { return s.LASDecay }, func(s *Scenario, f float64) { s.LASDecay = f }),
-	duration("acctlag", 0, func(s Scenario) sim.Time { return s.AcctLag }, func(s *Scenario, t sim.Time) { s.AcctLag = t }),
-	duration("timeout", 0, func(s Scenario) sim.Time { return s.Timeout }, func(s *Scenario, t sim.Time) { s.Timeout = t }),
-	oneOf("policy", tier, "placement policy", cluster.Policies(),
+	}, Format: func(b []byte, s Scenario) []byte { return strconv.AppendBool(b, s.BlockOnOOM) }},
+	textform.Duration("horizon", 1, func(s Scenario) sim.Time { return s.Horizon }, func(s *Scenario, t sim.Time) { s.Horizon = t }),
+	textform.Number("linkbw", math.Inf(1), func(s Scenario) float64 { return s.LinkBW }, func(s *Scenario, f float64) { s.LinkBW = f }),
+	textform.Number("lasdecay", 1, func(s Scenario) float64 { return s.LASDecay }, func(s *Scenario, f float64) { s.LASDecay = f }),
+	textform.Duration("acctlag", 0, func(s Scenario) sim.Time { return s.AcctLag }, func(s *Scenario, t sim.Time) { s.AcctLag = t }),
+	textform.Duration("timeout", 0, func(s Scenario) sim.Time { return s.Timeout }, func(s *Scenario, t sim.Time) { s.Timeout = t }),
+	textform.OneOf("policy", tier, "placement policy", cluster.Policies(),
 		func(s Scenario) string { return s.Policy }, func(s *Scenario, v string) { s.Policy = v }),
-	{"arrivals", tier, func(s *Scenario, v string) (err error) {
+	{Key: "arrivals", Scope: tier, Parse: func(s *Scenario, v string) (err error) {
 		s.Arrivals, err = workload.ParseOpenArrivalSpec(v)
 		return err
-	}, func(b []byte, s Scenario) []byte {
-		if s.Arrivals.Process == "" {
-			return b
-		}
-		return append(b, s.Arrivals.String()...)
-	}},
-	{"seed", both, func(s *Scenario, v string) (err error) {
+	}, Format: func(b []byte, s Scenario) []byte { return s.Arrivals.Append(b) }},
+	{Key: "seed", Scope: both, Parse: func(s *Scenario, v string) (err error) {
 		s.Seed, err = strconv.ParseInt(v, 10, 64)
 		return err
-	}, func(b []byte, s Scenario) []byte { return strconv.AppendInt(b, s.Seed, 10) }},
+	}, Format: func(b []byte, s Scenario) []byte { return strconv.AppendInt(b, s.Seed, 10) }},
 }
 
 // streamFields are a stream's options, each after a "/" behind its
 // KIND:COUNT[:PROFILE][@NODE].
-var streamFields = []field[Stream]{
-	number("lambda", math.Inf(1), func(st Stream) float64 { return st.Lambda }, func(st *Stream, f float64) { st.Lambda = f }),
-	duration("every", 1, func(st Stream) sim.Time { return st.Every }, func(st *Stream, t sim.Time) { st.Every = t }),
-	duration("start", 0, func(st Stream) sim.Time { return st.Start }, func(st *Stream, t sim.Time) { st.Start = t }),
-	{"weight", both, func(st *Stream, v string) (err error) {
+var streamFields = []textform.Field[Stream]{
+	textform.Number("lambda", math.Inf(1), func(st Stream) float64 { return st.Lambda }, func(st *Stream, f float64) { st.Lambda = f }),
+	textform.Duration("every", 1, func(st Stream) sim.Time { return st.Every }, func(st *Stream, t sim.Time) { st.Every = t }),
+	textform.Duration("start", 0, func(st Stream) sim.Time { return st.Start }, func(st *Stream, t sim.Time) { st.Start = t }),
+	{Key: "weight", Parse: func(st *Stream, v string) (err error) {
 		if st.Weight, err = strconv.Atoi(v); err != nil || st.Weight < 1 {
 			return fmt.Errorf("%q is not a positive integer", v)
 		}
@@ -189,57 +176,18 @@ var streamFields = []field[Stream]{
 			st.Weight = 0 // the default, which prints as nothing
 		}
 		return nil
-	}, func(b []byte, st Stream) []byte { return strconv.AppendInt(b, int64(st.Weight), 10) }},
+	}, Format: func(b []byte, st Stream) []byte { return strconv.AppendInt(b, int64(st.Weight), 10) }},
 }
 
 // specFields are the device overrides, in braces behind a device's name.
-var specFields = []field[gpu.Spec]{
-	duration("ctxswitch", 0, func(d gpu.Spec) sim.Time { return d.ContextSwitch }, func(d *gpu.Spec, t sim.Time) { d.ContextSwitch = t }),
-	{"copyengines", both, func(d *gpu.Spec, v string) (err error) {
+var specFields = []textform.Field[gpu.Spec]{
+	textform.Duration("ctxswitch", 0, func(d gpu.Spec) sim.Time { return d.ContextSwitch }, func(d *gpu.Spec, t sim.Time) { d.ContextSwitch = t }),
+	{Key: "copyengines", Parse: func(d *gpu.Spec, v string) (err error) {
 		if d.CopyEngines, err = strconv.Atoi(v); err != nil || d.CopyEngines < 1 || d.CopyEngines > 2 {
 			return fmt.Errorf("%q is not 1 or 2", v)
 		}
 		return nil
-	}, func(b []byte, d gpu.Spec) []byte { return strconv.AppendInt(b, int64(d.CopyEngines), 10) }},
-}
-
-// oneOf is a key whose value is one of names, what naming them in an error.
-func oneOf[T any](key string, scope int, what string, names []string, get func(T) string, set func(*T, string)) field[T] {
-	return field[T]{key, scope, func(x *T, v string) error {
-		if !slices.Contains(names, v) {
-			return fmt.Errorf("unknown %s %q; valid: %s", what, v, strings.Join(names, ", "))
-		}
-		set(x, v)
-		return nil
-	}, func(b []byte, x T) []byte { return append(b, get(x)...) }}
-}
-
-// number is a key whose value is a finite number in (0, max]; duration is
-// one whose value is a Go duration of at least min. On the scenario both are
-// keys of a single deployment.
-func number[T any](key string, max float64, get func(T) float64, set func(*T, float64)) field[T] {
-	return field[T]{key, single, func(x *T, v string) error {
-		f, err := strconv.ParseFloat(v, 64)
-		switch {
-		case err == nil && f > 0 && f <= max && !math.IsInf(f, 0):
-			set(x, f)
-			return nil
-		case math.IsInf(max, 0):
-			return fmt.Errorf("%q is not a positive number", v)
-		}
-		return fmt.Errorf("%q is not a number in (0, %g]", v, max)
-	}, func(b []byte, x T) []byte { return strconv.AppendFloat(b, get(x), 'g', -1, 64) }}
-}
-
-func duration[T any](key string, min sim.Time, get func(T) sim.Time, set func(*T, sim.Time)) field[T] {
-	return field[T]{key, single, func(x *T, v string) error {
-		d, err := parseDur(v)
-		if err != nil || d < min {
-			return fmt.Errorf("%q is not a duration of at least %s", v, appendDur(nil, min))
-		}
-		set(x, d)
-		return nil
-	}, func(b []byte, x T) []byte { return appendDur(b, get(x)) }}
+	}, Format: func(b []byte, d gpu.Spec) []byte { return strconv.AppendInt(b, int64(d.CopyEngines), 10) }},
 }
 
 // Parse reads the text form; a key left out keeps its Default. An unknown or
@@ -247,7 +195,7 @@ func duration[T any](key string, min sim.Time, get func(T) sim.Time, set func(*T
 // nothing to run are errors. No input panics.
 func Parse(text string) (Scenario, error) {
 	s := Default()
-	if err := parseKV(&s, strings.Split(text, ";"), fields); err != nil {
+	if err := textform.ParseKV(&s, strings.Split(text, ";"), fields); err != nil {
 		return s, fmt.Errorf("scenario: %w", err)
 	}
 	unread := tier
@@ -260,39 +208,11 @@ func Parse(text string) (Scenario, error) {
 		return s, fmt.Errorf("scenario: no streams= to run (or supernodes= and arrivals= for the cluster tier)")
 	}
 	for _, f := range fields {
-		if f.scope == unread && !bytes.Equal(f.format(nil, s), f.format(nil, def)) {
-			return s, fmt.Errorf("scenario: %s= has no effect on this run (supernodes=%d)", f.key, s.Supernodes)
+		if f.Scope == unread && !bytes.Equal(f.Format(nil, s), f.Format(nil, def)) {
+			return s, fmt.Errorf("scenario: %s= has no effect on this run (supernodes=%d)", f.Key, s.Supernodes)
 		}
 	}
 	return s, nil
-}
-
-// parseKV reads key=value items into x by table, skipping blank ones. An
-// item that is not key=value, an unknown or repeated key and a bad value are
-// errors.
-func parseKV[T any](x *T, items []string, table []field[T]) error {
-	given := make([]bool, len(table))
-	for _, kv := range items {
-		if strings.TrimSpace(kv) == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(kv, "=")
-		key = strings.TrimSpace(key)
-		i := slices.IndexFunc(table, func(f field[T]) bool { return f.key == key })
-		switch {
-		case !ok:
-			return fmt.Errorf("field %q is not key=value", kv)
-		case i < 0:
-			return fmt.Errorf("unknown key %q; valid: %s", key, appendList(nil, table, ", ", func(b []byte, f field[T]) []byte { return append(b, f.key...) }))
-		case given[i]:
-			return fmt.Errorf("key %q given twice", key)
-		}
-		given[i] = true
-		if err := table[i].parse(x, strings.TrimSpace(val)); err != nil {
-			return fmt.Errorf("%s: %w", key, err)
-		}
-	}
-	return nil
 }
 
 // String is the text form, the keys at their default left out.
@@ -301,31 +221,8 @@ func (s Scenario) String() string { return string(s.Append(nil)) }
 // Append appends the text form to b. It allocates nothing once b has room,
 // so a memo can key on the text of every lookup.
 func (s Scenario) Append(b []byte) []byte {
-	b, _ = appendKV(b, "", ";", s, def, fields)
+	b, _ = textform.AppendKV(b, "", ";", s, def, fields)
 	return b
-}
-
-// appendKV appends x's key=value items by table, the first after open and
-// each later one after sep, leaving out each that prints as it does from dflt.
-// n counts the items appended.
-func appendKV[T any](b []byte, open, sep string, x, dflt T, table []field[T]) (_ []byte, n int) {
-	for _, f := range table {
-		start, lead := len(b), sep
-		if n == 0 {
-			lead = open
-		}
-		b = append(append(append(b, lead...), f.key...), '=')
-		v := len(b)
-		b = f.format(b, x)
-		d := len(b)
-		if b = f.format(b, dflt); bytes.Equal(b[v:d], b[d:]) {
-			b = b[:start]
-			continue
-		}
-		b = b[:d]
-		n++
-	}
-	return b, n
 }
 
 // Core returns the single deployment's configuration and request streams.
@@ -425,7 +322,7 @@ func parseStream(item string) (st Stream, err error) {
 			return st, fmt.Errorf("stream %q: node must be a node index", item)
 		}
 	}
-	if err := parseKV(&st, strings.Split(opts, "/"), streamFields); err != nil {
+	if err := textform.ParseKV(&st, strings.Split(opts, "/"), streamFields); err != nil {
 		return st, fmt.Errorf("stream %q: %w", item, err)
 	}
 	if st.Lambda > 0 && st.Every > 0 {
@@ -444,7 +341,7 @@ func appendStream(b []byte, st Stream) []byte {
 	if st.Node != 0 {
 		b = strconv.AppendInt(append(b, '@'), int64(st.Node), 10)
 	}
-	b, _ = appendKV(b, "/", "/", st, Stream{}, streamFields)
+	b, _ = textform.AppendKV(b, "/", "/", st, Stream{}, streamFields)
 	return b
 }
 
@@ -465,7 +362,7 @@ func parseDevice(item string) (gpu.Spec, error) {
 		if !ok {
 			return d, fmt.Errorf("device %q: overrides go in {KEY=VALUE,...}", item)
 		}
-		if err := parseKV(&d, strings.Split(opts, ","), specFields); err != nil {
+		if err := textform.ParseKV(&d, strings.Split(opts, ","), specFields); err != nil {
 			return d, fmt.Errorf("device %q: %w", item, err)
 		}
 	}
@@ -483,7 +380,7 @@ func appendDevice(b []byte, d gpu.Spec) []byte {
 	if i < 0 {
 		return b
 	}
-	b, n := appendKV(b, "{", ",", d, specs[i], specFields)
+	b, n := textform.AppendKV(b, "{", ",", d, specs[i], specFields)
 	if n > 0 {
 		b = append(b, '}')
 	}
@@ -506,13 +403,13 @@ func parseFault(item string) (f faults.Fault, err error) {
 	} else {
 		f.GID = n
 	}
-	if f.At, err = parseDur(at); err != nil || f.At < 0 {
+	if f.At, err = textform.ParseDur(at); err != nil || f.At < 0 {
 		return f, fmt.Errorf("fault %q: the instant must be a duration >= 0", item)
 	}
 	ok := !hasArg && f.Kind <= faults.KillGPU
 	switch {
 	case f.Kind == faults.StallGPU && hasArg:
-		f.Dur, err = parseDur(arg)
+		f.Dur, err = textform.ParseDur(arg)
 		ok = err == nil && f.Dur > 0
 	case f.Kind == faults.DegradeGPU && hasArg:
 		f.Factor, err = strconv.ParseFloat(arg, 64)
@@ -530,53 +427,12 @@ func appendFault(b []byte, f faults.Fault) []byte {
 		target = f.Node
 	}
 	b = strconv.AppendInt(append(append(b, f.Kind.String()...), ':'), int64(target), 10)
-	b = appendDur(append(b, '@'), f.At)
+	b = textform.AppendDur(append(b, '@'), f.At)
 	switch f.Kind {
 	case faults.StallGPU:
-		b = appendDur(append(b, '/'), f.Dur)
+		b = textform.AppendDur(append(b, '/'), f.Dur)
 	case faults.DegradeGPU:
 		b = strconv.AppendFloat(append(b, '/'), f.Factor, 'g', -1, 64)
 	}
 	return b
-}
-
-// list parses a sep-separated value item by item; appendList prints one.
-func list[T any](v, sep string, item func(string) (T, error)) ([]T, error) {
-	var out []T
-	for _, it := range strings.Split(v, sep) {
-		x, err := item(strings.TrimSpace(it))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, x)
-	}
-	return out, nil
-}
-
-func appendList[T any](b []byte, xs []T, sep string, item func([]byte, T) []byte) []byte {
-	for i, x := range xs {
-		if i > 0 {
-			b = append(b, sep...)
-		}
-		b = item(b, x)
-	}
-	return b
-}
-
-// parseDur reads a Go duration as a virtual time; appendDur prints one in
-// the largest of s, ms and us that holds it exactly.
-func parseDur(v string) (sim.Time, error) {
-	d, err := time.ParseDuration(v)
-	return sim.Time(d.Microseconds()), err
-}
-
-func appendDur(b []byte, t sim.Time) []byte {
-	unit := "us"
-	switch {
-	case t%sim.Second == 0:
-		t, unit = t/sim.Second, "s"
-	case t%sim.Millisecond == 0:
-		t, unit = t/sim.Millisecond, "ms"
-	}
-	return append(strconv.AppendInt(b, int64(t), 10), unit...)
 }

@@ -60,7 +60,6 @@ type Kernel struct {
 	dispatched uint64
 	resumes    uint64
 	queued     uint64
-	folds      uint64 // deliveries whose receiver ran in place of its queued wake-up (fire)
 	running    *Proc
 	procs      map[*Proc]struct{}
 	nextID     int
@@ -147,7 +146,6 @@ func (k *Kernel) Reset(seed int64) {
 	k.dispatched = 0
 	k.resumes = 0
 	k.queued = 0
-	k.folds = 0
 	clear(k.procs)
 	k.nextID = 0
 	k.rng.Seed(seed) // in place: a fresh source is some 5 KB

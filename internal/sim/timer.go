@@ -76,7 +76,6 @@ func (k *Kernel) fire(at Time, i int32) *Proc {
 		return nil
 	}
 	k.seq++
-	k.folds++
 	r.wakeTag = wakeEvent
 	return r
 }

@@ -5,11 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/sim"
+	"repro/internal/textform"
 )
 
 // Open-arrival tenant streams: where StreamSpec describes a closed set of
@@ -338,135 +337,62 @@ func KindByCode(code string) (Kind, bool) {
 	return 0, false
 }
 
+// arrivalFields is the spec's text form, in its canonical key order. Each
+// key takes any value of its kind: Validate alone judges the whole spec.
+var arrivalFields = []textform.Field[OpenArrivalSpec]{
+	textform.Float("rate", func(s OpenArrivalSpec) float64 { return s.Rate }, func(s *OpenArrivalSpec, f float64) { s.Rate = f }),
+	textform.Duration("horizon", math.MinInt64, func(s OpenArrivalSpec) sim.Time { return s.Horizon }, func(s *OpenArrivalSpec, t sim.Time) { s.Horizon = t }),
+	textform.Int("tenants", func(s OpenArrivalSpec) int { return s.MaxTenants }, func(s *OpenArrivalSpec, n int) { s.MaxTenants = n }),
+	{Key: "kind", Parse: func(s *OpenArrivalSpec, v string) error {
+		k, ok := KindByCode(v)
+		if !ok {
+			return fmt.Errorf("%q is not a Table I code", v)
+		}
+		s.Kind = k
+		return nil
+	}, Format: func(b []byte, s OpenArrivalSpec) []byte { return append(b, s.Kind.String()...) }},
+	textform.Duration("life", math.MinInt64, func(s OpenArrivalSpec) sim.Time { return s.MeanLife }, func(s *OpenArrivalSpec, t sim.Time) { s.MeanLife = t }),
+	textform.Duration("lambda", math.MinInt64, func(s OpenArrivalSpec) sim.Time { return s.Lambda }, func(s *OpenArrivalSpec, t sim.Time) { s.Lambda = t }),
+	textform.Int("weight", func(s OpenArrivalSpec) int { return s.Weight }, func(s *OpenArrivalSpec, n int) { s.Weight = n }),
+	textform.Int("bigevery", func(s OpenArrivalSpec) int { return s.BigEvery }, func(s *OpenArrivalSpec, n int) { s.BigEvery = n }),
+	textform.Int("bigslots", func(s OpenArrivalSpec) int { return s.BigSlots }, func(s *OpenArrivalSpec, n int) { s.BigSlots = n }),
+	textform.Duration("period", math.MinInt64, func(s OpenArrivalSpec) sim.Time { return s.Period }, func(s *OpenArrivalSpec, t sim.Time) { s.Period = t }),
+	textform.Float("depth", func(s OpenArrivalSpec) float64 { return s.Depth }, func(s *OpenArrivalSpec, f float64) { s.Depth = f }),
+	textform.Float("burst", func(s OpenArrivalSpec) float64 { return s.BurstMean }, func(s *OpenArrivalSpec, f float64) { s.BurstMean = f }),
+	textform.Duration("spread", math.MinInt64, func(s OpenArrivalSpec) sim.Time { return s.BurstSpread }, func(s *OpenArrivalSpec, t sim.Time) { s.BurstSpread = t }),
+}
+
 // ParseOpenArrivalSpec parses the textual spec form
 //
 //	process:key=value,key=value,...
 //
 // e.g. "poisson:rate=0.5,horizon=2000s,tenants=1000,kind=GA,life=80s,lambda=800ms"
 // or "diurnal:rate=2,horizon=600s,period=120s,depth=0.6". Durations use Go
-// syntax ("800ms", "1.5s"); keys are rate, horizon, tenants, kind, life,
-// lambda, weight, bigevery, bigslots, period, depth, burst, spread. The
-// returned spec is validated; invalid text never panics, it errors.
+// syntax ("800ms", "1.5s"). Keys, in any case: rate, horizon, tenants, kind,
+// life, lambda, weight, bigevery, bigslots, period, depth, burst, spread; a
+// repeated one is an error, a blank item is skipped. The spec returned is
+// validated; invalid text never panics, it errors.
 func ParseOpenArrivalSpec(text string) (OpenArrivalSpec, error) {
-	var s OpenArrivalSpec
 	proc, rest, _ := strings.Cut(text, ":")
-	s.Process = strings.ToLower(strings.TrimSpace(proc))
-	if rest != "" {
-		for _, field := range strings.Split(rest, ",") {
-			key, val, ok := strings.Cut(field, "=")
-			if !ok {
-				return s, fmt.Errorf("workload: arrival spec field %q is not key=value", field)
-			}
-			key = strings.ToLower(strings.TrimSpace(key))
-			val = strings.TrimSpace(val)
-			if err := s.setField(key, val); err != nil {
-				return s, err
-			}
-		}
+	s := OpenArrivalSpec{Process: strings.ToLower(strings.TrimSpace(proc))}
+	items := strings.Split(rest, ",")
+	for i, kv := range items {
+		key, _, _ := strings.Cut(kv, "=")
+		items[i] = strings.ToLower(key) + kv[len(key):]
+	}
+	if err := textform.ParseKV(&s, items, arrivalFields); err != nil {
+		return s, fmt.Errorf("workload: arrival spec: %w", err)
 	}
 	s = s.withDefaults()
-	if err := s.Validate(); err != nil {
-		return s, err
-	}
-	return s, nil
+	return s, s.Validate()
 }
 
-// setField applies one key=value pair of the textual spec form.
-func (s *OpenArrivalSpec) setField(key, val string) error {
-	parseF := func() (float64, error) {
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-			return 0, fmt.Errorf("workload: arrival spec %s=%q is not a finite number", key, val)
-		}
-		return f, nil
-	}
-	parseD := func() (sim.Time, error) {
-		d, err := time.ParseDuration(val)
-		if err != nil {
-			return 0, fmt.Errorf("workload: arrival spec %s=%q is not a duration: %v", key, val, err)
-		}
-		return sim.Time(d.Microseconds()), nil
-	}
-	parseI := func() (int, error) {
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return 0, fmt.Errorf("workload: arrival spec %s=%q is not an integer", key, val)
-		}
-		return n, nil
-	}
-	var err error
-	switch key {
-	case "rate":
-		s.Rate, err = parseF()
-	case "horizon":
-		s.Horizon, err = parseD()
-	case "tenants":
-		s.MaxTenants, err = parseI()
-	case "kind":
-		k, ok := KindByCode(val)
-		if !ok {
-			return fmt.Errorf("workload: arrival spec kind=%q is not a Table I code", val)
-		}
-		s.Kind = k
-	case "life":
-		s.MeanLife, err = parseD()
-	case "lambda":
-		s.Lambda, err = parseD()
-	case "weight":
-		s.Weight, err = parseI()
-	case "bigevery":
-		s.BigEvery, err = parseI()
-	case "bigslots":
-		s.BigSlots, err = parseI()
-	case "period":
-		s.Period, err = parseD()
-	case "depth":
-		s.Depth, err = parseF()
-	case "burst":
-		s.BurstMean, err = parseF()
-	case "spread":
-		s.BurstSpread, err = parseD()
-	default:
-		return fmt.Errorf("workload: arrival spec has unknown key %q", key)
-	}
-	return err
-}
+// String renders the spec in its parseable form, canonical key order, the
+// keys at their default left out.
+func (s OpenArrivalSpec) String() string { return string(s.Append(nil)) }
 
-// String renders the spec back in its parseable form (canonical key order).
-func (s OpenArrivalSpec) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:rate=%g,horizon=%s", s.Process, s.Rate, durString(s.Horizon))
-	if s.MaxTenants > 0 {
-		fmt.Fprintf(&b, ",tenants=%d", s.MaxTenants)
-	}
-	fmt.Fprintf(&b, ",kind=%s", s.Kind)
-	if s.MeanLife > 0 {
-		fmt.Fprintf(&b, ",life=%s", durString(s.MeanLife))
-	}
-	if s.Lambda > 0 {
-		fmt.Fprintf(&b, ",lambda=%s", durString(s.Lambda))
-	}
-	if s.Weight > 0 {
-		fmt.Fprintf(&b, ",weight=%d", s.Weight)
-	}
-	if s.BigEvery > 0 {
-		fmt.Fprintf(&b, ",bigevery=%d", s.BigEvery)
-	}
-	if s.BigSlots != 0 {
-		fmt.Fprintf(&b, ",bigslots=%d", s.BigSlots)
-	}
-	// A process's own parameters always print; another's only when set, so
-	// the form re-parses to the same spec whatever was given.
-	if s.Process == ProcDiurnal || s.Period != 0 || s.Depth != 0 {
-		fmt.Fprintf(&b, ",period=%s,depth=%g", durString(s.Period), s.Depth)
-	}
-	if s.Process == ProcBursty || s.BurstMean != 0 || s.BurstSpread != 0 {
-		fmt.Fprintf(&b, ",burst=%g,spread=%s", s.BurstMean, durString(s.BurstSpread))
-	}
-	return b.String()
-}
-
-// durString renders a sim.Time as a Go duration literal.
-func durString(t sim.Time) string {
-	return (time.Duration(t) * time.Microsecond).String()
+// Append appends the text form to b. It allocates nothing once b has room.
+func (s OpenArrivalSpec) Append(b []byte) []byte {
+	b, _ = textform.AppendKV(append(append(b, s.Process...), ':'), "", ",", s, OpenArrivalSpec{Process: s.Process}.withDefaults(), arrivalFields)
+	return b
 }

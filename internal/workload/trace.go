@@ -8,9 +8,8 @@ import (
 )
 
 // StreamSeed derives the per-stream arrival seed from the run seed and the
-// stream's index. It is the single source of the formula: the cluster's
-// inline path and the TraceBook's shared path must agree bit for bit, or
-// sharing traces would change results.
+// stream's index. TraceBook.Arrivals is its one caller, so a trace is the
+// same whether a book shares it or not.
 func StreamSeed(seed int64, si int) int64 {
 	return seed*7919 + int64(si)*104729 + 13
 }
@@ -44,17 +43,23 @@ func NewTraceBook() *TraceBook {
 }
 
 // Arrivals returns the arrival times of stream si of spec under the given
-// run seed, materializing and caching them on first use. The result is
-// identical to spec.Arrivals(rand.New(rand.NewSource(StreamSeed(seed, si)))).
+// run seed, spec.Arrivals(rand.New(rand.NewSource(StreamSeed(seed, si)))),
+// materializing and caching them on first use. A nil book derives the trace
+// without caching it.
 func (b *TraceBook) Arrivals(seed int64, si int, spec StreamSpec) []sim.Time {
 	key := traceKey{seed: seed, si: si, spec: spec}
-	b.mu.RLock()
-	t, ok := b.m[key]
-	b.mu.RUnlock()
-	if ok {
+	if b != nil {
+		b.mu.RLock()
+		t, ok := b.m[key]
+		b.mu.RUnlock()
+		if ok {
+			return t
+		}
+	}
+	t := spec.Arrivals(rand.New(rand.NewSource(StreamSeed(seed, si))))
+	if b == nil {
 		return t
 	}
-	t = spec.Arrivals(rand.New(rand.NewSource(StreamSeed(seed, si))))
 	b.mu.Lock()
 	if prev, ok := b.m[key]; ok {
 		t = prev // keep the first publication so all consumers alias one slice
