@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"container/heap"
+	"cmp"
+	"slices"
 
 	"repro/internal/balancer"
 	"repro/internal/sim"
@@ -52,21 +53,24 @@ type departure struct {
 	slots  int
 }
 
-// departureHeap orders departures by (time, tenant id) — the tenant id
-// tiebreak keeps equal-instant releases deterministic.
-type departureHeap []departure
+// departures holds the scheduled releases latest first by (time, tenant id),
+// so the next is last. The tenant id tiebreak keeps equal-instant releases
+// deterministic and makes the order total.
+type departures []departure
 
-func (h departureHeap) Len() int { return len(h) }
-func (h departureHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].tenant < h[j].tenant
+// push inserts d in order.
+func (h *departures) push(d departure) {
+	i, _ := slices.BinarySearchFunc(*h, d, func(x, t departure) int {
+		return cmp.Or(cmp.Compare(t.at, x.at), cmp.Compare(t.tenant, x.tenant))
+	})
+	*h = slices.Insert(*h, i, d) // bounded by peak placed tenants
 }
-func (h departureHeap) Swap(i, j int)   { h[i], h[j] = h[j], h[i] }
-func (h *departureHeap) Push(x any)     { *h = append(*h, x.(departure)) }
-func (h *departureHeap) Pop() any       { old := *h; n := len(old); d := old[n-1]; *h = old[:n-1]; return d }
-func (h departureHeap) peek() departure { return h[0] }
+
+// pop removes and returns the earliest departure.
+func (h *departures) pop() (d departure) {
+	d, *h = (*h)[len(*h)-1], (*h)[:len(*h)-1]
+	return d
+}
 
 // maxRetries bounds the refresh-and-retry loop after a commit conflict
 // before the tenant parks.
@@ -94,7 +98,7 @@ type engine struct {
 
 	log  PlacementLog
 	park []parked // bounded FIFO admission queue
-	dep  departureHeap
+	dep  departures
 
 	perSNPlaced []int // placements per supernode (node rotation counter)
 }
@@ -231,7 +235,7 @@ func (e *engine) admit(tenant int, b workload.TenantBirth, now sim.Time, sn, ret
 		Tenant: tenant, Supernode: sn, Node: node, Slots: b.Slots,
 		At: now, Wait: now - b.At, Retries: retries,
 	})
-	heap.Push(&e.dep, departure{at: now + b.Life, tenant: tenant, sn: sn, slots: b.Slots})
+	e.dep.push(departure{at: now + b.Life, tenant: tenant, sn: sn, slots: b.Slots})
 }
 
 // release processes one departure: the ledger gets the slots back
@@ -281,8 +285,8 @@ func (e *engine) place(births []workload.TenantBirth) *PlacementLog {
 	for i, b := range births {
 		tenant := i + 1
 		// Departures strictly before — or tied with — this birth land first.
-		for e.dep.Len() > 0 && e.dep.peek().at <= b.At {
-			d := heap.Pop(&e.dep).(departure)
+		for len(e.dep) > 0 && e.dep[len(e.dep)-1].at <= b.At {
+			d := e.dep.pop()
 			e.release(d)
 			e.drainPark(d.at)
 		}
@@ -307,8 +311,8 @@ func (e *engine) place(births []workload.TenantBirth) *PlacementLog {
 		}
 	}
 	// Drain the tail: remaining departures may still admit parked tenants.
-	for e.dep.Len() > 0 {
-		d := heap.Pop(&e.dep).(departure)
+	for len(e.dep) > 0 {
+		d := e.dep.pop()
 		e.release(d)
 		e.drainPark(d.at)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"sync"
 
 	"repro/internal/balancer"
@@ -40,6 +41,7 @@ type slab struct {
 	coord     *shard.Coordinator // over k alone, which leaves it no state of its own
 	mapper    *balancer.Mapper   // the cluster's, on its first kernel's slab
 	mapStep   func(*sim.Daemon)  // its daemon's step (mapperStep), bound once
+	rng       *rand.Rand         // re-seeded for every stream a book does not hold
 	pool      rpcproto.Pool
 	conns     rpcproto.ConnPool
 	spares    gpu.Spares
@@ -87,16 +89,14 @@ func (a *arena) get() *slab {
 		s.coord = shard.NewCoordinator([]*sim.Kernel{s.k}, 0, 0)
 		s.mapper = balancer.NewMapper(balancer.NewDST(nil), nil)
 		s.mapStep = s.mapperStep
+		s.rng = rand.New(rand.NewSource(0))
 	}
 	return s
 }
 
-// put takes a slab back once its cluster is closed: the kernel is reset,
-// which unwinds the processes the run left, and the sessions, frontends and
-// connections still live go back to their free lists.
+// put takes a slab back once its cluster has reset its kernel and taken back
+// what the run left live (Cluster.Close).
 func (a *arena) put(s *slab) {
-	s.k.Reset(0)
-	s.takeBack()
 	s.c, s.sh, s.rec, s.results = nil, nil, nil, nil // the closed cluster's; the result is the caller's
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -105,9 +105,9 @@ func (a *arena) put(s *slab) {
 
 // takeBack returns to the free lists every arrival daemon and the sessions,
 // frontends and connections a run left live, cut off at a RunUntil horizon or
-// stuck: their daemons are gone with the kernel's reset, their processes are
-// released, and their frames freed as rpcproto.Pool's rules for a cut run
-// say. A multi-threaded application's threads are dropped rather than reused.
+// stuck, once every kernel of the cluster has been reset: their daemons are
+// gone, their processes released, and their frames freed as rpcproto.Pool's
+// rules for a cut run say. A multi-threaded application's threads are dropped.
 func (s *slab) takeBack() {
 	s.conns.Reclaim()
 	for _, a := range s.made.arrivals {

@@ -9,10 +9,21 @@ import (
 	"repro/internal/sim"
 )
 
-// accept starts the backend side of a new frontend connection to gid, on the
-// device's kernel: a thread of the GPU's Strings backend process, or a Rain
-// (Design I) process numbered from that kernel's application counter.
-func (c *Cluster) accept(gid int, conn *rpcproto.Conn) {
+// accepting is a connection on its way to a backend: a pooled record whose
+// accept, bound once as fn, a mailbox can run on the device's kernel.
+type accepting struct {
+	c    *Cluster
+	gid  int
+	conn *rpcproto.Conn
+	fn   func()
+}
+
+// accept starts the backend side of the connection to gid, on the device's
+// kernel: a thread of the GPU's Strings backend process, or a Rain (Design I)
+// process numbered from that kernel's application counter. The record goes
+// back to the cluster's list.
+func (a *accepting) accept() {
+	c, gid := a.c, a.gid
 	e := c.devEnv[gid]
 	n := &e.appSeq
 	if c.cfg.Mode == ModeStrings {
@@ -25,8 +36,10 @@ func (c *Cluster) accept(gid int, conn *rpcproto.Conn) {
 		e.made.sessions = append(e.made.sessions, s) // bounded by peak live sessions
 	}
 	s.c, s.e, s.idle = c, e, false
-	s.serving = serving{gid: gid, n: *n, ep: conn.B()}
+	s.serving = serving{gid: gid, n: *n, ep: a.conn.B()}
 	e.k.StartDaemon(&s.d, s.nameFn, s.stepFn)
+	a.c, a.conn = nil, nil
+	c.accepts = append(c.accepts, a) // bounded by peak accepts in flight
 }
 
 // openApp gives an application that completed the handshake its lane on device

@@ -9,6 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
+// accept starts the backend side of conn to gid at once, as ConnectBackend
+// does for a device on the frontend's kernel.
+func (c *Cluster) accept(gid int, conn *rpcproto.Conn) {
+	(&accepting{c: c, gid: gid, conn: conn}).accept()
+}
+
 // A killed backend still owns the non-blocking calls it receives: the frontend
 // forgot each frame at issue (rpcproto.Pool), so the backend returns it to the
 // pool whether the kill landed while the call executed or before the call
@@ -23,7 +29,7 @@ func TestKilledBackendRecyclesNonBlockingFrames(t *testing.T) {
 	var sent []*rpcproto.Call
 	c.K.Go("app", func(p *sim.Proc) {
 		conn := rpcproto.NewConn(c.K, rpcproto.SharedMemLink)
-		conn.SetPools(pool, pool)
+		conn.SetPool(pool)
 		c.accept(0, conn)
 		ep := conn.A()
 		ep.Send(p, &rpcproto.Call{ID: cuda.CallSetDevice, Seq: 1, AppID: 1, TenantID: 1, Weight: 1}, 0)
@@ -76,7 +82,7 @@ func TestConnReturnsOnlyAfterACleanExit(t *testing.T) {
 		var exit *rpcproto.Reply
 		conn := e.conns.Get(c.K, rpcproto.SharedMemLink)
 		c.K.Go("app", func(p *sim.Proc) {
-			conn.SetPools(&e.pool, &e.pool)
+			conn.SetPool(&e.pool)
 			c.accept(0, conn)
 			ep := conn.A()
 			if tc.recovery {

@@ -107,8 +107,8 @@ type Config struct {
 
 	// Traces, when non-nil, memoizes materialized arrival traces so cells
 	// that replay the same workload stream share one immutable slice
-	// instead of regenerating it per run; a nil book derives each trace
-	// the same way, uncached.
+	// instead of regenerating it per run; without a book each trace is
+	// derived the same way, uncached, from a source its slab re-seeds.
 	Traces *workload.TraceBook
 
 	// Shards chooses how the one control-plane model executes, never what
@@ -184,6 +184,7 @@ type tables struct {
 	mapQ    sim.Queue[any] // *mapperMsg, from the pool mapFree
 	mapPend []*mapperMsg
 	mapFree []*mapperMsg
+	accepts []*accepting // idle, for ConnectBackend
 }
 
 // reuse returns the tables emptied, keeping their arrays.
@@ -194,7 +195,7 @@ func (t *tables) reuse() tables {
 		devices: empty(t.devices), devEnv: empty(t.devEnv), traces: empty(t.traces),
 		nodeDev: empty(t.nodeDev), scheds: empty(t.scheds), packers: empty(t.packers),
 		threads: t.threads[:0], gpuDown: t.gpuDown[:0], stallUntil: t.stallUntil[:0], degrade: t.degrade[:0],
-		mapQ: t.mapQ, mapPend: empty(t.mapPend), mapFree: t.mapFree,
+		mapQ: t.mapQ, mapPend: empty(t.mapPend), mapFree: t.mapFree, accepts: t.accepts,
 	}
 }
 

@@ -73,29 +73,30 @@ func (f *nodeFabric) SelectHop() sim.Time {
 	return 0
 }
 
-// ConnectBackend implements interpose.Fabric. A backend on the frontend's
-// kernel gets a plain conn and its accept at once. A backend on another
-// kernel gets a cross-kernel conn whose two inbox queues live on their
-// readers' kernels and whose deliveries ride the mailboxes; the accept is
-// sent ahead on the same mailbox, so it is injected before (or at the same
-// instant as, but ordered before) the handshake call.
+// ConnectBackend implements interpose.Fabric with a connection of the node's
+// slab, whose frame pool both sides use. A backend on another kernel gets it
+// routed, its deliveries riding the mailboxes, and its accept sent ahead on
+// the same mailbox, so it is injected before (or at the same instant as, but
+// ordered before) the handshake call.
 func (f *nodeFabric) ConnectBackend(gid balancer.GID) rpcproto.Endpoint {
 	c, e, oe := f.c, f.e, f.c.devEnv[gid]
 	link := rpcproto.SharedMemLink
 	if c.mapper.DST().Entry(gid).Node != f.node {
 		link = c.cfg.RemoteLink
 	}
+	conn := e.conns.Get(e.k, link)
+	conn.SetPool(&e.pool)
+	a := take(&c.accepts)
+	if a.fn == nil {
+		a.fn = a.accept
+	}
+	a.c, a.gid, a.conn = c, int(gid), conn
 	if oe == e {
-		conn := e.conns.Get(e.k, link)
-		conn.SetPools(&e.pool, &e.pool)
-		c.accept(int(gid), conn)
+		a.accept()
 		return conn.A()
 	}
-	conn := rpcproto.NewCrossConn(e.k, link,
-		func(lat sim.Time, q *sim.Queue[rpcproto.Msg], m rpcproto.Msg) { e.sh.SendPut(oe.idx, lat, q, m) },
-		func(lat sim.Time, q *sim.Queue[rpcproto.Msg], m rpcproto.Msg) { oe.sh.SendPut(e.idx, lat, q, m) })
-	conn.SetPools(&e.pool, &oe.pool)
-	e.sh.Send(oe.idx, link.Latency, func() { c.accept(int(gid), conn) })
+	conn.SetRoute(e.sh, e.idx, oe.sh, oe.idx)
+	e.sh.Send(oe.idx, link.Latency, a.fn)
 	return conn.A()
 }
 

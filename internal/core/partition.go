@@ -138,8 +138,9 @@ func (c *Cluster) Recorders() []*trace.Recorder {
 
 // Close ends the cluster. Every device, device scheduler and packer goes to
 // the slab of the kernel it ran on, the mapper and tables stay with the first
-// kernel's, and every slab goes back to the arena, its kernel reset: the
-// processes the run left parked are unwound and no goroutine remains. After
+// kernel's, every kernel is reset, which unwinds the processes the run left
+// parked, and every slab takes back what the run left live before any goes
+// back to the arena. After
 // Close, Devices, Mapper, Sharded and Recorders read empty and the result is
 // the caller's alone. Safe to call more than once.
 func (c *Cluster) Close() {
@@ -159,6 +160,14 @@ func (c *Cluster) Close() {
 	}
 	c.mapper = nil
 	envs[0].tables, c.tables = c.tables, tables{} // so that stale reads fail loudly
+	// A session frees frames into the pool of the slab that opened its
+	// connection, so no slab goes back before every one is taken back.
+	for _, e := range envs {
+		e.k.Reset(0)
+	}
+	for _, e := range envs {
+		e.takeBack()
+	}
 	for _, e := range slices.Backward(envs) {
 		c.arena.put(e)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/gpu"
+	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -91,6 +92,37 @@ func TestShardInvarianceStrings(t *testing.T) {
 	}
 	if one, four := started(1), started(4); four > one {
 		t.Fatalf("New started %d goroutines at Shards=4, %d at Shards=1", four, one)
+	}
+}
+
+// TestShardedFleetsOnWorkers runs sharded fleets, every second one cut off at
+// a horizon, four at a time on the shared arena, so slabs change goroutines
+// between clusters while a session on one slab frees its frames into the pool
+// of another; each run must repeat its sequential one.
+func TestShardedFleetsOnWorkers(t *testing.T) {
+	run := func(i int) string {
+		c, err := New(Config{Seed: int64(i / 2), Nodes: supernode(), Mode: ModeStrings,
+			Balance: "GMin", DevPolicy: "TFS", Shards: 1})
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		defer c.Close()
+		horizon := 1000 * sim.Second
+		if i%2 == 1 {
+			horizon = 5 * sim.Second
+		}
+		r, err := c.RunUntil(shardedScenario(), horizon)
+		if err != nil || !c.Sharded() {
+			t.Errorf("run %d: %v, sharded %v", i, err, c.Sharded())
+		}
+		return fmt.Sprintf("%d %d %+v", r.Launched, r.EndTime, r.Requests)
+	}
+	want := parallel.Map(12, 1, run)
+	for i, got := range parallel.Map(12, 4, run) {
+		if got != want[i] {
+			t.Fatalf("run %d on four workers:\n%s\nalone:\n%s", i, got, want[i])
+		}
 	}
 }
 

@@ -294,7 +294,12 @@ func (c *Cluster) launchStream(si int, s workload.StreamSpec) {
 		a.nameFn, a.stepFn = a.name, a.step
 		e.made.arrivals = append(e.made.arrivals, a) // bounded by peak streams
 	}
-	a.times = c.cfg.Traces.Arrivals(c.cfg.Seed, si, s) // shared and read-only when the book is set
+	if b := c.cfg.Traces; b != nil {
+		a.times = b.Arrivals(c.cfg.Seed, si, s) // shared and read-only
+	} else {
+		e.rng.Seed(workload.StreamSeed(c.cfg.Seed, si)) // in place: a fresh source is some 5 KB
+		a.times = s.Arrivals(e.rng)
+	}
 	a.e, a.s, a.si, a.i = e, s, si, 0
 	e.k.StartDaemon(&a.d, a.nameFn, a.stepFn)
 }

@@ -319,7 +319,7 @@ func (s *scriptClient) step(d *sim.Daemon) {
 		case 1: // connect first; wait out the call's gap
 			if s.pc == 0 {
 				conn := s.c.envs[0].conns.Get(s.c.K, rpcproto.SharedMemLink)
-				conn.SetPools(s.pool, s.pool)
+				conn.SetPool(s.pool)
 				s.accept(s.c, 0, conn)
 				s.ep = conn.A()
 			}

@@ -39,7 +39,7 @@ type fakeFabric struct {
 
 func newFakeFabric(k *sim.Kernel) *fakeFabric {
 	f := &fakeFabric{k: k, gid: 1, conn: rpcproto.NewConn(k, rpcproto.LinkSpec{})}
-	f.conn.SetPools(&f.pool, &f.pool)
+	f.conn.SetPool(&f.pool)
 	k.Go("fake-backend", func(p *sim.Proc) {
 		ep := f.conn.B()
 		for {

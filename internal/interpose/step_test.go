@@ -51,7 +51,7 @@ func runStepOps(t *testing.T, async bool, timeout sim.Time) stepRun {
 	f := newFakeFabric(k)
 	f.hop = rpcproto.SharedMemLink.Latency
 	f.conn = rpcproto.NewConn(k, rpcproto.SharedMemLink) // the backend takes it when it first runs
-	f.conn.SetPools(&f.pool, &f.pool)
+	f.conn.SetPool(&f.pool)
 	rec := trace.New()
 	var out stepRun
 	var ip Interposer

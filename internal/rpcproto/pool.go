@@ -1,15 +1,16 @@
 package rpcproto
 
-// Pool recycles Call and Reply frames among the connections that run on one
-// simulation kernel. The simulated RPC path uses one Call and one Reply per
+// Pool recycles Call and Reply frames among the connections one simulation
+// kernel opens. The simulated RPC path uses one Call and one Reply per
 // intercepted CUDA call; on a million-request run those frames dominate the
 // allocation profile, so the frontend and backend return consumed frames
 // here instead of dropping them for the GC.
 //
 // A pool belongs to a kernel, not to a connection: a simulation is one
-// goroutine, so every endpoint on a kernel shares the free lists without
-// locking, and a frame that crosses kernels inside a message is freed into
-// the pool of whichever kernel frees it.
+// goroutine, so every connection the kernel opens shares the free lists
+// without locking, and both endpoints of one hand out its opener's pool, on
+// that kernel or across on another. A frame is thus freed into the pool it
+// came from, and none drifts from one kernel's pool to another's.
 //
 // Ownership discipline (enforced by the callers, not the pool):
 //
@@ -33,15 +34,6 @@ type Pool struct {
 	replies []*Reply
 }
 
-// poolCap bounds the free frames of each kind a pool keeps. Between kernels
-// frames flow one way (replies toward frontends, non-blocking calls toward
-// backends), so a kernel hosting more of one would hoard what its peers
-// allocate; capped, a one-way topology degrades to allocate-and-drop. On the
-// repo benchmark one kernel peaks at 159 calls and 42 replies (policy_grid),
-// while fleet_sharded uncapped drifts past 1 758 and 505: 256 covers the
-// first and stops the second at 55 KB a kernel for 0.05 allocations a request.
-const poolCap = 256
-
 // GetCall returns a zeroed Call frame.
 func (p *Pool) GetCall() *Call {
 	if p == nil {
@@ -59,7 +51,7 @@ func (p *Pool) GetCall() *Call {
 // FreeCall returns a fully consumed Call frame to the pool. The frame is
 // zeroed here so a pooled frame is indistinguishable from a fresh one.
 func (p *Pool) FreeCall(c *Call) {
-	if p == nil || c == nil || len(p.calls) >= poolCap {
+	if p == nil || c == nil {
 		return
 	}
 	*c = Call{}
@@ -82,7 +74,7 @@ func (p *Pool) GetReply() *Reply {
 
 // FreeReply returns a fully consumed Reply frame to the pool.
 func (p *Pool) FreeReply(r *Reply) {
-	if p == nil || r == nil || len(p.replies) >= poolCap {
+	if p == nil || r == nil {
 		return
 	}
 	*r = Reply{}

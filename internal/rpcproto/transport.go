@@ -43,11 +43,12 @@ func (l LinkSpec) TransferTime(size int64) sim.Time {
 // can ride the kernel's closure-free AfterPut path.
 type Msg = interface{}
 
-// CrossDeliver puts msg on q, a queue of the peer side's kernel, after the
-// link latency. It is how a cross-kernel Conn hands a delivery to an outside
-// scheduler (the shard coordinator's mailbox SendPut); the latency must be at
-// least the coordinator's lookahead for the handoff to be causally valid.
-type CrossDeliver func(latency sim.Time, q *sim.Queue[Msg], msg Msg)
+// Router delivers v to q, a queue of kernel dst, delay after the sender's
+// present: shard.Shard's SendPut, for a connection whose two sides run on
+// different kernels. delay must be at least the router's lookahead.
+type Router interface {
+	SendPut(dst int, delay sim.Time, q *sim.Queue[any], v any)
+}
 
 // Conn is a simulated bidirectional message connection between a frontend
 // (side A) and a backend (side B) crossing one link. The two inboxes are part
@@ -57,9 +58,9 @@ type Conn struct {
 	link  LinkSpec
 	toB   sim.Queue[Msg]
 	toA   sim.Queue[Msg]
-	xToB  CrossDeliver // non-nil when the two sides live on different kernels
-	xToA  CrossDeliver
-	pools [2]*Pool // side A's and side B's frame pool; nil allocates and drops
+	route [2]Router // side A's and side B's, when they run on different kernels
+	peer  [2]int    // the kernel each side's route delivers to
+	pool  *Pool     // the frame pool both endpoints hand out; nil allocates and drops
 
 	home   *ConnPool // where the connection goes once both sides Close it; nil: nowhere
 	made   *Conn     // the connection its pool made before it
@@ -67,14 +68,15 @@ type Conn struct {
 	unread int       // messages posted and not yet received
 }
 
-// ConnPool recycles the connections of one kernel. The zero ConnPool is empty.
+// ConnPool recycles the connections one kernel opens, whether their other side
+// runs on that kernel or on another. The zero ConnPool is empty.
 type ConnPool struct {
 	free []*Conn
 	made *Conn // the last connection Get made that may come back, linking the others
 }
 
-// Get returns a same-kernel connection over link, as NewConn would: a closed
-// one, inboxes and all, with the pools the last SetPools left, or a new one.
+// Get returns a connection over link on k, as NewConn would: a closed one,
+// inboxes and all, with its last pool and no route, or a new one.
 func (cp *ConnPool) Get(k *sim.Kernel, link LinkSpec) *Conn {
 	n := len(cp.free)
 	if n == 0 {
@@ -85,14 +87,14 @@ func (cp *ConnPool) Get(k *sim.Kernel, link LinkSpec) *Conn {
 	}
 	c := cp.free[n-1]
 	cp.free = cp.free[:n-1]
-	c.link, c.open = link, 3
+	c.link, c.open, c.route = link, 3, [2]Router{}
 	return c
 }
 
-// Reclaim takes back, once the kernel has been reset, every connection Get
-// made that a run left out: open at a RunUntil horizon, or closed with a
-// message on its way. Each comes back as Close would leave it, its inboxes
-// emptied into the pools of their readers and keeping their arrays. A
+// Reclaim takes back, once the kernels of both sides have been reset, every
+// connection Get made that a run left out: open at a RunUntil horizon, or
+// closed with a message on its way. Each comes back as Close would leave it,
+// its inboxes emptied into its frame pool and keeping their arrays. A
 // connection that retains frames is its pool's no more.
 func (cp *ConnPool) Reclaim() {
 	cp.free = cp.free[:0]
@@ -102,15 +104,15 @@ func (cp *ConnPool) Reclaim() {
 			*p, c.made = c.made, nil
 			continue
 		}
-		drain(&c.toB, c.pools[1])
-		drain(&c.toA, c.pools[0])
+		drain(&c.toB, c.pool)
+		drain(&c.toA, c.pool)
 		c.open, c.unread = 0, 0
 		cp.free = append(cp.free, c) // bounded by peak open connections
 		p = &c.made
 	}
 }
 
-// drain empties an inbox into its reader's pool, forgetting its waiters.
+// drain empties an inbox into the connection's pool, forgetting its waiters.
 func drain(q *sim.Queue[Msg], p *Pool) {
 	for m, ok := q.TryGet(); ok; m, ok = q.TryGet() {
 		switch f := m.(type) {
@@ -123,39 +125,34 @@ func drain(q *sim.Queue[Msg], p *Pool) {
 	q.Reset()
 }
 
-// NewConn creates a connection over the given link, with no frame pools.
-func NewConn(k *sim.Kernel, link LinkSpec) *Conn {
-	return NewCrossConn(k, link, nil, nil)
-}
+// NewConn creates a connection over the given link on kernel k, with no frame
+// pool and no route.
+func NewConn(k *sim.Kernel, link LinkSpec) *Conn { return &Conn{k: k, link: link} }
 
-// NewCrossConn creates a connection whose A side lives on kernel kA and B
-// side on another kernel. Each inbox queue is its reader's, and sends route
-// through the per-direction deliver hooks, which put on the reader's kernel,
-// instead of a local timer (NewConn: one kernel and no hooks).
-func NewCrossConn(kA *sim.Kernel, link LinkSpec, toB, toA CrossDeliver) *Conn {
-	return &Conn{k: kA, link: link, xToB: toB, xToA: toA}
-}
+// SetPool installs the frame pool both endpoints hand out: that of the kernel
+// that opened the connection, so every frame goes back where it came from.
+func (c *Conn) SetPool(p *Pool) { c.pool = p }
 
-// SetPools installs the frame pools the endpoints hand out: that of the kernel
-// side A runs on and that of side B's kernel (one pool when they share it).
-func (c *Conn) SetPools(a, b *Pool) { c.pools = [2]*Pool{a, b} }
+// SetRoute makes the connection cross kernels: side A, on ra's kernel, sends
+// through ra to kernel b, and side B through rb to kernel a, each into its
+// peer's inbox, instead of a timer of the connection's kernel.
+func (c *Conn) SetRoute(ra Router, a int, rb Router, b int) {
+	c.route, c.peer = [2]Router{ra, rb}, [2]int{b, a}
+}
 
 // Endpoint is one side of a Conn.
 type Endpoint struct {
 	conn *Conn
 	out  *sim.Queue[Msg]
 	in   *sim.Queue[Msg]
-	x    CrossDeliver // non-nil when out lives on the peer's kernel
-	side int          // 0 for A, 1 for B: the endpoint's index in conn.pools
+	side int // 0 for A, 1 for B
 }
 
 // A returns the frontend-side endpoint.
-func (c *Conn) A() Endpoint { return Endpoint{conn: c, out: &c.toB, in: &c.toA, x: c.xToB} }
+func (c *Conn) A() Endpoint { return Endpoint{conn: c, out: &c.toB, in: &c.toA} }
 
 // B returns the backend-side endpoint.
-func (c *Conn) B() Endpoint {
-	return Endpoint{conn: c, out: &c.toA, in: &c.toB, x: c.xToA, side: 1}
-}
+func (c *Conn) B() Endpoint { return Endpoint{conn: c, out: &c.toA, in: &c.toB, side: 1} }
 
 // Send transmits msg plus payload bulk bytes. The sender is charged the
 // marshalling and serialization cost; the message is delivered to the peer
@@ -175,30 +172,28 @@ func (e Endpoint) Cost(msg Msg, payload int64) sim.Time {
 
 // Post is Send once the sender has been charged the Cost.
 func (e Endpoint) Post(msg Msg) {
-	e.conn.unread++
-	if e.x != nil {
-		e.x(e.conn.link.Latency, e.out, msg)
+	c := e.conn
+	c.unread++
+	if r := c.route[e.side]; r != nil {
+		r.SendPut(c.peer[e.side], c.link.Latency, e.out, msg)
 		return
 	}
-	e.conn.k.AfterPut(e.conn.link.Latency, e.out, msg)
+	c.k.AfterPut(c.link.Latency, e.out, msg)
 }
 
-// Pool returns the frame pool of the kernel this side runs on: nil, the valid
-// disabled pool, for the zero Endpoint and for a connection without pools.
+// Pool returns the connection's frame pool: nil, the valid disabled pool, for
+// the zero Endpoint and for a connection without one.
 func (e Endpoint) Pool() *Pool {
 	if e.conn == nil {
 		return nil
 	}
-	return e.conn.pools[e.side]
+	return e.conn.pool
 }
 
 // RetainFrames makes both endpoints hand out the nil pool from here on and
 // keeps the connection out of its ConnPool: a retransmitted frame outlives any
 // round trip. The recovery layer calls it before a backend can ask.
-func (e Endpoint) RetainFrames() {
-	e.conn.pools = [2]*Pool{}
-	e.conn.home = nil
-}
+func (e Endpoint) RetainFrames() { e.conn.pool, e.conn.home = nil, nil }
 
 // Close ends this side's use of the connection. A pooled one goes back once
 // both sides have closed it with every message received, so nothing of this

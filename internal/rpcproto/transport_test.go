@@ -80,19 +80,29 @@ func TestConnBidirectional(t *testing.T) {
 }
 
 // A connection is one object: its two inboxes and their signals are part of
-// it, on one kernel or across two.
+// it. One from a warm ConnPool, routed across kernels, is none.
 func TestConnIsOneAllocation(t *testing.T) {
-	kA := sim.NewKernel(1)
-	deliver := func(sim.Time, *sim.Queue[Msg], Msg) {}
+	k := sim.NewKernel(1)
 	var sink *Conn
-	if n := testing.AllocsPerRun(100, func() { sink = NewConn(kA, SharedMemLink) }); n != 1 {
+	if n := testing.AllocsPerRun(100, func() { sink = NewConn(k, SharedMemLink) }); n != 1 {
 		t.Errorf("NewConn allocates %v objects, want 1", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { sink = NewCrossConn(kA, RemoteLink, deliver, deliver) }); n != 1 {
-		t.Errorf("NewCrossConn allocates %v objects, want 1", n)
 	}
 	if a, b := sink.A(), sink.B(); a.out != b.in || a.in != b.out || a.in == a.out {
 		t.Errorf("endpoints do not share the connection's two inboxes: A %+v, B %+v", a, b)
+	}
+	co := shard.NewCoordinator([]*sim.Kernel{k, sim.NewKernel(2)}, RemoteLink.Latency, 0)
+	var cp ConnPool
+	var pool Pool
+	routed := func() {
+		c := cp.Get(k, RemoteLink)
+		c.SetPool(&pool)
+		c.SetRoute(co.Shard(0), 0, co.Shard(1), 1)
+		c.A().Close()
+		c.B().Close()
+	}
+	routed()
+	if n := testing.AllocsPerRun(100, routed); n != 0 {
+		t.Errorf("a routed connection from a warm ConnPool allocates %v objects, want 0", n)
 	}
 }
 
@@ -180,7 +190,7 @@ type crossSession struct {
 // runCrossSession starts, at the given instant, a frontend on conn's A side
 // issuing three non-blocking calls of growing payload and one blocking call,
 // and a backend on its B side, each recycling through its endpoint's pool
-// under the ownership discipline of Pool.
+// under the ownership discipline of Pool, and each closing its side.
 func runCrossSession(kA, kB *sim.Kernel, conn *Conn, start sim.Time) *crossSession {
 	s := &crossSession{}
 	kA.Go("frontend", func(p *sim.Proc) {
@@ -197,6 +207,7 @@ func runCrossSession(kA, kB *sim.Kernel, conn *Conn, start sim.Time) *crossSessi
 		s.replySeq, s.replyAt = s.reply.Seq, p.Now()
 		ep.Pool().FreeCall(s.frames[3])
 		ep.Pool().FreeReply(s.reply)
+		ep.Close()
 	})
 	kB.Go("backend", func(p *sim.Proc) {
 		ep := conn.B()
@@ -214,83 +225,67 @@ func runCrossSession(kA, kB *sim.Kernel, conn *Conn, start sim.Time) *crossSessi
 			ep.Send(p, s.replyFrame, 500)
 			s.replied = p.Now()
 		}
+		ep.Close()
 	})
 	return s
 }
 
-// TestCrossConnFramesChangeKernels drives a Conn whose sides run on two
-// kernels of one shard coordinator — the layout core builds for a remote GPU.
-// Messages arrive in send order, one link latency after the sender has paid
-// the transfer; every frame is freed into the pool of the kernel that consumed
-// it; and a second session in the opposite direction takes those very frames
-// back to the kernel that allocated them.
-func TestCrossConnFramesChangeKernels(t *testing.T) {
+// TestRoutedConnFramesComeHome drives routed connections between two kernels
+// of one shard coordinator, the layout core builds for a remote GPU, one
+// opened by each kernel from its ConnPool. Messages arrive in send order, one
+// link latency after the sender has paid the transfer; every frame either side
+// frees goes back to the opener's pool, and the connection to its ConnPool.
+func TestRoutedConnFramesComeHome(t *testing.T) {
 	link := LinkSpec{Latency: 60, Bandwidth: 100}
 	kernels := []*sim.Kernel{sim.NewKernel(1), sim.NewKernel(2)}
 	co := shard.NewCoordinator(kernels, link.Latency, 0)
-	pools := make([]Pool, 2)
+	conns, pools := make([]ConnPool, 2), make([]Pool, 2)
 	connect := func(a, b int) *Conn {
-		sa, sb := co.Shard(a), co.Shard(b)
-		conn := NewCrossConn(kernels[a], link,
-			func(lat sim.Time, q *sim.Queue[Msg], m Msg) { sa.SendPut(b, lat, q, m) },
-			func(lat sim.Time, q *sim.Queue[Msg], m Msg) { sb.SendPut(a, lat, q, m) })
-		conn.SetPools(&pools[a], &pools[b])
+		conn := conns[a].Get(kernels[a], link)
+		conn.SetPool(&pools[a])
+		conn.SetRoute(co.Shard(a), a, co.Shard(b), b)
 		return conn
 	}
-	there := runCrossSession(kernels[0], kernels[1], connect(0, 1), 0)
-	back := runCrossSession(kernels[1], kernels[0], connect(1, 0), 100*sim.Millisecond)
+	sessions := []*crossSession{
+		runCrossSession(kernels[0], kernels[1], connect(0, 1), 0),
+		runCrossSession(kernels[1], kernels[0], connect(1, 0), 100*sim.Millisecond),
+	}
 	co.Run()
 	co.Close()
 
-	for name, s := range map[string]*crossSession{"0→1": there, "1→0": back} {
+	for k, s := range sessions {
 		if len(s.arrived) != 4 || s.reply == nil {
-			t.Fatalf("%s: %d calls arrived, reply %v", name, len(s.arrived), s.reply)
+			t.Fatalf("opened by %d: %d calls arrived, reply %v", k, len(s.arrived), s.reply)
 		}
 		for i := range s.arrived {
 			if s.arrivedSeq[i] != uint64(i+1) || s.arrived[i] != s.frames[i] {
-				t.Fatalf("%s: arrival %d is call %d, want the frame issued as call %d", name, i, s.arrivedSeq[i], i+1)
+				t.Fatalf("opened by %d: arrival %d is call %d, want the frame issued as call %d", k, i, s.arrivedSeq[i], i+1)
 			}
 			if s.arrivedAt[i] != s.sent[i]+link.Latency {
-				t.Fatalf("%s: call %d sent by %v arrived at %v, want one latency later", name, i+1, s.sent[i], s.arrivedAt[i])
+				t.Fatalf("opened by %d: call %d sent by %v arrived at %v, want one latency later", k, i+1, s.sent[i], s.arrivedAt[i])
 			}
 			if i > 0 && s.sent[i]-s.sent[i-1] < link.TransferTime(int64(i+1)*1000) {
-				t.Fatalf("%s: call %d left %v after its predecessor, under its transfer time", name, i+1, s.sent[i]-s.sent[i-1])
+				t.Fatalf("opened by %d: call %d left %v after its predecessor, under its transfer time", k, i+1, s.sent[i]-s.sent[i-1])
 			}
 		}
 		if s.reply != s.replyFrame || s.replySeq != 4 || s.replyAt != s.replied+link.Latency {
-			t.Fatalf("%s: reply %p (seq %d) at %v, backend sent %p by %v", name, s.reply, s.replySeq, s.replyAt, s.replyFrame, s.replied)
+			t.Fatalf("opened by %d: reply %p (seq %d) at %v, backend sent %p by %v", k, s.reply, s.replySeq, s.replyAt, s.replyFrame, s.replied)
+		}
+		// The opener's pool holds every frame its session took, and nothing else.
+		took := map[*Call]bool{}
+		for _, c := range s.frames {
+			took[c] = true
+		}
+		held := len(pools[k].calls) == len(took)
+		for _, c := range pools[k].calls {
+			held = held && took[c]
+		}
+		if !held || len(pools[k].replies) != 1 || pools[k].replies[0] != s.replyFrame {
+			t.Fatalf("opened by %d: the pool holds calls %v and replies %v, want the session's calls %v and reply %p",
+				k, pools[k].calls, pools[k].replies, s.frames, s.replyFrame)
+		}
+		if len(conns[k].free) != 1 {
+			t.Fatalf("opened by %d: %d connections back in the ConnPool, want 1", k, len(conns[k].free))
 		}
 	}
-	// Kernel 1 took the first session's three non-blocking frames from
-	// kernel 0 and, as the second session's frontend, sent them back,
-	// last freed first; its fourth call found the pool empty.
-	for i := 0; i < 3; i++ {
-		if back.frames[i] != there.frames[2-i] {
-			t.Fatalf("return call %d did not reuse the frame kernel 0 allocated", i+1)
-		}
-	}
-	// The reply frame kernel 1 allocated was freed on kernel 0, taken
-	// there by the second session's backend, and freed on kernel 1 again.
-	if back.replyFrame != there.replyFrame {
-		t.Fatalf("the second session's backend did not reuse the reply frame freed on its kernel")
-	}
-	wantCalls := [][]*Call{
-		{there.frames[3], there.frames[2], there.frames[1], there.frames[0]},
-		{back.frames[3]},
-	}
-	for k := range pools {
-		if len(pools[k].calls) != len(wantCalls[k]) || len(pools[k].replies) != k {
-			t.Fatalf("kernel %d's pool ends with %d calls and %d replies, want %d and %d",
-				k, len(pools[k].calls), len(pools[k].replies), len(wantCalls[k]), k)
-		}
-		for i, c := range wantCalls[k] {
-			if pools[k].calls[i] != c {
-				t.Fatalf("kernel %d's pool holds the wrong frame at %d", k, i)
-			}
-		}
-	}
-	if pools[1].replies[0] != there.replyFrame {
-		t.Fatalf("the reply frame did not end on the kernel that allocated it")
-	}
-
 }

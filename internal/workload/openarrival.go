@@ -82,8 +82,8 @@ type OpenArrivalSpec struct {
 	// MaxTenants, when > 0, caps the population size.
 	MaxTenants int
 
-	// Kind is the benchmark class every tenant's requests run (default
-	// Gaussian, the lightest Table I profile).
+	// Kind is the benchmark class every tenant's requests run. It has no
+	// default: the zero value is DXTC.
 	Kind Kind
 
 	// MeanLife is the mean tenant lifetime. Lifetimes are drawn from a

@@ -8,8 +8,8 @@ import (
 )
 
 // StreamSeed derives the per-stream arrival seed from the run seed and the
-// stream's index. TraceBook.Arrivals is its one caller, so a trace is the
-// same whether a book shares it or not.
+// stream's index. A trace is spec.Arrivals of a source seeded with it,
+// whether a book shares it or not.
 func StreamSeed(seed int64, si int) int64 {
 	return seed*7919 + int64(si)*104729 + 13
 }
@@ -44,22 +44,16 @@ func NewTraceBook() *TraceBook {
 
 // Arrivals returns the arrival times of stream si of spec under the given
 // run seed, spec.Arrivals(rand.New(rand.NewSource(StreamSeed(seed, si)))),
-// materializing and caching them on first use. A nil book derives the trace
-// without caching it.
+// materializing and caching them on first use.
 func (b *TraceBook) Arrivals(seed int64, si int, spec StreamSpec) []sim.Time {
 	key := traceKey{seed: seed, si: si, spec: spec}
-	if b != nil {
-		b.mu.RLock()
-		t, ok := b.m[key]
-		b.mu.RUnlock()
-		if ok {
-			return t
-		}
-	}
-	t := spec.Arrivals(rand.New(rand.NewSource(StreamSeed(seed, si))))
-	if b == nil {
+	b.mu.RLock()
+	t, ok := b.m[key]
+	b.mu.RUnlock()
+	if ok {
 		return t
 	}
+	t = spec.Arrivals(rand.New(rand.NewSource(StreamSeed(seed, si))))
 	b.mu.Lock()
 	if prev, ok := b.m[key]; ok {
 		t = prev // keep the first publication so all consumers alias one slice
